@@ -106,8 +106,10 @@ pub struct MiddlewareConfig {
     /// The default honours the `SCALECLASS_SCAN_WORKERS` environment
     /// variable so whole test runs can be switched without code changes.
     pub scan_workers: usize,
-    /// Rows per block handed from the scan producer to the counting
-    /// workers (only used when `scan_workers > 1`).
+    /// Rows per block of a counting scan: where memory sets and wire
+    /// fetches are cut for the block kernel, the unit a sampled scan
+    /// admits or skips, and the size of the blocks handed to the counting
+    /// workers when `scan_workers > 1`.
     pub scan_block_rows: usize,
     /// Rows per extent in staged middleware files. Staged files are
     /// written as fixed-size extents (columnar blocks + CRC footer, see
@@ -141,12 +143,13 @@ pub struct MiddlewareConfig {
     /// stats depend on sibling timing, so the deterministic bit-identity
     /// suites keep it off. Honours `SCALECLASS_SHARED_STAGING`.
     pub shared_staging: bool,
-    /// Count extent column blocks through the batched kernel
-    /// (`CountsTable::add_block`) instead of one row at a time. On by
-    /// default; turning it off pins the bit-identical row-at-a-time path
-    /// everywhere (counts, spills, budget checkpoints, and stats other
-    /// than the block counters are unchanged either way — see DESIGN.md
-    /// §12). Honours the `SCALECLASS_BATCH_KERNEL` environment variable.
+    /// Count whole column blocks through the batched kernel
+    /// (`CountsTable::add_block`) instead of one row at a time. Always on
+    /// outside tests and benchmarks: the builder can pin the bit-identical
+    /// row-at-a-time path (counts, spills, budget checkpoints, and stats
+    /// other than the block counters are unchanged either way — see
+    /// DESIGN.md §12) as the reference the batched≡row properties compare
+    /// against, and there is deliberately no environment knob for it.
     pub batch_kernel: bool,
     /// Sampled counting fraction (DESIGN.md §13). `0.0` (the default)
     /// disables the mode entirely — off is bit-identical to a build
@@ -216,15 +219,6 @@ fn env_shared_staging() -> bool {
     std::env::var("SCALECLASS_SHARED_STAGING")
         .map(|v| matches!(v.trim(), "1" | "true" | "on" | "yes"))
         .unwrap_or(false)
-}
-
-/// Batched-kernel switch from `SCALECLASS_BATCH_KERNEL` (`0`, `false`,
-/// `off`, or `no` pin the row-at-a-time path; anything else — including
-/// unset — keeps the batched default).
-fn env_batch_kernel() -> bool {
-    std::env::var("SCALECLASS_BATCH_KERNEL")
-        .map(|v| !matches!(v.trim(), "0" | "false" | "off" | "no"))
-        .unwrap_or(true)
 }
 
 /// Default dense counts-table cap: 4 MiB of slots per node. The
@@ -302,7 +296,7 @@ impl Default for MiddlewareConfig {
             cc_dense_max_bytes: env_cc_dense(),
             sessions: env_sessions(),
             shared_staging: env_shared_staging(),
-            batch_kernel: env_batch_kernel(),
+            batch_kernel: true,
             sampled_fraction: env_sampled(),
             sampled_min_rows: DEFAULT_SAMPLED_MIN_ROWS,
             deltas: env_deltas(),

@@ -1,7 +1,7 @@
 //! The execution module's counting core (§4.1.1).
 //!
 //! Given the scheduler's batch plan, [`BatchCounter`] consumes one stream
-//! of rows (whatever the source) and simultaneously:
+//! of row-major blocks (whatever the source) and simultaneously:
 //!
 //! * updates the counts table of every scheduled node whose predicate the
 //!   row satisfies,
@@ -12,8 +12,14 @@
 //!   SQL-based implementation* — its partial table is dropped and its
 //!   counts are later fetched lazily via per-attribute GROUP BY queries
 //!   (handled by the middleware after the scan).
+//!
+//! A block whose worst-case growth clears the budget and that no tee needs
+//! row by row is counted whole through the batched kernel
+//! (`count_block_into`, shared with the parallel shards); any other
+//! block takes [`BatchCounter::process_row`] per row, with identical
+//! results (DESIGN.md §12).
 
-use crate::cc::{CountsTable, CC_ENTRY_BYTES};
+use crate::cc::{BlockOutcome, CountsTable, CC_ENTRY_BYTES};
 use crate::error::MwResult;
 use crate::metrics::MiddlewareStats;
 use crate::request::CcRequest;
@@ -83,10 +89,8 @@ pub struct BatchCounter {
     /// Reusable column scratch: one `Vec` per source column, refilled by
     /// the block transpose and reused across blocks.
     col_scratch: Vec<Vec<Code>>,
-    /// Reusable gathered-column scratch for selective predicates.
-    gather_scratch: Vec<Vec<Code>>,
-    /// Reusable selection-vector scratch (row indices matching a pred).
-    sel_scratch: Vec<u32>,
+    /// Reusable selection/gather scratch of the per-node block routine.
+    block_scratch: BlockScratch,
 }
 
 /// Candidate prefilter over a batch's predicates: nodes whose path
@@ -154,7 +158,7 @@ fn deepest_eq_atom(pred: &Pred) -> Option<(usize, Code)> {
 /// of a column-major block. Mirrors `eval` exactly, including the panic
 /// on a column index past the block's arity (predicates are built against
 /// the scanned schema, so the columns are structurally present).
-pub(crate) fn pred_eval_cols(pred: &Pred, cols: &[Vec<Code>], r: usize) -> bool {
+fn pred_eval_cols(pred: &Pred, cols: &[Vec<Code>], r: usize) -> bool {
     match pred {
         Pred::True => true,
         Pred::False => false,
@@ -163,6 +167,105 @@ pub(crate) fn pred_eval_cols(pred: &Pred, cols: &[Vec<Code>], r: usize) -> bool 
         Pred::And(children) => children.iter().all(|p| pred_eval_cols(p, cols, r)),
         Pred::Or(children) => children.iter().any(|p| pred_eval_cols(p, cols, r)),
     }
+}
+
+/// Transpose a row-major block into one `Vec` per column (`cols` is
+/// resized to the arity and refilled, so it can be reused across blocks).
+/// Returns the block's row count.
+pub(crate) fn transpose_block(flat: &[Code], arity: usize, cols: &mut Vec<Vec<Code>>) -> usize {
+    cols.resize_with(arity, Vec::new);
+    for (c, col) in cols.iter_mut().enumerate() {
+        col.clear();
+        col.extend(flat.iter().skip(c).step_by(arity).copied());
+    }
+    flat.len() / arity
+}
+
+/// What the batched kernel did over some run of blocks and nodes. The
+/// serial counter adds it to the stats after every block; each parallel
+/// worker carries one to the merge.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KernelTally {
+    blocks_counted: u64,
+    pub(crate) block_fallback_rows: u64,
+    validate_nanos: u64,
+    accumulate_nanos: u64,
+}
+
+impl KernelTally {
+    fn record(&mut self, outcome: BlockOutcome) {
+        if outcome.fallback_rows == 0 {
+            self.blocks_counted += 1;
+        } else {
+            self.block_fallback_rows += outcome.fallback_rows;
+        }
+        self.validate_nanos += outcome.validate_nanos;
+        self.accumulate_nanos += outcome.accumulate_nanos;
+    }
+
+    /// Fold the tally into the middleware's block-kernel counters.
+    pub(crate) fn add_to(&self, stats: &mut MiddlewareStats) {
+        stats.blocks_counted += self.blocks_counted;
+        stats.block_fallback_rows += self.block_fallback_rows;
+        stats.kernel_validate_nanos += self.validate_nanos;
+        stats.kernel_accumulate_nanos += self.accumulate_nanos;
+    }
+}
+
+/// Reusable scratch of [`count_block_into`].
+#[derive(Default)]
+pub(crate) struct BlockScratch {
+    /// Row indices of the block that satisfy the node's predicate.
+    sel: Vec<u32>,
+    /// The selected rows of the columns the kernel reads.
+    gather: Vec<Vec<Code>>,
+}
+
+/// Count the rows of the column block `cols` that satisfy `pred` into
+/// `cc` through the batched kernel, and return the modelled bytes `cc`
+/// grew by. An unselective node (the root) counts the columns
+/// as they are; a selective one builds a selection vector, then gathers
+/// only the columns the kernel reads (attrs + class). The serial counter
+/// and the parallel shards both count through here; the budget protocol
+/// around the call is theirs.
+pub(crate) fn count_block_into(
+    cc: &mut CountsTable,
+    pred: &Pred,
+    attrs: &[u16],
+    class_col: u16,
+    cols: &[Vec<Code>],
+    scratch: &mut BlockScratch,
+    tally: &mut KernelTally,
+) -> u64 {
+    let before = cc.entries();
+    let outcome = if matches!(pred, Pred::True) {
+        let refs: Vec<&[Code]> = cols.iter().map(Vec::as_slice).collect();
+        cc.add_block(&refs, class_col, attrs)
+    } else {
+        let nrows = cols.first().map_or(0, Vec::len);
+        scratch.sel.clear();
+        scratch
+            .sel
+            .extend((0..nrows as u32).filter(|&r| pred_eval_cols(pred, cols, r as usize)));
+        if scratch.sel.is_empty() {
+            return 0;
+        }
+        scratch.gather.resize_with(cols.len(), Vec::new);
+        for &c in attrs.iter().chain(std::iter::once(&class_col)) {
+            // analyze:allow(hot-path-panic): attrs and class_col index the
+            // scanned schema's columns by construction.
+            let src = &cols[usize::from(c)];
+            let dst = &mut scratch.gather[usize::from(c)]; // analyze:allow(hot-path-panic): gather was resized to the arity above
+            dst.clear();
+            // analyze:allow(hot-path-panic): sel rows were minted over
+            // this block, so every index is < nrows.
+            dst.extend(scratch.sel.iter().map(|&r| src[r as usize]));
+        }
+        let refs: Vec<&[Code]> = scratch.gather.iter().map(Vec::as_slice).collect();
+        cc.add_block(&refs, class_col, attrs)
+    };
+    tally.record(outcome);
+    (cc.entries() - before) as u64 * CC_ENTRY_BYTES
 }
 
 impl BatchCounter {
@@ -184,8 +287,7 @@ impl BatchCounter {
             scratch: Vec::with_capacity(8),
             batch_kernel: true,
             col_scratch: Vec::new(),
-            gather_scratch: Vec::new(),
-            sel_scratch: Vec::new(),
+            block_scratch: BlockScratch::default(),
         }
     }
 
@@ -355,78 +457,26 @@ impl BatchCounter {
         }
         // Transpose once into the reusable column scratch; every node's
         // kernel call reads these same columns.
-        self.col_scratch.resize_with(arity, Vec::new);
-        for (c, col) in self.col_scratch.iter_mut().enumerate() {
-            col.clear();
-            col.extend(flat.iter().skip(c).step_by(arity).copied());
+        transpose_block(flat, arity, &mut self.col_scratch);
+        let mut tally = KernelTally::default();
+        for node in self.nodes.iter_mut().filter(|n| !n.fallback) {
+            self.cc_bytes += count_block_into(
+                &mut node.cc,
+                node.req.pred(),
+                &node.req.attrs,
+                node.req.class_col,
+                &self.col_scratch,
+                &mut self.block_scratch,
+                &mut tally,
+            );
         }
-        self.count_block(nrows, stats);
-        stats.observe_memory(self.memory_in_use());
-        Ok(())
-    }
-
-    /// Count the transposed block in `col_scratch` into every live node.
-    /// Caller has already cleared the budget gate for `nrows` rows.
-    fn count_block(&mut self, nrows: usize, stats: &mut MiddlewareStats) {
-        for idx in 0..self.nodes.len() {
-            // analyze:allow(hot-path-panic): idx enumerates self.nodes
-            if self.nodes[idx].fallback {
-                continue;
-            }
-            // analyze:allow(hot-path-panic): idx enumerates self.nodes
-            let outcome = if matches!(self.nodes[idx].req.pred(), Pred::True) {
-                // Unselective node (the root): count the columns directly.
-                let refs: Vec<&[Code]> = self.col_scratch.iter().map(Vec::as_slice).collect();
-                let node = &mut self.nodes[idx]; // analyze:allow(hot-path-panic): idx enumerates self.nodes
-                let before = node.cc.entries();
-                let out = node
-                    .cc
-                    .add_block(&refs, node.req.class_col, &node.req.attrs);
-                self.cc_bytes += (node.cc.entries() - before) as u64 * CC_ENTRY_BYTES;
-                out
-            } else {
-                // Selective node: build the selection vector, then gather
-                // only the columns the kernel reads (attrs + class).
-                self.sel_scratch.clear();
-                let pred = self.nodes[idx].req.pred(); // analyze:allow(hot-path-panic): idx enumerates self.nodes
-                for r in 0..nrows {
-                    if pred_eval_cols(pred, &self.col_scratch, r) {
-                        self.sel_scratch.push(r as u32);
-                    }
-                }
-                if self.sel_scratch.is_empty() {
-                    continue;
-                }
-                self.gather_scratch.resize_with(self.arity, Vec::new);
-                let class_col = self.nodes[idx].req.class_col; // analyze:allow(hot-path-panic): idx enumerates self.nodes
-                let attrs = &self.nodes[idx].req.attrs; // analyze:allow(hot-path-panic): idx enumerates self.nodes
-                for &c in attrs.iter().chain(std::iter::once(&class_col)) {
-                    let src = &self.col_scratch[usize::from(c)]; // analyze:allow(hot-path-panic): attrs/class index the scanned schema's columns
-                    let dst = &mut self.gather_scratch[usize::from(c)]; // analyze:allow(hot-path-panic): gather_scratch was resized to the arity above
-                    dst.clear();
-                    // analyze:allow(hot-path-panic): sel rows were minted
-                    // over this block, so every index is < nrows.
-                    dst.extend(self.sel_scratch.iter().map(|&r| src[r as usize]));
-                }
-                let refs: Vec<&[Code]> = self.gather_scratch.iter().map(Vec::as_slice).collect();
-                let node = &mut self.nodes[idx]; // analyze:allow(hot-path-panic): idx enumerates self.nodes
-                let before = node.cc.entries();
-                let out = node.cc.add_block(&refs, class_col, &node.req.attrs);
-                self.cc_bytes += (node.cc.entries() - before) as u64 * CC_ENTRY_BYTES;
-                out
-            };
-            if outcome.fallback_rows == 0 {
-                stats.blocks_counted += 1;
-            } else {
-                stats.block_fallback_rows += outcome.fallback_rows;
-            }
-            stats.kernel_validate_nanos += outcome.validate_nanos;
-            stats.kernel_accumulate_nanos += outcome.accumulate_nanos;
-        }
+        tally.add_to(stats);
         debug_assert!(
             self.memory_in_use() <= self.budget,
             "block kernel engaged without clearing its growth bound"
         );
+        stats.observe_memory(self.memory_in_use());
+        Ok(())
     }
 }
 

@@ -67,7 +67,10 @@ pub struct MiddlewareStats {
     pub sharded_file_scans: u64,
     /// Rows fed through counting scans (serial or parallel).
     pub scan_rows: u64,
-    /// Row blocks handed from the scan producer to counting workers.
+    /// Source blocks counting scans read — wire fetches and memory sets
+    /// cut at `scan_block_rows`, staged-file extents — counted once in
+    /// the scan loop, whichever path (serial, channel, sharded) counts
+    /// their rows.
     pub scan_blocks: u64,
     /// Wall-clock nanoseconds spent inside counting scans. Timing, not a
     /// logical counter: it varies run to run and must be excluded from

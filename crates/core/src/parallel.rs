@@ -9,13 +9,14 @@
 //!
 //! [`ParallelScan`] splits a counting pass into three roles:
 //!
-//! * **Producer (the scan thread).** Whatever drives the scan — a server
-//!   cursor, [`crate::staging::FileScan::next_row`], or chunks of a
-//!   memory-staged set — keeps pushing rows into [`RowSink::process_row`].
-//!   The coordinator packs them into fixed-size blocks
-//!   ([`crate::config::MiddlewareConfig::scan_block_rows`]) and sends them
-//!   through a *bounded* channel, so a fast producer cannot outrun slow
-//!   workers by more than a few blocks (backpressure, not unbounded
+//! * **Producer (the scan thread).** The session's one scan loop reads
+//!   blocks from whatever source the batch was scheduled on (server
+//!   cursor, extent file, memory set) and pushes them into
+//!   [`RowSink::process_block`]. The coordinator tees their rows where
+//!   staging demands, re-packs them into fixed-size blocks
+//!   ([`crate::config::MiddlewareConfig::scan_block_rows`]) and sends
+//!   those through a *bounded* channel, so a fast producer cannot outrun
+//!   slow workers by more than a few blocks (backpressure, not unbounded
 //!   buffering).
 //! * **Workers.** `scan_workers` threads pull blocks and count rows into
 //!   *private* per-node [`CountsTable`] shards — no locks on the hot path.
@@ -91,7 +92,9 @@
 use crate::cc::{CountsTable, CC_ENTRY_BYTES};
 use crate::config::MiddlewareConfig;
 use crate::error::{MwError, MwResult};
-use crate::executor::{BatchCounter, Dispatch};
+use crate::executor::{
+    count_block_into, transpose_block, BatchCounter, BlockScratch, Dispatch, KernelTally,
+};
 use crate::metrics::{MiddlewareStats, WorkerScanStats};
 use crate::staging::{ExtentLayout, ExtentReader, TeeSpool, FILE_HEADER_BYTES};
 use crossbeam_channel::{bounded, Receiver, Sender};
@@ -187,14 +190,8 @@ struct WorkerResult {
     rows: u64,
     /// Wall-clock ns this worker spent inside its row-counting loops.
     kernel_ns: u64,
-    /// Blocks this worker counted through the batched kernel.
-    blocks_counted: u64,
-    /// Rows this worker re-routed through the exact per-row path.
-    block_fallback_rows: u64,
-    /// Batched-kernel hoisted-validation nanoseconds.
-    validate_ns: u64,
-    /// Batched-kernel accumulate-loop nanoseconds.
-    accumulate_ns: u64,
+    /// What the batched kernel did on this worker's blocks.
+    tally: KernelTally,
 }
 
 /// One worker's private counting state — shared by the channel workers and
@@ -207,16 +204,9 @@ struct ShardState {
     rows: u64,
     kernel_ns: u64,
     candidates: Vec<usize>,
-    /// Reusable column scratch for the channel workers' block transpose.
-    col_scratch: Vec<Vec<Code>>,
-    /// Reusable gathered-column scratch for selective predicates.
-    gather_scratch: Vec<Vec<Code>>,
-    /// Reusable selection-vector scratch.
-    sel_scratch: Vec<u32>,
-    blocks_counted: u64,
-    block_fallback_rows: u64,
-    validate_ns: u64,
-    accumulate_ns: u64,
+    /// Reusable selection/gather scratch of the per-node block routine.
+    scratch: BlockScratch,
+    tally: KernelTally,
 }
 
 impl ShardState {
@@ -227,13 +217,8 @@ impl ShardState {
             rows: 0,
             kernel_ns: 0,
             candidates: Vec::with_capacity(8),
-            col_scratch: Vec::new(),
-            gather_scratch: Vec::new(),
-            sel_scratch: Vec::new(),
-            blocks_counted: 0,
-            block_fallback_rows: 0,
-            validate_ns: 0,
-            accumulate_ns: 0,
+            scratch: BlockScratch::default(),
+            tally: KernelTally::default(),
         }
     }
 
@@ -335,56 +320,20 @@ impl ShardState {
         }
         self.rows += nrows as u64;
         let mut grew_total = 0u64;
-        for idx in 0..shared.specs.len() {
+        for (idx, spec) in shared.specs.iter().enumerate() {
             if self.honour_fallback(idx, shared) {
                 continue;
             }
-            // analyze:allow(hot-path-panic): specs/shards parallel vectors.
-            let spec = &shared.specs[idx];
-            let outcome = if matches!(spec.pred, Pred::True) {
-                let refs: Vec<&[Code]> = cols.iter().map(Vec::as_slice).collect();
-                // analyze:allow(hot-path-panic): same parallel-vector bound.
-                let shard = &mut self.shards[idx];
-                let before = shard.entries();
-                let out = shard.add_block(&refs, spec.class_col, &spec.attrs);
-                grew_total += (shard.entries() - before) as u64 * CC_ENTRY_BYTES;
-                out
-            } else {
-                self.sel_scratch.clear();
-                for r in 0..nrows {
-                    if crate::executor::pred_eval_cols(&spec.pred, cols, r) {
-                        self.sel_scratch.push(r as u32);
-                    }
-                }
-                if self.sel_scratch.is_empty() {
-                    continue;
-                }
-                self.gather_scratch.resize_with(shared.arity, Vec::new);
-                for &c in spec.attrs.iter().chain(std::iter::once(&spec.class_col)) {
-                    // analyze:allow(hot-path-panic): attrs and class_col
-                    // index the scanned schema's columns by construction.
-                    let src = &cols[usize::from(c)];
-                    let dst = &mut self.gather_scratch[usize::from(c)]; // analyze:allow(hot-path-panic): gather_scratch was resized to the arity above
-                    dst.clear();
-                    // analyze:allow(hot-path-panic): sel rows were minted
-                    // over this same block.
-                    dst.extend(self.sel_scratch.iter().map(|&r| src[r as usize]));
-                }
-                let refs: Vec<&[Code]> = self.gather_scratch.iter().map(Vec::as_slice).collect();
-                // analyze:allow(hot-path-panic): same parallel-vector bound.
-                let shard = &mut self.shards[idx];
-                let before = shard.entries();
-                let out = shard.add_block(&refs, spec.class_col, &spec.attrs);
-                grew_total += (shard.entries() - before) as u64 * CC_ENTRY_BYTES;
-                out
-            };
-            if outcome.fallback_rows == 0 {
-                self.blocks_counted += 1;
-            } else {
-                self.block_fallback_rows += outcome.fallback_rows;
-            }
-            self.validate_ns += outcome.validate_nanos;
-            self.accumulate_ns += outcome.accumulate_nanos;
+            grew_total += count_block_into(
+                // analyze:allow(hot-path-panic): shards parallels specs.
+                &mut self.shards[idx],
+                &spec.pred,
+                &spec.attrs,
+                spec.class_col,
+                cols,
+                &mut self.scratch,
+                &mut self.tally,
+            );
         }
         // Keep only what actually grew; the gate reservation guaranteed
         // `grew_total <= bound`, so this cannot underflow the global.
@@ -394,26 +343,12 @@ impl ShardState {
         true
     }
 
-    /// Transpose a flat row-major block into the reusable column scratch.
-    fn transpose(&mut self, flat: &[Code], arity: usize) -> usize {
-        let nrows = flat.len() / arity;
-        self.col_scratch.resize_with(arity, Vec::new);
-        for (c, col) in self.col_scratch.iter_mut().enumerate() {
-            col.clear();
-            col.extend(flat.iter().skip(c).step_by(arity).copied());
-        }
-        nrows
-    }
-
     fn into_result(self) -> WorkerResult {
         WorkerResult {
             shards: self.shards,
             rows: self.rows,
             kernel_ns: self.kernel_ns,
-            blocks_counted: self.blocks_counted,
-            block_fallback_rows: self.block_fallback_rows,
-            validate_ns: self.validate_ns,
-            accumulate_ns: self.accumulate_ns,
+            tally: self.tally,
         }
     }
 }
@@ -421,19 +356,16 @@ impl ShardState {
 fn worker_loop(rx: Receiver<Vec<Code>>, shared: Arc<Shared>) -> WorkerResult {
     let dispatch = Dispatch::new(shared.specs.iter().map(|s| &s.pred));
     let mut state = ShardState::new(&shared.specs);
+    let mut cols: Vec<Vec<Code>> = Vec::new();
     for block in rx.iter() {
         let t0 = Instant::now();
-        let counted = if shared.batch_kernel {
-            let nrows = state.transpose(&block, shared.arity);
-            let cols = std::mem::take(&mut state.col_scratch);
+        let counted = shared.batch_kernel && {
+            let nrows = transpose_block(&block, shared.arity, &mut cols);
             let ok = state.count_block_cols(&cols, nrows, &shared);
-            state.col_scratch = cols;
             if !ok {
-                state.block_fallback_rows += (block.len() / shared.arity) as u64;
+                state.tally.block_fallback_rows += nrows as u64;
             }
             ok
-        } else {
-            false
         };
         if !counted {
             for row in block.chunks_exact(shared.arity) {
@@ -494,7 +426,7 @@ fn shard_reader_loop(
             let nrows = reader.decode_extent_columns(k, &mut cols, &mut io)?;
             let t0 = Instant::now();
             if !state.count_block_cols(&cols, nrows, &shared) {
-                state.block_fallback_rows += nrows as u64;
+                state.tally.block_fallback_rows += nrows as u64;
                 for r in 0..nrows {
                     row_buf.clear();
                     // analyze:allow(hot-path-panic): every decoded column
@@ -601,7 +533,6 @@ pub struct ParallelScan {
     /// Union of scheduled predicates, evaluated for the hybrid split tee.
     union_pred: Option<Pred>,
     rows_sent: u64,
-    blocks_sent: u64,
     started: Instant,
 }
 
@@ -659,7 +590,6 @@ impl ParallelScan {
             tee_nodes,
             union_pred,
             rows_sent: 0,
-            blocks_sent: 0,
             started: Instant::now(),
         }
     }
@@ -813,15 +743,21 @@ impl ParallelScan {
         Ok(io)
     }
 
-    /// Feed one source row: tee it where staging demands, then hand it to
-    /// the workers (blocking when the pipeline is full).
-    pub fn process_row(&mut self, row: &[Code]) -> MwResult<()> {
-        debug_assert_eq!(row.len(), self.shared.arity);
-        self.tee(row)?;
-        self.block.extend_from_slice(row);
-        self.rows_sent += 1;
-        if self.block.len() >= self.block_codes {
-            self.flush_block()?;
+    /// Feed one row-major source block: tee each row where staging
+    /// demands, and re-pack the rows into `scan_block_rows` blocks for the
+    /// workers (blocking when the pipeline is full). Source blocks need not
+    /// match the pipeline's block size — a wire fetch or an extent is
+    /// whatever size its source made it.
+    pub fn process_block(&mut self, flat: &[Code]) -> MwResult<()> {
+        let arity = self.shared.arity;
+        debug_assert_eq!(flat.len() % arity, 0);
+        self.rows_sent += (flat.len() / arity) as u64;
+        for row in flat.chunks_exact(arity) {
+            self.tee(row)?;
+            self.block.extend_from_slice(row);
+            if self.block.len() >= self.block_codes {
+                self.flush_block()?;
+            }
         }
         Ok(())
     }
@@ -874,7 +810,6 @@ impl ParallelScan {
             return Ok(());
         }
         let block = std::mem::replace(&mut self.block, Vec::with_capacity(self.block_codes));
-        self.blocks_sent += 1;
         let workers = self.workers_target;
         let shared = &self.shared;
         self.pipeline
@@ -948,10 +883,7 @@ impl ParallelScan {
         for r in &results {
             worker_rows_max = worker_rows_max.max(r.rows);
             kernel_ns += r.kernel_ns;
-            stats.blocks_counted += r.blocks_counted;
-            stats.block_fallback_rows += r.block_fallback_rows;
-            stats.kernel_validate_nanos += r.validate_ns;
-            stats.kernel_accumulate_nanos += r.accumulate_ns;
+            r.tally.add_to(stats);
         }
         // Deterministic merge, worker-index order. Counting is additive,
         // so the result is independent of how blocks were interleaved.
@@ -997,7 +929,6 @@ impl ParallelScan {
         stats.observe_memory(self.batch.memory_in_use());
         stats.parallel_scans += 1;
         stats.scan_rows += self.rows_sent;
-        stats.scan_blocks += self.blocks_sent;
         stats.scan_worker_rows_max = stats.scan_worker_rows_max.max(worker_rows_max);
         stats.scan_nanos += self.started.elapsed().as_nanos() as u64;
         stats.kernel_nanos += kernel_ns;
@@ -1009,9 +940,9 @@ impl ParallelScan {
 // its `Sender`, the disconnect wakes every worker out of `recv`, and the
 // detached join handles let the threads exit on their own.
 
-/// A counting pass behind a uniform row interface: the exact serial
+/// A counting pass behind a uniform block interface: the exact serial
 /// [`BatchCounter`] when `scan_workers == 1`, the block pipeline
-/// otherwise. Scan drivers push rows and never know which one runs.
+/// otherwise. The scan loop pushes blocks and never knows which one runs.
 // One RowSink exists per scheduling round, held in a single stack frame
 // for the whole scan — the Serial/Parallel size gap costs nothing, and
 // boxing the serial BatchCounter would tax the default path instead.
@@ -1056,41 +987,23 @@ impl RowSink {
         }
     }
 
-    /// Feed one source row through the counting pass.
-    pub fn process_row(&mut self, row: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
-        match self {
-            RowSink::Serial { batch, rows, .. } => {
-                *rows += 1;
-                batch.process_row(row, stats)
-            }
-            RowSink::Parallel(scan) => scan.process_row(row),
-        }
-    }
-
     /// Feed a flat row-major block through the counting pass. Serial mode
-    /// hands the whole block to the batched kernel; parallel mode keeps
-    /// per-row feeding here because its packing/tee split lives in
-    /// [`ParallelScan::process_row`] and workers re-block anyway.
+    /// hands the whole block to the batched kernel; parallel mode tees and
+    /// re-packs it for the workers.
     pub fn process_block(&mut self, flat: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
         match self {
             RowSink::Serial { batch, rows, .. } => {
                 *rows += (flat.len() / batch.arity) as u64;
                 batch.process_block(flat, stats)
             }
-            RowSink::Parallel(scan) => {
-                let arity = scan.batch.arity;
-                for row in flat.chunks_exact(arity) {
-                    scan.process_row(row)?;
-                }
-                Ok(())
-            }
+            RowSink::Parallel(scan) => scan.process_block(flat),
         }
     }
 
     /// Serve an extent-format staging file with sharded reader threads, if
     /// this pass is parallel and the batch's tees allow it. Returns the
     /// per-reader I/O counters on success, `None` when the caller should
-    /// fall back to feeding rows through [`RowSink::process_row`].
+    /// fall back to feeding blocks through [`RowSink::process_block`].
     pub fn try_scan_extents(
         &mut self,
         layout: &ExtentLayout,
@@ -1166,6 +1079,11 @@ mod tests {
             .collect()
     }
 
+    /// The rows as one flat row-major block, the shape sources feed sinks.
+    fn flat(data: &[[Code; 3]]) -> Vec<Code> {
+        data.iter().flatten().copied().collect()
+    }
+
     fn nodes() -> Vec<NodeCounter> {
         vec![
             NodeCounter::new(root_request()),
@@ -1186,9 +1104,7 @@ mod tests {
             batch
         } else {
             let mut scan = ParallelScan::new(batch, workers, block_rows);
-            for r in data {
-                scan.process_row(r).unwrap();
-            }
+            scan.process_block(&flat(data)).unwrap();
             scan.finish(&mut stats).unwrap()
         }
     }
@@ -1226,9 +1142,7 @@ mod tests {
         for &(workers, block) in &[(2usize, 64usize), (4, 17)] {
             let batch = BatchCounter::new(dense_nodes(), u64::MAX, 0, ARITY);
             let mut scan = ParallelScan::new(batch, workers, block);
-            for r in &data {
-                scan.process_row(r).unwrap();
-            }
+            scan.process_block(&flat(&data)).unwrap();
             let mut st = MiddlewareStats::new();
             let par = scan.finish(&mut st).unwrap();
             assert!(st.kernel_nanos > 0, "workers recorded kernel time");
@@ -1266,13 +1180,10 @@ mod tests {
         let batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
         let mut stats = MiddlewareStats::new();
         let mut scan = ParallelScan::new(batch, 2, 30);
-        for r in &data {
-            scan.process_row(r).unwrap();
-        }
+        scan.process_block(&flat(&data)).unwrap();
         scan.finish(&mut stats).unwrap();
         assert_eq!(stats.parallel_scans, 1);
         assert_eq!(stats.scan_rows, 100);
-        assert_eq!(stats.scan_blocks, 4, "3 full blocks of 30 + remainder");
         assert!(
             stats.scan_worker_rows_max >= 50,
             "someone did half the work"
@@ -1288,9 +1199,7 @@ mod tests {
         let batch = BatchCounter::new(vec![NodeCounter::new(root_request())], 96, 0, ARITY);
         let mut stats = MiddlewareStats::new();
         let mut scan = ParallelScan::new(batch, 3, 16);
-        for r in &data {
-            scan.process_row(r).unwrap();
-        }
+        scan.process_block(&flat(&data)).unwrap();
         let batch = scan.finish(&mut stats).unwrap();
         assert!(batch.nodes[0].fallback);
         assert_eq!(stats.sql_fallbacks, 1);
@@ -1312,9 +1221,7 @@ mod tests {
         batch.evictable = vec![(7, budget / 2), (9, budget / 4)];
         let mut stats = MiddlewareStats::new();
         let mut scan = ParallelScan::new(batch, 2, 32);
-        for r in &data {
-            scan.process_row(r).unwrap();
-        }
+        scan.process_block(&flat(&data)).unwrap();
         let batch = scan.finish(&mut stats).unwrap();
         assert!(!batch.nodes[0].fallback, "evictions freed enough room");
         assert!(stats.pressure_evictions >= 1);
@@ -1500,9 +1407,7 @@ mod tests {
             let mut batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
             batch.batch_kernel = kernel_on;
             let mut scan = ParallelScan::new(batch, 3, 64);
-            for r in &data {
-                scan.process_row(r).unwrap();
-            }
+            scan.process_block(&flat(&data)).unwrap();
             let mut st = MiddlewareStats::new();
             let par = scan.finish(&mut st).unwrap();
             for (s, p) in serial.nodes.iter().zip(&par.nodes) {
@@ -1552,9 +1457,7 @@ mod tests {
         let budget = 2048;
         let batch = BatchCounter::new(vec![NodeCounter::new(root_request())], budget, 0, ARITY);
         let mut scan = ParallelScan::new(batch, 2, 64);
-        for r in &data {
-            scan.process_row(r).unwrap();
-        }
+        scan.process_block(&flat(&data)).unwrap();
         let mut st = MiddlewareStats::new();
         let par = scan.finish(&mut st).unwrap();
         assert!(!par.nodes[0].fallback, "row path fits the budget fine");
@@ -1576,8 +1479,9 @@ mod tests {
             let mut stats = MiddlewareStats::new();
             let mut sink = RowSink::new(BatchCounter::new(nodes(), u64::MAX, 0, ARITY), cfg);
             assert_eq!(sink.nodes().len(), 4);
-            for r in &data {
-                sink.process_row(r, &mut stats).unwrap();
+            // Source blocks of 150 rows: neither sink's own granularity.
+            for block in flat(&data).chunks(150 * ARITY) {
+                sink.process_block(block, &mut stats).unwrap();
             }
             let batch = sink.finish(&mut stats).unwrap();
             assert_eq!(stats.scan_rows, 400);

@@ -37,13 +37,14 @@ use crate::config::{AuxMode, MiddlewareConfig};
 use crate::error::{MwError, MwResult};
 use crate::executor::{BatchCounter, NodeCounter};
 use crate::filter::union_filter;
-use crate::metrics::{ArbiterStats, MiddlewareStats, ScanStats, WorkerScanStats};
+use crate::metrics::{ArbiterStats, MiddlewareStats, ScanStats};
 use crate::parallel::RowSink;
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use crate::sample::{BlockSampler, SampledLedger, SampledScan};
 use crate::scheduler::{schedule, BatchPlan};
+use crate::source::{admitted_ranges, BlockSource};
 use crate::sqlgen::cc_via_sql;
-use crate::staging::{ExtentReader, StagingManager};
+use crate::staging::StagingManager;
 use scaleclass_sqldb::stats::DbStats;
 use scaleclass_sqldb::{
     Code, Database, KeysetCursor, Pred, RowDelta, Schema, StatsSnapshot, CODE_BYTES,
@@ -739,34 +740,17 @@ impl Session {
         };
 
         let source = plan.source;
-        let mut sampled_tag = plan.sampled;
-        // Legacy row-stream staged files carry no extent directory, so
-        // there is no block structure to sample — degrade to exact rather
-        // than mis-tag a complete scan as a sample.
-        if sampled_tag.is_some() {
-            if let DataLocation::File(id) = source {
-                if self.staging.extent_layout(id)?.is_none() {
-                    sampled_tag = None;
-                }
-            }
-        }
+        let sampled_tag = plan.sampled;
         // The §4.3.3 threshold is judged on the *whole frontier's* relevant
         // data (batch + still-queued requests), not this batch alone — the
         // paper observes the techniques only apply once the active data set
         // has genuinely shrunk.
         let frontier_rows = plan.relevant_rows() + self.pending.iter().map(|r| r.rows).sum::<u64>();
         let batch = self.build_counters(plan, lease_bytes)?;
-        // Serial or parallel counting behind one row interface — the scan
-        // drivers below never know which one runs.
-        let sink = RowSink::new(batch, &self.backend.config);
-        let sink = match (source, sampled_tag) {
-            (DataLocation::Memory(id), Some(tag)) => self.scan_memory_sampled(id, sink, tag)?,
-            (DataLocation::File(id), Some(tag)) => self.scan_file_sampled(id, sink, tag)?,
-            (DataLocation::Server, Some(tag)) => self.scan_server_sampled(sink, tag)?,
-            (DataLocation::Memory(id), None) => self.scan_memory(id, sink)?,
-            (DataLocation::File(id), None) => self.scan_file(id, sink)?,
-            (DataLocation::Server, None) => self.scan_server(sink, frontier_rows)?,
-        };
+        // Serial or parallel counting behind one block interface — the
+        // scan loop never knows which one runs.
+        let mut sink = RowSink::new(batch, &self.backend.config);
+        self.scan(source, sampled_tag, frontier_rows, &mut sink)?;
         let batch = sink.finish(&mut self.stats)?;
         // Shadow checkpoint (DESIGN.md §9): the batch's incremental CC and
         // tee-buffer accounting must match a first-principles recount
@@ -915,263 +899,191 @@ impl Session {
         Ok(batch)
     }
 
-    fn scan_memory(&mut self, id: u64, mut sink: RowSink) -> MwResult<RowSink> {
-        self.stats.memory_scans += 1;
-        let set = self
-            .staging
-            .mem_set(id)
-            .ok_or_else(|| MwError::Internal(format!("scheduled memory set {id} missing")))?;
-        // Split borrows: the row data is read-only; counting mutates only
-        // the sink and the stats.
-        let rows = &set.rows;
+    /// Count one batch from the location it was scheduled on: open the
+    /// location as a [`BlockSource`], run the one scan loop over it, and
+    /// charge the location's read counters. A sampled batch (DESIGN.md
+    /// §13) reads only the blocks its sampler admits, charging
+    /// `sampled_rows_scanned` for their rows and `exact_rows_saved` for
+    /// the rest of the source.
+    fn scan(
+        &mut self,
+        location: DataLocation,
+        tag: Option<SampledScan>,
+        frontier_rows: u64,
+        sink: &mut RowSink,
+    ) -> MwResult<()> {
         let arity = self.backend.arity;
-        // Feed row-major blocks of `scan_block_rows` so the serial batched
-        // kernel sees the same block granularity as a file scan's extents.
-        // `block_codes` is a row multiple and so is `rows.len()`, so every
-        // chunk lands on a row boundary.
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
-        let mut read = 0u64;
-        for block in rows.chunks(block_codes) {
-            sink.process_block(block, &mut self.stats)?;
-            read += (block.len() / arity) as u64;
-        }
-        self.stats.memory_rows_read += read;
-        Ok(sink)
-    }
-
-    fn scan_file(&mut self, id: u64, mut sink: RowSink) -> MwResult<RowSink> {
-        self.stats.file_scans += 1;
-        let row_bytes = (self.backend.arity * CODE_BYTES) as u64;
-        // Extent-format files can be read-sharded: each scan worker owns a
-        // disjoint extent range, decoding into its own counting shard with
-        // no producer thread in between. Legacy files and batches whose
-        // tees demand a single ordered stream take the row loop below.
-        if self.backend.config.scan_workers > 1 {
-            if let Some(layout) = self.staging.extent_layout(id)? {
-                if let Some(per_reader) = sink.try_scan_extents(&layout)? {
-                    let rows: u64 = per_reader.iter().map(|w| w.rows).sum();
-                    self.stats.file_rows_read += rows;
-                    self.stats.file_bytes_read += rows * row_bytes;
+        let block_rows = self.backend.config.scan_block_rows;
+        let sampler = tag.map(|t| BlockSampler::new(t.fraction));
+        let (admitted, skipped) = match location {
+            DataLocation::Memory(id) => {
+                self.stats.memory_scans += 1;
+                let set = self.staging.mem_set(id).ok_or_else(|| {
+                    MwError::Internal(format!("scheduled memory set {id} missing"))
+                })?;
+                let mut src = BlockSource::flat(&set.rows, arity, block_rows);
+                drive(&mut src, sampler.as_ref(), sink, &mut self.stats)?;
+                self.stats.memory_rows_read += src.rows_read;
+                (src.rows_read, src.rows_skipped)
+            }
+            DataLocation::File(id) => {
+                self.stats.file_scans += 1;
+                let layout = self.staging.extent_layout(id)?.ok_or_else(|| {
+                    MwError::Internal(format!("scheduled staged file {id} missing"))
+                })?;
+                // An exact parallel scan read-shards the file: each worker
+                // owns a disjoint extent range and decodes into its own
+                // counting shard, no producer thread in between. Serial
+                // scans, batches whose tees demand one ordered stream, and
+                // sampled scans (a fraction of the file; and admission is
+                // identical across worker counts by construction) take
+                // the loop.
+                let sharded = match sampler {
+                    None => sink.try_scan_extents(&layout)?,
+                    Some(_) => None,
+                };
+                let (io, read, skipped) = if let Some(per_reader) = sharded {
                     self.stats.sharded_file_scans += 1;
-                    self.scan_stats.absorb(&per_reader);
-                    return Ok(sink);
-                }
+                    self.stats.scan_blocks += layout.extents;
+                    (per_reader, layout.nrows, 0)
+                } else {
+                    let mut src = BlockSource::extents(&layout)?;
+                    drive(&mut src, sampler.as_ref(), sink, &mut self.stats)?;
+                    (vec![src.io], src.rows_read, src.rows_skipped)
+                };
+                self.stats.file_rows_read += read;
+                self.stats.file_bytes_read += read * (arity * CODE_BYTES) as u64;
+                self.scan_stats.absorb(&io);
+                (read, skipped)
             }
+            DataLocation::Server => {
+                self.stats.server_scans += 1;
+                self.scan_server(sampler.as_ref(), frontier_rows, sink)?
+            }
+        };
+        if tag.is_some() {
+            self.stats.sampled_rows_scanned += admitted;
+            self.stats.exact_rows_saved += skipped;
         }
-        let mut scan = self.staging.open_file(id)?;
-        let mut row = Vec::with_capacity(self.backend.arity);
-        while scan.next_row(&mut row)? {
-            self.stats.file_rows_read += 1;
-            self.stats.file_bytes_read += row_bytes;
-            sink.process_row(&row, &mut self.stats)?;
-        }
-        if let Some(ws) = scan.worker_stats() {
-            self.scan_stats.absorb(&[ws]);
-        }
-        Ok(sink)
+        Ok(())
     }
 
-    fn scan_server(&mut self, mut sink: RowSink, frontier_rows: u64) -> MwResult<RowSink> {
-        self.stats.server_scans += 1;
+    /// The server leg of [`Session::scan`]: a plain filtered cursor (the
+    /// paper's recommended path), a §4.3.3 auxiliary structure when one
+    /// applies, or — sampled — a block cursor over the admitted ranges.
+    /// Returns the table rows a sample `(admitted, skipped)`, zeros when
+    /// the scan is exact.
+    fn scan_server(
+        &mut self,
+        sampler: Option<&BlockSampler>,
+        frontier_rows: u64,
+        sink: &mut RowSink,
+    ) -> MwResult<(u64, u64)> {
+        let arity = self.backend.arity;
+        let block_rows = self.backend.config.scan_block_rows;
+        let wire_rows = self.backend.config.wire_batch_rows;
         let filter = union_filter(&sink.nodes().iter().map(|n| &n.req).collect::<Vec<_>>());
 
-        if self.backend.config.aux_mode != AuxMode::Off {
-            // Reuse an existing structure every scheduled node descends
-            // from, or build one when the frontier's relevant fraction is
-            // small.
-            let usable = self.aux.iter().position(|h| {
-                sink.nodes()
-                    .iter()
-                    .all(|n| h.members.iter().any(|&m| n.req.lineage.contains(m)))
-            });
-            let idx = match usable {
-                Some(i) => Some(i),
-                None => {
-                    let table_rows = self.backend.table_rows();
-                    let fraction = if table_rows == 0 {
-                        1.0
-                    } else {
-                        frontier_rows as f64 / table_rows as f64
-                    };
-                    if fraction <= self.backend.config.aux_threshold {
-                        Some(self.build_aux(sink.nodes(), &filter)?)
-                    } else {
-                        None
-                    }
-                }
-            };
-            if let Some(i) = idx {
-                self.stats.aux_scans += 1;
-                return self.scan_through_aux(i, filter, sink);
+        // Aux structures are not consulted under sampling: a sample exists
+        // to make the *plain* scan cheap.
+        let aux = match sampler {
+            None if self.backend.config.aux_mode != AuxMode::Off => {
+                self.usable_aux(sink.nodes(), &filter, frontier_rows)?
             }
+            _ => None,
+        };
+        if let Some(idx) = aux {
+            self.stats.aux_scans += 1;
+            let handle = self
+                .aux
+                .get(idx)
+                .ok_or_else(|| MwError::Internal(format!("aux structure {idx} missing")))?;
+            let db = self.backend.db_read();
+            let mut flat: Vec<Code> = Vec::new();
+            match &handle.kind {
+                AuxKind::Temp(name) => {
+                    let cursor = db.open_cursor(name, filter, wire_rows)?;
+                    let mut src = BlockSource::table_cursor(cursor, block_rows);
+                    drive(&mut src, None, sink, &mut self.stats)?;
+                    return Ok((0, 0));
+                }
+                AuxKind::TidSet(name) => {
+                    let n = db.tid_scan(name, &filter, &mut flat)?;
+                    // The fetched rows cross the wire.
+                    let db_stats = db.stats();
+                    db_stats.add_rows_shipped(n as u64);
+                    db_stats.add_bytes_shipped((flat.len() * CODE_BYTES) as u64);
+                    db_stats.add_wire_round_trip();
+                }
+                AuxKind::Keyset(cursor) => {
+                    cursor.scan_filtered(&db, &filter, &mut flat)?;
+                }
+            }
+            // Materialised: the server's part is over before counting.
+            drop(db);
+            let mut src = BlockSource::flat(&flat, arity, block_rows);
+            drive(&mut src, None, sink, &mut self.stats)?;
+            return Ok((0, 0));
         }
 
-        // Plain filtered cursor scan — the paper's recommended path. The
-        // filter-pushdown ablation ships everything and filters here.
-        let arity = self.backend.arity;
+        // The filter-pushdown ablation ships everything and filters here.
         let pushed = if self.backend.config.push_filters {
             filter
         } else {
             Pred::True
         };
+        let table = &self.backend.table;
         let db = self.backend.db_read();
-        let mut cursor = db.open_cursor(
-            &self.backend.table,
-            pushed,
-            self.backend.config.wire_batch_rows,
-        )?;
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
-        let mut flat: Vec<Code> =
-            Vec::with_capacity(self.backend.config.wire_batch_rows.saturating_mul(arity));
-        loop {
-            flat.clear();
-            if cursor.fetch(&mut flat) == 0 {
-                break;
+        let (mut src, sampled) = match sampler {
+            None => {
+                let cursor = db.open_cursor(table, pushed, wire_rows)?;
+                (BlockSource::table_cursor(cursor, block_rows), (0, 0))
             }
-            for block in flat.chunks(block_codes) {
-                sink.process_block(block, &mut self.stats)?;
+            // Admission happens in the server, which scans and ships only
+            // the admitted ranges; the loop takes everything it ships.
+            Some(sampler) => {
+                let table_rows = self.backend.table_rows();
+                let (ranges, covered) = admitted_ranges(sampler, table_rows, block_rows as u64);
+                let cursor = db.open_block_cursor(table, pushed, wire_rows, ranges)?;
+                let skipped = table_rows.saturating_sub(covered);
+                (
+                    BlockSource::range_cursor(cursor, block_rows),
+                    (covered, skipped),
+                )
             }
-        }
-        Ok(sink)
-    }
-
-    // ------------------------------------------------------------------
-    // Sampled scan drivers (DESIGN.md §13)
-    // ------------------------------------------------------------------
-    //
-    // Each mirrors its exact counterpart but admits whole blocks — memory
-    // scan blocks, staged-file extents, or server row ranges — through the
-    // deterministic `BlockSampler`, charging `sampled_rows_scanned` for
-    // what it read and `exact_rows_saved` for what it skipped.
-
-    fn scan_memory_sampled(
-        &mut self,
-        id: u64,
-        mut sink: RowSink,
-        tag: SampledScan,
-    ) -> MwResult<RowSink> {
-        self.stats.memory_scans += 1;
-        let set = self
-            .staging
-            .mem_set(id)
-            .ok_or_else(|| MwError::Internal(format!("scheduled memory set {id} missing")))?;
-        let rows = &set.rows;
-        let arity = self.backend.arity;
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
-        let sampler = BlockSampler::new(tag.fraction);
-        let mut read = 0u64;
-        let mut skipped = 0u64;
-        for (k, block) in rows.chunks(block_codes).enumerate() {
-            let block_rows = (block.len() / arity) as u64;
-            if sampler.admits(k as u64) {
-                sink.process_block(block, &mut self.stats)?;
-                read += block_rows;
-            } else {
-                skipped += block_rows;
-            }
-        }
-        self.stats.memory_rows_read += read;
-        self.stats.sampled_rows_scanned += read;
-        self.stats.exact_rows_saved += skipped;
-        Ok(sink)
-    }
-
-    fn scan_file_sampled(
-        &mut self,
-        id: u64,
-        mut sink: RowSink,
-        tag: SampledScan,
-    ) -> MwResult<RowSink> {
-        self.stats.file_scans += 1;
-        let layout = self.staging.extent_layout(id)?.ok_or_else(|| {
-            MwError::Internal(format!("sampled scan of file {id} without extent layout"))
-        })?;
-        let arity = self.backend.arity;
-        let row_bytes = (arity * CODE_BYTES) as u64;
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
-        let sampler = BlockSampler::new(tag.fraction);
-        let mut reader = ExtentReader::open(&layout)?;
-        let mut ws = WorkerScanStats::default();
-        let mut flat: Vec<Code> = Vec::new();
-        let mut read = 0u64;
-        let mut skipped = 0u64;
-        // Serial extent loop even under `scan_workers > 1`: a sampled scan
-        // reads a fraction of the file, so the sharded-reader setup cost
-        // is rarely worth it and the serial path keeps admission identical
-        // across worker counts by construction.
-        for k in 0..layout.extents {
-            if !sampler.admits(k) {
-                skipped += layout.rows_in_extent(k) as u64;
-                continue;
-            }
-            let nrows = reader.read_extent(k, &mut flat, &mut ws)?;
-            for block in flat.chunks(block_codes) {
-                sink.process_block(block, &mut self.stats)?;
-            }
-            read += nrows as u64;
-        }
-        self.stats.file_rows_read += read;
-        self.stats.file_bytes_read += read * row_bytes;
-        self.stats.sampled_rows_scanned += read;
-        self.stats.exact_rows_saved += skipped;
-        self.scan_stats.absorb(&[ws]);
-        Ok(sink)
-    }
-
-    fn scan_server_sampled(&mut self, mut sink: RowSink, tag: SampledScan) -> MwResult<RowSink> {
-        self.stats.server_scans += 1;
-        let filter = union_filter(&sink.nodes().iter().map(|n| &n.req).collect::<Vec<_>>());
-        let arity = self.backend.arity;
-        let pushed = if self.backend.config.push_filters {
-            filter
-        } else {
-            Pred::True
         };
-        // Admit whole physical blocks of `scan_block_rows` rows and merge
-        // adjacent admitted blocks into ranges — the server's block cursor
-        // (the TABLESAMPLE SYSTEM analogue) then never touches, and never
-        // charges, the rows in between. Aux structures (§4.3.3) are not
-        // consulted: a sample exists to make the *plain* scan cheap.
-        let block_rows = self.backend.config.scan_block_rows.max(1) as u64;
+        drive(&mut src, None, sink, &mut self.stats)?;
+        Ok(sampled)
+    }
+
+    /// The §4.3.3 structure to scan the scheduled nodes through, if any:
+    /// an existing one every node descends from, or a new one when the
+    /// frontier's relevant fraction of the table is small enough.
+    fn usable_aux(
+        &mut self,
+        nodes: &[NodeCounter],
+        filter: &Pred,
+        frontier_rows: u64,
+    ) -> MwResult<Option<usize>> {
+        let usable = self.aux.iter().position(|h| {
+            nodes
+                .iter()
+                .all(|n| h.members.iter().any(|&m| n.req.lineage.contains(m)))
+        });
+        if usable.is_some() {
+            return Ok(usable);
+        }
         let table_rows = self.backend.table_rows();
-        let sampler = BlockSampler::new(tag.fraction);
-        let nblocks = table_rows.div_ceil(block_rows.max(1));
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        let mut covered = 0u64;
-        for b in 0..nblocks {
-            if !sampler.admits(b) {
-                continue;
-            }
-            let start = b * block_rows;
-            let end = (start + block_rows).min(table_rows);
-            covered += end - start;
-            match ranges.last_mut() {
-                Some(last) if last.1 == start => last.1 = end,
-                _ => ranges.push((start, end)),
-            }
+        let fraction = if table_rows == 0 {
+            1.0
+        } else {
+            frontier_rows as f64 / table_rows as f64
+        };
+        if fraction <= self.backend.config.aux_threshold {
+            Ok(Some(self.build_aux(nodes, filter)?))
+        } else {
+            Ok(None)
         }
-        let db = self.backend.db_read();
-        let mut cursor = db.open_block_cursor(
-            &self.backend.table,
-            pushed,
-            self.backend.config.wire_batch_rows,
-            ranges,
-        )?;
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
-        let mut flat: Vec<Code> =
-            Vec::with_capacity(self.backend.config.wire_batch_rows.saturating_mul(arity));
-        loop {
-            flat.clear();
-            if cursor.fetch(&mut flat)? == 0 {
-                break;
-            }
-            for block in flat.chunks(block_codes) {
-                sink.process_block(block, &mut self.stats)?;
-            }
-        }
-        self.stats.sampled_rows_scanned += covered;
-        self.stats.exact_rows_saved += table_rows.saturating_sub(covered);
-        Ok(sink)
     }
 
     /// Build the configured §4.3.3 structure for the scheduled nodes,
@@ -1204,61 +1116,6 @@ impl Session {
         self.stats.aux_build_cost = self.stats.aux_build_cost + build_cost;
         self.aux.push(AuxHandle { members, kind });
         Ok(self.aux.len() - 1)
-    }
-
-    fn scan_through_aux(
-        &mut self,
-        idx: usize,
-        residual: Pred,
-        mut sink: RowSink,
-    ) -> MwResult<RowSink> {
-        let arity = self.backend.arity;
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
-        let handle = self
-            .aux
-            .get(idx)
-            .ok_or_else(|| MwError::Internal(format!("aux structure {idx} missing")))?;
-        match &handle.kind {
-            AuxKind::Temp(name) => {
-                let db = self.backend.db_read();
-                let mut cursor =
-                    db.open_cursor(name, residual, self.backend.config.wire_batch_rows)?;
-                let mut flat: Vec<Code> = Vec::new();
-                loop {
-                    flat.clear();
-                    if cursor.fetch(&mut flat) == 0 {
-                        break;
-                    }
-                    for block in flat.chunks(block_codes) {
-                        sink.process_block(block, &mut self.stats)?;
-                    }
-                }
-            }
-            AuxKind::TidSet(name) => {
-                let mut flat: Vec<Code> = Vec::new();
-                let db = self.backend.db_read();
-                let n = db.tid_scan(name, &residual, &mut flat)?;
-                // The fetched rows cross the wire.
-                let db_stats = db.stats();
-                db_stats.add_rows_shipped(n as u64);
-                db_stats.add_bytes_shipped((flat.len() * CODE_BYTES) as u64);
-                db_stats.add_wire_round_trip();
-                drop(db);
-                for block in flat.chunks(block_codes) {
-                    sink.process_block(block, &mut self.stats)?;
-                }
-            }
-            AuxKind::Keyset(cursor) => {
-                let mut flat: Vec<Code> = Vec::new();
-                let db = self.backend.db_read();
-                cursor.scan_filtered(&db, &residual, &mut flat)?;
-                drop(db);
-                for block in flat.chunks(block_codes) {
-                    sink.process_block(block, &mut self.stats)?;
-                }
-            }
-        }
-        Ok(sink)
     }
 
     fn evict_aux(&mut self) {
@@ -1420,6 +1277,23 @@ impl Drop for Session {
         }
         self.backend.arbiter.release(self.lease_id);
     }
+}
+
+/// The one scan loop (§4.1.1): every block the source yields goes to the
+/// sink, which counts it into all scheduled nodes at once. Sampling is an
+/// admission filter in between — a block `sampler` does not admit is
+/// passed over without being read.
+fn drive(
+    source: &mut BlockSource<'_>,
+    sampler: Option<&BlockSampler>,
+    sink: &mut RowSink,
+    stats: &mut MiddlewareStats,
+) -> MwResult<()> {
+    while let Some((_, block)) = source.next_block(|k| sampler.map_or(true, |s| s.admits(k)))? {
+        sink.process_block(block, stats)?;
+        stats.scan_blocks += 1;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

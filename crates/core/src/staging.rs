@@ -77,15 +77,14 @@ pub(crate) fn cleanup_shared_dir(dir: &Path) {
 //                         back to rows; the layout sets up SIMD counting)
 //   extent  footer (8 B): CRC32(payload) u32 LE | nrows u32 LE (again)
 //
-// Files written before this format exist as bare row-major LE codes with
-// no header; `ExtentLayout::detect` recognises them (no magic) and callers
-// fall back to the legacy `FileScan`.
+// This is the only staged-file format: a file too short for the header or
+// without the magic is `MwError::Corrupt` (`ExtentLayout::detect`).
 // ---------------------------------------------------------------------------
 
 /// Magic prefix of extent-format staged files.
 pub const EXTENT_MAGIC: [u8; 4] = *b"SCXT";
-/// Format version stamped in the file header (1 was the headerless
-/// row-major layout; it is detected by the *absence* of the magic).
+/// Format version stamped in the file header (1 was a headerless
+/// row-major layout that is no longer read).
 pub const EXTENT_VERSION: u32 = 2;
 /// Bytes of the per-file header.
 pub const FILE_HEADER_BYTES: u64 = 16;
@@ -674,42 +673,14 @@ impl StagingManager {
         }
     }
 
-    /// Open a staged file for reading. Extent-format files get a verified
-    /// [`ExtentScan`]; headerless files from before the format get the
-    /// legacy [`FileScan`] (with a length check — a short legacy file used
-    /// to silently yield fewer rows).
-    pub fn open_file(&self, id: u64) -> MwResult<StagedScan> {
-        let f = self
-            .files
-            .get(&id)
-            .ok_or_else(|| MwError::Internal(format!("no staged file {id}")))?;
-        match ExtentLayout::detect(&f.path, f.arity, f.nrows)? {
-            Some(layout) => Ok(StagedScan::Extent(ExtentScan::open(&layout)?)),
-            None => {
-                let len = fs::metadata(&f.path)?.len();
-                let expect = f.nrows * (f.arity * CODE_BYTES) as u64;
-                if len != expect {
-                    return Err(MwError::Corrupt(format!(
-                        "{}: legacy staged file is {len} bytes, expected {expect} \
-                         ({} rows × {} cols)",
-                        f.path.display(),
-                        f.nrows,
-                        f.arity
-                    )));
-                }
-                Ok(StagedScan::Legacy(FileScan::open(&f.path, f.arity)?))
-            }
-        }
-    }
-
-    /// The extent layout of a staged file, or `None` for legacy row-major
-    /// files (which cannot be read-sharded).
+    /// The validated extent layout of a staged file — what every reader,
+    /// serial or sharded, opens the file through. `None` means no staged
+    /// file has this id; a file that fails validation is an error.
     pub fn extent_layout(&self, id: u64) -> MwResult<Option<ExtentLayout>> {
-        let f = self
-            .files
+        self.files
             .get(&id)
-            .ok_or_else(|| MwError::Internal(format!("no staged file {id}")))?;
-        ExtentLayout::detect(&f.path, f.arity, f.nrows)
+            .map(|f| ExtentLayout::detect(&f.path, f.arity, f.nrows))
+            .transpose()
     }
 
     /// The cheapest staged dataset usable by a node: walk its lineage and
@@ -1100,9 +1071,19 @@ impl TeeSpool {
     /// spool file is removed when `self` drops.
     pub fn drain_into(mut self, writer: &mut FileWriter) -> MwResult<()> {
         self.out.flush()?;
-        let mut scan = FileScan::open(&self.path, self.arity)?;
+        // Streamed through a fixed buffer: spools exist because the rows
+        // are too many to hold in middleware memory.
+        let mut reader = BufReader::with_capacity(64 * 1024, File::open(&self.path)?);
+        let mut bytes = vec![0u8; self.arity * CODE_BYTES];
         let mut row = Vec::with_capacity(self.arity);
-        while scan.next_row(&mut row)? {
+        for _ in 0..self.nrows {
+            reader.read_exact(&mut bytes)?;
+            row.clear();
+            row.extend(
+                bytes
+                    .chunks_exact(CODE_BYTES)
+                    .map(|b| Code::from_le_bytes([b[0], b[1]])),
+            );
             writer.push(&row)?;
         }
         Ok(())
@@ -1112,48 +1093,6 @@ impl TeeSpool {
 impl Drop for TeeSpool {
     fn drop(&mut self) {
         let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// Streaming reader over a staged file (fixed 64 KiB buffer — staged files
-/// are scanned, never loaded, so middleware memory stays honest).
-#[derive(Debug)]
-pub struct FileScan {
-    reader: BufReader<File>,
-    arity: usize,
-    row_buf: Vec<u8>,
-}
-
-impl FileScan {
-    fn open(path: &Path, arity: usize) -> MwResult<Self> {
-        let file = File::open(path)?;
-        Ok(FileScan {
-            reader: BufReader::with_capacity(64 * 1024, file),
-            arity,
-            row_buf: vec![0u8; arity * CODE_BYTES],
-        })
-    }
-
-    /// Read the next row into `out` (cleared first). Returns `false` at EOF.
-    pub fn next_row(&mut self, out: &mut Vec<Code>) -> MwResult<bool> {
-        match self.reader.read_exact(&mut self.row_buf) {
-            Ok(()) => {
-                out.clear();
-                out.extend(
-                    self.row_buf
-                        .chunks_exact(CODE_BYTES)
-                        .map(|b| Code::from_le_bytes([b[0], b[1]])),
-                );
-                Ok(true)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Bytes per row (for I/O accounting).
-    pub fn row_bytes(&self) -> u64 {
-        (self.arity * CODE_BYTES) as u64
     }
 }
 
@@ -1182,20 +1121,26 @@ pub struct ExtentLayout {
 }
 
 impl ExtentLayout {
-    /// Inspect the file at `path`. Returns `Ok(None)` for legacy headerless
-    /// row-major files, `Ok(Some(layout))` for a well-formed extent file,
-    /// and [`MwError::Corrupt`] when the magic matches but the version,
-    /// arity, or length don't add up.
-    pub fn detect(path: &Path, arity: usize, expected_rows: u64) -> MwResult<Option<Self>> {
+    /// Inspect the file at `path`: the layout of a well-formed extent
+    /// file, or [`MwError::Corrupt`] when the header is short or missing,
+    /// or its magic, version, arity, or the file length don't add up.
+    pub fn detect(path: &Path, arity: usize, expected_rows: u64) -> MwResult<Self> {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
         if file_len < FILE_HEADER_BYTES {
-            return Ok(None);
+            return Err(MwError::Corrupt(format!(
+                "{}: {file_len} bytes is shorter than the {FILE_HEADER_BYTES}-byte \
+                 extent file header (truncated?)",
+                path.display()
+            )));
         }
         let mut header = [0u8; FILE_HEADER_BYTES as usize];
         file.read_exact(&mut header)?;
         if header[0..4] != EXTENT_MAGIC {
-            return Ok(None);
+            return Err(MwError::Corrupt(format!(
+                "{}: extent file header lacks the SCXT magic",
+                path.display()
+            )));
         }
         let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
         if version != EXTENT_VERSION {
@@ -1250,14 +1195,14 @@ impl ExtentLayout {
                 path.display()
             )));
         }
-        Ok(Some(ExtentLayout {
+        Ok(ExtentLayout {
             path: path.to_path_buf(),
             arity,
             extent_rows,
             nrows: expected_rows,
             extents,
             last_rows,
-        }))
+        })
     }
 
     /// Rows in extent `k`.
@@ -1443,106 +1388,27 @@ impl ExtentReader {
     }
 }
 
-/// Serial row cursor over an extent-format file: decodes one extent at a
-/// time and serves rows from it, tracking [`WorkerScanStats`] as reader 0.
-#[derive(Debug)]
-pub struct ExtentScan {
-    reader: ExtentReader,
-    next_extent: u64,
-    rows: Vec<Code>,
-    cursor: usize,
-    stats: WorkerScanStats,
-}
-
-impl ExtentScan {
-    /// Open a serial scan over a validated layout.
-    pub fn open(layout: &ExtentLayout) -> MwResult<Self> {
-        Ok(ExtentScan {
-            reader: ExtentReader::open(layout)?,
-            next_extent: 0,
-            rows: Vec::new(),
-            cursor: 0,
-            stats: WorkerScanStats {
-                // The 16-byte file header was read during layout detection;
-                // charge it here so per-worker bytes sum to the file size.
-                read_bytes: FILE_HEADER_BYTES,
-                ..WorkerScanStats::default()
-            },
-        })
-    }
-
-    /// Read the next row into `out` (cleared first). Returns `false` at EOF.
-    pub fn next_row(&mut self, out: &mut Vec<Code>) -> MwResult<bool> {
-        let arity = self.reader.layout().arity;
-        while self.cursor >= self.rows.len() {
-            if self.next_extent >= self.reader.layout().extents {
-                return Ok(false);
-            }
-            let k = self.next_extent;
-            self.reader
-                .read_extent(k, &mut self.rows, &mut self.stats)?;
-            self.next_extent += 1;
-            self.cursor = 0;
-        }
-        out.clear();
-        out.extend_from_slice(&self.rows[self.cursor..self.cursor + arity]);
-        self.cursor += arity;
-        Ok(true)
-    }
-
-    /// Bytes per row (payload accounting, same as the legacy scan).
-    pub fn row_bytes(&self) -> u64 {
-        (self.reader.layout().arity * CODE_BYTES) as u64
-    }
-
-    /// I/O + decode counters accumulated so far.
-    pub fn worker_stats(&self) -> WorkerScanStats {
-        self.stats
-    }
-}
-
-/// A row cursor over a staged file, whichever format it is in.
-#[derive(Debug)]
-pub enum StagedScan {
-    /// Extent-format file (verified, columnar).
-    Extent(ExtentScan),
-    /// Pre-extent headerless row-major file.
-    Legacy(FileScan),
-}
-
-impl StagedScan {
-    /// Read the next row into `out` (cleared first). Returns `false` at EOF.
-    pub fn next_row(&mut self, out: &mut Vec<Code>) -> MwResult<bool> {
-        match self {
-            StagedScan::Extent(s) => s.next_row(out),
-            StagedScan::Legacy(s) => s.next_row(out),
-        }
-    }
-
-    /// Bytes per row (for I/O accounting).
-    pub fn row_bytes(&self) -> u64 {
-        match self {
-            StagedScan::Extent(s) => s.row_bytes(),
-            StagedScan::Legacy(s) => s.row_bytes(),
-        }
-    }
-
-    /// Per-reader physical I/O counters (`None` for legacy files, which
-    /// predate the accounting).
-    pub fn worker_stats(&self) -> Option<WorkerScanStats> {
-        match self {
-            StagedScan::Extent(s) => Some(s.worker_stats()),
-            StagedScan::Legacy(_) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn mgr() -> StagingManager {
         StagingManager::new(None).unwrap()
+    }
+
+    /// Every row of staged file `id`, extent by extent through the one
+    /// reader, plus the reader's I/O counters (the 16-byte file header is
+    /// read by layout detection, not by the reader).
+    fn read_all(m: &StagingManager, id: u64) -> MwResult<(Vec<Vec<Code>>, WorkerScanStats)> {
+        let layout = m.extent_layout(id)?.expect("staged file exists");
+        let mut reader = ExtentReader::open(&layout)?;
+        let mut ws = WorkerScanStats::default();
+        let (mut rows, mut flat) = (Vec::new(), Vec::new());
+        for k in 0..layout.extents {
+            reader.read_extent(k, &mut flat, &mut ws)?;
+            rows.extend(flat.chunks_exact(layout.arity).map(<[Code]>::to_vec));
+        }
+        Ok((rows, ws))
     }
 
     fn lineage_chain() -> (Lineage, Lineage, Lineage) {
@@ -1575,13 +1441,9 @@ mod tests {
         assert_eq!(stats.files_created, 1);
         assert_eq!(stats.file_rows_written, 2);
 
-        let mut scan = m.open_file(id).unwrap();
-        let mut row = Vec::new();
-        assert!(scan.next_row(&mut row).unwrap());
-        assert_eq!(row, vec![1, 2, 3]);
-        assert!(scan.next_row(&mut row).unwrap());
-        assert_eq!(row, vec![4, 5, 6]);
-        assert!(!scan.next_row(&mut row).unwrap());
+        let (rows, _) = read_all(&m, id).unwrap();
+        assert_eq!(rows, vec![vec![1, 2, 3], vec![4, 5, 6]]);
+        assert!(m.extent_layout(id + 1).unwrap().is_none(), "no such file");
     }
 
     #[test]
@@ -2025,10 +1887,8 @@ mod tests {
         assert!(m2.has_file_for(NodeId(0)));
         let id2 = m2.file_of[&NodeId(0)];
         assert_eq!(m2.file(id2).unwrap().path, shared_path);
-        let mut scan = m2.open_file(id2).unwrap();
-        let mut row = Vec::new();
-        assert!(scan.next_row(&mut row).unwrap());
-        assert_eq!(row, vec![1, 2]);
+        let (rows, _) = read_all(&m2, id2).unwrap();
+        assert_eq!(rows[0], vec![1, 2]);
 
         // m1 dropping its handle leaves the file for m2; m2 leaving last
         // reclaims it, and the catalog directory disappears with the
@@ -2067,15 +1927,6 @@ mod tests {
         (m, id, stats)
     }
 
-    fn read_all(scan: &mut StagedScan) -> Vec<Vec<Code>> {
-        let mut rows = Vec::new();
-        let mut row = Vec::new();
-        while scan.next_row(&mut row).unwrap() {
-            rows.push(row.clone());
-        }
-        rows
-    }
-
     #[test]
     fn extent_file_round_trip_with_partial_tail() {
         let (m, id, stats) = staged(10, 4);
@@ -2085,8 +1936,7 @@ mod tests {
         assert_eq!(layout.rows_in_extent(2), 2);
         assert_eq!(layout.nrows, 10);
 
-        let mut scan = m.open_file(id).unwrap();
-        let rows = read_all(&mut scan);
+        let (rows, ws) = read_all(&m, id).unwrap();
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[0], vec![0, 1, 0]);
         assert_eq!(rows[9], vec![9, 10, 27]);
@@ -2098,9 +1948,8 @@ mod tests {
         assert_eq!(layout.total_physical_bytes(), disk);
         assert_eq!(stats.file_bytes_written, 10 * 3 * CODE_BYTES as u64);
 
-        // A full scan's reader stats cover every byte of the file.
-        let ws = scan.worker_stats().expect("extent scan has stats");
-        assert_eq!(ws.read_bytes, disk);
+        // A full scan's reader stats cover every byte past the file header.
+        assert_eq!(ws.read_bytes + FILE_HEADER_BYTES, disk);
         assert_eq!(ws.rows, 10);
         assert_eq!(ws.extents, 3);
     }
@@ -2111,8 +1960,7 @@ mod tests {
         let layout = m.extent_layout(id).unwrap().expect("extent format");
         assert_eq!(layout.extents, 0);
         assert_eq!(layout.total_physical_bytes(), FILE_HEADER_BYTES);
-        let mut scan = m.open_file(id).unwrap();
-        assert!(read_all(&mut scan).is_empty());
+        assert!(read_all(&m, id).unwrap().0.is_empty());
     }
 
     #[test]
@@ -2124,7 +1972,7 @@ mod tests {
         let f = fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 5).unwrap();
         drop(f);
-        assert!(matches!(m.open_file(id), Err(MwError::Corrupt(_))));
+        assert!(matches!(m.extent_layout(id), Err(MwError::Corrupt(_))));
 
         // Chop off exactly the final (partial, 2-row) extent: the length
         // decomposes cleanly but the row total disagrees with the catalog.
@@ -2132,7 +1980,7 @@ mod tests {
         f.set_len(len - (EXTENT_OVERHEAD_BYTES + 2 * 3 * CODE_BYTES as u64))
             .unwrap();
         drop(f);
-        match m.open_file(id) {
+        match m.extent_layout(id) {
             Err(MwError::Corrupt(msg)) => assert!(msg.contains("truncated"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -2149,39 +1997,41 @@ mod tests {
         bytes[target] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
 
-        // The layout is still well-formed, so open succeeds…
-        let mut scan = m.open_file(id).unwrap();
-        let mut row = Vec::new();
-        // …but serving a row from the damaged extent fails the CRC.
-        match scan.next_row(&mut row) {
+        // The layout is still well-formed, so detection succeeds, but
+        // reading the damaged extent fails the CRC.
+        assert!(m.extent_layout(id).unwrap().is_some());
+        match read_all(&m, id) {
             Err(MwError::Corrupt(msg)) => assert!(msg.contains("CRC"), "{msg}"),
             other => panic!("expected Corrupt(CRC), got {other:?}"),
         }
     }
 
     #[test]
-    fn legacy_row_major_files_still_load() {
+    fn short_or_magicless_header_is_corrupt_not_legacy() {
         let (m, id, _) = staged(10, 4);
         let path = m.file(id).unwrap().path.clone();
-        // Overwrite with the pre-extent layout: bare row-major LE codes.
-        let mut legacy = Vec::new();
-        for i in 0..10u16 {
-            for code in [i, i.wrapping_add(1), i.wrapping_mul(3)] {
-                legacy.extend_from_slice(&code.to_le_bytes());
+        let good = fs::read(&path).unwrap();
+        // Truncated inside (or before) the 16-byte file header.
+        for len in [0usize, 8, 15] {
+            fs::write(&path, &good[..len]).unwrap();
+            match m.extent_layout(id) {
+                Err(MwError::Corrupt(msg)) => assert!(msg.contains("header"), "{len} B: {msg}"),
+                other => panic!("{len} B: expected Corrupt, got {other:?}"),
             }
         }
+        // Full length, one magic byte flipped.
+        let mut bad = good.clone();
+        bad[2] ^= 0x01;
+        fs::write(&path, &bad).unwrap();
+        match m.extent_layout(id) {
+            Err(MwError::Corrupt(msg)) => assert!(msg.contains("magic"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // A headerless row-major file (the pre-extent layout) is no
+        // longer a format: same error, whatever its length.
+        let legacy: Vec<u8> = (0..10u16 * 3).flat_map(u16::to_le_bytes).collect();
         fs::write(&path, &legacy).unwrap();
-
-        assert!(m.extent_layout(id).unwrap().is_none(), "detected as legacy");
-        let mut scan = m.open_file(id).unwrap();
-        assert!(scan.worker_stats().is_none(), "legacy scans have no stats");
-        let rows = read_all(&mut scan);
-        assert_eq!(rows.len(), 10);
-        assert_eq!(rows[9], vec![9, 10, 27]);
-
-        // A short legacy file is rejected instead of silently under-reading.
-        fs::write(&path, &legacy[..legacy.len() - 6]).unwrap();
-        assert!(matches!(m.open_file(id), Err(MwError::Corrupt(_))));
+        assert!(matches!(m.extent_layout(id), Err(MwError::Corrupt(_))));
     }
 
     #[test]

@@ -452,7 +452,7 @@ proptest! {
 
     /// SATELLITE PROPERTY: the extent-sharded file scan — where each
     /// reader thread owns a disjoint extent range and decodes locally —
-    /// is bit-identical to the serial `FileScan` path for any worker
+    /// is bit-identical to the serial extent loop for any worker
     /// count in 2..8 and extent sizes chosen so the last extent is
     /// partial (they don't divide the row count evenly). Run both with
     /// memory caching off (pure file scans) and on (sharded readers also
@@ -669,11 +669,11 @@ proptest! {
     /// {1, 2, 4, 8}, and extent sizes {1, 7, default}. Block counters are
     /// pipeline-shape (the kernel-off run never counts blocks), so only
     /// `logical` projections are compared; a kernel-off run must leave all
-    /// four block counters untouched. Legacy row-major files have no
-    /// extent layout and always take the row loop, so the knob is a no-op
-    /// there by construction (covered by the staging legacy-file test);
-    /// mid-block out-of-range fallback can't arise through a validated
-    /// schema and is pinned down by the cc/executor unit tests instead.
+    /// four block counters untouched. Every cell must reach the kernel in
+    /// its `on` run — the serial file cell included, whose extents now go
+    /// through the same block path as every other source. Mid-block
+    /// out-of-range fallback can't arise through a validated schema and
+    /// is pinned down by the cc/executor unit tests instead.
     #[test]
     fn batched_kernel_bit_identical_to_row_path(
         rows in rows_strategy(),
@@ -718,15 +718,16 @@ proptest! {
             prop_assert_eq!(off_stats.block_fallback_rows, 0);
             prop_assert_eq!(off_stats.kernel_validate_nanos, 0);
             prop_assert_eq!(off_stats.kernel_accumulate_nanos, 0);
-            if mem_path {
-                // The default path scans staged memory: blocks must have
-                // actually gone through the kernel in the `on` run.
-                prop_assert!(
-                    on_stats.blocks_counted > 0,
-                    "kernel on but no block was batch-counted ({} workers)",
-                    workers
-                );
-            }
+            // The child and grandchild rounds scan staged data (memory
+            // sets, or the never-split singleton file) with no tee
+            // attached: blocks must have actually gone through the kernel
+            // in the `on` run, whatever the source and worker count.
+            prop_assert!(
+                on_stats.blocks_counted > 0,
+                "kernel on but no block was batch-counted ({} workers, mem {})",
+                workers,
+                mem_path
+            );
         }
     }
 
