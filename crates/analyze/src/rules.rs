@@ -11,11 +11,16 @@
 //!   `sample.rs`): the seed
 //!   shipped a staging-cap overflow of exactly this class. The rule also
 //!   runs *function-scoped* over the block-kernel offset arithmetic in
-//!   `cc.rs` (`add_block`, `block_growth_bound`) — hot-path files where
-//!   only a few kernels carry accounting-sensitive index math.
+//!   `cc.rs` (`add_block`, `accumulate_col`, `block_growth_bound`) —
+//!   hot-path files where only a few kernels carry accounting-sensitive
+//!   index math.
 //! - **hot-path-panic** — no `unwrap()`/`expect()`/`panic!`-family macros, and
 //!   no slice indexing inside loop bodies, in the scan-path modules
-//!   (`parallel.rs`, `cc.rs`, `executor.rs`, `session.rs`).
+//!   (`parallel.rs`, `cc.rs`, `executor.rs`, `session.rs`, `source.rs`),
+//!   and *function-scoped* over the predicate router in
+//!   `crates/sqldb/src/expr.rs` (`route`, `matches_any`,
+//!   `for_each_match`, `walk`, `sub`) — the per-row loop of every scan on
+//!   both sides of the wire.
 //! - **stats-coverage** — every field declared on the stats structs in
 //!   `metrics.rs` must be written somewhere in `crates/core` non-test code and
 //!   mentioned in at least one test.
@@ -154,15 +159,25 @@ const ARITH_FILES: [&str; 7] = [
 /// whole-file coverage would drown the scan loops in directives.
 const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
     "crates/core/src/cc.rs",
-    &["add_block", "block_growth_bound"],
+    &["add_block", "accumulate_col", "block_growth_bound"],
 )];
 
-/// The fn-name scope accounting-arith uses for `rel`, if any.
-fn arith_scope_for(rel: &str) -> Option<&'static [&'static str]> {
-    ARITH_SCOPED
-        .iter()
-        .find(|(f, _)| *f == rel)
-        .map(|(_, fns)| *fns)
+/// Function-scoped hot-path-panic extensions, as [`ARITH_SCOPED`]: the
+/// compiled predicate router is the per-row loop of every scan — the
+/// middleware's and the server's — but lives in a file whose other
+/// functions (AST construction, rendering, one-off evaluation) are not on
+/// any scan path.
+const PANIC_SCOPED: [(&str, &[&str]); 1] = [(
+    "crates/sqldb/src/expr.rs",
+    &["route", "matches_any", "for_each_match", "walk", "sub"],
+)];
+
+/// The fn-name scope `scoped` gives `rel`, if any.
+fn scope_for(
+    scoped: &[(&str, &'static [&'static str])],
+    rel: &str,
+) -> Option<&'static [&'static str]> {
+    scoped.iter().find(|(f, _)| *f == rel).map(|(_, fns)| *fns)
 }
 
 /// Files subject to the hot-path-panic rule.
@@ -811,10 +826,10 @@ fn accounting_arith(ctx: &FileCtx, scope: Option<&[bool]>, out: &mut Vec<Violati
     }
 }
 
-fn hot_path_panic(ctx: &FileCtx, out: &mut Vec<Violation>) {
+fn hot_path_panic(ctx: &FileCtx, scope: Option<&[bool]>, out: &mut Vec<Violation>) {
     let n = ctx.lx.toks.len();
     for i in 0..n {
-        if ctx.test[i] {
+        if ctx.test[i] || scope.is_some_and(|mask| !mask[i]) {
             continue;
         }
         let tok = &ctx.lx.toks[i];
@@ -1379,12 +1394,15 @@ fn file_rules(ctx: &FileCtx, raw: &mut Vec<Violation>) -> Vec<LockEdge> {
     }
     if ARITH_FILES.contains(&rel) {
         accounting_arith(ctx, None, raw);
-    } else if let Some(fns) = arith_scope_for(rel) {
+    } else if let Some(fns) = scope_for(&ARITH_SCOPED, rel) {
         let mask = fn_body_mask(ctx, fns);
         accounting_arith(ctx, Some(&mask), raw);
     }
     if PANIC_FILES.contains(&rel) {
-        hot_path_panic(ctx, raw);
+        hot_path_panic(ctx, None, raw);
+    } else if let Some(fns) = scope_for(&PANIC_SCOPED, rel) {
+        let mask = fn_body_mask(ctx, fns);
+        hot_path_panic(ctx, Some(&mask), raw);
     }
     atomic_ordering(ctx, raw);
     if CONCURRENCY_FILES.contains(&rel) {

@@ -93,6 +93,34 @@ fn hot_path_panic_fires_on_each_pattern() {
 }
 
 #[test]
+fn hot_path_panic_is_fn_scoped_in_the_router() {
+    let rel = "crates/sqldb/src/expr.rs";
+    // Only the router's walk fns are in scope: the same constructs in the
+    // AST helpers beside them (never on a scan path) must not fire.
+    let src = "impl Pred {\n\
+               pub fn and(preds: Vec<Pred>) -> Pred {\n\
+               loop { return preds[0].clone().pop().expect(\"len checked\"); }\n\
+               }\n\
+               }\n\
+               impl PredSet {\n\
+               fn walk(&self, mut at: u32) {\n\
+               loop {\n\
+               let test = &self.tests[at as usize];\n\
+               at = test.next.unwrap();\n\
+               }\n\
+               }\n\
+               }\n";
+    let report = check_source(rel, src);
+    assert_eq!(
+        fired(&report),
+        vec![
+            (RULE_HOT_PATH_PANIC, 9),  // tests[at] inside the walk loop
+            (RULE_HOT_PATH_PANIC, 10), // .unwrap()
+        ]
+    );
+}
+
+#[test]
 fn io_bypass_fires_on_each_pattern() {
     let rel = "crates/core/src/middleware.rs";
     let report = check_source(rel, &fixture("bad", rel));

@@ -53,15 +53,16 @@ pub type CcKey = (u16, Code, Code); // (attr column, value, class)
 /// the vectorized path (`0`) or every row of the block was re-routed
 /// through the exact row-at-a-time path (`block rows`). The nano fields
 /// split the kernel time into the hoisted validation scan and the
-/// gather-increment accumulate loop; both are wall-clock timing and are
-/// excluded from determinism comparisons.
+/// accumulate loops (class totals included); both are wall-clock timing
+/// and are excluded from determinism comparisons.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockOutcome {
     /// Rows counted through the per-row fallback path (0 or the block's rows).
     pub fallback_rows: u64,
     /// Nanoseconds spent in the hoisted range-validation max-scan.
     pub validate_nanos: u64,
-    /// Nanoseconds spent in the accumulate loop (or the sparse run loop).
+    /// Nanoseconds spent in the accumulate loops (dense gather-increment
+    /// or sparse run detection).
     pub accumulate_nanos: u64,
 }
 
@@ -329,66 +330,59 @@ impl DenseCounts {
         true
     }
 
-    /// Count a whole column block in one vectorized pass per tracked
-    /// attribute. Validation is hoisted out of the inner loop: one
-    /// max-scan over the class column and one per attribute column prove
-    /// every code in range *before* any slot is touched, so the accumulate
-    /// loop is a branch-light gather-increment over a per-attribute base
-    /// offset that LLVM can unroll. Returns `None` — with no slot touched
-    /// — when any code falls outside the layout; the caller then replays
-    /// the block through the exact row path so the spill fires at the same
-    /// row it would have row-at-a-time.
-    fn add_block(&mut self, cols: &[&[Code]], class: &[Code], attrs: &[u16]) -> Option<(u64, u64)> {
+    /// Is every code of a column block inside the layout — the class
+    /// column below `n_classes`, each attribute tracked and below its
+    /// cardinality? One max-scan per column, hoisted out of the accumulate
+    /// loop: when this holds, [`DenseCounts::accumulate_col`] over the same
+    /// columns cannot miss a slot.
+    fn block_in_range(&self, cols: &[&[Code]], class: &[Code], attrs: &[u16]) -> bool {
         let l = &*self.layout;
-        let t_validate = Instant::now();
         let max_class = class.iter().copied().max().unwrap_or(0);
         if u32::from(max_class) >= l.n_classes {
-            return None;
+            return false;
         }
-        for &attr in attrs {
-            let i = l.attr_index(attr)?;
-            let col = cols.get(usize::from(attr))?;
+        attrs.iter().all(|&attr| {
+            let (Some(i), Some(col)) = (l.attr_index(attr), cols.get(usize::from(attr))) else {
+                return false;
+            };
             debug_assert_eq!(col.len(), class.len(), "ragged block columns");
             let max_v = col.iter().copied().max().unwrap_or(0);
-            // analyze:allow(hot-path-panic): cards is parallel to attrs and
-            // `i` comes from `attr_index` over the same layout.
-            if u32::from(max_v) >= l.cards[i] {
-                return None;
-            }
-        }
-        let validate_nanos = u64::try_from(t_validate.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let t_accumulate = Instant::now();
+            // `cards` is parallel to attrs and `i` comes from `attr_index`
+            // over the same layout.
+            u32::from(max_v) < l.cards[i]
+        })
+    }
+
+    /// Count one attribute column of a block against its class column: a
+    /// branch-light gather-increment over a per-attribute base offset that
+    /// LLVM can unroll. The caller has proved `attr` tracked and every
+    /// code in range ([`DenseCounts::block_in_range`], or the executor's
+    /// per-block [`CountsTable::covers`]); a code outside the layout
+    /// panics on the slot index rather than counting wrongly.
+    fn accumulate_col(&mut self, attr: u16, col: &[Code], class: &[Code]) {
+        let l = &*self.layout;
         let nc = l.n_classes;
+        // The caller proved the attr tracked; base offsets are parallel to
+        // attrs and `i` comes from col_index over the same layout.
+        let i = usize::from(l.col_index[usize::from(attr)]);
+        let base = l.offsets[i];
         let mut newly = 0usize;
-        for &attr in attrs {
-            // analyze:allow(hot-path-panic): the validation pass above
-            // proved the attr tracked and every code in card range.
-            let i = usize::from(l.col_index[usize::from(attr)]);
-            // analyze:allow(hot-path-panic): base offsets are parallel to
-            // attrs; `i` came from col_index over the same layout.
-            let base = l.offsets[i];
-            // analyze:allow(hot-path-panic): attr < cols.len() was proved by
-            // `cols.get` during validation.
-            let col: &[Code] = cols[usize::from(attr)];
-            for (&v, &k) in col.iter().zip(class.iter()) {
-                // analyze:allow(accounting-arith): hot gather-increment —
-                // base + value·n_classes + class < slots was proved by the
-                // hoisted max-scan, so the u32 arithmetic cannot overflow.
-                let slot = (base + u32::from(v) * nc + u32::from(k)) as usize;
-                // analyze:allow(hot-path-panic): slot < layout.slots per the
-                // hoisted validation; slots holds exactly that many.
-                let s = &mut self.slots[slot];
-                // analyze:allow(accounting-arith): hot accumulate — newly is
-                // bounded by the block's rows × attrs and the count by total
-                // rows ever seen; neither can overflow its word.
-                newly += usize::from(*s == 0);
-                *s += 1; // analyze:allow(accounting-arith): hot accumulate increment, bounded by rows seen
-            }
+        for (&v, &k) in col.iter().zip(class.iter()) {
+            // analyze:allow(accounting-arith): hot gather-increment —
+            // base + value·n_classes + class < slots was proved by the
+            // caller's range check, so the u32 arithmetic cannot overflow.
+            let slot = (base + u32::from(v) * nc + u32::from(k)) as usize;
+            // analyze:allow(hot-path-panic): slot < layout.slots per the
+            // caller's range check; slots holds exactly that many.
+            let s = &mut self.slots[slot];
+            // analyze:allow(accounting-arith): hot accumulate — newly is
+            // bounded by the block's rows and the count by total rows ever
+            // seen; neither can overflow its word.
+            newly += usize::from(*s == 0);
+            *s += 1; // analyze:allow(accounting-arith): hot accumulate increment, bounded by rows seen
         }
         // analyze:allow(accounting-arith): occupied ≤ slots ≤ u32::MAX.
         self.occupied += newly;
-        let accumulate_nanos = u64::try_from(t_accumulate.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        Some((validate_nanos, accumulate_nanos))
     }
 
     #[inline]
@@ -615,20 +609,15 @@ impl CountsTable {
     pub fn add_block(&mut self, cols: &[&[Code]], class_col: u16, attrs: &[u16]) -> BlockOutcome {
         let class: &[Code] = cols[usize::from(class_col)];
         let nrows = u64::try_from(class.len()).unwrap_or(u64::MAX);
-        if nrows == 0 {
-            return BlockOutcome::default();
-        }
         let mut out = BlockOutcome::default();
-        let dense_result = match &mut self.repr {
-            CcRepr::Dense(d) => Some(d.add_block(cols, class, attrs)),
-            CcRepr::Sparse(_) => None,
-        };
-        match dense_result {
-            Some(Some((validate_nanos, accumulate_nanos))) => {
-                out.validate_nanos = validate_nanos;
-                out.accumulate_nanos = accumulate_nanos;
-            }
-            Some(None) => {
+        if nrows == 0 {
+            return out;
+        }
+        if let CcRepr::Dense(d) = &self.repr {
+            let t0 = Instant::now();
+            let in_range = d.block_in_range(cols, class, attrs);
+            out.validate_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            if !in_range {
                 // All-or-nothing fallback: no slot was touched, so the row
                 // replay spills at exactly the row the row path would.
                 out.fallback_rows = nrows;
@@ -637,37 +626,74 @@ impl CountsTable {
                 }
                 return out;
             }
-            None => {
-                let t0 = Instant::now();
-                if let CcRepr::Sparse(map) = &mut self.repr {
-                    for &attr in attrs {
-                        // analyze:allow(hot-path-panic): every requested
-                        // attr column exists in a decoded block.
-                        let col: &[Code] = cols[usize::from(attr)];
-                        let mut run_key: Option<(Code, Code)> = None;
-                        let mut run = 0u64;
-                        for (&v, &k) in col.iter().zip(class.iter()) {
-                            if run_key == Some((v, k)) {
-                                run = run.saturating_add(1);
-                            } else {
-                                if let Some((pv, pk)) = run_key {
-                                    let e = map.entry((attr, pv, pk)).or_insert(0);
-                                    *e = e.saturating_add(run);
-                                }
-                                run_key = Some((v, k));
-                                run = 1;
-                            }
-                        }
+        }
+        let t0 = Instant::now();
+        for &attr in attrs {
+            // analyze:allow(hot-path-panic): every requested attr column
+            // exists in a decoded block (the dense range check proved it).
+            self.accumulate_col(attr, cols[usize::from(attr)], class);
+        }
+        self.add_class_totals(class);
+        out.accumulate_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        out
+    }
+
+    /// [`add_block`](Self::add_block) for the executor's route-then-count
+    /// pass, which gathers a node's selected rows column by column:
+    /// `gathered` holds `attrs.len() + 1` runs of `n` codes, one per entry
+    /// of `attrs` in order and then the class column. No range scan and no
+    /// timers — both are the executor's, once per block: it calls this
+    /// only for a block [`covers`](Self::covers) accepted, under which a
+    /// dense table cannot spill, so the result equals `n` calls of
+    /// [`add_row`](Self::add_row) in row order.
+    pub(crate) fn add_gathered(&mut self, attrs: &[u16], gathered: &[Code], n: usize) {
+        debug_assert_eq!(
+            gathered.len(),
+            attrs.len().saturating_add(1).saturating_mul(n)
+        );
+        if n == 0 {
+            return;
+        }
+        let mut runs = gathered.chunks_exact(n);
+        let class = runs.next_back().unwrap_or(&[]);
+        for (&attr, col) in attrs.iter().zip(runs) {
+            self.accumulate_col(attr, col, class);
+        }
+        self.add_class_totals(class);
+    }
+
+    /// Count one attribute column of a block against its class column on
+    /// whichever backend is live (dense: the caller proved the codes in
+    /// range; sparse: tree walks amortized by run detection).
+    fn accumulate_col(&mut self, attr: u16, col: &[Code], class: &[Code]) {
+        match &mut self.repr {
+            CcRepr::Dense(d) => d.accumulate_col(attr, col, class),
+            CcRepr::Sparse(map) => {
+                let mut run_key: Option<(Code, Code)> = None;
+                let mut run = 0u64;
+                for (&v, &k) in col.iter().zip(class.iter()) {
+                    if run_key == Some((v, k)) {
+                        run = run.saturating_add(1);
+                    } else {
                         if let Some((pv, pk)) = run_key {
                             let e = map.entry((attr, pv, pk)).or_insert(0);
                             *e = e.saturating_add(run);
                         }
+                        run_key = Some((v, k));
+                        run = 1;
                     }
                 }
-                out.accumulate_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                if let Some((pv, pk)) = run_key {
+                    let e = map.entry((attr, pv, pk)).or_insert(0);
+                    *e = e.saturating_add(run);
+                }
             }
         }
-        // Per-class row totals, run-detected on the class column.
+    }
+
+    /// Add a block's class column to the per-class row totals and the row
+    /// total, run-detected.
+    fn add_class_totals(&mut self, class: &[Code]) {
         let mut run_class: Option<Code> = None;
         let mut run = 0u64;
         for &k in class {
@@ -686,24 +712,57 @@ impl CountsTable {
             let e = self.class_totals.entry(pk).or_insert(0);
             *e = e.saturating_add(run);
         }
-        self.total = self.total.saturating_add(nrows);
-        out
+        self.total = self
+            .total
+            .saturating_add(u64::try_from(class.len()).unwrap_or(u64::MAX));
+    }
+
+    /// Can no code of a block spill this table out of its dense form?
+    /// `col_max[c]` is the largest code the block holds in column `c`.
+    /// True for a sparse table (nothing to spill); for a dense one, true
+    /// when the class column and every attribute of `attrs` are tracked by
+    /// the layout and their maxima lie inside it. This is the precondition
+    /// of [`block_growth_bound`](Self::block_growth_bound)'s free-slot cap
+    /// and of [`add_gathered`](Self::add_gathered); a block that fails it
+    /// takes the row path whole, so the spill fires at the row it always
+    /// did.
+    pub(crate) fn covers(&self, col_max: &[Code], attrs: &[u16], class_col: u16) -> bool {
+        let CcRepr::Dense(d) = &self.repr else {
+            return true;
+        };
+        let l = &*d.layout;
+        let max_of = |col: u16| col_max.get(usize::from(col)).copied();
+        max_of(class_col).is_some_and(|m| u32::from(m) < l.n_classes)
+            && attrs.iter().all(|&attr| {
+                matches!(
+                    (l.attr_index(attr), max_of(attr)),
+                    // `i` comes from `attr_index` over parallel vectors.
+                    (Some(i), Some(m)) if u32::from(m) < l.cards[i]
+                )
+            })
     }
 
     /// Upper bound, in modelled bytes, on how much this table can grow by
-    /// counting a block of `rows` rows over `n_attrs` attributes: each
-    /// counted row creates at most one entry per attribute. Budget
-    /// checkpoints use this to decide whether a whole block can be
-    /// counted without any chance of crossing the memory budget
-    /// mid-block — when it can't, the caller falls back to the exact
-    /// per-row checkpoint path. Deliberately backend-uniform: a dense
-    /// table's growth is usually capped by its remaining empty slots, but
-    /// an out-of-range code mid-block spills to sparse and can then mint
-    /// entries *outside* the dense domain, so the tighter cap would be
-    /// unsound exactly when the fallback fires.
+    /// counting `rows` of its own rows (a node's selection out of a block,
+    /// not the block) over `n_attrs` attributes. Each counted row creates
+    /// at most one entry per attribute; a dense table, in addition, cannot
+    /// create more entries than it has empty slots — **provided no code of
+    /// those rows falls outside its layout**, since a spill to sparse can
+    /// mint entries the slot array has no room for. Callers establish that
+    /// with `covers` first and send a block that fails it
+    /// down the exact per-row path. Budget checkpoints use the bound to
+    /// decide whether a whole block can be counted with no chance of
+    /// crossing the memory budget mid-block.
     pub fn block_growth_bound(&self, rows: u64, n_attrs: usize) -> u64 {
-        rows.saturating_mul(u64::try_from(n_attrs).unwrap_or(u64::MAX))
-            .saturating_mul(CC_ENTRY_BYTES)
+        let by_rows = rows.saturating_mul(u64::try_from(n_attrs).unwrap_or(u64::MAX));
+        let entries = match &self.repr {
+            CcRepr::Sparse(_) => by_rows,
+            CcRepr::Dense(d) => {
+                let free = d.slots.len().saturating_sub(d.occupied);
+                by_rows.min(u64::try_from(free).unwrap_or(u64::MAX))
+            }
+        };
+        entries.saturating_mul(CC_ENTRY_BYTES)
     }
 
     /// Add `n` to one entry through whichever representation is active,
@@ -1434,37 +1493,103 @@ mod tests {
         assert_eq!(cc.entries(), recounted_occupied(&cc));
     }
 
-    #[test]
-    fn block_growth_bound_dominates_actual_growth() {
-        let rows: Vec<[Code; 3]> = vec![[0, 0, 0], [1, 1, 1], [2, 3, 1], [3, 2, 0], [0, 0, 1]];
-        for mut cc in [
-            CountsTable::new(),
-            CountsTable::new_dense(&[(0, 4), (1, 4)], 2),
-        ] {
-            for chunk in rows.chunks(2) {
-                let bound = cc.block_growth_bound(chunk.len() as u64, 2);
-                let before = cc.memory_bytes();
-                block_into(&mut cc, chunk);
-                assert!(
-                    cc.memory_bytes() <= before + bound,
-                    "block grew past its declared bound"
-                );
+    /// Per-column maxima of some rows — what the executor hands `covers`.
+    fn col_max_of(rows: &[[Code; 3]]) -> [Code; 3] {
+        let mut max = [0; 3];
+        for row in rows {
+            for (m, &v) in max.iter_mut().zip(row) {
+                *m = (*m).max(v);
             }
         }
-        // The bound stays rows × attrs even for a saturated dense table:
-        // a mid-block spill can mint entries outside the dense domain.
+        max
+    }
+
+    #[test]
+    fn block_growth_bound_dominates_actual_growth() {
+        // Generated blocks of 1–40 rows; every fifth block carries a code
+        // outside the dense layout (value 4–7 against cardinality 4).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rng = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % bound) as Code
+        };
+        let blocks: Vec<Vec<[Code; 3]>> = (0..60)
+            .map(|b| {
+                let card = if b % 5 == 4 { 8 } else { 4 };
+                (0..1 + rng(40))
+                    .map(|_| [rng(card), rng(4), rng(2)])
+                    .collect()
+            })
+            .collect();
+        for dense in [false, true] {
+            // A fresh table per block sequence start, refilled after a
+            // spill so the dense cap keeps being exercised.
+            let fresh = || {
+                if dense {
+                    CountsTable::new_dense(&[(0, 4), (1, 4)], 2)
+                } else {
+                    CountsTable::new()
+                }
+            };
+            let mut cc = fresh();
+            for rows in &blocks {
+                let n = rows.len() as u64;
+                let loose = n * 2 * CC_ENTRY_BYTES;
+                let in_range = col_max_of(rows)[0] < 4;
+                assert_eq!(
+                    cc.covers(&col_max_of(rows), &[0, 1], 2),
+                    in_range || !cc.is_dense(),
+                    "only a dense table can fail to cover a block"
+                );
+                let bound = cc.block_growth_bound(n, 2);
+                assert!(bound <= loose, "never looser than rows x attrs");
+                let before = cc.memory_bytes();
+                let mut rowwise = cc.clone();
+                for row in rows {
+                    rowwise.add_row(row, &[0, 1], 2);
+                }
+                if cc.covers(&col_max_of(rows), &[0, 1], 2) {
+                    // The executor's path: gather, then count unchecked.
+                    let cols = cols_of(rows);
+                    cc.add_gathered(&[0, 1], &cols.concat(), rows.len());
+                    assert!(
+                        cc.memory_bytes() <= before + bound,
+                        "a covered block grew past its declared bound"
+                    );
+                    assert_eq!(cc.is_dense(), dense, "a covered block cannot spill");
+                } else {
+                    // Refused: the row path spills and may outgrow the
+                    // capped bound — which is why the block was refused —
+                    // but never rows x attrs.
+                    block_into(&mut cc, rows);
+                    assert!(!cc.is_dense());
+                    assert!(cc.memory_bytes() <= before + loose);
+                }
+                assert_eq!(cc, rowwise, "block counting is row counting");
+                assert_eq!(cc.entries(), rowwise.entries());
+                if dense && !cc.is_dense() {
+                    cc = fresh();
+                }
+            }
+        }
+        // A saturated dense table cannot grow at all — as long as the block
+        // is covered. One that is not may mint entries outside the slots.
         let mut full = CountsTable::new_dense(&[(0, 1), (1, 1)], 1);
         full.add_row(&[0, 0, 0], &[0, 1], 2);
-        assert_eq!(full.block_growth_bound(1000, 2), 2000 * CC_ENTRY_BYTES);
+        assert_eq!(full.block_growth_bound(1000, 2), 0);
+        let spilling: &[[Code; 3]] = &[[1, 1, 0], [2, 2, 0]];
+        assert!(!full.covers(&col_max_of(spilling), &[0, 1], 2));
+        assert!(!full.covers(&[0, 0], &[0, 1], 2), "class column missing");
+        assert!(
+            !full.covers(&[0, 0, 0], &[0, 5], 2),
+            "attribute not tracked"
+        );
         let before = full.memory_bytes();
-        let bound = full.block_growth_bound(2, 2);
-        // Out-of-range block: spill growth still fits under the bound.
-        let mut cols = cols_of(&[[1, 1, 0], [2, 2, 0]]);
-        cols[2] = vec![0, 0];
-        let refs: Vec<&[Code]> = cols.iter().map(Vec::as_slice).collect();
-        full.add_block(&refs, 2, &[0, 1]);
+        block_into(&mut full, spilling);
         assert!(!full.is_dense());
-        assert!(full.memory_bytes() <= before + bound);
+        assert_eq!(full.memory_bytes(), before + 4 * CC_ENTRY_BYTES);
     }
 
     #[test]

@@ -13,20 +13,43 @@
 //!   counts are later fetched lazily via per-attribute GROUP BY queries
 //!   (handled by the middleware after the scan).
 //!
-//! A block whose worst-case growth clears the budget and that no tee needs
-//! row by row is counted whole through the batched kernel
-//! (`count_block_into`, shared with the parallel shards); any other
-//! block takes [`BatchCounter::process_row`] per row, with identical
-//! results (DESIGN.md §12).
+//! **Route once, count in blocks.** The scheduled nodes' predicates are
+//! paths of one partial tree, so finding a row's node is classifying the
+//! row with that tree: the batch compiles them once into a
+//! [`PredSet`] router and every row costs one walk of it, however many
+//! nodes are scheduled. A block is served in two passes (`BlockPass`,
+//! shared with the parallel shards): the first routes every row into
+//! per-node *selection vectors*; the second, per node with a non-empty
+//! selection, gathers the attribute and class columns of the selected
+//! rows and counts them through the batched kernel. The staging tees are
+//! served from the same selection vectors, in row order.
+//!
+//! The block path engages when `memory_in_use + Σ bound_n ≤ budget`,
+//! where `bound_n` is the worst the node's selection can add to modelled
+//! memory ([`CountsTable::block_growth_bound`] over its selected rows,
+//! plus the selected rows themselves for a memory tee). Under that gate no
+//! eviction, §4.1.1 fallback or tee cancellation can fire anywhere inside
+//! the block on *either* path, and modelled memory only grows, so counting
+//! node by node instead of row by row ends in the identical state and
+//! observing memory once per block sees the per-row maximum. A block that
+//! does not clear the gate, or holds a code outside some dense table's
+//! layout (the free-slot cap of the bound assumes no spill), takes
+//! [`BatchCounter::process_row`] per row, as does every block when the
+//! kernel is switched off — with identical results (DESIGN.md §12).
+//!
+//! When predicates overlap (never within one tree frontier) a row counts
+//! into every node it satisfies, in ascending node order.
 
-use crate::cc::{BlockOutcome, CountsTable, CC_ENTRY_BYTES};
+use crate::cc::{CountsTable, CC_ENTRY_BYTES};
 use crate::error::MwResult;
 use crate::metrics::MiddlewareStats;
 use crate::request::CcRequest;
 use crate::staging::FileWriter;
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
-use scaleclass_sqldb::Pred;
-use std::collections::HashMap;
+use scaleclass_sqldb::PredSet;
+use std::ops::ControlFlow;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Counting state for one scheduled node during a scan.
 pub struct NodeCounter {
@@ -78,112 +101,154 @@ pub struct BatchCounter {
     /// Bytes accumulated in memory-staging buffers this batch.
     pub(crate) buffer_bytes: u64,
     pub(crate) arity: usize,
-    /// Candidate prefilter shared with the parallel workers.
-    dispatch: Dispatch,
-    /// Reusable per-row scratch for dispatch candidates — hoisted out of
-    /// `process_row` so the hot loop never allocates.
-    scratch: Vec<usize>,
-    /// Count whole blocks through `CountsTable::add_block` when possible
+    /// The nodes' path predicates, compiled once; predicate `i` is node
+    /// `i`'s. Read-only, so the parallel workers share it.
+    pub(crate) router: Arc<PredSet>,
+    /// Reusable per-row route output — hoisted out of `process_row` so
+    /// the hot loop never allocates.
+    matched: Vec<usize>,
+    /// Count whole blocks through the route-then-count pass when possible
     /// (`MiddlewareConfig::batch_kernel`); off pins the row path.
     pub(crate) batch_kernel: bool,
-    /// Reusable column scratch: one `Vec` per source column, refilled by
-    /// the block transpose and reused across blocks.
-    col_scratch: Vec<Vec<Code>>,
-    /// Reusable selection/gather scratch of the per-node block routine.
-    block_scratch: BlockScratch,
+    /// Reusable selection/gather scratch of the block pass.
+    pass: BlockPass,
 }
 
-/// Candidate prefilter over a batch's predicates: nodes whose path
-/// predicate contains an `Eq` conjunct are bucketed by their *deepest*
-/// such atom `(col, value)` — a necessary condition for the full
-/// predicate, and (being the node's own or nearest Eq edge) the most
-/// selective one. A row only fully evaluates the nodes in its matching
-/// buckets plus the few nodes with no Eq conjunct at all. This turns the
-/// per-row cost from O(batch size) to O(matching nodes), which is what
-/// makes full-scale (multi-MB) scans tractable. Built once per scan and
-/// read-only afterwards, so the serial counter and every parallel worker
-/// can share the same structure.
-pub(crate) struct Dispatch {
-    /// `(col, value)` buckets of node indices.
-    map: HashMap<(usize, Code), Vec<usize>>,
-    /// Distinct columns appearing as dispatch keys.
-    cols: Vec<usize>,
-    /// Nodes with no Eq conjunct (root, pure-NotEq paths): always checked.
-    unkeyed: Vec<usize>,
+/// A block of rows in either layout the scan paths produce, as the
+/// route-then-count pass reads it.
+pub(crate) trait Block {
+    /// Rows in the block.
+    fn nrows(&self) -> usize;
+    /// Route every row: `on_match(row, predicate)` for each predicate of
+    /// `router` each row satisfies, rows ascending.
+    fn for_each_match(&self, router: &PredSet, on_match: impl FnMut(u32, usize));
+    /// The largest code of every column, into `out`.
+    fn col_max(&self, out: &mut Vec<Code>);
+    /// Append column `col` of the selected rows to `out`.
+    fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>);
+    /// Hand each selected row, in selection order, to `f`.
+    fn for_each_row(&self, sel: &[u32], f: impl FnMut(&[Code]) -> MwResult<()>) -> MwResult<()>;
 }
 
-impl Dispatch {
-    /// Build the prefilter for an ordered list of node predicates.
-    pub(crate) fn new<'a>(preds: impl Iterator<Item = &'a Pred>) -> Self {
-        let mut map: HashMap<(usize, Code), Vec<usize>> = HashMap::new();
-        let mut unkeyed = Vec::new();
-        for (i, pred) in preds.enumerate() {
-            match deepest_eq_atom(pred) {
-                Some(key) => map.entry(key).or_default().push(i),
-                None => unkeyed.push(i),
-            }
-        }
-        let mut cols: Vec<usize> = map.keys().map(|&(c, _)| c).collect();
-        cols.sort_unstable();
-        cols.dedup();
-        Dispatch { map, cols, unkeyed }
+/// A row-major block: what the one scan loop feeds the sinks.
+pub(crate) struct RowBlock<'a> {
+    pub(crate) flat: &'a [Code],
+    pub(crate) arity: usize,
+}
+
+impl Block for RowBlock<'_> {
+    fn nrows(&self) -> usize {
+        self.flat.len() / self.arity
     }
 
-    /// Collect into `out` the node indices whose predicate might match
-    /// `row` (a superset of the true matches).
-    pub(crate) fn candidates(&self, row: &[Code], out: &mut Vec<usize>) {
+    fn for_each_match(&self, router: &PredSet, mut on_match: impl FnMut(u32, usize)) {
+        for (r, row) in self.flat.chunks_exact(self.arity).enumerate() {
+            // analyze:allow(hot-path-panic): a predicate column past the
+            // arity panics here exactly as `Pred::eval` would on the row.
+            let _ = router.for_each_match(&|col| row[col], &mut |idx| {
+                on_match(r as u32, idx);
+                ControlFlow::Continue(())
+            });
+        }
+    }
+
+    fn col_max(&self, out: &mut Vec<Code>) {
         out.clear();
-        out.extend_from_slice(&self.unkeyed);
-        for &col in &self.cols {
-            // A dispatch column beyond this row's arity cannot match any
-            // predicate, so an out-of-range lookup just yields no candidates.
-            let Some(&value) = row.get(col) else { continue };
-            if let Some(idxs) = self.map.get(&(col, value)) {
-                out.extend_from_slice(idxs);
+        out.resize(self.arity, 0);
+        for row in self.flat.chunks_exact(self.arity) {
+            for (max, &v) in out.iter_mut().zip(row) {
+                *max = (*max).max(v);
             }
         }
     }
-}
 
-/// The deepest `Eq` conjunct of a path predicate, if any.
-fn deepest_eq_atom(pred: &Pred) -> Option<(usize, Code)> {
-    match pred {
-        Pred::Eq { col, value } => Some((*col, *value)),
-        Pred::And(children) => children.iter().rev().find_map(deepest_eq_atom),
-        _ => None,
+    fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>) {
+        // A column past the arity would read into the next row.
+        assert!(col < self.arity, "gathered column outside the block");
+        let (flat, arity) = (self.flat, self.arity);
+        // Selections are minted over this block's rows, and `col < arity`
+        // was asserted above.
+        out.extend(sel.iter().map(|&r| flat[r as usize * arity + col]));
+    }
+
+    fn for_each_row(
+        &self,
+        sel: &[u32],
+        mut f: impl FnMut(&[Code]) -> MwResult<()>,
+    ) -> MwResult<()> {
+        if sel.len() == self.nrows() {
+            // Selections ascend, so a full one is the block itself.
+            return self.flat.chunks_exact(self.arity).try_for_each(f);
+        }
+        for &r in sel {
+            let start = r as usize * self.arity;
+            // analyze:allow(hot-path-panic): selections are minted over
+            // this block's rows.
+            f(&self.flat[start..start + self.arity])?;
+        }
+        Ok(())
     }
 }
 
-/// Columnar twin of [`Pred::eval`]: evaluate a predicate against row `r`
-/// of a column-major block. Mirrors `eval` exactly, including the panic
-/// on a column index past the block's arity (predicates are built against
-/// the scanned schema, so the columns are structurally present).
-fn pred_eval_cols(pred: &Pred, cols: &[Vec<Code>], r: usize) -> bool {
-    match pred {
-        Pred::True => true,
-        Pred::False => false,
-        Pred::Eq { col, value } => cols[*col][r] == *value,
-        Pred::NotEq { col, value } => cols[*col][r] != *value,
-        Pred::And(children) => children.iter().all(|p| pred_eval_cols(p, cols, r)),
-        Pred::Or(children) => children.iter().any(|p| pred_eval_cols(p, cols, r)),
+/// A column-major block: what the sharded extent readers decode.
+pub(crate) struct ColBlock<'a> {
+    pub(crate) cols: &'a [Vec<Code>],
+    pub(crate) nrows: usize,
+}
+
+impl Block for ColBlock<'_> {
+    fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    fn for_each_match(&self, router: &PredSet, mut on_match: impl FnMut(u32, usize)) {
+        let cols = self.cols;
+        for r in 0..self.nrows as u32 {
+            // analyze:allow(hot-path-panic): every decoded column holds
+            // `nrows` codes; a predicate column past the arity panics
+            // exactly as `Pred::eval` would on the row.
+            let _ = router.for_each_match(&|col| cols[col][r as usize], &mut |idx| {
+                on_match(r, idx);
+                ControlFlow::Continue(())
+            });
+        }
+    }
+
+    fn col_max(&self, out: &mut Vec<Code>) {
+        out.clear();
+        out.extend(
+            self.cols
+                .iter()
+                .map(|c| c.iter().copied().max().unwrap_or(0)),
+        );
+    }
+
+    fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>) {
+        let src = &self.cols[col];
+        // Selections are minted over this block's rows.
+        out.extend(sel.iter().map(|&r| src[r as usize]));
+    }
+
+    fn for_each_row(
+        &self,
+        sel: &[u32],
+        mut f: impl FnMut(&[Code]) -> MwResult<()>,
+    ) -> MwResult<()> {
+        let mut row = Vec::with_capacity(self.cols.len());
+        for &r in sel {
+            row.clear();
+            // analyze:allow(hot-path-panic): selections are minted over
+            // this block's rows.
+            row.extend(self.cols.iter().map(|c| c[r as usize]));
+            f(&row)?;
+        }
+        Ok(())
     }
 }
 
-/// Transpose a row-major block into one `Vec` per column (`cols` is
-/// resized to the arity and refilled, so it can be reused across blocks).
-/// Returns the block's row count.
-pub(crate) fn transpose_block(flat: &[Code], arity: usize, cols: &mut Vec<Vec<Code>>) -> usize {
-    cols.resize_with(arity, Vec::new);
-    for (c, col) in cols.iter_mut().enumerate() {
-        col.clear();
-        col.extend(flat.iter().skip(c).step_by(arity).copied());
-    }
-    flat.len() / arity
-}
-
-/// What the batched kernel did over some run of blocks and nodes. The
-/// serial counter adds it to the stats after every block; each parallel
-/// worker carries one to the merge.
+/// What the block pass did over some run of blocks and nodes. The serial
+/// counter adds it to the stats after every block; each parallel worker
+/// carries one to the merge.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct KernelTally {
     blocks_counted: u64,
@@ -193,16 +258,6 @@ pub(crate) struct KernelTally {
 }
 
 impl KernelTally {
-    fn record(&mut self, outcome: BlockOutcome) {
-        if outcome.fallback_rows == 0 {
-            self.blocks_counted += 1;
-        } else {
-            self.block_fallback_rows += outcome.fallback_rows;
-        }
-        self.validate_nanos += outcome.validate_nanos;
-        self.accumulate_nanos += outcome.accumulate_nanos;
-    }
-
     /// Fold the tally into the middleware's block-kernel counters.
     pub(crate) fn add_to(&self, stats: &mut MiddlewareStats) {
         stats.blocks_counted += self.blocks_counted;
@@ -212,67 +267,166 @@ impl KernelTally {
     }
 }
 
-/// Reusable scratch of [`count_block_into`].
-#[derive(Default)]
-pub(crate) struct BlockScratch {
-    /// Row indices of the block that satisfy the node's predicate.
-    sel: Vec<u32>,
-    /// The selected rows of the columns the kernel reads.
-    gather: Vec<Vec<Code>>,
+fn nanos_since(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Count the rows of the column block `cols` that satisfy `pred` into
-/// `cc` through the batched kernel, and return the modelled bytes `cc`
-/// grew by. An unselective node (the root) counts the columns
-/// as they are; a selective one builds a selection vector, then gathers
-/// only the columns the kernel reads (attrs + class). The serial counter
-/// and the parallel shards both count through here; the budget protocol
-/// around the call is theirs.
-pub(crate) fn count_block_into(
-    cc: &mut CountsTable,
-    pred: &Pred,
-    attrs: &[u16],
-    class_col: u16,
-    cols: &[Vec<Code>],
-    scratch: &mut BlockScratch,
-    tally: &mut KernelTally,
-) -> u64 {
-    let before = cc.entries();
-    let outcome = if matches!(pred, Pred::True) {
-        let refs: Vec<&[Code]> = cols.iter().map(Vec::as_slice).collect();
-        cc.add_block(&refs, class_col, attrs)
-    } else {
-        let nrows = cols.first().map_or(0, Vec::len);
-        scratch.sel.clear();
-        scratch
-            .sel
-            .extend((0..nrows as u32).filter(|&r| pred_eval_cols(pred, cols, r as usize)));
-        if scratch.sel.is_empty() {
-            return 0;
+/// The nodes a block pass counts into, however their owner lays them out.
+pub(crate) trait CountSlots {
+    /// Node `idx`'s counts table with the attribute columns and class
+    /// column it counts; `None` once the node has fallen back to SQL.
+    fn slot(&mut self, idx: usize) -> Option<(&mut CountsTable, &[u16], u16)>;
+}
+
+impl CountSlots for [NodeCounter] {
+    fn slot(&mut self, idx: usize) -> Option<(&mut CountsTable, &[u16], u16)> {
+        let node = self.get_mut(idx)?;
+        (!node.fallback).then_some((&mut node.cc, node.req.attrs.as_slice(), node.req.class_col))
+    }
+}
+
+/// The route-then-count pass over one block, and its reusable scratch.
+/// The serial counter and the parallel shards both count through here;
+/// the budget protocol between [`BlockPass::cc_bound`] and
+/// [`BlockPass::count`] is theirs.
+#[derive(Default)]
+pub(crate) struct BlockPass {
+    /// Per node: the block's rows that satisfy its predicate, ascending.
+    sels: Vec<Vec<u32>>,
+    /// Nodes with a non-empty selection, ascending.
+    touched: Vec<usize>,
+    /// Rows that satisfy at least one predicate, ascending (when asked).
+    any: Vec<u32>,
+    /// Largest code per block column.
+    col_max: Vec<Code>,
+    /// Gathered columns of every counted node, back to back.
+    gathered: Vec<Code>,
+}
+
+impl BlockPass {
+    /// First pass: route every row of `block` once, into per-node
+    /// selection vectors (and, with `mark_any`, the rows some node took).
+    pub(crate) fn route(&mut self, router: &PredSet, block: &impl Block, mark_any: bool) {
+        for &idx in &self.touched {
+            // analyze:allow(hot-path-panic): touched holds indices into
+            // sels, pushed by the previous routing.
+            self.sels[idx].clear();
         }
-        scratch.gather.resize_with(cols.len(), Vec::new);
-        for &c in attrs.iter().chain(std::iter::once(&class_col)) {
-            // analyze:allow(hot-path-panic): attrs and class_col index the
-            // scanned schema's columns by construction.
-            let src = &cols[usize::from(c)];
-            let dst = &mut scratch.gather[usize::from(c)]; // analyze:allow(hot-path-panic): gather was resized to the arity above
-            dst.clear();
-            // analyze:allow(hot-path-panic): sel rows were minted over
-            // this block, so every index is < nrows.
-            dst.extend(scratch.sel.iter().map(|&r| src[r as usize]));
+        self.touched.clear();
+        self.any.clear();
+        self.sels.resize_with(router.len(), Vec::new);
+        let (sels, touched, any) = (&mut self.sels, &mut self.touched, &mut self.any);
+        block.for_each_match(router, |r, idx| {
+            // The router reports positions in the predicate list `sels` was
+            // just sized to.
+            let sel = &mut sels[idx];
+            if sel.is_empty() {
+                touched.push(idx);
+            }
+            sel.push(r);
+            // A row's matches arrive together, so one look back dedupes.
+            if mark_any && any.last() != Some(&r) {
+                any.push(r);
+            }
+        });
+        touched.sort_unstable();
+    }
+
+    /// Nodes the last routed block selected rows for, ascending.
+    pub(crate) fn touched(&self) -> &[usize] {
+        &self.touched
+    }
+
+    /// The rows the last routed block selected for node `idx`.
+    pub(crate) fn selected(&self, idx: usize) -> &[u32] {
+        self.sels.get(idx).map_or(&[], Vec::as_slice)
+    }
+
+    /// The rows of the last routed block that some node selected.
+    pub(crate) fn any(&self) -> &[u32] {
+        &self.any
+    }
+
+    /// The most counting the routed block can add to modelled memory:
+    /// `Σ` over the touched nodes still counting of
+    /// [`CountsTable::block_growth_bound`] of their selected rows. `None`
+    /// when the block holds a code outside some such node's dense layout
+    /// (checked once per block against the column maxima, not per
+    /// selection): the free-slot cap of the bound is then void and the
+    /// block must take the row path whole, where the spill fires at the
+    /// row it always did.
+    pub(crate) fn cc_bound(
+        &mut self,
+        block: &impl Block,
+        nodes: &mut (impl CountSlots + ?Sized),
+        tally: &mut KernelTally,
+    ) -> Option<u64> {
+        if self.touched.is_empty() {
+            return Some(0);
         }
-        let refs: Vec<&[Code]> = scratch.gather.iter().map(Vec::as_slice).collect();
-        cc.add_block(&refs, class_col, attrs)
-    };
-    tally.record(outcome);
-    (cc.entries() - before) as u64 * CC_ENTRY_BYTES
+        let t0 = Instant::now();
+        block.col_max(&mut self.col_max);
+        let mut bound = Some(0u64);
+        for &idx in &self.touched {
+            let Some((cc, attrs, class_col)) = nodes.slot(idx) else {
+                continue;
+            };
+            if !cc.covers(&self.col_max, attrs, class_col) {
+                bound = None;
+                break;
+            }
+            let rows = self.selected(idx).len() as u64;
+            bound = bound.map(|b| b.saturating_add(cc.block_growth_bound(rows, attrs.len())));
+        }
+        tally.validate_nanos += nanos_since(t0);
+        bound
+    }
+
+    /// Second pass: per touched node still counting, gather the attribute
+    /// and class columns of its selected rows and count them through the
+    /// batched kernel. Returns the modelled bytes the tables grew by —
+    /// at most the [`BlockPass::cc_bound`] the caller gated on.
+    pub(crate) fn count(
+        &mut self,
+        block: &impl Block,
+        nodes: &mut (impl CountSlots + ?Sized),
+        tally: &mut KernelTally,
+    ) -> u64 {
+        let mut gathered = std::mem::take(&mut self.gathered);
+        gathered.clear();
+        for &idx in &self.touched {
+            if let Some((_, attrs, class_col)) = nodes.slot(idx) {
+                let sel = self.selected(idx);
+                for &col in attrs.iter().chain(std::iter::once(&class_col)) {
+                    block.gather(usize::from(col), sel, &mut gathered);
+                }
+            }
+        }
+        let t0 = Instant::now();
+        let mut rest = gathered.as_slice();
+        let mut grew = 0u64;
+        for &idx in &self.touched {
+            if let Some((cc, attrs, _)) = nodes.slot(idx) {
+                let n = self.selected(idx).len();
+                let (mine, tail) = rest.split_at((attrs.len() + 1) * n);
+                rest = tail;
+                let before = cc.entries();
+                cc.add_gathered(attrs, mine, n);
+                grew += (cc.entries() - before) as u64 * CC_ENTRY_BYTES;
+                tally.blocks_counted += 1;
+            }
+        }
+        tally.accumulate_nanos += nanos_since(t0);
+        self.gathered = gathered;
+        grew
+    }
 }
 
 impl BatchCounter {
     /// A counting pass over `nodes` against the given budget; `base_mem_bytes`
     /// is memory already pinned by staged data.
     pub fn new(nodes: Vec<NodeCounter>, budget: u64, base_mem_bytes: u64, arity: usize) -> Self {
-        let dispatch = Dispatch::new(nodes.iter().map(|n| n.req.pred()));
+        let router = Arc::new(PredSet::new(nodes.iter().map(|n| n.req.pred())));
         BatchCounter {
             nodes,
             split_writer: None,
@@ -283,11 +437,10 @@ impl BatchCounter {
             cc_bytes: 0,
             buffer_bytes: 0,
             arity,
-            dispatch,
-            scratch: Vec::with_capacity(8),
+            router,
+            matched: Vec::with_capacity(8),
             batch_kernel: true,
-            col_scratch: Vec::new(),
-            block_scratch: BlockScratch::default(),
+            pass: BlockPass::default(),
         }
     }
 
@@ -330,21 +483,15 @@ impl BatchCounter {
         let mut base = self.base_mem_bytes;
         let mut cc_bytes = self.cc_bytes;
         let mut buffer_bytes = self.buffer_bytes;
-        let mut any_matched = false;
 
-        // Candidate nodes: the buckets keyed by this row's values on the
-        // dispatch columns, plus the nodes with no Eq conjunct.
-        let mut candidates = std::mem::take(&mut self.scratch);
-        self.dispatch.candidates(row, &mut candidates);
+        // Exactly the nodes whose predicate the row satisfies, ascending.
+        let mut matched = std::mem::take(&mut self.matched);
+        self.router.route(row, &mut matched);
 
-        for &idx in &candidates {
-            // analyze:allow(hot-path-panic): Dispatch mints candidate indices
-            // from these same `nodes`, so they are structurally in-bounds.
+        for &idx in &matched {
+            // analyze:allow(hot-path-panic): the router was compiled from
+            // these same `nodes`, one predicate each, in order.
             let node = &mut self.nodes[idx];
-            if !node.req.pred().eval(row) {
-                continue;
-            }
-            any_matched = true;
 
             // Counting (unless this node already fell back to SQL).
             if !node.fallback {
@@ -392,7 +539,8 @@ impl BatchCounter {
                 }
             }
         }
-        self.scratch = candidates;
+        let any_matched = !matched.is_empty();
+        self.matched = matched;
         self.cc_bytes = cc_bytes;
         self.buffer_bytes = buffer_bytes;
         self.base_mem_bytes = base;
@@ -406,34 +554,10 @@ impl BatchCounter {
         Ok(())
     }
 
-    /// Any staging tee active? Tees are row-ordered side effects, so a
-    /// batch with tees keeps the exact per-row path.
-    fn has_tees(&self) -> bool {
-        self.split_writer.is_some()
-            || self
-                .nodes
-                .iter()
-                .any(|n| n.file_writer.is_some() || n.mem_buffer.is_some())
-    }
-
-    /// Sum over live nodes of the worst-case modelled growth from counting
-    /// a `rows`-row block. When current use plus this bound clears the
-    /// budget, no eviction or §4.1.1 fallback can fire anywhere inside the
-    /// block — in either the block or the row path — so block counting is
-    /// bit-identical by construction.
-    fn block_growth_bound(&self, rows: u64) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| !n.fallback)
-            .map(|n| n.cc.block_growth_bound(rows, n.req.attrs.len()))
-            .fold(0u64, u64::saturating_add)
-    }
-
-    /// Feed a row-major block of rows through every scheduled node,
-    /// counting whole column blocks when the batched kernel can engage.
-    /// Falls back to [`BatchCounter::process_row`] per row — with
-    /// identical results — when the kernel is disabled, a staging tee is
-    /// active, or the block's growth bound cannot clear the budget.
+    /// Feed a row-major block of rows through every scheduled node:
+    /// route-then-count when the block clears its gate (module docs),
+    /// [`BatchCounter::process_row`] per row — with identical results —
+    /// when it does not or the kernel is disabled.
     pub fn process_block(&mut self, flat: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
         let arity = self.arity;
         debug_assert_eq!(flat.len() % arity, 0);
@@ -441,42 +565,83 @@ impl BatchCounter {
         if nrows == 0 {
             return Ok(());
         }
-        if !self.batch_kernel {
-            for row in flat.chunks_exact(arity) {
-                self.process_row(row, stats)?;
+        if self.batch_kernel {
+            let mut pass = std::mem::take(&mut self.pass);
+            let mut tally = KernelTally::default();
+            let counted = self.count_block(&mut pass, &RowBlock { flat, arity }, &mut tally);
+            self.pass = pass;
+            let counted = counted?;
+            if !counted {
+                tally.block_fallback_rows += nrows as u64;
             }
-            return Ok(());
-        }
-        let bound = self.block_growth_bound(nrows as u64);
-        if self.has_tees() || self.memory_in_use().saturating_add(bound) > self.budget {
-            stats.block_fallback_rows += nrows as u64;
-            for row in flat.chunks_exact(arity) {
-                self.process_row(row, stats)?;
+            tally.add_to(stats);
+            if counted {
+                // Modelled memory only grows inside a block that cleared
+                // its gate, so this is the per-row maximum.
+                stats.observe_memory(self.memory_in_use());
+                return Ok(());
             }
-            return Ok(());
         }
-        // Transpose once into the reusable column scratch; every node's
-        // kernel call reads these same columns.
-        transpose_block(flat, arity, &mut self.col_scratch);
-        let mut tally = KernelTally::default();
-        for node in self.nodes.iter_mut().filter(|n| !n.fallback) {
-            self.cc_bytes += count_block_into(
-                &mut node.cc,
-                node.req.pred(),
-                &node.req.attrs,
-                node.req.class_col,
-                &self.col_scratch,
-                &mut self.block_scratch,
-                &mut tally,
-            );
+        for row in flat.chunks_exact(arity) {
+            self.process_row(row, stats)?;
         }
-        tally.add_to(stats);
+        Ok(())
+    }
+
+    /// The block path: route, gate, count, tee. `Ok(false)` — with
+    /// nothing counted, teed or charged — when the block must take the
+    /// row path instead.
+    fn count_block(
+        &mut self,
+        pass: &mut BlockPass,
+        block: &RowBlock<'_>,
+        tally: &mut KernelTally,
+    ) -> MwResult<bool> {
+        pass.route(&self.router, block, self.split_writer.is_some());
+        let Some(cc_bound) = pass.cc_bound(block, self.nodes.as_mut_slice(), tally) else {
+            return Ok(false);
+        };
+        // A memory tee grows by exactly the rows it is handed.
+        let row_bytes = (self.arity * CODE_BYTES) as u64;
+        let tee_bound: u64 = pass
+            .touched()
+            .iter()
+            .filter(|&&idx| self.nodes.get(idx).is_some_and(|n| n.mem_buffer.is_some()))
+            .map(|&idx| pass.selected(idx).len() as u64 * row_bytes)
+            .sum();
+        if self
+            .memory_in_use()
+            .saturating_add(cc_bound)
+            .saturating_add(tee_bound)
+            > self.budget
+        {
+            return Ok(false);
+        }
+        self.cc_bytes += pass.count(block, self.nodes.as_mut_slice(), tally);
+        for &idx in pass.touched() {
+            // analyze:allow(hot-path-panic): touched holds predicate
+            // positions, and predicate `i` is node `i`'s.
+            let node = &mut self.nodes[idx];
+            let sel = pass.selected(idx);
+            if let Some(w) = node.file_writer.as_mut() {
+                block.for_each_row(sel, |row| w.push(row))?;
+            }
+            if let Some(buf) = node.mem_buffer.as_mut() {
+                block.for_each_row(sel, |row| {
+                    buf.extend_from_slice(row);
+                    Ok(())
+                })?;
+                self.buffer_bytes += sel.len() as u64 * row_bytes;
+            }
+        }
+        if let Some(w) = self.split_writer.as_mut() {
+            block.for_each_row(pass.any(), |row| w.push(row))?;
+        }
         debug_assert!(
             self.memory_in_use() <= self.budget,
-            "block kernel engaged without clearing its growth bound"
+            "block pass engaged without clearing its growth bound"
         );
-        stats.observe_memory(self.memory_in_use());
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -563,9 +728,9 @@ mod tests {
     #[test]
     fn other_nodes_keep_counting_after_one_falls_back() {
         // Room for six entries: the wide node alone needs six and the
-        // narrow one two, so exactly one of them hits the ceiling —
-        // which one depends on evaluation order (an implementation detail
-        // of the dispatch prefilter); the other keeps exact counts.
+        // narrow one two, so exactly one of them hits the ceiling — which
+        // one depends on the order a row visits overlapping nodes
+        // (ascending node index); the other keeps exact counts.
         let budget = 6 * CC_ENTRY_BYTES;
         let narrow = NodeCounter::new(request(2, Pred::Eq { col: 0, value: 0 }));
         let wide = NodeCounter::new(root_request()); // sees everything
@@ -587,7 +752,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_prefilter_covers_all_predicate_shapes() {
+    fn router_covers_all_predicate_shapes() {
         // One node per shape: root (True), pure NotEq path, Eq path, deep
         // And path ending in NotEq — all must count exactly right.
         let mk = |pred: Pred| NodeCounter::new(request(9, pred));
@@ -700,21 +865,125 @@ mod tests {
         }
     }
 
-    #[test]
-    fn process_block_with_tees_keeps_the_row_path() {
-        let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
-        let mut nodes = block_nodes();
-        nodes[1].mem_buffer = Some(Vec::new());
-        let mut batch = BatchCounter::new(nodes, u64::MAX, 0, ARITY);
+    /// Everything a tee'd batch wrote: the memory buffer of node 1, the
+    /// staged file of node 2 and the split file, as bytes.
+    fn tee_outputs(
+        mut batch: BatchCounter,
+        staging: &mut crate::staging::StagingManager,
+    ) -> (Vec<Code>, Vec<u8>, Vec<u8>) {
         let mut stats = MiddlewareStats::new();
-        batch.process_block(&flat, &mut stats).unwrap();
-        assert_eq!(stats.blocks_counted, 0, "tee forces the row path");
-        assert_eq!(stats.block_fallback_rows, BLOCK_ROWS.len() as u64);
-        // Tee contents match a pure row-path run.
-        let buf = batch.nodes[1].mem_buffer.as_ref().unwrap();
-        assert_eq!(buf.len(), 3 * ARITY, "three a=1 rows teed in order");
-        assert_eq!(&buf[0..3], &[1, 0, 1]);
-        batch.assert_shadow_accounting();
+        let mut file_bytes = |w: FileWriter| {
+            let id = staging.commit_file(w, &mut stats).unwrap();
+            std::fs::read(staging.extent_layout(id).unwrap().unwrap().path).unwrap()
+        };
+        let node_file = file_bytes(batch.nodes[2].file_writer.take().unwrap());
+        let split_file = file_bytes(batch.split_writer.take().unwrap());
+        (
+            batch.nodes[1].mem_buffer.take().unwrap(),
+            node_file,
+            split_file,
+        )
+    }
+
+    #[test]
+    fn process_block_serves_tees_from_the_selections() {
+        use crate::request::NodeId;
+        let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
+        let run = |kernel: bool| {
+            let mut staging = crate::staging::StagingManager::new(None).unwrap();
+            staging.set_extent_rows(2);
+            let mut nodes = block_nodes();
+            nodes.remove(0); // no root: the split file must skip [0, 0, 0]
+            nodes.push(NodeCounter::new(request(3, Pred::Eq { col: 0, value: 2 })));
+            nodes[1].mem_buffer = Some(Vec::new());
+            let pred = nodes[2].req.pred().clone();
+            nodes[2].file_writer = Some(staging.start_file(vec![NodeId(3)], pred, ARITY).unwrap());
+            let mut batch = BatchCounter::new(nodes, u64::MAX, 0, ARITY);
+            batch.split_writer = Some(
+                staging
+                    .start_file(vec![NodeId(9)], Pred::True, ARITY)
+                    .unwrap(),
+            );
+            batch.batch_kernel = kernel;
+            let mut stats = MiddlewareStats::new();
+            // Two blocks, so tees append across block boundaries.
+            for block in flat.chunks(4 * ARITY) {
+                batch.process_block(block, &mut stats).unwrap();
+            }
+            batch.assert_shadow_accounting();
+            let counts: Vec<CountsTable> = batch.nodes.iter().map(|n| n.cc.clone()).collect();
+            let memory = batch.memory_in_use();
+            (counts, memory, tee_outputs(batch, &mut staging), stats)
+        };
+        let (row_counts, row_memory, row_tees, row_stats) = run(false);
+        let (counts, memory, tees, stats) = run(true);
+        assert_eq!(row_stats.blocks_counted, 0);
+        assert!(
+            stats.blocks_counted > 0,
+            "tees no longer force the row path"
+        );
+        assert_eq!(stats.block_fallback_rows, 0);
+        assert_eq!(counts, row_counts);
+        assert_eq!(memory, row_memory);
+        assert_eq!(stats.peak_memory_bytes, row_stats.peak_memory_bytes);
+        assert_eq!(tees, row_tees, "memory buffer, node file and split file");
+        // b <> 0: rows 2, 3 and 4, in row order.
+        assert_eq!(tees.0, [1, 1, 0, 2, 1, 1, 0, 2, 0]);
+    }
+
+    /// The free-slot cap of the growth bound holds only while no code
+    /// spills a dense table: a block with a code outside the layout must
+    /// take the row path *whole* even under a budget the capped bound
+    /// clears, so the spill — and the §4.1.1 fallback its out-of-layout
+    /// entries bring on — fires at the row it does row by row.
+    #[test]
+    fn out_of_range_block_takes_the_row_path_whole() {
+        // 2 attrs x 2 values x 2 classes = 8 slots.
+        let dense_root = || {
+            let mut node = NodeCounter::new(root_request());
+            node.cc = CountsTable::new_dense(&[(0, 2), (1, 2)], 2);
+            assert!(node.cc.is_dense());
+            vec![node]
+        };
+        // Room for ten entries: the capped bound (8 free slots) clears it,
+        // rows x attrs (8 x 2 = 16 entries) does not.
+        let budget = 10 * CC_ENTRY_BYTES;
+        let in_range: &[[Code; 3]] = &[[0, 0, 0], [1, 1, 1], [0, 1, 1], [1, 0, 0]];
+        let spilling: &[[Code; 3]] = &[
+            [0, 0, 0],
+            [1, 1, 1],
+            [5, 0, 0], // spills; entries 3 and 4 …
+            [6, 1, 1], // … 5 and 6 …
+            [7, 0, 1], // … 7 and 8 …
+            [8, 1, 0], // … 9 and 10 …
+            [9, 0, 0], // … and 11: over budget, the node falls back here
+            [1, 0, 0],
+        ];
+        for (rows, expect_fallback) in [(in_range, false), (spilling, true)] {
+            let mut rowwise = BatchCounter::new(dense_root(), budget, 0, ARITY);
+            let mut s1 = MiddlewareStats::new();
+            for r in rows {
+                rowwise.process_row(r, &mut s1).unwrap();
+            }
+            assert_eq!(rowwise.nodes[0].fallback, expect_fallback);
+            let mut blocked = BatchCounter::new(dense_root(), budget, 0, ARITY);
+            let mut s2 = MiddlewareStats::new();
+            let flat: Vec<Code> = rows.iter().flatten().copied().collect();
+            blocked.process_block(&flat, &mut s2).unwrap();
+            if expect_fallback {
+                assert_eq!(s2.blocks_counted, 0, "the range check refused the block");
+                assert_eq!(s2.block_fallback_rows, rows.len() as u64);
+            } else {
+                assert_eq!(s2.blocks_counted, 1, "the capped bound let the block in");
+                assert_eq!(s2.block_fallback_rows, 0);
+            }
+            assert_eq!(blocked.nodes[0].fallback, rowwise.nodes[0].fallback);
+            assert_eq!(blocked.nodes[0].cc, rowwise.nodes[0].cc);
+            assert_eq!(s2.sql_fallbacks, s1.sql_fallbacks);
+            assert_eq!(blocked.memory_in_use(), rowwise.memory_in_use());
+            // The peak is reached on the row before the fallback fires.
+            assert_eq!(s2.peak_memory_bytes, s1.peak_memory_bytes);
+        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Parallel counting pipeline for the execution module (§4.1.1 at scale).
 //!
-//! The serial [`BatchCounter`] feeds every source row through every
-//! scheduled node on the thread that owns the scan. That single counting
-//! thread becomes the bottleneck once the dispatch prefilter has made
-//! predicate evaluation cheap: for wide batches the scan is dominated by
-//! CC-table insertion, which is embarrassingly parallel because counting
-//! is additive.
+//! The serial [`BatchCounter`] routes every source row to its scheduled
+//! node and counts it on the thread that owns the scan. Once routing is a
+//! compiled walk (`scaleclass_sqldb::PredSet`) that single counting thread
+//! is dominated by CC-table insertion, which is embarrassingly parallel
+//! because counting is additive.
 //!
 //! [`ParallelScan`] splits a counting pass into three roles:
 //!
@@ -18,10 +17,13 @@
 //!   those through a *bounded* channel, so a fast producer cannot outrun
 //!   slow workers by more than a few blocks (backpressure, not unbounded
 //!   buffering).
-//! * **Workers.** `scan_workers` threads pull blocks and count rows into
-//!   *private* per-node [`CountsTable`] shards — no locks on the hot path.
-//!   CC memory is reserved against a shared atomic so the middleware
-//!   budget stays a global invariant (see below).
+//! * **Workers.** `scan_workers` threads pull blocks and count them into
+//!   *private* per-node [`CountsTable`] shards — no locks on the hot path —
+//!   through the same route-then-count pass as the serial counter
+//!   (`executor::BlockPass`, over the batch's one shared router), falling
+//!   back to rows under the same conditions. CC memory is reserved against
+//!   a shared atomic so the middleware budget stays a global invariant
+//!   (see below).
 //! * **Merge.** After the producer finishes, shards are combined in
 //!   worker-index order via [`CountsTable::merge`]. Counting is additive,
 //!   so the merged tables are exactly what one serial pass over the same
@@ -41,6 +43,10 @@
 //! readers are joined in range order, which is worker-index order, so the
 //! shard merge is exactly as deterministic as the channel pipeline's, and
 //! counting additivity makes the result bit-identical to a serial scan.
+//! Extents decode straight into per-reader column buffers, and each is one
+//! column-major block of the route-then-count pass; the reader's tees are
+//! served from the pass's selection vectors (row by row only for a block
+//! that took the row path).
 //! Memory-staging tees are sharded the same way — each reader buffers the
 //! matching rows of *its* range, and the buffers are concatenated in range
 //! order, reproducing the serial staging byte order exactly. *File* tees
@@ -56,15 +62,17 @@
 //! buffers, and the hybrid split file) remain on the producer thread:
 //! files must be written in source row order to be byte-identical to the
 //! serial path, and a single writer needs no synchronisation. The
-//! coordinator evaluates only the predicates of nodes that actually stage
-//! (usually 0–1 per batch). Only batches writing the hybrid *split* file
+//! coordinator routes a row (once, through the shared router) only when
+//! the batch stages at all. Only batches writing the hybrid *split* file
 //! keep using the channel pipeline ([`ParallelScan::can_shard`]): the
 //! split file interleaves every scheduled node's rows, so slicing it per
 //! reader would buy nothing over the single producer stream.
 //!
 //! ## Shard-aware budget enforcement
 //!
-//! Workers reserve every new CC entry against a shared `AtomicU64`. When
+//! Workers reserve every new CC entry — on the block path, the block's
+//! whole growth bound up front, the surplus released after counting —
+//! against a shared `AtomicU64`. When
 //! the global reservation (plus staged bytes and staging buffers) exceeds
 //! the budget, the worker first claims pressure evictions from the shared
 //! evictable pool — sacrificing cached data sets exactly like the serial
@@ -93,13 +101,13 @@ use crate::cc::{CountsTable, CC_ENTRY_BYTES};
 use crate::config::MiddlewareConfig;
 use crate::error::{MwError, MwResult};
 use crate::executor::{
-    count_block_into, transpose_block, BatchCounter, BlockScratch, Dispatch, KernelTally,
+    BatchCounter, Block, BlockPass, ColBlock, CountSlots, KernelTally, RowBlock,
 };
 use crate::metrics::{MiddlewareStats, WorkerScanStats};
 use crate::staging::{ExtentLayout, ExtentReader, TeeSpool, FILE_HEADER_BYTES};
 use crossbeam_channel::{bounded, Receiver, Sender};
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
-use scaleclass_sqldb::Pred;
+use scaleclass_sqldb::PredSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -107,7 +115,6 @@ use std::time::Instant;
 
 /// Everything a worker needs to count for one node (read-only).
 struct NodeSpec {
-    pred: Pred,
     attrs: Vec<u16>,
     class_col: u16,
     /// Empty table carrying the node's counting backend: workers mint
@@ -120,10 +127,13 @@ struct NodeSpec {
 /// State shared between the coordinator and the counting workers.
 struct Shared {
     specs: Vec<NodeSpec>,
+    /// The nodes' path predicates compiled for routing (the batch's own
+    /// router): predicate `i` is node `i`'s.
+    router: Arc<PredSet>,
     arity: usize,
-    /// Count whole blocks through `CountsTable::add_block` when the
+    /// Count whole blocks through the route-then-count pass when the
     /// shard-level growth bound clears the budget (see
-    /// `ShardState::count_block_cols`); off pins the row path.
+    /// `ShardState::count_block`); off pins the row path.
     batch_kernel: bool,
     /// Total middleware memory budget in bytes.
     budget: u64,
@@ -196,17 +206,59 @@ struct WorkerResult {
 
 /// One worker's private counting state — shared by the channel workers and
 /// the sharded extent readers, so both paths apply the identical budget,
-/// eviction, and fallback protocol per row.
+/// eviction, and fallback protocol per row and per block.
 struct ShardState {
     shards: Vec<CountsTable>,
     /// Nodes whose fallback flag this worker has already honoured.
     dropped: Vec<bool>,
     rows: u64,
     kernel_ns: u64,
-    candidates: Vec<usize>,
-    /// Reusable selection/gather scratch of the per-node block routine.
-    scratch: BlockScratch,
+    /// The nodes the last row fed to [`ShardState::count_row`] satisfied.
+    matched: Vec<usize>,
+    /// Reusable selection/gather scratch of the block pass.
+    pass: BlockPass,
     tally: KernelTally,
+}
+
+/// A worker's shards as the block pass counts into them.
+struct ShardSlots<'a> {
+    specs: &'a [NodeSpec],
+    shards: &'a mut [CountsTable],
+    dropped: &'a [bool],
+}
+
+impl CountSlots for ShardSlots<'_> {
+    fn slot(&mut self, idx: usize) -> Option<(&mut CountsTable, &[u16], u16)> {
+        if *self.dropped.get(idx)? {
+            return None;
+        }
+        let spec = self.specs.get(idx)?;
+        Some((self.shards.get_mut(idx)?, &spec.attrs, spec.class_col))
+    }
+}
+
+/// Honour the §4.1.1 fallback flag of node `idx` (this worker's own or
+/// another's): release and drop this worker's shard once. Returns true
+/// when the node is out of play for this worker.
+fn honour_fallback(
+    shards: &mut [CountsTable],
+    dropped: &mut [bool],
+    idx: usize,
+    shared: &Shared,
+) -> bool {
+    if !shared.fallback[idx].load(Ordering::Relaxed) {
+        return false;
+    }
+    if !dropped[idx] {
+        // Self-cleanup: another worker tripped the switch; release this
+        // shard's bytes.
+        shared
+            .cc_reserved
+            .fetch_sub(shards[idx].memory_bytes(), Ordering::Relaxed);
+        shards[idx] = CountsTable::new();
+        dropped[idx] = true;
+    }
+    true
 }
 
 impl ShardState {
@@ -216,40 +268,29 @@ impl ShardState {
             dropped: vec![false; specs.len()],
             rows: 0,
             kernel_ns: 0,
-            candidates: Vec::with_capacity(8),
-            scratch: BlockScratch::default(),
+            matched: Vec::with_capacity(8),
+            pass: BlockPass::default(),
             tally: KernelTally::default(),
         }
     }
 
+    /// Count one row into every node it satisfies (left in `matched`,
+    /// ascending, for the caller's tees).
     #[inline]
-    fn count_row(&mut self, row: &[Code], dispatch: &Dispatch, shared: &Shared) {
+    fn count_row(&mut self, row: &[Code], shared: &Shared) {
         self.rows += 1;
-        dispatch.candidates(row, &mut self.candidates);
-        for &idx in &self.candidates {
-            // analyze:allow(hot-path-panic): Dispatch mints candidate
-            // indices from `shared.specs`, and fallback/shards/dropped are
-            // parallel vectors of the same length by construction.
+        let mut matched = std::mem::take(&mut self.matched);
+        shared.router.route(row, &mut matched);
+        for &idx in &matched {
+            if honour_fallback(&mut self.shards, &mut self.dropped, idx, shared) {
+                continue;
+            }
+            // analyze:allow(hot-path-panic): the router reports positions
+            // in `shared.specs`, and fallback/shards/dropped are parallel
+            // vectors of the same length by construction.
             let (spec, fallback) = (&shared.specs[idx], &shared.fallback[idx]);
             // analyze:allow(hot-path-panic): same parallel-vector bound.
             let shard = &mut self.shards[idx];
-            // analyze:allow(hot-path-panic): same parallel-vector bound.
-            let dropped = &mut self.dropped[idx];
-            if fallback.load(Ordering::Relaxed) {
-                if !*dropped {
-                    // Self-cleanup: another worker tripped the §4.1.1
-                    // switch; release this shard's bytes.
-                    shared
-                        .cc_reserved
-                        .fetch_sub(shard.memory_bytes(), Ordering::Relaxed);
-                    *shard = CountsTable::new();
-                    *dropped = true;
-                }
-                continue;
-            }
-            if !spec.pred.eval(row) {
-                continue;
-            }
             let before = shard.entries();
             shard.add_row(row, &spec.attrs, spec.class_col);
             let grew = (shard.entries() - before) as u64 * CC_ENTRY_BYTES;
@@ -267,79 +308,63 @@ impl ShardState {
                     .cc_reserved
                     .fetch_sub(shard.memory_bytes(), Ordering::Relaxed);
                 *shard = CountsTable::new();
-                *dropped = true;
+                // analyze:allow(hot-path-panic): same parallel-vector bound.
+                self.dropped[idx] = true;
             }
         }
+        self.matched = matched;
     }
 
-    /// Honour another worker's §4.1.1 fallback flag for node `idx`:
-    /// release and drop this worker's shard once. Returns true when the
-    /// node is out of play for this worker.
-    fn honour_fallback(&mut self, idx: usize, shared: &Shared) -> bool {
-        if !shared.fallback[idx].load(Ordering::Relaxed) {
+    /// Route-then-count one block, if its growth bound clears the budget.
+    /// The bound — counting growth plus the rows `tees` would buffer —
+    /// is *reserved* before counting (so concurrent workers' gates
+    /// serialize through the shared cells) and the counting surplus
+    /// released after; a block counted here can therefore never cross the
+    /// budget, which is what makes it bit-identical to the per-row
+    /// checkpoint path. Returns false — with nothing counted and nothing
+    /// reserved — when the gate fails or the block holds a code outside a
+    /// dense shard's layout; the caller must then feed the block through
+    /// [`ShardState::count_row`]. On true the caller serves `tees` from
+    /// `self.pass` ([`tee_block`]): each tee's `reserved` says how many
+    /// bytes of its selection were charged to `buffer_bytes`.
+    fn count_block(&mut self, block: &impl Block, shared: &Shared, tees: &mut [ReaderTee]) -> bool {
+        self.pass.route(&shared.router, block, false);
+        for &idx in self.pass.touched() {
+            honour_fallback(&mut self.shards, &mut self.dropped, idx, shared);
+        }
+        let mut slots = ShardSlots {
+            specs: &shared.specs,
+            shards: &mut self.shards,
+            dropped: &self.dropped,
+        };
+        let Some(cc_bound) = self.pass.cc_bound(block, &mut slots, &mut self.tally) else {
             return false;
+        };
+        let row_bytes = (shared.arity * CODE_BYTES) as u64;
+        let mut tee_bound = 0u64;
+        for tee in tees.iter_mut() {
+            let live = tee.mem && !tee.cancelled(shared);
+            tee.reserved = if live {
+                self.pass.selected(tee.node).len() as u64 * row_bytes
+            } else {
+                0
+            };
+            tee_bound += tee.reserved;
         }
-        if !self.dropped[idx] {
-            let shard = &mut self.shards[idx];
-            shared
-                .cc_reserved
-                .fetch_sub(shard.memory_bytes(), Ordering::Relaxed);
-            *shard = CountsTable::new();
-            self.dropped[idx] = true;
-        }
-        true
-    }
-
-    /// Count one column-major block through the batched kernel, if its
-    /// growth bound clears the budget. The bound is *reserved* before
-    /// counting (so concurrent workers' gates serialize through
-    /// `cc_reserved`) and the surplus released after; a block counted here
-    /// can therefore never cross the budget, which is what makes it
-    /// bit-identical to the per-row checkpoint path. Returns false — with
-    /// nothing counted and nothing reserved — when the gate fails; the
-    /// caller must then feed the block through [`ShardState::count_row`].
-    fn count_block_cols(&mut self, cols: &[Vec<Code>], nrows: usize, shared: &Shared) -> bool {
-        if nrows == 0 {
-            return true;
-        }
-        let mut bound = 0u64;
-        for (idx, spec) in shared.specs.iter().enumerate() {
-            // analyze:allow(hot-path-panic): dropped/fallback parallel
-            // the spec vector.
-            if self.dropped[idx] || shared.fallback[idx].load(Ordering::Relaxed) {
-                continue;
-            }
-            // analyze:allow(hot-path-panic): shards parallels specs.
-            let b = self.shards[idx].block_growth_bound(nrows as u64, spec.attrs.len());
-            bound = bound.saturating_add(b);
-        }
-        shared.cc_reserved.fetch_add(bound, Ordering::Relaxed);
+        shared.cc_reserved.fetch_add(cc_bound, Ordering::Relaxed);
+        shared.buffer_bytes.fetch_add(tee_bound, Ordering::Relaxed);
         if shared.memory_in_use() > shared.budget {
-            shared.cc_reserved.fetch_sub(bound, Ordering::Relaxed);
+            shared.cc_reserved.fetch_sub(cc_bound, Ordering::Relaxed);
+            shared.buffer_bytes.fetch_sub(tee_bound, Ordering::Relaxed);
             return false;
         }
-        self.rows += nrows as u64;
-        let mut grew_total = 0u64;
-        for (idx, spec) in shared.specs.iter().enumerate() {
-            if self.honour_fallback(idx, shared) {
-                continue;
-            }
-            grew_total += count_block_into(
-                // analyze:allow(hot-path-panic): shards parallels specs.
-                &mut self.shards[idx],
-                &spec.pred,
-                &spec.attrs,
-                spec.class_col,
-                cols,
-                &mut self.scratch,
-                &mut self.tally,
-            );
-        }
+        self.rows += block.nrows() as u64;
+        let grew = self.pass.count(block, &mut slots, &mut self.tally);
         // Keep only what actually grew; the gate reservation guaranteed
-        // `grew_total <= bound`, so this cannot underflow the global.
+        // `grew <= cc_bound`, so this cannot underflow the global.
         shared
             .cc_reserved
-            .fetch_sub(bound - grew_total, Ordering::Relaxed);
+            .fetch_sub(cc_bound - grew, Ordering::Relaxed);
         true
     }
 
@@ -354,22 +379,20 @@ impl ShardState {
 }
 
 fn worker_loop(rx: Receiver<Vec<Code>>, shared: Arc<Shared>) -> WorkerResult {
-    let dispatch = Dispatch::new(shared.specs.iter().map(|s| &s.pred));
     let mut state = ShardState::new(&shared.specs);
-    let mut cols: Vec<Vec<Code>> = Vec::new();
+    let arity = shared.arity;
+    // Channel workers never tee: the coordinator does, in source order.
+    let no_tees: &mut [ReaderTee] = &mut [];
     for block in rx.iter() {
         let t0 = Instant::now();
-        let counted = shared.batch_kernel && {
-            let nrows = transpose_block(&block, shared.arity, &mut cols);
-            let ok = state.count_block_cols(&cols, nrows, &shared);
-            if !ok {
-                state.tally.block_fallback_rows += nrows as u64;
+        let flat = block.as_slice();
+        if !(shared.batch_kernel && state.count_block(&RowBlock { flat, arity }, &shared, no_tees))
+        {
+            if shared.batch_kernel {
+                state.tally.block_fallback_rows += (flat.len() / arity) as u64;
             }
-            ok
-        };
-        if !counted {
-            for row in block.chunks_exact(shared.arity) {
-                state.count_row(row, &dispatch, &shared);
+            for row in flat.chunks_exact(arity) {
+                state.count_row(row, &shared);
             }
         }
         state.kernel_ns += t0.elapsed().as_nanos() as u64;
@@ -390,6 +413,79 @@ struct ReaderTee {
     buf: Vec<Code>,
     /// Range-local file-tee spill, replayed in range order later.
     spool: Option<TeeSpool>,
+    /// Bytes of the block being counted that [`ShardState::count_block`]
+    /// charged to `buffer_bytes` for this tee (0: not buffering).
+    reserved: u64,
+}
+
+impl ReaderTee {
+    /// Has some reader cancelled this node's memory tee? Releases this
+    /// reader's buffered rows the first time it sees the flag. (File
+    /// spools are unaffected: they cost disk, not budget.)
+    fn cancelled(&mut self, shared: &Shared) -> bool {
+        // Tee node indices were minted by the coordinator over these same
+        // vectors.
+        let cancelled = shared.tee_cancel[self.node].load(Ordering::Relaxed);
+        if cancelled && !self.buf.is_empty() {
+            shared
+                .buffer_bytes
+                .fetch_sub((self.buf.len() * CODE_BYTES) as u64, Ordering::Relaxed);
+            self.buf = Vec::new();
+        }
+        cancelled
+    }
+}
+
+/// Serve a reader's tees for a block [`ShardState::count_block`] counted,
+/// from the same selection vectors and in row order.
+fn tee_block(pass: &BlockPass, block: &impl Block, tees: &mut [ReaderTee]) -> MwResult<()> {
+    for tee in tees {
+        let sel = pass.selected(tee.node);
+        if let Some(spool) = tee.spool.as_mut() {
+            block.for_each_row(sel, |row| spool.push(row))?;
+        }
+        if tee.reserved > 0 {
+            let buf = &mut tee.buf;
+            block.for_each_row(sel, |row| {
+                buf.extend_from_slice(row);
+                Ok(())
+            })?;
+        }
+    }
+    Ok(())
+}
+
+/// Serve a reader's tees for one row of a block that took the row path;
+/// `matched` is what [`ShardState::count_row`] routed the row to.
+fn tee_row(
+    row: &[Code],
+    matched: &[usize],
+    tees: &mut [ReaderTee],
+    shared: &Shared,
+) -> MwResult<()> {
+    let row_bytes = (shared.arity * CODE_BYTES) as u64;
+    for tee in tees {
+        let cancelled = tee.cancelled(shared);
+        if !matched.contains(&tee.node) {
+            continue;
+        }
+        if let Some(spool) = tee.spool.as_mut() {
+            spool.push(row)?;
+        }
+        if tee.mem && !cancelled {
+            tee.buf.extend_from_slice(row);
+            shared.buffer_bytes.fetch_add(row_bytes, Ordering::Relaxed);
+            if shared.memory_in_use() > shared.budget {
+                // Staging is best-effort: cancel this node's memory
+                // tee everywhere rather than evicting counts.
+                // analyze:allow(hot-path-panic): tee node indices were
+                // minted by the coordinator over this same vector.
+                shared.tee_cancel[tee.node].store(true, Ordering::Relaxed);
+                tee.cancelled(shared);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// What one sharded extent reader hands back.
@@ -402,9 +498,10 @@ struct ShardReaderResult {
 }
 
 /// Reader-thread body for the sharded file scan: verify + decode the
-/// extents of `range` locally, count into a private shard, buffer
-/// memory-tee rows for range-order concatenation, and spool file-tee rows
-/// for range-order replay.
+/// extents of `range` locally, straight into per-reader column buffers
+/// (reused across extents), count each as one block into a private shard,
+/// buffer memory-tee rows for range-order concatenation, and spool
+/// file-tee rows for range-order replay.
 fn shard_reader_loop(
     layout: ExtentLayout,
     range: std::ops::Range<u64>,
@@ -412,80 +509,27 @@ fn shard_reader_loop(
     mut tees: Vec<ReaderTee>,
 ) -> MwResult<ShardReaderResult> {
     let mut reader = ExtentReader::open(&layout)?;
-    let dispatch = Dispatch::new(shared.specs.iter().map(|s| &s.pred));
     let mut state = ShardState::new(&shared.specs);
     let mut io = WorkerScanStats::default();
-    // Tee-free readers skip the row-major transpose entirely: extents
-    // decode straight into per-reader column buffers (reused across
-    // extents) and whole blocks go through the batched kernel. Tees need
-    // source row order, so teeing readers keep the row loop.
-    if shared.batch_kernel && tees.is_empty() {
-        let mut cols: Vec<Vec<Code>> = Vec::new();
-        let mut row_buf: Vec<Code> = Vec::with_capacity(shared.arity);
-        for k in range {
-            let nrows = reader.decode_extent_columns(k, &mut cols, &mut io)?;
-            let t0 = Instant::now();
-            if !state.count_block_cols(&cols, nrows, &shared) {
-                state.tally.block_fallback_rows += nrows as u64;
-                for r in 0..nrows {
-                    row_buf.clear();
-                    // analyze:allow(hot-path-panic): every decoded column
-                    // holds exactly `nrows` codes.
-                    row_buf.extend(cols.iter().map(|c| c[r]));
-                    state.count_row(&row_buf, &dispatch, &shared);
-                }
-            }
-            state.kernel_ns += t0.elapsed().as_nanos() as u64;
-        }
-        return Ok(ShardReaderResult {
-            result: state.into_result(),
-            io,
-            tees,
-        });
-    }
-    let mut block: Vec<Code> = Vec::new();
-    let row_bytes = (shared.arity * CODE_BYTES) as u64;
+    let mut cols: Vec<Vec<Code>> = Vec::new();
+    let mut row_buf: Vec<Code> = Vec::with_capacity(shared.arity);
     for k in range {
-        reader.read_extent(k, &mut block, &mut io)?;
+        let nrows = reader.decode_extent_columns(k, &mut cols, &mut io)?;
         let t0 = Instant::now();
-        for row in block.chunks_exact(shared.arity) {
-            state.count_row(row, &dispatch, &shared);
-            for tee in &mut tees {
-                // analyze:allow(hot-path-panic): tee node indices were
-                // minted by the coordinator over these same spec/cancel
-                // vectors.
-                let (cancel, spec) = (&shared.tee_cancel[tee.node], &shared.specs[tee.node]);
-                let cancelled = cancel.load(Ordering::Relaxed);
-                if cancelled && !tee.buf.is_empty() {
-                    shared
-                        .buffer_bytes
-                        .fetch_sub((tee.buf.len() * CODE_BYTES) as u64, Ordering::Relaxed);
-                    tee.buf = Vec::new();
-                }
-                // File spools are unaffected by the memory-tee cancel flag:
-                // they cost disk, not budget.
-                if tee.spool.is_none() && (cancelled || !tee.mem) {
-                    continue;
-                }
-                if !spec.pred.eval(row) {
-                    continue;
-                }
-                if let Some(spool) = tee.spool.as_mut() {
-                    spool.push(row)?;
-                }
-                if tee.mem && !cancelled {
-                    tee.buf.extend_from_slice(row);
-                    shared.buffer_bytes.fetch_add(row_bytes, Ordering::Relaxed);
-                    if shared.memory_in_use() > shared.budget {
-                        // Staging is best-effort: cancel this node's memory
-                        // tee everywhere rather than evicting counts.
-                        cancel.store(true, Ordering::Relaxed);
-                        shared
-                            .buffer_bytes
-                            .fetch_sub((tee.buf.len() * CODE_BYTES) as u64, Ordering::Relaxed);
-                        tee.buf = Vec::new();
-                    }
-                }
+        let block = ColBlock { cols: &cols, nrows };
+        if shared.batch_kernel && state.count_block(&block, &shared, &mut tees) {
+            tee_block(&state.pass, &block, &mut tees)?;
+        } else {
+            if shared.batch_kernel {
+                state.tally.block_fallback_rows += nrows as u64;
+            }
+            for r in 0..nrows {
+                row_buf.clear();
+                // analyze:allow(hot-path-panic): every decoded column
+                // holds exactly `nrows` codes.
+                row_buf.extend(cols.iter().map(|c| c[r]));
+                state.count_row(&row_buf, &shared);
+                tee_row(&row_buf, &state.matched, &mut tees, &shared)?;
             }
         }
         state.kernel_ns += t0.elapsed().as_nanos() as u64;
@@ -530,8 +574,8 @@ pub struct ParallelScan {
     block_codes: usize,
     /// Indices of nodes with a staging tee (file and/or memory).
     tee_nodes: Vec<usize>,
-    /// Union of scheduled predicates, evaluated for the hybrid split tee.
-    union_pred: Option<Pred>,
+    /// Reusable route output of the coordinator's tees.
+    matched: Vec<usize>,
     rows_sent: u64,
     started: Instant,
 }
@@ -546,7 +590,6 @@ impl ParallelScan {
             .nodes
             .iter()
             .map(|n| NodeSpec {
-                pred: n.req.pred().clone(),
                 attrs: n.req.attrs.clone(),
                 class_col: n.req.class_col,
                 proto: n.cc.fresh_like(),
@@ -556,6 +599,7 @@ impl ParallelScan {
         let tee_cancel = batch.nodes.iter().map(|_| AtomicBool::new(false)).collect();
         let shared = Arc::new(Shared {
             specs,
+            router: Arc::clone(&batch.router),
             arity: batch.arity,
             batch_kernel: batch.batch_kernel,
             budget: batch.budget,
@@ -574,10 +618,6 @@ impl ParallelScan {
             .filter(|(_, n)| n.file_writer.is_some() || n.mem_buffer.is_some())
             .map(|(i, _)| i)
             .collect();
-        let union_pred = batch
-            .split_writer
-            .is_some()
-            .then(|| Pred::or(batch.nodes.iter().map(|n| n.req.pred().clone()).collect()));
         let block_codes = block_rows.max(1) * batch.arity;
         ParallelScan {
             batch,
@@ -588,7 +628,7 @@ impl ParallelScan {
             block: Vec::with_capacity(block_codes),
             block_codes,
             tee_nodes,
-            union_pred,
+            matched: Vec::new(),
             rows_sent: 0,
             started: Instant::now(),
         }
@@ -661,6 +701,7 @@ impl ParallelScan {
                     Ok(ReaderTee {
                         node: *node,
                         mem: *mem,
+                        reserved: 0,
                         buf: Vec::new(),
                         spool: spool_dir
                             .as_ref()
@@ -752,8 +793,11 @@ impl ParallelScan {
         let arity = self.shared.arity;
         debug_assert_eq!(flat.len() % arity, 0);
         self.rows_sent += (flat.len() / arity) as u64;
+        let teeing = self.batch.split_writer.is_some() || !self.tee_nodes.is_empty();
         for row in flat.chunks_exact(arity) {
-            self.tee(row)?;
+            if teeing {
+                self.tee(row)?;
+            }
             self.block.extend_from_slice(row);
             if self.block.len() >= self.block_codes {
                 self.flush_block()?;
@@ -763,26 +807,22 @@ impl ParallelScan {
     }
 
     /// Staging tees — single-writer, source row order, exactly the serial
-    /// path's file contents and memory buffers.
+    /// path's file contents and memory buffers: the row is routed once and
+    /// handed to the tees of the nodes it satisfies (and, satisfying any,
+    /// to the split file).
     fn tee(&mut self, row: &[Code]) -> MwResult<()> {
-        if let Some(union_pred) = &self.union_pred {
-            if union_pred.eval(row) {
-                if let Some(w) = self.batch.split_writer.as_mut() {
-                    w.push(row)?;
-                }
+        let mut matched = std::mem::take(&mut self.matched);
+        self.shared.router.route(row, &mut matched);
+        if !matched.is_empty() {
+            if let Some(w) = self.batch.split_writer.as_mut() {
+                w.push(row)?;
             }
-        }
-        if self.tee_nodes.is_empty() {
-            return Ok(());
         }
         let row_bytes = (self.shared.arity * CODE_BYTES) as u64;
-        for &i in &self.tee_nodes {
-            // analyze:allow(hot-path-panic): tee_nodes holds indices into
-            // this batch's node list, collected from it at construction.
+        for &i in &matched {
+            // analyze:allow(hot-path-panic): the router was compiled from
+            // this batch's nodes, one predicate each, in order.
             let node = &mut self.batch.nodes[i];
-            if !node.req.pred().eval(row) {
-                continue;
-            }
             if let Some(w) = node.file_writer.as_mut() {
                 w.push(row)?;
             }
@@ -802,6 +842,7 @@ impl ParallelScan {
                 }
             }
         }
+        self.matched = matched;
         Ok(())
     }
 
@@ -1036,6 +1077,7 @@ mod tests {
     use super::*;
     use crate::executor::NodeCounter;
     use crate::request::{CcRequest, Lineage, NodeId};
+    use scaleclass_sqldb::Pred;
 
     const ARITY: usize = 3; // attrs 0,1 + class 2
 

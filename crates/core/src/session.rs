@@ -566,6 +566,13 @@ impl Session {
         self.staging.staged_mem_bytes()
     }
 
+    /// The session's staged data sets, read-only: what the scans' tees
+    /// wrote, for inspection ([`StagingManager::mem_set`],
+    /// [`StagingManager::file`]).
+    pub fn staging(&self) -> &StagingManager {
+        &self.staging
+    }
+
     /// Shadow accounting (DESIGN.md §9): assert the staging manager's
     /// incremental staged-byte counter matches a first-principles recount
     /// of its live memory sets, and that the arbiter's leases sum within

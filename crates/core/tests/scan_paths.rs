@@ -5,10 +5,11 @@
 
 use scaleclass::config::MiddlewareConfigBuilder;
 use scaleclass::{
-    Backend, BlockSampler, CcRequest, FileStagingPolicy, Lineage, MiddlewareConfig,
+    Backend, BlockSampler, CcRequest, CountsTable, FileStagingPolicy, Lineage, MiddlewareConfig,
     MiddlewareStats, MwError, NodeId, ScanStats, Session,
 };
-use scaleclass_sqldb::{Database, Pred, Schema, CODE_BYTES};
+use scaleclass_sqldb::{Code, Database, Pred, Schema, CODE_BYTES};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -184,4 +185,181 @@ fn sampled_server_scan_ships_only_the_admitted_ranges() {
         assert_eq!(s.stats().sampled_rows_scanned, covered, "{workers} workers");
         assert_eq!(s.stats().exact_rows_saved, 400 - covered);
     }
+}
+
+/// What one three-level build left behind: every node's counts, every
+/// data set a tee wrote (memory-set rows, and the member count and bytes
+/// of each staged file — a split file has several members — by staging
+/// id, captured after the round that committed them), and the session's
+/// counters.
+struct BuildOutcome {
+    counts: BTreeMap<u64, CountsTable>,
+    mem_sets: BTreeMap<u64, Vec<Code>>,
+    files: BTreeMap<u64, (usize, Vec<u8>)>,
+    stats: MiddlewareStats,
+}
+
+/// Rows of the table [`three_level_build`] mines.
+const ROWS: u64 = 30_000;
+
+/// Grow three levels over [`ROWS`] generated rows of six 4-valued attributes
+/// and a class — every node splits four ways on the attribute of its
+/// depth, so the rounds carry 1, 4, 16 and 64 nodes — the way a client
+/// does: each child's request is derived from its parent's counts table.
+fn three_level_build(config: MiddlewareConfig) -> BuildOutcome {
+    const ATTRS: u16 = 6;
+    let mut cols: Vec<(String, u16)> = (0..ATTRS).map(|a| (format!("a{a}"), 4)).collect();
+    cols.push(("class".into(), 3));
+    let pairs: Vec<(&str, u16)> = cols.iter().map(|(n, c)| (n.as_str(), *c)).collect();
+    let mut db = Database::new();
+    db.create_table("d", Schema::from_pairs(&pairs)).unwrap();
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    for _ in 0..ROWS {
+        let row: Vec<Code> = pairs
+            .iter()
+            .map(|&(_, card)| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % u64::from(card)) as Code
+            })
+            .collect();
+        db.insert("d", &row).unwrap();
+    }
+    let mut s = Session::open(Arc::new(Backend::new(db, "d", "class", config).unwrap())).unwrap();
+
+    let root = s.root_request(NodeId(0));
+    let mut open: BTreeMap<u64, CcRequest> = BTreeMap::from([(0, root.clone())]);
+    s.enqueue(root).unwrap();
+    let mut out = BuildOutcome {
+        counts: BTreeMap::new(),
+        mem_sets: BTreeMap::new(),
+        files: BTreeMap::new(),
+        stats: MiddlewareStats::new(),
+    };
+    let mut next_id = 1u64;
+    while s.has_pending() {
+        let fulfilled = s.process_next_batch().unwrap();
+        for id in 0..256 {
+            if let Some(set) = s.staging().mem_set(id) {
+                out.mem_sets.entry(id).or_insert_with(|| set.rows.to_vec());
+            }
+            if let Some(file) = s.staging().file(id) {
+                let bytes = || (file.members.len(), std::fs::read(&file.path).unwrap());
+                out.files.entry(id).or_insert_with(bytes);
+            }
+        }
+        for f in fulfilled {
+            let req = open.remove(&f.node.0).unwrap();
+            let depth = req.lineage.depth() as u16;
+            if depth < 3 {
+                let attrs: Vec<u16> = req.attrs.iter().copied().filter(|&a| a != depth).collect();
+                for value in 0..4 {
+                    let child = CcRequest {
+                        lineage: req.lineage.child(
+                            NodeId(next_id),
+                            Pred::Eq {
+                                col: usize::from(depth),
+                                value,
+                            },
+                        ),
+                        parent_cards: attrs.iter().map(|&a| f.cc.distinct_values(a)).collect(),
+                        attrs: attrs.clone(),
+                        class_col: req.class_col,
+                        rows: f.cc.rows_with_value(depth, value),
+                        parent_rows: f.cc.total(),
+                    };
+                    open.insert(next_id, child.clone());
+                    s.enqueue(child).unwrap();
+                    next_id += 1;
+                }
+            }
+            out.counts.insert(f.node.0, f.cc);
+        }
+    }
+    out.stats = *s.stats();
+    out
+}
+
+/// Regression: the block kernel shipped in PR 7 and ran on fewer than a
+/// fifth of the rows until PR 14 — a tee, or a growth bound charging every
+/// node for every row of the block, sent the rest down the row path — and
+/// no test could tell. On a build shaped like the benchmark's `staged-mem`
+/// (memory staging, budget 3 x data) and one shaped like `staged-file`
+/// (hybrid split files, file tees), serial and on four workers: no block
+/// falls back to rows, and everything the tees wrote is byte-identical to
+/// what the row path writes.
+#[test]
+fn the_block_kernel_engages_and_serves_the_tees() {
+    let data_bytes = ROWS * 7 * CODE_BYTES as u64;
+    let dir = scratch_dir("kernel-engages");
+    let shapes: [(&str, MiddlewareConfigBuilder); 2] = [
+        (
+            "staged-mem",
+            MiddlewareConfig::builder()
+                .memory_budget_bytes(3 * data_bytes)
+                .memory_caching(true)
+                .file_policy(FileStagingPolicy::Disabled),
+        ),
+        (
+            "staged-file",
+            MiddlewareConfig::builder()
+                .memory_budget_bytes(data_bytes / 8)
+                .memory_caching(false)
+                .file_policy(FileStagingPolicy::Hybrid {
+                    split_threshold: 0.5,
+                })
+                .staging_dir(dir.clone()),
+        ),
+    ];
+    for (shape, builder) in shapes {
+        let run = |workers: usize, kernel: bool| {
+            let config = builder
+                .clone()
+                .shared_staging(false)
+                .sampled_counting(0.0)
+                .deltas(false)
+                .cc_dense_max_bytes(scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES)
+                .stage_extent_rows(512)
+                .scan_block_rows(512)
+                .scan_workers(workers)
+                .batch_kernel(kernel)
+                .build();
+            three_level_build(config)
+        };
+        let reference = run(1, false);
+        assert_eq!(reference.counts.len(), 85, "{shape}: 1 + 4 + 16 + 64 nodes");
+        assert_eq!(reference.stats.blocks_counted, 0, "{shape}: kernel off");
+        assert_eq!(
+            reference.stats.server_scans, 1,
+            "{shape}: staged after the root"
+        );
+        if shape == "staged-mem" {
+            assert!(!reference.mem_sets.is_empty() && reference.files.is_empty());
+            assert!(reference.stats.memory_scans > 0);
+        } else {
+            assert!(reference.mem_sets.is_empty() && reference.files.len() > 1);
+            assert!(reference.stats.file_scans > 0);
+            let split_files = reference.files.values().filter(|(members, _)| *members > 1);
+            assert!(split_files.count() > 0, "{shape}: a hybrid split file");
+        }
+        assert_eq!(reference.stats.sql_fallbacks, 0, "{shape}: the budget fits");
+        for workers in [1usize, 4] {
+            let on = run(workers, true);
+            let what = format!("{shape}, {workers} worker(s)");
+            assert!(on.stats.blocks_counted > 0, "{what}: the kernel ran");
+            // Four workers reserve four shards per node — an upper bound
+            // (DESIGN.md §8a) the tight `staged-file` budget cannot hold,
+            // so there a block may be refused, or a node fall back to SQL.
+            if workers == 1 || shape == "staged-mem" {
+                assert_eq!(on.stats.block_fallback_rows, 0, "{what}: on every row");
+                assert_eq!(on.stats.sql_fallbacks, 0, "{what}");
+            }
+            assert_eq!(on.counts, reference.counts, "{what}: counts");
+            assert_eq!(on.mem_sets, reference.mem_sets, "{what}: memory-set rows");
+            assert_eq!(on.files, reference.files, "{what}: staged-file bytes");
+            assert_eq!(on.stats.scan_rows, reference.stats.scan_rows, "{what}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

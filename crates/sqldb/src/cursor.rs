@@ -3,6 +3,10 @@
 //! [`ServerCursor`] is the forward-only filtered cursor the middleware uses
 //! for its scan-based counting: the server evaluates the pushed-down filter
 //! expression and ships only matching rows over the simulated wire (§4.3.1).
+//! Every cursor compiles its filter once, when it opens, into a
+//! [`PredSet`] (an `Or` of paths becomes the set of its disjuncts) and asks
+//! `matches_any` of each row; what is scanned, shipped and charged is what
+//! interpreting the filter row by row would scan, ship and charge.
 //!
 //! [`KeysetCursor`] is access path (c) of §4.3.3: a snapshot of qualifying
 //! TIDs taken at open time, over which later scans can run with an extra
@@ -19,7 +23,7 @@
 
 use crate::database::Database;
 use crate::error::DbResult;
-use crate::expr::Pred;
+use crate::expr::{Pred, PredSet};
 use crate::page::Page;
 use crate::stats::DbStats;
 use crate::storage::{ScanIter, Table};
@@ -29,7 +33,7 @@ use crate::wire::{WireBatch, DEFAULT_BATCH_ROWS};
 /// Forward-only cursor with server-side filtering and batched wire fetches.
 pub struct ServerCursor<'a> {
     iter: ScanIter<'a>,
-    pred: Pred,
+    filter: PredSet,
     arity: usize,
     batch_rows: usize,
     batch: WireBatch,
@@ -41,7 +45,7 @@ impl<'a> ServerCursor<'a> {
     pub(crate) fn new(table: &'a Table, pred: Pred, batch_rows: usize, stats: &'a DbStats) -> Self {
         ServerCursor {
             iter: table.scan(stats),
-            pred,
+            filter: PredSet::from_filter(&pred),
             arity: table.schema().arity(),
             batch_rows: batch_rows.max(1),
             batch: WireBatch::new(),
@@ -65,7 +69,7 @@ impl<'a> ServerCursor<'a> {
         while self.batch.rows() < self.batch_rows {
             match self.iter.next() {
                 Some((_, row)) => {
-                    if self.pred.eval(row) {
+                    if self.filter.matches_any(row) {
                         self.batch.push(row);
                     }
                 }
@@ -105,9 +109,10 @@ impl KeysetCursor {
         let t = db.table(table)?;
         let stats = db.stats();
         stats.add_keyset_open();
+        let filter = PredSet::from_filter(pred);
         let tids: Vec<Tid> = t
             .scan(stats)
-            .filter(|(_, row)| pred.eval(row))
+            .filter(|(_, row)| filter.matches_any(row))
             .map(|(tid, _)| tid)
             .collect();
         Ok(KeysetCursor {
@@ -146,6 +151,7 @@ impl KeysetCursor {
         let table = db.table(&self.table)?;
         let stats = db.stats();
         let per_page = Page::capacity_rows(self.arity) as u64;
+        let residual = PredSet::from_filter(residual);
         let mut batch = WireBatch::new();
         let mut last_page = u64::MAX;
         let mut shipped = 0;
@@ -157,7 +163,7 @@ impl KeysetCursor {
             }
             stats.add_rows_scanned(1);
             let row = table.row_by_tid_unaccounted(tid)?;
-            if residual.eval(row) {
+            if residual.matches_any(row) {
                 batch.push(row);
                 if batch.rows() >= DEFAULT_BATCH_ROWS {
                     shipped += batch.transmit(self.arity, stats, out);
@@ -181,7 +187,7 @@ impl KeysetCursor {
 /// to harvest.
 pub struct BlockCursor<'a> {
     table: &'a Table,
-    pred: Pred,
+    filter: PredSet,
     arity: usize,
     batch_rows: usize,
     batch: WireBatch,
@@ -216,7 +222,7 @@ impl<'a> BlockCursor<'a> {
         let next_tid = ranges.first().map_or(0, |&(start, _)| start);
         BlockCursor {
             table,
-            pred,
+            filter: PredSet::from_filter(&pred),
             arity: table.schema().arity(),
             batch_rows: batch_rows.max(1),
             batch: WireBatch::new(),
@@ -276,7 +282,7 @@ impl<'a> BlockCursor<'a> {
                     }
                     self.stats.add_rows_scanned(1);
                     let row = self.table.row_by_tid_unaccounted(tid)?;
-                    if self.pred.eval(row) {
+                    if self.filter.matches_any(row) {
                         self.batch.push(row);
                     }
                 }

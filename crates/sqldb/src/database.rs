@@ -12,7 +12,7 @@
 
 use crate::delta::{DeltaLog, DeltaSign, RowDelta};
 use crate::error::{DbError, DbResult};
-use crate::expr::Pred;
+use crate::expr::{Pred, PredSet};
 use crate::stats::DbStats;
 use crate::storage::Table;
 use crate::types::{Code, Schema, Tid};
@@ -295,8 +295,9 @@ impl Database {
         let stats = Arc::clone(&self.stats);
         let source = self.table(src)?;
         let mut copy = Table::new(source.schema().clone());
+        let filter = PredSet::from_filter(pred);
         for (_, row) in source.scan(&stats) {
-            if pred.eval(row) {
+            if filter.matches_any(row) {
                 copy.insert_unchecked(row);
             }
         }
@@ -312,9 +313,10 @@ impl Database {
         let name = self.next_temp_name("tids");
         let stats = Arc::clone(&self.stats);
         let source = self.table(src)?;
+        let filter = PredSet::from_filter(pred);
         let tids: Vec<Tid> = source
             .scan(&stats)
-            .filter(|(_, row)| pred.eval(row))
+            .filter(|(_, row)| filter.matches_any(row))
             .map(|(tid, _)| tid)
             .collect();
         // TIDs are 8 bytes each; charge the pages the list occupies.
@@ -355,10 +357,11 @@ impl Database {
         let set = self.tid_set(tid_set)?;
         let base = self.table(&set.base_table)?;
         let arity = base.schema().arity();
+        let residual = PredSet::from_filter(residual);
         let mut matched = 0;
         for &tid in &set.tids {
             let row = base.fetch_by_tid(tid, &self.stats)?;
-            if residual.eval(row) {
+            if residual.matches_any(row) {
                 out.reserve(arity);
                 out.extend_from_slice(row);
                 matched += 1;

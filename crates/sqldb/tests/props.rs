@@ -4,7 +4,121 @@
 use proptest::prelude::*;
 use scaleclass_sqldb::sql::parse;
 use scaleclass_sqldb::wire::WireBatch;
-use scaleclass_sqldb::{execute, Code, Database, DbStats, Pred, Schema, Table};
+use scaleclass_sqldb::{execute, Code, Database, DbStats, Pred, PredSet, Schema, Table};
+use std::ops::ControlFlow;
+
+/// Columns of the router fixtures, and the codes their rows and
+/// predicates draw from: a consecutive run, and two outliers that make a
+/// node's equal-branch values too sparse to pad (the router then searches).
+const ARITY: usize = 5;
+const VALUES: [Code; 6] = [0, 1, 2, 3, 17, 40];
+/// Exclusive bound of [`VALUES`].
+const CARD: u16 = 41;
+
+/// splitmix64, so one drawn seed expands into a whole predicate family.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: usize) -> usize {
+        (self.next() % bound as u64) as usize
+    }
+}
+
+/// Grow a random tree below the node whose path predicate is `path`,
+/// pushing path predicates into `out`: every leaf's, and some inner
+/// nodes' too (a parent beside its descendants overlaps them). A child's
+/// path is `Pred::and(parent path, edge)`, as `Lineage::child` builds it.
+fn grow_paths(rng: &mut Rng, path: &Pred, depth: usize, out: &mut Vec<Pred>) {
+    if depth == 4 || rng.below(4) == 0 {
+        out.push(path.clone());
+        return;
+    }
+    if rng.below(5) == 0 {
+        out.push(path.clone());
+    }
+    let col = rng.below(ARITY);
+    let child = |edge: Pred| Pred::and(vec![path.clone(), edge]);
+    if rng.below(2) == 0 {
+        // Binary split: `col = v` and its complement branch.
+        let value = VALUES[rng.below(VALUES.len())];
+        grow_paths(rng, &child(Pred::Eq { col, value }), depth + 1, out);
+        grow_paths(rng, &child(Pred::NotEq { col, value }), depth + 1, out);
+    } else {
+        // Multiway split: one branch per value, some pruned away.
+        for value in VALUES {
+            if rng.below(4) != 0 {
+                grow_paths(rng, &child(Pred::Eq { col, value }), depth + 1, out);
+            }
+        }
+    }
+}
+
+/// A predicate list the way a scan compiles one: the paths of a random
+/// tree (binary and multiway splits, a forest when `trees > 1`), plus the
+/// shapes the trie does not take — `True`, `False`, an `Or`, a nested
+/// `And`, duplicates, and a conjunction whose second atom names a column
+/// past the arity but is never reached — in a drawn order.
+fn predicate_family(seed: u64) -> Vec<Pred> {
+    let mut rng = Rng(seed);
+    let mut preds = Vec::new();
+    for _ in 0..1 + rng.below(2) {
+        grow_paths(&mut rng, &Pred::True, 0, &mut preds);
+    }
+    // (Every branch of a multiway root may have been pruned away.)
+    let pick = |rng: &mut Rng, preds: &[Pred]| {
+        let drawn = preds.get(rng.below(preds.len().max(1)));
+        drawn.cloned().unwrap_or(Pred::True)
+    };
+    for _ in 0..rng.below(4) {
+        let extra = match rng.below(6) {
+            0 => Pred::True,
+            1 => Pred::False,
+            2 => Pred::Or(vec![pick(&mut rng, &preds), pick(&mut rng, &preds)]),
+            3 => Pred::And(vec![
+                Pred::And(vec![pick(&mut rng, &preds)]),
+                Pred::NotEq {
+                    col: rng.below(ARITY),
+                    value: VALUES[rng.below(VALUES.len())],
+                },
+            ]),
+            4 => pick(&mut rng, &preds),
+            _ => Pred::And(vec![
+                Pred::Eq {
+                    col: rng.below(ARITY),
+                    value: CARD, // no row holds it, so the next atom never runs
+                },
+                Pred::Eq {
+                    col: ARITY + 3,
+                    value: 0,
+                },
+            ]),
+        };
+        preds.push(extra);
+    }
+    for i in (1..preds.len()).rev() {
+        preds.swap(i, rng.below(i + 1));
+    }
+    preds
+}
+
+fn random_rows(seed: u64, n: usize) -> Vec<Vec<Code>> {
+    let mut rng = Rng(seed ^ 0xa5a5_a5a5);
+    (0..n)
+        .map(|_| {
+            (0..ARITY)
+                .map(|_| VALUES[rng.below(VALUES.len())])
+                .collect()
+        })
+        .collect()
+}
 
 proptest! {
     /// The SQL front end is total: arbitrary input may fail to parse but
@@ -161,4 +275,127 @@ proptest! {
         scaleclass_sqldb::export_csv(&table, &mut out).unwrap();
         prop_assert_eq!(String::from_utf8(out).unwrap(), csv);
     }
+
+    /// The compiled router is the interpreter: over generated predicate
+    /// families and rows, `route` returns exactly `{i | preds[i].eval(row)}`
+    /// in ascending order and `matches_any` is `Pred::or(preds).eval`, over
+    /// row-major and over column access alike.
+    #[test]
+    fn router_equals_interpreter(seed in any::<u64>(), nrows in 1usize..40) {
+        let preds = predicate_family(seed);
+        let rows = random_rows(seed, nrows);
+        let cols: Vec<Vec<Code>> = (0..ARITY)
+            .map(|c| rows.iter().map(|row| row[c]).collect())
+            .collect();
+        let set = PredSet::new(&preds);
+        prop_assert_eq!(set.len(), preds.len());
+        let disjunction = Pred::or(preds.clone());
+        let mut routed = Vec::new();
+        for (r, row) in rows.iter().enumerate() {
+            let expect: Vec<usize> = (0..preds.len()).filter(|&i| preds[i].eval(row)).collect();
+            set.route(row, &mut routed);
+            prop_assert_eq!(&routed, &expect, "row-major, row {:?}", row);
+            let mut by_column = Vec::new();
+            let _ = set.for_each_match(&|c| cols[c][r], &mut |i| {
+                by_column.push(i);
+                ControlFlow::Continue(())
+            });
+            by_column.sort_unstable();
+            prop_assert_eq!(&by_column, &expect, "column access, row {:?}", row);
+            prop_assert_eq!(set.matches_any(row), disjunction.eval(row));
+            prop_assert_eq!(set.matches_any(row), !expect.is_empty());
+        }
+    }
+
+    /// A cursor over a compiled filter is the cursor over the interpreted
+    /// one: the same rows shipped in the same order, and the same rows
+    /// scanned, pages read, round trips and bytes charged.
+    #[test]
+    fn compiled_cursor_filters_cost_what_the_interpreted_filter_costs(
+        seed in any::<u64>(),
+        nrows in 0usize..3000,
+        batch in 1usize..200,
+    ) {
+        let filter = Pred::or(predicate_family(seed));
+        let rows = random_rows(seed, nrows);
+        let schema = || {
+            let cols = ["a", "b", "c", "d", "e"].map(|name| (name, CARD));
+            Schema::from_pairs(&cols)
+        };
+        let mut db = Database::new();
+        db.create_table("t", schema()).unwrap();
+        let mut reference = Table::new(schema());
+        for row in &rows {
+            db.insert("t", row).unwrap();
+            reference.insert(row).unwrap();
+        }
+
+        // The interpreted reference: `ServerCursor::fetch` with `Pred::eval`.
+        let ref_stats = DbStats::new();
+        let mut expect = Vec::new();
+        let mut wire = WireBatch::new();
+        for (_, row) in reference.scan(&ref_stats) {
+            if filter.eval(row) {
+                wire.push(row);
+                if wire.rows() == batch {
+                    wire.transmit(ARITY, &ref_stats, &mut expect);
+                }
+            }
+        }
+        wire.transmit(ARITY, &ref_stats, &mut expect);
+
+        let before = db.stats().snapshot();
+        let mut shipped = Vec::new();
+        db.open_cursor("t", filter.clone(), batch).unwrap().fetch_all(&mut shipped);
+        let cost = db.stats().snapshot() - before;
+        prop_assert_eq!(&shipped, &expect);
+        prop_assert_eq!(cost, ref_stats.snapshot());
+
+        // The block cursor over the whole table, the keyset cursor and the
+        // §4.3.3 structures filter through the same compiled set.
+        let mut ranged = Vec::new();
+        let mut cursor = db
+            .open_block_cursor("t", filter.clone(), batch, vec![(0, nrows as u64)])
+            .unwrap();
+        while cursor.fetch(&mut ranged).unwrap() > 0 {}
+        prop_assert_eq!(&ranged, &expect);
+        let keyset = db.open_keyset_cursor("t", &filter).unwrap();
+        prop_assert_eq!(keyset.len() * ARITY, expect.len());
+        let mut residual = Vec::new();
+        keyset.scan_filtered(&db, &filter, &mut residual).unwrap();
+        prop_assert_eq!(&residual, &expect);
+        let tids = db.create_tid_set("t", &filter).unwrap();
+        let mut fetched = Vec::new();
+        db.tid_scan(&tids, &filter, &mut fetched).unwrap();
+        prop_assert_eq!(&fetched, &expect);
+        let temp = db.copy_to_temp("t", &filter).unwrap();
+        let copied: Vec<Code> = db.table(&temp).unwrap().rows_unaccounted().flatten().copied().collect();
+        prop_assert_eq!(&copied, &expect);
+    }
+}
+
+/// A column index past the row's arity behaves as under `Pred::eval`: no
+/// panic while an earlier atom of the same conjunction fails …
+#[test]
+fn router_never_reaches_a_guarded_out_of_range_column() {
+    let guarded = Pred::And(vec![
+        Pred::Eq { col: 0, value: 1 },
+        Pred::Eq { col: 9, value: 0 },
+    ]);
+    let set = PredSet::new([&guarded, &Pred::True]);
+    let mut out = Vec::new();
+    set.route(&[0, 0], &mut out);
+    assert_eq!(out, vec![1]);
+    assert!(!guarded.eval(&[0, 0]));
+}
+
+/// … and the same index-out-of-bounds panic once the walk reaches it.
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn router_panics_on_a_reached_out_of_range_column() {
+    let reached = Pred::And(vec![
+        Pred::Eq { col: 0, value: 1 },
+        Pred::Eq { col: 9, value: 0 },
+    ]);
+    PredSet::new([&reached]).route(&[1, 0], &mut Vec::new());
 }
