@@ -20,7 +20,10 @@
 //!   and *function-scoped* over the predicate router in
 //!   `crates/sqldb/src/expr.rs` (`route`, `matches_any`,
 //!   `for_each_match`, `walk`, `sub`) — the per-row loop of every scan on
-//!   both sides of the wire.
+//!   both sides of the wire — and over the staged-file byte path in
+//!   `crates/core/src/staging.rs` (`crc32`, `ExtentReader::{fetch, verify,
+//!   decode_extent_columns}`, `FileWriter::{push, push_selected,
+//!   flush_extent}`), where the bytes come from disk.
 //! - **stats-coverage** — every field declared on the stats structs in
 //!   `metrics.rs` must be written somewhere in `crates/core` non-test code and
 //!   mentioned in at least one test.
@@ -164,13 +167,30 @@ const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
 
 /// Function-scoped hot-path-panic extensions, as [`ARITH_SCOPED`]: the
 /// compiled predicate router is the per-row loop of every scan — the
-/// middleware's and the server's — but lives in a file whose other
-/// functions (AST construction, rendering, one-off evaluation) are not on
-/// any scan path.
-const PANIC_SCOPED: [(&str, &[&str]); 1] = [(
-    "crates/sqldb/src/expr.rs",
-    &["route", "matches_any", "for_each_match", "walk", "sub"],
-)];
+/// middleware's and the server's — and the extent reader and writer are
+/// the per-extent loop of every staged-file scan, but both live in files
+/// whose other functions (AST construction, rendering, one-off
+/// evaluation; staging bookkeeping) are not on any scan path.
+const PANIC_SCOPED: [(&str, &[&str]); 2] = [
+    (
+        "crates/sqldb/src/expr.rs",
+        &["route", "matches_any", "for_each_match", "walk", "sub"],
+    ),
+    // The staged-file byte path: the checksum, the extent reader (bytes
+    // that come from disk are `Corrupt`, never a panic) and the writer.
+    (
+        "crates/core/src/staging.rs",
+        &[
+            "crc32",
+            "fetch",
+            "verify",
+            "decode_extent_columns",
+            "push",
+            "push_selected",
+            "flush_extent",
+        ],
+    ),
+];
 
 /// The fn-name scope `scoped` gives `rel`, if any.
 fn scope_for(

@@ -121,6 +121,37 @@ fn hot_path_panic_is_fn_scoped_in_the_router() {
 }
 
 #[test]
+fn hot_path_panic_is_fn_scoped_in_the_staged_file_byte_path() {
+    let rel = "crates/core/src/staging.rs";
+    // The extent reader parses bytes that come from disk: the shapes
+    // `verify` and the decode loop used to have must fire, the same
+    // constructs in the manager's bookkeeping beside them must not.
+    let src = "impl StagingManager {\n\
+               fn commit_file(&mut self, id: u64) {\n\
+               for m in members { self.files.get_mut(&id).expect(\"live file\").members[0] = m; }\n\
+               }\n\
+               }\n\
+               impl ExtentReader {\n\
+               fn verify(&self) -> u32 {\n\
+               u32::from_le_bytes(self.byte_buf[0..4].try_into().unwrap())\n\
+               }\n\
+               fn decode_extent_columns(&mut self, nrows: usize) {\n\
+               for c in 0..self.layout.arity {\n\
+               let col = &payload[c * nrows..];\n\
+               }\n\
+               }\n\
+               }\n";
+    let report = check_source(rel, src);
+    assert_eq!(
+        fired(&report),
+        vec![
+            (RULE_HOT_PATH_PANIC, 8),  // .unwrap() on a disk-derived slice
+            (RULE_HOT_PATH_PANIC, 12), // payload[..] inside the column loop
+        ]
+    );
+}
+
+#[test]
 fn io_bypass_fires_on_each_pattern() {
     let rel = "crates/core/src/middleware.rs";
     let report = check_source(rel, &fixture("bad", rel));

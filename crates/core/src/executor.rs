@@ -1,7 +1,8 @@
 //! The execution module's counting core (§4.1.1).
 //!
 //! Given the scheduler's batch plan, [`BatchCounter`] consumes one stream
-//! of row-major blocks (whatever the source) and simultaneously:
+//! of blocks — row-major or column-major, as the source lays them out —
+//! and simultaneously:
 //!
 //! * updates the counts table of every scheduled node whose predicate the
 //!   row satisfies,
@@ -22,7 +23,9 @@
 //! per-node *selection vectors*; the second, per node with a non-empty
 //! selection, gathers the attribute and class columns of the selected
 //! rows and counts them through the batched kernel. The staging tees are
-//! served from the same selection vectors, in row order.
+//! served from the same selection vectors, in row order: a file tee
+//! gathers each column of the selection straight into the extent it is
+//! writing (`FileWriter::push_selected`), a memory tee appends rows.
 //!
 //! The block path engages when `memory_in_use + Σ bound_n ≤ budget`,
 //! where `bound_n` is the worst the node's selection can add to modelled
@@ -126,11 +129,17 @@ pub(crate) trait Block {
     fn col_max(&self, out: &mut Vec<Code>);
     /// Append column `col` of the selected rows to `out`.
     fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>);
-    /// Hand each selected row, in selection order, to `f`.
-    fn for_each_row(&self, sel: &[u32], f: impl FnMut(&[Code]) -> MwResult<()>) -> MwResult<()>;
+    /// Hand each selected row — every row for `None` — to `f`, rows
+    /// ascending: the one place a block is taken apart into rows, for the
+    /// row-major tees and for a block that must take the row path.
+    fn for_each_row(
+        &mut self,
+        sel: Option<&[u32]>,
+        f: impl FnMut(&[Code]) -> MwResult<()>,
+    ) -> MwResult<()>;
 }
 
-/// A row-major block: what the one scan loop feeds the sinks.
+/// A row-major block: a run of a memory set or of a wire fetch.
 pub(crate) struct RowBlock<'a> {
     pub(crate) flat: &'a [Code],
     pub(crate) arity: usize,
@@ -172,28 +181,33 @@ impl Block for RowBlock<'_> {
     }
 
     fn for_each_row(
-        &self,
-        sel: &[u32],
+        &mut self,
+        sel: Option<&[u32]>,
         mut f: impl FnMut(&[Code]) -> MwResult<()>,
     ) -> MwResult<()> {
-        if sel.len() == self.nrows() {
+        match sel {
             // Selections ascend, so a full one is the block itself.
-            return self.flat.chunks_exact(self.arity).try_for_each(f);
+            Some(sel) if sel.len() != self.nrows() => {
+                for &r in sel {
+                    let start = r as usize * self.arity;
+                    // analyze:allow(hot-path-panic): selections are minted
+                    // over this block's rows.
+                    f(&self.flat[start..start + self.arity])?;
+                }
+                Ok(())
+            }
+            _ => self.flat.chunks_exact(self.arity).try_for_each(f),
         }
-        for &r in sel {
-            let start = r as usize * self.arity;
-            // analyze:allow(hot-path-panic): selections are minted over
-            // this block's rows.
-            f(&self.flat[start..start + self.arity])?;
-        }
-        Ok(())
     }
 }
 
-/// A column-major block: what the sharded extent readers decode.
+/// A column-major block: one decoded extent of a staged file.
 pub(crate) struct ColBlock<'a> {
     pub(crate) cols: &'a [Vec<Code>],
     pub(crate) nrows: usize,
+    /// Scratch the rows are assembled in, owned by whoever decodes the
+    /// extents so that it outlives them all.
+    pub(crate) row: &'a mut Vec<Code>,
 }
 
 impl Block for ColBlock<'_> {
@@ -230,19 +244,24 @@ impl Block for ColBlock<'_> {
     }
 
     fn for_each_row(
-        &self,
-        sel: &[u32],
+        &mut self,
+        sel: Option<&[u32]>,
         mut f: impl FnMut(&[Code]) -> MwResult<()>,
     ) -> MwResult<()> {
-        let mut row = Vec::with_capacity(self.cols.len());
-        for &r in sel {
+        let (cols, row) = (self.cols, &mut *self.row);
+        // Every decoded column holds `nrows` codes, and selections are
+        // minted over this block's rows.
+        let mut assemble = |r: usize| {
             row.clear();
-            // analyze:allow(hot-path-panic): selections are minted over
-            // this block's rows.
-            row.extend(self.cols.iter().map(|c| c[r as usize]));
-            f(&row)?;
+            row.extend(cols.iter().map(|c| c[r]));
+            f(row)
+        };
+        match sel {
+            Some(sel) if sel.len() != self.nrows => {
+                sel.iter().try_for_each(|&r| assemble(r as usize))
+            }
+            _ => (0..self.nrows).try_for_each(assemble),
         }
-        Ok(())
     }
 }
 
@@ -554,21 +573,31 @@ impl BatchCounter {
         Ok(())
     }
 
-    /// Feed a row-major block of rows through every scheduled node:
-    /// route-then-count when the block clears its gate (module docs),
-    /// [`BatchCounter::process_row`] per row — with identical results —
-    /// when it does not or the kernel is disabled.
+    /// Feed a row-major block of rows through every scheduled node
+    /// (`BatchCounter::process` over that layout).
     pub fn process_block(&mut self, flat: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
         let arity = self.arity;
         debug_assert_eq!(flat.len() % arity, 0);
-        let nrows = flat.len() / arity;
+        self.process(&mut RowBlock { flat, arity }, stats)
+    }
+
+    /// Feed a block, in whichever layout its source has, through every
+    /// scheduled node: route-then-count when the block clears its gate
+    /// (module docs), [`BatchCounter::process_row`] per row — with
+    /// identical results — when it does not or the kernel is disabled.
+    pub(crate) fn process(
+        &mut self,
+        block: &mut impl Block,
+        stats: &mut MiddlewareStats,
+    ) -> MwResult<()> {
+        let nrows = block.nrows();
         if nrows == 0 {
             return Ok(());
         }
         if self.batch_kernel {
             let mut pass = std::mem::take(&mut self.pass);
             let mut tally = KernelTally::default();
-            let counted = self.count_block(&mut pass, &RowBlock { flat, arity }, &mut tally);
+            let counted = self.count_block(&mut pass, block, &mut tally);
             self.pass = pass;
             let counted = counted?;
             if !counted {
@@ -582,10 +611,7 @@ impl BatchCounter {
                 return Ok(());
             }
         }
-        for row in flat.chunks_exact(arity) {
-            self.process_row(row, stats)?;
-        }
-        Ok(())
+        block.for_each_row(None, |row| self.process_row(row, stats))
     }
 
     /// The block path: route, gate, count, tee. `Ok(false)` — with
@@ -594,7 +620,7 @@ impl BatchCounter {
     fn count_block(
         &mut self,
         pass: &mut BlockPass,
-        block: &RowBlock<'_>,
+        block: &mut impl Block,
         tally: &mut KernelTally,
     ) -> MwResult<bool> {
         pass.route(&self.router, block, self.split_writer.is_some());
@@ -623,11 +649,13 @@ impl BatchCounter {
             // positions, and predicate `i` is node `i`'s.
             let node = &mut self.nodes[idx];
             let sel = pass.selected(idx);
+            // A file tee takes the selection column by column, the
+            // row-major memory buffer row by row.
             if let Some(w) = node.file_writer.as_mut() {
-                block.for_each_row(sel, |row| w.push(row))?;
+                w.push_selected(block, sel)?;
             }
             if let Some(buf) = node.mem_buffer.as_mut() {
-                block.for_each_row(sel, |row| {
+                block.for_each_row(Some(sel), |row| {
                     buf.extend_from_slice(row);
                     Ok(())
                 })?;
@@ -635,7 +663,7 @@ impl BatchCounter {
             }
         }
         if let Some(w) = self.split_writer.as_mut() {
-            block.for_each_row(pass.any(), |row| w.push(row))?;
+            w.push_selected(block, pass.any())?;
         }
         debug_assert!(
             self.memory_in_use() <= self.budget,

@@ -10,9 +10,10 @@
 //!
 //! * **Producer (the scan thread).** The session's one scan loop reads
 //!   blocks from whatever source the batch was scheduled on (server
-//!   cursor, extent file, memory set) and pushes them into
-//!   [`RowSink::process_block`]. The coordinator tees their rows where
-//!   staging demands, re-packs them into fixed-size blocks
+//!   cursor, extent file, memory set) and pushes them — row-major, or a
+//!   decoded extent still in columns — into `RowSink::process_block`. The
+//!   coordinator tees their rows where staging demands, re-packs them
+//!   (transposing an extent on the way) into fixed-size row-major blocks
 //!   ([`crate::config::MiddlewareConfig::scan_block_rows`]) and sends
 //!   those through a *bounded* channel, so a fast producer cannot outrun
 //!   slow workers by more than a few blocks (backpressure, not unbounded
@@ -438,9 +439,9 @@ impl ReaderTee {
 
 /// Serve a reader's tees for a block [`ShardState::count_block`] counted,
 /// from the same selection vectors and in row order.
-fn tee_block(pass: &BlockPass, block: &impl Block, tees: &mut [ReaderTee]) -> MwResult<()> {
+fn tee_block(pass: &BlockPass, block: &mut impl Block, tees: &mut [ReaderTee]) -> MwResult<()> {
     for tee in tees {
-        let sel = pass.selected(tee.node);
+        let sel = Some(pass.selected(tee.node));
         if let Some(spool) = tee.spool.as_mut() {
             block.for_each_row(sel, |row| spool.push(row))?;
         }
@@ -512,25 +513,25 @@ fn shard_reader_loop(
     let mut state = ShardState::new(&shared.specs);
     let mut io = WorkerScanStats::default();
     let mut cols: Vec<Vec<Code>> = Vec::new();
-    let mut row_buf: Vec<Code> = Vec::with_capacity(shared.arity);
+    let mut row: Vec<Code> = Vec::with_capacity(shared.arity);
     for k in range {
         let nrows = reader.decode_extent_columns(k, &mut cols, &mut io)?;
         let t0 = Instant::now();
-        let block = ColBlock { cols: &cols, nrows };
+        let mut block = ColBlock {
+            cols: &cols,
+            nrows,
+            row: &mut row,
+        };
         if shared.batch_kernel && state.count_block(&block, &shared, &mut tees) {
-            tee_block(&state.pass, &block, &mut tees)?;
+            tee_block(&state.pass, &mut block, &mut tees)?;
         } else {
             if shared.batch_kernel {
                 state.tally.block_fallback_rows += nrows as u64;
             }
-            for r in 0..nrows {
-                row_buf.clear();
-                // analyze:allow(hot-path-panic): every decoded column
-                // holds exactly `nrows` codes.
-                row_buf.extend(cols.iter().map(|c| c[r]));
-                state.count_row(&row_buf, &shared);
-                tee_row(&row_buf, &state.matched, &mut tees, &shared)?;
-            }
+            block.for_each_row(None, |row| {
+                state.count_row(row, &shared);
+                tee_row(row, &state.matched, &mut tees, &shared)
+            })?;
         }
         state.kernel_ns += t0.elapsed().as_nanos() as u64;
     }
@@ -784,17 +785,16 @@ impl ParallelScan {
         Ok(io)
     }
 
-    /// Feed one row-major source block: tee each row where staging
-    /// demands, and re-pack the rows into `scan_block_rows` blocks for the
-    /// workers (blocking when the pipeline is full). Source blocks need not
-    /// match the pipeline's block size — a wire fetch or an extent is
+    /// Feed one source block, in whichever layout: tee each row where
+    /// staging demands, and re-pack the rows — a column-major block is
+    /// transposed on the way — into row-major `scan_block_rows` blocks for
+    /// the workers (blocking when the pipeline is full). Source blocks need
+    /// not match the pipeline's block size — a wire fetch or an extent is
     /// whatever size its source made it.
-    pub fn process_block(&mut self, flat: &[Code]) -> MwResult<()> {
-        let arity = self.shared.arity;
-        debug_assert_eq!(flat.len() % arity, 0);
-        self.rows_sent += (flat.len() / arity) as u64;
+    pub(crate) fn process_block(&mut self, block: &mut impl Block) -> MwResult<()> {
+        self.rows_sent += block.nrows() as u64;
         let teeing = self.batch.split_writer.is_some() || !self.tee_nodes.is_empty();
-        for row in flat.chunks_exact(arity) {
+        block.for_each_row(None, |row| {
             if teeing {
                 self.tee(row)?;
             }
@@ -802,8 +802,8 @@ impl ParallelScan {
             if self.block.len() >= self.block_codes {
                 self.flush_block()?;
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Staging tees — single-writer, source row order, exactly the serial
@@ -1028,23 +1028,27 @@ impl RowSink {
         }
     }
 
-    /// Feed a flat row-major block through the counting pass. Serial mode
-    /// hands the whole block to the batched kernel; parallel mode tees and
-    /// re-packs it for the workers.
-    pub fn process_block(&mut self, flat: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
+    /// Feed a block, in whichever layout its source has, through the
+    /// counting pass. Serial mode hands the whole block to the batched
+    /// kernel; parallel mode tees and re-packs it for the workers.
+    pub(crate) fn process_block(
+        &mut self,
+        block: &mut impl Block,
+        stats: &mut MiddlewareStats,
+    ) -> MwResult<()> {
         match self {
             RowSink::Serial { batch, rows, .. } => {
-                *rows += (flat.len() / batch.arity) as u64;
-                batch.process_block(flat, stats)
+                *rows += block.nrows() as u64;
+                batch.process(block, stats)
             }
-            RowSink::Parallel(scan) => scan.process_block(flat),
+            RowSink::Parallel(scan) => scan.process_block(block),
         }
     }
 
     /// Serve an extent-format staging file with sharded reader threads, if
     /// this pass is parallel and the batch's tees allow it. Returns the
     /// per-reader I/O counters on success, `None` when the caller should
-    /// fall back to feeding blocks through [`RowSink::process_block`].
+    /// fall back to feeding blocks through `RowSink::process_block`.
     pub fn try_scan_extents(
         &mut self,
         layout: &ExtentLayout,
@@ -1121,9 +1125,19 @@ mod tests {
             .collect()
     }
 
-    /// The rows as one flat row-major block, the shape sources feed sinks.
+    /// The rows as flat row-major codes.
     fn flat(data: &[[Code; 3]]) -> Vec<Code> {
         data.iter().flatten().copied().collect()
+    }
+
+    /// Feed the rows to the channel pipeline as one row-major block.
+    fn feed(scan: &mut ParallelScan, data: &[[Code; 3]]) {
+        let flat = flat(data);
+        let mut block = RowBlock {
+            flat: &flat,
+            arity: ARITY,
+        };
+        scan.process_block(&mut block).unwrap();
     }
 
     fn nodes() -> Vec<NodeCounter> {
@@ -1146,7 +1160,7 @@ mod tests {
             batch
         } else {
             let mut scan = ParallelScan::new(batch, workers, block_rows);
-            scan.process_block(&flat(data)).unwrap();
+            feed(&mut scan, data);
             scan.finish(&mut stats).unwrap()
         }
     }
@@ -1184,7 +1198,7 @@ mod tests {
         for &(workers, block) in &[(2usize, 64usize), (4, 17)] {
             let batch = BatchCounter::new(dense_nodes(), u64::MAX, 0, ARITY);
             let mut scan = ParallelScan::new(batch, workers, block);
-            scan.process_block(&flat(&data)).unwrap();
+            feed(&mut scan, &data);
             let mut st = MiddlewareStats::new();
             let par = scan.finish(&mut st).unwrap();
             assert!(st.kernel_nanos > 0, "workers recorded kernel time");
@@ -1222,7 +1236,7 @@ mod tests {
         let batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
         let mut stats = MiddlewareStats::new();
         let mut scan = ParallelScan::new(batch, 2, 30);
-        scan.process_block(&flat(&data)).unwrap();
+        feed(&mut scan, &data);
         scan.finish(&mut stats).unwrap();
         assert_eq!(stats.parallel_scans, 1);
         assert_eq!(stats.scan_rows, 100);
@@ -1241,7 +1255,7 @@ mod tests {
         let batch = BatchCounter::new(vec![NodeCounter::new(root_request())], 96, 0, ARITY);
         let mut stats = MiddlewareStats::new();
         let mut scan = ParallelScan::new(batch, 3, 16);
-        scan.process_block(&flat(&data)).unwrap();
+        feed(&mut scan, &data);
         let batch = scan.finish(&mut stats).unwrap();
         assert!(batch.nodes[0].fallback);
         assert_eq!(stats.sql_fallbacks, 1);
@@ -1263,7 +1277,7 @@ mod tests {
         batch.evictable = vec![(7, budget / 2), (9, budget / 4)];
         let mut stats = MiddlewareStats::new();
         let mut scan = ParallelScan::new(batch, 2, 32);
-        scan.process_block(&flat(&data)).unwrap();
+        feed(&mut scan, &data);
         let batch = scan.finish(&mut stats).unwrap();
         assert!(!batch.nodes[0].fallback, "evictions freed enough room");
         assert!(stats.pressure_evictions >= 1);
@@ -1449,7 +1463,7 @@ mod tests {
             let mut batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
             batch.batch_kernel = kernel_on;
             let mut scan = ParallelScan::new(batch, 3, 64);
-            scan.process_block(&flat(&data)).unwrap();
+            feed(&mut scan, &data);
             let mut st = MiddlewareStats::new();
             let par = scan.finish(&mut st).unwrap();
             for (s, p) in serial.nodes.iter().zip(&par.nodes) {
@@ -1499,7 +1513,7 @@ mod tests {
         let budget = 2048;
         let batch = BatchCounter::new(vec![NodeCounter::new(root_request())], budget, 0, ARITY);
         let mut scan = ParallelScan::new(batch, 2, 64);
-        scan.process_block(&flat(&data)).unwrap();
+        feed(&mut scan, &data);
         let mut st = MiddlewareStats::new();
         let par = scan.finish(&mut st).unwrap();
         assert!(!par.nodes[0].fallback, "row path fits the budget fine");
@@ -1522,8 +1536,9 @@ mod tests {
             let mut sink = RowSink::new(BatchCounter::new(nodes(), u64::MAX, 0, ARITY), cfg);
             assert_eq!(sink.nodes().len(), 4);
             // Source blocks of 150 rows: neither sink's own granularity.
-            for block in flat(&data).chunks(150 * ARITY) {
-                sink.process_block(block, &mut stats).unwrap();
+            for flat in flat(&data).chunks(150 * ARITY) {
+                let mut block = RowBlock { flat, arity: ARITY };
+                sink.process_block(&mut block, &mut stats).unwrap();
             }
             let batch = sink.finish(&mut stats).unwrap();
             assert_eq!(stats.scan_rows, 400);

@@ -42,7 +42,7 @@ use crate::parallel::RowSink;
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use crate::sample::{BlockSampler, SampledLedger, SampledScan};
 use crate::scheduler::{schedule, BatchPlan};
-use crate::source::{admitted_ranges, BlockSource};
+use crate::source::{admitted_ranges, BlockSource, SourceBlock};
 use crate::sqlgen::cc_via_sql;
 use crate::staging::StagingManager;
 use scaleclass_sqldb::stats::DbStats;
@@ -1297,7 +1297,10 @@ fn drive(
     stats: &mut MiddlewareStats,
 ) -> MwResult<()> {
     while let Some((_, block)) = source.next_block(|k| sampler.map_or(true, |s| s.admits(k)))? {
-        sink.process_block(block, stats)?;
+        match block {
+            SourceBlock::Rows(mut rows) => sink.process_block(&mut rows, stats)?,
+            SourceBlock::Cols(mut cols) => sink.process_block(&mut cols, stats)?,
+        }
         stats.scan_blocks += 1;
     }
     Ok(())

@@ -3,23 +3,28 @@
 //! The execution module scans one data source once and counts every
 //! scheduled node from it (§4.1.1), wherever that source lives (§4.2).
 //! [`BlockSource`] is that "wherever": each kind yields `(block index,
-//! row-major block)` in source order and passes over a block it is told to
-//! skip without reading it, so the one scan loop in `session.rs` — and the
-//! sampling admission filter it puts between source and sink (DESIGN.md
-//! §13) — never knows which kind it drives. A block index names a unit of
-//! the source's *physical* layout, which is what makes skipping free:
+//! block)` in source order, the block in the layout the source has —
+//! row-major where rows arrive as rows, column-major where they lie in
+//! columns, both read through `executor::Block` — and passes over a block
+//! it is told to skip without reading it, so the one scan loop in
+//! `session.rs` — and the sampling admission filter it puts between source
+//! and sink (DESIGN.md §13) — never knows which kind it drives. A block
+//! index names a unit of the source's *physical* layout, which is what
+//! makes skipping free:
 //!
 //! * memory set, or a materialised TID/keyset result — the k-th run of
-//!   `scan_block_rows` rows;
-//! * extent file — extent k, read and CRC-checked through the same
-//!   [`ExtentReader`] the sharded readers use;
+//!   `scan_block_rows` rows, row-major;
+//! * extent file — extent k, column-major: read, CRC-checked and decoded
+//!   by [`ExtentReader::decode_extent_columns`], the routine the sharded
+//!   readers run too, and never transposed;
 //! * server or temp-table cursor — the k-th block shipped (each wire fetch
-//!   cut at `scan_block_rows`). Shipped rows cannot be un-shipped, so a
-//!   sampled server scan names its blocks to the server up front
-//!   ([`admitted_ranges`] → `Database::open_block_cursor`, the
+//!   cut at `scan_block_rows`), row-major. Shipped rows cannot be
+//!   un-shipped, so a sampled server scan names its blocks to the server up
+//!   front ([`admitted_ranges`] → `Database::open_block_cursor`, the
 //!   `TABLESAMPLE SYSTEM` analogue) and the loop sees admitted rows only.
 
 use crate::error::MwResult;
+use crate::executor::{ColBlock, RowBlock};
 use crate::metrics::WorkerScanStats;
 use crate::sample::BlockSampler;
 use crate::staging::{ExtentLayout, ExtentReader, FILE_HEADER_BYTES};
@@ -32,14 +37,27 @@ type Fetch<'a> = Box<dyn FnMut(&mut Vec<Code>) -> MwResult<()> + 'a>;
 enum Kind<'a> {
     /// Rows already in middleware memory.
     Flat(&'a [Code]),
-    /// A staged extent file, decoded one extent at a time into `buf`.
-    Extents(ExtentReader),
+    /// A staged extent file, decoded one extent at a time into `cols`;
+    /// `row` is the scratch a block's rows are assembled in when asked for.
+    Extents {
+        reader: ExtentReader,
+        cols: Vec<Vec<Code>>,
+        row: Vec<Code>,
+    },
     /// A server cursor, fetched one wire batch at a time into `buf`.
     Cursor(Fetch<'a>),
 }
 
-/// One scan's input: row-major blocks in source order, each with the index
-/// the source's layout gives it. See the module docs for the kinds.
+/// A block as its source lays it out.
+pub(crate) enum SourceBlock<'a> {
+    /// A run of a memory set or of a wire fetch.
+    Rows(RowBlock<'a>),
+    /// One decoded extent.
+    Cols(ColBlock<'a>),
+}
+
+/// One scan's input: blocks in source order, each with the index the
+/// source's layout gives it. See the module docs for the kinds.
 pub(crate) struct BlockSource<'a> {
     kind: Kind<'a>,
     arity: usize,
@@ -47,8 +65,8 @@ pub(crate) struct BlockSource<'a> {
     block_codes: usize,
     /// Index of the next block.
     next: u64,
-    /// The extent last decoded, or the last wire fetch with `buf[at..]`
-    /// not yet yielded (`at` means nothing to the other kinds).
+    /// The last wire fetch, `buf[at..]` not yet yielded (`at` means
+    /// nothing to the other kinds).
     buf: Vec<Code>,
     at: usize,
     /// Rows in the blocks yielded so far.
@@ -83,8 +101,12 @@ impl<'a> BlockSource<'a> {
 
     /// A staged extent file; block `k` is extent `k`.
     pub(crate) fn extents(layout: &ExtentLayout) -> MwResult<Self> {
-        let reader = ExtentReader::open(layout)?;
-        let mut source = Self::new(Kind::Extents(reader), layout.arity, layout.extent_rows);
+        let kind = Kind::Extents {
+            reader: ExtentReader::open(layout)?,
+            cols: Vec::new(),
+            row: Vec::new(),
+        };
+        let mut source = Self::new(kind, layout.arity, layout.extent_rows);
         // Layout detection read the file header; charge it here so a full
         // scan's bytes sum to the file size.
         source.io.read_bytes = FILE_HEADER_BYTES;
@@ -116,7 +138,7 @@ impl<'a> BlockSource<'a> {
     pub(crate) fn next_block(
         &mut self,
         mut admit: impl FnMut(u64) -> bool,
-    ) -> MwResult<Option<(u64, &[Code])>> {
+    ) -> MwResult<Option<(u64, SourceBlock<'_>)>> {
         loop {
             let k = self.next;
             // Where block `k` starts and how many codes it holds, known
@@ -129,7 +151,7 @@ impl<'a> BlockSource<'a> {
                         rows.len().saturating_sub(start).min(self.block_codes),
                     )
                 }
-                Kind::Extents(reader) => {
+                Kind::Extents { reader, .. } => {
                     let layout = reader.layout();
                     let nrows = if k < layout.extents {
                         layout.rows_in_extent(k)
@@ -160,15 +182,19 @@ impl<'a> BlockSource<'a> {
             self.rows_read += nrows;
             let rows = match &mut self.kind {
                 Kind::Flat(rows) => *rows,
-                Kind::Extents(reader) => {
-                    reader.read_extent(k, &mut self.buf, &mut self.io)?;
-                    &self.buf
-                }
                 Kind::Cursor(_) => &self.buf,
+                Kind::Extents { reader, cols, row } => {
+                    let nrows = reader.decode_extent_columns(k, cols, &mut self.io)?;
+                    return Ok(Some((k, SourceBlock::Cols(ColBlock { cols, nrows, row }))));
+                }
             };
-            // analyze:allow(hot-path-panic): `start + codes` was clamped
-            // to the length of these same rows above.
-            return Ok(Some((k, &rows[start..start + codes])));
+            let block = RowBlock {
+                // analyze:allow(hot-path-panic): `start + codes` was clamped
+                // to the length of these same rows above.
+                flat: &rows[start..start + codes],
+                arity: self.arity,
+            };
+            return Ok(Some((k, SourceBlock::Rows(block))));
         }
     }
 }
@@ -201,6 +227,7 @@ pub(crate) fn admitted_ranges(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::Block;
     use crate::metrics::MiddlewareStats;
     use crate::request::NodeId;
     use crate::staging::StagingManager;
@@ -243,6 +270,21 @@ mod tests {
         (data, db, staging, layout)
     }
 
+    /// The block's rows, row-major, whichever layout it came in.
+    fn rows_of(block: SourceBlock<'_>) -> Vec<Code> {
+        let mut rows = Vec::new();
+        let collect = |row: &[Code]| {
+            rows.extend_from_slice(row);
+            Ok(())
+        };
+        match block {
+            SourceBlock::Rows(mut b) => b.for_each_row(None, collect),
+            SourceBlock::Cols(mut b) => b.for_each_row(None, collect),
+        }
+        .unwrap();
+        rows
+    }
+
     /// Everything `src` yields under `sampler`; the source keeps its tallies.
     fn drain(src: &mut BlockSource<'_>, sampler: Option<&BlockSampler>) -> Blocks {
         let mut out = Vec::new();
@@ -250,7 +292,7 @@ mod tests {
             .next_block(|k| sampler.map_or(true, |s| s.admits(k)))
             .unwrap()
         {
-            out.push((k, block.to_vec()));
+            out.push((k, rows_of(block)));
         }
         out
     }
@@ -290,6 +332,42 @@ mod tests {
         let rows: Vec<Code> = ragged.into_iter().flat_map(|(_, b)| b).collect();
         assert_eq!(rows, data);
         assert!(drain(&mut BlockSource::flat(&[], ARITY, BLOCK), None).is_empty());
+
+        // Each in the layout it has: an extent stays in columns.
+        let mut file = BlockSource::extents(&layout).unwrap();
+        let first = file.next_block(|_| true).unwrap().unwrap().1;
+        assert!(matches!(first, SourceBlock::Cols(_)), "extent file");
+        for (name, mut src) in [
+            ("memory set", BlockSource::flat(&data, ARITY, BLOCK)),
+            ("server cursor", server(&db, 2 * BLOCK)),
+        ] {
+            let first = src.next_block(|_| true).unwrap().unwrap().1;
+            assert!(matches!(first, SourceBlock::Rows(_)), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_damaged_extent_is_corrupt_and_yields_no_block() {
+        let (data, _db, _staging, layout) = fixture();
+        // One payload bit of extent 7, in the middle of the file.
+        let mut bytes = std::fs::read(&layout.path).unwrap();
+        bytes[layout.extent_offset(7) as usize + 8 + 5] ^= 0x10;
+        std::fs::write(&layout.path, &bytes).unwrap();
+
+        let mut src = BlockSource::extents(&layout).unwrap();
+        for expect in rechunked(&data).into_iter().take(7) {
+            let (k, block) = src.next_block(|_| true).unwrap().unwrap();
+            assert_eq!((k, rows_of(block)), expect);
+        }
+        match src.next_block(|_| true) {
+            Err(crate::error::MwError::Corrupt(msg)) => {
+                assert!(msg.contains("extent 7") && msg.contains("CRC"), "{msg}")
+            }
+            Ok(_) => panic!("the damaged extent was served"),
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(src.io.extents, 7, "the damaged extent decoded nothing");
+        assert_eq!(src.io.rows, 7 * BLOCK as u64);
     }
 
     #[test]

@@ -17,13 +17,14 @@
 use crate::catalog::{FilePublish, StagingCatalog};
 use crate::config::DEFAULT_EXTENT_ROWS;
 use crate::error::{MwError, MwResult};
+use crate::executor::Block;
 use crate::metrics::{MiddlewareStats, WorkerScanStats};
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
 use scaleclass_sqldb::Pred;
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,8 +74,9 @@ pub(crate) fn cleanup_shared_dir(dir: &Path) {
 //                       | extent_rows u32 LE
 //   extent  header (8 B): nrows u32 LE | extent index u32 LE
 //   extent payload      : for each column c in 0..arity, nrows × Code u16 LE
-//                         (columnar within the extent — decode transposes
-//                         back to rows; the layout sets up SIMD counting)
+//                         (columnar within the extent, and it stays so:
+//                         the writer buffers columns, the one decode
+//                         yields columns, the block pass counts columns)
 //   extent  footer (8 B): CRC32(payload) u32 LE | nrows u32 LE (again)
 //
 // This is the only staged-file format: a file too short for the header or
@@ -90,11 +92,17 @@ pub const EXTENT_VERSION: u32 = 2;
 pub const FILE_HEADER_BYTES: u64 = 16;
 /// Bytes of per-extent framing (8 header + 8 footer).
 pub const EXTENT_OVERHEAD_BYTES: u64 = 16;
+/// Bytes a [`TeeSpool`] replay reads at a time (rounded down to whole rows).
+const SPOOL_READ_BYTES: usize = 64 * 1024;
 
-/// CRC-32 (IEEE 802.3, poly 0xEDB88320) lookup table, built at compile
-/// time — the repo deliberately takes no external crates.
-static CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, poly 0xEDB88320) lookup tables for slicing-by-16,
+/// built at compile time — the repo deliberately takes no external crates.
+/// Table 0 is the classic byte table; `CRC32_TABLES[k][b]` is the CRC
+/// state byte `b` leaves behind once `k` zero bytes have followed it, so
+/// sixteen independent lookups advance the state by sixteen bytes where
+/// the bytewise loop waits on each lookup in turn.
+static CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -107,19 +115,67 @@ static CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `data`.
+/// One bytewise step of the CRC state.
+fn crc32_step(c: u32, b: u8) -> u32 {
+    CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+}
+
+/// CRC-32 (IEEE) of `data`: sixteen bytes a step, the tail bytewise.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(16);
+    for word in &mut words {
+        // The state folds into the word's first four bytes; byte `i` then
+        // has `15 - i` bytes after it.
+        let fold = c.to_le_bytes().into_iter().chain(std::iter::repeat(0));
+        let mut next = 0;
+        for ((&b, f), table) in word.iter().zip(fold).zip(CRC32_TABLES.iter().rev()) {
+            // analyze:allow(hot-path-panic): a `u8` indexes a 256-entry table.
+            next ^= table[usize::from(b ^ f)];
+        }
+        c = next;
     }
+    c = words.remainder().iter().fold(c, |c, &b| crc32_step(c, b));
     c ^ 0xFFFF_FFFF
+}
+
+/// The little-endian `u32` at byte `at` of `buf`; `None` when `buf` is too
+/// short to hold it.
+fn le_u32(buf: &[u8], at: usize) -> Option<u32> {
+    let bytes = buf.get(at..at.checked_add(4)?)?;
+    Some(u32::from_le_bytes(bytes.try_into().ok()?))
+}
+
+/// Append the little-endian codes in `bytes` to `out`.
+fn extend_from_le(out: &mut Vec<Code>, bytes: &[u8]) {
+    out.extend(
+        bytes
+            .chunks_exact(CODE_BYTES)
+            .map(|b| Code::from_le_bytes([b[0], b[1]])),
+    );
+}
+
+/// Write `codes` little-endian over `bytes` (`CODE_BYTES` apiece).
+fn write_le(bytes: &mut [u8], codes: &[Code]) {
+    for (b, c) in bytes.chunks_exact_mut(CODE_BYTES).zip(codes) {
+        b.copy_from_slice(&c.to_le_bytes());
+    }
 }
 
 /// A staged middleware file of fixed-width rows.
@@ -479,7 +535,7 @@ impl StagingManager {
             bytes: 0,
             physical_bytes: FILE_HEADER_BYTES,
             extent_index: 0,
-            buf: Vec::new(),
+            cols: vec![Vec::new(); arity],
             col_buf: Vec::new(),
             out,
             committed: false,
@@ -893,9 +949,11 @@ impl Drop for StagingManager {
     }
 }
 
-/// Incremental writer for one staged file in the extent format: rows are
-/// buffered until a full extent accumulates, then transposed into columnar
-/// blocks and framed with the header/CRC footer.
+/// Incremental writer for one staged file in the extent format: rows — one
+/// at a time, or a block's selection column by column — accumulate in one
+/// buffer per column until an extent is full, which is then framed with
+/// the header/CRC footer and written column after column. The file is a
+/// function of the row sequence alone, not of how it was handed over.
 #[derive(Debug)]
 pub struct FileWriter {
     id: u64,
@@ -910,9 +968,10 @@ pub struct FileWriter {
     /// On-disk bytes including file header and extent framing.
     physical_bytes: u64,
     extent_index: u32,
-    /// Row-major rows of the extent being accumulated.
-    buf: Vec<Code>,
-    /// Reusable columnar serialization buffer.
+    /// The extent being accumulated, one buffer per column (equal lengths,
+    /// below `extent_rows` between calls).
+    cols: Vec<Vec<Code>>,
+    /// Reusable serialization buffer of one extent's payload.
     col_buf: Vec<u8>,
     out: BufWriter<File>,
     /// Owning manager's filename prefix, for sibling spool files.
@@ -931,30 +990,58 @@ impl Drop for FileWriter {
 }
 
 impl FileWriter {
+    /// Rows of the extent being accumulated.
+    fn buffered(&self) -> usize {
+        self.cols.first().map_or(0, Vec::len)
+    }
+
+    /// Account `n` rows just buffered and write the extent out if full.
+    fn pushed(&mut self, n: usize) -> MwResult<()> {
+        self.nrows += n as u64;
+        self.bytes += (n * self.arity * CODE_BYTES) as u64;
+        if self.buffered() >= self.extent_rows {
+            self.flush_extent()?;
+        }
+        Ok(())
+    }
+
     /// Append one row.
     pub fn push(&mut self, row: &[Code]) -> MwResult<()> {
         debug_assert_eq!(row.len(), self.arity);
-        self.buf.extend_from_slice(row);
-        self.nrows += 1;
-        self.bytes += (self.arity * CODE_BYTES) as u64;
-        if self.buf.len() >= self.extent_rows * self.arity {
-            self.flush_extent()?;
+        for (col, &v) in self.cols.iter_mut().zip(row) {
+            col.push(v);
+        }
+        self.pushed(1)
+    }
+
+    /// Append the rows of `block` that `sel` names, in selection order:
+    /// each column of the selected rows is gathered straight into the
+    /// extent under construction, cut where an extent fills. The bytes
+    /// written are those of [`FileWriter::push`] over the same rows.
+    pub(crate) fn push_selected(&mut self, block: &impl Block, mut sel: &[u32]) -> MwResult<()> {
+        while !sel.is_empty() {
+            let room = self.extent_rows.saturating_sub(self.buffered());
+            let (fits, rest) = sel.split_at(room.min(sel.len()));
+            for (c, col) in self.cols.iter_mut().enumerate() {
+                block.gather(c, fits, col);
+            }
+            self.pushed(fits.len())?;
+            sel = rest;
         }
         Ok(())
     }
 
     /// Write the buffered rows (if any) as one extent.
     fn flush_extent(&mut self) -> MwResult<()> {
-        let nrows = self.buf.len() / self.arity;
+        let nrows = self.buffered();
         if nrows == 0 {
             return Ok(());
         }
-        self.col_buf.clear();
-        for c in 0..self.arity {
-            for r in 0..nrows {
-                self.col_buf
-                    .extend_from_slice(&self.buf[r * self.arity + c].to_le_bytes());
-            }
+        self.col_buf.resize(nrows * self.arity * CODE_BYTES, 0);
+        let payload = self.col_buf.chunks_exact_mut(nrows * CODE_BYTES);
+        for (bytes, col) in payload.zip(&mut self.cols) {
+            write_le(bytes, col);
+            col.clear();
         }
         let crc = crc32(&self.col_buf);
         self.out.write_all(&(nrows as u32).to_le_bytes())?;
@@ -964,7 +1051,6 @@ impl FileWriter {
         self.out.write_all(&(nrows as u32).to_le_bytes())?;
         self.physical_bytes += EXTENT_OVERHEAD_BYTES + self.col_buf.len() as u64;
         self.extent_index += 1;
-        self.buf.clear();
         Ok(())
     }
 
@@ -1033,6 +1119,8 @@ pub struct TeeSpool {
     path: PathBuf,
     arity: usize,
     nrows: u64,
+    /// Reusable serialization buffer of one row.
+    row_bytes: Vec<u8>,
     out: BufWriter<File>,
 }
 
@@ -1048,6 +1136,7 @@ impl TeeSpool {
             path,
             arity,
             nrows: 0,
+            row_bytes: vec![0; arity * CODE_BYTES],
             out: BufWriter::new(file),
         })
     }
@@ -1055,9 +1144,8 @@ impl TeeSpool {
     /// Append one matching row.
     pub fn push(&mut self, row: &[Code]) -> MwResult<()> {
         debug_assert_eq!(row.len(), self.arity);
-        for c in row {
-            self.out.write_all(&c.to_le_bytes())?;
-        }
+        write_le(&mut self.row_bytes, row);
+        self.out.write_all(&self.row_bytes)?;
         self.nrows += 1;
         Ok(())
     }
@@ -1071,20 +1159,25 @@ impl TeeSpool {
     /// spool file is removed when `self` drops.
     pub fn drain_into(mut self, writer: &mut FileWriter) -> MwResult<()> {
         self.out.flush()?;
-        // Streamed through a fixed buffer: spools exist because the rows
-        // are too many to hold in middleware memory.
-        let mut reader = BufReader::with_capacity(64 * 1024, File::open(&self.path)?);
-        let mut bytes = vec![0u8; self.arity * CODE_BYTES];
-        let mut row = Vec::with_capacity(self.arity);
-        for _ in 0..self.nrows {
-            reader.read_exact(&mut bytes)?;
-            row.clear();
-            row.extend(
-                bytes
-                    .chunks_exact(CODE_BYTES)
-                    .map(|b| Code::from_le_bytes([b[0], b[1]])),
-            );
-            writer.push(&row)?;
+        // Streamed through a fixed buffer, a run of whole rows per read:
+        // spools exist because the rows are too many to hold in
+        // middleware memory.
+        let row_bytes = (self.arity * CODE_BYTES).max(1);
+        let chunk_rows = (SPOOL_READ_BYTES / row_bytes).max(1) as u64;
+        let mut file = File::open(&self.path)?;
+        let mut bytes = Vec::new();
+        let mut codes = Vec::new();
+        let mut left = self.nrows;
+        while left > 0 {
+            let n = left.min(chunk_rows);
+            bytes.resize(n as usize * row_bytes, 0);
+            file.read_exact(&mut bytes)?;
+            codes.clear();
+            extend_from_le(&mut codes, &bytes);
+            for row in codes.chunks_exact(self.arity) {
+                writer.push(row)?;
+            }
+            left -= n;
         }
         Ok(())
     }
@@ -1244,6 +1337,10 @@ pub struct ExtentReader {
     file: File,
     layout: ExtentLayout,
     byte_buf: Vec<u8>,
+    /// Where the file handle stands (`None` after a failed read): reading
+    /// the extent that starts there needs no seek, so a sequential scan
+    /// seeks once, off the file header.
+    pos: Option<u64>,
 }
 
 impl ExtentReader {
@@ -1253,6 +1350,7 @@ impl ExtentReader {
             file: File::open(&layout.path)?,
             layout: layout.clone(),
             byte_buf: Vec::new(),
+            pos: Some(0),
         })
     }
 
@@ -1261,106 +1359,92 @@ impl ExtentReader {
         &self.layout
     }
 
+    /// `MwError::Corrupt` about extent `k` of this reader's file.
+    fn corrupt(&self, k: u64, what: impl std::fmt::Display) -> MwError {
+        MwError::Corrupt(format!("{}: extent {k} {what}", self.layout.path.display()))
+    }
+
     /// Read extent `k` from disk into the internal byte buffer, charging
     /// `stats.read_bytes`. Verification and decode happen in the caller so
     /// `decode_ns` covers checksum + decode work but never file I/O.
     fn fetch(&mut self, k: u64, stats: &mut WorkerScanStats) -> MwResult<usize> {
         let nrows = self.layout.rows_in_extent(k);
-        let phys = self.layout.extent_physical_bytes(k) as usize;
-        self.byte_buf.resize(phys, 0);
-        self.file
-            .seek(SeekFrom::Start(self.layout.extent_offset(k)))?;
+        let offset = self.layout.extent_offset(k);
+        let phys = self.layout.extent_physical_bytes(k);
+        self.byte_buf.resize(phys as usize, 0);
+        // Unknown from here until the read has succeeded.
+        if self.pos.take() != Some(offset) {
+            self.file.seek(SeekFrom::Start(offset))?;
+        }
         self.file.read_exact(&mut self.byte_buf).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                MwError::Corrupt(format!(
-                    "{}: extent {k} truncated mid-read",
-                    self.layout.path.display()
-                ))
+                self.corrupt(k, "truncated mid-read")
             } else {
                 e.into()
             }
         })?;
-        stats.read_bytes += phys as u64;
+        self.pos = Some(offset + phys);
+        stats.read_bytes += phys;
         Ok(nrows)
     }
 
-    /// Verify the fetched extent's header, footer, and payload CRC.
-    /// Returns the payload's end offset within the byte buffer (the
-    /// payload itself starts at byte 8, after the extent header).
-    fn verify(&self, k: u64, nrows: usize) -> MwResult<usize> {
-        let hdr_rows = u32::from_le_bytes(self.byte_buf[0..4].try_into().unwrap());
-        let hdr_idx = u32::from_le_bytes(self.byte_buf[4..8].try_into().unwrap());
-        if hdr_rows as usize != nrows || hdr_idx as u64 != k {
-            return Err(MwError::Corrupt(format!(
-                "{}: extent {k} header says index {hdr_idx} / {hdr_rows} rows, \
-                 layout says index {k} / {nrows} rows",
-                self.layout.path.display()
-            )));
+    /// Verify the fetched extent's header, footer, and payload CRC, and
+    /// return the payload. Every field is read checked: bytes that came
+    /// from disk can be `Corrupt`, never a panic.
+    fn verify(&self, k: u64, nrows: usize) -> MwResult<&[u8]> {
+        let buf = self.byte_buf.as_slice();
+        let payload_end = nrows
+            .checked_mul(self.layout.arity * CODE_BYTES)
+            .and_then(|len| len.checked_add(8));
+        let framed = payload_end.and_then(|end| {
+            Some((
+                le_u32(buf, 0)?,
+                le_u32(buf, 4)?,
+                buf.get(8..end)?,
+                le_u32(buf, end)?,
+                le_u32(buf, end.checked_add(4)?)?,
+            ))
+        });
+        let Some((hdr_rows, hdr_idx, payload, ftr_crc, ftr_rows)) = framed else {
+            return Err(self.corrupt(
+                k,
+                format!(
+                    "is {} bytes, too short for its framing and {nrows} rows",
+                    buf.len()
+                ),
+            ));
+        };
+        if hdr_rows as usize != nrows || u64::from(hdr_idx) != k {
+            return Err(self.corrupt(
+                k,
+                format!(
+                    "header says index {hdr_idx} / {hdr_rows} rows, \
+                     layout says index {k} / {nrows} rows"
+                ),
+            ));
         }
-        let payload_end = 8 + nrows * self.layout.arity * CODE_BYTES;
-        let payload = &self.byte_buf[8..payload_end];
-        let ftr_crc = u32::from_le_bytes(
-            self.byte_buf[payload_end..payload_end + 4]
-                .try_into()
-                .unwrap(),
-        );
-        let ftr_rows = u32::from_le_bytes(
-            self.byte_buf[payload_end + 4..payload_end + 8]
-                .try_into()
-                .unwrap(),
-        );
         if ftr_rows != hdr_rows {
-            return Err(MwError::Corrupt(format!(
-                "{}: extent {k} footer row count {ftr_rows} != header {hdr_rows}",
-                self.layout.path.display()
-            )));
+            return Err(self.corrupt(
+                k,
+                format!("footer row count {ftr_rows} != header {hdr_rows}"),
+            ));
         }
         let actual_crc = crc32(payload);
         if actual_crc != ftr_crc {
-            return Err(MwError::Corrupt(format!(
-                "{}: extent {k} CRC mismatch (stored {ftr_crc:#010x}, computed {actual_crc:#010x})",
-                self.layout.path.display()
-            )));
+            return Err(self.corrupt(
+                k,
+                format!("CRC mismatch (stored {ftr_crc:#010x}, computed {actual_crc:#010x})"),
+            ));
         }
-        Ok(payload_end)
-    }
-
-    /// Read and verify extent `k`, decoding its columnar payload into
-    /// row-major codes in `out` (cleared first). Returns the row count.
-    /// I/O bytes, decode time, rows, and extent count accrue to `stats`.
-    pub fn read_extent(
-        &mut self,
-        k: u64,
-        out: &mut Vec<Code>,
-        stats: &mut WorkerScanStats,
-    ) -> MwResult<usize> {
-        let nrows = self.fetch(k, stats)?;
-        let t0 = Instant::now();
-        let payload_end = self.verify(k, nrows)?;
-        let payload = &self.byte_buf[8..payload_end];
-        let arity = self.layout.arity;
-        out.clear();
-        out.resize(nrows * arity, 0);
-        for c in 0..arity {
-            let col = &payload[c * nrows * CODE_BYTES..(c + 1) * nrows * CODE_BYTES];
-            for r in 0..nrows {
-                out[r * arity + c] =
-                    Code::from_le_bytes([col[r * CODE_BYTES], col[r * CODE_BYTES + 1]]);
-            }
-        }
-        stats.decode_ns += t0.elapsed().as_nanos() as u64;
-        stats.rows += nrows as u64;
-        stats.extents += 1;
-        Ok(nrows)
+        Ok(payload)
     }
 
     /// Read and verify extent `k`, decoding its payload straight into one
     /// `Vec<Code>` per column in `cols` (resized to the arity; each column
-    /// is cleared first so the vectors can be reused across extents).
-    /// Skips the row-major transpose entirely — this is the staging-side
-    /// half of the batched counting kernel. Charges `stats` identically to
-    /// [`ExtentReader::read_extent`]: same `read_bytes`, `rows`, and
-    /// `extents`, with `decode_ns` covering verification + column decode.
+    /// is cleared first so the vectors can be reused across extents) — the
+    /// one decode every file scan, serial or sharded, runs. Returns the
+    /// row count. I/O bytes, rows and the extent accrue to `stats`, and
+    /// `decode_ns` covers verification + column decode, never file I/O.
     pub fn decode_extent_columns(
         &mut self,
         k: u64,
@@ -1369,17 +1453,14 @@ impl ExtentReader {
     ) -> MwResult<usize> {
         let nrows = self.fetch(k, stats)?;
         let t0 = Instant::now();
-        let payload_end = self.verify(k, nrows)?;
-        let payload = &self.byte_buf[8..payload_end];
-        let arity = self.layout.arity;
-        cols.resize_with(arity, Vec::new);
-        for (c, col_out) in cols.iter_mut().enumerate() {
-            let col = &payload[c * nrows * CODE_BYTES..(c + 1) * nrows * CODE_BYTES];
-            col_out.clear();
-            col_out.extend(
-                col.chunks_exact(CODE_BYTES)
-                    .map(|b| Code::from_le_bytes([b[0], b[1]])),
-            );
+        let payload = self.verify(k, nrows)?;
+        cols.resize_with(self.layout.arity, Vec::new);
+        // No extent is empty (`ExtentLayout::detect`); `max` only keeps a
+        // hand-built layout from asking for zero-sized chunks.
+        let col_bytes = payload.chunks_exact((nrows * CODE_BYTES).max(1));
+        for (col, bytes) in cols.iter_mut().zip(col_bytes) {
+            col.clear();
+            extend_from_le(col, bytes);
         }
         stats.decode_ns += t0.elapsed().as_nanos() as u64;
         stats.rows += nrows as u64;
@@ -1396,17 +1477,27 @@ mod tests {
         StagingManager::new(None).unwrap()
     }
 
+    /// The decoded columns of one extent as rows (the transpose no scan
+    /// path performs any more).
+    fn transpose(cols: &[Vec<Code>], nrows: usize) -> Vec<Vec<Code>> {
+        (0..nrows)
+            .map(|r| cols.iter().map(|c| c[r]).collect())
+            .collect()
+    }
+
     /// Every row of staged file `id`, extent by extent through the one
-    /// reader, plus the reader's I/O counters (the 16-byte file header is
+    /// decode, plus the reader's I/O counters (the 16-byte file header is
     /// read by layout detection, not by the reader).
     fn read_all(m: &StagingManager, id: u64) -> MwResult<(Vec<Vec<Code>>, WorkerScanStats)> {
         let layout = m.extent_layout(id)?.expect("staged file exists");
         let mut reader = ExtentReader::open(&layout)?;
         let mut ws = WorkerScanStats::default();
-        let (mut rows, mut flat) = (Vec::new(), Vec::new());
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
         for k in 0..layout.extents {
-            reader.read_extent(k, &mut flat, &mut ws)?;
-            rows.extend(flat.chunks_exact(layout.arity).map(<[Code]>::to_vec));
+            let n = reader.decode_extent_columns(k, &mut cols, &mut ws)?;
+            assert_eq!(cols.len(), layout.arity);
+            assert!(cols.iter().all(|c| c.len() == n), "extent {k}");
+            rows.extend(transpose(&cols, n));
         }
         Ok((rows, ws))
     }
@@ -2039,57 +2130,279 @@ mod tests {
         let (m, id, _) = staged(10, 4);
         let layout = m.extent_layout(id).unwrap().unwrap();
         let mut r = ExtentReader::open(&layout).unwrap();
-        let mut out = Vec::new();
+        let mut cols = Vec::new();
         let mut ws = WorkerScanStats::default();
         // Read the middle extent directly (rows 4..8).
-        assert_eq!(r.read_extent(1, &mut out, &mut ws).unwrap(), 4);
-        assert_eq!(&out[0..3], &[4, 5, 12]);
+        assert_eq!(r.decode_extent_columns(1, &mut cols, &mut ws).unwrap(), 4);
+        assert_eq!(transpose(&cols, 4)[0], [4, 5, 12]);
         assert_eq!(ws.extents, 1);
         assert_eq!(ws.read_bytes, layout.extent_physical_bytes(1));
-        // Then the tail extent, out of order (rows 8..10).
-        assert_eq!(r.read_extent(2, &mut out, &mut ws).unwrap(), 2);
-        assert_eq!(&out[3..6], &[9, 10, 27]);
+        // Reading on needs no seek: the handle stands at the next extent.
+        assert_eq!(r.pos, Some(layout.extent_offset(2)));
+        // The tail extent (rows 8..10), then back to the first.
+        assert_eq!(r.decode_extent_columns(2, &mut cols, &mut ws).unwrap(), 2);
+        assert_eq!(transpose(&cols, 2)[1], [9, 10, 27]);
+        assert_eq!(r.decode_extent_columns(0, &mut cols, &mut ws).unwrap(), 4);
+        assert_eq!(transpose(&cols, 4)[3], [3, 4, 9]);
+        assert_eq!(r.pos, Some(layout.extent_offset(1)));
     }
 
     #[test]
-    fn columnar_decode_matches_row_decode_and_stats() {
+    fn columnar_decode_accounts_the_scan_and_fails_on_crc_damage() {
         let (m, id, _) = staged(10, 4);
         let layout = m.extent_layout(id).unwrap().unwrap();
-        let mut rows_reader = ExtentReader::open(&layout).unwrap();
-        let mut cols_reader = ExtentReader::open(&layout).unwrap();
-        let mut rows = Vec::new();
-        let mut cols: Vec<Vec<Code>> = Vec::new();
-        let mut ws_rows = WorkerScanStats::default();
-        let mut ws_cols = WorkerScanStats::default();
+        let mut reader = ExtentReader::open(&layout).unwrap();
+        let mut cols: Vec<Vec<Code>> = vec![vec![99; 7]; 5]; // stale, wrong shape
+        let mut ws = WorkerScanStats::default();
         for k in 0..layout.extents {
-            let n = rows_reader.read_extent(k, &mut rows, &mut ws_rows).unwrap();
-            let nc = cols_reader
-                .decode_extent_columns(k, &mut cols, &mut ws_cols)
-                .unwrap();
-            assert_eq!(n, nc);
+            let n = reader.decode_extent_columns(k, &mut cols, &mut ws).unwrap();
+            assert_eq!(n, layout.rows_in_extent(k));
             assert_eq!(cols.len(), layout.arity);
-            for (c, col) in cols.iter().enumerate() {
-                assert_eq!(col.len(), n, "column {c} length");
-                for (r, &v) in col.iter().enumerate() {
-                    assert_eq!(v, rows[r * layout.arity + c], "extent {k} row {r} col {c}");
-                }
+            for (r, row) in transpose(&cols, n).into_iter().enumerate() {
+                let i = (k as usize * 4 + r) as u16;
+                assert_eq!(row, [i, i + 1, i * 3], "extent {k} row {r}");
             }
         }
-        // Identical physical accounting: decode path must not change what
-        // the scan stats report (decode_ns is timing and excluded).
-        ws_rows.decode_ns = 0;
-        ws_cols.decode_ns = 0;
-        assert_eq!(ws_rows, ws_cols);
-        // CRC damage fails the columnar path exactly like the row path.
+        assert!(ws.decode_ns > 0);
+        ws.decode_ns = 0;
+        assert_eq!(
+            ws,
+            WorkerScanStats {
+                read_bytes: layout.total_physical_bytes() - FILE_HEADER_BYTES,
+                rows: 10,
+                extents: 3,
+                decode_ns: 0,
+            }
+        );
+        // CRC damage is `Corrupt`, and decodes nothing.
         let path = m.file(id).unwrap().path.clone();
         let mut bytes = fs::read(&path).unwrap();
         bytes[FILE_HEADER_BYTES as usize + 8 + 3] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         let mut damaged = ExtentReader::open(&layout).unwrap();
-        match damaged.decode_extent_columns(0, &mut cols, &mut ws_cols) {
+        match damaged.decode_extent_columns(0, &mut cols, &mut ws) {
             Err(MwError::Corrupt(msg)) => assert!(msg.contains("CRC"), "{msg}"),
             other => panic!("expected Corrupt(CRC), got {other:?}"),
         }
+        assert_eq!((ws.rows, ws.extents), (10, 3), "nothing more was served");
+    }
+
+    /// The bytewise table loop the sliced [`crc32`] replaced, kept as its
+    /// reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        data.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Every length 0..=64 at every alignment of one shared buffer:
+        // all word counts, all tails.
+        let shared: Vec<u8> = (0..80).map(|_| next() as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &shared[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+        // Generated buffers up to 64 KiB, lengths of every residue.
+        for round in 0..48 {
+            let len = if round == 0 {
+                64 * 1024
+            } else {
+                next() as usize % (64 * 1024)
+            };
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&data), crc32_bytewise(&data), "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn a_flipped_bit_in_any_byte_lane_is_corrupt() {
+        // 16 rows x 3 columns: a 96-byte payload, six 16-byte CRC words.
+        let (m, id, _) = staged(16, 16);
+        let layout = m.extent_layout(id).unwrap().unwrap();
+        let path = m.file(id).unwrap().path.clone();
+        let good = fs::read(&path).unwrap();
+        let payload = layout.extent_offset(0) as usize + 8;
+        // Every bit of the 8 byte lanes of a payload word, in an early
+        // and in the last word.
+        for word in [1usize, 5] {
+            for lane in 0..8 {
+                for bit in 0..8 {
+                    let mut bad = good.clone();
+                    bad[payload + word * 16 + lane] ^= 1 << bit;
+                    fs::write(&path, &bad).unwrap();
+                    let mut reader = ExtentReader::open(&layout).unwrap();
+                    let mut cols = Vec::new();
+                    let mut ws = WorkerScanStats::default();
+                    match reader.decode_extent_columns(0, &mut cols, &mut ws) {
+                        Err(MwError::Corrupt(msg)) => assert!(msg.contains("CRC"), "{msg}"),
+                        other => panic!("word {word} lane {lane} bit {bit}: {other:?}"),
+                    }
+                    assert_eq!(ws.rows, 0, "no rows from a damaged extent");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn short_extent_bytes_are_corrupt_not_a_panic() {
+        let (m, id, _) = staged(10, 4);
+        let layout = m.extent_layout(id).unwrap().unwrap();
+        let mut reader = ExtentReader::open(&layout).unwrap();
+        let mut ws = WorkerScanStats::default();
+        let nrows = reader.fetch(1, &mut ws).unwrap();
+        let whole = reader.byte_buf.clone();
+        assert_eq!(reader.verify(1, nrows).unwrap().len(), 4 * 3 * CODE_BYTES);
+        // Every proper prefix of the extent — cut inside the header, the
+        // payload, the footer — and a row count no buffer could hold.
+        for len in 0..whole.len() {
+            reader.byte_buf.truncate(len);
+            match reader.verify(1, nrows) {
+                Err(MwError::Corrupt(msg)) => {
+                    assert!(msg.contains("extent 1") && msg.contains("short"), "{msg}")
+                }
+                other => panic!("{len} of {} bytes: {other:?}", whole.len()),
+            }
+        }
+        reader.byte_buf = whole;
+        assert!(matches!(
+            reader.verify(1, usize::MAX),
+            Err(MwError::Corrupt(_))
+        ));
+    }
+
+    /// A staged file of arity 3, five rows, two rows per extent (a partial
+    /// tail), byte for byte as the row-buffer writer of PR 14 wrote it:
+    /// the format this file pins did not change with the writer.
+    const GOLDEN_ROWS: [[Code; 3]; 5] = [
+        [1, 2, 3],
+        [4, 5, 6],
+        [7, 8, 9],
+        [10, 11, 12],
+        [513, 65535, 0],
+    ];
+    #[rustfmt::skip]
+    const GOLDEN_FILE: [u8; 94] = [
+        // "SCXT", version 2, arity 3, 2 rows per extent
+        0x53, 0x43, 0x58, 0x54, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+        // extent 0: 2 rows, index 0 | columns [1 4] [2 5] [3 6] | CRC, 2 rows
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x04, 0x00, 0x02, 0x00, 0x05, 0x00, 0x03, 0x00, 0x06, 0x00,
+        0xdc, 0xb4, 0x9c, 0xbf, 0x02, 0x00, 0x00, 0x00,
+        // extent 1: 2 rows, index 1 | columns [7 10] [8 11] [9 12] | CRC, 2 rows
+        0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x07, 0x00, 0x0a, 0x00, 0x08, 0x00, 0x0b, 0x00, 0x09, 0x00, 0x0c, 0x00,
+        0xd9, 0x54, 0xf0, 0x70, 0x02, 0x00, 0x00, 0x00,
+        // extent 2: 1 row, index 2 | columns [513] [65535] [0] | CRC, 1 row
+        0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+        0x01, 0x02, 0xff, 0xff, 0x00, 0x00,
+        0x7a, 0x13, 0xc3, 0x60, 0x01, 0x00, 0x00, 0x00,
+    ];
+
+    #[test]
+    fn writer_reproduces_the_golden_file_by_rows_and_by_blocks() {
+        use crate::executor::{ColBlock, RowBlock};
+        let mut m = mgr();
+        m.set_extent_rows(2);
+        let mut stats = MiddlewareStats::new();
+        let mut committed = |m: &mut StagingManager, w: FileWriter| {
+            let id = m.commit_file(w, &mut stats).unwrap();
+            (id, fs::read(&m.file(id).unwrap().path).unwrap())
+        };
+        let start = |m: &mut StagingManager| m.start_file(vec![NodeId(0)], Pred::True, 3).unwrap();
+
+        // Row by row.
+        let mut w = start(&mut m);
+        for row in &GOLDEN_ROWS {
+            w.push(row).unwrap();
+        }
+        let (id, bytes) = committed(&mut m, w);
+        assert_eq!(bytes, GOLDEN_FILE, "push(row)");
+        // ... and the reader decodes what the old writer wrote.
+        let (rows, ws) = read_all(&m, id).unwrap();
+        assert_eq!(rows, GOLDEN_ROWS);
+        assert_eq!(ws.read_bytes + FILE_HEADER_BYTES, GOLDEN_FILE.len() as u64);
+
+        // The golden rows scattered over two larger blocks, one per
+        // layout, with selections that straddle the extent boundaries:
+        // rows 0-2 from the first (extents 0 | 1), 3-4 from the second
+        // (1 | 2), mixed with a row push in between.
+        let junk = [9, 9, 9];
+        let a = [junk, GOLDEN_ROWS[0], junk, GOLDEN_ROWS[1], GOLDEN_ROWS[2]];
+        let b = [GOLDEN_ROWS[3], junk, junk, GOLDEN_ROWS[4]];
+        let flat: Vec<Code> = a.iter().flatten().copied().collect();
+        let cols: Vec<Vec<Code>> = (0..3).map(|c| b.iter().map(|r| r[c]).collect()).collect();
+        let row_block = RowBlock {
+            flat: &flat,
+            arity: 3,
+        };
+        let col_block = ColBlock {
+            cols: &cols,
+            nrows: 4,
+            row: &mut Vec::new(),
+        };
+        let mut w = start(&mut m);
+        w.push_selected(&row_block, &[1, 3, 4]).unwrap();
+        w.push_selected(&col_block, &[]).unwrap();
+        w.push_selected(&col_block, &[0, 3]).unwrap();
+        assert_eq!(w.nrows(), 5);
+        assert_eq!(committed(&mut m, w).1, GOLDEN_FILE, "block entry");
+
+        let mut w = start(&mut m);
+        w.push_selected(&row_block, &[1]).unwrap();
+        w.push(&GOLDEN_ROWS[1]).unwrap();
+        w.push_selected(&row_block, &[4]).unwrap();
+        w.push_selected(&col_block, &[0, 3]).unwrap();
+        assert_eq!(committed(&mut m, w).1, GOLDEN_FILE, "rows and blocks mixed");
+        assert_eq!(stats.file_rows_written, 15);
+        assert_eq!(stats.file_bytes_physical_written, 3 * 94);
+    }
+
+    #[test]
+    fn spool_holds_row_major_bytes_and_replays_in_order() {
+        let mut m = mgr();
+        m.set_extent_rows(100);
+        let mut stats = MiddlewareStats::new();
+        // More rows than one replay read holds, so chunks are stitched.
+        let n = 3 * SPOOL_READ_BYTES / (3 * CODE_BYTES) + 17;
+        let rows: Vec<[Code; 3]> = (0..n)
+            .map(|i| [i as Code, (i >> 4) as Code, (i % 7) as Code])
+            .collect();
+        let mut direct = m.start_file(vec![NodeId(0)], Pred::True, 3).unwrap();
+        let mut spool = TeeSpool::create(direct.dir(), direct.spool_prefix(), 3).unwrap();
+        for row in &rows {
+            direct.push(row).unwrap();
+            spool.push(row).unwrap();
+        }
+        assert_eq!(spool.nrows(), n as u64);
+        spool.out.flush().unwrap();
+        let expect: Vec<u8> = rows
+            .iter()
+            .flatten()
+            .flat_map(|c| c.to_le_bytes())
+            .collect();
+        assert_eq!(
+            fs::read(&spool.path).unwrap(),
+            expect,
+            "raw row-major codes"
+        );
+
+        let mut replayed = m.start_file(vec![NodeId(1)], Pred::True, 3).unwrap();
+        spool.drain_into(&mut replayed).unwrap();
+        let direct = m.commit_file(direct, &mut stats).unwrap();
+        let replayed = m.commit_file(replayed, &mut stats).unwrap();
+        assert_eq!(
+            fs::read(&m.file(replayed).unwrap().path).unwrap(),
+            fs::read(&m.file(direct).unwrap().path).unwrap()
+        );
     }
 
     #[test]

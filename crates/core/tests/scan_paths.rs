@@ -191,12 +191,13 @@ fn sampled_server_scan_ships_only_the_admitted_ranges() {
 /// data set a tee wrote (memory-set rows, and the member count and bytes
 /// of each staged file — a split file has several members — by staging
 /// id, captured after the round that committed them), and the session's
-/// counters.
+/// counters and staged-file reader counters.
 struct BuildOutcome {
     counts: BTreeMap<u64, CountsTable>,
     mem_sets: BTreeMap<u64, Vec<Code>>,
     files: BTreeMap<u64, (usize, Vec<u8>)>,
     stats: MiddlewareStats,
+    scan: ScanStats,
 }
 
 /// Rows of the table [`three_level_build`] mines.
@@ -236,6 +237,7 @@ fn three_level_build(config: MiddlewareConfig) -> BuildOutcome {
         mem_sets: BTreeMap::new(),
         files: BTreeMap::new(),
         stats: MiddlewareStats::new(),
+        scan: ScanStats::default(),
     };
     let mut next_id = 1u64;
     while s.has_pending() {
@@ -278,6 +280,7 @@ fn three_level_build(config: MiddlewareConfig) -> BuildOutcome {
         }
     }
     out.stats = *s.stats();
+    out.scan = s.scan_stats().clone();
     out
 }
 
@@ -289,17 +292,26 @@ fn three_level_build(config: MiddlewareConfig) -> BuildOutcome {
 /// (hybrid split files, file tees), serial and on four workers: no block
 /// falls back to rows, and everything the tees wrote is byte-identical to
 /// what the row path writes.
+///
+/// The `staged-file` shape runs at 1, 7, 512 and 8192 rows per extent
+/// (blocks stay 512 rows): an extent stays in columns from the file to the
+/// kernel and from the kernel's selections to the files its tees write, on
+/// the serial loop, on sharded readers and — batches that write a hybrid
+/// split file — through the channel pipeline, which transposes it for its
+/// workers. All of them must read the same bytes of the same files.
 #[test]
 fn the_block_kernel_engages_and_serves_the_tees() {
-    let data_bytes = ROWS * 7 * CODE_BYTES as u64;
+    let row_bytes = 7 * CODE_BYTES as u64;
+    let data_bytes = ROWS * row_bytes;
     let dir = scratch_dir("kernel-engages");
-    let shapes: [(&str, MiddlewareConfigBuilder); 2] = [
+    let shapes: [(&str, MiddlewareConfigBuilder, &[usize]); 2] = [
         (
             "staged-mem",
             MiddlewareConfig::builder()
                 .memory_budget_bytes(3 * data_bytes)
                 .memory_caching(true)
                 .file_policy(FileStagingPolicy::Disabled),
+            &[512],
         ),
         (
             "staged-file",
@@ -310,56 +322,158 @@ fn the_block_kernel_engages_and_serves_the_tees() {
                     split_threshold: 0.5,
                 })
                 .staging_dir(dir.clone()),
+            &[1, 7, 512, 8192],
         ),
     ];
-    for (shape, builder) in shapes {
-        let run = |workers: usize, kernel: bool| {
-            let config = builder
-                .clone()
-                .shared_staging(false)
-                .sampled_counting(0.0)
-                .deltas(false)
-                .cc_dense_max_bytes(scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES)
-                .stage_extent_rows(512)
-                .scan_block_rows(512)
-                .scan_workers(workers)
-                .batch_kernel(kernel)
-                .build();
-            three_level_build(config)
-        };
-        let reference = run(1, false);
-        assert_eq!(reference.counts.len(), 85, "{shape}: 1 + 4 + 16 + 64 nodes");
-        assert_eq!(reference.stats.blocks_counted, 0, "{shape}: kernel off");
-        assert_eq!(
-            reference.stats.server_scans, 1,
-            "{shape}: staged after the root"
-        );
-        if shape == "staged-mem" {
-            assert!(!reference.mem_sets.is_empty() && reference.files.is_empty());
-            assert!(reference.stats.memory_scans > 0);
-        } else {
-            assert!(reference.mem_sets.is_empty() && reference.files.len() > 1);
-            assert!(reference.stats.file_scans > 0);
-            let split_files = reference.files.values().filter(|(members, _)| *members > 1);
-            assert!(split_files.count() > 0, "{shape}: a hybrid split file");
-        }
-        assert_eq!(reference.stats.sql_fallbacks, 0, "{shape}: the budget fits");
-        for workers in [1usize, 4] {
-            let on = run(workers, true);
-            let what = format!("{shape}, {workers} worker(s)");
-            assert!(on.stats.blocks_counted > 0, "{what}: the kernel ran");
-            // Four workers reserve four shards per node — an upper bound
-            // (DESIGN.md §8a) the tight `staged-file` budget cannot hold,
-            // so there a block may be refused, or a node fall back to SQL.
-            if workers == 1 || shape == "staged-mem" {
-                assert_eq!(on.stats.block_fallback_rows, 0, "{what}: on every row");
-                assert_eq!(on.stats.sql_fallbacks, 0, "{what}");
+    for (shape, builder, extent_sizes) in shapes {
+        for &extent_rows in extent_sizes {
+            let run = |workers: usize, kernel: bool| {
+                let config = builder
+                    .clone()
+                    .shared_staging(false)
+                    .sampled_counting(0.0)
+                    .deltas(false)
+                    .cc_dense_max_bytes(scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES)
+                    .stage_extent_rows(extent_rows)
+                    .scan_block_rows(512)
+                    .scan_workers(workers)
+                    .batch_kernel(kernel)
+                    .build();
+                three_level_build(config)
+            };
+            let shape = format!("{shape} at {extent_rows} rows per extent");
+            let reference = run(1, false);
+            assert_eq!(reference.counts.len(), 85, "{shape}: 1 + 4 + 16 + 64 nodes");
+            assert_eq!(reference.stats.blocks_counted, 0, "{shape}: kernel off");
+            assert_eq!(
+                reference.stats.server_scans, 1,
+                "{shape}: staged after the root"
+            );
+            if shape.starts_with("staged-mem") {
+                assert!(!reference.mem_sets.is_empty() && reference.files.is_empty());
+                assert!(reference.stats.memory_scans > 0);
+            } else {
+                assert!(reference.mem_sets.is_empty() && reference.files.len() > 1);
+                assert!(reference.stats.file_scans > 0);
+                let split_files = reference.files.values().filter(|(members, _)| *members > 1);
+                assert!(split_files.count() > 0, "{shape}: a hybrid split file");
             }
-            assert_eq!(on.counts, reference.counts, "{what}: counts");
-            assert_eq!(on.mem_sets, reference.mem_sets, "{what}: memory-set rows");
-            assert_eq!(on.files, reference.files, "{what}: staged-file bytes");
-            assert_eq!(on.stats.scan_rows, reference.stats.scan_rows, "{what}");
+            assert_eq!(reference.stats.sql_fallbacks, 0, "{shape}: the budget fits");
+            // Each file scan read its whole file: a header, each extent's
+            // framing, every row.
+            let io = &reference.scan;
+            let extents: u64 = io.workers.iter().map(|w| w.extents).sum();
+            assert_eq!(io.total_rows(), reference.stats.file_rows_read, "{shape}");
+            assert_eq!(
+                io.total_read_bytes(),
+                16 * reference.stats.file_scans + 16 * extents + io.total_rows() * row_bytes,
+                "{shape}: bytes read = sizes of the files scanned"
+            );
+            for workers in [1usize, 4] {
+                let on = run(workers, true);
+                let what = format!("{shape}, {workers} worker(s)");
+                assert!(on.stats.blocks_counted > 0, "{what}: the kernel ran");
+                // Four workers reserve four shards per node — an upper bound
+                // (DESIGN.md §8a) the tight `staged-file` budget cannot hold,
+                // so there a block may be refused, or a node fall back to SQL.
+                if workers == 1 || shape.starts_with("staged-mem") {
+                    assert_eq!(on.stats.block_fallback_rows, 0, "{what}: on every row");
+                    assert_eq!(on.stats.sql_fallbacks, 0, "{what}");
+                }
+                if workers == 4 && !shape.starts_with("staged-mem") {
+                    let sharded = on.stats.sharded_file_scans;
+                    assert!(sharded > 0, "{what}: sharded readers ran");
+                    assert!(
+                        on.stats.file_scans > sharded,
+                        "{what}: split-file batches took the channel pipeline"
+                    );
+                }
+                assert_eq!(on.counts, reference.counts, "{what}: counts");
+                assert_eq!(on.mem_sets, reference.mem_sets, "{what}: memory-set rows");
+                assert_eq!(on.files, reference.files, "{what}: staged-file bytes");
+                assert_eq!(on.stats.scan_rows, reference.stats.scan_rows, "{what}");
+                assert_eq!(on.stats.file_scans, reference.stats.file_scans, "{what}");
+                let on_extents: u64 = on.scan.workers.iter().map(|w| w.extents).sum();
+                assert_eq!(
+                    (on.scan.total_read_bytes(), on.scan.total_rows(), on_extents),
+                    (io.total_read_bytes(), io.total_rows(), extents),
+                    "{what}: reader bytes, rows, extents"
+                );
+            }
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One flipped payload bit in a *middle* extent of the staged file the
+/// serial loop is scanning: the scan stops there with `Corrupt`. The
+/// extents before it were counted as they came; of the damaged one nothing
+/// is — no block reached the sink, and the split file the batch was teeing
+/// into is gone with its uncommitted writer.
+#[test]
+fn crc_damage_mid_file_stops_the_serial_scan_at_that_extent() {
+    for damaged in [false, true] {
+        let dir = scratch_dir(&format!("mid-crc-{damaged}"));
+        let config = pinned(1)
+            .file_policy(FileStagingPolicy::Hybrid {
+                split_threshold: 0.5,
+            })
+            .memory_caching(false)
+            .staging_dir(dir.clone())
+            .build();
+        let mut s = session(40, config);
+        let root = s.root_request(NodeId(0));
+        s.enqueue(root).unwrap();
+        s.process_next_batch().unwrap();
+        // One child, a quarter of the file: the hybrid policy splits.
+        s.enqueue(CcRequest {
+            lineage: Lineage::root(NodeId(0)).child(NodeId(1), Pred::Eq { col: 0, value: 0 }),
+            attrs: vec![0, 1],
+            class_col: 2,
+            rows: 10,
+            parent_rows: 40,
+            parent_cards: vec![4, 3],
+        })
+        .unwrap();
+        let files = || -> Vec<PathBuf> {
+            let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            files.sort();
+            files
+        };
+        let staged = files();
+        assert_eq!(staged.len(), 1, "the root batch staged one file");
+        let before = *s.stats();
+        if !damaged {
+            // The undamaged round, for what the damaged one must not do.
+            s.process_next_batch().unwrap();
+            assert_eq!(s.stats().scan_blocks, before.scan_blocks + 5);
+            assert_eq!(s.stats().files_created, before.files_created + 1);
+            assert_eq!(files().len(), 2, "a split file was teed");
+        } else {
+            // 8 rows of 3 codes per extent: extent 2 of 5 starts here.
+            let extent = 16 + 2 * (16 + 8 * 3 * CODE_BYTES);
+            let mut bytes = std::fs::read(&staged[0]).unwrap();
+            bytes[extent + 8 + 11] ^= 0x04;
+            std::fs::write(&staged[0], &bytes).unwrap();
+            match s.process_next_batch() {
+                Err(MwError::Corrupt(msg)) => {
+                    assert!(msg.contains("extent 2") && msg.contains("CRC"), "{msg}")
+                }
+                other => panic!("got {other:?}"),
+            }
+            assert_eq!(
+                s.stats().scan_blocks,
+                before.scan_blocks + 2,
+                "extents 0 and 1 reached the sink, extent 2 did not"
+            );
+            assert_eq!(s.stats().requests_served, before.requests_served);
+            assert_eq!(s.stats().files_created, before.files_created);
+            assert_eq!(files(), staged, "the partial split file was removed");
+        }
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
