@@ -28,7 +28,7 @@
 use crate::lexer::TokKind;
 use crate::rules::FileCtx;
 
-/// One row of the `LOCK_SITES` manifest ([`crate::rules::LOCK_SITES`]):
+/// One row of the `LOCK_SITES` manifest (`crate::rules::LOCK_SITES`):
 /// how a lexical call shape maps to a named lock.
 #[derive(Debug, Clone, Copy)]
 pub struct LockSite {

@@ -32,7 +32,7 @@
 //!   cross-file lock graph over the concurrency modules (`session.rs`,
 //!   `catalog.rs`, `parallel.rs`, `staging.rs`, `middleware.rs`); any edge
 //!   contradicting the canonical [`LOCK_ORDER`] manifest, any re-entrant
-//!   acquisition, any cycle, and any `.lock()` the [`LOCK_SITES`] manifest
+//!   acquisition, any cycle, and any `.lock()` the `LOCK_SITES` manifest
 //!   cannot name is a violation.
 //! - **guard-across-blocking** — no guard may be live across `send(` /
 //!   `recv(` / `join()` / `wait*(` / `File::` / `read_to_end(` in the
@@ -44,7 +44,9 @@
 //!   `analyze:allow` says why relaxed is sound.
 //! - **env-knob** — every `SCALECLASS_*` string in workspace non-test code
 //!   must be wired through a `crates/core/src/config.rs` knob and
-//!   mentioned in the top-level README.md, so no knob ships undocumented.
+//!   mentioned in the top-level README.md, so no knob ships undocumented;
+//!   and every `SCALECLASS_*` name README.md mentions must be read by such
+//!   code, so a retired knob cannot live on as documentation.
 //!
 //! A violation is suppressed only by `// analyze:allow(<rule>): <reason>` on
 //! the same line, or standing alone on the line(s) directly above. Directives
@@ -226,7 +228,7 @@ const CONCURRENCY_FILES: [&str; 5] = [
 ///
 /// Amendment process (DESIGN.md §14): adding a lock means (1) naming it
 /// here at the position every existing nesting permits, (2) adding its
-/// call shapes to [`LOCK_SITES`], and (3) citing in the PR the code paths
+/// call shapes to `LOCK_SITES`, and (3) citing in the PR the code paths
 /// that pin its position. Reordering existing entries requires auditing
 /// every edge the analyzer reports with `--json` plus a TSan run.
 pub const LOCK_ORDER: [&str; 5] = [
@@ -1135,7 +1137,9 @@ fn collect_env(ctx: &FileCtx, s: &mut EnvScan) {
 }
 
 /// Every knob used anywhere must be parsed in `config.rs` and mentioned in
-/// the top-level README. Violations anchor at the knob's first usage site.
+/// the top-level README (violations anchor at the knob's first usage
+/// site), and every knob the README mentions must be used somewhere
+/// (anchored at the README line that first names it).
 fn env_knob(s: &EnvScan, readme: &str, out: &mut Vec<Violation>) {
     for (knob, (file, line)) in &s.uses {
         if !s.defined.contains(knob) {
@@ -1157,6 +1161,21 @@ fn env_knob(s: &EnvScan, readme: &str, out: &mut Vec<Violation>) {
                 rule: RULE_ENV_KNOB,
                 msg: format!("env knob `{knob}` is not documented in README.md"),
             });
+        }
+    }
+    let mut reported = BTreeSet::new();
+    let mut names = Vec::new();
+    for (line, text) in (1u32..).zip(readme.lines()) {
+        knob_names(text, &mut names);
+        for knob in names.drain(..) {
+            if !s.uses.contains_key(&knob) && reported.insert(knob.clone()) {
+                out.push(Violation {
+                    file: "README.md".to_string(),
+                    line,
+                    rule: RULE_ENV_KNOB,
+                    msg: format!("README.md documents env knob `{knob}`, which no code reads"),
+                });
+            }
         }
     }
 }

@@ -321,12 +321,12 @@ fn nested_pool_locks_follow_the_manifest_order() {
 #[test]
 fn env_knob_requires_config_and_readme() {
     let bad = analyze_workspace(&fixture_root("bad")).unwrap();
-    let env: Vec<(&str, u32, &str)> = bad
+    let (readme, env): (Vec<_>, Vec<_>) = bad
         .violations
         .iter()
         .filter(|v| v.rule == RULE_ENV_KNOB)
         .map(|v| (v.file.as_str(), v.line, v.msg.as_str()))
-        .collect();
+        .partition(|(f, _, _)| *f == "README.md");
     assert_eq!(env.len(), 2, "env findings: {env:?}");
     assert!(env
         .iter()
@@ -334,6 +334,13 @@ fn env_knob_requires_config_and_readme() {
     assert!(env[0].2.contains("SCALECLASS_PHANTOM"));
     assert!(env[0].2.contains("config.rs"));
     assert!(env[1].2.contains("not documented in README.md"));
+
+    // The reverse direction: a knob the README documents but no code
+    // reads, anchored at the README line that names it.
+    assert_eq!(readme.len(), 1, "README findings: {readme:?}");
+    assert_eq!(readme[0].1, 3);
+    assert!(readme[0].2.contains("SCALECLASS_GHOST"));
+    assert!(readme[0].2.contains("no code reads"));
 
     // The clean tree's knob is wired and documented: no findings.
     let clean = analyze_workspace(&fixture_root("clean")).unwrap();

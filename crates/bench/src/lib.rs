@@ -1,9 +1,9 @@
 //! # scaleclass-bench
 //!
 //! Shared harness for regenerating every figure of the ICDE'99 evaluation
-//! (§5). The binary `experiments` prints one TSV block per figure; the
-//! Criterion benches under `benches/` run scaled-down versions of the same
-//! workloads.
+//! (§5). The binary `experiments` prints one TSV block per figure. Timed,
+//! repeatable performance measurement is `benchmark/`'s job, not this
+//! crate's.
 //!
 //! Absolute 1999 wall-clock seconds are not reproducible; each run reports
 //! **wall seconds** on the host *and* a deterministic **simulated cost**
@@ -252,88 +252,5 @@ mod tests {
             .simulated_cost()
         };
         assert_eq!(run(), run());
-    }
-}
-
-#[cfg(test)]
-mod margin_audit {
-    use scaleclass::CountsTable;
-    use scaleclass_dtree::split::{best_two_splits, score_half_width, Scorer, SplitKind};
-    use scaleclass_sqldb::Code;
-
-    fn cc_of(rows: &[&[Code]], attrs: &[u16], class: u16) -> CountsTable {
-        let mut cc = CountsTable::new();
-        for r in rows {
-            cc.add_row(r, attrs, class);
-        }
-        cc
-    }
-
-    /// Minimum of `margin - 2*half_width` over every node large enough
-    /// for the sampled_counting bench to sample (exact scores, 10%
-    /// sample size) — positive means the confidence check accepts the
-    /// winner at every such node.
-    fn worst_separation_slack(
-        rows: Vec<&[Code]>,
-        attrs: Vec<u16>,
-        class: u16,
-        depth: usize,
-        frac: f64,
-    ) -> f64 {
-        if depth > 5 || rows.len() < 4000 {
-            return f64::INFINITY;
-        }
-        let cc = cc_of(&rows, &attrs, class);
-        let nclasses = cc.distinct_classes() as u64;
-        if nclasses <= 1 {
-            return f64::INFINITY;
-        }
-        let Some((best, runner)) = best_two_splits(&cc, &attrs, SplitKind::Binary, Scorer::Entropy)
-        else {
-            return f64::INFINITY;
-        };
-        let n = (rows.len() as f64 * frac) as u64;
-        let hw = score_half_width(Scorer::Entropy, nclasses, n).unwrap();
-        let mut worst = match runner {
-            Some(r) => best.score - r - 2.0 * hw,
-            None => f64::INFINITY,
-        };
-        if let scaleclass_dtree::Split::Binary { attr, value } = best.split {
-            let (l, r): (Vec<_>, Vec<_>) = rows
-                .into_iter()
-                .partition(|row| row[attr as usize] == value);
-            let sub: Vec<u16> = attrs.iter().copied().filter(|&a| a != attr).collect();
-            worst = worst
-                .min(worst_separation_slack(
-                    l,
-                    sub.clone(),
-                    class,
-                    depth + 1,
-                    frac,
-                ))
-                .min(worst_separation_slack(r, sub, class, depth + 1, frac));
-        }
-        worst
-    }
-
-    /// The sampled_counting bench promises a >= 3x server-row reduction
-    /// with zero escalations, which requires every sampled node of the
-    /// workload to separate winner from runner-up beyond the confidence
-    /// band. Audit that premise directly (most generator seeds fail it:
-    /// whenever both children of a node split on the same attribute,
-    /// that attribute bisects the parent's classes perfectly and ties
-    /// the winner at margin zero).
-    #[test]
-    fn sampled_bench_workload_has_separable_margins() {
-        let w = crate::workloads::sampled_bench_workload(4000.0);
-        let arity = w.schema.arity();
-        let class = (arity - 1) as u16;
-        let rows: Vec<&[Code]> = w.rows.chunks_exact(arity).collect();
-        let attrs: Vec<u16> = (0..class).collect();
-        let worst = worst_separation_slack(rows, attrs, class, 0, 0.1);
-        assert!(
-            worst > 0.1,
-            "separation slack {worst:.4} leaves no room for sampling noise"
-        );
     }
 }

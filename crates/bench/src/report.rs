@@ -83,82 +83,6 @@ pub fn banner(title: &str, detail: &str) {
     }
 }
 
-/// Logical CPU count of the host (1 when undeterminable).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// CPU model string from `/proc/cpuinfo` (`model name` line), or
-/// `"unknown"` when unavailable (non-Linux hosts). Deliberately
-/// hostname-free: checked-in results describe the hardware class, never
-/// the machine's identity.
-pub fn host_cpu_model() -> String {
-    // analyze:allow(io-bypass): host introspection for bench metadata,
-    // not table data; /proc is not reachable through the staging layer.
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .filter(|m| !m.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// The `"host"` JSON object recorded by every bench writer: logical CPU
-/// count plus CPU model. Quotes in the model string are rewritten so the
-/// fragment is always valid JSON.
-pub fn host_json() -> String {
-    format!(
-        r#"{{ "num_cpus": {}, "cpu_model": "{}" }}"#,
-        host_cores(),
-        host_cpu_model().replace('"', "'").replace('\\', "/")
-    )
-}
-
-/// Output of one `git` invocation, trimmed, or `None` when git is missing
-/// or the working directory is not a repository.
-fn git_output(args: &[&str]) -> Option<String> {
-    let out = std::process::Command::new("git").args(args).output().ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let s = String::from_utf8_lossy(&out.stdout).trim().to_string();
-    if s.is_empty() {
-        None
-    } else {
-        Some(s)
-    }
-}
-
-/// The commit hash of `HEAD`, or `"unknown"` outside a git checkout:
-/// checked-in bench JSON must say which code produced it.
-pub fn git_commit() -> String {
-    git_output(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Whether the worktree had uncommitted changes when the bench ran. A
-/// dirty flag marks numbers that no commit can exactly reproduce.
-/// `false` when git is unavailable (then the commit is already
-/// `"unknown"`).
-pub fn git_dirty() -> bool {
-    git_output(&["status", "--porcelain"]).is_some()
-}
-
-/// The `"git"` JSON object recorded by every bench writer: commit hash
-/// plus dirty-worktree flag.
-pub fn git_json() -> String {
-    format!(
-        r#"{{ "commit": "{}", "dirty": {} }}"#,
-        git_commit().replace('"', "'").replace('\\', "/"),
-        git_dirty()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,14 +112,5 @@ mod tests {
             escalations: 0,
         };
         assert_eq!(metric_cells(&m).len(), METRIC_HEADER.len());
-    }
-
-    #[test]
-    fn host_json_is_wellformed_and_anonymous() {
-        let h = host_json();
-        assert!(h.contains("\"num_cpus\":"));
-        assert!(h.contains("\"cpu_model\":"));
-        assert!(host_cores() >= 1);
-        assert!(!host_cpu_model().is_empty());
     }
 }

@@ -126,114 +126,6 @@ pub fn fig8b_workload(leaves: usize, total_rows: usize) -> Workload {
     from_generated(d, desc)
 }
 
-/// Scan-throughput workload for the parallel counting pipeline bench:
-/// a wide random-tree table (25 attributes + class) with enough leaves
-/// that the root batch dispatches over many candidate nodes. `total_rows`
-/// is a floor — complete splits can round the case count up slightly.
-pub fn scan_bench_workload(total_rows: usize) -> Workload {
-    let leaves = 100;
-    let d = random_tree::generate(&random_tree::RandomTreeParams {
-        leaves,
-        attributes: 25,
-        mean_values: 4.0,
-        values_stddev: 0.0,
-        classes: 10,
-        skew: 0.0,
-        complete_splits: true,
-        cases_per_leaf: (total_rows as f64 / leaves as f64).ceil(),
-        cases_stddev: 0.0,
-        seed: 42,
-    });
-    let desc = format!(
-        "scan-bench random-tree: {} leaves, 25 attrs, >= {total_rows} rows",
-        d.generating_leaves
-    );
-    from_generated(d, desc)
-}
-
-/// Deterministic Fisher–Yates over whole rows (splitmix64-driven).
-///
-/// The random-tree generator emits rows leaf region by leaf region, so
-/// scan *blocks* of the loaded table are leaf clusters — a block-level
-/// sample of such a table sees a handful of whole regions and nothing
-/// else. Shuffling restores the unclustered layout the block-sampling
-/// estimator (DESIGN.md §13) assumes, the same caveat `TABLESAMPLE
-/// SYSTEM` carries on physically clustered tables.
-fn shuffle_rows(rows: &mut [scaleclass_sqldb::Code], arity: usize, seed: u64) {
-    let n = rows.len() / arity;
-    let mut state = seed;
-    let mut next = || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    for i in (1..n).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        if i != j {
-            for c in 0..arity {
-                rows.swap(i * arity + c, j * arity + c);
-            }
-        }
-    }
-}
-
-/// Sampled-counting bench workload: a complete depth-5 binary generating
-/// tree, one *distinct* class per leaf (so no internal node of the true
-/// tree is ever pure and every level's split margin stays fat), rows
-/// shuffled so block samples are unbiased.
-pub fn sampled_bench_workload(cases_per_leaf: f64) -> Workload {
-    // Seed 55 is margin-audited: at every node big enough to be sampled,
-    // the winner's exact score clears the runner-up by well more than the
-    // 10%-sample confidence band. Most seeds fail this — whenever the
-    // generator hands both children of a node the same split attribute,
-    // that attribute already bisects the node's classes perfectly and
-    // ties the winner at margin zero, forcing an escalation no sample
-    // size can avoid.
-    sampled_bench_workload_seeded(cases_per_leaf, 55)
-}
-
-/// [`sampled_bench_workload`] with an explicit generator seed (the
-/// margin structure — how close the runner-up split comes to the winner
-/// at each node — is a function of where the generator places attributes).
-pub fn sampled_bench_workload_seeded(cases_per_leaf: f64, seed: u64) -> Workload {
-    let mut d = random_tree::generate(&random_tree::RandomTreeParams {
-        leaves: 32,
-        attributes: 25,
-        mean_values: 2.0,
-        values_stddev: 0.0,
-        classes: 32,
-        skew: 0.0,
-        complete_splits: true,
-        cases_per_leaf,
-        cases_stddev: 0.0,
-        seed,
-    });
-    let arity = d.schema.arity();
-    // The generator draws leaf classes at random, which lets sibling
-    // leaves collide and turn their parent pure. Rows are emitted leaf
-    // by leaf with exact per-leaf counts (stddev 0), so segment i of
-    // `cases` rows IS leaf i: relabel each segment with its leaf index
-    // for a bijective leaf→class map.
-    let cases = cases_per_leaf as usize;
-    assert_eq!(
-        d.rows.len() / arity,
-        d.generating_leaves * cases,
-        "leaf segments must be exact for the relabel to be valid"
-    );
-    for (i, row) in d.rows.chunks_exact_mut(arity).enumerate() {
-        row[arity - 1] = (i / cases) as scaleclass_sqldb::Code;
-    }
-    shuffle_rows(&mut d.rows, arity, 0x5ca1_ec1a_0055_aa33);
-    let desc = format!(
-        "shuffled random-tree: {} leaves with distinct classes, 25 binary \
-         attrs, {cases_per_leaf:.0} cases/leaf",
-        d.generating_leaves
-    );
-    from_generated(d, desc)
-}
-
 /// Census-like workload (Figures 6 and the §5.2.5 experiment).
 pub fn census_workload(rows: usize) -> Workload {
     let d = census::generate(&census::CensusParams { rows, seed: 42 });
@@ -301,13 +193,6 @@ mod tests {
         assert_eq!(w.class_column, "income");
         let db = w.into_db("census");
         assert_eq!(db.table("census").unwrap().nrows(), 500);
-    }
-
-    #[test]
-    fn scan_bench_workload_meets_row_floor() {
-        let w = scan_bench_workload(5_000);
-        assert!(w.nrows() >= 5_000, "only {} rows", w.nrows());
-        assert_eq!(w.schema.arity(), 26);
     }
 
     #[test]

@@ -123,7 +123,9 @@ pub struct MiddlewareConfig {
     /// the dense flat-array backend instead of the sparse BTreeMap; `0`
     /// disables dense counting entirely. Purely physical — the scheduler's
     /// budget accounting stays entry-modelled either way (DESIGN.md §8c).
-    /// Honours the `SCALECLASS_CC_DENSE` environment variable by default.
+    /// Defaults to [`DEFAULT_CC_DENSE_MAX_BYTES`] whatever the environment:
+    /// the sparse backend is the spill target and the oracle the
+    /// dense≡sparse suites pin through the builder, not a run-time mode.
     pub cc_dense_max_bytes: u64,
     /// Concurrent tree-build sessions the multi-client front-end
     /// ([`crate::concurrent::SessionPool`]) serves over one shared backend.
@@ -227,16 +229,6 @@ fn env_shared_staging() -> bool {
 /// geometries stay sparse.
 pub const DEFAULT_CC_DENSE_MAX_BYTES: u64 = 4 << 20;
 
-/// Dense cap from `SCALECLASS_CC_DENSE` (unset, empty, or unparsable mean
-/// [`DEFAULT_CC_DENSE_MAX_BYTES`]; an explicit `0` disables the dense
-/// backend so whole test runs can pin the sparse path).
-fn env_cc_dense() -> u64 {
-    std::env::var("SCALECLASS_CC_DENSE")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_CC_DENSE_MAX_BYTES)
-}
-
 /// Incremental-maintenance switch from `SCALECLASS_DELTAS` (`1`, `true`,
 /// `on`, or `yes` enable it; anything else — including unset — keeps the
 /// from-scratch-only default).
@@ -293,7 +285,7 @@ impl Default for MiddlewareConfig {
             scan_workers: env_scan_workers(),
             scan_block_rows: 4096,
             stage_extent_rows: env_extent_rows(),
-            cc_dense_max_bytes: env_cc_dense(),
+            cc_dense_max_bytes: DEFAULT_CC_DENSE_MAX_BYTES,
             sessions: env_sessions(),
             shared_staging: env_shared_staging(),
             batch_kernel: true,
@@ -555,7 +547,11 @@ mod tests {
 
     #[test]
     fn dense_cap_knob() {
-        // Builder overrides whatever the environment default resolved to.
+        assert_eq!(
+            MiddlewareConfig::default().cc_dense_max_bytes,
+            DEFAULT_CC_DENSE_MAX_BYTES,
+            "no environment variable selects the counting backend"
+        );
         let c = MiddlewareConfig::builder().cc_dense_max_bytes(0).build();
         assert_eq!(c.cc_dense_max_bytes, 0, "explicit zero disables dense");
         let c = MiddlewareConfig::builder()

@@ -867,10 +867,8 @@ mod tests {
     #[test]
     fn dense_eligibility_follows_schema_cards_and_cap() {
         let staging = StagingManager::new(None).unwrap();
-        // Caps are pinned on the builder (not left to the env-derived
-        // default) so the test means the same thing under the
-        // `SCALECLASS_CC_DENSE=0` CI leg. An ample cap: the 3-attr ×
-        // card-4 × 2-class geometry (192 bytes of slots) densifies.
+        // An ample cap: the 3-attr × card-4 × 2-class geometry (192 bytes
+        // of slots) densifies.
         let ample = MiddlewareConfig::builder()
             .memory_budget_bytes(1 << 20)
             .memory_caching(false)

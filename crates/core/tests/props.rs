@@ -545,8 +545,8 @@ proptest! {
     /// table, fallback flag, and all logical stats except the
     /// backend-mix counters themselves — across serial and parallel scans
     /// (workers 1..8) and both the memory-staging and singleton-file
-    /// paths. The caps are set explicitly on the builder so the property
-    /// stays meaningful under the `SCALECLASS_CC_DENSE=0` CI leg.
+    /// paths. The builder's cap is the only thing that selects a backend
+    /// for a whole run, so each side pins its own.
     #[test]
     fn dense_backend_bit_identical_to_sparse(
         rows in rows_strategy(),

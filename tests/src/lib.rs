@@ -26,6 +26,78 @@ pub fn small_census_workload() -> (Schema, Vec<Code>, u16) {
     (d.schema.clone(), d.rows.clone(), d.class_col)
 }
 
+/// Deterministic Fisher–Yates over whole rows (splitmix64-driven).
+///
+/// The random-tree generator emits rows leaf region by leaf region, so
+/// scan *blocks* of the loaded table are leaf clusters — a block-level
+/// sample of such a table sees a handful of whole regions and nothing
+/// else. Shuffling restores the unclustered layout the block-sampling
+/// estimator (DESIGN.md §13) assumes, the same caveat `TABLESAMPLE
+/// SYSTEM` carries on physically clustered tables.
+fn shuffle_rows(rows: &mut [Code], arity: usize, seed: u64) {
+    let n = rows.len() / arity;
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    for i in (1..n).rev() {
+        let j = (next() % (i as u64 + 1)) as usize;
+        if i != j {
+            for c in 0..arity {
+                rows.swap(i * arity + c, j * arity + c);
+            }
+        }
+    }
+}
+
+/// A fat-margin workload for sampled counting: a complete depth-5 binary
+/// generating tree over 25 binary attributes, one *distinct* class per
+/// leaf (so no internal node of the true tree is ever pure and every
+/// level's split margin stays fat), rows shuffled so block samples are
+/// unbiased.
+pub fn fat_margin_workload(cases_per_leaf: usize) -> (Schema, Vec<Code>, u16) {
+    let mut d = random_tree::generate(&RandomTreeParams {
+        leaves: 32,
+        attributes: 25,
+        mean_values: 2.0,
+        values_stddev: 0.0,
+        classes: 32,
+        skew: 0.0,
+        complete_splits: true,
+        cases_per_leaf: cases_per_leaf as f64,
+        cases_stddev: 0.0,
+        // Seed 55 is margin-audited (`sampled.rs`): at every node big
+        // enough to be sampled, the winner's exact score clears the
+        // runner-up by well more than the 10%-sample confidence band.
+        // Most seeds fail this — whenever the generator hands both
+        // children of a node the same split attribute, that attribute
+        // already bisects the node's classes perfectly and ties the
+        // winner at margin zero, forcing an escalation no sample size can
+        // avoid.
+        seed: 55,
+    });
+    let arity = d.schema.arity();
+    // The generator draws leaf classes at random, which lets sibling
+    // leaves collide and turn their parent pure. Rows are emitted leaf
+    // by leaf with exact per-leaf counts (stddev 0), so segment i of
+    // `cases_per_leaf` rows IS leaf i: relabel each segment with its leaf
+    // index for a bijective leaf→class map.
+    assert_eq!(
+        d.rows.len() / arity,
+        d.generating_leaves * cases_per_leaf,
+        "leaf segments must be exact for the relabel to be valid"
+    );
+    for (i, row) in d.rows.chunks_exact_mut(arity).enumerate() {
+        row[arity - 1] = (i / cases_per_leaf) as Code;
+    }
+    shuffle_rows(&mut d.rows, arity, 0x5ca1_ec1a_0055_aa33);
+    (d.schema, d.rows, d.class_col)
+}
+
 /// Load flat rows into a fresh database under table name `d`.
 pub fn load(schema: &Schema, rows: &[Code]) -> Database {
     scaleclass_datagen::into_database(schema.clone(), rows, "d")
