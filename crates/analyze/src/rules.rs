@@ -19,8 +19,10 @@
 //!   (`parallel.rs`, `cc.rs`, `executor.rs`, `session.rs`, `source.rs`),
 //!   and *function-scoped* over the predicate router in
 //!   `crates/sqldb/src/expr.rs` (`route`, `matches_any`,
-//!   `for_each_match`, `walk`, `sub`) — the per-row loop of every scan on
-//!   both sides of the wire — and over the staged-file byte path in
+//!   `for_each_match`, `walk`, `sub`, and the block router's
+//!   `route_block`, `partition`, `filter`, `arena_split`, `position`,
+//!   `ColumnView::get`) — the per-row and per-block loops of every scan
+//!   on both sides of the wire — and over the staged-file byte path in
 //!   `crates/core/src/staging.rs` (`crc32`, `ExtentReader::{fetch, verify,
 //!   decode_extent_columns}`, `FileWriter::{push, push_selected,
 //!   flush_extent}`), where the bytes come from disk.
@@ -168,15 +170,28 @@ const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
 )];
 
 /// Function-scoped hot-path-panic extensions, as [`ARITH_SCOPED`]: the
-/// compiled predicate router is the per-row loop of every scan — the
-/// middleware's and the server's — and the extent reader and writer are
+/// compiled predicate router is the per-row (server, row path) and
+/// per-block (middleware) loop of every scan, and the extent reader and writer are
 /// the per-extent loop of every staged-file scan, but both live in files
 /// whose other functions (AST construction, rendering, one-off
 /// evaluation; staging bookkeeping) are not on any scan path.
 const PANIC_SCOPED: [(&str, &[&str]); 2] = [
     (
         "crates/sqldb/src/expr.rs",
-        &["route", "matches_any", "for_each_match", "walk", "sub"],
+        &[
+            "route",
+            "matches_any",
+            "for_each_match",
+            "walk",
+            "sub",
+            // The block router: one partition per trie node per block.
+            "route_block",
+            "partition",
+            "filter",
+            "arena_split",
+            "position",
+            "get",
+        ],
     ),
     // The staged-file byte path: the checksum, the extent reader (bytes
     // that come from disk are `Corrupt`, never a panic) and the writer.

@@ -109,6 +109,13 @@ fn hot_path_panic_is_fn_scoped_in_the_router() {
                at = test.next.unwrap();\n\
                }\n\
                }\n\
+               fn partition(&self, rows: &[u32], free: &mut [u32]) {\n\
+               let mut kept = 0;\n\
+               for &r in rows {\n\
+               free[kept] = r;\n\
+               kept += 1;\n\
+               }\n\
+               }\n\
                }\n";
     let report = check_source(rel, src);
     assert_eq!(
@@ -116,6 +123,7 @@ fn hot_path_panic_is_fn_scoped_in_the_router() {
         vec![
             (RULE_HOT_PATH_PANIC, 9),  // tests[at] inside the walk loop
             (RULE_HOT_PATH_PANIC, 10), // .unwrap()
+            (RULE_HOT_PATH_PANIC, 16), // free[kept] inside the block router's pass
         ]
     );
 }

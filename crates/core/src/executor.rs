@@ -17,15 +17,18 @@
 //! **Route once, count in blocks.** The scheduled nodes' predicates are
 //! paths of one partial tree, so finding a row's node is classifying the
 //! row with that tree: the batch compiles them once into a
-//! [`PredSet`] router and every row costs one walk of it, however many
-//! nodes are scheduled. A block is served in two passes (`BlockPass`,
-//! shared with the parallel shards): the first routes every row into
-//! per-node *selection vectors*; the second, per node with a non-empty
-//! selection, gathers the attribute and class columns of the selected
-//! rows and counts them through the batched kernel. The staging tees are
-//! served from the same selection vectors, in row order: a file tee
-//! gathers each column of the selection straight into the extent it is
-//! writing (`FileWriter::push_selected`), a memory tee appends rows.
+//! [`PredSet`] router. A block is served in two passes (`BlockPass`,
+//! shared with the parallel shards): the first routes the *block*
+//! ([`PredSet::route_block`]) — one partition of a selection vector per
+//! trie node the block's rows reach, however many nodes are scheduled —
+//! into per-node *selection vectors*, ranges of one reused arena; the
+//! second, per node with a non-empty selection, gathers the attribute and
+//! class columns of the selected rows and counts them through the batched
+//! kernel. The staging tees are served from the same selection vectors,
+//! in row order: a file tee gathers each column of the selection straight
+//! into the extent it is writing (`FileWriter::push_selected`), a memory
+//! tee appends rows. Only where a single row is the unit — the row-path
+//! fallback below — does a row walk the router on its own.
 //!
 //! The block path engages when `memory_in_use + Σ bound_n ≤ budget`,
 //! where `bound_n` is the worst the node's selection can add to modelled
@@ -49,8 +52,7 @@ use crate::metrics::MiddlewareStats;
 use crate::request::CcRequest;
 use crate::staging::FileWriter;
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
-use scaleclass_sqldb::PredSet;
-use std::ops::ControlFlow;
+use scaleclass_sqldb::{BlockRoute, ColumnView, PredSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -122,13 +124,17 @@ pub struct BatchCounter {
 pub(crate) trait Block {
     /// Rows in the block.
     fn nrows(&self) -> usize;
-    /// Route every row: `on_match(row, predicate)` for each predicate of
-    /// `router` each row satisfies, rows ascending.
-    fn for_each_match(&self, router: &PredSet, on_match: impl FnMut(u32, usize));
+    /// Column `col` of the block, as the router and the gathers read it.
+    /// Panics on a column past the arity.
+    fn column(&self, col: usize) -> ColumnView<'_>;
     /// The largest code of every column, into `out`.
     fn col_max(&self, out: &mut Vec<Code>);
     /// Append column `col` of the selected rows to `out`.
-    fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>);
+    fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>) {
+        let codes = self.column(col);
+        // Selections are minted over this block's rows.
+        out.extend(sel.iter().map(|&r| codes.get(r)));
+    }
     /// Hand each selected row — every row for `None` — to `f`, rows
     /// ascending: the one place a block is taken apart into rows, for the
     /// row-major tees and for a block that must take the row path.
@@ -150,14 +156,16 @@ impl Block for RowBlock<'_> {
         self.flat.len() / self.arity
     }
 
-    fn for_each_match(&self, router: &PredSet, mut on_match: impl FnMut(u32, usize)) {
-        for (r, row) in self.flat.chunks_exact(self.arity).enumerate() {
-            // analyze:allow(hot-path-panic): a predicate column past the
-            // arity panics here exactly as `Pred::eval` would on the row.
-            let _ = router.for_each_match(&|col| row[col], &mut |idx| {
-                on_match(r as u32, idx);
-                ControlFlow::Continue(())
-            });
+    fn column(&self, col: usize) -> ColumnView<'_> {
+        // A column past the arity would read into the next row.
+        assert!(
+            col < self.arity,
+            "column {col} is outside the block's {} columns",
+            self.arity
+        );
+        ColumnView {
+            codes: self.flat.get(col..).unwrap_or(&[]),
+            stride: self.arity,
         }
     }
 
@@ -169,15 +177,6 @@ impl Block for RowBlock<'_> {
                 *max = (*max).max(v);
             }
         }
-    }
-
-    fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>) {
-        // A column past the arity would read into the next row.
-        assert!(col < self.arity, "gathered column outside the block");
-        let (flat, arity) = (self.flat, self.arity);
-        // Selections are minted over this block's rows, and `col < arity`
-        // was asserted above.
-        out.extend(sel.iter().map(|&r| flat[r as usize * arity + col]));
     }
 
     fn for_each_row(
@@ -215,16 +214,10 @@ impl Block for ColBlock<'_> {
         self.nrows
     }
 
-    fn for_each_match(&self, router: &PredSet, mut on_match: impl FnMut(u32, usize)) {
-        let cols = self.cols;
-        for r in 0..self.nrows as u32 {
-            // analyze:allow(hot-path-panic): every decoded column holds
-            // `nrows` codes; a predicate column past the arity panics
-            // exactly as `Pred::eval` would on the row.
-            let _ = router.for_each_match(&|col| cols[col][r as usize], &mut |idx| {
-                on_match(r, idx);
-                ControlFlow::Continue(())
-            });
+    fn column(&self, col: usize) -> ColumnView<'_> {
+        ColumnView {
+            codes: &self.cols[col],
+            stride: 1,
         }
     }
 
@@ -235,12 +228,6 @@ impl Block for ColBlock<'_> {
                 .iter()
                 .map(|c| c.iter().copied().max().unwrap_or(0)),
         );
-    }
-
-    fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>) {
-        let src = &self.cols[col];
-        // Selections are minted over this block's rows.
-        out.extend(sel.iter().map(|&r| src[r as usize]));
     }
 
     fn for_each_row(
@@ -310,12 +297,12 @@ impl CountSlots for [NodeCounter] {
 /// [`BlockPass::count`] is theirs.
 #[derive(Default)]
 pub(crate) struct BlockPass {
-    /// Per node: the block's rows that satisfy its predicate, ascending.
-    sels: Vec<Vec<u32>>,
-    /// Nodes with a non-empty selection, ascending.
-    touched: Vec<usize>,
+    /// Per node some row of the block satisfies: those rows, ascending.
+    routed: BlockRoute,
     /// Rows that satisfy at least one predicate, ascending (when asked).
     any: Vec<u32>,
+    /// Per block row: did some node select it? (`any` is read off it.)
+    taken: Vec<bool>,
     /// Largest code per block column.
     col_max: Vec<Code>,
     /// Gathered columns of every counted node, back to back.
@@ -323,42 +310,42 @@ pub(crate) struct BlockPass {
 }
 
 impl BlockPass {
-    /// First pass: route every row of `block` once, into per-node
-    /// selection vectors (and, with `mark_any`, the rows some node took).
+    /// First pass: route `block` once, into per-node selection vectors
+    /// (and, with `mark_any`, the rows some node took).
     pub(crate) fn route(&mut self, router: &PredSet, block: &impl Block, mark_any: bool) {
-        for &idx in &self.touched {
-            // analyze:allow(hot-path-panic): touched holds indices into
-            // sels, pushed by the previous routing.
-            self.sels[idx].clear();
-        }
-        self.touched.clear();
+        let nrows = block.nrows();
+        router.route_block(nrows, |col| block.column(col), &mut self.routed);
         self.any.clear();
-        self.sels.resize_with(router.len(), Vec::new);
-        let (sels, touched, any) = (&mut self.sels, &mut self.touched, &mut self.any);
-        block.for_each_match(router, |r, idx| {
-            // The router reports positions in the predicate list `sels` was
-            // just sized to.
-            let sel = &mut sels[idx];
-            if sel.is_empty() {
-                touched.push(idx);
-            }
-            sel.push(r);
-            // A row's matches arrive together, so one look back dedupes.
-            if mark_any && any.last() != Some(&r) {
-                any.push(r);
-            }
-        });
-        touched.sort_unstable();
+        if !mark_any {
+            return;
+        }
+        self.taken.clear();
+        self.taken.resize(nrows, false);
+        for &r in self.routed.selections().flat_map(|(_, sel)| sel) {
+            // analyze:allow(hot-path-panic): selections are minted over
+            // this block's rows.
+            self.taken[r as usize] = true;
+        }
+        self.any.resize(nrows, 0);
+        let mut kept = 0;
+        for (r, &taken) in (0..).zip(&self.taken) {
+            // analyze:allow(hot-path-panic): `kept` counts rows kept so
+            // far, fewer than rows seen, and `any` has a slot per row.
+            self.any[kept] = r;
+            kept += usize::from(taken);
+        }
+        self.any.truncate(kept);
     }
 
-    /// Nodes the last routed block selected rows for, ascending.
-    pub(crate) fn touched(&self) -> &[usize] {
-        &self.touched
+    /// Nodes the last routed block selected rows for, ascending, each
+    /// with those rows.
+    pub(crate) fn selections(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        self.routed.selections()
     }
 
     /// The rows the last routed block selected for node `idx`.
     pub(crate) fn selected(&self, idx: usize) -> &[u32] {
-        self.sels.get(idx).map_or(&[], Vec::as_slice)
+        self.routed.selected(idx)
     }
 
     /// The rows of the last routed block that some node selected.
@@ -380,13 +367,13 @@ impl BlockPass {
         nodes: &mut (impl CountSlots + ?Sized),
         tally: &mut KernelTally,
     ) -> Option<u64> {
-        if self.touched.is_empty() {
+        if self.selections().next().is_none() {
             return Some(0);
         }
         let t0 = Instant::now();
         block.col_max(&mut self.col_max);
         let mut bound = Some(0u64);
-        for &idx in &self.touched {
+        for (idx, sel) in self.routed.selections() {
             let Some((cc, attrs, class_col)) = nodes.slot(idx) else {
                 continue;
             };
@@ -394,7 +381,7 @@ impl BlockPass {
                 bound = None;
                 break;
             }
-            let rows = self.selected(idx).len() as u64;
+            let rows = sel.len() as u64;
             bound = bound.map(|b| b.saturating_add(cc.block_growth_bound(rows, attrs.len())));
         }
         tally.validate_nanos += nanos_since(t0);
@@ -413,9 +400,8 @@ impl BlockPass {
     ) -> u64 {
         let mut gathered = std::mem::take(&mut self.gathered);
         gathered.clear();
-        for &idx in &self.touched {
+        for (idx, sel) in self.selections() {
             if let Some((_, attrs, class_col)) = nodes.slot(idx) {
-                let sel = self.selected(idx);
                 for &col in attrs.iter().chain(std::iter::once(&class_col)) {
                     block.gather(usize::from(col), sel, &mut gathered);
                 }
@@ -424,9 +410,9 @@ impl BlockPass {
         let t0 = Instant::now();
         let mut rest = gathered.as_slice();
         let mut grew = 0u64;
-        for &idx in &self.touched {
+        for (idx, sel) in self.selections() {
             if let Some((cc, attrs, _)) = nodes.slot(idx) {
-                let n = self.selected(idx).len();
+                let n = sel.len();
                 let (mine, tail) = rest.split_at((attrs.len() + 1) * n);
                 rest = tail;
                 let before = cc.entries();
@@ -630,10 +616,9 @@ impl BatchCounter {
         // A memory tee grows by exactly the rows it is handed.
         let row_bytes = (self.arity * CODE_BYTES) as u64;
         let tee_bound: u64 = pass
-            .touched()
-            .iter()
-            .filter(|&&idx| self.nodes.get(idx).is_some_and(|n| n.mem_buffer.is_some()))
-            .map(|&idx| pass.selected(idx).len() as u64 * row_bytes)
+            .selections()
+            .filter(|&(idx, _)| self.nodes.get(idx).is_some_and(|n| n.mem_buffer.is_some()))
+            .map(|(_, sel)| sel.len() as u64 * row_bytes)
             .sum();
         if self
             .memory_in_use()
@@ -644,11 +629,10 @@ impl BatchCounter {
             return Ok(false);
         }
         self.cc_bytes += pass.count(block, self.nodes.as_mut_slice(), tally);
-        for &idx in pass.touched() {
-            // analyze:allow(hot-path-panic): touched holds predicate
+        for (idx, sel) in pass.selections() {
+            // analyze:allow(hot-path-panic): the router reports predicate
             // positions, and predicate `i` is node `i`'s.
             let node = &mut self.nodes[idx];
-            let sel = pass.selected(idx);
             // A file tee takes the selection column by column, the
             // row-major memory buffer row by row.
             if let Some(w) = node.file_writer.as_mut() {
@@ -955,8 +939,158 @@ mod tests {
         assert_eq!(memory, row_memory);
         assert_eq!(stats.peak_memory_bytes, row_stats.peak_memory_bytes);
         assert_eq!(tees, row_tees, "memory buffer, node file and split file");
+        // Rows 2 and 3 satisfy two nodes each: counted into both (seven
+        // counts over five matching rows), written to the split file once.
+        assert_eq!(counts.iter().map(CountsTable::total).sum::<u64>(), 7);
         // b <> 0: rows 2, 3 and 4, in row order.
         assert_eq!(tees.0, [1, 1, 0, 2, 1, 1, 0, 2, 0]);
+    }
+
+    /// A row two overlapping nodes both take is counted into both and
+    /// named once, in place, in the split selection.
+    #[test]
+    fn overlapping_nodes_share_a_row_once_in_the_split_selection() {
+        let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
+        let block = RowBlock {
+            flat: &flat,
+            arity: ARITY,
+        };
+        // a = 1 takes rows 1, 2, 5; b <> 0 takes rows 2, 3, 4.
+        let preds = [
+            Pred::Eq { col: 0, value: 1 },
+            Pred::NotEq { col: 1, value: 0 },
+        ];
+        let mut pass = BlockPass::default();
+        pass.route(&PredSet::new(&preds), &block, true);
+        let selections: Vec<_> = pass.selections().collect();
+        assert_eq!(
+            selections,
+            [(0, &[1u32, 2, 5][..]), (1, &[2u32, 3, 4][..])],
+            "ascending nodes, ascending rows"
+        );
+        assert_eq!(pass.any(), [1, 2, 3, 4, 5], "row 2 once, row 0 never");
+        pass.route(&PredSet::new(&preds), &block, false);
+        assert!(pass.any().is_empty(), "only marked when asked");
+
+        let mut batch = BatchCounter::new(
+            preds
+                .iter()
+                .map(|p| NodeCounter::new(request(1, p.clone())))
+                .collect(),
+            u64::MAX,
+            0,
+            ARITY,
+        );
+        let mut stats = MiddlewareStats::new();
+        batch.process_block(&flat, &mut stats).unwrap();
+        assert_eq!(stats.block_fallback_rows, 0);
+        assert_eq!(batch.nodes[0].cc.total(), 3);
+        assert_eq!(batch.nodes[1].cc.total(), 3);
+    }
+
+    /// A predicate column past the arity panics on the block path exactly
+    /// when some row reaches that test, as on the row path — in either
+    /// layout.
+    #[test]
+    fn block_path_panics_on_a_past_arity_column_iff_a_row_reaches_it() {
+        let panics = |rows: &[[Code; 3]], columnar: bool| {
+            let guarded = Pred::And(vec![
+                Pred::Eq { col: 0, value: 1 },
+                Pred::Eq { col: 9, value: 0 },
+            ]);
+            let nodes = vec![
+                NodeCounter::new(request(1, guarded)),
+                NodeCounter::new(root_request()),
+            ];
+            let mut batch = BatchCounter::new(nodes, u64::MAX, 0, ARITY);
+            let flat: Vec<Code> = rows.iter().flatten().copied().collect();
+            let cols: Vec<Vec<Code>> = (0..ARITY)
+                .map(|c| rows.iter().map(|row| row[c]).collect())
+                .collect();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut stats = MiddlewareStats::new();
+                if columnar {
+                    let (cols, nrows, row) = (&cols[..], rows.len(), &mut Vec::new());
+                    batch.process(&mut ColBlock { cols, nrows, row }, &mut stats)
+                } else {
+                    batch.process_block(&flat, &mut stats)
+                }
+                .unwrap();
+                assert_eq!(stats.block_fallback_rows, 0, "the block path ran");
+                assert_eq!(batch.nodes[1].cc.total(), rows.len() as u64);
+            }));
+            outcome.is_err()
+        };
+        for columnar in [false, true] {
+            assert!(!panics(&[[0, 0, 0], [2, 1, 1]], columnar), "guarded");
+            assert!(panics(&[[0, 0, 0], [1, 1, 1]], columnar), "reached");
+        }
+    }
+
+    /// The pass's scratch is reused block after block, and routing costs
+    /// what the rows reach: a wide frontier over a short block does not
+    /// visit the frontier.
+    #[test]
+    fn block_pass_scratch_is_reused_not_regrown() {
+        // The leaves of a binary tree 12 levels deep, one column a level.
+        let depth = 12;
+        let leaves: Vec<Pred> = (0..3000u32)
+            .map(|leaf| {
+                let edge = |col: usize| match leaf >> col & 1 {
+                    0 => Pred::Eq { col, value: 0 },
+                    _ => Pred::NotEq { col, value: 0 },
+                };
+                Pred::And((0..depth).map(edge).collect())
+            })
+            .collect();
+        let router = PredSet::new(&leaves);
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 40) as Code & 1
+        };
+        let mut block =
+            |nrows: usize| -> Vec<Code> { (0..nrows * depth).map(|_| draw()).collect() };
+        let mut pass = BlockPass::default();
+        let full = block(4096);
+        let route = |pass: &mut BlockPass, flat: &[Code]| {
+            let block = RowBlock { flat, arity: depth };
+            pass.route(&router, &block, true);
+            let routed: usize = pass.selections().map(|(_, sel)| sel.len()).sum();
+            assert_eq!(routed, pass.any().len(), "a frontier is disjoint");
+        };
+        route(&mut pass, &full);
+        let capacity = (
+            pass.routed.capacity(),
+            pass.any.capacity(),
+            pass.taken.capacity(),
+        );
+        for nrows in (1..=1000).map(|i| 1 + (i * 37) % 4096) {
+            let flat = block(nrows);
+            route(&mut pass, &flat);
+        }
+        route(&mut pass, &full);
+        assert_eq!(
+            (
+                pass.routed.capacity(),
+                pass.any.capacity(),
+                pass.taken.capacity()
+            ),
+            capacity,
+            "no block after the first full one grew the scratch"
+        );
+        // 64 rows reach at most 64 leaves: what a fresh scratch grows to
+        // is bounded by the rows and the depth, not by the 3 000 leaves.
+        let mut short = BlockPass::default();
+        route(&mut short, &block(64));
+        assert!(short.selections().count() <= 64);
+        assert!(
+            short.routed.capacity() <= 4 * 64 * (2 * depth + 2),
+            "scratch of {} slots for a 64-row block",
+            short.routed.capacity()
+        );
     }
 
     /// The free-slot cap of the growth bound holds only while no code

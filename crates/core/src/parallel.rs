@@ -330,7 +330,7 @@ impl ShardState {
     /// bytes of its selection were charged to `buffer_bytes`.
     fn count_block(&mut self, block: &impl Block, shared: &Shared, tees: &mut [ReaderTee]) -> bool {
         self.pass.route(&shared.router, block, false);
-        for &idx in self.pass.touched() {
+        for (idx, _) in self.pass.selections() {
             honour_fallback(&mut self.shards, &mut self.dropped, idx, shared);
         }
         let mut slots = ShardSlots {

@@ -15,9 +15,12 @@
 //! [`PredSet`] is that tree: built once per scan from an ordered predicate
 //! list, it merges the conjunctions by shared prefix into a trie of
 //! `(column, value)` tests and routes a row in at most path-depth steps,
-//! however many predicates were compiled in. [`Pred::eval`] stays the
-//! single-row reference (and serves one-off statements); the property
-//! suite holds the two equal.
+//! however many predicates were compiled in — or a whole block at once
+//! ([`PredSet::route_block`]), partitioning the block's selection vector
+//! one trie node at a time instead of walking the trie once per row.
+//! [`Pred::eval`] stays the single-row reference (and serves one-off
+//! statements); the property suite holds interpreter, row router and block
+//! router equal.
 
 use crate::types::{Code, Schema};
 use std::fmt;
@@ -281,6 +284,30 @@ fn sub<'a, T>(items: &'a [T], range: &Range<u32>) -> &'a [T] {
     &items[range.start as usize..range.end as usize]
 }
 
+impl Test {
+    /// Which equal-branch a row holding `v` takes, counted from `eq_base`
+    /// — `eq_len` or more for none; `values` is this test's range of
+    /// [`PredSet::eq_values`].
+    #[inline]
+    fn position(&self, v: Code, values: &[Code]) -> u32 {
+        if values.is_empty() {
+            u32::from(v.wrapping_sub(self.eq_first))
+        } else {
+            values.binary_search(&v).map_or(NONE, |i| i as u32)
+        }
+    }
+
+    /// The not-equal child when the test (`ne` is its range of
+    /// [`PredSet::ne`]) is the two branches of a binary split, `A = v` and
+    /// `A <> v`: every row takes exactly one of them.
+    fn binary_pair(&self, ne: &[(Code, u32)]) -> Option<u32> {
+        match ne {
+            [(value, child)] if self.eq_len == 1 && *value == self.eq_first => Some(*child),
+            _ => None,
+        }
+    }
+}
+
 /// The range `items` grows by when `more` is appended.
 fn extend_range<T>(items: &mut Vec<T>, more: impl IntoIterator<Item = T>) -> Range<u32> {
     let start = items.len() as u32;
@@ -288,17 +315,133 @@ fn extend_range<T>(items: &mut Vec<T>, more: impl IntoIterator<Item = T>) -> Ran
     start..items.len() as u32
 }
 
+/// One column of a block as [`PredSet::route_block`] reads it: row `r`
+/// holds `codes[r * stride]` — stride 1 over a decoded column, the arity
+/// over `&flat[col..]` of a row-major block.
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnView<'a> {
+    /// The column's codes, `stride` apart.
+    pub codes: &'a [Code],
+    /// Distance between the codes of consecutive rows.
+    pub stride: usize,
+}
+
+impl ColumnView<'_> {
+    /// Row `row`'s code. Panics on a row past the block.
+    #[inline]
+    pub fn get(&self, row: u32) -> Code {
+        self.codes[row as usize * self.stride]
+    }
+}
+
+/// What [`PredSet::route_block`] found in a block — each predicate's
+/// selection — and the scratch it partitions in, reused block after block.
+///
+/// Every selection made on the way down the trie is a range of one arena,
+/// never freed within a block: at most `rows × (1 + 2 × trie depth)`
+/// `u32`s for a tree frontier (a binary test reserves a slot per row on
+/// each side, and on a block that takes one side all the way down the
+/// other half stays unused), `rows ×` [`PredSet`]'s per-row slot bound in
+/// general.
+#[derive(Debug, Default)]
+pub struct BlockRoute {
+    /// The selections, back to back; `arena[..top]` is live.
+    arena: Vec<u32>,
+    top: usize,
+    /// `(predicate, its selection's range of the arena)`, ascending.
+    found: Vec<(usize, Range<u32>)>,
+    /// Trie nodes reached and not yet partitioned, with their selections.
+    todo: Vec<(u32, Range<u32>)>,
+    /// Bucket bounds of the multiway counting pass.
+    counts: Vec<u32>,
+    /// Trie nodes partitioned since this scratch was made.
+    #[cfg(test)]
+    visits: usize,
+}
+
+impl BlockRoute {
+    /// The predicates at least one row of the block satisfies, ascending,
+    /// each with the rows that satisfy it, ascending.
+    pub fn selections(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        self.found
+            .iter()
+            .map(|(idx, range)| (*idx, sub(&self.arena, range)))
+    }
+
+    /// The block's rows that satisfy predicate `idx`, ascending.
+    pub fn selected(&self, idx: usize) -> &[u32] {
+        let at = self.found.binary_search_by_key(&idx, |found| found.0);
+        at.ok()
+            .and_then(|at| self.found.get(at))
+            .map_or(&[], |(_, range)| sub(&self.arena, range))
+    }
+
+    /// Slots of scratch held, so a caller can tell reuse from regrowth.
+    pub fn capacity(&self) -> usize {
+        self.arena.capacity()
+            + self.found.capacity()
+            + self.todo.capacity()
+            + self.counts.capacity()
+    }
+
+    /// Append to the arena the rows of selection `sel` that pass `keep`, in
+    /// order and without a branch on the outcome; the range they take.
+    #[inline]
+    fn filter(&mut self, sel: &Range<u32>, keep: impl Fn(u32) -> bool) -> Range<u32> {
+        let (rows, free) = arena_split(&mut self.arena, self.top, sel, sel.len());
+        let mut kept = 0;
+        for &r in rows {
+            // analyze:allow(hot-path-panic): `kept` counts rows kept so
+            // far, fewer than rows seen, and `free` has a slot per row.
+            free[kept] = r;
+            kept += usize::from(keep(r));
+        }
+        let start = self.top as u32;
+        self.top += kept;
+        start..self.top as u32
+    }
+}
+
+/// Trie node `child` is reached by the rows of `share`, if any.
+fn reach(todo: &mut Vec<(u32, Range<u32>)>, child: u32, share: Range<u32>) {
+    if !share.is_empty() {
+        todo.push((child, share));
+    }
+}
+
+/// The rows of `sel`, and `room` free slots above everything live in the
+/// arena to write its partitions into.
+fn arena_split<'a>(
+    arena: &'a mut Vec<u32>,
+    top: usize,
+    sel: &Range<u32>,
+    room: usize,
+) -> (&'a [u32], &'a mut [u32]) {
+    if arena.len() < top + room {
+        arena.resize(top + room, 0);
+    }
+    let (live, free) = arena.split_at_mut(top);
+    (sub(live, sel), &mut free[..room])
+}
+
 /// An ordered list of predicates compiled for routing: "which of these
-/// does this row satisfy?" in one walk.
+/// does this row satisfy?" in one walk — or "which rows of this block
+/// satisfy each of these?" in one partition per trie node.
 ///
 /// Conjunctions of `Eq`/`NotEq` atoms — every tree path, since a child's
 /// path is its parent's path and one more edge, in root-to-leaf order —
 /// are merged by shared prefix into a trie whose edges are `(column,
 /// value)` tests with an equal-branch and a not-equal-branch. A row walks
 /// from the root and takes every edge whose test it passes, so its cost is
-/// the depth of the paths it is on, not the number of predicates. `True`
-/// is a hit at the root; any other shape (`Or`, `False`, something nested
-/// in them) is kept on a short list evaluated with [`Pred::eval_with`].
+/// the depth of the paths it is on, not the number of predicates
+/// ([`PredSet::route`], [`PredSet::matches_any`]: where a single row is the
+/// unit). A block is routed from the root down ([`PredSet::route_block`]):
+/// the rows that reach a node are split among its children by the node's
+/// test in one tight pass, so a level costs a compare and a store per row
+/// in place of a mispredicted branch, and a node no row reaches costs
+/// nothing. `True` is a hit at the root; any other shape (`Or`, `False`,
+/// something nested in them) is kept on a short list evaluated with
+/// [`Pred::eval_with`], per row on both paths.
 ///
 /// Each predicate's atoms are tested in its own evaluation order and only
 /// until the first fails, exactly as [`Pred::eval`] would: a column index
@@ -317,6 +460,8 @@ pub struct PredSet {
     generic: Vec<(usize, Pred)>,
     /// Predicates compiled in.
     len: usize,
+    /// The most [`BlockRoute`] arena slots one block row can take.
+    slots_per_row: usize,
 }
 
 impl PredSet {
@@ -459,6 +604,34 @@ impl PredSet {
             self.tests.push(head);
         }
         self.tests.extend(chained);
+        // What a row can reserve in the block router's arena at and below
+        // each node, children (higher ids) before parents: a binary pair
+        // two slots and one side of the subtree, any other edge a slot
+        // and, if the row takes it, the child's.
+        let mut below = vec![0usize; nodes];
+        for at in (0..nodes).rev() {
+            let mut test = &self.tests[at];
+            let mut slots = 0;
+            loop {
+                let deepest_eq = (test.eq_base..test.eq_base.saturating_add(test.eq_len))
+                    .map(|child| below[child as usize])
+                    .max();
+                let ne = sub(&self.ne, &test.ne);
+                slots += match test.binary_pair(ne) {
+                    Some(child) => 2 + below[child as usize].max(deepest_eq.unwrap_or(0)),
+                    None => {
+                        let ne_slots: usize = ne.iter().map(|e| 1 + below[e.1 as usize]).sum();
+                        deepest_eq.map_or(0, |deepest| 1 + deepest) + ne_slots
+                    }
+                };
+                match self.tests.get(test.also as usize) {
+                    Some(next) => test = next,
+                    None => break,
+                }
+            }
+            below[at] = slots;
+        }
+        self.slots_per_row = 1 + below.first().copied().unwrap_or(0) + self.generic.len();
         self
     }
 
@@ -542,13 +715,8 @@ impl PredSet {
             let mut next = NONE;
             loop {
                 if test.eq_len > 0 {
-                    let v = code(test.col);
-                    let position = if test.eq_values.is_empty() {
-                        u32::from(v.wrapping_sub(test.eq_first))
-                    } else {
-                        let values = sub(&self.eq_values, &test.eq_values);
-                        values.binary_search(&v).map_or(NONE, |i| i as u32)
-                    };
+                    let values = sub(&self.eq_values, &test.eq_values);
+                    let position = test.position(code(test.col), values);
                     if position < test.eq_len {
                         if next != NONE {
                             self.walk(next, code, on_match)?;
@@ -578,6 +746,168 @@ impl PredSet {
                 return ControlFlow::Continue(());
             }
             at = next;
+        }
+    }
+
+    /// Route a whole block: leave in `out`, for every predicate at least
+    /// one of the block's `nrows` rows satisfies, exactly
+    /// `{r | preds[i].eval(row r)}` ascending ([`BlockRoute::selections`]).
+    /// `column(col)` is column `col` of the block.
+    ///
+    /// Where [`PredSet::route`] walks the trie once per row, this walks it
+    /// once per block: the rows that reach a trie node — all of them at
+    /// the root — are partitioned by the node's test in one tight pass
+    /// into the selections of its children, and only children some row
+    /// reached are visited. A predicate that ends at a node gets the
+    /// node's selection. The short `generic` list is still interpreted
+    /// per row. `column` is asked for a column only when some row reaches
+    /// a test on it, so a column past the arity panics exactly when
+    /// [`Pred::eval`] would on one of the rows.
+    pub fn route_block<'a>(
+        &self,
+        nrows: usize,
+        column: impl Fn(usize) -> ColumnView<'a>,
+        out: &mut BlockRoute,
+    ) {
+        out.top = 0;
+        out.found.clear();
+        out.todo.clear();
+        if nrows == 0 {
+            return;
+        }
+        // Arena offsets are `u32`s, like the rows they index.
+        let bound = nrows.saturating_mul(self.slots_per_row);
+        assert!(
+            u32::try_from(bound).is_ok(),
+            "a block of {nrows} rows is too large to route"
+        );
+        // The root's selection, every row, is `arena[..nrows]`.
+        let every_row = 0..nrows as u32;
+        let (_, all) = arena_split(&mut out.arena, 0, &(0..0), nrows);
+        all.iter_mut().zip(0..).for_each(|(slot, r)| *slot = r);
+        out.top = nrows;
+        if !self.tests.is_empty() {
+            out.todo.push((0, every_row.clone()));
+        }
+        while let Some((at, sel)) = out.todo.pop() {
+            debug_assert!(!sel.is_empty(), "visited a node no row reached");
+            #[cfg(test)]
+            {
+                out.visits += 1;
+            }
+            // analyze:allow(hot-path-panic): the root of a non-empty trie
+            // or a child id `with_trie` minted over `tests`.
+            let mut test = &self.tests[at as usize];
+            let hits = sub(&self.hits, &test.hits);
+            out.found.extend(hits.iter().map(|&idx| (idx, sel.clone())));
+            loop {
+                if test.eq_len > 0 || !test.ne.is_empty() {
+                    self.partition(test, column(test.col), &sel, out);
+                }
+                if test.also == NONE {
+                    break;
+                }
+                // analyze:allow(hot-path-panic): a chain link `with_trie`
+                // set to the index it pushed the next test at.
+                test = &self.tests[test.also as usize];
+            }
+        }
+        for (idx, pred) in &self.generic {
+            let share = out.filter(&every_row, |r| pred.eval_with(&|col| column(col).get(r)));
+            if !share.is_empty() {
+                out.found.push((*idx, share));
+            }
+        }
+        out.found.sort_unstable_by_key(|found| found.0);
+        debug_assert!(out.top <= bound, "the arena outgrew its bound");
+    }
+
+    /// Partition `sel`, the rows that reached a trie node, by one of the
+    /// node's tests (`codes` is the tested column): every child some row
+    /// goes to joins the to-do list with its share, in row order. The two
+    /// branches of a binary split take one pass with two outputs, the
+    /// branches of a multiway split one counting pass, any other edge a
+    /// pass of its own.
+    fn partition(
+        &self,
+        test: &Test,
+        codes: ColumnView<'_>,
+        sel: &Range<u32>,
+        out: &mut BlockRoute,
+    ) {
+        let n = sel.len();
+        let ne = sub(&self.ne, &test.ne);
+        // The selection `len` rows long written `offset` above the top.
+        let child_sel = |top: usize, offset: usize, len: usize| {
+            let start = (top + offset) as u32;
+            start..start + len as u32
+        };
+        if let Some(ne_child) = test.binary_pair(ne) {
+            let (rows, free) = arena_split(&mut out.arena, out.top, sel, 2 * n);
+            let (eq_out, ne_out) = free.split_at_mut(n);
+            let (mut n_eq, mut n_ne) = (0, 0);
+            for &r in rows {
+                let eq = codes.get(r) == test.eq_first;
+                // analyze:allow(hot-path-panic): `eq_out` has a slot per
+                // row of `sel` and has taken fewer rows than were seen.
+                eq_out[n_eq] = r;
+                // analyze:allow(hot-path-panic): `ne_out` has a slot per
+                // row of `sel` and has taken fewer rows than were seen.
+                ne_out[n_ne] = r;
+                n_eq += usize::from(eq);
+                n_ne += usize::from(!eq);
+            }
+            reach(&mut out.todo, test.eq_base, child_sel(out.top, 0, n_eq));
+            reach(&mut out.todo, ne_child, child_sel(out.top, n, n_ne));
+            out.top += if n_ne > 0 { n + n_ne } else { n_eq };
+            return;
+        }
+        if test.eq_len == 1 {
+            let share = out.filter(sel, |r| codes.get(r) == test.eq_first);
+            reach(&mut out.todo, test.eq_base, share);
+        } else if test.eq_len > 1 {
+            let values = sub(&self.eq_values, &test.eq_values);
+            // Rows no branch takes go to one bucket past the branches.
+            let bucket = |r: u32| test.position(codes.get(r), values).min(test.eq_len) as usize;
+            let (rows, free) = arena_split(&mut out.arena, out.top, sel, n);
+            let counts = &mut out.counts;
+            counts.clear();
+            counts.resize(test.eq_len as usize + 1, 0);
+            for &r in rows {
+                // analyze:allow(hot-path-panic): `bucket` is at most
+                // `eq_len`, the last of the `eq_len + 1` counts.
+                counts[bucket(r)] += 1;
+            }
+            // Counts become bucket starts, then (scattering) bucket ends.
+            let mut start = 0;
+            for count in counts.iter_mut() {
+                let rows = *count;
+                *count = start;
+                start += rows;
+            }
+            for &r in rows {
+                // analyze:allow(hot-path-panic): `bucket` is at most
+                // `eq_len`, the last of the `eq_len + 1` bucket bounds.
+                let next = &mut counts[bucket(r)];
+                // analyze:allow(hot-path-panic): the buckets tile the `n`
+                // free slots, and each holds as many rows as were counted.
+                free[*next as usize] = r;
+                *next += 1;
+            }
+            let mut from = 0;
+            for (child, &to) in (test.eq_base..)
+                .zip(counts.iter())
+                .take(test.eq_len as usize)
+            {
+                let share = child_sel(out.top, from as usize, (to - from) as usize);
+                reach(&mut out.todo, child, share);
+                from = to;
+            }
+            out.top += from as usize;
+        }
+        for &(value, child) in ne {
+            let share = out.filter(sel, |r| codes.get(r) != value);
+            reach(&mut out.todo, child, share);
         }
     }
 }
@@ -717,6 +1047,49 @@ mod tests {
         ]);
         assert_eq!(p.atom_count(), 3);
         assert_eq!(Pred::True.atom_count(), 0);
+    }
+
+    /// The block router visits only trie nodes some row reached: a wide
+    /// frontier over a short block costs rows × depth, not the frontier.
+    #[test]
+    fn block_router_visits_no_node_without_rows() {
+        // The leaves of a binary tree 12 levels deep, one column a level.
+        let depth = 12;
+        let leaves: Vec<Pred> = (0..3000u32)
+            .map(|leaf| {
+                let edge = |col: usize| match leaf >> col & 1 {
+                    0 => Pred::Eq { col, value: 0 },
+                    _ => Pred::NotEq { col, value: 0 },
+                };
+                Pred::And((0..depth).map(edge).collect())
+            })
+            .collect();
+        let set = PredSet::new(&leaves);
+        assert_eq!(set.slots_per_row, 1 + 2 * depth);
+        let nrows = 64;
+        let flat: Vec<Code> = (0..nrows * depth)
+            .map(|i| ((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 37) as Code & 1)
+            .collect();
+        let mut route = BlockRoute::default();
+        let column = |col| ColumnView {
+            codes: &flat[col..],
+            stride: depth,
+        };
+        set.route_block(nrows, column, &mut route);
+        // (Every visit also passed `debug_assert!(!sel.is_empty())`.)
+        assert!(
+            route.visits <= nrows * (depth + 1),
+            "{} visits",
+            route.visits
+        );
+        assert!(route.top <= nrows * set.slots_per_row);
+        let mut routed = Vec::new();
+        for (leaf, sel) in route.selections() {
+            for &r in sel {
+                set.route(&flat[r as usize * depth..][..depth], &mut routed);
+                assert_eq!(routed, [leaf]);
+            }
+        }
     }
 
     #[test]

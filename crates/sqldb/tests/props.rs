@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 use scaleclass_sqldb::sql::parse;
 use scaleclass_sqldb::wire::WireBatch;
-use scaleclass_sqldb::{execute, Code, Database, DbStats, Pred, PredSet, Schema, Table};
+use scaleclass_sqldb::{
+    execute, BlockRoute, Code, ColumnView, Database, DbStats, Pred, PredSet, Schema, Table,
+};
 use std::ops::ControlFlow;
 
 /// Columns of the router fixtures, and the codes their rows and
@@ -103,6 +105,40 @@ fn predicate_family(seed: u64) -> Vec<Pred> {
         };
         preds.push(extra);
     }
+    for i in (1..preds.len()).rev() {
+        preds.swap(i, rng.below(i + 1));
+    }
+    preds
+}
+
+/// [`predicate_family`] and, always, the shapes the block router takes
+/// apart edge by edge: a multiway split over a gapped value set (padded
+/// when the gaps are few, searched when they are many), a node testing two
+/// columns (unrelated predicates below one path), several `<>` edges on
+/// one column, an `Or` and a `False`.
+fn irregular_family(seed: u64) -> Vec<Pred> {
+    let mut rng = Rng(seed ^ 0x5eed);
+    let mut preds = predicate_family(seed);
+    let base = preds
+        .get(rng.below(preds.len().max(1)))
+        .cloned()
+        .unwrap_or(Pred::True);
+    let under = |edges: Vec<Pred>| Pred::and([vec![base.clone()], edges].concat());
+    let (a, b) = (rng.below(ARITY), rng.below(ARITY));
+    for value in [0, 2, 3, 17, 40] {
+        if rng.below(3) != 0 {
+            preds.push(under(vec![Pred::Eq { col: a, value }]));
+        }
+    }
+    for value in [1, 3, 40] {
+        preds.push(under(vec![Pred::NotEq { col: b, value }]));
+    }
+    preds.push(under(vec![
+        Pred::NotEq { col: a, value: 17 },
+        Pred::Eq { col: b, value: 1 },
+    ]));
+    preds.push(Pred::Or(vec![under(vec![]), Pred::Eq { col: a, value: 2 }]));
+    preds.push(Pred::False);
     for i in (1..preds.len()).rev() {
         preds.swap(i, rng.below(i + 1));
     }
@@ -305,6 +341,69 @@ proptest! {
             prop_assert_eq!(set.matches_any(row), disjunction.eval(row));
             prop_assert_eq!(set.matches_any(row), !expect.is_empty());
         }
+    }
+
+    /// The block router is the per-row router, block at a time: each
+    /// predicate's selection is `{r | route(row r) ∋ i}` ascending, their
+    /// union is `{r | matches_any(row r)}`, a predicate no row satisfies
+    /// is not reported, and the scratch is reusable — over row-major and
+    /// over column access alike.
+    #[test]
+    fn block_router_equals_row_router(seed in any::<u64>(), nrows in 1usize..200) {
+        let preds = irregular_family(seed);
+        let rows = random_rows(seed, nrows);
+        let flat: Vec<Code> = rows.iter().flatten().copied().collect();
+        let cols: Vec<Vec<Code>> = (0..ARITY)
+            .map(|c| rows.iter().map(|row| row[c]).collect())
+            .collect();
+        let set = PredSet::new(&preds);
+
+        let mut expect = vec![Vec::new(); preds.len()];
+        let mut routed = Vec::new();
+        for (r, row) in rows.iter().enumerate() {
+            set.route(row, &mut routed);
+            for &i in &routed {
+                expect[i].push(r as u32);
+            }
+            prop_assert_eq!(set.matches_any(row), !routed.is_empty());
+        }
+        let expect: Vec<(usize, &[u32])> = expect
+            .iter()
+            .enumerate()
+            .filter(|(_, sel)| !sel.is_empty())
+            .map(|(i, sel)| (i, sel.as_slice()))
+            .collect();
+        let any: std::collections::BTreeSet<u32> =
+            expect.iter().flat_map(|(_, sel)| sel.iter().copied()).collect();
+        let matched = (0..nrows as u32).filter(|&r| set.matches_any(&rows[r as usize]));
+        prop_assert!(any.iter().copied().eq(matched));
+
+        // One scratch over both layouts, then over a shorter block: what
+        // an earlier block left in it must not show.
+        let mut route = BlockRoute::default();
+        let row_major = |col: usize| {
+            assert!(col < ARITY);
+            ColumnView { codes: &flat[col..], stride: ARITY }
+        };
+        set.route_block(nrows, row_major, &mut route);
+        prop_assert_eq!(route.selections().collect::<Vec<_>>(), expect.clone(), "row-major");
+        set.route_block(nrows, |col| ColumnView { codes: &cols[col], stride: 1 }, &mut route);
+        prop_assert_eq!(route.selections().collect::<Vec<_>>(), expect.clone(), "column access");
+        for (i, sel) in &expect {
+            prop_assert_eq!(route.selected(*i), *sel);
+        }
+        prop_assert_eq!(route.selected(preds.len()), &[] as &[u32]);
+
+        let half = nrows / 2;
+        let cut: Vec<(usize, Vec<u32>)> = expect
+            .iter()
+            .map(|(i, sel)| (*i, sel.iter().copied().filter(|&r| (r as usize) < half).collect()))
+            .filter(|(_, sel): &(usize, Vec<u32>)| !sel.is_empty())
+            .collect();
+        set.route_block(half, row_major, &mut route);
+        let got: Vec<(usize, Vec<u32>)> =
+            route.selections().map(|(i, sel)| (i, sel.to_vec())).collect();
+        prop_assert_eq!(got, cut, "a shorter block through the same scratch");
     }
 
     /// A cursor over a compiled filter is the cursor over the interpreted

@@ -501,6 +501,74 @@ fn maintenance_server_rows_are_bounded_by_the_rebuild_as_churn_grows() {
     );
 }
 
+/// The worst case for the margin trigger: a census-like table whose
+/// winner and runner-up scores are razor-thin at every level, so 1% mixed
+/// churn lets it vouch for little and maintenance approaches the cost of
+/// the rebuild — which it must still never exceed, at a split-identical
+/// tree. Every knob an environment leg can move is pinned on the builder
+/// (both sessions), so the counts are the same under all of them.
+#[test]
+fn adversarial_census_churn_never_out_scans_the_rebuild() {
+    let w = scaleclass_bench::workloads::census_workload(12_000);
+    let arity = w.schema.arity();
+    let cards: Vec<u16> = (0..arity)
+        .map(|c| w.schema.column(c).cardinality())
+        .collect();
+    let mut rows: Vec<Vec<Code>> = w.rows.chunks_exact(arity).map(<[Code]>::to_vec).collect();
+    let n = rows.len() as u64;
+    let grow = GrowConfig {
+        min_rows: 200,
+        ..GrowConfig::default()
+    };
+    let pinned = |deltas: bool| {
+        MiddlewareConfig::builder()
+            .deltas(deltas)
+            .scan_workers(1)
+            .sessions(1)
+            .shared_staging(false)
+            .sampled_counting(0.0)
+            .build()
+    };
+
+    let mut mw = Middleware::new(load_db(&cards, &rows), "d", "class", pinned(true))
+        .expect("maintained session");
+    let mut model = grow_maintainable(&mut mw, &grow).expect("initial grow");
+    let mut mirror = rows.clone();
+    let batch = churn_batch(&mut mirror, &cards, n / 100, false, &mut Lcg(0x5ca1ec1a58));
+    let mut logged = 0;
+    for m in &batch {
+        let events = apply_to_mirror(&mut rows, m);
+        assert_eq!(apply_to_db(&mw, m), events, "mirror diverged");
+        logged += events;
+    }
+    let before = mw.db_stats();
+    let out = maintain(&mut mw, &mut model).expect("maintain round");
+    let maintained = mw.db_stats() - before;
+    assert_eq!(out.events_routed, logged, "every logged event routed");
+    assert!(out.nodes_resplit > 0, "thin margins must re-split");
+    assert_staged_within_lease(&mw, "adversarial census");
+
+    let mut fresh = Middleware::new(load_db(&cards, &rows), "d", "class", pinned(false))
+        .expect("rebuild session");
+    let before = fresh.db_stats();
+    let rebuilt = grow_with_middleware(&mut fresh, &grow).expect("rebuild grow");
+    let rebuild = fresh.db_stats() - before;
+    assert!(
+        trees_same_splits(&model.tree, &rebuilt.tree),
+        "maintained tree diverged from the rebuild: {} vs {} nodes",
+        model.tree.len(),
+        rebuilt.tree.len()
+    );
+    // One subtree holding four fifths of the table re-splits: its scan
+    // ships those rows, the rebuild's first scan ships them all.
+    assert_eq!(
+        (maintained.rows_shipped, rebuild.rows_shipped),
+        (9_607, 12_008)
+    );
+    assert!(maintained.rows_shipped <= rebuild.rows_shipped);
+    assert!(maintained.rows_scanned <= rebuild.rows_scanned);
+}
+
 /// Strategy: a small categorical dataset plus a random mutation stream.
 fn dataset_and_stream() -> impl Strategy<Value = (Vec<u16>, Vec<Vec<Code>>, Vec<Vec<Mutation>>)> {
     (
