@@ -170,12 +170,15 @@ const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
 )];
 
 /// Function-scoped hot-path-panic extensions, as [`ARITH_SCOPED`]: the
-/// compiled predicate router is the per-row (server, row path) and
-/// per-block (middleware) loop of every scan, and the extent reader and writer are
-/// the per-extent loop of every staged-file scan, but both live in files
-/// whose other functions (AST construction, rendering, one-off
-/// evaluation; staging bookkeeping) are not on any scan path.
-const PANIC_SCOPED: [(&str, &[&str]); 2] = [
+/// compiled predicate router is the per-row (row path) and per-block
+/// (middleware, server page) loop of every scan, the server cursor's page
+/// filter and the wire's marshalling are the per-page and per-fetch loops
+/// of every server scan, and the extent reader and writer are the
+/// per-extent loop of every staged-file scan, but all live in files whose
+/// other functions (AST construction, rendering, one-off evaluation; DML,
+/// catalog and keyset bookkeeping; staging bookkeeping) are not on any
+/// scan path.
+const PANIC_SCOPED: [(&str, &[&str]); 5] = [
     (
         "crates/sqldb/src/expr.rs",
         &[
@@ -191,7 +194,25 @@ const PANIC_SCOPED: [(&str, &[&str]); 2] = [
             "arena_split",
             "position",
             "get",
+            // The union of a block's selections: what a page ships.
+            "mark_matched",
+            "matched",
         ],
+    ),
+    // The server scan: a heap page filtered at a time …
+    (
+        "crates/sqldb/src/storage.rs",
+        &["select_rows", "page_run", "scan_selected", "matching_tids"],
+    ),
+    // … by a cursor that ships a fetch at a time …
+    (
+        "crates/sqldb/src/cursor.rs",
+        &["next_run", "fetch", "fetch_all", "ship_tids"],
+    ),
+    // … marshalled and unmarshalled in bulk.
+    (
+        "crates/sqldb/src/wire.rs",
+        &["encode", "push", "push_selected", "transmit"],
     ),
     // The staged-file byte path: the checksum, the extent reader (bytes
     // that come from disk are `Corrupt`, never a panic) and the writer.

@@ -129,6 +129,63 @@ fn hot_path_panic_is_fn_scoped_in_the_router() {
 }
 
 #[test]
+fn hot_path_panic_is_fn_scoped_in_the_server_page_and_fetch_path() {
+    // The page filter, the cursor's fetch loop and the wire's bulk
+    // marshalling are in scope; the catalog and keyset bookkeeping beside
+    // them is not.
+    let cursor = "impl KeysetCursor {\n\
+                  pub fn len(&self) -> usize {\n\
+                  loop { return self.tids[0].0.checked_add(1).unwrap() as usize; }\n\
+                  }\n\
+                  }\n\
+                  impl ServerCursor<'_> {\n\
+                  pub fn fetch(&mut self, out: &mut Vec<Code>) -> usize {\n\
+                  loop {\n\
+                  let last = self.route.matched()[self.shipped];\n\
+                  if !self.next_run() { break; }\n\
+                  }\n\
+                  self.batch.transmit(self.arity, self.stats, out)\n\
+                  }\n\
+                  }\n";
+    let report = check_source("crates/sqldb/src/cursor.rs", cursor);
+    assert_eq!(
+        fired(&report),
+        vec![(RULE_HOT_PATH_PANIC, 9)], // matched()[shipped] inside the fetch loop
+    );
+    let wire = "impl WireBatch {\n\
+                pub fn clear(&mut self) {\n\
+                for b in 0..1 { self.buf[b] = 0; }\n\
+                }\n\
+                pub fn push_selected(&mut self, rows: &[Code], arity: usize, sel: &[u32]) {\n\
+                for &r in sel {\n\
+                let start = r as usize * arity;\n\
+                encode(&rows[start..start + arity], &mut self.buf);\n\
+                }\n\
+                }\n\
+                pub fn transmit(&mut self, out: &mut Vec<Code>) {\n\
+                for pair in self.buf.chunks(2) {\n\
+                out.push(Code::from_le_bytes(pair.try_into().unwrap()));\n\
+                }\n\
+                }\n\
+                }\n";
+    let report = check_source("crates/sqldb/src/wire.rs", wire);
+    assert_eq!(
+        fired(&report),
+        vec![
+            (RULE_HOT_PATH_PANIC, 8),  // rows[start..] inside the per-row copy
+            (RULE_HOT_PATH_PANIC, 13), // .unwrap() in the unmarshal loop
+        ]
+    );
+    let router = "impl BlockRoute {\n\
+                  pub fn mark_matched(&mut self) {\n\
+                  for &r in rows { self.taken[r as usize] = true; }\n\
+                  }\n\
+                  }\n";
+    let report = check_source("crates/sqldb/src/expr.rs", router);
+    assert_eq!(fired(&report), vec![(RULE_HOT_PATH_PANIC, 3)]);
+}
+
+#[test]
 fn hot_path_panic_is_fn_scoped_in_the_staged_file_byte_path() {
     let rel = "crates/core/src/staging.rs";
     // The extent reader parses bytes that come from disk: the shapes

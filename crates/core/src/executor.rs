@@ -157,16 +157,7 @@ impl Block for RowBlock<'_> {
     }
 
     fn column(&self, col: usize) -> ColumnView<'_> {
-        // A column past the arity would read into the next row.
-        assert!(
-            col < self.arity,
-            "column {col} is outside the block's {} columns",
-            self.arity
-        );
-        ColumnView {
-            codes: self.flat.get(col..).unwrap_or(&[]),
-            stride: self.arity,
-        }
+        ColumnView::row_major(self.flat, self.arity, col)
     }
 
     fn col_max(&self, out: &mut Vec<Code>) {
@@ -297,12 +288,9 @@ impl CountSlots for [NodeCounter] {
 /// [`BlockPass::count`] is theirs.
 #[derive(Default)]
 pub(crate) struct BlockPass {
-    /// Per node some row of the block satisfies: those rows, ascending.
+    /// Per node some row of the block satisfies: those rows, ascending —
+    /// and, when asked, the rows some node took.
     routed: BlockRoute,
-    /// Rows that satisfy at least one predicate, ascending (when asked).
-    any: Vec<u32>,
-    /// Per block row: did some node select it? (`any` is read off it.)
-    taken: Vec<bool>,
     /// Largest code per block column.
     col_max: Vec<Code>,
     /// Gathered columns of every counted node, back to back.
@@ -313,28 +301,10 @@ impl BlockPass {
     /// First pass: route `block` once, into per-node selection vectors
     /// (and, with `mark_any`, the rows some node took).
     pub(crate) fn route(&mut self, router: &PredSet, block: &impl Block, mark_any: bool) {
-        let nrows = block.nrows();
-        router.route_block(nrows, |col| block.column(col), &mut self.routed);
-        self.any.clear();
-        if !mark_any {
-            return;
+        router.route_block(block.nrows(), |col| block.column(col), &mut self.routed);
+        if mark_any {
+            self.routed.mark_matched();
         }
-        self.taken.clear();
-        self.taken.resize(nrows, false);
-        for &r in self.routed.selections().flat_map(|(_, sel)| sel) {
-            // analyze:allow(hot-path-panic): selections are minted over
-            // this block's rows.
-            self.taken[r as usize] = true;
-        }
-        self.any.resize(nrows, 0);
-        let mut kept = 0;
-        for (r, &taken) in (0..).zip(&self.taken) {
-            // analyze:allow(hot-path-panic): `kept` counts rows kept so
-            // far, fewer than rows seen, and `any` has a slot per row.
-            self.any[kept] = r;
-            kept += usize::from(taken);
-        }
-        self.any.truncate(kept);
     }
 
     /// Nodes the last routed block selected rows for, ascending, each
@@ -350,7 +320,7 @@ impl BlockPass {
 
     /// The rows of the last routed block that some node selected.
     pub(crate) fn any(&self) -> &[u32] {
-        &self.any
+        self.routed.matched()
     }
 
     /// The most counting the routed block can add to modelled memory:
@@ -1062,22 +1032,14 @@ mod tests {
             assert_eq!(routed, pass.any().len(), "a frontier is disjoint");
         };
         route(&mut pass, &full);
-        let capacity = (
-            pass.routed.capacity(),
-            pass.any.capacity(),
-            pass.taken.capacity(),
-        );
+        let capacity = pass.routed.capacity();
         for nrows in (1..=1000).map(|i| 1 + (i * 37) % 4096) {
             let flat = block(nrows);
             route(&mut pass, &flat);
         }
         route(&mut pass, &full);
         assert_eq!(
-            (
-                pass.routed.capacity(),
-                pass.any.capacity(),
-                pass.taken.capacity()
-            ),
+            pass.routed.capacity(),
             capacity,
             "no block after the first full one grew the scratch"
         );

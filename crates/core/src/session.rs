@@ -1015,12 +1015,7 @@ impl Session {
                     return Ok((0, 0));
                 }
                 AuxKind::TidSet(name) => {
-                    let n = db.tid_scan(name, &filter, &mut flat)?;
-                    // The fetched rows cross the wire.
-                    let db_stats = db.stats();
-                    db_stats.add_rows_shipped(n as u64);
-                    db_stats.add_bytes_shipped((flat.len() * CODE_BYTES) as u64);
-                    db_stats.add_wire_round_trip();
+                    db.tid_scan(name, &filter, wire_rows, &mut flat)?;
                 }
                 AuxKind::Keyset(cursor) => {
                     cursor.scan_filtered(&db, &filter, &mut flat)?;

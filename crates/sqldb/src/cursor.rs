@@ -4,9 +4,16 @@
 //! for its scan-based counting: the server evaluates the pushed-down filter
 //! expression and ships only matching rows over the simulated wire (§4.3.1).
 //! Every cursor compiles its filter once, when it opens, into a
-//! [`PredSet`] (an `Or` of paths becomes the set of its disjuncts) and asks
-//! `matches_any` of each row; what is scanned, shipped and charged is what
-//! interpreting the filter row by row would scan, ship and charge.
+//! [`PredSet`] (an `Or` of paths becomes the set of its disjuncts) and
+//! filters a heap page at a time: the block router partitions the page's
+//! rows, read in place, and the ascending union of its selections is what
+//! the page ships, marshalled a fetch at a time. What is scanned, shipped
+//! and charged is what interpreting the filter row by row would scan, ship
+//! and charge, *at every fetch boundary*: a page is charged when the scan
+//! enters it, and a fetch charges the rows it read — through the row that
+//! filled its batch, no further — so a cursor dropped between two fetches
+//! has charged exactly the rows a row-at-a-time cursor would have read.
+//! The unshipped tail of a page's selection waits for the next fetch.
 //!
 //! [`KeysetCursor`] is access path (c) of §4.3.3: a snapshot of qualifying
 //! TIDs taken at open time, over which later scans can run with an extra
@@ -15,42 +22,89 @@
 //! before the results are returned").
 //!
 //! [`BlockCursor`] is the server half of the middleware's sampled counting
-//! mode: a filtered cursor restricted to caller-supplied TID ranges — the
+//! mode: the same scan restricted to caller-supplied TID ranges — the
 //! `TABLESAMPLE SYSTEM` analogue, where the client names which physical
 //! blocks to read and the server never touches the rest of the heap. Rows
 //! outside the ranges cost nothing; that skipped I/O is the entire point
 //! of the sampled access path.
 
 use crate::database::Database;
-use crate::error::DbResult;
-use crate::expr::{Pred, PredSet};
+use crate::error::{DbError, DbResult};
+use crate::expr::{BlockRoute, Pred, PredSet};
 use crate::page::Page;
 use crate::stats::DbStats;
-use crate::storage::{ScanIter, Table};
+use crate::storage::{select_rows, Table};
 use crate::types::{Code, Tid};
 use crate::wire::{WireBatch, DEFAULT_BATCH_ROWS};
 
-/// Forward-only cursor with server-side filtering and batched wire fetches.
+/// Forward-only cursor with server-side filtering and batched wire fetches:
+/// a scan of sorted TID ranges — the whole table, unless opened as a
+/// [`BlockCursor`] — one page run (the part of a range on one heap page) at
+/// a time.
 pub struct ServerCursor<'a> {
-    iter: ScanIter<'a>,
+    table: &'a Table,
     filter: PredSet,
     arity: usize,
     batch_rows: usize,
     batch: WireBatch,
     stats: &'a DbStats,
-    exhausted: bool,
+    /// Half-open `[start, end)` TID ranges not yet entered: sorted,
+    /// non-empty, inside the table.
+    ranges: std::vec::IntoIter<(u64, u64)>,
+    /// Rows the ranges cover in all.
+    covered: u64,
+    /// End of the range being scanned.
+    range_end: u64,
+    /// Next TID to read: every row of the ranges before it is charged.
+    next_tid: u64,
+    /// Last page charged.
+    last_page: u64,
+    /// The page run being shipped — its packed rows and its first TID —
+    /// whose selection is `route.matched()`, `shipped` rows of it sent.
+    run: &'a [Code],
+    run_start: u64,
+    shipped: usize,
+    route: BlockRoute,
 }
 
 impl<'a> ServerCursor<'a> {
     pub(crate) fn new(table: &'a Table, pred: Pred, batch_rows: usize, stats: &'a DbStats) -> Self {
+        Self::over(table, pred, batch_rows, vec![(0, u64::MAX)], stats)
+    }
+
+    /// A cursor over `ranges` only, sorted here and clamped to the table.
+    fn over(
+        table: &'a Table,
+        pred: Pred,
+        batch_rows: usize,
+        mut ranges: Vec<(u64, u64)>,
+        stats: &'a DbStats,
+    ) -> Self {
+        ranges.sort_unstable();
+        let nrows = table.nrows();
+        for r in &mut ranges {
+            r.1 = r.1.min(nrows);
+        }
+        ranges.retain(|&(start, end)| start < end);
+        stats.add_seq_scan();
         ServerCursor {
-            iter: table.scan(stats),
+            table,
             filter: PredSet::from_filter(&pred),
             arity: table.schema().arity(),
             batch_rows: batch_rows.max(1),
             batch: WireBatch::new(),
             stats,
-            exhausted: false,
+            covered: ranges
+                .iter()
+                .fold(0u64, |a, &(s, e)| a.saturating_add(e - s)),
+            ranges: ranges.into_iter(),
+            range_end: 0,
+            next_tid: 0,
+            last_page: u64::MAX,
+            run: &[],
+            run_start: 0,
+            shipped: 0,
+            route: BlockRoute::default(),
         }
     }
 
@@ -59,24 +113,50 @@ impl<'a> ServerCursor<'a> {
         self.arity
     }
 
+    /// Enter the next page run of the ranges: charge its page unless the
+    /// scan is on it already, and filter it whole. `false` at the end.
+    fn next_run(&mut self) -> bool {
+        if self.next_tid >= self.range_end {
+            let Some((start, end)) = self.ranges.next() else {
+                return false;
+            };
+            (self.next_tid, self.range_end) = (start, end);
+        }
+        let Some((page, rows)) = self.table.page_run(self.next_tid, self.range_end) else {
+            return false;
+        };
+        if page != self.last_page {
+            self.stats.add_pages_read(1);
+            self.last_page = page;
+        }
+        select_rows(&self.filter, rows, self.arity, &mut self.route);
+        self.run = rows;
+        self.run_start = self.next_tid;
+        self.shipped = 0;
+        true
+    }
+
     /// Fetch the next batch of matching rows, appending their codes (flat)
     /// to `out`. Returns the number of rows fetched; `0` means end of scan.
     pub fn fetch(&mut self, out: &mut Vec<Code>) -> usize {
-        if self.exhausted {
-            return 0;
-        }
         debug_assert!(self.batch.is_empty());
-        while self.batch.rows() < self.batch_rows {
-            match self.iter.next() {
-                Some((_, row)) => {
-                    if self.filter.matches_any(row) {
-                        self.batch.push(row);
-                    }
-                }
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
+        loop {
+            let room = self.batch_rows - self.batch.rows();
+            let unshipped = self.route.matched().get(self.shipped..).unwrap_or(&[]);
+            let take = unshipped.get(..room).unwrap_or(unshipped);
+            self.batch.push_selected(self.run, self.arity, take);
+            self.shipped += take.len();
+            // The scan has read through the row that filled the batch, or
+            // — its selection drained — to the end of the run.
+            let full = take.len() == room;
+            let read_to = match take.last() {
+                Some(&last) if full => self.run_start + u64::from(last) + 1,
+                _ => self.run_start + (self.run.len() / self.arity) as u64,
+            };
+            self.stats.add_rows_scanned(read_to - self.next_tid);
+            self.next_tid = read_to;
+            if full || !self.next_run() {
+                break;
             }
         }
         self.batch.transmit(self.arity, self.stats, out)
@@ -95,6 +175,63 @@ impl<'a> ServerCursor<'a> {
     }
 }
 
+/// The TID-at-a-time scan behind [`KeysetCursor::scan_filtered`] and
+/// [`Database::tid_scan`]: read the rows of `table` at `tids` (ascending,
+/// as the scans that mint TID lists leave them), one run of TIDs on the
+/// same page at a time — `charge_run(n)` charges reading a run of `n` —
+/// and ship those that satisfy `residual` in `batch_rows` batches,
+/// appending them (flat) to `out`. Returns the rows shipped.
+pub(crate) fn ship_tids(
+    table: &Table,
+    tids: &[Tid],
+    residual: &Pred,
+    batch_rows: usize,
+    stats: &DbStats,
+    charge_run: impl Fn(u64),
+    out: &mut Vec<Code>,
+) -> DbResult<usize> {
+    let arity = table.schema().arity();
+    let per_page = Page::capacity_rows(arity) as u64;
+    let residual = PredSet::from_filter(residual);
+    let batch_rows = batch_rows.max(1);
+    let mut batch = WireBatch::new();
+    let mut sel: Vec<u32> = Vec::new();
+    let mut shipped = 0;
+    let mut rest = tids;
+    while let Some(first) = rest.first() {
+        let page_idx = first.0 / per_page;
+        let on_page = rest.iter().take_while(|t| t.0 / per_page == page_idx);
+        let (run, later) = rest.split_at(on_page.count());
+        rest = later;
+        let page = usize::try_from(page_idx)
+            .ok()
+            .and_then(|idx| table.pages().get(idx))
+            .ok_or(DbError::CursorClosed)?;
+        charge_run(run.len() as u64);
+        sel.clear();
+        for tid in run {
+            let r = (tid.0 % per_page) as usize;
+            if r >= page.nrows() {
+                return Err(DbError::CursorClosed);
+            }
+            if residual.matches_any(page.row(r)) {
+                sel.push(r as u32);
+            }
+        }
+        let mut unshipped = sel.as_slice();
+        while !unshipped.is_empty() {
+            let room = batch_rows - batch.rows();
+            let (take, tail) = unshipped.split_at(room.min(unshipped.len()));
+            batch.push_selected(page.raw(), arity, take);
+            unshipped = tail;
+            if batch.rows() == batch_rows {
+                shipped += batch.transmit(arity, stats, out);
+            }
+        }
+    }
+    Ok(shipped + batch.transmit(arity, stats, out))
+}
+
 /// A snapshot of qualifying TIDs with server-side residual filtering on
 /// re-scan. TIDs are kept sorted so a keyset scan touches each page once —
 /// the "idealized" access the §5.2.5 experiment grants this technique.
@@ -109,15 +246,9 @@ impl KeysetCursor {
         let t = db.table(table)?;
         let stats = db.stats();
         stats.add_keyset_open();
-        let filter = PredSet::from_filter(pred);
-        let tids: Vec<Tid> = t
-            .scan(stats)
-            .filter(|(_, row)| filter.matches_any(row))
-            .map(|(tid, _)| tid)
-            .collect();
         Ok(KeysetCursor {
             table: table.to_string(),
-            tids,
+            tids: t.matching_tids(&PredSet::from_filter(pred), stats),
             arity: t.schema().arity(),
         })
     }
@@ -150,149 +281,61 @@ impl KeysetCursor {
     ) -> DbResult<usize> {
         let table = db.table(&self.table)?;
         let stats = db.stats();
-        let per_page = Page::capacity_rows(self.arity) as u64;
-        let residual = PredSet::from_filter(residual);
-        let mut batch = WireBatch::new();
-        let mut last_page = u64::MAX;
-        let mut shipped = 0;
-        for &tid in &self.tids {
-            let page = tid.0 / per_page;
-            if page != last_page {
-                stats.add_pages_read(1);
-                last_page = page;
-            }
-            stats.add_rows_scanned(1);
-            let row = table.row_by_tid_unaccounted(tid)?;
-            if residual.matches_any(row) {
-                batch.push(row);
-                if batch.rows() >= DEFAULT_BATCH_ROWS {
-                    shipped += batch.transmit(self.arity, stats, out);
-                }
-            }
-        }
-        shipped += batch.transmit(self.arity, stats, out);
-        Ok(shipped)
+        let charge_run = |tids: u64| {
+            stats.add_pages_read(1);
+            stats.add_rows_scanned(tids);
+        };
+        ship_tids(
+            table,
+            &self.tids,
+            residual,
+            DEFAULT_BATCH_ROWS,
+            stats,
+            charge_run,
+            out,
+        )
     }
 }
 
 /// Forward-only filtered cursor over caller-supplied TID ranges (the
 /// `TABLESAMPLE SYSTEM` analogue used by the middleware's sampled counting
-/// mode). Ranges are half-open `[start, end)` row-identifier intervals and
-/// must be sorted and disjoint so the scan touches each page at most once,
-/// exactly like the keyset cursor's idealized access.
+/// mode): a [`ServerCursor`] that scans only the ranges. Ranges are
+/// half-open `[start, end)` row-identifier intervals and must be disjoint
+/// so the scan touches each page at most once, exactly like the keyset
+/// cursor's idealized access; they may start and stop mid-page.
 ///
 /// Charges one page read per distinct page entered and one scanned row per
 /// row *inside* the ranges; rows outside the sample are never read and
 /// never charged — the server-side saving the sampled access path exists
 /// to harvest.
-pub struct BlockCursor<'a> {
-    table: &'a Table,
-    filter: PredSet,
-    arity: usize,
-    batch_rows: usize,
-    batch: WireBatch,
-    stats: &'a DbStats,
-    /// Sorted, disjoint half-open `[start, end)` TID ranges to scan.
-    ranges: Vec<(u64, u64)>,
-    /// Index of the range currently being scanned.
-    range_idx: usize,
-    /// Next TID to read within the current range.
-    next_tid: u64,
-    /// Last page charged (page-granular accounting, like the keyset scan).
-    last_page: u64,
-    exhausted: bool,
-}
+pub struct BlockCursor<'a>(ServerCursor<'a>);
 
 impl<'a> BlockCursor<'a> {
     pub(crate) fn new(
         table: &'a Table,
         pred: Pred,
         batch_rows: usize,
-        mut ranges: Vec<(u64, u64)>,
+        ranges: Vec<(u64, u64)>,
         stats: &'a DbStats,
     ) -> Self {
-        ranges.sort_unstable();
-        ranges.retain(|&(start, end)| start < end);
-        let nrows = table.nrows();
-        for r in &mut ranges {
-            r.1 = r.1.min(nrows);
-        }
-        ranges.retain(|&(start, end)| start < end);
-        stats.add_seq_scan();
-        let next_tid = ranges.first().map_or(0, |&(start, _)| start);
-        BlockCursor {
-            table,
-            filter: PredSet::from_filter(&pred),
-            arity: table.schema().arity(),
-            batch_rows: batch_rows.max(1),
-            batch: WireBatch::new(),
-            stats,
-            exhausted: ranges.is_empty(),
-            ranges,
-            range_idx: 0,
-            next_tid,
-            last_page: u64::MAX,
-        }
+        BlockCursor(ServerCursor::over(table, pred, batch_rows, ranges, stats))
     }
 
     /// Number of codes per row in fetched data.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.0.arity
     }
 
     /// Total rows covered by the (clamped) ranges — the rows the cursor
     /// will scan, independent of how many match the filter.
     pub fn covered_rows(&self) -> u64 {
-        self.ranges
-            .iter()
-            .fold(0u64, |a, &(s, e)| a.saturating_add(e - s))
-    }
-
-    /// Pull the next in-range TID, or `None` when the ranges are drained.
-    fn next_in_range(&mut self) -> Option<Tid> {
-        loop {
-            let &(_, end) = self.ranges.get(self.range_idx)?;
-            if self.next_tid < end {
-                let tid = Tid(self.next_tid);
-                self.next_tid += 1;
-                return Some(tid);
-            }
-            self.range_idx += 1;
-            if let Some(&(start, _)) = self.ranges.get(self.range_idx) {
-                self.next_tid = start;
-            }
-        }
+        self.0.covered
     }
 
     /// Fetch the next batch of matching rows, appending their codes (flat)
     /// to `out`. Returns the rows fetched; `0` means end of scan.
     pub fn fetch(&mut self, out: &mut Vec<Code>) -> DbResult<usize> {
-        if self.exhausted {
-            return Ok(0);
-        }
-        debug_assert!(self.batch.is_empty());
-        let per_page = Page::capacity_rows(self.arity) as u64;
-        while self.batch.rows() < self.batch_rows {
-            match self.next_in_range() {
-                Some(tid) => {
-                    let page = tid.0 / per_page;
-                    if page != self.last_page {
-                        self.stats.add_pages_read(1);
-                        self.last_page = page;
-                    }
-                    self.stats.add_rows_scanned(1);
-                    let row = self.table.row_by_tid_unaccounted(tid)?;
-                    if self.filter.matches_any(row) {
-                        self.batch.push(row);
-                    }
-                }
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
-            }
-        }
-        Ok(self.batch.transmit(self.arity, self.stats, out))
+        Ok(self.0.fetch(out))
     }
 }
 
@@ -333,6 +376,30 @@ mod tests {
         let snap = db.stats().snapshot();
         assert_eq!(snap.rows_scanned, 1000, "server scans everything");
         assert_eq!(snap.rows_shipped, 250, "wire only carries matches");
+    }
+
+    /// The page is filtered whole, but a fetch charges only the rows it
+    /// read: through the one that filled its batch.
+    #[test]
+    fn a_fetch_charges_through_the_row_that_filled_it() {
+        let db = db();
+        let mut cur = db
+            .open_cursor("t", Pred::Eq { col: 0, value: 3 }, 100)
+            .unwrap();
+        let mut out = Vec::new();
+        // Rows 3, 7, … match: the hundredth is row 399.
+        assert_eq!(cur.fetch(&mut out), 100);
+        let snap = db.stats().snapshot();
+        assert_eq!((snap.pages_read, snap.rows_scanned), (1, 400));
+        assert_eq!(cur.fetch(&mut out), 100);
+        assert_eq!(db.stats().snapshot().rows_scanned, 800);
+        // The last match is the table's last row: nothing is left to read.
+        assert_eq!(cur.fetch(&mut out), 50);
+        assert_eq!(db.stats().snapshot().rows_scanned, 1000);
+        assert_eq!(cur.fetch(&mut out), 0);
+        let snap = db.stats().snapshot();
+        assert_eq!((snap.pages_read, snap.rows_scanned), (1, 1000));
+        assert_eq!((snap.rows_shipped, snap.wire_round_trips), (250, 3));
     }
 
     #[test]

@@ -295,12 +295,13 @@ impl Database {
         let stats = Arc::clone(&self.stats);
         let source = self.table(src)?;
         let mut copy = Table::new(source.schema().clone());
-        let filter = PredSet::from_filter(pred);
-        for (_, row) in source.scan(&stats) {
-            if filter.matches_any(row) {
-                copy.insert_unchecked(row);
+        let arity = source.schema().arity();
+        source.scan_selected(&PredSet::from_filter(pred), &stats, |_, rows, sel| {
+            for &r in sel {
+                let start = r as usize * arity;
+                copy.insert_unchecked(&rows[start..start + arity]);
             }
-        }
+        });
         stats.add_pages_written(copy.npages());
         stats.add_temp_table();
         self.tables.insert(name.clone(), copy);
@@ -313,12 +314,7 @@ impl Database {
         let name = self.next_temp_name("tids");
         let stats = Arc::clone(&self.stats);
         let source = self.table(src)?;
-        let filter = PredSet::from_filter(pred);
-        let tids: Vec<Tid> = source
-            .scan(&stats)
-            .filter(|(_, row)| filter.matches_any(row))
-            .map(|(tid, _)| tid)
-            .collect();
+        let tids = source.matching_tids(&PredSet::from_filter(pred), &stats);
         // TIDs are 8 bytes each; charge the pages the list occupies.
         let tid_pages = (tids.len() as u64 * 8).div_ceil(crate::page::PAGE_SIZE as u64);
         stats.add_pages_written(tid_pages.max(1));
@@ -350,24 +346,28 @@ impl Database {
 
     /// §4.3.3(b): fetch the rows of a TID set through random page reads
     /// ("join between T and the TID table"), applying a residual predicate,
-    /// and return the matches as a flat code vector together with the match
-    /// count. The per-row random read is what makes this path lose to a
-    /// filtered sequential scan unless the TID set is very small.
-    pub fn tid_scan(&self, tid_set: &str, residual: &Pred, out: &mut Vec<Code>) -> DbResult<usize> {
+    /// and ship the matches over the wire, `batch_rows` per round trip like
+    /// a cursor's, appending them to `out` as a flat code vector. Returns
+    /// the match count. The per-row random read — a page read and a TID
+    /// fetch charged per TID — is what makes this path lose to a filtered
+    /// sequential scan unless the TID set is very small.
+    pub fn tid_scan(
+        &self,
+        tid_set: &str,
+        residual: &Pred,
+        batch_rows: usize,
+        out: &mut Vec<Code>,
+    ) -> DbResult<usize> {
         let set = self.tid_set(tid_set)?;
         let base = self.table(&set.base_table)?;
-        let arity = base.schema().arity();
-        let residual = PredSet::from_filter(residual);
-        let mut matched = 0;
-        for &tid in &set.tids {
-            let row = base.fetch_by_tid(tid, &self.stats)?;
-            if residual.matches_any(row) {
-                out.reserve(arity);
-                out.extend_from_slice(row);
-                matched += 1;
-            }
-        }
-        Ok(matched)
+        let stats = &self.stats;
+        let charge_run = |tids: u64| {
+            stats.add_pages_read(tids);
+            stats.add_tid_fetches(tids);
+        };
+        crate::cursor::ship_tids(
+            base, &set.tids, residual, batch_rows, stats, charge_run, out,
+        )
     }
 }
 
@@ -423,7 +423,7 @@ mod tests {
         let before = db.stats().snapshot();
         let mut out = Vec::new();
         let n = db
-            .tid_scan(&tids, &Pred::Eq { col: 1, value: 0 }, &mut out)
+            .tid_scan(&tids, &Pred::Eq { col: 1, value: 0 }, 1024, &mut out)
             .unwrap();
         let delta = db.stats().snapshot() - before;
         // a=2 rows have i%4==2, i even → class=i%2=0 always
@@ -432,6 +432,53 @@ mod tests {
         assert_eq!(delta.tid_fetches, 25, "one random fetch per TID");
         db.drop_tid_set(&tids).unwrap();
         assert!(db.tid_set(&tids).is_err());
+    }
+
+    /// Regression: the TID join used to be charged one round trip however
+    /// many rows it shipped — one even for none — and no batch headers, so
+    /// the same rows cost less through §4.3.3(b) than through a cursor.
+    #[test]
+    fn tid_scan_pays_the_wire_a_cursor_pays() {
+        let mut db = Database::new();
+        db.create_table("t", Schema::from_pairs(&[("a", 4), ("class", 2)]))
+            .unwrap();
+        for i in 0..5000u32 {
+            db.insert("t", &[(i % 4) as Code, (i % 2) as Code]).unwrap();
+        }
+        let filter = Pred::NotEq { col: 0, value: 3 };
+        let before = db.stats().snapshot();
+        let mut by_cursor = Vec::new();
+        let shipped = db
+            .open_cursor("t", filter.clone(), 1000)
+            .unwrap()
+            .fetch_all(&mut by_cursor);
+        let cursor = db.stats().snapshot() - before;
+        assert_eq!((shipped, cursor.wire_round_trips), (3750, 4));
+
+        let tids = db.create_tid_set("t", &Pred::True).unwrap();
+        let before = db.stats().snapshot();
+        let mut by_join = Vec::new();
+        assert_eq!(db.tid_scan(&tids, &filter, 1000, &mut by_join), Ok(3750));
+        let join = db.stats().snapshot() - before;
+        assert_eq!(by_join, by_cursor);
+        assert_eq!(join.rows_shipped, cursor.rows_shipped);
+        assert_eq!(join.bytes_shipped, cursor.bytes_shipped);
+        assert_eq!(join.wire_round_trips, cursor.wire_round_trips);
+        assert_eq!(join.tid_fetches, 5000, "one random fetch per TID");
+        assert_eq!(join.pages_read, 5000, "each a page read");
+
+        let before = db.stats().snapshot();
+        assert_eq!(db.tid_scan(&tids, &Pred::False, 1000, &mut by_join), Ok(0));
+        let empty = db.stats().snapshot() - before;
+        assert_eq!(
+            (
+                empty.rows_shipped,
+                empty.bytes_shipped,
+                empty.wire_round_trips
+            ),
+            (0, 0, 0),
+            "an empty result is free"
+        );
     }
 
     #[test]

@@ -326,7 +326,21 @@ pub struct ColumnView<'a> {
     pub stride: usize,
 }
 
-impl ColumnView<'_> {
+impl<'a> ColumnView<'a> {
+    /// Column `col` of `rows`, packed row-major, `arity` codes each — a
+    /// heap page, a wire fetch, a memory set — read in place. Panics on a
+    /// column past the arity: it would read into the next row.
+    pub fn row_major(rows: &'a [Code], arity: usize, col: usize) -> Self {
+        assert!(
+            col < arity,
+            "column {col} is outside the rows' {arity} columns"
+        );
+        ColumnView {
+            codes: rows.get(col..).unwrap_or(&[]),
+            stride: arity,
+        }
+    }
+
     /// Row `row`'s code. Panics on a row past the block.
     #[inline]
     pub fn get(&self, row: u32) -> Code {
@@ -342,7 +356,7 @@ impl ColumnView<'_> {
 /// `u32`s for a tree frontier (a binary test reserves a slot per row on
 /// each side, and on a block that takes one side all the way down the
 /// other half stays unused), `rows ×` [`PredSet`]'s per-row slot bound in
-/// general.
+/// general — and a slot per row more for their union, when asked for.
 #[derive(Debug, Default)]
 pub struct BlockRoute {
     /// The selections, back to back; `arena[..top]` is live.
@@ -354,6 +368,13 @@ pub struct BlockRoute {
     todo: Vec<(u32, Range<u32>)>,
     /// Bucket bounds of the multiway counting pass.
     counts: Vec<u32>,
+    /// Rows in the routed block.
+    nrows: usize,
+    /// The range of the arena [`BlockRoute::mark_matched`] left the union
+    /// of the selections in, and the per-row mask it read a union of
+    /// several off.
+    matched: Range<u32>,
+    taken: Vec<bool>,
     /// Trie nodes partitioned since this scratch was made.
     #[cfg(test)]
     visits: usize,
@@ -376,12 +397,52 @@ impl BlockRoute {
             .map_or(&[], |(_, range)| sub(&self.arena, range))
     }
 
+    /// Take the union of the selections — `{r | some predicate selects
+    /// row r}`, each row once however many predicates select it — for
+    /// [`BlockRoute::matched`] to read: what a pushed-down filter ships and
+    /// what a hybrid split file keeps. One selection is its own union; a
+    /// union of several is read off a per-row mask, without a branch.
+    pub fn mark_matched(&mut self) {
+        self.matched = match self.found.as_slice() {
+            [] => 0..0,
+            [(_, only)] => only.clone(),
+            found => {
+                self.taken.clear();
+                self.taken.resize(self.nrows, false);
+                for &r in found.iter().flat_map(|(_, range)| sub(&self.arena, range)) {
+                    // analyze:allow(hot-path-panic): selections are minted
+                    // over the block's `nrows` rows.
+                    self.taken[r as usize] = true;
+                }
+                let (_, free) = arena_split(&mut self.arena, self.top, &(0..0), self.nrows);
+                let mut kept = 0;
+                for (r, &taken) in (0..).zip(&self.taken) {
+                    // analyze:allow(hot-path-panic): `kept` counts rows kept
+                    // so far, fewer than rows seen, and `free` has a slot
+                    // per row.
+                    free[kept] = r;
+                    kept += usize::from(taken);
+                }
+                let start = self.top as u32;
+                self.top += kept;
+                start..self.top as u32
+            }
+        };
+    }
+
+    /// The block's rows that satisfy at least one predicate, ascending —
+    /// empty until [`BlockRoute::mark_matched`] is asked for them.
+    pub fn matched(&self) -> &[u32] {
+        sub(&self.arena, &self.matched)
+    }
+
     /// Slots of scratch held, so a caller can tell reuse from regrowth.
     pub fn capacity(&self) -> usize {
         self.arena.capacity()
             + self.found.capacity()
             + self.todo.capacity()
             + self.counts.capacity()
+            + self.taken.capacity()
     }
 
     /// Append to the arena the rows of selection `sel` that pass `keep`, in
@@ -772,11 +833,14 @@ impl PredSet {
         out.top = 0;
         out.found.clear();
         out.todo.clear();
+        out.nrows = nrows;
+        out.matched = 0..0;
         if nrows == 0 {
             return;
         }
-        // Arena offsets are `u32`s, like the rows they index.
-        let bound = nrows.saturating_mul(self.slots_per_row);
+        // Arena offsets are `u32`s, like the rows they index (the slot past
+        // the selections' is `BlockRoute::mark_matched`'s union).
+        let bound = nrows.saturating_mul(self.slots_per_row + 1);
         assert!(
             u32::try_from(bound).is_ok(),
             "a block of {nrows} rows is too large to route"

@@ -1,9 +1,30 @@
 //! Heap tables: pages of fixed-width coded rows.
 
 use crate::error::{DbError, DbResult};
+use crate::expr::{BlockRoute, ColumnView, PredSet};
 use crate::page::Page;
 use crate::stats::DbStats;
 use crate::types::{Code, Schema, Tid};
+
+/// Filter a run of packed rows — a heap page, or the part of one a TID
+/// range covers — with the block router: the rows of `rows` (row-major,
+/// `arity` codes each, read in place) that satisfy at least one predicate
+/// of `filter`, ascending, left in `route`'s scratch. A predicate column
+/// past the arity panics when some row reaches its test, as [`Pred::eval`]
+/// would on that row.
+///
+/// [`Pred::eval`]: crate::expr::Pred::eval
+pub(crate) fn select_rows<'r>(
+    filter: &PredSet,
+    rows: &[Code],
+    arity: usize,
+    route: &'r mut BlockRoute,
+) -> &'r [u32] {
+    let column = |col| ColumnView::row_major(rows, arity, col);
+    filter.route_block(rows.len() / arity, column, route);
+    route.mark_matched();
+    route.matched()
+}
 
 /// A heap table: a schema plus a sequence of pages.
 #[derive(Debug, Clone)]
@@ -194,18 +215,57 @@ impl Table {
         Ok(page.row(row_idx))
     }
 
-    /// Fetch a row by TID without charging I/O (the caller accounts for
-    /// page access itself, e.g. the keyset cursor's page-granular charging).
-    pub fn row_by_tid_unaccounted(&self, tid: Tid) -> DbResult<&[Code]> {
+    /// The rows of `[start, end)` that lie on the page holding row `start`
+    /// — the next step of a scan that filters a page at a time: the page's
+    /// index and those rows, packed, without charging I/O (the caller
+    /// accounts for the page and the rows it reads). `None` when `start`
+    /// is past the table or the range is empty.
+    pub(crate) fn page_run(&self, start: u64, end: u64) -> Option<(u64, &[Code])> {
         let arity = self.schema.arity();
         let per_page = Page::capacity_rows(arity) as u64;
-        let page_idx = (tid.0 / per_page) as usize;
-        let row_idx = (tid.0 % per_page) as usize;
-        self.pages
-            .get(page_idx)
-            .filter(|p| row_idx < p.nrows())
-            .map(|p| p.row(row_idx))
-            .ok_or(DbError::CursorClosed)
+        let page_idx = start / per_page;
+        let page = self.pages.get(page_idx as usize)?;
+        let page_start = page_idx * per_page;
+        let last = end.min(page_start + page.nrows() as u64);
+        let on_page = |tid: u64| (tid - page_start) as usize * arity;
+        let rows = page.raw().get(on_page(start)..on_page(last.max(start)))?;
+        (!rows.is_empty()).then_some((page_idx, rows))
+    }
+
+    /// A filtered sequential scan, a page at a time: `on_page` sees, for
+    /// each page in turn, the TID of its first row, its packed rows and
+    /// which of them `filter` selects. Charges what draining
+    /// [`Table::scan`] charges: the scan, each page, every row.
+    pub(crate) fn scan_selected(
+        &self,
+        filter: &PredSet,
+        stats: &DbStats,
+        mut on_page: impl FnMut(u64, &[Code], &[u32]),
+    ) {
+        stats.add_seq_scan();
+        let arity = self.schema.arity();
+        let mut route = BlockRoute::default();
+        let mut first_tid = 0;
+        for page in &self.pages {
+            stats.add_pages_read(1);
+            stats.add_rows_scanned(page.nrows() as u64);
+            on_page(
+                first_tid,
+                page.raw(),
+                select_rows(filter, page.raw(), arity, &mut route),
+            );
+            first_tid += page.nrows() as u64;
+        }
+    }
+
+    /// The TIDs of the rows `filter` selects, ascending, by a filtered
+    /// sequential scan ([`Table::scan_selected`] says what it charges).
+    pub(crate) fn matching_tids(&self, filter: &PredSet, stats: &DbStats) -> Vec<Tid> {
+        let mut tids = Vec::new();
+        self.scan_selected(filter, stats, |first_tid, _, sel| {
+            tids.extend(sel.iter().map(|&r| Tid(first_tid + u64::from(r))));
+        });
+        tids
     }
 
     /// Sequential scan charging page reads and scanned rows to `stats`.

@@ -2,10 +2,12 @@
 //! arbitrary input, storage round trips, and executor self-consistency.
 
 use proptest::prelude::*;
+use scaleclass_sqldb::page::Page;
 use scaleclass_sqldb::sql::parse;
 use scaleclass_sqldb::wire::WireBatch;
 use scaleclass_sqldb::{
-    execute, BlockRoute, Code, ColumnView, Database, DbStats, Pred, PredSet, Schema, Table,
+    execute, BlockRoute, Code, ColumnView, Database, DbStats, Pred, PredSet, Schema, StatsSnapshot,
+    Table,
 };
 use std::ops::ControlFlow;
 
@@ -345,9 +347,10 @@ proptest! {
 
     /// The block router is the per-row router, block at a time: each
     /// predicate's selection is `{r | route(row r) ∋ i}` ascending, their
-    /// union is `{r | matches_any(row r)}`, a predicate no row satisfies
-    /// is not reported, and the scratch is reusable — over row-major and
-    /// over column access alike.
+    /// union — `matched`, once marked — is `{r | matches_any(row r)}`
+    /// ascending with a row several predicates select named once, a
+    /// predicate no row satisfies is not reported, and the scratch is
+    /// reusable — over row-major and over column access alike.
     #[test]
     fn block_router_equals_row_router(seed in any::<u64>(), nrows in 1usize..200) {
         let preds = irregular_family(seed);
@@ -375,20 +378,25 @@ proptest! {
             .collect();
         let any: std::collections::BTreeSet<u32> =
             expect.iter().flat_map(|(_, sel)| sel.iter().copied()).collect();
-        let matched = (0..nrows as u32).filter(|&r| set.matches_any(&rows[r as usize]));
-        prop_assert!(any.iter().copied().eq(matched));
+        let matched: Vec<u32> =
+            (0..nrows as u32).filter(|&r| set.matches_any(&rows[r as usize])).collect();
+        prop_assert!(any.iter().copied().eq(matched.iter().copied()));
 
         // One scratch over both layouts, then over a shorter block: what
         // an earlier block left in it must not show.
         let mut route = BlockRoute::default();
-        let row_major = |col: usize| {
-            assert!(col < ARITY);
-            ColumnView { codes: &flat[col..], stride: ARITY }
-        };
+        let row_major = |col: usize| ColumnView::row_major(&flat, ARITY, col);
         set.route_block(nrows, row_major, &mut route);
         prop_assert_eq!(route.selections().collect::<Vec<_>>(), expect.clone(), "row-major");
+        prop_assert_eq!(route.matched(), &[] as &[u32], "only marked when asked");
+        route.mark_matched();
+        prop_assert_eq!(route.matched(), &matched[..], "row-major");
+        prop_assert_eq!(route.selections().collect::<Vec<_>>(), expect.clone(), "marking keeps them");
         set.route_block(nrows, |col| ColumnView { codes: &cols[col], stride: 1 }, &mut route);
         prop_assert_eq!(route.selections().collect::<Vec<_>>(), expect.clone(), "column access");
+        prop_assert_eq!(route.matched(), &[] as &[u32], "a new block forgets the last union");
+        route.mark_matched();
+        prop_assert_eq!(route.matched(), &matched[..], "column access");
         for (i, sel) in &expect {
             prop_assert_eq!(route.selected(*i), *sel);
         }
@@ -404,21 +412,54 @@ proptest! {
         let got: Vec<(usize, Vec<u32>)> =
             route.selections().map(|(i, sel)| (i, sel.to_vec())).collect();
         prop_assert_eq!(got, cut, "a shorter block through the same scratch");
+        route.mark_matched();
+        let cut_matched: Vec<u32> =
+            matched.iter().copied().filter(|&r| (r as usize) < half).collect();
+        prop_assert_eq!(route.matched(), &cut_matched[..]);
     }
 
-    /// A cursor over a compiled filter is the cursor over the interpreted
-    /// one: the same rows shipped in the same order, and the same rows
-    /// scanned, pages read, round trips and bytes charged.
+    /// A cursor that filters a page at a time and ships a fetch at a time
+    /// is the row-at-a-time cursor over the interpreted filter: the same
+    /// rows shipped in the same order, and the same rows scanned, pages
+    /// read, round trips and bytes charged — after *every* fetch, so a
+    /// cursor dropped mid-scan has charged what the per-row one would
+    /// have — over random arities, tables from empty to several pages
+    /// with a ragged last one, batches smaller than, equal to and larger
+    /// than a page, and (the block cursor) unsorted TID ranges that start
+    /// and stop mid-page and run past the end of the table.
     #[test]
-    fn compiled_cursor_filters_cost_what_the_interpreted_filter_costs(
+    fn page_at_a_time_cursors_cost_what_a_row_at_a_time_cursor_costs(
         seed in any::<u64>(),
         nrows in 0usize..3000,
-        batch in 1usize..200,
     ) {
-        let filter = Pred::or(predicate_family(seed));
-        let rows = random_rows(seed, nrows);
+        let mut rng = Rng(seed ^ 0xc0ffee);
+        let arity = ARITY + rng.below(4);
+        let per_page = Page::capacity_rows(arity);
+        let batch = match rng.below(4) {
+            0 => 1,
+            1 => 2 + rng.below(per_page - 2),
+            2 => per_page,
+            _ => per_page + 1 + rng.below(2 * per_page),
+        };
+        // The whole frontier, one member of it (`True`, `False`, an `Or`,
+        // a path, a nested `And`), or the uncollapsed `Or` of all of them,
+        // overlapping paths and generic shapes included.
+        let family = predicate_family(seed);
+        let filter = match rng.below(3) {
+            0 => Pred::or(family),
+            1 => family.get(rng.below(family.len().max(1))).cloned().unwrap_or(Pred::True),
+            _ => Pred::Or(family),
+        };
+        let rows: Vec<Vec<Code>> = random_rows(seed, nrows)
+            .into_iter()
+            .map(|mut row| {
+                row.extend((ARITY..arity).map(|_| VALUES[rng.below(VALUES.len())]));
+                row
+            })
+            .collect();
         let schema = || {
-            let cols = ["a", "b", "c", "d", "e"].map(|name| (name, CARD));
+            let names: Vec<String> = (0..arity).map(|c| format!("c{c}")).collect();
+            let cols: Vec<(&str, u16)> = names.iter().map(|name| (name.as_str(), CARD)).collect();
             Schema::from_pairs(&cols)
         };
         let mut db = Database::new();
@@ -428,8 +469,10 @@ proptest! {
             db.insert("t", row).unwrap();
             reference.insert(row).unwrap();
         }
+        prop_assert_eq!(reference.npages() as usize, nrows.div_ceil(per_page));
 
-        // The interpreted reference: `ServerCursor::fetch` with `Pred::eval`.
+        // The interpreted reference for the whole scan: the old
+        // `ServerCursor::fetch` loop, with `Pred::eval`.
         let ref_stats = DbStats::new();
         let mut expect = Vec::new();
         let mut wire = WireBatch::new();
@@ -437,39 +480,131 @@ proptest! {
             if filter.eval(row) {
                 wire.push(row);
                 if wire.rows() == batch {
-                    wire.transmit(ARITY, &ref_stats, &mut expect);
+                    wire.transmit(arity, &ref_stats, &mut expect);
                 }
             }
         }
-        wire.transmit(ARITY, &ref_stats, &mut expect);
+        wire.transmit(arity, &ref_stats, &mut expect);
 
+        // Fetch by fetch — and twice past the end — against the
+        // row-at-a-time cursor; what the cursor shipped in all.
+        let in_step = |fetch: &mut dyn FnMut(&mut Vec<Code>) -> usize,
+                       by_row: &mut RowAtATime,
+                       before: StatsSnapshot| {
+            let (mut shipped, mut ref_shipped) = (Vec::new(), Vec::new());
+            let mut ended = 0;
+            while ended < 2 {
+                let n = fetch(&mut shipped);
+                prop_assert_eq!(n, by_row.fetch(&mut ref_shipped));
+                prop_assert_eq!(&shipped, &ref_shipped);
+                prop_assert_eq!(db.stats().snapshot() - before, by_row.stats.snapshot());
+                ended += usize::from(n == 0);
+            }
+            Ok(shipped)
+        };
+        let mut by_row = RowAtATime::open(&rows, &filter, batch, vec![(0, u64::MAX)]);
         let before = db.stats().snapshot();
-        let mut shipped = Vec::new();
-        db.open_cursor("t", filter.clone(), batch).unwrap().fetch_all(&mut shipped);
-        let cost = db.stats().snapshot() - before;
+        let mut cursor = db.open_cursor("t", filter.clone(), batch).unwrap();
+        let shipped = in_step(&mut |out| cursor.fetch(out), &mut by_row, before)?;
         prop_assert_eq!(&shipped, &expect);
-        prop_assert_eq!(cost, ref_stats.snapshot());
+        prop_assert_eq!(db.stats().snapshot() - before, ref_stats.snapshot());
 
-        // The block cursor over the whole table, the keyset cursor and the
-        // §4.3.3 structures filter through the same compiled set.
-        let mut ranged = Vec::new();
-        let mut cursor = db
-            .open_block_cursor("t", filter.clone(), batch, vec![(0, nrows as u64)])
-            .unwrap();
-        while cursor.fetch(&mut ranged).unwrap() > 0 {}
-        prop_assert_eq!(&ranged, &expect);
+        // The block cursor: disjoint ranges between drawn cut points, in a
+        // drawn order, some empty, some past the end of the table.
+        let mut cuts: Vec<u64> =
+            (0..2 * rng.below(5)).map(|_| rng.below(nrows + per_page) as u64).collect();
+        cuts.sort_unstable();
+        let mut ranges: Vec<(u64, u64)> = cuts.chunks_exact(2).map(|c| (c[0], c[1])).collect();
+        for i in (1..ranges.len()).rev() {
+            ranges.swap(i, rng.below(i + 1));
+        }
+        let mut by_row = RowAtATime::open(&rows, &filter, batch, ranges.clone());
+        let before = db.stats().snapshot();
+        let mut cursor = db.open_block_cursor("t", filter.clone(), batch, ranges).unwrap();
+        prop_assert_eq!(cursor.covered_rows(), by_row.tids.len() as u64);
+        in_step(&mut |out| cursor.fetch(out).unwrap(), &mut by_row, before)?;
+
+        // The keyset cursor and the §4.3.3 structures filter through the
+        // same compiled set, and ship through the same wire.
         let keyset = db.open_keyset_cursor("t", &filter).unwrap();
-        prop_assert_eq!(keyset.len() * ARITY, expect.len());
+        prop_assert_eq!(keyset.len() * arity, expect.len());
         let mut residual = Vec::new();
         keyset.scan_filtered(&db, &filter, &mut residual).unwrap();
         prop_assert_eq!(&residual, &expect);
         let tids = db.create_tid_set("t", &filter).unwrap();
+        let before = db.stats().snapshot();
         let mut fetched = Vec::new();
-        db.tid_scan(&tids, &filter, &mut fetched).unwrap();
+        db.tid_scan(&tids, &filter, batch, &mut fetched).unwrap();
+        let cost = db.stats().snapshot() - before;
         prop_assert_eq!(&fetched, &expect);
+        let wire = ref_stats.snapshot();
+        prop_assert_eq!(
+            (cost.rows_shipped, cost.bytes_shipped, cost.wire_round_trips),
+            (wire.rows_shipped, wire.bytes_shipped, wire.wire_round_trips),
+            "a TID join pays the wire a cursor pays"
+        );
         let temp = db.copy_to_temp("t", &filter).unwrap();
         let copied: Vec<Code> = db.table(&temp).unwrap().rows_unaccounted().flatten().copied().collect();
         prop_assert_eq!(&copied, &expect);
+    }
+}
+
+/// The cursor the server had before it filtered a page at a time, as the
+/// reference: it reads the rows of its (sorted, clamped) TID ranges one at
+/// a time, charges a page when it enters one and a row as it reads it,
+/// asks `Pred::eval` of the row, and stops reading the moment its batch is
+/// full.
+struct RowAtATime<'a> {
+    rows: &'a [Vec<Code>],
+    filter: &'a Pred,
+    batch: usize,
+    /// The TIDs still to read.
+    tids: std::vec::IntoIter<u64>,
+    last_page: u64,
+    stats: DbStats,
+}
+
+impl<'a> RowAtATime<'a> {
+    fn open(
+        rows: &'a [Vec<Code>],
+        filter: &'a Pred,
+        batch: usize,
+        mut ranges: Vec<(u64, u64)>,
+    ) -> Self {
+        ranges.sort_unstable();
+        let tids: Vec<u64> = ranges
+            .into_iter()
+            .flat_map(|(start, end)| start..end.min(rows.len() as u64))
+            .collect();
+        let stats = DbStats::new();
+        stats.add_seq_scan();
+        RowAtATime {
+            rows,
+            filter,
+            batch,
+            tids: tids.into_iter(),
+            last_page: u64::MAX,
+            stats,
+        }
+    }
+
+    fn fetch(&mut self, out: &mut Vec<Code>) -> usize {
+        let arity = self.rows.first().map_or(1, Vec::len);
+        let per_page = Page::capacity_rows(arity) as u64;
+        let mut wire = WireBatch::new();
+        while wire.rows() < self.batch {
+            let Some(tid) = self.tids.next() else { break };
+            if tid / per_page != self.last_page {
+                self.stats.add_pages_read(1);
+                self.last_page = tid / per_page;
+            }
+            self.stats.add_rows_scanned(1);
+            let row = &self.rows[tid as usize];
+            if self.filter.eval(row) {
+                wire.push(row);
+            }
+        }
+        wire.transmit(arity, &self.stats, out)
     }
 }
 
