@@ -177,8 +177,12 @@ const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
 /// per-extent loop of every staged-file scan, but all live in files whose
 /// other functions (AST construction, rendering, one-off evaluation; DML,
 /// catalog and keyset bookkeeping; staging bookkeeping) are not on any
-/// scan path.
-const PANIC_SCOPED: [(&str, &[&str]); 5] = [
+/// scan path. The client's half of Figure 3's synchronous loop is scoped
+/// the same way: the candidate enumeration of `split.rs` runs ~100 times
+/// per fulfilled node, beside bound formulas and public helpers that take
+/// caller-shaped input. (Its other half, the value-row view it reads, is
+/// in `cc.rs`, which [`PANIC_FILES`] covers whole.)
+const PANIC_SCOPED: [(&str, &[&str]); 6] = [
     (
         "crates/sqldb/src/expr.rs",
         &[
@@ -226,6 +230,20 @@ const PANIC_SCOPED: [(&str, &[&str]); 5] = [
             "push",
             "push_selected",
             "flush_extent",
+        ],
+    ),
+    // Client scoring: once per node, per attribute, per candidate.
+    (
+        "crates/dtree/src/split.rs",
+        &[
+            "rank_splits",
+            "score_split",
+            "binary",
+            "multiway",
+            "child",
+            "score",
+            "chi_row",
+            "consider",
         ],
     ),
 ];

@@ -217,6 +217,38 @@ fn hot_path_panic_is_fn_scoped_in_the_staged_file_byte_path() {
 }
 
 #[test]
+fn hot_path_panic_is_fn_scoped_in_the_split_enumeration() {
+    let rel = "crates/dtree/src/split.rs";
+    // The per-candidate kernel is in scope; `chi_square` beside it takes a
+    // caller-shaped table and is not.
+    let src = "pub fn chi_square(children: &[Vec<u64>]) -> f64 {\n\
+               for row in children { total += row[0]; }\n\
+               }\n\
+               impl Parent {\n\
+               fn binary(&self, left: &[u64], right: &mut [u64]) -> Option<f64> {\n\
+               for c in 0..left.len() {\n\
+               right[c] = self.counts[c] - left[c];\n\
+               }\n\
+               }\n\
+               }\n\
+               pub(crate) fn rank_splits(cc: &CountsTable, attrs: &[u16]) -> Ranking {\n\
+               for &attr in attrs {\n\
+               let best = ranking.best.unwrap();\n\
+               }\n\
+               }\n";
+    let report = check_source(rel, src);
+    assert_eq!(
+        fired(&report),
+        vec![
+            (RULE_HOT_PATH_PANIC, 7), // right[c] / counts[c] / left[c] per candidate
+            (RULE_HOT_PATH_PANIC, 7),
+            (RULE_HOT_PATH_PANIC, 7),
+            (RULE_HOT_PATH_PANIC, 13), // .unwrap() in the per-attribute loop
+        ]
+    );
+}
+
+#[test]
 fn io_bypass_fires_on_each_pattern() {
     let rel = "crates/core/src/middleware.rs";
     let report = check_source(rel, &fixture("bad", rel));

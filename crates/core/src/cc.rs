@@ -406,6 +406,17 @@ impl DenseCounts {
         Some(&self.slots[start..start + span])
     }
 
+    /// One tracked attribute's slots as value rows: chunk `v` holds the
+    /// class counts of `attr = v`, `n_classes` wide, in place.
+    fn attr_rows(&self, attr: u16) -> Option<std::slice::ChunksExact<'_, u64>> {
+        // `DenseLayout::build` rejects `n_classes == 0`, so the chunk
+        // width is never zero.
+        Some(
+            self.attr_slots(attr)?
+                .chunks_exact(self.layout.n_classes as usize),
+        )
+    }
+
     /// Non-zero entries in `(attr, value, class)` order.
     fn entries(&self) -> Entries<'_> {
         Entries(EntriesInner::Dense {
@@ -426,6 +437,26 @@ enum CcRepr {
 impl Default for CcRepr {
     fn default() -> Self {
         CcRepr::Sparse(BTreeMap::new())
+    }
+}
+
+impl CcRepr {
+    /// [`CountsTable::attr_vector`], borrowing only the entries — so the
+    /// table's totals can be rebuilt while it is walked.
+    fn attr_vector(&self, attr: u16) -> AttrVector<'_> {
+        AttrVector(match self {
+            CcRepr::Sparse(map) => {
+                AttrVecInner::Sparse(map.range((attr, 0, 0)..=(attr, Code::MAX, Code::MAX)))
+            }
+            CcRepr::Dense(d) => match d.attr_slots(attr) {
+                Some(slots) => AttrVecInner::Dense {
+                    slots,
+                    n_classes: d.layout.n_classes,
+                    i: 0,
+                },
+                None => AttrVecInner::Empty,
+            },
+        })
     }
 }
 
@@ -793,8 +824,13 @@ impl CountsTable {
     }
 
     /// Record a pre-aggregated per-class row count (used when a node has no
-    /// attributes left and only its class distribution is needed).
+    /// attributes left and only its class distribution is needed). Zero
+    /// counts are ignored, as in [`CountsTable::add_aggregate`]: a class no
+    /// row carries is not a class of the node.
     pub fn add_class_aggregate(&mut self, class: Code, count: u64) {
+        if count == 0 {
+            return;
+        }
         *self.class_totals.entry(class).or_insert(0) += count;
         self.total += count;
     }
@@ -803,10 +839,9 @@ impl CountsTable {
     /// attribute (every row has exactly one value per attribute, so one
     /// attribute's counts partition the node's rows).
     pub fn set_totals_from_attr(&mut self, attr: u16) {
-        let per_class: Vec<(Code, u64)> = self.attr_vector(attr).map(|(_, c, n)| (c, n)).collect();
         self.class_totals.clear();
         self.total = 0;
-        for (class, count) in per_class {
+        for (_, class, count) in self.repr.attr_vector(attr) {
             *self.class_totals.entry(class).or_insert(0) += count;
             self.total += count;
         }
@@ -826,7 +861,7 @@ impl CountsTable {
     }
 
     /// `(class, rows)` pairs at this node, ascending by class code.
-    pub fn class_distribution(&self) -> impl Iterator<Item = (Code, u64)> + '_ {
+    pub fn class_distribution(&self) -> impl Iterator<Item = (Code, u64)> + Clone + '_ {
         self.class_totals.iter().map(|(&c, &n)| (c, n))
     }
 
@@ -847,17 +882,62 @@ impl CountsTable {
     /// `(value, class)` order — the paper's "vector of counts for the
     /// states of a class correlated with a particular attribute".
     pub fn attr_vector(&self, attr: u16) -> AttrVector<'_> {
-        AttrVector(match &self.repr {
-            CcRepr::Sparse(map) => {
-                AttrVecInner::Sparse(map.range((attr, 0, 0)..=(attr, Code::MAX, Code::MAX)))
+        self.repr.attr_vector(attr)
+    }
+
+    /// The class axis this table's value rows are laid over. Dense tables
+    /// whose every class lies inside the layout read their rows in place,
+    /// position = class code; any other table gathers rows over the classes
+    /// present at the node, ascending. Absent classes on the dense axis
+    /// count zero in every row, so both axes describe the same
+    /// contingency table.
+    pub fn class_axis(&self) -> ClassAxis {
+        if let CcRepr::Dense(d) = &self.repr {
+            let width = d.layout.n_classes as usize;
+            let max_class = self.class_totals.keys().next_back().copied();
+            if width <= usize::from(Code::MAX) + 1
+                && max_class.map_or(true, |c| usize::from(c) < width)
+            {
+                return ClassAxis(AxisRepr::Codes(width));
             }
-            CcRepr::Dense(d) => match d.attr_slots(attr) {
-                Some(slots) => AttrVecInner::Dense {
-                    slots,
-                    n_classes: d.layout.n_classes,
-                    i: 0,
-                },
-                None => AttrVecInner::Empty,
+        }
+        ClassAxis(AxisRepr::Present(
+            self.class_totals.keys().copied().collect(),
+        ))
+    }
+
+    /// Rows per class over `axis` — the node's class distribution as one
+    /// more value row (zero where the axis names a class the node lacks).
+    pub fn class_row(&self, axis: &ClassAxis) -> Vec<u64> {
+        axis.classes()
+            .map(|c| self.class_totals.get(&c).copied().unwrap_or(0))
+            .collect()
+    }
+
+    /// The value rows of `attr`: for each value present at the node,
+    /// ascending, its class counts as a slice over `axis` (which must be
+    /// this table's [`class_axis`](Self::class_axis)). A dense table hands
+    /// out `slots[v·n_classes ..][..n_classes]` in place and never touches
+    /// `scratch`; a sparse one gathers each row into `scratch`, reused
+    /// from row to row. An attribute the table does not track has no rows.
+    pub fn value_rows<'a>(
+        &'a self,
+        attr: u16,
+        axis: &'a ClassAxis,
+        scratch: &'a mut Vec<u64>,
+    ) -> ValueRows<'a> {
+        ValueRows(match (&self.repr, &axis.0) {
+            (CcRepr::Dense(d), AxisRepr::Codes(width)) if *width == d.layout.n_classes as usize => {
+                RowsInner::InPlace {
+                    rows: d.attr_rows(attr).unwrap_or([].chunks_exact(1)),
+                    value: 0,
+                }
+            }
+            _ => RowsInner::Gathered {
+                entries: self.attr_vector(attr),
+                ahead: None,
+                axis,
+                row: scratch,
             },
         })
     }
@@ -865,15 +945,22 @@ impl CountsTable {
     /// Distinct values of `attr` present at this node — `card(n, A)` of
     /// §4.2.1, known exactly once the node's CC table exists.
     pub fn distinct_values(&self, attr: u16) -> u64 {
-        let mut card = 0;
-        let mut last: Option<Code> = None;
-        for (v, _, _) in self.attr_vector(attr) {
-            if last != Some(v) {
-                card += 1;
-                last = Some(v);
+        match &self.repr {
+            CcRepr::Sparse(map) => {
+                let mut card = 0;
+                let mut last: Option<Code> = None;
+                for (&(_, v, _), _) in map.range((attr, 0, 0)..=(attr, Code::MAX, Code::MAX)) {
+                    if last != Some(v) {
+                        card += 1;
+                        last = Some(v);
+                    }
+                }
+                card
             }
+            CcRepr::Dense(d) => d.attr_rows(attr).map_or(0, |rows| {
+                rows.filter(|row| row.iter().any(|&n| n != 0)).count() as u64
+            }),
         }
-        card
     }
 
     /// Rows that would flow to the child reached via `attr = value` — exact
@@ -885,16 +972,10 @@ impl CountsTable {
                 .range((attr, value, 0)..=(attr, value, Code::MAX))
                 .map(|(_, &n)| n)
                 .sum(),
-            CcRepr::Dense(d) => {
-                let l = &*d.layout;
-                match l.attr_index(attr) {
-                    Some(i) if (value as u32) < l.cards[i] => {
-                        let start = (l.offsets[i] + value as u32 * l.n_classes) as usize;
-                        d.slots[start..start + l.n_classes as usize].iter().sum()
-                    }
-                    _ => 0,
-                }
-            }
+            CcRepr::Dense(d) => d
+                .attr_rows(attr)
+                .and_then(|mut rows| rows.nth(usize::from(value)))
+                .map_or(0, |row| row.iter().sum()),
         }
     }
 
@@ -1065,6 +1146,110 @@ impl Iterator for Entries<'_> {
                     *within = 0;
                 }
                 None
+            }
+        }
+    }
+}
+
+/// The class axis of a table's value rows
+/// ([`CountsTable::class_axis`]): which class each row position counts.
+#[derive(Debug)]
+pub struct ClassAxis(AxisRepr);
+
+#[derive(Debug)]
+enum AxisRepr {
+    /// Position = class code, over this many codes (the dense layout's
+    /// class cardinality): rows are read in place.
+    Codes(usize),
+    /// The classes present at the node, ascending: rows are gathered.
+    Present(Vec<Code>),
+}
+
+impl ClassAxis {
+    /// Row width: positions on the axis.
+    pub fn width(&self) -> usize {
+        match &self.0 {
+            AxisRepr::Codes(width) => *width,
+            AxisRepr::Present(classes) => classes.len(),
+        }
+    }
+
+    /// The class counted at each position, in position (= ascending
+    /// class) order.
+    pub fn classes(&self) -> impl Iterator<Item = Code> + Clone + '_ {
+        let (codes, present) = match &self.0 {
+            AxisRepr::Codes(width) => (0..*width, [].iter()),
+            AxisRepr::Present(classes) => (0..0, classes.iter()),
+        };
+        // `class_axis` caps an in-place axis at the `Code` range.
+        codes.map(|c| c as Code).chain(present.copied())
+    }
+
+    /// Position of `class` on the axis, if it is on it.
+    fn position(&self, class: Code) -> Option<usize> {
+        match &self.0 {
+            AxisRepr::Codes(width) => Some(usize::from(class)).filter(|p| p < width),
+            AxisRepr::Present(classes) => classes.binary_search(&class).ok(),
+        }
+    }
+}
+
+/// One attribute's counts as value rows over a [`ClassAxis`]
+/// ([`CountsTable::value_rows`]). A lending walk: each row borrows the
+/// view, because a gathered row lives in the one reused scratch.
+pub struct ValueRows<'a>(RowsInner<'a>);
+
+enum RowsInner<'a> {
+    InPlace {
+        rows: std::slice::ChunksExact<'a, u64>,
+        /// The value the next chunk of `rows` belongs to.
+        value: u32,
+    },
+    Gathered {
+        entries: AttrVector<'a>,
+        /// The entry that ended the previous row: the next row's first.
+        ahead: Option<(Code, Code, u64)>,
+        axis: &'a ClassAxis,
+        row: &'a mut Vec<u64>,
+    },
+}
+
+impl ValueRows<'_> {
+    /// The next value present, ascending, with its class counts over the
+    /// axis. A count whose class is not on the axis (a table whose class
+    /// totals were never set) is left out.
+    pub fn next_row(&mut self) -> Option<(Code, &[u64])> {
+        match &mut self.0 {
+            RowsInner::InPlace { rows, value } => loop {
+                let row = rows.next()?;
+                let v = *value;
+                *value += 1;
+                if row.iter().any(|&n| n != 0) {
+                    // A non-zero count was stored under a `Code` value.
+                    return Some((v as Code, row));
+                }
+            },
+            RowsInner::Gathered {
+                entries,
+                ahead,
+                axis,
+                row,
+            } => {
+                let (value, mut class, mut n) = ahead.take().or_else(|| entries.next())?;
+                row.clear();
+                row.resize(axis.width(), 0);
+                loop {
+                    if let Some(slot) = axis.position(class).and_then(|p| row.get_mut(p)) {
+                        *slot += n;
+                    }
+                    match entries.next() {
+                        Some((v, c, m)) if v == value => (class, n) = (c, m),
+                        other => {
+                            *ahead = other;
+                            return Some((value, row.as_slice()));
+                        }
+                    }
+                }
             }
         }
     }
@@ -1376,6 +1561,91 @@ mod tests {
         dense.add_aggregate(0, 0, 0, 0);
         assert_eq!(dense.entries(), 0);
         assert!(dense.is_dense());
+    }
+
+    #[test]
+    fn zero_count_class_aggregate_is_no_class() {
+        // The `sqlgen` fallback's loaders, fed a GROUP BY answer that
+        // carries a zero-count class row, must assemble the table a scan
+        // of the same rows builds.
+        let scanned = table_from(&[[0, 0, 0], [1, 0, 0], [1, 1, 0]]);
+        let mut loaded = CountsTable::new();
+        for ((attr, value, class), n) in scanned.iter() {
+            loaded.add_aggregate(attr, value, class, n);
+        }
+        loaded.add_aggregate(0, 0, 1, 0);
+        loaded.add_class_aggregate(0, 3);
+        loaded.add_class_aggregate(1, 0);
+        assert_eq!(loaded, scanned);
+        assert_eq!(loaded.distinct_classes(), 1);
+        assert_eq!(loaded.majority_class(), scanned.majority_class());
+        assert_eq!(loaded.total(), 3);
+    }
+
+    /// Every value row of `attr`, as `(value, (class, count) pairs)` with
+    /// zero counts dropped: what the row means, whatever the axis.
+    fn rows_of(cc: &CountsTable, attr: u16) -> Vec<(Code, Vec<(Code, u64)>)> {
+        let axis = cc.class_axis();
+        let mut scratch = Vec::new();
+        let mut rows = cc.value_rows(attr, &axis, &mut scratch);
+        let mut out = Vec::new();
+        while let Some((value, row)) = rows.next_row() {
+            assert_eq!(row.len(), axis.width());
+            let pairs = axis.classes().zip(row.iter().copied());
+            out.push((value, pairs.filter(|&(_, n)| n != 0).collect()));
+        }
+        out
+    }
+
+    #[test]
+    fn value_rows_read_dense_in_place_and_gather_sparse_alike() {
+        let rows: Vec<[Code; 3]> = vec![[0, 0, 1], [0, 1, 1], [2, 1, 0], [2, 3, 1], [2, 3, 1]];
+        let sparse = table_from(&rows);
+        let dense = dense_from(&rows);
+        // Dense: the layout's two class codes, rows in place (the scratch
+        // is never touched). Sparse: the classes present.
+        assert_eq!(dense.class_axis().classes().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(dense.class_row(&dense.class_axis()), [1, 4]);
+        let mut scratch = Vec::new();
+        let axis = dense.class_axis();
+        let mut in_place = dense.value_rows(0, &axis, &mut scratch);
+        assert_eq!(in_place.next_row(), Some((0, &[0u64, 2][..])));
+        assert_eq!(
+            in_place.next_row(),
+            Some((2, &[1u64, 2][..])),
+            "value 1 is absent"
+        );
+        assert_eq!(in_place.next_row(), None);
+        assert_eq!(scratch.capacity(), 0);
+        for attr in [0u16, 1, 9] {
+            let expect: Vec<(Code, Vec<(Code, u64)>)> = {
+                let mut by_value: Vec<(Code, Vec<(Code, u64)>)> = Vec::new();
+                for (v, c, n) in sparse.attr_vector(attr) {
+                    match by_value.last_mut() {
+                        Some((last, pairs)) if *last == v => pairs.push((c, n)),
+                        _ => by_value.push((v, vec![(c, n)])),
+                    }
+                }
+                by_value
+            };
+            assert_eq!(rows_of(&sparse, attr), expect, "sparse attr {attr}");
+            assert_eq!(rows_of(&dense, attr), expect, "dense attr {attr}");
+        }
+        assert!(
+            rows_of(&dense, 9).is_empty(),
+            "an untracked attribute has no rows"
+        );
+        // A class total outside the layout (an attribute-less aggregate
+        // merged in) takes the dense table off the in-place axis; the rows
+        // mean the same.
+        let mut wide = dense.clone();
+        let mut extra = CountsTable::new();
+        extra.add_class_aggregate(5, 2);
+        wide.merge(extra);
+        assert!(wide.is_dense());
+        assert_eq!(wide.class_axis().classes().collect::<Vec<_>>(), [0, 1, 5]);
+        assert_eq!(wide.class_row(&wide.class_axis()), [1, 4, 2]);
+        assert_eq!(rows_of(&wide, 0), rows_of(&dense, 0));
     }
 
     /// Transpose row tuples into the three column vectors add_block wants.

@@ -111,7 +111,7 @@ pub mod sqlgen;
 pub mod staging;
 
 pub use catalog::StagingCatalog;
-pub use cc::{CountsTable, FulfilledCc, CC_ENTRY_BYTES};
+pub use cc::{ClassAxis, CountsTable, FulfilledCc, ValueRows, CC_ENTRY_BYTES};
 pub use concurrent::SessionPool;
 pub use config::{AuxMode, EstimatorKind, FileStagingPolicy, MiddlewareConfig};
 pub use delta::{DeltaMap, LeafDelta};

@@ -9,9 +9,18 @@
 //! The node-level decision logic ([`decide`], [`derive_children`]) is
 //! shared with the in-memory baseline client so both provably grow the
 //! *same* tree from the same data.
+//!
+//! Figure 3's loop is synchronous — the middleware idles while the client
+//! turns a fulfilled table into a split — so a fulfilment is read where
+//! the counting kernel left it (`split.rs`, DESIGN.md §12a) and each thing
+//! is taken once: per node, one enumeration of the candidates yields the
+//! verdict and, for a maintainable grow, the winner/runner-up margins;
+//! `card(n, A_j)` is counted once per attribute and shared by the
+//! children; per child, the class counts, edge predicate and cards are
+//! built once and moved into the tree and the request.
 
 use crate::maintain::RetainedNode;
-use crate::split::{best_split, best_two_splits, score_half_width, Scorer, Split, SplitKind};
+use crate::split::{best_two_splits, rank_splits, score_half_width, Scorer, Split, SplitKind};
 use crate::tree::{DecisionTree, Edge, NodeState, TreeNode};
 use scaleclass::{CcRequest, CountsTable, DataLocation, Lineage, Middleware, MwResult, NodeId};
 use scaleclass_sqldb::{Code, Pred};
@@ -58,18 +67,34 @@ pub enum Decision {
 /// purity, exhausted attributes, no non-degenerate split, plus the
 /// practical min-rows / max-depth bounds).
 pub fn decide(cc: &CountsTable, attrs: &[u16], depth: usize, config: &GrowConfig) -> Decision {
+    decide_with_margins(cc, attrs, depth, config).0
+}
+
+/// [`decide`], plus the `(winner, runner-up)` scores [`best_two_splits`]
+/// reports on the same table — the margins incremental maintenance keeps
+/// for a partitioned node — out of the one enumeration that decided it.
+/// A node that terminates before any split is scored has none.
+pub(crate) fn decide_with_margins(
+    cc: &CountsTable,
+    attrs: &[u16],
+    depth: usize,
+    config: &GrowConfig,
+) -> (Decision, (Option<f64>, Option<f64>)) {
     let majority = cc.majority_class().map(|(c, _)| c).unwrap_or(0);
+    let leaf = Decision::Leaf { class: majority };
     let depth_capped = config.max_depth.is_some_and(|d| depth >= d);
     if cc.distinct_classes() <= 1
         || cc.total() < config.min_rows
         || depth_capped
         || attrs.is_empty()
     {
-        return Decision::Leaf { class: majority };
+        return (leaf, (None, None));
     }
-    match best_split(cc, attrs, config.split_kind, config.scorer) {
-        Some(scored) if scored.score > 1e-12 => Decision::Split(scored.split),
-        _ => Decision::Leaf { class: majority },
+    let ranking = rank_splits(cc, attrs, config.split_kind, config.scorer);
+    let margins = ranking.margins();
+    match ranking.best {
+        Some(scored) if scored.score > 1e-12 => (Decision::Split(scored.split), margins),
+        _ => (leaf, margins),
     }
 }
 
@@ -91,101 +116,100 @@ pub struct ChildSpec {
     pub parent_cards: Vec<u64>,
 }
 
-/// Derive the children of `split` from the parent's CC table.
+impl ChildSpec {
+    /// The class a leaf at this child predicts: the majority class, the
+    /// highest class code among equals, 0 for an empty child.
+    pub fn majority_class(&self) -> Code {
+        self.class_counts
+            .iter()
+            .max_by_key(|&&(_, n)| n)
+            .map_or(0, |&(c, _)| c)
+    }
+
+    /// The child reached by `attr = value`.
+    fn eq(
+        attr: u16,
+        value: Code,
+        class_counts: Vec<(Code, u64)>,
+        (attrs, parent_cards): (Vec<u16>, Vec<u64>),
+    ) -> ChildSpec {
+        let col = attr as usize;
+        ChildSpec {
+            edge: Edge::Eq { attr, value },
+            edge_pred: Pred::Eq { col, value },
+            rows: class_counts.iter().map(|&(_, n)| n).sum(),
+            class_counts,
+            attrs,
+            parent_cards,
+        }
+    }
+}
+
+/// Derive the children of `split` from the parent's CC table: a child's
+/// class counts are its value's row of the split attribute
+/// ([`CountsTable::value_rows`]), and `card(n, A_j)` is counted once per
+/// attribute of the node.
 pub fn derive_children(cc: &CountsTable, split: &Split, attrs: &[u16]) -> Vec<ChildSpec> {
     let attr = split.attr();
-    let card_at_node = cc.distinct_values(attr);
-    // Class counts for `attr = v`, per value, in one pass over the vector.
-    let mut by_value: HashMap<Code, Vec<(Code, u64)>> = HashMap::new();
-    for (v, class, n) in cc.attr_vector(attr) {
-        by_value.entry(v).or_default().push((class, n));
+    let cards: Vec<u64> = attrs
+        .iter()
+        .map(|&a| cc.distinct_values(a).max(1))
+        .collect();
+    // `A = v` pins the attribute → drop it. `A ≠ v` leaves it with card−1
+    // values → drop only if that is a single value.
+    let mut kept = (attrs.to_vec(), cards);
+    let mut pinned = kept.clone();
+    if let Some(i) = attrs.iter().position(|&a| a == attr) {
+        pinned.0.remove(i);
+        pinned.1.remove(i);
+        if kept.1[i] <= 2 {
+            kept.0.remove(i);
+            kept.1.remove(i);
+        }
     }
-    let parent_counts: Vec<(Code, u64)> = cc.class_distribution().collect();
 
-    let child_attrs = |keep_split_attr: bool| -> Vec<u16> {
-        attrs
-            .iter()
-            .copied()
-            .filter(|&a| keep_split_attr || a != attr)
-            .collect()
+    let axis = cc.class_axis();
+    let mut gather = Vec::new();
+    // Class counts of `attr = value`; none when the value is absent.
+    let mut counts_of = |value: Code| {
+        let mut rows = cc.value_rows(attr, &axis, &mut gather);
+        while let Some((v, row)) = rows.next_row() {
+            if v == value {
+                // Sized exactly: the tree keeps this vector.
+                let mut counts = Vec::with_capacity(row.iter().filter(|&&n| n > 0).count());
+                counts.extend(
+                    axis.classes()
+                        .zip(row.iter().copied())
+                        .filter(|&(_, n)| n > 0),
+                );
+                return counts;
+            }
+        }
+        Vec::new()
     };
-    let cards_for = |child_attrs: &[u16]| -> Vec<u64> {
-        child_attrs
-            .iter()
-            .map(|&a| cc.distinct_values(a).max(1))
-            .collect()
-    };
-
     match split {
-        Split::Binary { value, .. } => {
-            let eq_counts: Vec<(Code, u64)> = by_value.get(value).cloned().unwrap_or_default();
-            let eq_rows: u64 = eq_counts.iter().map(|&(_, n)| n).sum();
-            let neq_counts: Vec<(Code, u64)> = parent_counts
-                .iter()
-                .map(|&(c, total)| {
-                    let eq = eq_counts
-                        .iter()
-                        .find(|&&(ec, _)| ec == c)
-                        .map(|&(_, n)| n)
-                        .unwrap_or(0);
-                    (c, total - eq)
-                })
-                .filter(|&(_, n)| n > 0)
-                .collect();
-            let neq_rows = cc.total() - eq_rows;
-            // `A = v` pins the attribute → drop it. `A ≠ v` leaves it with
-            // card−1 values → drop only if that is a single value.
-            let eq_attrs = child_attrs(false);
-            let neq_attrs = child_attrs(card_at_node > 2);
-            vec![
-                ChildSpec {
-                    edge: Edge::Eq {
-                        attr,
-                        value: *value,
-                    },
-                    edge_pred: Pred::Eq {
-                        col: attr as usize,
-                        value: *value,
-                    },
-                    rows: eq_rows,
-                    class_counts: eq_counts,
-                    parent_cards: cards_for(&eq_attrs),
-                    attrs: eq_attrs,
-                },
-                ChildSpec {
-                    edge: Edge::NotEq {
-                        attr,
-                        value: *value,
-                    },
-                    edge_pred: Pred::NotEq {
-                        col: attr as usize,
-                        value: *value,
-                    },
-                    rows: neq_rows,
-                    class_counts: neq_counts,
-                    parent_cards: cards_for(&neq_attrs),
-                    attrs: neq_attrs,
-                },
-            ]
+        &Split::Binary { value, .. } => {
+            let eq = ChildSpec::eq(attr, value, counts_of(value), pinned);
+            let mut neq_counts: Vec<(Code, u64)> = cc.class_distribution().collect();
+            for (c, n) in &mut neq_counts {
+                let eq_n = eq.class_counts.iter().find(|&&(ec, _)| ec == *c);
+                *n -= eq_n.map_or(0, |&(_, n)| n);
+            }
+            neq_counts.retain(|&(_, n)| n > 0);
+            let col = attr as usize;
+            let neq = ChildSpec {
+                edge: Edge::NotEq { attr, value },
+                edge_pred: Pred::NotEq { col, value },
+                rows: cc.total() - eq.rows,
+                class_counts: neq_counts,
+                attrs: kept.0,
+                parent_cards: kept.1,
+            };
+            vec![eq, neq]
         }
         Split::Multiway { values, .. } => values
             .iter()
-            .map(|&v| {
-                let counts = by_value.get(&v).cloned().unwrap_or_default();
-                let rows = counts.iter().map(|&(_, n)| n).sum();
-                let a = child_attrs(false);
-                ChildSpec {
-                    edge: Edge::Eq { attr, value: v },
-                    edge_pred: Pred::Eq {
-                        col: attr as usize,
-                        value: v,
-                    },
-                    rows,
-                    class_counts: counts,
-                    parent_cards: cards_for(&a),
-                    attrs: a,
-                }
-            })
+            .map(|&v| ChildSpec::eq(attr, v, counts_of(v), pinned.clone()))
             .collect(),
     }
 }
@@ -280,15 +304,78 @@ pub struct GrowOutcome {
 /// replays the same per-node logic on re-grown subtrees.
 #[derive(Default)]
 pub(crate) struct GrowState {
-    pub(crate) lineages: HashMap<usize, Lineage>,
-    pub(crate) attrs_of: HashMap<usize, Vec<u16>>,
+    pub(crate) open: HashMap<usize, (Lineage, Vec<u16>)>,
+}
+
+/// Create the children `specs` describes under the partitioned node `idx`
+/// and request counts for those `leaf_now` does not settle on the spot.
+/// `scale` maps an exact count of the parent's table to the size recorded
+/// in the tree and fed to the scheduler: the identity for exact counts,
+/// [`scale_sampled`] for sampled ones. Each child's class counts, edge
+/// predicate and cards are moved into place; its lineage and attributes
+/// have two owners (the request, and `state` for the fulfilment) and are
+/// copied once. Returns the number of requests issued.
+#[allow(clippy::too_many_arguments)] // one call shape for the exact and the sampled path
+fn spawn_children(
+    mw: &mut Middleware,
+    tree: &mut DecisionTree,
+    state: &mut GrowState,
+    idx: usize,
+    lineage: &Lineage,
+    specs: Vec<ChildSpec>,
+    parent_rows: u64,
+    scale: impl Fn(u64) -> u64,
+    leaf_now: impl Fn(&ChildSpec) -> bool,
+) -> MwResult<u64> {
+    let depth = tree.node(idx).depth + 1;
+    let mut issued = 0;
+    for mut spec in specs {
+        let leaf_now = leaf_now(&spec);
+        let state_now = if leaf_now {
+            NodeState::Leaf {
+                class: spec.majority_class(),
+            }
+        } else {
+            NodeState::Active
+        };
+        let rows = scale(spec.rows);
+        for (_, n) in &mut spec.class_counts {
+            *n = scale(*n);
+        }
+        let child_idx = tree.push(TreeNode {
+            id: 0,
+            parent: Some(idx),
+            edge: Some(spec.edge),
+            depth,
+            state: state_now,
+            class_counts: spec.class_counts,
+            rows,
+            children: Vec::new(),
+            source: None,
+        });
+        if !leaf_now {
+            let child_lineage = lineage.child(NodeId(child_idx as u64), spec.edge_pred);
+            mw.enqueue(CcRequest {
+                lineage: child_lineage.clone(),
+                attrs: spec.attrs.clone(),
+                class_col: mw.class_col(),
+                rows,
+                parent_rows,
+                parent_cards: spec.parent_cards,
+            })?;
+            state.open.insert(child_idx, (child_lineage, spec.attrs));
+            issued += 1;
+        }
+    }
+    Ok(issued)
 }
 
 /// Apply one node's *exact* counts table: record its distribution, decide
 /// leaf-vs-split, create children (immediate leaves settled from the
 /// parent's CC, the rest enqueued), and — when `retain` is given — store
 /// the CC plus winner/runner-up margins for incremental maintenance
-/// (DESIGN.md §15). Returns the number of child requests issued.
+/// (DESIGN.md §15), taken from the same enumeration as the decision.
+/// Returns the number of child requests issued.
 #[allow(clippy::too_many_arguments)] // the grow loop and the maintenance pump share one call shape
 pub(crate) fn apply_exact_counts(
     mw: &mut Middleware,
@@ -309,63 +396,8 @@ pub(crate) fn apply_exact_counts(
         node.rows = cc.total();
         node.source = source;
     }
-    let mut issued = 0u64;
-    match decide(cc, attrs, depth, config) {
-        Decision::Leaf { class } => {
-            tree.node_mut(idx).state = NodeState::Leaf { class };
-        }
-        Decision::Split(split) => {
-            let specs = derive_children(cc, &split, attrs);
-            tree.node_mut(idx).state = NodeState::Partitioned { split };
-            for spec in specs {
-                let leaf_now = immediate_leaf(&spec, depth + 1, config);
-                let child_state = if leaf_now {
-                    let class = spec
-                        .class_counts
-                        .iter()
-                        .max_by_key(|&&(_, n)| n)
-                        .map(|&(c, _)| c)
-                        .unwrap_or(0);
-                    NodeState::Leaf { class }
-                } else {
-                    NodeState::Active
-                };
-                let child_idx = tree.push(TreeNode {
-                    id: 0,
-                    parent: Some(idx),
-                    edge: Some(spec.edge),
-                    depth: depth + 1,
-                    state: child_state,
-                    class_counts: spec.class_counts.clone(),
-                    rows: spec.rows,
-                    children: Vec::new(),
-                    source: None,
-                });
-                if !leaf_now {
-                    let child_lineage =
-                        lineage.child(NodeId(child_idx as u64), spec.edge_pred.clone());
-                    let req = CcRequest {
-                        lineage: child_lineage.clone(),
-                        attrs: spec.attrs.clone(),
-                        class_col: mw.class_col(),
-                        rows: spec.rows,
-                        parent_rows: cc.total(),
-                        parent_cards: spec.parent_cards.clone(),
-                    };
-                    state.lineages.insert(child_idx, child_lineage);
-                    state.attrs_of.insert(child_idx, spec.attrs);
-                    mw.enqueue(req)?;
-                    issued += 1;
-                }
-            }
-        }
-    }
+    let (decision, (best_score, runner_score)) = decide_with_margins(cc, attrs, depth, config);
     if let Some(retained) = retain {
-        let (best_score, runner_score) =
-            match best_two_splits(cc, attrs, config.split_kind, config.scorer) {
-                Some((best, runner)) => (Some(best.score), runner),
-                None => (None, None),
-            };
         retained.insert(
             idx,
             RetainedNode {
@@ -376,7 +408,28 @@ pub(crate) fn apply_exact_counts(
             },
         );
     }
-    Ok(issued)
+    match decision {
+        Decision::Leaf { class } => {
+            tree.node_mut(idx).state = NodeState::Leaf { class };
+            Ok(0)
+        }
+        Decision::Split(split) => {
+            let specs = derive_children(cc, &split, attrs);
+            tree.node_mut(idx).state = NodeState::Partitioned { split };
+            let leaf_now = |spec: &ChildSpec| immediate_leaf(spec, depth + 1, config);
+            spawn_children(
+                mw,
+                tree,
+                state,
+                idx,
+                lineage,
+                specs,
+                cc.total(),
+                |n| n,
+                leaf_now,
+            )
+        }
+    }
 }
 
 /// Grow a full decision tree through the middleware (the synchronous
@@ -406,8 +459,8 @@ pub(crate) fn grow_inner(
     });
     let root_req = mw.root_request(NodeId(root as u64));
     let mut state = GrowState::default();
-    state.lineages.insert(root, root_req.lineage.clone());
-    state.attrs_of.insert(root, root_req.attrs.clone());
+    let root_open = (root_req.lineage.clone(), root_req.attrs.clone());
+    state.open.insert(root, root_open);
     mw.enqueue(root_req)?;
     let mut requests_issued = 1u64;
     let mut sampled_accepts = 0u64;
@@ -417,11 +470,10 @@ pub(crate) fn grow_inner(
         let fulfilled = mw.process_next_batch()?;
         for f in fulfilled {
             let idx = f.node.0 as usize;
-            let lineage = state
-                .lineages
+            let (lineage, attrs) = state
+                .open
                 .remove(&idx)
                 .expect("fulfilled node was requested");
-            let attrs = state.attrs_of.remove(&idx).expect("attrs recorded");
             let depth = tree.node(idx).depth;
 
             // Sampled fulfilment (DESIGN.md §13): accept the split only if
@@ -434,8 +486,7 @@ pub(crate) fn grow_inner(
                         // will need, then requeue through the session so
                         // the sampled CC bytes release *before* the exact
                         // scan is scheduled (double-count guard).
-                        state.lineages.insert(idx, lineage);
-                        state.attrs_of.insert(idx, attrs);
+                        state.open.insert(idx, (lineage, attrs));
                         let escalated = mw.escalate(f.node);
                         debug_assert!(escalated, "sampled fulfilment must be outstanding");
                         escalations += 1;
@@ -447,6 +498,7 @@ pub(crate) fn grow_inner(
                         sampled_accepts += 1;
                         let scale = |n: u64| scale_sampled(n, tag.fraction);
                         let parent_rows = scale(f.cc.total());
+                        let specs = derive_children(&f.cc, &split, &attrs);
                         {
                             let node = tree.node_mut(idx);
                             node.class_counts =
@@ -455,49 +507,24 @@ pub(crate) fn grow_inner(
                                     .collect();
                             node.rows = parent_rows;
                             node.source = Some(f.source);
+                            node.state = NodeState::Partitioned { split };
                         }
-                        let specs = derive_children(&f.cc, &split, &attrs);
-                        tree.node_mut(idx).state = NodeState::Partitioned {
-                            split: split.clone(),
-                        };
-                        for spec in specs {
-                            // No immediate-leaf shortcut from sampled
-                            // counts: a leaf's class distribution is tree
-                            // output and sampled purity proves nothing
-                            // about the blocks the scan skipped. Every
-                            // child gets its own counts request.
-                            let child_rows = scale(spec.rows);
-                            let child_counts: Vec<(Code, u64)> = spec
-                                .class_counts
-                                .iter()
-                                .map(|&(c, n)| (c, scale(n)))
-                                .collect();
-                            let child_idx = tree.push(TreeNode {
-                                id: 0,
-                                parent: Some(idx),
-                                edge: Some(spec.edge),
-                                depth: depth + 1,
-                                state: NodeState::Active,
-                                class_counts: child_counts,
-                                rows: child_rows,
-                                children: Vec::new(),
-                                source: None,
-                            });
-                            let child_lineage =
-                                lineage.child(NodeId(child_idx as u64), spec.edge_pred.clone());
-                            let req = CcRequest {
-                                lineage: child_lineage.clone(),
-                                attrs: spec.attrs.clone(),
-                                class_col: mw.class_col(),
-                                rows: child_rows,
-                                parent_rows,
-                                parent_cards: spec.parent_cards.clone(),
-                            };
-                            state.lineages.insert(child_idx, child_lineage);
-                            state.attrs_of.insert(child_idx, spec.attrs);
-                            mw.enqueue(req)?;
-                            requests_issued += 1;
-                        }
+                        // No immediate-leaf shortcut from sampled counts: a
+                        // leaf's class distribution is tree output and
+                        // sampled purity proves nothing about the blocks
+                        // the scan skipped. Every child gets its own counts
+                        // request.
+                        requests_issued += spawn_children(
+                            mw,
+                            &mut tree,
+                            &mut state,
+                            idx,
+                            &lineage,
+                            specs,
+                            parent_rows,
+                            scale,
+                            |_| false,
+                        )?;
                         continue;
                     }
                 }

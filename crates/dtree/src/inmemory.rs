@@ -65,13 +65,9 @@ pub fn grow_in_memory(
                 for spec in specs {
                     let leaf_now = immediate_leaf(&spec, depth + 1, config);
                     let state = if leaf_now {
-                        let class = spec
-                            .class_counts
-                            .iter()
-                            .max_by_key(|&&(_, n)| n)
-                            .map(|&(c, _)| c)
-                            .unwrap_or(0);
-                        NodeState::Leaf { class }
+                        NodeState::Leaf {
+                            class: spec.majority_class(),
+                        }
                     } else {
                         NodeState::Active
                     };

@@ -36,10 +36,10 @@
 //! immediate leaves) or the leaf's own (for scanned leaves).
 
 use crate::grow::{
-    apply_exact_counts, decide, derive_children, grow_inner, immediate_leaf, Decision, GrowConfig,
-    GrowState,
+    apply_exact_counts, decide, decide_with_margins, derive_children, grow_inner, immediate_leaf,
+    Decision, GrowConfig, GrowState,
 };
-use crate::split::{best_two_splits, delta_score_bound, Split};
+use crate::split::{delta_score_bound, Split};
 use crate::tree::{DecisionTree, NodeState};
 use scaleclass::{CcRequest, CountsTable, DeltaMap, Lineage, Middleware, MwResult, NodeId};
 use scaleclass_sqldb::Pred;
@@ -278,23 +278,16 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
                 }
             }
         } else {
-            // Exact re-decide from the patched CC (no scan).
-            let decision = decide(&entry.cc, &entry.attrs, tree.node(idx).depth, config);
-            let changed = match &decision {
-                Decision::Leaf { .. } => true,
-                Decision::Split(s) => *s != split,
-            };
-            if changed {
+            // Exact re-decide from the patched CC (no scan); the same
+            // enumeration yields the margins to store if the split holds.
+            let (decision, (best_score, runner_score)) =
+                decide_with_margins(&entry.cc, &entry.attrs, tree.node(idx).depth, config);
+            if !matches!(&decision, Decision::Split(s) if *s == split) {
                 regrow_from_cc(mw, tree, retained, config, &mut state, idx, &mut out)?;
                 continue;
             }
             // Split kept: refresh the stored margins from the patched CC
             // so future rounds start tight.
-            let (best_score, runner_score) =
-                match best_two_splits(&entry.cc, &entry.attrs, config.split_kind, config.scorer) {
-                    Some((best, runner)) => (Some(best.score), runner),
-                    None => (None, None),
-                };
             if let Some(e) = retained.get_mut(&idx) {
                 e.best_score = best_score;
                 e.runner_score = runner_score;
@@ -350,14 +343,10 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
             if child_is_immediate && child_touched {
                 let depth = tree.node(child).depth;
                 if immediate_leaf(spec, depth, config) {
-                    let class = spec
-                        .class_counts
-                        .iter()
-                        .max_by_key(|&&(_, n)| n)
-                        .map(|&(c, _)| c)
-                        .unwrap_or(0);
                     let node = tree.node_mut(child);
-                    node.state = NodeState::Leaf { class };
+                    node.state = NodeState::Leaf {
+                        class: spec.majority_class(),
+                    };
                     node.class_counts = spec.class_counts.clone();
                     node.rows = spec.rows;
                     out.leaf_patches += 1;
@@ -397,11 +386,10 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
                 out.requests_issued += 1;
                 continue;
             }
-            let lineage = state
-                .lineages
+            let (lineage, attrs) = state
+                .open
                 .remove(&idx)
                 .expect("re-grown node was requested");
-            let attrs = state.attrs_of.remove(&idx).expect("attrs recorded");
             out.requests_issued += apply_exact_counts(
                 mw,
                 tree,
@@ -557,8 +545,7 @@ fn regrow_child(
         parent_rows,
         parent_cards: spec.parent_cards.clone(),
     };
-    state.lineages.insert(child, lineage);
-    state.attrs_of.insert(child, spec.attrs.clone());
+    state.open.insert(child, (lineage, spec.attrs.clone()));
     mw.enqueue(req)?;
     out.nodes_resplit += 1;
     out.requests_issued += 1;
@@ -600,8 +587,7 @@ fn regrow_via_request(
         parent_rows,
         parent_cards,
     };
-    state.lineages.insert(idx, lineage);
-    state.attrs_of.insert(idx, attrs);
+    state.open.insert(idx, (lineage, attrs));
     mw.enqueue(req)?;
     out.nodes_resplit += 1;
     out.requests_issued += 1;
@@ -672,6 +658,40 @@ mod tests {
         // Every non-immediate node retains a CC table; at minimum the root.
         assert!(model.retained_nodes() >= 1);
         assert!(model.retained_bytes() > 0);
+    }
+
+    #[test]
+    fn retained_margins_are_best_two_splits_to_the_bit() {
+        // The grower takes a node's margins from the enumeration that
+        // decided it; the margin trigger must see exactly what a separate
+        // `best_two_splits` over the retained table reports.
+        use crate::split::{best_two_splits, Scorer, SplitKind};
+        for (scorer, split_kind) in [
+            (Scorer::Entropy, SplitKind::Binary),
+            (Scorer::Gini, SplitKind::Binary),
+            (Scorer::Entropy, SplitKind::Multiway),
+        ] {
+            let config = GrowConfig {
+                scorer,
+                split_kind,
+                ..GrowConfig::default()
+            };
+            let mut mw = maintained_mw(&seed_rows(5));
+            let model = grow_maintainable(&mut mw, &config).unwrap();
+            let mut partitioned = 0;
+            for (idx, node) in model.tree.nodes().iter().enumerate() {
+                if !matches!(node.state, NodeState::Partitioned { .. }) {
+                    continue;
+                }
+                partitioned += 1;
+                let r = &model.retained[&idx];
+                let (best, runner) = best_two_splits(&r.cc, &r.attrs, split_kind, scorer)
+                    .expect("a partitioned node has a winner");
+                assert_eq!(r.best_score.map(f64::to_bits), Some(best.score.to_bits()));
+                assert_eq!(r.runner_score.map(f64::to_bits), runner.map(f64::to_bits));
+            }
+            assert!(partitioned >= 2, "{scorer:?}/{split_kind:?}");
+        }
     }
 
     #[test]

@@ -5,8 +5,30 @@
 //! entropy/information-gain measure of ID3/CART used in the paper's
 //! experiments (§3.1), plus Gini (CART) and gain ratio (C4.5), which the
 //! paper notes its scheme supports equally.
+//!
+//! A CC table *is* the contingency table a split measure is defined on, so
+//! candidates are scored where the counting kernel left the counts
+//! (DESIGN.md §12a): [`CountsTable::value_rows`] hands out each value's
+//! class counts as one row over a fixed class axis, and one enumeration,
+//! `rank_splits`, serves [`best_split`], [`best_two_splits`] and the
+//! grower's decisions. It takes the class axis, the parent row, its
+//! impurity and two scratch rows once per node; the present-value count
+//! and one walk of the rows once per attribute; and per candidate only
+//! `left = row`, `right = parent − row` and two child impurities —
+//! allocating nothing, and building a [`Split`] only for a candidate that
+//! takes the lead.
+//!
+//! **Bit-identity.** The winner is picked with a `1e-12` tie-break, so a
+//! score that moves in its last bit can flip a tie, change the tree and
+//! with it every I/O counter downstream. Scores therefore keep one
+//! operation order: classes ascending, zero counts skipped where
+//! [`entropy`] skips them, children in `[=, ≠]` / ascending-value order,
+//! `(t/total)·impurity` summed in that order, then `parent − weighted`;
+//! candidates rank over attributes in slice order, values ascending.
+//! `tests/props.rs` keeps the scorer this replaced as the reference and
+//! demands `f64::to_bits` equality with it.
 
-use scaleclass::CountsTable;
+use scaleclass::{ClassAxis, CountsTable, ValueRows};
 use scaleclass_sqldb::Code;
 
 /// Impurity / selection measure.
@@ -64,34 +86,33 @@ impl Split {
     }
 }
 
+/// One class's term of [`entropy`].
+fn entropy_term(count: u64, total: f64) -> f64 {
+    let p = count as f64 / total;
+    -p * p.log2()
+}
+
 /// Entropy of a class-count distribution, in bits.
-pub fn entropy(counts: impl IntoIterator<Item = u64>) -> f64 {
-    let counts: Vec<u64> = counts.into_iter().filter(|&c| c > 0).collect();
-    let total: u64 = counts.iter().sum();
+pub fn entropy(counts: impl IntoIterator<Item = u64, IntoIter: Clone>) -> f64 {
+    let counts = counts.into_iter().filter(|&c| c > 0);
+    let total: u64 = counts.clone().sum();
     if total == 0 {
         return 0.0;
     }
     let total = total as f64;
-    counts
-        .iter()
-        .map(|&c| {
-            let p = c as f64 / total;
-            -p * p.log2()
-        })
-        .sum()
+    counts.map(|c| entropy_term(c, total)).sum()
 }
 
 /// Gini impurity of a class-count distribution.
-pub fn gini(counts: impl IntoIterator<Item = u64>) -> f64 {
-    let counts: Vec<u64> = counts.into_iter().collect();
-    let total: u64 = counts.iter().sum();
+pub fn gini(counts: impl IntoIterator<Item = u64, IntoIter: Clone>) -> f64 {
+    let counts = counts.into_iter();
+    let total: u64 = counts.clone().sum();
     if total == 0 {
         return 0.0;
     }
     let total = total as f64;
     1.0 - counts
-        .iter()
-        .map(|&c| {
+        .map(|c| {
             let p = c as f64 / total;
             p * p
         })
@@ -117,15 +138,19 @@ pub fn chi_square(children: &[Vec<u64>]) -> f64 {
     let class_totals: Vec<u64> = (0..nclasses)
         .map(|c| children.iter().map(|row| row[c]).sum())
         .collect();
-    let mut chi2 = 0.0;
-    for row in children {
-        let row_total: u64 = row.iter().sum();
-        for (c, &observed) in row.iter().enumerate() {
-            let expected = row_total as f64 * class_totals[c] as f64 / total as f64;
-            if expected > 0.0 {
-                let d = observed as f64 - expected;
-                chi2 += d * d / expected;
-            }
+    children
+        .iter()
+        .fold(0.0, |chi2, row| chi_row(chi2, row, &class_totals, total))
+}
+
+/// Add one child row's cells to a running chi-square statistic.
+fn chi_row(mut chi2: f64, row: &[u64], class_totals: &[u64], total: u64) -> f64 {
+    let row_total: u64 = row.iter().sum();
+    for (&observed, &class_total) in row.iter().zip(class_totals) {
+        let expected = row_total as f64 * class_total as f64 / total as f64;
+        if expected > 0.0 {
+            let d = observed as f64 - expected;
+            chi2 += d * d / expected;
         }
     }
     chi2
@@ -140,77 +165,226 @@ pub struct ScoredSplit {
     pub score: f64,
 }
 
-/// Class-count vectors of the children a split induces, derived purely from
-/// the CC table. Classes are aligned with `cc.class_distribution()` order.
-fn children_class_counts(cc: &CountsTable, split: &Split) -> Vec<Vec<u64>> {
-    let classes: Vec<(Code, u64)> = cc.class_distribution().collect();
-    let class_pos = |c: Code| classes.iter().position(|&(cc_, _)| cc_ == c);
-    match split {
-        Split::Binary { attr, value } => {
-            let mut left = vec![0u64; classes.len()];
-            for (v, class, n) in cc.attr_vector(*attr) {
-                if v == *value {
-                    if let Some(i) = class_pos(class) {
-                        left[i] += n;
-                    }
-                }
-            }
-            let right: Vec<u64> = classes
-                .iter()
-                .enumerate()
-                .map(|(i, &(_, total))| total - left[i])
-                .collect();
-            vec![left, right]
+/// What scoring takes once per node: the class axis and the parent row
+/// over it, with its impurity. Every attribute's rows partition the node
+/// (a data row has one value per attribute), so a binary candidate's other
+/// child is `parent − row` and a multiway candidate's children sum to the
+/// parent.
+struct Parent {
+    scorer: Scorer,
+    axis: ClassAxis,
+    /// Rows per class over the axis.
+    counts: Vec<u64>,
+    /// `Σ counts`: rows at the node, the denominator of every weight.
+    total: u64,
+    impurity: f64,
+}
+
+/// The running score of one candidate, fed its children in order.
+struct Tally {
+    /// `Σ (t/total)·impurity(child)`.
+    weighted: f64,
+    /// Entropy of the child sizes (gain ratio's divisor).
+    split_info: f64,
+    chi2: f64,
+}
+
+impl Parent {
+    /// `None` for an empty node, which admits no split.
+    fn new(cc: &CountsTable, scorer: Scorer) -> Option<Parent> {
+        let axis = cc.class_axis();
+        let counts = cc.class_row(&axis);
+        let total: u64 = counts.iter().sum();
+        let impurity = impurity(scorer, &counts);
+        (total > 0).then_some(Parent {
+            scorer,
+            axis,
+            counts,
+            total,
+            impurity,
+        })
+    }
+
+    /// A candidate with no child yet. The two sums start where
+    /// `Iterator::sum::<f64>()` does (`-0.0` on current toolchains), so
+    /// feeding children one by one equals `.sum()` over them down to the
+    /// sign of a zero.
+    fn tally(&self) -> Tally {
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        Tally {
+            weighted: zero,
+            split_info: zero,
+            chi2: 0.0,
         }
-        Split::Multiway { attr, values } => {
-            let mut children = vec![vec![0u64; classes.len()]; values.len()];
-            for (v, class, n) in cc.attr_vector(*attr) {
-                if let (Some(ci), Some(pos)) =
-                    (values.iter().position(|&x| x == v), class_pos(class))
-                {
-                    children[ci][pos] += n;
-                }
-            }
-            children
+    }
+
+    /// Add one child to a candidate's tally; `None` when it is empty.
+    fn child(&self, tally: &mut Tally, row: &[u64]) -> Option<()> {
+        let rows: u64 = row.iter().sum();
+        if rows == 0 {
+            return None;
         }
+        if self.scorer == Scorer::ChiSquare {
+            tally.chi2 = chi_row(tally.chi2, row, &self.counts, self.total);
+            return Some(());
+        }
+        tally.weighted += (rows as f64 / self.total as f64) * impurity(self.scorer, row);
+        if self.scorer == Scorer::GainRatio {
+            tally.split_info += entropy_term(rows, self.total as f64);
+        }
+        Some(())
+    }
+
+    /// The score of a candidate whose children are all in; `None` when
+    /// gain ratio has no split information to divide by.
+    fn score(&self, tally: Tally) -> Option<f64> {
+        let gain = self.impurity - tally.weighted;
+        match self.scorer {
+            Scorer::Entropy | Scorer::Gini => Some(gain),
+            Scorer::GainRatio if tally.split_info <= f64::EPSILON => None,
+            Scorer::GainRatio => Some(gain / tally.split_info),
+            Scorer::ChiSquare => Some(tally.chi2),
+        }
+    }
+
+    /// Score `A = v | A ≠ v` from `v`'s row; `right` takes `parent − left`.
+    fn binary(&self, left: &[u64], right: &mut [u64]) -> Option<f64> {
+        for ((r, &all), &l) in right.iter_mut().zip(&self.counts).zip(left) {
+            *r = all - l;
+        }
+        let mut tally = self.tally();
+        self.child(&mut tally, left)?;
+        self.child(&mut tally, right)?;
+        self.score(tally)
+    }
+
+    /// Score one child per row of `rows`: an attribute's every value.
+    fn multiway(&self, mut rows: ValueRows<'_>) -> Option<f64> {
+        let mut tally = self.tally();
+        while let Some((_, row)) = rows.next_row() {
+            self.child(&mut tally, row)?;
+        }
+        self.score(tally)
     }
 }
 
-/// Score one candidate split against a node's CC table. Returns `None`
-/// when the split is degenerate (an empty child).
-pub fn score_split(cc: &CountsTable, split: &Split, scorer: Scorer) -> Option<ScoredSplit> {
-    let total = cc.total();
-    if total == 0 {
-        return None;
-    }
-    let parent_counts: Vec<u64> = cc.class_distribution().map(|(_, n)| n).collect();
-    let children = children_class_counts(cc, split);
-    let child_totals: Vec<u64> = children.iter().map(|c| c.iter().sum()).collect();
-    if child_totals.contains(&0) {
-        return None;
-    }
-    let parent_impurity = impurity(scorer, &parent_counts);
-    let weighted: f64 = children
-        .iter()
-        .zip(&child_totals)
-        .map(|(counts, &t)| (t as f64 / total as f64) * impurity(scorer, counts))
-        .sum();
-    let gain = parent_impurity - weighted;
-    let score = match scorer {
-        Scorer::Entropy | Scorer::Gini => gain,
-        Scorer::GainRatio => {
-            let split_info = entropy(child_totals.iter().copied());
-            if split_info <= f64::EPSILON {
-                return None;
-            }
-            gain / split_info
+/// The values of `attr` present at the node, ascending.
+fn present_values(cc: &CountsTable, attr: u16) -> Vec<Code> {
+    let mut values: Vec<Code> = cc.attr_vector(attr).map(|(v, _, _)| v).collect();
+    values.dedup();
+    values
+}
+
+/// What one enumeration of a node's candidates yields: [`best_split`]'s
+/// winner, and [`best_two_splits`]' winner and runner-up.
+#[derive(Debug, Default)]
+pub(crate) struct Ranking {
+    /// The winner over every candidate.
+    pub(crate) best: Option<ScoredSplit>,
+    /// The winner with mirror partitions left out.
+    top: Option<ScoredSplit>,
+    /// Best score among the candidates `top` beat or tied.
+    runner: Option<f64>,
+}
+
+impl Ranking {
+    /// Rank one more candidate; `split` builds it if it takes a lead —
+    /// only on a strictly higher score, so the earlier attribute and the
+    /// lower value keep a tie. A `mirror` (the higher value of a two-valued
+    /// attribute's binary pair, see [`best_two_splits`]) competes for
+    /// `best` only.
+    fn consider(&mut self, score: f64, mirror: bool, split: impl Fn() -> Split) {
+        let beats = |b: &Option<ScoredSplit>| b.as_ref().map_or(true, |b| score > b.score + 1e-12);
+        let scored = || ScoredSplit {
+            split: split(),
+            score,
+        };
+        if beats(&self.best) {
+            self.best = Some(scored());
         }
-        Scorer::ChiSquare => chi_square(&children),
+        if mirror {
+            return;
+        }
+        let beaten = if beats(&self.top) {
+            self.top.replace(scored()).map(|b| b.score)
+        } else {
+            Some(score)
+        };
+        if let Some(b) = beaten {
+            self.runner = Some(self.runner.map_or(b, |r| r.max(b)));
+        }
+    }
+
+    /// [`best_two_splits`]' winner and runner-up scores: the margins
+    /// incremental maintenance retains.
+    pub(crate) fn margins(&self) -> (Option<f64>, Option<f64>) {
+        (self.top.as_ref().map(|t| t.score), self.runner)
+    }
+}
+
+/// Score every candidate split of `kind` over `attrs`, once, and rank
+/// them: the one enumeration behind [`best_split`], [`best_two_splits`]
+/// and the grower's decisions.
+pub(crate) fn rank_splits(
+    cc: &CountsTable,
+    attrs: &[u16],
+    kind: SplitKind,
+    scorer: Scorer,
+) -> Ranking {
+    let mut ranking = Ranking::default();
+    let Some(parent) = Parent::new(cc, scorer) else {
+        return ranking;
     };
-    Some(ScoredSplit {
-        split: split.clone(),
-        score,
-    })
+    let (mut right, mut gather) = (vec![0; parent.counts.len()], Vec::new());
+    for &attr in attrs {
+        let present = cc.distinct_values(attr);
+        if present < 2 {
+            continue; // single-valued attribute cannot split
+        }
+        let mut rows = cc.value_rows(attr, &parent.axis, &mut gather);
+        if kind == SplitKind::Multiway {
+            if let Some(score) = parent.multiway(rows) {
+                let values = || present_values(cc, attr);
+                ranking.consider(score, false, || Split::Multiway {
+                    attr,
+                    values: values(),
+                });
+            }
+            continue;
+        }
+        let mut seen = 0;
+        while let Some((value, left)) = rows.next_row() {
+            seen += 1;
+            if let Some(score) = parent.binary(left, &mut right) {
+                let mirror = present == 2 && seen == 2;
+                ranking.consider(score, mirror, || Split::Binary { attr, value });
+            }
+        }
+    }
+    ranking
+}
+
+/// Score one candidate split against a node's CC table. Returns `None`
+/// when the split is degenerate (an empty child) — as a multiway split is
+/// that does not list exactly the values present, ascending.
+pub fn score_split(cc: &CountsTable, split: &Split, scorer: Scorer) -> Option<ScoredSplit> {
+    let parent = Parent::new(cc, scorer)?;
+    let mut gather = Vec::new();
+    let mut rows = cc.value_rows(split.attr(), &parent.axis, &mut gather);
+    let score = match split {
+        Split::Binary { value, .. } => loop {
+            let (v, left) = rows.next_row()?;
+            if v == *value {
+                break parent.binary(left, &mut vec![0; left.len()])?;
+            }
+        },
+        Split::Multiway { attr, values } if *values == present_values(cc, *attr) => {
+            parent.multiway(rows)?
+        }
+        Split::Multiway { .. } => return None,
+    };
+    let split = split.clone();
+    Some(ScoredSplit { split, score })
 }
 
 /// Enumerate and score every candidate split of the given kind over
@@ -223,48 +397,7 @@ pub fn best_split(
     kind: SplitKind,
     scorer: Scorer,
 ) -> Option<ScoredSplit> {
-    let mut best: Option<ScoredSplit> = None;
-    let mut consider = |cand: ScoredSplit| {
-        let better = match &best {
-            None => true,
-            Some(b) => cand.score > b.score + 1e-12,
-        };
-        if better {
-            best = Some(cand);
-        }
-    };
-    for &attr in attrs {
-        let values: Vec<Code> = {
-            let mut vs: Vec<Code> = cc.attr_vector(attr).map(|(v, _, _)| v).collect();
-            vs.dedup();
-            vs
-        };
-        if values.len() < 2 {
-            continue; // single-valued attribute cannot split
-        }
-        match kind {
-            SplitKind::Binary => {
-                for &v in &values {
-                    if let Some(s) = score_split(cc, &Split::Binary { attr, value: v }, scorer) {
-                        consider(s);
-                    }
-                }
-            }
-            SplitKind::Multiway => {
-                if let Some(s) = score_split(
-                    cc,
-                    &Split::Multiway {
-                        attr,
-                        values: values.clone(),
-                    },
-                    scorer,
-                ) {
-                    consider(s);
-                }
-            }
-        }
-    }
-    best
+    rank_splits(cc, attrs, kind, scorer).best
 }
 
 /// Z-value for the sampled-split confidence intervals (DESIGN.md §13):
@@ -331,70 +464,17 @@ pub fn delta_score_bound(scorer: Scorer, nclasses: u64, rows: u64, magnitude: u6
 ///
 /// Mirror dedup: a binary split on a two-valued attribute produces the
 /// same partition from either value (`A = v` vs `A = w` swaps children),
-/// so only the lower value is enumerated — otherwise every two-valued
+/// so only the lower value is ranked — otherwise every two-valued
 /// winner would "tie" its own mirror and the confidence separation of
-/// [`score_half_width`] could never succeed. [`best_split`]'s tie-break
-/// already prefers the lower value, so the winner is unaffected.
+/// [`score_half_width`] could never succeed.
 pub fn best_two_splits(
     cc: &CountsTable,
     attrs: &[u16],
     kind: SplitKind,
     scorer: Scorer,
 ) -> Option<(ScoredSplit, Option<f64>)> {
-    let mut best: Option<ScoredSplit> = None;
-    let mut runner: Option<f64> = None;
-    let mut consider = |cand: ScoredSplit| {
-        let better = match &best {
-            None => true,
-            Some(b) => cand.score > b.score + 1e-12,
-        };
-        if better {
-            if let Some(b) = best.take() {
-                runner = Some(runner.map_or(b.score, |r: f64| r.max(b.score)));
-            }
-            best = Some(cand);
-        } else {
-            runner = Some(runner.map_or(cand.score, |r: f64| r.max(cand.score)));
-        }
-    };
-    for &attr in attrs {
-        let values: Vec<Code> = {
-            let mut vs: Vec<Code> = cc.attr_vector(attr).map(|(v, _, _)| v).collect();
-            vs.dedup();
-            vs
-        };
-        if values.len() < 2 {
-            continue;
-        }
-        match kind {
-            SplitKind::Binary => {
-                // Two values → mirror partitions; enumerate one (see above).
-                let distinct = if values.len() == 2 {
-                    &values[..1]
-                } else {
-                    &values[..]
-                };
-                for &v in distinct {
-                    if let Some(s) = score_split(cc, &Split::Binary { attr, value: v }, scorer) {
-                        consider(s);
-                    }
-                }
-            }
-            SplitKind::Multiway => {
-                if let Some(s) = score_split(
-                    cc,
-                    &Split::Multiway {
-                        attr,
-                        values: values.clone(),
-                    },
-                    scorer,
-                ) {
-                    consider(s);
-                }
-            }
-        }
-    }
-    best.map(|b| (b, runner))
+    let ranking = rank_splits(cc, attrs, kind, scorer);
+    ranking.top.map(|top| (top, ranking.runner))
 }
 
 #[cfg(test)]

@@ -447,14 +447,9 @@ fn churn_batch(
     batch
 }
 
-/// The cost of maintenance is bounded by churn, not by table size: one
-/// session over a fat-margin random-tree table (the regime where the
-/// margin trigger can prove most splits safe) absorbs 0.1% consistent
-/// churn without touching the server, and under 1% and then 10% drift —
-/// where subtrees legitimately re-split — never scans more server rows
-/// than the from-scratch rebuild it replaces.
-#[test]
-fn maintenance_server_rows_are_bounded_by_the_rebuild_as_churn_grows() {
+/// The pinned churn sweep: a fat-margin random-tree table and three
+/// batches over it — 0.1% concept-consistent churn, then 1% and 10% drift.
+fn churn_sweep() -> (Vec<u16>, Vec<Vec<Code>>, [Vec<Mutation>; 3]) {
     let w = scaleclass_bench::workloads::fig8b_workload(8, 10_000);
     let arity = w.schema.arity();
     let cards: Vec<u16> = (0..arity)
@@ -470,6 +465,19 @@ fn maintenance_server_rows_are_bounded_by_the_rebuild_as_churn_grows() {
         churn_batch(&mut mirror, &cards, n / 100, false, &mut rng),
         churn_batch(&mut mirror, &cards, n / 10, false, &mut rng),
     ];
+    (cards, initial, stream)
+}
+
+/// The cost of maintenance is bounded by churn, not by table size: one
+/// session over a fat-margin random-tree table (the regime where the
+/// margin trigger can prove most splits safe) absorbs 0.1% consistent
+/// churn without touching the server, and under 1% and then 10% drift —
+/// where subtrees legitimately re-split — never scans more server rows
+/// than the from-scratch rebuild it replaces.
+#[test]
+fn maintenance_server_rows_are_bounded_by_the_rebuild_as_churn_grows() {
+    let (cards, initial, stream) = churn_sweep();
+    let n = initial.len() as u64;
     let cfg = MiddlewareConfig::builder().deltas(true).build();
     let (build_rows, rounds) = run_scenario(cfg, &cards, &initial, &stream, "churn sweep");
     assert_eq!(build_rows, n, "the build is one server scan");
@@ -500,6 +508,34 @@ fn maintenance_server_rows_are_bounded_by_the_rebuild_as_churn_grows() {
         "0.1% churn must not out-scan 10% churn"
     );
 }
+
+/// What each round of the churn sweep decided is pinned, count for count:
+/// the margin trigger reads the retained winner and runner-up scores, so a
+/// score that drifted in the grower's fused decide-and-margins enumeration
+/// (or in `maintain`'s) would move a skip to a re-score or a patch to a
+/// re-split here. The counts are the ones the two-enumeration code before
+/// it produced. Every knob an environment leg can move is pinned on the
+/// builder.
+#[test]
+fn churn_sweep_outcomes_are_pinned() {
+    let (cards, initial, stream) = churn_sweep();
+    let cfg = MiddlewareConfig::builder()
+        .deltas(true)
+        .scan_workers(1)
+        .sessions(1)
+        .shared_staging(false)
+        .sampled_counting(0.0)
+        .build();
+    let (_, rounds) = run_scenario(cfg, &cards, &initial, &stream, "pinned churn sweep");
+    let decided: Vec<(u64, u64, u64)> = rounds
+        .iter()
+        .map(|r| (r.out.margin_skips, r.out.leaf_patches, r.out.nodes_resplit))
+        .collect();
+    assert_eq!(decided, PINNED_SWEEP);
+}
+
+/// `(margin_skips, leaf_patches, nodes_resplit)` per round of the sweep.
+const PINNED_SWEEP: [(u64, u64, u64); 3] = [(4, 7, 0), (1, 5, 1), (3, 9, 1)];
 
 /// The worst case for the margin trigger: a census-like table whose
 /// winner and runner-up scores are razor-thin at every level, so 1% mixed
