@@ -22,7 +22,10 @@
 //!   `for_each_match`, `walk`, `sub`, and the block router's
 //!   `route_block`, `partition`, `filter`, `arena_split`, `position`,
 //!   `ColumnView::get`) — the per-row and per-block loops of every scan
-//!   on both sides of the wire — and over the staged-file byte path in
+//!   on both sides of the wire — over the server's page filter, fetch
+//!   loop, wire marshalling and page-at-a-time DML (`storage.rs`,
+//!   `page.rs`, `cursor.rs`, `wire.rs`), and over the staged-file byte
+//!   path in
 //!   `crates/core/src/staging.rs` (`crc32`, `ExtentReader::{fetch, verify,
 //!   decode_extent_columns}`, `FileWriter::{push, push_selected,
 //!   flush_extent}`), where the bytes come from disk.
@@ -173,16 +176,18 @@ const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
 /// compiled predicate router is the per-row (row path) and per-block
 /// (middleware, server page) loop of every scan, the server cursor's page
 /// filter and the wire's marshalling are the per-page and per-fetch loops
-/// of every server scan, and the extent reader and writer are the
-/// per-extent loop of every staged-file scan, but all live in files whose
-/// other functions (AST construction, rendering, one-off evaluation; DML,
-/// catalog and keyset bookkeeping; staging bookkeeping) are not on any
-/// scan path. The client's half of Figure 3's synchronous loop is scoped
+/// of every server scan — `DELETE` and `UPDATE` find their rows with that
+/// same page filter and then compact or assign a run of rows at a time, so
+/// the DML bodies and their page-run helpers are scoped with it — and the
+/// extent reader and writer are the per-extent loop of every staged-file
+/// scan, but all live in files whose other functions (AST construction,
+/// rendering, one-off evaluation; bulk load, catalog and keyset
+/// bookkeeping; staging bookkeeping) are not on any scan path. The client's half of Figure 3's synchronous loop is scoped
 /// the same way: the candidate enumeration of `split.rs` runs ~100 times
 /// per fulfilled node, beside bound formulas and public helpers that take
 /// caller-shaped input. (Its other half, the value-row view it reads, is
 /// in `cc.rs`, which [`PANIC_FILES`] covers whole.)
-const PANIC_SCOPED: [(&str, &[&str]); 6] = [
+const PANIC_SCOPED: [(&str, &[&str]); 7] = [
     (
         "crates/sqldb/src/expr.rs",
         &[
@@ -206,7 +211,29 @@ const PANIC_SCOPED: [(&str, &[&str]); 6] = [
     // The server scan: a heap page filtered at a time …
     (
         "crates/sqldb/src/storage.rs",
-        &["select_rows", "page_run", "scan_selected", "matching_tids"],
+        &[
+            "select_rows",
+            "page_run",
+            "scan_selected",
+            "scan_matching",
+            "matching_tids",
+            // The write path: the same page filter, then in-place
+            // assignment or compaction a run of rows at a time.
+            "delete_where_with",
+            "update_where_with",
+            "remove_rows",
+            "pull_rows",
+        ],
+    ),
+    // … whose pages move and assign rows in place for DML …
+    (
+        "crates/sqldb/src/page.rs",
+        &[
+            "row_mut",
+            "pull_rows_within",
+            "pull_rows_from",
+            "truncate_rows",
+        ],
     ),
     // … by a cursor that ships a fetch at a time …
     (

@@ -186,6 +186,35 @@ fn hot_path_panic_is_fn_scoped_in_the_server_page_and_fetch_path() {
 }
 
 #[test]
+fn hot_path_panic_is_fn_scoped_in_the_dml_path() {
+    // `DELETE`/`UPDATE` filter a page at a time and then compact or assign
+    // in place: their bodies and page-run helpers are in scope, bulk load
+    // beside them is not.
+    let rel = "crates/sqldb/src/storage.rs";
+    let report = check_source(rel, &fixture("bad", rel));
+    assert_eq!(
+        fired(&report),
+        vec![
+            (RULE_HOT_PATH_PANIC, 14), // pages[tid / per_page] per changed row
+            (RULE_HOT_PATH_PANIC, 16), // row[col] per assignment
+            (RULE_HOT_PATH_PANIC, 24), // .expect() in the page-run helper
+        ]
+    );
+    // … and a page's in-place mutators with them.
+    let page = "impl Page {\n\
+                pub fn push_row(&mut self, row: &[Code]) -> bool {\n\
+                for (i, &code) in row.iter().enumerate() { self.data[i] = code; }\n\
+                true\n\
+                }\n\
+                pub(crate) fn truncate_rows(&mut self, nrows: usize) {\n\
+                while self.nrows > nrows { self.data[self.nrows] = 0; self.nrows -= 1; }\n\
+                }\n\
+                }\n";
+    let report = check_source("crates/sqldb/src/page.rs", page);
+    assert_eq!(fired(&report), vec![(RULE_HOT_PATH_PANIC, 7)]);
+}
+
+#[test]
 fn hot_path_panic_is_fn_scoped_in_the_staged_file_byte_path() {
     let rel = "crates/core/src/staging.rs";
     // The extent reader parses bytes that come from disk: the shapes

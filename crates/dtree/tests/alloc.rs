@@ -4,7 +4,9 @@
 //! test reads no wall time.
 //!
 //! Its own test binary, because the counting allocator is process-wide.
-//! The two forwarding methods below are the workspace's only `unsafe`.
+//! The two forwarding methods below are this crate's only `unsafe` (the
+//! workspace's other pair is the same allocator in
+//! `crates/sqldb/tests/alloc.rs`).
 
 use scaleclass::CountsTable;
 use scaleclass_dtree::{decide, derive_children, Decision, GrowConfig, Split};

@@ -228,8 +228,16 @@ impl Database {
     /// invalidation makes the staleness loud (lookup errors) instead of
     /// silent (wrong rows).
     fn note_mutation(&mut self, name: &str) {
-        *self.epochs.entry(name.to_string()).or_insert(0) += 1;
-        self.tid_sets.retain(|_, set| set.base_table != name);
+        // The name is copied for a table's first mutation only.
+        match self.epochs.get_mut(name) {
+            Some(epoch) => *epoch += 1,
+            None => {
+                self.epochs.insert(name.to_string(), 1);
+            }
+        }
+        if !self.tid_sets.is_empty() {
+            self.tid_sets.retain(|_, set| set.base_table != name);
+        }
     }
 
     /// Open a forward-only filtered cursor on a table (the middleware's
@@ -295,12 +303,8 @@ impl Database {
         let stats = Arc::clone(&self.stats);
         let source = self.table(src)?;
         let mut copy = Table::new(source.schema().clone());
-        let arity = source.schema().arity();
-        source.scan_selected(&PredSet::from_filter(pred), &stats, |_, rows, sel| {
-            for &r in sel {
-                let start = r as usize * arity;
-                copy.insert_unchecked(&rows[start..start + arity]);
-            }
+        source.scan_matching(&PredSet::from_filter(pred), &stats, |_, row| {
+            copy.insert_unchecked(row);
         });
         stats.add_pages_written(copy.npages());
         stats.add_temp_table();

@@ -75,6 +75,34 @@ impl Page {
     pub fn raw(&self) -> &[Code] {
         &self.data
     }
+
+    /// Row `i`, to assign to in place (`UPDATE`).
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [Code] {
+        let start = i * self.arity;
+        &mut self.data[start..start + self.arity]
+    }
+
+    /// Overwrite the `n` rows from slot `to` with the `n` rows from slot
+    /// `from` of this page — one compaction step of `DELETE`, which pulls
+    /// surviving rows forward (`to <= from`; the ranges may overlap).
+    pub(crate) fn pull_rows_within(&mut self, to: usize, from: usize, n: usize) {
+        let a = self.arity;
+        self.data.copy_within(from * a..(from + n) * a, to * a);
+    }
+
+    /// Overwrite the `n` rows from slot `to` with the `n` rows from slot
+    /// `from` of `src`, a later page of the same table.
+    pub(crate) fn pull_rows_from(&mut self, to: usize, src: &Page, from: usize, n: usize) {
+        let a = self.arity;
+        self.data[to * a..(to + n) * a].copy_from_slice(&src.data[from * a..(from + n) * a]);
+    }
+
+    /// Drop the rows from slot `nrows` on (the buffer keeps its capacity).
+    pub(crate) fn truncate_rows(&mut self, nrows: usize) {
+        debug_assert!(nrows <= self.nrows);
+        self.data.truncate(nrows * self.arity);
+        self.nrows = nrows;
+    }
 }
 
 #[cfg(test)]

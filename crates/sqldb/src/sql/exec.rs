@@ -13,7 +13,7 @@ use super::parser::parse;
 use super::result::{ResultSet, SqlValue};
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
-use crate::expr::Pred;
+use crate::expr::{Pred, PredSet};
 use crate::types::{Code, Schema};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,8 +84,9 @@ pub fn execute(db: &mut Database, sql: &str) -> DbResult<ExecOutcome> {
                     None => Pred::True,
                 }
             };
-            let stats = std::sync::Arc::clone(db.stats());
-            let removed = db.table_mut(&table)?.delete_where(&pred, &stats);
+            // Through the catalog, not the table: a delete must reach the
+            // delta log, the epoch and the TID sets like the API call's.
+            let removed = db.delete_where(&table, &pred)?;
             Ok(ExecOutcome::RowsDeleted(removed))
         }
     }
@@ -238,15 +239,17 @@ fn execute_arm(db: &Database, arm: &SelectArm) -> DbResult<ResultSet> {
         Some(expr) => resolve_bool_expr(expr, schema)?,
         None => Pred::True,
     };
+    // Each arm filters its scan a page at a time, as a cursor does.
+    let filter = PredSet::from_filter(&pred);
     if arm.group_by.is_empty() {
-        execute_plain(db, arm, pred)
+        execute_plain(db, arm, &filter)
     } else {
-        execute_grouped(db, arm, pred)
+        execute_grouped(db, arm, &filter)
     }
 }
 
 /// Plain SELECT (projection of matching rows, or a bare COUNT(*)).
-fn execute_plain(db: &Database, arm: &SelectArm, pred: Pred) -> DbResult<ResultSet> {
+fn execute_plain(db: &Database, arm: &SelectArm, filter: &PredSet) -> DbResult<ResultSet> {
     let table = db.table(&arm.table)?;
     let schema = table.schema();
     let stats = Arc::clone(db.stats());
@@ -254,7 +257,8 @@ fn execute_plain(db: &Database, arm: &SelectArm, pred: Pred) -> DbResult<ResultS
     // Bare aggregate: SELECT COUNT(*) FROM t [WHERE ...]
     if arm.projections.len() == 1 {
         if let Projection::CountStar { .. } = &arm.projections[0] {
-            let count = table.scan(&stats).filter(|(_, r)| pred.eval(r)).count() as u64;
+            let mut count = 0;
+            table.scan_selected(filter, &stats, |_, _, sel| count += sel.len() as u64);
             let mut rs = ResultSet::new(vec![arm.projections[0].output_name()]);
             rs.rows.push(vec![SqlValue::Int(count)]);
             return Ok(rs);
@@ -293,10 +297,7 @@ fn execute_plain(db: &Database, arm: &SelectArm, pred: Pred) -> DbResult<ResultS
     }
 
     let mut rs = ResultSet::new(names);
-    for (_, row) in table.scan(&stats) {
-        if !pred.eval(row) {
-            continue;
-        }
+    table.scan_matching(filter, &stats, |_, row| {
         rs.rows.push(
             cols.iter()
                 .map(|c| match c {
@@ -306,7 +307,7 @@ fn execute_plain(db: &Database, arm: &SelectArm, pred: Pred) -> DbResult<ResultS
                 })
                 .collect(),
         );
-    }
+    });
     Ok(rs)
 }
 
@@ -317,7 +318,7 @@ enum ProjectedCol {
 }
 
 /// GROUP BY + COUNT(*) aggregation (one hash aggregation per arm).
-fn execute_grouped(db: &Database, arm: &SelectArm, pred: Pred) -> DbResult<ResultSet> {
+fn execute_grouped(db: &Database, arm: &SelectArm, filter: &PredSet) -> DbResult<ResultSet> {
     let table = db.table(&arm.table)?;
     let schema = table.schema();
     let stats = Arc::clone(db.stats());
@@ -351,10 +352,7 @@ fn execute_grouped(db: &Database, arm: &SelectArm, pred: Pred) -> DbResult<Resul
     // and clone only when a group is seen for the first time, so the hot
     // loop allocates once per distinct group rather than once per row.
     let mut key = Vec::with_capacity(group_cols.len());
-    for (_, row) in table.scan(&stats) {
-        if !pred.eval(row) {
-            continue;
-        }
+    table.scan_matching(filter, &stats, |_, row| {
         key.clear();
         key.extend(group_cols.iter().map(|&c| row[c]));
         if let Some(n) = groups.get_mut(key.as_slice()) {
@@ -362,7 +360,7 @@ fn execute_grouped(db: &Database, arm: &SelectArm, pred: Pred) -> DbResult<Resul
         } else {
             groups.insert(key.clone(), 1);
         }
-    }
+    });
 
     let names: Vec<String> = arm
         .projections
@@ -570,6 +568,43 @@ mod tests {
         assert_eq!(rs.rows[0][0], SqlValue::Int(0));
         // deleting from a missing table errors
         assert!(execute(&mut d, "DELETE FROM nope").is_err());
+    }
+
+    /// Regression: SQL `DELETE` used to reach the table behind the
+    /// catalog's back — no `-row` events for an enabled delta log, no epoch
+    /// bump, and TID sets left dangling over the compacted heap.
+    #[test]
+    fn sql_delete_is_the_api_delete_to_log_epoch_and_tid_sets() {
+        let (mut by_sql, mut by_api) = (db(), db());
+        let pred = Pred::Eq { col: 0, value: 2 };
+        let mut tid_sets = Vec::new();
+        for d in [&mut by_sql, &mut by_api] {
+            d.enable_delta_log("t").unwrap();
+            tid_sets.push(d.create_tid_set("t", &Pred::True).unwrap());
+        }
+        let epoch = by_sql.table_epoch("t");
+
+        // A delete that matches nothing changes none of the three.
+        let out = execute(&mut by_sql, "DELETE FROM t WHERE a = 2 AND a = 1").unwrap();
+        assert_eq!(out, ExecOutcome::RowsDeleted(0));
+        assert_eq!(by_sql.delta_log_len("t"), 0);
+        assert_eq!(by_sql.table_epoch("t"), epoch);
+        assert!(by_sql.tid_set(&tid_sets[0]).is_ok());
+
+        let out = execute(&mut by_sql, "DELETE FROM t WHERE a = 2").unwrap();
+        assert_eq!(out, ExecOutcome::RowsDeleted(3));
+        assert_eq!(by_api.delete_where("t", &pred), Ok(3));
+        assert_eq!(by_sql.table_epoch("t"), epoch + 1);
+        assert_eq!(by_sql.table_epoch("t"), by_api.table_epoch("t"));
+        assert!(by_sql.tid_set(&tid_sets[0]).is_err(), "TIDs renumbered");
+        assert!(by_api.tid_set(&tid_sets[1]).is_err());
+        let events = by_sql.take_deltas("t");
+        assert_eq!(events, by_api.take_deltas("t"));
+        let removed: Vec<&[Code]> = events.iter().map(|e| &e.row[..]).collect();
+        assert_eq!(removed, [[2, 0, 0], [2, 1, 1], [2, 0, 1]], "scan order");
+        assert!(events
+            .iter()
+            .all(|e| e.sign == crate::delta::DeltaSign::Delete));
     }
 
     #[test]

@@ -95,45 +95,109 @@ impl Table {
 
     /// Delete all rows matching `pred`, compacting the heap (TIDs of
     /// surviving rows change — the paper's middleware never relies on TID
-    /// stability across DML, and neither may callers). Charges a full
-    /// scan plus page writes for the rewritten heap. Returns rows removed.
+    /// stability across DML, and neither may callers). Returns rows removed.
+    ///
+    /// **Written:** nothing before the first match. From there the
+    /// surviving rows are pulled forward, a run between two matches at a
+    /// time, into the page buffers the table already has; the last page is
+    /// truncated and emptied trailing pages are dropped. No page is
+    /// allocated, surviving rows keep scan order, and every page but the
+    /// last stays full — `npages == ceil(nrows / per_page)`, which
+    /// [`Table::fetch_by_tid`] and the page-at-a-time scans index by.
+    ///
+    /// **Charged:** one sequential scan of the table as it was (every page
+    /// read, every row examined) plus a page write for every page of the
+    /// table as it is afterwards — what rewriting the whole heap would
+    /// cost, however few pages the statement touched. The charge is the
+    /// simulated server's cost model and part of the `sim_cost` contract;
+    /// what the statement takes in wall time is not.
     pub fn delete_where(&mut self, pred: &crate::expr::Pred, stats: &DbStats) -> u64 {
         self.delete_where_with(pred, stats, |_| {})
     }
 
     /// [`Table::delete_where`] with an observer: `on_delete` sees each
-    /// removed row (in scan order) before the heap is rewritten. The hook is
-    /// how [`crate::Database`] captures delete events for an enabled
-    /// [`crate::delta::DeltaLog`] without a second scan.
+    /// removed row (in scan order) during the read-only filter pass, before
+    /// any row of the heap moves. The hook is how [`crate::Database`]
+    /// captures delete events for an enabled [`crate::delta::DeltaLog`]
+    /// without a second scan.
     pub fn delete_where_with(
         &mut self,
         pred: &crate::expr::Pred,
         stats: &DbStats,
         mut on_delete: impl FnMut(&[Code]),
     ) -> u64 {
-        let mut kept = Table::new(self.schema.clone());
-        let mut removed = 0;
-        for (_, row) in self.scan(stats) {
-            if pred.eval(row) {
-                removed += 1;
-                on_delete(row);
-            } else {
-                kept.insert_unchecked(row);
-            }
+        let mut doomed = Vec::new();
+        self.scan_matching(&PredSet::from_filter(pred), stats, |tid, row| {
+            on_delete(row);
+            doomed.push(tid);
+        });
+        self.remove_rows(&doomed);
+        stats.add_pages_written(self.npages());
+        doomed.len() as u64
+    }
+
+    /// Remove the rows at `doomed` — TIDs of this table, ascending — by
+    /// pulling each run of survivors between two of them forward over the
+    /// gap the removed rows leave, then cutting the heap to its new length.
+    fn remove_rows(&mut self, doomed: &[u64]) {
+        let Some(&first) = doomed.first() else { return };
+        let run_ends = doomed.iter().skip(1).copied().chain([self.nrows]);
+        let mut write = first;
+        for (&gone, run_end) in doomed.iter().zip(run_ends) {
+            write = self.pull_rows(write, gone + 1, run_end);
         }
-        stats.add_pages_written(kept.npages());
-        self.pages = kept.pages;
-        self.nrows = kept.nrows;
-        removed
+        let per_page = Page::capacity_rows(self.schema.arity()) as u64;
+        self.nrows = write;
+        let npages = write.div_ceil(per_page);
+        self.pages.truncate(npages as usize);
+        if let Some(last) = self.pages.last_mut() {
+            last.truncate_rows((write - (npages - 1) * per_page) as usize);
+        }
+    }
+
+    /// Copy rows `[from, end)` to positions `to..` (`to <= from`), as many
+    /// at a time as lie on one page on both sides. Returns the position
+    /// after the last row written.
+    fn pull_rows(&mut self, mut to: u64, mut from: u64, end: u64) -> u64 {
+        let per_page = Page::capacity_rows(self.schema.arity());
+        let place = |tid: u64| {
+            (
+                (tid / per_page as u64) as usize,
+                (tid % per_page as u64) as usize,
+            )
+        };
+        while from < end {
+            let ((to_page, to_slot), (from_page, from_slot)) = (place(to), place(from));
+            let n = (per_page - to_slot.max(from_slot)).min((end - from) as usize);
+            let (head, tail) = self.pages.split_at_mut(from_page);
+            // analyze:allow(hot-path-panic): `from < end <= nrows`, so the
+            // page it is on exists.
+            let src = &mut tail[0];
+            match head.get_mut(to_page) {
+                Some(dst) => dst.pull_rows_from(to_slot, src, from_slot, n),
+                // `to` is on the page `from` is on.
+                None => src.pull_rows_within(to_slot, from_slot, n),
+            }
+            to += n as u64;
+            from += n as u64;
+        }
+        to
     }
 
     /// Update all rows matching `pred`: each `(column, value)` assignment is
     /// applied to every match. Assignments are validated against the schema
-    /// up front; on error the table is untouched. Like [`Table::delete_where`]
-    /// this rewrites the heap (row count and row order are preserved, so TIDs
-    /// happen to survive, but callers must not rely on that). Charges a full
-    /// scan plus page writes for the rewritten heap. Returns rows changed —
-    /// matches whose assignments were all already in place do not count.
+    /// up front; on error the table and `stats` are untouched. Returns rows
+    /// changed — matches whose assignments were all already in place do not
+    /// count.
+    ///
+    /// **Written:** the assigned columns of the changed rows, in place.
+    /// Nothing moves: row count, row order and TIDs survive (callers must
+    /// still not rely on the last — see [`Table::delete_where`]).
+    ///
+    /// **Charged:** as [`Table::delete_where`] — a full sequential scan
+    /// plus a page write for every page of the table, the cost of a heap
+    /// rewrite in the simulated server's model, whichever pages held a
+    /// changed row.
     pub fn update_where(
         &mut self,
         pred: &crate::expr::Pred,
@@ -145,8 +209,9 @@ impl Table {
 
     /// [`Table::update_where`] with an observer: `on_change` sees each
     /// `(old, new)` image pair (in scan order) for rows the update actually
-    /// changed. The hook is how [`crate::Database`] logs an UPDATE as a
-    /// delete of the old image plus an insert of the new one.
+    /// changes, during the read-only filter pass, before any is assigned.
+    /// The hook is how [`crate::Database`] logs an UPDATE as a delete of the
+    /// old image plus an insert of the new one.
     pub fn update_where_with(
         &mut self,
         pred: &crate::expr::Pred,
@@ -168,29 +233,41 @@ impl Table {
                 });
             }
         }
-        let mut rewritten = Table::new(self.schema.clone());
-        let mut changed = 0;
-        let mut new_row: Vec<Code> = Vec::with_capacity(self.schema.arity());
-        for (_, row) in self.scan(stats) {
-            if pred.eval(row) {
-                new_row.clear();
-                new_row.extend_from_slice(row);
-                for &(col, value) in assignments {
-                    new_row[col] = value;
-                }
-                if new_row[..] != *row {
-                    changed += 1;
-                    on_change(row, &new_row);
-                }
-                rewritten.insert_unchecked(&new_row);
-            } else {
-                rewritten.insert_unchecked(row);
+        let arity = self.schema.arity();
+        let mut changed = Vec::new();
+        let mut new_row: Vec<Code> = Vec::with_capacity(arity);
+        self.scan_matching(&PredSet::from_filter(pred), stats, |tid, row| {
+            // Every assigned column was checked against the schema above.
+            if assignments.iter().all(|&(col, value)| row[col] == value) {
+                return;
+            }
+            new_row.clear();
+            new_row.extend_from_slice(row);
+            for &(col, value) in assignments {
+                // analyze:allow(hot-path-panic): `col` is a schema column,
+                // validated above, and `new_row` a whole row.
+                new_row[col] = value;
+            }
+            // (Two assignments to one column may still cancel out.)
+            if new_row[..] != *row {
+                on_change(row, &new_row);
+                changed.push(tid);
+            }
+        });
+        let per_page = Page::capacity_rows(arity) as u64;
+        for &tid in &changed {
+            // analyze:allow(hot-path-panic): the scan above minted `tid`
+            // over these pages.
+            let page = &mut self.pages[(tid / per_page) as usize];
+            let row = page.row_mut((tid % per_page) as usize);
+            for &(col, value) in assignments {
+                // analyze:allow(hot-path-panic): `col` is a schema column,
+                // validated above, and `row` a whole row.
+                row[col] = value;
             }
         }
-        stats.add_pages_written(rewritten.npages());
-        self.pages = rewritten.pages;
-        self.nrows = rewritten.nrows;
-        Ok(changed)
+        stats.add_pages_written(self.npages());
+        Ok(changed.len() as u64)
     }
 
     /// Fetch a single row by TID. Charges one page read (random access).
@@ -258,6 +335,25 @@ impl Table {
         }
     }
 
+    /// [`Table::scan_selected`], a selected row at a time: `on_row` sees
+    /// the TID and the codes of each row `filter` selects, in scan order.
+    pub(crate) fn scan_matching(
+        &self,
+        filter: &PredSet,
+        stats: &DbStats,
+        mut on_row: impl FnMut(u64, &[Code]),
+    ) {
+        let arity = self.schema.arity();
+        self.scan_selected(filter, stats, |first_tid, rows, sel| {
+            for &r in sel {
+                let start = r as usize * arity;
+                // analyze:allow(hot-path-panic): selections are minted over
+                // the page's rows.
+                on_row(first_tid + u64::from(r), &rows[start..start + arity]);
+            }
+        });
+    }
+
     /// The TIDs of the rows `filter` selects, ascending, by a filtered
     /// sequential scan ([`Table::scan_selected`] says what it charges).
     pub(crate) fn matching_tids(&self, filter: &PredSet, stats: &DbStats) -> Vec<Tid> {
@@ -268,7 +364,12 @@ impl Table {
         tids
     }
 
-    /// Sequential scan charging page reads and scanned rows to `stats`.
+    /// Sequential scan charging page reads and scanned rows to `stats`, a
+    /// row at a time. No access path of the crate walks it any more — the
+    /// cursors, the SQL executor and DML all filter a page at a time
+    /// (`Table::scan_selected`); it stays as the row-at-a-time oracle
+    /// that `tests/props.rs` holds those page paths to, row for row and
+    /// charge for charge.
     pub fn scan<'a>(&'a self, stats: &'a DbStats) -> ScanIter<'a> {
         stats.add_seq_scan();
         ScanIter {

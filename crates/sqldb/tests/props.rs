@@ -6,8 +6,8 @@ use scaleclass_sqldb::page::Page;
 use scaleclass_sqldb::sql::parse;
 use scaleclass_sqldb::wire::WireBatch;
 use scaleclass_sqldb::{
-    execute, BlockRoute, Code, ColumnView, Database, DbStats, Pred, PredSet, Schema, StatsSnapshot,
-    Table,
+    execute, open_database, save_database, BlockRoute, Code, ColumnView, Database, DbError,
+    DbResult, DbStats, DeltaLog, DeltaSign, Pred, PredSet, Schema, StatsSnapshot, Table, Tid,
 };
 use std::ops::ControlFlow;
 
@@ -632,4 +632,319 @@ fn router_panics_on_a_reached_out_of_range_column() {
         Pred::Eq { col: 9, value: 0 },
     ]);
     PredSet::new([&reached]).route(&[1, 0], &mut Vec::new());
+}
+
+/// `Table::delete_where_with` as it was while DML rewrote the heap a row at
+/// a time — the reference the page-at-a-time statement is held to: one
+/// `ScanIter` step and one `Pred::eval` per row, every surviving row pushed
+/// into a second heap.
+fn delete_row_at_a_time(
+    table: &mut Table,
+    pred: &Pred,
+    stats: &DbStats,
+    mut on_delete: impl FnMut(&[Code]),
+) -> u64 {
+    let mut kept = Table::new(table.schema().clone());
+    let mut removed = 0;
+    for (_, row) in table.scan(stats) {
+        if pred.eval(row) {
+            removed += 1;
+            on_delete(row);
+        } else {
+            kept.insert_unchecked(row);
+        }
+    }
+    stats.add_pages_written(kept.npages());
+    *table = kept;
+    removed
+}
+
+/// `Table::update_where_with` as it was, likewise.
+fn update_row_at_a_time(
+    table: &mut Table,
+    pred: &Pred,
+    assignments: &[(usize, Code)],
+    stats: &DbStats,
+    mut on_change: impl FnMut(&[Code], &[Code]),
+) -> DbResult<u64> {
+    for &(col, value) in assignments {
+        let meta = table
+            .schema()
+            .columns()
+            .get(col)
+            .ok_or_else(|| DbError::UnknownColumn(format!("#{col}")))?;
+        if value >= meta.cardinality() {
+            return Err(DbError::ValueOutOfRange {
+                column: meta.name().to_string(),
+                value,
+                cardinality: meta.cardinality(),
+            });
+        }
+    }
+    let mut rewritten = Table::new(table.schema().clone());
+    let mut changed = 0;
+    let mut new_row: Vec<Code> = Vec::with_capacity(table.schema().arity());
+    for (_, row) in table.scan(stats) {
+        if pred.eval(row) {
+            new_row.clear();
+            new_row.extend_from_slice(row);
+            for &(col, value) in assignments {
+                new_row[col] = value;
+            }
+            if new_row[..] != *row {
+                changed += 1;
+                on_change(row, &new_row);
+            }
+            rewritten.insert_unchecked(&new_row);
+        } else {
+            rewritten.insert_unchecked(row);
+        }
+    }
+    stats.add_pages_written(rewritten.npages());
+    *table = rewritten;
+    Ok(changed)
+}
+
+/// Data codes of the DML fixtures are `0..DML_MARK`; `DML_MARK` is the one
+/// code rows hold only where a case planted it.
+const DML_MARK: Code = 4;
+const DML_CARD: u16 = 5;
+
+#[derive(Debug, Clone, Copy)]
+enum Dml {
+    Delete,
+    Update,
+}
+
+/// One drawn table and the statement to run over it.
+struct DmlCase {
+    table: Table,
+    pred: Pred,
+    assignments: Vec<(usize, Code)>,
+}
+
+/// A table of arity 1–40 (a page holds 4096 rows or 102) over zero to five
+/// pages with the last one absent, a single row, full or ragged; a
+/// predicate that is `True`, `False`, a conjunction, an `Or` the router
+/// takes apart or one it hands to its interpreter list — or that picks out
+/// planted rows: none, the first, the last, a whole page, every row, a
+/// sprinkle; and one or two assignments, as likely as not to the column
+/// the predicate reads and sometimes to values already in place.
+fn dml_case(seed: u64) -> DmlCase {
+    let mut rng = Rng(seed ^ 0xd311_e7e5);
+    let arity = 1 + rng.below(40);
+    let per_page = Page::capacity_rows(arity);
+    let tail = match rng.below(4) {
+        0 => 0,
+        1 => 1,
+        2 => per_page,
+        _ => 1 + rng.below(per_page - 1),
+    };
+    let nrows = rng.below(5) * per_page + tail;
+    let mut rows: Vec<Vec<Code>> = (0..nrows)
+        .map(|_| (0..arity).map(|_| rng.below(4) as Code).collect())
+        .collect();
+
+    let atom = |rng: &mut Rng| {
+        let (col, value) = (rng.below(arity), rng.below(4) as Code);
+        if rng.below(3) == 0 {
+            Pred::NotEq { col, value }
+        } else {
+            Pred::Eq { col, value }
+        }
+    };
+    let conjunction =
+        |rng: &mut Rng| Pred::And((0..1 + rng.below(2)).map(|_| atom(&mut *rng)).collect());
+    let mark_col = rng.below(arity);
+    let marked = Pred::Eq {
+        col: mark_col,
+        value: DML_MARK,
+    };
+    let planted: Vec<usize> = match rng.below(12) {
+        0 => vec![],
+        1 => vec![0],
+        2 => vec![nrows.saturating_sub(1)],
+        3 => {
+            let page = rng.below(nrows.div_ceil(per_page).max(1));
+            (page * per_page..(page + 1) * per_page).collect()
+        }
+        4 => (0..nrows).collect(),
+        5 => (0..nrows).filter(|_| rng.below(50) == 0).collect(),
+        _ => vec![],
+    };
+    let pred = match rng.below(12) {
+        0..=5 => match rng.below(3) {
+            0 => marked,
+            1 => Pred::Or(vec![Pred::False, marked]),
+            _ => Pred::And(vec![Pred::And(vec![marked]), Pred::True]),
+        },
+        6 => Pred::True,
+        7 => Pred::False,
+        8 => atom(&mut rng),
+        9 => conjunction(&mut rng),
+        10 => Pred::Or(vec![conjunction(&mut rng), conjunction(&mut rng)]),
+        _ => Pred::Or(vec![
+            conjunction(&mut rng),
+            Pred::And(vec![Pred::Or(vec![atom(&mut rng), conjunction(&mut rng)])]),
+        ]),
+    };
+    for &r in &planted {
+        if let Some(row) = rows.get_mut(r) {
+            row[mark_col] = DML_MARK;
+        }
+    }
+    let assignments = (0..1 + rng.below(2))
+        .map(|_| {
+            let col = if rng.below(2) == 0 {
+                mark_col
+            } else {
+                rng.below(arity)
+            };
+            (col, rng.below(usize::from(DML_CARD)) as Code)
+        })
+        .collect();
+
+    let names: Vec<String> = (0..arity).map(|c| format!("c{c}")).collect();
+    let cols: Vec<(&str, u16)> = names.iter().map(|n| (n.as_str(), DML_CARD)).collect();
+    let mut table = Table::new(Schema::from_pairs(&cols));
+    table.load(rows.iter().map(Vec::as_slice)).unwrap();
+    DmlCase {
+        table,
+        pred,
+        assignments,
+    }
+}
+
+/// Run one statement over `table` — through `Table`'s page-at-a-time DML,
+/// or through the row-at-a-time reference. What it returned, the images
+/// its observer saw in the order it saw them (an update's old image, then
+/// its new one), and what it charged.
+fn run_dml(
+    by_page: bool,
+    dml: Dml,
+    table: &mut Table,
+    case: &DmlCase,
+) -> (u64, Vec<Vec<Code>>, StatsSnapshot) {
+    let stats = DbStats::new();
+    let mut seen: Vec<Vec<Code>> = Vec::new();
+    let (pred, set) = (&case.pred, &case.assignments[..]);
+    let n = match (dml, by_page) {
+        (Dml::Delete, true) => table.delete_where_with(pred, &stats, |row| seen.push(row.to_vec())),
+        (Dml::Delete, false) => {
+            delete_row_at_a_time(table, pred, &stats, |row| seen.push(row.to_vec()))
+        }
+        (Dml::Update, true) => table
+            .update_where_with(pred, set, &stats, |old, new| {
+                seen.extend([old.to_vec(), new.to_vec()])
+            })
+            .unwrap(),
+        (Dml::Update, false) => update_row_at_a_time(table, pred, set, &stats, |old, new| {
+            seen.extend([old.to_vec(), new.to_vec()])
+        })
+        .unwrap(),
+    };
+    (n, seen, stats.snapshot())
+}
+
+fn flat_rows(table: &Table) -> Vec<Code> {
+    table.rows_unaccounted().flatten().copied().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `DELETE` and `UPDATE` that filter a page at a time and compact or
+    /// assign in place are the statements that rewrote the heap a row at a
+    /// time: the same rows left in the same order, the same images shown
+    /// to the observer in the same order, the same count returned and the
+    /// same charge — and a heap every page of which but the last is full,
+    /// so that TIDs, inserts and a save/load round trip find the rows
+    /// where the reference's fresh heap has them.
+    #[test]
+    fn page_at_a_time_dml_is_the_row_at_a_time_rewrite(seed in any::<u64>()) {
+        let case = dml_case(seed);
+        let arity = case.table.schema().arity();
+        let per_page = Page::capacity_rows(arity) as u64;
+        let path = std::env::temp_dir()
+            .join(format!("scaleclass-props-{}-{seed:x}.db", std::process::id()));
+
+        for dml in [Dml::Delete, Dml::Update] {
+            let (mut table, mut reference) = (case.table.clone(), case.table.clone());
+            let got = run_dml(true, dml, &mut table, &case);
+            let expect = run_dml(false, dml, &mut reference, &case);
+            prop_assert_eq!(&got, &expect, "{:?} where {:?}", dml, &case.pred);
+            let (n, seen, _) = expect;
+
+            // The heap: rows, shape, TIDs, and where the next insert lands.
+            let stats = DbStats::new();
+            for grown in [false, true] {
+                if grown {
+                    let row = vec![DML_MARK; arity];
+                    table.insert(&row).unwrap();
+                    reference.insert(&row).unwrap();
+                    let tail = table.fetch_by_tid(Tid(table.nrows() - 1), &stats);
+                    prop_assert_eq!(tail, Ok(&row[..]), "an insert lands at the tail");
+                }
+                prop_assert_eq!(flat_rows(&table), flat_rows(&reference));
+                prop_assert_eq!(table.nrows(), reference.nrows());
+                prop_assert_eq!(table.npages(), table.nrows().div_ceil(per_page));
+                prop_assert_eq!(table.npages(), reference.npages());
+                prop_assert_eq!(table.pages().len() as u64, table.npages());
+                prop_assert!(table.pages().iter().all(|page| !page.is_empty()));
+                let mut scanned = 0;
+                for (tid, row) in table.scan(&stats) {
+                    prop_assert_eq!(tid, Tid(scanned));
+                    prop_assert_eq!(table.fetch_by_tid(tid, &stats), Ok(row));
+                    scanned += 1;
+                }
+                prop_assert_eq!(scanned, table.nrows());
+                prop_assert!(table.fetch_by_tid(Tid(scanned), &stats).is_err());
+            }
+
+            // Through the catalog: the delta log, the epoch and the TID
+            // sets follow what the reference's observer saw, and the
+            // table a snapshot reloads is the reference's.
+            let mut db = Database::new();
+            db.register_table("t", case.table.clone()).unwrap();
+            db.enable_delta_log("t").unwrap();
+            let tids = db.create_tid_set("t", &Pred::True).unwrap();
+            let mut log = DeltaLog::new();
+            let done = match dml {
+                Dml::Delete => {
+                    seen.iter().for_each(|row| log.record(DeltaSign::Delete, row));
+                    db.delete_where("t", &case.pred)
+                }
+                Dml::Update => {
+                    for pair in seen.chunks_exact(2) {
+                        log.record(DeltaSign::Delete, &pair[0]);
+                        log.record(DeltaSign::Insert, &pair[1]);
+                    }
+                    db.update_where("t", &case.pred, &case.assignments)
+                }
+            };
+            prop_assert_eq!(done, Ok(n));
+            prop_assert_eq!(db.take_deltas("t"), log.take());
+            prop_assert_eq!(db.table_epoch("t"), u64::from(n > 0));
+            prop_assert_eq!(db.tid_set(&tids).is_err(), n > 0);
+            save_database(&db, &path).unwrap();
+            let loaded = open_database(&path);
+            std::fs::remove_file(&path).unwrap();
+            let loaded = loaded.unwrap();
+            reference = case.table.clone();
+            run_dml(false, dml, &mut reference, &case);
+            let reloaded = loaded.table("t").unwrap();
+            prop_assert_eq!(flat_rows(reloaded), flat_rows(&reference));
+            prop_assert_eq!(reloaded.npages(), reference.npages());
+        }
+
+        // A rejected assignment leaves the table and the counters alone.
+        let mut table = case.table.clone();
+        let stats = DbStats::new();
+        let bad_value = table.update_where(&case.pred, &[(0, 0), (arity - 1, DML_CARD)], &stats);
+        prop_assert!(matches!(bad_value, Err(DbError::ValueOutOfRange { .. })));
+        let bad_column = table.update_where(&case.pred, &[(arity, 0)], &stats);
+        prop_assert!(matches!(bad_column, Err(DbError::UnknownColumn(_))));
+        prop_assert_eq!(flat_rows(&table), flat_rows(&case.table));
+        prop_assert_eq!(stats.snapshot(), StatsSnapshot::default());
+    }
 }

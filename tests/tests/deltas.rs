@@ -509,6 +509,60 @@ fn maintenance_server_rows_are_bounded_by_the_rebuild_as_churn_grows() {
     );
 }
 
+/// What a DML statement is charged is the simulated server's cost model,
+/// pinned statement by statement over the churn sweep: one sequential scan
+/// that reads every page and examines every row the table had, and a page
+/// write for every page it has afterwards — the cost of rewriting the
+/// heap, whichever pages the statement really touched. The server applies
+/// a statement a page at a time and charges it in bulk; this is the
+/// per-row charge that bulk charge must keep adding up to.
+#[test]
+fn each_dml_statement_charges_a_full_scan_and_a_heap_of_writes() {
+    use scaleclass_sqldb::StatsSnapshot;
+    let (cards, initial, stream) = churn_sweep();
+    let cfg = MiddlewareConfig::builder().deltas(true).build();
+    let mw = Middleware::new(load_db(&cards, &initial), "d", "class", cfg).expect("session");
+    let shape = |mw: &Middleware| {
+        let db = mw.db();
+        let table = db.table("d").expect("base table");
+        (table.npages(), table.nrows())
+    };
+    let (mut deletes, mut updates) = (0, 0);
+    for m in stream.iter().flatten() {
+        let (pages_before, rows_before) = shape(&mw);
+        let before = mw.db_stats();
+        let events = apply_to_db(&mw, m);
+        let charged = mw.db_stats() - before;
+        let (pages_after, rows_after) = shape(&mw);
+        let expect = match m {
+            Mutation::Insert(_) => StatsSnapshot::default(),
+            Mutation::Delete(_) | Mutation::Update(..) => StatsSnapshot {
+                seq_scans: 1,
+                pages_read: pages_before,
+                rows_scanned: rows_before,
+                pages_written: pages_after,
+                ..StatsSnapshot::default()
+            },
+        };
+        assert_eq!(charged, expect, "{m:?}");
+        match m {
+            Mutation::Insert(_) => assert_eq!(rows_after, rows_before + 1),
+            Mutation::Delete(_) => {
+                deletes += 1;
+                assert_eq!(rows_after, rows_before - events);
+            }
+            Mutation::Update(..) => {
+                updates += 1;
+                assert_eq!((pages_after, rows_after), (pages_before, rows_before));
+            }
+        }
+    }
+    assert!(
+        deletes > 0 && updates > 0,
+        "the sweep holds both statements"
+    );
+}
+
 /// What each round of the churn sweep decided is pinned, count for count:
 /// the margin trigger reads the retained winner and runner-up scores, so a
 /// score that drifted in the grower's fused decide-and-margins enumeration
