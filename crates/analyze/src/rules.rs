@@ -11,7 +11,7 @@
 //!   `sample.rs`): the seed
 //!   shipped a staging-cap overflow of exactly this class. The rule also
 //!   runs *function-scoped* over the block-kernel offset arithmetic in
-//!   `cc.rs` (`add_block`, `accumulate_col`, `block_growth_bound`) —
+//!   `cc.rs` (`add_block`, the `add_rows` kernel, `block_growth_bound`) —
 //!   hot-path files where only a few kernels carry accounting-sensitive
 //!   index math.
 //! - **hot-path-panic** — no `unwrap()`/`expect()`/`panic!`-family macros, and
@@ -169,7 +169,7 @@ const ARITH_FILES: [&str; 7] = [
 /// whole-file coverage would drown the scan loops in directives.
 const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
     "crates/core/src/cc.rs",
-    &["add_block", "accumulate_col", "block_growth_bound"],
+    &["add_block", "add_rows", "block_growth_bound"],
 )];
 
 /// Function-scoped hot-path-panic extensions, as [`ARITH_SCOPED`]: the

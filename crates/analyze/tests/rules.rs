@@ -78,6 +78,22 @@ fn accounting_arith_is_fn_scoped_in_cc() {
 }
 
 #[test]
+fn accounting_arith_fires_inside_the_block_kernel() {
+    // The in-place kernel's slot index is scoped by name: an unvetted
+    // `+`, `*` or cast in it fires.
+    let rel = "crates/core/src/cc.rs";
+    let report = check_source(rel, &fixture("bad", rel));
+    assert_eq!(
+        fired(&report),
+        vec![
+            (RULE_ACCOUNTING_ARITH, 7), // base + ...
+            (RULE_ACCOUNTING_ARITH, 7), // ... value * nc
+            (RULE_ACCOUNTING_ARITH, 8), // slot as usize
+        ]
+    );
+}
+
+#[test]
 fn hot_path_panic_fires_on_each_pattern() {
     let rel = "crates/core/src/parallel.rs";
     let report = check_source(rel, &fixture("bad", rel));

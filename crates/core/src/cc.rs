@@ -27,7 +27,7 @@
 //! backend. Property tests in `tests/props.rs` pin this bit-identity.
 
 use crate::request::DataLocation;
-use scaleclass_sqldb::Code;
+use scaleclass_sqldb::{Code, ColumnView};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,6 +40,16 @@ use std::time::Instant;
 /// must not depend on allocator details (or on which physical
 /// representation holds the counts).
 pub const CC_ENTRY_BYTES: u64 = 48;
+
+/// Reusable scratch of the block kernel ([`CountsTable::add_rows`]).
+#[derive(Debug, Default)]
+pub(crate) struct KernelScratch {
+    /// Rows per class code of the rows being counted; all zero between
+    /// calls.
+    tally: Vec<u64>,
+    /// The class code of each row being counted, in row order.
+    classes: Vec<Code>,
+}
 
 /// Physical bytes one dense slot occupies (`u64` count).
 const DENSE_SLOT_BYTES: u64 = 8;
@@ -61,8 +71,9 @@ pub struct BlockOutcome {
     pub fallback_rows: u64,
     /// Nanoseconds spent in the hoisted range-validation max-scan.
     pub validate_nanos: u64,
-    /// Nanoseconds spent in the accumulate loops (dense gather-increment
-    /// or sparse run detection).
+    /// Nanoseconds spent in the kernel proper: reading the codes in place
+    /// and incrementing (dense slots and class tally, or sparse run
+    /// detection).
     pub accumulate_nanos: u64,
 }
 
@@ -288,53 +299,11 @@ impl DenseCounts {
         true
     }
 
-    /// Column-slice twin of [`DenseCounts::add_row`]: count row `r` of a
-    /// column block. Same all-or-nothing contract — `false` without any
-    /// slot touched when a code falls outside the layout.
-    #[inline]
-    fn add_row_cols(&mut self, cols: &[&[Code]], r: usize, attrs: &[u16], class: Code) -> bool {
-        let l = &*self.layout;
-        let class = class as u32;
-        if class >= l.n_classes {
-            return false;
-        }
-        for &attr in attrs {
-            match l.attr_index(attr) {
-                // analyze:allow(hot-path-panic): block columns are full
-                // extent columns (or gathered attr columns) indexed by the
-                // same attrs the caller validated against the arity, and
-                // `i` comes from `attr_index` over parallel layout vectors.
-                Some(i) if (cols[attr as usize][r] as u32) < l.cards[i] => {}
-                _ => return false,
-            }
-        }
-        let mut newly = 0usize;
-        for &attr in attrs {
-            // analyze:allow(hot-path-panic): the validation loop above
-            // proved every attr is tracked and every code is inside its
-            // card, so col_index/offsets/column lookups cannot miss.
-            let i = l.col_index[attr as usize] as usize;
-            // analyze:allow(hot-path-panic): the validation loop proved
-            // the column exists and holds at least `r + 1` codes.
-            let v = cols[attr as usize][r] as u32;
-            // analyze:allow(hot-path-panic): slot < layout.slots because
-            // offset + value·classes + class was bounds-checked above.
-            let slot = (l.offsets[i] + v * l.n_classes + class) as usize;
-            // analyze:allow(hot-path-panic): slots was allocated with
-            // exactly `layout.slots` elements.
-            let s = &mut self.slots[slot];
-            newly += (*s == 0) as usize;
-            *s += 1;
-        }
-        self.occupied += newly;
-        true
-    }
-
     /// Is every code of a column block inside the layout — the class
     /// column below `n_classes`, each attribute tracked and below its
-    /// cardinality? One max-scan per column, hoisted out of the accumulate
-    /// loop: when this holds, [`DenseCounts::accumulate_col`] over the same
-    /// columns cannot miss a slot.
+    /// cardinality? One max-scan per column, hoisted out of the kernel:
+    /// when this holds, [`DenseCounts::add_rows`] over the same columns
+    /// cannot miss a slot.
     fn block_in_range(&self, cols: &[&[Code]], class: &[Code], attrs: &[u16]) -> bool {
         let l = &*self.layout;
         let max_class = class.iter().copied().max().unwrap_or(0);
@@ -345,7 +314,6 @@ impl DenseCounts {
             let (Some(i), Some(col)) = (l.attr_index(attr), cols.get(usize::from(attr))) else {
                 return false;
             };
-            debug_assert_eq!(col.len(), class.len(), "ragged block columns");
             let max_v = col.iter().copied().max().unwrap_or(0);
             // `cards` is parallel to attrs and `i` comes from `attr_index`
             // over the same layout.
@@ -353,33 +321,42 @@ impl DenseCounts {
         })
     }
 
-    /// Count one attribute column of a block against its class column: a
-    /// branch-light gather-increment over a per-attribute base offset that
-    /// LLVM can unroll. The caller has proved `attr` tracked and every
-    /// code in range ([`DenseCounts::block_in_range`], or the executor's
-    /// per-block [`CountsTable::covers`]); a code outside the layout
-    /// panics on the slot index rather than counting wrongly.
-    fn accumulate_col(&mut self, attr: u16, col: &[Code], class: &[Code]) {
+    /// The dense kernel: count `rows` of a block, whose class codes are
+    /// `classes`, reading each attribute column in place through its
+    /// strided view — one increment of `base + value·n_classes + class` per
+    /// row and attribute, branch-light. The caller has proved every
+    /// attr tracked and every code of those rows inside the layout
+    /// ([`DenseCounts::block_in_range`], or the executor's per-block
+    /// [`CountsTable::covers`]); the kernel does not check again.
+    fn add_rows<'b>(
+        &mut self,
+        rows: impl Iterator<Item = u32> + Clone,
+        column: impl Fn(usize) -> ColumnView<'b>,
+        attrs: &[u16],
+        classes: &[Code],
+    ) {
         let l = &*self.layout;
         let nc = l.n_classes;
-        // The caller proved the attr tracked; base offsets are parallel to
-        // attrs and `i` comes from col_index over the same layout.
-        let i = usize::from(l.col_index[usize::from(attr)]);
-        let base = l.offsets[i];
         let mut newly = 0usize;
-        for (&v, &k) in col.iter().zip(class.iter()) {
-            // analyze:allow(accounting-arith): hot gather-increment —
-            // base + value·n_classes + class < slots was proved by the
-            // caller's range check, so the u32 arithmetic cannot overflow.
-            let slot = (base + u32::from(v) * nc + u32::from(k)) as usize;
-            // analyze:allow(hot-path-panic): slot < layout.slots per the
-            // caller's range check; slots holds exactly that many.
-            let s = &mut self.slots[slot];
-            // analyze:allow(accounting-arith): hot accumulate — newly is
-            // bounded by the block's rows and the count by total rows ever
-            // seen; neither can overflow its word.
-            newly += usize::from(*s == 0);
-            *s += 1; // analyze:allow(accounting-arith): hot accumulate increment, bounded by rows seen
+        for &attr in attrs {
+            // analyze:allow(hot-path-panic): the caller proved `attr`
+            // tracked, and col_index points into the parallel offsets.
+            let base = l.offsets[usize::from(l.col_index[usize::from(attr)])];
+            let col = column(usize::from(attr));
+            for (r, &k) in rows.clone().zip(classes) {
+                // analyze:allow(accounting-arith): hot kernel increment —
+                // base + value·n_classes + class < slots was proved by the
+                // caller's range check, so the u32 arithmetic cannot overflow.
+                let slot = (base + u32::from(col.get(r)) * nc + u32::from(k)) as usize;
+                // analyze:allow(hot-path-panic): slot < layout.slots per the
+                // caller's range check; slots holds exactly that many.
+                let s = &mut self.slots[slot];
+                // analyze:allow(accounting-arith): hot accumulate — newly is
+                // bounded by the rows counted and the count by total rows
+                // ever seen; neither can overflow its word.
+                newly += usize::from(*s == 0);
+                *s += 1; // analyze:allow(accounting-arith): hot accumulate increment, bounded by rows seen
+            }
         }
         // analyze:allow(accounting-arith): occupied ≤ slots ≤ u32::MAX.
         self.occupied += newly;
@@ -601,45 +578,33 @@ impl CountsTable {
         true
     }
 
-    /// Column-slice twin of [`CountsTable::add_row`]: count row `r` of a
-    /// column block, reading only `attrs` and `class_col` (other entries
-    /// of `cols` may be empty). Bit-identical to `add_row` on the
-    /// materialized row, including the spill-to-sparse point.
-    #[inline]
-    fn add_row_cols(&mut self, cols: &[&[Code]], r: usize, attrs: &[u16], class_col: u16) {
-        let class = cols[class_col as usize][r];
-        if let CcRepr::Dense(d) = &mut self.repr {
-            if !d.add_row_cols(cols, r, attrs, class) {
-                self.spill_to_sparse();
-            }
-        }
-        if let CcRepr::Sparse(map) = &mut self.repr {
-            for &attr in attrs {
-                // analyze:allow(hot-path-panic): block columns cover every
-                // requested attr (validated against the arity upstream) and
-                // all share the block's row count.
-                *map.entry((attr, cols[attr as usize][r], class))
-                    .or_insert(0) += 1;
-            }
-        }
-        *self.class_totals.entry(class).or_insert(0) += 1;
-        self.total += 1;
-    }
-
     /// Count a whole column block: `cols` holds one `&[Code]` slice per
     /// table column (only the `attrs` entries and `cols[class_col]` are
-    /// read, so gathered blocks may leave other entries empty), all of the
-    /// block's row count. Equivalent to calling
-    /// [`add_row`](Self::add_row) once per block row, in row order — the
-    /// dense backend hoists range validation into one max-scan per column
-    /// and then accumulates with a tight per-attribute gather loop, the
-    /// sparse backend amortizes tree walks via run detection on
-    /// sorted-ish columns, and any out-of-range code makes the whole
-    /// block fall back to the exact row path so the spill-to-sparse point
-    /// is unchanged.
+    /// read, so other entries may be empty), all of the block's row count.
+    /// Equivalent to calling [`add_row`](Self::add_row) once per block
+    /// row, in row order — the dense backend hoists range validation into
+    /// one max-scan per column and then runs the block kernel the
+    /// executor's scans run, over every row; any out-of-range code makes
+    /// the whole block fall back to the exact row path so the
+    /// spill-to-sparse point is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// On a ragged block — an attribute column missing or of another
+    /// length than the class column — or one of more rows than a `u32`
+    /// indexes, before any count is touched.
     pub fn add_block(&mut self, cols: &[&[Code]], class_col: u16, attrs: &[u16]) -> BlockOutcome {
         let class: &[Code] = cols[usize::from(class_col)];
-        let nrows = u64::try_from(class.len()).unwrap_or(u64::MAX);
+        let nrows = u32::try_from(class.len()).unwrap_or(u32::MAX);
+        assert!(
+            attrs.iter().all(|&a| {
+                cols.get(usize::from(a))
+                    .is_some_and(|c| c.len() == class.len())
+            }) && usize::try_from(nrows) == Ok(class.len()),
+            "ragged block: every attribute column must hold the class column's {} codes, \
+             at most u32::MAX",
+            class.len()
+        );
         let mut out = BlockOutcome::default();
         if nrows == 0 {
             return out;
@@ -651,101 +616,102 @@ impl CountsTable {
             if !in_range {
                 // All-or-nothing fallback: no slot was touched, so the row
                 // replay spills at exactly the row the row path would.
-                out.fallback_rows = nrows;
+                out.fallback_rows = u64::from(nrows);
+                let mut row = vec![0; cols.len()];
                 for r in 0..class.len() {
-                    self.add_row_cols(cols, r, attrs, class_col);
+                    // Columns no count reads may be empty: they read as 0.
+                    for (code, col) in row.iter_mut().zip(cols) {
+                        *code = col.get(r).copied().unwrap_or(0);
+                    }
+                    self.add_row(&row, attrs, class_col);
                 }
                 return out;
             }
         }
         let t0 = Instant::now();
-        for &attr in attrs {
-            // analyze:allow(hot-path-panic): every requested attr column
-            // exists in a decoded block (the dense range check proved it).
-            self.accumulate_col(attr, cols[usize::from(attr)], class);
-        }
-        self.add_class_totals(class);
+        // The assert above proved every read column `nrows` codes long.
+        let column = |c: usize| ColumnView {
+            codes: cols[c],
+            stride: 1,
+        };
+        self.add_rows(
+            0..nrows,
+            column,
+            attrs,
+            class_col,
+            &mut KernelScratch::default(),
+        );
         out.accumulate_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         out
     }
 
-    /// [`add_block`](Self::add_block) for the executor's route-then-count
-    /// pass, which gathers a node's selected rows column by column:
-    /// `gathered` holds `attrs.len() + 1` runs of `n` codes, one per entry
-    /// of `attrs` in order and then the class column. No range scan and no
-    /// timers — both are the executor's, once per block: it calls this
-    /// only for a block [`covers`](Self::covers) accepted, under which a
-    /// dense table cannot spill, so the result equals `n` calls of
-    /// [`add_row`](Self::add_row) in row order.
-    pub(crate) fn add_gathered(&mut self, attrs: &[u16], gathered: &[Code], n: usize) {
-        debug_assert_eq!(
-            gathered.len(),
-            attrs.len().saturating_add(1).saturating_mul(n)
-        );
-        if n == 0 {
-            return;
-        }
-        let mut runs = gathered.chunks_exact(n);
-        let class = runs.next_back().unwrap_or(&[]);
-        for (&attr, col) in attrs.iter().zip(runs) {
-            self.accumulate_col(attr, col, class);
-        }
-        self.add_class_totals(class);
-    }
-
-    /// Count one attribute column of a block against its class column on
-    /// whichever backend is live (dense: the caller proved the codes in
-    /// range; sparse: tree walks amortized by run detection).
-    fn accumulate_col(&mut self, attr: u16, col: &[Code], class: &[Code]) {
+    /// The block kernel: count `rows` of a block whose column `c` is
+    /// `column(c)` — every row for [`add_block`](Self::add_block), a node's
+    /// selection for the executor's route-then-count pass — reading each
+    /// code where it lies except the class column, which it reads once
+    /// into `scratch`. A dense table tallies those class codes densely and
+    /// folds the tally into the class totals once per class present, then
+    /// runs [`DenseCounts::add_rows`]; a sparse one amortizes its tree
+    /// walks by run detection. No range check and no
+    /// timers — both are the
+    /// caller's, once per block: a dense table must already be known to
+    /// hold every code of these rows ([`covers`](Self::covers)), under
+    /// which it cannot spill, so the result equals one
+    /// [`add_row`](Self::add_row) per row in row order.
+    pub(crate) fn add_rows<'b, R>(
+        &mut self,
+        rows: R,
+        column: impl Fn(usize) -> ColumnView<'b>,
+        attrs: &[u16],
+        class_col: u16,
+        scratch: &mut KernelScratch,
+    ) where
+        R: ExactSizeIterator<Item = u32> + Clone,
+    {
+        let class = column(usize::from(class_col));
+        let KernelScratch { tally, classes } = scratch;
+        classes.clear();
+        classes.extend(rows.clone().map(|r| class.get(r)));
         match &mut self.repr {
-            CcRepr::Dense(d) => d.accumulate_col(attr, col, class),
-            CcRepr::Sparse(map) => {
-                let mut run_key: Option<(Code, Code)> = None;
-                let mut run = 0u64;
-                for (&v, &k) in col.iter().zip(class.iter()) {
-                    if run_key == Some((v, k)) {
-                        run = run.saturating_add(1);
-                    } else {
-                        if let Some((pv, pk)) = run_key {
-                            let e = map.entry((attr, pv, pk)).or_insert(0);
-                            *e = e.saturating_add(run);
-                        }
-                        run_key = Some((v, k));
-                        run = 1;
+            CcRepr::Dense(d) => {
+                // Class codes are `Code`s, so no tally needs more entries
+                // than the code space, whatever the layout declares.
+                let nc = usize::try_from(d.layout.n_classes)
+                    .unwrap_or(usize::MAX)
+                    .min(1 << Code::BITS);
+                if tally.len() < nc {
+                    tally.resize(nc, 0);
+                }
+                let tally = &mut tally[..nc];
+                for &k in classes.iter() {
+                    // analyze:allow(hot-path-panic): the caller proved every
+                    // class code below n_classes; a breach panics here, before
+                    // any slot is touched, rather than counting wrongly.
+                    // analyze:allow(accounting-arith): a tally is bounded by
+                    // the rows of one call.
+                    tally[usize::from(k)] += 1;
+                }
+                for (k, n) in (0..=Code::MAX).zip(tally.iter_mut()) {
+                    let n = std::mem::take(n);
+                    if n != 0 {
+                        let total = self.class_totals.entry(k).or_insert(0);
+                        *total = total.saturating_add(n);
                     }
                 }
-                if let Some((pv, pk)) = run_key {
-                    let e = map.entry((attr, pv, pk)).or_insert(0);
-                    *e = e.saturating_add(run);
-                }
+                d.add_rows(rows.clone(), column, attrs, classes);
             }
-        }
-    }
-
-    /// Add a block's class column to the per-class row totals and the row
-    /// total, run-detected.
-    fn add_class_totals(&mut self, class: &[Code]) {
-        let mut run_class: Option<Code> = None;
-        let mut run = 0u64;
-        for &k in class {
-            if run_class == Some(k) {
-                run = run.saturating_add(1);
-            } else {
-                if let Some(pk) = run_class {
-                    let e = self.class_totals.entry(pk).or_insert(0);
-                    *e = e.saturating_add(run);
+            CcRepr::Sparse(map) => {
+                for &attr in attrs {
+                    let col = column(usize::from(attr));
+                    let keys = rows.clone().zip(classes.iter());
+                    add_runs(map, keys.map(|(r, &k)| (attr, col.get(r), k)));
                 }
-                run_class = Some(k);
-                run = 1;
+                add_runs(&mut self.class_totals, classes.iter().copied());
             }
-        }
-        if let Some(pk) = run_class {
-            let e = self.class_totals.entry(pk).or_insert(0);
-            *e = e.saturating_add(run);
         }
         self.total = self
             .total
-            .saturating_add(u64::try_from(class.len()).unwrap_or(u64::MAX));
+            .saturating_add(u64::try_from(rows.len()).unwrap_or(u64::MAX));
     }
 
     /// Can no code of a block spill this table out of its dense form?
@@ -754,7 +720,7 @@ impl CountsTable {
     /// when the class column and every attribute of `attrs` are tracked by
     /// the layout and their maxima lie inside it. This is the precondition
     /// of [`block_growth_bound`](Self::block_growth_bound)'s free-slot cap
-    /// and of [`add_gathered`](Self::add_gathered); a block that fails it
+    /// and of [`add_rows`](Self::add_rows); a block that fails it
     /// takes the row path whole, so the spill fires at the row it always
     /// did.
     pub(crate) fn covers(&self, col_max: &[Code], attrs: &[u16], class_col: u16) -> bool {
@@ -1085,6 +1051,29 @@ impl CountsTable {
     }
 }
 
+/// Add one to `map[key]` per key, in order, with one tree walk per run of
+/// equal consecutive keys: the sparse backend's block path.
+fn add_runs<K: Ord + Copy>(map: &mut BTreeMap<K, u64>, keys: impl Iterator<Item = K>) {
+    let mut run_key: Option<K> = None;
+    let mut run = 0u64;
+    for key in keys {
+        if run_key == Some(key) {
+            run = run.saturating_add(1);
+        } else {
+            if let Some(pk) = run_key {
+                let e = map.entry(pk).or_insert(0);
+                *e = e.saturating_add(run);
+            }
+            run_key = Some(key);
+            run = 1;
+        }
+    }
+    if let Some(pk) = run_key {
+        let e = map.entry(pk).or_insert(0);
+        *e = e.saturating_add(run);
+    }
+}
+
 /// Equality is *logical*: same totals, same class distribution, same
 /// non-zero entries in key order — independent of the physical
 /// representation, so a dense-built table equals its sparse twin.
@@ -1161,7 +1150,7 @@ enum AxisRepr {
     /// Position = class code, over this many codes (the dense layout's
     /// class cardinality): rows are read in place.
     Codes(usize),
-    /// The classes present at the node, ascending: rows are gathered.
+    /// The classes present at the node, ascending: rows are collected.
     Present(Vec<Code>),
 }
 
@@ -1196,7 +1185,7 @@ impl ClassAxis {
 
 /// One attribute's counts as value rows over a [`ClassAxis`]
 /// ([`CountsTable::value_rows`]). A lending walk: each row borrows the
-/// view, because a gathered row lives in the one reused scratch.
+/// view, because a collected row lives in the one reused scratch.
 pub struct ValueRows<'a>(RowsInner<'a>);
 
 enum RowsInner<'a> {
@@ -1733,6 +1722,16 @@ mod tests {
         assert_eq!(d2.total(), 2);
     }
 
+    /// A ragged block is refused before any count moves, in release builds
+    /// too: counting the short column's prefix against every class code
+    /// would leave the attribute sums disagreeing with the total.
+    #[test]
+    #[should_panic(expected = "ragged block")]
+    fn add_block_refuses_a_ragged_block() {
+        let (full, short, class): (&[Code], &[Code], &[Code]) = (&[0, 1, 2], &[0, 1], &[0, 1, 1]);
+        CountsTable::new().add_block(&[full, short, class], 2, &[0, 1]);
+    }
+
     /// Recount the non-zero dense slots directly, bypassing `occupied`.
     fn recounted_occupied(cc: &CountsTable) -> usize {
         match &cc.repr {
@@ -1821,9 +1820,14 @@ mod tests {
                     rowwise.add_row(row, &[0, 1], 2);
                 }
                 if cc.covers(&col_max_of(rows), &[0, 1], 2) {
-                    // The executor's path: gather, then count unchecked.
+                    // The executor's path: count unchecked, in place.
                     let cols = cols_of(rows);
-                    cc.add_gathered(&[0, 1], &cols.concat(), rows.len());
+                    let column = |c: usize| ColumnView {
+                        codes: &cols[c],
+                        stride: 1,
+                    };
+                    let n = rows.len() as u32;
+                    cc.add_rows(0..n, column, &[0, 1], 2, &mut KernelScratch::default());
                     assert!(
                         cc.memory_bytes() <= before + bound,
                         "a covered block grew past its declared bound"

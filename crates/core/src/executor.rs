@@ -22,9 +22,9 @@
 //! ([`PredSet::route_block`]) — one partition of a selection vector per
 //! trie node the block's rows reach, however many nodes are scheduled —
 //! into per-node *selection vectors*, ranges of one reused arena; the
-//! second, per node with a non-empty selection, gathers the attribute and
-//! class columns of the selected rows and counts them through the batched
-//! kernel. The staging tees are served from the same selection vectors,
+//! second, per node with a non-empty selection, counts the selected rows
+//! through the block kernel, which reads their codes where they lie in the
+//! block. The staging tees are served from the same selection vectors,
 //! in row order: a file tee gathers each column of the selection straight
 //! into the extent it is writing (`FileWriter::push_selected`), a memory
 //! tee appends rows. Only where a single row is the unit — the row-path
@@ -46,7 +46,7 @@
 //! When predicates overlap (never within one tree frontier) a row counts
 //! into every node it satisfies, in ascending node order.
 
-use crate::cc::{CountsTable, CC_ENTRY_BYTES};
+use crate::cc::{CountsTable, KernelScratch, CC_ENTRY_BYTES};
 use crate::error::MwResult;
 use crate::metrics::MiddlewareStats;
 use crate::request::CcRequest;
@@ -115,7 +115,7 @@ pub struct BatchCounter {
     /// Count whole blocks through the route-then-count pass when possible
     /// (`MiddlewareConfig::batch_kernel`); off pins the row path.
     pub(crate) batch_kernel: bool,
-    /// Reusable selection/gather scratch of the block pass.
+    /// Reusable selection/tally scratch of the block pass.
     pass: BlockPass,
 }
 
@@ -124,12 +124,13 @@ pub struct BatchCounter {
 pub(crate) trait Block {
     /// Rows in the block.
     fn nrows(&self) -> usize;
-    /// Column `col` of the block, as the router and the gathers read it.
+    /// Column `col` of the block, as the router and the kernel read it.
     /// Panics on a column past the arity.
     fn column(&self, col: usize) -> ColumnView<'_>;
     /// The largest code of every column, into `out`.
     fn col_max(&self, out: &mut Vec<Code>);
-    /// Append column `col` of the selected rows to `out`.
+    /// Append column `col` of the selected rows to `out` — for the file
+    /// tee, which copies the selection into the extent it is writing.
     fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>) {
         let codes = self.column(col);
         // Selections are minted over this block's rows.
@@ -293,8 +294,8 @@ pub(crate) struct BlockPass {
     routed: BlockRoute,
     /// Largest code per block column.
     col_max: Vec<Code>,
-    /// Gathered columns of every counted node, back to back.
-    gathered: Vec<Code>,
+    /// The kernel's scratch.
+    kernel: KernelScratch,
 }
 
 impl BlockPass {
@@ -358,41 +359,34 @@ impl BlockPass {
         bound
     }
 
-    /// Second pass: per touched node still counting, gather the attribute
-    /// and class columns of its selected rows and count them through the
-    /// batched kernel. Returns the modelled bytes the tables grew by —
-    /// at most the [`BlockPass::cc_bound`] the caller gated on.
+    /// Second pass: per touched node still counting, count its selected
+    /// rows through the block kernel, in place. Returns the modelled bytes
+    /// the tables grew by — at most the [`BlockPass::cc_bound`] the caller
+    /// gated on.
     pub(crate) fn count(
         &mut self,
         block: &impl Block,
         nodes: &mut (impl CountSlots + ?Sized),
         tally: &mut KernelTally,
     ) -> u64 {
-        let mut gathered = std::mem::take(&mut self.gathered);
-        gathered.clear();
-        for (idx, sel) in self.selections() {
-            if let Some((_, attrs, class_col)) = nodes.slot(idx) {
-                for &col in attrs.iter().chain(std::iter::once(&class_col)) {
-                    block.gather(usize::from(col), sel, &mut gathered);
-                }
-            }
-        }
         let t0 = Instant::now();
-        let mut rest = gathered.as_slice();
         let mut grew = 0u64;
-        for (idx, sel) in self.selections() {
-            if let Some((cc, attrs, _)) = nodes.slot(idx) {
-                let n = sel.len();
-                let (mine, tail) = rest.split_at((attrs.len() + 1) * n);
-                rest = tail;
+        for (idx, sel) in self.routed.selections() {
+            if let Some((cc, attrs, class_col)) = nodes.slot(idx) {
                 let before = cc.entries();
-                cc.add_gathered(attrs, mine, n);
+                let rows = sel.iter().copied();
+                cc.add_rows(
+                    rows,
+                    |c| block.column(c),
+                    attrs,
+                    class_col,
+                    &mut self.kernel,
+                );
                 grew += (cc.entries() - before) as u64 * CC_ENTRY_BYTES;
                 tally.blocks_counted += 1;
             }
         }
         tally.accumulate_nanos += nanos_since(t0);
-        self.gathered = gathered;
         grew
     }
 }
@@ -956,6 +950,72 @@ mod tests {
         assert_eq!(stats.block_fallback_rows, 0);
         assert_eq!(batch.nodes[0].cc.total(), 3);
         assert_eq!(batch.nodes[1].cc.total(), 3);
+    }
+
+    /// The kernel reads a selection where it lies in either layout: a
+    /// decoded extent (column-major) counts what the same rows packed
+    /// row-major count, and what the row path counts, on both backends,
+    /// for selections that are empty, one row, every row, the first and
+    /// last rows, or scattered. Column 3 is the selector.
+    #[test]
+    fn kernel_counts_a_selection_in_place_in_either_layout() {
+        let masks: [fn(u16) -> bool; 5] = [
+            |_| false,
+            |r| r == 17,
+            |_| true,
+            |r| r == 0 || r == 39,
+            |r| r % 7 == 2 || r % 5 == 0,
+        ];
+        for (mask, dense) in masks.iter().flat_map(|m| [(m, false), (m, true)]) {
+            let rows: Vec<[Code; 4]> = (0..40u16)
+                .map(|r| [r % 4, (r * 7 / 3) % 4, (r / 3) % 2, u16::from(mask(r))])
+                .collect();
+            let flat: Vec<Code> = rows.iter().flatten().copied().collect();
+            let cols: Vec<Vec<Code>> = (0..4)
+                .map(|c| rows.iter().map(|row| row[c]).collect())
+                .collect();
+            let nodes = || {
+                let preds = [
+                    Pred::Eq { col: 3, value: 1 },
+                    Pred::NotEq { col: 3, value: 1 },
+                ];
+                let mut nodes: Vec<NodeCounter> = (1..)
+                    .zip(preds)
+                    .map(|(id, pred)| NodeCounter::new(request(id, pred)))
+                    .collect();
+                for node in nodes.iter_mut().filter(|_| dense) {
+                    node.cc = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+                }
+                BatchCounter::new(nodes, u64::MAX, 0, 4)
+            };
+            let mut rowwise = nodes();
+            let mut row_major = nodes();
+            let mut col_major = nodes();
+            let mut stats = [(); 3].map(|()| MiddlewareStats::new());
+            for row in &rows {
+                rowwise.process_row(row, &mut stats[0]).unwrap();
+            }
+            row_major.process_block(&flat, &mut stats[1]).unwrap();
+            let (cols, nrows, row) = (&cols[..], rows.len(), &mut Vec::new());
+            col_major
+                .process(&mut ColBlock { cols, nrows, row }, &mut stats[2])
+                .unwrap();
+            let selected = rows.iter().filter(|row| row[3] == 1).count();
+            let touched = 1 + u64::from(selected != 0 && selected != rows.len());
+            for s in &stats[1..] {
+                assert_eq!(s.block_fallback_rows, 0);
+                assert_eq!(s.blocks_counted, touched);
+            }
+            for batch in [&row_major, &col_major] {
+                for (a, b) in rowwise.nodes.iter().zip(&batch.nodes) {
+                    assert_eq!(a.cc, b.cc);
+                    assert_eq!(a.cc.entries(), b.cc.entries());
+                    assert_eq!(b.cc.is_dense(), dense);
+                }
+                batch.assert_shadow_accounting();
+            }
+            assert_eq!(rowwise.nodes[0].cc.total(), selected as u64);
+        }
     }
 
     /// A predicate column past the arity panics on the block path exactly

@@ -90,23 +90,26 @@ pub struct MiddlewareStats {
     /// leave this 0; use `scan_nanos` for whole-scan throughput. Timing —
     /// excluded from determinism comparisons like `scan_nanos`.
     pub kernel_nanos: u64,
-    /// Column blocks counted through the batched kernel (one per
-    /// successful `CountsTable::add_block` call per node). Pipeline-shape
-    /// counter: varies with worker count and block size, so determinism
-    /// comparisons exclude it alongside `scan_blocks`.
+    /// Selections counted through the block kernel: one per (node, block)
+    /// pair whose selection the route-then-count pass counted.
+    /// Pipeline-shape counter: varies with worker count and block size, so
+    /// determinism comparisons exclude it alongside `scan_blocks`.
     pub blocks_counted: u64,
     /// Rows the batched kernel re-routed through the exact per-row path —
     /// either a whole block whose growth bound could not clear the memory
     /// budget, or a dense all-or-nothing fallback on an out-of-range
     /// code. Pipeline-shape counter, excluded like `blocks_counted`.
     pub block_fallback_rows: u64,
-    /// Nanoseconds the batched dense kernel spent in hoisted range
-    /// validation (the per-block max-scans). Timing — excluded from
+    /// Nanoseconds the block pass spent validating a block before counting
+    /// it: the block's per-column maxima, the `CountsTable::covers` range
+    /// check and the growth bounds, once per block. Timing — excluded from
     /// determinism comparisons like `kernel_nanos`.
     pub kernel_validate_nanos: u64,
-    /// Nanoseconds the batched kernel spent in the accumulate loops
-    /// (dense gather-increment or sparse run-detection). Timing —
-    /// excluded from determinism comparisons like `kernel_nanos`.
+    /// Nanoseconds the block kernel spent counting selections: reading the
+    /// selected codes in place (which an untimed gather did before PR 21)
+    /// and incrementing — dense slots and class tally, or sparse run
+    /// detection. Timing — excluded from determinism comparisons like
+    /// `kernel_nanos`.
     pub kernel_accumulate_nanos: u64,
     /// Server statistics attributable to building auxiliary structures
     /// (so experiments can report the "idealized" §5.2.5 number that

@@ -216,7 +216,7 @@ struct ShardState {
     kernel_ns: u64,
     /// The nodes the last row fed to [`ShardState::count_row`] satisfied.
     matched: Vec<usize>,
-    /// Reusable selection/gather scratch of the block pass.
+    /// Reusable selection/tally scratch of the block pass.
     pass: BlockPass,
     tally: KernelTally,
 }

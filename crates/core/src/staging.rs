@@ -1015,7 +1015,7 @@ impl FileWriter {
     }
 
     /// Append the rows of `block` that `sel` names, in selection order:
-    /// each column of the selected rows is gathered straight into the
+    /// each column of the selected rows is copied straight into the
     /// extent under construction, cut where an extent fills. The bytes
     /// written are those of [`FileWriter::push`] over the same rows.
     pub(crate) fn push_selected(&mut self, block: &impl Block, mut sel: &[u32]) -> MwResult<()> {

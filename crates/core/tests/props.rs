@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use scaleclass::estimator::{est_cc_bytes_upper, est_cc_entries};
+use scaleclass::executor::{BatchCounter, NodeCounter};
 use scaleclass::sample::SampledLedger;
 use scaleclass::scheduler::schedule;
 use scaleclass::staging::StagingManager;
@@ -10,7 +11,7 @@ use scaleclass::{
     Backend, CcRequest, CountsTable, DataLocation, FileStagingPolicy, Lineage, Middleware,
     MiddlewareConfig, MiddlewareStats, NodeId, Session, SessionPool, CC_ENTRY_BYTES,
 };
-use scaleclass_sqldb::{Code, Database, Pred, Schema, CODE_BYTES};
+use scaleclass_sqldb::{Code, ColumnView, Database, Pred, Schema, CODE_BYTES};
 use std::sync::Arc;
 
 /// Arbitrary flat data over a fixed 3-attr + class schema.
@@ -1092,5 +1093,369 @@ fn env_selected_session_count_matches_serial() {
         .collect();
     for dense_cap in [0u64, 1 << 20] {
         assert_sessions_match_serial(&rows, k, 24_000, dense_cap).unwrap();
+    }
+}
+
+/// The counting path the in-place block kernel replaced (PR 21), kept as
+/// the reference: `BlockPass::count` gathered the attribute and class
+/// columns of a node's selected rows back to back (`Block::gather`), and
+/// `CountsTable::add_gathered` counted the runs. The bodies are the old
+/// ones verbatim; only their writes go through the public table API —
+/// `add_aggregate` for a slot or map entry, `add_class_aggregate` for a
+/// class total and the row total.
+mod gathered_reference {
+    use scaleclass::CountsTable;
+    use scaleclass_sqldb::{Code, ColumnView};
+
+    /// Count the rows `sel` of the block whose column `c` is `column(c)`.
+    pub fn count<'b>(
+        cc: &mut CountsTable,
+        column: impl Fn(usize) -> ColumnView<'b>,
+        sel: &[u32],
+        attrs: &[u16],
+        class_col: u16,
+    ) {
+        let mut gathered = Vec::new();
+        for &col in attrs.iter().chain(std::iter::once(&class_col)) {
+            gather(&column, usize::from(col), sel, &mut gathered);
+        }
+        add_gathered(cc, attrs, &gathered, sel.len());
+    }
+
+    fn gather<'b>(
+        column: &impl Fn(usize) -> ColumnView<'b>,
+        col: usize,
+        sel: &[u32],
+        out: &mut Vec<Code>,
+    ) {
+        let codes = column(col);
+        // Selections are minted over this block's rows.
+        out.extend(sel.iter().map(|&r| codes.get(r)));
+    }
+
+    fn add_gathered(cc: &mut CountsTable, attrs: &[u16], gathered: &[Code], n: usize) {
+        debug_assert_eq!(
+            gathered.len(),
+            attrs.len().saturating_add(1).saturating_mul(n)
+        );
+        if n == 0 {
+            return;
+        }
+        let mut runs = gathered.chunks_exact(n);
+        let class = runs.next_back().unwrap_or(&[]);
+        for (&attr, col) in attrs.iter().zip(runs) {
+            accumulate_col(cc, attr, col, class);
+        }
+        add_class_totals(cc, class);
+    }
+
+    fn accumulate_col(cc: &mut CountsTable, attr: u16, col: &[Code], class: &[Code]) {
+        let mut run_key: Option<(Code, Code)> = None;
+        let mut run = 0u64;
+        for (&v, &k) in col.iter().zip(class.iter()) {
+            if run_key == Some((v, k)) {
+                run = run.saturating_add(1);
+            } else {
+                if let Some((pv, pk)) = run_key {
+                    cc.add_aggregate(attr, pv, pk, run);
+                }
+                run_key = Some((v, k));
+                run = 1;
+            }
+        }
+        if let Some((pv, pk)) = run_key {
+            cc.add_aggregate(attr, pv, pk, run);
+        }
+    }
+
+    fn add_class_totals(cc: &mut CountsTable, class: &[Code]) {
+        let mut run_class: Option<Code> = None;
+        let mut run = 0u64;
+        for &k in class {
+            if run_class == Some(k) {
+                run = run.saturating_add(1);
+            } else {
+                if let Some(pk) = run_class {
+                    cc.add_class_aggregate(pk, run);
+                }
+                run_class = Some(k);
+                run = 1;
+            }
+        }
+        if let Some(pk) = run_class {
+            cc.add_class_aggregate(pk, run);
+        }
+    }
+}
+
+/// One generated block for the kernel properties: `nrows` rows of
+/// `n_attrs` attribute columns, a class column and a selector column at
+/// generated positions (neither necessarily last), and the attributes a
+/// node counts — a subset of the attribute columns, in generated order.
+struct KernelCase {
+    arity: usize,
+    flat: Vec<Code>,
+    class_col: u16,
+    sel_col: usize,
+    attrs: Vec<u16>,
+    /// `(attribute column, cardinality)` of every attribute column: the
+    /// dense layout, a superset of `attrs`.
+    cards: Vec<(u16, u64)>,
+    n_classes: u64,
+}
+
+/// Which rows the selector column marks.
+#[derive(Debug, Clone, Copy)]
+enum SelKind {
+    Empty,
+    OneRow,
+    Full,
+    FirstAndLast,
+    Sparse,
+}
+
+impl KernelCase {
+    fn generate(n_classes: u64, n_attrs: usize, nrows: usize, kind: SelKind, seed: u64) -> Self {
+        let mut state = seed | 1;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let arity = n_attrs + 2;
+        let class_col = next(arity);
+        let sel_col = (class_col + 1 + next(arity - 1)) % arity;
+        let attr_cols: Vec<usize> = (0..arity)
+            .filter(|&c| c != class_col && c != sel_col)
+            .collect();
+        let cards: Vec<(u16, u64)> = attr_cols
+            .iter()
+            .map(|&c| (c as u16, 1 + next(5) as u64))
+            .collect();
+        let mut order = attr_cols.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, next(i + 1));
+        }
+        let attrs: Vec<u16> = order[..1 + next(n_attrs)]
+            .iter()
+            .map(|&c| c as u16)
+            .collect();
+        let one = next(nrows.max(1));
+        let mut flat = vec![0; nrows * arity];
+        for (r, row) in flat.chunks_exact_mut(arity).enumerate() {
+            for &(c, card) in &cards {
+                row[usize::from(c)] = next(card as usize) as Code;
+            }
+            row[class_col] = next(n_classes as usize) as Code;
+            row[sel_col] = Code::from(match kind {
+                SelKind::Empty => false,
+                SelKind::OneRow => r == one,
+                SelKind::Full => true,
+                SelKind::FirstAndLast => r == 0 || r + 1 == nrows,
+                SelKind::Sparse => next(4) == 0,
+            });
+        }
+        KernelCase {
+            arity,
+            flat,
+            class_col: class_col as u16,
+            sel_col,
+            attrs,
+            cards,
+            n_classes,
+        }
+    }
+
+    /// An empty table on the chosen backend.
+    fn table(&self, dense: bool) -> CountsTable {
+        if dense {
+            let cc = CountsTable::new_dense(&self.cards, self.n_classes);
+            assert!(cc.is_dense());
+            cc
+        } else {
+            CountsTable::new()
+        }
+    }
+
+    /// The rows whose selector holds `mark`.
+    fn selection(&self, mark: Code) -> Vec<u32> {
+        let rows = self.flat.chunks_exact(self.arity);
+        (0u32..)
+            .zip(rows)
+            .filter(|(_, row)| row[self.sel_col] == mark)
+            .map(|(r, _)| r)
+            .collect()
+    }
+
+    /// Two nodes over the block: the rows the selector marks 1, and the
+    /// complement. Each counts `attrs` against the class column.
+    fn nodes(&self, dense: bool) -> Vec<NodeCounter> {
+        (0..2u16)
+            .map(|mark| {
+                let pred = Pred::Eq {
+                    col: self.sel_col,
+                    value: 1 - mark,
+                };
+                let mut node = NodeCounter::new(CcRequest {
+                    lineage: Lineage::root(NodeId(0)).child(NodeId(1 + u64::from(mark)), pred),
+                    attrs: self.attrs.clone(),
+                    class_col: self.class_col,
+                    rows: 0,
+                    parent_rows: 0,
+                    parent_cards: vec![],
+                });
+                node.cc = self.table(dense);
+                node
+            })
+            .collect()
+    }
+}
+
+/// Two tables are the same through every accessor the scheduler and the
+/// client read, and neither carries a zero-count class.
+fn assert_same_table(a: &CountsTable, b: &CountsTable) -> Result<(), proptest::TestCaseError> {
+    prop_assert_eq!(a, b);
+    prop_assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
+    prop_assert_eq!(a.entries(), b.entries());
+    prop_assert_eq!(a.memory_bytes(), b.memory_bytes());
+    prop_assert_eq!(a.shadow_memory_bytes(), b.shadow_memory_bytes());
+    prop_assert_eq!(a.memory_bytes(), a.shadow_memory_bytes());
+    prop_assert_eq!(a.total(), b.total());
+    prop_assert_eq!(
+        a.class_distribution().collect::<Vec<_>>(),
+        b.class_distribution().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(a.distinct_classes(), b.distinct_classes());
+    prop_assert_eq!(a.is_dense(), b.is_dense());
+    for cc in [a, b] {
+        prop_assert!(
+            cc.class_distribution().all(|(_, n)| n > 0),
+            "a zero-count class was inserted"
+        );
+    }
+    Ok(())
+}
+
+fn sel_kind() -> impl Strategy<Value = SelKind> {
+    prop::sample::select(vec![
+        SelKind::Empty,
+        SelKind::OneRow,
+        SelKind::Full,
+        SelKind::FirstAndLast,
+        SelKind::Sparse,
+    ])
+}
+
+proptest! {
+    /// TENTPOLE PROPERTY (PR 21): the block kernel, reading a node's
+    /// selected rows in place, builds the table the gather path it
+    /// replaced built (`gathered_reference`) and the table one `add_row`
+    /// per selected row builds — every accessor, both backends, class
+    /// cardinalities 1 to 300, 1 to 65 attributes, attributes a subset of
+    /// the layout in any order, a class column anywhere. The row-major
+    /// layout is a wire fetch or memory set through
+    /// `BatchCounter::process_block` (two nodes, the selection and its
+    /// complement); the column-major one is the public `add_block` over a
+    /// block that holds exactly the selection. The reference reads either
+    /// layout alike.
+    #[test]
+    fn block_kernel_matches_the_gather_reference_and_the_row_path(
+        n_classes in prop::sample::select(vec![1u64, 2, 10, 64, 65, 300]),
+        n_attrs in prop::sample::select(vec![1usize, 25, 64, 65]),
+        nrows in 0usize..48,
+        kind in sel_kind(),
+        dense in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let case = KernelCase::generate(n_classes, n_attrs, nrows, kind, seed);
+        let (attrs, class_col, arity) = (&case.attrs, case.class_col, case.arity);
+        let mut batch = BatchCounter::new(case.nodes(dense), u64::MAX, 0, arity);
+        let mut stats = MiddlewareStats::new();
+        batch.process_block(&case.flat, &mut stats).unwrap();
+        let selections = [case.selection(1), case.selection(0)];
+        prop_assert_eq!(stats.block_fallback_rows, 0);
+        prop_assert_eq!(
+            stats.blocks_counted,
+            selections.iter().filter(|s| !s.is_empty()).count() as u64
+        );
+        batch.assert_shadow_accounting();
+
+        let cols: Vec<Vec<Code>> = (0..arity)
+            .map(|c| case.flat.iter().skip(c).step_by(arity).copied().collect())
+            .collect();
+        for (node, sel) in batch.nodes.iter().zip(&selections) {
+            let mut row_major = case.table(dense);
+            gathered_reference::count(
+                &mut row_major,
+                |c| ColumnView::row_major(&case.flat, arity, c),
+                sel,
+                attrs,
+                class_col,
+            );
+            let mut col_major = case.table(dense);
+            gathered_reference::count(
+                &mut col_major,
+                |c| ColumnView { codes: &cols[c], stride: 1 },
+                sel,
+                attrs,
+                class_col,
+            );
+            let mut rowwise = case.table(dense);
+            for &r in sel {
+                let start = r as usize * arity;
+                rowwise.add_row(&case.flat[start..start + arity], attrs, class_col);
+            }
+            assert_same_table(&node.cc, &row_major)?;
+            assert_same_table(&col_major, &row_major)?;
+            assert_same_table(&rowwise, &row_major)?;
+
+            // Column-major, every row: a block of exactly the selection.
+            let picked: Vec<Vec<Code>> = cols
+                .iter()
+                .map(|col| sel.iter().map(|&r| col[r as usize]).collect())
+                .collect();
+            let refs: Vec<&[Code]> = picked.iter().map(Vec::as_slice).collect();
+            let mut block = case.table(dense);
+            let out = block.add_block(&refs, class_col, attrs);
+            prop_assert_eq!(out.fallback_rows, 0);
+            assert_same_table(&block, &row_major)?;
+        }
+    }
+
+    /// Under budgets tight enough that the gate refuses blocks and the
+    /// §4.1.1 machinery fires, the kernel's `BatchCounter` ends where the
+    /// row path ends — tables, fallback flags, modelled memory, and every
+    /// logical stat including the `observe_memory` peak — over a stream
+    /// of three blocks.
+    #[test]
+    fn block_kernel_matches_the_row_path_under_tight_budgets(
+        n_classes in prop::sample::select(vec![1u64, 2, 10, 65]),
+        n_attrs in prop::sample::select(vec![1usize, 25]),
+        nrows in 1usize..48,
+        kind in sel_kind(),
+        dense in any::<bool>(),
+        seed in any::<u64>(),
+        budget in 64u64..5_000,
+    ) {
+        let case = KernelCase::generate(n_classes, n_attrs, nrows, kind, seed);
+        let arity = case.arity;
+        let mut blocked = BatchCounter::new(case.nodes(dense), budget, 0, arity);
+        let mut rowwise = BatchCounter::new(case.nodes(dense), budget, 0, arity);
+        let (mut s_block, mut s_row) = (MiddlewareStats::new(), MiddlewareStats::new());
+        for block in case.flat.chunks(arity * nrows.div_ceil(3)) {
+            blocked.process_block(block, &mut s_block).unwrap();
+            for row in block.chunks_exact(arity) {
+                rowwise.process_row(row, &mut s_row).unwrap();
+            }
+        }
+        prop_assert_eq!(logical(&s_block), logical(&s_row));
+        prop_assert_eq!(s_block.peak_memory_bytes, s_row.peak_memory_bytes);
+        prop_assert_eq!(blocked.memory_in_use(), rowwise.memory_in_use());
+        for (a, b) in blocked.nodes.iter().zip(&rowwise.nodes) {
+            prop_assert_eq!(a.fallback, b.fallback);
+            assert_same_table(&a.cc, &b.cc)?;
+        }
+        blocked.assert_shadow_accounting();
     }
 }
