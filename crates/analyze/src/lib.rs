@@ -4,11 +4,12 @@
 //! so nothing in the database engine will catch an access path that dodges
 //! the staging layer or a counter that silently overflows. This crate is the
 //! enforcement layer: a dependency-free lexer ([`lexer`]), a guard-liveness
-//! pass ([`guards`]), and eight named rules ([`rules`]) that walk every Rust
+//! pass ([`guards`]), and nine named rules ([`rules`]) that walk every Rust
 //! source in the workspace and report `file:line: [rule] message`
-//! diagnostics — covering I/O containment, accounting arithmetic, hot-path
-//! panics, stats coverage, lock ordering, guards across blocking calls,
-//! atomic memory orderings, and the env-knob surface.
+//! diagnostics — covering I/O containment, the heap's write path,
+//! accounting arithmetic, hot-path panics, stats coverage, lock ordering,
+//! guards across blocking calls, atomic memory orderings, and the env-knob
+//! surface.
 //!
 //! Run it as `cargo run -p scaleclass-analyze -- --deny` (CI does). See
 //! DESIGN.md §9 and §14 for the rule catalogue and the `analyze:allow`
@@ -23,5 +24,6 @@ pub use lexer::{lex, AllowDirective, Lexed, Tok, TokKind};
 pub use rules::{
     analyze_workspace, check_source, Report, Violation, LOCK_ORDER, RULES, RULE_ACCOUNTING_ARITH,
     RULE_ALLOW_SYNTAX, RULE_ATOMIC_ORDERING, RULE_ENV_KNOB, RULE_GUARD_BLOCKING,
-    RULE_HOT_PATH_PANIC, RULE_IO_BYPASS, RULE_LOCK_ORDER, RULE_STALE_ALLOW, RULE_STATS_COVERAGE,
+    RULE_HOT_PATH_PANIC, RULE_IO_BYPASS, RULE_LOCK_ORDER, RULE_PAGE_WRITE, RULE_STALE_ALLOW,
+    RULE_STATS_COVERAGE,
 };

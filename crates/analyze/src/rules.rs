@@ -1,10 +1,16 @@
 //! The invariant rules enforced over the workspace.
 //!
-//! Eight named rules, each reported as `file:line: [rule] message`:
+//! Nine named rules, each reported as `file:line: [rule] message`:
 //!
 //! - **io-bypass** — no direct `std::fs` / `std::net` / `File::open` outside
 //!   `crates/sqldb` and `crates/core/src/staging.rs` (and the `benchmark/`
 //!   harness): all I/O must go through the cost-accounted wire/staging layers.
+//! - **page-write** — in `crates/sqldb/src`, `Page::push_row` and
+//!   `Page::row_mut`, the heap's two ways of storing a code, are called
+//!   only from `Table::insert_unchecked` and `Table::update_where_with`,
+//!   the two places that fold what they store into the table's range
+//!   certificate (`Table::col_max`): a third writer would let a scan
+//!   trust a certificate its rows escape.
 //! - **accounting-arith** — no bare `as` casts to integer types and no
 //!   unchecked `+`/`-`/`*` in the accounting modules (`scheduler.rs`,
 //!   `metrics.rs`, `estimator.rs`, `config.rs`, `catalog.rs`,
@@ -69,6 +75,8 @@ use crate::lexer::{lex, AllowDirective, Lexed, TokKind};
 
 /// Rule name: I/O outside the staging/wire layers.
 pub const RULE_IO_BYPASS: &str = "io-bypass";
+/// Rule name: a heap page written outside the certificate's two writers.
+pub const RULE_PAGE_WRITE: &str = "page-write";
 /// Rule name: unchecked arithmetic / bare casts in accounting modules.
 pub const RULE_ACCOUNTING_ARITH: &str = "accounting-arith";
 /// Rule name: panicking constructs on the scan path.
@@ -89,8 +97,9 @@ pub const RULE_ALLOW_SYNTAX: &str = "allow-syntax";
 pub const RULE_STALE_ALLOW: &str = "stale-allow";
 
 /// All suppressible rule names.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 9] = [
     RULE_IO_BYPASS,
+    RULE_PAGE_WRITE,
     RULE_ACCOUNTING_ARITH,
     RULE_HOT_PATH_PANIC,
     RULE_STATS_COVERAGE,
@@ -223,12 +232,15 @@ const PANIC_SCOPED: [(&str, &[&str]); 7] = [
             "update_where_with",
             "remove_rows",
             "pull_rows",
+            // The load loop: every row appended folds into the certificate.
+            "insert_unchecked",
         ],
     ),
     // … whose pages move and assign rows in place for DML …
     (
         "crates/sqldb/src/page.rs",
         &[
+            "push_row",
             "row_mut",
             "pull_rows_within",
             "pull_rows_from",
@@ -850,6 +862,34 @@ fn io_bypass(ctx: &FileCtx, out: &mut Vec<Violation>) {
                 msg: format!(
                     "{what} bypasses the cost-accounted staging/wire layers \
                      (only crates/sqldb and crates/core/src/staging.rs may do raw I/O)"
+                ),
+            });
+        }
+    }
+}
+
+/// The heap's code-storing calls, and the `Table` methods that may make
+/// them (see `page-write` in the module docs).
+const PAGE_WRITES: [&str; 2] = ["push_row", "row_mut"];
+const PAGE_WRITERS: [&str; 2] = ["insert_unchecked", "update_where_with"];
+
+fn page_write(ctx: &FileCtx, out: &mut Vec<Violation>) {
+    let writers = fn_body_mask(ctx, &PAGE_WRITERS);
+    for (i, &in_writer) in writers.iter().enumerate().skip(1) {
+        let call = ctx.lx.toks[i].kind == TokKind::Ident
+            && PAGE_WRITES.contains(&ctx.text(i))
+            && ctx.is_punct(i + 1, '(')
+            && (ctx.is_punct(i - 1, '.') || ctx.is_punct(i - 1, ':'));
+        if call && !ctx.test[i] && !in_writer {
+            out.push(Violation {
+                file: ctx.rel.to_string(),
+                line: ctx.line(i),
+                rule: RULE_PAGE_WRITE,
+                msg: format!(
+                    "`{}` stores codes outside `Table::insert_unchecked` and \
+                     `Table::update_where_with`, so `Table::col_max` would not \
+                     cover them",
+                    ctx.text(i)
                 ),
             });
         }
@@ -1511,6 +1551,9 @@ fn file_rules(ctx: &FileCtx, raw: &mut Vec<Violation>) -> Vec<LockEdge> {
     let rel = ctx.rel;
     if io_rule_applies(rel) {
         io_bypass(ctx, raw);
+    }
+    if rel.starts_with("crates/sqldb/src/") {
+        page_write(ctx, raw);
     }
     if ARITH_FILES.contains(&rel) {
         accounting_arith(ctx, None, raw);

@@ -1,7 +1,7 @@
-//! Fixture: hot-path-panic violations in DML lookalikes.
+//! Fixture: hot-path-panic and page-write violations in DML lookalikes.
 
 impl Table {
-    /// Bulk load is on no scan path: nothing in here fires.
+    /// Bulk load is on no scan path, but its page write skips the certificate.
     pub fn load(&mut self, rows: &[Vec<Code>]) {
         for row in rows {
             self.pages[0].push_row(&row[..]).then_some(()).unwrap();
@@ -23,5 +23,10 @@ impl Table {
         let (head, tail) = self.pages.split_at_mut((from / 512) as usize);
         let src = tail.first_mut().expect("source page");
         to
+    }
+
+    /// Overwrite a stored code behind the certificate's back.
+    pub fn poke(&mut self, tid: u64, col: usize, value: Code) {
+        self.pages[0].row_mut(tid as usize)[col] = value;
     }
 }

@@ -7,7 +7,8 @@ use std::process::Command;
 
 use scaleclass_analyze::{
     analyze_workspace, check_source, RULE_ACCOUNTING_ARITH, RULE_ATOMIC_ORDERING, RULE_ENV_KNOB,
-    RULE_GUARD_BLOCKING, RULE_HOT_PATH_PANIC, RULE_IO_BYPASS, RULE_LOCK_ORDER, RULE_STATS_COVERAGE,
+    RULE_GUARD_BLOCKING, RULE_HOT_PATH_PANIC, RULE_IO_BYPASS, RULE_LOCK_ORDER, RULE_PAGE_WRITE,
+    RULE_STATS_COVERAGE,
 };
 
 fn fixture_root(which: &str) -> PathBuf {
@@ -208,15 +209,19 @@ fn hot_path_panic_is_fn_scoped_in_the_dml_path() {
     // beside them is not.
     let rel = "crates/sqldb/src/storage.rs";
     let report = check_source(rel, &fixture("bad", rel));
+    let panics: Vec<_> = fired(&report)
+        .into_iter()
+        .filter(|&(rule, _)| rule == RULE_HOT_PATH_PANIC)
+        .collect();
     assert_eq!(
-        fired(&report),
+        panics,
         vec![
             (RULE_HOT_PATH_PANIC, 14), // pages[tid / per_page] per changed row
             (RULE_HOT_PATH_PANIC, 16), // row[col] per assignment
             (RULE_HOT_PATH_PANIC, 24), // .expect() in the page-run helper
         ]
     );
-    // … and a page's in-place mutators with them.
+    // … and a page's append and in-place mutators with them.
     let page = "impl Page {\n\
                 pub fn push_row(&mut self, row: &[Code]) -> bool {\n\
                 for (i, &code) in row.iter().enumerate() { self.data[i] = code; }\n\
@@ -227,7 +232,60 @@ fn hot_path_panic_is_fn_scoped_in_the_dml_path() {
                 }\n\
                 }\n";
     let report = check_source("crates/sqldb/src/page.rs", page);
-    assert_eq!(fired(&report), vec![(RULE_HOT_PATH_PANIC, 7)]);
+    assert_eq!(
+        fired(&report),
+        vec![(RULE_HOT_PATH_PANIC, 3), (RULE_HOT_PATH_PANIC, 7)]
+    );
+    // The per-row load loop carries the certificate now: it is in scope.
+    let load = "impl Table {\n\
+                pub fn insert_unchecked(&mut self, row: &[Code]) {\n\
+                for (m, c) in self.col_max.iter_mut().zip(row) { self.seen[*c as usize] = true; }\n\
+                self.pages.last_mut().unwrap().push_row(row);\n\
+                }\n\
+                }\n";
+    let report = check_source(rel, load);
+    assert_eq!(
+        fired(&report),
+        vec![(RULE_HOT_PATH_PANIC, 3), (RULE_HOT_PATH_PANIC, 4)]
+    );
+}
+
+#[test]
+fn page_write_fires_outside_the_certificates_two_writers() {
+    let rel = "crates/sqldb/src/storage.rs";
+    let report = check_source(rel, &fixture("bad", rel));
+    let writes: Vec<_> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == RULE_PAGE_WRITE)
+        .collect();
+    assert_eq!(
+        writes.iter().map(|v| v.line).collect::<Vec<_>>(),
+        vec![
+            7,  // push_row in a bulk loader that is not insert_unchecked
+            30, // row_mut in a helper that is not update_where_with
+        ]
+    );
+    assert!(writes[0].msg.contains("`push_row`") && writes[0].msg.contains("col_max"));
+    // The same calls from the two writers, by path or method, and from
+    // tests, are clean — and so is code outside the server crate.
+    let src = "impl Table {\n\
+               pub fn insert_unchecked(&mut self, row: &[Code]) {\n\
+               if !Page::push_row(self.pages.last_mut()?, row) { self.grow(row); }\n\
+               }\n\
+               pub fn update_where_with(&mut self, tid: usize) {\n\
+               self.pages[0].row_mut(tid)[0] = 1;\n\
+               }\n\
+               }\n\
+               fn grow(page: &mut Page, row: &[Code]) { Page::push_row(page, row); }\n\
+               #[cfg(test)]\n\
+               mod tests {\n\
+               fn t(p: &mut Page) { p.push_row(&[0]); p.row_mut(0); }\n\
+               }\n";
+    let report = check_source(rel, src);
+    assert_eq!(fired(&report), vec![(RULE_PAGE_WRITE, 9)]);
+    let report = check_source("crates/core/src/staging.rs", src);
+    assert!(!report.violations.iter().any(|v| v.rule == RULE_PAGE_WRITE));
 }
 
 #[test]
@@ -508,6 +566,7 @@ fn bad_tree_fires_every_rule_and_clean_tree_is_clean() {
     let bad = analyze_workspace(&fixture_root("bad")).unwrap();
     for rule in [
         RULE_IO_BYPASS,
+        RULE_PAGE_WRITE,
         RULE_ACCOUNTING_ARITH,
         RULE_HOT_PATH_PANIC,
         RULE_STATS_COVERAGE,

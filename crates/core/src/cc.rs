@@ -326,8 +326,8 @@ impl DenseCounts {
     /// strided view — one increment of `base + value·n_classes + class` per
     /// row and attribute, branch-light. The caller has proved every
     /// attr tracked and every code of those rows inside the layout
-    /// ([`DenseCounts::block_in_range`], or the executor's per-block
-    /// [`CountsTable::covers`]); the kernel does not check again.
+    /// ([`DenseCounts::block_in_range`], or [`CountsTable::covers`] of the
+    /// scan's range certificate); the kernel does not check again.
     fn add_rows<'b>(
         &mut self,
         rows: impl Iterator<Item = u32> + Clone,
@@ -652,10 +652,9 @@ impl CountsTable {
     /// into `scratch`. A dense table tallies those class codes densely and
     /// folds the tally into the class totals once per class present, then
     /// runs [`DenseCounts::add_rows`]; a sparse one amortizes its tree
-    /// walks by run detection. No range check and no
-    /// timers — both are the
-    /// caller's, once per block: a dense table must already be known to
-    /// hold every code of these rows ([`covers`](Self::covers)), under
+    /// walks by run detection. No range check and no timers — both are the
+    /// caller's: a dense table must already be known to hold every code
+    /// of these rows ([`covers`](Self::covers) of the scan), under
     /// which it cannot spill, so the result equals one
     /// [`add_row`](Self::add_row) per row in row order.
     pub(crate) fn add_rows<'b, R>(
@@ -714,15 +713,16 @@ impl CountsTable {
             .saturating_add(u64::try_from(rows.len()).unwrap_or(u64::MAX));
     }
 
-    /// Can no code of a block spill this table out of its dense form?
-    /// `col_max[c]` is the largest code the block holds in column `c`.
-    /// True for a sparse table (nothing to spill); for a dense one, true
-    /// when the class column and every attribute of `attrs` are tracked by
-    /// the layout and their maxima lie inside it. This is the precondition
-    /// of [`block_growth_bound`](Self::block_growth_bound)'s free-slot cap
-    /// and of [`add_rows`](Self::add_rows); a block that fails it
-    /// takes the row path whole, so the spill fires at the row it always
-    /// did.
+    /// Can no code of a scan spill this table out of its dense form?
+    /// `col_max[c]` bounds every code the scan reads in column `c` (its
+    /// source table's range certificate). True for a sparse table (nothing
+    /// to spill); for a dense one, true when the class column and every
+    /// attribute of `attrs` are tracked by the layout and their bounds lie
+    /// inside it. This is the precondition of
+    /// [`block_growth_bound`](Self::block_growth_bound)'s free-slot cap
+    /// and of [`add_rows`](Self::add_rows); while it fails, every block
+    /// selecting rows for the node takes the row path whole, so the spill
+    /// fires at the row it always did.
     pub(crate) fn covers(&self, col_max: &[Code], attrs: &[u16], class_col: u16) -> bool {
         let CcRepr::Dense(d) = &self.repr else {
             return true;

@@ -37,9 +37,12 @@
 //! eviction, §4.1.1 fallback or tee cancellation can fire anywhere inside
 //! the block on *either* path, and modelled memory only grows, so counting
 //! node by node instead of row by row ends in the identical state and
-//! observing memory once per block sees the per-row maximum. A block that
-//! does not clear the gate, or holds a code outside some dense table's
-//! layout (the free-slot cap of the bound assumes no spill), takes
+//! observing memory once per block sees the per-row maximum. The bound's
+//! free-slot cap assumes no spill, i.e. no code outside a dense table's
+//! layout: the scan proves that once per node, against the source table's
+//! range certificate (`Table::col_max`, which bounds every copy of its
+//! rows), not per block. A block that does not clear the gate, or selects
+//! rows for a node whose layout the certificate escapes, takes
 //! [`BatchCounter::process_row`] per row, as does every block when the
 //! kernel is switched off — with identical results (DESIGN.md §12).
 //!
@@ -127,8 +130,6 @@ pub(crate) trait Block {
     /// Column `col` of the block, as the router and the kernel read it.
     /// Panics on a column past the arity.
     fn column(&self, col: usize) -> ColumnView<'_>;
-    /// The largest code of every column, into `out`.
-    fn col_max(&self, out: &mut Vec<Code>);
     /// Append column `col` of the selected rows to `out` — for the file
     /// tee, which copies the selection into the extent it is writing.
     fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>) {
@@ -159,16 +160,6 @@ impl Block for RowBlock<'_> {
 
     fn column(&self, col: usize) -> ColumnView<'_> {
         ColumnView::row_major(self.flat, self.arity, col)
-    }
-
-    fn col_max(&self, out: &mut Vec<Code>) {
-        out.clear();
-        out.resize(self.arity, 0);
-        for row in self.flat.chunks_exact(self.arity) {
-            for (max, &v) in out.iter_mut().zip(row) {
-                *max = (*max).max(v);
-            }
-        }
     }
 
     fn for_each_row(
@@ -211,15 +202,6 @@ impl Block for ColBlock<'_> {
             codes: &self.cols[col],
             stride: 1,
         }
-    }
-
-    fn col_max(&self, out: &mut Vec<Code>) {
-        out.clear();
-        out.extend(
-            self.cols
-                .iter()
-                .map(|c| c.iter().copied().max().unwrap_or(0)),
-        );
     }
 
     fn for_each_row(
@@ -292,16 +274,41 @@ pub(crate) struct BlockPass {
     /// Per node some row of the block satisfies: those rows, ascending —
     /// and, when asked, the rows some node took.
     routed: BlockRoute,
-    /// Largest code per block column.
-    col_max: Vec<Code>,
+    /// The scan's range certificate ([`BlockPass::certify`]): per column,
+    /// an upper bound on every code of every block of the scan. Empty
+    /// until certified, which sends every dense node down the row path.
+    certificate: Vec<Code>,
+    /// Per node, once its first selection of the scan asked: does its
+    /// table's layout cover the certificate?
+    covered: Vec<Option<bool>>,
     /// The kernel's scratch.
     kernel: KernelScratch,
 }
 
 impl BlockPass {
+    /// Start a scan whose every code lies at or under `certificate`, per
+    /// column — the source table's `col_max`, which bounds every copy of
+    /// its rows too.
+    pub(crate) fn certify(&mut self, certificate: &[Code]) {
+        self.certificate.clear();
+        self.certificate.extend_from_slice(certificate);
+        self.covered.clear();
+    }
+
     /// First pass: route `block` once, into per-node selection vectors
     /// (and, with `mark_any`, the rows some node took).
     pub(crate) fn route(&mut self, router: &PredSet, block: &impl Block, mark_any: bool) {
+        // The certificate is trusted in release builds; here every block
+        // proves it.
+        #[cfg(debug_assertions)]
+        for (col, &cap) in self.certificate.iter().enumerate() {
+            let codes = block.column(col);
+            let max = (0..block.nrows() as u32).map(|r| codes.get(r)).max();
+            assert!(
+                max.map_or(true, |max| max <= cap),
+                "a code of column {col} ({max:?}) above the scan's certificate ({cap})"
+            );
+        }
         router.route_block(block.nrows(), |col| block.column(col), &mut self.routed);
         if mark_any {
             self.routed.mark_matched();
@@ -327,14 +334,13 @@ impl BlockPass {
     /// The most counting the routed block can add to modelled memory:
     /// `Σ` over the touched nodes still counting of
     /// [`CountsTable::block_growth_bound`] of their selected rows. `None`
-    /// when the block holds a code outside some such node's dense layout
-    /// (checked once per block against the column maxima, not per
-    /// selection): the free-slot cap of the bound is then void and the
-    /// block must take the row path whole, where the spill fires at the
-    /// row it always did.
+    /// when some such node's dense layout does not cover the scan's
+    /// certificate (decided once per node per scan): a code of the scan
+    /// may then fall outside it, the free-slot cap of the bound is void,
+    /// and the block must take the row path whole, where the spill fires
+    /// at the row it always did.
     pub(crate) fn cc_bound(
         &mut self,
-        block: &impl Block,
         nodes: &mut (impl CountSlots + ?Sized),
         tally: &mut KernelTally,
     ) -> Option<u64> {
@@ -342,13 +348,17 @@ impl BlockPass {
             return Some(0);
         }
         let t0 = Instant::now();
-        block.col_max(&mut self.col_max);
         let mut bound = Some(0u64);
         for (idx, sel) in self.routed.selections() {
             let Some((cc, attrs, class_col)) = nodes.slot(idx) else {
                 continue;
             };
-            if !cc.covers(&self.col_max, attrs, class_col) {
+            if self.covered.len() <= idx {
+                self.covered.resize(idx + 1, None);
+            }
+            // analyze:allow(hot-path-panic): resized to cover `idx` above.
+            let known = &mut self.covered[idx];
+            if !*known.get_or_insert_with(|| cc.covers(&self.certificate, attrs, class_col)) {
                 bound = None;
                 break;
             }
@@ -524,11 +534,28 @@ impl BatchCounter {
     }
 
     /// Feed a row-major block of rows through every scheduled node
-    /// (`BatchCounter::process` over that layout).
+    /// (`BatchCounter::process` over that layout). A block handed in from
+    /// outside a scan has no table to certify it, so its own column maxima
+    /// are its certificate.
     pub fn process_block(&mut self, flat: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
         let arity = self.arity;
         debug_assert_eq!(flat.len() % arity, 0);
+        let pass = &mut self.pass;
+        pass.certificate.clear();
+        pass.certificate.resize(arity, 0);
+        for row in flat.chunks_exact(arity) {
+            for (max, &code) in pass.certificate.iter_mut().zip(row) {
+                *max = (*max).max(code);
+            }
+        }
+        pass.covered.clear();
         self.process(&mut RowBlock { flat, arity }, stats)
+    }
+
+    /// Start the batch's scan: every code it reads lies at or under
+    /// `certificate`, per column (`BlockPass::certify`).
+    pub(crate) fn certify(&mut self, certificate: &[Code]) {
+        self.pass.certify(certificate);
     }
 
     /// Feed a block, in whichever layout its source has, through every
@@ -574,7 +601,7 @@ impl BatchCounter {
         tally: &mut KernelTally,
     ) -> MwResult<bool> {
         pass.route(&self.router, block, self.split_writer.is_some());
-        let Some(cc_bound) = pass.cc_bound(block, self.nodes.as_mut_slice(), tally) else {
+        let Some(cc_bound) = pass.cc_bound(self.nodes.as_mut_slice(), tally) else {
             return Ok(false);
         };
         // A memory tee grows by exactly the rows it is handed.
@@ -997,6 +1024,7 @@ mod tests {
             }
             row_major.process_block(&flat, &mut stats[1]).unwrap();
             let (cols, nrows, row) = (&cols[..], rows.len(), &mut Vec::new());
+            col_major.certify(&[3, 3, 1, 1]);
             col_major
                 .process(&mut ColBlock { cols, nrows, row }, &mut stats[2])
                 .unwrap();

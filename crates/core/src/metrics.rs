@@ -97,13 +97,15 @@ pub struct MiddlewareStats {
     pub blocks_counted: u64,
     /// Rows the batched kernel re-routed through the exact per-row path —
     /// either a whole block whose growth bound could not clear the memory
-    /// budget, or a dense all-or-nothing fallback on an out-of-range
-    /// code. Pipeline-shape counter, excluded like `blocks_counted`.
+    /// budget, or one selecting rows for a dense node whose layout the
+    /// scan's range certificate escapes. Pipeline-shape counter, excluded
+    /// like `blocks_counted`.
     pub block_fallback_rows: u64,
     /// Nanoseconds the block pass spent validating a block before counting
-    /// it: the block's per-column maxima, the `CountsTable::covers` range
-    /// check and the growth bounds, once per block. Timing — excluded from
-    /// determinism comparisons like `kernel_nanos`.
+    /// it: the sum of its selections' growth bounds, plus — once per node
+    /// per scan, on the node's first selection — the `CountsTable::covers`
+    /// check of the node's layout against the scan's range certificate.
+    /// Timing — excluded from determinism comparisons like `kernel_nanos`.
     pub kernel_validate_nanos: u64,
     /// Nanoseconds the block kernel spent counting selections: reading the
     /// selected codes in place (which an untimed gather did before PR 21)

@@ -132,6 +132,10 @@ struct Shared {
     /// router): predicate `i` is node `i`'s.
     router: Arc<PredSet>,
     arity: usize,
+    /// The scan's range certificate, set before any worker starts
+    /// ([`ParallelScan::certify`]); each worker's block pass checks its
+    /// nodes' layouts against it.
+    certificate: Vec<Code>,
     /// Count whole blocks through the route-then-count pass when the
     /// shard-level growth bound clears the budget (see
     /// `ShardState::count_block`); off pins the row path.
@@ -263,14 +267,17 @@ fn honour_fallback(
 }
 
 impl ShardState {
-    fn new(specs: &[NodeSpec]) -> Self {
+    fn new(shared: &Shared) -> Self {
+        let specs = &shared.specs;
+        let mut pass = BlockPass::default();
+        pass.certify(&shared.certificate);
         ShardState {
             shards: specs.iter().map(|s| s.proto.fresh_like()).collect(),
             dropped: vec![false; specs.len()],
             rows: 0,
             kernel_ns: 0,
             matched: Vec::with_capacity(8),
-            pass: BlockPass::default(),
+            pass,
             tally: KernelTally::default(),
         }
     }
@@ -338,7 +345,7 @@ impl ShardState {
             shards: &mut self.shards,
             dropped: &self.dropped,
         };
-        let Some(cc_bound) = self.pass.cc_bound(block, &mut slots, &mut self.tally) else {
+        let Some(cc_bound) = self.pass.cc_bound(&mut slots, &mut self.tally) else {
             return false;
         };
         let row_bytes = (shared.arity * CODE_BYTES) as u64;
@@ -380,7 +387,7 @@ impl ShardState {
 }
 
 fn worker_loop(rx: Receiver<Vec<Code>>, shared: Arc<Shared>) -> WorkerResult {
-    let mut state = ShardState::new(&shared.specs);
+    let mut state = ShardState::new(&shared);
     let arity = shared.arity;
     // Channel workers never tee: the coordinator does, in source order.
     let no_tees: &mut [ReaderTee] = &mut [];
@@ -510,7 +517,7 @@ fn shard_reader_loop(
     mut tees: Vec<ReaderTee>,
 ) -> MwResult<ShardReaderResult> {
     let mut reader = ExtentReader::open(&layout)?;
-    let mut state = ShardState::new(&shared.specs);
+    let mut state = ShardState::new(&shared);
     let mut io = WorkerScanStats::default();
     let mut cols: Vec<Vec<Code>> = Vec::new();
     let mut row: Vec<Code> = Vec::with_capacity(shared.arity);
@@ -602,6 +609,7 @@ impl ParallelScan {
             specs,
             router: Arc::clone(&batch.router),
             arity: batch.arity,
+            certificate: Vec::new(),
             batch_kernel: batch.batch_kernel,
             budget: batch.budget,
             base_mem_bytes: AtomicU64::new(batch.base_mem_bytes),
@@ -632,6 +640,18 @@ impl ParallelScan {
             matched: Vec::new(),
             rows_sent: 0,
             started: Instant::now(),
+        }
+    }
+
+    /// Start the scan: every code it reads lies at or under `certificate`,
+    /// per column. Called before the first block, while no worker shares
+    /// the state; a worker already running would keep counting against
+    /// the certificate it started with (none: its dense nodes take the
+    /// row path).
+    pub(crate) fn certify(&mut self, certificate: &[Code]) {
+        match Arc::get_mut(&mut self.shared) {
+            Some(shared) => shared.certificate = certificate.to_vec(),
+            None => debug_assert!(false, "certified after the workers started"),
         }
     }
 
@@ -1025,6 +1045,16 @@ impl RowSink {
         match self {
             RowSink::Serial { batch, .. } => &batch.nodes,
             RowSink::Parallel(scan) => &scan.batch.nodes,
+        }
+    }
+
+    /// Start the scan with the source table's range certificate — an
+    /// upper bound, per column, on every code it will read — before the
+    /// first block.
+    pub(crate) fn certify(&mut self, certificate: &[Code]) {
+        match self {
+            RowSink::Serial { batch, .. } => batch.certify(certificate),
+            RowSink::Parallel(scan) => scan.certify(certificate),
         }
     }
 

@@ -6,9 +6,23 @@
 //! (§4.2.1) — the node's *exact* data size (known from the parent's CC
 //! table) and the parent-level attribute cardinalities — plus the node's
 //! [`Lineage`] so the scheduler can find staged data of ancestors.
+//!
+//! **Lineages are shared, not copied.** A node's data is a view over its
+//! parent's, and its lineage has that shape: a reference-counted record
+//! (node id, full path predicate, depth) linked to its parent's record, up
+//! to the root. [`Lineage::child`] builds one record — its path predicate
+//! once, O(depth) — and links it to the parent's, so a child costs the
+//! same allocations at any depth and a `clone` costs a reference count.
+//! Records never change once built, so every request of a frontier, every
+//! staged set and the client's open-node map share one copy of each
+//! ancestor. A record lives as long as the deepest lineage through it;
+//! dropping the last holder of a chain frees the records no other lineage
+//! reaches one link at a time, never recursively, so a chain of any depth
+//! drops without growing the stack.
 
 use scaleclass_sqldb::Pred;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a client tree node. Allocation is the client's business;
 /// the middleware treats these as opaque.
@@ -66,78 +80,156 @@ impl fmt::Display for DataLocation {
 
 /// The chain of ancestors from the root down to (and including) a node,
 /// each with its *full path predicate* (the conjunction of edge predicates
-/// from the root, §4.3.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// from the root, §4.3.1), shared with every other lineage through the
+/// same ancestors (module docs).
+#[derive(Clone)]
 pub struct Lineage {
-    entries: Vec<(NodeId, Pred)>,
+    link: Arc<Link>,
+}
+
+/// One node's record in a lineage chain.
+struct Link {
+    node: NodeId,
+    /// The node's full path predicate.
+    pred: Pred,
+    depth: usize,
+    parent: Option<Arc<Link>>,
+}
+
+impl Drop for Link {
+    /// Free the ancestors this record was the last holder of one at a
+    /// time, instead of recursing through the chain.
+    fn drop(&mut self) {
+        let mut parent = self.parent.take();
+        while let Some(link) = parent {
+            parent = Arc::into_inner(link).and_then(|mut sole| sole.parent.take());
+        }
+    }
+}
+
+/// The conjunction of a parent's path predicate and an edge: `Pred::and`
+/// of the parent's terms, cloned straight into one vector, and the edge —
+/// the same allocations at any depth.
+fn conjoin(parent: &Pred, edge: Pred) -> Pred {
+    let head = match parent {
+        Pred::True => &[],
+        Pred::And(terms) => terms.as_slice(),
+        term => std::slice::from_ref(term),
+    };
+    let mut terms = Vec::with_capacity(head.len() + 1);
+    terms.extend_from_slice(head);
+    terms.push(edge);
+    Pred::and(terms)
 }
 
 impl Lineage {
     /// Lineage of a root node (predicate `TRUE`).
     pub fn root(node: NodeId) -> Self {
         Lineage {
-            entries: vec![(node, Pred::True)],
+            link: Arc::new(Link {
+                node,
+                pred: Pred::True,
+                depth: 0,
+                parent: None,
+            }),
         }
     }
 
     /// Extend with a child: the child's path predicate is this node's
     /// predicate AND the edge predicate.
     pub fn child(&self, node: NodeId, edge: Pred) -> Self {
-        let pred = Pred::and(vec![self.pred().clone(), edge]);
-        let mut entries = self.entries.clone();
-        entries.push((node, pred));
-        Lineage { entries }
+        Lineage {
+            link: Arc::new(Link {
+                node,
+                pred: conjoin(self.pred(), edge),
+                depth: self.depth() + 1,
+                parent: Some(Arc::clone(&self.link)),
+            }),
+        }
     }
 
     /// The node itself.
     pub fn node(&self) -> NodeId {
-        self.entries.last().expect("lineage never empty").0
+        self.link.node
     }
 
     /// The node's full path predicate.
     pub fn pred(&self) -> &Pred {
-        &self.entries.last().expect("lineage never empty").1
+        &self.link.pred
     }
 
     /// Depth (root = 0).
     pub fn depth(&self) -> usize {
-        self.entries.len() - 1
+        self.link.depth
     }
 
     /// Does this lineage pass through `ancestor` (inclusive of self)?
     pub fn contains(&self, ancestor: NodeId) -> bool {
-        self.entries.iter().any(|(id, _)| *id == ancestor)
+        self.entries().any(|(id, _)| id == ancestor)
     }
 
-    /// Ancestors from root to self: `(id, path predicate)` pairs.
-    pub fn entries(&self) -> &[(NodeId, Pred)] {
-        &self.entries
+    /// The node and its ancestors, from the node up to the root: `(id,
+    /// path predicate)` pairs.
+    pub fn entries(&self) -> impl Iterator<Item = (NodeId, &Pred)> {
+        self.links().map(|link| (link.node, &link.pred))
+    }
+
+    /// The records of [`Lineage::entries`].
+    fn links(&self) -> impl Iterator<Item = &Link> {
+        std::iter::successors(Some(&*self.link), |link| link.parent.as_deref())
     }
 
     /// Path predicate of a specific ancestor, if on this lineage.
     pub fn pred_of(&self, ancestor: NodeId) -> Option<&Pred> {
-        self.entries
-            .iter()
-            .find(|(id, _)| *id == ancestor)
+        self.entries()
+            .find(|&(id, _)| id == ancestor)
             .map(|(_, p)| p)
     }
 
     /// The deepest node present in *all* of the given lineages (their least
-    /// common ancestor). `None` when the slice is empty.
+    /// common ancestor): the deepest depth at which, and at every depth
+    /// above which, they all name the same node. `None` when the slice is
+    /// empty or they disagree on the root.
     pub fn common_ancestor(lineages: &[&Lineage]) -> Option<NodeId> {
-        let first = lineages.first()?;
+        let depth = lineages.iter().map(|l| l.depth()).min()?;
+        // Every lineage's record at the shallowest depth, then up in step.
+        let mut links: Vec<&Link> = lineages
+            .iter()
+            .filter_map(|l| l.links().nth(l.depth() - depth))
+            .collect();
         let mut lca = None;
-        for (depth, (id, _)) in first.entries.iter().enumerate() {
-            if lineages
+        loop {
+            let node = links.first()?.node;
+            lca = links
                 .iter()
-                .all(|l| l.entries.get(depth).map(|(i, _)| i) == Some(id))
-            {
-                lca = Some(*id);
-            } else {
-                break;
+                .all(|l| l.node == node)
+                .then(|| lca.unwrap_or(node));
+            for link in &mut links {
+                match link.parent.as_deref() {
+                    Some(parent) => *link = parent,
+                    None => return lca,
+                }
             }
         }
-        lca
+    }
+}
+
+impl PartialEq for Lineage {
+    /// Node for node and predicate for predicate, along the whole chain.
+    fn eq(&self, other: &Self) -> bool {
+        self.entries().eq(other.entries())
+    }
+}
+
+impl Eq for Lineage {}
+
+impl fmt::Debug for Lineage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lineage")
+            .field("node", &self.node())
+            .field("depth", &self.depth())
+            .field("pred", self.pred())
+            .finish()
     }
 }
 

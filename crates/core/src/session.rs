@@ -922,6 +922,12 @@ impl Session {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
         let sampler = tag.map(|t| BlockSampler::new(t.fraction));
+        if location != DataLocation::Server {
+            // Staged rows are copies of table rows, and the table's
+            // certificate never falls: read now, it bounds them all.
+            let db = self.backend.db_read();
+            sink.certify(db.table(&self.backend.table)?.col_max());
+        }
         let (admitted, skipped) = match location {
             DataLocation::Memory(id) => {
                 self.stats.memory_scans += 1;
@@ -999,13 +1005,17 @@ impl Session {
             }
             _ => None,
         };
+        let table = &self.backend.table;
+        let db = self.backend.db_read();
+        // Read under the guard the scan holds, the certificate bounds every
+        // row it ships — through an aux structure's copies too.
+        sink.certify(db.table(table)?.col_max());
         if let Some(idx) = aux {
             self.stats.aux_scans += 1;
             let handle = self
                 .aux
                 .get(idx)
                 .ok_or_else(|| MwError::Internal(format!("aux structure {idx} missing")))?;
-            let db = self.backend.db_read();
             let mut flat: Vec<Code> = Vec::new();
             match &handle.kind {
                 AuxKind::Temp(name) => {
@@ -1034,8 +1044,6 @@ impl Session {
         } else {
             Pred::True
         };
-        let table = &self.backend.table;
-        let db = self.backend.db_read();
         let (mut src, sampled) = match sampler {
             None => {
                 let cursor = db.open_cursor(table, pushed, wire_rows)?;

@@ -741,14 +741,17 @@ impl StagingManager {
 
     /// The cheapest staged dataset usable by a node: walk its lineage and
     /// pick the candidate (memory or file, any ancestor) with the fewest
-    /// rows; memory wins ties (Rule 1's cost ordering).
+    /// rows; memory wins ties (Rule 1's cost ordering), and between equals
+    /// the ancestor nearest the root.
     pub fn best_location(&self, lineage: &Lineage) -> DataLocation {
+        // The walk runs from the node up, so an equal candidate further up
+        // displaces the one below it.
         let mut best: Option<(u64, u8, DataLocation)> = None; // (rows, prio, loc)
         let mut consider = |rows: u64, prio: u8, loc: DataLocation| {
             let better = match &best {
                 None => true,
                 Some((brows, bprio, _)) => {
-                    (rows, std::cmp::Reverse(prio)) < (*brows, std::cmp::Reverse(*bprio))
+                    (rows, std::cmp::Reverse(prio)) <= (*brows, std::cmp::Reverse(*bprio))
                 }
             };
             if better {
@@ -756,10 +759,10 @@ impl StagingManager {
             }
         };
         for (node, _) in lineage.entries() {
-            if let Some(&id) = self.mem_of.get(node) {
+            if let Some(&id) = self.mem_of.get(&node) {
                 consider(self.mem[&id].nrows, 2, DataLocation::Memory(id));
             }
-            if let Some(&id) = self.file_of.get(node) {
+            if let Some(&id) = self.file_of.get(&node) {
                 consider(self.files[&id].nrows, 1, DataLocation::File(id));
             }
         }
@@ -802,8 +805,7 @@ impl StagingManager {
     pub fn mem_covers(&self, lineage: &Lineage) -> bool {
         lineage
             .entries()
-            .iter()
-            .any(|(node, _)| self.mem_of.contains_key(node))
+            .any(|(node, _)| self.mem_of.contains_key(&node))
     }
 
     /// Reclaim every dataset none of whose members is an ancestor-or-self
@@ -843,13 +845,16 @@ impl StagingManager {
         if self.shared.is_none() || !(want_mem || want_files) {
             return;
         }
+        let mut root_first = Vec::new();
         for req in pending {
-            for (node, pred) in req.lineage.entries() {
-                if want_mem && !self.owns_mem(*node) {
-                    self.attach_mem(*node, pred);
+            // Root first, as the attach order has always been.
+            root_first.extend(req.lineage.entries());
+            for (node, pred) in root_first.drain(..).rev() {
+                if want_mem && !self.owns_mem(node) {
+                    self.attach_mem(node, pred);
                 }
-                if want_files && !self.has_file_for(*node) {
-                    self.attach_file(*node, pred);
+                if want_files && !self.has_file_for(node) {
+                    self.attach_file(node, pred);
                 }
             }
         }

@@ -2,7 +2,8 @@
 //! block and each node has seen every class, `BatchCounter::process_block`
 //! allocates nothing — no copy of the selection, no class total, nothing
 //! per block and nothing per selection — whether one node or sixteen take
-//! the rows. Counts, not clocks: the test reads no wall time.
+//! the rows. And a request's lineage costs what one node costs, at any
+//! depth. Counts, not clocks: the tests read no wall time.
 //!
 //! Its own test binary, because the counting allocator is process-wide.
 //! The two forwarding methods below are this crate's only `unsafe` (the
@@ -123,4 +124,51 @@ fn process_block_allocates_nothing_after_warm_up() {
         let total: u64 = batch.nodes.iter().map(|n| n.cc.total()).sum();
         assert_eq!(total, 21 * u64::from(ROWS));
     }
+}
+
+/// A lineage of `depth` edges below the root, one `=` edge a level.
+fn lineage(depth: u16) -> Lineage {
+    (0..depth).fold(Lineage::root(NodeId(0)), |l, d| {
+        l.child(NodeId(1 + u64::from(d)), Pred::Eq { col: 0, value: d })
+    })
+}
+
+/// A child lineage is one record linked to its parent's: it costs the same
+/// few allocations at depth 2 as at depth 40 (the record, and its path
+/// predicate's terms — built once and normalised), and a clone costs none.
+#[test]
+fn lineage_child_costs_the_same_at_any_depth_and_clone_costs_nothing() {
+    let cost_at = |depth: u16| {
+        let parent = lineage(depth - 1);
+        let edge = Pred::NotEq { col: 1, value: 0 };
+        let (child, allocations) = counted(|| parent.child(NodeId(9_999), edge));
+        assert_eq!(child.depth(), usize::from(depth));
+        allocations
+    };
+    let (shallow, deep) = (cost_at(2), cost_at(40));
+    assert_eq!(shallow, deep, "depth 2 vs depth 40");
+    assert!(deep <= 3, "{deep} allocations for one child");
+    let deep = lineage(40);
+    let (copy, allocations) = counted(|| deep.clone());
+    assert_eq!(allocations, 0);
+    assert_eq!(copy, deep);
+}
+
+/// Dropping a chain frees it a record at a time: 100 000 levels build and
+/// drop on a test thread's stack.
+#[test]
+fn a_very_deep_lineage_drops_without_overflowing_the_stack() {
+    let mut l = Lineage::root(NodeId(0));
+    for d in 1..=100_000u64 {
+        l = l.child(NodeId(d), Pred::True);
+    }
+    assert_eq!(l.depth(), 100_000);
+    let branch = l.child(NodeId(0), Pred::True);
+    drop(l);
+    assert_eq!(
+        branch.depth(),
+        100_001,
+        "a shared chain outlives one holder"
+    );
+    drop(branch);
 }

@@ -1459,3 +1459,248 @@ proptest! {
         blocked.assert_shadow_accounting();
     }
 }
+
+/// The lineage a request carried before lineages shared their ancestors,
+/// kept as the reference: every `(node, full path predicate)` pair from
+/// the root down, each child a copy of its parent's whole vector plus one
+/// entry. The bodies are the old ones.
+mod vec_lineage {
+    use scaleclass::{DataLocation, NodeId};
+    use scaleclass_sqldb::Pred;
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct VecLineage {
+        pub entries: Vec<(NodeId, Pred)>,
+    }
+
+    impl VecLineage {
+        pub fn root(node: NodeId) -> Self {
+            VecLineage {
+                entries: vec![(node, Pred::True)],
+            }
+        }
+
+        pub fn child(&self, node: NodeId, edge: Pred) -> Self {
+            let pred = Pred::and(vec![self.pred().clone(), edge]);
+            let mut entries = self.entries.clone();
+            entries.push((node, pred));
+            VecLineage { entries }
+        }
+
+        pub fn node(&self) -> NodeId {
+            self.entries.last().expect("lineage never empty").0
+        }
+
+        pub fn pred(&self) -> &Pred {
+            &self.entries.last().expect("lineage never empty").1
+        }
+
+        pub fn depth(&self) -> usize {
+            self.entries.len() - 1
+        }
+
+        pub fn contains(&self, ancestor: NodeId) -> bool {
+            self.entries.iter().any(|(id, _)| *id == ancestor)
+        }
+
+        pub fn pred_of(&self, ancestor: NodeId) -> Option<&Pred> {
+            self.entries
+                .iter()
+                .find(|(id, _)| *id == ancestor)
+                .map(|(_, p)| p)
+        }
+
+        pub fn common_ancestor(lineages: &[&VecLineage]) -> Option<NodeId> {
+            let first = lineages.first()?;
+            let mut lca = None;
+            for (depth, (id, _)) in first.entries.iter().enumerate() {
+                if lineages
+                    .iter()
+                    .all(|l| l.entries.get(depth).map(|(i, _)| i) == Some(id))
+                {
+                    lca = Some(*id);
+                } else {
+                    break;
+                }
+            }
+            lca
+        }
+
+        /// `StagingManager::best_location` over these entries, root first
+        /// and the first of equals kept, given which node owns which
+        /// memory set and staged file: `node → (id, rows)`.
+        pub fn best_location(
+            &self,
+            mem_of: &BTreeMap<NodeId, (u64, u64)>,
+            file_of: &BTreeMap<NodeId, (u64, u64)>,
+        ) -> DataLocation {
+            let mut best: Option<(u64, u8, DataLocation)> = None;
+            let mut consider = |rows: u64, prio: u8, loc: DataLocation| {
+                let better = match &best {
+                    None => true,
+                    Some((brows, bprio, _)) => {
+                        (rows, std::cmp::Reverse(prio)) < (*brows, std::cmp::Reverse(*bprio))
+                    }
+                };
+                if better {
+                    best = Some((rows, prio, loc));
+                }
+            };
+            for (node, _) in &self.entries {
+                if let Some(&(id, rows)) = mem_of.get(node) {
+                    consider(rows, 2, DataLocation::Memory(id));
+                }
+                if let Some(&(id, rows)) = file_of.get(node) {
+                    consider(rows, 1, DataLocation::File(id));
+                }
+            }
+            best.map(|(_, _, loc)| loc).unwrap_or(DataLocation::Server)
+        }
+    }
+}
+
+use vec_lineage::VecLineage;
+
+/// A random forest of `nodes` nodes grown one child at a time under a
+/// drawn parent, each node's lineage built both ways. Node ids count from
+/// 0 in each of the two trees, so ids repeat across trees (never along one
+/// lineage, as a client allocates them); edges are `=`, `<>`, a two-atom
+/// conjunction, and now and then `TRUE` or `FALSE`.
+fn lineage_forest(seed: u64, nodes: usize) -> Vec<(Lineage, VecLineage)> {
+    let mut state = seed | 1;
+    let mut draw = |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let mut forest = vec![
+        (Lineage::root(NodeId(0)), VecLineage::root(NodeId(0))),
+        (Lineage::root(NodeId(0)), VecLineage::root(NodeId(0))),
+    ];
+    // Which tree each entry of `forest` is in, and each tree's next id.
+    let mut tree_of = vec![0usize, 1];
+    let mut next_id = [1u64, 1];
+    for _ in 0..nodes {
+        let parent = draw(forest.len());
+        let tree = tree_of[parent];
+        tree_of.push(tree);
+        let (col, value) = (draw(4), draw(3) as Code);
+        let edge = match draw(12) {
+            0 => Pred::True,
+            1 => Pred::False,
+            2 | 3 => Pred::And(vec![
+                Pred::Eq { col, value },
+                Pred::NotEq {
+                    col: (col + 1) % 4,
+                    value,
+                },
+            ]),
+            4..=7 => Pred::NotEq { col, value },
+            _ => Pred::Eq { col, value },
+        };
+        let id = NodeId(next_id[tree]);
+        next_id[tree] += 1;
+        let (chain, reference) = &forest[parent];
+        let child = (chain.child(id, edge.clone()), reference.child(id, edge));
+        forest.push(child);
+    }
+    forest
+}
+
+/// Every accessor of a shared lineage against the vector one.
+fn assert_same_lineage(
+    chain: &Lineage,
+    reference: &VecLineage,
+) -> Result<(), proptest::TestCaseError> {
+    prop_assert_eq!(chain.node(), reference.node());
+    prop_assert_eq!(chain.pred(), reference.pred());
+    prop_assert_eq!(chain.depth(), reference.depth());
+    let mut up: Vec<(NodeId, Pred)> = chain.entries().map(|(id, p)| (id, p.clone())).collect();
+    up.reverse();
+    prop_assert_eq!(&up, &reference.entries, "entries, node up to root");
+    for id in (0..reference.entries.len() as u64 + 2).map(NodeId) {
+        prop_assert_eq!(chain.contains(id), reference.contains(id));
+        prop_assert_eq!(chain.pred_of(id), reference.pred_of(id));
+    }
+    Ok(())
+}
+
+proptest! {
+    /// A lineage that links to its parent is the lineage that copied every
+    /// ancestor's path: over random forests, the same node, path predicate,
+    /// depth, ancestors (node up to root), membership and ancestor
+    /// predicates; the same least common ancestor of any group of
+    /// lineages, trees sharing node ids included; and `==` where the
+    /// vectors are equal, clones included.
+    #[test]
+    fn shared_lineage_is_the_copied_lineage(
+        seed in any::<u64>(),
+        nodes in 0usize..60,
+        groups in prop::collection::vec(prop::collection::vec(any::<usize>(), 1..5), 1..8),
+    ) {
+        let forest = lineage_forest(seed, nodes);
+        for (chain, reference) in &forest {
+            assert_same_lineage(chain, reference)?;
+            assert_same_lineage(&chain.clone(), reference)?;
+            prop_assert_eq!(&chain.clone(), chain);
+        }
+        // The two roots are equal without sharing a record; a node of one
+        // tree and one of the other may name the same ids with other paths.
+        for a in &forest {
+            for b in &forest {
+                prop_assert_eq!(a.0 == b.0, a.1 == b.1, "{:?} vs {:?}", a.1, b.1);
+            }
+        }
+        for group in &groups {
+            let picked: Vec<&(Lineage, VecLineage)> =
+                group.iter().map(|i| &forest[i % forest.len()]).collect();
+            let chains: Vec<&Lineage> = picked.iter().map(|p| &p.0).collect();
+            let references: Vec<&VecLineage> = picked.iter().map(|p| &p.1).collect();
+            prop_assert_eq!(
+                Lineage::common_ancestor(&chains),
+                VecLineage::common_ancestor(&references)
+            );
+        }
+        prop_assert_eq!(Lineage::common_ancestor(&[]), None);
+    }
+
+    /// `StagingManager::best_location` walks a shared lineage from the
+    /// node up; it picks what the root-first walk over the vector picked:
+    /// fewest rows, memory over a file of equal rows, and between equals
+    /// the ancestor nearest the root — over memory sets and staged files
+    /// committed on random nodes of a random lineage with row counts drawn
+    /// from a few values, so ties are common.
+    #[test]
+    fn best_location_over_a_shared_lineage_breaks_ties_as_before(
+        seed in any::<u64>(),
+        nodes in 0usize..30,
+        staged in prop::collection::vec((any::<usize>(), any::<bool>(), 1u64..4), 0..8),
+        leaf in any::<usize>(),
+    ) {
+        let forest = lineage_forest(seed, nodes);
+        let (chain, reference) = &forest[leaf % forest.len()];
+        let mut staging = StagingManager::new(None).unwrap();
+        let mut stats = MiddlewareStats::new();
+        let mut mem_of = std::collections::BTreeMap::new();
+        let mut file_of = std::collections::BTreeMap::new();
+        for (at, in_memory, rows) in &staged {
+            let (node, _) = &reference.entries[at % reference.entries.len()];
+            let row = [0 as Code; 2];
+            if *in_memory {
+                let flat = row.repeat(*rows as usize);
+                let id = staging.commit_mem(*node, Pred::True, flat, 2, &mut stats);
+                mem_of.insert(*node, (id, *rows));
+            } else {
+                let mut w = staging.start_file(vec![*node], Pred::True, 2).unwrap();
+                for _ in 0..*rows {
+                    w.push(&row).unwrap();
+                }
+                let id = staging.commit_file(w, &mut stats).unwrap();
+                file_of.insert(*node, (id, *rows));
+            }
+        }
+        prop_assert_eq!(staging.best_location(chain), reference.best_location(&mem_of, &file_of));
+    }
+}

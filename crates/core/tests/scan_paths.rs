@@ -207,7 +207,9 @@ const ROWS: u64 = 30_000;
 /// and a class — every node splits four ways on the attribute of its
 /// depth, so the rounds carry 1, 4, 16 and 64 nodes — the way a client
 /// does: each child's request is derived from its parent's counts table.
-fn three_level_build(config: MiddlewareConfig) -> BuildOutcome {
+/// `extra`, unless empty, is one more row stored as given, however far
+/// past its columns' cardinalities.
+fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
     const ATTRS: u16 = 6;
     let mut cols: Vec<(String, u16)> = (0..ATTRS).map(|a| (format!("a{a}"), 4)).collect();
     cols.push(("class".into(), 3));
@@ -226,6 +228,9 @@ fn three_level_build(config: MiddlewareConfig) -> BuildOutcome {
             })
             .collect();
         db.insert("d", &row).unwrap();
+    }
+    if !extra.is_empty() {
+        db.table_mut("d").unwrap().insert_unchecked(extra);
     }
     let mut s = Session::open(Arc::new(Backend::new(db, "d", "class", config).unwrap())).unwrap();
 
@@ -339,7 +344,7 @@ fn the_block_kernel_engages_and_serves_the_tees() {
                     .scan_workers(workers)
                     .batch_kernel(kernel)
                     .build();
-                three_level_build(config)
+                three_level_build(config, &[])
             };
             let shape = format!("{shape} at {extent_rows} rows per extent");
             let reference = run(1, false);
@@ -403,6 +408,56 @@ fn the_block_kernel_engages_and_serves_the_tees() {
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A table may hold a code past its column's cardinality —
+/// `insert_unchecked` stores one as given — and still counts exactly. The
+/// table's range certificate then escapes the dense layout of every node
+/// that counts that column, and their blocks take the row path, where the
+/// spill fires at the row it always did; nodes that no longer count the
+/// column stay on the kernel. With the kernel on and off, every node's
+/// counts (so any tree a client grows from them), the §4.1.1 fallbacks and
+/// the peak of modelled memory are the same; on an in-range table no
+/// block falls back at all.
+#[test]
+fn an_out_of_layout_code_sends_only_the_nodes_it_escapes_down_the_row_path() {
+    let row_bytes = 7 * CODE_BYTES as u64;
+    let run = |kernel: bool, extra: &[Code]| {
+        let config = pinned(1)
+            .memory_budget_bytes(3 * (ROWS + 1) * row_bytes)
+            .memory_caching(true)
+            .file_policy(FileStagingPolicy::Disabled)
+            .deltas(false)
+            .cc_dense_max_bytes(scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES)
+            .scan_block_rows(512)
+            .batch_kernel(kernel)
+            .build();
+        three_level_build(config, extra)
+    };
+    // `a0 = 4` is past a0's cardinality: only the root counts a0, since
+    // every child splits it away.
+    for extra in [&[][..], &[4, 0, 0, 0, 0, 0, 0]] {
+        let (off, on) = (run(false, extra), run(true, extra));
+        assert_eq!(on.counts.len(), 85);
+        assert_eq!(on.counts, off.counts);
+        assert_eq!(on.stats.sql_fallbacks, off.stats.sql_fallbacks);
+        assert_eq!(on.stats.peak_memory_bytes, off.stats.peak_memory_bytes);
+        assert_eq!(on.stats.dense_nodes, 85, "every node counts densely");
+        assert!(
+            on.stats.blocks_counted > 0,
+            "the children's scans ran the kernel"
+        );
+        if extra.is_empty() {
+            assert_eq!(on.stats.block_fallback_rows, 0);
+        } else {
+            assert_eq!(on.counts[&0].count(0, 4, 0), 1, "the root counted the code");
+            assert_eq!(
+                on.stats.block_fallback_rows,
+                ROWS + 1,
+                "every block of the root's scan, and no other"
+            );
+        }
+    }
 }
 
 /// One flipped payload bit in a *middle* extent of the staged file the

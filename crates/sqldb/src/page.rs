@@ -40,8 +40,15 @@ impl Page {
     }
 
     /// Append a row. Returns `false` (without modifying the page) when full.
+    /// Panics, before anything is stored, on a row that is not `arity`
+    /// codes wide: appended whole, it would shift every later row.
     pub fn push_row(&mut self, row: &[Code]) -> bool {
-        debug_assert_eq!(row.len(), self.arity);
+        assert!(
+            row.len() == self.arity,
+            "ragged row: {} codes for a page of arity {}",
+            row.len(),
+            self.arity
+        );
         if self.nrows >= Self::capacity_rows(self.arity) {
             return false;
         }
@@ -135,6 +142,12 @@ mod tests {
         p.push_row(&[4, 5, 6]);
         let rows: Vec<_> = p.rows().collect();
         assert_eq!(rows, vec![&[1, 2, 3][..], &[4, 5, 6][..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged row: 3 codes for a page of arity 2")]
+    fn push_row_refuses_a_ragged_row() {
+        Page::new(2).push_row(&[1, 2, 3]);
     }
 
     #[test]

@@ -32,16 +32,31 @@ pub struct Table {
     schema: Schema,
     pages: Vec<Page>,
     nrows: u64,
+    /// The range certificate ([`Table::col_max`]).
+    col_max: Vec<Code>,
 }
 
 impl Table {
     /// An empty table with the given schema.
     pub fn new(schema: Schema) -> Self {
         Table {
+            col_max: vec![0; schema.arity()],
             schema,
             pages: Vec::new(),
             nrows: 0,
         }
+    }
+
+    /// The table's range certificate: per column, the largest code it has
+    /// ever stored — every row appended, every code an update assigned.
+    /// Deletes never lower it, so it is an upper bound, not a statistic:
+    /// it bounds every row the table holds now *and* every copy of its
+    /// rows taken at any earlier time (a temp table, a TID or keyset
+    /// result, a middleware's staged set). Codes past a column's
+    /// cardinality, which [`Table::insert_unchecked`] stores as given,
+    /// raise it like any other.
+    pub fn col_max(&self) -> &[Code] {
+        &self.col_max
     }
 
     /// The table's schema.
@@ -71,14 +86,20 @@ impl Table {
         Ok(())
     }
 
-    /// Append one row without range validation (bulk-load fast path; arity is
-    /// still enforced by the page in debug builds).
+    /// Append one row without range validation: the bulk-load fast path,
+    /// which [`Table::insert`], CSV and persist load and the generators all
+    /// end in. Codes are stored as given and folded into
+    /// [`Table::col_max`]. Panics on a row that is not `arity` codes wide,
+    /// before the heap or the certificate is touched ([`Page::push_row`]).
     pub fn insert_unchecked(&mut self, row: &[Code]) {
         if self.pages.last_mut().map_or(true, |p| !p.push_row(row)) {
             let mut page = Page::new(self.schema.arity());
             let ok = page.push_row(row);
             debug_assert!(ok, "fresh page must accept a row");
             self.pages.push(page);
+        }
+        for (max, &code) in self.col_max.iter_mut().zip(row) {
+            *max = (*max).max(code);
         }
         self.nrows += 1;
     }
@@ -254,6 +275,14 @@ impl Table {
                 changed.push(tid);
             }
         });
+        if !changed.is_empty() {
+            // The assigned codes are now stored: the certificate covers them.
+            for &(col, value) in assignments {
+                if let Some(max) = self.col_max.get_mut(col) {
+                    *max = (*max).max(value);
+                }
+            }
+        }
         let per_page = Page::capacity_rows(arity) as u64;
         for &tid in &changed {
             // analyze:allow(hot-path-panic): the scan above minted `tid`
@@ -461,6 +490,26 @@ mod tests {
             Err(DbError::ArityMismatch { .. })
         ));
         assert_eq!(t.nrows(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged row: 3 codes for a page of arity 2")]
+    fn insert_unchecked_refuses_a_ragged_row() {
+        small_table().insert_unchecked(&[1, 2, 9]);
+    }
+
+    #[test]
+    fn a_refused_ragged_row_touches_neither_heap_nor_certificate() {
+        let mut t = small_table();
+        let before = (t.nrows(), t.col_max().to_vec());
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.insert_unchecked(&[1, 2, 9]);
+        }));
+        assert!(refused.is_err());
+        assert_eq!((t.nrows(), t.col_max().to_vec()), before);
+        // The next row lands whole, where it belongs.
+        t.insert_unchecked(&[4, 1]);
+        assert_eq!(t.rows_unaccounted().nth(10), Some(&[4, 1][..]));
     }
 
     #[test]

@@ -634,6 +634,92 @@ fn router_panics_on_a_reached_out_of_range_column() {
     PredSet::new([&reached]).route(&[1, 0], &mut Vec::new());
 }
 
+/// Cardinalities of the certificate fixture's columns.
+const CERT_CARDS: [u16; 3] = [4, 3, 2];
+
+/// The largest code each column of `table` holds now (0 when empty).
+fn stored_max(table: &Table) -> Vec<Code> {
+    let mut max = vec![0; table.schema().arity()];
+    for row in table.rows_unaccounted() {
+        for (m, &code) in max.iter_mut().zip(row) {
+            *m = (*m).max(code);
+        }
+    }
+    max
+}
+
+proptest! {
+    /// The range certificate is sound under every way a table stores or
+    /// copies codes: over a random stream of validated inserts, unchecked
+    /// inserts (codes at or past the cardinality included), updates,
+    /// deletes, temp-table copies and save/load round trips, `col_max` is
+    /// at least every stored code, never falls, bounds every copy, and is
+    /// the true maximum while no row was deleted or overwritten.
+    #[test]
+    fn col_max_bounds_every_stored_code(seed in any::<u64>(), steps in 1usize..40) {
+        let mut rng = Rng(seed ^ 0xce27);
+        let path = std::env::temp_dir()
+            .join(format!("scaleclass-cert-{}-{seed:x}.db", std::process::id()));
+        let mut db = Database::new();
+        db.create_table("t", Schema::from_pairs(&[("a", 4), ("b", 3), ("class", 2)]))
+            .unwrap();
+        let (mut exact, mut last) = (true, vec![0; CERT_CARDS.len()]);
+        for _ in 0..steps {
+            let col = rng.below(CERT_CARDS.len());
+            let pred = Pred::Eq { col, value: rng.below(4) as Code };
+            let cert = db.table("t").unwrap().col_max().to_vec();
+            match rng.below(8) {
+                0 | 1 => {
+                    let row: Vec<Code> =
+                        CERT_CARDS.iter().map(|&c| rng.below(c.into()) as Code).collect();
+                    db.insert("t", &row).unwrap();
+                }
+                2 => {
+                    let row: Vec<Code> =
+                        CERT_CARDS.iter().map(|&c| rng.below(usize::from(c) + 3) as Code).collect();
+                    db.table_mut("t").unwrap().insert_unchecked(&row);
+                }
+                3 => {
+                    let value = rng.below(CERT_CARDS[col].into()) as Code;
+                    exact &= db.update_where("t", &pred, &[(col, value)]).unwrap() == 0;
+                }
+                4 => exact &= db.delete_where("t", &pred).unwrap() == 0,
+                5 => {
+                    let temp = db.copy_to_temp("t", &pred).unwrap();
+                    let copy = db.table(&temp).unwrap();
+                    prop_assert_eq!(copy.col_max(), &stored_max(copy)[..]);
+                    prop_assert!(copy.col_max().iter().zip(&cert).all(|(c, t)| c <= t));
+                    db.drop_table(&temp).unwrap();
+                }
+                _ => {
+                    // A reload is a fresh table: its certificate is the
+                    // true maximum again, under the original's.
+                    save_database(&db, &path).unwrap();
+                    let loaded = open_database(&path);
+                    std::fs::remove_file(&path).unwrap();
+                    let stored = stored_max(db.table("t").unwrap());
+                    let in_layout = stored.iter().zip(CERT_CARDS).all(|(&m, c)| m < c);
+                    prop_assert_eq!(loaded.is_ok(), in_layout, "load validates every code");
+                    if let Ok(loaded) = loaded {
+                        let reloaded = loaded.table("t").unwrap().col_max();
+                        prop_assert!(reloaded.iter().zip(&cert).all(|(r, c)| r <= c));
+                        db = loaded;
+                        (exact, last) = (true, vec![0; CERT_CARDS.len()]);
+                    }
+                }
+            }
+            let t = db.table("t").unwrap();
+            let (cert, max) = (t.col_max(), stored_max(t));
+            prop_assert!(cert.iter().zip(&max).all(|(c, m)| c >= m), "{:?} < {:?}", cert, max);
+            prop_assert!(cert.iter().zip(&last).all(|(c, l)| c >= l), "never falls");
+            if exact {
+                prop_assert_eq!(cert, &max[..]);
+            }
+            last = cert.to_vec();
+        }
+    }
+}
+
 /// `Table::delete_where_with` as it was while DML rewrote the heap a row at
 /// a time — the reference the page-at-a-time statement is held to: one
 /// `ScanIter` step and one `Pred::eval` per row, every surviving row pushed
