@@ -306,7 +306,8 @@ const PANIC_FILES: [&str; 5] = [
 
 /// Files the guard-aware concurrency rules (lock-order,
 /// guard-across-blocking) run over: every module that holds or acquires a
-/// shared-state lock.
+/// shared-state lock, and `parallel.rs`, which hands blocks between
+/// threads and holds none — a lock added there must be ranked too.
 const CONCURRENCY_FILES: [&str; 5] = [
     "crates/core/src/session.rs",
     "crates/core/src/catalog.rs",
@@ -324,20 +325,16 @@ const CONCURRENCY_FILES: [&str; 5] = [
 /// call shapes to `LOCK_SITES`, and (3) citing in the PR the code paths
 /// that pin its position. Reordering existing entries requires auditing
 /// every edge the analyzer reports with `--json` plus a TSan run.
-pub const LOCK_ORDER: [&str; 5] = [
+pub const LOCK_ORDER: [&str; 3] = [
     // BudgetArbiter.inner (session.rs): leases are (re)balanced before any
     // session touches the database or its staged artifacts.
     "arbiter.inner",
     // StagingCatalog.inner (catalog.rs): probe/publish/detach decisions
-    // precede database reads; never called with scan-pool locks held.
+    // precede database reads.
     "catalog.inner",
     // Backend.db RwLock (session.rs): held for the duration of server
-    // scans, innermost of the coordinator-side locks.
+    // scans, innermost of all.
     "backend.db",
-    // Shared.evictable then Shared.evicted (parallel.rs): the worker
-    // eviction pool; `relieve_pressure` nests them in this order.
-    "scan.evictable",
-    "scan.evicted",
 ];
 
 /// Lexical call shapes that acquire the locks in [`LOCK_ORDER`].
@@ -347,7 +344,7 @@ pub const LOCK_ORDER: [&str; 5] = [
 /// contribute graph edges when called under a live guard but never extend
 /// liveness. Receiver tails disambiguate without type information; two
 /// types in one file must not share an unqualified helper name.
-pub(crate) const LOCK_SITES: [LockSite; 27] = [
+pub(crate) const LOCK_SITES: [LockSite; 25] = [
     // -- guard-returning acquisitions -----------------------------------
     LockSite {
         method: "lock",
@@ -413,20 +410,6 @@ pub(crate) const LOCK_SITES: [LockSite; 27] = [
         recv: None,
         file: None,
         lock: "backend.db",
-        binds: true,
-    },
-    LockSite {
-        method: "lock",
-        recv: Some("evictable"),
-        file: None,
-        lock: "scan.evictable",
-        binds: true,
-    },
-    LockSite {
-        method: "lock",
-        recv: Some("evicted"),
-        file: None,
-        lock: "scan.evicted",
         binds: true,
     },
     // -- transient helpers (lock + unlock inside the call) --------------
@@ -552,7 +535,7 @@ const ATOMIC_STRICT_FILES: [&str; 2] = ["crates/core/src/session.rs", "crates/co
 /// Field-scoped atomic-ordering extensions: `(file, receiver tails)`. In
 /// these files only atomics on the named receivers are Σ-invariant cells
 /// (staging's `charge` mirrors a catalog share cell); the uniquifier
-/// counters and the join-synchronized scan accounting cells stay exempt.
+/// counters stay exempt.
 const ATOMIC_CELL_FIELDS: [(&str, &[&str]); 1] = [("crates/core/src/staging.rs", &["charge"])];
 
 /// The file whose string literals define the env-knob surface.

@@ -450,11 +450,11 @@ fn ordered_acquisition_and_dropped_guards_are_clean() {
 
 #[test]
 fn guard_liveness_ends_at_scope_statement_and_drop() {
-    let rel = "crates/core/src/parallel.rs";
+    let rel = "crates/core/src/catalog.rs";
     // A guard bound inside a block dies at the block's close brace.
     let src = "pub fn f(&self, tx: &Sender<u64>) {\n\
                {\n\
-               let g = self.evictable.lock();\n\
+               let g = self.inner.lock();\n\
                g.push(1);\n\
                }\n\
                tx.send(0);\n\
@@ -464,7 +464,7 @@ fn guard_liveness_ends_at_scope_statement_and_drop() {
 
     // An unbound acquisition is a statement-scoped temporary.
     let src = "pub fn f(&self, tx: &Sender<u64>) {\n\
-               self.evictable.lock().clear();\n\
+               self.inner.lock().clear();\n\
                tx.send(0);\n\
                }\n";
     let report = check_source(rel, src);
@@ -472,14 +472,14 @@ fn guard_liveness_ends_at_scope_statement_and_drop() {
 
     // ...but later in the same statement the temporary is still live.
     let src = "pub fn f(&self, rx: &Receiver<u64>) {\n\
-               merge(self.evictable.lock(), rx.recv());\n\
+               merge(self.inner.lock(), rx.recv());\n\
                }\n";
     let report = check_source(rel, src);
     assert_eq!(fired(&report), vec![(RULE_GUARD_BLOCKING, 2)]);
 
     // `path.join(x)` is not a thread join; zero-arg `.join()` is.
     let src = "pub fn f(&self, h: Handle, p: &Path) {\n\
-               let g = self.evictable.lock();\n\
+               let g = self.inner.lock();\n\
                let q = p.join(g.name());\n\
                drop(g);\n\
                h.join();\n\
@@ -487,7 +487,7 @@ fn guard_liveness_ends_at_scope_statement_and_drop() {
     let report = check_source(rel, src);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     let src = "pub fn f(&self, h: Handle) {\n\
-               let g = self.evictable.lock();\n\
+               let g = self.inner.lock();\n\
                h.join();\n\
                }\n";
     let report = check_source(rel, src);
@@ -495,24 +495,24 @@ fn guard_liveness_ends_at_scope_statement_and_drop() {
 }
 
 #[test]
-fn nested_pool_locks_follow_the_manifest_order() {
-    let rel = "crates/core/src/parallel.rs";
-    // evictable → evicted matches LOCK_ORDER (the relieve_pressure shape).
-    let src = "pub fn relieve(&self) {\n\
-               let ev = self.evictable.lock();\n\
-               let done = self.evicted.lock();\n\
-               drop(done);\n\
-               drop(ev);\n\
+fn nested_locks_follow_the_manifest_order() {
+    let rel = "crates/core/src/catalog.rs";
+    // catalog.inner → backend.db matches LOCK_ORDER.
+    let src = "pub fn publish(&self) {\n\
+               let g = self.inner.lock();\n\
+               let db = self.db.read();\n\
+               drop(db);\n\
+               drop(g);\n\
                }\n";
     let report = check_source(rel, src);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
 
     // The inverse nesting contradicts it.
-    let src = "pub fn relieve(&self) {\n\
-               let done = self.evicted.lock();\n\
-               let ev = self.evictable.lock();\n\
-               drop(ev);\n\
-               drop(done);\n\
+    let src = "pub fn publish(&self) {\n\
+               let db = self.db.read();\n\
+               let g = self.inner.lock();\n\
+               drop(g);\n\
+               drop(db);\n\
                }\n";
     let report = check_source(rel, src);
     assert_eq!(fired(&report), vec![(RULE_LOCK_ORDER, 3)]);

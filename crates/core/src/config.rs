@@ -99,12 +99,16 @@ pub struct MiddlewareConfig {
     /// scaled-down budgets it triggers §4.1.1 fallback storms (see
     /// DESIGN.md §8) — measurable via `experiments ablate-admission`.
     pub admit_by_estimate: bool,
-    /// Counting workers per scan. `1` (the default) is the exact serial
-    /// path; `> 1` routes rows through the block pipeline of
-    /// [`crate::parallel`]: one producer thread reads the source and `n`
-    /// workers count into private CC-table shards merged after the scan.
-    /// The default honours the `SCALECLASS_SCAN_WORKERS` environment
-    /// variable so whole test runs can be switched without code changes.
+    /// Counting workers a scan may use. `1` (the default) counts every
+    /// scan serially; `> 1` runs a scan on `n` workers of
+    /// [`crate::parallel`] — channel workers fed by the scan thread, or
+    /// extent readers of a staged file — each counting into private
+    /// CC tables merged after the scan, whenever the batch provably cannot
+    /// reach its memory budget (`BatchCounter::cannot_reach_budget`), and
+    /// serially otherwise. Counts, fallbacks and every logical stat are the
+    /// same at any value. The default honours the `SCALECLASS_SCAN_WORKERS`
+    /// environment variable so whole test runs can be switched without
+    /// code changes.
     pub scan_workers: usize,
     /// Rows per block of a counting scan: where memory sets and wire
     /// fetches are cut for the block kernel, the unit a sampled scan

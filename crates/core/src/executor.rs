@@ -17,8 +17,8 @@
 //! **Route once, count in blocks.** The scheduled nodes' predicates are
 //! paths of one partial tree, so finding a row's node is classifying the
 //! row with that tree: the batch compiles them once into a
-//! [`PredSet`] router. A block is served in two passes (`BlockPass`,
-//! shared with the parallel shards): the first routes the *block*
+//! [`PredSet`] router. A block is served in two passes (`BlockPass`): the
+//! first routes the *block*
 //! ([`PredSet::route_block`]) — one partition of a selection vector per
 //! trie node the block's rows reach, however many nodes are scheduled —
 //! into per-node *selection vectors*, ranges of one reused arena; the
@@ -48,6 +48,14 @@
 //!
 //! When predicates overlap (never within one tree frontier) a row counts
 //! into every node it satisfies, in ascending node order.
+//!
+//! **This is the only budget protocol.** A parallel scan
+//! (`crate::parallel`) does not run a second one: it runs only over a
+//! batch `BatchCounter::cannot_reach_budget` clears — a batch whose
+//! whole scan, whatever its rows, fires no eviction, fallback or tee
+//! cancellation here — and each of its workers is a
+//! `BatchCounter::worker` fed through `BatchCounter::process`. Every
+//! other batch counts serially, through the protocol above.
 
 use crate::cc::{CountsTable, KernelScratch, CC_ENTRY_BYTES};
 use crate::error::MwResult;
@@ -226,20 +234,19 @@ impl Block for ColBlock<'_> {
     }
 }
 
-/// What the block pass did over some run of blocks and nodes. The serial
-/// counter adds it to the stats after every block; each parallel worker
-/// carries one to the merge.
+/// What the block pass did over one block; the counter adds it to the
+/// stats after every block.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct KernelTally {
+struct KernelTally {
     blocks_counted: u64,
-    pub(crate) block_fallback_rows: u64,
+    block_fallback_rows: u64,
     validate_nanos: u64,
     accumulate_nanos: u64,
 }
 
 impl KernelTally {
     /// Fold the tally into the middleware's block-kernel counters.
-    pub(crate) fn add_to(&self, stats: &mut MiddlewareStats) {
+    fn add_to(&self, stats: &mut MiddlewareStats) {
         stats.blocks_counted += self.blocks_counted;
         stats.block_fallback_rows += self.block_fallback_rows;
         stats.kernel_validate_nanos += self.validate_nanos;
@@ -251,26 +258,18 @@ fn nanos_since(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The nodes a block pass counts into, however their owner lays them out.
-pub(crate) trait CountSlots {
-    /// Node `idx`'s counts table with the attribute columns and class
-    /// column it counts; `None` once the node has fallen back to SQL.
-    fn slot(&mut self, idx: usize) -> Option<(&mut CountsTable, &[u16], u16)>;
+/// Node `idx`'s counts table with the attribute columns and class column
+/// it counts; `None` once the node has fallen back to SQL.
+fn slot(nodes: &mut [NodeCounter], idx: usize) -> Option<(&mut CountsTable, &[u16], u16)> {
+    let node = nodes.get_mut(idx)?;
+    (!node.fallback).then_some((&mut node.cc, node.req.attrs.as_slice(), node.req.class_col))
 }
 
-impl CountSlots for [NodeCounter] {
-    fn slot(&mut self, idx: usize) -> Option<(&mut CountsTable, &[u16], u16)> {
-        let node = self.get_mut(idx)?;
-        (!node.fallback).then_some((&mut node.cc, node.req.attrs.as_slice(), node.req.class_col))
-    }
-}
-
-/// The route-then-count pass over one block, and its reusable scratch.
-/// The serial counter and the parallel shards both count through here;
+/// The route-then-count pass over one block, and its reusable scratch;
 /// the budget protocol between [`BlockPass::cc_bound`] and
-/// [`BlockPass::count`] is theirs.
+/// [`BlockPass::count`] is [`BatchCounter`]'s.
 #[derive(Default)]
-pub(crate) struct BlockPass {
+struct BlockPass {
     /// Per node some row of the block satisfies: those rows, ascending —
     /// and, when asked, the rows some node took.
     routed: BlockRoute,
@@ -289,7 +288,7 @@ impl BlockPass {
     /// Start a scan whose every code lies at or under `certificate`, per
     /// column — the source table's `col_max`, which bounds every copy of
     /// its rows too.
-    pub(crate) fn certify(&mut self, certificate: &[Code]) {
+    fn certify(&mut self, certificate: &[Code]) {
         self.certificate.clear();
         self.certificate.extend_from_slice(certificate);
         self.covered.clear();
@@ -297,7 +296,7 @@ impl BlockPass {
 
     /// First pass: route `block` once, into per-node selection vectors
     /// (and, with `mark_any`, the rows some node took).
-    pub(crate) fn route(&mut self, router: &PredSet, block: &impl Block, mark_any: bool) {
+    fn route(&mut self, router: &PredSet, block: &impl Block, mark_any: bool) {
         // The certificate is trusted in release builds; here every block
         // proves it.
         #[cfg(debug_assertions)]
@@ -317,17 +316,12 @@ impl BlockPass {
 
     /// Nodes the last routed block selected rows for, ascending, each
     /// with those rows.
-    pub(crate) fn selections(&self) -> impl Iterator<Item = (usize, &[u32])> {
+    fn selections(&self) -> impl Iterator<Item = (usize, &[u32])> {
         self.routed.selections()
     }
 
-    /// The rows the last routed block selected for node `idx`.
-    pub(crate) fn selected(&self, idx: usize) -> &[u32] {
-        self.routed.selected(idx)
-    }
-
     /// The rows of the last routed block that some node selected.
-    pub(crate) fn any(&self) -> &[u32] {
+    fn any(&self) -> &[u32] {
         self.routed.matched()
     }
 
@@ -339,18 +333,14 @@ impl BlockPass {
     /// may then fall outside it, the free-slot cap of the bound is void,
     /// and the block must take the row path whole, where the spill fires
     /// at the row it always did.
-    pub(crate) fn cc_bound(
-        &mut self,
-        nodes: &mut (impl CountSlots + ?Sized),
-        tally: &mut KernelTally,
-    ) -> Option<u64> {
+    fn cc_bound(&mut self, nodes: &mut [NodeCounter], tally: &mut KernelTally) -> Option<u64> {
         if self.selections().next().is_none() {
             return Some(0);
         }
         let t0 = Instant::now();
         let mut bound = Some(0u64);
         for (idx, sel) in self.routed.selections() {
-            let Some((cc, attrs, class_col)) = nodes.slot(idx) else {
+            let Some((cc, attrs, class_col)) = slot(nodes, idx) else {
                 continue;
             };
             if self.covered.len() <= idx {
@@ -373,16 +363,16 @@ impl BlockPass {
     /// rows through the block kernel, in place. Returns the modelled bytes
     /// the tables grew by — at most the [`BlockPass::cc_bound`] the caller
     /// gated on.
-    pub(crate) fn count(
+    fn count(
         &mut self,
         block: &impl Block,
-        nodes: &mut (impl CountSlots + ?Sized),
+        nodes: &mut [NodeCounter],
         tally: &mut KernelTally,
     ) -> u64 {
         let t0 = Instant::now();
         let mut grew = 0u64;
         for (idx, sel) in self.routed.selections() {
-            if let Some((cc, attrs, class_col)) = nodes.slot(idx) {
+            if let Some((cc, attrs, class_col)) = slot(nodes, idx) {
                 let before = cc.entries();
                 let rows = sel.iter().copied();
                 cc.add_rows(
@@ -406,6 +396,17 @@ impl BatchCounter {
     /// is memory already pinned by staged data.
     pub fn new(nodes: Vec<NodeCounter>, budget: u64, base_mem_bytes: u64, arity: usize) -> Self {
         let router = Arc::new(PredSet::new(nodes.iter().map(|n| n.req.pred())));
+        Self::with_router(nodes, router, budget, base_mem_bytes, arity)
+    }
+
+    /// [`BatchCounter::new`] over a router already compiled from `nodes`.
+    fn with_router(
+        nodes: Vec<NodeCounter>,
+        router: Arc<PredSet>,
+        budget: u64,
+        base_mem_bytes: u64,
+        arity: usize,
+    ) -> Self {
         BatchCounter {
             nodes,
             split_writer: None,
@@ -558,6 +559,65 @@ impl BatchCounter {
         self.pass.certify(certificate);
     }
 
+    /// Can the certified scan, of at most `rows` rows, provably not reach
+    /// the budget? That is, is
+    ///
+    /// `memory_in_use + Σ_n min(E_n, rows·|attrs_n|)·CC_ENTRY_BYTES
+    ///  + Σ_{n with a memory tee} rows·row_bytes ≤ budget`,
+    ///
+    /// where `E_n = Σ_{a ∈ attrs_n}(cert[a] + 1) · (cert[class_n] + 1)` is
+    /// the most `(attr, value, class)` entries node `n`'s table can hold —
+    /// dense, spilled or sparse — when every code is at or under the
+    /// certificate. File tees and the split file cost disk, not budget.
+    /// When it holds, no row of the scan fires an eviction, a §4.1.1
+    /// fallback or a tee cancellation, whatever the order or split of its
+    /// blocks, and modelled memory only grows: its final state is its
+    /// peak. False before [`BatchCounter::certify`].
+    pub(crate) fn cannot_reach_budget(&self, rows: u64) -> bool {
+        let cert = &self.pass.certificate;
+        let card = |col: u16| cert.get(usize::from(col)).map(|&max| u64::from(max) + 1);
+        let row_bytes = (self.arity * CODE_BYTES) as u64;
+        let mut need = self.memory_in_use();
+        for node in &self.nodes {
+            let attrs = &node.req.attrs;
+            let (Some(values), Some(classes)) = (
+                attrs.iter().map(|&a| card(a)).sum::<Option<u64>>(),
+                card(node.req.class_col),
+            ) else {
+                return false;
+            };
+            let by_rows = rows.saturating_mul(attrs.len() as u64);
+            let entries = values.saturating_mul(classes).min(by_rows);
+            need = need.saturating_add(entries.saturating_mul(CC_ENTRY_BYTES));
+            if node.mem_buffer.is_some() {
+                need = need.saturating_add(rows.saturating_mul(row_bytes));
+            }
+        }
+        need <= self.budget
+    }
+
+    /// A counter for one worker of this batch's parallel scan: the same
+    /// requests, router, certificate and kernel switch, empty tables of
+    /// the same backends, no tees, no budget and nothing to evict. Sound
+    /// only over a scan `BatchCounter::cannot_reach_budget` cleared:
+    /// there this batch fires nothing either, and counting is additive,
+    /// so the workers' tables merged are the tables it would count.
+    pub(crate) fn worker(&self) -> BatchCounter {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| NodeCounter {
+                cc: n.cc.fresh_like(),
+                ..NodeCounter::new(n.req.clone())
+            })
+            .collect();
+        let router = Arc::clone(&self.router);
+        let mut worker = Self::with_router(nodes, router, u64::MAX, 0, self.arity);
+        worker.batch_kernel = self.batch_kernel;
+        worker.certify(&self.pass.certificate);
+        worker
+    }
+
     /// Feed a block, in whichever layout its source has, through every
     /// scheduled node: route-then-count when the block clears its gate
     /// (module docs), [`BatchCounter::process_row`] per row — with
@@ -601,7 +661,7 @@ impl BatchCounter {
         tally: &mut KernelTally,
     ) -> MwResult<bool> {
         pass.route(&self.router, block, self.split_writer.is_some());
-        let Some(cc_bound) = pass.cc_bound(self.nodes.as_mut_slice(), tally) else {
+        let Some(cc_bound) = pass.cc_bound(&mut self.nodes, tally) else {
             return Ok(false);
         };
         // A memory tee grows by exactly the rows it is handed.
@@ -619,7 +679,7 @@ impl BatchCounter {
         {
             return Ok(false);
         }
-        self.cc_bytes += pass.count(block, self.nodes.as_mut_slice(), tally);
+        self.cc_bytes += pass.count(block, &mut self.nodes, tally);
         for (idx, sel) in pass.selections() {
             // analyze:allow(hot-path-panic): the router reports predicate
             // positions, and predicate `i` is node `i`'s.

@@ -1,552 +1,123 @@
-//! Parallel counting pipeline for the execution module (§4.1.1 at scale).
+//! Parallel counting for the execution module (§4.1.1 at scale).
 //!
 //! The serial [`BatchCounter`] routes every source row to its scheduled
-//! node and counts it on the thread that owns the scan. Once routing is a
-//! compiled walk (`scaleclass_sqldb::PredSet`) that single counting thread
-//! is dominated by CC-table insertion, which is embarrassingly parallel
-//! because counting is additive.
+//! node and counts it on the thread that owns the scan. Counting is
+//! additive, so a scan can be split: workers — each a copy of the serial
+//! counter (`BatchCounter::worker`), fed through the same
+//! `BatchCounter::process` — count disjoint parts of the source into
+//! private tables, and the tables merged in worker order
+//! ([`CountsTable::merge`](crate::cc::CountsTable::merge)) are the ones
+//! one serial pass over the same rows builds.
 //!
-//! [`ParallelScan`] splits a counting pass into three roles:
+//! ## Only a scan that cannot reach the budget
 //!
-//! * **Producer (the scan thread).** The session's one scan loop reads
-//!   blocks from whatever source the batch was scheduled on (server
-//!   cursor, extent file, memory set) and pushes them — row-major, or a
-//!   decoded extent still in columns — into `RowSink::process_block`. The
-//!   coordinator tees their rows where staging demands, re-packs them
-//!   (transposing an extent on the way) into fixed-size row-major blocks
-//!   ([`crate::config::MiddlewareConfig::scan_block_rows`]) and sends
-//!   those through a *bounded* channel, so a fast producer cannot outrun
-//!   slow workers by more than a few blocks (backpressure, not unbounded
-//!   buffering).
-//! * **Workers.** `scan_workers` threads pull blocks and count them into
-//!   *private* per-node [`CountsTable`] shards — no locks on the hot path —
-//!   through the same route-then-count pass as the serial counter
-//!   (`executor::BlockPass`, over the batch's one shared router), falling
-//!   back to rows under the same conditions. CC memory is reserved against
-//!   a shared atomic so the middleware budget stays a global invariant
-//!   (see below).
-//! * **Merge.** After the producer finishes, shards are combined in
-//!   worker-index order via [`CountsTable::merge`]. Counting is additive,
-//!   so the merged tables are exactly what one serial pass over the same
-//!   rows builds, regardless of how blocks were interleaved.
+//! The §4.1.1 budget protocol — evict cached sets, then switch a node to
+//! SQL; cancel a memory tee that no longer fits — fires at a row, and
+//! which row depends on everything counted before it. Workers deciding it
+//! each against the others' progress would make it depend on thread
+//! timing, so they never decide it. `RowSink::certify` builds a
+//! `ParallelScan` only when `BatchCounter::cannot_reach_budget`
+//! proves, from the scan's range certificate and row count, that no row
+//! of it can fire any of those events. Then the serial scan fires none
+//! either and peaks at its final state; the workers count under no budget
+//! and their merge is that final state, observed once. Every other scan
+//! counts serially, through the one protocol in `executor.rs`. So counts,
+//! fallback flags and every logical stat are those of `scan_workers = 1`,
+//! at any budget.
 //!
-//! ## Sharded extent readers (no producer at all)
+//! ## Two ways to feed the workers
 //!
-//! For batches sourced from an extent-format staging file
-//! ([`crate::staging::ExtentLayout`]) the producer thread and the
-//! producer→worker channel hop disappear entirely:
-//! [`ParallelScan::scan_extent_file`] spawns `scan_workers` *reader*
-//! threads, each owning a disjoint contiguous extent range. Every reader
-//! seeks straight to its extents (offsets are computable because all
-//! extents but the last are full-sized), verifies + decodes them locally,
-//! and feeds the rows into its own counting shard — I/O, decode, and
-//! counting all scale together. Merge order is keyed by the extent ranges:
-//! readers are joined in range order, which is worker-index order, so the
-//! shard merge is exactly as deterministic as the channel pipeline's, and
-//! counting additivity makes the result bit-identical to a serial scan.
-//! Extents decode straight into per-reader column buffers, and each is one
-//! column-major block of the route-then-count pass; the reader's tees are
-//! served from the pass's selection vectors (row by row only for a block
-//! that took the row path).
-//! Memory-staging tees are sharded the same way — each reader buffers the
-//! matching rows of *its* range, and the buffers are concatenated in range
-//! order, reproducing the serial staging byte order exactly. *File* tees
-//! shard too: each reader spills its range's matching rows into a private
-//! [`TeeSpool`] file, and [`ParallelScan::finish`] replays the spools in
-//! range order through the node's real [`crate::staging::FileWriter`] —
-//! range order is file order, so the staged file is byte-identical to the
-//! serial tee's.
-//!
-//! ## What stays on the coordinator
-//!
-//! In the channel pipeline, staging tees (per-node file writers, memory
-//! buffers, and the hybrid split file) remain on the producer thread:
-//! files must be written in source row order to be byte-identical to the
-//! serial path, and a single writer needs no synchronisation. The
-//! coordinator routes a row (once, through the shared router) only when
-//! the batch stages at all. Only batches writing the hybrid *split* file
-//! keep using the channel pipeline ([`ParallelScan::can_shard`]): the
-//! split file interleaves every scheduled node's rows, so slicing it per
-//! reader would buy nothing over the single producer stream.
-//!
-//! ## Shard-aware budget enforcement
-//!
-//! Workers reserve every new CC entry — on the block path, the block's
-//! whole growth bound up front, the surplus released after counting —
-//! against a shared `AtomicU64`. When
-//! the global reservation (plus staged bytes and staging buffers) exceeds
-//! the budget, the worker first claims pressure evictions from the shared
-//! evictable pool — sacrificing cached data sets exactly like the serial
-//! path, at entry granularity — and only then flips the node's shared
-//! fallback flag. Every worker observing the flag drops its shard for
-//! that node and releases the bytes (self-cleanup); the middleware later
-//! serves the node through the §4.1.1 SQL fallback, which is exact.
-//!
-//! Because shards are private, the same `(attr, value, class)` entry can
-//! be reserved once per worker, so the parallel reservation is an *upper
-//! bound* on the serial footprint: under pressure the parallel path may
-//! fall back (or evict) slightly earlier than the serial path would.
-//! Results stay exact either way — fallback counts come from the server —
-//! and with any slack in the budget the two paths are bit-identical, which
-//! is what the property suite pins down.
-//!
-//! Lock discipline: the eviction-pool locks (`scan.evictable`,
-//! `scan.evicted`) are the innermost ranks of the `LOCK_ORDER` manifest
-//! in `crates/analyze/src/rules.rs`; `relieve_pressure` nests them in
-//! exactly that order and the analyzer (DESIGN.md §14) holds it there.
-//! The `Relaxed` scan counters in this file are deliberately exempt from
-//! the `atomic-ordering` rule: workers are join-synchronized before any
-//! cell is read for a decision.
+//! * **Channel.** The session's one scan loop reads blocks from whatever
+//!   source the batch was scheduled on (server cursor, extent file, memory
+//!   set) and pushes them into `RowSink::process_block`. The coordinator
+//!   tees their rows where staging demands, in source order — files must
+//!   be written in source row order to be byte-identical to the serial
+//!   path, and a single writer needs no synchronisation — re-packs them
+//!   (transposing an extent on the way) into row-major blocks of
+//!   [`MiddlewareConfig::scan_block_rows`] and sends those through a
+//!   *bounded* channel, so a fast producer cannot outrun slow workers by
+//!   more than a few blocks. Channel workers have no tees.
+//! * **Sharded extent readers.** A batch sourced from an extent-format
+//!   staging file ([`ExtentLayout`]) is read by `scan_workers` reader
+//!   threads, each owning a disjoint contiguous extent range: it seeks
+//!   straight to its extents (offsets are computable because all but the
+//!   last are full-sized), verifies and decodes them into its own column
+//!   buffers and counts each as one column-major block — I/O, decode and
+//!   counting scale together, with no producer and no channel hop. A
+//!   reader's memory tee is its node's range-local `mem_buffer`, its file
+//!   tee a private spool (`crate::staging::FileWriter::spool`); readers
+//!   are joined in range order, which is file order, and the buffers
+//!   concatenated and the spools appended in that order reproduce the
+//!   serial tee's bytes exactly. Only a batch writing the hybrid *split*
+//!   file keeps the channel: the split file interleaves every scheduled
+//!   node's rows, so slicing it per reader would buy nothing over the
+//!   single producer stream.
 
-use crate::cc::{CountsTable, CC_ENTRY_BYTES};
 use crate::config::MiddlewareConfig;
 use crate::error::{MwError, MwResult};
-use crate::executor::{
-    BatchCounter, Block, BlockPass, ColBlock, CountSlots, KernelTally, RowBlock,
-};
+use crate::executor::{BatchCounter, Block, ColBlock, NodeCounter, RowBlock};
 use crate::metrics::{MiddlewareStats, WorkerScanStats};
-use crate::staging::{ExtentLayout, ExtentReader, TeeSpool, FILE_HEADER_BYTES};
+use crate::staging::{ExtentLayout, ExtentReader, FileWriter, FILE_HEADER_BYTES};
 use crossbeam_channel::{bounded, Receiver, Sender};
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
-use scaleclass_sqldb::PredSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Everything a worker needs to count for one node (read-only).
-struct NodeSpec {
-    attrs: Vec<u16>,
-    class_col: u16,
-    /// Empty table carrying the node's counting backend: workers mint
-    /// their private shards via [`CountsTable::fresh_like`], so a dense
-    /// node gets dense shards (sharing one layout `Arc`) and the final
-    /// merge takes the vector-add fast path.
-    proto: CountsTable,
+/// One worker of a parallel scan: a copy of the serial counter, and what
+/// it did — its block-kernel counters and timers, `scan_rows` for the rows
+/// it counted and `kernel_nanos` for the time it spent counting them.
+struct Worker {
+    counter: BatchCounter,
+    stats: MiddlewareStats,
 }
 
-/// State shared between the coordinator and the counting workers.
-struct Shared {
-    specs: Vec<NodeSpec>,
-    /// The nodes' path predicates compiled for routing (the batch's own
-    /// router): predicate `i` is node `i`'s.
-    router: Arc<PredSet>,
-    arity: usize,
-    /// The scan's range certificate, set before any worker starts
-    /// ([`ParallelScan::certify`]); each worker's block pass checks its
-    /// nodes' layouts against it.
-    certificate: Vec<Code>,
-    /// Count whole blocks through the route-then-count pass when the
-    /// shard-level growth bound clears the budget (see
-    /// `ShardState::count_block`); off pins the row path.
-    batch_kernel: bool,
-    /// Total middleware memory budget in bytes.
-    budget: u64,
-    /// Bytes pinned by previously staged data (shrinks under eviction).
-    base_mem_bytes: AtomicU64,
-    /// Global CC-byte reservation across all worker shards.
-    cc_reserved: AtomicU64,
-    /// Bytes buffered by the coordinator's memory-staging tees.
-    buffer_bytes: AtomicU64,
-    /// Per-node §4.1.1 fallback flags.
-    fallback: Vec<AtomicBool>,
-    /// Per-node "memory-staging tee cancelled" flags: in sharded-reader
-    /// mode any reader that overflows the budget cancels the node's tee
-    /// for everyone (staging is best-effort; counting is not).
-    tee_cancel: Vec<AtomicBool>,
-    /// Memory sets that may be sacrificed under counting pressure
-    /// (`(id, bytes)`, popped from the end — the serial order).
-    evictable: Mutex<Vec<(u64, u64)>>,
-    /// Sets sacrificed during this scan.
-    evicted: Mutex<Vec<u64>>,
-}
-
-impl Shared {
-    /// Modelled memory in use right now (upper bound, see module docs).
-    fn memory_in_use(&self) -> u64 {
-        self.base_mem_bytes.load(Ordering::Relaxed)
-            + self.cc_reserved.load(Ordering::Relaxed)
-            + self.buffer_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Evict cached sets until the reservation fits the budget again.
-    /// Returns false when the pool runs dry while still over budget —
-    /// the caller must fall back.
-    fn relieve_pressure(&self) -> bool {
-        // A poisoned lock means another worker panicked mid-scan; the pool
-        // itself is a Vec whose pop/push are atomic with respect to panics,
-        // so recover the guard and keep accounting rather than compounding
-        // the panic on every surviving worker.
-        let mut evictable = self
-            .evictable
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut evicted = self
-            .evicted
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            if self.memory_in_use() <= self.budget {
-                return true;
-            }
-            let Some((id, bytes)) = evictable.pop() else {
-                return false;
-            };
-            // `bytes` is part of `base`, so this cannot underflow.
-            self.base_mem_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            evicted.push(id);
-        }
-    }
-}
-
-/// What one worker hands back when the channel closes.
-struct WorkerResult {
-    shards: Vec<CountsTable>,
-    rows: u64,
-    /// Wall-clock ns this worker spent inside its row-counting loops.
-    kernel_ns: u64,
-    /// What the batched kernel did on this worker's blocks.
-    tally: KernelTally,
-}
-
-/// One worker's private counting state — shared by the channel workers and
-/// the sharded extent readers, so both paths apply the identical budget,
-/// eviction, and fallback protocol per row and per block.
-struct ShardState {
-    shards: Vec<CountsTable>,
-    /// Nodes whose fallback flag this worker has already honoured.
-    dropped: Vec<bool>,
-    rows: u64,
-    kernel_ns: u64,
-    /// The nodes the last row fed to [`ShardState::count_row`] satisfied.
-    matched: Vec<usize>,
-    /// Reusable selection/tally scratch of the block pass.
-    pass: BlockPass,
-    tally: KernelTally,
-}
-
-/// A worker's shards as the block pass counts into them.
-struct ShardSlots<'a> {
-    specs: &'a [NodeSpec],
-    shards: &'a mut [CountsTable],
-    dropped: &'a [bool],
-}
-
-impl CountSlots for ShardSlots<'_> {
-    fn slot(&mut self, idx: usize) -> Option<(&mut CountsTable, &[u16], u16)> {
-        if *self.dropped.get(idx)? {
-            return None;
-        }
-        let spec = self.specs.get(idx)?;
-        Some((self.shards.get_mut(idx)?, &spec.attrs, spec.class_col))
-    }
-}
-
-/// Honour the §4.1.1 fallback flag of node `idx` (this worker's own or
-/// another's): release and drop this worker's shard once. Returns true
-/// when the node is out of play for this worker.
-fn honour_fallback(
-    shards: &mut [CountsTable],
-    dropped: &mut [bool],
-    idx: usize,
-    shared: &Shared,
-) -> bool {
-    if !shared.fallback[idx].load(Ordering::Relaxed) {
-        return false;
-    }
-    if !dropped[idx] {
-        // Self-cleanup: another worker tripped the switch; release this
-        // shard's bytes.
-        shared
-            .cc_reserved
-            .fetch_sub(shards[idx].memory_bytes(), Ordering::Relaxed);
-        shards[idx] = CountsTable::new();
-        dropped[idx] = true;
-    }
-    true
-}
-
-impl ShardState {
-    fn new(shared: &Shared) -> Self {
-        let specs = &shared.specs;
-        let mut pass = BlockPass::default();
-        pass.certify(&shared.certificate);
-        ShardState {
-            shards: specs.iter().map(|s| s.proto.fresh_like()).collect(),
-            dropped: vec![false; specs.len()],
-            rows: 0,
-            kernel_ns: 0,
-            matched: Vec::with_capacity(8),
-            pass,
-            tally: KernelTally::default(),
+impl Worker {
+    fn new(counter: BatchCounter) -> Self {
+        Worker {
+            counter,
+            stats: MiddlewareStats::new(),
         }
     }
 
-    /// Count one row into every node it satisfies (left in `matched`,
-    /// ascending, for the caller's tees).
-    #[inline]
-    fn count_row(&mut self, row: &[Code], shared: &Shared) {
-        self.rows += 1;
-        let mut matched = std::mem::take(&mut self.matched);
-        shared.router.route(row, &mut matched);
-        for &idx in &matched {
-            if honour_fallback(&mut self.shards, &mut self.dropped, idx, shared) {
-                continue;
-            }
-            // analyze:allow(hot-path-panic): the router reports positions
-            // in `shared.specs`, and fallback/shards/dropped are parallel
-            // vectors of the same length by construction.
-            let (spec, fallback) = (&shared.specs[idx], &shared.fallback[idx]);
-            // analyze:allow(hot-path-panic): same parallel-vector bound.
-            let shard = &mut self.shards[idx];
-            let before = shard.entries();
-            shard.add_row(row, &spec.attrs, spec.class_col);
-            let grew = (shard.entries() - before) as u64 * CC_ENTRY_BYTES;
-            if grew == 0 {
-                continue;
-            }
-            shared.cc_reserved.fetch_add(grew, Ordering::Relaxed);
-            if shared.memory_in_use() <= shared.budget {
-                continue;
-            }
-            // Counting pressure: cached data first, then the switch.
-            if !shared.relieve_pressure() {
-                fallback.store(true, Ordering::Relaxed);
-                shared
-                    .cc_reserved
-                    .fetch_sub(shard.memory_bytes(), Ordering::Relaxed);
-                *shard = CountsTable::new();
-                // analyze:allow(hot-path-panic): same parallel-vector bound.
-                self.dropped[idx] = true;
-            }
-        }
-        self.matched = matched;
-    }
-
-    /// Route-then-count one block, if its growth bound clears the budget.
-    /// The bound — counting growth plus the rows `tees` would buffer —
-    /// is *reserved* before counting (so concurrent workers' gates
-    /// serialize through the shared cells) and the counting surplus
-    /// released after; a block counted here can therefore never cross the
-    /// budget, which is what makes it bit-identical to the per-row
-    /// checkpoint path. Returns false — with nothing counted and nothing
-    /// reserved — when the gate fails or the block holds a code outside a
-    /// dense shard's layout; the caller must then feed the block through
-    /// [`ShardState::count_row`]. On true the caller serves `tees` from
-    /// `self.pass` ([`tee_block`]): each tee's `reserved` says how many
-    /// bytes of its selection were charged to `buffer_bytes`.
-    fn count_block(&mut self, block: &impl Block, shared: &Shared, tees: &mut [ReaderTee]) -> bool {
-        self.pass.route(&shared.router, block, false);
-        for (idx, _) in self.pass.selections() {
-            honour_fallback(&mut self.shards, &mut self.dropped, idx, shared);
-        }
-        let mut slots = ShardSlots {
-            specs: &shared.specs,
-            shards: &mut self.shards,
-            dropped: &self.dropped,
-        };
-        let Some(cc_bound) = self.pass.cc_bound(&mut slots, &mut self.tally) else {
-            return false;
-        };
-        let row_bytes = (shared.arity * CODE_BYTES) as u64;
-        let mut tee_bound = 0u64;
-        for tee in tees.iter_mut() {
-            let live = tee.mem && !tee.cancelled(shared);
-            tee.reserved = if live {
-                self.pass.selected(tee.node).len() as u64 * row_bytes
-            } else {
-                0
-            };
-            tee_bound += tee.reserved;
-        }
-        shared.cc_reserved.fetch_add(cc_bound, Ordering::Relaxed);
-        shared.buffer_bytes.fetch_add(tee_bound, Ordering::Relaxed);
-        if shared.memory_in_use() > shared.budget {
-            shared.cc_reserved.fetch_sub(cc_bound, Ordering::Relaxed);
-            shared.buffer_bytes.fetch_sub(tee_bound, Ordering::Relaxed);
-            return false;
-        }
-        self.rows += block.nrows() as u64;
-        let grew = self.pass.count(block, &mut slots, &mut self.tally);
-        // Keep only what actually grew; the gate reservation guaranteed
-        // `grew <= cc_bound`, so this cannot underflow the global.
-        shared
-            .cc_reserved
-            .fetch_sub(cc_bound - grew, Ordering::Relaxed);
-        true
-    }
-
-    fn into_result(self) -> WorkerResult {
-        WorkerResult {
-            shards: self.shards,
-            rows: self.rows,
-            kernel_ns: self.kernel_ns,
-            tally: self.tally,
-        }
-    }
-}
-
-fn worker_loop(rx: Receiver<Vec<Code>>, shared: Arc<Shared>) -> WorkerResult {
-    let mut state = ShardState::new(&shared);
-    let arity = shared.arity;
-    // Channel workers never tee: the coordinator does, in source order.
-    let no_tees: &mut [ReaderTee] = &mut [];
-    for block in rx.iter() {
+    /// Count one block through the serial counter's own path.
+    fn count(&mut self, block: &mut impl Block) -> MwResult<()> {
         let t0 = Instant::now();
-        let flat = block.as_slice();
-        if !(shared.batch_kernel && state.count_block(&RowBlock { flat, arity }, &shared, no_tees))
-        {
-            if shared.batch_kernel {
-                state.tally.block_fallback_rows += (flat.len() / arity) as u64;
-            }
-            for row in flat.chunks_exact(arity) {
-                state.count_row(row, &shared);
-            }
-        }
-        state.kernel_ns += t0.elapsed().as_nanos() as u64;
-    }
-    state.into_result()
-}
-
-/// One sharded reader's private view of a staging tee: the batch-node
-/// index, whether the node tees to memory, this reader's range-local
-/// memory buffer, and its private file spool (when the node tees to a
-/// staged file).
-struct ReaderTee {
-    /// Index into the batch's node list (== `Shared` vectors).
-    node: usize,
-    /// Does this node tee to a memory buffer?
-    mem: bool,
-    /// Range-local memory-tee rows, concatenated in range order later.
-    buf: Vec<Code>,
-    /// Range-local file-tee spill, replayed in range order later.
-    spool: Option<TeeSpool>,
-    /// Bytes of the block being counted that [`ShardState::count_block`]
-    /// charged to `buffer_bytes` for this tee (0: not buffering).
-    reserved: u64,
-}
-
-impl ReaderTee {
-    /// Has some reader cancelled this node's memory tee? Releases this
-    /// reader's buffered rows the first time it sees the flag. (File
-    /// spools are unaffected: they cost disk, not budget.)
-    fn cancelled(&mut self, shared: &Shared) -> bool {
-        // Tee node indices were minted by the coordinator over these same
-        // vectors.
-        let cancelled = shared.tee_cancel[self.node].load(Ordering::Relaxed);
-        if cancelled && !self.buf.is_empty() {
-            shared
-                .buffer_bytes
-                .fetch_sub((self.buf.len() * CODE_BYTES) as u64, Ordering::Relaxed);
-            self.buf = Vec::new();
-        }
-        cancelled
+        self.stats.scan_rows += block.nrows() as u64;
+        let counted = self.counter.process(block, &mut self.stats);
+        self.stats.kernel_nanos += t0.elapsed().as_nanos() as u64;
+        counted
     }
 }
 
-/// Serve a reader's tees for a block [`ShardState::count_block`] counted,
-/// from the same selection vectors and in row order.
-fn tee_block(pass: &BlockPass, block: &mut impl Block, tees: &mut [ReaderTee]) -> MwResult<()> {
-    for tee in tees {
-        let sel = Some(pass.selected(tee.node));
-        if let Some(spool) = tee.spool.as_mut() {
-            block.for_each_row(sel, |row| spool.push(row))?;
-        }
-        if tee.reserved > 0 {
-            let buf = &mut tee.buf;
-            block.for_each_row(sel, |row| {
-                buf.extend_from_slice(row);
-                Ok(())
-            })?;
-        }
+/// Channel-worker body: count every block the coordinator sends.
+fn count_channel(rx: Receiver<Vec<Code>>, mut worker: Worker) -> MwResult<Worker> {
+    let arity = worker.counter.arity;
+    for flat in rx.iter() {
+        worker.count(&mut RowBlock { flat: &flat, arity })?;
     }
-    Ok(())
+    Ok(worker)
 }
 
-/// Serve a reader's tees for one row of a block that took the row path;
-/// `matched` is what [`ShardState::count_row`] routed the row to.
-fn tee_row(
-    row: &[Code],
-    matched: &[usize],
-    tees: &mut [ReaderTee],
-    shared: &Shared,
-) -> MwResult<()> {
-    let row_bytes = (shared.arity * CODE_BYTES) as u64;
-    for tee in tees {
-        let cancelled = tee.cancelled(shared);
-        if !matched.contains(&tee.node) {
-            continue;
-        }
-        if let Some(spool) = tee.spool.as_mut() {
-            spool.push(row)?;
-        }
-        if tee.mem && !cancelled {
-            tee.buf.extend_from_slice(row);
-            shared.buffer_bytes.fetch_add(row_bytes, Ordering::Relaxed);
-            if shared.memory_in_use() > shared.budget {
-                // Staging is best-effort: cancel this node's memory
-                // tee everywhere rather than evicting counts.
-                // analyze:allow(hot-path-panic): tee node indices were
-                // minted by the coordinator over this same vector.
-                shared.tee_cancel[tee.node].store(true, Ordering::Relaxed);
-                tee.cancelled(shared);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// What one sharded extent reader hands back.
-struct ShardReaderResult {
-    result: WorkerResult,
-    io: WorkerScanStats,
-    /// This reader's tee contributions, aligned with the coordinator's
-    /// tee-node list.
-    tees: Vec<ReaderTee>,
-}
-
-/// Reader-thread body for the sharded file scan: verify + decode the
-/// extents of `range` locally, straight into per-reader column buffers
-/// (reused across extents), count each as one block into a private shard,
-/// buffer memory-tee rows for range-order concatenation, and spool
-/// file-tee rows for range-order replay.
-fn shard_reader_loop(
+/// Reader-thread body for the sharded file scan: verify and decode the
+/// extents of `range` into column buffers reused across extents, and count
+/// each as one block.
+fn read_extents(
     layout: ExtentLayout,
     range: std::ops::Range<u64>,
-    shared: Arc<Shared>,
-    mut tees: Vec<ReaderTee>,
-) -> MwResult<ShardReaderResult> {
+    mut worker: Worker,
+) -> MwResult<(Worker, WorkerScanStats)> {
     let mut reader = ExtentReader::open(&layout)?;
-    let mut state = ShardState::new(&shared);
     let mut io = WorkerScanStats::default();
-    let mut cols: Vec<Vec<Code>> = Vec::new();
-    let mut row: Vec<Code> = Vec::with_capacity(shared.arity);
+    let (mut cols, mut row) = (Vec::new(), Vec::new());
     for k in range {
         let nrows = reader.decode_extent_columns(k, &mut cols, &mut io)?;
-        let t0 = Instant::now();
-        let mut block = ColBlock {
+        worker.count(&mut ColBlock {
             cols: &cols,
             nrows,
             row: &mut row,
-        };
-        if shared.batch_kernel && state.count_block(&block, &shared, &mut tees) {
-            tee_block(&state.pass, &mut block, &mut tees)?;
-        } else {
-            if shared.batch_kernel {
-                state.tally.block_fallback_rows += nrows as u64;
-            }
-            block.for_each_row(None, |row| {
-                state.count_row(row, &shared);
-                tee_row(row, &state.matched, &mut tees, &shared)
-            })?;
-        }
-        state.kernel_ns += t0.elapsed().as_nanos() as u64;
+        })?;
     }
-    Ok(ShardReaderResult {
-        result: state.into_result(),
-        io,
-        tees,
-    })
+    Ok((worker, io))
 }
 
 /// The spawned channel pipeline: a bounded block channel plus its worker
@@ -554,228 +125,114 @@ fn shard_reader_loop(
 /// the sharded-reader path never pays for idle channel workers.
 struct Pipeline {
     tx: Sender<Vec<Code>>,
-    workers: Vec<JoinHandle<WorkerResult>>,
+    workers: Vec<JoinHandle<MwResult<Worker>>>,
 }
 
-/// Everything a sharded file scan produced, staged for the deterministic
-/// merge in [`ParallelScan::finish`].
-struct ShardOutcome {
-    /// Per-reader results in extent-range (== worker-index) order.
-    results: Vec<WorkerResult>,
-    /// Per tee node: the readers' buffered rows and file spools, both in
-    /// range order.
-    tees: Vec<(usize, Vec<Vec<Code>>, Vec<TeeSpool>)>,
-}
-
-/// Coordinator state for one parallel counting pass. Owns the
-/// [`BatchCounter`] (for its staging tees and final accounting) while the
-/// workers own the counting.
-pub struct ParallelScan {
-    batch: BatchCounter,
-    shared: Arc<Shared>,
-    /// Requested worker count (threads spawn lazily).
-    workers_target: usize,
-    pipeline: Option<Pipeline>,
-    sharded: Option<ShardOutcome>,
-    /// Block under construction (flat codes).
-    block: Vec<Code>,
-    block_codes: usize,
-    /// Indices of nodes with a staging tee (file and/or memory).
-    tee_nodes: Vec<usize>,
-    /// Reusable route output of the coordinator's tees.
-    matched: Vec<usize>,
-    rows_sent: u64,
-    started: Instant,
-}
-
-impl ParallelScan {
-    /// Prepare a parallel pass with `workers` counting threads. Threads
-    /// are not spawned until rows arrive: the channel pipeline spins up on
-    /// the first full block, and [`ParallelScan::scan_extent_file`] spawns
-    /// reader threads instead, never the channel.
-    pub fn new(mut batch: BatchCounter, workers: usize, block_rows: usize) -> Self {
-        let specs = batch
-            .nodes
-            .iter()
-            .map(|n| NodeSpec {
-                attrs: n.req.attrs.clone(),
-                class_col: n.req.class_col,
-                proto: n.cc.fresh_like(),
-            })
-            .collect();
-        let fallback = batch.nodes.iter().map(|_| AtomicBool::new(false)).collect();
-        let tee_cancel = batch.nodes.iter().map(|_| AtomicBool::new(false)).collect();
-        let shared = Arc::new(Shared {
-            specs,
-            router: Arc::clone(&batch.router),
-            arity: batch.arity,
-            certificate: Vec::new(),
-            batch_kernel: batch.batch_kernel,
-            budget: batch.budget,
-            base_mem_bytes: AtomicU64::new(batch.base_mem_bytes),
-            cc_reserved: AtomicU64::new(0),
-            buffer_bytes: AtomicU64::new(0),
-            fallback,
-            tee_cancel,
-            evictable: Mutex::new(std::mem::take(&mut batch.evictable)),
-            evicted: Mutex::new(Vec::new()),
-        });
-        let tee_nodes = batch
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.file_writer.is_some() || n.mem_buffer.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        let block_codes = block_rows.max(1) * batch.arity;
-        ParallelScan {
-            batch,
-            shared,
-            workers_target: workers.max(1),
-            pipeline: None,
-            sharded: None,
-            block: Vec::with_capacity(block_codes),
-            block_codes,
-            tee_nodes,
-            matched: Vec::new(),
-            rows_sent: 0,
-            started: Instant::now(),
-        }
-    }
-
-    /// Start the scan: every code it reads lies at or under `certificate`,
-    /// per column. Called before the first block, while no worker shares
-    /// the state; a worker already running would keep counting against
-    /// the certificate it started with (none: its dense nodes take the
-    /// row path).
-    pub(crate) fn certify(&mut self, certificate: &[Code]) {
-        match Arc::get_mut(&mut self.shared) {
-            Some(shared) => shared.certificate = certificate.to_vec(),
-            None => debug_assert!(false, "certified after the workers started"),
-        }
-    }
-
-    fn spawn_pipeline(shared: &Arc<Shared>, workers: usize) -> Pipeline {
+impl Pipeline {
+    fn spawn(batch: &BatchCounter, workers: usize) -> Self {
         // Two blocks of headroom per worker: enough to keep everyone busy,
         // small enough that backpressure kicks in within milliseconds.
         let (tx, rx) = bounded(workers * 2);
         let workers = (0..workers)
             .map(|_| {
-                let rx = rx.clone();
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || worker_loop(rx, shared))
+                let (rx, worker) = (rx.clone(), Worker::new(batch.worker()));
+                std::thread::spawn(move || count_channel(rx, worker))
             })
             .collect();
         Pipeline { tx, workers }
     }
+}
 
-    /// Can this batch be served by sharded extent readers? Memory tees
-    /// shard cleanly (per-range buffers concatenate in range order) and so
-    /// do file tees (per-reader spools replay in range order); only the
-    /// hybrid *split* file keeps the channel pipeline — it interleaves all
-    /// scheduled nodes' rows, so it gains nothing from sharding.
-    pub fn can_shard(&self) -> bool {
-        self.pipeline.is_none()
-            && self.sharded.is_none()
-            && self.rows_sent == 0
-            && self.batch.split_writer.is_none()
+/// A parallel counting pass over a batch `RowSink::certify` proved
+/// cannot reach its budget — the only place one is built. The batch itself
+/// stays with the sink, which hands it in for the tees and the merge.
+pub(crate) struct ParallelScan {
+    /// Worker threads to run.
+    workers: usize,
+    /// Does the batch tee at all (a file or memory tee, or the split file)?
+    teeing: bool,
+    pipeline: Option<Pipeline>,
+    /// Workers that have finished: the sharded readers, in range order.
+    done: Vec<Worker>,
+    /// Block under construction (flat codes).
+    block: Vec<Code>,
+    block_codes: usize,
+    /// Reusable route output of the coordinator's tees.
+    matched: Vec<usize>,
+}
+
+impl ParallelScan {
+    /// A pass of `workers` threads over `batch`, re-packing channel blocks
+    /// of `block_rows` rows. Threads are not spawned until rows arrive:
+    /// the channel pipeline spins up on the first full block, and
+    /// `ParallelScan::scan_extent_file` spawns reader threads instead.
+    fn new(batch: &BatchCounter, workers: usize, block_rows: usize) -> Self {
+        let teeing = batch.split_writer.is_some()
+            || (batch.nodes.iter()).any(|n| n.file_writer.is_some() || n.mem_buffer.is_some());
+        let block_codes = block_rows.max(1) * batch.arity;
+        ParallelScan {
+            workers,
+            teeing,
+            pipeline: None,
+            done: Vec::new(),
+            block: Vec::with_capacity(block_codes),
+            block_codes,
+            matched: Vec::new(),
+        }
     }
 
     /// Scan an extent-format staging file with per-worker reader threads:
     /// each owns a disjoint contiguous extent range, decodes locally, and
-    /// counts into its own shard — no producer thread, no channel hop.
-    /// Returns per-reader I/O counters (range order); the counting results
-    /// are merged by [`ParallelScan::finish`] exactly like channel shards.
-    pub fn scan_extent_file(&mut self, layout: &ExtentLayout) -> MwResult<Vec<WorkerScanStats>> {
-        debug_assert!(self.can_shard());
+    /// counts into its own copy of `batch` — no producer thread, no
+    /// channel hop. Returns per-reader I/O counters (range order); the
+    /// counts are merged by `ParallelScan::finish`.
+    fn scan_extent_file(
+        &mut self,
+        batch: &BatchCounter,
+        layout: &ExtentLayout,
+    ) -> MwResult<Vec<WorkerScanStats>> {
         let extents = layout.extents;
-        let n = self.workers_target.min(extents.max(1) as usize).max(1);
+        let n = self.workers.min(extents.max(1) as usize).max(1);
         let base = extents / n as u64;
         let rem = (extents % n as u64) as usize;
-        // Per tee node: memory-tee flag and (for file tees) the directory
-        // the staged file is being written in — where spools go too, named
-        // with the writer's manager prefix so a drop-time sweep of a
-        // shared staging dir reclaims any spool this scan leaks.
-        type TeeInfo = (usize, bool, Option<(std::path::PathBuf, String)>);
-        let tee_info: Vec<TeeInfo> = self
-            .tee_nodes
-            .iter()
-            .map(|&i| {
-                let node = &self.batch.nodes[i];
-                (
-                    i,
-                    node.mem_buffer.is_some(),
-                    node.file_writer
-                        .as_ref()
-                        .map(|w| (w.dir().to_path_buf(), w.spool_prefix().to_string())),
-                )
+        // Every reader's tees — range-local memory buffers, file spools
+        // beside the staged files — exist before any thread runs, so a
+        // filesystem failure aborts cleanly with no thread in flight.
+        let mut readers = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut counter = batch.worker();
+            for (node, mine) in batch.nodes.iter().zip(&mut counter.nodes) {
+                mine.mem_buffer = node.mem_buffer.as_ref().map(|_| Vec::new());
+                let spool = node.file_writer.as_ref().map(FileWriter::spool);
+                mine.file_writer = spool.transpose()?;
+            }
+            readers.push(Worker::new(counter));
+        }
+        let mut start = 0u64;
+        let handles: Vec<_> = (readers.into_iter().enumerate())
+            .map(|(w, worker)| {
+                let len = base + u64::from(w < rem);
+                let range = start..start + len;
+                start += len;
+                let layout = layout.clone();
+                std::thread::spawn(move || read_extents(layout, range, worker))
             })
             .collect();
-        // Create every reader's spools before spawning anything, so a
-        // filesystem failure aborts cleanly with no threads in flight.
-        let arity = self.shared.arity;
-        let mut reader_tees: Vec<Vec<ReaderTee>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tees = tee_info
-                .iter()
-                .map(|(node, mem, spool_dir)| {
-                    Ok(ReaderTee {
-                        node: *node,
-                        mem: *mem,
-                        reserved: 0,
-                        buf: Vec::new(),
-                        spool: spool_dir
-                            .as_ref()
-                            .map(|(d, p)| TeeSpool::create(d, p, arity))
-                            .transpose()?,
-                    })
-                })
-                .collect::<MwResult<Vec<ReaderTee>>>()?;
-            reader_tees.push(tees);
-        }
-        let mut handles = Vec::with_capacity(n);
-        let mut start = 0u64;
-        for (w, tees) in reader_tees.into_iter().enumerate() {
-            let len = base + u64::from(w < rem);
-            let range = start..start + len;
-            start += len;
-            let layout = layout.clone();
-            let shared = Arc::clone(&self.shared);
-            handles.push(std::thread::spawn(move || {
-                shard_reader_loop(layout, range, shared, tees)
-            }));
-        }
         let mut io = Vec::with_capacity(n);
-        let mut results = Vec::with_capacity(n);
-        let mut tee_cols: Vec<Vec<Vec<Code>>> = self.tee_nodes.iter().map(|_| Vec::new()).collect();
-        let mut spool_cols: Vec<Vec<TeeSpool>> =
-            self.tee_nodes.iter().map(|_| Vec::new()).collect();
         let mut first_err: Option<MwError> = None;
         // Join every reader (even after an error — no detached threads
         // holding the file), keep the first failure.
         for h in handles {
-            match h.join() {
-                Err(_) => {
-                    if first_err.is_none() {
-                        first_err = Some(MwError::Internal("extent reader panicked".into()));
-                    }
+            let joined = h
+                .join()
+                .unwrap_or_else(|_| Err(MwError::Internal("extent reader panicked".into())));
+            match joined {
+                Ok((worker, reader_io)) => {
+                    io.push(reader_io);
+                    self.done.push(worker);
                 }
-                Ok(Err(e)) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                Ok(Ok(r)) => {
-                    io.push(r.io);
-                    results.push(r.result);
-                    for ((bufs, spools), tee) in
-                        tee_cols.iter_mut().zip(&mut spool_cols).zip(r.tees)
-                    {
-                        bufs.push(tee.buf);
-                        if let Some(s) = tee.spool {
-                            spools.push(s);
-                        }
-                    }
+                Err(e) => {
+                    first_err.get_or_insert(e);
                 }
             }
         }
@@ -791,17 +248,6 @@ impl ParallelScan {
                 ..WorkerScanStats::default()
             }),
         }
-        self.rows_sent += results.iter().map(|r| r.rows).sum::<u64>();
-        self.sharded = Some(ShardOutcome {
-            results,
-            tees: self
-                .tee_nodes
-                .iter()
-                .copied()
-                .zip(tee_cols.into_iter().zip(spool_cols))
-                .map(|(i, (bufs, spools))| (i, bufs, spools))
-                .collect(),
-        });
         Ok(io)
     }
 
@@ -811,16 +257,14 @@ impl ParallelScan {
     /// the workers (blocking when the pipeline is full). Source blocks need
     /// not match the pipeline's block size — a wire fetch or an extent is
     /// whatever size its source made it.
-    pub(crate) fn process_block(&mut self, block: &mut impl Block) -> MwResult<()> {
-        self.rows_sent += block.nrows() as u64;
-        let teeing = self.batch.split_writer.is_some() || !self.tee_nodes.is_empty();
+    fn process_block(&mut self, batch: &mut BatchCounter, block: &mut impl Block) -> MwResult<()> {
         block.for_each_row(None, |row| {
-            if teeing {
-                self.tee(row)?;
+            if self.teeing {
+                self.tee(batch, row)?;
             }
             self.block.extend_from_slice(row);
             if self.block.len() >= self.block_codes {
-                self.flush_block()?;
+                self.flush_block(batch)?;
             }
             Ok(())
         })
@@ -829,171 +273,87 @@ impl ParallelScan {
     /// Staging tees — single-writer, source row order, exactly the serial
     /// path's file contents and memory buffers: the row is routed once and
     /// handed to the tees of the nodes it satisfies (and, satisfying any,
-    /// to the split file).
-    fn tee(&mut self, row: &[Code]) -> MwResult<()> {
-        let mut matched = std::mem::take(&mut self.matched);
-        self.shared.router.route(row, &mut matched);
-        if !matched.is_empty() {
-            if let Some(w) = self.batch.split_writer.as_mut() {
+    /// to the split file). The proof left the buffers room for every row.
+    fn tee(&mut self, batch: &mut BatchCounter, row: &[Code]) -> MwResult<()> {
+        batch.router.route(row, &mut self.matched);
+        if !self.matched.is_empty() {
+            if let Some(w) = batch.split_writer.as_mut() {
                 w.push(row)?;
             }
         }
-        let row_bytes = (self.shared.arity * CODE_BYTES) as u64;
-        for &i in &matched {
-            // analyze:allow(hot-path-panic): the router was compiled from
-            // this batch's nodes, one predicate each, in order.
-            let node = &mut self.batch.nodes[i];
+        let row_bytes = (batch.arity * CODE_BYTES) as u64;
+        for &i in &self.matched {
+            let Some(node) = batch.nodes.get_mut(i) else {
+                continue;
+            };
             if let Some(w) = node.file_writer.as_mut() {
                 w.push(row)?;
             }
             if let Some(buf) = node.mem_buffer.as_mut() {
                 buf.extend_from_slice(row);
-                self.shared
-                    .buffer_bytes
-                    .fetch_add(row_bytes, Ordering::Relaxed);
-                if self.shared.memory_in_use() > self.shared.budget {
-                    // Staging is best-effort: cancel this node's memory
-                    // staging rather than evicting counts.
-                    let bytes = node
-                        .mem_buffer
-                        .take()
-                        .map_or(0, |b| (b.len() * CODE_BYTES) as u64);
-                    self.shared.buffer_bytes.fetch_sub(bytes, Ordering::Relaxed);
-                }
+                batch.buffer_bytes += row_bytes;
             }
         }
-        self.matched = matched;
         Ok(())
     }
 
-    fn flush_block(&mut self) -> MwResult<()> {
+    fn flush_block(&mut self, batch: &BatchCounter) -> MwResult<()> {
         if self.block.is_empty() {
             return Ok(());
         }
         let block = std::mem::replace(&mut self.block, Vec::with_capacity(self.block_codes));
-        let workers = self.workers_target;
-        let shared = &self.shared;
+        let workers = self.workers;
         self.pipeline
-            .get_or_insert_with(|| Self::spawn_pipeline(shared, workers))
+            .get_or_insert_with(|| Pipeline::spawn(batch, workers))
             .tx
             .send(block)
             .map_err(|_| MwError::Internal("scan worker pool disconnected".into()))
     }
 
     /// Close the pass: drain the last block, join whichever workers ran
-    /// (channel or sharded readers), merge their shards deterministically,
-    /// and restore the serial memory model on the returned
-    /// [`BatchCounter`].
-    pub fn finish(mut self, stats: &mut MiddlewareStats) -> MwResult<BatchCounter> {
-        self.flush_block()?;
-        let mut results = Vec::new();
+    /// (channel or sharded readers), and fold them into `batch` in worker
+    /// order — tables merged, memory-tee buffers concatenated, file spools
+    /// appended, block counters added to `stats` — then observe memory
+    /// once: the proof made the merged state the scan's peak.
+    fn finish(mut self, batch: &mut BatchCounter, stats: &mut MiddlewareStats) -> MwResult<()> {
+        self.flush_block(batch)?;
+        let mut workers = std::mem::take(&mut self.done);
         if let Some(pipe) = self.pipeline.take() {
             drop(pipe.tx); // disconnect → workers drain and exit
-            for handle in pipe.workers {
-                let r = handle
-                    .join()
-                    .map_err(|_| MwError::Internal("scan worker panicked".into()))?;
-                results.push(r);
-            }
-        }
-        let sharded_tees = self.sharded.take().map(|outcome| {
-            // Reader shards joined in extent-range order slot in exactly
-            // like channel workers; the merge below stays index-ordered.
-            results.extend(outcome.results);
-            outcome.tees
-        });
-        if let Some(tees) = sharded_tees {
-            for (i, bufs, spools) in tees {
-                // analyze:allow(hot-path-panic): sharded tee indices address
-                // this batch's nodes; tee_cancel is the parallel flag vector.
-                let node = &mut self.batch.nodes[i];
-                // File tee: replay the per-range spools in range order
-                // through the node's real writer. Range order is file
-                // order, and the staged file is a pure function of the
-                // pushed row sequence, so the bytes equal the serial tee's.
-                if let Some(w) = node.file_writer.as_mut() {
-                    for spool in spools {
-                        spool.drain_into(w)?;
-                    }
-                }
-                if node.mem_buffer.is_none() {
-                    continue; // file-only tee, nothing buffered
-                }
-                // analyze:allow(hot-path-panic): same in-bounds tee index.
-                if self.shared.tee_cancel[i].load(Ordering::Relaxed) {
-                    // Some reader overflowed the budget mid-scan; release
-                    // whatever buffers survived and drop the tee, exactly
-                    // the serial path's best-effort cancellation.
-                    let bytes: u64 = bufs.iter().map(|b| (b.len() * CODE_BYTES) as u64).sum();
-                    self.shared.buffer_bytes.fetch_sub(bytes, Ordering::Relaxed);
-                    node.mem_buffer = None;
-                } else {
-                    // Concatenating per-range buffers in range order is the
-                    // file order, i.e. the exact bytes the serial tee
-                    // would have buffered.
-                    let mut merged = Vec::with_capacity(bufs.iter().map(Vec::len).sum());
-                    for b in bufs {
-                        merged.extend_from_slice(&b);
-                    }
-                    node.mem_buffer = Some(merged);
-                }
+            let joined: Vec<_> = pipe.workers.into_iter().map(JoinHandle::join).collect();
+            for worker in joined {
+                workers
+                    .push(worker.map_err(|_| MwError::Internal("scan worker panicked".into()))??);
             }
         }
         let mut worker_rows_max = 0u64;
-        let mut kernel_ns = 0u64;
-        for r in &results {
-            worker_rows_max = worker_rows_max.max(r.rows);
-            kernel_ns += r.kernel_ns;
-            r.tally.add_to(stats);
-        }
-        // Deterministic merge, worker-index order. Counting is additive,
-        // so the result is independent of how blocks were interleaved.
-        for (i, node) in self.batch.nodes.iter_mut().enumerate() {
-            // analyze:allow(hot-path-panic): fallback has one flag per batch
-            // node; i enumerates those nodes.
-            if self.shared.fallback[i].load(Ordering::Relaxed) {
-                node.cc = CountsTable::new();
-                node.fallback = true;
-                stats.sql_fallbacks += 1;
-                continue;
-            }
-            for r in &mut results {
-                // analyze:allow(hot-path-panic): every worker built one
-                // shard per batch node.
-                node.cc.merge(std::mem::take(&mut r.shards[i]));
+        for Worker { counter, stats: w } in workers {
+            stats.blocks_counted += w.blocks_counted;
+            stats.block_fallback_rows += w.block_fallback_rows;
+            stats.kernel_validate_nanos += w.kernel_validate_nanos;
+            stats.kernel_accumulate_nanos += w.kernel_accumulate_nanos;
+            stats.kernel_nanos += w.kernel_nanos;
+            worker_rows_max = worker_rows_max.max(w.scan_rows);
+            for (node, part) in batch.nodes.iter_mut().zip(counter.nodes) {
+                node.cc.merge(part.cc);
+                if let (Some(buf), Some(rows)) = (node.mem_buffer.as_mut(), part.mem_buffer) {
+                    buf.extend_from_slice(&rows);
+                    batch.buffer_bytes += (rows.len() * CODE_BYTES) as u64;
+                }
+                if let (Some(w), Some(spool)) = (node.file_writer.as_mut(), part.file_writer) {
+                    w.append(spool)?;
+                }
             }
         }
-        // Fold the shared accounting back into the batch: exact CC bytes
-        // from the merged tables (the shard reservation was an upper
-        // bound), eviction decisions, and the tee buffers.
-        // Poisoning here means a worker panicked; the join loop above has
-        // already surfaced that as an error, so recover the guard and keep
-        // whatever eviction decisions completed.
-        let evicted: Vec<u64> = self
-            .shared
-            .evicted
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .drain(..)
-            .collect();
-        stats.pressure_evictions += evicted.len() as u64;
-        self.batch.evicted.extend(evicted);
-        self.batch.base_mem_bytes = self.shared.base_mem_bytes.load(Ordering::Relaxed);
-        self.batch.cc_bytes = self.batch.nodes.iter().map(|n| n.cc.memory_bytes()).sum();
-        self.batch.buffer_bytes = self.shared.buffer_bytes.load(Ordering::Relaxed);
-        // Shadow checkpoint (DESIGN.md §9): the dense occupancy counters
-        // just went through per-worker adds and a slot-wise merge, and
-        // buffer_bytes through concurrent tee add/cancel traffic — recount
-        // both from the merged state before the scheduler trusts them.
-        #[cfg(debug_assertions)]
-        self.batch.assert_shadow_accounting();
-        stats.observe_memory(self.batch.memory_in_use());
+        batch.cc_bytes = batch.nodes.iter().map(|n| n.cc.memory_bytes()).sum();
+        debug_assert!(
+            batch.memory_in_use() <= batch.budget,
+            "a parallel scan the proof cleared reached the budget"
+        );
+        stats.observe_memory(batch.memory_in_use());
         stats.parallel_scans += 1;
-        stats.scan_rows += self.rows_sent;
         stats.scan_worker_rows_max = stats.scan_worker_rows_max.max(worker_rows_max);
-        stats.scan_nanos += self.started.elapsed().as_nanos() as u64;
-        stats.kernel_nanos += kernel_ns;
-        Ok(self.batch)
+        Ok(())
     }
 }
 
@@ -1001,119 +361,122 @@ impl ParallelScan {
 // its `Sender`, the disconnect wakes every worker out of `recv`, and the
 // detached join handles let the threads exit on their own.
 
-/// A counting pass behind a uniform block interface: the exact serial
-/// [`BatchCounter`] when `scan_workers == 1`, the block pipeline
-/// otherwise. The scan loop pushes blocks and never knows which one runs.
-// One RowSink exists per scheduling round, held in a single stack frame
-// for the whole scan — the Serial/Parallel size gap costs nothing, and
-// boxing the serial BatchCounter would tax the default path instead.
-#[allow(clippy::large_enum_variant)]
-pub enum RowSink {
-    /// Single-threaded counting (the seed behaviour, bit-exact).
-    Serial {
-        /// The counting state.
-        batch: BatchCounter,
-        /// Rows fed so far.
-        rows: u64,
-        /// Scan start, for `scan_nanos`.
-        started: Instant,
-    },
-    /// Producer/worker block pipeline.
-    Parallel(Box<ParallelScan>),
+/// A batch's counting pass behind one block interface: the serial
+/// [`BatchCounter`], or — once `RowSink::certify` has proved the scan
+/// cannot reach the budget and the configuration allows more than one
+/// thread — a `ParallelScan` of copies of it. The scan loop pushes
+/// blocks and never knows which one runs.
+pub struct RowSink {
+    batch: BatchCounter,
+    /// Threads the configuration allows a scan (`scan_workers`).
+    workers: usize,
+    /// Rows per channel block (`scan_block_rows`).
+    block_rows: usize,
+    parallel: Option<ParallelScan>,
+    /// Rows fed so far.
+    rows: u64,
+    /// Scan start, for `scan_nanos`.
+    started: Instant,
 }
 
 impl RowSink {
-    /// Wrap a batch in the counting mode the configuration asks for.
+    /// Wrap a batch for a scan the configuration may run on
+    /// `scan_workers` threads. It counts serially unless
+    /// `RowSink::certify` proves the scan cannot reach the budget.
     pub fn new(batch: BatchCounter, config: &MiddlewareConfig) -> Self {
-        if config.scan_workers > 1 {
-            RowSink::Parallel(Box::new(ParallelScan::new(
-                batch,
-                config.scan_workers,
-                config.scan_block_rows,
-            )))
-        } else {
-            RowSink::Serial {
-                batch,
-                rows: 0,
-                started: Instant::now(),
-            }
+        RowSink {
+            batch,
+            workers: config.scan_workers,
+            block_rows: config.scan_block_rows,
+            parallel: None,
+            rows: 0,
+            started: Instant::now(),
         }
     }
 
     /// The scheduled nodes (read access for filter/aux construction).
-    pub fn nodes(&self) -> &[crate::executor::NodeCounter] {
-        match self {
-            RowSink::Serial { batch, .. } => &batch.nodes,
-            RowSink::Parallel(scan) => &scan.batch.nodes,
-        }
+    pub fn nodes(&self) -> &[NodeCounter] {
+        &self.batch.nodes
     }
 
-    /// Start the scan with the source table's range certificate — an
-    /// upper bound, per column, on every code it will read — before the
-    /// first block.
-    pub(crate) fn certify(&mut self, certificate: &[Code]) {
-        match self {
-            RowSink::Serial { batch, .. } => batch.certify(certificate),
-            RowSink::Parallel(scan) => scan.certify(certificate),
+    /// Start the scan, before the first block: it reads at most `rows`
+    /// rows, and every code of them lies at or under `certificate`, per
+    /// column (the source table's range certificate). The scan runs in
+    /// parallel when more than one worker is configured and
+    /// `BatchCounter::cannot_reach_budget` proves it fires no budget
+    /// event; serially otherwise.
+    pub(crate) fn certify(&mut self, certificate: &[Code], rows: u64) {
+        debug_assert_eq!(self.rows, 0, "certified after the first block");
+        self.batch.certify(certificate);
+        if self.workers > 1 && self.batch.cannot_reach_budget(rows) {
+            let scan = ParallelScan::new(&self.batch, self.workers, self.block_rows);
+            self.parallel = Some(scan);
         }
     }
 
     /// Feed a block, in whichever layout its source has, through the
-    /// counting pass. Serial mode hands the whole block to the batched
-    /// kernel; parallel mode tees and re-packs it for the workers.
+    /// counting pass: the serial counter takes it whole; a parallel pass
+    /// tees and re-packs it for its workers.
     pub(crate) fn process_block(
         &mut self,
         block: &mut impl Block,
         stats: &mut MiddlewareStats,
     ) -> MwResult<()> {
-        match self {
-            RowSink::Serial { batch, rows, .. } => {
-                *rows += block.nrows() as u64;
-                batch.process(block, stats)
-            }
-            RowSink::Parallel(scan) => scan.process_block(block),
+        self.rows += block.nrows() as u64;
+        match self.parallel.as_mut() {
+            Some(scan) => scan.process_block(&mut self.batch, block),
+            None => self.batch.process(block, stats),
         }
     }
 
     /// Serve an extent-format staging file with sharded reader threads, if
-    /// this pass is parallel and the batch's tees allow it. Returns the
-    /// per-reader I/O counters on success, `None` when the caller should
-    /// fall back to feeding blocks through `RowSink::process_block`.
+    /// this pass is parallel, nothing has been fed yet and the batch writes
+    /// no hybrid split file. Returns the per-reader I/O counters on
+    /// success, `None` when the caller should feed blocks through
+    /// `RowSink::process_block` instead.
     pub fn try_scan_extents(
         &mut self,
         layout: &ExtentLayout,
     ) -> MwResult<Option<Vec<WorkerScanStats>>> {
-        match self {
-            RowSink::Parallel(scan) if scan.can_shard() => Ok(Some(scan.scan_extent_file(layout)?)),
+        match self.parallel.as_mut() {
+            Some(scan) if self.rows == 0 && self.batch.split_writer.is_none() => {
+                let io = scan.scan_extent_file(&self.batch, layout)?;
+                self.rows += layout.nrows;
+                Ok(Some(io))
+            }
             _ => Ok(None),
         }
     }
 
     /// Finish the pass and recover the batch for completion bookkeeping.
     pub fn finish(self, stats: &mut MiddlewareStats) -> MwResult<BatchCounter> {
-        match self {
-            RowSink::Serial {
-                batch,
-                rows,
-                started,
-            } => {
-                stats.scan_rows += rows;
-                stats.scan_nanos += started.elapsed().as_nanos() as u64;
-                Ok(batch)
-            }
-            RowSink::Parallel(scan) => scan.finish(stats),
+        let RowSink {
+            mut batch,
+            parallel,
+            rows,
+            started,
+            ..
+        } = self;
+        if let Some(scan) = parallel {
+            scan.finish(&mut batch, stats)?;
         }
+        stats.scan_rows += rows;
+        stats.scan_nanos += started.elapsed().as_nanos() as u64;
+        Ok(batch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::NodeCounter;
+    use crate::cc::{CountsTable, CC_ENTRY_BYTES};
     use crate::request::{CcRequest, Lineage, NodeId};
     use scaleclass_sqldb::Pred;
 
     const ARITY: usize = 3; // attrs 0,1 + class 2
+
+    /// The range certificate of every row `rows()` draws.
+    const CERT: [Code; ARITY] = [3, 3, 1];
 
     fn request(node: u64, pred: Pred) -> CcRequest {
         CcRequest {
@@ -1160,14 +523,26 @@ mod tests {
         data.iter().flatten().copied().collect()
     }
 
-    /// Feed the rows to the channel pipeline as one row-major block.
-    fn feed(scan: &mut ParallelScan, data: &[[Code; 3]]) {
+    /// A sink over `batch` allowed `workers` threads and channel blocks of
+    /// `block_rows`, certified for a scan of `nrows` rows of `rows()`.
+    fn certified(batch: BatchCounter, workers: usize, block_rows: usize, nrows: usize) -> RowSink {
+        let config = MiddlewareConfig::builder()
+            .scan_workers(workers)
+            .scan_block_rows(block_rows)
+            .build();
+        let mut sink = RowSink::new(batch, &config);
+        sink.certify(&CERT, nrows as u64);
+        sink
+    }
+
+    /// Feed the rows to the sink as one row-major block.
+    fn feed(sink: &mut RowSink, data: &[[Code; 3]], stats: &mut MiddlewareStats) {
         let flat = flat(data);
         let mut block = RowBlock {
             flat: &flat,
             arity: ARITY,
         };
-        scan.process_block(&mut block).unwrap();
+        sink.process_block(&mut block, stats).unwrap();
     }
 
     fn nodes() -> Vec<NodeCounter> {
@@ -1189,9 +564,11 @@ mod tests {
             }
             batch
         } else {
-            let mut scan = ParallelScan::new(batch, workers, block_rows);
-            feed(&mut scan, data);
-            scan.finish(&mut stats).unwrap()
+            let mut sink = certified(batch, workers, block_rows, data.len());
+            feed(&mut sink, data, &mut stats);
+            let batch = sink.finish(&mut stats).unwrap();
+            assert_eq!(stats.parallel_scans, 1);
+            batch
         }
     }
 
@@ -1227,25 +604,24 @@ mod tests {
         let serial_sparse = run(1, 0, &data);
         for &(workers, block) in &[(2usize, 64usize), (4, 17)] {
             let batch = BatchCounter::new(dense_nodes(), u64::MAX, 0, ARITY);
-            let mut scan = ParallelScan::new(batch, workers, block);
-            feed(&mut scan, &data);
             let mut st = MiddlewareStats::new();
-            let par = scan.finish(&mut st).unwrap();
+            let mut sink = certified(batch, workers, block, data.len());
+            feed(&mut sink, &data, &mut st);
+            let par = sink.finish(&mut st).unwrap();
             assert!(st.kernel_nanos > 0, "workers recorded kernel time");
             for (s, p) in serial_sparse.nodes.iter().zip(&par.nodes) {
                 assert!(p.cc.is_dense(), "merge stayed on the dense fast path");
                 assert_eq!(s.cc, p.cc, "{workers} workers, block {block}");
             }
         }
-        // Sharded extent readers mint dense shards through the same
-        // prototype and merge to the identical table.
+        // Sharded extent readers mint dense tables through the same
+        // workers and merge to the identical table.
         let (_staging, layout) = staged_layout(&data, 37);
         let batch = BatchCounter::new(dense_nodes(), u64::MAX, 0, ARITY);
-        let mut scan = ParallelScan::new(batch, 4, 64);
-        assert!(scan.can_shard());
-        scan.scan_extent_file(&layout).unwrap();
+        let mut sink = certified(batch, 4, 64, data.len());
+        assert!(sink.try_scan_extents(&layout).unwrap().is_some());
         let mut st = MiddlewareStats::new();
-        let par = scan.finish(&mut st).unwrap();
+        let par = sink.finish(&mut st).unwrap();
         for (s, p) in serial_sparse.nodes.iter().zip(&par.nodes) {
             assert!(p.cc.is_dense());
             assert_eq!(s.cc, p.cc, "sharded dense readers");
@@ -1265,9 +641,9 @@ mod tests {
         let data = rows(100, 5);
         let batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
         let mut stats = MiddlewareStats::new();
-        let mut scan = ParallelScan::new(batch, 2, 30);
-        feed(&mut scan, &data);
-        scan.finish(&mut stats).unwrap();
+        let mut sink = certified(batch, 2, 30, data.len());
+        feed(&mut sink, &data, &mut stats);
+        sink.finish(&mut stats).unwrap();
         assert_eq!(stats.parallel_scans, 1);
         assert_eq!(stats.scan_rows, 100);
         assert!(
@@ -1277,42 +653,100 @@ mod tests {
         assert!(stats.scan_worker_rows_max <= 100);
     }
 
-    #[test]
-    fn tiny_budget_triggers_fallback_not_wrong_counts() {
-        // Budget fits a handful of entries; the wide root must fall back,
-        // and fallback nodes end with an empty (to-be-SQL-filled) table.
-        let data = rows(500, 11);
-        let batch = BatchCounter::new(vec![NodeCounter::new(root_request())], 96, 0, ARITY);
+    /// Feed `data` to a `BatchCounter` on its own and to a sink allowed
+    /// `workers` threads, each over a fresh `batch()`; returns both
+    /// counters and both stats, the sink's second.
+    fn alone_and_sunk(
+        batch: impl Fn() -> BatchCounter,
+        workers: usize,
+        data: &[[Code; 3]],
+    ) -> [(BatchCounter, MiddlewareStats); 2] {
+        let mut alone = batch();
+        let mut alone_stats = MiddlewareStats::new();
+        alone.certify(&CERT);
+        let flat = flat(data);
+        let mut block = RowBlock {
+            flat: &flat,
+            arity: ARITY,
+        };
+        alone.process(&mut block, &mut alone_stats).unwrap();
         let mut stats = MiddlewareStats::new();
-        let mut scan = ParallelScan::new(batch, 3, 16);
-        feed(&mut scan, &data);
-        let batch = scan.finish(&mut stats).unwrap();
-        assert!(batch.nodes[0].fallback);
-        assert_eq!(stats.sql_fallbacks, 1);
-        assert!(batch.nodes[0].cc.is_empty(), "partial shards dropped");
+        let mut sunk = certified(batch(), workers, 16, data.len());
+        feed(&mut sunk, data, &mut stats);
+        let sunk = sunk.finish(&mut stats).unwrap();
+        [(alone, alone_stats), (sunk, stats)]
     }
 
+    /// A budget the proof declines counts serially, through the one
+    /// protocol: the wide root falls back where `BatchCounter` alone falls
+    /// back, and no scan runs in parallel. A budget the proof clears —
+    /// here exactly the root's most entries — runs in parallel.
+    #[test]
+    fn tiny_budget_triggers_fallback_not_wrong_counts() {
+        let data = rows(500, 11);
+        let root = |budget| {
+            move || BatchCounter::new(vec![NodeCounter::new(root_request())], budget, 0, ARITY)
+        };
+        let [(alone, alone_stats), (sunk, stats)] = alone_and_sunk(root(96), 3, &data);
+        assert!(sunk.nodes[0].fallback);
+        assert_eq!(sunk.nodes[0].fallback, alone.nodes[0].fallback);
+        assert_eq!(stats.sql_fallbacks, 1);
+        assert_eq!(stats.sql_fallbacks, alone_stats.sql_fallbacks);
+        assert!(sunk.nodes[0].cc.is_empty(), "partial table dropped");
+        assert_eq!(stats.parallel_scans, 0, "the proof declined the batch");
+
+        // 2 attributes x 4 values x 2 classes: 16 entries at most.
+        let [(alone, _), (sunk, stats)] = alone_and_sunk(root(16 * CC_ENTRY_BYTES), 3, &data);
+        assert_eq!(stats.parallel_scans, 1, "the proof cleared the batch");
+        assert!(!sunk.nodes[0].fallback);
+        assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
+        assert_eq!(stats.peak_memory_bytes, 16 * CC_ENTRY_BYTES);
+    }
+
+    /// Under pressure a declined batch evicts exactly what `BatchCounter`
+    /// alone evicts, in its order, before any fallback.
     #[test]
     fn pressure_evicts_cached_sets_before_falling_back() {
         let data = rows(200, 23);
         // Base memory nearly fills the budget, but the evictable pool can
         // release enough to count without any fallback.
         let budget = 64 * CC_ENTRY_BYTES;
-        let mut batch = BatchCounter::new(
-            vec![NodeCounter::new(root_request())],
-            budget,
-            budget - 48,
-            ARITY,
-        );
-        batch.evictable = vec![(7, budget / 2), (9, budget / 4)];
-        let mut stats = MiddlewareStats::new();
-        let mut scan = ParallelScan::new(batch, 2, 32);
-        feed(&mut scan, &data);
-        let batch = scan.finish(&mut stats).unwrap();
-        assert!(!batch.nodes[0].fallback, "evictions freed enough room");
-        assert!(stats.pressure_evictions >= 1);
-        assert!(batch.evicted.contains(&9), "popped from the end first");
-        assert_eq!(batch.nodes[0].cc.total(), 200);
+        let batch = || {
+            let root = vec![NodeCounter::new(root_request())];
+            let mut batch = BatchCounter::new(root, budget, budget - 48, ARITY);
+            batch.evictable = vec![(7, budget / 2), (9, budget / 4)];
+            batch
+        };
+        let [(alone, alone_stats), (sunk, stats)] = alone_and_sunk(batch, 2, &data);
+        assert_eq!(stats.parallel_scans, 0, "the proof declined the batch");
+        assert!(!sunk.nodes[0].fallback, "evictions freed enough room");
+        assert_eq!(sunk.evicted, [9], "popped from the end first");
+        assert_eq!(sunk.evicted, alone.evicted);
+        assert_eq!(stats.pressure_evictions, alone_stats.pressure_evictions);
+        assert_eq!(stats.sql_fallbacks, alone_stats.sql_fallbacks);
+        assert_eq!(sunk.nodes[0].cc.total(), 200);
+        assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
+    }
+
+    /// A memory tee counts against the proof: a budget that holds the
+    /// root's table but not the rows it stages counts serially, where the
+    /// tee is cancelled exactly where `BatchCounter` alone cancels it.
+    #[test]
+    fn a_memory_tee_the_budget_cannot_hold_counts_serially() {
+        let data = rows(500, 29);
+        let budget = 16 * CC_ENTRY_BYTES + 100 * (ARITY * CODE_BYTES) as u64;
+        let root = || {
+            let mut node = NodeCounter::new(root_request());
+            node.mem_buffer = Some(Vec::new());
+            BatchCounter::new(vec![node], budget, 0, ARITY)
+        };
+        let [(alone, alone_stats), (sunk, stats)] = alone_and_sunk(root, 2, &data);
+        assert_eq!(stats.parallel_scans, 0, "the proof counted the tee");
+        assert!(alone.nodes[0].mem_buffer.is_none(), "the tee was cancelled");
+        assert_eq!(sunk.nodes[0].mem_buffer, alone.nodes[0].mem_buffer);
+        assert_eq!(sunk.buffer_bytes, alone.buffer_bytes);
+        assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
+        assert_eq!(stats.peak_memory_bytes, alone_stats.peak_memory_bytes);
     }
 
     /// Stage `data` into an extent-format file with `extent_rows` per
@@ -1321,7 +755,6 @@ mod tests {
         data: &[[Code; 3]],
         extent_rows: usize,
     ) -> (crate::staging::StagingManager, crate::staging::ExtentLayout) {
-        use crate::request::NodeId;
         let mut staging = crate::staging::StagingManager::new(None).unwrap();
         staging.set_extent_rows(extent_rows);
         let mut stats = MiddlewareStats::new();
@@ -1344,9 +777,8 @@ mod tests {
         let (_staging, layout) = staged_layout(&data, 37);
         for workers in [2usize, 3, 5, 8] {
             let batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
-            let mut scan = ParallelScan::new(batch, workers, 64);
-            assert!(scan.can_shard());
-            let io = scan.scan_extent_file(&layout).unwrap();
+            let mut sink = certified(batch, workers, 64, data.len());
+            let io = sink.try_scan_extents(&layout).unwrap().unwrap();
             assert!(io.len() > 1, "{workers} workers actually sharded");
             let disk = std::fs::metadata(&layout.path).unwrap().len();
             assert_eq!(
@@ -1356,7 +788,7 @@ mod tests {
             );
             assert_eq!(io.iter().map(|w| w.rows).sum::<u64>(), 1000);
             let mut st = MiddlewareStats::new();
-            let par = scan.finish(&mut st).unwrap();
+            let par = sink.finish(&mut st).unwrap();
             assert_eq!(st.scan_rows, 1000);
             for (s, p) in serial.nodes.iter().zip(&par.nodes) {
                 assert_eq!(s.cc, p.cc, "{workers} sharded readers");
@@ -1371,11 +803,11 @@ mod tests {
         let mut ns = nodes();
         ns[1].mem_buffer = Some(Vec::new()); // tee node 1 (a == 0)
         let batch = BatchCounter::new(ns, u64::MAX, 0, ARITY);
-        let mut scan = ParallelScan::new(batch, 4, 64);
-        assert!(scan.can_shard(), "memory tees shard fine");
-        scan.scan_extent_file(&layout).unwrap();
+        let mut sink = certified(batch, 4, 64, data.len());
+        let sharded = sink.try_scan_extents(&layout).unwrap();
+        assert!(sharded.is_some(), "memory tees shard fine");
         let mut st = MiddlewareStats::new();
-        let batch = scan.finish(&mut st).unwrap();
+        let batch = sink.finish(&mut st).unwrap();
         let expected: Vec<Code> = data
             .iter()
             .filter(|r| r[0] == 0)
@@ -1387,11 +819,13 @@ mod tests {
             "range-order concatenation is file order"
         );
         assert_eq!(batch.buffer_bytes, (expected.len() * CODE_BYTES) as u64);
+        batch.assert_shadow_accounting();
     }
 
     #[test]
     fn split_file_keeps_the_channel_pipeline_but_file_tees_shard() {
-        use crate::request::NodeId;
+        let data = rows(100, 47);
+        let (_src, layout) = staged_layout(&data, 19);
         let mut staging = crate::staging::StagingManager::new(None).unwrap();
         let mut ns = nodes();
         ns[1].file_writer = Some(
@@ -1400,28 +834,28 @@ mod tests {
                 .unwrap(),
         );
         let batch = BatchCounter::new(ns, u64::MAX, 0, ARITY);
-        let scan = ParallelScan::new(batch, 4, 64);
-        assert!(scan.can_shard(), "file tees shard via per-reader spools");
+        let mut sink = certified(batch, 4, 64, data.len());
+        let sharded = sink.try_scan_extents(&layout).unwrap();
+        assert!(sharded.is_some(), "file tees shard via per-reader spools");
 
-        let mut batch = scan.batch;
+        let mut batch = sink.finish(&mut MiddlewareStats::new()).unwrap();
         batch.split_writer = Some(
             staging
                 .start_file(vec![NodeId(9)], Pred::True, ARITY)
                 .unwrap(),
         );
-        let scan = ParallelScan::new(batch, 4, 64);
+        let mut sink = certified(batch, 4, 64, data.len());
         assert!(
-            !scan.can_shard(),
+            sink.try_scan_extents(&layout).unwrap().is_none(),
             "the hybrid split file still needs the single producer stream"
         );
     }
 
-    /// Bit-identity of a sharded *file* tee: replaying per-reader spools in
-    /// range order through the real writer must produce the exact staged
-    /// file the serial tee writes — and the same counts.
+    /// Bit-identity of a sharded *file* tee: appending per-reader spools in
+    /// range order to the real writer must produce the exact staged file
+    /// the serial tee writes — and the same counts.
     #[test]
     fn sharded_file_tee_reproduces_serial_file_bytes() {
-        use crate::request::NodeId;
         let data = rows(600, 43);
         // 19 rows per source extent, 23 per tee extent: neither divides the
         // other or the row count, so every boundary case is exercised.
@@ -1466,11 +900,10 @@ mod tests {
                     .unwrap(),
             );
             let batch = BatchCounter::new(ns, u64::MAX, 0, ARITY);
-            let mut scan = ParallelScan::new(batch, workers, 64);
-            assert!(scan.can_shard());
-            scan.scan_extent_file(&layout).unwrap();
+            let mut sink = certified(batch, workers, 64, data.len());
+            assert!(sink.try_scan_extents(&layout).unwrap().is_some());
             let mut st = MiddlewareStats::new();
-            let batch = scan.finish(&mut st).unwrap();
+            let batch = sink.finish(&mut st).unwrap();
             let (sharded_bytes, sharded_cc) = staged_file_bytes(batch, &mut staging);
             assert_eq!(
                 serial_bytes, sharded_bytes,
@@ -1492,10 +925,10 @@ mod tests {
             // Channel pipeline.
             let mut batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
             batch.batch_kernel = kernel_on;
-            let mut scan = ParallelScan::new(batch, 3, 64);
-            feed(&mut scan, &data);
             let mut st = MiddlewareStats::new();
-            let par = scan.finish(&mut st).unwrap();
+            let mut sink = certified(batch, 3, 64, data.len());
+            feed(&mut sink, &data, &mut st);
+            let par = sink.finish(&mut st).unwrap();
             for (s, p) in serial.nodes.iter().zip(&par.nodes) {
                 assert_eq!(s.cc, p.cc, "channel, kernel_on={kernel_on}");
             }
@@ -1509,11 +942,10 @@ mod tests {
             // Sharded extent readers.
             let mut batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
             batch.batch_kernel = kernel_on;
-            let mut scan = ParallelScan::new(batch, 4, 64);
-            assert!(scan.can_shard());
-            scan.scan_extent_file(&layout).unwrap();
+            let mut sink = certified(batch, 4, 64, data.len());
+            assert!(sink.try_scan_extents(&layout).unwrap().is_some());
             let mut st = MiddlewareStats::new();
-            let par = scan.finish(&mut st).unwrap();
+            let par = sink.finish(&mut st).unwrap();
             for (s, p) in serial.nodes.iter().zip(&par.nodes) {
                 assert_eq!(s.cc, p.cc, "sharded, kernel_on={kernel_on}");
             }
@@ -1525,45 +957,36 @@ mod tests {
         }
     }
 
-    /// A budget that fits the real table but never the per-block growth
-    /// bound makes every reservation gate fail: blocks take the exact row
-    /// path (recorded in `block_fallback_rows`) and counts are untouched.
+    /// The proof bounds the whole scan by what its tables can hold, the
+    /// serial block gate each block by what its rows could add: a budget
+    /// that fits the root's table but never a block's growth bound sends
+    /// every serial block down the row path, and runs in parallel through
+    /// the kernel — with the same counts and peak.
     #[test]
-    fn reservation_gate_falls_back_to_rows_without_changing_counts() {
+    fn a_budget_the_block_gate_refuses_still_runs_in_parallel() {
         let data = rows(400, 59);
-        let mut serial =
-            BatchCounter::new(vec![NodeCounter::new(root_request())], u64::MAX, 0, ARITY);
-        let mut stats = MiddlewareStats::new();
-        for r in &data {
-            serial.process_row(r, &mut stats).unwrap();
-        }
-        // Root table tops out at 16 entries (768 B) but a 64-row block
-        // reserves 64 * 2 * CC_ENTRY_BYTES = 6144 B — the gate always
-        // loses, the row path never does.
-        let budget = 2048;
-        let batch = BatchCounter::new(vec![NodeCounter::new(root_request())], budget, 0, ARITY);
-        let mut scan = ParallelScan::new(batch, 2, 64);
-        feed(&mut scan, &data);
-        let mut st = MiddlewareStats::new();
-        let par = scan.finish(&mut st).unwrap();
-        assert!(!par.nodes[0].fallback, "row path fits the budget fine");
-        assert_eq!(serial.nodes[0].cc, par.nodes[0].cc);
-        assert_eq!(st.blocks_counted, 0, "no block cleared the gate");
-        assert_eq!(st.block_fallback_rows, 400, "every row was gated back");
+        // The root table tops out at 16 entries (768 B), but a 16-row block
+        // is bounded at 16 * 2 * CC_ENTRY_BYTES = 1536 B.
+        let root = || BatchCounter::new(vec![NodeCounter::new(root_request())], 1024, 0, ARITY);
+        let [(alone, alone_stats), (sunk, stats)] = alone_and_sunk(root, 2, &data);
+        assert_eq!(alone_stats.blocks_counted, 0, "the gate refused the block");
+        assert_eq!(alone_stats.block_fallback_rows, 400);
+        assert_eq!(stats.parallel_scans, 1, "the proof cleared the batch");
+        assert!(stats.blocks_counted > 0);
+        assert_eq!(stats.block_fallback_rows, 0);
+        assert!(!sunk.nodes[0].fallback);
+        assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
+        assert_eq!(stats.peak_memory_bytes, alone_stats.peak_memory_bytes);
     }
 
     #[test]
     fn row_sink_modes_agree() {
         let data = rows(400, 31);
-        let cfg_serial = MiddlewareConfig::builder().scan_workers(1).build();
-        let cfg_par = MiddlewareConfig::builder()
-            .scan_workers(4)
-            .scan_block_rows(64)
-            .build();
         let mut out = Vec::new();
-        for cfg in [&cfg_serial, &cfg_par] {
+        for workers in [1usize, 4] {
             let mut stats = MiddlewareStats::new();
-            let mut sink = RowSink::new(BatchCounter::new(nodes(), u64::MAX, 0, ARITY), cfg);
+            let batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
+            let mut sink = certified(batch, workers, 64, data.len());
             assert_eq!(sink.nodes().len(), 4);
             // Source blocks of 150 rows: neither sink's own granularity.
             for flat in flat(&data).chunks(150 * ARITY) {
@@ -1572,6 +995,7 @@ mod tests {
             }
             let batch = sink.finish(&mut stats).unwrap();
             assert_eq!(stats.scan_rows, 400);
+            assert_eq!(stats.parallel_scans, u64::from(workers > 1));
             out.push(batch);
         }
         for (s, p) in out[0].nodes.iter().zip(&out[1].nodes) {

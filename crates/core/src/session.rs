@@ -755,7 +755,8 @@ impl Session {
         let frontier_rows = plan.relevant_rows() + self.pending.iter().map(|r| r.rows).sum::<u64>();
         let batch = self.build_counters(plan, lease_bytes)?;
         // Serial or parallel counting behind one block interface — the
-        // scan loop never knows which one runs.
+        // scan loop never knows which one runs; the sink decides when the
+        // scan certifies it.
         let mut sink = RowSink::new(batch, &self.backend.config);
         self.scan(source, sampled_tag, frontier_rows, &mut sink)?;
         let batch = sink.finish(&mut self.stats)?;
@@ -922,18 +923,13 @@ impl Session {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
         let sampler = tag.map(|t| BlockSampler::new(t.fraction));
-        if location != DataLocation::Server {
-            // Staged rows are copies of table rows, and the table's
-            // certificate never falls: read now, it bounds them all.
-            let db = self.backend.db_read();
-            sink.certify(db.table(&self.backend.table)?.col_max());
-        }
         let (admitted, skipped) = match location {
             DataLocation::Memory(id) => {
                 self.stats.memory_scans += 1;
                 let set = self.staging.mem_set(id).ok_or_else(|| {
                     MwError::Internal(format!("scheduled memory set {id} missing"))
                 })?;
+                self.certify_staged(sink, (set.rows.len() / arity) as u64)?;
                 let mut src = BlockSource::flat(&set.rows, arity, block_rows);
                 drive(&mut src, sampler.as_ref(), sink, &mut self.stats)?;
                 self.stats.memory_rows_read += src.rows_read;
@@ -944,6 +940,7 @@ impl Session {
                 let layout = self.staging.extent_layout(id)?.ok_or_else(|| {
                     MwError::Internal(format!("scheduled staged file {id} missing"))
                 })?;
+                self.certify_staged(sink, layout.nrows)?;
                 // An exact parallel scan read-shards the file: each worker
                 // owns a disjoint extent range and decodes into its own
                 // counting shard, no producer thread in between. Serial
@@ -981,6 +978,15 @@ impl Session {
         Ok(())
     }
 
+    /// Start `sink`'s scan of a staged copy of at most `rows` table rows.
+    /// Staged rows are copies of table rows, and the table's range
+    /// certificate never falls: read now, it bounds them all.
+    fn certify_staged(&self, sink: &mut RowSink, rows: u64) -> MwResult<()> {
+        let db = self.backend.db_read();
+        sink.certify(db.table(&self.backend.table)?.col_max(), rows);
+        Ok(())
+    }
+
     /// The server leg of [`Session::scan`]: a plain filtered cursor (the
     /// paper's recommended path), a §4.3.3 auxiliary structure when one
     /// applies, or — sampled — a block cursor over the admitted ranges.
@@ -1007,9 +1013,11 @@ impl Session {
         };
         let table = &self.backend.table;
         let db = self.backend.db_read();
-        // Read under the guard the scan holds, the certificate bounds every
-        // row it ships — through an aux structure's copies too.
-        sink.certify(db.table(table)?.col_max());
+        // Read under the guard the scan holds, the certificate and the row
+        // count bound every row it ships — through an aux structure's
+        // copies too.
+        let source = db.table(table)?;
+        sink.certify(source.col_max(), source.nrows());
         if let Some(idx) = aux {
             self.stats.aux_scans += 1;
             let handle = self

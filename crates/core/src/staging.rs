@@ -17,7 +17,7 @@
 use crate::catalog::{FilePublish, StagingCatalog};
 use crate::config::DEFAULT_EXTENT_ROWS;
 use crate::error::{MwError, MwResult};
-use crate::executor::Block;
+use crate::executor::{Block, ColBlock};
 use crate::metrics::{MiddlewareStats, WorkerScanStats};
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
@@ -92,8 +92,6 @@ pub const EXTENT_VERSION: u32 = 2;
 pub const FILE_HEADER_BYTES: u64 = 16;
 /// Bytes of per-extent framing (8 header + 8 footer).
 pub const EXTENT_OVERHEAD_BYTES: u64 = 16;
-/// Bytes a [`TeeSpool`] replay reads at a time (rounded down to whole rows).
-const SPOOL_READ_BYTES: usize = 64 * 1024;
 
 /// CRC-32 (IEEE 802.3, poly 0xEDB88320) lookup tables for slicing-by-16,
 /// built at compile time — the repo deliberately takes no external crates.
@@ -517,29 +515,15 @@ impl StagingManager {
         let path = self
             .dir
             .join(format!("{}stage_{id}_{uniq}.rows", self.prefix));
-        let file = File::create(&path)?;
-        let mut out = BufWriter::new(file);
-        out.write_all(&EXTENT_MAGIC)?;
-        out.write_all(&EXTENT_VERSION.to_le_bytes())?;
-        out.write_all(&(arity as u32).to_le_bytes())?;
-        out.write_all(&(self.extent_rows as u32).to_le_bytes())?;
-        Ok(FileWriter {
+        FileWriter::create(
+            path,
+            self.prefix.clone(),
             id,
             members,
             pred,
-            path,
-            prefix: self.prefix.clone(),
             arity,
-            extent_rows: self.extent_rows,
-            nrows: 0,
-            bytes: 0,
-            physical_bytes: FILE_HEADER_BYTES,
-            extent_index: 0,
-            cols: vec![Vec::new(); arity],
-            col_buf: Vec::new(),
-            out,
-            committed: false,
-        })
+            self.extent_rows,
+        )
     }
 
     /// Register a finished staged file. Each member is re-pointed at the
@@ -995,6 +979,89 @@ impl Drop for FileWriter {
 }
 
 impl FileWriter {
+    /// Create `path` and write its file header: a writer of `arity`-code
+    /// rows in extents of `extent_rows`.
+    fn create(
+        path: PathBuf,
+        prefix: String,
+        id: u64,
+        members: Vec<NodeId>,
+        pred: Pred,
+        arity: usize,
+        extent_rows: usize,
+    ) -> MwResult<Self> {
+        let file = File::create(&path)?;
+        let mut out = BufWriter::new(file);
+        out.write_all(&EXTENT_MAGIC)?;
+        out.write_all(&EXTENT_VERSION.to_le_bytes())?;
+        out.write_all(&(arity as u32).to_le_bytes())?;
+        out.write_all(&(extent_rows as u32).to_le_bytes())?;
+        Ok(FileWriter {
+            id,
+            members,
+            pred,
+            path,
+            prefix,
+            arity,
+            extent_rows,
+            nrows: 0,
+            bytes: 0,
+            physical_bytes: FILE_HEADER_BYTES,
+            extent_index: 0,
+            cols: vec![Vec::new(); arity],
+            col_buf: Vec::new(),
+            out,
+            committed: false,
+        })
+    }
+
+    /// A private spool for rows bound for this file: a sibling file in the
+    /// same format, named with the manager's prefix (so a drop-time sweep
+    /// of a shared staging directory reclaims a leaked one) and never
+    /// committed, so removed when dropped. Each sharded extent reader tees
+    /// its range into one, and [`FileWriter::append`] replays them in
+    /// range order — file order — so the staged file is byte-identical to
+    /// the serial tee's without buffering its rows in middleware memory.
+    pub(crate) fn spool(&self) -> MwResult<FileWriter> {
+        let uniq = STAGE_FILE_COUNTER.fetch_add(1, Ordering::Relaxed);
+        let dir = self.path.parent().unwrap_or(Path::new("."));
+        let path = dir.join(format!("{}spool_{uniq}.rows", self.prefix));
+        FileWriter::create(
+            path,
+            self.prefix.clone(),
+            self.id,
+            Vec::new(),
+            Pred::True,
+            self.arity,
+            self.extent_rows,
+        )
+    }
+
+    /// Append every row of `spool` ([`FileWriter::spool`]), in order, and
+    /// remove it.
+    pub(crate) fn append(&mut self, mut spool: FileWriter) -> MwResult<()> {
+        if spool.nrows == 0 {
+            return Ok(());
+        }
+        spool.finish()?;
+        let layout = ExtentLayout::detect(&spool.path, spool.arity, spool.nrows)?;
+        let mut reader = ExtentReader::open(&layout)?;
+        let mut io = WorkerScanStats::default();
+        let (mut cols, mut row, mut all) = (Vec::new(), Vec::new(), Vec::new());
+        for k in 0..layout.extents {
+            let nrows = reader.decode_extent_columns(k, &mut cols, &mut io)?;
+            all.clear();
+            all.extend(0..nrows as u32);
+            let block = ColBlock {
+                cols: &cols,
+                nrows,
+                row: &mut row,
+            };
+            self.push_selected(&block, &all)?;
+        }
+        Ok(())
+    }
+
     /// Rows of the extent being accumulated.
     fn buffered(&self) -> usize {
         self.cols.first().map_or(0, Vec::len)
@@ -1088,18 +1155,6 @@ impl FileWriter {
         self.nrows
     }
 
-    /// Directory the staged file lives in — sharded-tee spools are created
-    /// alongside it so they share the same filesystem.
-    pub(crate) fn dir(&self) -> &Path {
-        self.path.parent().unwrap_or(Path::new("."))
-    }
-
-    /// Manager filename prefix for spools created alongside this file, so
-    /// the drop-time sweep of a shared staging directory reclaims them.
-    pub(crate) fn spool_prefix(&self) -> &str {
-        &self.prefix
-    }
-
     /// Nodes whose data this file will fully contain.
     pub fn members(&self) -> &[NodeId] {
         &self.members
@@ -1108,89 +1163,6 @@ impl FileWriter {
     /// Predicate selecting the rows this file should hold.
     pub fn pred(&self) -> &Pred {
         &self.pred
-    }
-}
-
-/// Per-reader spill for sharded *file* tees: each sharded extent reader
-/// streams the matching rows of its own range into a private spool file
-/// (raw row-major codes, nothing fancy), and the coordinator replays the
-/// spools **in range order** through the node's real [`FileWriter`]. The
-/// staged file is a pure function of the pushed row sequence, and range
-/// order is file order, so the result is byte-identical to the serial tee
-/// — without ever buffering staged rows in middleware memory (file tees
-/// exist precisely because the data is too big for that).
-#[derive(Debug)]
-pub struct TeeSpool {
-    path: PathBuf,
-    arity: usize,
-    nrows: u64,
-    /// Reusable serialization buffer of one row.
-    row_bytes: Vec<u8>,
-    out: BufWriter<File>,
-}
-
-impl TeeSpool {
-    /// Create a spool file in `dir` (manager-prefixed, process-unique
-    /// name, so concurrent sessions sharing a staging directory cannot
-    /// collide and the owning manager's drop sweep can find strays).
-    pub fn create(dir: &Path, prefix: &str, arity: usize) -> MwResult<Self> {
-        let uniq = STAGE_FILE_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("{prefix}spool_{uniq}.rows"));
-        let file = File::create(&path)?;
-        Ok(TeeSpool {
-            path,
-            arity,
-            nrows: 0,
-            row_bytes: vec![0; arity * CODE_BYTES],
-            out: BufWriter::new(file),
-        })
-    }
-
-    /// Append one matching row.
-    pub fn push(&mut self, row: &[Code]) -> MwResult<()> {
-        debug_assert_eq!(row.len(), self.arity);
-        write_le(&mut self.row_bytes, row);
-        self.out.write_all(&self.row_bytes)?;
-        self.nrows += 1;
-        Ok(())
-    }
-
-    /// Rows spooled so far.
-    pub fn nrows(&self) -> u64 {
-        self.nrows
-    }
-
-    /// Replay every spooled row, in spool order, through `writer`. The
-    /// spool file is removed when `self` drops.
-    pub fn drain_into(mut self, writer: &mut FileWriter) -> MwResult<()> {
-        self.out.flush()?;
-        // Streamed through a fixed buffer, a run of whole rows per read:
-        // spools exist because the rows are too many to hold in
-        // middleware memory.
-        let row_bytes = (self.arity * CODE_BYTES).max(1);
-        let chunk_rows = (SPOOL_READ_BYTES / row_bytes).max(1) as u64;
-        let mut file = File::open(&self.path)?;
-        let mut bytes = Vec::new();
-        let mut codes = Vec::new();
-        let mut left = self.nrows;
-        while left > 0 {
-            let n = left.min(chunk_rows);
-            bytes.resize(n as usize * row_bytes, 0);
-            file.read_exact(&mut bytes)?;
-            codes.clear();
-            extend_from_le(&mut codes, &bytes);
-            for row in codes.chunks_exact(self.arity) {
-                writer.push(row)?;
-            }
-            left -= n;
-        }
-        Ok(())
-    }
-}
-
-impl Drop for TeeSpool {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
     }
 }
 
@@ -1834,7 +1806,7 @@ mod tests {
         let mut leaked = m1.start_file(vec![NodeId(1)], Pred::True, 1).unwrap();
         leaked.push(&[2]).unwrap();
         let leaked_path = leaked.path.clone();
-        let spool = TeeSpool::create(&dir, m1.prefix.as_str(), 1).unwrap();
+        let spool = leaked.spool().unwrap();
         let spool_path = spool.path.clone();
         std::mem::forget(leaked);
         std::mem::forget(spool);
@@ -2372,36 +2344,33 @@ mod tests {
     }
 
     #[test]
-    fn spool_holds_row_major_bytes_and_replays_in_order() {
+    fn spool_appends_its_rows_in_order_byte_identical() {
         let mut m = mgr();
         m.set_extent_rows(100);
         let mut stats = MiddlewareStats::new();
-        // More rows than one replay read holds, so chunks are stitched.
-        let n = 3 * SPOOL_READ_BYTES / (3 * CODE_BYTES) + 17;
-        let rows: Vec<[Code; 3]> = (0..n)
-            .map(|i| [i as Code, (i >> 4) as Code, (i % 7) as Code])
-            .collect();
+        let rows: Vec<[Code; 3]> = (0..357u16).map(|i| [i, i >> 4, i % 7]).collect();
+        // The spool's extents do not line up with those of the writer it
+        // is appended to.
+        let (head, tail) = rows.split_at(41);
         let mut direct = m.start_file(vec![NodeId(0)], Pred::True, 3).unwrap();
-        let mut spool = TeeSpool::create(direct.dir(), direct.spool_prefix(), 3).unwrap();
+        let mut replayed = m.start_file(vec![NodeId(1)], Pred::True, 3).unwrap();
+        let mut spool = replayed.spool().unwrap();
+        let spool_path = spool.path.clone();
         for row in &rows {
             direct.push(row).unwrap();
+        }
+        for row in head {
+            replayed.push(row).unwrap();
+        }
+        for row in tail {
             spool.push(row).unwrap();
         }
-        assert_eq!(spool.nrows(), n as u64);
-        spool.out.flush().unwrap();
-        let expect: Vec<u8> = rows
-            .iter()
-            .flatten()
-            .flat_map(|c| c.to_le_bytes())
-            .collect();
-        assert_eq!(
-            fs::read(&spool.path).unwrap(),
-            expect,
-            "raw row-major codes"
-        );
-
-        let mut replayed = m.start_file(vec![NodeId(1)], Pred::True, 3).unwrap();
-        spool.drain_into(&mut replayed).unwrap();
+        assert!(spool_path.exists());
+        replayed.append(spool).unwrap();
+        assert!(!spool_path.exists(), "the spool is removed");
+        let empty = replayed.spool().unwrap();
+        replayed.append(empty).unwrap();
+        assert_eq!(replayed.nrows(), rows.len() as u64);
         let direct = m.commit_file(direct, &mut stats).unwrap();
         let replayed = m.commit_file(replayed, &mut stats).unwrap();
         assert_eq!(

@@ -451,6 +451,57 @@ proptest! {
         }
     }
 
+    /// REGRESSION PROPERTY: the same at any budget. A parallel scan runs
+    /// only over a batch whose whole scan provably cannot reach the budget
+    /// and counts serially otherwise, so the §4.1.1 switch — and every
+    /// eviction and tee cancellation — fires exactly where the serial scan
+    /// fires it, never according to thread timing. And the proof is not
+    /// vacuous: whenever the budget clears the root batch's — its one
+    /// node's most entries under the table's certificate, plus, where the
+    /// root may tee to memory, every row — some scan ran in parallel.
+    #[test]
+    fn parallel_scan_is_bit_identical_to_serial_under_any_budget(
+        rows in rows_strategy(),
+        workers in 2usize..8,
+        budget in 64u64..5_000,
+    ) {
+        let card = |col: usize| rows.iter().map(|r| u64::from(r[col]) + 1).max().unwrap_or(0);
+        let entries = ((card(0) + card(1) + card(2)) * card(3)).min(3 * rows.len() as u64);
+        let row_bytes = (4 * CODE_BYTES) as u64;
+        for (mem_tee, build) in [
+            (true, MiddlewareConfig::builder as fn() -> scaleclass::config::MiddlewareConfigBuilder),
+            (false, file_variant),
+        ] {
+            let cfg = |w: usize| {
+                build()
+                    .memory_budget_bytes(budget)
+                    .scan_workers(w)
+                    .scan_block_rows(7)
+                    .build()
+            };
+            let (serial_cc, serial_stats) = drive(&rows, cfg(1));
+            let (par_cc, par_stats) = drive(&rows, cfg(workers));
+            prop_assert_eq!(
+                &par_cc, &serial_cc,
+                "counts or fallback flags diverged at {} workers, budget {}", workers, budget
+            );
+            prop_assert_eq!(
+                logical(&par_stats),
+                logical(&serial_stats),
+                "logical stats diverged at {} workers, budget {}",
+                workers,
+                budget
+            );
+            let tee = if mem_tee { rows.len() as u64 * row_bytes } else { 0 };
+            if entries * CC_ENTRY_BYTES + tee <= budget {
+                prop_assert!(
+                    par_stats.parallel_scans > 0,
+                    "no scan ran in parallel at {} workers, budget {}", workers, budget
+                );
+            }
+        }
+    }
+
     /// SATELLITE PROPERTY: the extent-sharded file scan — where each
     /// reader thread owns a disjoint extent range and decodes locally —
     /// is bit-identical to the serial extent loop for any worker

@@ -378,12 +378,17 @@ fn the_block_kernel_engages_and_serves_the_tees() {
                 let on = run(workers, true);
                 let what = format!("{shape}, {workers} worker(s)");
                 assert!(on.stats.blocks_counted > 0, "{what}: the kernel ran");
-                // Four workers reserve four shards per node — an upper bound
-                // (DESIGN.md §8a) the tight `staged-file` budget cannot hold,
-                // so there a block may be refused, or a node fall back to SQL.
-                if workers == 1 || shape.starts_with("staged-mem") {
-                    assert_eq!(on.stats.block_fallback_rows, 0, "{what}: on every row");
-                    assert_eq!(on.stats.sql_fallbacks, 0, "{what}");
+                assert_eq!(on.stats.block_fallback_rows, 0, "{what}: on every row");
+                assert_eq!(on.stats.sql_fallbacks, 0, "{what}");
+                if workers == 4 {
+                    // Both budgets clear every batch's proof (DESIGN.md §8a),
+                    // the tight `staged-file` one included.
+                    let stats = &on.stats;
+                    let scans = stats.server_scans + stats.file_scans + stats.memory_scans;
+                    assert_eq!(
+                        stats.parallel_scans, scans,
+                        "{what}: every scan ran in parallel"
+                    );
                 }
                 if workers == 4 && !shape.starts_with("staged-mem") {
                     let sharded = on.stats.sharded_file_scans;
