@@ -8,8 +8,8 @@
 //! source in the workspace and report `file:line: [rule] message`
 //! diagnostics — covering I/O containment, the heap's write path,
 //! accounting arithmetic, hot-path panics, stats coverage, lock ordering,
-//! guards across blocking calls, atomic memory orderings, and the env-knob
-//! surface.
+//! guards across blocking calls, atomic memory orderings, and environment
+//! reads in library code.
 //!
 //! Run it as `cargo run -p scaleclass-analyze -- --deny` (CI does). See
 //! DESIGN.md §9 and §14 for the rule catalogue and the `analyze:allow`
@@ -23,7 +23,7 @@ pub mod rules;
 pub use lexer::{lex, AllowDirective, Lexed, Tok, TokKind};
 pub use rules::{
     analyze_workspace, check_source, Report, Violation, LOCK_ORDER, RULES, RULE_ACCOUNTING_ARITH,
-    RULE_ALLOW_SYNTAX, RULE_ATOMIC_ORDERING, RULE_ENV_KNOB, RULE_GUARD_BLOCKING,
+    RULE_ALLOW_SYNTAX, RULE_ATOMIC_ORDERING, RULE_ENV_READ, RULE_GUARD_BLOCKING,
     RULE_HOT_PATH_PANIC, RULE_IO_BYPASS, RULE_LOCK_ORDER, RULE_PAGE_WRITE, RULE_STALE_ALLOW,
     RULE_STATS_COVERAGE,
 };

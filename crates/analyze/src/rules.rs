@@ -53,11 +53,11 @@
 //!   (arbiter lease cells in `session.rs`/`catalog.rs`, catalog `charge`
 //!   cells in `staging.rs`) is a violation unless an inventoried
 //!   `analyze:allow` says why relaxed is sound.
-//! - **env-knob** — every `SCALECLASS_*` string in workspace non-test code
-//!   must be wired through a `crates/core/src/config.rs` knob and
-//!   mentioned in the top-level README.md, so no knob ships undocumented;
-//!   and every `SCALECLASS_*` name README.md mentions must be read by such
-//!   code, so a retired knob cannot live on as documentation.
+//! - **env-read** — no `std::env::var`, `var_os`, `vars` or `vars_os` in
+//!   non-test code under `crates/*/src` (binaries under `src/bin/` are
+//!   exempt): a library's behaviour is the configuration its caller
+//!   passes, never a variable the environment sets behind the caller's
+//!   back.
 //!
 //! A violation is suppressed only by `// analyze:allow(<rule>): <reason>` on
 //! the same line, or standing alone on the line(s) directly above. Directives
@@ -89,8 +89,8 @@ pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_GUARD_BLOCKING: &str = "guard-across-blocking";
 /// Rule name: no `Ordering::Relaxed` on Σ-invariant atomic cells.
 pub const RULE_ATOMIC_ORDERING: &str = "atomic-ordering";
-/// Rule name: every `SCALECLASS_*` env knob is wired and documented.
-pub const RULE_ENV_KNOB: &str = "env-knob";
+/// Rule name: library code reads no environment variable.
+pub const RULE_ENV_READ: &str = "env-read";
 /// Pseudo-rule for malformed `analyze:allow` directives (not suppressible).
 pub const RULE_ALLOW_SYNTAX: &str = "allow-syntax";
 /// Pseudo-rule for stale `analyze:allow` directives (not suppressible).
@@ -106,7 +106,7 @@ pub const RULES: [&str; 9] = [
     RULE_LOCK_ORDER,
     RULE_GUARD_BLOCKING,
     RULE_ATOMIC_ORDERING,
-    RULE_ENV_KNOB,
+    RULE_ENV_READ,
 ];
 
 /// One reported finding.
@@ -538,9 +538,6 @@ const ATOMIC_STRICT_FILES: [&str; 2] = ["crates/core/src/session.rs", "crates/co
 /// counters stay exempt.
 const ATOMIC_CELL_FIELDS: [(&str, &[&str]); 1] = [("crates/core/src/staging.rs", &["charge"])];
 
-/// The file whose string literals define the env-knob surface.
-const ENV_CONFIG_FILE: &str = "crates/core/src/config.rs";
-
 /// Stats structs whose fields the stats-coverage rule tracks.
 const STATS_STRUCTS: [&str; 5] = [
     "MiddlewareStats",
@@ -848,6 +845,48 @@ fn io_bypass(ctx: &FileCtx, out: &mut Vec<Violation>) {
                 ),
             });
         }
+    }
+}
+
+/// The `std::env` functions that read the process environment.
+const ENV_READS: [&str; 4] = ["var", "var_os", "vars", "vars_os"];
+
+/// Library code of a workspace crate: `crates/<name>/src/`, binaries
+/// under `src/bin/` excepted.
+fn env_rule_applies(rel: &str) -> bool {
+    let mut parts = rel.split('/');
+    parts.next() == Some("crates") && parts.nth(1) == Some("src") && !rel.contains("/src/bin/")
+}
+
+fn env_read(ctx: &FileCtx, out: &mut Vec<Violation>) {
+    let n = ctx.lx.toks.len();
+    for i in 0..n {
+        if ctx.test[i] || !ctx.is_ident(i, "env") || !ctx.path_sep(i + 1) {
+            continue;
+        }
+        // `env::var(..)`, `use std::env::var_os;`, or a grouped import.
+        let j = i + 3;
+        let mut names = if ctx.is_punct(j, '{') {
+            (j + 1)..match_bracket(ctx, j, '{', '}')
+        } else {
+            j..j + 1
+        };
+        let Some(k) = names.find(|&k| {
+            k < n && ctx.lx.toks[k].kind == TokKind::Ident && ENV_READS.contains(&ctx.text(k))
+        }) else {
+            continue;
+        };
+        out.push(Violation {
+            file: ctx.rel.to_string(),
+            line: ctx.line(k),
+            rule: RULE_ENV_READ,
+            msg: format!(
+                "`std::env::{}` reads the process environment in library code; \
+                 take the value from the caller's configuration (only binaries \
+                 under src/bin/ may read the environment)",
+                ctx.text(k)
+            ),
+        });
     }
 }
 
@@ -1192,99 +1231,6 @@ fn atomic_ordering(ctx: &FileCtx, out: &mut Vec<Violation>) {
 }
 
 // ---------------------------------------------------------------------------
-// env-knob (workspace-wide)
-// ---------------------------------------------------------------------------
-
-/// Accumulated evidence for the env-knob rule.
-#[derive(Debug, Default)]
-struct EnvScan {
-    /// Knob name → first non-test usage site `(file, line)`.
-    uses: BTreeMap<String, (String, u32)>,
-    /// Knob names appearing in a `config.rs` string literal.
-    defined: BTreeSet<String>,
-}
-
-/// Collect `SCALECLASS_*` names from a literal token's text.
-fn knob_names(text: &str, out: &mut Vec<String>) {
-    const NEEDLE: &str = "SCALECLASS_";
-    let mut rest = text;
-    while let Some(pos) = rest.find(NEEDLE) {
-        let tail = &rest[pos..];
-        let end = tail
-            .char_indices()
-            .find(|(_, c)| !(c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_'))
-            .map_or(tail.len(), |(i, _)| i);
-        if end > NEEDLE.len() {
-            out.push(tail[..end].to_string());
-        }
-        rest = &tail[end..];
-    }
-}
-
-fn collect_env(ctx: &FileCtx, s: &mut EnvScan) {
-    let mut names = Vec::new();
-    for i in 0..ctx.lx.toks.len() {
-        if ctx.test[i] || ctx.lx.toks[i].kind != TokKind::Literal {
-            continue;
-        }
-        names.clear();
-        knob_names(ctx.text(i), &mut names);
-        for name in names.drain(..) {
-            if ctx.rel == ENV_CONFIG_FILE {
-                s.defined.insert(name.clone());
-            }
-            s.uses
-                .entry(name)
-                .or_insert_with(|| (ctx.rel.to_string(), ctx.line(i)));
-        }
-    }
-}
-
-/// Every knob used anywhere must be parsed in `config.rs` and mentioned in
-/// the top-level README (violations anchor at the knob's first usage
-/// site), and every knob the README mentions must be used somewhere
-/// (anchored at the README line that first names it).
-fn env_knob(s: &EnvScan, readme: &str, out: &mut Vec<Violation>) {
-    for (knob, (file, line)) in &s.uses {
-        if !s.defined.contains(knob) {
-            out.push(Violation {
-                file: file.clone(),
-                line: *line,
-                rule: RULE_ENV_KNOB,
-                msg: format!(
-                    "env knob `{knob}` is read without a crates/core/src/config.rs \
-                     knob backing it; wire it through MiddlewareConfig (or annotate \
-                     why it lives outside the config surface)"
-                ),
-            });
-        }
-        if !readme.contains(knob.as_str()) {
-            out.push(Violation {
-                file: file.clone(),
-                line: *line,
-                rule: RULE_ENV_KNOB,
-                msg: format!("env knob `{knob}` is not documented in README.md"),
-            });
-        }
-    }
-    let mut reported = BTreeSet::new();
-    let mut names = Vec::new();
-    for (line, text) in (1u32..).zip(readme.lines()) {
-        knob_names(text, &mut names);
-        for knob in names.drain(..) {
-            if !s.uses.contains_key(&knob) && reported.insert(knob.clone()) {
-                out.push(Violation {
-                    file: "README.md".to_string(),
-                    line,
-                    rule: RULE_ENV_KNOB,
-                    msg: format!("README.md documents env knob `{knob}`, which no code reads"),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // stats-coverage (workspace-wide)
 // ---------------------------------------------------------------------------
 
@@ -1538,6 +1484,9 @@ fn file_rules(ctx: &FileCtx, raw: &mut Vec<Violation>) -> Vec<LockEdge> {
     if rel.starts_with("crates/sqldb/src/") {
         page_write(ctx, raw);
     }
+    if env_rule_applies(rel) {
+        env_read(ctx, raw);
+    }
     if ARITH_FILES.contains(&rel) {
         accounting_arith(ctx, None, raw);
     } else if let Some(fns) = scope_for(&ARITH_SCOPED, rel) {
@@ -1561,7 +1510,7 @@ fn file_rules(ctx: &FileCtx, raw: &mut Vec<Violation>) -> Vec<LockEdge> {
 /// Run the per-file rules on a single source text addressed as `rel`
 /// (workspace-relative, `/`-separated), plus the lock-graph check over the
 /// file's own acquisition edges. Used directly by fixture tests; the
-/// workspace-wide rules (stats-coverage, env-knob) need `analyze_workspace`.
+/// workspace-wide rule (stats-coverage) needs `analyze_workspace`.
 pub fn check_source(rel: &str, src: &str) -> Report {
     let lx = lex(src);
     let ctx = FileCtx::new(rel, src, &lx);
@@ -1611,8 +1560,8 @@ fn walk(root: &Path) -> io::Result<Vec<PathBuf>> {
 }
 
 /// Analyze every Rust source under `root` (a workspace checkout) with every
-/// rule, including the workspace-wide passes (lock graph, stats-coverage,
-/// env-knob). Workspace-wide findings are routed back to their anchor file
+/// rule, including the workspace-wide passes (lock graph, stats-coverage).
+/// Workspace-wide findings are routed back to their anchor file
 /// so that file's own `analyze:allow` directives can suppress them.
 pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     struct FileRecord {
@@ -1623,7 +1572,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     }
     let mut records: Vec<FileRecord> = Vec::new();
     let mut stats = StatsScan::default();
-    let mut env = EnvScan::default();
     let mut edges: Vec<LockEdge> = Vec::new();
     for path in walk(root)? {
         let rel: String = path
@@ -1639,7 +1587,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
         let mut raw = Vec::new();
         edges.extend(file_rules(&ctx, &mut raw));
         collect_stats(&ctx, &mut stats);
-        collect_env(&ctx, &mut env);
         records.push(FileRecord {
             rel,
             allows: lx.allows,
@@ -1651,8 +1598,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let mut global = Vec::new();
     check_lock_graph(&edges, &mut global);
     global.extend(stats_coverage(&stats));
-    let readme = fs::read_to_string(root.join("README.md")).unwrap_or_default();
-    env_knob(&env, &readme, &mut global);
     let index: BTreeMap<String, usize> = records
         .iter()
         .enumerate()

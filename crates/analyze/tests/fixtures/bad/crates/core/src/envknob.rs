@@ -1,4 +1,4 @@
-//! Fixture: an env knob no config knob or README mention backs.
+//! Fixture: library code reading the process environment.
 
 /// Read the phantom knob.
 pub fn phantom() -> Option<String> {

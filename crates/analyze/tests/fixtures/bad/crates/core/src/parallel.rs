@@ -10,8 +10,8 @@ pub fn scan(rows: &[Vec<u64>], idxs: &[usize]) -> u64 {
             total = total.saturating_add(row[i]);
         }
     }
-    let guard = std::env::var("GUARD").expect("guard var");
-    if guard.is_empty() {
+    let guard = idxs.first().expect("an index");
+    if *guard == 0 {
         panic!("no guard");
     }
     total

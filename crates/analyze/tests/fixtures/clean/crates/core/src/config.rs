@@ -1,7 +1,5 @@
-//! Fixture: the env-knob surface — the knob is parsed here and named
-//! in the fixture README.
+//! Fixture: configuration defaults are constants — nothing here reads the
+//! process environment.
 
-/// Parse the demo knob.
-pub fn env_demo() -> Option<usize> {
-    std::env::var("SCALECLASS_DEMO").ok().and_then(|v| v.parse().ok())
-}
+/// The demo pool size.
+pub const DEMO_POOL: usize = 4;

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use scaleclass_analyze::{
-    analyze_workspace, check_source, RULE_ACCOUNTING_ARITH, RULE_ATOMIC_ORDERING, RULE_ENV_KNOB,
+    analyze_workspace, check_source, RULE_ACCOUNTING_ARITH, RULE_ATOMIC_ORDERING, RULE_ENV_READ,
     RULE_GUARD_BLOCKING, RULE_HOT_PATH_PANIC, RULE_IO_BYPASS, RULE_LOCK_ORDER, RULE_PAGE_WRITE,
     RULE_STATS_COVERAGE,
 };
@@ -519,32 +519,51 @@ fn nested_locks_follow_the_manifest_order() {
 }
 
 #[test]
-fn env_knob_requires_config_and_readme() {
+fn env_read_fires_in_library_code_only() {
     let bad = analyze_workspace(&fixture_root("bad")).unwrap();
-    let (readme, env): (Vec<_>, Vec<_>) = bad
+    let env: Vec<_> = bad
         .violations
         .iter()
-        .filter(|v| v.rule == RULE_ENV_KNOB)
-        .map(|v| (v.file.as_str(), v.line, v.msg.as_str()))
-        .partition(|(f, _, _)| *f == "README.md");
-    assert_eq!(env.len(), 2, "env findings: {env:?}");
-    assert!(env
-        .iter()
-        .all(|(f, l, _)| *f == "crates/core/src/envknob.rs" && *l == 5));
-    assert!(env[0].2.contains("SCALECLASS_PHANTOM"));
-    assert!(env[0].2.contains("config.rs"));
-    assert!(env[1].2.contains("not documented in README.md"));
+        .filter(|v| v.rule == RULE_ENV_READ)
+        .collect();
+    assert_eq!(env.len(), 1, "env findings: {env:?}");
+    assert_eq!(
+        (env[0].file.as_str(), env[0].line),
+        ("crates/core/src/envknob.rs", 5)
+    );
+    assert!(env[0].msg.contains("`std::env::var`"));
 
-    // The reverse direction: a knob the README documents but no code
-    // reads, anchored at the README line that names it.
-    assert_eq!(readme.len(), 1, "README findings: {readme:?}");
-    assert_eq!(readme[0].1, 3);
-    assert!(readme[0].2.contains("SCALECLASS_GHOST"));
-    assert!(readme[0].2.contains("no code reads"));
+    // Every spelling of a read fires: a path call, an import, a grouped
+    // import. Other `std::env` functions and test code do not.
+    let src = "use std::env;\n\
+               use std::env::var_os;\n\
+               use std::env::{args, vars};\n\
+               pub fn f() -> bool { env::var(\"X\").is_ok() }\n\
+               pub fn g() -> PathBuf { std::env::temp_dir() }\n\
+               #[cfg(test)]\n\
+               mod tests { fn t() { std::env::var(\"X\").ok(); } }\n";
+    let report = check_source("crates/dtree/src/grow.rs", src);
+    assert_eq!(
+        fired(&report),
+        vec![(RULE_ENV_READ, 2), (RULE_ENV_READ, 3), (RULE_ENV_READ, 4)]
+    );
+    // Binaries, test crates and the benchmark harness may read it.
+    for rel in [
+        "crates/bench/src/bin/experiments.rs",
+        "crates/core/tests/props.rs",
+        "tests/src/lib.rs",
+        "benchmark/src/main.rs",
+    ] {
+        let report = check_source(rel, src);
+        assert!(
+            report.violations.is_empty(),
+            "{rel}: {:?}",
+            report.violations
+        );
+    }
 
-    // The clean tree's knob is wired and documented: no findings.
     let clean = analyze_workspace(&fixture_root("clean")).unwrap();
-    assert!(!clean.violations.iter().any(|v| v.rule == RULE_ENV_KNOB));
+    assert!(!clean.violations.iter().any(|v| v.rule == RULE_ENV_READ));
 }
 
 #[test]
@@ -573,7 +592,7 @@ fn bad_tree_fires_every_rule_and_clean_tree_is_clean() {
         RULE_LOCK_ORDER,
         RULE_GUARD_BLOCKING,
         RULE_ATOMIC_ORDERING,
-        RULE_ENV_KNOB,
+        RULE_ENV_READ,
     ] {
         assert!(
             bad.violations.iter().any(|v| v.rule == rule),
@@ -719,7 +738,7 @@ fn cli_json_output() {
     assert!(stdout.contains(r#""file":"crates/core/src/session.rs","line":10,"rule":"lock-order""#));
     assert!(stdout.contains(r#""rule":"guard-across-blocking""#));
     assert!(stdout.contains(r#""rule":"atomic-ordering""#));
-    assert!(stdout.contains(r#""rule":"env-knob""#));
+    assert!(stdout.contains(r#""rule":"env-read""#));
     // The bad tree's stale directive rides along as a stale-allow record.
     assert!(
         stdout.contains(r#""file":"crates/core/src/catalog.rs","line":16,"rule":"stale-allow""#)

@@ -17,8 +17,8 @@
 //! the caller's current epoch: a stale entry is refused (and demoted from
 //! the index so it can never be attached again) rather than served —
 //! incremental maintenance must never count mutated rows out of a
-//! pre-mutation snapshot. While `SCALECLASS_DELTAS` is off the epoch is
-//! always 0 and this machinery is inert.
+//! pre-mutation snapshot. While `MiddlewareConfig::deltas` is off the
+//! epoch is always 0 and this machinery is inert.
 //!
 //! The catalog is owned by the [`crate::session::Backend`] and engaged per
 //! session when [`crate::config::MiddlewareConfig::shared_staging`] is on.
@@ -81,7 +81,8 @@ struct SharedEntry {
     /// Base-table epoch the entry's rows were scanned at (DESIGN.md §15).
     /// Probes at a different epoch refuse the entry; a publish at a newer
     /// epoch demotes it from the index. Always 0 while incremental
-    /// maintenance (`SCALECLASS_DELTAS`) is off, so every probe matches.
+    /// maintenance (`MiddlewareConfig::deltas`) is off, so every probe
+    /// matches.
     epoch: u64,
     /// Sessions currently attached, in attach order. Never empty for a
     /// live entry — the last detach reclaims it.

@@ -106,9 +106,7 @@ pub struct MiddlewareConfig {
     /// CC tables merged after the scan, whenever the batch provably cannot
     /// reach its memory budget (`BatchCounter::cannot_reach_budget`), and
     /// serially otherwise. Counts, fallbacks and every logical stat are the
-    /// same at any value. The default honours the `SCALECLASS_SCAN_WORKERS`
-    /// environment variable so whole test runs can be switched without
-    /// code changes.
+    /// same at any value.
     pub scan_workers: usize,
     /// Rows per block of a counting scan: where memory sets and wire
     /// fetches are cut for the block kernel, the unit a sampled scan
@@ -119,26 +117,24 @@ pub struct MiddlewareConfig {
     /// written as fixed-size extents (columnar blocks + CRC footer, see
     /// `crates/core/src/staging.rs`) so that `scan_workers` reader threads
     /// can each decode a disjoint extent range. Smaller extents shard
-    /// finer but pay more header/footer overhead. Honours the
-    /// `SCALECLASS_EXTENT_ROWS` environment variable by default.
+    /// finer but pay more header/footer overhead. Defaults to
+    /// [`DEFAULT_EXTENT_ROWS`].
     pub stage_extent_rows: usize,
     /// Cap on the *physical* slot-array size (`Σ card × classes × 8`
     /// bytes, per node) below which a scheduled node's counts table uses
     /// the dense flat-array backend instead of the sparse BTreeMap; `0`
     /// disables dense counting entirely. Purely physical — the scheduler's
     /// budget accounting stays entry-modelled either way (DESIGN.md §8c).
-    /// Defaults to [`DEFAULT_CC_DENSE_MAX_BYTES`] whatever the environment:
-    /// the sparse backend is the spill target and the oracle the
-    /// dense≡sparse suites pin through the builder, not a run-time mode.
+    /// Defaults to [`DEFAULT_CC_DENSE_MAX_BYTES`]: the sparse backend is
+    /// the spill target and the oracle the dense≡sparse suites pin through
+    /// the builder, not a run-time mode.
     pub cc_dense_max_bytes: u64,
     /// Concurrent tree-build sessions the multi-client front-end
     /// ([`crate::concurrent::SessionPool`]) serves over one shared backend.
     /// Each live session leases a fair share (`memory_budget_bytes /
     /// sessions`, remainder spread one byte each over the earliest grants)
     /// from the [`crate::session::BudgetArbiter`]. `1` (the default) is
-    /// the classic single-client middleware. Honours the
-    /// `SCALECLASS_SESSIONS` environment variable so whole test runs can
-    /// exercise concurrency without code changes.
+    /// the classic single-client middleware.
     pub sessions: usize,
     /// Share staged data sets across sessions through the backend's
     /// [`crate::catalog::StagingCatalog`]: the first session to stage a
@@ -147,7 +143,7 @@ pub struct MiddlewareConfig {
     /// charged an equal share of the entry's modelled bytes against its
     /// lease. Off by default — cross-session reuse makes per-session
     /// stats depend on sibling timing, so the deterministic bit-identity
-    /// suites keep it off. Honours `SCALECLASS_SHARED_STAGING`.
+    /// suites keep it off.
     pub shared_staging: bool,
     /// Count whole column blocks through the batched kernel
     /// (`CountsTable::add_block`) instead of one row at a time. Always on
@@ -155,7 +151,7 @@ pub struct MiddlewareConfig {
     /// row-at-a-time path (counts, spills, budget checkpoints, and stats
     /// other than the block counters are unchanged either way — see
     /// DESIGN.md §12) as the reference the batched≡row properties compare
-    /// against, and there is deliberately no environment knob for it.
+    /// against.
     pub batch_kernel: bool,
     /// Sampled counting fraction (DESIGN.md §13). `0.0` (the default)
     /// disables the mode entirely — off is bit-identical to a build
@@ -167,8 +163,7 @@ pub struct MiddlewareConfig {
     /// back to an exact scan. `1.0` asks for a complete "sample", which
     /// the cost model prices above the exact scan it is — the scheduler
     /// plans it exact, so `1.0` is bit-identical to exact mode by
-    /// construction. Honours the `SCALECLASS_SAMPLED` environment
-    /// variable.
+    /// construction.
     pub sampled_fraction: f64,
     /// Minimum *estimated relevant rows* a node needs before the
     /// scheduler will serve it from a sample (DESIGN.md §13). Small nodes
@@ -185,7 +180,6 @@ pub struct MiddlewareConfig {
     /// hook the maintenance pass uses to pull signed row events. Off by
     /// default — and bit-identical to a build without the feature: no log
     /// is enabled, every epoch stays 0, and no maintenance path runs.
-    /// Honours the `SCALECLASS_DELTAS` environment variable.
     pub deltas: bool,
 }
 
@@ -198,78 +192,17 @@ pub const DEFAULT_EXTENT_ROWS: usize = 8192;
 /// writer buffers one extent in memory.
 const MAX_EXTENT_ROWS: usize = 1 << 20;
 
-/// Worker count from `SCALECLASS_SCAN_WORKERS` (unset, empty, zero, or
-/// unparsable all mean the serial default of 1).
-fn env_scan_workers() -> usize {
-    std::env::var("SCALECLASS_SCAN_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Session count from `SCALECLASS_SESSIONS` (unset, empty, zero, or
-/// unparsable all mean the single-client default of 1).
-fn env_sessions() -> usize {
-    std::env::var("SCALECLASS_SESSIONS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Shared-staging switch from `SCALECLASS_SHARED_STAGING` (`1`, `true`,
-/// `on`, or `yes` enable it; anything else — including unset — keeps the
-/// private-staging default).
-fn env_shared_staging() -> bool {
-    std::env::var("SCALECLASS_SHARED_STAGING")
-        .map(|v| matches!(v.trim(), "1" | "true" | "on" | "yes"))
-        .unwrap_or(false)
-}
-
 /// Default dense counts-table cap: 4 MiB of slots per node. The
 /// experiments' widest node (26 columns × card ≈ 4 × 10 classes) needs
 /// ~8 KB, so realistic nodes densify while genuinely high-cardinality
 /// geometries stay sparse.
 pub const DEFAULT_CC_DENSE_MAX_BYTES: u64 = 4 << 20;
 
-/// Incremental-maintenance switch from `SCALECLASS_DELTAS` (`1`, `true`,
-/// `on`, or `yes` enable it; anything else — including unset — keeps the
-/// from-scratch-only default).
-fn env_deltas() -> bool {
-    std::env::var("SCALECLASS_DELTAS")
-        .map(|v| matches!(v.trim(), "1" | "true" | "on" | "yes"))
-        .unwrap_or(false)
-}
-
-/// Sampling fraction from `SCALECLASS_SAMPLED` (unset, empty, zero,
-/// negative, NaN, or unparsable all mean the exact-counting default of
-/// 0.0); values above 1 clamp to the complete sample.
-fn env_sampled() -> f64 {
-    std::env::var("SCALECLASS_SAMPLED")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|f| f.is_finite() && *f > 0.0)
-        .map(|f| f.min(1.0))
-        .unwrap_or(0.0)
-}
-
 /// Default sampled-path row floor: one default extent of rows. Nodes
 /// smaller than a single staged extent cannot even draw a multi-block
 /// sample, and their interval half-widths (∝ 1/√n) make escalation the
 /// likely outcome.
 pub const DEFAULT_SAMPLED_MIN_ROWS: u64 = 8192;
-
-/// Extent size from `SCALECLASS_EXTENT_ROWS` (unset, empty, zero, or
-/// unparsable all mean [`DEFAULT_EXTENT_ROWS`]); clamped to the format cap.
-fn env_extent_rows() -> usize {
-    std::env::var("SCALECLASS_EXTENT_ROWS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_EXTENT_ROWS)
-        .min(MAX_EXTENT_ROWS)
-}
 
 impl Default for MiddlewareConfig {
     fn default() -> Self {
@@ -286,16 +219,16 @@ impl Default for MiddlewareConfig {
             rule3_smallest_first: true,
             estimator: EstimatorKind::default(),
             admit_by_estimate: false,
-            scan_workers: env_scan_workers(),
+            scan_workers: 1,
             scan_block_rows: 4096,
-            stage_extent_rows: env_extent_rows(),
+            stage_extent_rows: DEFAULT_EXTENT_ROWS,
             cc_dense_max_bytes: DEFAULT_CC_DENSE_MAX_BYTES,
-            sessions: env_sessions(),
-            shared_staging: env_shared_staging(),
+            sessions: 1,
+            shared_staging: false,
             batch_kernel: true,
-            sampled_fraction: env_sampled(),
+            sampled_fraction: 0.0,
             sampled_min_rows: DEFAULT_SAMPLED_MIN_ROWS,
-            deltas: env_deltas(),
+            deltas: false,
         }
     }
 }
@@ -408,7 +341,7 @@ impl MiddlewareConfigBuilder {
         self
     }
 
-    /// Rows per producer→worker block (min 1).
+    /// Rows per block of every counting scan (min 1).
     pub fn scan_block_rows(mut self, rows: usize) -> Self {
         self.config.scan_block_rows = rows.max(1);
         self
@@ -480,13 +413,56 @@ impl MiddlewareConfigBuilder {
 mod tests {
     use super::*;
 
+    /// Every field of the default, named by destructuring so a new field
+    /// cannot join the config without a pinned default here.
     #[test]
     fn defaults_are_sane() {
-        let c = MiddlewareConfig::default();
-        assert_eq!(c.memory_budget_bytes, 64 << 20);
-        assert!(!c.file_policy.enabled());
-        assert!(c.memory_caching);
-        assert_eq!(c.aux_mode, AuxMode::Off);
+        let MiddlewareConfig {
+            memory_budget_bytes,
+            file_policy,
+            memory_caching,
+            wire_batch_rows,
+            staging_dir,
+            aux_mode,
+            aux_threshold,
+            max_batch_nodes,
+            push_filters,
+            rule3_smallest_first,
+            estimator,
+            admit_by_estimate,
+            scan_workers,
+            scan_block_rows,
+            stage_extent_rows,
+            cc_dense_max_bytes,
+            sessions,
+            shared_staging,
+            batch_kernel,
+            sampled_fraction,
+            sampled_min_rows,
+            deltas,
+        } = MiddlewareConfig::default();
+        assert_eq!(memory_budget_bytes, 64 << 20);
+        assert_eq!(file_policy, FileStagingPolicy::Disabled);
+        assert!(memory_caching);
+        assert_eq!(wire_batch_rows, scaleclass_sqldb::wire::DEFAULT_BATCH_ROWS);
+        assert_eq!(staging_dir, None);
+        assert_eq!(aux_mode, AuxMode::Off);
+        assert_eq!(aux_threshold, 0.10);
+        assert_eq!(max_batch_nodes, None);
+        assert!(push_filters);
+        assert!(rule3_smallest_first);
+        assert_eq!(estimator, EstimatorKind::Independence);
+        assert!(!admit_by_estimate);
+        assert_eq!(scan_workers, 1);
+        assert_eq!(scan_block_rows, 4096);
+        assert_eq!(stage_extent_rows, DEFAULT_EXTENT_ROWS);
+        assert_eq!(cc_dense_max_bytes, DEFAULT_CC_DENSE_MAX_BYTES);
+        assert_eq!(sessions, 1);
+        assert!(!shared_staging);
+        assert!(batch_kernel);
+        assert_eq!(sampled_fraction, 0.0);
+        assert_eq!(sampled_min_rows, DEFAULT_SAMPLED_MIN_ROWS);
+        assert!(!deltas);
     }
 
     #[test]
@@ -551,11 +527,6 @@ mod tests {
 
     #[test]
     fn dense_cap_knob() {
-        assert_eq!(
-            MiddlewareConfig::default().cc_dense_max_bytes,
-            DEFAULT_CC_DENSE_MAX_BYTES,
-            "no environment variable selects the counting backend"
-        );
         let c = MiddlewareConfig::builder().cc_dense_max_bytes(0).build();
         assert_eq!(c.cc_dense_max_bytes, 0, "explicit zero disables dense");
         let c = MiddlewareConfig::builder()
@@ -570,8 +541,6 @@ mod tests {
         assert_eq!(c.sessions, 1, "zero sessions means single-client");
         let c = MiddlewareConfig::builder().sessions(4).build();
         assert_eq!(c.sessions, 4);
-        // Unset/1 env default keeps the classic single-client middleware.
-        assert!(MiddlewareConfig::default().sessions >= 1);
     }
 
     #[test]
@@ -602,16 +571,9 @@ mod tests {
             .sampled_counting(f64::NAN)
             .build();
         assert_eq!(c.sampled_fraction, 0.0, "NaN degrades to off");
-        // Builder zero forces exact mode whatever the env default was.
-        let c = MiddlewareConfig::builder().sampled_counting(0.0).build();
-        assert_eq!(c.sampled_fraction, 0.0);
 
         let c = MiddlewareConfig::builder().sampled_min_rows(0).build();
         assert_eq!(c.sampled_min_rows, 0, "tiny tables can opt in");
-        assert_eq!(
-            MiddlewareConfig::builder().build().sampled_min_rows,
-            DEFAULT_SAMPLED_MIN_ROWS
-        );
     }
 
     #[test]

@@ -632,11 +632,8 @@ impl BatchCounter {
             return Ok(());
         }
         if self.batch_kernel {
-            let mut pass = std::mem::take(&mut self.pass);
             let mut tally = KernelTally::default();
-            let counted = self.count_block(&mut pass, block, &mut tally);
-            self.pass = pass;
-            let counted = counted?;
+            let counted = self.count_block(block, &mut tally)?;
             if !counted {
                 tally.block_fallback_rows += nrows as u64;
             }
@@ -654,19 +651,15 @@ impl BatchCounter {
     /// The block path: route, gate, count, tee. `Ok(false)` — with
     /// nothing counted, teed or charged — when the block must take the
     /// row path instead.
-    fn count_block(
-        &mut self,
-        pass: &mut BlockPass,
-        block: &mut impl Block,
-        tally: &mut KernelTally,
-    ) -> MwResult<bool> {
-        pass.route(&self.router, block, self.split_writer.is_some());
-        let Some(cc_bound) = pass.cc_bound(&mut self.nodes, tally) else {
+    fn count_block(&mut self, block: &mut impl Block, tally: &mut KernelTally) -> MwResult<bool> {
+        self.route(block);
+        let Some(cc_bound) = self.pass.cc_bound(&mut self.nodes, tally) else {
             return Ok(false);
         };
         // A memory tee grows by exactly the rows it is handed.
         let row_bytes = (self.arity * CODE_BYTES) as u64;
-        let tee_bound: u64 = pass
+        let tee_bound: u64 = self
+            .pass
             .selections()
             .filter(|&(idx, _)| self.nodes.get(idx).is_some_and(|n| n.mem_buffer.is_some()))
             .map(|(_, sel)| sel.len() as u64 * row_bytes)
@@ -679,13 +672,36 @@ impl BatchCounter {
         {
             return Ok(false);
         }
-        self.cc_bytes += pass.count(block, &mut self.nodes, tally);
-        for (idx, sel) in pass.selections() {
-            // analyze:allow(hot-path-panic): the router reports predicate
-            // positions, and predicate `i` is node `i`'s.
-            let node = &mut self.nodes[idx];
-            // A file tee takes the selection column by column, the
-            // row-major memory buffer row by row.
+        self.cc_bytes += self.pass.count(block, &mut self.nodes, tally);
+        self.tee(block)?;
+        debug_assert!(
+            self.memory_in_use() <= self.budget,
+            "block pass engaged without clearing its growth bound"
+        );
+        Ok(true)
+    }
+
+    /// Route `block` once into per-node selection vectors — and, when the
+    /// batch writes a split file, the rows some node took — for
+    /// [`BatchCounter::tee`] and the kernel to read.
+    pub(crate) fn route(&mut self, block: &impl Block) {
+        self.pass
+            .route(&self.router, block, self.split_writer.is_some());
+    }
+
+    /// Serve the staging tees from the last routed block's selections, in
+    /// row order: a file tee takes its node's selection column by column,
+    /// a memory buffer row by row, the split file every row some node took.
+    /// The one tee body: the serial block path calls it after counting, the
+    /// coordinator of a parallel scan (whose workers have no tees) once per
+    /// source block.
+    pub(crate) fn tee(&mut self, block: &mut impl Block) -> MwResult<()> {
+        let row_bytes = (self.arity * CODE_BYTES) as u64;
+        for (idx, sel) in self.pass.selections() {
+            // Predicate `i` is node `i`'s.
+            let Some(node) = self.nodes.get_mut(idx) else {
+                continue;
+            };
             if let Some(w) = node.file_writer.as_mut() {
                 w.push_selected(block, sel)?;
             }
@@ -698,13 +714,9 @@ impl BatchCounter {
             }
         }
         if let Some(w) = self.split_writer.as_mut() {
-            w.push_selected(block, pass.any())?;
+            w.push_selected(block, self.pass.any())?;
         }
-        debug_assert!(
-            self.memory_in_use() <= self.budget,
-            "block pass engaged without clearing its growth bound"
-        );
-        Ok(true)
+        Ok(())
     }
 }
 

@@ -33,8 +33,9 @@ use crate::session::{Backend, Session};
 use scaleclass_sqldb::{Code, Database, Pred, RowDelta, Schema, StatsSnapshot};
 
 /// The middleware execution + scheduling engine for one mining session
-/// (one data table, one class column). A facade over
-/// [`Backend`] + [`Session`] that owns the only reference to its backend.
+/// (one data table, one class column). A facade over [`Backend`] +
+/// [`Session`]; built by [`Middleware::new`] it owns the only reference to
+/// its backend.
 pub struct Middleware {
     session: Session,
 }
@@ -48,9 +49,16 @@ impl Middleware {
         class_column: &str,
         config: MiddlewareConfig,
     ) -> MwResult<Self> {
-        let backend = Arc::new(Backend::new(db, table, class_column, config)?);
-        let session = Session::open(backend)?;
-        Ok(Middleware { session })
+        Self::open(Arc::new(Backend::new(db, table, class_column, config)?))
+    }
+
+    /// Open a middleware session over a backend other sessions may share
+    /// ([`Session::open`]): it leases its fair share of the backend's
+    /// budget, and [`Middleware::into_db`] is for the last one out.
+    pub fn open(backend: Arc<Backend>) -> MwResult<Self> {
+        Ok(Middleware {
+            session: Session::open(backend)?,
+        })
     }
 
     /// The session's data schema.
@@ -171,7 +179,8 @@ impl Middleware {
 
     /// Tear down and recover the backend database. Auxiliary server
     /// structures the session built (§4.3.3 temp tables / TID sets) are
-    /// dropped so no session state leaks into the returned catalog.
+    /// dropped so no session state leaks into the returned catalog. Panics
+    /// if anything else still holds the backend.
     pub fn into_db(self) -> Database {
         let backend = self.session.close();
         Arc::try_unwrap(backend)
@@ -668,8 +677,8 @@ mod tests {
             .file_policy(FileStagingPolicy::PerNode)
             .staging_dir(&dir)
             // Pinned off: this test inspects the *private* staged file in
-            // `dir`; with the catalog on (the SCALECLASS_SHARED_STAGING=1
-            // CI leg) committed files move to the shared catalog dir.
+            // `dir`; with the catalog on, committed files move to the
+            // shared catalog dir.
             .shared_staging(false)
             .build();
         let mut mw = middleware(80, cfg);

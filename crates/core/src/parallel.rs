@@ -30,10 +30,11 @@
 //! * **Channel.** The session's one scan loop reads blocks from whatever
 //!   source the batch was scheduled on (server cursor, extent file, memory
 //!   set) and pushes them into `RowSink::process_block`. The coordinator
-//!   tees their rows where staging demands, in source order — files must
-//!   be written in source row order to be byte-identical to the serial
-//!   path, and a single writer needs no synchronisation — re-packs them
-//!   (transposing an extent on the way) into row-major blocks of
+//!   routes each source block once and tees its selections where staging
+//!   demands, through the serial block path's own tee (`BatchCounter::tee`)
+//!   — in source order, so files are byte-identical to the serial path's,
+//!   and from one writer, which needs no synchronisation — then re-packs
+//!   the rows (transposing an extent on the way) into row-major blocks of
 //!   [`MiddlewareConfig::scan_block_rows`] and sends those through a
 //!   *bounded* channel, so a fast producer cannot outrun slow workers by
 //!   more than a few blocks. Channel workers have no tees.
@@ -45,13 +46,11 @@
 //!   buffers and counts each as one column-major block — I/O, decode and
 //!   counting scale together, with no producer and no channel hop. A
 //!   reader's memory tee is its node's range-local `mem_buffer`, its file
-//!   tee a private spool (`crate::staging::FileWriter::spool`); readers
-//!   are joined in range order, which is file order, and the buffers
-//!   concatenated and the spools appended in that order reproduce the
-//!   serial tee's bytes exactly. Only a batch writing the hybrid *split*
-//!   file keeps the channel: the split file interleaves every scheduled
-//!   node's rows, so slicing it per reader would buy nothing over the
-//!   single producer stream.
+//!   tees — each node's file and the hybrid split file — private spools
+//!   (`crate::staging::FileWriter::spool`); readers are joined in range
+//!   order, which is file order, and the buffers concatenated and the
+//!   spools appended in that order reproduce the serial tee's bytes
+//!   exactly.
 
 use crate::config::MiddlewareConfig;
 use crate::error::{MwError, MwResult};
@@ -157,8 +156,6 @@ pub(crate) struct ParallelScan {
     /// Block under construction (flat codes).
     block: Vec<Code>,
     block_codes: usize,
-    /// Reusable route output of the coordinator's tees.
-    matched: Vec<usize>,
 }
 
 impl ParallelScan {
@@ -177,7 +174,6 @@ impl ParallelScan {
             done: Vec::new(),
             block: Vec::with_capacity(block_codes),
             block_codes,
-            matched: Vec::new(),
         }
     }
 
@@ -198,14 +194,15 @@ impl ParallelScan {
         // Every reader's tees — range-local memory buffers, file spools
         // beside the staged files — exist before any thread runs, so a
         // filesystem failure aborts cleanly with no thread in flight.
+        let spool = |w: &Option<FileWriter>| w.as_ref().map(FileWriter::spool).transpose();
         let mut readers = Vec::with_capacity(n);
         for _ in 0..n {
             let mut counter = batch.worker();
             for (node, mine) in batch.nodes.iter().zip(&mut counter.nodes) {
                 mine.mem_buffer = node.mem_buffer.as_ref().map(|_| Vec::new());
-                let spool = node.file_writer.as_ref().map(FileWriter::spool);
-                mine.file_writer = spool.transpose()?;
+                mine.file_writer = spool(&node.file_writer)?;
             }
+            counter.split_writer = spool(&batch.split_writer)?;
             readers.push(Worker::new(counter));
         }
         let mut start = 0u64;
@@ -251,50 +248,25 @@ impl ParallelScan {
         Ok(io)
     }
 
-    /// Feed one source block, in whichever layout: tee each row where
-    /// staging demands, and re-pack the rows — a column-major block is
-    /// transposed on the way — into row-major `scan_block_rows` blocks for
-    /// the workers (blocking when the pipeline is full). Source blocks need
-    /// not match the pipeline's block size — a wire fetch or an extent is
-    /// whatever size its source made it.
+    /// Feed one source block, in whichever layout: tee its selections
+    /// where staging demands (`BatchCounter::tee`; the proof left the
+    /// buffers room for every row), and re-pack the rows — a column-major
+    /// block is transposed on the way — into row-major `scan_block_rows`
+    /// blocks for the workers (blocking when the pipeline is full). Source
+    /// blocks need not match the pipeline's block size — a wire fetch or
+    /// an extent is whatever size its source made it.
     fn process_block(&mut self, batch: &mut BatchCounter, block: &mut impl Block) -> MwResult<()> {
+        if self.teeing {
+            batch.route(block);
+            batch.tee(block)?;
+        }
         block.for_each_row(None, |row| {
-            if self.teeing {
-                self.tee(batch, row)?;
-            }
             self.block.extend_from_slice(row);
             if self.block.len() >= self.block_codes {
                 self.flush_block(batch)?;
             }
             Ok(())
         })
-    }
-
-    /// Staging tees — single-writer, source row order, exactly the serial
-    /// path's file contents and memory buffers: the row is routed once and
-    /// handed to the tees of the nodes it satisfies (and, satisfying any,
-    /// to the split file). The proof left the buffers room for every row.
-    fn tee(&mut self, batch: &mut BatchCounter, row: &[Code]) -> MwResult<()> {
-        batch.router.route(row, &mut self.matched);
-        if !self.matched.is_empty() {
-            if let Some(w) = batch.split_writer.as_mut() {
-                w.push(row)?;
-            }
-        }
-        let row_bytes = (batch.arity * CODE_BYTES) as u64;
-        for &i in &self.matched {
-            let Some(node) = batch.nodes.get_mut(i) else {
-                continue;
-            };
-            if let Some(w) = node.file_writer.as_mut() {
-                w.push(row)?;
-            }
-            if let Some(buf) = node.mem_buffer.as_mut() {
-                buf.extend_from_slice(row);
-                batch.buffer_bytes += row_bytes;
-            }
-        }
-        Ok(())
     }
 
     fn flush_block(&mut self, batch: &BatchCounter) -> MwResult<()> {
@@ -343,6 +315,9 @@ impl ParallelScan {
                 if let (Some(w), Some(spool)) = (node.file_writer.as_mut(), part.file_writer) {
                     w.append(spool)?;
                 }
+            }
+            if let (Some(w), Some(spool)) = (batch.split_writer.as_mut(), counter.split_writer) {
+                w.append(spool)?;
             }
         }
         batch.cc_bytes = batch.nodes.iter().map(|n| n.cc.memory_bytes()).sum();
@@ -430,16 +405,15 @@ impl RowSink {
     }
 
     /// Serve an extent-format staging file with sharded reader threads, if
-    /// this pass is parallel, nothing has been fed yet and the batch writes
-    /// no hybrid split file. Returns the per-reader I/O counters on
-    /// success, `None` when the caller should feed blocks through
-    /// `RowSink::process_block` instead.
+    /// this pass is parallel and nothing has been fed yet. Returns the
+    /// per-reader I/O counters on success, `None` when the caller should
+    /// feed blocks through `RowSink::process_block` instead.
     pub fn try_scan_extents(
         &mut self,
         layout: &ExtentLayout,
     ) -> MwResult<Option<Vec<WorkerScanStats>>> {
         match self.parallel.as_mut() {
-            Some(scan) if self.rows == 0 && self.batch.split_writer.is_none() => {
+            Some(scan) if self.rows == 0 => {
                 let io = scan.scan_extent_file(&self.batch, layout)?;
                 self.rows += layout.nrows;
                 Ok(Some(io))
@@ -822,33 +796,74 @@ mod tests {
         batch.assert_shadow_accounting();
     }
 
+    /// Bit-identity of the hybrid split file: sharded readers spool the rows
+    /// any node takes and append the spools in range order, the channel
+    /// coordinator tees each source block's selections — either way the
+    /// staged split file is the one the serial tee writes, beside a node
+    /// file tee, with the same counts.
     #[test]
-    fn split_file_keeps_the_channel_pipeline_but_file_tees_shard() {
-        let data = rows(100, 47);
+    fn sharded_split_file_reproduces_serial_file_bytes() {
+        let data = rows(300, 47);
         let (_src, layout) = staged_layout(&data, 19);
-        let mut staging = crate::staging::StagingManager::new(None).unwrap();
-        let mut ns = nodes();
-        ns[1].file_writer = Some(
-            staging
-                .start_file(vec![NodeId(1)], Pred::Eq { col: 0, value: 0 }, ARITY)
-                .unwrap(),
-        );
-        let batch = BatchCounter::new(ns, u64::MAX, 0, ARITY);
-        let mut sink = certified(batch, 4, 64, data.len());
-        let sharded = sink.try_scan_extents(&layout).unwrap();
-        assert!(sharded.is_some(), "file tees shard via per-reader spools");
+        // The split and node files of a batch with no root: rows with
+        // `a >= 2` and `b == 3` satisfy no node, so the split file skips them.
+        let teeing_batch = |staging: &mut crate::staging::StagingManager| {
+            staging.set_extent_rows(23);
+            let mut ns = nodes();
+            ns.remove(0);
+            ns[0].file_writer = Some(
+                staging
+                    .start_file(vec![NodeId(1)], Pred::Eq { col: 0, value: 0 }, ARITY)
+                    .unwrap(),
+            );
+            let mut batch = BatchCounter::new(ns, u64::MAX, 0, ARITY);
+            batch.split_writer = Some(
+                staging
+                    .start_file(vec![NodeId(9)], Pred::True, ARITY)
+                    .unwrap(),
+            );
+            batch
+        };
+        let staged = |mut batch: BatchCounter, staging: &mut crate::staging::StagingManager| {
+            let mut stats = MiddlewareStats::new();
+            let mut bytes = |w: FileWriter| {
+                let id = staging.commit_file(w, &mut stats).unwrap();
+                std::fs::read(staging.extent_layout(id).unwrap().unwrap().path).unwrap()
+            };
+            let node_file = bytes(batch.nodes[0].file_writer.take().unwrap());
+            let split_file = bytes(batch.split_writer.take().unwrap());
+            let counts: Vec<CountsTable> = batch.nodes.iter().map(|n| n.cc.clone()).collect();
+            (node_file, split_file, counts)
+        };
 
-        let mut batch = sink.finish(&mut MiddlewareStats::new()).unwrap();
-        batch.split_writer = Some(
-            staging
-                .start_file(vec![NodeId(9)], Pred::True, ARITY)
-                .unwrap(),
-        );
-        let mut sink = certified(batch, 4, 64, data.len());
-        assert!(
-            sink.try_scan_extents(&layout).unwrap().is_none(),
-            "the hybrid split file still needs the single producer stream"
-        );
+        let mut serial_staging = crate::staging::StagingManager::new(None).unwrap();
+        let mut serial = teeing_batch(&mut serial_staging);
+        let mut stats = MiddlewareStats::new();
+        for r in &data {
+            serial.process_row(r, &mut stats).unwrap();
+        }
+        let expected = staged(serial, &mut serial_staging);
+        let skipped = data.iter().filter(|r| r[0] >= 2 && r[1] == 3).count();
+        assert!(skipped > 0, "some rows stay out of the split file");
+
+        for (workers, sharded) in [(2usize, true), (4, true), (7, true), (3, false)] {
+            let mut staging = crate::staging::StagingManager::new(None).unwrap();
+            let batch = teeing_batch(&mut staging);
+            let mut sink = certified(batch, workers, 64, data.len());
+            let mut st = MiddlewareStats::new();
+            if sharded {
+                assert!(sink.try_scan_extents(&layout).unwrap().is_some());
+            } else {
+                feed(&mut sink, &data, &mut st);
+            }
+            let batch = sink.finish(&mut st).unwrap();
+            assert_eq!(st.parallel_scans, 1);
+            assert_eq!(
+                staged(batch, &mut staging),
+                expected,
+                "{workers} workers, sharded {sharded}: node file, split file and counts"
+            );
+        }
     }
 
     /// Bit-identity of a sharded *file* tee: appending per-reader spools in

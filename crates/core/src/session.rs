@@ -944,10 +944,9 @@ impl Session {
                 // An exact parallel scan read-shards the file: each worker
                 // owns a disjoint extent range and decodes into its own
                 // counting shard, no producer thread in between. Serial
-                // scans, batches whose tees demand one ordered stream, and
-                // sampled scans (a fraction of the file; and admission is
-                // identical across worker counts by construction) take
-                // the loop.
+                // scans and sampled scans (a fraction of the file; and
+                // admission is identical across worker counts by
+                // construction) take the loop.
                 let sharded = match sampler {
                     None => sink.try_scan_extents(&layout)?,
                     Some(_) => None,
@@ -1485,10 +1484,9 @@ mod tests {
 
     #[test]
     fn two_sessions_share_one_backend_catalog() {
-        // Shared staging is pinned off: the point here is that *stats*
-        // are per-session (each session scans the server itself), which
-        // the `SCALECLASS_SHARED_STAGING=1` CI leg would otherwise turn
-        // into one scan plus a catalog hit.
+        // Shared staging off: the point here is that *stats* are
+        // per-session (each session scans the server itself), which the
+        // catalog would turn into one scan plus a catalog hit.
         let be = backend(
             40,
             MiddlewareConfig::builder().shared_staging(false).build(),
@@ -1558,9 +1556,6 @@ mod tests {
 
     #[test]
     fn shared_staging_off_keeps_catalog_empty() {
-        // The flag is pinned on the builder (not left to the env-derived
-        // default) so the test still means "off" under the
-        // `SCALECLASS_SHARED_STAGING=1` CI leg.
         let be = backend(
             40,
             MiddlewareConfig::builder().shared_staging(false).build(),
@@ -1723,8 +1718,6 @@ mod tests {
 
     #[test]
     fn deltas_off_drains_nothing_and_keeps_staging() {
-        // Deltas pinned off (not default) so the CI leg that forces
-        // SCALECLASS_DELTAS=1 keeps this coverage.
         let be = backend(24, MiddlewareConfig::builder().deltas(false).build());
         let mut s = Session::open(Arc::clone(&be)).unwrap();
         let req = s.root_request(NodeId(0));

@@ -429,8 +429,7 @@ proptest! {
     /// block size small enough to force real interleaving. Exercised over
     /// both the default (memory-staging) path and the singleton-file path
     /// so server-, memory-, and file-sourced scans all go through the
-    /// parallel producer. Worker counts are set explicitly so the test
-    /// stays meaningful under the `SCALECLASS_SCAN_WORKERS` CI matrix.
+    /// parallel producer.
     #[test]
     fn parallel_scan_is_bit_identical_to_serial(
         rows in rows_strategy(),
@@ -1129,21 +1128,6 @@ proptest! {
         shared in any::<bool>(),
     ) {
         assert_drop_mid_stage_is_clean(&rows, k, budget & !3, dense_cap, shared)?;
-    }
-}
-
-/// The `SCALECLASS_SESSIONS` knob feeds `MiddlewareConfig::sessions`
-/// straight into the session fan-out: under the CI matrix leg this same
-/// test runs at K = 4 instead of the floor of 2, so the env plumbing is
-/// covered end to end, not just the builder setter.
-#[test]
-fn env_selected_session_count_matches_serial() {
-    let k = MiddlewareConfig::default().sessions.max(2);
-    let rows: Vec<[Code; 4]> = (0..173u16)
-        .map(|i| [i % 4, (i / 4) % 3, (i / 12) % 5, u16::from(i % 7 < 3)])
-        .collect();
-    for dense_cap in [0u64, 1 << 20] {
-        assert_sessions_match_serial(&rows, k, 24_000, dense_cap).unwrap();
     }
 }
 

@@ -46,12 +46,9 @@ fn serve_root_and_queue_children(s: &mut Session, rows: u16) {
     }
 }
 
-/// Every knob the environment could move is pinned: 8-row blocks and
-/// extents, no shared catalog, exact counting.
+/// 8-row blocks and extents, on `workers` workers.
 fn pinned(workers: usize) -> MiddlewareConfigBuilder {
     MiddlewareConfig::builder()
-        .shared_staging(false)
-        .sampled_counting(0.0)
         .stage_extent_rows(8)
         .scan_block_rows(8)
         .scan_workers(workers)
@@ -301,9 +298,9 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
 /// The `staged-file` shape runs at 1, 7, 512 and 8192 rows per extent
 /// (blocks stay 512 rows): an extent stays in columns from the file to the
 /// kernel and from the kernel's selections to the files its tees write, on
-/// the serial loop, on sharded readers and — batches that write a hybrid
-/// split file — through the channel pipeline, which transposes it for its
-/// workers. All of them must read the same bytes of the same files.
+/// the serial loop and on sharded readers — batches that write a hybrid
+/// split file included, whose readers spool it. All of them must read the
+/// same bytes of the same files.
 #[test]
 fn the_block_kernel_engages_and_serves_the_tees() {
     let row_bytes = 7 * CODE_BYTES as u64;
@@ -335,9 +332,6 @@ fn the_block_kernel_engages_and_serves_the_tees() {
             let run = |workers: usize, kernel: bool| {
                 let config = builder
                     .clone()
-                    .shared_staging(false)
-                    .sampled_counting(0.0)
-                    .deltas(false)
                     .cc_dense_max_bytes(scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES)
                     .stage_extent_rows(extent_rows)
                     .scan_block_rows(512)
@@ -393,9 +387,9 @@ fn the_block_kernel_engages_and_serves_the_tees() {
                 if workers == 4 && !shape.starts_with("staged-mem") {
                     let sharded = on.stats.sharded_file_scans;
                     assert!(sharded > 0, "{what}: sharded readers ran");
-                    assert!(
-                        on.stats.file_scans > sharded,
-                        "{what}: split-file batches took the channel pipeline"
+                    assert_eq!(
+                        on.stats.file_scans, sharded,
+                        "{what}: split-file batches shard too"
                     );
                 }
                 assert_eq!(on.counts, reference.counts, "{what}: counts");
@@ -432,7 +426,6 @@ fn an_out_of_layout_code_sends_only_the_nodes_it_escapes_down_the_row_path() {
             .memory_budget_bytes(3 * (ROWS + 1) * row_bytes)
             .memory_caching(true)
             .file_policy(FileStagingPolicy::Disabled)
-            .deltas(false)
             .cc_dense_max_bytes(scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES)
             .scan_block_rows(512)
             .batch_kernel(kernel)

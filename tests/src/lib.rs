@@ -1,5 +1,8 @@
 //! Shared fixtures for the cross-crate integration tests.
 
+use proptest::prelude::*;
+use scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES;
+use scaleclass::{FileStagingPolicy, MiddlewareConfig};
 use scaleclass_datagen::{census, random_tree, CensusParams, RandomTreeParams};
 use scaleclass_sqldb::{Code, Database, Schema};
 
@@ -101,4 +104,71 @@ pub fn fat_margin_workload(cases_per_leaf: usize) -> (Schema, Vec<Code>, u16) {
 /// Load flat rows into a fresh database under table name `d`.
 pub fn load(schema: &Schema, rows: &[Code]) -> Database {
     scaleclass_datagen::into_database(schema.clone(), rows, "d")
+}
+
+/// The budget of an ample [`config_matrix`] case: the default, which every
+/// batch of the matrix's small tables fits many times over, per session.
+pub const AMPLE_BUDGET: u64 = 64 << 20;
+
+/// One generated point of the middleware's configuration space, for
+/// every suite to draw from instead of hand-listing sweeps. The axes are
+/// the knobs a path hangs on, drawn independently, so a case may combine
+/// what no hand-written sweep pins together (sampled × deltas × shared
+/// catalog × tight budget):
+///
+/// * scan workers {1, 2, 4, 8}, and {1, 4} sessions over one backend;
+/// * shared staging, deltas and memory caching, each on or off;
+/// * exact counting, or a 10 % block sample open to every node;
+/// * file staging off, per-node, singleton or hybrid;
+/// * extent rows {1, 7, 8192}, scan blocks of {7, 4096} rows (seven
+///   makes a small table many blocks, for a sample to admit some and skip
+///   others), dense cap {0, default};
+/// * a budget from 256 B to 512 KiB, or [`AMPLE_BUDGET`] half the time.
+pub fn config_matrix() -> impl Strategy<Value = MiddlewareConfig> {
+    let file_policies = vec![
+        FileStagingPolicy::Disabled,
+        FileStagingPolicy::PerNode,
+        FileStagingPolicy::Singleton,
+        FileStagingPolicy::Hybrid {
+            split_threshold: 0.5,
+        },
+    ];
+    let paths = (
+        prop::sample::select(vec![1usize, 2, 4, 8]),
+        prop::sample::select(vec![1usize, 4]),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    );
+    let layout = (
+        prop::sample::select(file_policies),
+        prop::sample::select(vec![1usize, 7, 8192]),
+        prop::sample::select(vec![7usize, 4096]),
+        prop::sample::select(vec![0, DEFAULT_CC_DENSE_MAX_BYTES]),
+        any::<bool>(),
+        (8u32..=18).prop_flat_map(|e| (1u64 << e)..(2u64 << e)),
+    );
+    (paths, layout).prop_map(
+        |(
+            (workers, sessions, shared, sampled, deltas, caching),
+            (file_policy, extent_rows, block_rows, dense_cap, ample, tight),
+        )| {
+            let mut b = MiddlewareConfig::builder()
+                .scan_workers(workers)
+                .sessions(sessions)
+                .shared_staging(shared)
+                .deltas(deltas)
+                .memory_caching(caching)
+                .file_policy(file_policy)
+                .stage_extent_rows(extent_rows)
+                .scan_block_rows(block_rows)
+                .cc_dense_max_bytes(dense_cap)
+                .memory_budget_bytes(if ample { AMPLE_BUDGET } else { tight });
+            if sampled {
+                b = b.sampled_counting(0.1).sampled_min_rows(0);
+            }
+            b.build()
+        },
+    )
 }

@@ -3,8 +3,8 @@
 //! must be split-identical (`trees_same_splits`) to a tree grown from
 //! scratch over the table's final state — across sparse/dense CC
 //! backends, memory/file staging, and every scan-worker width. With
-//! `SCALECLASS_DELTAS` unset nothing changes: the delta path is inert and
-//! trees are bit-identical to the non-delta build.
+//! deltas off nothing changes: the delta path is inert and trees are
+//! bit-identical to the non-delta build.
 
 use proptest::prelude::*;
 use scaleclass::{FileStagingPolicy, Middleware, MiddlewareConfig};
@@ -297,10 +297,8 @@ fn equivalence_across_backend_staging_worker_matrix() {
     }
 }
 
-/// With deltas disabled (the `SCALECLASS_DELTAS` default — pinned
-/// explicitly so the CI leg that forces the env knob on keeps this
-/// coverage) the grown tree is bit-identical to the delta-enabled build,
-/// and draining finds no logged events.
+/// With deltas disabled the grown tree is bit-identical to the
+/// delta-enabled build, and draining finds no logged events.
 #[test]
 fn deltas_off_is_bit_identical_and_inert() {
     let cards = vec![3u16, 3, 2, 4, 2];
@@ -568,18 +566,11 @@ fn each_dml_statement_charges_a_full_scan_and_a_heap_of_writes() {
 /// score that drifted in the grower's fused decide-and-margins enumeration
 /// (or in `maintain`'s) would move a skip to a re-score or a patch to a
 /// re-split here. The counts are the ones the two-enumeration code before
-/// it produced. Every knob an environment leg can move is pinned on the
-/// builder.
+/// it produced.
 #[test]
 fn churn_sweep_outcomes_are_pinned() {
     let (cards, initial, stream) = churn_sweep();
-    let cfg = MiddlewareConfig::builder()
-        .deltas(true)
-        .scan_workers(1)
-        .sessions(1)
-        .shared_staging(false)
-        .sampled_counting(0.0)
-        .build();
+    let cfg = MiddlewareConfig::builder().deltas(true).build();
     let (_, rounds) = run_scenario(cfg, &cards, &initial, &stream, "pinned churn sweep");
     let decided: Vec<(u64, u64, u64)> = rounds
         .iter()
@@ -595,8 +586,7 @@ const PINNED_SWEEP: [(u64, u64, u64); 3] = [(4, 7, 0), (1, 5, 1), (3, 9, 1)];
 /// winner and runner-up scores are razor-thin at every level, so 1% mixed
 /// churn lets it vouch for little and maintenance approaches the cost of
 /// the rebuild — which it must still never exceed, at a split-identical
-/// tree. Every knob an environment leg can move is pinned on the builder
-/// (both sessions), so the counts are the same under all of them.
+/// tree.
 #[test]
 fn adversarial_census_churn_never_out_scans_the_rebuild() {
     let w = scaleclass_bench::workloads::census_workload(12_000);
@@ -610,17 +600,9 @@ fn adversarial_census_churn_never_out_scans_the_rebuild() {
         min_rows: 200,
         ..GrowConfig::default()
     };
-    let pinned = |deltas: bool| {
-        MiddlewareConfig::builder()
-            .deltas(deltas)
-            .scan_workers(1)
-            .sessions(1)
-            .shared_staging(false)
-            .sampled_counting(0.0)
-            .build()
-    };
+    let config = |deltas: bool| MiddlewareConfig::builder().deltas(deltas).build();
 
-    let mut mw = Middleware::new(load_db(&cards, &rows), "d", "class", pinned(true))
+    let mut mw = Middleware::new(load_db(&cards, &rows), "d", "class", config(true))
         .expect("maintained session");
     let mut model = grow_maintainable(&mut mw, &grow).expect("initial grow");
     let mut mirror = rows.clone();
@@ -638,7 +620,7 @@ fn adversarial_census_churn_never_out_scans_the_rebuild() {
     assert!(out.nodes_resplit > 0, "thin margins must re-split");
     assert_staged_within_lease(&mw, "adversarial census");
 
-    let mut fresh = Middleware::new(load_db(&cards, &rows), "d", "class", pinned(false))
+    let mut fresh = Middleware::new(load_db(&cards, &rows), "d", "class", config(false))
         .expect("rebuild session");
     let before = fresh.db_stats();
     let rebuilt = grow_with_middleware(&mut fresh, &grow).expect("rebuild grow");
