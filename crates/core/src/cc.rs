@@ -26,6 +26,7 @@
 //! scheduler accounting fire at exactly the same rows regardless of the
 //! backend. Property tests in `tests/props.rs` pin this bit-identity.
 
+use crate::error::{MwError, MwResult};
 use crate::request::DataLocation;
 use scaleclass_sqldb::{Code, ColumnView};
 use std::collections::BTreeMap;
@@ -156,6 +157,19 @@ impl DenseLayout {
             Some(&i) if i != u16::MAX => Some(i as usize),
             _ => None,
         }
+    }
+
+    /// This layout cut down to `attrs`, at the same cardinalities: the
+    /// layout [`DenseLayout::build`] makes for a child counting `attrs`
+    /// under the same schema. `None` when one of them is not tracked.
+    fn restrict(&self, attrs: &[u16]) -> Option<DenseLayout> {
+        let cards = (attrs.iter())
+            .map(|&attr| {
+                let card = self.cards.get(self.attr_index(attr)?)?;
+                Some((attr, u64::from(*card)))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        DenseLayout::build(&cards, u64::from(self.n_classes))
     }
 }
 
@@ -381,6 +395,15 @@ impl DenseCounts {
         let start = l.offsets[i] as usize;
         let span = (l.cards[i] * l.n_classes) as usize;
         Some(&self.slots[start..start + span])
+    }
+
+    /// [`DenseCounts::attr_slots`], to write.
+    fn attr_slots_mut(&mut self, attr: u16) -> Option<&mut [u64]> {
+        let l = &*self.layout;
+        let i = l.attr_index(attr)?;
+        let start = l.offsets[i] as usize;
+        let span = (l.cards[i] * l.n_classes) as usize;
+        self.slots.get_mut(start..start + span)
     }
 
     /// One tracked attribute's slots as value rows: chunk `v` holds the
@@ -1049,6 +1072,160 @@ impl CountsTable {
         }
         self.total += total;
     }
+
+    /// Slots of the dense array — what one pass over the table walks; 0
+    /// for a sparse table.
+    pub(crate) fn dense_slots(&self) -> u64 {
+        match &self.repr {
+            CcRepr::Dense(d) => d.slots.len() as u64,
+            CcRepr::Sparse(_) => 0,
+        }
+    }
+
+    /// Is this a dense table whose layout tracks every attribute of
+    /// `attrs`?
+    pub(crate) fn tracks(&self, attrs: &[u16]) -> bool {
+        let CcRepr::Dense(d) = &self.repr else {
+            return false;
+        };
+        attrs
+            .iter()
+            .all(|&attr| d.layout.attr_index(attr).is_some())
+    }
+
+    /// An empty dense table over this dense table's layout cut down to
+    /// `attrs` — the table [`new_dense`](Self::new_dense) builds for a
+    /// child counting `attrs` under the same schema. `None` when this table
+    /// is sparse or does not track one of `attrs`.
+    pub(crate) fn dense_over(&self, attrs: &[u16]) -> Option<CountsTable> {
+        let CcRepr::Dense(d) = &self.repr else {
+            return None;
+        };
+        let layout = Arc::new(d.layout.restrict(attrs)?);
+        Some(CountsTable {
+            repr: CcRepr::Dense(DenseCounts::new(layout)),
+            total: 0,
+            class_totals: BTreeMap::new(),
+        })
+    }
+
+    /// The counts table of one child of a binary split, derived from its
+    /// parent's exact table and its counted sibling's (DESIGN.md §12b).
+    /// `A = v` and `A ≠ v` partition the parent's rows and counts add over
+    /// any partition, so slot for slot the child is `parent − sibling` —
+    /// except in the split attribute when an `=` sibling does not track it:
+    /// its every row has `A = v`, so there it counts its class totals in
+    /// `v`'s row. The result is the dense table counting the child's rows
+    /// over `attrs` builds, carved in place out of the parent's allocation
+    /// when `parent` is the last handle on it and the child keeps its
+    /// layout.
+    ///
+    /// # Errors
+    ///
+    /// [`MwError::Internal`] when a count would underflow, or the tables do
+    /// not line up (one sparse, an attribute neither tracks): either means
+    /// `parent` is not the table of `sibling`'s parent.
+    pub(crate) fn derive(
+        parent: Arc<CountsTable>,
+        sibling: &CountsTable,
+        attrs: &[u16],
+        edge: SiblingEdge,
+    ) -> MwResult<CountsTable> {
+        let underflow = || {
+            MwError::Internal(
+                "a sibling counts more than the table it is derived against: \
+                 that table is not its parent's"
+                    .into(),
+            )
+        };
+        let mismatch =
+            || MwError::Internal("a derived table does not line up with its parent's".into());
+        let (CcRepr::Dense(p), CcRepr::Dense(s)) = (&parent.repr, &sibling.repr) else {
+            return Err(mismatch());
+        };
+        if p.layout.n_classes != s.layout.n_classes {
+            return Err(mismatch());
+        }
+        let layout = p.layout.restrict(attrs).ok_or_else(mismatch)?;
+        let total = parent
+            .total
+            .checked_sub(sibling.total)
+            .ok_or_else(underflow)?;
+        let mut class_totals = parent.class_totals.clone();
+        for (&class, &n) in &sibling.class_totals {
+            let left = (class_totals.get(&class))
+                .and_then(|&t| t.checked_sub(n))
+                .ok_or_else(underflow)?;
+            if left == 0 {
+                class_totals.remove(&class);
+            } else {
+                class_totals.insert(class, left);
+            }
+        }
+        let mut child = if layout == *p.layout {
+            match Arc::try_unwrap(parent) {
+                Ok(CountsTable {
+                    repr: CcRepr::Dense(own),
+                    ..
+                }) => own,
+                Err(shared) => match &shared.repr {
+                    CcRepr::Dense(d) => d.clone(),
+                    CcRepr::Sparse(_) => return Err(mismatch()),
+                },
+                Ok(_) => return Err(mismatch()),
+            }
+        } else {
+            let mut slots = Vec::with_capacity(layout.slots as usize);
+            for &attr in &layout.attrs {
+                slots.extend_from_slice(p.attr_slots(attr).ok_or_else(mismatch)?);
+            }
+            DenseCounts {
+                layout: Arc::new(layout),
+                slots,
+                occupied: 0,
+            }
+        };
+        let layout = Arc::clone(&child.layout);
+        let mut occupied = 0;
+        for &attr in &layout.attrs {
+            let own = child.attr_slots_mut(attr).ok_or_else(mismatch)?;
+            match s.attr_slots(attr) {
+                Some(theirs) if theirs.len() == own.len() => {
+                    for (n, &m) in own.iter_mut().zip(theirs) {
+                        *n = n.checked_sub(m).ok_or_else(underflow)?;
+                    }
+                }
+                None if edge.eq && attr == edge.col => {
+                    let width = layout.n_classes as usize;
+                    let mut row = own.chunks_exact_mut(width).nth(usize::from(edge.value));
+                    for (&class, &m) in &sibling.class_totals {
+                        let n = (row.as_deref_mut())
+                            .and_then(|row| row.get_mut(usize::from(class)))
+                            .ok_or_else(underflow)?;
+                        *n = n.checked_sub(m).ok_or_else(underflow)?;
+                    }
+                }
+                _ => return Err(mismatch()),
+            }
+            occupied += own.iter().filter(|&&n| n != 0).count();
+        }
+        child.occupied = occupied;
+        Ok(CountsTable {
+            repr: CcRepr::Dense(child),
+            total,
+            class_totals,
+        })
+    }
+}
+
+/// Where the counted sibling of a derived child sits in their parent's
+/// binary split on column `col` ([`CountsTable::derive`]): every one of its
+/// rows has `col = value` (`eq`), or none has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SiblingEdge {
+    pub(crate) col: u16,
+    pub(crate) value: Code,
+    pub(crate) eq: bool,
 }
 
 /// Add one to `map[key]` per key, in order, with one tree walk per run of
@@ -1290,8 +1467,10 @@ impl Iterator for AttrVector<'_> {
 pub struct FulfilledCc {
     /// The client's node this answers.
     pub node: crate::request::NodeId,
-    /// The counts table.
-    pub cc: CountsTable,
+    /// The counts table, shared: the session keeps a weak handle on an
+    /// exact dense one, from which it may derive a child of this node while
+    /// the client still holds it (DESIGN.md §12b).
+    pub cc: Arc<CountsTable>,
     /// Where the data was read from (the S/I/L tag of Figure 1).
     pub source: DataLocation,
     /// True when memory pressure forced the §4.1.1 dynamic switch to
@@ -1920,6 +2099,106 @@ mod tests {
             assert!(cc.remove_row(&[1, 1, 1], &[0, 1], 2));
             assert!(!cc.remove_row(&[0, 0, 0], &[0, 1], 2), "dense={dense}");
         }
+    }
+
+    /// A dense table over `attrs` (each card 4, two classes) counting `rows`.
+    fn counted_over(attrs: &[u16], rows: &[[Code; 3]]) -> CountsTable {
+        let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
+        let mut cc = CountsTable::new_dense(&cards, 2);
+        for row in rows {
+            cc.add_row(row, attrs, 2);
+        }
+        cc
+    }
+
+    /// The dense slot array's address: where in-place derivation must land.
+    fn slots_at(cc: &CountsTable) -> *const u64 {
+        match &cc.repr {
+            CcRepr::Dense(d) => d.slots.as_ptr(),
+            CcRepr::Sparse(_) => std::ptr::null(),
+        }
+    }
+
+    /// Both children of a binary split derive from their parent and their
+    /// sibling: the `≠` child from an `=` sibling that does not track the
+    /// split attribute (its class totals fill `v`'s row), in place when the
+    /// parent's table is no one else's, copied when it is shared; and the
+    /// `=` child, which drops the split attribute, from a `≠` sibling.
+    #[test]
+    fn derive_is_the_parent_minus_the_sibling() {
+        let rows: Vec<[Code; 3]> = (0..60u16)
+            .map(|r| [r % 4, (r * 7 / 3) % 4, (r / 5) % 2])
+            .collect();
+        let parent = counted_over(&[0, 1], &rows);
+        for (col, value) in [(0u16, 1u16), (1, 3), (1, 2)] {
+            let side = |eq: bool| -> Vec<[Code; 3]> {
+                let on = |r: &&[Code; 3]| (r[usize::from(col)] == value) == eq;
+                rows.iter().filter(on).copied().collect()
+            };
+            let other = [1 - col];
+            let eq = counted_over(&other, &side(true));
+            let neq = counted_over(&[0, 1], &side(false));
+            for shared in [false, true] {
+                let table = Arc::new(parent.clone());
+                let (at, holder) = (slots_at(&table), shared.then(|| Arc::clone(&table)));
+                let edge = SiblingEdge {
+                    col,
+                    value,
+                    eq: true,
+                };
+                let got = CountsTable::derive(table, &eq, &[0, 1], edge).unwrap();
+                assert_eq!(got, neq, "≠ of {col} = {value}");
+                assert!(got.is_dense());
+                assert_eq!(got.entries(), neq.entries());
+                assert_eq!(got.memory_bytes(), got.shadow_memory_bytes());
+                assert_eq!(slots_at(&got) == at, !shared, "in place iff unshared");
+                assert_eq!(holder.map(|p| *p == parent), shared.then_some(true));
+            }
+            let edge = SiblingEdge {
+                col,
+                value,
+                eq: false,
+            };
+            let got = CountsTable::derive(Arc::new(parent.clone()), &neq, &other, edge).unwrap();
+            assert_eq!(got, eq, "= of {col} = {value}");
+            assert!(got.is_dense() && got.tracks(&other) && !got.tracks(&[col]));
+            assert_eq!(got.entries(), eq.entries());
+            assert_eq!(got.memory_bytes(), got.shadow_memory_bytes());
+        }
+    }
+
+    /// A table that is not the sibling's parent's does not derive: a count
+    /// the sibling holds and the parent lacks, a sparse table, or an
+    /// attribute of the child neither the sibling nor the split accounts
+    /// for.
+    #[test]
+    fn derive_refuses_tables_that_are_not_the_parents() {
+        let rows: &[[Code; 3]] = &[[0, 0, 0], [1, 1, 1], [1, 2, 0], [2, 3, 1]];
+        let parent = Arc::new(counted_over(&[0, 1], rows));
+        let eq = counted_over(&[1], &[[1, 1, 1], [1, 2, 0]]);
+        let edge = SiblingEdge {
+            col: 0,
+            value: 1,
+            eq: true,
+        };
+        let derive = |parent: &Arc<CountsTable>, sibling: &CountsTable, attrs: &[u16], edge| {
+            CountsTable::derive(Arc::clone(parent), sibling, attrs, edge)
+        };
+        assert!(derive(&parent, &eq, &[0, 1], edge).is_ok());
+        let stranger = counted_over(&[1], &[[1, 1, 1], [1, 1, 1]]);
+        assert!(matches!(
+            derive(&parent, &stranger, &[0, 1], edge),
+            Err(MwError::Internal(_))
+        ));
+        assert!(derive(&parent, &table_from(&[[1, 1, 1]]), &[0, 1], edge).is_err());
+        let sparse_parent = Arc::new(table_from(rows));
+        assert!(derive(&sparse_parent, &eq, &[0, 1], edge).is_err());
+        let neq_edge = SiblingEdge { eq: false, ..edge };
+        assert!(
+            derive(&parent, &eq, &[0, 1], neq_edge).is_err(),
+            "a `≠` sibling must track the split attribute"
+        );
+        assert!(derive(&parent, &eq, &[0, 5], edge).is_err(), "untracked");
     }
 
     #[test]

@@ -56,11 +56,22 @@
 //! cancellation here — and each of its workers is a
 //! `BatchCounter::worker` fed through `BatchCounter::process`. Every
 //! other batch counts serially, through the protocol above.
+//!
+//! **Derived nodes.** A node the batch plans to derive from its parent's
+//! table and its counted sibling's (`crate::siblings`, DESIGN.md §12b) is
+//! routed and teed like any other, but no path counts it: it keeps an
+//! empty table through the scan, and `BatchCounter::derive` builds its
+//! table after it. The plan stands only over a scan
+//! `BatchCounter::cannot_reach_budget` clears (`RowSink::certify` settles
+//! it): there no budget event can fire and modelled memory only grows, so
+//! charging the derived tables once at the end and observing memory then
+//! reaches the state, and the peak, counting them would have.
 
 use crate::cc::{CountsTable, KernelScratch, CC_ENTRY_BYTES};
-use crate::error::MwResult;
+use crate::error::{MwError, MwResult};
 use crate::metrics::MiddlewareStats;
 use crate::request::CcRequest;
+use crate::siblings::Derivation;
 use crate::staging::FileWriter;
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
 use scaleclass_sqldb::{BlockRoute, ColumnView, PredSet};
@@ -79,6 +90,9 @@ pub struct NodeCounter {
     pub file_writer: Option<FileWriter>,
     /// Staging tee: middleware memory buffer (flat codes).
     pub mem_buffer: Option<Vec<Code>>,
+    /// Set while the batch means to derive this node's table after the
+    /// scan instead of counting it (module docs).
+    pub(crate) derive: Option<Derivation>,
 }
 
 impl NodeCounter {
@@ -90,7 +104,14 @@ impl NodeCounter {
             fallback: false,
             file_writer: None,
             mem_buffer: None,
+            derive: None,
         }
+    }
+
+    /// Does the scan count this node? Not once it fell back to SQL, nor
+    /// while its table is to be derived.
+    fn counts(&self) -> bool {
+        !self.fallback && self.derive.is_none()
     }
 }
 
@@ -128,6 +149,8 @@ pub struct BatchCounter {
     pub(crate) batch_kernel: bool,
     /// Reusable selection/tally scratch of the block pass.
     pass: BlockPass,
+    /// The source table's mutation epoch when the scan was certified.
+    pub(crate) epoch: u64,
 }
 
 /// A block of rows in either layout the scan paths produce, as the
@@ -259,10 +282,10 @@ fn nanos_since(t0: Instant) -> u64 {
 }
 
 /// Node `idx`'s counts table with the attribute columns and class column
-/// it counts; `None` once the node has fallen back to SQL.
+/// it counts; `None` when the scan does not count the node.
 fn slot(nodes: &mut [NodeCounter], idx: usize) -> Option<(&mut CountsTable, &[u16], u16)> {
     let node = nodes.get_mut(idx)?;
-    (!node.fallback).then_some((&mut node.cc, node.req.attrs.as_slice(), node.req.class_col))
+    (node.counts()).then_some((&mut node.cc, node.req.attrs.as_slice(), node.req.class_col))
 }
 
 /// The route-then-count pass over one block, and its reusable scratch;
@@ -421,6 +444,7 @@ impl BatchCounter {
             matched: Vec::with_capacity(8),
             batch_kernel: true,
             pass: BlockPass::default(),
+            epoch: 0,
         }
     }
 
@@ -473,8 +497,8 @@ impl BatchCounter {
             // these same `nodes`, one predicate each, in order.
             let node = &mut self.nodes[idx];
 
-            // Counting (unless this node already fell back to SQL).
-            if !node.fallback {
+            // Counting (unless this node fell back to SQL or is derived).
+            if node.counts() {
                 let before = node.cc.entries();
                 node.cc.add_row(row, &node.req.attrs, node.req.class_col);
                 let grew = (node.cc.entries() - before) as u64 * CC_ENTRY_BYTES;
@@ -596,6 +620,81 @@ impl BatchCounter {
         need <= self.budget
     }
 
+    /// Keep each derivation planned for this certified scan only where it
+    /// is sound: the scan `proved` it cannot reach the budget
+    /// ([`BatchCounter::cannot_reach_budget`]), the source table is still
+    /// at the `epoch` the parent was counted at, and the certificate lies
+    /// inside the layouts of the counted sibling (so it stays dense) and of
+    /// the derived child. Every other planned node gets the empty table it
+    /// would have been built with, and is counted like any other.
+    pub(crate) fn settle_derivations(&mut self, proved: bool, epoch: u64) {
+        let cert = &self.pass.certificate;
+        let sound = |node: &NodeCounter, plan: &Derivation| {
+            let sibling_covered = self.nodes.get(plan.sibling).is_some_and(|s| {
+                s.counts() && s.cc.is_dense() && s.cc.covers(cert, &s.req.attrs, s.req.class_col)
+            });
+            proved
+                && plan.epoch == epoch
+                && sibling_covered
+                && (plan.parent).covers(cert, &node.req.attrs, node.req.class_col)
+        };
+        let keep: Vec<bool> = (self.nodes.iter())
+            .map(|n| n.derive.as_ref().is_some_and(|plan| sound(n, plan)))
+            .collect();
+        for (node, keep) in self.nodes.iter_mut().zip(keep) {
+            if keep {
+                continue;
+            }
+            if let Some(plan) = node.derive.take() {
+                node.cc = (plan.parent.dense_over(&node.req.attrs)).unwrap_or_default();
+            }
+        }
+    }
+
+    /// Derive every planned node's table from its parent's and its counted
+    /// sibling's (`CountsTable::derive`), after the scan and any parallel
+    /// merge; charge the tables to modelled memory and observe it once —
+    /// the proof that kept the plans makes that the scan's peak.
+    ///
+    /// # Errors
+    ///
+    /// [`MwError::Internal`] when a table does not derive: the parent's
+    /// table was not that parent's.
+    pub(crate) fn derive(&mut self, stats: &mut MiddlewareStats) -> MwResult<()> {
+        let t0 = Instant::now();
+        let plans: Vec<(usize, Derivation)> = (self.nodes.iter_mut().enumerate())
+            .filter_map(|(idx, node)| Some((idx, node.derive.take()?)))
+            .collect();
+        if plans.is_empty() {
+            return Ok(());
+        }
+        for (idx, plan) in plans {
+            let (Some(node), Some(sibling)) = (self.nodes.get(idx), self.nodes.get(plan.sibling))
+            else {
+                return Err(MwError::Internal("a derived node lost its sibling".into()));
+            };
+            if sibling.fallback {
+                return Err(MwError::Internal(
+                    "the sibling of a derived node fell back to SQL".into(),
+                ));
+            }
+            let cc = CountsTable::derive(plan.parent, &sibling.cc, &node.req.attrs, plan.edge)?;
+            self.cc_bytes += cc.memory_bytes();
+            stats.derived_nodes += 1;
+            stats.derived_rows += cc.total();
+            if let Some(node) = self.nodes.get_mut(idx) {
+                node.cc = cc;
+            }
+        }
+        debug_assert!(
+            self.memory_in_use() <= self.budget,
+            "derived tables took a scan the proof cleared past the budget"
+        );
+        stats.observe_memory(self.memory_in_use());
+        stats.kernel_accumulate_nanos += nanos_since(t0);
+        Ok(())
+    }
+
     /// A counter for one worker of this batch's parallel scan: the same
     /// requests, router, certificate and kernel switch, empty tables of
     /// the same backends, no tees, no budget and nothing to evict. Sound
@@ -608,6 +707,7 @@ impl BatchCounter {
             .iter()
             .map(|n| NodeCounter {
                 cc: n.cc.fresh_like(),
+                derive: n.derive.clone(),
                 ..NodeCounter::new(n.req.clone())
             })
             .collect();

@@ -106,6 +106,7 @@ pub mod sample;
 )]
 pub mod scheduler;
 pub mod session;
+mod siblings;
 mod source;
 pub mod sqlgen;
 pub mod staging;

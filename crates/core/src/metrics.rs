@@ -91,7 +91,8 @@ pub struct MiddlewareStats {
     /// excluded from determinism comparisons like `scan_nanos`.
     pub kernel_nanos: u64,
     /// Selections counted through the block kernel: one per (node, block)
-    /// pair whose selection the route-then-count pass counted.
+    /// pair whose selection the route-then-count pass counted. A derived
+    /// node (`derived_nodes`) is counted in no block, so contributes none.
     /// Pipeline-shape counter: varies with worker count and block size, so
     /// determinism comparisons exclude it alongside `scan_blocks`.
     pub blocks_counted: u64,
@@ -110,9 +111,18 @@ pub struct MiddlewareStats {
     /// Nanoseconds the block kernel spent counting selections: reading the
     /// selected codes in place (which an untimed gather did before PR 21)
     /// and incrementing — dense slots and class tally, or sparse run
-    /// detection. Timing — excluded from determinism comparisons like
-    /// `kernel_nanos`.
+    /// detection — plus the time spent deriving tables (`derived_nodes`).
+    /// Timing — excluded from determinism comparisons like `kernel_nanos`.
     pub kernel_accumulate_nanos: u64,
+    /// Nodes whose counts table a batch derived after its scan, as its
+    /// parent's exact table minus the counted sibling's (DESIGN.md §12b),
+    /// instead of counting it. Deterministic for a given client: a client
+    /// whose child lineages are not extended from the parent's record
+    /// derives nothing.
+    pub derived_nodes: u64,
+    /// Rows whose counting derivation skipped: the totals of the derived
+    /// tables. Each would have cost one increment per attribute.
+    pub derived_rows: u64,
     /// Server statistics attributable to building auxiliary structures
     /// (so experiments can report the "idealized" §5.2.5 number that
     /// neglects index build cost).

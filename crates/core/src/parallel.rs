@@ -23,7 +23,10 @@
 //! and their merge is that final state, observed once. Every other scan
 //! counts serially, through the one protocol in `executor.rs`. So counts,
 //! fallback flags and every logical stat are those of `scan_workers = 1`,
-//! at any budget.
+//! at any budget. The same proof is what lets a batch derive a node's table
+//! from its parent's and its sibling's instead of counting it
+//! (`crate::siblings`): no worker counts such a node, and `RowSink::finish`
+//! derives it once the workers are merged.
 //!
 //! ## Two ways to feed the workers
 //!
@@ -375,15 +378,22 @@ impl RowSink {
     }
 
     /// Start the scan, before the first block: it reads at most `rows`
-    /// rows, and every code of them lies at or under `certificate`, per
-    /// column (the source table's range certificate). The scan runs in
-    /// parallel when more than one worker is configured and
-    /// `BatchCounter::cannot_reach_budget` proves it fires no budget
-    /// event; serially otherwise.
-    pub(crate) fn certify(&mut self, certificate: &[Code], rows: u64) {
+    /// rows of a source table at mutation `epoch`, and every code of them
+    /// lies at or under `certificate`, per column (the table's range
+    /// certificate). When `BatchCounter::cannot_reach_budget` proves the
+    /// scan fires no budget event, it runs in parallel if more than one
+    /// worker is configured, and the batch's planned derivations stand
+    /// (`BatchCounter::settle_derivations`); otherwise it counts serially,
+    /// every node included.
+    pub(crate) fn certify(&mut self, certificate: &[Code], rows: u64, epoch: u64) {
         debug_assert_eq!(self.rows, 0, "certified after the first block");
-        self.batch.certify(certificate);
-        if self.workers > 1 && self.batch.cannot_reach_budget(rows) {
+        let batch = &mut self.batch;
+        batch.certify(certificate);
+        batch.epoch = epoch;
+        let deriving = batch.nodes.iter().any(|n| n.derive.is_some());
+        let proved = (self.workers > 1 || deriving) && batch.cannot_reach_budget(rows);
+        batch.settle_derivations(proved, epoch);
+        if proved && self.workers > 1 {
             let scan = ParallelScan::new(&self.batch, self.workers, self.block_rows);
             self.parallel = Some(scan);
         }
@@ -422,7 +432,9 @@ impl RowSink {
         }
     }
 
-    /// Finish the pass and recover the batch for completion bookkeeping.
+    /// Finish the pass — join and merge a parallel one, then derive the
+    /// tables the batch planned to derive (`BatchCounter::derive`) — and
+    /// recover the batch for completion bookkeeping.
     pub fn finish(self, stats: &mut MiddlewareStats) -> MwResult<BatchCounter> {
         let RowSink {
             mut batch,
@@ -434,6 +446,7 @@ impl RowSink {
         if let Some(scan) = parallel {
             scan.finish(&mut batch, stats)?;
         }
+        batch.derive(stats)?;
         stats.scan_rows += rows;
         stats.scan_nanos += started.elapsed().as_nanos() as u64;
         Ok(batch)
@@ -443,9 +456,11 @@ impl RowSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{CountsTable, CC_ENTRY_BYTES};
+    use crate::cc::{CountsTable, SiblingEdge, CC_ENTRY_BYTES};
     use crate::request::{CcRequest, Lineage, NodeId};
+    use crate::siblings::Derivation;
     use scaleclass_sqldb::Pred;
+    use std::sync::Arc;
 
     const ARITY: usize = 3; // attrs 0,1 + class 2
 
@@ -505,7 +520,7 @@ mod tests {
             .scan_block_rows(block_rows)
             .build();
         let mut sink = RowSink::new(batch, &config);
-        sink.certify(&CERT, nrows as u64);
+        sink.certify(&CERT, nrows as u64, 0);
         sink
     }
 
@@ -992,6 +1007,112 @@ mod tests {
         assert!(!sunk.nodes[0].fallback);
         assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
         assert_eq!(stats.peak_memory_bytes, alone_stats.peak_memory_bytes);
+    }
+
+    /// The root's children on `a = 1` (over `b` alone, the split attribute
+    /// pinned) and `a ≠ 1` (over both), dense; with `derive`, the second
+    /// planned for derivation from `parent` at epoch 0.
+    fn children(parent: &Arc<CountsTable>, derive: bool) -> Vec<NodeCounter> {
+        let child = |id: u64, pred: Pred, attrs: Vec<u16>| {
+            let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
+            let mut node = NodeCounter::new(CcRequest {
+                attrs,
+                parent_cards: vec![4; 2],
+                ..request(id, pred)
+            });
+            node.cc = CountsTable::new_dense(&cards, 2);
+            node
+        };
+        let eq = child(1, Pred::Eq { col: 0, value: 1 }, vec![1]);
+        let mut neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1]);
+        if derive {
+            neq.cc = CountsTable::new();
+            neq.derive = Some(Derivation {
+                parent: Arc::clone(parent),
+                sibling: 0,
+                edge: SiblingEdge {
+                    col: 0,
+                    value: 1,
+                    eq: true,
+                },
+                epoch: 0,
+            });
+        }
+        vec![eq, neq]
+    }
+
+    /// Count `data` through a sink over `nodes` allowed `workers` threads,
+    /// certified at `epoch`, under `budget`.
+    fn sunk(
+        nodes: Vec<NodeCounter>,
+        workers: usize,
+        budget: u64,
+        epoch: u64,
+        data: &[[Code; 3]],
+    ) -> (BatchCounter, MiddlewareStats) {
+        let config = MiddlewareConfig::builder()
+            .scan_workers(workers)
+            .scan_block_rows(16)
+            .build();
+        let mut sink = RowSink::new(BatchCounter::new(nodes, budget, 0, ARITY), &config);
+        sink.certify(&CERT, data.len() as u64, epoch);
+        let mut stats = MiddlewareStats::new();
+        feed(&mut sink, data, &mut stats);
+        let batch = sink.finish(&mut stats).unwrap();
+        batch.assert_shadow_accounting();
+        (batch, stats)
+    }
+
+    /// A planned node is derived after the scan — on one worker or four —
+    /// into the table counting it builds, and leaves the batch in the
+    /// state, and at the peak, counting it leaves; a scan whose budget
+    /// proof fails, or whose table moved on since the parent was counted,
+    /// counts it instead.
+    #[test]
+    fn a_planned_sibling_is_derived_under_the_proof_and_counted_without() {
+        let data = rows(700, 61);
+        let mut root = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+        for r in &data {
+            root.add_row(r, &[0, 1], 2);
+        }
+        let parent = Arc::new(root);
+        let (counted, counted_stats) = sunk(children(&parent, false), 1, u64::MAX, 0, &data);
+        // Counted, the batch ends at `most`. The proof bounds each table by
+        // its every slot — 8 and 16 — the `a ≠ 1` child's empty `a = 1`
+        // ones included: a budget of `most` fails it, one of 24 entries
+        // clears it.
+        let most = counted.memory_in_use();
+        for (workers, budget, epoch, derives) in [
+            (1, u64::MAX, 0, true),
+            (4, u64::MAX, 0, true),
+            (1, 24 * CC_ENTRY_BYTES, 0, true),
+            (1, most, 0, false),
+            (4, u64::MAX, 1, false),
+        ] {
+            let what = format!("{workers} workers, budget {budget}, epoch {epoch}");
+            let (batch, stats) = sunk(children(&parent, true), workers, budget, epoch, &data);
+            for (c, b) in counted.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(b.cc, c.cc, "{what}");
+                assert!(
+                    b.cc.is_dense() && b.derive.is_none() && !b.fallback,
+                    "{what}"
+                );
+            }
+            assert_eq!(batch.memory_in_use(), most, "{what}");
+            assert_eq!(
+                stats.peak_memory_bytes, counted_stats.peak_memory_bytes,
+                "{what}"
+            );
+            assert_eq!(stats.derived_nodes, u64::from(derives), "{what}");
+            let derived_rows = if derives {
+                batch.nodes[1].cc.total()
+            } else {
+                0
+            };
+            assert_eq!(stats.derived_rows, derived_rows, "{what}");
+            assert_eq!(stats.parallel_scans, u64::from(workers > 1), "{what}");
+        }
+        assert_eq!(Arc::strong_count(&parent), 1, "no plan outlives its batch");
     }
 
     #[test]

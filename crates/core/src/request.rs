@@ -3,9 +3,10 @@
 //! The client's only interface to the data (Figure 3): it queues one
 //! [`CcRequest`] per active tree node and later consumes fulfilled counts
 //! tables. A request carries everything the middleware's estimator needs
-//! (§4.2.1) — the node's *exact* data size (known from the parent's CC
-//! table) and the parent-level attribute cardinalities — plus the node's
-//! [`Lineage`] so the scheduler can find staged data of ancestors.
+//! (§4.2.1) — the node's data size (read off the parent's CC table: exact
+//! under exact counts, scaled up under sampled ones) and the parent-level
+//! attribute cardinalities — plus the node's [`Lineage`] so the scheduler
+//! can find staged data of ancestors.
 //!
 //! **Lineages are shared, not copied.** A node's data is a view over its
 //! parent's, and its lineage has that shape: a reference-counted record
@@ -163,6 +164,37 @@ impl Lineage {
         self.link.depth
     }
 
+    /// The parent's node id; `None` for a root.
+    pub fn parent(&self) -> Option<NodeId> {
+        self.link.parent.as_ref().map(|parent| parent.node)
+    }
+
+    /// Was `child` extended from this very lineage — the record
+    /// [`Lineage::child`] linked it to, not merely one with the same node
+    /// id and predicate?
+    pub fn is_parent_of(&self, child: &Lineage) -> bool {
+        (child.link.parent.as_ref()).is_some_and(|parent| Arc::ptr_eq(parent, &self.link))
+    }
+
+    /// The edge predicate [`Lineage::child`] conjoined to the parent's
+    /// path predicate, when it added exactly one term. `None` for a root
+    /// and for an edge that added no term (`TRUE`) or several.
+    pub fn edge(&self) -> Option<&Pred> {
+        let parent = self.link.parent.as_deref()?;
+        let terms = |pred: &Pred| match pred {
+            Pred::True => 0,
+            Pred::And(terms) => terms.len(),
+            _ => 1,
+        };
+        if terms(&self.link.pred) != terms(&parent.pred) + 1 {
+            return None;
+        }
+        match &self.link.pred {
+            Pred::And(terms) => terms.last(),
+            edge => Some(edge),
+        }
+    }
+
     /// Does this lineage pass through `ancestor` (inclusive of self)?
     pub fn contains(&self, ancestor: NodeId) -> bool {
         self.entries().any(|(id, _)| id == ancestor)
@@ -242,10 +274,13 @@ pub struct CcRequest {
     pub attrs: Vec<u16>,
     /// Class column index.
     pub class_col: u16,
-    /// Exact number of rows at this node (from the parent's CC table;
-    /// §4.2.1 — "hence memory load requirements are known").
+    /// Rows at this node as the client read them off the parent's CC table
+    /// (§4.2.1 — "hence memory load requirements are known"): exact under
+    /// an exact parent, a scaled estimate after a sampled accept (the
+    /// client scales the sample's counts up by its fraction). The
+    /// scheduler sizes batches by it; nothing that must be exact reads it.
     pub rows: u64,
-    /// Exact number of rows at the parent.
+    /// Rows at the parent, on the same terms as `rows`.
     pub parent_rows: u64,
     /// `card(p_i, A_j)` for each entry of `attrs`: the number of distinct
     /// values of the attribute observed at the parent.
@@ -298,6 +333,40 @@ mod tests {
         assert_eq!(l.pred_of(NodeId(0)), Some(&Pred::True));
         assert_eq!(l.pred_of(NodeId(1)), Some(&eq(0, 1)));
         assert!(l.pred_of(NodeId(9)).is_none());
+    }
+
+    /// Parenthood is record identity: a lineage rebuilt from fresh records
+    /// names the same nodes and predicates and is still no child of the
+    /// original.
+    #[test]
+    fn is_parent_of_compares_records_not_ids() {
+        let root = Lineage::root(NodeId(0));
+        let a = root.child(NodeId(1), eq(0, 2));
+        let a1 = a.child(NodeId(3), Pred::NotEq { col: 1, value: 0 });
+        assert!(root.is_parent_of(&a) && a.is_parent_of(&a1));
+        assert!(!root.is_parent_of(&a1), "a grandchild");
+        assert!(!a.is_parent_of(&root) && !a.is_parent_of(&a));
+        let rebuilt = Lineage::root(NodeId(0)).child(NodeId(1), eq(0, 2));
+        assert_eq!(rebuilt, a, "same nodes, same predicates");
+        assert!(!root.is_parent_of(&rebuilt));
+        assert_eq!(a1.parent(), Some(NodeId(1)));
+        assert_eq!(root.parent(), None);
+    }
+
+    #[test]
+    fn edge_is_the_one_term_a_child_added() {
+        let root = Lineage::root(NodeId(0));
+        assert_eq!(root.edge(), None);
+        let a = root.child(NodeId(1), eq(0, 2));
+        assert_eq!(a.edge(), Some(&eq(0, 2)));
+        let ne = Pred::NotEq { col: 1, value: 0 };
+        let a1 = a.child(NodeId(2), ne.clone());
+        assert_eq!(a1.edge(), Some(&ne));
+        assert_eq!(a1.child(NodeId(3), eq(2, 1)).edge(), Some(&eq(2, 1)));
+        assert_eq!(a1.child(NodeId(4), Pred::True).edge(), None, "no term");
+        let two = Pred::And(vec![eq(2, 1), eq(3, 1)]);
+        assert_eq!(a1.child(NodeId(5), two).edge(), None, "two terms");
+        assert_eq!(a1.child(NodeId(6), Pred::False).edge(), None);
     }
 
     #[test]

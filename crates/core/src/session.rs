@@ -42,6 +42,7 @@ use crate::parallel::RowSink;
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use crate::sample::{BlockSampler, SampledLedger, SampledScan};
 use crate::scheduler::{schedule, BatchPlan};
+use crate::siblings::{Derivation, Parents};
 use crate::source::{admitted_ranges, BlockSource, SourceBlock};
 use crate::sqlgen::cc_via_sql;
 use crate::staging::StagingManager;
@@ -430,6 +431,9 @@ pub struct Session {
     /// The original request behind each outstanding sampled fulfilment, so
     /// [`Session::escalate`] can requeue it verbatim for the exact rescan.
     sampled_reqs: BTreeMap<NodeId, CcRequest>,
+    /// Exact parent tables a batch may derive a child's table from
+    /// (`crate::siblings`, DESIGN.md §12b).
+    parents: Parents,
 }
 
 impl Session {
@@ -466,6 +470,7 @@ impl Session {
             aux: Vec::new(),
             sampled: SampledLedger::default(),
             sampled_reqs: BTreeMap::new(),
+            parents: Parents::default(),
         })
     }
 
@@ -659,6 +664,7 @@ impl Session {
                 "parent_cards must align with attrs".into(),
             ));
         }
+        self.parents.enqueued(&req);
         self.pending.push(req);
         Ok(())
     }
@@ -728,6 +734,10 @@ impl Session {
 
         let lease_bytes = self.lease_bytes();
         self.reconcile_lease(lease_bytes);
+        // A parent's table serves only children still both pending, at the
+        // epoch it was counted at.
+        let backend = &self.backend;
+        self.parents.retain(&self.pending, || backend.table_epoch());
         #[cfg(debug_assertions)]
         let staged_before = self.staging.staged_mem_bytes();
         #[cfg(debug_assertions)]
@@ -753,7 +763,8 @@ impl Session {
         // paper observes the techniques only apply once the active data set
         // has genuinely shrunk.
         let frontier_rows = plan.relevant_rows() + self.pending.iter().map(|r| r.rows).sum::<u64>();
-        let batch = self.build_counters(plan, lease_bytes)?;
+        let derivations = self.parents.plan(&plan.nodes, sampled_tag.is_none());
+        let batch = self.build_counters(plan, lease_bytes, derivations)?;
         // Serial or parallel counting behind one block interface — the
         // scan loop never knows which one runs; the sink decides when the
         // scan certifies it.
@@ -837,7 +848,16 @@ impl Session {
     // Batch assembly and scanning
     // ------------------------------------------------------------------
 
-    fn build_counters(&mut self, plan: BatchPlan, lease_bytes: u64) -> MwResult<BatchCounter> {
+    /// The batch's counting pass over `plan`, `derivations` aligned with
+    /// its nodes. A node planned for derivation is built dense, as it was
+    /// scheduled, but its table is allocated only when it is derived — or
+    /// when the scan cannot keep the plan and counts it.
+    fn build_counters(
+        &mut self,
+        plan: BatchPlan,
+        lease_bytes: u64,
+        derivations: Vec<Option<Derivation>>,
+    ) -> MwResult<BatchCounter> {
         let source = plan.source;
         let split = if plan.split_file {
             let members = plan.node_ids();
@@ -850,9 +870,11 @@ impl Session {
             None
         };
         let mut counters = Vec::with_capacity(plan.nodes.len());
-        for sched in plan.nodes {
+        for (sched, derive) in plan.nodes.into_iter().zip(derivations) {
             let mut counter = NodeCounter::new(sched.req);
-            if sched.dense {
+            if derive.is_some() {
+                counter.derive = derive;
+            } else if sched.dense {
                 // Slot arrays are sized by *schema* cardinalities — the
                 // true code bounds — never by the node-local distinct
                 // counts in `parent_cards`, which child codes can exceed.
@@ -869,7 +891,7 @@ impl Session {
                     .collect();
                 counter.cc = CountsTable::new_dense(&attr_cards, self.backend.nclasses);
             }
-            if counter.cc.is_dense() {
+            if counter.cc.is_dense() || counter.derive.is_some() {
                 self.stats.dense_nodes += 1;
             } else {
                 self.stats.sparse_nodes += 1;
@@ -982,7 +1004,8 @@ impl Session {
     /// certificate never falls: read now, it bounds them all.
     fn certify_staged(&self, sink: &mut RowSink, rows: u64) -> MwResult<()> {
         let db = self.backend.db_read();
-        sink.certify(db.table(&self.backend.table)?.col_max(), rows);
+        let table = &self.backend.table;
+        sink.certify(db.table(table)?.col_max(), rows, db.table_epoch(table));
         Ok(())
     }
 
@@ -1014,9 +1037,9 @@ impl Session {
         let db = self.backend.db_read();
         // Read under the guard the scan holds, the certificate and the row
         // count bound every row it ships — through an aux structure's
-        // copies too.
+        // copies too — and the epoch is the one it reads at.
         let source = db.table(table)?;
-        sink.certify(source.col_max(), source.nrows());
+        sink.certify(source.col_max(), source.nrows(), db.table_epoch(table));
         if let Some(idx) = aux {
             self.stats.aux_scans += 1;
             let handle = self
@@ -1176,6 +1199,7 @@ impl Session {
             nodes,
             split_writer,
             evicted,
+            epoch,
             ..
         } = batch;
         // Apply pressure evictions decided during the scan.
@@ -1193,6 +1217,7 @@ impl Session {
                 fallback,
                 file_writer,
                 mem_buffer,
+                derive: _,
             } = counter;
             if let Some(w) = file_writer {
                 self.staging.commit_file(w, &mut self.stats)?;
@@ -1206,7 +1231,7 @@ impl Session {
                     &mut self.stats,
                 );
             }
-            let cc = if fallback {
+            let cc = Arc::new(if fallback {
                 // §4.1.1 dynamic switch: fetch this node's counts through
                 // per-attribute GROUP BY queries.
                 let db = self.backend.db_read();
@@ -1219,7 +1244,7 @@ impl Session {
                 )?
             } else {
                 cc
-            };
+            });
             // The SQL fallback counts exactly even inside a sampled batch,
             // so only non-fallback nodes carry the sample tag.
             let sample = if fallback { None } else { sampled_tag };
@@ -1233,6 +1258,7 @@ impl Session {
             } else {
                 // An exact fulfilment settles any earlier escalation.
                 self.sampled.clear_exact(req.node());
+                self.parents.fulfilled(&req, &cc, epoch);
             }
             self.stats.requests_served += 1;
             out.push(FulfilledCc {

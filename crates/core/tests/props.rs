@@ -93,7 +93,7 @@ fn drive(rows: &[[Code; 4]], cfg: MiddlewareConfig) -> (NodeCounts, MiddlewareSt
     let data = rows.to_vec();
     mw.run_to_completion(|f| {
         let follow = follow_ups(&data, f.node);
-        out.insert(f.node.0, (f.cc, f.via_sql_fallback));
+        out.insert(f.node.0, ((*f.cc).clone(), f.via_sql_fallback));
         follow
     })
     .unwrap();
@@ -127,7 +127,7 @@ fn drive_sessions(rows: &[[Code; 4]], cfg: MiddlewareConfig) -> Vec<(NodeCounts,
                     let data = rows.to_vec();
                     sess.run_to_completion(|f| {
                         let follow = follow_ups(&data, f.node);
-                        out.insert(f.node.0, (f.cc, f.via_sql_fallback));
+                        out.insert(f.node.0, ((*f.cc).clone(), f.via_sql_fallback));
                         follow
                     })
                     .unwrap();
@@ -185,7 +185,7 @@ fn drive_pool(rows: &[[Code; 4]], cfg: MiddlewareConfig) -> Vec<(NodeCounts, Mid
                     pool.enqueue(i, req).unwrap();
                     outstanding[i] += 1;
                 }
-                outs[i].insert(f.node.0, (f.cc, f.via_sql_fallback));
+                outs[i].insert(f.node.0, ((*f.cc).clone(), f.via_sql_fallback));
             }
         }
     }
@@ -318,7 +318,7 @@ proptest! {
         for r in &rows {
             expected.add_row(&r[..], &[0, 1, 2], 3);
         }
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(&*got, &expected);
     }
 
     /// CountsTable bookkeeping invariants under arbitrary row streams.
@@ -1051,7 +1051,7 @@ fn assert_drop_mid_stage_is_clean(
                 for req in follow_ups(&data, f.node) {
                     first.enqueue(req).unwrap();
                 }
-                outs[0].insert(f.node.0, (f.cc, f.via_sql_fallback));
+                outs[0].insert(f.node.0, ((*f.cc).clone(), f.via_sql_fallback));
             }
         }
 
@@ -1074,7 +1074,7 @@ fn assert_drop_mid_stage_is_clean(
             }
             sess.run_to_completion(|f| {
                 let follow = follow_ups(&data, f.node);
-                out.insert(f.node.0, (f.cc, f.via_sql_fallback));
+                out.insert(f.node.0, ((*f.cc).clone(), f.via_sql_fallback));
                 follow
             })
             .unwrap();

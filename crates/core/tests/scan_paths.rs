@@ -278,7 +278,7 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
                     next_id += 1;
                 }
             }
-            out.counts.insert(f.node.0, f.cc);
+            out.counts.insert(f.node.0, (*f.cc).clone());
         }
     }
     out.stats = *s.stats();

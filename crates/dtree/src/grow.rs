@@ -25,6 +25,7 @@ use crate::tree::{DecisionTree, Edge, NodeState, TreeNode};
 use scaleclass::{CcRequest, CountsTable, DataLocation, Lineage, Middleware, MwResult, NodeId};
 use scaleclass_sqldb::{Code, Pred};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Tree-growing configuration.
 #[derive(Debug, Clone)]
@@ -372,7 +373,7 @@ fn spawn_children(
 
 /// Apply one node's *exact* counts table: record its distribution, decide
 /// leaf-vs-split, create children (immediate leaves settled from the
-/// parent's CC, the rest enqueued), and — when `retain` is given — store
+/// parent's CC, the rest enqueued), and — when `retain` is given — share
 /// the CC plus winner/runner-up margins for incremental maintenance
 /// (DESIGN.md §15), taken from the same enumeration as the decision.
 /// Returns the number of child requests issued.
@@ -381,7 +382,7 @@ pub(crate) fn apply_exact_counts(
     mw: &mut Middleware,
     tree: &mut DecisionTree,
     idx: usize,
-    cc: &CountsTable,
+    cc: &Arc<CountsTable>,
     source: Option<DataLocation>,
     lineage: &Lineage,
     attrs: &[u16],
@@ -401,7 +402,7 @@ pub(crate) fn apply_exact_counts(
         retained.insert(
             idx,
             RetainedNode {
-                cc: cc.clone(),
+                cc: Arc::clone(cc),
                 attrs: attrs.to_vec(),
                 best_score,
                 runner_score,
@@ -652,6 +653,62 @@ mod tests {
         let out = grow(and_db(10), &cfg); // 40 rows total
                                           // root itself has < 1000 rows → leaf immediately
         assert_eq!(out.tree.len(), 1);
+    }
+
+    /// `CcRequest::rows` is what the client reads off the parent's table:
+    /// after a sampled accept, the sample's count scaled up by its fraction
+    /// — here 16 for children that hold 24 rows each — not the rows the
+    /// child holds.
+    #[test]
+    fn sampled_children_request_scaled_rows() {
+        let mut mw =
+            Middleware::new(and_db(12), "d", "class", MiddlewareConfig::default()).unwrap();
+        // A third of the table (its noise-0 rows) read as a 50 % sample.
+        let mut sample = CountsTable::new();
+        for a in 0..2u16 {
+            for b in 0..2u16 {
+                for _ in 0..4 {
+                    sample.add_row(&[a, b, 0, a & b], &[0, 1, 2], 3);
+                }
+            }
+        }
+        let mut tree = DecisionTree::new();
+        let root = tree.push(TreeNode {
+            id: 0,
+            parent: None,
+            edge: None,
+            depth: 0,
+            state: NodeState::Active,
+            class_counts: Vec::new(),
+            rows: 48,
+            children: Vec::new(),
+            source: None,
+        });
+        let specs = derive_children(&sample, &Split::Binary { attr: 0, value: 1 }, &[0, 1, 2]);
+        let scale = |n| scale_sampled(n, 0.5);
+        let lineage = Lineage::root(NodeId(root as u64));
+        let mut state = GrowState::default();
+        let parent_rows = scale(sample.total());
+        let issued = spawn_children(
+            &mut mw,
+            &mut tree,
+            &mut state,
+            root,
+            &lineage,
+            specs,
+            parent_rows,
+            scale,
+            |_| false,
+        )
+        .unwrap();
+        assert_eq!(issued, 2);
+        // Each request carried the rows the tree records for its child.
+        let children = tree.node(root).children.clone();
+        let requested: Vec<u64> = children.iter().map(|&c| tree.node(c).rows).collect();
+        assert_eq!(requested, [16, 16]);
+        let fulfilled = mw.process_next_batch().unwrap();
+        let exact: Vec<u64> = fulfilled.iter().map(|f| f.cc.total()).collect();
+        assert_eq!(exact, [24, 24]);
     }
 
     #[test]

@@ -44,15 +44,17 @@ use crate::tree::{DecisionTree, NodeState};
 use scaleclass::{CcRequest, CountsTable, DeltaMap, Lineage, Middleware, MwResult, NodeId};
 use scaleclass_sqldb::Pred;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Client-side per-node state retained by a maintainable grow: the exact
 /// CC table the node was decided from, the attribute set it was scored
 /// over, and the winner/runner-up scores behind the margin trigger.
 #[derive(Debug, Clone)]
 pub struct RetainedNode {
-    /// The exact counts table the node's decision came from, patched in
-    /// place as deltas arrive.
-    pub cc: CountsTable,
+    /// The exact counts table the node's decision came from — the
+    /// fulfilment's own, shared, not a copy — patched in place as deltas
+    /// arrive (copied first only if someone else still holds it).
+    pub cc: Arc<CountsTable>,
     /// Attribute columns the node was scored over.
     pub attrs: Vec<u16>,
     /// The winning split's score (`None` when no non-degenerate candidate
@@ -426,14 +428,15 @@ fn apply_map(
             at = tree.node(i).parent;
         }
         for &i in &path {
-            let Some(entry) = retained.get_mut(&i) else {
+            let Some(RetainedNode { cc, attrs, .. }) = retained.get_mut(&i) else {
                 continue;
             };
+            let cc = Arc::make_mut(cc);
             for row in delta.inserted_rows() {
-                entry.cc.add_row(row, &entry.attrs, class_col);
+                cc.add_row(row, attrs, class_col);
             }
             for row in delta.deleted_rows() {
-                if !entry.cc.remove_row(row, &entry.attrs, class_col) {
+                if !cc.remove_row(row, attrs, class_col) {
                     corrupt.insert(i);
                 }
             }

@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES;
-use scaleclass::{FileStagingPolicy, MiddlewareConfig};
+use scaleclass::{CountsTable, FileStagingPolicy, Middleware, MiddlewareConfig};
 use scaleclass_datagen::{census, random_tree, CensusParams, RandomTreeParams};
-use scaleclass_sqldb::{Code, Database, Schema};
+use scaleclass_sqldb::{Code, ColumnMeta, Database, Pred, Schema};
 
 /// A small random-tree workload (deterministic).
 pub fn small_tree_workload() -> (Schema, Vec<Code>, u16) {
@@ -104,6 +104,88 @@ pub fn fat_margin_workload(cases_per_leaf: usize) -> (Schema, Vec<Code>, u16) {
 /// Load flat rows into a fresh database under table name `d`.
 pub fn load(schema: &Schema, rows: &[Code]) -> Database {
     scaleclass_datagen::into_database(schema.clone(), rows, "d")
+}
+
+/// The schema of a table whose columns have cardinalities `cards`: the
+/// attributes `a0`, `a1`, …, then — the last entry — `class`.
+pub fn schema_for(cards: &[u16]) -> Schema {
+    let class = cards.len() - 1;
+    Schema::new(
+        (cards.iter().enumerate())
+            .map(|(i, &card)| match i == class {
+                true => ColumnMeta::new("class", card),
+                false => ColumnMeta::new(format!("a{i}"), card),
+            })
+            .collect(),
+    )
+}
+
+/// The counts over `attrs` of the rows of `flat` (class column last) that
+/// satisfy `pred`, one `add_row` at a time: the oracle of a node's table.
+pub fn brute_force_cc(flat: &[Code], arity: usize, pred: &Pred, attrs: &[u16]) -> CountsTable {
+    let mut cc = CountsTable::new();
+    for row in flat.chunks_exact(arity) {
+        if pred.eval(row) {
+            cc.add_row(row, attrs, (arity - 1) as u16);
+        }
+    }
+    cc
+}
+
+/// A small table: attribute cardinalities then the class cardinality, and
+/// flat rows whose class follows `a0 + a1` except on one row in four, so
+/// trees grow a few levels deep with noise below.
+pub fn small_table() -> impl Strategy<Value = (Vec<u16>, Vec<Code>)> {
+    (
+        prop::collection::vec(2u16..=4, 3..=4),
+        2u16..=3,
+        40usize..=160,
+    )
+        .prop_flat_map(|(mut cards, classes, nrows)| {
+            cards.push(classes);
+            let codes: Vec<_> = cards.iter().map(|&card| 0..card).collect();
+            let row = (codes, 0u8..4).prop_map(move |(mut row, noise)| {
+                if noise != 0 {
+                    let class = row.len() - 1;
+                    row[class] = (row[0] + row[1]) % classes;
+                }
+                row
+            });
+            (Just(cards), prop::collection::vec(row, nrows))
+        })
+        .prop_map(|(cards, rows)| (cards, rows.concat()))
+}
+
+/// The one mutation a delta case applies, to the table through `mw` and
+/// to the flat `rows` alike. Each kind logs at least one event: it
+/// inserts a copy of row 0 with its class moved on, deletes every row
+/// sharing row 0's `a0`, or moves those rows' class on.
+pub fn mutate(mw: &Middleware, rows: &mut Vec<Code>, arity: usize, nclasses: u16, kind: u8) {
+    let class = arity - 1;
+    let (a0, moved) = (rows[0], (rows[class] + 1) % nclasses);
+    let pred = Pred::Eq { col: 0, value: a0 };
+    match kind {
+        0 => {
+            let mut row = rows[..arity].to_vec();
+            row[class] = moved;
+            mw.insert_row(&row).expect("insert");
+            rows.extend_from_slice(&row);
+        }
+        1 => {
+            mw.delete_where(&pred).expect("delete");
+            *rows = (rows.chunks_exact(arity))
+                .filter(|row| row[0] != a0)
+                .flatten()
+                .copied()
+                .collect();
+        }
+        _ => {
+            mw.update_where(&pred, &[(class, moved)]).expect("update");
+            for row in rows.chunks_exact_mut(arity).filter(|row| row[0] == a0) {
+                row[class] = moved;
+            }
+        }
+    }
 }
 
 /// The budget of an ample [`config_matrix`] case: the default, which every

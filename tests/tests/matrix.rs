@@ -23,78 +23,10 @@ use scaleclass_dtree::{
     grow_in_memory, grow_maintainable, maintain, trees_same_splits, trees_structurally_equal,
     GrowConfig, MaintainableTree,
 };
-use scaleclass_sqldb::{Code, ColumnMeta, Pred, Schema};
-use scaleclass_tests::{config_matrix, AMPLE_BUDGET};
+use scaleclass_sqldb::Code;
+use scaleclass_tests::{config_matrix, mutate, schema_for, small_table, AMPLE_BUDGET};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// A small table: attribute cardinalities then the class cardinality, and
-/// flat rows whose class follows `a0 + a1` except on one row in four, so
-/// trees grow a few levels deep with noise below.
-fn table() -> impl Strategy<Value = (Vec<u16>, Vec<Code>)> {
-    (
-        prop::collection::vec(2u16..=4, 3..=4),
-        2u16..=3,
-        40usize..=160,
-    )
-        .prop_flat_map(|(mut cards, classes, nrows)| {
-            cards.push(classes);
-            let codes: Vec<_> = cards.iter().map(|&card| 0..card).collect();
-            let row = (codes, 0u8..4).prop_map(move |(mut row, noise)| {
-                if noise != 0 {
-                    let class = row.len() - 1;
-                    row[class] = (row[0] + row[1]) % classes;
-                }
-                row
-            });
-            (Just(cards), prop::collection::vec(row, nrows))
-        })
-        .prop_map(|(cards, rows)| (cards, rows.concat()))
-}
-
-fn schema(cards: &[u16]) -> Schema {
-    let class = cards.len() - 1;
-    Schema::new(
-        (cards.iter().enumerate())
-            .map(|(i, &card)| match i == class {
-                true => ColumnMeta::new("class", card),
-                false => ColumnMeta::new(format!("a{i}"), card),
-            })
-            .collect(),
-    )
-}
-
-/// The one mutation a delta case applies, to the table through `mw` and
-/// to the flat `rows` alike. Each kind logs at least one event: it
-/// inserts a copy of row 0 with its class moved on, deletes every row
-/// sharing row 0's `a0`, or moves those rows' class on.
-fn mutate(mw: &Middleware, rows: &mut Vec<Code>, arity: usize, nclasses: u16, kind: u8) {
-    let class = arity - 1;
-    let (a0, moved) = (rows[0], (rows[class] + 1) % nclasses);
-    let pred = Pred::Eq { col: 0, value: a0 };
-    match kind {
-        0 => {
-            let mut row = rows[..arity].to_vec();
-            row[class] = moved;
-            mw.insert_row(&row).expect("insert");
-            rows.extend_from_slice(&row);
-        }
-        1 => {
-            mw.delete_where(&pred).expect("delete");
-            *rows = (rows.chunks_exact(arity))
-                .filter(|row| row[0] != a0)
-                .flatten()
-                .copied()
-                .collect();
-        }
-        _ => {
-            mw.update_where(&pred, &[(class, moved)]).expect("update");
-            for row in rows.chunks_exact_mut(arity).filter(|row| row[0] == a0) {
-                row[class] = moved;
-            }
-        }
-    }
-}
 
 /// A fresh directory for one case's staged files.
 fn staging_dir() -> std::path::PathBuf {
@@ -138,7 +70,7 @@ fn check(
 
     let dir = staging_dir();
     cfg.staging_dir = Some(dir.clone());
-    let db = scaleclass_datagen::into_database(schema(cards), &rows, "d");
+    let db = scaleclass_datagen::into_database(schema_for(cards), &rows, "d");
     let backend = Arc::new(Backend::new(db, "d", "class", cfg.clone()).expect("backend"));
     let catalog_dir = backend.catalog().dir().to_path_buf();
 
@@ -241,7 +173,7 @@ proptest! {
     /// keeps its accounting, cleans up, and runs the paths it selects.
     #[test]
     fn every_configuration_grows_the_oracle_tree(
-        (cards, rows) in table(),
+        (cards, rows) in small_table(),
         cfg in config_matrix(),
         mutation in 0u8..3,
     ) {

@@ -8,7 +8,8 @@ use scaleclass::{CountsTable, Middleware, MiddlewareConfig, NodeId};
 use scaleclass_dtree::{
     grow_in_memory, grow_with_middleware, trees_structurally_equal, GrowConfig,
 };
-use scaleclass_sqldb::{execute, Code, Database, Pred, Schema};
+use scaleclass_sqldb::{execute, Code, Database, Pred};
+use scaleclass_tests::{brute_force_cc, schema_for};
 
 /// A random small categorical data set: 2–4 attributes (cardinality 2–4),
 /// a class column (cardinality 2–3), and up to 120 rows.
@@ -37,35 +38,8 @@ fn dataset() -> impl Strategy<Value = (Vec<u16>, Vec<Code>)> {
         })
 }
 
-fn schema_for(cards: &[u16]) -> Schema {
-    Schema::new(
-        cards
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let name = if i == cards.len() - 1 {
-                    "class".to_string()
-                } else {
-                    format!("a{i}")
-                };
-                scaleclass_sqldb::ColumnMeta::new(name, c)
-            })
-            .collect(),
-    )
-}
-
 fn db_for(cards: &[u16], flat: &[Code]) -> Database {
     scaleclass_datagen::into_database(schema_for(cards), flat, "d")
-}
-
-fn brute_force_cc(flat: &[Code], arity: usize, pred: &Pred, attrs: &[u16]) -> CountsTable {
-    let mut cc = CountsTable::new();
-    for row in flat.chunks_exact(arity) {
-        if pred.eval(row) {
-            cc.add_row(row, attrs, (arity - 1) as u16);
-        }
-    }
-    cc
 }
 
 proptest! {
@@ -102,7 +76,7 @@ proptest! {
         mw.enqueue(mw.root_request(NodeId(0))).unwrap();
         let got = mw.process_next_batch().unwrap().pop().unwrap().cc;
         let brute = brute_force_cc(&flat, arity, &Pred::True, &attrs);
-        prop_assert_eq!(got, brute);
+        prop_assert_eq!(&*got, &brute);
     }
 
     /// Middleware-grown and in-memory-grown trees are identical on random

@@ -1,0 +1,479 @@
+//! Counting one sibling and deriving the other (DESIGN.md §12b) needs no
+//! switch to turn it off: a client that rebuilds each child's lineage from
+//! fresh records — the same nodes and predicates, so
+//! `Lineage::is_parent_of` never holds — never derives, and is the
+//! reference. A client that extends each child from its parent's lineage,
+//! as `grow_with_middleware` does, must read the same table for every node,
+//! grow the same tree and leave the same logical counters behind, at every
+//! point of the configuration matrix — and it must actually derive.
+
+use proptest::prelude::*;
+use proptest::TestCaseError;
+use scaleclass::{
+    Backend, CcRequest, CountsTable, Lineage, Middleware, MiddlewareConfig, MiddlewareStats,
+    MwResult, NodeId,
+};
+use scaleclass_dtree::grow::immediate_leaf;
+use scaleclass_dtree::{
+    decide, derive_children, trees_structurally_equal, Decision, DecisionTree, GrowConfig,
+    NodeState, Split, TreeNode,
+};
+use scaleclass_sqldb::{Code, Pred};
+use scaleclass_tests::{
+    brute_force_cc, config_matrix, mutate, schema_for, small_table, AMPLE_BUDGET,
+};
+use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+/// One fulfilled node as the client read it.
+#[derive(Debug, PartialEq)]
+struct Counted {
+    cc: CountsTable,
+    dense: bool,
+    pred: Pred,
+    attrs: Vec<u16>,
+    /// Fulfilled after the build's mutation, if it had one.
+    after_mutation: bool,
+}
+
+/// What one build left behind.
+struct Build {
+    tree: DecisionTree,
+    counted: BTreeMap<u64, Counted>,
+    stats: MiddlewareStats,
+}
+
+/// A requested node: its lineage, the edges from the root down to it, and
+/// the attributes it is decided over.
+struct Open {
+    lineage: Lineage,
+    path: Vec<(NodeId, Pred)>,
+    attrs: Vec<u16>,
+}
+
+/// A lineage through `path` made of fresh records.
+fn rebuilt(path: &[(NodeId, Pred)]) -> Lineage {
+    (path.iter()).fold(Lineage::root(NodeId(0)), |l, (id, edge)| {
+        l.child(*id, edge.clone())
+    })
+}
+
+/// Grow a tree through `mw` with children extended from their parent's
+/// lineage (`linked`) or from a rebuilt one. Every sampled count is
+/// escalated, so the tree grows from exact counts. `between` runs once,
+/// after the root's batch and before its children's.
+fn grow(
+    mw: &mut Middleware,
+    linked: bool,
+    mut between: impl FnMut(&mut Middleware),
+) -> MwResult<Build> {
+    let config = GrowConfig::default();
+    let class_col = mw.class_col();
+    let root = mw.root_request(NodeId(0));
+    let mut tree = DecisionTree::new();
+    tree.push(TreeNode {
+        id: 0,
+        parent: None,
+        edge: None,
+        depth: 0,
+        state: NodeState::Active,
+        class_counts: Vec::new(),
+        rows: root.rows,
+        children: Vec::new(),
+        source: None,
+    });
+    let (lineage, attrs) = (root.lineage.clone(), root.attrs.clone());
+    let mut open = HashMap::from([(
+        0,
+        Open {
+            lineage,
+            path: Vec::new(),
+            attrs,
+        },
+    )]);
+    mw.enqueue(root)?;
+    let mut counted = BTreeMap::new();
+    let mut mutated = false;
+    while mw.has_pending() {
+        let batch = mw.process_next_batch()?;
+        let after_mutation = mutated;
+        if !mutated {
+            between(mw);
+            mutated = true;
+        }
+        for f in batch {
+            if f.sample.is_some() {
+                assert!(mw.escalate(f.node));
+                continue;
+            }
+            let idx = f.node.0 as usize;
+            let Open {
+                lineage,
+                path,
+                attrs,
+            } = open.remove(&idx).expect("requested");
+            let depth = tree.node(idx).depth;
+            let node = tree.node_mut(idx);
+            node.class_counts = f.cc.class_distribution().collect();
+            node.rows = f.cc.total();
+            let decision = decide(&f.cc, &attrs, depth, &config);
+            let specs = match &decision {
+                Decision::Leaf { .. } => Vec::new(),
+                Decision::Split(split) => derive_children(&f.cc, split, &attrs),
+            };
+            tree.node_mut(idx).state = match decision {
+                Decision::Leaf { class } => NodeState::Leaf { class },
+                Decision::Split(split) => NodeState::Partitioned { split },
+            };
+            for spec in specs {
+                let leaf = immediate_leaf(&spec, depth + 1, &config);
+                let state = match leaf {
+                    true => NodeState::Leaf {
+                        class: spec.majority_class(),
+                    },
+                    false => NodeState::Active,
+                };
+                let child = tree.push(TreeNode {
+                    id: 0,
+                    parent: Some(idx),
+                    edge: Some(spec.edge),
+                    depth: depth + 1,
+                    state,
+                    class_counts: spec.class_counts.clone(),
+                    rows: spec.rows,
+                    children: Vec::new(),
+                    source: None,
+                });
+                if leaf {
+                    continue;
+                }
+                let id = NodeId(child as u64);
+                let edge = spec.edge_pred.clone();
+                let lineage = match linked {
+                    true => lineage.child(id, edge.clone()),
+                    false => rebuilt(&path).child(id, edge.clone()),
+                };
+                let mut path = path.clone();
+                path.push((id, edge));
+                mw.enqueue(CcRequest {
+                    lineage: lineage.clone(),
+                    attrs: spec.attrs.clone(),
+                    class_col,
+                    rows: spec.rows,
+                    parent_rows: f.cc.total(),
+                    parent_cards: spec.parent_cards,
+                })?;
+                open.insert(
+                    child,
+                    Open {
+                        lineage,
+                        path,
+                        attrs: spec.attrs,
+                    },
+                );
+            }
+            let counts = Counted {
+                cc: (*f.cc).clone(),
+                dense: f.cc.is_dense(),
+                pred: lineage.pred().clone(),
+                attrs,
+                after_mutation,
+            };
+            counted.insert(f.node.0, counts);
+        }
+    }
+    Ok(Build {
+        tree,
+        counted,
+        stats: *mw.stats(),
+    })
+}
+
+/// The counters derivation may move: which path counted a block, wall
+/// time, and the derivation counters themselves.
+fn logical(s: &MiddlewareStats) -> MiddlewareStats {
+    MiddlewareStats {
+        scan_nanos: 0,
+        scan_worker_rows_max: 0,
+        kernel_nanos: 0,
+        blocks_counted: 0,
+        block_fallback_rows: 0,
+        kernel_validate_nanos: 0,
+        kernel_accumulate_nanos: 0,
+        derived_nodes: 0,
+        derived_rows: 0,
+        ..*s
+    }
+}
+
+/// Build `rows` under `cfg` twice, once per client, over `cfg.sessions`
+/// sessions of one backend each — one after another, so every counter is
+/// deterministic. With deltas on only session 0 builds, and `mutation`
+/// lands between its root's batch and its children's (`mutate`, then a
+/// drain, as maintenance would). Returns the linked builds.
+fn linked_and_rebuilt(
+    cards: &[u16],
+    rows: &[Code],
+    cfg: &MiddlewareConfig,
+    mutation: u8,
+) -> Result<Vec<Build>, TestCaseError> {
+    let arity = cards.len();
+    let nclasses = cards[arity - 1];
+    let builders = if cfg.deltas { 1 } else { cfg.sessions };
+    let mut runs: Vec<(Vec<Build>, Vec<Code>)> = Vec::new();
+    for linked in [true, false] {
+        let db = scaleclass_datagen::into_database(schema_for(cards), rows, "d");
+        let backend = Arc::new(Backend::new(db, "d", "class", cfg.clone()).expect("backend"));
+        let mut sessions: Vec<Middleware> = (0..cfg.sessions)
+            .map(|_| Middleware::open(Arc::clone(&backend)))
+            .collect::<MwResult<_>>()
+            .expect("open sessions");
+        let mut data = rows.to_vec();
+        let mut builds = Vec::new();
+        for mw in sessions.iter_mut().take(builders) {
+            let between = |mw: &mut Middleware| {
+                if cfg.deltas {
+                    mutate(mw, &mut data, arity, nclasses, mutation);
+                    mw.drain_deltas();
+                }
+            };
+            let build = grow(mw, linked, between).expect("build");
+            mw.assert_shadow_accounting();
+            builds.push(build);
+        }
+        runs.push((builds, data));
+    }
+    let (rebuilt, _) = runs.pop().expect("two runs");
+    let (linked, data) = runs.pop().expect("two runs");
+    for (i, (l, r)) in linked.iter().zip(&rebuilt).enumerate() {
+        prop_assert_eq!(
+            r.stats.derived_nodes,
+            0,
+            "session {}: rebuilt lineages derived",
+            i
+        );
+        prop_assert!(l.counted == r.counted, "session {}: node tables differ", i);
+        prop_assert!(
+            trees_structurally_equal(&l.tree, &r.tree),
+            "session {}: trees differ",
+            i
+        );
+        prop_assert_eq!(logical(&l.stats), logical(&r.stats), "session {}", i);
+        prop_assert!(l.stats.derived_rows >= l.stats.derived_nodes);
+        for (node, c) in l
+            .counted
+            .iter()
+            .filter(|(_, c)| c.after_mutation && cfg.deltas)
+        {
+            let brute = brute_force_cc(&data, arity, &c.pred, &c.attrs);
+            prop_assert!(
+                c.cc == brute,
+                "node {} does not count the mutated table",
+                node
+            );
+        }
+    }
+    Ok(linked)
+}
+
+/// Over the configuration matrix — workers, sessions, shared catalog,
+/// sampling, deltas (with a mutation between a parent's scan and its
+/// children's), extents, block rows, dense cap, file policy, caching,
+/// budget — the linked client reads every node's table the reference does
+/// and grows its tree, with its logical counters; and across the cases it
+/// derives.
+#[test]
+fn linked_and_rebuilt_lineages_agree_over_the_matrix() {
+    let derived = Cell::new(0u64);
+    let strategy = (small_table(), config_matrix(), 0u8..3);
+    proptest::run_cases(
+        &ProptestConfig::default(),
+        "linked_and_rebuilt_lineages_agree_over_the_matrix",
+        |rng| {
+            let ((cards, rows), cfg, mutation) = strategy.generate(rng);
+            let builds = linked_and_rebuilt(&cards, &rows, &cfg, mutation).map_err(|e| {
+                TestCaseError(format!(
+                    "{e}\n  inputs: {cards:?} {rows:?} {cfg:?} {mutation}"
+                ))
+            })?;
+            derived.set(derived.get() + builds.iter().map(|b| b.stats.derived_nodes).sum::<u64>());
+            Ok(())
+        },
+    );
+    assert!(derived.get() > 0, "no configuration derived a table");
+}
+
+/// A table whose tree exercises every shape derivation meets: rows of four
+/// attributes — `a0` three-valued and mostly 0, `a1` two-valued, `a2`
+/// four-valued, `a3` noise — and three classes.
+fn shaped_table() -> (Vec<u16>, Vec<Code>) {
+    let cards = vec![3, 2, 4, 3, 3];
+    let mut rows = Vec::new();
+    for copy in 0..6u16 {
+        for a0 in 0..3u16 {
+            for a1 in 0..2u16 {
+                for a2 in 0..4u16 {
+                    for a3 in 0..3u16 {
+                        if a0 != 0 && copy % 3 != 0 {
+                            continue;
+                        }
+                        let class = match (a0, a1) {
+                            (0, 0) => a2 % 3,
+                            (0, _) => u16::from(a2 == 3),
+                            (1, _) => 2 - u16::from(a2 == 0),
+                            _ => (a1 + a3 + copy) % 3,
+                        };
+                        rows.extend_from_slice(&[a0, a1, a2, a3, class]);
+                    }
+                }
+            }
+        }
+    }
+    (cards, rows)
+}
+
+/// What derivation must do on a build: every binary split both of whose
+/// children the client requested derives its larger child — by the
+/// parent's table, the `≠` child on a tie — provided counting one of them
+/// costs at least a pass over the parent's table (the pin rule). Returns
+/// the derived nodes and rows, and the shapes met: the larger child `=`,
+/// the larger child `≠`, a two-valued split attribute, and the deepest
+/// level derived.
+fn expected_derivations(build: &Build, cards: &[u16]) -> ((u64, u64), [bool; 3], usize) {
+    let nclasses = u64::from(cards[cards.len() - 1]);
+    let (mut nodes, mut rows, mut shapes, mut deepest) = (0, 0, [false; 3], 0);
+    for (idx, node) in build.tree.nodes().iter().enumerate() {
+        let NodeState::Partitioned {
+            split: Split::Binary { attr, .. },
+        } = &node.state
+        else {
+            continue;
+        };
+        let (Some(parent), [eq, neq]) = (build.counted.get(&(idx as u64)), &node.children[..])
+        else {
+            continue;
+        };
+        let (Some(e), Some(n)) = (
+            build.counted.get(&(*eq as u64)),
+            build.counted.get(&(*neq as u64)),
+        ) else {
+            continue;
+        };
+        let slots: u64 = parent
+            .attrs
+            .iter()
+            .map(|&a| u64::from(cards[usize::from(a)]) * nclasses)
+            .sum();
+        let pinned = [e, n]
+            .iter()
+            .any(|c| c.cc.total() * c.attrs.len() as u64 >= slots);
+        if !pinned {
+            continue;
+        }
+        let eq_larger = e.cc.total() > n.cc.total();
+        nodes += 1;
+        rows += e.cc.total().max(n.cc.total());
+        shapes[usize::from(!eq_larger)] = true;
+        shapes[2] |= parent.cc.distinct_values(*attr) == 2;
+        deepest = deepest.max(node.depth + 1);
+    }
+    ((nodes, rows), shapes, deepest)
+}
+
+/// On a table built for it, the linked client derives exactly the children
+/// the rule names — the larger child `=` and `≠`, across a two-valued split
+/// attribute the `≠` child drops, three levels down — on one worker and on
+/// four, and the rebuilt reference reads the same tables.
+#[test]
+fn every_binary_split_derives_its_larger_child() {
+    let (cards, rows) = shaped_table();
+    for workers in [1, 4] {
+        let cfg = MiddlewareConfig::builder().scan_workers(workers).build();
+        let linked = linked_and_rebuilt(&cards, &rows, &cfg, 0).expect("agree");
+        let build = &linked[0];
+        let (expected, shapes, deepest) = expected_derivations(build, &cards);
+        assert_eq!(
+            shapes, [true; 3],
+            "{workers} workers: = larger, ≠ larger, two-valued"
+        );
+        assert!(
+            deepest >= 3,
+            "{workers} workers: derived at depth {deepest}"
+        );
+        let stats = &build.stats;
+        assert_eq!(
+            (stats.derived_nodes, stats.derived_rows),
+            expected,
+            "{workers} workers"
+        );
+        assert!(
+            build.counted.values().all(|c| c.dense),
+            "derived tables are dense"
+        );
+    }
+}
+
+/// Sampled batches never derive, and neither does a batch whose scan the
+/// budget proof refuses.
+#[test]
+fn sampled_batches_and_refused_proofs_count_every_node() {
+    let (cards, rows) = shaped_table();
+    let sampled = MiddlewareConfig::builder()
+        .sampled_counting(0.5)
+        .sampled_min_rows(0)
+        .build();
+    let linked = linked_and_rebuilt(&cards, &rows, &sampled, 0).expect("agree");
+    assert!(linked[0].stats.sampled_nodes > 0);
+    assert_eq!(linked[0].stats.derived_nodes, 0, "a sampled batch derived");
+
+    // Memory caching off, so every level is one server scan, as many at 4
+    // KiB as with room to spare; but there the proof refuses some of them,
+    // which then count serially — every node included.
+    let budget = |bytes| {
+        MiddlewareConfig::builder()
+            .memory_caching(false)
+            .memory_budget_bytes(bytes)
+            .scan_workers(2)
+            .build()
+    };
+    let ample = &linked_and_rebuilt(&cards, &rows, &budget(AMPLE_BUDGET), 0).expect("agree");
+    let tight = &linked_and_rebuilt(&cards, &rows, &budget(4096), 0).expect("agree");
+    let (ample, tight) = (&ample[0].stats, &tight[0].stats);
+    assert_eq!(ample.sql_fallbacks + tight.sql_fallbacks, 0);
+    assert_eq!(tight.server_scans, ample.server_scans, "as many batches");
+    assert_eq!(ample.parallel_scans, ample.server_scans, "every proof held");
+    assert!(
+        tight.parallel_scans < ample.parallel_scans,
+        "some proof failed"
+    );
+    let refused = ample.parallel_scans - tight.parallel_scans;
+    assert!(tight.derived_nodes > 0, "the proofs that held derived");
+    assert!(
+        tight.derived_nodes + refused <= ample.derived_nodes,
+        "a batch whose proof failed derived"
+    );
+}
+
+/// With deltas on, a mutation between the root's scan and its children's
+/// moves the table's epoch: the root's pin is dropped, the children count
+/// the mutated table (as brute force does), and the levels below derive
+/// again from tables counted at the new epoch.
+#[test]
+fn a_mutation_between_parent_and_children_drops_the_pins() {
+    let (cards, rows) = shaped_table();
+    let cfg = MiddlewareConfig::builder().deltas(true).build();
+    for mutation in 0..3 {
+        let linked = linked_and_rebuilt(&cards, &rows, &cfg, mutation).expect("agree");
+        let build = &linked[0];
+        let (expected, ..) = expected_derivations(build, &cards);
+        assert!(
+            build.stats.derived_nodes > 0,
+            "mutation {mutation}: derives again below"
+        );
+        assert!(
+            build.stats.derived_nodes < expected.0,
+            "mutation {mutation}: the root's children were derived across the mutation"
+        );
+    }
+}
