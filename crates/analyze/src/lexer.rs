@@ -350,7 +350,7 @@ fn raw_string_len(rest: &str) -> Option<(usize, usize)> {
     }
     p += 1;
     let closer: Vec<u8> = std::iter::once(b'"')
-        .chain(std::iter::repeat(b'#').take(hashes))
+        .chain(std::iter::repeat_n(b'#', hashes))
         .collect();
     let mut lines = 0usize;
     while p < b.len() {

@@ -15,6 +15,7 @@
 //! DESIGN.md §9 and §14 for the rule catalogue and the `analyze:allow`
 //! policy.
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod guards;
 pub mod lexer;

@@ -32,7 +32,9 @@
 //!   loop, wire marshalling and page-at-a-time DML (`storage.rs`,
 //!   `page.rs`, `cursor.rs`, `wire.rs`), and over the staged-file byte
 //!   path in
-//!   `crates/core/src/staging.rs` (`crc32`, `ExtentReader::{fetch, verify,
+//!   `crates/core/src/staging.rs` (the checksum's dispatch `crc32`,
+//!   `crc32_folded`, and both kernels, `crc32_clmul` with `load16` and
+//!   `fold16`, and `crc32_sliced`; `ExtentReader::{fetch, verify,
 //!   decode_extent_columns}`, `FileWriter::{push, push_selected,
 //!   flush_extent}`), where the bytes come from disk.
 //! - **stats-coverage** — every field declared on the stats structs in
@@ -257,12 +259,18 @@ const PANIC_SCOPED: [(&str, &[&str]); 7] = [
         "crates/sqldb/src/wire.rs",
         &["encode", "push", "push_selected", "transmit"],
     ),
-    // The staged-file byte path: the checksum, the extent reader (bytes
+    // The staged-file byte path: the checksum's dispatch and both of its
+    // kernels, the extent reader (bytes
     // that come from disk are `Corrupt`, never a panic) and the writer.
     (
         "crates/core/src/staging.rs",
         &[
             "crc32",
+            "crc32_folded",
+            "crc32_clmul",
+            "load16",
+            "fold16",
+            "crc32_sliced",
             "fetch",
             "verify",
             "decode_extent_columns",
@@ -779,6 +787,11 @@ fn fn_body_mask(ctx: &FileCtx, fns: &[&str]) -> Vec<bool> {
         {
             let mut j = i + 2;
             while j < n && !ctx.is_punct(j, '{') && !ctx.is_punct(j, ';') {
+                // The `;` of an array type in the signature (`&[u8; 16]`)
+                // does not end the item.
+                if ctx.is_punct(j, '[') {
+                    j = match_bracket(ctx, j, '[', ']');
+                }
                 j += 1;
             }
             if j < n && ctx.is_punct(j, '{') {

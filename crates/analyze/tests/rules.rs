@@ -308,6 +308,9 @@ fn hot_path_panic_is_fn_scoped_in_the_staged_file_byte_path() {
                let col = &payload[c * nrows..];\n\
                }\n\
                }\n\
+               }\n\
+               fn load16(bytes: &[u8; 16]) -> u128 {\n\
+               u128::from_le_bytes(bytes[..].try_into().unwrap())\n\
                }\n";
     let report = check_source(rel, src);
     assert_eq!(
@@ -315,6 +318,8 @@ fn hot_path_panic_is_fn_scoped_in_the_staged_file_byte_path() {
         vec![
             (RULE_HOT_PATH_PANIC, 8),  // .unwrap() on a disk-derived slice
             (RULE_HOT_PATH_PANIC, 12), // payload[..] inside the column loop
+            // A checksum kernel whose signature holds an array type.
+            (RULE_HOT_PATH_PANIC, 17),
         ]
     );
 }

@@ -13,6 +13,7 @@
 //! simulated cost by the integration tests.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod report;
 pub mod workloads;

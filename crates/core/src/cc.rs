@@ -555,7 +555,7 @@ impl CountsTable {
     /// return to the lease at the next reconcile).
     pub fn remove_row(&mut self, row: &[Code], attrs: &[u16], class_col: u16) -> bool {
         let class = row[class_col as usize];
-        if self.total == 0 || !self.class_totals.get(&class).is_some_and(|&n| n > 0) {
+        if self.total == 0 || self.class_totals.get(&class).is_none_or(|&n| n == 0) {
             return false;
         }
         match &mut self.repr {
@@ -572,7 +572,7 @@ impl CountsTable {
                     // arity by construction (the delta log stores complete
                     // row images), so attr < row.len().
                     let key = (attr, row[attr as usize], class);
-                    if !map.get(&key).is_some_and(|&n| n > 0) {
+                    if map.get(&key).is_none_or(|&n| n == 0) {
                         return false;
                     }
                 }
@@ -885,7 +885,7 @@ impl CountsTable {
             let width = d.layout.n_classes as usize;
             let max_class = self.class_totals.keys().next_back().copied();
             if width <= usize::from(Code::MAX) + 1
-                && max_class.map_or(true, |c| usize::from(c) < width)
+                && max_class.is_none_or(|c| usize::from(c) < width)
             {
                 return ClassAxis(AxisRepr::Codes(width));
             }

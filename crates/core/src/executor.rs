@@ -327,7 +327,7 @@ impl BlockPass {
             let codes = block.column(col);
             let max = (0..block.nrows() as u32).map(|r| codes.get(r)).max();
             assert!(
-                max.map_or(true, |max| max <= cap),
+                max.is_none_or(|max| max <= cap),
                 "a code of column {col} ({max:?}) above the scan's certificate ({cap})"
             );
         }

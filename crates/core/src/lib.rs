@@ -50,6 +50,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// One `unsafe` block, allowed on `staging::crc32_folded`: the call into the
+// carry-less-multiply CRC after run-time CPU detection.
+#![deny(unsafe_code)]
 
 #[deny(
     clippy::cast_possible_truncation,

@@ -222,13 +222,14 @@ pub struct ArbiterStats {
 ///
 /// Unlike [`MiddlewareStats`] these are *physical* numbers: `read_bytes`
 /// includes extent headers and CRC footers, and `decode_ns` is wall-clock
-/// time spent verifying checksums and transposing columnar blocks back to
-/// rows. Timing fields must be excluded from determinism comparisons.
+/// time spent verifying each extent's framing and checksum and decoding
+/// its payload into one code vector per column (file I/O excluded).
+/// Timing fields must be excluded from determinism comparisons.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerScanStats {
     /// Physical bytes this worker read from the staging file.
     pub read_bytes: u64,
-    /// Nanoseconds spent verifying + decoding extents into rows.
+    /// Nanoseconds spent verifying extents and decoding them into columns.
     pub decode_ns: u64,
     /// Rows this worker decoded.
     pub rows: u64,

@@ -1332,7 +1332,7 @@ fn drive(
     sink: &mut RowSink,
     stats: &mut MiddlewareStats,
 ) -> MwResult<()> {
-    while let Some((_, block)) = source.next_block(|k| sampler.map_or(true, |s| s.admits(k)))? {
+    while let Some((_, block)) = source.next_block(|k| sampler.is_none_or(|s| s.admits(k)))? {
         match block {
             SourceBlock::Rows(mut rows) => sink.process_block(&mut rows, stats)?,
             SourceBlock::Cols(mut cols) => sink.process_block(&mut cols, stats)?,

@@ -289,7 +289,7 @@ mod tests {
     fn drain(src: &mut BlockSource<'_>, sampler: Option<&BlockSampler>) -> Blocks {
         let mut out = Vec::new();
         while let Some((k, block)) = src
-            .next_block(|k| sampler.map_or(true, |s| s.admits(k)))
+            .next_block(|k| sampler.is_none_or(|s| s.admits(k)))
             .unwrap()
         {
             out.push((k, rows_of(block)));

@@ -134,8 +134,129 @@ fn crc32_step(c: u32, b: u8) -> u32 {
     CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
 }
 
-/// CRC-32 (IEEE) of `data`: sixteen bytes a step, the tail bytewise.
+/// CRC-32 (IEEE) of `data`: folded by carry-less multiplication on a CPU
+/// that has it, sliced everywhere else. Both kernels compute the same
+/// value, so which one ran never shows on disk.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_folded(data).unwrap_or_else(|| crc32_sliced(data))
+}
+
+/// `data`'s CRC by [`clmul::crc32_clmul`], or `None` on a CPU without
+/// `pclmulqdq` and `sse4.1`: the run-time detection that picks the kernel.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn crc32_folded(data: &[u8]) -> Option<u32> {
+    if std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `crc32_clmul` enables exactly the two features this
+        // CPU was just found to have.
+        return Some(unsafe { clmul::crc32_clmul(data) });
+    }
+    None
+}
+
+/// No folded kernel off x86_64: [`crc32`] always slices.
+#[cfg(not(target_arch = "x86_64"))]
+fn crc32_folded(_: &[u8]) -> Option<u32> {
+    None
+}
+
+/// The IEEE CRC-32 by carry-less-multiply folding (Gopal et al., "Fast
+/// CRC Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel 2009 — the construction and constants Linux `crc32-pclmul` and
+/// zlib use). Every function here is a safe `#[target_feature]` function
+/// compiled for `pclmulqdq` + `sse4.1`; calling one from code compiled
+/// without them is `unsafe`, and [`crc32_folded`] is the one caller.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use super::{crc32_sliced, crc32_step};
+    use std::arch::x86_64::*;
+
+    /// Inputs shorter than this slice: folding pays a fixed 128 → 32-bit
+    /// reduction that a short buffer does not amortise.
+    const FOLD_MIN_BYTES: usize = 128;
+
+    // Bit-reflected constants: (K1, K2) fold a lane 512 bits on, (K3, K4)
+    // 128 bits on; K4 then K5 reduce 128 → 64 → 32 bits; P is the
+    // polynomial with its x³² term and MU its Barrett constant ⌊x⁶⁴ / P⌋.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// Four 128-bit lanes folded 64 bytes a stride, combined into one,
+    /// folded 16 bytes a block, reduced 128 → 64 → 32 bits (Barrett),
+    /// and the last 0–15 bytes bytewise from that state.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32_clmul(data: &[u8]) -> u32 {
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (strides, singles) = blocks.as_chunks::<4>();
+        let ([b0, b1, b2, b3], strides) = match strides.split_first() {
+            Some(first) if data.len() >= FOLD_MIN_BYTES => first,
+            _ => return crc32_sliced(data),
+        };
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut x0 = _mm_xor_si128(load16(b0), _mm_cvtsi32_si128(!0));
+        let (mut x1, mut x2, mut x3) = (load16(b1), load16(b2), load16(b3));
+        for [y0, y1, y2, y3] in strides {
+            x0 = fold16(x0, k1k2, load16(y0));
+            x1 = fold16(x1, k1k2, load16(y1));
+            x2 = fold16(x2, k1k2, load16(y2));
+            x3 = fold16(x3, k1k2, load16(y3));
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold16(fold16(fold16(x0, k3k4, x1), k3k4, x2), k3k4, x3);
+        for y in singles {
+            x = fold16(x, k3k4, load16(y));
+        }
+        // 128 → 64 bits: the low half times K4 into the high half, then
+        // the low 32 bits of that times K5 into the rest.
+        let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+        x = _mm_xor_si128(
+            _mm_srli_si128::<8>(x),
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+        );
+        x = _mm_xor_si128(
+            _mm_srli_si128::<4>(x),
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+        );
+        // Barrett: q = ⌊x · μ⌋ on the low 32 bits, then x − q · P.
+        let poly_mu = _mm_set_epi64x(MU, P);
+        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), poly_mu);
+        let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), poly_mu);
+        let c = _mm_extract_epi32::<1>(_mm_xor_si128(x, qp)) as u32;
+        tail.iter().fold(c, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF
+    }
+
+    /// 16 bytes as one lane, little-endian, as the reflected CRC reads
+    /// them.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load16(bytes: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*bytes);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    /// Fold lane `x` over `next`, 128 bits on: `x.lo · k.lo ⊕ x.hi · k.hi
+    /// ⊕ next` in GF(2)[x].
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold16(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        _mm_xor_si128(
+            _mm_xor_si128(
+                _mm_clmulepi64_si128::<0x00>(x, k),
+                _mm_clmulepi64_si128::<0x11>(x, k),
+            ),
+            next,
+        )
+    }
+}
+
+/// CRC-32 (IEEE) of `data` by slicing-by-16: sixteen bytes a step, the
+/// tail bytewise. The kernel on CPUs without carry-less multiply.
+fn crc32_sliced(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     let mut words = data.chunks_exact(16);
     for word in &mut words {
@@ -1242,7 +1363,7 @@ impl ExtentLayout {
             (full, if full == 0 { 0 } else { extent_rows })
         } else {
             if rem < EXTENT_OVERHEAD_BYTES + row_bytes
-                || (rem - EXTENT_OVERHEAD_BYTES) % row_bytes != 0
+                || !(rem - EXTENT_OVERHEAD_BYTES).is_multiple_of(row_bytes)
             {
                 return Err(MwError::Corrupt(format!(
                     "{}: trailing {rem} bytes are not a whole extent (truncated?)",
@@ -2164,14 +2285,22 @@ mod tests {
         assert_eq!((ws.rows, ws.extents), (10, 3), "nothing more was served");
     }
 
-    /// The bytewise table loop the sliced [`crc32`] replaced, kept as its
-    /// reference.
+    /// The bytewise table loop the sliced and folded kernels replaced,
+    /// kept as their reference.
     fn crc32_bytewise(data: &[u8]) -> u32 {
         data.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF
     }
 
-    #[test]
-    fn sliced_crc32_equals_the_bytewise_reference() {
+    /// One full extent payload at the default geometry the benchmark
+    /// stages: 8192 rows × 26 codes × 2 B.
+    const EXTENT_PAYLOAD_BYTES: usize = 8192 * 26 * CODE_BYTES;
+
+    /// Hold `kernel` to the bytewise reference: every length 0..=512 at
+    /// every alignment 0..16 of one shared buffer (across the folded
+    /// kernel's 128-byte cutoff, its 64-byte strides and 16-byte blocks,
+    /// and every tail), generated buffers up to 1 MiB, and one full
+    /// extent payload.
+    fn equals_the_bytewise_reference(kernel: impl Fn(&[u8]) -> u32) {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -2179,49 +2308,68 @@ mod tests {
             state ^= state << 17;
             state
         };
-        // Every length 0..=64 at every alignment of one shared buffer:
-        // all word counts, all tails.
-        let shared: Vec<u8> = (0..80).map(|_| next() as u8).collect();
-        for start in 0..8 {
-            for len in 0..=64 {
+        let shared: Vec<u8> = (0..16 + 512).map(|_| next() as u8).collect();
+        for start in 0..16 {
+            for len in 0..=512 {
                 let data = &shared[start..start + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+                assert_eq!(
+                    kernel(data),
+                    crc32_bytewise(data),
+                    "start {start} len {len}"
+                );
             }
         }
-        // Generated buffers up to 64 KiB, lengths of every residue.
-        for round in 0..48 {
-            let len = if round == 0 {
-                64 * 1024
-            } else {
-                next() as usize % (64 * 1024)
+        for round in 0..24 {
+            let len = match round {
+                0 => 1 << 20,
+                1 => EXTENT_PAYLOAD_BYTES,
+                _ => next() as usize % (1 << 20),
             };
             let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            assert_eq!(crc32(&data), crc32_bytewise(&data), "{len} bytes");
+            assert_eq!(kernel(&data), crc32_bytewise(&data), "{len} bytes");
         }
     }
 
     #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        equals_the_bytewise_reference(crc32_sliced);
+    }
+
+    #[test]
+    fn folded_crc32_equals_the_bytewise_reference() {
+        if crc32_folded(b"").is_none() {
+            eprintln!("skipped: this CPU has no carry-less multiply, so crc32 slices");
+            return;
+        }
+        equals_the_bytewise_reference(|data| crc32_folded(data).unwrap());
+    }
+
+    #[test]
     fn a_flipped_bit_in_any_byte_lane_is_corrupt() {
-        // 16 rows x 3 columns: a 96-byte payload, six 16-byte CRC words.
-        let (m, id, _) = staged(16, 16);
+        // 70 rows x 3 columns: a 420-byte payload, which the folded kernel
+        // reads as six 64-byte strides (bytes 0..384), two single 16-byte
+        // blocks (384..416) and a 4-byte bytewise tail.
+        let (m, id, _) = staged(70, 70);
         let layout = m.extent_layout(id).unwrap().unwrap();
         let path = m.file(id).unwrap().path.clone();
         let good = fs::read(&path).unwrap();
         let payload = layout.extent_offset(0) as usize + 8;
-        // Every bit of the 8 byte lanes of a payload word, in an early
-        // and in the last word.
-        for word in [1usize, 5] {
-            for lane in 0..8 {
+        assert_eq!(layout.extent_physical_bytes(0), 420 + EXTENT_OVERHEAD_BYTES);
+        // Every bit of every byte lane of the first stride's first word
+        // (the one the initial state folds into), of the last single
+        // block, and of the tail.
+        for (start, lanes) in [(0usize, 16usize), (400, 16), (416, 4)] {
+            for at in start..start + lanes {
                 for bit in 0..8 {
                     let mut bad = good.clone();
-                    bad[payload + word * 16 + lane] ^= 1 << bit;
+                    bad[payload + at] ^= 1 << bit;
                     fs::write(&path, &bad).unwrap();
                     let mut reader = ExtentReader::open(&layout).unwrap();
                     let mut cols = Vec::new();
                     let mut ws = WorkerScanStats::default();
                     match reader.decode_extent_columns(0, &mut cols, &mut ws) {
                         Err(MwError::Corrupt(msg)) => assert!(msg.contains("CRC"), "{msg}"),
-                        other => panic!("word {word} lane {lane} bit {bit}: {other:?}"),
+                        other => panic!("payload byte {at} bit {bit}: {other:?}"),
                     }
                     assert_eq!(ws.rows, 0, "no rows from a damaged extent");
                 }

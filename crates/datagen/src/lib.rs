@@ -13,6 +13,7 @@
 //! All generators are deterministic given a seed.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod census;
 pub mod gaussians;
@@ -34,7 +35,7 @@ pub fn train_test_split(
     test_fraction: f64,
     seed: u64,
 ) -> (Vec<Code>, Vec<Code>) {
-    assert!(arity > 0 && rows.len() % arity == 0);
+    assert!(arity > 0 && rows.len().is_multiple_of(arity));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut train = Vec::new();
     let mut test = Vec::new();

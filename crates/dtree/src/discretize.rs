@@ -53,7 +53,7 @@ pub fn equal_frequency(values: &[f64], bins: u16) -> Vec<f64> {
         }
         // Cut between distinct neighbours so bins are well-defined.
         let cut = (sorted[idx - 1] + sorted[idx]) / 2.0;
-        if sorted[idx] > sorted[idx - 1] && cuts.last().map_or(true, |&c| cut > c) {
+        if sorted[idx] > sorted[idx - 1] && cuts.last().is_none_or(|&c| cut > c) {
             cuts.push(cut);
         }
     }
@@ -119,7 +119,7 @@ fn recurse(pairs: &[(f64, Code)], cuts: &mut Vec<f64>) {
         let info = (nl / n as f64) * entropy(left.iter().copied())
             + (nr / n as f64) * entropy(right.iter().copied());
         let gain = parent_entropy - info;
-        if best.map_or(true, |(_, _, _, g)| gain > g + 1e-12) {
+        if best.is_none_or(|(_, _, _, g)| gain > g + 1e-12) {
             let cut = (pairs[i - 1].0 + pairs[i].0) / 2.0;
             best = Some((i, cut, info, gain));
         }
@@ -170,7 +170,7 @@ impl Discretizer {
     /// where MDL finds no informative cut fall back to equal-width binning
     /// with `fallback_bins` (so no column degenerates to a single value).
     pub fn fit_mdl(rows: &[f64], ncols: usize, classes: &[Code], fallback_bins: u16) -> Self {
-        assert!(ncols > 0 && rows.len() % ncols == 0);
+        assert!(ncols > 0 && rows.len().is_multiple_of(ncols));
         assert_eq!(rows.len() / ncols, classes.len());
         let cuts = (0..ncols)
             .map(|c| {

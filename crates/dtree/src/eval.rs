@@ -82,7 +82,7 @@ pub fn evaluate(
     class_col: u16,
     nclasses: usize,
 ) -> ConfusionMatrix {
-    assert!(arity > 0 && rows.len() % arity == 0);
+    assert!(arity > 0 && rows.len().is_multiple_of(arity));
     let mut cm = ConfusionMatrix::new(nclasses);
     for row in rows.chunks_exact(arity) {
         cm.record(row[class_col as usize], classify(row));
@@ -152,7 +152,7 @@ pub fn cross_validate<C>(
 where
     C: Fn(&[Code]) -> Code,
 {
-    assert!(arity > 0 && rows.len() % arity == 0);
+    assert!(arity > 0 && rows.len().is_multiple_of(arity));
     assert!(folds >= 2, "need at least two folds");
     let nrows = rows.len() / arity;
     let mut accuracies = Vec::with_capacity(folds);

@@ -266,7 +266,7 @@ pub fn decide_sampled(
         return SampledDecision::Escalate;
     };
     let clears_zero = best.score - hw > 1e-12;
-    let separated = runner.map_or(true, |r| best.score - r >= 2.0 * hw);
+    let separated = runner.is_none_or(|r| best.score - r >= 2.0 * hw);
     if clears_zero && separated {
         SampledDecision::Split(best.split)
     } else {

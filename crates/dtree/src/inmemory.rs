@@ -23,7 +23,10 @@ pub fn grow_in_memory(
     attrs: &[u16],
     config: &GrowConfig,
 ) -> DecisionTree {
-    assert!(arity > 0 && rows.len() % arity == 0, "flat rows misaligned");
+    assert!(
+        arity > 0 && rows.len().is_multiple_of(arity),
+        "flat rows misaligned"
+    );
     let nrows = rows.len() / arity;
     let row = |i: usize| &rows[i * arity..(i + 1) * arity];
 

@@ -29,6 +29,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod discretize;
 pub mod eval;

@@ -258,7 +258,7 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
         let bound = delta_score_bound(config.scorer, nclasses, entry.cc.total(), magnitude);
         let margin_safe = match (bound, entry.best_score) {
             (Some(b), Some(best)) => {
-                let runner_clear = entry.runner_score.map_or(true, |r| best - r > 2.0 * b);
+                let runner_clear = entry.runner_score.is_none_or(|r| best - r > 2.0 * b);
                 let leaf_clear = best - b > 1e-12;
                 let still_multi = entry.cc.distinct_classes() > 1
                     && entry.cc.total() >= config.min_rows

@@ -294,7 +294,7 @@ impl Ranking {
     /// attribute's binary pair, see [`best_two_splits`]) competes for
     /// `best` only.
     fn consider(&mut self, score: f64, mirror: bool, split: impl Fn() -> Split) {
-        let beats = |b: &Option<ScoredSplit>| b.as_ref().map_or(true, |b| score > b.score + 1e-12);
+        let beats = |b: &Option<ScoredSplit>| b.as_ref().is_none_or(|b| score > b.score + 1e-12);
         let scored = || ScoredSplit {
             split: split(),
             score,

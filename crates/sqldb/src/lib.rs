@@ -43,6 +43,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod csv;
 pub mod cursor;

@@ -92,7 +92,7 @@ impl Table {
     /// [`Table::col_max`]. Panics on a row that is not `arity` codes wide,
     /// before the heap or the certificate is touched ([`Page::push_row`]).
     pub fn insert_unchecked(&mut self, row: &[Code]) {
-        if self.pages.last_mut().map_or(true, |p| !p.push_row(row)) {
+        if self.pages.last_mut().is_none_or(|p| !p.push_row(row)) {
             let mut page = Page::new(self.schema.arity());
             let ok = page.push_row(row);
             debug_assert!(ok, "fresh page must accept a row");

@@ -174,7 +174,7 @@ fn twin_workload() -> (Schema, Vec<Code>) {
         let a = (i % 2) as Code;
         let noise = ((state >> 33) % 4) as Code;
         // class follows a0 with ~10% label noise.
-        let flip = (state >> 7) % 10 == 0;
+        let flip = (state >> 7).is_multiple_of(10);
         let class = if flip { 1 - a } else { a };
         rows.extend_from_slice(&[a, a, noise, class]);
     }
