@@ -65,16 +65,20 @@
 //! `BatchCounter::cannot_reach_budget` clears (`RowSink::certify` settles
 //! it): there no budget event can fire and modelled memory only grows, so
 //! charging the derived tables once at the end and observing memory then
-//! reaches the state, and the peak, counting them would have.
+//! reaches the state, and the peak, counting them would have. A server
+//! scan does not even ship such a node's rows unless it tees them
+//! (`BatchCounter::pushdown`); a staged source still hands them in, and
+//! they stop at the router.
 
 use crate::cc::{CountsTable, KernelScratch, CC_ENTRY_BYTES};
 use crate::error::{MwError, MwResult};
+use crate::filter::union_filter;
 use crate::metrics::MiddlewareStats;
 use crate::request::CcRequest;
 use crate::siblings::Derivation;
 use crate::staging::FileWriter;
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
-use scaleclass_sqldb::{BlockRoute, ColumnView, PredSet};
+use scaleclass_sqldb::{BlockRoute, ColumnView, Pred, PredSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,6 +97,9 @@ pub struct NodeCounter {
     /// Set while the batch means to derive this node's table after the
     /// scan instead of counting it (module docs).
     pub(crate) derive: Option<Derivation>,
+    /// Left out of the filter the scan pushed down
+    /// (`BatchCounter::pushdown`): none of its rows reach the middleware.
+    pub(crate) unshipped: bool,
 }
 
 impl NodeCounter {
@@ -105,6 +112,7 @@ impl NodeCounter {
             file_writer: None,
             mem_buffer: None,
             derive: None,
+            unshipped: false,
         }
     }
 
@@ -112,6 +120,13 @@ impl NodeCounter {
     /// while its table is to be derived.
     fn counts(&self) -> bool {
         !self.fallback && self.derive.is_none()
+    }
+
+    /// Does the scan need this node's rows? Unless its table is to be
+    /// derived and it tees into no staged file or memory set: then no
+    /// count and no staged copy reads them.
+    pub(crate) fn needs_rows(&self) -> bool {
+        self.derive.is_none() || self.file_writer.is_some() || self.mem_buffer.is_some()
     }
 }
 
@@ -151,6 +166,9 @@ pub struct BatchCounter {
     pass: BlockPass,
     /// The source table's mutation epoch when the scan was certified.
     pub(crate) epoch: u64,
+    /// Planned derivations [`BatchCounter::settle_derivations`] refused,
+    /// until [`BatchCounter::derive`] counts them into the stats.
+    refused: u64,
 }
 
 /// A block of rows in either layout the scan paths produce, as the
@@ -445,6 +463,7 @@ impl BatchCounter {
             batch_kernel: true,
             pass: BlockPass::default(),
             epoch: 0,
+            refused: 0,
         }
     }
 
@@ -647,8 +666,28 @@ impl BatchCounter {
             }
             if let Some(plan) = node.derive.take() {
                 node.cc = (plan.parent.dense_over(&node.req.attrs)).unwrap_or_default();
+                self.refused += 1;
             }
         }
+    }
+
+    /// The filter a server scan pushes down once its derivations are
+    /// settled (§4.3.1, `crate::filter`): the union of the paths of the
+    /// nodes whose rows it needs ([`NodeCounter::needs_rows`]) — of every
+    /// node when the batch writes a split file, which takes each row some
+    /// node selects. The nodes left out are marked `unshipped`, for
+    /// [`BatchCounter::derive`] to count their tables as rows the wire
+    /// never carried.
+    pub(crate) fn pushdown(&mut self) -> Pred {
+        let split = self.split_writer.is_some();
+        for node in &mut self.nodes {
+            node.unshipped = !split && !node.needs_rows();
+        }
+        let shipped: Vec<&CcRequest> = (self.nodes.iter())
+            .filter(|n| !n.unshipped)
+            .map(|n| &n.req)
+            .collect();
+        union_filter(&shipped)
     }
 
     /// Derive every planned node's table from its parent's and its counted
@@ -661,6 +700,7 @@ impl BatchCounter {
     /// [`MwError::Internal`] when a table does not derive: the parent's
     /// table was not that parent's.
     pub(crate) fn derive(&mut self, stats: &mut MiddlewareStats) -> MwResult<()> {
+        stats.derivations_refused += std::mem::take(&mut self.refused);
         let t0 = Instant::now();
         let plans: Vec<(usize, Derivation)> = (self.nodes.iter_mut().enumerate())
             .filter_map(|(idx, node)| Some((idx, node.derive.take()?)))
@@ -682,6 +722,9 @@ impl BatchCounter {
             self.cc_bytes += cc.memory_bytes();
             stats.derived_nodes += 1;
             stats.derived_rows += cc.total();
+            if node.unshipped {
+                stats.derived_rows_unshipped += cc.total();
+            }
             if let Some(node) = self.nodes.get_mut(idx) {
                 node.cc = cc;
             }

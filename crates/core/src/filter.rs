@@ -6,6 +6,14 @@
 //! generate the filter expression (S_1 ∨ … ∨ S_k)." This avoids tagging
 //! records with node membership (as SLIQ/SPRINT do) and therefore avoids
 //! any writes to the data table.
+//!
+//! A batch that derives a node's table from its parent's and its counted
+//! sibling's (DESIGN.md §12b) counts none of that node's rows, so a
+//! server scan keeps the quote true by leaving such a node's `S_i` out of
+//! the union — unless a staging tee still wants its rows
+//! (`BatchCounter::pushdown`, the one place that decides). A §4.3.3
+//! auxiliary structure is still built from every node's path: the
+//! derived node's children read it later.
 
 use crate::request::CcRequest;
 use scaleclass_sqldb::Pred;
@@ -13,20 +21,6 @@ use scaleclass_sqldb::Pred;
 /// The union filter for a batch of scheduled requests.
 pub fn union_filter(requests: &[&CcRequest]) -> Pred {
     Pred::or(requests.iter().map(|r| r.pred().clone()).collect())
-}
-
-/// A *relative* filter: given that rows already satisfy `base` (e.g. the
-/// predicate of the staged ancestor whose file/memory set we are scanning),
-/// the per-node predicates still need full evaluation — our predicates are
-/// cheap conjunctions, so we do not strip the shared prefix — but the union
-/// can skip nodes whose predicate literally equals the base.
-pub fn residual_union_filter(base: &Pred, requests: &[&CcRequest]) -> Pred {
-    let parts: Vec<Pred> = requests
-        .iter()
-        .map(|r| r.pred())
-        .map(|p| if p == base { Pred::True } else { p.clone() })
-        .collect();
-    Pred::or(parts)
 }
 
 #[cfg(test)]
@@ -76,16 +70,5 @@ mod tests {
     #[test]
     fn empty_union_is_false() {
         assert_eq!(union_filter(&[]), Pred::False);
-    }
-
-    #[test]
-    fn residual_collapses_exact_base_match() {
-        let a = request_with(&[(0, 1)]);
-        let base = a.pred().clone();
-        let f = residual_union_filter(&base, &[&a]);
-        assert_eq!(f, Pred::True, "node whose pred equals base needs no filter");
-        let b = request_with(&[(0, 2)]);
-        let g = residual_union_filter(&base, &[&b]);
-        assert_eq!(g, *b.pred());
     }
 }

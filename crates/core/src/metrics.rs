@@ -123,6 +123,16 @@ pub struct MiddlewareStats {
     /// Rows whose counting derivation skipped: the totals of the derived
     /// tables. Each would have cost one increment per attribute.
     pub derived_rows: u64,
+    /// Rows the server never shipped because only a derived node wanted
+    /// them: the totals of the derived tables whose nodes a server scan
+    /// left out of its pushed-down filter (no tee read their rows). Part
+    /// of `derived_rows`; a staged source or the `push_filters(false)`
+    /// ablation still reads them, so there it adds nothing.
+    pub derived_rows_unshipped: u64,
+    /// Planned derivations the scan refused — its budget proof failed, the
+    /// table's epoch moved, or a layout did not cover its range
+    /// certificate — and counted instead.
+    pub derivations_refused: u64,
     /// Server statistics attributable to building auxiliary structures
     /// (so experiments can report the "idealized" §5.2.5 number that
     /// neglects index build cost).

@@ -62,6 +62,7 @@ use crate::metrics::{MiddlewareStats, WorkerScanStats};
 use crate::staging::{ExtentLayout, ExtentReader, FileWriter, FILE_HEADER_BYTES};
 use crossbeam_channel::{bounded, Receiver, Sender};
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
+use scaleclass_sqldb::Pred;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -372,9 +373,17 @@ impl RowSink {
         }
     }
 
-    /// The scheduled nodes (read access for filter/aux construction).
+    /// The scheduled nodes (read access for aux construction).
     pub fn nodes(&self) -> &[NodeCounter] {
         &self.batch.nodes
+    }
+
+    /// The filter a server scan pushes down: the paths of the nodes whose
+    /// rows it counts or stages (`BatchCounter::pushdown`). Only after
+    /// `RowSink::certify`, which settles the derivations it depends on.
+    pub(crate) fn pushdown(&mut self) -> Pred {
+        debug_assert_eq!(self.rows, 0, "pushed down after the first block");
+        self.batch.pushdown()
     }
 
     /// Start the scan, before the first block: it reads at most `rows`
@@ -1110,9 +1119,74 @@ mod tests {
                 0
             };
             assert_eq!(stats.derived_rows, derived_rows, "{what}");
+            assert_eq!(stats.derivations_refused, u64::from(!derives), "{what}");
             assert_eq!(stats.parallel_scans, u64::from(workers > 1), "{what}");
         }
         assert_eq!(Arc::strong_count(&parent), 1, "no plan outlives its batch");
+    }
+
+    /// A server scan pushes down the paths of the nodes it counts or
+    /// stages: a derived node's only when it tees — into its memory set,
+    /// its staged file or the batch's split file. Fed just the rows the
+    /// filter passes, the batch still derives the table counting reads,
+    /// and charges it to `derived_rows_unshipped` exactly when it left the
+    /// node out.
+    #[test]
+    fn a_derived_node_is_shipped_only_when_it_tees() {
+        let data = rows(700, 61);
+        let mut root = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+        for r in &data {
+            root.add_row(r, &[0, 1], 2);
+        }
+        let parent = Arc::new(root);
+        let (counted, _) = sunk(children(&parent, false), 1, u64::MAX, 0, &data);
+        let mut staging = crate::staging::StagingManager::new(None).unwrap();
+        for tee in ["none", "memory", "file", "split"] {
+            let mut nodes = children(&parent, true);
+            match tee {
+                "memory" => nodes[1].mem_buffer = Some(Vec::new()),
+                "file" => {
+                    let pred = nodes[1].req.pred().clone();
+                    let writer = staging.start_file(vec![NodeId(2)], pred, ARITY);
+                    nodes[1].file_writer = Some(writer.unwrap());
+                }
+                _ => {}
+            }
+            let mut batch = BatchCounter::new(nodes, u64::MAX, 0, ARITY);
+            if tee == "split" {
+                let writer = staging.start_file(vec![NodeId(1), NodeId(2)], Pred::True, ARITY);
+                batch.split_writer = Some(writer.unwrap());
+            }
+            let mut sink = RowSink::new(batch, &MiddlewareConfig::default());
+            sink.certify(&CERT, data.len() as u64, 0);
+            assert!(sink.nodes()[0].needs_rows(), "{tee}: the counted sibling");
+            let tees_itself = tee == "memory" || tee == "file";
+            assert_eq!(sink.nodes()[1].needs_rows(), tees_itself, "{tee}");
+            let filter = sink.pushdown();
+            let shipped: Vec<[Code; 3]> = data
+                .iter()
+                .filter(|r| filter.eval(&r[..]))
+                .copied()
+                .collect();
+            let mut stats = MiddlewareStats::new();
+            feed(&mut sink, &shipped, &mut stats);
+            let batch = sink.finish(&mut stats).unwrap();
+            for (c, b) in counted.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(b.cc, c.cc, "{tee}");
+            }
+            let derived = batch.nodes[1].cc.total();
+            assert_eq!(stats.derived_rows, derived, "{tee}");
+            let unshipped = if tee == "none" { derived } else { 0 };
+            assert_eq!(stats.derived_rows_unshipped, unshipped, "{tee}");
+            assert_eq!(stats.scan_rows + unshipped, data.len() as u64, "{tee}");
+            if let Some(buf) = &batch.nodes[1].mem_buffer {
+                assert_eq!(
+                    buf.len() as u64,
+                    derived * ARITY as u64,
+                    "the tee got every row"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1012,6 +1012,8 @@ impl Session {
     /// The server leg of [`Session::scan`]: a plain filtered cursor (the
     /// paper's recommended path), a §4.3.3 auxiliary structure when one
     /// applies, or — sampled — a block cursor over the admitted ranges.
+    /// Every read pushes down the filter of the nodes whose rows the scan
+    /// counts or stages ([`RowSink::pushdown`]), settled by certification.
     /// Returns the table rows a sample `(admitted, skipped)`, zeros when
     /// the scan is exact.
     fn scan_server(
@@ -1023,13 +1025,12 @@ impl Session {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
         let wire_rows = self.backend.config.wire_batch_rows;
-        let filter = union_filter(&sink.nodes().iter().map(|n| &n.req).collect::<Vec<_>>());
 
         // Aux structures are not consulted under sampling: a sample exists
         // to make the *plain* scan cheap.
         let aux = match sampler {
             None if self.backend.config.aux_mode != AuxMode::Off => {
-                self.usable_aux(sink.nodes(), &filter, frontier_rows)?
+                self.usable_aux(sink.nodes(), frontier_rows)?
             }
             _ => None,
         };
@@ -1041,6 +1042,7 @@ impl Session {
         let source = db.table(table)?;
         sink.certify(source.col_max(), source.nrows(), db.table_epoch(table));
         if let Some(idx) = aux {
+            let filter = sink.pushdown();
             self.stats.aux_scans += 1;
             let handle = self
                 .aux
@@ -1070,7 +1072,7 @@ impl Session {
 
         // The filter-pushdown ablation ships everything and filters here.
         let pushed = if self.backend.config.push_filters {
-            filter
+            sink.pushdown()
         } else {
             Pred::True
         };
@@ -1099,12 +1101,7 @@ impl Session {
     /// The §4.3.3 structure to scan the scheduled nodes through, if any:
     /// an existing one every node descends from, or a new one when the
     /// frontier's relevant fraction of the table is small enough.
-    fn usable_aux(
-        &mut self,
-        nodes: &[NodeCounter],
-        filter: &Pred,
-        frontier_rows: u64,
-    ) -> MwResult<Option<usize>> {
+    fn usable_aux(&mut self, nodes: &[NodeCounter], frontier_rows: u64) -> MwResult<Option<usize>> {
         let usable = self.aux.iter().position(|h| {
             nodes
                 .iter()
@@ -1120,7 +1117,7 @@ impl Session {
             frontier_rows as f64 / table_rows as f64
         };
         if fraction <= self.backend.config.aux_threshold {
-            Ok(Some(self.build_aux(nodes, filter)?))
+            Ok(Some(self.build_aux(nodes)?))
         } else {
             Ok(None)
         }
@@ -1128,9 +1125,11 @@ impl Session {
 
     /// Build the configured §4.3.3 structure for the scheduled nodes,
     /// recording the server cost of the build separately so experiments can
-    /// report the "idealized" number that neglects it.
-    fn build_aux(&mut self, nodes: &[NodeCounter], filter: &Pred) -> MwResult<usize> {
+    /// report the "idealized" number that neglects it. It holds the rows of
+    /// every node, derived ones included: their children read it later.
+    fn build_aux(&mut self, nodes: &[NodeCounter]) -> MwResult<usize> {
         let members: Vec<NodeId> = nodes.iter().map(|n| n.req.node()).collect();
+        let filter = &union_filter(&nodes.iter().map(|n| &n.req).collect::<Vec<_>>());
         let before = self.backend.db_stats.snapshot();
         let kind = match self.backend.config.aux_mode {
             AuxMode::TempTable => {
@@ -1217,7 +1216,7 @@ impl Session {
                 fallback,
                 file_writer,
                 mem_buffer,
-                derive: _,
+                ..
             } = counter;
             if let Some(w) = file_writer {
                 self.staging.commit_file(w, &mut self.stats)?;

@@ -5,13 +5,16 @@
 //! reference. A client that extends each child from its parent's lineage,
 //! as `grow_with_middleware` does, must read the same table for every node,
 //! grow the same tree and leave the same logical counters behind, at every
-//! point of the configuration matrix — and it must actually derive.
+//! point of the configuration matrix — and it must actually derive. The
+//! one difference allowed is the rows a server scan does not ship because
+//! only a derived node wanted them: exactly `derived_rows_unshipped` fewer
+//! rows scanned, and as many fewer shipped.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use scaleclass::{
-    Backend, CcRequest, CountsTable, Lineage, Middleware, MiddlewareConfig, MiddlewareStats,
-    MwResult, NodeId,
+    AuxMode, Backend, CcRequest, CountsTable, FileStagingPolicy, Lineage, Middleware,
+    MiddlewareConfig, MiddlewareStats, MwResult, NodeId,
 };
 use scaleclass_dtree::grow::immediate_leaf;
 use scaleclass_dtree::{
@@ -42,6 +45,8 @@ struct Build {
     tree: DecisionTree,
     counted: BTreeMap<u64, Counted>,
     stats: MiddlewareStats,
+    /// Rows the server shipped during the build.
+    shipped: u64,
 }
 
 /// A requested node: its lineage, the edges from the root down to it, and
@@ -69,6 +74,7 @@ fn grow(
     mut between: impl FnMut(&mut Middleware),
 ) -> MwResult<Build> {
     let config = GrowConfig::default();
+    let shipped = mw.db_stats().rows_shipped;
     let class_col = mw.class_col();
     let root = mw.root_request(NodeId(0));
     let mut tree = DecisionTree::new();
@@ -187,11 +193,14 @@ fn grow(
         tree,
         counted,
         stats: *mw.stats(),
+        shipped: mw.db_stats().rows_shipped - shipped,
     })
 }
 
 /// The counters derivation may move: which path counted a block, wall
-/// time, and the derivation counters themselves.
+/// time, the derivation counters themselves, and the rows and blocks a
+/// server scan read — fewer by the rows it did not ship
+/// ([`derivation_ships_less`]).
 fn logical(s: &MiddlewareStats) -> MiddlewareStats {
     MiddlewareStats {
         scan_nanos: 0,
@@ -203,8 +212,23 @@ fn logical(s: &MiddlewareStats) -> MiddlewareStats {
         kernel_accumulate_nanos: 0,
         derived_nodes: 0,
         derived_rows: 0,
+        derived_rows_unshipped: 0,
+        derivations_refused: 0,
+        scan_rows: 0,
+        scan_blocks: 0,
         ..*s
     }
+}
+
+/// The rows the linked build did not read are the rows only its derived
+/// nodes wanted: the server shipped, and the scans read, exactly
+/// `derived_rows_unshipped` fewer rows than the reference's.
+fn derivation_ships_less(linked: &Build, rebuilt: &Build) -> Result<(), TestCaseError> {
+    let unshipped = linked.stats.derived_rows_unshipped;
+    prop_assert!(unshipped <= linked.stats.derived_rows);
+    prop_assert_eq!(linked.stats.scan_rows + unshipped, rebuilt.stats.scan_rows);
+    prop_assert_eq!(rebuilt.shipped.checked_sub(linked.shipped), Some(unshipped));
+    Ok(())
 }
 
 /// Build `rows` under `cfg` twice, once per client, over `cfg.sessions`
@@ -261,6 +285,7 @@ fn linked_and_rebuilt(
         );
         prop_assert_eq!(logical(&l.stats), logical(&r.stats), "session {}", i);
         prop_assert!(l.stats.derived_rows >= l.stats.derived_nodes);
+        derivation_ships_less(l, r)?;
         for (node, c) in l
             .counted
             .iter()
@@ -412,6 +437,66 @@ fn every_binary_split_derives_its_larger_child() {
             "derived tables are dense"
         );
     }
+}
+
+/// With nothing staged every level is a server scan and no derived node
+/// tees, so the server ships none of the rows only a derived node wants —
+/// on one worker or four. The filter-pushdown ablation ships everything,
+/// and derives as much.
+#[test]
+fn a_server_scan_ships_no_row_only_a_derived_node_wants() {
+    let (cards, rows) = shaped_table();
+    for workers in [1, 4] {
+        let unstaged = MiddlewareConfig::builder()
+            .memory_caching(false)
+            .file_policy(FileStagingPolicy::Disabled)
+            .scan_workers(workers);
+        let linked = linked_and_rebuilt(&cards, &rows, &unstaged.clone().build(), 0);
+        let stats = linked.expect("agree")[0].stats;
+        assert!(stats.derived_rows > 0, "{workers} workers");
+        assert_eq!(
+            stats.derived_rows_unshipped, stats.derived_rows,
+            "{workers} workers"
+        );
+
+        let ablation = unstaged.push_filters(false).build();
+        let linked = linked_and_rebuilt(&cards, &rows, &ablation, 0);
+        let ablated = linked.expect("agree")[0].stats;
+        assert_eq!(
+            ablated.derived_rows, stats.derived_rows,
+            "{workers} workers"
+        );
+        assert_eq!(ablated.derived_rows_unshipped, 0, "{workers} workers");
+    }
+}
+
+/// A §4.3.3 auxiliary structure is built from the rows of every scheduled
+/// node, derived ones included — their children read it later — while
+/// each read through it ships only the rows the scan counts. Whichever
+/// level first falls under the threshold builds it, in every mode, and
+/// the tables and the tree are the reference's.
+#[test]
+fn an_aux_structure_keeps_the_rows_of_derived_nodes() {
+    let (cards, rows) = shaped_table();
+    let mut unshipped = 0;
+    for mode in [AuxMode::TempTable, AuxMode::TidJoin, AuxMode::Keyset] {
+        for threshold in [1.0, 0.75, 0.5, 0.25] {
+            let cfg = MiddlewareConfig::builder()
+                .memory_caching(false)
+                .aux_mode(mode)
+                .aux_threshold(threshold)
+                .build();
+            let what = format!("{mode:?} at {threshold}");
+            let linked = linked_and_rebuilt(&cards, &rows, &cfg, 0).expect(&what);
+            let stats = &linked[0].stats;
+            assert!(stats.aux_scans > 0 && stats.derived_nodes > 0, "{what}");
+            unshipped += stats.derived_rows_unshipped;
+        }
+    }
+    assert!(
+        unshipped > 0,
+        "no read through a structure left a derived node out"
+    );
 }
 
 /// Sampled batches never derive, and neither does a batch whose scan the
