@@ -43,7 +43,7 @@
 //! - **lock-order** — guard-aware (see [`crate::guards`]): every lock
 //!   acquisition made while another guard is live adds an edge to the
 //!   cross-file lock graph over the concurrency modules (`session.rs`,
-//!   `catalog.rs`, `parallel.rs`, `staging.rs`, `middleware.rs`); any edge
+//!   `catalog.rs`, `parallel.rs`, `staging.rs`, `concurrent.rs`); any edge
 //!   contradicting the canonical [`LOCK_ORDER`] manifest, any re-entrant
 //!   acquisition, any cycle, and any `.lock()` the `LOCK_SITES` manifest
 //!   cannot name is a violation.
@@ -314,14 +314,16 @@ const PANIC_FILES: [&str; 5] = [
 
 /// Files the guard-aware concurrency rules (lock-order,
 /// guard-across-blocking) run over: every module that holds or acquires a
-/// shared-state lock, and `parallel.rs`, which hands blocks between
-/// threads and holds none — a lock added there must be ranked too.
+/// shared-state lock, and the two that hand work between threads and hold
+/// none — `parallel.rs` (blocks to scan workers) and `concurrent.rs`
+/// (requests and results over channels, blocking on `recv` and `join`) —
+/// where a lock added must be ranked too.
 const CONCURRENCY_FILES: [&str; 5] = [
     "crates/core/src/session.rs",
     "crates/core/src/catalog.rs",
     "crates/core/src/parallel.rs",
     "crates/core/src/staging.rs",
-    "crates/core/src/middleware.rs",
+    "crates/core/src/concurrent.rs",
 ];
 
 /// Canonical lock acquisition order, outermost first. An acquisition edge
@@ -412,7 +414,7 @@ pub(crate) const LOCK_SITES: [LockSite; 25] = [
         lock: "backend.db",
         binds: true,
     },
-    // Session::db / Backend::db / Middleware::db guard passthroughs.
+    // Session::db / Backend::db guard passthroughs.
     LockSite {
         method: "db",
         recv: None,

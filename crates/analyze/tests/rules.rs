@@ -497,6 +497,15 @@ fn guard_liveness_ends_at_scope_statement_and_drop() {
                }\n";
     let report = check_source(rel, src);
     assert_eq!(fired(&report), vec![(RULE_GUARD_BLOCKING, 3)]);
+
+    // The threaded front-ends join session threads: a database guard held
+    // across that join is caught there too.
+    let src = "pub fn f(&self, h: Handle) {\n\
+               let db = self.backend.db();\n\
+               h.join();\n\
+               }\n";
+    let report = check_source("crates/core/src/concurrent.rs", src);
+    assert_eq!(fired(&report), vec![(RULE_GUARD_BLOCKING, 3)]);
 }
 
 #[test]

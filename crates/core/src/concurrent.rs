@@ -5,24 +5,26 @@
 //! batches of requests, *waits* for the middleware to notify it that some
 //! have been fulfilled, and consumes the counts tables in whatever order it
 //! likes, while the middleware independently decides scheduling. Two
-//! front-ends implement that protocol:
+//! front-ends implement that protocol, both over [`MiddlewareHandle`] — one
+//! [`Session`] on its own thread with its own request/result channels:
 //!
-//! * [`MiddlewareHandle`] / [`spawn`] — the classic single-client form:
-//!   one [`Middleware`] on its own thread, one pair of channels.
+//! * [`spawn`] — the classic single-client form: the handle's thread hands
+//!   the [`Middleware`] back at [`MiddlewareHandle::shutdown`].
 //! * [`SessionPool`] — the multi-client service the middleware really is:
-//!   K [`Session`]s over **one** shared [`Backend`], each session on its
-//!   own thread with its own request/result channels, all leasing slices
-//!   of the one `memory_budget_bytes` from the backend's
-//!   [`crate::session::BudgetArbiter`].
+//!   K sessions over **one** shared [`Backend`], all leasing slices of the
+//!   one `memory_budget_bytes` from the backend's
+//!   [`crate::session::BudgetArbiter`]. A pool session drops on its own
+//!   thread the moment its loop ends, so its lease returns to the arbiter
+//!   then; its thread hands back only its statistics.
 //!
 //! Both front-ends drain deterministically on hangup: dropping a request
 //! sender lets the service finish every queued request (results keep
-//! flowing) before the thread exits. A middleware error that can no longer
-//! be delivered — the client already dropped its receiver — is *deferred*
-//! and surfaces from `shutdown()` as the `MwError` it was, never silently
-//! discarded.
+//! flowing) before the thread exits. `shutdown()` reports the first batch
+//! error the client never read — one that could not be delivered because
+//! the client had dropped its receiver, or else one still queued on the
+//! result channel — as the `MwError` it was, never silently discarding it.
 //!
-//! The synchronous [`Middleware::process_next_batch`] loop remains the
+//! The synchronous [`Session::process_next_batch`] loop remains the
 //! deterministic path used by the experiments; these front-ends exist to
 //! demonstrate (and test) that the protocol itself imposes no ordering
 //! beyond "requests in, counts out".
@@ -34,44 +36,10 @@ use crate::cc::FulfilledCc;
 use crate::config::MiddlewareConfig;
 use crate::error::{MwError, MwResult};
 use crate::metrics::{MiddlewareStats, ScanStats};
-use crate::middleware::Middleware;
 use crate::request::CcRequest;
-use crate::session::{Backend, Session};
+use crate::session::{Backend, Middleware, Session};
 use crossbeam_channel::{unbounded, Receiver, SendError, Sender, TryRecvError};
 use scaleclass_sqldb::Database;
-
-/// The engine side of the Figure 3 protocol — implemented by both the
-/// single-session [`Middleware`] facade and a pool [`Session`], so one
-/// service loop serves both front-ends.
-trait Engine {
-    fn has_pending(&self) -> bool;
-    fn enqueue(&mut self, req: CcRequest) -> MwResult<()>;
-    fn process_next_batch(&mut self) -> MwResult<Vec<FulfilledCc>>;
-}
-
-impl Engine for Middleware {
-    fn has_pending(&self) -> bool {
-        Middleware::has_pending(self)
-    }
-    fn enqueue(&mut self, req: CcRequest) -> MwResult<()> {
-        Middleware::enqueue(self, req)
-    }
-    fn process_next_batch(&mut self) -> MwResult<Vec<FulfilledCc>> {
-        Middleware::process_next_batch(self)
-    }
-}
-
-impl Engine for Session {
-    fn has_pending(&self) -> bool {
-        Session::has_pending(self)
-    }
-    fn enqueue(&mut self, req: CcRequest) -> MwResult<()> {
-        Session::enqueue(self, req)
-    }
-    fn process_next_batch(&mut self) -> MwResult<Vec<FulfilledCc>> {
-        Session::process_next_batch(self)
-    }
-}
 
 /// Send `outcome` to the client; when the client has hung up, park the
 /// error (if it was one) in `deferred` instead of discarding it with the
@@ -96,18 +64,18 @@ fn deliver(
 /// drained (deterministic drain-on-hangup), or until an error terminates
 /// the session. Returns any error that could not be delivered to the
 /// client.
-fn service_loop<E: Engine>(
-    engine: &mut E,
+fn service_loop(
+    session: &mut Session,
     requests: &Receiver<CcRequest>,
     results: &Sender<MwResult<Vec<FulfilledCc>>>,
 ) -> Option<MwError> {
     let mut deferred: Option<MwError> = None;
     'outer: loop {
         // Block for at least one request unless work is already queued.
-        if !engine.has_pending() {
+        if !session.has_pending() {
             match requests.recv() {
                 Ok(req) => {
-                    if let Err(e) = engine.enqueue(req) {
+                    if let Err(e) = session.enqueue(req) {
                         if !deliver(results, Err(e), &mut deferred) {
                             break 'outer;
                         }
@@ -122,7 +90,7 @@ fn service_loop<E: Engine>(
         loop {
             match requests.try_recv() {
                 Ok(req) => {
-                    if let Err(e) = engine.enqueue(req) {
+                    if let Err(e) = session.enqueue(req) {
                         deliver(results, Err(e), &mut deferred);
                     }
                 }
@@ -130,7 +98,7 @@ fn service_loop<E: Engine>(
                 Err(TryRecvError::Disconnected) => break,
             }
         }
-        let outcome = engine.process_next_batch();
+        let outcome = session.process_next_batch();
         let failed = outcome.is_err();
         if !deliver(results, outcome, &mut deferred) || failed {
             break 'outer;
@@ -139,44 +107,48 @@ fn service_loop<E: Engine>(
     deferred
 }
 
-// ---------------------------------------------------------------------------
-// Single-client front-end
-// ---------------------------------------------------------------------------
-
-/// Client-side handle to a middleware running on its own thread.
-pub struct MiddlewareHandle {
+/// Client-side handle to one session running on its own thread. When its
+/// service loop ends, the thread hands back `T`: the [`Middleware`] itself
+/// for [`spawn`], a pool session's statistics for [`SessionPool`].
+pub struct MiddlewareHandle<T = Middleware> {
     requests: Option<Sender<CcRequest>>,
     results: Receiver<MwResult<Vec<FulfilledCc>>>,
-    thread: Option<JoinHandle<(Middleware, MiddlewareStats, Option<MwError>)>>,
+    thread: Option<JoinHandle<(T, Option<MwError>)>>,
 }
 
 /// Run `mw` on a dedicated thread. The thread services requests until the
 /// request sender is dropped *and* the queue is drained, then exits.
 pub fn spawn(mw: Middleware) -> MiddlewareHandle {
-    let (req_tx, req_rx) = unbounded::<CcRequest>();
-    let (res_tx, res_rx) = unbounded::<MwResult<Vec<FulfilledCc>>>();
-    let thread = std::thread::spawn(move || {
-        let mut mw = mw;
-        let deferred = service_loop(&mut mw, &req_rx, &res_tx);
-        let stats = *mw.stats();
-        (mw, stats, deferred)
-    });
-    MiddlewareHandle {
-        requests: Some(req_tx),
-        results: res_rx,
-        thread: Some(thread),
+    MiddlewareHandle::launch(mw, |mw| mw)
+}
+
+impl<T: Send + 'static> MiddlewareHandle<T> {
+    /// Start `session`'s service loop on a new thread; `finish` turns the
+    /// session into what the thread hands back once the loop ends.
+    fn launch(mut session: Session, finish: impl FnOnce(Session) -> T + Send + 'static) -> Self {
+        let (req_tx, req_rx) = unbounded::<CcRequest>();
+        let (res_tx, res_rx) = unbounded::<MwResult<Vec<FulfilledCc>>>();
+        let thread = std::thread::spawn(move || {
+            let deferred = service_loop(&mut session, &req_rx, &res_tx);
+            (finish(session), deferred)
+        });
+        MiddlewareHandle {
+            requests: Some(req_tx),
+            results: res_rx,
+            thread: Some(thread),
+        }
     }
 }
 
-impl MiddlewareHandle {
+impl<T> MiddlewareHandle<T> {
     /// Queue a request (client step 1 of Figure 3). Fails only if the
-    /// middleware thread is gone.
+    /// session thread is gone.
     pub fn enqueue(&self, req: CcRequest) -> Result<(), &'static str> {
         self.requests
             .as_ref()
-            .ok_or("middleware shutting down")?
+            .ok_or("session shutting down")?
             .send(req)
-            .map_err(|_| "middleware thread terminated")
+            .map_err(|_| "session thread terminated")
     }
 
     /// Wait for the next fulfilled batch (client step 2).
@@ -189,85 +161,35 @@ impl MiddlewareHandle {
         self.results.try_recv().ok()
     }
 
-    /// Signal no more requests will come and wait for the middleware to
-    /// finish, recovering it (and its statistics). An error the middleware
-    /// hit *after* this client stopped listening — so it could not be
-    /// delivered on the result channel — surfaces here as `Err` instead of
-    /// being silently discarded.
-    pub fn shutdown(mut self) -> MwResult<(Middleware, MiddlewareStats)> {
-        self.requests = None;
-        // Drain any residual results so the thread is not blocked on send.
-        while self.results.try_recv().is_ok() {}
-        let (mw, stats, deferred) = self
-            .thread
-            .take()
-            .expect("shutdown called once")
+    /// Signal no more requests will come, wait for the session to finish
+    /// every queued request, and return what its thread handed back. A
+    /// batch error the client never read surfaces here as `Err`: one the
+    /// thread could not deliver, or else the first still queued on the
+    /// result channel. Unread successful batches are discarded.
+    pub fn shutdown(mut self) -> MwResult<T> {
+        let (out, deferred) = self
             .join()
-            .expect("middleware thread panicked");
-        match deferred {
+            .expect("shutdown joins the thread once")
+            .expect("session thread panicked");
+        // The thread has exited and dropped its sender, so `iter` stops at
+        // the end of what is queued instead of blocking.
+        match deferred.or_else(|| self.results.iter().find_map(Result::err)) {
             Some(e) => Err(e),
-            None => Ok((mw, stats)),
+            None => Ok(out),
         }
+    }
+
+    /// Close the request channel and wait for the thread, unless it was
+    /// already joined.
+    fn join(&mut self) -> Option<std::thread::Result<(T, Option<MwError>)>> {
+        self.requests = None;
+        self.thread.take().map(JoinHandle::join)
     }
 }
 
-impl Drop for MiddlewareHandle {
+impl<T> Drop for MiddlewareHandle<T> {
     fn drop(&mut self) {
-        self.requests = None;
-        if let Some(t) = self.thread.take() {
-            // Best effort: unblock and reap the thread.
-            while self.results.try_recv().is_ok() {}
-            let _ = t.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-client pool
-// ---------------------------------------------------------------------------
-
-/// One pool session's client-side endpoints.
-struct SessionHandle {
-    requests: Option<Sender<CcRequest>>,
-    results: Receiver<MwResult<Vec<FulfilledCc>>>,
-    thread: Option<JoinHandle<(MiddlewareStats, ScanStats, Option<MwError>)>>,
-}
-
-impl SessionHandle {
-    fn launch(session: Session) -> Self {
-        let (req_tx, req_rx) = unbounded::<CcRequest>();
-        let (res_tx, res_rx) = unbounded::<MwResult<Vec<FulfilledCc>>>();
-        let thread = std::thread::spawn(move || {
-            let mut session = session;
-            let deferred = service_loop(&mut session, &req_rx, &res_tx);
-            let stats = *session.stats();
-            let scan_stats = session.scan_stats().clone();
-            // `session` drops here: aux structures are reclaimed from the
-            // shared catalog and the budget lease returns to the arbiter.
-            (stats, scan_stats, deferred)
-        });
-        SessionHandle {
-            requests: Some(req_tx),
-            results: res_rx,
-            thread: Some(thread),
-        }
-    }
-
-    fn join(&mut self) -> Option<(MiddlewareStats, ScanStats, Option<MwError>)> {
-        self.requests = None;
-        while self.results.try_recv().is_ok() {}
-        let t = self.thread.take()?;
-        Some(t.join().expect("session thread panicked"))
-    }
-}
-
-impl Drop for SessionHandle {
-    fn drop(&mut self) {
-        self.requests = None;
-        if let Some(t) = self.thread.take() {
-            while self.results.try_recv().is_ok() {}
-            let _ = t.join();
-        }
+        let _ = self.join();
     }
 }
 
@@ -282,8 +204,11 @@ impl Drop for SessionHandle {
 /// regardless of thread interleaving.
 pub struct SessionPool {
     backend: Arc<Backend>,
-    sessions: Vec<SessionHandle>,
+    sessions: Vec<PoolHandle>,
 }
+
+/// A pool session's handle: its thread hands back the session's statistics.
+type PoolHandle = MiddlewareHandle<(MiddlewareStats, ScanStats)>;
 
 impl SessionPool {
     /// Build the shared backend over `table` and launch `config.sessions`
@@ -301,7 +226,15 @@ impl SessionPool {
         let opened: Vec<Session> = (0..k)
             .map(|_| Session::open(Arc::clone(&backend)))
             .collect::<MwResult<_>>()?;
-        let sessions = opened.into_iter().map(SessionHandle::launch).collect();
+        let sessions = opened
+            .into_iter()
+            .map(|session| {
+                // `session` drops on its thread once the loop ends: aux
+                // structures are reclaimed from the shared catalog and the
+                // budget lease returns to the arbiter.
+                PoolHandle::launch(session, |s| (*s.stats(), s.scan_stats().clone()))
+            })
+            .collect();
         Ok(SessionPool { backend, sessions })
     }
 
@@ -315,51 +248,40 @@ impl SessionPool {
         self.sessions.len()
     }
 
-    fn session(&self, i: usize) -> Result<&SessionHandle, &'static str> {
+    fn session(&self, i: usize) -> Result<&PoolHandle, &'static str> {
         self.sessions.get(i).ok_or("no such session")
     }
 
     /// Queue a request on session `i`. Fails if the session does not exist
     /// or its thread is gone.
     pub fn enqueue(&self, i: usize, req: CcRequest) -> Result<(), &'static str> {
-        self.session(i)?
-            .requests
-            .as_ref()
-            .ok_or("session shutting down")?
-            .send(req)
-            .map_err(|_| "session thread terminated")
+        self.session(i)?.enqueue(req)
     }
 
     /// Wait for session `i`'s next fulfilled batch.
     pub fn wait_results(&self, i: usize) -> Option<MwResult<Vec<FulfilledCc>>> {
-        self.session(i).ok()?.results.recv().ok()
+        self.session(i).ok()?.wait_results()
     }
 
     /// Non-blocking poll for session `i`'s fulfilled batches.
     pub fn try_results(&self, i: usize) -> Option<MwResult<Vec<FulfilledCc>>> {
-        self.session(i).ok()?.results.try_recv().ok()
+        self.session(i).ok()?.try_results()
     }
 
     /// Signal no more requests will come on any session, drain all of them
     /// deterministically, and tear the pool down: per-session statistics
     /// come back in session order, and the database is recovered from the
-    /// backend. An error any session hit after its client stopped
-    /// listening surfaces here as `Err` (first session in order wins).
-    pub fn shutdown(mut self) -> MwResult<(Database, Vec<(MiddlewareStats, ScanStats)>)> {
-        let mut stats = Vec::with_capacity(self.sessions.len());
-        let mut first_err: Option<MwError> = None;
-        for handle in &mut self.sessions {
-            if let Some((s, scan, deferred)) = handle.join() {
-                stats.push((s, scan));
-                if first_err.is_none() {
-                    first_err = deferred;
-                }
-            }
-        }
-        self.sessions.clear();
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+    /// backend. A batch error any session's client never read surfaces
+    /// here as `Err` ([`MiddlewareHandle::shutdown`]; first session in
+    /// order wins).
+    pub fn shutdown(self) -> MwResult<(Database, Vec<(MiddlewareStats, ScanStats)>)> {
+        // After the first error the handles left unvisited drop, which
+        // joins their threads too.
+        let stats = self
+            .sessions
+            .into_iter()
+            .map(MiddlewareHandle::shutdown)
+            .collect::<MwResult<Vec<_>>>()?;
         let backend = Arc::try_unwrap(self.backend)
             .ok()
             .expect("all sessions joined; pool holds the only backend reference");
@@ -397,7 +319,7 @@ mod tests {
         let batch = handle.wait_results().unwrap().unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].cc.total(), 40);
-        let (_mw, stats) = handle.shutdown().unwrap();
+        let stats = *handle.shutdown().unwrap().stats();
         assert_eq!(stats.requests_served, 1);
     }
 
@@ -425,7 +347,7 @@ mod tests {
             let batch = handle.wait_results().unwrap().unwrap();
             served += batch.len();
         }
-        let (_mw, stats) = handle.shutdown().unwrap();
+        let stats = *handle.shutdown().unwrap().stats();
         assert_eq!(stats.requests_served, 4);
         // All four children were answered; batching may take 1..=4 rounds
         // depending on thread interleaving, but never more rounds than
@@ -451,32 +373,35 @@ mod tests {
     fn shutdown_without_requests_is_clean() {
         let mw = middleware(8);
         let handle = spawn(mw);
-        let (mw, stats) = handle.shutdown().unwrap();
-        assert_eq!(stats.rounds, 0);
+        let mw = handle.shutdown().unwrap();
+        assert_eq!(mw.stats().rounds, 0);
         assert!(!mw.has_pending());
     }
 
-    #[test]
-    fn batch_error_after_hangup_surfaces_on_join() {
-        // Rig a middleware whose first batch must create a staging file in
-        // a directory that no longer exists: processing fails, but only
-        // *after* the client hung up both channels.
-        let marker = 0u8;
-        let dir = std::env::temp_dir().join(format!(
-            "scaleclass-hangup-{}-{:p}",
-            std::process::id(),
-            &marker
-        ));
+    /// A config for `sessions` sessions whose first batch must create a
+    /// staging file in a directory of its own (named by `tag`, unique per
+    /// test): removing the directory once the sessions are open makes that
+    /// batch fail.
+    fn file_staging_config(tag: &str, sessions: usize) -> (MiddlewareConfig, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("scaleclass-{tag}-{}", std::process::id()));
         let cfg = MiddlewareConfig::builder()
             .memory_caching(false)
             .file_policy(FileStagingPolicy::Singleton)
             .staging_dir(&dir)
+            .sessions(sessions)
             .build();
-        let mw = Middleware::new(test_db(40), "d", "class", cfg).unwrap();
+        (cfg, dir)
+    }
+
+    #[test]
+    fn batch_error_after_hangup_surfaces_on_join() {
+        // The batch fails, but only *after* the client hung up both
+        // channels.
+        let (cfg, dir) = file_staging_config("hangup", 1);
+        let mut mw = Middleware::new(test_db(40), "d", "class", cfg).unwrap();
         let root = mw.root_request(NodeId(0));
         std::fs::remove_dir_all(&dir).unwrap();
 
-        let mut mw = mw;
         let (req_tx, req_rx) = unbounded::<CcRequest>();
         let (res_tx, res_rx) = unbounded::<MwResult<Vec<FulfilledCc>>>();
         req_tx.send(root).unwrap();
@@ -487,6 +412,38 @@ mod tests {
         assert!(
             deferred.is_some(),
             "undeliverable batch error must be deferred, not discarded"
+        );
+    }
+
+    #[test]
+    fn unread_batch_error_surfaces_from_shutdown() {
+        // The client queues a request whose batch fails and shuts down
+        // without reading the result: the error is still on the result
+        // channel, and shutdown must report it rather than drain it away.
+        let (cfg, dir) = file_staging_config("unread", 1);
+        let mw = Middleware::new(test_db(40), "d", "class", cfg).unwrap();
+        let root = mw.root_request(NodeId(0));
+        std::fs::remove_dir_all(&dir).unwrap();
+        let handle = spawn(mw);
+        handle.enqueue(root).unwrap();
+        let outcome = handle.shutdown();
+        assert!(
+            matches!(outcome, Err(MwError::Staging(_))),
+            "unread batch error must surface from shutdown"
+        );
+    }
+
+    #[test]
+    fn pool_shutdown_reports_an_unread_batch_error() {
+        let (cfg, dir) = file_staging_config("pool-unread", 2);
+        let pool = SessionPool::new(test_db(40), "d", "class", cfg).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        pool.enqueue(1, pool.backend().root_request(NodeId(0)))
+            .unwrap();
+        let outcome = pool.shutdown();
+        assert!(
+            matches!(outcome, Err(MwError::Staging(_))),
+            "session 1's unread batch error must surface from shutdown"
         );
     }
 

@@ -14,18 +14,17 @@
 //!    pays to **stage** it from the server to middleware files to
 //!    middleware memory ([`staging`]).
 //!
-//! The [`Middleware`] owns the backend connection and a rule-based
-//! [`scheduler`]; the client queues [`CcRequest`]s and consumes
-//! [`FulfilledCc`] results, synchronously via
-//! [`Middleware::process_next_batch`] or on a separate thread via
-//! [`concurrent::spawn`].
+//! A client's [`Middleware`] — a [`Session`] — queues [`CcRequest`]s to a
+//! rule-based [`scheduler`] and hands back [`FulfilledCc`] results,
+//! synchronously via [`Session::process_next_batch`] or on a separate
+//! thread via [`concurrent::spawn`].
 //!
-//! Internally the middleware is split into a shared read-only [`Backend`]
-//! and per-tree-build [`Session`] state, so N concurrent builds can share
-//! one substrate: a [`SessionPool`] serves `config.sessions` clients over
-//! one backend while the [`BudgetArbiter`] leases each live session a
-//! fair share of the single `memory_budget_bytes`. [`Middleware`] is the
-//! single-session facade over the same engine (DESIGN.md §10).
+//! The backend connection is a shared read-only [`Backend`], so N
+//! concurrent builds can share one substrate: a [`SessionPool`] serves
+//! `config.sessions` clients over one backend while the [`BudgetArbiter`]
+//! leases each live session a fair share of the single
+//! `memory_budget_bytes`. [`Session::new`] builds a session with a backend
+//! of its own (DESIGN.md §10).
 //!
 //! ## Quick example
 //!
@@ -93,7 +92,6 @@ pub mod filter;
     clippy::cast_possible_wrap
 )]
 pub mod metrics;
-pub mod middleware;
 pub mod parallel;
 pub mod request;
 #[deny(
@@ -121,8 +119,11 @@ pub use config::{AuxMode, EstimatorKind, FileStagingPolicy, MiddlewareConfig};
 pub use delta::{DeltaMap, LeafDelta};
 pub use error::{MwError, MwResult};
 pub use metrics::{ArbiterStats, CatalogStats, MiddlewareStats, ScanStats, WorkerScanStats};
-pub use middleware::Middleware;
 pub use request::{CcRequest, DataLocation, Lineage, NodeId};
 pub use sample::{BlockSampler, SampledLedger, SampledScan};
-pub use session::{Backend, BudgetArbiter, Session};
+pub use session::{Backend, BudgetArbiter, Middleware, Session};
 pub use staging::ExtentLayout;
+
+#[cfg(test)]
+#[path = "middleware_tests.rs"]
+mod middleware;

@@ -2,7 +2,7 @@
 //!
 //! The paper's Figure 3 middleware is a *service*: many classification
 //! clients queue counts-table requests against one SQL backend. This module
-//! splits the former `Middleware` monolith accordingly:
+//! holds both halves of that service:
 //!
 //! * [`Backend`] — the read-mostly substrate shared by every session: the
 //!   [`Database`] (behind an `RwLock`; scans take read locks, the §4.3.3
@@ -10,10 +10,11 @@
 //!   cardinalities, the [`MiddlewareConfig`], and the [`BudgetArbiter`].
 //! * [`Session`] — one client's private state: pending request queue,
 //!   staging manager, auxiliary structures, stats, and its budget lease.
+//!   [`Middleware`] is the paper's name for it; [`Session::new`] builds a
+//!   session that owns its backend.
 //! * [`BudgetArbiter`] — leases fair-share slices of the global
 //!   `memory_budget_bytes` to live sessions, rebalancing on open/close. A
-//!   lone session (the single-session [`crate::middleware::Middleware`]
-//!   facade) holds the whole budget, so legacy behaviour is bit-exact.
+//!   lone session holds the whole budget.
 //!
 //! Shadow accounting (DESIGN.md §9.3) extends here: at every batch
 //! checkpoint the arbiter asserts `Σ session leases ≤ global budget`, and
@@ -349,14 +350,20 @@ impl Backend {
     /// Build the all-attribute root-node request every fresh session (and
     /// pool client) starts from.
     pub fn root_request(&self, root: NodeId) -> CcRequest {
+        self.root_request_over(root, &self.default_attrs)
+    }
+
+    /// The root-node request over `attrs` (§3.1 step 1 of the client
+    /// loop): exact row count from the table, parent cardinalities from the
+    /// schema.
+    fn root_request_over(&self, root: NodeId, attrs: &[u16]) -> CcRequest {
         CcRequest {
             lineage: Lineage::root(root),
-            attrs: self.default_attrs.clone(),
+            attrs: attrs.to_vec(),
             class_col: self.class_col,
             rows: self.table_rows(),
             parent_rows: self.table_rows(),
-            parent_cards: self
-                .default_attrs
+            parent_cards: attrs
                 .iter()
                 .map(|&a| u64::from(self.schema.column(a as usize).cardinality()))
                 .collect(),
@@ -436,7 +443,24 @@ pub struct Session {
     parents: Parents,
 }
 
+/// The paper's name for one client's middleware (Figure 3): a [`Session`].
+/// [`Session::new`] gives it a backend of its own, [`Session::open`] one
+/// that other sessions share.
+pub type Middleware = Session;
+
 impl Session {
+    /// Build a backend over `table`, predicting `class_column`, and open
+    /// the one session on it, which leases the whole budget. Every other
+    /// column is treated as a (categorical) input attribute.
+    pub fn new(
+        db: Database,
+        table: impl Into<String>,
+        class_column: &str,
+        config: MiddlewareConfig,
+    ) -> MwResult<Self> {
+        Self::open(Arc::new(Backend::new(db, table, class_column, config)?))
+    }
+
     /// Open a session over the shared backend, taking out a budget lease.
     pub fn open(backend: Arc<Backend>) -> MwResult<Self> {
         let (lease_id, lease) = backend.arbiter.open();
@@ -507,6 +531,28 @@ impl Session {
     /// Rows in the session table.
     pub fn table_rows(&self) -> u64 {
         self.backend.table_rows()
+    }
+
+    /// The mined table's current mutation epoch ([`Backend::table_epoch`]).
+    pub fn table_epoch(&self) -> u64 {
+        self.backend.table_epoch()
+    }
+
+    /// Insert one row into the mined table ([`Backend::insert_row`]).
+    pub fn insert_row(&self, row: &[Code]) -> MwResult<()> {
+        self.backend.insert_row(row)
+    }
+
+    /// Delete every mined-table row matching `pred`; returns rows removed
+    /// ([`Backend::delete_where`]).
+    pub fn delete_where(&self, pred: &Pred) -> MwResult<u64> {
+        self.backend.delete_where(pred)
+    }
+
+    /// Apply `(column, value)` assignments to every mined-table row
+    /// matching `pred`; returns rows changed ([`Backend::update_where`]).
+    pub fn update_where(&self, pred: &Pred, assignments: &[(usize, Code)]) -> MwResult<u64> {
+        self.backend.update_where(pred, assignments)
     }
 
     /// Middleware-side statistics for this session.
@@ -623,23 +669,10 @@ impl Session {
         backend
     }
 
-    /// The bootstrap request for a tree root (§3.1 step 1 of the client
-    /// loop): exact row count from the table, parent cardinalities from the
-    /// schema.
+    /// The bootstrap request for a tree root over the session's attribute
+    /// set ([`Session::restrict_attrs`]).
     pub fn root_request(&self, root: NodeId) -> CcRequest {
-        let schema = self.schema();
-        CcRequest {
-            lineage: Lineage::root(root),
-            attrs: self.attrs.clone(),
-            class_col: self.backend.class_col,
-            rows: self.backend.table_rows(),
-            parent_rows: self.backend.table_rows(),
-            parent_cards: self
-                .attrs
-                .iter()
-                .map(|&a| u64::from(schema.column(a as usize).cardinality()))
-                .collect(),
-        }
+        self.backend.root_request_over(root, &self.attrs)
     }
 
     /// Queue a counts-table request (client step 1 of Figure 3).

@@ -103,9 +103,9 @@ impl XorShift {
 }
 
 /// Grow a random-subspace forest through the middleware. The middleware is
-/// consumed and rebuilt per member (one session each, fresh staging); the
-/// final middleware is returned alongside the forest so callers can read
-/// cumulative backend statistics.
+/// closed and re-opened on its backend per member (one session each, fresh
+/// staging); the final middleware is returned alongside the forest so
+/// callers can read cumulative backend statistics.
 pub fn grow_forest_with_middleware(
     mut mw: Middleware,
     config: &ForestConfig,
@@ -118,13 +118,6 @@ pub fn grow_forest_with_middleware(
     let all_attrs: Vec<u16> = mw.attrs().to_vec();
     let m = all_attrs.len();
     let k = config.attrs_per_tree.unwrap_or(m.div_ceil(2)).clamp(1, m);
-    let class_column = mw
-        .schema()
-        .column(mw.class_col() as usize)
-        .name()
-        .to_string();
-    let table = mw.table_name().to_string();
-    let mw_config = mw.config().clone();
 
     let mut rng = XorShift::new(config.seed);
     let mut forest = Forest::default();
@@ -140,10 +133,9 @@ pub fn grow_forest_with_middleware(
         }
         subset.sort_unstable();
 
-        // Grow one member restricted to the subset: rebuild the session
+        // Grow one member restricted to the subset: re-open the session
         // (fresh staging, no node-id collisions) with only these attributes.
-        let db = mw.into_db();
-        mw = Middleware::new(db, table.clone(), &class_column, mw_config.clone())?;
+        mw = Middleware::open(mw.close())?;
         let out = grow_restricted(&mut mw, &subset, &config.grow)?;
         for n in out.tree.nodes() {
             for &(c, _) in &n.class_counts {
