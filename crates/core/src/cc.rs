@@ -1082,6 +1082,21 @@ impl CountsTable {
         }
     }
 
+    /// Non-zero entries per tracked attribute of a dense table, ascending
+    /// by attribute: the most any table over a subset of its rows can hold
+    /// in that attribute (DESIGN.md §12b). Empty for a sparse table.
+    pub(crate) fn entries_by_attr(&self) -> Vec<(u16, u64)> {
+        let CcRepr::Dense(d) = &self.repr else {
+            return Vec::new();
+        };
+        (d.layout.attrs.iter())
+            .filter_map(|&attr| {
+                let slots = d.attr_slots(attr)?;
+                Some((attr, slots.iter().filter(|&&n| n != 0).count() as u64))
+            })
+            .collect()
+    }
+
     /// Is this a dense table whose layout tracks every attribute of
     /// `attrs`?
     pub(crate) fn tracks(&self, attrs: &[u16]) -> bool {

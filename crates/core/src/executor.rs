@@ -69,13 +69,22 @@
 //! scan does not even ship such a node's rows unless it tees them
 //! (`BatchCounter::pushdown`); a staged source still hands them in, and
 //! they stop at the router.
+//!
+//! **Parent bounds.** The proof charges each node the fewest entries any
+//! bound it holds allows: the schema's, its rows', and — for a child of a
+//! parent the session counted exactly, at the scan's epoch — its parent
+//! bound (`NodeCounter::bound`, `crate::siblings`), since a child's table
+//! holds only entries its parent's holds, and per attribute no more than
+//! it has rows. So batches built to bind the budget still prove, and
+//! their derivations stand; debug builds check every final table against
+//! its bound (`BatchCounter::debug_assert_parent_bounds`).
 
 use crate::cc::{CountsTable, KernelScratch, CC_ENTRY_BYTES};
 use crate::error::{MwError, MwResult};
 use crate::filter::union_filter;
 use crate::metrics::MiddlewareStats;
 use crate::request::CcRequest;
-use crate::siblings::Derivation;
+use crate::siblings::{Derivation, EntryBound};
 use crate::staging::FileWriter;
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
 use scaleclass_sqldb::{BlockRoute, ColumnView, Pred, PredSet};
@@ -100,6 +109,10 @@ pub struct NodeCounter {
     /// Left out of the filter the scan pushed down
     /// (`BatchCounter::pushdown`): none of its rows reach the middleware.
     pub(crate) unshipped: bool,
+    /// The most entries its table can hold, by its parent's exact table
+    /// (`crate::siblings`); [`BatchCounter::cannot_reach_budget`] charges
+    /// it when the scan runs at the parent's epoch.
+    pub(crate) bound: Option<EntryBound>,
 }
 
 impl NodeCounter {
@@ -113,6 +126,7 @@ impl NodeCounter {
             mem_buffer: None,
             derive: None,
             unshipped: false,
+            bound: None,
         }
     }
 
@@ -605,17 +619,20 @@ impl BatchCounter {
     /// Can the certified scan, of at most `rows` rows, provably not reach
     /// the budget? That is, is
     ///
-    /// `memory_in_use + Σ_n min(E_n, rows·|attrs_n|)·CC_ENTRY_BYTES
+    /// `memory_in_use + Σ_n min(E_n, rows·|attrs_n|, B_n)·CC_ENTRY_BYTES
     ///  + Σ_{n with a memory tee} rows·row_bytes ≤ budget`,
     ///
     /// where `E_n = Σ_{a ∈ attrs_n}(cert[a] + 1) · (cert[class_n] + 1)` is
     /// the most `(attr, value, class)` entries node `n`'s table can hold —
     /// dense, spilled or sparse — when every code is at or under the
-    /// certificate. File tees and the split file cost disk, not budget.
-    /// When it holds, no row of the scan fires an eviction, a §4.1.1
-    /// fallback or a tee cancellation, whatever the order or split of its
-    /// blocks, and modelled memory only grows: its final state is its
-    /// peak. False before [`BatchCounter::certify`].
+    /// certificate, and `B_n` the bound its parent's exact table sets
+    /// ([`EntryBound`]): `Σ_a min(nonzero_parent(a), rows_n)`, charged only
+    /// when the scan runs at the epoch the parent was counted at, where the
+    /// node's rows are a subset of the parent's. File tees and the split
+    /// file cost disk, not budget. When it holds, no row of the scan fires
+    /// an eviction, a §4.1.1 fallback or a tee cancellation, whatever the
+    /// order or split of its blocks, and modelled memory only grows: its
+    /// final state is its peak. False before [`BatchCounter::certify`].
     pub(crate) fn cannot_reach_budget(&self, rows: u64) -> bool {
         let cert = &self.pass.certificate;
         let card = |col: u16| cert.get(usize::from(col)).map(|&max| u64::from(max) + 1);
@@ -630,13 +647,37 @@ impl BatchCounter {
                 return false;
             };
             let by_rows = rows.saturating_mul(attrs.len() as u64);
-            let entries = values.saturating_mul(classes).min(by_rows);
+            let by_parent = self.parent_bound(node).unwrap_or(u64::MAX);
+            let entries = values.saturating_mul(classes).min(by_rows).min(by_parent);
             need = need.saturating_add(entries.saturating_mul(CC_ENTRY_BYTES));
             if node.mem_buffer.is_some() {
                 need = need.saturating_add(rows.saturating_mul(row_bytes));
             }
         }
         need <= self.budget
+    }
+
+    /// `node`'s parent bound, if it was recorded at the scan's epoch.
+    fn parent_bound(&self, node: &NodeCounter) -> Option<u64> {
+        (node.bound)
+            .filter(|b| b.epoch == self.epoch)
+            .map(|b| b.entries)
+    }
+
+    /// Debug builds: every table the batch ends with holds at most the
+    /// entries its parent bound allows ([`BatchCounter::parent_bound`]).
+    pub(crate) fn debug_assert_parent_bounds(&self) {
+        if cfg!(debug_assertions) {
+            for node in &self.nodes {
+                let bound = self.parent_bound(node).unwrap_or(u64::MAX);
+                debug_assert!(
+                    node.cc.entries() as u64 <= bound,
+                    "node {:?} holds {} entries over its parent bound {bound}",
+                    node.req.node(),
+                    node.cc.entries()
+                );
+            }
+        }
     }
 
     /// Keep each derivation planned for this certified scan only where it
@@ -1436,5 +1477,93 @@ mod tests {
             assert_eq!(a.fallback, b.fallback);
         }
         assert_eq!(rowwise.memory_in_use(), blocked.memory_in_use());
+    }
+
+    /// The root's children `a = 1` (over `b`) and `a ≠ 1` (over both) of
+    /// `ROOT_ROWS`, dense; the second planned for derivation from `parent`
+    /// at `epoch`, each bounded by `parent` at `bound_epoch`.
+    fn bounded_children(
+        parent: &Arc<CountsTable>,
+        epoch: u64,
+        bound_epoch: u64,
+    ) -> Vec<NodeCounter> {
+        let child = |id: u64, pred: Pred, attrs: Vec<u16>, entries: u64| {
+            let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
+            let mut node = NodeCounter::new(CcRequest {
+                attrs,
+                ..request(id, pred)
+            });
+            node.cc = CountsTable::new_dense(&cards, 2);
+            node.bound = Some(EntryBound {
+                entries,
+                epoch: bound_epoch,
+            });
+            node
+        };
+        // The root holds five entries in `a` and three in `b`; two rows
+        // have `a = 1`, four `a ≠ 1`.
+        let eq = child(1, Pred::Eq { col: 0, value: 1 }, vec![1], 2);
+        let mut neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1], 4 + 3);
+        neq.cc = CountsTable::new();
+        neq.derive = Some(Derivation {
+            parent: Arc::clone(parent),
+            sibling: 0,
+            edge: crate::cc::SiblingEdge {
+                col: 0,
+                value: 1,
+                eq: true,
+            },
+            epoch,
+        });
+        vec![eq, neq]
+    }
+
+    const ROOT_ROWS: [[Code; 3]; 6] = [
+        [0, 0, 0],
+        [0, 1, 1],
+        [1, 0, 0],
+        [1, 1, 1],
+        [2, 0, 0],
+        [2, 1, 0],
+    ];
+
+    /// The schema bounds the two children by 8 + 16 entries, their rows by
+    /// 6 + 12, their parent's exact table by 2 + 7: a budget of 9 entries
+    /// fails the first two and clears the third, so the planned derivation
+    /// stands and the batch ends within it — as long as the bounds were
+    /// recorded at the scan's epoch. Recorded at another, they are ignored
+    /// and the batch counts every node.
+    #[test]
+    fn a_parent_bound_at_the_scans_epoch_proves_what_the_schema_bound_refuses() {
+        let mut root = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+        for r in &ROOT_ROWS {
+            root.add_row(r, &[0, 1], 2);
+        }
+        let parent = Arc::new(root);
+        let budget = 9 * CC_ENTRY_BYTES;
+        for (bound_epoch, derives) in [(3, true), (2, false)] {
+            let nodes = bounded_children(&parent, 3, bound_epoch);
+            let mut batch = BatchCounter::new(nodes, budget, 0, ARITY);
+            batch.certify(&[3, 3, 1]);
+            batch.epoch = 3;
+            let proved = batch.cannot_reach_budget(ROOT_ROWS.len() as u64);
+            assert_eq!(proved, derives, "bound at epoch {bound_epoch}");
+            batch.settle_derivations(proved, 3);
+            assert_eq!(batch.nodes[1].derive.is_some(), derives);
+            let mut stats = MiddlewareStats::new();
+            for r in &ROOT_ROWS {
+                batch.process_row(r, &mut stats).unwrap();
+            }
+            batch.derive(&mut stats).unwrap();
+            batch.debug_assert_parent_bounds();
+            assert_eq!(stats.derived_nodes, u64::from(derives));
+            assert_eq!(stats.derivations_refused, u64::from(!derives));
+            assert_eq!(stats.sql_fallbacks, 0);
+            assert_eq!(
+                batch.nodes[0].cc.entries() + batch.nodes[1].cc.entries(),
+                2 + 6
+            );
+            assert!(batch.memory_in_use() <= budget);
+        }
     }
 }

@@ -456,6 +456,7 @@ impl RowSink {
             scan.finish(&mut batch, stats)?;
         }
         batch.derive(stats)?;
+        batch.debug_assert_parent_bounds();
         stats.scan_rows += rows;
         stats.scan_nanos += started.elapsed().as_nanos() as u64;
         Ok(batch)

@@ -905,6 +905,7 @@ impl Session {
         let mut counters = Vec::with_capacity(plan.nodes.len());
         for (sched, derive) in plan.nodes.into_iter().zip(derivations) {
             let mut counter = NodeCounter::new(sched.req);
+            counter.bound = self.parents.take_bound(counter.req.node());
             if derive.is_some() {
                 counter.derive = derive;
             } else if sched.dense {
@@ -1793,5 +1794,30 @@ mod tests {
         assert_eq!(epoch, be.table_epoch());
         assert_eq!(s.staged_mem_bytes(), 0);
         assert_eq!(s.stats().deltas_applied, 0);
+    }
+
+    /// Every entry bound a build records is handed to the batch that
+    /// schedules its node: none is left behind.
+    #[test]
+    fn a_build_leaves_no_entry_bound_behind() {
+        let be = backend(24, MiddlewareConfig::default());
+        let mut s = Session::open(be).unwrap();
+        let root = s.root_request(NodeId(0));
+        s.enqueue(root.clone()).unwrap();
+        let out = s.process_next_batch().unwrap();
+        for (id, edge) in [
+            (1, Pred::Eq { col: 0, value: 0 }),
+            (2, Pred::NotEq { col: 0, value: 0 }),
+        ] {
+            let child = CcRequest {
+                lineage: root.lineage.child(NodeId(id), edge),
+                parent_rows: out[0].cc.total(),
+                ..root.clone()
+            };
+            s.enqueue(child).unwrap();
+        }
+        assert_eq!(s.parents.pending_bounds(), 2);
+        s.run_to_completion(|_| Vec::new()).unwrap();
+        assert_eq!(s.parents.pending_bounds(), 0);
     }
 }

@@ -23,6 +23,13 @@
 //! * A batch that schedules both children of a pin, exactly, plans the
 //!   larger one's derivation when it can be derived ([`Parents::plan`]);
 //!   the scan keeps the plan only where `RowSink::certify` proves it sound.
+//!
+//! The same records sharpen that proof. A child's rows are a subset of its
+//! parent's, so its table holds only entries the parent's holds, and per
+//! attribute no more than it has rows: when a child of a remembered node is
+//! enqueued, it gets the [`EntryBound`] `Σ_a min(nonzero_parent(a), rows)`,
+//! stamped with the parent's epoch, which the batch that schedules it
+//! takes ([`Parents::take_bound`]) for `BatchCounter::cannot_reach_budget`.
 
 use crate::cc::{CountsTable, SiblingEdge};
 use crate::request::{CcRequest, Lineage, NodeId};
@@ -44,10 +51,22 @@ pub(crate) struct Derivation {
     pub(crate) epoch: u64,
 }
 
-/// The session's exact parent tables, by node (module docs).
+/// The most entries a child's table can hold, by its parent's exact table
+/// (module docs) — sound only while the source table is at `epoch`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EntryBound {
+    /// `Σ_{a ∈ attrs} min(nonzero_parent(a), rows_child)`.
+    pub(crate) entries: u64,
+    /// The table's epoch when the parent was counted.
+    pub(crate) epoch: u64,
+}
+
+/// The session's exact parent tables, by node, and the entry bounds of
+/// their pending children (module docs).
 #[derive(Default)]
 pub(crate) struct Parents {
     by_node: HashMap<NodeId, Parent>,
+    bounds: HashMap<NodeId, EntryBound>,
 }
 
 /// One exact, dense fulfilment.
@@ -60,6 +79,9 @@ struct Parent {
     epoch: u64,
     /// The children enqueued under it.
     children: Vec<NodeId>,
+    /// The table's non-zero entries per attribute
+    /// ([`CountsTable::entries_by_attr`]), once a child asked.
+    entries: Option<Vec<(u16, u64)>>,
 }
 
 impl Parents {
@@ -73,22 +95,21 @@ impl Parents {
                 pin: None,
                 epoch,
                 children: Vec::new(),
+                entries: None,
             };
             self.by_node.insert(req.node(), parent);
         }
     }
 
-    /// Note an enqueued request: if it is a child of a remembered node,
-    /// record it there, and pin the node's table when counting the child
-    /// costs at least a pass over it.
+    /// Note an enqueued request: if it is a child of a remembered node
+    /// whose table is still held, record it there with its entry bound, and
+    /// pin the node's table when counting the child costs at least a pass
+    /// over it.
     pub(crate) fn enqueued(&mut self, req: &CcRequest) {
         let Some(parent) = self.parent_of(&req.lineage) else {
             return;
         };
         parent.children.push(req.node());
-        if parent.pin.is_some() {
-            return;
-        }
         let Some(table) = parent.table.upgrade() else {
             return;
         };
@@ -99,10 +120,35 @@ impl Parents {
             Some(&Pred::NotEq { col, value }) => table.total().saturating_sub(with(col, value)),
             _ => return,
         };
+        let entries = parent
+            .entries
+            .get_or_insert_with(|| table.entries_by_attr());
+        let in_parent = |attr: &u16| {
+            let i = entries.binary_search_by_key(attr, |&(a, _)| a).ok();
+            i.and_then(|i| entries.get(i))
+                .map_or(rows, |&(_, n)| n.min(rows))
+        };
+        let bound = EntryBound {
+            entries: req.attrs.iter().map(in_parent).sum(),
+            epoch: parent.epoch,
+        };
         let attrs = u64::try_from(req.attrs.len()).unwrap_or(u64::MAX);
-        if rows.saturating_mul(attrs) >= table.dense_slots() {
+        if parent.pin.is_none() && rows.saturating_mul(attrs) >= table.dense_slots() {
             parent.pin = Some(table);
         }
+        self.bounds.insert(req.node(), bound);
+    }
+
+    /// The entry bound recorded for `node`, handed to the batch that
+    /// schedules it.
+    pub(crate) fn take_bound(&mut self, node: NodeId) -> Option<EntryBound> {
+        self.bounds.remove(&node)
+    }
+
+    /// Entry bounds recorded and not yet handed to a batch.
+    #[cfg(test)]
+    pub(crate) fn pending_bounds(&self) -> usize {
+        self.bounds.len()
     }
 
     /// The record `child` was extended from, if remembered.
@@ -112,10 +158,10 @@ impl Parents {
     }
 
     /// A batch boundary: keep only the pins both of whose children are
-    /// pending, counted at the table's current `epoch` (read only when
-    /// some pin is left to check).
+    /// pending, and the bounds of pending children, counted at the table's
+    /// current `epoch` (read only when some pin or bound is left to check).
     pub(crate) fn retain(&mut self, pending: &[CcRequest], epoch: impl FnOnce() -> u64) {
-        if !self.by_node.values().any(|p| p.pin.is_some()) {
+        if self.bounds.is_empty() && !self.by_node.values().any(|p| p.pin.is_some()) {
             self.by_node.clear();
             return;
         }
@@ -126,6 +172,7 @@ impl Parents {
                 matches!(p.children[..], [a, b] if pending.contains(&a) && pending.contains(&b));
             p.pin.is_some() && p.epoch == epoch && both
         });
+        (self.bounds).retain(|node, b| b.epoch == epoch && pending.contains(node));
     }
 
     /// Plan a batch's derivations: per scheduled node, in plan order, how
@@ -229,4 +276,91 @@ fn pair(
 /// Strictly ascending — so no attribute is counted twice.
 fn ascending(attrs: &[u16]) -> bool {
     attrs.windows(2).all(|w| w[0] < w[1])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scaleclass_sqldb::Code;
+
+    /// The root's rows, `[a, b, class]`: its table holds five entries in
+    /// `a` and three in `b`; two rows have `a = 1`, four `a ≠ 1`.
+    const ROWS: [[Code; 3]; 6] = [
+        [0, 0, 0],
+        [0, 1, 1],
+        [1, 0, 0],
+        [1, 1, 1],
+        [2, 0, 0],
+        [2, 1, 0],
+    ];
+
+    fn request(lineage: Lineage, attrs: Vec<u16>) -> CcRequest {
+        let parent_cards = vec![4; attrs.len()];
+        CcRequest {
+            lineage,
+            attrs,
+            class_col: 2,
+            rows: 0,
+            parent_rows: 0,
+            parent_cards,
+        }
+    }
+
+    /// The root's exact table, remembered at epoch 7, and its children
+    /// `a = 1` (node 1, over `b`) and `a ≠ 1` (node 2, over both) enqueued
+    /// under it, with a node 3 on `a = 2` whose lineage only names the
+    /// root. The table is returned so that the caller still holds it.
+    fn enqueued() -> (Parents, Arc<CountsTable>, [CcRequest; 3]) {
+        let root = request(Lineage::root(NodeId(0)), vec![0, 1]);
+        let mut table = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+        for row in &ROWS {
+            table.add_row(row, &[0, 1], 2);
+        }
+        let table = Arc::new(table);
+        let mut parents = Parents::default();
+        parents.fulfilled(&root, &table, 7);
+        let child = |id, edge| root.lineage.child(NodeId(id), edge);
+        let eq = request(child(1, Pred::Eq { col: 0, value: 1 }), vec![1]);
+        let neq = request(child(2, Pred::NotEq { col: 0, value: 1 }), vec![0, 1]);
+        let stranger = Lineage::root(NodeId(0)).child(NodeId(3), Pred::Eq { col: 0, value: 2 });
+        let stranger = request(stranger, vec![0, 1]);
+        for req in [&eq, &neq, &stranger] {
+            parents.enqueued(req);
+        }
+        (parents, table, [eq, neq, stranger])
+    }
+
+    /// Per attribute, a child holds at most the entries its parent holds
+    /// there and one per row: `a = 1` min(3, 2) in `b`; `a ≠ 1` min(5, 4)
+    /// in `a` and min(3, 4) in `b`. A node its lineage does not extend from
+    /// the parent's record gets no bound.
+    #[test]
+    fn a_child_is_bounded_by_its_parents_entries_and_its_rows() {
+        let (mut parents, _table, _) = enqueued();
+        assert_eq!(parents.pending_bounds(), 2);
+        let bound = |entries| Some(EntryBound { entries, epoch: 7 });
+        assert_eq!(parents.take_bound(NodeId(1)), bound(2));
+        assert_eq!(parents.take_bound(NodeId(2)), bound(4 + 3));
+        assert_eq!(parents.take_bound(NodeId(3)), None);
+        assert_eq!(parents.pending_bounds(), 0);
+    }
+
+    /// A batch boundary keeps the bounds of pending nodes at the epoch
+    /// their parent was counted at, and drops the rest.
+    #[test]
+    fn a_batch_boundary_drops_the_bounds_of_nodes_not_pending_or_past_their_epoch() {
+        for (pending, epoch, kept) in [
+            (&[0, 1][..], 7, [true, true]),
+            (&[1], 7, [false, true]),
+            (&[0, 1], 8, [false, false]),
+        ] {
+            let (mut parents, _table, reqs) = enqueued();
+            let pending: Vec<CcRequest> = pending.iter().map(|&i| reqs[i].clone()).collect();
+            parents.retain(&pending, || epoch);
+            for (id, kept) in [1, 2].into_iter().zip(kept) {
+                let what = format!("node {id}, epoch {epoch}");
+                assert_eq!(parents.take_bound(NodeId(id)).is_some(), kept, "{what}");
+            }
+        }
+    }
 }

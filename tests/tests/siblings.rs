@@ -5,10 +5,12 @@
 //! reference. A client that extends each child from its parent's lineage,
 //! as `grow_with_middleware` does, must read the same table for every node,
 //! grow the same tree and leave the same logical counters behind, at every
-//! point of the configuration matrix — and it must actually derive. The
-//! one difference allowed is the rows a server scan does not ship because
+//! point of the configuration matrix — and it must actually derive. Two
+//! differences are allowed. The rows a server scan does not ship because
 //! only a derived node wanted them: exactly `derived_rows_unshipped` fewer
-//! rows scanned, and as many fewer shipped.
+//! rows scanned, and as many fewer shipped. And the scans that run in
+//! parallel: a child's parent bound sharpens the budget proof, so the
+//! linked client proves at least the batches the reference does.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -198,9 +200,11 @@ fn grow(
 }
 
 /// The counters derivation may move: which path counted a block, wall
-/// time, the derivation counters themselves, and the rows and blocks a
-/// server scan read — fewer by the rows it did not ship
-/// ([`derivation_ships_less`]).
+/// time, the derivation counters themselves, the rows and blocks a server
+/// scan read — fewer by the rows it did not ship
+/// ([`derivation_ships_less`]) — and which scans ran in parallel: a child's
+/// parent bound sharpens the budget proof, so a linked client proves every
+/// batch a rebuilt one does, and more ([`linked_proves_more`]).
 fn logical(s: &MiddlewareStats) -> MiddlewareStats {
     MiddlewareStats {
         scan_nanos: 0,
@@ -216,8 +220,31 @@ fn logical(s: &MiddlewareStats) -> MiddlewareStats {
         derivations_refused: 0,
         scan_rows: 0,
         scan_blocks: 0,
+        parallel_scans: 0,
+        sharded_file_scans: 0,
         ..*s
     }
+}
+
+/// A batch the rebuilt client proves, the linked one proves too: at least
+/// as many scans run in parallel, and read-shard a staged file; on one
+/// worker no scan does either way.
+fn linked_proves_more(
+    linked: &MiddlewareStats,
+    rebuilt: &MiddlewareStats,
+    workers: usize,
+) -> Result<(), TestCaseError> {
+    let moved = [
+        (linked.parallel_scans, rebuilt.parallel_scans),
+        (linked.sharded_file_scans, rebuilt.sharded_file_scans),
+    ];
+    for (l, r) in moved {
+        prop_assert!(l >= r, "linked {} < rebuilt {}", l, r);
+        if workers == 1 {
+            prop_assert_eq!(l, r);
+        }
+    }
+    Ok(())
 }
 
 /// The rows the linked build did not read are the rows only its derived
@@ -284,6 +311,7 @@ fn linked_and_rebuilt(
             i
         );
         prop_assert_eq!(logical(&l.stats), logical(&r.stats), "session {}", i);
+        linked_proves_more(&l.stats, &r.stats, cfg.scan_workers)?;
         prop_assert!(l.stats.derived_rows >= l.stats.derived_nodes);
         derivation_ships_less(l, r)?;
         for (node, c) in l
@@ -512,22 +540,24 @@ fn sampled_batches_and_refused_proofs_count_every_node() {
     assert!(linked[0].stats.sampled_nodes > 0);
     assert_eq!(linked[0].stats.derived_nodes, 0, "a sampled batch derived");
 
-    // Memory caching off, so every level is one server scan, as many at 4
-    // KiB as with room to spare; but there the proof refuses some of them,
-    // which then count serially — every node included.
+    // Every level is one scan, from the server, a memory set or a staged
+    // file, as many at 6 KiB as with room to spare; but there the proof,
+    // which charges each memory tee its rows, refuses one of them, which
+    // then counts serially — every node included.
     let budget = |bytes| {
         MiddlewareConfig::builder()
-            .memory_caching(false)
+            .file_policy(FileStagingPolicy::PerNode)
             .memory_budget_bytes(bytes)
             .scan_workers(2)
             .build()
     };
     let ample = &linked_and_rebuilt(&cards, &rows, &budget(AMPLE_BUDGET), 0).expect("agree");
-    let tight = &linked_and_rebuilt(&cards, &rows, &budget(4096), 0).expect("agree");
+    let tight = &linked_and_rebuilt(&cards, &rows, &budget(6144), 0).expect("agree");
     let (ample, tight) = (&ample[0].stats, &tight[0].stats);
+    let scans = |s: &MiddlewareStats| s.server_scans + s.memory_scans + s.file_scans;
     assert_eq!(ample.sql_fallbacks + tight.sql_fallbacks, 0);
-    assert_eq!(tight.server_scans, ample.server_scans, "as many batches");
-    assert_eq!(ample.parallel_scans, ample.server_scans, "every proof held");
+    assert_eq!(scans(tight), scans(ample), "as many batches");
+    assert_eq!(ample.parallel_scans, scans(ample), "every proof held");
     assert!(
         tight.parallel_scans < ample.parallel_scans,
         "some proof failed"
@@ -538,6 +568,41 @@ fn sampled_batches_and_refused_proofs_count_every_node() {
         tight.derived_nodes + refused <= ample.derived_nodes,
         "a batch whose proof failed derived"
     );
+    assert!(tight.derivations_refused > 0);
+    assert_eq!(
+        tight.derived_nodes + tight.derivations_refused,
+        ample.derived_nodes,
+        "every plan derived or was refused"
+    );
+}
+
+/// At 4 KiB, with every level one server scan, the schema's bound on each
+/// table fails the budget proof of batches the parent's exact table proves
+/// (DESIGN.md §8a): every planned derivation stands, as with room to
+/// spare, and the server ships exactly the rows only derived nodes wanted
+/// fewer than the rebuilt reference (`derivation_ships_less`).
+#[test]
+fn the_parent_bound_proves_what_the_schema_bound_refuses() {
+    let (cards, rows) = shaped_table();
+    let budget = |bytes| {
+        MiddlewareConfig::builder()
+            .memory_caching(false)
+            .memory_budget_bytes(bytes)
+            .scan_workers(2)
+            .build()
+    };
+    let ample = &linked_and_rebuilt(&cards, &rows, &budget(AMPLE_BUDGET), 0).expect("agree");
+    let tight = &linked_and_rebuilt(&cards, &rows, &budget(4096), 0).expect("agree");
+    let (ample, tight) = (&ample[0].stats, &tight[0].stats);
+    assert_eq!(tight.sql_fallbacks, 0);
+    assert_eq!(tight.server_scans, ample.server_scans, "as many batches");
+    assert_eq!(
+        tight.derivations_refused, 0,
+        "a planned derivation was refused"
+    );
+    assert_eq!(tight.derived_nodes, ample.derived_nodes);
+    assert!(tight.derived_rows_unshipped > 0);
+    assert_eq!(tight.derived_rows_unshipped, ample.derived_rows_unshipped);
 }
 
 /// With deltas on, a mutation between the root's scan and its children's
