@@ -66,6 +66,10 @@
 //! must name a real rule and carry a non-empty reason; the tool inventories
 //! every directive it honours, and flags *stale* directives — well-formed
 //! allows that no longer suppress anything — so the inventory cannot rot.
+//! The lock manifest cannot rot either: in a tree that ships this file, a
+//! `binds: false` row of `LOCK_SITES` whose method no `fn` defines is a
+//! `stale-lock-site` violation, since the lock-order rule would silently
+//! stop seeing the calls the row was written for.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -97,6 +101,9 @@ pub const RULE_ENV_READ: &str = "env-read";
 pub const RULE_ALLOW_SYNTAX: &str = "allow-syntax";
 /// Pseudo-rule for stale `analyze:allow` directives (not suppressible).
 pub const RULE_STALE_ALLOW: &str = "stale-allow";
+/// Pseudo-rule for a `binds: false` `LOCK_SITES` row whose method no `fn`
+/// in the analysed tree defines (not suppressible).
+pub const RULE_STALE_LOCK_SITE: &str = "stale-lock-site";
 
 /// All suppressible rule names.
 pub const RULES: [&str; 9] = [
@@ -354,7 +361,7 @@ pub const LOCK_ORDER: [&str; 3] = [
 /// contribute graph edges when called under a live guard but never extend
 /// liveness. Receiver tails disambiguate without type information; two
 /// types in one file must not share an unqualified helper name.
-pub(crate) const LOCK_SITES: [LockSite; 25] = [
+pub(crate) const LOCK_SITES: [LockSite; 23] = [
     // -- guard-returning acquisitions -----------------------------------
     LockSite {
         method: "lock",
@@ -473,28 +480,14 @@ pub(crate) const LOCK_SITES: [LockSite; 25] = [
         binds: false,
     },
     LockSite {
-        method: "probe_mem",
+        method: "probe",
         recv: Some("catalog"),
         file: None,
         lock: "catalog.inner",
         binds: false,
     },
     LockSite {
-        method: "probe_file",
-        recv: Some("catalog"),
-        file: None,
-        lock: "catalog.inner",
-        binds: false,
-    },
-    LockSite {
-        method: "publish_mem",
-        recv: Some("catalog"),
-        file: None,
-        lock: "catalog.inner",
-        binds: false,
-    },
-    LockSite {
-        method: "publish_file",
+        method: "publish",
         recv: Some("catalog"),
         file: None,
         lock: "catalog.inner",
@@ -1550,6 +1543,43 @@ pub fn check_source(rel: &str, src: &str) -> Report {
 }
 
 /// Directory names never descended into during the workspace walk.
+/// Where the `LOCK_SITES` manifest lives: a tree that ships it has its
+/// rows checked against the functions it defines.
+const MANIFEST_FILE: &str = "crates/analyze/src/rules.rs";
+
+/// Record the name of every non-test `fn` defined in the file.
+fn defined_fns(ctx: &FileCtx, out: &mut BTreeSet<String>) {
+    for i in 0..ctx.lx.toks.len().saturating_sub(1) {
+        if !ctx.test[i] && ctx.is_ident(i, "fn") && ctx.lx.toks[i + 1].kind == TokKind::Ident {
+            out.insert(ctx.text(i + 1).to_string());
+        }
+    }
+}
+
+/// The `binds: false` rows of `LOCK_SITES` whose method no `fn` in
+/// `defined` names: a rename left the row behind. Each is anchored at
+/// the row's `method:` line of `manifest`, the shipped manifest's source.
+fn stale_lock_sites(manifest: &str, defined: &BTreeSet<String>) -> Vec<Violation> {
+    LOCK_SITES
+        .iter()
+        .filter(|site| !site.binds && !defined.contains(site.method))
+        .map(|site| {
+            let row = format!("method: \"{}\"", site.method);
+            let line = manifest.lines().position(|l| l.contains(&row)).unwrap_or(0);
+            Violation {
+                file: MANIFEST_FILE.to_string(),
+                line: u32::try_from(line + 1).unwrap_or(u32::MAX),
+                rule: RULE_STALE_LOCK_SITE,
+                msg: format!(
+                    "LOCK_SITES row `{}` ({}) names no fn in this tree; \
+                     rename it with its method or remove it",
+                    site.method, site.lock
+                ),
+            }
+        })
+        .collect()
+}
+
 const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "fixtures", "node_modules"];
 
 fn walk(root: &Path) -> io::Result<Vec<PathBuf>> {
@@ -1588,6 +1618,8 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let mut records: Vec<FileRecord> = Vec::new();
     let mut stats = StatsScan::default();
     let mut edges: Vec<LockEdge> = Vec::new();
+    let mut defined = BTreeSet::new();
+    let mut manifest = None;
     for path in walk(root)? {
         let rel: String = path
             .strip_prefix(root)
@@ -1602,6 +1634,10 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
         let mut raw = Vec::new();
         edges.extend(file_rules(&ctx, &mut raw));
         collect_stats(&ctx, &mut stats);
+        defined_fns(&ctx, &mut defined);
+        if rel == MANIFEST_FILE {
+            manifest = Some(src.clone());
+        }
         records.push(FileRecord {
             rel,
             allows: lx.allows,
@@ -1639,6 +1675,11 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
                 .collect(),
             stale,
         });
+    }
+    if let Some(manifest) = manifest {
+        report
+            .violations
+            .extend(stale_lock_sites(&manifest, &defined));
     }
     report.sort();
     Ok(report)

@@ -8,7 +8,7 @@ use std::process::Command;
 use scaleclass_analyze::{
     analyze_workspace, check_source, RULE_ACCOUNTING_ARITH, RULE_ATOMIC_ORDERING, RULE_ENV_READ,
     RULE_GUARD_BLOCKING, RULE_HOT_PATH_PANIC, RULE_IO_BYPASS, RULE_LOCK_ORDER, RULE_PAGE_WRITE,
-    RULE_STATS_COVERAGE,
+    RULE_STALE_LOCK_SITE, RULE_STATS_COVERAGE,
 };
 
 fn fixture_root(which: &str) -> PathBuf {
@@ -592,6 +592,38 @@ fn stale_allow_detection_across_trees() {
     // Every clean-tree directive still earns its keep.
     let clean = analyze_workspace(&fixture_root("clean")).unwrap();
     assert!(clean.stale.is_empty(), "{:?}", clean.stale);
+}
+
+#[test]
+fn a_lock_site_row_naming_no_fn_is_stale() {
+    // The tree ships the manifest and defines every transient helper the
+    // rows name but `publish`: that one row is reported, at its line.
+    let report = analyze_workspace(&fixture_root("stale_site")).unwrap();
+    let found: Vec<_> = report
+        .violations
+        .iter()
+        .map(|v| (v.rule, v.file.as_str(), v.line))
+        .collect();
+    assert_eq!(
+        found,
+        vec![(RULE_STALE_LOCK_SITE, "crates/analyze/src/rules.rs", 5)]
+    );
+    assert!(report.violations[0].msg.contains("`publish`"));
+
+    // A tree without the manifest is not checked: the clean tree defines
+    // none of these functions and stays clean.
+    let clean = analyze_workspace(&fixture_root("clean")).unwrap();
+    assert!(clean.violations.is_empty(), "{:?}", clean.violations);
+
+    // The workspace ships the manifest, and every row names a fn.
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let real = analyze_workspace(&workspace).unwrap();
+    let stale: Vec<_> = real
+        .violations
+        .iter()
+        .filter(|v| v.rule == RULE_STALE_LOCK_SITE)
+        .collect();
+    assert!(stale.is_empty(), "{stale:?}");
 }
 
 #[test]

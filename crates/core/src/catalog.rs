@@ -2,15 +2,18 @@
 //!
 //! K sessions mining the same table stage K private copies of the same
 //! per-node data sets, multiplying both memory and staging I/O by K. The
-//! catalog removes that multiplier: the first session to stage a
-//! (path-predicate-signature, staging-mode) data set pays for the build
-//! and *publishes* it; later sessions *attach* copy-on-read instead of
-//! re-staging. Entries are refcounted by reader session — an entry is
-//! reclaimable only when its reader count drops to zero — and every live
-//! reader of a memory entry is charged an equal share of the entry's
-//! modelled bytes against its budget lease (`⌊bytes / readers⌋`, so
-//! `Σ shares ≤ bytes` by construction). File entries charge nothing, the
-//! same way private staged files never count against the memory budget.
+//! catalog removes that multiplier: the first session to stage a data set
+//! pays for the build and *publishes* it; later sessions *attach*
+//! copy-on-read instead of re-staging. An entry is keyed by `(path
+//! predicate signature, tier)`, so one node's rows can be shared in memory
+//! and as a file independently, and [`StagingCatalog::probe`] and
+//! [`StagingCatalog::publish`] serve both tiers. Entries are refcounted
+//! by reader session — an entry is reclaimable only when its reader count
+//! drops to zero — and every live reader of a memory entry is charged an
+//! equal share of the entry's modelled bytes against its budget lease
+//! (`⌊bytes / readers⌋`, so `Σ shares ≤ bytes` by construction). File
+//! entries charge nothing, the same way private staged files never count
+//! against the memory budget.
 //!
 //! Every entry is stamped with the base-table **epoch** (mutation
 //! counter, DESIGN.md §15) it was scanned at. Probes and publishes carry
@@ -22,12 +25,15 @@
 //!
 //! The catalog is owned by the [`crate::session::Backend`] and engaged per
 //! session when [`crate::config::MiddlewareConfig::shared_staging`] is on.
-//! It performs **no filesystem I/O** itself: shared staged files are
-//! renamed into the catalog's directory by [`crate::staging`] (the one
-//! module allowed raw file access), and reclaim/teardown return the paths
-//! for the caller to remove. Charges live in per-session `AtomicU64`
-//! cells recomputed under the catalog lock on every reader-set change, so
-//! sessions read their own charge lock-free on the scheduling hot path.
+//! Its directory lives under the backend's `staging_dir` when one is set
+//! (so a session's finished file moves in by a same-filesystem rename),
+//! else under the system temp dir. It performs **no filesystem I/O**
+//! itself: shared staged files are renamed into the catalog's directory
+//! by [`crate::staging`] (the one module allowed raw file access), and
+//! reclaim/teardown return the paths for the caller to remove. Charges
+//! live in per-session `AtomicU64` cells recomputed under the catalog lock
+//! on every reader-set change, so sessions read their own charge lock-free
+//! on the scheduling hot path.
 //!
 //! Shadow accounting (DESIGN.md §9.3, §11): [`StagingCatalog::
 //! assert_shadow_accounting`] recounts every session's charge from the
@@ -46,33 +52,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::metrics::CatalogStats;
-use scaleclass_sqldb::types::Code;
+use crate::staging::{StagedRows, Tier};
 use scaleclass_sqldb::Pred;
-
-/// Staging-mode half of a catalog key: a node's data set can be shared as
-/// a memory code vector and as a staged file independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SharedMode {
-    /// A memory-staged flat code vector, shared by `Arc`.
-    Mem,
-    /// A staged file in the catalog directory, shared by path.
-    File,
-}
-
-/// What a shared entry hands to an attaching reader.
-#[derive(Debug)]
-enum SharedPayload {
-    /// Memory entries share the row vector itself (copy-on-read: readers
-    /// only ever scan it).
-    Mem(Arc<Vec<Code>>),
-    /// File entries share an on-disk path inside the catalog directory.
-    File(PathBuf),
-}
 
 #[derive(Debug)]
 struct SharedEntry {
     sig: String,
-    mode: SharedMode,
     /// Modelled bytes (`rows × row width` for memory entries; payload
     /// bytes for files, informational only — files charge nothing).
     bytes: u64,
@@ -87,14 +72,26 @@ struct SharedEntry {
     /// Sessions currently attached, in attach order. Never empty for a
     /// live entry — the last detach reclaims it.
     readers: Vec<u64>,
-    payload: SharedPayload,
+    /// What an attaching reader gets: the row vector itself for memory
+    /// entries (copy-on-read: readers only ever scan it), a path inside
+    /// the catalog directory for files.
+    rows: StagedRows,
+}
+
+impl SharedEntry {
+    /// This entry's charge per reader: `⌊bytes / readers⌋` for memory
+    /// entries, `None` for files (which charge nothing).
+    fn share(&self) -> Option<u64> {
+        let n = u64::try_from(self.readers.len()).unwrap_or(u64::MAX);
+        (self.rows.tier() == Tier::Memory).then(|| self.bytes.checked_div(n).unwrap_or(0))
+    }
 }
 
 #[derive(Debug)]
 struct CatalogInner {
     entries: HashMap<u64, SharedEntry>,
-    /// (signature, mode) → entry id.
-    index: HashMap<(String, SharedMode), u64>,
+    /// (signature, tier) → entry id.
+    index: HashMap<(String, Tier), u64>,
     /// Registered session → its charge cell (Σ shares over the memory
     /// entries it reads; recomputed under the lock, read lock-free).
     sessions: HashMap<u64, Arc<AtomicU64>>,
@@ -103,42 +100,19 @@ struct CatalogInner {
     stats: CatalogStats,
 }
 
-/// A memory entry handed back by [`StagingCatalog::probe_mem`] /
-/// [`StagingCatalog::publish_mem`].
+/// An entry handed back by [`StagingCatalog::probe`] /
+/// [`StagingCatalog::publish`].
 #[derive(Debug)]
-pub struct SharedMemEntry {
-    /// Catalog entry id (detach with it when the local set is evicted).
+pub struct Shared {
+    /// Catalog entry id (detach with it when the local set is dropped).
     pub entry: u64,
-    /// The shared row vector.
-    pub rows: Arc<Vec<Code>>,
+    /// The entry's rows: the shared vector, or the file's path inside the
+    /// catalog directory.
+    pub rows: StagedRows,
     /// Number of rows.
     pub nrows: u64,
     /// Codes per row.
     pub arity: usize,
-}
-
-/// A file entry handed back by [`StagingCatalog::probe_file`].
-#[derive(Debug)]
-pub struct SharedFileEntry {
-    /// Catalog entry id.
-    pub entry: u64,
-    /// On-disk location inside the catalog directory.
-    pub path: PathBuf,
-    /// Number of rows.
-    pub nrows: u64,
-    /// Codes per row.
-    pub arity: usize,
-}
-
-/// Outcome of [`StagingCatalog::publish_file`].
-#[derive(Debug)]
-pub enum FilePublish {
-    /// The entry is new: the catalog adopted the proposed path.
-    Published(u64),
-    /// The signature was already published (publish race or re-stage):
-    /// the session was attached to the existing entry instead, and must
-    /// remove its duplicate file and read from the returned path.
-    Attached(u64, PathBuf),
 }
 
 /// Refcounted, arbiter-charged shared staging catalog (one per
@@ -152,17 +126,12 @@ pub struct StagingCatalog {
     inner: Mutex<CatalogInner>,
 }
 
-impl Default for StagingCatalog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl StagingCatalog {
-    /// An empty catalog with a fresh (not yet created) directory.
-    pub fn new() -> Self {
+    /// An empty catalog with a fresh (not yet created) directory under
+    /// `base`, or under the system temp dir when `base` is `None`.
+    pub fn new(base: Option<&Path>) -> Self {
         StagingCatalog {
-            dir: crate::staging::shared_catalog_dir(),
+            dir: crate::staging::shared_catalog_dir(base),
             inner: Mutex::new(CatalogInner {
                 entries: HashMap::new(),
                 index: HashMap::new(),
@@ -235,204 +204,107 @@ impl StagingCatalog {
                 e.readers.is_empty().then_some(id)
             })
             .collect();
-        let mut reclaimed = Vec::new();
-        for id in dead {
-            if let Some(path) = Self::reclaim(&mut inner, id) {
-                reclaimed.push(path);
-            }
-        }
+        let reclaimed = dead
+            .into_iter()
+            .filter_map(|id| Self::reclaim(&mut inner, id))
+            .collect();
         Self::recompute_charges(&mut inner);
         reclaimed
     }
 
-    /// Attach `session` to the memory entry published under `sig`, if one
+    /// Attach `session` to the `tier` entry published under `sig`, if one
     /// exists **at `epoch`**. A stale entry (published at a different
     /// epoch) is refused *and demoted from the index* — it stays alive for
     /// its current readers but can never be attached again — so a stale
     /// probe is a miss, not a wrong answer. Charges are re-split over the
-    /// grown reader set.
-    pub fn probe_mem(&self, sig: &str, epoch: u64, session: u64) -> Option<SharedMemEntry> {
+    /// grown reader set; a file entry charges nothing, but the refcount
+    /// still pins the on-disk file until the last reader detaches.
+    pub fn probe(&self, sig: &str, tier: Tier, epoch: u64, session: u64) -> Option<Shared> {
         let mut inner = self.lock();
-        let id = inner
-            .index
-            .get(&(sig.to_owned(), SharedMode::Mem))
-            .copied()?;
-        let e = inner.entries.get_mut(&id)?;
-        if e.epoch != epoch {
-            inner.index.remove(&(sig.to_owned(), SharedMode::Mem));
+        let key = (sig.to_owned(), tier);
+        let id = inner.index.get(&key).copied()?;
+        if inner.entries.get(&id)?.epoch != epoch {
+            inner.index.remove(&key);
             return None;
         }
-        if !e.readers.contains(&session) {
-            e.readers.push(session);
-        }
-        let SharedPayload::Mem(rows) = &e.payload else {
-            return None;
-        };
-        let out = SharedMemEntry {
-            entry: id,
-            rows: Arc::clone(rows),
-            nrows: e.nrows,
-            arity: e.arity,
-        };
-        inner.stats.hits = inner.stats.hits.saturating_add(1);
-        Self::recompute_charges(&mut inner);
-        Some(out)
+        Self::join(&mut inner, id, session)
     }
 
-    /// Attach `session` to the file entry published under `sig`, if one
-    /// exists **at `epoch`** (a stale entry is refused and demoted from
-    /// the index, exactly as in [`StagingCatalog::probe_mem`]). File
-    /// entries charge nothing, but the refcount still pins the on-disk
-    /// file until the last reader detaches.
-    pub fn probe_file(&self, sig: &str, epoch: u64, session: u64) -> Option<SharedFileEntry> {
-        let mut inner = self.lock();
-        let id = inner
-            .index
-            .get(&(sig.to_owned(), SharedMode::File))
-            .copied()?;
-        let e = inner.entries.get_mut(&id)?;
-        if e.epoch != epoch {
-            inner.index.remove(&(sig.to_owned(), SharedMode::File));
-            return None;
-        }
-        if !e.readers.contains(&session) {
-            e.readers.push(session);
-        }
-        let SharedPayload::File(path) = &e.payload else {
-            return None;
-        };
-        let out = SharedFileEntry {
-            entry: id,
-            path: path.clone(),
-            nrows: e.nrows,
-            arity: e.arity,
-        };
-        inner.stats.hits = inner.stats.hits.saturating_add(1);
-        Self::recompute_charges(&mut inner);
-        Some(out)
-    }
-
-    /// Publish a memory-staged data set under `sig` at `epoch`, attaching
-    /// `session` as its first reader. If the signature is already
-    /// published **at the same epoch** (a publish race, or a re-stage
-    /// while another session still reads the old copy), the session
-    /// attaches to the existing entry instead and must adopt the returned
-    /// rows — scans are deterministic over the shared table, so both
-    /// builds hold identical codes. An existing entry at a *different*
-    /// epoch is demoted from the index (it stays alive for its readers
-    /// until they detach) and the fresh rows are published over it.
+    /// Publish a staged data set under `sig` at `epoch`, keyed by the
+    /// tier of `rows`, attaching `session` as its first reader. A file's
+    /// `rows` is a path the caller has already moved inside
+    /// [`StagingCatalog::dir`]. If the key is already published **at the
+    /// same epoch** (a publish race, or a re-stage while another session
+    /// still reads the old copy), the session attaches to the existing
+    /// entry instead and must adopt the returned rows — scans are
+    /// deterministic over the shared table, so both builds hold identical
+    /// codes; for a file that is another path, and the caller removes its
+    /// duplicate. An existing entry at a *different* epoch is demoted from
+    /// the index (it stays alive for its readers until they detach) and
+    /// the fresh rows are published over it.
     #[allow(clippy::too_many_arguments)] // mirrors the staged artifact fields one-for-one
-    pub fn publish_mem(
+    pub fn publish(
         &self,
         sig: String,
-        rows: Arc<Vec<Code>>,
+        rows: StagedRows,
         bytes: u64,
         nrows: u64,
         arity: usize,
         epoch: u64,
         session: u64,
-    ) -> SharedMemEntry {
+    ) -> Shared {
         let mut inner = self.lock();
-        if let Some(&id) = inner.index.get(&(sig.clone(), SharedMode::Mem)) {
-            let stale = inner.entries.get(&id).is_some_and(|e| e.epoch != epoch);
-            if stale {
-                inner.index.remove(&(sig.clone(), SharedMode::Mem));
-            } else if let Some(e) = inner.entries.get_mut(&id) {
-                if !e.readers.contains(&session) {
-                    e.readers.push(session);
-                }
-                if let SharedPayload::Mem(existing) = &e.payload {
-                    let out = SharedMemEntry {
-                        entry: id,
-                        rows: Arc::clone(existing),
-                        nrows: e.nrows,
-                        arity: e.arity,
-                    };
-                    inner.stats.hits = inner.stats.hits.saturating_add(1);
-                    Self::recompute_charges(&mut inner);
-                    return out;
-                }
-            }
+        let key = (sig, rows.tier());
+        let live = inner
+            .index
+            .get(&key)
+            .copied()
+            .filter(|id| inner.entries.get(id).is_some_and(|e| e.epoch == epoch));
+        if let Some(out) = live.and_then(|id| Self::join(&mut inner, id, session)) {
+            return out;
         }
         let id = inner.next_entry;
         inner.next_entry = inner.next_entry.wrapping_add(1);
-        inner.index.insert((sig.clone(), SharedMode::Mem), id);
-        inner.entries.insert(
-            id,
-            SharedEntry {
-                sig,
-                mode: SharedMode::Mem,
-                bytes,
-                nrows,
-                arity,
-                epoch,
-                readers: vec![session],
-                payload: SharedPayload::Mem(Arc::clone(&rows)),
-            },
-        );
-        inner.stats.publishes = inner.stats.publishes.saturating_add(1);
-        Self::recompute_charges(&mut inner);
-        SharedMemEntry {
+        let out = Shared {
             entry: id,
-            rows,
+            rows: rows.clone(),
             nrows,
             arity,
-        }
-    }
-
-    /// Publish a staged file under `sig` at `epoch`. The caller has
-    /// already renamed the file to `path` inside [`StagingCatalog::dir`];
-    /// on a same-epoch publish race the session is attached to the
-    /// existing entry and told to remove its duplicate
-    /// ([`FilePublish::Attached`]). An existing entry at a different epoch
-    /// is demoted from the index and the fresh file published over it.
-    #[allow(clippy::too_many_arguments)] // mirrors the staged artifact fields one-for-one
-    pub fn publish_file(
-        &self,
-        sig: String,
-        path: PathBuf,
-        bytes: u64,
-        nrows: u64,
-        arity: usize,
-        epoch: u64,
-        session: u64,
-    ) -> FilePublish {
-        let mut inner = self.lock();
-        if let Some(&id) = inner.index.get(&(sig.clone(), SharedMode::File)) {
-            let stale = inner.entries.get(&id).is_some_and(|e| e.epoch != epoch);
-            if stale {
-                inner.index.remove(&(sig.clone(), SharedMode::File));
-            } else if let Some(e) = inner.entries.get_mut(&id) {
-                if !e.readers.contains(&session) {
-                    e.readers.push(session);
-                }
-                if let SharedPayload::File(existing) = &e.payload {
-                    let existing = existing.clone();
-                    inner.stats.hits = inner.stats.hits.saturating_add(1);
-                    Self::recompute_charges(&mut inner);
-                    return FilePublish::Attached(id, existing);
-                }
-            }
-        }
-        let id = inner.next_entry;
-        inner.next_entry = inner.next_entry.wrapping_add(1);
-        inner.index.insert((sig.clone(), SharedMode::File), id);
+        };
         inner.entries.insert(
             id,
             SharedEntry {
-                sig,
-                mode: SharedMode::File,
+                sig: key.0.clone(),
                 bytes,
                 nrows,
                 arity,
                 epoch,
                 readers: vec![session],
-                payload: SharedPayload::File(path),
+                rows,
             },
         );
+        inner.index.insert(key, id);
         inner.stats.publishes = inner.stats.publishes.saturating_add(1);
         Self::recompute_charges(&mut inner);
-        FilePublish::Published(id)
+        out
+    }
+
+    /// Add `session` to live entry `id`'s readers (a hit) and hand the
+    /// entry back; `None` if no such entry lives.
+    fn join(inner: &mut CatalogInner, id: u64, session: u64) -> Option<Shared> {
+        let e = inner.entries.get_mut(&id)?;
+        if !e.readers.contains(&session) {
+            e.readers.push(session);
+        }
+        let out = Shared {
+            entry: id,
+            rows: e.rows.clone(),
+            nrows: e.nrows,
+            arity: e.arity,
+        };
+        inner.stats.hits = inner.stats.hits.saturating_add(1);
+        Self::recompute_charges(inner);
+        Some(out)
     }
 
     /// Detach `session` from `entry`. The last reader's detach reclaims
@@ -456,14 +328,12 @@ impl StagingCatalog {
     /// non-readers) — what detaching would free against its lease.
     pub fn share_of(&self, entry: u64, session: u64) -> u64 {
         let inner = self.lock();
-        let Some(e) = inner.entries.get(&entry) else {
-            return 0;
-        };
-        if !matches!(e.payload, SharedPayload::Mem(_)) || !e.readers.contains(&session) {
-            return 0;
-        }
-        let n = u64::try_from(e.readers.len()).unwrap_or(u64::MAX);
-        e.bytes.checked_div(n).unwrap_or(0)
+        inner
+            .entries
+            .get(&entry)
+            .filter(|e| e.readers.contains(&session))
+            .and_then(SharedEntry::share)
+            .unwrap_or(0)
     }
 
     /// Demote every entry published at an epoch other than `epoch` from
@@ -474,7 +344,7 @@ impl StagingCatalog {
     /// callers count them into `MiddlewareStats::epochs_invalidated`.
     pub fn purge_stale(&self, epoch: u64) -> u64 {
         let mut inner = self.lock();
-        let stale: Vec<(String, SharedMode)> = inner
+        let stale: Vec<(String, Tier)> = inner
             .index
             .iter()
             .filter(|(_, id)| inner.entries.get(id).is_some_and(|e| e.epoch != epoch))
@@ -494,14 +364,14 @@ impl StagingCatalog {
     fn reclaim(inner: &mut CatalogInner, entry: u64) -> Option<PathBuf> {
         let e = inner.entries.remove(&entry)?;
         debug_assert!(e.readers.is_empty(), "reclaimed a live entry");
-        let key = (e.sig, e.mode);
+        let key = (e.sig, e.rows.tier());
         if inner.index.get(&key) == Some(&entry) {
             inner.index.remove(&key);
         }
         inner.stats.reclaims = inner.stats.reclaims.saturating_add(1);
-        match e.payload {
-            SharedPayload::File(path) => Some(path),
-            SharedPayload::Mem(_) => None,
+        match e.rows {
+            StagedRows::File(path) => Some(path),
+            StagedRows::Memory(_) => None,
         }
     }
 
@@ -509,14 +379,9 @@ impl StagingCatalog {
     fn recount(inner: &CatalogInner) -> HashMap<u64, u64> {
         let mut totals: HashMap<u64, u64> = HashMap::with_capacity(inner.sessions.len());
         for e in inner.entries.values() {
-            if !matches!(e.payload, SharedPayload::Mem(_)) {
+            let Some(share) = e.share() else {
                 continue;
-            }
-            let n = u64::try_from(e.readers.len()).unwrap_or(u64::MAX);
-            if n == 0 {
-                continue;
-            }
-            let share = e.bytes / n;
+            };
             for &s in &e.readers {
                 let t = totals.entry(s).or_insert(0);
                 *t = t.saturating_add(share);
@@ -548,9 +413,8 @@ impl StagingCatalog {
                 "catalog entry for {:?} survived with no readers",
                 e.sig
             );
-            if matches!(e.payload, SharedPayload::Mem(_)) {
+            if let Some(share) = e.share() {
                 let n = u64::try_from(e.readers.len()).unwrap_or(u64::MAX);
-                let share = e.bytes / n;
                 assert!(
                     share.saturating_mul(n) <= e.bytes,
                     "entry shares over-charge: {n} readers × {share} B > {} B",
@@ -582,24 +446,37 @@ impl Drop for StagingCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scaleclass_sqldb::types::Code;
+
+    /// The shared vector of a memory entry's rows.
+    fn mem(rows: &StagedRows) -> &Arc<Vec<Code>> {
+        match rows {
+            StagedRows::Memory(rows) => rows,
+            StagedRows::File(path) => panic!("expected memory rows, got {path:?}"),
+        }
+    }
 
     #[test]
     fn publish_probe_detach_lifecycle_and_charges() {
-        let cat = StagingCatalog::new();
+        let cat = StagingCatalog::new(None);
         let (s1, c1) = cat.register_session();
         let (s2, c2) = cat.register_session();
 
         let rows = Arc::new(vec![1u16, 2, 3, 4]);
-        let pub1 = cat.publish_mem("sig-a".into(), Arc::clone(&rows), 1000, 2, 2, 0, s1);
+        let staged = StagedRows::Memory(Arc::clone(&rows));
+        let pub1 = cat.publish("sig-a".into(), staged, 1000, 2, 2, 0, s1);
         assert_eq!(c1.load(Ordering::Acquire), 1000, "sole reader pays all");
         assert_eq!(cat.stats().publishes, 1);
         assert_eq!(cat.reader_count(pub1.entry), 1);
 
         let hit = cat
-            .probe_mem("sig-a", 0, s2)
+            .probe("sig-a", Tier::Memory, 0, s2)
             .expect("published entry found");
         assert_eq!(hit.entry, pub1.entry);
-        assert!(Arc::ptr_eq(&hit.rows, &rows), "copy-on-read, not a copy");
+        assert!(
+            Arc::ptr_eq(mem(&hit.rows), &rows),
+            "copy-on-read, not a copy"
+        );
         assert_eq!(cat.stats().hits, 1);
         assert_eq!(c1.load(Ordering::Acquire), 500, "share re-split on attach");
         assert_eq!(c2.load(Ordering::Acquire), 500);
@@ -621,7 +498,7 @@ mod tests {
         assert_eq!(cat.stats().reclaims, 1, "last detach reclaims");
         assert_eq!(cat.entry_count(), 0);
         assert!(
-            cat.probe_mem("sig-a", 0, s2).is_none(),
+            cat.probe("sig-a", Tier::Memory, 0, s2).is_none(),
             "reclaimed entries miss"
         );
         cat.assert_shadow_accounting();
@@ -629,13 +506,13 @@ mod tests {
 
     #[test]
     fn share_floors_never_oversubscribe() {
-        let cat = StagingCatalog::new();
+        let cat = StagingCatalog::new(None);
         let sessions: Vec<u64> = (0..3).map(|_| cat.register_session().0).collect();
-        let rows = Arc::new(vec![0u16; 50]);
+        let rows = StagedRows::Memory(Arc::new(vec![0u16; 50]));
         // 1001 / 3 = 333 each: Σ = 999 ≤ 1001.
-        let e = cat.publish_mem("s".into(), rows, 1001, 25, 2, 0, sessions[0]);
+        let e = cat.publish("s".into(), rows, 1001, 25, 2, 0, sessions[0]);
         for &s in &sessions[1..] {
-            cat.probe_mem("s", 0, s).unwrap();
+            cat.probe("s", Tier::Memory, 0, s).unwrap();
         }
         let total: u64 = sessions.iter().map(|&s| cat.share_of(e.entry, s)).sum();
         assert_eq!(total, 999);
@@ -645,16 +522,24 @@ mod tests {
 
     #[test]
     fn publish_race_attaches_to_existing_entry() {
-        let cat = StagingCatalog::new();
+        let cat = StagingCatalog::new(None);
         let (s1, _) = cat.register_session();
         let (s2, _) = cat.register_session();
         let first = Arc::new(vec![7u16, 8]);
-        let second = Arc::new(vec![7u16, 8]);
-        let e1 = cat.publish_mem("race".into(), Arc::clone(&first), 4, 1, 2, 0, s1);
-        let e2 = cat.publish_mem("race".into(), second, 4, 1, 2, 0, s2);
+        let second = StagedRows::Memory(Arc::new(vec![7u16, 8]));
+        let e1 = cat.publish(
+            "race".into(),
+            StagedRows::Memory(Arc::clone(&first)),
+            4,
+            1,
+            2,
+            0,
+            s1,
+        );
+        let e2 = cat.publish("race".into(), second, 4, 1, 2, 0, s2);
         assert_eq!(e1.entry, e2.entry);
         assert!(
-            Arc::ptr_eq(&e2.rows, &first),
+            Arc::ptr_eq(mem(&e2.rows), &first),
             "loser adopts the winner's rows"
         );
         assert_eq!(cat.stats().publishes, 1);
@@ -664,18 +549,16 @@ mod tests {
 
     #[test]
     fn file_entries_charge_nothing_and_return_path_on_reclaim() {
-        let cat = StagingCatalog::new();
+        let cat = StagingCatalog::new(None);
         let (s1, c1) = cat.register_session();
         let (s2, _) = cat.register_session();
         let path = cat.dir().join("scx0m0_stage_1_0.rows");
-        let FilePublish::Published(entry) =
-            cat.publish_file("f".into(), path.clone(), 600, 100, 3, 0, s1)
-        else {
-            panic!("fresh signature must publish");
-        };
+        let staged = StagedRows::File(path.clone());
+        let entry = cat.publish("f".into(), staged, 600, 100, 3, 0, s1).entry;
+        assert_eq!(cat.stats().publishes, 1, "a fresh signature publishes");
         assert_eq!(c1.load(Ordering::Acquire), 0, "files charge nothing");
-        let hit = cat.probe_file("f", 0, s2).unwrap();
-        assert_eq!(hit.path, path);
+        let hit = cat.probe("f", Tier::File, 0, s2).unwrap();
+        assert_eq!(hit.rows, StagedRows::File(path.clone()));
         assert_eq!(hit.nrows, 100);
         assert!(cat.detach(entry, s1).is_none(), "a reader remains");
         assert_eq!(
@@ -688,35 +571,29 @@ mod tests {
 
     #[test]
     fn file_publish_race_reports_existing_path() {
-        let cat = StagingCatalog::new();
+        let cat = StagingCatalog::new(None);
         let (s1, _) = cat.register_session();
         let (s2, _) = cat.register_session();
-        let p1 = cat.dir().join("a.rows");
-        let p2 = cat.dir().join("b.rows");
-        let FilePublish::Published(e1) = cat.publish_file("f".into(), p1.clone(), 6, 1, 3, 0, s1)
-        else {
-            panic!("fresh signature must publish");
-        };
-        let FilePublish::Attached(e2, existing) = cat.publish_file("f".into(), p2, 6, 1, 3, 0, s2)
-        else {
-            panic!("duplicate signature must attach");
-        };
-        assert_eq!(e1, e2);
-        assert_eq!(existing, p1, "loser reads the winner's file");
+        let p1 = StagedRows::File(cat.dir().join("a.rows"));
+        let p2 = StagedRows::File(cat.dir().join("b.rows"));
+        let e1 = cat.publish("f".into(), p1.clone(), 6, 1, 3, 0, s1);
+        assert_eq!(e1.rows, p1, "a fresh signature publishes");
+        let e2 = cat.publish("f".into(), p2, 6, 1, 3, 0, s2);
+        assert_eq!(e1.entry, e2.entry);
+        assert_eq!(e2.rows, p1, "loser reads the winner's file");
     }
 
     #[test]
     fn unregister_detaches_everywhere_and_regrows_survivors() {
-        let cat = StagingCatalog::new();
+        let cat = StagingCatalog::new(None);
         let (s1, c1) = cat.register_session();
         let (s2, c2) = cat.register_session();
-        cat.publish_mem("m".into(), Arc::new(vec![0u16; 4]), 800, 2, 2, 0, s1);
-        cat.probe_mem("m", 0, s2).unwrap();
-        let FilePublish::Published(_) =
-            cat.publish_file("f".into(), cat.dir().join("x.rows"), 10, 1, 5, 0, s1)
-        else {
-            panic!("fresh signature must publish");
-        };
+        let rows = StagedRows::Memory(Arc::new(vec![0u16; 4]));
+        cat.publish("m".into(), rows, 800, 2, 2, 0, s1);
+        cat.probe("m", Tier::Memory, 0, s2).unwrap();
+        let file = StagedRows::File(cat.dir().join("x.rows"));
+        cat.publish("f".into(), file, 10, 1, 5, 0, s1);
+        assert_eq!(cat.stats().publishes, 2, "a fresh signature publishes");
         assert_eq!(c1.load(Ordering::Acquire), 400);
 
         let reclaimed = cat.unregister_session(s1);
@@ -737,13 +614,14 @@ mod tests {
 
     #[test]
     fn stale_epoch_probe_refuses_and_demotes() {
-        let cat = StagingCatalog::new();
+        let cat = StagingCatalog::new(None);
         let (s1, _) = cat.register_session();
         let (s2, c2) = cat.register_session();
-        cat.publish_mem("e".into(), Arc::new(vec![1u16, 2]), 100, 1, 2, 3, s1);
+        let rows = StagedRows::Memory(Arc::new(vec![1u16, 2]));
+        cat.publish("e".into(), rows, 100, 1, 2, 3, s1);
         // A probe at a newer epoch must miss — the pre-mutation snapshot
         // would yield wrong counts — and must not attach the prober.
-        assert!(cat.probe_mem("e", 4, s2).is_none());
+        assert!(cat.probe("e", Tier::Memory, 4, s2).is_none());
         assert_eq!(
             c2.load(Ordering::Acquire),
             0,
@@ -751,7 +629,7 @@ mod tests {
         );
         // The stale entry was demoted: even a probe at the *original*
         // epoch now misses.
-        assert!(cat.probe_mem("e", 3, s2).is_none());
+        assert!(cat.probe("e", Tier::Memory, 3, s2).is_none());
         // ... but the publisher still reads it (entry alive until detach).
         assert_eq!(cat.entry_count(), 1);
         cat.assert_shadow_accounting();
@@ -759,45 +637,111 @@ mod tests {
 
     #[test]
     fn republish_at_new_epoch_supersedes_stale_entry() {
-        let cat = StagingCatalog::new();
+        let cat = StagingCatalog::new(None);
         let (s1, _) = cat.register_session();
         let (s2, _) = cat.register_session();
-        let old = cat.publish_mem("e".into(), Arc::new(vec![1u16]), 10, 1, 1, 0, s1);
+        let rows = StagedRows::Memory(Arc::new(vec![1u16]));
+        let old = cat.publish("e".into(), rows, 10, 1, 1, 0, s1);
         let fresh_rows = Arc::new(vec![9u16]);
-        let fresh = cat.publish_mem("e".into(), Arc::clone(&fresh_rows), 10, 1, 1, 1, s2);
+        let staged = StagedRows::Memory(Arc::clone(&fresh_rows));
+        let fresh = cat.publish("e".into(), staged, 10, 1, 1, 1, s2);
         assert_ne!(old.entry, fresh.entry, "new epoch publishes a new entry");
-        assert!(Arc::ptr_eq(&fresh.rows, &fresh_rows));
+        assert!(Arc::ptr_eq(mem(&fresh.rows), &fresh_rows));
         assert_eq!(cat.entry_count(), 2, "old entry lives for its reader");
         // Probes at epoch 1 find the fresh entry.
-        let hit = cat.probe_mem("e", 1, s1).unwrap();
+        let hit = cat.probe("e", Tier::Memory, 1, s1).unwrap();
         assert_eq!(hit.entry, fresh.entry);
         // The stale entry's last detach must NOT clobber the fresh index
         // slot (the reclaim-only-own-key fix).
         cat.detach(old.entry, s1);
-        assert!(cat.probe_mem("e", 1, s2).is_some(), "fresh entry survives");
+        assert!(
+            cat.probe("e", Tier::Memory, 1, s2).is_some(),
+            "fresh entry survives"
+        );
         cat.assert_shadow_accounting();
     }
 
     #[test]
     fn purge_stale_demotes_old_epochs_only() {
-        let cat = StagingCatalog::new();
+        let cat = StagingCatalog::new(None);
         let (s1, _) = cat.register_session();
-        cat.publish_mem("a".into(), Arc::new(vec![0u16]), 2, 1, 1, 0, s1);
-        cat.publish_mem("b".into(), Arc::new(vec![0u16]), 2, 1, 1, 2, s1);
-        let FilePublish::Published(_) =
-            cat.publish_file("c".into(), cat.dir().join("c.rows"), 2, 1, 1, 0, s1)
-        else {
-            panic!("fresh signature must publish");
-        };
+        let one = || StagedRows::Memory(Arc::new(vec![0u16]));
+        cat.publish("a".into(), one(), 2, 1, 1, 0, s1);
+        cat.publish("b".into(), one(), 2, 1, 1, 2, s1);
+        let file = StagedRows::File(cat.dir().join("c.rows"));
+        cat.publish("c".into(), file, 2, 1, 1, 0, s1);
+        assert_eq!(cat.stats().publishes, 3, "a fresh signature publishes");
         assert_eq!(cat.purge_stale(2), 2, "the two epoch-0 entries demote");
-        assert!(cat.probe_mem("a", 0, s1).is_none());
-        assert!(cat.probe_file("c", 0, s1).is_none());
+        assert!(cat.probe("a", Tier::Memory, 0, s1).is_none());
+        assert!(cat.probe("c", Tier::File, 0, s1).is_none());
         assert!(
-            cat.probe_mem("b", 2, s1).is_some(),
+            cat.probe("b", Tier::Memory, 2, s1).is_some(),
             "current epoch survives"
         );
         assert_eq!(cat.purge_stale(2), 0, "purge is idempotent");
         assert_eq!(cat.entry_count(), 3, "readers keep demoted entries alive");
+    }
+
+    /// One signature staged in both tiers is two entries: a probe of one
+    /// tier never returns the other, detaching one leaves the other, and
+    /// a purge demotes both.
+    #[test]
+    fn one_signature_in_both_tiers_is_two_independent_entries() {
+        let cat = StagingCatalog::new(None);
+        let (s1, c1) = cat.register_session();
+        let (s2, _) = cat.register_session();
+        let rows = Arc::new(vec![1u16, 2]);
+        let path = cat.dir().join("both.rows");
+        let m = cat.publish(
+            "both".into(),
+            StagedRows::Memory(Arc::clone(&rows)),
+            4,
+            1,
+            2,
+            0,
+            s1,
+        );
+        let f = cat.publish(
+            "both".into(),
+            StagedRows::File(path.clone()),
+            4,
+            1,
+            2,
+            0,
+            s1,
+        );
+        assert_ne!(m.entry, f.entry);
+        assert_eq!(cat.stats().publishes, 2, "neither publish hit the other");
+        assert_eq!(cat.stats().hits, 0);
+        assert_eq!(
+            c1.load(Ordering::Acquire),
+            4,
+            "only the memory entry charges"
+        );
+
+        let hit = cat.probe("both", Tier::Memory, 0, s2).unwrap();
+        assert_eq!(hit.entry, m.entry);
+        assert!(Arc::ptr_eq(mem(&hit.rows), &rows));
+        let hit = cat.probe("both", Tier::File, 0, s2).unwrap();
+        assert_eq!(hit.entry, f.entry);
+        assert_eq!(hit.rows, StagedRows::File(path.clone()));
+
+        // Both readers leaving the memory entry reclaims it alone.
+        assert!(cat.detach(m.entry, s1).is_none());
+        assert!(cat.detach(m.entry, s2).is_none());
+        assert_eq!(cat.entry_count(), 1);
+        assert!(cat.probe("both", Tier::Memory, 0, s1).is_none());
+        let hit = cat.probe("both", Tier::File, 0, s1).unwrap();
+        assert_eq!(hit.entry, f.entry, "the file entry survives");
+
+        // Re-published in memory, both tiers are stale at a new epoch.
+        cat.publish("both".into(), StagedRows::Memory(rows), 4, 1, 2, 0, s1);
+        assert_eq!(cat.purge_stale(1), 2, "a purge demotes both tiers");
+        assert!(cat.probe("both", Tier::Memory, 0, s1).is_none());
+        assert!(cat.probe("both", Tier::File, 0, s1).is_none());
+        assert_eq!(cat.detach(f.entry, s1), None, "s2 still reads the file");
+        assert_eq!(cat.detach(f.entry, s2), Some(path));
+        cat.assert_shadow_accounting();
     }
 
     #[test]

@@ -48,8 +48,6 @@ pub struct MiddlewareStats {
     /// change (or a shared-staging attach) left more bytes staged than the
     /// session's current lease.
     pub lease_shrink_evictions: u64,
-    /// In-progress staged-file writers abandoned (partial file removed).
-    pub files_aborted: u64,
     /// Rows staged into middleware memory.
     pub memory_rows_staged: u64,
     /// Nodes that hit the §4.1.1 dynamic switch to SQL-based counting.

@@ -22,7 +22,7 @@ use crate::config::{FileStagingPolicy, MiddlewareConfig};
 use crate::estimator::{data_bytes, est_cc_bytes_kind, est_cc_bytes_upper, sampled_scan_cost_rows};
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use crate::sample::{SampledLedger, SampledScan};
-use crate::staging::StagingManager;
+use crate::staging::{StagingManager, Tier};
 
 /// One scheduled node within a batch.
 #[derive(Debug)]
@@ -333,7 +333,7 @@ fn decide_staging(
             // (unless one already exists for exactly this node).
             for node in &mut plan.nodes {
                 let is_mem_source = matches!(plan.source, DataLocation::Memory(_));
-                if !is_mem_source && !staging.has_file_for(node.req.node()) {
+                if !is_mem_source && !staging.holds(node.req.node(), Tier::File) {
                     node.stage_file = true;
                 }
             }
@@ -342,7 +342,7 @@ fn decide_staging(
             // Configurations (2)/(3): a single staging file for the whole
             // tree, created on the first server scan. Rule 5: the largest
             // node (in practice the root) is the one staged.
-            if from_server && staging.file_count() == 0 {
+            if from_server && staging.count(Tier::File) == 0 {
                 if let Some(largest) = plan.nodes.iter_mut().max_by_key(|n| n.req.rows) {
                     largest.stage_file = true;
                 }
@@ -351,7 +351,7 @@ fn decide_staging(
             // nodes need less than `split_threshold` of the source file.
             if let FileStagingPolicy::Hybrid { split_threshold } = config.file_policy {
                 if let DataLocation::File(id) = plan.source {
-                    if let Some(file) = staging.file(id) {
+                    if let Some(file) = staging.set(id) {
                         let relevant = plan.relevant_rows() as f64;
                         if file.nrows > 0 && relevant / file.nrows as f64 > 0.0 {
                             plan.split_file = relevant / file.nrows as f64 <= split_threshold;
@@ -951,7 +951,7 @@ mod tests {
         // staged nothing privately — still pays its per-reader share
         // against the counting budget: the charge flows through
         // `staged_mem_bytes` into the admission arithmetic above.
-        let catalog = std::sync::Arc::new(crate::catalog::StagingCatalog::new());
+        let catalog = std::sync::Arc::new(crate::catalog::StagingCatalog::new(None));
         let mut stats = MiddlewareStats::new();
         let mut publisher = StagingManager::new(None).unwrap();
         let mut reader = StagingManager::new(None).unwrap();

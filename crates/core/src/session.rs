@@ -46,7 +46,7 @@ use crate::scheduler::{schedule, BatchPlan};
 use crate::siblings::{Derivation, Parents};
 use crate::source::{admitted_ranges, BlockSource, SourceBlock};
 use crate::sqlgen::cc_via_sql;
-use crate::staging::StagingManager;
+use crate::staging::{StagedRows, StagingManager};
 use scaleclass_sqldb::stats::DbStats;
 use scaleclass_sqldb::{
     Code, Database, KeysetCursor, Pred, RowDelta, Schema, StatsSnapshot, CODE_BYTES,
@@ -236,7 +236,7 @@ impl Backend {
         let arity = schema.arity();
         let db_stats = Arc::clone(db.stats());
         let arbiter = BudgetArbiter::new(config.memory_budget_bytes);
-        let catalog = Arc::new(StagingCatalog::new());
+        let catalog = Arc::new(StagingCatalog::new(config.staging_dir.as_deref()));
         Ok(Backend {
             db: RwLock::new(db),
             db_stats,
@@ -618,8 +618,7 @@ impl Session {
     }
 
     /// The session's staged data sets, read-only: what the scans' tees
-    /// wrote, for inspection ([`StagingManager::mem_set`],
-    /// [`StagingManager::file`]).
+    /// wrote, for inspection ([`StagingManager::set`]).
     pub fn staging(&self) -> &StagingManager {
         &self.staging
     }
@@ -982,11 +981,13 @@ impl Session {
         let (admitted, skipped) = match location {
             DataLocation::Memory(id) => {
                 self.stats.memory_scans += 1;
-                let set = self.staging.mem_set(id).ok_or_else(|| {
-                    MwError::Internal(format!("scheduled memory set {id} missing"))
-                })?;
-                self.certify_staged(sink, (set.rows.len() / arity) as u64)?;
-                let mut src = BlockSource::flat(&set.rows, arity, block_rows);
+                let Some(StagedRows::Memory(rows)) = self.staging.set(id).map(|s| &s.rows) else {
+                    return Err(MwError::Internal(format!(
+                        "scheduled memory set {id} missing"
+                    )));
+                };
+                self.certify_staged(sink, (rows.len() / arity) as u64)?;
+                let mut src = BlockSource::flat(rows, arity, block_rows);
                 drive(&mut src, sampler.as_ref(), sink, &mut self.stats)?;
                 self.stats.memory_rows_read += src.rows_read;
                 (src.rows_read, src.rows_skipped)

@@ -3,18 +3,23 @@
 //! As the tree grows, the relevant data set of the active frontier shrinks
 //! monotonically, so data "smoothly migrates from the SQL server, to the
 //! middleware file system, and to middleware memory". This module owns
-//! those staged copies: binary row files on disk and flat code vectors in
-//! memory, each tagged with the tree node(s) whose data it holds. A dataset
-//! is usable by any *descendant* of a member node (the descendant's
+//! those staged copies. Each is one [`StagedSet`], whichever tier holds
+//! its rows ([`StagedRows`]: flat code vectors in memory, or binary row
+//! files on disk), tagged with the tree node(s) whose data it holds. A
+//! set is usable by any *descendant* of a member node (the descendant's
 //! predicate selects the subset), and is reclaimed once no pending request
-//! descends from any member.
+//! descends from any member. Both tiers commit through one `register`
+//! (replace, then publish to the shared catalog when attached), and
+//! delete, attach and epoch invalidation each run one path for both;
+//! only the memory budget's policy (`evictable_mem_sets`, `mem_covers`,
+//! the private byte counter) is memory-only.
 //!
 //! Lock discipline: this module acquires no locks of its own rank, but
 //! its catalog `charge` cells are Σ-invariant — the analyzer's
 //! `atomic-ordering` rule (DESIGN.md §14) rejects `Relaxed` on them, and
 //! the guard rules check any lock guard passing through these paths.
 
-use crate::catalog::{FilePublish, StagingCatalog};
+use crate::catalog::StagingCatalog;
 use crate::config::DEFAULT_EXTENT_ROWS;
 use crate::error::{MwError, MwResult};
 use crate::executor::{Block, ColBlock};
@@ -44,11 +49,14 @@ static STAGE_FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
 static MANAGER_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A process-unique directory path for a [`StagingCatalog`]'s shared
-/// staged files. Computed only — the directory is created lazily by the
+/// staged files, under `base` (the backend's staging directory, so a
+/// finished file moves in by a same-filesystem rename) or else the system
+/// temp dir. Computed only — the directory is created lazily by the
 /// first file publish, so memory-only catalogs never touch the disk. Lives
 /// here because the catalog module itself performs no filesystem I/O.
-pub(crate) fn shared_catalog_dir() -> PathBuf {
-    std::env::temp_dir().join(format!(
+pub(crate) fn shared_catalog_dir(base: Option<&Path>) -> PathBuf {
+    let base = base.map_or_else(std::env::temp_dir, Path::to_path_buf);
+    base.join(format!(
         "scaleclass-shared-{}-{}",
         std::process::id(),
         STAGE_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
@@ -297,50 +305,53 @@ fn write_le(bytes: &mut [u8], codes: &[Code]) {
     }
 }
 
-/// A staged middleware file of fixed-width rows.
-///
-/// `members` are the tree nodes whose data the file *fully* contains. A
-/// per-node cache has exactly one member; a split file produced by the
-/// hybrid policy (§4.3.2) contains the union of several scheduled nodes'
-/// rows and lists all of them. The file is usable by any descendant of any
-/// member, and reclaimable once no pending request descends from one.
-#[derive(Debug)]
-pub struct StagedFile {
-    /// Staging-manager id.
-    pub id: u64,
-    /// Nodes whose data the file fully contains.
-    pub members: Vec<NodeId>,
-    /// Disjunction of the members' path predicates (every file row
-    /// satisfies it).
-    pub pred: Pred,
-    /// On-disk location.
-    pub path: PathBuf,
-    /// Number of rows.
-    pub nrows: u64,
-    /// Codes per row.
-    pub arity: usize,
-    /// Base-table epoch the file's rows were scanned at (DESIGN.md §15);
-    /// 0 forever while incremental maintenance is off.
-    pub epoch: u64,
-    /// Catalog entry id when the file is shared across sessions (it lives
-    /// in the catalog directory and is reclaimed by refcount, not by this
-    /// manager's delete).
-    pub shared: Option<u64>,
+/// Which tier of middleware storage holds a staged set's rows (§4.1.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Tier {
+    /// Flat codes in middleware memory.
+    Memory,
+    /// A staged middleware file.
+    File,
 }
 
-/// A memory-staged data set (flat codes, `nrows × arity`).
+/// A staged set's rows, in the tier that holds them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StagedRows {
+    /// Flat row codes (`nrows × arity`), behind an `Arc` so a
+    /// catalog-shared set is scanned copy-on-read by every attached
+    /// session without duplicating the codes.
+    Memory(Arc<Vec<Code>>),
+    /// On-disk location of an extent-format staged file.
+    File(PathBuf),
+}
+
+impl StagedRows {
+    /// The tier holding these rows.
+    pub fn tier(&self) -> Tier {
+        match self {
+            StagedRows::Memory(_) => Tier::Memory,
+            StagedRows::File(_) => Tier::File,
+        }
+    }
+}
+
+/// A staged copy of tree nodes' rows, in memory or in a file.
+///
+/// `members` are the tree nodes whose data the set *fully* contains. A
+/// memory set has one member, its owner, and so does a per-node cache
+/// file; a split file produced by the hybrid policy (§4.3.2) contains the
+/// union of several scheduled nodes' rows and lists all of them. The set
+/// is usable by any descendant of any member, and reclaimable once no
+/// pending request descends from one.
 #[derive(Debug)]
-pub struct MemSet {
-    /// Staging-manager id.
+pub struct StagedSet {
+    /// Staging-manager id, unique across both tiers.
     pub id: u64,
-    /// Tree node whose data this set holds.
-    pub owner: NodeId,
-    /// The owner's path predicate (every row satisfies it).
+    /// Nodes whose data the set fully contains.
+    pub members: Vec<NodeId>,
+    /// Disjunction of the members' path predicates (every row satisfies
+    /// it).
     pub pred: Pred,
-    /// Flat row codes (`nrows × arity`). Behind an `Arc` so a catalog-
-    /// shared set is scanned copy-on-read by every attached session
-    /// without duplicating the codes.
-    pub rows: Arc<Vec<Code>>,
     /// Number of rows.
     pub nrows: u64,
     /// Codes per row.
@@ -348,21 +359,25 @@ pub struct MemSet {
     /// Base-table epoch the set's rows were scanned at (DESIGN.md §15);
     /// 0 forever while incremental maintenance is off.
     pub epoch: u64,
-    /// Catalog entry id when the set is shared across sessions (its bytes
-    /// are charged through the catalog's equal-share cells, not through
-    /// this manager's private `staged_bytes` counter).
+    /// Catalog entry id when the set is shared across sessions: a shared
+    /// memory set's bytes are charged through the catalog's equal-share
+    /// cells, not this manager's private `staged_bytes` counter, and a
+    /// shared file lives in the catalog directory and is removed by its
+    /// last reader's detach, not by this manager's delete.
     pub shared: Option<u64>,
+    /// The rows themselves.
+    pub rows: StagedRows,
 }
 
-impl MemSet {
+impl StagedSet {
     /// Modelled footprint in bytes (`rows × row width`).
     pub fn bytes(&self) -> u64 {
         self.nrows * (self.arity * CODE_BYTES) as u64
     }
 
-    /// Iterate rows.
-    pub fn iter(&self) -> impl Iterator<Item = &[Code]> + '_ {
-        self.rows.chunks_exact(self.arity)
+    /// The tier holding the rows.
+    pub fn tier(&self) -> Tier {
+        self.rows.tier()
     }
 }
 
@@ -388,20 +403,20 @@ pub struct StagingManager {
     /// creates — the drop-time sweep key for shared directories.
     prefix: String,
     next_id: u64,
-    files: HashMap<u64, StagedFile>,
-    mem: HashMap<u64, MemSet>,
-    /// Most recent (smallest) staged file containing each node's data.
-    file_of: HashMap<NodeId, u64>,
+    sets: HashMap<u64, StagedSet>,
     /// Memory set owned by each node.
     mem_of: HashMap<NodeId, u64>,
+    /// Most recent (smallest) staged file containing each node's data.
+    file_of: HashMap<NodeId, u64>,
     /// Rows per extent for files written from now on (existing files keep
     /// the extent size recorded in their header).
     extent_rows: usize,
-    /// Incrementally maintained total of [`MemSet::bytes`] over `mem` —
-    /// read on every scheduling decision, so O(1) instead of a re-sum.
-    /// Shadow-checked against the first-principles recount at batch
-    /// checkpoints (DESIGN.md §9). Catalog-shared sets are *excluded* —
-    /// their bytes are charged through the catalog's equal-share cells.
+    /// Incrementally maintained total of [`StagedSet::bytes`] over the
+    /// memory sets — read on every scheduling decision, so O(1) instead of
+    /// a re-sum. Shadow-checked against the first-principles recount at
+    /// batch checkpoints (DESIGN.md §9). Catalog-shared sets are
+    /// *excluded* — their bytes are charged through the catalog's
+    /// equal-share cells.
     staged_bytes: u64,
     /// Current base-table epoch (DESIGN.md §15). Stamped onto every data
     /// set committed or attached from now on; advanced by
@@ -442,10 +457,9 @@ impl StagingManager {
             owns_dir,
             prefix,
             next_id: 0,
-            files: HashMap::new(),
-            mem: HashMap::new(),
-            file_of: HashMap::new(),
+            sets: HashMap::new(),
             mem_of: HashMap::new(),
+            file_of: HashMap::new(),
             extent_rows: DEFAULT_EXTENT_ROWS,
             staged_bytes: 0,
             epoch: 0,
@@ -465,7 +479,7 @@ impl StagingManager {
     /// would spuriously invalidate every artifact staged since open.
     pub fn seed_epoch(&mut self, epoch: u64) {
         debug_assert!(
-            self.files.is_empty() && self.mem.is_empty(),
+            self.sets.is_empty(),
             "seed_epoch must run before anything is staged"
         );
         self.epoch = epoch;
@@ -484,24 +498,15 @@ impl StagingManager {
             return 0;
         }
         self.epoch = epoch;
-        let stale_files: Vec<u64> = self
-            .files
+        let stale: Vec<u64> = self
+            .sets
             .values()
-            .filter(|f| f.epoch != epoch)
-            .map(|f| f.id)
+            .filter(|s| s.epoch != epoch)
+            .map(|s| s.id)
             .collect();
-        let stale_mem: Vec<u64> = self
-            .mem
-            .values()
-            .filter(|m| m.epoch != epoch)
-            .map(|m| m.id)
-            .collect();
-        let mut invalidated = (stale_files.len() + stale_mem.len()) as u64;
-        for id in stale_files {
-            self.delete_file(id, stats);
-        }
-        for id in stale_mem {
-            self.delete_mem(id, stats);
+        let mut invalidated = stale.len() as u64;
+        for id in stale {
+            self.delete(id, stats);
         }
         if let Some(h) = &self.shared {
             invalidated += h.catalog.purge_stale(epoch);
@@ -568,10 +573,10 @@ impl StagingManager {
     /// staged-byte total from first principles by walking every live
     /// memory set not backed by the shared catalog.
     pub fn shadow_staged_mem_bytes(&self) -> u64 {
-        self.mem
+        self.sets
             .values()
-            .filter(|m| m.shared.is_none())
-            .map(MemSet::bytes)
+            .filter(|s| s.tier() == Tier::Memory && s.shared.is_none())
+            .map(StagedSet::bytes)
             .sum()
     }
 
@@ -590,34 +595,30 @@ impl StagingManager {
         }
     }
 
-    /// Staged file by id.
-    pub fn file(&self, id: u64) -> Option<&StagedFile> {
-        self.files.get(&id)
+    /// Staged set by id.
+    pub fn set(&self, id: u64) -> Option<&StagedSet> {
+        self.sets.get(&id)
     }
 
-    /// Memory set by id.
-    pub fn mem_set(&self, id: u64) -> Option<&MemSet> {
-        self.mem.get(&id)
+    /// Live staged sets in `tier`.
+    pub fn count(&self, tier: Tier) -> usize {
+        self.sets.values().filter(|s| s.tier() == tier).count()
     }
 
-    /// Live staged files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
+    /// Does a set in `tier` already hold this node's data?
+    pub fn holds(&self, node: NodeId, tier: Tier) -> bool {
+        match tier {
+            Tier::Memory => self.mem_of.contains_key(&node),
+            Tier::File => self.file_of.contains_key(&node),
+        }
     }
 
-    /// Live memory sets.
-    pub fn mem_count(&self) -> usize {
-        self.mem.len()
-    }
-
-    /// Does a staged file already contain this node's data?
-    pub fn has_file_for(&self, node: NodeId) -> bool {
-        self.file_of.contains_key(&node)
-    }
-
-    /// Does `node` own a memory set?
-    pub fn owns_mem(&self, node: NodeId) -> bool {
-        self.mem_of.contains_key(&node)
+    /// The node → set map of `tier`.
+    fn nodes_mut(&mut self, tier: Tier) -> &mut HashMap<NodeId, u64> {
+        match tier {
+            Tier::Memory => &mut self.mem_of,
+            Tier::File => &mut self.file_of,
+        }
     }
 
     /// Begin writing a staged file whose content will be the union of the
@@ -647,97 +648,42 @@ impl StagingManager {
         )
     }
 
-    /// Register a finished staged file. Each member is re-pointed at the
-    /// new (smaller) file; a previous file that loses its last member is
-    /// deleted — this is exactly the §4.3.2 "creating a smaller middleware
-    /// file" operation.
+    /// Register a finished staged file through `register`, after moving
+    /// it into the catalog directory when shared staging is on.
     pub fn commit_file(
         &mut self,
         mut writer: FileWriter,
         stats: &mut MiddlewareStats,
     ) -> MwResult<u64> {
         writer.finish()?;
-        let (id, members, pred, path, arity, nrows, bytes, physical_bytes) =
+        let (id, members, pred, mut path, arity, nrows, bytes, physical_bytes) =
             writer.into_committed();
         stats.files_created += 1;
         stats.file_rows_written += nrows;
         stats.file_bytes_written += bytes;
         stats.file_bytes_physical_written += physical_bytes;
-        // When shared staging is on, move the finished file into the
-        // catalog directory and publish it; on a publish race the existing
-        // copy wins and the duplicate is removed.
-        let (path, shared) = match &self.shared {
-            Some(h) => {
-                let sig = StagingCatalog::signature(&pred);
-                let name = path
-                    .file_name()
-                    .map(std::ffi::OsStr::to_os_string)
-                    .unwrap_or_default();
-                let dest = h.catalog.dir().join(name);
-                fs::create_dir_all(h.catalog.dir())?;
-                fs::rename(&path, &dest)?;
-                match h.catalog.publish_file(
-                    sig,
-                    dest.clone(),
-                    bytes,
-                    nrows,
-                    arity,
-                    self.epoch,
-                    h.session,
-                ) {
-                    FilePublish::Published(entry) => (dest, Some(entry)),
-                    FilePublish::Attached(entry, existing) => {
-                        let _ = fs::remove_file(&dest);
-                        (existing, Some(entry))
-                    }
-                }
-            }
-            None => (path, None),
-        };
-        for &m in &members {
-            if let Some(old_id) = self.file_of.insert(m, id) {
-                let emptied = {
-                    let old = self
-                        .files
-                        .get_mut(&old_id)
-                        .expect("file_of points at a live file");
-                    old.members.retain(|&x| x != m);
-                    old.members.is_empty()
-                };
-                if emptied {
-                    self.delete_file(old_id, stats);
-                }
-            }
+        if let Some(h) = &self.shared {
+            let dest = h.catalog.dir().join(path.file_name().unwrap_or_default());
+            fs::create_dir_all(h.catalog.dir())?;
+            fs::rename(&path, &dest)?;
+            path = dest;
         }
-        self.files.insert(
-            id,
-            StagedFile {
+        Ok(self.register(
+            StagedSet {
                 id,
                 members,
                 pred,
-                path,
                 nrows,
                 arity,
                 epoch: self.epoch,
-                shared,
+                shared: None,
+                rows: StagedRows::File(path),
             },
-        );
-        Ok(id)
+            stats,
+        ))
     }
 
-    /// Abandon an in-progress staged file (e.g. the scan failed): the
-    /// partial on-disk output is removed by the writer's `Drop` (which
-    /// also covers writers abandoned on error-return paths), and the
-    /// abort is recorded in the stats. Nothing else needs rolling back —
-    /// an uncommitted writer was never registered, so `staged_mem_bytes`,
-    /// `file_count`, and the per-node maps never saw it.
-    pub fn abort_file(&mut self, writer: FileWriter, stats: &mut MiddlewareStats) {
-        stats.files_aborted += 1;
-        drop(writer);
-    }
-
-    /// Register a memory-staged data set for `owner`, replacing any
-    /// previous one the node owned.
+    /// Register a memory-staged data set for `owner` through `register`.
     pub fn commit_mem(
         &mut self,
         owner: NodeId,
@@ -750,87 +696,97 @@ impl StagingManager {
         let nrows = (rows.len() / arity.max(1)) as u64;
         stats.memory_sets_created += 1;
         stats.memory_rows_staged += nrows;
-        if let Some(old) = self.mem_of.remove(&owner) {
-            self.delete_mem(old, stats);
-        }
-        self.mem_of.insert(owner, id);
-        // When shared staging is on, publish the set (or adopt the copy
-        // that won a publish race — scans over the shared table are
-        // deterministic, so both builds hold identical codes) and charge
-        // the bytes through the catalog instead of the private counter.
-        let mut rows = Arc::new(rows);
-        let mut shared = None;
-        if let Some(h) = &self.shared {
-            let sig = StagingCatalog::signature(&pred);
-            let bytes = nrows * (arity * CODE_BYTES) as u64;
-            let e = h.catalog.publish_mem(
-                sig,
-                Arc::clone(&rows),
-                bytes,
+        self.register(
+            StagedSet {
+                id,
+                members: vec![owner],
+                pred,
                 nrows,
                 arity,
-                self.epoch,
+                epoch: self.epoch,
+                shared: None,
+                rows: StagedRows::Memory(Arc::new(rows)),
+            },
+            stats,
+        )
+    }
+
+    /// Register a freshly staged set. Each member is re-pointed at it, and
+    /// a set of the same tier left with no member is deleted: this is both
+    /// the §4.3.2 "creating a smaller middleware file" operation and a
+    /// node's new memory set replacing its old one. Then, when shared
+    /// staging is on, the set is published — or the copy that won a
+    /// publish race is adopted (scans over the shared table are
+    /// deterministic, so both builds hold identical rows) and a duplicate
+    /// file removed. Replacing before publishing lets a re-stage under
+    /// its predecessor's signature publish afresh rather than attach to
+    /// the entry that predecessor's delete reclaims. A private memory
+    /// set's bytes go on the private counter.
+    fn register(&mut self, mut set: StagedSet, stats: &mut MiddlewareStats) -> u64 {
+        let (id, tier) = (set.id, set.tier());
+        for &m in &set.members {
+            let Some(old) = self.nodes_mut(tier).insert(m, id) else {
+                continue;
+            };
+            let emptied = self.sets.get_mut(&old).is_some_and(|old| {
+                old.members.retain(|&x| x != m);
+                old.members.is_empty()
+            });
+            if emptied {
+                self.delete(old, stats);
+            }
+        }
+        if let Some(h) = &self.shared {
+            let s = h.catalog.publish(
+                StagingCatalog::signature(&set.pred),
+                set.rows.clone(),
+                set.bytes(),
+                set.nrows,
+                set.arity,
+                set.epoch,
                 h.session,
             );
-            rows = e.rows;
-            shared = Some(e.entry);
-        }
-        let set = MemSet {
-            id,
-            owner,
-            pred,
-            rows,
-            nrows,
-            arity,
-            epoch: self.epoch,
-            shared,
-        };
-        if set.shared.is_none() {
+            if let (StagedRows::File(mine), StagedRows::File(theirs)) = (&set.rows, &s.rows) {
+                if mine != theirs {
+                    let _ = fs::remove_file(mine);
+                }
+            }
+            set.rows = s.rows;
+            set.shared = Some(s.entry);
+        } else if tier == Tier::Memory {
             self.staged_bytes += set.bytes();
         }
-        self.mem.insert(id, set);
+        self.sets.insert(id, set);
         id
     }
 
-    fn delete_file(&mut self, id: u64, stats: &mut MiddlewareStats) {
-        if let Some(f) = self.files.remove(&id) {
-            match (f.shared, &self.shared) {
-                // A shared file belongs to the catalog: detach, and only
-                // the last reader's detach removes the bytes on disk.
-                (Some(entry), Some(h)) => {
-                    if let Some(path) = h.catalog.detach(entry, h.session) {
-                        let _ = fs::remove_file(path);
-                    }
-                }
-                _ => {
-                    let _ = fs::remove_file(&f.path);
-                }
+    fn delete(&mut self, id: u64, stats: &mut MiddlewareStats) {
+        let Some(set) = self.sets.remove(&id) else {
+            return;
+        };
+        let nodes = self.nodes_mut(set.tier());
+        for m in &set.members {
+            if nodes.get(m) == Some(&id) {
+                nodes.remove(m);
             }
-            for m in &f.members {
-                if self.file_of.get(m) == Some(&id) {
-                    self.file_of.remove(m);
-                }
-            }
-            stats.files_deleted += 1;
         }
-    }
-
-    fn delete_mem(&mut self, id: u64, stats: &mut MiddlewareStats) {
-        if let Some(m) = self.mem.remove(&id) {
-            if self.mem_of.get(&m.owner) == Some(&id) {
-                self.mem_of.remove(&m.owner);
-            }
-            match (m.shared, &self.shared) {
-                // Shared sets were never in the private counter; detaching
-                // drops this session's charge (and re-grows survivors').
-                (Some(entry), Some(h)) => {
-                    if let Some(path) = h.catalog.detach(entry, h.session) {
-                        let _ = fs::remove_file(path);
-                    }
+        match (set.shared, &self.shared, &set.rows) {
+            // A shared set belongs to the catalog: detaching drops this
+            // session's charge (and re-grows survivors'), and only the
+            // last reader's detach removes a file's bytes on disk.
+            (Some(entry), Some(h), _) => {
+                if let Some(path) = h.catalog.detach(entry, h.session) {
+                    let _ = fs::remove_file(path);
                 }
-                _ => self.staged_bytes -= m.bytes(),
             }
-            stats.memory_sets_evicted += 1;
+            (_, _, StagedRows::File(path)) => {
+                let _ = fs::remove_file(path);
+            }
+            (_, _, StagedRows::Memory(_)) => self.staged_bytes -= set.bytes(),
+        }
+        match set.tier() {
+            Tier::Memory => stats.memory_sets_evicted += 1,
+            Tier::File => stats.files_deleted += 1,
         }
     }
 
@@ -838,10 +794,15 @@ impl StagingManager {
     /// serial or sharded, opens the file through. `None` means no staged
     /// file has this id; a file that fails validation is an error.
     pub fn extent_layout(&self, id: u64) -> MwResult<Option<ExtentLayout>> {
-        self.files
-            .get(&id)
-            .map(|f| ExtentLayout::detect(&f.path, f.arity, f.nrows))
-            .transpose()
+        match self.sets.get(&id) {
+            Some(StagedSet {
+                rows: StagedRows::File(path),
+                nrows,
+                arity,
+                ..
+            }) => ExtentLayout::detect(path, *arity, *nrows).map(Some),
+            _ => Ok(None),
+        }
     }
 
     /// The cheapest staged dataset usable by a node: walk its lineage and
@@ -852,7 +813,8 @@ impl StagingManager {
         // The walk runs from the node up, so an equal candidate further up
         // displaces the one below it.
         let mut best: Option<(u64, u8, DataLocation)> = None; // (rows, prio, loc)
-        let mut consider = |rows: u64, prio: u8, loc: DataLocation| {
+        let mut consider = |id: u64, prio: u8, loc: DataLocation| {
+            let rows = self.sets[&id].nrows;
             let better = match &best {
                 None => true,
                 Some((brows, bprio, _)) => {
@@ -865,10 +827,10 @@ impl StagingManager {
         };
         for (node, _) in lineage.entries() {
             if let Some(&id) = self.mem_of.get(&node) {
-                consider(self.mem[&id].nrows, 2, DataLocation::Memory(id));
+                consider(id, 2, DataLocation::Memory(id));
             }
             if let Some(&id) = self.file_of.get(&node) {
-                consider(self.files[&id].nrows, 1, DataLocation::File(id));
+                consider(id, 1, DataLocation::File(id));
             }
         }
         best.map(|(_, _, loc)| loc).unwrap_or(DataLocation::Server)
@@ -880,10 +842,10 @@ impl StagingManager {
     /// `exclude` (the current scan's source must survive the scan).
     pub fn evictable_mem_sets(&self, exclude: Option<u64>) -> Vec<(u64, u64)> {
         let mut sets: Vec<(u64, u64)> = self
-            .mem
+            .sets
             .values()
-            .filter(|m| Some(m.id) != exclude)
-            .map(|m| (m.id, self.mem_set_charge(m)))
+            .filter(|s| s.tier() == Tier::Memory && Some(s.id) != exclude)
+            .map(|s| (s.id, self.mem_set_charge(s)))
             .collect();
         sets.sort_by_key(|&(id, bytes)| (bytes, id));
         sets
@@ -893,16 +855,16 @@ impl StagingManager {
     /// bytes for a private set, this session's equal share for a
     /// catalog-shared set (a sole reader's share is the full bytes, so
     /// single-session behaviour is unchanged).
-    fn mem_set_charge(&self, m: &MemSet) -> u64 {
-        match (m.shared, &self.shared) {
+    fn mem_set_charge(&self, set: &StagedSet) -> u64 {
+        match (set.shared, &self.shared) {
             (Some(entry), Some(h)) => h.catalog.share_of(entry, h.session),
-            _ => m.bytes(),
+            _ => set.bytes(),
         }
     }
 
     /// Drop one memory set by id (pressure eviction).
     pub fn evict_mem_set(&mut self, id: u64, stats: &mut MiddlewareStats) {
-        self.delete_mem(id, stats);
+        self.delete(id, stats);
     }
 
     /// Is some ancestor-or-self of this lineage already memory-staged
@@ -918,34 +880,26 @@ impl StagingManager {
     /// expanded its data is flushed, "freeing up the resource").
     pub fn evict_unreachable(&mut self, pending: &[CcRequest], stats: &mut MiddlewareStats) {
         let reachable = |node: NodeId| pending.iter().any(|r| r.lineage.contains(node));
-        let dead_files: Vec<u64> = self
-            .files
+        let dead: Vec<u64> = self
+            .sets
             .values()
-            .filter(|f| !f.members.iter().any(|&m| reachable(m)))
-            .map(|f| f.id)
+            .filter(|s| !s.members.iter().any(|&m| reachable(m)))
+            .map(|s| s.id)
             .collect();
-        for id in dead_files {
-            self.delete_file(id, stats);
-        }
-        let dead_mem: Vec<u64> = self
-            .mem
-            .values()
-            .filter(|m| !reachable(m.owner))
-            .map(|m| m.id)
-            .collect();
-        for id in dead_mem {
-            self.delete_mem(id, stats);
+        for id in dead {
+            self.delete(id, stats);
         }
     }
 
     /// Adopt catalog entries other sessions already paid to build: for
-    /// every node on a pending request's lineage with no local data set,
-    /// probe the shared catalog by the node's full path predicate and
-    /// attach copy-on-read on a hit. Runs before scheduling, so the
-    /// scheduler sees the attached sets as ordinary staged data and routes
-    /// scans to them instead of re-staging from the server. Attaching a
-    /// memory entry immediately charges this session an equal share of its
-    /// bytes; the batch-boundary lease reconcile evicts if that overshoots.
+    /// every node on a pending request's lineage with no local data set
+    /// of a wanted tier, probe the shared catalog by the node's full path
+    /// predicate and attach copy-on-read on a hit. Runs before scheduling,
+    /// so the scheduler sees the attached sets as ordinary staged data and
+    /// routes scans to them instead of re-staging from the server.
+    /// Attaching a memory entry immediately charges this session an equal
+    /// share of its bytes; the batch-boundary lease reconcile evicts if
+    /// that overshoots.
     pub fn attach_from_catalog(&mut self, pending: &[CcRequest], want_mem: bool, want_files: bool) {
         if self.shared.is_none() || !(want_mem || want_files) {
             return;
@@ -955,70 +909,39 @@ impl StagingManager {
             // Root first, as the attach order has always been.
             root_first.extend(req.lineage.entries());
             for (node, pred) in root_first.drain(..).rev() {
-                if want_mem && !self.owns_mem(node) {
-                    self.attach_mem(node, pred);
-                }
-                if want_files && !self.has_file_for(node) {
-                    self.attach_file(node, pred);
+                for (tier, want) in [(Tier::Memory, want_mem), (Tier::File, want_files)] {
+                    if want && !self.holds(node, tier) {
+                        self.attach(node, pred, tier);
+                    }
                 }
             }
         }
     }
 
-    fn attach_mem(&mut self, node: NodeId, pred: &Pred) {
-        let Some((catalog, session)) = self
+    /// Attach `node` to the catalog's `tier` entry for its path predicate,
+    /// if one is published at this manager's epoch.
+    fn attach(&mut self, node: NodeId, pred: &Pred, tier: Tier) {
+        let sig = StagingCatalog::signature(pred);
+        let Some(s) = self
             .shared
             .as_ref()
-            .map(|h| (Arc::clone(&h.catalog), h.session))
+            .and_then(|h| h.catalog.probe(&sig, tier, self.epoch, h.session))
         else {
             return;
         };
-        let sig = StagingCatalog::signature(pred);
-        let Some(e) = catalog.probe_mem(&sig, self.epoch, session) else {
-            return;
-        };
         let id = self.next_id();
-        self.mem_of.insert(node, id);
-        self.mem.insert(
+        self.nodes_mut(tier).insert(node, id);
+        self.sets.insert(
             id,
-            MemSet {
-                id,
-                owner: node,
-                pred: pred.clone(),
-                rows: e.rows,
-                nrows: e.nrows,
-                arity: e.arity,
-                epoch: self.epoch,
-                shared: Some(e.entry),
-            },
-        );
-    }
-
-    fn attach_file(&mut self, node: NodeId, pred: &Pred) {
-        let Some((catalog, session)) = self
-            .shared
-            .as_ref()
-            .map(|h| (Arc::clone(&h.catalog), h.session))
-        else {
-            return;
-        };
-        let sig = StagingCatalog::signature(pred);
-        let Some(e) = catalog.probe_file(&sig, self.epoch, session) else {
-            return;
-        };
-        let id = self.next_id();
-        self.file_of.insert(node, id);
-        self.files.insert(
-            id,
-            StagedFile {
+            StagedSet {
                 id,
                 members: vec![node],
                 pred: pred.clone(),
-                path: e.path,
-                nrows: e.nrows,
-                arity: e.arity,
+                nrows: s.nrows,
+                arity: s.arity,
                 epoch: self.epoch,
-                shared: Some(e.entry),
+                shared: Some(s.entry),
+                rows: s.rows,
             },
         );
     }
@@ -1600,6 +1523,22 @@ mod tests {
         Ok((rows, ws))
     }
 
+    /// Where staged file `id` lives.
+    fn path_of(m: &StagingManager, id: u64) -> PathBuf {
+        match &m.set(id).expect("staged set exists").rows {
+            StagedRows::File(path) => path.clone(),
+            StagedRows::Memory(_) => panic!("set {id} is in memory"),
+        }
+    }
+
+    /// The shared vector of a memory set's rows.
+    fn mem_rows(set: &StagedSet) -> &Arc<Vec<Code>> {
+        match &set.rows {
+            StagedRows::Memory(rows) => rows,
+            StagedRows::File(path) => panic!("set {} is the file {path:?}", set.id),
+        }
+    }
+
     fn lineage_chain() -> (Lineage, Lineage, Lineage) {
         let root = Lineage::root(NodeId(0));
         let child = root.child(NodeId(1), Pred::Eq { col: 0, value: 1 });
@@ -1626,7 +1565,7 @@ mod tests {
         w.push(&[1, 2, 3]).unwrap();
         w.push(&[4, 5, 6]).unwrap();
         let id = m.commit_file(w, &mut stats).unwrap();
-        assert_eq!(m.file(id).unwrap().nrows, 2);
+        assert_eq!(m.set(id).unwrap().nrows, 2);
         assert_eq!(stats.files_created, 1);
         assert_eq!(stats.file_rows_written, 2);
 
@@ -1640,10 +1579,10 @@ mod tests {
         let mut m = mgr();
         let mut stats = MiddlewareStats::new();
         let id = m.commit_mem(NodeId(1), Pred::True, vec![1, 2, 3, 4], 2, &mut stats);
-        let set = m.mem_set(id).unwrap();
+        let set = m.set(id).unwrap();
         assert_eq!(set.nrows, 2);
         assert_eq!(set.bytes(), 8);
-        assert_eq!(set.iter().count(), 2);
+        assert_eq!(mem_rows(set).chunks_exact(set.arity).count(), 2);
         assert_eq!(m.staged_mem_bytes(), 8);
         assert_eq!(stats.memory_rows_staged, 2);
     }
@@ -1656,33 +1595,33 @@ mod tests {
         w.push(&[1, 2]).unwrap();
         let fid = m.commit_file(w, &mut stats).unwrap();
         let mid = m.commit_mem(NodeId(1), Pred::True, vec![1, 2], 2, &mut stats);
-        assert_eq!(m.file(fid).unwrap().epoch, 0);
-        assert_eq!(m.mem_set(mid).unwrap().epoch, 0);
+        assert_eq!(m.set(fid).unwrap().epoch, 0);
+        assert_eq!(m.set(mid).unwrap().epoch, 0);
 
         // Same epoch: nothing happens (the deltas-off fast path).
         assert_eq!(m.advance_epoch(0, &mut stats), 0);
         assert_eq!(stats.epochs_invalidated, 0);
-        assert_eq!(m.file_count(), 1);
+        assert_eq!(m.count(Tier::File), 1);
 
         // New epoch: every pre-mutation artifact is invalidated.
         assert_eq!(m.advance_epoch(3, &mut stats), 2);
         assert_eq!(stats.epochs_invalidated, 2);
-        assert_eq!(m.file_count(), 0);
-        assert_eq!(m.mem_count(), 0);
+        assert_eq!(m.count(Tier::File), 0);
+        assert_eq!(m.count(Tier::Memory), 0);
         assert_eq!(m.staged_mem_bytes(), 0);
         m.assert_shadow_accounting();
 
         // Data sets staged after the advance carry the new epoch and
         // survive a same-epoch re-advance.
         let mid = m.commit_mem(NodeId(1), Pred::True, vec![1, 2], 2, &mut stats);
-        assert_eq!(m.mem_set(mid).unwrap().epoch, 3);
+        assert_eq!(m.set(mid).unwrap().epoch, 3);
         assert_eq!(m.advance_epoch(3, &mut stats), 0);
-        assert_eq!(m.mem_count(), 1);
+        assert_eq!(m.count(Tier::Memory), 1);
     }
 
     #[test]
     fn advance_epoch_demotes_stale_catalog_entries() {
-        let catalog = Arc::new(StagingCatalog::new());
+        let catalog = Arc::new(StagingCatalog::new(None));
         let mut stats = MiddlewareStats::new();
         let mut m1 = mgr();
         let mut m2 = mgr();
@@ -1704,13 +1643,13 @@ mod tests {
         // epoch 1 misses instead of adopting pre-mutation rows.
         let pending = vec![dummy_request(Lineage::root(NodeId(0)))];
         m2.attach_from_catalog(&pending, true, true);
-        assert!(!m2.owns_mem(NodeId(0)));
+        assert!(!m2.holds(NodeId(0), Tier::Memory));
 
         // m1 still reads its own (stale) copy until it drains too; its
         // advance then drops the local set and its catalog reader pin.
         let mut stats1 = MiddlewareStats::new();
         assert_eq!(m1.advance_epoch(1, &mut stats1), 1);
-        assert_eq!(m1.mem_count(), 0);
+        assert_eq!(m1.count(Tier::Memory), 0);
         assert_eq!(catalog.entry_count(), 0, "last detach reclaimed it");
         catalog.assert_shadow_accounting();
     }
@@ -1764,8 +1703,8 @@ mod tests {
         w.push(&[1, 0]).unwrap();
         m.commit_file(w, &mut stats).unwrap();
         m.commit_mem(NodeId(2), grand.pred().clone(), vec![1, 0], 2, &mut stats);
-        assert_eq!(m.file_count(), 1);
-        assert_eq!(m.mem_count(), 1);
+        assert_eq!(m.count(Tier::File), 1);
+        assert_eq!(m.count(Tier::Memory), 1);
 
         // A pending request under the grandchild keeps both alive (its
         // lineage passes through nodes 1 and 2).
@@ -1773,16 +1712,16 @@ mod tests {
             grand.child(NodeId(5), Pred::Eq { col: 0, value: 0 }),
         )];
         m.evict_unreachable(&pending, &mut stats);
-        assert_eq!(m.file_count(), 1);
-        assert_eq!(m.mem_count(), 1);
+        assert_eq!(m.count(Tier::File), 1);
+        assert_eq!(m.count(Tier::Memory), 1);
 
         // A pending request in a different subtree frees everything.
         let other = vec![dummy_request(
             Lineage::root(NodeId(0)).child(NodeId(9), Pred::Eq { col: 0, value: 3 }),
         )];
         m.evict_unreachable(&other, &mut stats);
-        assert_eq!(m.file_count(), 0);
-        assert_eq!(m.mem_count(), 0);
+        assert_eq!(m.count(Tier::File), 0);
+        assert_eq!(m.count(Tier::Memory), 0);
         assert_eq!(stats.files_deleted, 1);
         assert_eq!(stats.memory_sets_evicted, 1);
     }
@@ -1807,8 +1746,8 @@ mod tests {
             .unwrap();
         w1.push(&[1, 0]).unwrap();
         let small = m.commit_file(w1, &mut stats).unwrap();
-        assert!(m.file(big).is_some());
-        assert_eq!(m.file(big).unwrap().members, vec![NodeId(2)]);
+        assert!(m.set(big).is_some());
+        assert_eq!(m.set(big).unwrap().members, vec![NodeId(2)]);
         let l1 = Lineage::root(NodeId(1));
         assert_eq!(m.best_location(&l1), DataLocation::File(small));
 
@@ -1818,9 +1757,9 @@ mod tests {
             .unwrap();
         w2.push(&[2, 0]).unwrap();
         m.commit_file(w2, &mut stats).unwrap();
-        assert!(m.file(big).is_none(), "emptied file reclaimed");
+        assert!(m.set(big).is_none(), "emptied file reclaimed");
         assert_eq!(stats.files_deleted, 1);
-        assert_eq!(m.file_count(), 2);
+        assert_eq!(m.count(Tier::File), 2);
     }
 
     #[test]
@@ -1836,31 +1775,17 @@ mod tests {
         w2.push(&[0, 0]).unwrap();
         let id2 = m.commit_file(w2, &mut stats).unwrap();
         assert_ne!(id1, id2);
-        assert!(m.file(id1).is_none(), "old file reclaimed");
-        assert_eq!(m.file(id2).unwrap().nrows, 1);
-        assert_eq!(m.file_count(), 1);
+        assert!(m.set(id1).is_none(), "old file reclaimed");
+        assert_eq!(m.set(id2).unwrap().nrows, 1);
+        assert_eq!(m.count(Tier::File), 1);
         assert_eq!(stats.files_deleted, 1);
 
         // Memory sets replace the same way.
         let m1 = m.commit_mem(NodeId(1), Pred::True, vec![1, 1, 2, 2], 2, &mut stats);
         let m2 = m.commit_mem(NodeId(1), Pred::True, vec![3, 3], 2, &mut stats);
-        assert!(m.mem_set(m1).is_none());
-        assert_eq!(m.mem_set(m2).unwrap().nrows, 1);
+        assert!(m.set(m1).is_none());
+        assert_eq!(m.set(m2).unwrap().nrows, 1);
         assert_eq!(m.staged_mem_bytes(), 4);
-    }
-
-    #[test]
-    fn abort_file_removes_partial_output() {
-        let mut m = mgr();
-        let mut stats = MiddlewareStats::new();
-        let mut w = m.start_file(vec![NodeId(0)], Pred::True, 1).unwrap();
-        w.push(&[7]).unwrap();
-        let path = w.path.clone();
-        m.abort_file(w, &mut stats);
-        assert!(!path.exists());
-        assert_eq!(m.file_count(), 0);
-        assert_eq!(stats.files_aborted, 1);
-        assert_eq!(stats.files_created, 0, "aborted writers never register");
     }
 
     #[test]
@@ -1873,22 +1798,21 @@ mod tests {
         ok.push(&[5, 6]).unwrap();
         m.commit_file(ok, &mut stats).unwrap();
 
-        // A scan fails mid-stage and its writer is aborted.
+        // A scan fails mid-stage and drops its writer.
         let mut w = m.start_file(vec![NodeId(3)], Pred::True, 2).unwrap();
         for i in 0..50u16 {
             w.push(&[i, i]).unwrap();
         }
         let aborted_path = w.path.clone();
-        m.abort_file(w, &mut stats);
+        drop(w);
 
         // Nothing about the surviving staged state moved, and the shadow
         // recount agrees with the incremental byte counter.
         assert!(!aborted_path.exists(), "partial output removed");
-        assert_eq!(m.file_count(), 1);
-        assert_eq!(m.mem_count(), 1);
+        assert_eq!(m.count(Tier::File), 1);
+        assert_eq!(m.count(Tier::Memory), 1);
         assert_eq!(m.staged_mem_bytes(), 8);
         assert_eq!(stats.files_created, 1);
-        assert_eq!(stats.files_aborted, 1);
         m.assert_shadow_accounting();
     }
 
@@ -1901,7 +1825,7 @@ mod tests {
             w.push(&[9]).unwrap();
             path = w.path.clone();
             assert!(path.exists());
-            // Dropped without commit_file/abort_file — e.g. an error
+            // Dropped without commit_file — e.g. an error
             // return unwinding through the executor.
         }
         assert!(!path.exists(), "uncommitted writer cleans up on drop");
@@ -1923,7 +1847,7 @@ mod tests {
         let mut w = m1.start_file(vec![NodeId(0)], Pred::True, 1).unwrap();
         w.push(&[1]).unwrap();
         let committed1 = m1.commit_file(w, &mut stats).unwrap();
-        let committed1_path = m1.file(committed1).unwrap().path.clone();
+        let committed1_path = path_of(&m1, committed1);
         let mut leaked = m1.start_file(vec![NodeId(1)], Pred::True, 1).unwrap();
         leaked.push(&[2]).unwrap();
         let leaked_path = leaked.path.clone();
@@ -1936,7 +1860,7 @@ mod tests {
         let mut w2 = m2.start_file(vec![NodeId(0)], Pred::True, 1).unwrap();
         w2.push(&[3]).unwrap();
         let committed2 = m2.commit_file(w2, &mut stats).unwrap();
-        let committed2_path = m2.file(committed2).unwrap().path.clone();
+        let committed2_path = path_of(&m2, committed2);
 
         assert!(leaked_path.exists() && spool_path.exists());
         drop(m1);
@@ -1961,7 +1885,7 @@ mod tests {
 
     #[test]
     fn shared_mem_publish_attach_and_charge_split() {
-        let catalog = Arc::new(StagingCatalog::new());
+        let catalog = Arc::new(StagingCatalog::new(None));
         let mut stats = MiddlewareStats::new();
         let mut m1 = mgr();
         let mut m2 = mgr();
@@ -1983,7 +1907,7 @@ mod tests {
         // m2's pending request walks the same lineage: attach, don't re-stage.
         let pending = vec![dummy_request(Lineage::root(NodeId(0)))];
         m2.attach_from_catalog(&pending, true, false);
-        assert!(m2.owns_mem(NodeId(0)));
+        assert!(m2.holds(NodeId(0), Tier::Memory));
         assert_eq!(catalog.stats().hits, 1);
         assert_eq!(m1.shared_charge_bytes(), 4, "charges re-split on attach");
         assert_eq!(m2.shared_charge_bytes(), 4);
@@ -1991,9 +1915,9 @@ mod tests {
         m2.assert_shadow_accounting();
 
         // Copy-on-read: both managers scan the same allocation.
-        let s1 = m1.mem_set(m1.mem_of[&NodeId(0)]).unwrap();
-        let s2 = m2.mem_set(m2.mem_of[&NodeId(0)]).unwrap();
-        assert!(Arc::ptr_eq(&s1.rows, &s2.rows));
+        let s1 = m1.set(m1.mem_of[&NodeId(0)]).unwrap();
+        let s2 = m2.set(m2.mem_of[&NodeId(0)]).unwrap();
+        assert!(Arc::ptr_eq(mem_rows(s1), mem_rows(s2)));
 
         // Evicting m1's handle re-grows m2's share to the whole entry.
         let id1 = m1.mem_of[&NodeId(0)];
@@ -2011,7 +1935,7 @@ mod tests {
 
     #[test]
     fn shared_mem_publish_race_adopts_winner() {
-        let catalog = Arc::new(StagingCatalog::new());
+        let catalog = Arc::new(StagingCatalog::new(None));
         let mut stats = MiddlewareStats::new();
         let mut m1 = mgr();
         let mut m2 = mgr();
@@ -2036,10 +1960,10 @@ mod tests {
         );
         assert_eq!(catalog.stats().publishes, 1);
         assert_eq!(catalog.stats().hits, 1);
-        let s1 = m1.mem_set(m1.mem_of[&NodeId(3)]).unwrap();
-        let s2 = m2.mem_set(m2.mem_of[&NodeId(3)]).unwrap();
+        let s1 = m1.set(m1.mem_of[&NodeId(3)]).unwrap();
+        let s2 = m2.set(m2.mem_of[&NodeId(3)]).unwrap();
         assert!(
-            Arc::ptr_eq(&s1.rows, &s2.rows),
+            Arc::ptr_eq(mem_rows(s1), mem_rows(s2)),
             "loser adopts winner's rows"
         );
         assert_eq!(m1.shared_charge_bytes(), 2);
@@ -2049,7 +1973,7 @@ mod tests {
 
     #[test]
     fn shared_file_survives_until_last_reader_detaches() {
-        let catalog = Arc::new(StagingCatalog::new());
+        let catalog = Arc::new(StagingCatalog::new(None));
         let catalog_dir = catalog.dir().to_path_buf();
         let mut stats = MiddlewareStats::new();
         let mut m1 = mgr();
@@ -2062,7 +1986,7 @@ mod tests {
         w.push(&[1, 2]).unwrap();
         w.push(&[3, 4]).unwrap();
         let fid = m1.commit_file(w, &mut stats).unwrap();
-        let shared_path = m1.file(fid).unwrap().path.clone();
+        let shared_path = path_of(&m1, fid);
         assert!(
             shared_path.starts_with(&catalog_dir),
             "published into the catalog dir"
@@ -2073,9 +1997,9 @@ mod tests {
         // m2 attaches and reads the very same file.
         let pending = vec![dummy_request(Lineage::root(NodeId(0)))];
         m2.attach_from_catalog(&pending, false, true);
-        assert!(m2.has_file_for(NodeId(0)));
+        assert!(m2.holds(NodeId(0), Tier::File));
         let id2 = m2.file_of[&NodeId(0)];
-        assert_eq!(m2.file(id2).unwrap().path, shared_path);
+        assert_eq!(path_of(&m2, id2), shared_path);
         let (rows, _) = read_all(&m2, id2).unwrap();
         assert_eq!(rows[0], vec![1, 2]);
 
@@ -2084,7 +2008,7 @@ mod tests {
         // catalog itself.
         let unrelated = vec![dummy_request(Lineage::root(NodeId(7)))];
         m1.evict_unreachable(&unrelated, &mut stats);
-        assert!(!m1.has_file_for(NodeId(0)));
+        assert!(!m1.holds(NodeId(0), Tier::File));
         assert!(shared_path.exists(), "m2 still reads the shared file");
         assert_eq!(stats.files_deleted, 1);
         drop(m2);
@@ -2093,6 +2017,34 @@ mod tests {
         drop(m1);
         drop(catalog);
         assert!(!catalog_dir.exists(), "catalog drop removes its directory");
+    }
+
+    /// A re-stage of a shared file under its predecessor's predicate, at
+    /// the same epoch, replaces the old set before it publishes: the new
+    /// set reads back its own rows, from the one live catalog entry.
+    #[test]
+    fn shared_file_recommit_under_the_same_signature_stays_readable() {
+        let catalog = Arc::new(StagingCatalog::new(None));
+        let mut stats = MiddlewareStats::new();
+        let mut m = mgr();
+        m.attach_catalog(Arc::clone(&catalog));
+        let p = Pred::Eq { col: 0, value: 1 };
+
+        let mut w = m.start_file(vec![NodeId(1)], p.clone(), 2).unwrap();
+        w.push(&[1, 0]).unwrap();
+        w.push(&[1, 1]).unwrap();
+        let first = m.commit_file(w, &mut stats).unwrap();
+        let mut w = m.start_file(vec![NodeId(1)], p, 2).unwrap();
+        w.push(&[1, 2]).unwrap();
+        let second = m.commit_file(w, &mut stats).unwrap();
+
+        assert!(m.set(first).is_none(), "the old file was replaced");
+        let (rows, _) = read_all(&m, second).unwrap();
+        assert_eq!(rows, vec![vec![1, 2]]);
+        assert_eq!(catalog.entry_count(), 1);
+        let entry = m.set(second).unwrap().shared.expect("published");
+        assert_eq!(catalog.reader_count(entry), 1, "the set's entry is live");
+        catalog.assert_shadow_accounting();
     }
 
     #[test]
@@ -2132,7 +2084,7 @@ mod tests {
 
         // Physical accounting matches the bytes actually on disk; logical
         // payload accounting is format-independent.
-        let disk = fs::metadata(&m.file(id).unwrap().path).unwrap().len();
+        let disk = fs::metadata(path_of(&m, id)).unwrap().len();
         assert_eq!(stats.file_bytes_physical_written, disk);
         assert_eq!(layout.total_physical_bytes(), disk);
         assert_eq!(stats.file_bytes_written, 10 * 3 * CODE_BYTES as u64);
@@ -2156,7 +2108,7 @@ mod tests {
     fn truncated_extent_file_fails_with_corrupt() {
         // Chop 5 bytes off the tail: the length no longer decomposes.
         let (m, id, _) = staged(10, 4);
-        let path = m.file(id).unwrap().path.clone();
+        let path = path_of(&m, id);
         let len = fs::metadata(&path).unwrap().len();
         let f = fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 5).unwrap();
@@ -2178,7 +2130,7 @@ mod tests {
     #[test]
     fn corrupted_extent_payload_fails_crc() {
         let (m, id, _) = staged(10, 4);
-        let path = m.file(id).unwrap().path.clone();
+        let path = path_of(&m, id);
         let mut bytes = fs::read(&path).unwrap();
         // Flip a bit inside the first extent's payload (after the 16-byte
         // file header and 8-byte extent header).
@@ -2198,7 +2150,7 @@ mod tests {
     #[test]
     fn short_or_magicless_header_is_corrupt_not_legacy() {
         let (m, id, _) = staged(10, 4);
-        let path = m.file(id).unwrap().path.clone();
+        let path = path_of(&m, id);
         let good = fs::read(&path).unwrap();
         // Truncated inside (or before) the 16-byte file header.
         for len in [0usize, 8, 15] {
@@ -2273,7 +2225,7 @@ mod tests {
             }
         );
         // CRC damage is `Corrupt`, and decodes nothing.
-        let path = m.file(id).unwrap().path.clone();
+        let path = path_of(&m, id);
         let mut bytes = fs::read(&path).unwrap();
         bytes[FILE_HEADER_BYTES as usize + 8 + 3] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
@@ -2351,7 +2303,7 @@ mod tests {
         // blocks (384..416) and a 4-byte bytewise tail.
         let (m, id, _) = staged(70, 70);
         let layout = m.extent_layout(id).unwrap().unwrap();
-        let path = m.file(id).unwrap().path.clone();
+        let path = path_of(&m, id);
         let good = fs::read(&path).unwrap();
         let payload = layout.extent_offset(0) as usize + 8;
         assert_eq!(layout.extent_physical_bytes(0), 420 + EXTENT_OVERHEAD_BYTES);
@@ -2440,7 +2392,7 @@ mod tests {
         let mut stats = MiddlewareStats::new();
         let mut committed = |m: &mut StagingManager, w: FileWriter| {
             let id = m.commit_file(w, &mut stats).unwrap();
-            (id, fs::read(&m.file(id).unwrap().path).unwrap())
+            (id, fs::read(path_of(m, id)).unwrap())
         };
         let start = |m: &mut StagingManager| m.start_file(vec![NodeId(0)], Pred::True, 3).unwrap();
 
@@ -2522,8 +2474,8 @@ mod tests {
         let direct = m.commit_file(direct, &mut stats).unwrap();
         let replayed = m.commit_file(replayed, &mut stats).unwrap();
         assert_eq!(
-            fs::read(&m.file(replayed).unwrap().path).unwrap(),
-            fs::read(&m.file(direct).unwrap().path).unwrap()
+            fs::read(path_of(&m, replayed)).unwrap(),
+            fs::read(path_of(&m, direct)).unwrap()
         );
     }
 

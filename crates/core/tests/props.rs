@@ -366,7 +366,7 @@ proptest! {
         }
         match staging.best_location(&lineage) {
             DataLocation::Memory(id) => {
-                let owner = staging.mem_set(id).unwrap().owner;
+                let owner = staging.set(id).unwrap().members[0];
                 prop_assert!(lineage.contains(owner));
             }
             DataLocation::Server => {

@@ -4,6 +4,7 @@
 //! the counts tables, and a damaged source is an error on all of them.
 
 use scaleclass::config::MiddlewareConfigBuilder;
+use scaleclass::staging::StagedRows;
 use scaleclass::{
     Backend, BlockSampler, CcRequest, CountsTable, FileStagingPolicy, Lineage, MiddlewareConfig,
     MiddlewareStats, MwError, NodeId, ScanStats, Session,
@@ -245,12 +246,17 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
     while s.has_pending() {
         let fulfilled = s.process_next_batch().unwrap();
         for id in 0..256 {
-            if let Some(set) = s.staging().mem_set(id) {
-                out.mem_sets.entry(id).or_insert_with(|| set.rows.to_vec());
-            }
-            if let Some(file) = s.staging().file(id) {
-                let bytes = || (file.members.len(), std::fs::read(&file.path).unwrap());
-                out.files.entry(id).or_insert_with(bytes);
+            let Some(set) = s.staging().set(id) else {
+                continue;
+            };
+            match &set.rows {
+                StagedRows::Memory(rows) => {
+                    out.mem_sets.entry(id).or_insert_with(|| rows.to_vec());
+                }
+                StagedRows::File(path) => {
+                    let bytes = || (set.members.len(), std::fs::read(path).unwrap());
+                    out.files.entry(id).or_insert_with(bytes);
+                }
             }
         }
         for f in fulfilled {

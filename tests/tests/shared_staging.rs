@@ -10,7 +10,7 @@
 //! lease) or rescans the server every round. The drive is single-threaded
 //! round-robin, so every counter is exact.
 
-use scaleclass::{Backend, CatalogStats, MiddlewareConfig, NodeId, Session};
+use scaleclass::{Backend, CatalogStats, FileStagingPolicy, MiddlewareConfig, NodeId, Session};
 use scaleclass_sqldb::CODE_BYTES;
 use scaleclass_tests::{load, small_tree_workload};
 use std::sync::Arc;
@@ -94,4 +94,37 @@ fn catalog_on_the_table_is_staged_once_for_all_sessions() {
     assert_eq!(memory, K as u64 * ROUNDS - 1, "every other read is a hit");
     assert_eq!(catalog.publishes, 1, "the table is staged exactly once");
     assert_eq!(catalog.hits as usize, K - 1, "every later session hits");
+}
+
+/// With a staging directory set, the catalog's directory lives under it,
+/// so a session's finished file moves into the catalog by a rename within
+/// one filesystem; the backend's drop removes it again.
+#[test]
+fn the_catalog_directory_lives_under_the_staging_dir() {
+    let (schema, rows, _) = small_tree_workload();
+    let dir = std::env::temp_dir().join(format!("scaleclass-catalog-home-{}", std::process::id()));
+    let cfg = MiddlewareConfig::builder()
+        .staging_dir(&dir)
+        .shared_staging(true)
+        .file_policy(FileStagingPolicy::PerNode)
+        .memory_caching(false)
+        .build();
+    let backend = Arc::new(Backend::new(load(&schema, &rows), "d", "class", cfg).unwrap());
+    let catalog_dir = backend.catalog().dir().to_path_buf();
+    assert!(
+        catalog_dir.starts_with(&dir),
+        "{catalog_dir:?} is not under {dir:?}"
+    );
+
+    let mut sess = Session::open(Arc::clone(&backend)).unwrap();
+    serve_root(&mut sess, backend.table_rows());
+    assert_eq!(backend.catalog().stats().publishes, 1);
+    let published = std::fs::read_dir(&catalog_dir).unwrap().count();
+    assert_eq!(published, 1, "the staged file lives in the catalog dir");
+
+    drop(sess);
+    drop(backend);
+    assert!(!catalog_dir.exists(), "the catalog's drop removes its dir");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    std::fs::remove_dir(&dir).unwrap();
 }
