@@ -1231,6 +1231,81 @@ impl CountsTable {
             class_totals,
         })
     }
+
+    /// Rows per class code, `n_classes` wide, read exactly off this dense
+    /// table (§4.2.1): `[0]` of its child on `attr = value`, `[1]` of the
+    /// whole node. `None` when the table is sparse or does not track
+    /// `attr`.
+    pub(crate) fn class_split(&self, attr: u16, value: Code) -> Option<[Vec<u64>; 2]> {
+        let CcRepr::Dense(d) = &self.repr else {
+            return None;
+        };
+        let width = d.layout.n_classes as usize;
+        let with =
+            (d.attr_rows(attr)?.nth(usize::from(value))).map_or(vec![0; width], <[_]>::to_vec);
+        let mut all = vec![0; width];
+        for (&class, &n) in &self.class_totals {
+            if let Some(slot) = all.get_mut(usize::from(class)) {
+                *slot = n;
+            }
+        }
+        Some([with, all])
+    }
+
+    /// Complete a table a scan counted in the classes `counted` marks only
+    /// (DESIGN.md §12b): add `parent`'s slots, class totals and rows in
+    /// every other class, in each attribute this table tracks. When the
+    /// node's complement in its parent holds no row of those classes, every
+    /// such row of the parent is the node's, so there the node's table
+    /// *is* the parent's, and the result is the table counting every class
+    /// builds. A class past `counted` is counted. Returns the rows copied.
+    ///
+    /// # Errors
+    ///
+    /// [`MwError::Internal`] when the tables do not line up — either is
+    /// sparse, their class axes differ, or the parent does not track an
+    /// attribute of this table at its cardinality: `parent` is not the
+    /// node's parent's table.
+    pub(crate) fn complete(&mut self, parent: &CountsTable, counted: &[bool]) -> MwResult<u64> {
+        let mismatch =
+            || MwError::Internal("a sliced table does not line up with its parent's".into());
+        let (CcRepr::Dense(own), CcRepr::Dense(p)) = (&mut self.repr, &parent.repr) else {
+            return Err(mismatch());
+        };
+        if own.layout.n_classes != p.layout.n_classes {
+            return Err(mismatch());
+        }
+        let copied = |class: usize| !counted.get(class).copied().unwrap_or(true);
+        let width = own.layout.n_classes as usize;
+        let layout = Arc::clone(&own.layout);
+        let mut newly = 0;
+        for &attr in &layout.attrs {
+            let (Some(mine), Some(theirs)) = (own.attr_slots_mut(attr), p.attr_slots(attr)) else {
+                return Err(mismatch());
+            };
+            if mine.len() != theirs.len() {
+                return Err(mismatch());
+            }
+            for (row, from) in mine.chunks_exact_mut(width).zip(theirs.chunks_exact(width)) {
+                for (class, (n, &m)) in row.iter_mut().zip(from).enumerate() {
+                    if m != 0 && copied(class) {
+                        newly += usize::from(*n == 0);
+                        *n += m;
+                    }
+                }
+            }
+        }
+        own.occupied += newly;
+        let mut rows = 0;
+        for (&class, &n) in &parent.class_totals {
+            if copied(usize::from(class)) {
+                *self.class_totals.entry(class).or_insert(0) += n;
+                rows += n;
+            }
+        }
+        self.total += rows;
+        Ok(rows)
+    }
 }
 
 /// Where the counted sibling of a derived child sits in their parent's
@@ -2214,6 +2289,77 @@ mod tests {
             "a `≠` sibling must track the split attribute"
         );
         assert!(derive(&parent, &eq, &[0, 5], edge).is_err(), "untracked");
+    }
+
+    /// A child counted only in the classes its complement holds, then
+    /// completed from its parent, is the table counting every class builds,
+    /// slot for slot: an `=` child, a `≠` child that tracks the split
+    /// attribute (its own value's row stays empty), one whose complement
+    /// is pure (nothing counted at all), and a multiway `=` child.
+    #[test]
+    fn a_sliced_count_completed_from_the_parent_is_the_full_count() {
+        // `a` picks the classes: 0 → {0, 1}, 1 → {1, 2}, 2 → {3}.
+        let rows: Vec<[Code; 3]> = (0..90u16)
+            .map(|r| {
+                let a = r % 3;
+                [a, (r * 7 / 3) % 4, [r % 2, 1 + r % 2, 3][usize::from(a)]]
+            })
+            .collect();
+        let over = |attrs: &[u16], rows: &mut dyn Iterator<Item = &[Code; 3]>| {
+            let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
+            let mut cc = CountsTable::new_dense(&cards, 4);
+            rows.for_each(|row| cc.add_row(row, attrs, 2));
+            cc
+        };
+        let parent = over(&[0, 1], &mut rows.iter());
+        // (edge value, `=`, the child's attributes, the classes copied).
+        let children: [(Code, bool, &[u16], &[Code]); 4] = [
+            (0, true, &[1], &[0]),
+            (0, false, &[0, 1], &[2, 3]),
+            (2, false, &[0, 1], &[0, 1, 2]),
+            (1, true, &[0, 1], &[2]),
+        ];
+        for (value, eq, attrs, copied) in children {
+            let what = format!("a {} {value}", if eq { "=" } else { "≠" });
+            let mine = |r: &&[Code; 3]| (r[0] == value) == eq;
+            let complement: Vec<Code> = (rows.iter().filter(|r| !mine(r))).map(|r| r[2]).collect();
+            let counted: Vec<bool> = (0..4).map(|k| complement.contains(&k)).collect();
+            let [with, all] = parent.class_split(0, value).unwrap();
+            let child_rows: Vec<u64> = match eq {
+                true => with,
+                false => all.iter().zip(&with).map(|(n, m)| n - m).collect(),
+            };
+            let full = over(attrs, &mut rows.iter().filter(mine));
+            let mut sliced = over(
+                attrs,
+                &mut (rows.iter().filter(mine)).filter(|r| counted[usize::from(r[2])]),
+            );
+            let copied_rows = sliced.complete(&parent, &counted).unwrap();
+            assert_eq!(sliced, full, "{what}");
+            assert_eq!(sliced.entries(), full.entries(), "{what}");
+            assert_eq!(
+                sliced.memory_bytes(),
+                sliced.shadow_memory_bytes(),
+                "{what}"
+            );
+            let expected: u64 = copied.iter().map(|&k| child_rows[usize::from(k)]).sum();
+            assert!(expected > 0, "{what}: copies a class");
+            assert_eq!(copied_rows, expected, "{what}");
+            let mut distribution = vec![0; 4];
+            for (k, n) in sliced.class_distribution() {
+                distribution[usize::from(k)] = n;
+            }
+            assert_eq!(
+                distribution, child_rows,
+                "{what}: S_k off the parent's table"
+            );
+        }
+        let mut sparse = table_from(&rows);
+        assert!(sparse.complete(&parent, &[true; 4]).is_err());
+        let mut other = over(&[0, 1], &mut rows.iter().take(3));
+        assert!(other
+            .complete(&over(&[1], &mut rows.iter()), &[false; 4])
+            .is_err());
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! sibling's (DESIGN.md §12b) counts none of that node's rows, so a
 //! server scan keeps the quote true by leaving such a node's `S_i` out of
 //! the union — unless a staging tee still wants its rows
-//! (`BatchCounter::pushdown`, the one place that decides). A §4.3.3
-//! auxiliary structure is still built from every node's path: the
-//! derived node's children read it later.
+//! (`BatchCounter::pushdown`, the one place that decides). A node counted
+//! only in the classes its sibling shares (DESIGN.md §12b) keeps its `S_i`
+//! cut to those classes there, under the same condition. A §4.3.3
+//! auxiliary structure is still built from every node's whole path: the
+//! derived and sliced nodes' children read it later.
 
 use crate::request::CcRequest;
 use scaleclass_sqldb::Pred;

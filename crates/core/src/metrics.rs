@@ -131,6 +131,21 @@ pub struct MiddlewareStats {
     /// table's epoch moved, or a layout did not cover its range
     /// certificate — and counted instead.
     pub derivations_refused: u64,
+    /// Nodes a batch counted only in the classes their complement in the
+    /// parent holds, then completed from the parent's exact table in every
+    /// other class (DESIGN.md §12b). Deterministic for a given client, as
+    /// `derived_nodes` is.
+    pub sliced_nodes: u64,
+    /// Rows the server never shipped because they lie in a class a sliced
+    /// node copies from its parent: the copied rows of the sliced nodes a
+    /// server scan's pushed-down filter cut to the classes they count (no
+    /// tee read their rows). With `derived_rows_unshipped`, exactly the
+    /// rows a client that never derives nor slices ships more.
+    pub sliced_rows_unshipped: u64,
+    /// Pinned parents whose two children — a binary split's — the session
+    /// scheduled in different batches, so neither could be derived from the
+    /// other.
+    pub split_pairs: u64,
     /// Server statistics attributable to building auxiliary structures
     /// (so experiments can report the "idealized" §5.2.5 number that
     /// neglects index build cost).

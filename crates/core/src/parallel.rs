@@ -399,8 +399,8 @@ impl RowSink {
         let batch = &mut self.batch;
         batch.certify(certificate);
         batch.epoch = epoch;
-        let deriving = batch.nodes.iter().any(|n| n.derive.is_some());
-        let proved = (self.workers > 1 || deriving) && batch.cannot_reach_budget(rows);
+        let planned = (batch.nodes.iter()).any(|n| n.derive.is_some() || n.slice.is_some());
+        let proved = (self.workers > 1 || planned) && batch.cannot_reach_budget(rows);
         batch.settle_derivations(proved, epoch);
         if proved && self.workers > 1 {
             let scan = ParallelScan::new(&self.batch, self.workers, self.block_rows);
@@ -468,7 +468,7 @@ mod tests {
     use super::*;
     use crate::cc::{CountsTable, SiblingEdge, CC_ENTRY_BYTES};
     use crate::request::{CcRequest, Lineage, NodeId};
-    use crate::siblings::Derivation;
+    use crate::siblings::{Derivation, Slice};
     use scaleclass_sqldb::Pred;
     use std::sync::Arc;
 
@@ -1124,6 +1124,91 @@ mod tests {
             assert_eq!(stats.parallel_scans, u64::from(workers > 1), "{what}");
         }
         assert_eq!(Arc::strong_count(&parent), 1, "no plan outlives its batch");
+    }
+
+    /// A child whose complement holds class 0 only — every `a = 0` row is
+    /// class 0 — is counted only in class 0 under the proof, on one worker
+    /// or four: the pushed-down filter ships just those rows, the class-1
+    /// slots are copied from the parent after the scan, and the table is
+    /// the one counting every row builds. A node that tees into a memory
+    /// set is still sliced, but shipped whole: its set gets every row. A
+    /// scan whose proof fails, or whose table moved on since the parent was
+    /// counted, slices nothing: it ships and counts every row of the node.
+    #[test]
+    fn a_slice_stands_under_the_proof_and_ships_only_the_classes_it_counts() {
+        let data: Vec<[Code; 3]> = (rows(700, 67).into_iter())
+            .map(|[a, b, k]| [a, b, if a == 0 { 0 } else { k }])
+            .collect();
+        let mut root = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+        for r in &data {
+            root.add_row(r, &[0, 1], 2);
+        }
+        let parent = Arc::new(root);
+        let node = || {
+            let mut node = NodeCounter::new(request(2, Pred::NotEq { col: 0, value: 0 }));
+            node.cc = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+            node
+        };
+        let mine: Vec<[Code; 3]> = data.iter().filter(|r| r[0] != 0).copied().collect();
+        let class_rows = |k| mine.iter().filter(|r| r[2] == k).count() as u64;
+        let (counted, _) = sunk(vec![node()], 1, u64::MAX, 0, &mine);
+        let most = counted.memory_in_use();
+        for (workers, budget, epoch, slices, tees) in [
+            (1, u64::MAX, 0, true, false),
+            (4, u64::MAX, 0, true, false),
+            (4, u64::MAX, 0, true, true),
+            (1, most, 0, false, false),
+            (4, u64::MAX, 1, false, false),
+        ] {
+            let what = format!("{workers} workers, budget {budget}, epoch {epoch}, tee {tees}");
+            let mut sliced = node();
+            if tees {
+                sliced.mem_buffer = Some(Vec::new());
+            }
+            sliced.slice = Some(Slice {
+                parent: Arc::clone(&parent),
+                counted: vec![true, false],
+                rows: vec![class_rows(0), class_rows(1)],
+                epoch: 0,
+            });
+            let config = MiddlewareConfig::builder()
+                .scan_workers(workers)
+                .scan_block_rows(16)
+                .build();
+            let batch = BatchCounter::new(vec![sliced], budget, 0, ARITY);
+            let mut sink = RowSink::new(batch, &config);
+            sink.certify(&CERT, data.len() as u64, epoch);
+            let filter = sink.pushdown();
+            let shipped: Vec<[Code; 3]> = data
+                .iter()
+                .filter(|r| filter.eval(&r[..]))
+                .copied()
+                .collect();
+            let mut stats = MiddlewareStats::new();
+            feed(&mut sink, &shipped, &mut stats);
+            let batch = sink.finish(&mut stats).unwrap();
+            batch.assert_shadow_accounting();
+            assert_eq!(batch.nodes[0].cc, counted.nodes[0].cc, "{what}");
+            if let Some(buf) = &batch.nodes[0].mem_buffer {
+                assert_eq!(
+                    buf.len(),
+                    mine.len() * ARITY,
+                    "{what}: the tee got every row"
+                );
+            } else {
+                assert_eq!(batch.memory_in_use(), most, "{what}");
+            }
+            let unshipped = if slices && !tees { class_rows(1) } else { 0 };
+            assert!(class_rows(0) > 0 && class_rows(1) > 0);
+            assert_eq!(
+                shipped.len() as u64 + unshipped,
+                mine.len() as u64,
+                "{what}"
+            );
+            assert_eq!(stats.sliced_nodes, u64::from(slices), "{what}");
+            assert_eq!(stats.sliced_rows_unshipped, unshipped, "{what}");
+        }
+        assert_eq!(Arc::strong_count(&parent), 1, "no slice outlives its batch");
     }
 
     /// A server scan pushes down the paths of the nodes it counts or

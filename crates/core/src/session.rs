@@ -43,7 +43,7 @@ use crate::parallel::RowSink;
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use crate::sample::{BlockSampler, SampledLedger, SampledScan};
 use crate::scheduler::{schedule, BatchPlan};
-use crate::siblings::{Derivation, Parents};
+use crate::siblings::{Parents, Plan};
 use crate::source::{admitted_ranges, BlockSource, SourceBlock};
 use crate::sqlgen::cc_via_sql;
 use crate::staging::{StagedRows, StagingManager};
@@ -766,8 +766,8 @@ impl Session {
 
         let lease_bytes = self.lease_bytes();
         self.reconcile_lease(lease_bytes);
-        // A parent's table serves only children still both pending, at the
-        // epoch it was counted at.
+        // A parent's table serves only while one of its children is still
+        // pending, at the epoch it was counted at.
         let backend = &self.backend;
         self.parents.retain(&self.pending, || backend.table_epoch());
         #[cfg(debug_assertions)]
@@ -795,8 +795,8 @@ impl Session {
         // paper observes the techniques only apply once the active data set
         // has genuinely shrunk.
         let frontier_rows = plan.relevant_rows() + self.pending.iter().map(|r| r.rows).sum::<u64>();
-        let derivations = self.parents.plan(&plan.nodes, sampled_tag.is_none());
-        let batch = self.build_counters(plan, lease_bytes, derivations)?;
+        let plans = (self.parents).plan(&plan.nodes, sampled_tag.is_none(), &mut self.stats);
+        let batch = self.build_counters(plan, lease_bytes, plans)?;
         // Serial or parallel counting behind one block interface — the
         // scan loop never knows which one runs; the sink decides when the
         // scan certifies it.
@@ -880,15 +880,15 @@ impl Session {
     // Batch assembly and scanning
     // ------------------------------------------------------------------
 
-    /// The batch's counting pass over `plan`, `derivations` aligned with
-    /// its nodes. A node planned for derivation is built dense, as it was
+    /// The batch's counting pass over `plan`, `plans` aligned with its
+    /// nodes. A node planned for derivation is built dense, as it was
     /// scheduled, but its table is allocated only when it is derived — or
     /// when the scan cannot keep the plan and counts it.
     fn build_counters(
         &mut self,
         plan: BatchPlan,
         lease_bytes: u64,
-        derivations: Vec<Option<Derivation>>,
+        plans: Vec<Plan>,
     ) -> MwResult<BatchCounter> {
         let source = plan.source;
         let split = if plan.split_file {
@@ -902,12 +902,11 @@ impl Session {
             None
         };
         let mut counters = Vec::with_capacity(plan.nodes.len());
-        for (sched, derive) in plan.nodes.into_iter().zip(derivations) {
+        for (sched, Plan { derive, slice }) in plan.nodes.into_iter().zip(plans) {
             let mut counter = NodeCounter::new(sched.req);
+            (counter.derive, counter.slice) = (derive, slice);
             counter.bound = self.parents.take_bound(counter.req.node());
-            if derive.is_some() {
-                counter.derive = derive;
-            } else if sched.dense {
+            if counter.derive.is_none() && sched.dense {
                 // Slot arrays are sized by *schema* cardinalities — the
                 // true code bounds — never by the node-local distinct
                 // counts in `parent_cards`, which child codes can exceed.
