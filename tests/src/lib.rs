@@ -1,5 +1,7 @@
 //! Shared fixtures for the cross-crate integration tests.
 
+pub mod client;
+
 use proptest::prelude::*;
 use scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES;
 use scaleclass::{CountsTable, FileStagingPolicy, Middleware, MiddlewareConfig};
