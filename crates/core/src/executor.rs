@@ -194,6 +194,14 @@ pub struct BatchCounter {
     pub nodes: Vec<NodeCounter>,
     /// Hybrid split output: rows matching *any* scheduled node.
     pub split_writer: Option<FileWriter>,
+    /// The memory-tier twin of the split file, when the batch compacts its
+    /// memory source (`BatchPlan::compact_mem`): the source offsets of the
+    /// rows matching any scheduled node, in source order. Scan scratch,
+    /// like the router's arena — 4 B a kept row, not charged to the budget.
+    pub kept: Option<Vec<u32>>,
+    /// Source offset of the next row the scan feeds, advanced while `kept`
+    /// records.
+    next_row: u32,
     /// Previously staged memory sets that may be evicted under counting
     /// pressure (`(id, bytes)`, consumed in order). Counting memory always
     /// outranks cached data: an evicted set costs one extra scan later, a
@@ -527,6 +535,8 @@ impl BatchCounter {
         BatchCounter {
             nodes,
             split_writer: None,
+            kept: None,
+            next_row: 0,
             evictable: Vec::new(),
             evicted: Vec::new(),
             budget,
@@ -649,6 +659,12 @@ impl BatchCounter {
             if let Some(w) = self.split_writer.as_mut() {
                 w.push(row)?;
             }
+        }
+        if let Some(kept) = self.kept.as_mut() {
+            if any_matched {
+                kept.push(self.next_row);
+            }
+            self.next_row += 1;
         }
         stats.observe_memory(self.memory_in_use());
         Ok(())
@@ -972,16 +988,17 @@ impl BatchCounter {
     }
 
     /// Route `block` once into per-node selection vectors — and, when the
-    /// batch writes a split file, the rows some node took — for
-    /// [`BatchCounter::tee`] and the kernel to read.
+    /// batch writes a split file or compacts its source, the rows some node
+    /// took — for [`BatchCounter::tee`] and the kernel to read.
     pub(crate) fn route(&mut self, block: &impl Block) {
-        self.pass
-            .route(&self.router, block, self.split_writer.is_some());
+        let mark_any = self.split_writer.is_some() || self.kept.is_some();
+        self.pass.route(&self.router, block, mark_any);
     }
 
     /// Serve the staging tees from the last routed block's selections, in
     /// row order: a file tee takes its node's selection column by column,
-    /// a memory buffer row by row, the split file every row some node took.
+    /// a memory buffer row by row, the split file every row some node took,
+    /// and the kept rows of a compaction their source offsets.
     /// The one tee body: the serial block path calls it after counting, the
     /// coordinator of a parallel scan (whose workers have no tees) once per
     /// source block.
@@ -1005,6 +1022,11 @@ impl BatchCounter {
         }
         if let Some(w) = self.split_writer.as_mut() {
             w.push_selected(block, self.pass.any())?;
+        }
+        if let Some(kept) = self.kept.as_mut() {
+            let at = self.next_row;
+            kept.extend(self.pass.any().iter().map(|&r| at + r));
+            self.next_row += block.nrows() as u32;
         }
         Ok(())
     }
@@ -1270,6 +1292,7 @@ mod tests {
                     .unwrap(),
             );
             batch.batch_kernel = kernel;
+            batch.kept = Some(Vec::new());
             let mut stats = MiddlewareStats::new();
             // Two blocks, so tees append across block boundaries.
             for block in flat.chunks(4 * ARITY) {
@@ -1278,10 +1301,17 @@ mod tests {
             batch.assert_shadow_accounting();
             let counts: Vec<CountsTable> = batch.nodes.iter().map(|n| n.cc.clone()).collect();
             let memory = batch.memory_in_use();
-            (counts, memory, tee_outputs(batch, &mut staging), stats)
+            let kept = batch.kept.take();
+            (
+                counts,
+                memory,
+                kept,
+                tee_outputs(batch, &mut staging),
+                stats,
+            )
         };
-        let (row_counts, row_memory, row_tees, row_stats) = run(false);
-        let (counts, memory, tees, stats) = run(true);
+        let (row_counts, row_memory, row_kept, row_tees, row_stats) = run(false);
+        let (counts, memory, kept, tees, stats) = run(true);
         assert_eq!(row_stats.blocks_counted, 0);
         assert!(
             stats.blocks_counted > 0,
@@ -1292,6 +1322,9 @@ mod tests {
         assert_eq!(memory, row_memory);
         assert_eq!(stats.peak_memory_bytes, row_stats.peak_memory_bytes);
         assert_eq!(tees, row_tees, "memory buffer, node file and split file");
+        // A compaction keeps the split file's rows, by source offset.
+        assert_eq!(kept, row_kept);
+        assert_eq!(kept, Some(vec![1, 2, 3, 4, 5]));
         // Rows 2 and 3 satisfy two nodes each: counted into both (seven
         // counts over five matching rows), written to the split file once.
         assert_eq!(counts.iter().map(CountsTable::total).sum::<u64>(), 7);

@@ -48,8 +48,12 @@ pub struct MiddlewareStats {
     /// change (or a shared-staging attach) left more bytes staged than the
     /// session's current lease.
     pub lease_shrink_evictions: u64,
-    /// Rows staged into middleware memory.
+    /// Rows copied into new middleware memory sets.
     pub memory_rows_staged: u64,
+    /// Rows a memory set kept when a scan compacted it in place to the
+    /// rows its batch took (`StagingManager::compact_mem`): each moves
+    /// once inside the set's buffer.
+    pub memory_rows_compacted: u64,
     /// Nodes that hit the §4.1.1 dynamic switch to SQL-based counting.
     pub sql_fallbacks: u64,
     /// Auxiliary structures built (§4.3.3).
@@ -206,6 +210,7 @@ impl MiddlewareStats {
             .saturating_add(self.file_rows_written.saturating_mul(w.file_row_written))
             .saturating_add(self.memory_rows_read.saturating_mul(w.mem_row))
             .saturating_add(self.memory_rows_staged.saturating_mul(w.mem_row))
+            .saturating_add(self.memory_rows_compacted.saturating_mul(w.mem_row))
             .saturating_add(self.files_created.saturating_mul(w.file_created))
     }
 }

@@ -118,8 +118,9 @@ mod tests {
         assert!(mw.stats().scan_nanos > 0, "scan wall-clock is recorded");
 
         // A child request is served from memory, with zero extra server work.
+        let r2_lineage = lineage.child(NodeId(1), Pred::Eq { col: 0, value: 1 });
         let child = CcRequest {
-            lineage: lineage.child(NodeId(1), Pred::Eq { col: 0, value: 1 }),
+            lineage: r2_lineage.clone(),
             attrs: vec![1],
             class_col: 2,
             rows: 20,
@@ -141,6 +142,25 @@ mod tests {
             80,
             "memory scan reads the whole staged parent set"
         );
+        // Nothing else waits on the set and 2·20 ≤ 80: it shrinks in place
+        // to the child's rows, so a grandchild's scan reads only those.
+        assert_eq!(mw.stats().memory_rows_compacted, 20);
+        assert_eq!(mw.staged_mem_bytes(), 20 * 3 * CODE_BYTES as u64);
+        let grandchild = CcRequest {
+            lineage: r2_lineage.child(NodeId(2), Pred::Eq { col: 1, value: 0 }),
+            attrs: vec![0],
+            class_col: 2,
+            rows: 7,
+            parent_rows: 20,
+            parent_cards: vec![1],
+        };
+        mw.enqueue(grandchild).unwrap();
+        let r3 = mw.process_next_batch().unwrap();
+        assert_eq!(r3[0].source, r2[0].source, "the same set, compacted");
+        assert_eq!(r3[0].cc.total(), 7);
+        assert_eq!(mw.stats().memory_scans, 2);
+        assert_eq!(mw.stats().memory_rows_read, 80 + 20);
+        assert_eq!(mw.stats().server_scans, 1);
     }
 
     #[test]

@@ -152,7 +152,8 @@ impl Pipeline {
 pub(crate) struct ParallelScan {
     /// Worker threads to run.
     workers: usize,
-    /// Does the batch tee at all (a file or memory tee, or the split file)?
+    /// Does the batch tee at all (a file or memory tee, the split file, or
+    /// the kept rows of a compaction)?
     teeing: bool,
     pipeline: Option<Pipeline>,
     /// Workers that have finished: the sharded readers, in range order.
@@ -169,6 +170,7 @@ impl ParallelScan {
     /// `ParallelScan::scan_extent_file` spawns reader threads instead.
     fn new(batch: &BatchCounter, workers: usize, block_rows: usize) -> Self {
         let teeing = batch.split_writer.is_some()
+            || batch.kept.is_some()
             || (batch.nodes.iter()).any(|n| n.file_writer.is_some() || n.mem_buffer.is_some());
         let block_codes = block_rows.max(1) * batch.arity;
         ParallelScan {
@@ -581,6 +583,36 @@ mod tests {
                 assert_eq!(s.cc, p.cc, "{workers} workers, block {block}");
                 assert_eq!(s.cc.total(), p.cc.total());
             }
+        }
+    }
+
+    /// A compacting batch keeps the same rows, in source order, whether it
+    /// counts serially or on the channel pipeline's workers, which never
+    /// see the list: the coordinator records it as it tees each block.
+    #[test]
+    fn a_compaction_keeps_the_same_rows_on_any_worker_count() {
+        let data = rows(3000, 7);
+        let kept = |workers: usize, block_rows: usize| {
+            let mut batch = BatchCounter::new(nodes().split_off(1), u64::MAX, 0, ARITY);
+            batch.kept = Some(Vec::new());
+            let mut stats = MiddlewareStats::new();
+            let mut sink = certified(batch, workers, block_rows, data.len());
+            for part in data.chunks(500) {
+                feed(&mut sink, part, &mut stats);
+            }
+            let batch = sink.finish(&mut stats).unwrap();
+            assert_eq!(stats.parallel_scans, u64::from(workers > 1));
+            batch.kept.unwrap()
+        };
+        let expected: Vec<u32> = (0..)
+            .zip(&data)
+            .filter(|(_, r)| r[0] <= 1 || r[1] != 3)
+            .map(|(i, _)| i)
+            .collect();
+        assert!(expected.len() < data.len());
+        assert_eq!(kept(1, 64), expected);
+        for (workers, block_rows) in [(2, 64), (3, 17), (4, 1), (4, 4096)] {
+            assert_eq!(kept(workers, block_rows), expected, "{workers} workers");
         }
     }
 

@@ -57,6 +57,11 @@ pub struct BatchPlan {
     /// write one new smaller file holding the union of the scheduled
     /// nodes' rows, replacing their claim on the big file.
     pub split_file: bool,
+    /// The memory-tier twin of `split_file`: the batch holds all the work
+    /// left on its private memory source, so the scan records the rows
+    /// its nodes take and the set shrinks in place to them, handed to the
+    /// batch's nodes (`StagingManager::compact_mem`).
+    pub compact_mem: bool,
     /// Serve this batch from a block-level sample instead of a full scan
     /// (DESIGN.md §13). Sampled batches never stage or split files — a
     /// partial scan would silently truncate the staged set.
@@ -224,6 +229,7 @@ pub fn schedule(
         source,
         nodes: scheduled,
         split_file: false,
+        compact_mem: false,
         sampled: None,
     };
     // Escalation double-count guard: a node's sampled CC bytes must be
@@ -261,6 +267,7 @@ pub fn schedule(
         arity,
         lease_bytes,
     );
+    plan.compact_mem = compacts(&plan, staging, pending);
     Some(plan)
 }
 
@@ -373,7 +380,8 @@ fn decide_staging(
     }
     // Data already in middleware memory (an ancestor's set) is never
     // re-staged: scanning it is already the cheapest access, and copying
-    // subsets would duplicate rows against the budget.
+    // subsets would duplicate rows against the budget. The set shrinks in
+    // place instead, once no other request needs its rows (`compacts`).
     if matches!(plan.source, DataLocation::Memory(_)) {
         return;
     }
@@ -414,6 +422,29 @@ fn decide_staging(
             remaining = remaining.saturating_sub(bytes);
         }
     }
+}
+
+/// Should this exact batch compact its memory source in place to the rows
+/// its nodes take? Only a private set (a catalog entry is never
+/// rewritten), only when no request left in `pending` descends from a
+/// member of the set (the set keeps no row for it), and only when the
+/// move pays for itself on the very next scan: moving the `r` kept rows
+/// costs `r` memory rows, the next scan of the set reads `n − r` fewer,
+/// so `2r ≤ n`.
+fn compacts(plan: &BatchPlan, staging: &StagingManager, pending: &[CcRequest]) -> bool {
+    let DataLocation::Memory(id) = plan.source else {
+        return false;
+    };
+    let Some(set) = staging.set(id) else {
+        return false;
+    };
+    let serves_pending = pending
+        .iter()
+        .any(|r| set.members.iter().any(|&m| r.lineage.contains(m)));
+    set.shared.is_none()
+        && !serves_pending
+        && u32::try_from(set.nrows).is_ok()
+        && plan.relevant_rows().saturating_mul(2) <= set.nrows
 }
 
 #[cfg(test)]

@@ -890,7 +890,7 @@ impl Session {
         lease_bytes: u64,
         plans: Vec<Plan>,
     ) -> MwResult<BatchCounter> {
-        let source = plan.source;
+        let (source, compact) = (plan.source, plan.compact_mem);
         let split = if plan.split_file {
             let members = plan.node_ids();
             let preds: Vec<Pred> = plan.nodes.iter().map(|n| n.req.pred().clone()).collect();
@@ -952,6 +952,7 @@ impl Session {
             self.backend.arity,
         );
         batch.split_writer = split;
+        batch.kept = compact.then(Vec::new);
         batch.batch_kernel = self.backend.config.batch_kernel;
         let source_set = match source {
             DataLocation::Memory(id) => Some(id),
@@ -1231,6 +1232,7 @@ impl Session {
         let BatchCounter {
             nodes,
             split_writer,
+            kept,
             evicted,
             epoch,
             ..
@@ -1241,6 +1243,11 @@ impl Session {
         }
         if let Some(w) = split_writer {
             self.staging.commit_file(w, &mut self.stats)?;
+        }
+        if let (Some(kept), DataLocation::Memory(id)) = (kept, source) {
+            let members: Vec<&Lineage> = nodes.iter().map(|n| &n.req.lineage).collect();
+            self.staging
+                .compact_mem(id, &kept, &members, &mut self.stats)?;
         }
         let mut out = Vec::with_capacity(nodes.len());
         for counter in nodes {
@@ -1819,5 +1826,100 @@ mod tests {
         assert_eq!(s.parents.pending_bounds(), 2);
         s.run_to_completion(|_| Vec::new()).unwrap();
         assert_eq!(s.parents.pending_bounds(), 0);
+    }
+
+    /// A session over 80 rows whose root's exact scan staged them in
+    /// memory, and the root's request.
+    fn staged_root(config: MiddlewareConfig) -> (Session, CcRequest) {
+        let mut s = Session::open(backend(80, config)).unwrap();
+        let root = s.root_request(NodeId(0));
+        s.enqueue(root.clone()).unwrap();
+        s.process_next_batch().unwrap();
+        assert_eq!(s.stats().memory_sets_created, 1);
+        (s, root)
+    }
+
+    /// The root's child on `a = value`: 20 of its 80 rows.
+    fn child_on_a(root: &CcRequest, value: u16) -> CcRequest {
+        let edge = Pred::Eq { col: 0, value };
+        CcRequest {
+            lineage: root.lineage.child(NodeId(1 + u64::from(value)), edge),
+            attrs: vec![1],
+            parent_cards: vec![3],
+            rows: 20,
+            parent_rows: 80,
+            ..root.clone()
+        }
+    }
+
+    /// A memory set shrinks only in a batch holding all the work left on
+    /// it: while a child the set serves waits outside the batch, the set
+    /// keeps every row; the batch that takes the last one compacts it.
+    #[test]
+    fn a_request_left_waiting_on_the_set_blocks_compaction() {
+        let cfg = MiddlewareConfig::builder().max_batch_nodes(Some(1)).build();
+        let (mut s, root) = staged_root(cfg);
+        for value in [0, 1] {
+            s.enqueue(child_on_a(&root, value)).unwrap();
+        }
+        s.process_next_batch().unwrap();
+        assert_eq!(s.stats().memory_rows_compacted, 0);
+        s.process_next_batch().unwrap();
+        assert_eq!(s.stats().memory_rows_compacted, 20);
+        assert_eq!(s.stats().memory_rows_read, 160);
+        assert_eq!(s.staged_mem_bytes(), 20 * (3 * CODE_BYTES) as u64);
+        s.assert_shadow_accounting();
+    }
+
+    /// Moving the kept rows must pay for itself on the next scan: a batch
+    /// taking more than half of the set (60 of 80 rows) leaves it whole.
+    #[test]
+    fn a_batch_taking_over_half_the_set_leaves_it_whole() {
+        let (mut s, root) = staged_root(MiddlewareConfig::default());
+        for value in 0..3 {
+            s.enqueue(child_on_a(&root, value)).unwrap();
+        }
+        let out = s.process_next_batch().unwrap();
+        assert_eq!(out.len(), 3);
+        assert_eq!(s.stats().memory_scans, 1);
+        assert_eq!(s.stats().memory_rows_compacted, 0);
+        assert_eq!(s.staged_mem_bytes(), 80 * (3 * CODE_BYTES) as u64);
+    }
+
+    /// A sampled batch reads only the blocks its sampler admits, so it
+    /// cannot know every row its nodes take: it leaves the set whole.
+    #[test]
+    fn a_sampled_batch_leaves_the_set_whole() {
+        let cfg = MiddlewareConfig::builder()
+            .sampled_counting(0.1)
+            .sampled_min_rows(0)
+            .scan_block_rows(4)
+            .build();
+        let mut s = Session::open(backend(80, cfg)).unwrap();
+        let root = s.root_request(NodeId(0));
+        s.enqueue(root.clone()).unwrap();
+        // The root's sampled scan stages nothing; escalated, it runs exact.
+        s.process_next_batch().unwrap();
+        assert!(s.escalate(NodeId(0)));
+        s.process_next_batch().unwrap();
+        assert_eq!(s.stats().memory_sets_created, 1);
+        s.enqueue(child_on_a(&root, 0)).unwrap();
+        s.process_next_batch().unwrap();
+        assert_eq!(s.stats().memory_scans, 1);
+        assert_eq!(s.stats().sampled_nodes, 2, "the child was sampled");
+        assert_eq!(s.stats().memory_rows_compacted, 0);
+    }
+
+    /// A catalog entry is never rewritten: other sessions may read it.
+    #[test]
+    fn a_catalog_shared_set_is_never_compacted() {
+        let cfg = MiddlewareConfig::builder().shared_staging(true).build();
+        let (mut s, root) = staged_root(cfg);
+        assert_eq!(s.backend.catalog().stats().publishes, 1);
+        s.enqueue(child_on_a(&root, 0)).unwrap();
+        s.process_next_batch().unwrap();
+        assert_eq!(s.stats().memory_scans, 1);
+        assert_eq!(s.stats().memory_rows_compacted, 0);
+        assert_eq!(s.staged_mem_bytes(), 80 * (3 * CODE_BYTES) as u64);
     }
 }

@@ -338,11 +338,13 @@ impl StagedRows {
 /// A staged copy of tree nodes' rows, in memory or in a file.
 ///
 /// `members` are the tree nodes whose data the set *fully* contains. A
-/// memory set has one member, its owner, and so does a per-node cache
-/// file; a split file produced by the hybrid policy (§4.3.2) contains the
-/// union of several scheduled nodes' rows and lists all of them. The set
-/// is usable by any descendant of any member, and reclaimable once no
-/// pending request descends from one.
+/// memory set is staged with one member, its owner, and a per-node cache
+/// file has one; a split file produced by the hybrid policy (§4.3.2)
+/// contains the union of several scheduled nodes' rows and lists all of
+/// them, and so does a memory set compacted to a batch's rows
+/// ([`StagingManager::compact_mem`]). The set is usable by any descendant
+/// of any member, and reclaimable once no pending request descends from
+/// one.
 #[derive(Debug)]
 pub struct StagedSet {
     /// Staging-manager id, unique across both tiers.
@@ -724,18 +726,7 @@ impl StagingManager {
     /// set's bytes go on the private counter.
     fn register(&mut self, mut set: StagedSet, stats: &mut MiddlewareStats) -> u64 {
         let (id, tier) = (set.id, set.tier());
-        for &m in &set.members {
-            let Some(old) = self.nodes_mut(tier).insert(m, id) else {
-                continue;
-            };
-            let emptied = self.sets.get_mut(&old).is_some_and(|old| {
-                old.members.retain(|&x| x != m);
-                old.members.is_empty()
-            });
-            if emptied {
-                self.delete(old, stats);
-            }
-        }
+        self.repoint(&set.members, id, tier, stats);
         if let Some(h) = &self.shared {
             let s = h.catalog.publish(
                 StagingCatalog::signature(&set.pred),
@@ -758,6 +749,79 @@ impl StagingManager {
         }
         self.sets.insert(id, set);
         id
+    }
+
+    /// Point each of `members` at set `id` of `tier`, taking it from the
+    /// set it pointed at before; a set left with no member is deleted.
+    fn repoint(&mut self, members: &[NodeId], id: u64, tier: Tier, stats: &mut MiddlewareStats) {
+        for &m in members {
+            let old = match self.nodes_mut(tier).insert(m, id) {
+                Some(old) if old != id => old,
+                _ => continue,
+            };
+            let emptied = self.sets.get_mut(&old).is_some_and(|old| {
+                old.members.retain(|&x| x != m);
+                old.members.is_empty()
+            });
+            if emptied {
+                self.delete(old, stats);
+            }
+        }
+    }
+
+    /// Shrink the private memory set `id` in place to the rows at offsets
+    /// `kept` (ascending, as a scan met them), and hand it from its members
+    /// to the nodes whose paths `members` are — the batch that scanned it,
+    /// whose rows `kept` are. The memory-tier twin of the hybrid split file
+    /// (§4.3.2): later scans of the members' descendants read only those
+    /// rows, the set's bytes fall, and nothing is copied — the rows move
+    /// down inside the one buffer. Charges `memory_rows_compacted`.
+    ///
+    /// # Errors
+    ///
+    /// [`MwError::Internal`] when `id` is no private memory set, another
+    /// handle holds its rows, or `kept` is not ascending within its rows.
+    pub fn compact_mem(
+        &mut self,
+        id: u64,
+        kept: &[u32],
+        members: &[&Lineage],
+        stats: &mut MiddlewareStats,
+    ) -> MwResult<()> {
+        let internal = |what: &str| Err(MwError::Internal(format!("memory set {id} {what}")));
+        let Some(set) = self.sets.get_mut(&id) else {
+            return internal("to compact is missing");
+        };
+        let (StagedRows::Memory(rows), None) = (&mut set.rows, set.shared) else {
+            return internal("to compact is not a private memory set");
+        };
+        let Some(rows) = Arc::get_mut(rows) else {
+            return internal("is held by another handle");
+        };
+        let ascending = kept.windows(2).all(|w| w[0] < w[1]);
+        if !ascending || kept.last().is_some_and(|&r| u64::from(r) >= set.nrows) {
+            return internal("keeps rows out of order or past its end");
+        }
+        let arity = set.arity;
+        for (to, &from) in kept.iter().enumerate() {
+            let from = from as usize * arity;
+            rows.copy_within(from..from + arity, to * arity);
+        }
+        rows.truncate(kept.len() * arity);
+        let before = set.bytes();
+        set.nrows = kept.len() as u64;
+        self.staged_bytes -= before - set.bytes();
+        set.pred = Pred::or(members.iter().map(|l| l.pred().clone()).collect());
+        let members: Vec<NodeId> = members.iter().map(|l| l.node()).collect();
+        let old = std::mem::replace(&mut set.members, members.clone());
+        stats.memory_rows_compacted += set.nrows;
+        for m in old {
+            if self.mem_of.get(&m) == Some(&id) {
+                self.mem_of.remove(&m);
+            }
+        }
+        self.repoint(&members, id, Tier::Memory, stats);
+        Ok(())
     }
 
     fn delete(&mut self, id: u64, stats: &mut MiddlewareStats) {
@@ -1585,6 +1649,79 @@ mod tests {
         assert_eq!(mem_rows(set).chunks_exact(set.arity).count(), 2);
         assert_eq!(m.staged_mem_bytes(), 8);
         assert_eq!(stats.memory_rows_staged, 2);
+    }
+
+    #[test]
+    fn compact_mem_keeps_the_batchs_rows_in_order_for_its_nodes() {
+        let mut m = mgr();
+        let mut stats = MiddlewareStats::new();
+        let root = Lineage::root(NodeId(0));
+        // Eight rows `[i, i % 4]` under the root; children on column 1.
+        let rows: Vec<Code> = (0..8u16).flat_map(|i| [i, i % 4]).collect();
+        let id = m.commit_mem(NodeId(0), Pred::True, rows, 2, &mut stats);
+        let child = |n: u64, v: u16| root.child(NodeId(n), Pred::Eq { col: 1, value: v });
+        let (one, three, two) = (child(1, 1), child(3, 3), child(2, 2));
+        m.compact_mem(id, &[1, 3, 5, 7], &[&one, &three], &mut stats)
+            .unwrap();
+
+        let set = m.set(id).unwrap();
+        assert_eq!(mem_rows(set).as_slice(), &[1, 1, 3, 3, 5, 1, 7, 3]);
+        assert_eq!((set.nrows, set.bytes()), (4, 16));
+        assert_eq!(set.members, vec![NodeId(1), NodeId(3)]);
+        assert_eq!(
+            set.pred,
+            Pred::or(vec![one.pred().clone(), three.pred().clone()])
+        );
+        assert!(
+            !m.holds(NodeId(0), Tier::Memory),
+            "the root no longer owns it"
+        );
+        assert!(m.holds(NodeId(1), Tier::Memory) && m.holds(NodeId(3), Tier::Memory));
+        assert_eq!(m.staged_mem_bytes(), 16);
+        m.assert_shadow_accounting();
+        assert_eq!(
+            (stats.memory_rows_compacted, stats.memory_rows_staged),
+            (4, 8)
+        );
+
+        // A member's descendant still reads the set; a non-member sibling
+        // (its rows are gone) goes back to the server.
+        let grand = one.child(NodeId(4), Pred::Eq { col: 0, value: 5 });
+        assert_eq!(m.best_location(&grand), DataLocation::Memory(id));
+        assert!(m.mem_covers(&grand));
+        assert_eq!(m.best_location(&two), DataLocation::Server);
+        // Once no pending request descends from a member, it is reclaimed.
+        m.evict_unreachable(&[dummy_request(grand)], &mut stats);
+        assert!(m.set(id).is_some());
+        m.evict_unreachable(&[dummy_request(two)], &mut stats);
+        assert!(m.set(id).is_none());
+        assert_eq!(m.staged_mem_bytes(), 0);
+    }
+
+    #[test]
+    fn compact_mem_refuses_what_it_cannot_rewrite() {
+        let mut m = mgr();
+        let mut stats = MiddlewareStats::new();
+        let root = Lineage::root(NodeId(0));
+        let id = m.commit_mem(NodeId(0), Pred::True, vec![0; 8], 2, &mut stats);
+        let internal = |r: MwResult<()>| matches!(r, Err(MwError::Internal(_)));
+        // Out of order, or past the set's rows.
+        assert!(internal(m.compact_mem(id, &[2, 1], &[&root], &mut stats)));
+        assert!(internal(m.compact_mem(id, &[4], &[&root], &mut stats)));
+        // A second handle on the rows (a scan still reading them).
+        let reader = Arc::clone(mem_rows(m.set(id).unwrap()));
+        assert!(internal(m.compact_mem(id, &[0], &[&root], &mut stats)));
+        drop(reader);
+        // A staged file is not a memory set.
+        let mut w = m.start_file(vec![NodeId(5)], Pred::True, 2).unwrap();
+        w.push(&[0, 0]).unwrap();
+        let file = m.commit_file(w, &mut stats).unwrap();
+        assert!(internal(m.compact_mem(file, &[0], &[&root], &mut stats)));
+        assert_eq!(
+            (m.set(id).unwrap().nrows, stats.memory_rows_compacted),
+            (4, 0)
+        );
+        m.assert_shadow_accounting();
     }
 
     #[test]

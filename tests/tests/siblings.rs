@@ -176,11 +176,12 @@ fn linked_and_rebuilt(
 /// children's), extents, block rows, dense cap, file policy, caching,
 /// budget — the linked client reads every node's table the reference does
 /// and grows its tree, with its logical counters; and across the cases it
-/// derives and slices.
+/// derives, slices and compacts a memory set.
 #[test]
 fn linked_and_rebuilt_lineages_agree_over_the_matrix() {
     let derived = Cell::new(0u64);
     let sliced = Cell::new(0u64);
+    let compacted = Cell::new(0u64);
     let strategy = (small_table(), config_matrix(), 0u8..3);
     proptest::run_cases(
         &ProptestConfig::default(),
@@ -194,11 +195,40 @@ fn linked_and_rebuilt_lineages_agree_over_the_matrix() {
             })?;
             derived.set(derived.get() + builds.iter().map(|b| b.stats.derived_nodes).sum::<u64>());
             sliced.set(sliced.get() + builds.iter().map(|b| b.stats.sliced_nodes).sum::<u64>());
+            let kept = builds.iter().map(|b| b.stats.memory_rows_compacted);
+            compacted.set(compacted.get() + kept.sum::<u64>());
             Ok(())
         },
     );
     assert!(derived.get() > 0, "no configuration derived a table");
     assert!(sliced.get() > 0, "no configuration sliced a table");
+    assert!(
+        compacted.get() > 0,
+        "no configuration compacted a memory set"
+    );
+}
+
+/// A memory set shrinks with its frontier (DESIGN.md §8) where a batch
+/// holds all the work left on it, and the scans after it read only the
+/// rows their nodes took. The tables and the tree stay the reference's,
+/// and one worker and four keep the same rows.
+#[test]
+fn a_compacted_memory_set_serves_the_reference_tables() {
+    let (cards, rows) = shaped_table();
+    let table_rows = (rows.len() / cards.len()) as u64;
+    let mut logical_at = Vec::new();
+    for workers in [1, 4] {
+        let cfg = MiddlewareConfig::builder().scan_workers(workers).build();
+        let stats = linked_and_rebuilt(&cards, &rows, &cfg, 0).expect("agree")[0].stats;
+        assert!(stats.memory_rows_compacted > 0, "{workers} workers");
+        assert!(
+            stats.memory_rows_read < stats.memory_scans * table_rows,
+            "{workers} workers: every scan read the whole table"
+        );
+        assert_eq!(stats.parallel_scans > 0, workers > 1, "{workers} workers");
+        logical_at.push(logical(&stats));
+    }
+    assert_eq!(logical_at[0], logical_at[1]);
 }
 
 /// A table whose tree exercises every shape derivation meets: rows of four
