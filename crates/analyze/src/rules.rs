@@ -204,8 +204,10 @@ const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
 /// the same way: the candidate enumeration of `split.rs` runs ~100 times
 /// per fulfilled node, beside bound formulas and public helpers that take
 /// caller-shaped input. (Its other half, the value-row view it reads, is
-/// in `cc.rs`, which [`PANIC_FILES`] covers whole.)
-const PANIC_SCOPED: [(&str, &[&str]); 7] = [
+/// in `cc.rs`, which [`PANIC_FILES`] covers whole.) The loop itself, the
+/// one `drain` of `grow.rs` and the exact fulfilment it applies, is scoped
+/// too: a fulfilment it cannot place is an `MwError`, never a panic.
+const PANIC_SCOPED: [(&str, &[&str]); 8] = [
     (
         "crates/sqldb/src/expr.rs",
         &[
@@ -300,6 +302,8 @@ const PANIC_SCOPED: [(&str, &[&str]); 7] = [
             "consider",
         ],
     ),
+    // The client loop: every fulfilment of a build or maintenance round.
+    ("crates/dtree/src/grow.rs", &["drain", "apply_exact"]),
 ];
 
 /// The fn-name scope `scoped` gives `rel`, if any.

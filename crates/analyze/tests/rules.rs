@@ -357,6 +357,29 @@ fn hot_path_panic_is_fn_scoped_in_the_split_enumeration() {
 }
 
 #[test]
+fn hot_path_panic_is_fn_scoped_in_the_client_loop() {
+    let rel = "crates/dtree/src/grow.rs";
+    // The loop and the exact fulfilment are in scope; a helper beside
+    // them is not.
+    let src = "impl GrowState {\n\
+               fn drain(&mut self) {\n\
+               let open = self.open.remove(&idx).expect(\"requested\");\n\
+               }\n\
+               fn apply_exact(&mut self) {\n\
+               let d = decide(cc).unwrap();\n\
+               }\n\
+               fn request(&mut self) {\n\
+               let n = req.node().unwrap();\n\
+               }\n\
+               }\n";
+    let report = check_source(rel, src);
+    assert_eq!(
+        fired(&report),
+        vec![(RULE_HOT_PATH_PANIC, 3), (RULE_HOT_PATH_PANIC, 6)]
+    );
+}
+
+#[test]
 fn io_bypass_fires_on_each_pattern() {
     let rel = "crates/core/src/middleware.rs";
     let report = check_source(rel, &fixture("bad", rel));

@@ -136,7 +136,8 @@ pub fn grow_forest_with_middleware(
         // Grow one member restricted to the subset: re-open the session
         // (fresh staging, no node-id collisions) with only these attributes.
         mw = Middleware::open(mw.close())?;
-        let out = grow_restricted(&mut mw, &subset, &config.grow)?;
+        mw.restrict_attrs(&subset)?;
+        let out = grow_with_middleware(&mut mw, &config.grow)?;
         for n in out.tree.nodes() {
             for &(c, _) in &n.class_counts {
                 classes.insert(c);
@@ -146,16 +147,6 @@ pub fn grow_forest_with_middleware(
     }
     forest.classes = classes.into_iter().collect();
     Ok((forest, mw))
-}
-
-/// Grow one tree with the session's attribute set restricted to `attrs`.
-fn grow_restricted(
-    mw: &mut Middleware,
-    attrs: &[u16],
-    grow: &GrowConfig,
-) -> MwResult<crate::grow::GrowOutcome> {
-    mw.restrict_attrs(attrs)?;
-    grow_with_middleware(mw, grow)
 }
 
 #[cfg(test)]

@@ -18,11 +18,21 @@
 //! `card(n, A_j)` is counted once per attribute and shared by the
 //! children; per child, the class counts, edge predicate and cards are
 //! built once and moved into the tree and the request.
+//!
+//! One loop runs every build in this crate. `GrowState` owns a build in
+//! progress — the open record of each outstanding request, the retained
+//! tables of a maintainable build, and the request, accept and escalation
+//! tallies — and is the only code that queues a request
+//! (`GrowState::request`) or takes a batch (`GrowState::drain`). A build
+//! is the root request plus `drain`; a maintenance round (`maintain.rs`)
+//! requests its re-grows the same way and drains them through the same
+//! loop, escalating every sampled fulfilment instead of judging it. Every
+//! entry point refuses a session that already holds requests.
 
 use crate::maintain::RetainedNode;
 use crate::split::{best_two_splits, rank_splits, score_half_width, Scorer, Split, SplitKind};
 use crate::tree::{DecisionTree, Edge, NodeState, TreeNode};
-use scaleclass::{CcRequest, CountsTable, DataLocation, Lineage, Middleware, MwResult, NodeId};
+use scaleclass::{CcRequest, CountsTable, Lineage, Middleware, MwError, MwResult, NodeId};
 use scaleclass_sqldb::{Code, Pred};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -134,10 +144,10 @@ impl ChildSpec {
         class_counts: Vec<(Code, u64)>,
         (attrs, parent_cards): (Vec<u16>, Vec<u64>),
     ) -> ChildSpec {
-        let col = attr as usize;
+        let edge = Edge::Eq { attr, value };
         ChildSpec {
-            edge: Edge::Eq { attr, value },
-            edge_pred: Pred::Eq { col, value },
+            edge,
+            edge_pred: edge.pred(),
             rows: class_counts.iter().map(|&(_, n)| n).sum(),
             class_counts,
             attrs,
@@ -197,10 +207,10 @@ pub fn derive_children(cc: &CountsTable, split: &Split, attrs: &[u16]) -> Vec<Ch
                 *n -= eq_n.map_or(0, |&(_, n)| n);
             }
             neq_counts.retain(|&(_, n)| n > 0);
-            let col = attr as usize;
+            let edge = Edge::NotEq { attr, value };
             let neq = ChildSpec {
-                edge: Edge::NotEq { attr, value },
-                edge_pred: Pred::NotEq { col, value },
+                edge,
+                edge_pred: edge.pred(),
                 rows: cc.total() - eq.rows,
                 class_counts: neq_counts,
                 attrs: kept.0,
@@ -299,153 +309,241 @@ pub struct GrowOutcome {
     pub escalations: u64,
 }
 
-/// Per-node client bookkeeping for outstanding counts requests: the
-/// lineage and attribute set each fulfilment will be decided with. Shared
-/// between the grow loop and the maintenance pump (`maintain.rs`), which
-/// replays the same per-node logic on re-grown subtrees.
-#[derive(Default)]
-pub(crate) struct GrowState {
-    pub(crate) open: HashMap<usize, (Lineage, Vec<u16>)>,
+/// Refuse to start on a session that already holds requests: their
+/// fulfilments would reach a loop that never asked for them.
+pub(crate) fn ensure_idle(mw: &Middleware) -> MwResult<()> {
+    if mw.has_pending() {
+        return Err(MwError::BadRequest(
+            "the session already holds pending requests".into(),
+        ));
+    }
+    Ok(())
 }
 
-/// Create the children `specs` describes under the partitioned node `idx`
-/// and request counts for those `leaf_now` does not settle on the spot.
-/// `scale` maps an exact count of the parent's table to the size recorded
-/// in the tree and fed to the scheduler: the identity for exact counts,
-/// [`scale_sampled`] for sampled ones. Each child's class counts, edge
-/// predicate and cards are moved into place; its lineage and attributes
-/// have two owners (the request, and `state` for the fulfilment) and are
-/// copied once. Returns the number of requests issued.
-#[allow(clippy::too_many_arguments)] // one call shape for the exact and the sampled path
-fn spawn_children(
-    mw: &mut Middleware,
-    tree: &mut DecisionTree,
-    state: &mut GrowState,
-    idx: usize,
-    lineage: &Lineage,
-    specs: Vec<ChildSpec>,
-    parent_rows: u64,
-    scale: impl Fn(u64) -> u64,
-    leaf_now: impl Fn(&ChildSpec) -> bool,
-) -> MwResult<u64> {
-    let depth = tree.node(idx).depth + 1;
-    let mut issued = 0;
-    for mut spec in specs {
-        let leaf_now = leaf_now(&spec);
-        let state_now = if leaf_now {
-            NodeState::Leaf {
-                class: spec.majority_class(),
-            }
-        } else {
-            NodeState::Active
-        };
-        let rows = scale(spec.rows);
-        for (_, n) in &mut spec.class_counts {
-            *n = scale(*n);
-        }
-        let child_idx = tree.push(TreeNode {
-            id: 0,
-            parent: Some(idx),
-            edge: Some(spec.edge),
-            depth,
-            state: state_now,
-            class_counts: spec.class_counts,
-            rows,
-            children: Vec::new(),
-            source: None,
-        });
-        if !leaf_now {
-            let child_lineage = lineage.child(NodeId(child_idx as u64), spec.edge_pred);
-            mw.enqueue(CcRequest {
-                lineage: child_lineage.clone(),
-                attrs: spec.attrs.clone(),
-                class_col: mw.class_col(),
-                rows,
-                parent_rows,
-                parent_cards: spec.parent_cards,
-            })?;
-            state.open.insert(child_idx, (child_lineage, spec.attrs));
-            issued += 1;
+/// A build in progress, from its first request until its frontier
+/// settles: the open record (lineage and attribute set) of every
+/// outstanding request, the retained map of a maintainable build, and the
+/// tallies its outcome reports. A build and a maintenance round
+/// (`maintain.rs`) send every request through [`GrowState::request`] and
+/// take every fulfilment through [`GrowState::drain`].
+pub(crate) struct GrowState<'a> {
+    config: &'a GrowConfig,
+    /// Judge a sampled fulfilment with [`decide_sampled`] (a build), or
+    /// escalate it unread (maintenance never accepts sampled counts).
+    judge_samples: bool,
+    open: HashMap<usize, (Lineage, Vec<u16>)>,
+    /// Each exactly counted node's table and margins, for maintenance.
+    pub(crate) retained: Option<HashMap<usize, RetainedNode>>,
+    /// Counts requests issued, escalation rescans included.
+    pub(crate) requests_issued: u64,
+    pub(crate) sampled_accepts: u64,
+    pub(crate) escalations: u64,
+}
+
+impl<'a> GrowState<'a> {
+    /// A build with nothing requested yet; `judge_samples` is false for a
+    /// maintenance round.
+    pub(crate) fn new(
+        config: &'a GrowConfig,
+        retained: Option<HashMap<usize, RetainedNode>>,
+        judge_samples: bool,
+    ) -> Self {
+        GrowState {
+            config,
+            judge_samples,
+            open: HashMap::new(),
+            retained,
+            requests_issued: 0,
+            sampled_accepts: 0,
+            escalations: 0,
         }
     }
-    Ok(issued)
-}
 
-/// Apply one node's *exact* counts table: record its distribution, decide
-/// leaf-vs-split, create children (immediate leaves settled from the
-/// parent's CC, the rest enqueued), and — when `retain` is given — share
-/// the CC plus winner/runner-up margins for incremental maintenance
-/// (DESIGN.md §15), taken from the same enumeration as the decision.
-/// Returns the number of child requests issued.
-#[allow(clippy::too_many_arguments)] // the grow loop and the maintenance pump share one call shape
-pub(crate) fn apply_exact_counts(
-    mw: &mut Middleware,
-    tree: &mut DecisionTree,
-    idx: usize,
-    cc: &Arc<CountsTable>,
-    source: Option<DataLocation>,
-    lineage: &Lineage,
-    attrs: &[u16],
-    config: &GrowConfig,
-    state: &mut GrowState,
-    retain: Option<&mut HashMap<usize, RetainedNode>>,
-) -> MwResult<u64> {
-    let depth = tree.node(idx).depth;
-    {
+    /// The retained map, which a maintenance round always holds.
+    pub(crate) fn retained_mut(&mut self) -> &mut HashMap<usize, RetainedNode> {
+        self.retained.get_or_insert_with(HashMap::new)
+    }
+
+    /// Queue `req` and keep its lineage and attributes for the
+    /// fulfilment.
+    pub(crate) fn request(&mut self, mw: &mut Middleware, req: CcRequest) -> MwResult<()> {
+        let open = (req.lineage.clone(), req.attrs.clone());
+        let idx = req.node().0 as usize;
+        mw.enqueue(req)?;
+        self.open.insert(idx, open);
+        self.requests_issued += 1;
+        Ok(())
+    }
+
+    /// Figure 3's loop: take fulfilled batches until no request is left,
+    /// deciding each node and requesting its children.
+    pub(crate) fn drain(&mut self, mw: &mut Middleware, tree: &mut DecisionTree) -> MwResult<()> {
+        while mw.has_pending() {
+            for f in mw.process_next_batch()? {
+                let idx = f.node.0 as usize;
+                let Some((lineage, attrs)) = self.open.remove(&idx) else {
+                    return Err(MwError::Internal(format!(
+                        "node {idx} was fulfilled but never requested"
+                    )));
+                };
+                let Some(tag) = f.sample else {
+                    tree.node_mut(idx).source = Some(f.source);
+                    self.apply_exact(mw, tree, idx, &f.cc, &lineage, &attrs)?;
+                    continue;
+                };
+                // Sampled fulfilment (DESIGN.md §13): accept the split only
+                // if the confidence intervals settle it.
+                let verdict = if self.judge_samples {
+                    let depth = tree.node(idx).depth;
+                    decide_sampled(&f.cc, &attrs, depth, self.config, tag.fraction)
+                } else {
+                    SampledDecision::Escalate
+                };
+                let SampledDecision::Split(split) = verdict else {
+                    // Requeue through the session so the sampled CC bytes
+                    // release *before* the exact scan is scheduled
+                    // (double-count guard); the node is decided when those
+                    // counts arrive.
+                    self.open.insert(idx, (lineage, attrs));
+                    let escalated = mw.escalate(f.node);
+                    debug_assert!(escalated, "sampled fulfilment must be outstanding");
+                    self.escalations += 1;
+                    self.requests_issued += 1;
+                    continue;
+                };
+                mw.accept_sampled(f.node);
+                self.sampled_accepts += 1;
+                let scale = |n: u64| scale_sampled(n, tag.fraction);
+                let specs = derive_children(&f.cc, &split, &attrs);
+                let node = tree.node_mut(idx);
+                node.class_counts =
+                    f.cc.class_distribution()
+                        .map(|(c, n)| (c, scale(n)))
+                        .collect();
+                node.rows = scale(f.cc.total());
+                node.source = Some(f.source);
+                node.state = NodeState::Partitioned { split };
+                self.spawn_children(mw, tree, idx, &lineage, specs, Some(tag.fraction))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply one node's *exact* counts table: record its distribution,
+    /// decide leaf-vs-split, create its children, and — in a maintainable
+    /// build — retain the table plus the winner/runner-up margins for
+    /// incremental maintenance (DESIGN.md §15), taken from the same
+    /// enumeration as the decision.
+    pub(crate) fn apply_exact(
+        &mut self,
+        mw: &mut Middleware,
+        tree: &mut DecisionTree,
+        idx: usize,
+        cc: &Arc<CountsTable>,
+        lineage: &Lineage,
+        attrs: &[u16],
+    ) -> MwResult<()> {
         let node = tree.node_mut(idx);
         node.class_counts = cc.class_distribution().collect();
         node.rows = cc.total();
-        node.source = source;
-    }
-    let (decision, (best_score, runner_score)) = decide_with_margins(cc, attrs, depth, config);
-    if let Some(retained) = retain {
-        retained.insert(
-            idx,
-            RetainedNode {
-                cc: Arc::clone(cc),
-                attrs: attrs.to_vec(),
-                best_score,
-                runner_score,
-            },
-        );
-    }
-    match decision {
-        Decision::Leaf { class } => {
-            tree.node_mut(idx).state = NodeState::Leaf { class };
-            Ok(0)
-        }
-        Decision::Split(split) => {
-            let specs = derive_children(cc, &split, attrs);
-            tree.node_mut(idx).state = NodeState::Partitioned { split };
-            let leaf_now = |spec: &ChildSpec| immediate_leaf(spec, depth + 1, config);
-            spawn_children(
-                mw,
-                tree,
-                state,
+        let (decision, (best_score, runner_score)) =
+            decide_with_margins(cc, attrs, node.depth, self.config);
+        if let Some(retained) = &mut self.retained {
+            let cc = Arc::clone(cc);
+            let attrs = attrs.to_vec();
+            retained.insert(
                 idx,
-                lineage,
-                specs,
-                cc.total(),
-                |n| n,
-                leaf_now,
-            )
+                RetainedNode {
+                    cc,
+                    attrs,
+                    best_score,
+                    runner_score,
+                },
+            );
         }
+        match decision {
+            Decision::Leaf { class } => tree.node_mut(idx).state = NodeState::Leaf { class },
+            Decision::Split(split) => {
+                let specs = derive_children(cc, &split, attrs);
+                tree.node_mut(idx).state = NodeState::Partitioned { split };
+                self.spawn_children(mw, tree, idx, lineage, specs, None)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Create the children `specs` describes under the partitioned node
+    /// `idx` and request counts for those that do not settle on the spot.
+    /// Counts read off a sample of `fraction` are scaled up by it in the
+    /// tree and in the requests; a child of a sampled node is never an
+    /// immediate leaf, since a leaf's class distribution is tree output and
+    /// sampled purity proves nothing about the blocks the scan skipped.
+    fn spawn_children(
+        &mut self,
+        mw: &mut Middleware,
+        tree: &mut DecisionTree,
+        idx: usize,
+        lineage: &Lineage,
+        specs: Vec<ChildSpec>,
+        fraction: Option<f64>,
+    ) -> MwResult<()> {
+        let (depth, parent_rows) = (tree.node(idx).depth + 1, tree.node(idx).rows);
+        let scale = |n: u64| fraction.map_or(n, |f| scale_sampled(n, f));
+        let class_col = mw.class_col();
+        for mut spec in specs {
+            let leaf_now = fraction.is_none() && immediate_leaf(&spec, depth, self.config);
+            let rows = scale(spec.rows);
+            for (_, n) in &mut spec.class_counts {
+                *n = scale(*n);
+            }
+            let child_idx = tree.push(TreeNode {
+                id: 0,
+                parent: Some(idx),
+                edge: Some(spec.edge),
+                depth,
+                state: if leaf_now {
+                    NodeState::Leaf {
+                        class: spec.majority_class(),
+                    }
+                } else {
+                    NodeState::Active
+                },
+                class_counts: spec.class_counts,
+                rows,
+                children: Vec::new(),
+                source: None,
+            });
+            if !leaf_now {
+                let lineage = lineage.child(NodeId(child_idx as u64), spec.edge_pred);
+                let req = CcRequest {
+                    lineage,
+                    attrs: spec.attrs,
+                    class_col,
+                    rows,
+                    parent_rows,
+                    parent_cards: spec.parent_cards,
+                };
+                self.request(mw, req)?;
+            }
+        }
+        Ok(())
     }
 }
 
 /// Grow a full decision tree through the middleware (the synchronous
 /// client loop of Figure 3).
 pub fn grow_with_middleware(mw: &mut Middleware, config: &GrowConfig) -> MwResult<GrowOutcome> {
-    grow_inner(mw, config, None)
+    grow_inner(mw, config, None).map(|(out, _)| out)
 }
 
-/// The grow loop, optionally retaining per-node CC tables and margins for
-/// incremental maintenance.
+/// A build: the root request, then [`GrowState::drain`]. `retained` is
+/// the map a maintainable build fills, handed back beside the outcome.
 pub(crate) fn grow_inner(
     mw: &mut Middleware,
     config: &GrowConfig,
-    mut retain: Option<&mut HashMap<usize, RetainedNode>>,
-) -> MwResult<GrowOutcome> {
+    retained: Option<HashMap<usize, RetainedNode>>,
+) -> MwResult<(GrowOutcome, Option<HashMap<usize, RetainedNode>>)> {
+    ensure_idle(mw)?;
     let mut tree = DecisionTree::new();
     let root = tree.push(TreeNode {
         id: 0,
@@ -458,99 +556,17 @@ pub(crate) fn grow_inner(
         children: Vec::new(),
         source: None,
     });
-    let root_req = mw.root_request(NodeId(root as u64));
-    let mut state = GrowState::default();
-    let root_open = (root_req.lineage.clone(), root_req.attrs.clone());
-    state.open.insert(root, root_open);
-    mw.enqueue(root_req)?;
-    let mut requests_issued = 1u64;
-    let mut sampled_accepts = 0u64;
-    let mut escalations = 0u64;
-
-    while mw.has_pending() {
-        let fulfilled = mw.process_next_batch()?;
-        for f in fulfilled {
-            let idx = f.node.0 as usize;
-            let (lineage, attrs) = state
-                .open
-                .remove(&idx)
-                .expect("fulfilled node was requested");
-            let depth = tree.node(idx).depth;
-
-            // Sampled fulfilment (DESIGN.md §13): accept the split only if
-            // the confidence intervals settle it; otherwise escalate to an
-            // exact rescan and revisit the node when those counts arrive.
-            if let Some(tag) = f.sample {
-                match decide_sampled(&f.cc, &attrs, depth, config, tag.fraction) {
-                    SampledDecision::Escalate => {
-                        // Restore the bookkeeping the exact refulfilment
-                        // will need, then requeue through the session so
-                        // the sampled CC bytes release *before* the exact
-                        // scan is scheduled (double-count guard).
-                        state.open.insert(idx, (lineage, attrs));
-                        let escalated = mw.escalate(f.node);
-                        debug_assert!(escalated, "sampled fulfilment must be outstanding");
-                        escalations += 1;
-                        requests_issued += 1;
-                        continue;
-                    }
-                    SampledDecision::Split(split) => {
-                        mw.accept_sampled(f.node);
-                        sampled_accepts += 1;
-                        let scale = |n: u64| scale_sampled(n, tag.fraction);
-                        let parent_rows = scale(f.cc.total());
-                        let specs = derive_children(&f.cc, &split, &attrs);
-                        {
-                            let node = tree.node_mut(idx);
-                            node.class_counts =
-                                f.cc.class_distribution()
-                                    .map(|(c, n)| (c, scale(n)))
-                                    .collect();
-                            node.rows = parent_rows;
-                            node.source = Some(f.source);
-                            node.state = NodeState::Partitioned { split };
-                        }
-                        // No immediate-leaf shortcut from sampled counts: a
-                        // leaf's class distribution is tree output and
-                        // sampled purity proves nothing about the blocks
-                        // the scan skipped. Every child gets its own counts
-                        // request.
-                        requests_issued += spawn_children(
-                            mw,
-                            &mut tree,
-                            &mut state,
-                            idx,
-                            &lineage,
-                            specs,
-                            parent_rows,
-                            scale,
-                            |_| false,
-                        )?;
-                        continue;
-                    }
-                }
-            }
-
-            requests_issued += apply_exact_counts(
-                mw,
-                &mut tree,
-                idx,
-                &f.cc,
-                Some(f.source),
-                &lineage,
-                &attrs,
-                config,
-                &mut state,
-                retain.as_deref_mut(),
-            )?;
-        }
-    }
-    Ok(GrowOutcome {
+    let mut state = GrowState::new(config, retained, true);
+    let req = mw.root_request(NodeId(root as u64));
+    state.request(mw, req)?;
+    state.drain(mw, &mut tree)?;
+    let outcome = GrowOutcome {
         tree,
-        requests_issued,
-        sampled_accepts,
-        escalations,
-    })
+        requests_issued: state.requests_issued,
+        sampled_accepts: state.sampled_accepts,
+        escalations: state.escalations,
+    };
+    Ok((outcome, state.retained))
 }
 
 #[cfg(test)]
@@ -680,28 +696,19 @@ mod tests {
             depth: 0,
             state: NodeState::Active,
             class_counts: Vec::new(),
-            rows: 48,
+            // The sample's 16 rows scaled up, as `drain` records them.
+            rows: 32,
             children: Vec::new(),
             source: None,
         });
         let specs = derive_children(&sample, &Split::Binary { attr: 0, value: 1 }, &[0, 1, 2]);
-        let scale = |n| scale_sampled(n, 0.5);
         let lineage = Lineage::root(NodeId(root as u64));
-        let mut state = GrowState::default();
-        let parent_rows = scale(sample.total());
-        let issued = spawn_children(
-            &mut mw,
-            &mut tree,
-            &mut state,
-            root,
-            &lineage,
-            specs,
-            parent_rows,
-            scale,
-            |_| false,
-        )
-        .unwrap();
-        assert_eq!(issued, 2);
+        let config = GrowConfig::default();
+        let mut state = GrowState::new(&config, None, true);
+        state
+            .spawn_children(&mut mw, &mut tree, root, &lineage, specs, Some(0.5))
+            .unwrap();
+        assert_eq!(state.requests_issued, 2);
         // Each request carried the rows the tree records for its child.
         let children = tree.node(root).children.clone();
         let requested: Vec<u64> = children.iter().map(|&c| tree.node(c).rows).collect();
@@ -709,6 +716,46 @@ mod tests {
         let fulfilled = mw.process_next_batch().unwrap();
         let exact: Vec<u64> = fulfilled.iter().map(|f| f.cc.total()).collect();
         assert_eq!(exact, [24, 24]);
+    }
+
+    /// A session that already holds a request is refused before anything
+    /// is queued or scanned: the request's fulfilment would reach a loop
+    /// that never asked for it.
+    #[test]
+    fn a_session_holding_requests_is_refused() {
+        let mut mw = Middleware::new(and_db(4), "d", "class", MiddlewareConfig::default()).unwrap();
+        let req = mw.root_request(NodeId(99));
+        mw.enqueue(req).unwrap();
+        let before = *mw.stats();
+        let err = grow_with_middleware(&mut mw, &GrowConfig::default()).unwrap_err();
+        assert!(matches!(err, MwError::BadRequest(_)), "{err}");
+        assert_eq!(mw.pending_len(), 1);
+        assert_eq!(*mw.stats(), before);
+    }
+
+    /// A fulfilment with no open record is an internal error, not a panic.
+    #[test]
+    fn a_fulfilment_nobody_requested_is_an_internal_error() {
+        let mut mw = Middleware::new(and_db(4), "d", "class", MiddlewareConfig::default()).unwrap();
+        let req = mw.root_request(NodeId(0));
+        mw.enqueue(req).unwrap();
+        let mut tree = DecisionTree::new();
+        tree.push(TreeNode {
+            id: 0,
+            parent: None,
+            edge: None,
+            depth: 0,
+            state: NodeState::Active,
+            class_counts: Vec::new(),
+            rows: mw.table_rows(),
+            children: Vec::new(),
+            source: None,
+        });
+        let config = GrowConfig::default();
+        let err = GrowState::new(&config, None, true)
+            .drain(&mut mw, &mut tree)
+            .unwrap_err();
+        assert!(matches!(err, MwError::Internal(_)), "{err}");
     }
 
     #[test]

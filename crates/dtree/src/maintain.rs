@@ -29,20 +29,25 @@
 //!    that changed, an emptied child, a child attribute set that shifted,
 //!    an unroutable value, a rejected DELETE) — re-grow their subtree
 //!    through the middleware, which is the only place the server is
-//!    touched, and only under the re-grown subtree's predicates.
+//!    touched, and only under the re-grown subtree's predicates. A re-grow
+//!    is a build's own request path and loop (`GrowState::request` and
+//!    `GrowState::drain` in `grow.rs`), told to escalate every sampled
+//!    fulfilment rather than judge it; its lineage is rebuilt from the
+//!    tree's edges.
 //!
 //! Leaves never re-grown are just patched: class counts, rows, and the
 //! majority class are updated in place from the parent's patched CC (for
 //! immediate leaves) or the leaf's own (for scanned leaves).
 
 use crate::grow::{
-    apply_exact_counts, decide, decide_with_margins, derive_children, grow_inner, immediate_leaf,
+    decide, decide_with_margins, derive_children, ensure_idle, grow_inner, immediate_leaf,
     Decision, GrowConfig, GrowState,
 };
 use crate::split::{delta_score_bound, Split};
 use crate::tree::{DecisionTree, NodeState};
-use scaleclass::{CcRequest, CountsTable, DeltaMap, Lineage, Middleware, MwResult, NodeId};
-use scaleclass_sqldb::Pred;
+use scaleclass::{
+    CcRequest, CountsTable, DeltaMap, Lineage, Middleware, MwError, MwResult, NodeId,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -101,11 +106,10 @@ impl MaintainableTree {
 /// estimates); maintenance re-grows them on first touch, so exact
 /// counting (`sampled_counting` off) is the economical mode here.
 pub fn grow_maintainable(mw: &mut Middleware, config: &GrowConfig) -> MwResult<MaintainableTree> {
-    let mut retained = HashMap::new();
-    let out = grow_inner(mw, config, Some(&mut retained))?;
+    let (out, retained) = grow_inner(mw, config, Some(HashMap::new()))?;
     Ok(MaintainableTree {
         tree: out.tree,
-        retained,
+        retained: retained.unwrap_or_default(),
         config: config.clone(),
     })
 }
@@ -133,7 +137,11 @@ pub struct MaintainOutcome {
 /// flipped. After it returns, `model.tree` is split-identical to a
 /// from-scratch rebuild at the drained epoch (the equivalence property
 /// suite pins this across backends, staging modes, and worker counts).
+/// A session that already holds requests is refused before the delta log
+/// is drained; after any other error `model` is left partly maintained
+/// and should be grown anew.
 pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<MaintainOutcome> {
+    ensure_idle(mw)?;
     let mut out = MaintainOutcome::default();
     let (events, _epoch) = mw.drain_deltas();
     if events.is_empty() {
@@ -206,26 +214,51 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
 
     // Re-decide (step 4): walk touched nodes top-down; untouched subtrees
     // hold exactly the rows they held before, so their decisions stand.
-    let mut state = GrowState::default();
+    // The re-grows' requests then run through the grow loop, which
+    // escalates every sampled fulfilment: maintenance decisions must come
+    // from exact counts.
+    let mut state = GrowState::new(config, Some(std::mem::take(retained)), false);
     let mut stack = vec![0usize];
     while let Some(idx) = stack.pop() {
-        let magnitude = match touched.get(&idx) {
-            Some(&m) => m,
-            None => continue,
-        };
-        if corrupt.contains(&idx) {
-            regrow_via_request(mw, tree, retained, &mut state, idx, &mut out)?;
-            continue;
-        }
-        let Some(entry) = retained.get(&idx) else {
-            // Touched but never scanned: a sampled-accepted node (no
-            // exact CC to patch) — or an immediate leaf whose parent was
-            // somehow not visited, which the top-down walk precludes.
-            regrow_via_request(mw, tree, retained, &mut state, idx, &mut out)?;
+        let Some(&magnitude) = touched.get(&idx) else {
             continue;
         };
-        let is_leaf = tree.node(idx).is_leaf();
-        if is_leaf {
+        let Some(entry) = state
+            .retained_mut()
+            .get(&idx)
+            .filter(|_| !corrupt.contains(&idx))
+        else {
+            // A DELETE failed to validate against the retained CC, or the
+            // node was touched but never scanned: a sampled-accepted node
+            // (no exact CC to patch) — or an immediate leaf whose parent
+            // was somehow not visited, which the top-down walk precludes.
+            // Re-grow from a fresh scan, sized from the tree and schema.
+            let attrs = match state.retained_mut().get(&idx) {
+                Some(r) => r.attrs.clone(),
+                None => mw.attrs().to_vec(),
+            };
+            let node = tree.node(idx);
+            let rows = node.rows;
+            let parent_rows = node.parent.map_or(mw.table_rows(), |p| tree.node(p).rows);
+            let schema = mw.schema();
+            let cards = attrs
+                .iter()
+                .map(|&a| u64::from(schema.column(a as usize).cardinality()))
+                .collect();
+            regrow_via_request(
+                mw,
+                tree,
+                &mut state,
+                idx,
+                attrs,
+                rows,
+                parent_rows,
+                cards,
+                &mut out,
+            )?;
+            continue;
+        };
+        if tree.node(idx).is_leaf() {
             // A scanned leaf: re-decide exactly from the patched CC.
             match decide(&entry.cc, &entry.attrs, tree.node(idx).depth, config) {
                 Decision::Leaf { class } => {
@@ -235,19 +268,17 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
                     node.rows = entry.cc.total();
                     out.leaf_patches += 1;
                 }
-                Decision::Split(_) => {
-                    regrow_from_cc(mw, tree, retained, config, &mut state, idx, &mut out)?;
-                }
+                Decision::Split(_) => regrow_from_cc(mw, tree, &mut state, idx, &mut out)?,
             }
             continue;
         }
         if stuck.contains(&idx) {
-            regrow_from_cc(mw, tree, retained, config, &mut state, idx, &mut out)?;
+            regrow_from_cc(mw, tree, &mut state, idx, &mut out)?;
             continue;
         }
         let split = match &tree.node(idx).state {
             NodeState::Partitioned { split } => split.clone(),
-            // Active cannot appear outside the pump; a leaf was handled.
+            // Active cannot appear outside the grow loop; a leaf was handled.
             _ => continue,
         };
         // Margin trigger: skip even the client-side re-score when the
@@ -271,7 +302,7 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
             out.margin_skips += 1;
             // The stored margins are now stale by up to `bound`; shrink
             // them so successive skips stay conservative.
-            if let (Some(b), Some(entry)) = (bound, retained.get_mut(&idx)) {
+            if let (Some(b), Some(entry)) = (bound, state.retained_mut().get_mut(&idx)) {
                 if let Some(best) = entry.best_score.as_mut() {
                     *best -= b;
                 }
@@ -285,12 +316,12 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
             let (decision, (best_score, runner_score)) =
                 decide_with_margins(&entry.cc, &entry.attrs, tree.node(idx).depth, config);
             if !matches!(&decision, Decision::Split(s) if *s == split) {
-                regrow_from_cc(mw, tree, retained, config, &mut state, idx, &mut out)?;
+                regrow_from_cc(mw, tree, &mut state, idx, &mut out)?;
                 continue;
             }
             // Split kept: refresh the stored margins from the patched CC
             // so future rounds start tight.
-            if let Some(e) = retained.get_mut(&idx) {
+            if let Some(e) = state.retained_mut().get_mut(&idx) {
                 e.best_score = best_score;
                 e.runner_score = runner_score;
             }
@@ -298,114 +329,62 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
         // The split survives. Check that the patched CC still induces the
         // same children structurally, patch immediate-leaf children, and
         // descend into touched subtrees.
-        let entry = retained.get(&idx).expect("entry survives margin path");
+        let entry = state
+            .retained_mut()
+            .get(&idx)
+            .expect("entry survives margin path");
         let specs = derive_children(&entry.cc, &split, &entry.attrs);
         let children = tree.node(idx).children.clone();
         if specs.len() != children.len() || specs.iter().any(|s| s.rows == 0) {
             // An emptied child: from scratch this split is degenerate (or
             // a multiway arm vanished) and a different decision wins.
-            regrow_from_cc(mw, tree, retained, config, &mut state, idx, &mut out)?;
+            regrow_from_cc(mw, tree, &mut state, idx, &mut out)?;
             continue;
         }
-        {
-            let node = tree.node_mut(idx);
-            node.class_counts = entry.cc.class_distribution().collect();
-            node.rows = entry.cc.total();
-        }
         let parent_total = entry.cc.total();
-        let specs_attrs_changed: Vec<bool> = specs
-            .iter()
-            .zip(&children)
-            .map(|(spec, &c)| match retained.get(&c) {
-                Some(r) => r.attrs != spec.attrs,
-                None => false,
-            })
-            .collect();
-        for ((spec, &child), attrs_changed) in specs.iter().zip(&children).zip(specs_attrs_changed)
-        {
+        let node = tree.node_mut(idx);
+        node.class_counts = entry.cc.class_distribution().collect();
+        node.rows = parent_total;
+        for (spec, child) in specs.into_iter().zip(children) {
             let child_touched = touched.contains_key(&child);
-            if attrs_changed {
+            let regrow = match state.retained_mut().get(&child) {
                 // The child's informative attribute set shifted (e.g. the
                 // ≠-branch kept/dropped the split attribute as its
                 // cardinality crossed 2): every decision beneath it was
                 // scored over the wrong columns. Rescan.
-                regrow_child(
+                Some(r) => r.attrs != spec.attrs,
+                // An immediate leaf whose patched distribution no longer
+                // terminates needs its own counts and decision.
+                None => child_touched && !immediate_leaf(&spec, tree.node(child).depth, config),
+            };
+            if regrow {
+                regrow_via_request(
                     mw,
                     tree,
-                    retained,
                     &mut state,
                     child,
-                    spec,
+                    spec.attrs,
+                    spec.rows,
                     parent_total,
+                    spec.parent_cards,
                     &mut out,
                 )?;
-                continue;
-            }
-            let child_is_immediate = retained.get(&child).is_none();
-            if child_is_immediate && child_touched {
-                let depth = tree.node(child).depth;
-                if immediate_leaf(spec, depth, config) {
-                    let node = tree.node_mut(child);
-                    node.state = NodeState::Leaf {
-                        class: spec.majority_class(),
-                    };
-                    node.class_counts = spec.class_counts.clone();
-                    node.rows = spec.rows;
-                    out.leaf_patches += 1;
-                } else {
-                    // The patched distribution no longer terminates: the
-                    // child needs its own counts and decision.
-                    regrow_child(
-                        mw,
-                        tree,
-                        retained,
-                        &mut state,
-                        child,
-                        spec,
-                        parent_total,
-                        &mut out,
-                    )?;
-                }
-                continue;
-            }
-            if child_touched {
+            } else if child_touched && !state.retained_mut().contains_key(&child) {
+                let node = tree.node_mut(child);
+                node.state = NodeState::Leaf {
+                    class: spec.majority_class(),
+                };
+                node.class_counts = spec.class_counts;
+                node.rows = spec.rows;
+                out.leaf_patches += 1;
+            } else if child_touched {
                 stack.push(child);
             }
         }
     }
-
-    // Pump: service every re-grow request, replaying the grow loop's
-    // exact-path logic (and retaining the fresh CC tables) until the
-    // frontier settles. Sampled fulfilments are escalated: maintenance
-    // decisions must come from exact counts.
-    while mw.has_pending() {
-        let batch = mw.process_next_batch()?;
-        for f in batch {
-            let idx = f.node.0 as usize;
-            if f.sample.is_some() {
-                let escalated = mw.escalate(f.node);
-                debug_assert!(escalated, "sampled fulfilment must be outstanding");
-                out.requests_issued += 1;
-                continue;
-            }
-            let (lineage, attrs) = state
-                .open
-                .remove(&idx)
-                .expect("re-grown node was requested");
-            out.requests_issued += apply_exact_counts(
-                mw,
-                tree,
-                idx,
-                &f.cc,
-                Some(f.source),
-                &lineage,
-                &attrs,
-                config,
-                &mut state,
-                Some(retained),
-            )?;
-        }
-    }
+    state.drain(mw, tree)?;
+    out.requests_issued = state.requests_issued;
+    *retained = state.retained.unwrap_or_default();
     mw.note_resplits(out.nodes_resplit);
     Ok(out)
 }
@@ -444,16 +423,24 @@ fn apply_map(
     }
 }
 
-/// Remove the retained entries of every node currently beneath `idx`
-/// (exclusive) and cut them loose: the subtree is about to be replaced,
-/// and the replaced arena nodes become unreachable garbage.
-fn clear_subtree(tree: &mut DecisionTree, retained: &mut HashMap<usize, RetainedNode>, idx: usize) {
-    let mut stack: Vec<usize> = tree.node(idx).children.clone();
+/// Reset `idx` for a re-grow: take its retained entry, drop those of the
+/// nodes beneath it and cut them loose (the replaced arena nodes become
+/// unreachable garbage), count the resplit, and rebuild its lineage.
+fn reset(
+    tree: &mut DecisionTree,
+    state: &mut GrowState,
+    idx: usize,
+    out: &mut MaintainOutcome,
+) -> (Option<RetainedNode>, Lineage) {
+    let retained = state.retained_mut();
+    let entry = retained.remove(&idx);
+    let mut stack = std::mem::take(&mut tree.node_mut(idx).children);
     while let Some(i) = stack.pop() {
         retained.remove(&i);
         stack.extend(tree.node(i).children.iter().copied());
     }
-    tree.node_mut(idx).children.clear();
+    out.nodes_resplit += 1;
+    (entry, lineage_of(tree, idx))
 }
 
 /// Reconstruct the lineage of `idx` from its root path (each edge carries
@@ -469,132 +456,55 @@ fn lineage_of(tree: &DecisionTree, idx: usize) -> Lineage {
     let mut lineage = Lineage::root(NodeId(path[0] as u64));
     for &i in &path[1..] {
         let edge = tree.node(i).edge.expect("non-root node has an edge");
-        let pred = match edge {
-            crate::tree::Edge::Eq { attr, value } => Pred::Eq {
-                col: attr as usize,
-                value,
-            },
-            crate::tree::Edge::NotEq { attr, value } => Pred::NotEq {
-                col: attr as usize,
-                value,
-            },
-        };
-        lineage = lineage.child(NodeId(i as u64), pred);
+        lineage = lineage.child(NodeId(i as u64), edge.pred());
     }
     lineage
 }
 
 /// Re-grow the subtree under `idx` from its *patched* CC table: no scan
 /// for `idx` itself — its decision comes straight from the patched
-/// counts — but children that need their own counts are enqueued.
+/// counts — but children that need their own counts are requested.
 fn regrow_from_cc(
     mw: &mut Middleware,
     tree: &mut DecisionTree,
-    retained: &mut HashMap<usize, RetainedNode>,
-    config: &GrowConfig,
     state: &mut GrowState,
     idx: usize,
     out: &mut MaintainOutcome,
 ) -> MwResult<()> {
-    let entry = retained
-        .remove(&idx)
-        .expect("regrow_from_cc needs a retained CC");
-    clear_subtree(tree, retained, idx);
-    let lineage = lineage_of(tree, idx);
-    let source = tree.node(idx).source;
-    out.nodes_resplit += 1;
-    out.requests_issued += apply_exact_counts(
-        mw,
-        tree,
-        idx,
-        &entry.cc,
-        source,
-        &lineage,
-        &entry.attrs,
-        config,
-        state,
-        Some(retained),
-    )?;
-    Ok(())
+    let (entry, lineage) = reset(tree, state, idx, out);
+    let entry = entry.ok_or_else(|| {
+        MwError::Internal(format!("node {idx} re-grows from a CC it does not retain"))
+    })?;
+    state.apply_exact(mw, tree, idx, &entry.cc, &lineage, &entry.attrs)
 }
 
-/// Re-grow a child node through a fresh counts request (its retained
-/// state is unusable or absent): mark it active and enqueue.
-#[allow(clippy::too_many_arguments)]
-fn regrow_child(
-    mw: &mut Middleware,
-    tree: &mut DecisionTree,
-    retained: &mut HashMap<usize, RetainedNode>,
-    state: &mut GrowState,
-    child: usize,
-    spec: &crate::grow::ChildSpec,
-    parent_rows: u64,
-    out: &mut MaintainOutcome,
-) -> MwResult<()> {
-    retained.remove(&child);
-    clear_subtree(tree, retained, child);
-    {
-        let node = tree.node_mut(child);
-        node.state = NodeState::Active;
-        node.class_counts = spec.class_counts.clone();
-        node.rows = spec.rows;
-    }
-    let lineage = lineage_of(tree, child);
-    let req = CcRequest {
-        lineage: lineage.clone(),
-        attrs: spec.attrs.clone(),
-        class_col: mw.class_col(),
-        rows: spec.rows,
-        parent_rows,
-        parent_cards: spec.parent_cards.clone(),
-    };
-    state.open.insert(child, (lineage, spec.attrs.clone()));
-    mw.enqueue(req)?;
-    out.nodes_resplit += 1;
-    out.requests_issued += 1;
-    Ok(())
-}
-
-/// Re-grow `idx` through a fresh counts request when no usable retained
-/// CC exists (sampled-accepted node, or a corrupt delta application).
+/// Re-grow `idx` through a fresh counts request (its retained state is
+/// unusable or absent): mark it active and request `attrs`, sized as its
+/// caller reads `rows`, `parent_rows` and `parent_cards`.
+#[allow(clippy::too_many_arguments)] // the request's fields, as each path reads them
 fn regrow_via_request(
     mw: &mut Middleware,
     tree: &mut DecisionTree,
-    retained: &mut HashMap<usize, RetainedNode>,
     state: &mut GrowState,
     idx: usize,
+    attrs: Vec<u16>,
+    rows: u64,
+    parent_rows: u64,
+    parent_cards: Vec<u64>,
     out: &mut MaintainOutcome,
 ) -> MwResult<()> {
-    let attrs = retained
-        .remove(&idx)
-        .map(|r| r.attrs)
-        .unwrap_or_else(|| mw.attrs().to_vec());
-    clear_subtree(tree, retained, idx);
-    let rows = tree.node(idx).rows;
-    let parent_rows = tree
-        .node(idx)
-        .parent
-        .map(|p| tree.node(p).rows)
-        .unwrap_or_else(|| mw.table_rows());
-    let parent_cards: Vec<u64> = attrs
-        .iter()
-        .map(|&a| u64::from(mw.schema().column(a as usize).cardinality()))
-        .collect();
+    let (_, lineage) = reset(tree, state, idx, out);
     tree.node_mut(idx).state = NodeState::Active;
-    let lineage = lineage_of(tree, idx);
+    let class_col = mw.class_col();
     let req = CcRequest {
-        lineage: lineage.clone(),
-        attrs: attrs.clone(),
-        class_col: mw.class_col(),
+        lineage,
+        attrs,
+        class_col,
         rows,
         parent_rows,
         parent_cards,
     };
-    state.open.insert(idx, (lineage, attrs));
-    mw.enqueue(req)?;
-    out.nodes_resplit += 1;
-    out.requests_issued += 1;
-    Ok(())
+    state.request(mw, req)
 }
 
 #[cfg(test)]
@@ -603,7 +513,7 @@ mod tests {
     use crate::eval::trees_same_splits;
     use crate::grow::grow_with_middleware;
     use scaleclass::MiddlewareConfig;
-    use scaleclass_sqldb::{Database, Schema};
+    use scaleclass_sqldb::{Database, Pred, Schema};
 
     const COLS: [(&str, u16); 4] = [("a", 3), ("b", 2), ("noise", 3), ("class", 2)];
 
@@ -706,6 +616,27 @@ mod tests {
         let out = maintain(&mut mw, &mut model).unwrap();
         assert_eq!(out, MaintainOutcome::default());
         assert_eq!(model.tree.len(), before);
+    }
+
+    /// `grow_maintainable` and `maintain` refuse a session that already
+    /// holds a request, `maintain` before it drains the delta log.
+    #[test]
+    fn a_session_holding_requests_is_refused() {
+        let rows = seed_rows(4);
+        let mut mw = maintained_mw(&rows);
+        let mut model = grow_maintainable(&mut mw, &GrowConfig::default()).unwrap();
+        mw.insert_row(&[0, 0, 0, 0]).unwrap();
+        let req = mw.root_request(NodeId(99));
+        mw.enqueue(req).unwrap();
+        let before = *mw.stats();
+        let err = grow_maintainable(&mut mw, &GrowConfig::default()).err();
+        assert!(matches!(err, Some(MwError::BadRequest(_))), "{err:?}");
+        assert_eq!(mw.pending_len(), 1);
+        assert_eq!(*mw.stats(), before);
+        let err = maintain(&mut mw, &mut model).unwrap_err();
+        assert!(matches!(err, MwError::BadRequest(_)), "{err}");
+        assert_eq!(mw.pending_len(), 1);
+        assert_eq!(*mw.stats(), before, "the delta log was not drained");
     }
 
     #[test]

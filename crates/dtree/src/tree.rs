@@ -8,7 +8,7 @@
 
 use crate::split::Split;
 use scaleclass::DataLocation;
-use scaleclass_sqldb::Code;
+use scaleclass_sqldb::{Code, Pred};
 use std::fmt;
 
 /// Node state (§2.1).
@@ -45,6 +45,22 @@ pub enum Edge {
         /// Split value.
         value: Code,
     },
+}
+
+impl Edge {
+    /// The edge's predicate in backend column terms.
+    pub(crate) fn pred(self) -> Pred {
+        match self {
+            Edge::Eq { attr, value } => Pred::Eq {
+                col: attr as usize,
+                value,
+            },
+            Edge::NotEq { attr, value } => Pred::NotEq {
+                col: attr as usize,
+                value,
+            },
+        }
+    }
 }
 
 impl fmt::Display for Edge {

@@ -176,8 +176,14 @@ fn run_scenario(
         }
         let before = mw.db_stats();
         let applied_before = mw.stats().deltas_applied;
+        let served_before = mw.stats().requests_served;
         let out = maintain(&mut mw, &mut model).expect("maintain round");
         let server_rows = (mw.db_stats() - before).rows_scanned;
+        assert_eq!(
+            out.requests_issued,
+            mw.stats().requests_served - served_before,
+            "{context}: every request issued was served once"
+        );
         assert_eq!(
             out.events_routed, logged,
             "{context}: every logged event routed"

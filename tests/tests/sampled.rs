@@ -44,6 +44,8 @@ fn grow(
     let mut mw = Middleware::new(db, "d", class, cfg).expect("session");
     let before = mw.db_stats();
     let out = grow_with_middleware(&mut mw, gc).expect("grow");
+    // Each request, escalation rescans included, is counted once.
+    assert_eq!(out.requests_issued, mw.stats().requests_served);
     (
         out.tree,
         *mw.stats(),
