@@ -207,7 +207,7 @@ const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
 /// in `cc.rs`, which [`PANIC_FILES`] covers whole.) The loop itself, the
 /// one `drain` of `grow.rs` and the exact fulfilment it applies, is scoped
 /// too: a fulfilment it cannot place is an `MwError`, never a panic.
-const PANIC_SCOPED: [(&str, &[&str]); 8] = [
+const PANIC_SCOPED: [(&str, &[&str]); 9] = [
     (
         "crates/sqldb/src/expr.rs",
         &[
@@ -304,6 +304,19 @@ const PANIC_SCOPED: [(&str, &[&str]); 8] = [
     ),
     // The client loop: every fulfilment of a build or maintenance round.
     ("crates/dtree/src/grow.rs", &["drain", "apply_exact"]),
+    // Sibling plans: per class of every pinned child, at each batch
+    // boundary, where a panic kills the build.
+    (
+        "crates/core/src/siblings.rs",
+        &[
+            "plan",
+            "pair",
+            "slice",
+            "sources",
+            "counts_some",
+            "child_classes",
+        ],
+    ),
 ];
 
 /// The fn-name scope `scoped` gives `rel`, if any.

@@ -380,6 +380,42 @@ fn hot_path_panic_is_fn_scoped_in_the_client_loop() {
 }
 
 #[test]
+fn hot_path_panic_is_fn_scoped_in_the_sibling_plans() {
+    let rel = "crates/core/src/siblings.rs";
+    // Planning a batch, a pair, a slice and the class split are in scope;
+    // the plan's own accessors beside them are not.
+    let src = "impl Parents {\n\
+               pub(crate) fn plan(&mut self, nodes: &[ScheduledNode]) -> Vec<Option<Plan>> {\n\
+               for i in 0..nodes.len() { let node = &nodes[i]; }\n\
+               }\n\
+               }\n\
+               fn pair(table: &CountsTable, rows: &[u64]) -> Option<Plan> {\n\
+               for k in 0..rows.len() { let eq = rows[k] > 0; }\n\
+               }\n\
+               fn slice(table: &CountsTable) -> Option<Plan> {\n\
+               let split = table.class_split(0, 1).unwrap();\n\
+               }\n\
+               fn child_classes(table: &CountsTable) -> Option<[Vec<u64>; 2]> {\n\
+               let [with, all] = table.class_split(col, value).expect(\"dense\");\n\
+               }\n\
+               impl Plan {\n\
+               fn rows_from(&self, source: ClassSource) -> u64 {\n\
+               for k in 0..self.rows.len() { n += self.rows[k]; }\n\
+               }\n\
+               }\n";
+    let report = check_source(rel, src);
+    assert_eq!(
+        fired(&report),
+        vec![
+            (RULE_HOT_PATH_PANIC, 3),
+            (RULE_HOT_PATH_PANIC, 7),
+            (RULE_HOT_PATH_PANIC, 10),
+            (RULE_HOT_PATH_PANIC, 13),
+        ]
+    );
+}
+
+#[test]
 fn io_bypass_fires_on_each_pattern() {
     let rel = "crates/core/src/middleware.rs";
     let report = check_source(rel, &fixture("bad", rel));

@@ -29,6 +29,7 @@
 use crate::error::{MwError, MwResult};
 use crate::request::DataLocation;
 use scaleclass_sqldb::{Code, ColumnView};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -1155,10 +1156,10 @@ impl CountsTable {
         };
         let mismatch =
             || MwError::Internal("a derived table does not line up with its parent's".into());
-        let (CcRepr::Dense(p), CcRepr::Dense(s)) = (&parent.repr, &sibling.repr) else {
+        let CcRepr::Dense(p) = &parent.repr else {
             return Err(mismatch());
         };
-        if p.layout.n_classes != s.layout.n_classes {
+        if sibling.n_classes() != Some(p.layout.n_classes) {
             return Err(mismatch());
         }
         let layout = p.layout.restrict(attrs).ok_or_else(mismatch)?;
@@ -1204,23 +1205,9 @@ impl CountsTable {
         let mut occupied = 0;
         for &attr in &layout.attrs {
             let own = child.attr_slots_mut(attr).ok_or_else(mismatch)?;
-            match s.attr_slots(attr) {
-                Some(theirs) if theirs.len() == own.len() => {
-                    for (n, &m) in own.iter_mut().zip(theirs) {
-                        *n = n.checked_sub(m).ok_or_else(underflow)?;
-                    }
-                }
-                None if edge.eq && attr == edge.col => {
-                    let width = layout.n_classes as usize;
-                    let mut row = own.chunks_exact_mut(width).nth(usize::from(edge.value));
-                    for (&class, &m) in &sibling.class_totals {
-                        let n = (row.as_deref_mut())
-                            .and_then(|row| row.get_mut(usize::from(class)))
-                            .ok_or_else(underflow)?;
-                        *n = n.checked_sub(m).ok_or_else(underflow)?;
-                    }
-                }
-                _ => return Err(mismatch()),
+            let theirs = (sibling.sibling_slots(attr, edge, own.len())).ok_or_else(mismatch)?;
+            for (n, &m) in own.iter_mut().zip(theirs.iter()) {
+                *n = n.checked_sub(m).ok_or_else(underflow)?;
             }
             occupied += own.iter().filter(|&&n| n != 0).count();
         }
@@ -1252,31 +1239,53 @@ impl CountsTable {
         Some([with, all])
     }
 
-    /// Complete a table a scan counted in the classes `counted` marks only
-    /// (DESIGN.md §12b): add `parent`'s slots, class totals and rows in
-    /// every other class, in each attribute this table tracks. When the
-    /// node's complement in its parent holds no row of those classes, every
-    /// such row of the parent is the node's, so there the node's table
-    /// *is* the parent's, and the result is the table counting every class
-    /// builds. A class past `counted` is counted. Returns the rows copied.
+    /// Complete a table a scan counted in some classes only (DESIGN.md
+    /// §12b), by `sources`, per class code: in a [`ClassSource::Parent`]
+    /// class add `parent`'s slots, class totals and rows; in a
+    /// [`ClassSource::Sibling`] class add `parent`'s less `sibling`'s,
+    /// which the scan counted there. `A = v` and `A ≠ v` partition the
+    /// parent's rows, and where the node's complement holds no row of a
+    /// class every such row of the parent is the node's, so the result is
+    /// the table counting every class builds. A class past `sources` is
+    /// counted. Returns the rows added.
     ///
     /// # Errors
     ///
-    /// [`MwError::Internal`] when the tables do not line up — either is
-    /// sparse, their class axes differ, or the parent does not track an
-    /// attribute of this table at its cardinality: `parent` is not the
-    /// node's parent's table.
-    pub(crate) fn complete(&mut self, parent: &CountsTable, counted: &[bool]) -> MwResult<u64> {
+    /// [`MwError::Internal`] when a count would underflow or the tables do
+    /// not line up — either is sparse, their class axes differ, the parent
+    /// does not track an attribute of this table at its cardinality, or a
+    /// class comes from a sibling that is missing or does not account for
+    /// one: `parent` is not the node's parent's table, or `sibling` not its
+    /// sibling's.
+    pub(crate) fn complete(
+        &mut self,
+        parent: &CountsTable,
+        sibling: Option<(&CountsTable, SiblingEdge)>,
+        sources: &[ClassSource],
+    ) -> MwResult<u64> {
         let mismatch =
             || MwError::Internal("a sliced table does not line up with its parent's".into());
+        let underflow = || {
+            MwError::Internal(
+                "a sibling counts more than the table a class is derived against".into(),
+            )
+        };
         let (CcRepr::Dense(own), CcRepr::Dense(p)) = (&mut self.repr, &parent.repr) else {
             return Err(mismatch());
         };
         if own.layout.n_classes != p.layout.n_classes {
             return Err(mismatch());
         }
-        let copied = |class: usize| !counted.get(class).copied().unwrap_or(true);
+        let sibling = match sibling {
+            _ if !sources.contains(&ClassSource::Sibling) => None,
+            Some((s, _)) if s.n_classes() != Some(p.layout.n_classes) => return Err(mismatch()),
+            Some(sibling) => Some(sibling),
+            None => return Err(mismatch()),
+        };
+        let source = |class: usize| sources.get(class).copied().unwrap_or(ClassSource::Counted);
         let width = own.layout.n_classes as usize;
+        let by_class: Vec<ClassSource> = (0..width).map(source).collect();
+        let zeros = vec![0; width];
         let layout = Arc::clone(&own.layout);
         let mut newly = 0;
         for &attr in &layout.attrs {
@@ -1286,11 +1295,27 @@ impl CountsTable {
             if mine.len() != theirs.len() {
                 return Err(mismatch());
             }
-            for (row, from) in mine.chunks_exact_mut(width).zip(theirs.chunks_exact(width)) {
-                for (class, (n, &m)) in row.iter_mut().zip(from).enumerate() {
-                    if m != 0 && copied(class) {
+            let less = match sibling {
+                Some((s, edge)) => Some(
+                    s.sibling_slots(attr, edge, mine.len())
+                        .ok_or_else(mismatch)?,
+                ),
+                None => None,
+            };
+            // Without a sibling, a row of zeros per value row.
+            let less_rows = (less.as_deref().unwrap_or_default().chunks_exact(width))
+                .chain(std::iter::repeat(zeros.as_slice()));
+            let rows = mine.chunks_exact_mut(width).zip(theirs.chunks_exact(width));
+            for ((row, from), less) in rows.zip(less_rows) {
+                for (((n, &m), &s), &source) in row.iter_mut().zip(from).zip(less).zip(&by_class) {
+                    let add = match source {
+                        ClassSource::Counted => continue,
+                        ClassSource::Parent => m,
+                        ClassSource::Sibling => m.checked_sub(s).ok_or_else(underflow)?,
+                    };
+                    if add != 0 {
                         newly += usize::from(*n == 0);
-                        *n += m;
+                        *n += add;
                     }
                 }
             }
@@ -1298,14 +1323,67 @@ impl CountsTable {
         own.occupied += newly;
         let mut rows = 0;
         for (&class, &n) in &parent.class_totals {
-            if copied(usize::from(class)) {
-                *self.class_totals.entry(class).or_insert(0) += n;
-                rows += n;
+            let add = match source(usize::from(class)) {
+                ClassSource::Counted => continue,
+                ClassSource::Parent => n,
+                ClassSource::Sibling => {
+                    let theirs = sibling.and_then(|(s, _)| s.class_totals.get(&class));
+                    n.checked_sub(theirs.copied().unwrap_or(0))
+                        .ok_or_else(underflow)?
+                }
+            };
+            if add != 0 {
+                *self.class_totals.entry(class).or_insert(0) += add;
+                rows += add;
             }
         }
         self.total += rows;
         Ok(rows)
     }
+
+    /// The class axis of a dense table; `None` for a sparse one.
+    fn n_classes(&self) -> Option<u32> {
+        match &self.repr {
+            CcRepr::Dense(d) => Some(d.layout.n_classes),
+            CcRepr::Sparse(_) => None,
+        }
+    }
+
+    /// This dense table's slots in `attr`, `len` of them, as a table
+    /// derived against it across `edge` reads them: its own — or, when it
+    /// is an `=` sibling that does not track the split attribute, its
+    /// class totals in the split value's row, every one of its rows having
+    /// that value. `None` when neither holds.
+    fn sibling_slots(&self, attr: u16, edge: SiblingEdge, len: usize) -> Option<Cow<'_, [u64]>> {
+        let CcRepr::Dense(d) = &self.repr else {
+            return None;
+        };
+        match d.attr_slots(attr) {
+            Some(slots) if slots.len() == len => Some(Cow::Borrowed(slots)),
+            None if edge.eq && attr == edge.col => {
+                let width = d.layout.n_classes as usize;
+                let mut slots = vec![0; len];
+                for (&class, &n) in &self.class_totals {
+                    let at = usize::from(edge.value) * width + usize::from(class);
+                    *slots.get_mut(at)? = n;
+                }
+                Some(Cow::Owned(slots))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Where a table a scan counted in some classes only takes a class from
+/// when it is completed ([`CountsTable::complete`], DESIGN.md §12b).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ClassSource {
+    /// The scan counts it.
+    Counted,
+    /// Its parent's counts less its sibling's, which the scan counts.
+    Sibling,
+    /// Its parent's counts: its complement holds no row of it.
+    Parent,
 }
 
 /// Where the counted sibling of a derived child sits in their parent's
@@ -2334,7 +2412,13 @@ mod tests {
                 attrs,
                 &mut (rows.iter().filter(mine)).filter(|r| counted[usize::from(r[2])]),
             );
-            let copied_rows = sliced.complete(&parent, &counted).unwrap();
+            let sources: Vec<ClassSource> = (counted.iter())
+                .map(|&c| match c {
+                    true => ClassSource::Counted,
+                    false => ClassSource::Parent,
+                })
+                .collect();
+            let copied_rows = sliced.complete(&parent, None, &sources).unwrap();
             assert_eq!(sliced, full, "{what}");
             assert_eq!(sliced.entries(), full.entries(), "{what}");
             assert_eq!(
@@ -2355,10 +2439,120 @@ mod tests {
             );
         }
         let mut sparse = table_from(&rows);
-        assert!(sparse.complete(&parent, &[true; 4]).is_err());
+        assert!(sparse
+            .complete(&parent, None, &[ClassSource::Counted; 4])
+            .is_err());
         let mut other = over(&[0, 1], &mut rows.iter().take(3));
         assert!(other
-            .complete(&over(&[1], &mut rows.iter()), &[false; 4])
+            .complete(
+                &over(&[1], &mut rows.iter()),
+                None,
+                &[ClassSource::Parent; 4]
+            )
+            .is_err());
+    }
+
+    /// Both children of a binary split, each counted in some of the
+    /// classes both hold and completed from the parent's table — less the
+    /// sibling's counts in the classes the sibling counted, plus the
+    /// parent's in the classes only it holds — are the tables counting
+    /// every class builds, slot for slot: the `=` child over `b` alone,
+    /// the `≠` child over `a` and `b`, whose `v` row of `a` reads the
+    /// `=` sibling's class totals. Either may complete first, since each
+    /// reads only classes the other counted. A class taken from a missing
+    /// sibling does not complete.
+    #[test]
+    fn a_pair_completed_class_by_class_is_the_full_count() {
+        let rows: Vec<[Code; 3]> = (0..120u16)
+            .map(|r| [r % 3, (r * 7 / 3) % 4, (r / 2 + r % 3) % 4])
+            .collect();
+        let over = |attrs: &[u16], rows: &mut dyn Iterator<Item = &[Code; 3]>| {
+            let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
+            let mut cc = CountsTable::new_dense(&cards, 4);
+            rows.for_each(|row| cc.add_row(row, attrs, 2));
+            cc
+        };
+        let parent = over(&[0, 1], &mut rows.iter());
+        let eq_rows = |r: &&[Code; 3]| r[0] == 1;
+        let [eq_k, all] = parent.class_split(0, 1).unwrap();
+        let neq_k: Vec<u64> = all.iter().zip(&eq_k).map(|(n, m)| n - m).collect();
+        assert!((0..4).filter(|&k| eq_k[k] > 0 && neq_k[k] > 0).count() >= 2);
+        for eq_counts_even in [true, false] {
+            let what = format!(
+                "= counts the {} shared classes",
+                ["odd", "even"][usize::from(eq_counts_even)]
+            );
+            // Per class: does the `=` child count it, where both hold it?
+            let on_eq = |k: usize| k.is_multiple_of(2) == eq_counts_even;
+            let sources = |mine: &[u64],
+                           theirs: &[u64],
+                           counts: &dyn Fn(usize) -> bool|
+             -> Vec<ClassSource> {
+                (0..4)
+                    .map(|k| match (mine[k], theirs[k]) {
+                        (0, _) => ClassSource::Counted,
+                        (_, 0) => ClassSource::Parent,
+                        _ if counts(k) => ClassSource::Counted,
+                        _ => ClassSource::Sibling,
+                    })
+                    .collect()
+            };
+            let eq_src = sources(&eq_k, &neq_k, &on_eq);
+            let neq_src = sources(&neq_k, &eq_k, &|k| !on_eq(k));
+            let counted =
+                |src: &[ClassSource], r: &[Code; 3]| src[usize::from(r[2])] == ClassSource::Counted;
+            let eq_full = over(&[1], &mut rows.iter().filter(eq_rows));
+            let neq_full = over(&[0, 1], &mut rows.iter().filter(|r| !eq_rows(r)));
+            let mut eq = over(
+                &[1],
+                &mut rows.iter().filter(eq_rows).filter(|r| counted(&eq_src, r)),
+            );
+            let mut neq = over(
+                &[0, 1],
+                &mut rows
+                    .iter()
+                    .filter(|r| !eq_rows(r))
+                    .filter(|r| counted(&neq_src, r)),
+            );
+            let edge = |eq| SiblingEdge {
+                col: 0,
+                value: 1,
+                eq,
+            };
+            let taken = |src: &[ClassSource], rows: &[u64]| -> u64 {
+                (0..4)
+                    .filter(|&k| src[k] != ClassSource::Counted)
+                    .map(|k| rows[k])
+                    .sum()
+            };
+            // Alternate which side completes first.
+            let (mut eq2, mut neq2) = (eq.clone(), neq.clone());
+            let added = eq
+                .complete(&parent, Some((&neq, edge(false))), &eq_src)
+                .unwrap();
+            assert_eq!(added, taken(&eq_src, &eq_k), "{what}");
+            let added = neq
+                .complete(&parent, Some((&eq, edge(true))), &neq_src)
+                .unwrap();
+            assert_eq!(added, taken(&neq_src, &neq_k), "{what}");
+            neq2.complete(&parent, Some((&eq2, edge(true))), &neq_src)
+                .unwrap();
+            eq2.complete(&parent, Some((&neq2, edge(false))), &eq_src)
+                .unwrap();
+            for (got, full) in [
+                (&eq, &eq_full),
+                (&neq, &neq_full),
+                (&eq2, &eq_full),
+                (&neq2, &neq_full),
+            ] {
+                assert_eq!(got, full, "{what}");
+                assert_eq!(got.entries(), full.entries(), "{what}");
+                assert_eq!(got.memory_bytes(), got.shadow_memory_bytes(), "{what}");
+            }
+        }
+        let mut neq = over(&[0, 1], &mut rows.iter().take(0));
+        assert!(neq
+            .complete(&parent, None, &[ClassSource::Sibling; 4])
             .is_err());
     }
 

@@ -57,27 +57,23 @@
 //! `BatchCounter::worker` fed through `BatchCounter::process`. Every
 //! other batch counts serially, through the protocol above.
 //!
-//! **Derived nodes.** A node the batch plans to derive from its parent's
-//! table and its counted sibling's (`crate::siblings`, DESIGN.md §12b) is
-//! routed and teed like any other, but no path counts it: it keeps an
-//! empty table through the scan, and `BatchCounter::derive` builds its
-//! table after it. The plan stands only over a scan
-//! `BatchCounter::cannot_reach_budget` clears (`RowSink::certify` settles
-//! it): there no budget event can fire and modelled memory only grows, so
-//! charging the derived tables once at the end and observing memory then
-//! reaches the state, and the peak, counting them would have. A server
-//! scan does not even ship such a node's rows unless it tees them
-//! (`BatchCounter::pushdown`); a staged source still hands them in, and
-//! they stop at the router.
-//!
-//! **Sliced nodes.** A node the batch plans to count only in the classes
-//! its complement in the parent holds (`crate::siblings::Slice`) is routed
-//! and teed like any other, but the kernel and the row path skip its rows
-//! of every other class, and `BatchCounter::derive` copies those classes
-//! from the parent's table after the scan — before any derivation reads
-//! it. It stands under the same proof and epoch as a derivation, for the
-//! same reason, and a server scan ships only its counted classes unless it
-//! tees (`BatchCounter::pushdown`).
+//! **Planned nodes.** A node the batch plans to serve from its parent's
+//! table (`crate::siblings::Plan`, DESIGN.md §12b) is routed and teed like
+//! any other, but the kernel and the row path count only its rows of the
+//! classes the plan counts; `BatchCounter::derive` takes every other class
+//! after the scan — from the parent's table less the sibling's, which
+//! counted it, or from the parent's alone. A node counting no class at all
+//! is derived whole: it keeps an empty table through the scan, and its
+//! table is built after every other one is complete. A plan stands only
+//! over a scan `BatchCounter::cannot_reach_budget` clears
+//! (`RowSink::certify` settles it): there no budget event can fire and
+//! modelled memory only grows, and each partial table is a subset of the
+//! one counting builds, so charging the entries once at the end and
+//! observing memory then reaches the state, and the peak, counting every
+//! class would have. A server scan ships only the counted classes of a
+//! planned node unless it tees (`BatchCounter::pushdown`) — none of a node
+//! derived whole; a staged source still hands them in, and they stop at
+//! the router or the class filter.
 //!
 //! **Parent bounds.** The proof charges each node the fewest entries any
 //! bound it holds allows: the schema's, its rows', and — for a child of a
@@ -88,11 +84,11 @@
 //! their derivations stand; debug builds check every final table against
 //! its bound (`BatchCounter::debug_assert_parent_bounds`).
 
-use crate::cc::{CountsTable, KernelScratch, CC_ENTRY_BYTES};
+use crate::cc::{ClassSource, CountsTable, KernelScratch, CC_ENTRY_BYTES};
 use crate::error::{MwError, MwResult};
 use crate::metrics::MiddlewareStats;
 use crate::request::CcRequest;
-use crate::siblings::{Derivation, EntryBound, Slice};
+use crate::siblings::{EntryBound, Plan};
 use crate::staging::FileWriter;
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
 use scaleclass_sqldb::{BlockRoute, ColumnView, Pred, PredSet};
@@ -111,16 +107,13 @@ pub struct NodeCounter {
     pub file_writer: Option<FileWriter>,
     /// Staging tee: middleware memory buffer (flat codes).
     pub mem_buffer: Option<Vec<Code>>,
-    /// Set while the batch means to derive this node's table after the
-    /// scan instead of counting it (module docs).
-    pub(crate) derive: Option<Derivation>,
     /// Set while the batch means to count this node only in some classes
-    /// and copy the others from its parent's table after the scan (module
-    /// docs).
-    pub(crate) slice: Option<Slice>,
+    /// — in none when it is derived whole — and take the others from its
+    /// parent's table and its sibling's after the scan (module docs).
+    pub(crate) plan: Option<Plan>,
     /// The filter the scan pushed down (`BatchCounter::pushdown`) left out
-    /// every row of it the scan does not count: all of a derived node's,
-    /// a sliced node's in the classes it copies.
+    /// every row of it the scan does not count: its rows in every class
+    /// its plan does not count.
     pub(crate) unshipped: bool,
     /// The most entries its table can hold, by its parent's exact table
     /// (`crate::siblings`); [`BatchCounter::cannot_reach_budget`] charges
@@ -137,54 +130,54 @@ impl NodeCounter {
             fallback: false,
             file_writer: None,
             mem_buffer: None,
-            derive: None,
-            slice: None,
+            plan: None,
             unshipped: false,
             bound: None,
         }
     }
 
     /// Does the scan count this node? Not once it fell back to SQL, nor
-    /// while its table is to be derived.
+    /// while its table is to be derived whole.
     fn counts(&self) -> bool {
-        !self.fallback && self.derive.is_none()
+        !self.fallback && !(self.plan.as_ref()).is_some_and(Plan::derives_whole)
     }
 
     /// Does the scan count `row` for this node? Not unless it counts the
-    /// node, and the node's slice, if any, counts the row's class.
+    /// node, and the node's plan, if any, counts the row's class.
     fn counts_row(&self, row: &[Code]) -> bool {
         let class = row.get(usize::from(self.req.class_col));
-        self.counts() && (self.slice.as_ref()).is_none_or(|s| class.is_none_or(|&k| s.counts(k)))
+        self.counts() && (self.plan.as_ref()).is_none_or(|p| class.is_none_or(|&k| p.counts(k)))
     }
 
-    /// Complete the node's table, counted sliced, from its parent's
-    /// (`CountsTable::complete`). Debug builds check that the scan counted
-    /// no row of a class the slice copies, and that the node ends with the
-    /// rows per class its parent's table gives. Returns the rows copied.
-    fn complete(&mut self, slice: &Slice) -> MwResult<u64> {
+    /// Complete the node's table, counted in the classes `plan` counts,
+    /// from its parent's and its `sibling`'s (`CountsTable::complete`).
+    /// Debug builds check that the scan counted no row of a class the plan
+    /// does not count, and that the node ends with the rows per class its
+    /// parent's table gives. Returns the rows added.
+    fn complete(&mut self, plan: &Plan, sibling: Option<&CountsTable>) -> MwResult<u64> {
         if self.fallback {
-            return Err(MwError::Internal("a sliced node fell back to SQL".into()));
+            return Err(MwError::Internal("a planned node fell back to SQL".into()));
         }
         let node = self.req.node();
         debug_assert!(
-            self.cc.class_distribution().all(|(k, _)| slice.counts(k)),
-            "node {node:?} counted a row of a class its slice copies"
+            self.cc.class_distribution().all(|(k, _)| plan.counts(k)),
+            "node {node:?} counted a row of a class its plan takes elsewhere"
         );
-        let copied = self.cc.complete(&slice.parent, &slice.counted)?;
+        let sibling = sibling.zip(plan.sibling.map(|(_, edge)| edge));
+        let added = self.cc.complete(&plan.parent, sibling, &plan.sources)?;
         debug_assert!(
-            self.cc.class_distribution().eq(slice.distribution()),
+            self.cc.class_distribution().eq(plan.distribution()),
             "node {node:?} completed to other class totals than its parent's table gives"
         );
-        Ok(copied)
+        Ok(added)
     }
 
-    /// Does the scan need every row of this node? Unless its table is to
-    /// be derived or sliced and it tees into no staged file or memory set:
-    /// then no count and no staged copy reads the rows the scan does not
-    /// count.
+    /// Does the scan need every row of this node? Unless it has a plan and
+    /// tees into no staged file or memory set: then no count and no staged
+    /// copy reads the rows of the classes the plan does not count.
     pub(crate) fn needs_rows(&self) -> bool {
         let tees = self.file_writer.is_some() || self.mem_buffer.is_some();
-        (self.derive.is_none() && self.slice.is_none()) || tees
+        self.plan.is_none() || tees
     }
 }
 
@@ -366,14 +359,30 @@ fn nanos_since(t0: Instant) -> u64 {
 }
 
 /// Node `idx`'s counts table with the attribute columns and class column
-/// it counts, and its slice; `None` when the scan does not count the node.
+/// it counts, and its plan; `None` when the scan does not count the node.
 fn slot(
     nodes: &mut [NodeCounter],
     idx: usize,
-) -> Option<(&mut CountsTable, &[u16], u16, Option<&Slice>)> {
+) -> Option<(&mut CountsTable, &[u16], u16, Option<&Plan>)> {
     let node = nodes.get_mut(idx)?;
     let attrs = node.req.attrs.as_slice();
-    (node.counts()).then_some((&mut node.cc, attrs, node.req.class_col, node.slice.as_ref()))
+    (node.counts()).then_some((&mut node.cc, attrs, node.req.class_col, node.plan.as_ref()))
+}
+
+/// Node `idx` to write and node `other` to read; `None` unless both
+/// exist and differ.
+fn node_and(
+    nodes: &mut [NodeCounter],
+    idx: usize,
+    other: usize,
+) -> Option<(&mut NodeCounter, &NodeCounter)> {
+    if idx < other {
+        let (low, high) = nodes.split_at_mut_checked(other)?;
+        Some((low.get_mut(idx)?, high.first()?))
+    } else {
+        let (low, high) = nodes.split_at_mut_checked(idx)?;
+        Some((high.first_mut()?, low.get(other)?))
+    }
 }
 
 /// The route-then-count pass over one block, and its reusable scratch;
@@ -393,7 +402,7 @@ struct BlockPass {
     covered: Vec<Option<bool>>,
     /// The kernel's scratch.
     kernel: KernelScratch,
-    /// A sliced node's selection cut down to the classes it counts.
+    /// A planned node's selection cut down to the classes it counts.
     sliced: Vec<u32>,
 }
 
@@ -473,7 +482,7 @@ impl BlockPass {
     }
 
     /// Second pass: per touched node still counting, count its selected
-    /// rows — a sliced node's in the classes it counts — through the block
+    /// rows — a planned node's in the classes it counts — through the block
     /// kernel, in place. Returns the modelled bytes the tables grew by — at
     /// most the [`BlockPass::cc_bound`] the caller gated on.
     fn count(
@@ -491,12 +500,12 @@ impl BlockPass {
             ..
         } = self;
         for (idx, sel) in routed.selections() {
-            if let Some((cc, attrs, class_col, slice)) = slot(nodes, idx) {
-                let sel = match slice {
-                    Some(slice) => {
+            if let Some((cc, attrs, class_col, plan)) = slot(nodes, idx) {
+                let sel = match plan {
+                    Some(plan) => {
                         let class = block.column(usize::from(class_col));
                         sliced.clear();
-                        sliced.extend(sel.iter().filter(|&&r| slice.counts(class.get(r))));
+                        sliced.extend(sel.iter().filter(|&&r| plan.counts(class.get(r))));
                         sliced.as_slice()
                     }
                     None => sel,
@@ -743,7 +752,7 @@ impl BatchCounter {
             .map(|b| b.entries)
     }
 
-    /// Debug builds: every table the batch ends with — a sliced one once
+    /// Debug builds: every table the batch ends with — a planned one once
     /// completed — holds at most the entries its parent bound allows
     /// ([`BatchCounter::parent_bound`]).
     pub(crate) fn debug_assert_parent_bounds(&self) {
@@ -760,46 +769,41 @@ impl BatchCounter {
         }
     }
 
-    /// Keep each derivation and slice planned for this certified scan only
-    /// where it is sound: the scan `proved` it cannot reach the budget
+    /// Keep each plan made for this certified scan only where it is sound:
+    /// the scan `proved` it cannot reach the budget
     /// ([`BatchCounter::cannot_reach_budget`]), the source table is still
     /// at the `epoch` the parent was counted at, and the certificate lies
-    /// inside the layouts of the parent and of the table the scan counts
-    /// (so it stays dense) — a derived node's counted sibling, or the
-    /// sliced node itself. Every other planned derived node gets the empty
-    /// table it would have been built with, and is counted like any other;
-    /// every other sliced node is counted in every class.
+    /// inside the layouts of the parent and of every table the scan counts
+    /// for the node (so they stay dense) — its own, unless it is derived
+    /// whole, and its sibling's, if it takes classes from it. Every other
+    /// node derived whole gets the empty table it would have been built
+    /// with, and every other planned node is counted in every class.
     pub(crate) fn settle_derivations(&mut self, proved: bool, epoch: u64) {
         let cert = &self.pass.certificate;
         let counts_densely = |n: &NodeCounter| {
             n.counts() && n.cc.is_dense() && n.cc.covers(cert, &n.req.attrs, n.req.class_col)
         };
-        let sound = |node: &NodeCounter, parent: &CountsTable, at: u64, counted: bool| {
-            proved
-                && at == epoch
-                && counted
-                && parent.covers(cert, &node.req.attrs, node.req.class_col)
-        };
-        let keep: Vec<(bool, bool)> = (self.nodes.iter())
+        let keep: Vec<bool> = (self.nodes.iter())
             .map(|n| {
-                let derives = n.derive.as_ref().is_some_and(|plan| {
-                    let sibling = self.nodes.get(plan.sibling).is_some_and(counts_densely);
-                    sound(n, &plan.parent, plan.epoch, sibling)
-                });
-                let slices = (n.slice.as_ref())
-                    .is_some_and(|s| sound(n, &s.parent, s.epoch, counts_densely(n)));
-                (derives, slices)
+                n.plan.as_ref().is_some_and(|plan| {
+                    let sibling = (plan.sibling)
+                        .is_none_or(|(s, _)| self.nodes.get(s).is_some_and(counts_densely));
+                    proved
+                        && plan.epoch == epoch
+                        && sibling
+                        && (plan.derives_whole() || counts_densely(n))
+                        && plan.parent.covers(cert, &n.req.attrs, n.req.class_col)
+                })
             })
             .collect();
-        for (node, (derives, slices)) in self.nodes.iter_mut().zip(keep) {
-            if !slices {
-                node.slice = None;
-            }
-            if derives {
+        for (node, keep) in self.nodes.iter_mut().zip(keep) {
+            let Some(plan) = node.plan.take_if(|_| !keep) else {
                 continue;
-            }
-            if let Some(plan) = node.derive.take() {
+            };
+            if plan.derives_whole() {
                 node.cc = (plan.parent.dense_over(&node.req.attrs)).unwrap_or_default();
+            }
+            if plan.sibling.is_some() {
                 self.refused += 1;
             }
         }
@@ -807,14 +811,13 @@ impl BatchCounter {
 
     /// The filter a server scan pushes down once its plans are settled
     /// (§4.3.1, `crate::filter`): the union of the paths of the nodes,
-    /// each cut down to the rows the scan counts unless it needs them all
-    /// ([`NodeCounter::needs_rows`]) — a derived node's left out, a sliced
-    /// node's cut to the classes it counts — and of every node whole when
-    /// the batch writes a split file, which takes each row some node
-    /// selects. A slice is one disjunct per counted class, the path ANDed
-    /// with `class = k`: a plain conjunction the server's router compiles,
-    /// and the router's `PredSet` shares the path prefix they have in
-    /// common. The nodes cut are marked
+    /// each cut down to the classes the scan counts unless it needs every
+    /// row ([`NodeCounter::needs_rows`]) — a node derived whole left out —
+    /// and of every node whole when the batch writes a split file, which
+    /// takes each row some node selects. A cut node is one disjunct per
+    /// counted class, the path ANDed with `class = k`: a plain conjunction
+    /// the server's router compiles, and the router's `PredSet` shares the
+    /// path prefix they have in common. The nodes cut are marked
     /// `unshipped`, for [`BatchCounter::derive`] to count the rows the wire
     /// never carried.
     pub(crate) fn pushdown(&mut self) -> Pred {
@@ -824,63 +827,81 @@ impl BatchCounter {
             node.unshipped = !split && !node.needs_rows();
             let path = node.req.pred();
             let col = usize::from(node.req.class_col);
-            match (&node.slice, node.unshipped) {
-                (_, false) => shipped.push(path.clone()),
-                (None, true) => {}
-                (Some(slice), true) => shipped.extend(
-                    (slice.classes())
+            match (&node.plan, node.unshipped) {
+                (Some(plan), true) => shipped.extend(
+                    (plan.classes())
                         .map(|value| Pred::and(vec![path.clone(), Pred::Eq { col, value }])),
                 ),
+                _ => shipped.push(path.clone()),
             }
         }
         Pred::or(shipped)
     }
 
-    /// Complete every sliced node's table from its parent's
-    /// (`CountsTable::complete`), then derive every planned node's from its
-    /// parent's and its counted sibling's, whole by then
-    /// (`CountsTable::derive`), after the scan and any parallel merge;
-    /// charge the entries to modelled memory and observe it once — the
+    /// Complete every planned node's table after the scan and any parallel
+    /// merge: first each one the scan counted in some classes, from its
+    /// parent's table less its sibling's in the classes the sibling counted
+    /// and from its parent's in the classes it copies
+    /// (`CountsTable::complete`); then each one derived whole, from its
+    /// parent's and its sibling's, complete by then (`CountsTable::derive`).
+    /// Charge the entries to modelled memory and observe it once — the
     /// proof that kept the plans makes that the scan's peak.
     ///
     /// # Errors
     ///
     /// [`MwError::Internal`] when a table does not complete or derive: the
-    /// parent's table was not that parent's.
+    /// parent's table was not that parent's, or a sibling fell back.
     pub(crate) fn derive(&mut self, stats: &mut MiddlewareStats) -> MwResult<()> {
         stats.derivations_refused += std::mem::take(&mut self.refused);
-        let t0 = Instant::now();
-        let mut completed = false;
-        for node in &mut self.nodes {
-            let Some(slice) = node.slice.take() else {
-                continue;
-            };
-            let before = node.cc.memory_bytes();
-            let copied = node.complete(&slice)?;
-            self.cc_bytes += node.cc.memory_bytes() - before;
-            stats.sliced_nodes += 1;
-            if node.unshipped {
-                stats.sliced_rows_unshipped += copied;
-            }
-            completed = true;
-        }
-        let plans: Vec<(usize, Derivation)> = (self.nodes.iter_mut().enumerate())
-            .filter_map(|(idx, node)| Some((idx, node.derive.take()?)))
-            .collect();
-        if plans.is_empty() && !completed {
+        let (whole, partial): (Vec<(usize, Plan)>, Vec<_>) = (self.nodes.iter_mut().enumerate())
+            .filter_map(|(idx, node)| Some((idx, node.plan.take()?)))
+            .partition(|(_, plan)| plan.derives_whole());
+        if whole.is_empty() && partial.is_empty() {
             return Ok(());
         }
-        for (idx, plan) in plans {
-            let (Some(node), Some(sibling)) = (self.nodes.get(idx), self.nodes.get(plan.sibling))
-            else {
-                return Err(MwError::Internal("a derived node lost its sibling".into()));
+        let t0 = Instant::now();
+        let lost = || MwError::Internal("a planned node lost its sibling".into());
+        let fell_back =
+            || MwError::Internal("the sibling of a derived node fell back to SQL".into());
+        for (idx, plan) in partial {
+            let (node, sibling) = match plan.sibling {
+                Some((s, _)) => {
+                    let (node, sibling) = node_and(&mut self.nodes, idx, s).ok_or_else(lost)?;
+                    if sibling.fallback {
+                        return Err(fell_back());
+                    }
+                    (node, Some(&sibling.cc))
+                }
+                None => (self.nodes.get_mut(idx).ok_or_else(lost)?, None),
+            };
+            let before = node.cc.memory_bytes();
+            node.complete(&plan, sibling)?;
+            self.cc_bytes += node.cc.memory_bytes() - before;
+            let from_sibling = plan.rows_from(ClassSource::Sibling);
+            let from_parent = plan.rows_from(ClassSource::Parent);
+            if plan.sibling.is_some() {
+                stats.derived_nodes += 1;
+                stats.derived_rows += from_sibling;
+            }
+            if plan.sources.contains(&ClassSource::Parent) {
+                stats.sliced_nodes += 1;
+            }
+            if node.unshipped {
+                stats.derived_rows_unshipped += from_sibling;
+                stats.sliced_rows_unshipped += from_parent;
+            }
+        }
+        for (idx, plan) in whole {
+            let Some((s, edge)) = plan.sibling else {
+                return Err(lost());
+            };
+            let (Some(node), Some(sibling)) = (self.nodes.get(idx), self.nodes.get(s)) else {
+                return Err(lost());
             };
             if sibling.fallback {
-                return Err(MwError::Internal(
-                    "the sibling of a derived node fell back to SQL".into(),
-                ));
+                return Err(fell_back());
             }
-            let cc = CountsTable::derive(plan.parent, &sibling.cc, &node.req.attrs, plan.edge)?;
+            let cc = CountsTable::derive(plan.parent, &sibling.cc, &node.req.attrs, edge)?;
             self.cc_bytes += cc.memory_bytes();
             stats.derived_nodes += 1;
             stats.derived_rows += cc.total();
@@ -912,8 +933,7 @@ impl BatchCounter {
             .iter()
             .map(|n| NodeCounter {
                 cc: n.cc.fresh_like(),
-                derive: n.derive.clone(),
-                slice: n.slice.clone(),
+                plan: n.plan.clone(),
                 ..NodeCounter::new(n.req.clone())
             })
             .collect();
@@ -1644,14 +1664,18 @@ mod tests {
         let eq = child(1, Pred::Eq { col: 0, value: 1 }, vec![1], 2);
         let mut neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1], 4 + 3);
         neq.cc = CountsTable::new();
-        neq.derive = Some(Derivation {
+        neq.plan = Some(Plan {
             parent: Arc::clone(parent),
-            sibling: 0,
-            edge: crate::cc::SiblingEdge {
-                col: 0,
-                value: 1,
-                eq: true,
-            },
+            sources: vec![ClassSource::Sibling; 2],
+            rows: vec![3, 1],
+            sibling: Some((
+                0,
+                crate::cc::SiblingEdge {
+                    col: 0,
+                    value: 1,
+                    eq: true,
+                },
+            )),
             epoch,
         });
         vec![eq, neq]
@@ -1688,7 +1712,7 @@ mod tests {
             let proved = batch.cannot_reach_budget(ROOT_ROWS.len() as u64);
             assert_eq!(proved, derives, "bound at epoch {bound_epoch}");
             batch.settle_derivations(proved, 3);
-            assert_eq!(batch.nodes[1].derive.is_some(), derives);
+            assert_eq!(batch.nodes[1].plan.is_some(), derives);
             let mut stats = MiddlewareStats::new();
             for r in &ROOT_ROWS {
                 batch.process_row(r, &mut stats).unwrap();

@@ -23,10 +23,10 @@
 //! and their merge is that final state, observed once. Every other scan
 //! counts serially, through the one protocol in `executor.rs`. So counts,
 //! fallback flags and every logical stat are those of `scan_workers = 1`,
-//! at any budget. The same proof is what lets a batch derive a node's table
-//! from its parent's and its sibling's instead of counting it
-//! (`crate::siblings`): no worker counts such a node, and `RowSink::finish`
-//! derives it once the workers are merged.
+//! at any budget. The same proof is what lets a batch take a node's classes
+//! from its parent's table and its sibling's instead of counting them
+//! (`crate::siblings`): every worker carries the node's plan and counts only
+//! the classes it counts, and `RowSink::finish` completes the merged tables.
 //!
 //! ## Two ways to feed the workers
 //!
@@ -401,7 +401,7 @@ impl RowSink {
         let batch = &mut self.batch;
         batch.certify(certificate);
         batch.epoch = epoch;
-        let planned = (batch.nodes.iter()).any(|n| n.derive.is_some() || n.slice.is_some());
+        let planned = (batch.nodes.iter()).any(|n| n.plan.is_some());
         let proved = (self.workers > 1 || planned) && batch.cannot_reach_budget(rows);
         batch.settle_derivations(proved, epoch);
         if proved && self.workers > 1 {
@@ -468,9 +468,9 @@ impl RowSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{CountsTable, SiblingEdge, CC_ENTRY_BYTES};
+    use crate::cc::{ClassSource, CountsTable, SiblingEdge, CC_ENTRY_BYTES};
     use crate::request::{CcRequest, Lineage, NodeId};
-    use crate::siblings::{Derivation, Slice};
+    use crate::siblings::Plan;
     use scaleclass_sqldb::Pred;
     use std::sync::Arc;
 
@@ -1069,14 +1069,19 @@ mod tests {
         let mut neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1]);
         if derive {
             neq.cc = CountsTable::new();
-            neq.derive = Some(Derivation {
+            let rows = parent.class_split(0, 1).unwrap();
+            neq.plan = Some(Plan {
                 parent: Arc::clone(parent),
-                sibling: 0,
-                edge: SiblingEdge {
-                    col: 0,
-                    value: 1,
-                    eq: true,
-                },
+                sources: vec![ClassSource::Sibling; 2],
+                rows: rows[1].iter().zip(&rows[0]).map(|(n, m)| n - m).collect(),
+                sibling: Some((
+                    0,
+                    SiblingEdge {
+                        col: 0,
+                        value: 1,
+                        eq: true,
+                    },
+                )),
                 epoch: 0,
             });
         }
@@ -1135,10 +1140,7 @@ mod tests {
             let (batch, stats) = sunk(children(&parent, true), workers, budget, epoch, &data);
             for (c, b) in counted.nodes.iter().zip(&batch.nodes) {
                 assert_eq!(b.cc, c.cc, "{what}");
-                assert!(
-                    b.cc.is_dense() && b.derive.is_none() && !b.fallback,
-                    "{what}"
-                );
+                assert!(b.cc.is_dense() && b.plan.is_none() && !b.fallback, "{what}");
             }
             assert_eq!(batch.memory_in_use(), most, "{what}");
             assert_eq!(
@@ -1197,10 +1199,11 @@ mod tests {
             if tees {
                 sliced.mem_buffer = Some(Vec::new());
             }
-            sliced.slice = Some(Slice {
+            sliced.plan = Some(Plan {
                 parent: Arc::clone(&parent),
-                counted: vec![true, false],
+                sources: vec![ClassSource::Counted, ClassSource::Parent],
                 rows: vec![class_rows(0), class_rows(1)],
+                sibling: None,
                 epoch: 0,
             });
             let config = MiddlewareConfig::builder()

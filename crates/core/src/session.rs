@@ -795,7 +795,8 @@ impl Session {
         // paper observes the techniques only apply once the active data set
         // has genuinely shrunk.
         let frontier_rows = plan.relevant_rows() + self.pending.iter().map(|r| r.rows).sum::<u64>();
-        let plans = (self.parents).plan(&plan.nodes, sampled_tag.is_none(), &mut self.stats);
+        let (exact, wire) = (sampled_tag.is_none(), source == DataLocation::Server);
+        let plans = (self.parents).plan(&plan.nodes, exact, wire, &mut self.stats);
         let batch = self.build_counters(plan, lease_bytes, plans)?;
         // Serial or parallel counting behind one block interface — the
         // scan loop never knows which one runs; the sink decides when the
@@ -881,14 +882,14 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// The batch's counting pass over `plan`, `plans` aligned with its
-    /// nodes. A node planned for derivation is built dense, as it was
+    /// nodes. A node planned to be derived whole is built dense, as it was
     /// scheduled, but its table is allocated only when it is derived — or
     /// when the scan cannot keep the plan and counts it.
     fn build_counters(
         &mut self,
         plan: BatchPlan,
         lease_bytes: u64,
-        plans: Vec<Plan>,
+        plans: Vec<Option<Plan>>,
     ) -> MwResult<BatchCounter> {
         let (source, compact) = (plan.source, plan.compact_mem);
         let split = if plan.split_file {
@@ -902,11 +903,12 @@ impl Session {
             None
         };
         let mut counters = Vec::with_capacity(plan.nodes.len());
-        for (sched, Plan { derive, slice }) in plan.nodes.into_iter().zip(plans) {
+        for (sched, plan) in plan.nodes.into_iter().zip(plans) {
+            let whole = plan.as_ref().is_some_and(Plan::derives_whole);
             let mut counter = NodeCounter::new(sched.req);
-            (counter.derive, counter.slice) = (derive, slice);
+            counter.plan = plan;
             counter.bound = self.parents.take_bound(counter.req.node());
-            if counter.derive.is_none() && sched.dense {
+            if !whole && sched.dense {
                 // Slot arrays are sized by *schema* cardinalities — the
                 // true code bounds — never by the node-local distinct
                 // counts in `parent_cards`, which child codes can exceed.
@@ -923,7 +925,7 @@ impl Session {
                     .collect();
                 counter.cc = CountsTable::new_dense(&attr_cards, self.backend.nclasses);
             }
-            if counter.cc.is_dense() || counter.derive.is_some() {
+            if counter.cc.is_dense() || whole {
                 self.stats.dense_nodes += 1;
             } else {
                 self.stats.sparse_nodes += 1;

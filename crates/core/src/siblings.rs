@@ -1,18 +1,18 @@
-//! Count one sibling, derive the other — and count a child only in the
-//! classes its sibling shares (DESIGN.md §12b).
+//! Count each class of a sibling pair on one side, derive it on the other
+//! — and count a child only in the classes its sibling shares (DESIGN.md
+//! §12b).
 //!
 //! A counts table is additive over any partition of a node's rows, and the
-//! children `A = v` and `A ≠ v` of a binary split partition their parent's.
-//! So when one batch schedules both, the scan counts one and derives the
-//! other after it as `parent − sibling` ([`CountsTable::derive`]) —
-//! provided the session still holds the parent's exact table. The same
-//! table settles most of the counted child too: in a class its complement
-//! (the rest of the parent's rows) holds no row of, every row of the parent
-//! is the child's, so there the child's table *is* the parent's. The scan
-//! counts such a child only in the classes its complement holds, and
-//! [`CountsTable::complete`] copies the others from the parent after it.
-//! This module is how the session holds the parent's table, and no longer
-//! than it can serve:
+//! children `A = v` and `A ≠ v` of a binary split partition their parent's
+//! — class by class too. So when one batch schedules both, the scan counts
+//! each class they share on one side and takes it on the other as
+//! `parent − sibling` after the scan, provided the session still holds the
+//! parent's exact table ([`CountsTable::complete`]; a side left counting
+//! nothing is derived whole, [`CountsTable::derive`]). The same table
+//! settles the classes only one child holds: there every row of the parent
+//! is that child's, so its table *is* the parent's, and
+//! [`CountsTable::complete`] copies it after the scan. This module is how
+//! the session holds the parent's table, and no longer than it can serve:
 //!
 //! * After every batch the session remembers each exact, dense fulfilment
 //!   by a `Weak` handle on the table it hands the client
@@ -28,11 +28,13 @@
 //!   goes, all of them when the table's epoch has moved, and every record
 //!   the last batch left unpinned ([`Parents::retain`]).
 //! * An exact batch plans, for every scheduled child of a pin, how the
-//!   parent's table serves it ([`Parents::plan`]): when it schedules both
-//!   children of a binary split, it derives one from the other; every
-//!   child it counts, it slices to the classes its complement holds — the
-//!   sibling's, whether or not the client requested the sibling. The scan
-//!   keeps each plan only where `RowSink::certify` proves it sound.
+//!   parent's table serves it, class by class ([`Parents::plan`]): when it
+//!   schedules both children of a binary split, a server scan counts each
+//!   class they share on the side that ships fewer of its rows, and every
+//!   other batch on one side throughout; every other child it slices to
+//!   the classes its complement holds — the sibling's, whether or not the
+//!   client requested the sibling. The scan keeps each plan only where
+//!   `RowSink::certify` proves it sound.
 //!
 //! The same records sharpen that proof. A child's rows are a subset of its
 //! parent's, so its table holds only entries the parent's holds, and per
@@ -41,60 +43,52 @@
 //! stamped with the parent's epoch, which the batch that schedules it
 //! takes ([`Parents::take_bound`]) for `BatchCounter::cannot_reach_budget`.
 
-use crate::cc::{CountsTable, SiblingEdge};
+use crate::cc::{ClassSource, CountsTable, SiblingEdge};
 use crate::metrics::MiddlewareStats;
 use crate::request::{CcRequest, Lineage, NodeId};
 use crate::scheduler::ScheduledNode;
 use scaleclass_sqldb::{Code, Pred};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
 
-/// How a batch serves one scheduled node from its parent's table; the
-/// default counts it whole.
-#[derive(Debug, Clone, Default)]
+/// How a batch serves one scheduled node from its parent's table, class by
+/// class: each class is counted by the scan, taken from the parent's table
+/// less the counted sibling's, or copied from the parent's table
+/// ([`CountsTable::complete`]). A node no class of which the scan counts,
+/// and that takes its classes from a sibling, is derived whole
+/// ([`CountsTable::derive`]). A node without a plan is counted in every
+/// class.
+#[derive(Debug, Clone)]
 pub(crate) struct Plan {
-    /// Derive its table after the scan instead of counting it.
-    pub(crate) derive: Option<Derivation>,
-    /// Count it in some classes only.
-    pub(crate) slice: Option<Slice>,
-}
-
-/// A node its batch derives after the scan instead of counting it.
-#[derive(Debug, Clone)]
-pub(crate) struct Derivation {
     /// The parent's exact table.
     pub(crate) parent: Arc<CountsTable>,
-    /// The counted sibling's index in the batch.
-    pub(crate) sibling: usize,
-    /// Where the sibling sits in the parent's split.
-    pub(crate) edge: SiblingEdge,
-    /// The table's epoch when the parent was counted.
-    pub(crate) epoch: u64,
-}
-
-/// A node its batch counts only in the classes its complement holds,
-/// copying the others from its parent's table after the scan
-/// ([`CountsTable::complete`]).
-#[derive(Debug, Clone)]
-pub(crate) struct Slice {
-    /// The parent's exact table.
-    pub(crate) parent: Arc<CountsTable>,
-    /// Per class code: does the scan count it? Those the complement holds.
-    pub(crate) counted: Vec<bool>,
+    /// Per class code, where the node's counts in it come from.
+    pub(crate) sources: Vec<ClassSource>,
     /// The node's rows per class code, read off the parent's table.
     pub(crate) rows: Vec<u64>,
+    /// The sibling it takes [`ClassSource::Sibling`] classes from: its
+    /// index in the batch, and where it sits in the parent's split.
+    pub(crate) sibling: Option<(usize, SiblingEdge)>,
     /// The table's epoch when the parent was counted.
     pub(crate) epoch: u64,
 }
 
-impl Slice {
-    /// Does the scan count a row of `class`? A class past the parent's
-    /// class axis is counted.
+impl Plan {
+    /// Where the node's counts in `class` come from. A class past the
+    /// parent's class axis is counted.
+    fn source(&self, class: Code) -> ClassSource {
+        (self.sources.get(usize::from(class)).copied()).unwrap_or(ClassSource::Counted)
+    }
+
+    /// Does the scan count a row of `class`?
     pub(crate) fn counts(&self, class: Code) -> bool {
-        self.counted
-            .get(usize::from(class))
-            .copied()
-            .unwrap_or(true)
+        self.source(class) == ClassSource::Counted
+    }
+
+    /// Is the node derived whole from its sibling — no class counted?
+    pub(crate) fn derives_whole(&self) -> bool {
+        self.sibling.is_some() && self.sources.iter().all(|&s| s == ClassSource::Sibling)
     }
 
     /// The node's rows per class, by the parent's table: `(class, rows)`
@@ -112,11 +106,10 @@ impl Slice {
             .filter(|&class| self.counts(class))
     }
 
-    /// The node's rows in the classes the scan copies.
-    #[cfg(test)]
-    pub(crate) fn copied_rows(&self) -> u64 {
+    /// The node's rows in the classes it takes from `source`.
+    pub(crate) fn rows_from(&self, source: ClassSource) -> u64 {
         (self.distribution())
-            .filter(|&(class, _)| !self.counts(class))
+            .filter(|&(class, _)| self.source(class) == source)
             .map(|(_, n)| n)
             .sum()
     }
@@ -255,18 +248,21 @@ impl Parents {
     /// Plan a batch: per scheduled node, in plan order, how the parent's
     /// table serves it. Only an `exact` batch plans anything, and only for
     /// the children of a pin; a sampled one forgets the pins of the nodes
-    /// it schedules. When it scheduled both children of a binary
-    /// split, one is derived from the other when it can be ([`pair`]); every
-    /// other child of a pin gets a [`Slice`] when its complement lacks one
-    /// of its classes. The first batch that schedules only one of a binary
-    /// split's two children counts the pair into `stats.split_pairs`.
+    /// it schedules. When it scheduled both children of a binary split, it
+    /// serves each class of theirs from one side when it can ([`pair`];
+    /// `wire`: the batch's rows come over the wire from the server); every
+    /// other child of a pin is sliced when its complement lacks one of its
+    /// classes ([`slice`]). The first
+    /// batch that schedules only one of a binary split's two children
+    /// counts the pair into `stats.split_pairs`.
     pub(crate) fn plan(
         &mut self,
         nodes: &[ScheduledNode],
         exact: bool,
+        wire: bool,
         stats: &mut MiddlewareStats,
-    ) -> Vec<Plan> {
-        let mut plans = vec![Plan::default(); nodes.len()];
+    ) -> Vec<Option<Plan>> {
+        let mut plans = vec![None; nodes.len()];
         if self.by_node.is_empty() {
             return plans;
         }
@@ -302,17 +298,20 @@ impl Parents {
                 self.by_node.remove(&parent);
                 continue;
             }
-            let derived = match children[..] {
-                [a, b] => pair(table, *epoch, nodes, a, b),
+            let paired = match *children.as_slice() {
+                [a, b] => pair(table, *epoch, nodes, [a, b], wire),
                 _ => None,
             };
-            for &i in &children {
-                let (Some(plan), Some(node)) = (plans.get_mut(i), nodes.get(i)) else {
-                    continue;
-                };
-                match &derived {
-                    Some((d, derivation)) if *d == i => plan.derive = Some(derivation.clone()),
-                    _ => plan.slice = slice(table, *epoch, node),
+            let planned = paired.map_or_else(
+                || {
+                    let own = |&i: &usize| (i, nodes.get(i).and_then(|n| slice(table, *epoch, n)));
+                    children.iter().map(own).collect()
+                },
+                Vec::from,
+            );
+            for (i, plan) in planned {
+                if let Some(slot) = plans.get_mut(i) {
+                    *slot = plan;
                 }
             }
         }
@@ -343,80 +342,150 @@ fn child_classes(table: &CountsTable, node: &ScheduledNode) -> Option<[Vec<u64>;
     Some(if eq { [with, without] } else { [without, with] })
 }
 
+/// Per class code, where a child whose rows per class are `rows` and its
+/// complement's `others` takes its counts from: a class it holds and the
+/// complement lacks is copied from the parent; one both hold is counted
+/// where `counts` says so, else taken from the sibling; one it lacks is
+/// counted (there is nothing to count).
+fn sources(rows: &[u64], others: &[u64], counts: impl Fn(usize) -> bool) -> Vec<ClassSource> {
+    let other = |k: usize| others.get(k).copied().unwrap_or(0);
+    (rows.iter().enumerate())
+        .map(|(k, &n)| match (n, other(k)) {
+            (0, _) => ClassSource::Counted,
+            (_, 0) => ClassSource::Parent,
+            _ if counts(k) => ClassSource::Counted,
+            _ => ClassSource::Sibling,
+        })
+        .collect()
+}
+
+/// Does the scan count some row of a child — a class it holds marked
+/// [`ClassSource::Counted`]?
+fn counts_some(sources: &[ClassSource], rows: &[u64]) -> bool {
+    (sources.iter().zip(rows)).any(|(&s, &n)| s == ClassSource::Counted && n > 0)
+}
+
 /// The slice of `node`, a scheduled child of the node `table` counted: the
-/// classes its complement holds. `None` unless the complement lacks a class
-/// the child has, and the child counts densely over strictly ascending
-/// attributes the parent's table tracks.
-fn slice(table: &Arc<CountsTable>, epoch: u64, node: &ScheduledNode) -> Option<Slice> {
+/// classes its complement holds are counted, the others copied. `None`
+/// unless the complement lacks a class the child has, and the child counts
+/// densely over strictly ascending attributes the parent's table tracks.
+fn slice(table: &Arc<CountsTable>, epoch: u64, node: &ScheduledNode) -> Option<Plan> {
     let [rows, complement] = child_classes(table, node)?;
-    let counted: Vec<bool> = complement.iter().map(|&n| n > 0).collect();
-    let copies = rows.iter().zip(&counted).any(|(&n, &c)| n > 0 && !c);
+    let sources = sources(&rows, &complement, |_| true);
+    let copies = sources.contains(&ClassSource::Parent);
     let eligible = node.dense && ascending(&node.req.attrs) && table.tracks(&node.req.attrs);
-    (copies && eligible).then(|| Slice {
+    (copies && eligible).then(|| Plan {
         parent: Arc::clone(table),
-        counted,
+        sources,
         rows,
+        sibling: None,
         epoch,
     })
 }
 
-/// The derivation of one of two scheduled children of the node `table`
-/// counted, at positions `a` and `b` of `nodes`, with the position of the
-/// child it derives. The two must sit on the edges `A = v` and `A ≠ v`.
-/// The counted one is the one with fewer rows in the classes both hold —
-/// the rows it ships once sliced to the classes its sibling holds — the
-/// `=` child on a tie; the other is derived from it, provided both count
-/// densely over strictly ascending attributes, the parent's table tracks
-/// every attribute of the derived child, and the sibling every one of them
-/// but — when the sibling is the `=` child — `A`.
+/// The plans of two scheduled children of the node `table` counted, at
+/// positions `a` and `b` of `nodes`, each with its position; `None` unless
+/// the two sit on the edges `A = v` and `A ≠ v` and one can be derived
+/// from the other — it counts densely over strictly ascending attributes
+/// the parent's table tracks, and the sibling, counting densely over
+/// strictly ascending attributes, tracks every one of them but — when the
+/// sibling is the `=` child — `A`.
+///
+/// The pair's side is the child with fewer rows in the classes both hold,
+/// the `=` child on a tie. When each child can be derived from the other,
+/// every class both hold is counted on the side that ships fewer of its
+/// rows over the wire, and taken from it on the other: a side ships none
+/// when the batch does not read the server (`wire`) or the side ships
+/// whole anyway, teeing into a memory set or a file; where both ship as
+/// many, on the pair's side. Otherwise the pair's side counts every class
+/// both hold, when the other can be derived from it. Each side copies the
+/// classes only it holds from the parent's table, and a side left counting
+/// no row is derived whole from the other.
 fn pair(
     table: &Arc<CountsTable>,
     epoch: u64,
     nodes: &[ScheduledNode],
-    a: usize,
-    b: usize,
-) -> Option<(usize, Derivation)> {
+    [a, b]: [usize; 2],
+    wire: bool,
+) -> Option<[(usize, Option<Plan>); 2]> {
     let (col, value, a_eq) = edge(nodes.get(a)?)?;
     if edge(nodes.get(b)?)? != (col, value, !a_eq) {
         return None;
     }
     let (eq, neq) = if a_eq { (a, b) } else { (b, a) };
-    let [eq_rows, neq_rows] = child_classes(table, nodes.get(eq)?)?;
+    let (e, n) = (nodes.get(eq)?, nodes.get(neq)?);
+    let [eq_rows, neq_rows] = child_classes(table, e)?;
+    let derivable = |d: &ScheduledNode, s: &ScheduledNode, sibling_eq: bool| {
+        let sibling_tracks =
+            |attr: &u16| s.req.attrs.contains(attr) || (sibling_eq && *attr == col);
+        d.dense
+            && s.dense
+            && ascending(&d.req.attrs)
+            && ascending(&s.req.attrs)
+            && table.tracks(&d.req.attrs)
+            && d.req.attrs.iter().all(sibling_tracks)
+    };
     let shared = |x: &[u64], y: &[u64]| -> u64 {
-        x.iter()
-            .zip(y)
+        (x.iter().zip(y))
             .filter(|&(_, &m)| m > 0)
             .map(|(&n, _)| n)
             .sum()
     };
-    let (derived, sibling, sibling_eq) =
-        if shared(&eq_rows, &neq_rows) > shared(&neq_rows, &eq_rows) {
-            (eq, neq, false)
+    let eq_side = shared(&eq_rows, &neq_rows) <= shared(&neq_rows, &eq_rows);
+    let mixes = derivable(n, e, true) && derivable(e, n, false);
+    let (derived, sibling) = if eq_side { (n, e) } else { (e, n) };
+    if !mixes && !derivable(derived, sibling, eq_side) {
+        return None;
+    }
+    let shipped = |node: &ScheduledNode, rows: u64| {
+        let whole = node.stage_mem || node.stage_file;
+        if wire && !whole {
+            rows
         } else {
-            (neq, eq, true)
-        };
-    let (d, s) = (nodes.get(derived)?, nodes.get(sibling)?);
-    let sibling_tracks = |attr: &u16| s.req.attrs.contains(attr) || (sibling_eq && *attr == col);
-    let derivable = d.dense
-        && s.dense
-        && ascending(&d.req.attrs)
-        && ascending(&s.req.attrs)
-        && table.tracks(&d.req.attrs)
-        && d.req.attrs.iter().all(sibling_tracks);
-    let edge = SiblingEdge {
-        col,
-        value,
-        eq: sibling_eq,
+            0
+        }
     };
-    derivable.then(|| {
-        let plan = Derivation {
-            parent: Arc::clone(table),
-            sibling,
-            edge,
-            epoch,
+    // Per class both hold: does the `=` child count it?
+    let eq_counts: Vec<bool> = (eq_rows.iter().zip(&neq_rows))
+        .map(|(&x, &y)| match shipped(e, x).cmp(&shipped(n, y)) {
+            Ordering::Less if mixes => true,
+            Ordering::Greater if mixes => false,
+            _ => eq_side,
+        })
+        .collect();
+    let eq_counts = |k: usize| eq_counts.get(k).copied().unwrap_or(true);
+    let mut eq_sources = sources(&eq_rows, &neq_rows, eq_counts);
+    let mut neq_sources = sources(&neq_rows, &eq_rows, |k| !eq_counts(k));
+    if !counts_some(&neq_sources, &neq_rows) {
+        neq_sources.fill(ClassSource::Sibling);
+    } else if !counts_some(&eq_sources, &eq_rows) {
+        eq_sources.fill(ClassSource::Sibling);
+    }
+    let plan = |node: &ScheduledNode, sources: Vec<ClassSource>, rows, sibling, sibling_eq| {
+        let derived = sources.contains(&ClassSource::Sibling);
+        let tracked = derived || table.tracks(&node.req.attrs);
+        let sources = match tracked {
+            true => sources,
+            // The parent's table cannot complete it: count every class.
+            false => vec![ClassSource::Counted; sources.len()],
         };
-        (derived, plan)
-    })
+        let edge = SiblingEdge {
+            col,
+            value,
+            eq: sibling_eq,
+        };
+        (sources.iter().any(|&s| s != ClassSource::Counted)).then(|| Plan {
+            parent: Arc::clone(table),
+            sources,
+            rows,
+            sibling: derived.then_some((sibling, edge)),
+            epoch,
+        })
+    };
+    Some([
+        (eq, plan(e, eq_sources, eq_rows, neq, false)),
+        (neq, plan(n, neq_sources, neq_rows, eq, true)),
+    ])
 }
 
 /// Strictly ascending — so no attribute is counted twice.
@@ -510,10 +579,39 @@ mod tests {
         }
     }
 
+    /// The root of `rows`, `[a, b, class]` with `nclasses` classes,
+    /// remembered at epoch 7, and its children `a = 1` (node 1, over
+    /// `attrs[0]`) and `a ≠ 1` (node 2, over `attrs[1]`), as the scheduler
+    /// hands them out.
+    fn scheduled_pair(
+        rows: &[[Code; 3]],
+        nclasses: u64,
+        attrs: [&[u16]; 2],
+    ) -> (Parents, Arc<CountsTable>, [ScheduledNode; 2]) {
+        let root = request(Lineage::root(NodeId(0)), vec![0, 1]);
+        let mut table = CountsTable::new_dense(&[(0, 4), (1, 4)], nclasses);
+        for row in rows {
+            table.add_row(row, &[0, 1], 2);
+        }
+        let table = Arc::new(table);
+        let mut parents = Parents::default();
+        parents.fulfilled(&root, &table, 7);
+        let child = |id, edge, attrs: &[u16]| ScheduledNode {
+            req: request(root.lineage.child(NodeId(id), edge), attrs.to_vec()),
+            est_cc_bytes: 0,
+            est_data_bytes: 0,
+            stage_file: false,
+            stage_mem: false,
+            dense: true,
+        };
+        let eq = child(1, Pred::Eq { col: 0, value: 1 }, attrs[0]);
+        let neq = child(2, Pred::NotEq { col: 0, value: 1 }, attrs[1]);
+        (parents, table, [eq, neq])
+    }
+
     /// The root of four copies of `[a, b, class]` rows in which every
-    /// `a = 1` row is class 0, remembered at epoch 7, and its children
-    /// `a = 1` (node 1) and `a ≠ 1` (node 2, which holds both classes),
-    /// both over `a` and `b`, as the scheduler hands them out.
+    /// `a = 1` row is class 0, and its children `a = 1` (node 1) and
+    /// `a ≠ 1` (node 2, which holds both classes), both over `a` and `b`.
     fn pure_sibling() -> (Parents, Arc<CountsTable>, [ScheduledNode; 2]) {
         let rows = [
             [0, 0, 0],
@@ -523,25 +621,149 @@ mod tests {
             [2, 0, 1],
             [2, 1, 1],
         ];
-        let root = request(Lineage::root(NodeId(0)), vec![0, 1]);
-        let mut table = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
-        for row in rows.iter().cycle().take(4 * rows.len()) {
-            table.add_row(row, &[0, 1], 2);
+        let rows: Vec<[Code; 3]> = rows.iter().cycle().take(4 * rows.len()).copied().collect();
+        scheduled_pair(&rows, 2, [&[0, 1], &[0, 1]])
+    }
+
+    /// Both children of a root with four classes, `eq[k]` rows of class
+    /// `k` with `a = 1` and `neq[k]` with `a` 0 or 2, enqueued — their
+    /// rows enough to pin the root — and scheduled together.
+    fn pair_of(
+        eq: [usize; 4],
+        neq: [usize; 4],
+        attrs: [&[u16]; 2],
+    ) -> (Parents, Arc<CountsTable>, [ScheduledNode; 2]) {
+        let mut rows = Vec::new();
+        for (k, (&e, &n)) in (0..).zip(eq.iter().zip(&neq)) {
+            rows.extend((0..e).map(|i| [1, (i % 4) as Code, k]));
+            rows.extend((0..n).map(|i| [2 * (i % 2) as Code, (i % 4) as Code, k]));
         }
-        let table = Arc::new(table);
-        let mut parents = Parents::default();
-        parents.fulfilled(&root, &table, 7);
-        let child = |id, edge| ScheduledNode {
-            req: request(root.lineage.child(NodeId(id), edge), vec![0, 1]),
-            est_cc_bytes: 0,
-            est_data_bytes: 0,
-            stage_file: false,
-            stage_mem: false,
-            dense: true,
-        };
-        let eq = child(1, Pred::Eq { col: 0, value: 1 });
-        let neq = child(2, Pred::NotEq { col: 0, value: 1 });
-        (parents, table, [eq, neq])
+        let (mut parents, table, nodes) = scheduled_pair(&rows, 4, attrs);
+        for node in &nodes {
+            parents.enqueued(&node.req);
+        }
+        (parents, table, nodes)
+    }
+
+    /// The `a = 1` child holds 8, 20 and 12 rows of classes 0–2, the
+    /// `a ≠ 1` child 24, 4, 12 and 8 of classes 0–3.
+    const EQ_ROWS: [usize; 4] = [8, 20, 12, 0];
+    const NEQ_ROWS: [usize; 4] = [24, 4, 12, 8];
+
+    use ClassSource::{Counted, Parent, Sibling};
+
+    /// A plan's sources, and its sibling's position and edge.
+    type Shape = (Vec<ClassSource>, Option<(usize, bool)>);
+
+    /// The shape of a plan, `None` for a node counted whole.
+    fn shape(plan: &Option<Plan>) -> Option<Shape> {
+        let plan = plan.as_ref()?;
+        Some((plan.sources.clone(), plan.sibling.map(|(s, e)| (s, e.eq))))
+    }
+
+    /// In a server scan each class both children hold is counted on the
+    /// side with fewer rows in it — class 0 on `=`, class 1 on `≠` — and
+    /// taken from the sibling on the other; the class only the `≠` child
+    /// holds is copied from the parent. A class both hold as many rows of,
+    /// class 2, is counted on the pair's side: the `=` child at 40 shared
+    /// rows against 40, the `≠` child once the `=` child has 48. Each side
+    /// reads its rows per class off the parent's table.
+    #[test]
+    fn each_shared_class_is_counted_on_its_smaller_side_the_eq_side_on_a_tie() {
+        let (mut parents, _table, nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[1], &[0, 1]]);
+        let mut stats = MiddlewareStats::new();
+        let plans = parents.plan(&nodes, true, true, &mut stats);
+        let eq = (vec![Counted, Sibling, Counted, Counted], Some((1, false)));
+        let neq = (vec![Sibling, Counted, Sibling, Parent], Some((0, true)));
+        assert_eq!(shape(&plans[0]), Some(eq));
+        assert_eq!(shape(&plans[1]), Some(neq));
+        let [e, n] = [0, 1].map(|i| plans[i].as_ref().unwrap());
+        assert_eq!(
+            (e.rows.clone(), n.rows.clone()),
+            (vec![8, 20, 12, 0], vec![24, 4, 12, 8])
+        );
+        assert!(!e.derives_whole() && !n.derives_whole());
+        assert_eq!(e.classes().collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(n.classes().collect::<Vec<_>>(), [1]);
+        assert_eq!((e.rows_from(Sibling), e.rows_from(Parent)), (20, 0));
+        assert_eq!((n.rows_from(Sibling), n.rows_from(Parent)), (36, 8));
+        assert_eq!(stats.split_pairs, 0);
+
+        let (mut parents, _table, nodes) = pair_of([8, 28, 12, 0], NEQ_ROWS, [&[1], &[0, 1]]);
+        let plans = parents.plan(&nodes, true, true, &mut stats);
+        let eq = (vec![Counted, Sibling, Sibling, Counted], Some((1, false)));
+        let neq = (vec![Sibling, Counted, Counted, Parent], Some((0, true)));
+        assert_eq!(shape(&plans[0]), Some(eq));
+        assert_eq!(shape(&plans[1]), Some(neq));
+    }
+
+    /// A side that tees — into a memory set or a file — ships its rows
+    /// whole anyway, so a server scan counts it in every class both hold,
+    /// and its sibling, left counting no row, is derived whole from it.
+    #[test]
+    fn a_teeing_side_is_counted_in_every_shared_class_and_its_sibling_derived() {
+        for (side, tee) in [(0, "memory"), (0, "file"), (1, "memory"), (1, "file")] {
+            let what = format!("side {side} tees into a {tee}");
+            let (mut parents, _table, mut nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[1], &[0, 1]]);
+            match tee {
+                "memory" => nodes[side].stage_mem = true,
+                _ => nodes[side].stage_file = true,
+            }
+            let plans = parents.plan(&nodes, true, true, &mut MiddlewareStats::new());
+            let (derived, counted) = (1 - side, side);
+            let plan = plans[derived].as_ref().expect("derived");
+            assert!(plan.derives_whole(), "{what}");
+            assert_eq!(plan.sibling.map(|(s, _)| s), Some(counted), "{what}");
+            let copies = [vec![Counted; 4], vec![Counted, Counted, Counted, Parent]];
+            let expected = (side == 1).then(|| (copies[side].clone(), None));
+            assert_eq!(shape(&plans[counted]), expected, "{what}");
+        }
+    }
+
+    /// A batch that reads a staged copy — one that writes a split file
+    /// reads a staged file — ships no row over the wire, tee or no tee: the
+    /// pair's side, chosen by its rows in the classes both hold, counts
+    /// every one of them, and the other side is derived whole.
+    #[test]
+    fn a_split_file_batch_chooses_by_rows() {
+        for (eq_rows, eq_side) in [(EQ_ROWS, true), ([8, 28, 12, 0], false)] {
+            for tee in [None, Some(0), Some(1)] {
+                let what = format!("= side {eq_side}, tee {tee:?}");
+                let (mut parents, _table, mut nodes) = pair_of(eq_rows, NEQ_ROWS, [&[1], &[0, 1]]);
+                if let Some(side) = tee {
+                    nodes[side].stage_file = true;
+                }
+                let plans = parents.plan(&nodes, true, false, &mut MiddlewareStats::new());
+                let (counted, derived) = if eq_side { (0, 1) } else { (1, 0) };
+                let plan = plans[derived].as_ref().expect("derived");
+                assert!(plan.derives_whole(), "{what}");
+                assert_eq!(plan.sibling.map(|(s, _)| s), Some(counted), "{what}");
+                let copies = (!eq_side).then(|| (vec![Counted, Counted, Counted, Parent], None));
+                assert_eq!(shape(&plans[counted]), copies, "{what}");
+            }
+        }
+    }
+
+    /// When only the `≠` child — over `b` alone — can be derived from the
+    /// `=` child, over both, and not the other way, the pair keeps one side
+    /// throughout: the child with fewer rows in the classes both hold — the
+    /// `=` child on a tie, 40 against 40 — counts them all, the other is
+    /// derived whole. When that rule names the `=` child to derive, which
+    /// cannot be, neither is derived: each is sliced on its own.
+    #[test]
+    fn a_pair_derivable_one_way_only_keeps_todays_plan() {
+        let (mut parents, _table, nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[0, 1], &[1]]);
+        let plans = parents.plan(&nodes, true, true, &mut MiddlewareStats::new());
+        assert!(plans[0].is_none(), "the = child copies no class");
+        let derived = plans[1].as_ref().expect("≠ derived");
+        assert!(derived.derives_whole());
+        assert_eq!(shape(&plans[1]).and_then(|s| s.1), Some((0, true)));
+
+        let (mut parents, _table, nodes) = pair_of([8, 20, 16, 0], NEQ_ROWS, [&[0, 1], &[1]]);
+        let plans = parents.plan(&nodes, true, true, &mut MiddlewareStats::new());
+        assert!(plans[0].is_none());
+        let sliced = (vec![Counted, Counted, Counted, Parent], None);
+        assert_eq!(shape(&plans[1]), Some(sliced));
     }
 
     /// A lone child — its pure sibling never requested — is sliced to the
@@ -567,15 +789,15 @@ mod tests {
             };
             parents.retain(&queue, || epoch);
             let mut stats = MiddlewareStats::new();
-            let plans = parents.plan(std::slice::from_ref(&neq), exact, &mut stats);
-            assert!(plans[0].derive.is_none(), "{what}");
-            let slice = plans[0].slice.as_ref();
-            assert_eq!(slice.is_some(), slices, "{what}");
-            if let Some(slice) = slice {
-                assert_eq!(slice.counted, [true, false], "{what}");
-                assert_eq!(slice.rows, [4, 12], "{what}");
-                assert_eq!(slice.copied_rows(), 12, "{what}");
-                assert_eq!(slice.classes().collect::<Vec<_>>(), [0], "{what}");
+            let plans = parents.plan(std::slice::from_ref(&neq), exact, true, &mut stats);
+            let plan = plans[0].as_ref();
+            assert!(plan.is_none_or(|p| p.sibling.is_none()), "{what}");
+            assert_eq!(plan.is_some(), slices, "{what}");
+            if let Some(plan) = plan {
+                assert_eq!(plan.sources, [Counted, Parent], "{what}");
+                assert_eq!(plan.rows, [4, 12], "{what}");
+                assert_eq!(plan.rows_from(Parent), 12, "{what}");
+                assert_eq!(plan.classes().collect::<Vec<_>>(), [0], "{what}");
             }
             assert_eq!(stats.split_pairs, 0, "{what}");
         }
@@ -594,14 +816,15 @@ mod tests {
             parents.enqueued(&node.req);
         }
         let mut stats = MiddlewareStats::new();
-        let plans = parents.plan(&nodes, true, &mut stats);
-        let derived = plans[0].derive.as_ref().expect("a = 1 derived");
-        assert_eq!((derived.sibling, derived.edge.eq), (1, false));
-        assert!(plans[0].slice.is_none() && plans[1].derive.is_none());
-        let slice = plans[1].slice.as_ref().expect("a ≠ 1 sliced");
+        let plans = parents.plan(&nodes, true, true, &mut stats);
+        let derived = plans[0].as_ref().expect("a = 1 derived");
+        assert!(derived.derives_whole());
+        assert_eq!(shape(&plans[0]).and_then(|s| s.1), Some((1, false)));
+        let slice = plans[1].as_ref().expect("a ≠ 1 sliced");
+        assert!(slice.sibling.is_none());
         assert_eq!(
-            (slice.counted.clone(), slice.rows.clone()),
-            (vec![true, false], vec![4, 12])
+            (slice.sources.clone(), slice.rows.clone()),
+            (vec![Counted, Parent], vec![4, 12])
         );
         assert_eq!(stats.split_pairs, 0);
 
@@ -610,21 +833,17 @@ mod tests {
         parents.enqueued(&neq.req);
         let queue = [eq.req.clone(), neq.req.clone()];
         parents.retain(&queue, || 7);
-        let first = parents.plan(std::slice::from_ref(&eq), true, &mut stats);
-        assert!(first[0].slice.is_none() && first[0].derive.is_none());
+        let first = parents.plan(std::slice::from_ref(&eq), true, true, &mut stats);
+        assert!(first[0].is_none());
         assert_eq!(stats.split_pairs, 1);
         parents.retain(&queue[1..], || 7);
-        let second = parents.plan(std::slice::from_ref(&neq), true, &mut stats);
+        let second = parents.plan(std::slice::from_ref(&neq), true, true, &mut stats);
         assert_eq!(
-            second[0].slice.as_ref().map(|s| s.rows.clone()),
+            second[0].as_ref().map(|s| s.rows.clone()),
             Some(vec![4, 12])
         );
         assert_eq!(stats.split_pairs, 1, "a pair is split once");
         parents.retain(&[], || 7);
-        assert!(
-            parents.plan(std::slice::from_ref(&neq), true, &mut stats)[0]
-                .slice
-                .is_none()
-        );
+        assert!(parents.plan(std::slice::from_ref(&neq), true, true, &mut stats)[0].is_none());
     }
 }

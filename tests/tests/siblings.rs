@@ -386,6 +386,93 @@ fn a_server_scan_ships_no_row_only_a_derived_node_wants() {
     }
 }
 
+/// Rows of `rows` (flat, `arity` wide) on `pred`, per class code.
+fn class_rows(rows: &[Code], arity: usize, nclasses: u16, pred: &Pred) -> Vec<u64> {
+    let mut per_class = vec![0; usize::from(nclasses)];
+    for row in rows.chunks_exact(arity).filter(|r| pred.eval(r)) {
+        per_class[usize::from(row[arity - 1])] += 1;
+    }
+    per_class
+}
+
+/// With nothing staged every level is one server scan, and both children
+/// of each pinned split count each class they share on the side holding
+/// fewer of its rows: the server ships the root's rows and, per pair,
+/// `Σ_k min(A_k, B_k)` of the children's rows per class `A_k`, `B_k`,
+/// counted from the raw rows — on one worker or four. A child whose
+/// parent is pinned but whose sibling is a leaf ships its rows in the
+/// classes the sibling holds; an unpinned one ships every row. Some pair
+/// counts on both sides, and every table is the one brute force counts.
+#[test]
+fn a_pair_ships_each_class_from_its_smaller_side() {
+    let (cards, rows) = shaped_table();
+    let arity = cards.len();
+    let nclasses = cards[arity - 1];
+    for workers in [1, 4] {
+        let what = format!("{workers} workers");
+        let cfg = MiddlewareConfig::builder()
+            .memory_caching(false)
+            .file_policy(FileStagingPolicy::Disabled)
+            .scan_workers(workers)
+            .build();
+        let linked = linked_and_rebuilt(&cards, &rows, &cfg, 0).expect(&what);
+        let build = &linked[0];
+        assert_eq!(
+            build.stats.split_pairs, 0,
+            "{what}: every pair in one batch"
+        );
+        let per_class = |pred: &Pred| class_rows(&rows, arity, nclasses, pred);
+        let (mut expected, mut pairs) = ((rows.len() / arity) as u64, 0);
+        for (idx, node) in build.tree.nodes().iter().enumerate() {
+            let (Some(c), Some(p)) = (build.counted.get(&(idx as u64)), node.parent) else {
+                continue;
+            };
+            let parent = &build.counted[&(p as u64)];
+            let siblings = &build.tree.node(p).children;
+            let slots: u64 = (parent.attrs.iter())
+                .map(|&a| u64::from(cards[usize::from(a)]) * u64::from(nclasses))
+                .sum();
+            let counted = siblings
+                .iter()
+                .filter_map(|s| build.counted.get(&(*s as u64)));
+            let pinned = counted
+                .clone()
+                .any(|s| s.cc.total() * s.attrs.len() as u64 >= slots);
+            let own = per_class(&c.pred);
+            let sibling = siblings.iter().find(|&&s| s != idx);
+            let shipped: u64 = match sibling.and_then(|s| build.counted.get(&(*s as u64))) {
+                _ if !pinned => own.iter().sum(),
+                // A pair ships once, counted at its first child.
+                Some(_) if siblings[0] != idx => 0,
+                Some(s) => {
+                    pairs += 1;
+                    let theirs = per_class(&s.pred);
+                    own.iter().zip(&theirs).map(|(a, b)| *a.min(b)).sum()
+                }
+                None => {
+                    let all = per_class(&parent.pred);
+                    let complement = all.iter().zip(&own).map(|(n, m)| n - m);
+                    (own.iter().zip(complement))
+                        .filter(|&(_, c)| c > 0)
+                        .map(|(a, _)| a)
+                        .sum()
+                }
+            };
+            expected += shipped;
+        }
+        assert!(pairs > 0, "{what}: no pair");
+        assert!(
+            build.stats.derived_nodes > pairs,
+            "{what}: no pair counted on both sides"
+        );
+        assert_eq!(build.shipped, expected, "{what}");
+        for (id, c) in &build.counted {
+            let brute = brute_force_cc(&rows, arity, &c.pred, &c.attrs);
+            assert!(c.cc == brute, "{what}: node {id}");
+        }
+    }
+}
+
 /// A §4.3.3 auxiliary structure is built from the rows of every scheduled
 /// node, derived ones included — their children read it later — while
 /// each read through it ships only the rows the scan counts. Whichever
