@@ -26,5 +26,5 @@ pub use rules::{
     analyze_workspace, check_source, Report, Violation, LOCK_ORDER, RULES, RULE_ACCOUNTING_ARITH,
     RULE_ALLOW_SYNTAX, RULE_ATOMIC_ORDERING, RULE_ENV_READ, RULE_GUARD_BLOCKING,
     RULE_HOT_PATH_PANIC, RULE_IO_BYPASS, RULE_LOCK_ORDER, RULE_PAGE_WRITE, RULE_STALE_ALLOW,
-    RULE_STALE_LOCK_SITE, RULE_STATS_COVERAGE,
+    RULE_STALE_LOCK_SITE, RULE_STALE_SCOPE, RULE_STATS_COVERAGE,
 };

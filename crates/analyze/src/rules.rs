@@ -69,7 +69,10 @@
 //! The lock manifest cannot rot either: in a tree that ships this file, a
 //! `binds: false` row of `LOCK_SITES` whose method no `fn` defines is a
 //! `stale-lock-site` violation, since the lock-order rule would silently
-//! stop seeing the calls the row was written for.
+//! stop seeing the calls the row was written for; so is a fn name of
+//! `ARITH_SCOPED` or `PANIC_SCOPED` that no `fn` of its file defines — a
+//! `stale-scope` violation, since the rule would silently stop covering
+//! the body the name was written for.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -104,6 +107,9 @@ pub const RULE_STALE_ALLOW: &str = "stale-allow";
 /// Pseudo-rule for a `binds: false` `LOCK_SITES` row whose method no `fn`
 /// in the analysed tree defines (not suppressible).
 pub const RULE_STALE_LOCK_SITE: &str = "stale-lock-site";
+/// Pseudo-rule for an `ARITH_SCOPED` or `PANIC_SCOPED` fn name that no
+/// `fn` of its file defines (not suppressible).
+pub const RULE_STALE_SCOPE: &str = "stale-scope";
 
 /// All suppressible rule names.
 pub const RULES: [&str; 9] = [
@@ -311,9 +317,10 @@ const PANIC_SCOPED: [(&str, &[&str]); 9] = [
         &[
             "plan",
             "pair",
-            "slice",
+            "lone",
+            "side",
             "sources",
-            "counts_some",
+            "derive_whole",
             "child_classes",
         ],
     ),
@@ -1573,6 +1580,23 @@ fn defined_fns(ctx: &FileCtx, out: &mut BTreeSet<String>) {
     }
 }
 
+/// The 1-based line of `manifest` holding the last of `needles`, each
+/// looked for from the line of the one before it; 1 when one is missing.
+fn manifest_line(manifest: &str, needles: &[String]) -> u32 {
+    let mut at = 0;
+    for needle in needles {
+        match manifest
+            .lines()
+            .skip(at)
+            .position(|l| l.contains(needle.as_str()))
+        {
+            Some(i) => at += i,
+            None => return 1,
+        }
+    }
+    u32::try_from(at + 1).unwrap_or(u32::MAX)
+}
+
 /// The `binds: false` rows of `LOCK_SITES` whose method no `fn` in
 /// `defined` names: a rename left the row behind. Each is anchored at
 /// the row's `method:` line of `manifest`, the shipped manifest's source.
@@ -1582,10 +1606,9 @@ fn stale_lock_sites(manifest: &str, defined: &BTreeSet<String>) -> Vec<Violation
         .filter(|site| !site.binds && !defined.contains(site.method))
         .map(|site| {
             let row = format!("method: \"{}\"", site.method);
-            let line = manifest.lines().position(|l| l.contains(&row)).unwrap_or(0);
             Violation {
                 file: MANIFEST_FILE.to_string(),
-                line: u32::try_from(line + 1).unwrap_or(u32::MAX),
+                line: manifest_line(manifest, &[row]),
                 rule: RULE_STALE_LOCK_SITE,
                 msg: format!(
                     "LOCK_SITES row `{}` ({}) names no fn in this tree; \
@@ -1595,6 +1618,38 @@ fn stale_lock_sites(manifest: &str, defined: &BTreeSet<String>) -> Vec<Violation
             }
         })
         .collect()
+}
+
+/// The fn names of [`ARITH_SCOPED`] and [`PANIC_SCOPED`] that no `fn` in
+/// their file names, per file the tree has (`fns`: its non-test fns): a
+/// rename left the name behind. Each is anchored at the name's line in
+/// its scope's entry of `manifest`, the shipped manifest's source.
+fn stale_scopes(manifest: &str, fns: &BTreeMap<String, BTreeSet<String>>) -> Vec<Violation> {
+    let scopes = (ARITH_SCOPED.iter().map(|s| ("ARITH_SCOPED", s)))
+        .chain(PANIC_SCOPED.iter().map(|s| ("PANIC_SCOPED", s)));
+    let mut out = Vec::new();
+    for (scope, &(file, names)) in scopes {
+        let Some(defined) = fns.get(file) else {
+            continue;
+        };
+        for name in names.iter().filter(|n| !defined.contains(**n)) {
+            let needles = [
+                format!("const {scope}"),
+                format!("\"{file}\""),
+                format!("\"{name}\""),
+            ];
+            out.push(Violation {
+                file: MANIFEST_FILE.to_string(),
+                line: manifest_line(manifest, &needles),
+                rule: RULE_STALE_SCOPE,
+                msg: format!(
+                    "{scope} names `{name}` for {file}, which defines no such fn; \
+                     rename it with its fn or remove it"
+                ),
+            });
+        }
+    }
+    out
 }
 
 const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "fixtures", "node_modules"];
@@ -1635,7 +1690,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let mut records: Vec<FileRecord> = Vec::new();
     let mut stats = StatsScan::default();
     let mut edges: Vec<LockEdge> = Vec::new();
-    let mut defined = BTreeSet::new();
+    let mut fns: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let mut manifest = None;
     for path in walk(root)? {
         let rel: String = path
@@ -1651,7 +1706,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
         let mut raw = Vec::new();
         edges.extend(file_rules(&ctx, &mut raw));
         collect_stats(&ctx, &mut stats);
-        defined_fns(&ctx, &mut defined);
+        defined_fns(&ctx, fns.entry(rel.clone()).or_default());
         if rel == MANIFEST_FILE {
             manifest = Some(src.clone());
         }
@@ -1694,9 +1749,11 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
         });
     }
     if let Some(manifest) = manifest {
+        let defined: BTreeSet<String> = fns.values().flatten().cloned().collect();
         report
             .violations
             .extend(stale_lock_sites(&manifest, &defined));
+        report.violations.extend(stale_scopes(&manifest, &fns));
     }
     report.sort();
     Ok(report)

@@ -8,7 +8,7 @@ use std::process::Command;
 use scaleclass_analyze::{
     analyze_workspace, check_source, RULE_ACCOUNTING_ARITH, RULE_ATOMIC_ORDERING, RULE_ENV_READ,
     RULE_GUARD_BLOCKING, RULE_HOT_PATH_PANIC, RULE_IO_BYPASS, RULE_LOCK_ORDER, RULE_PAGE_WRITE,
-    RULE_STALE_LOCK_SITE, RULE_STATS_COVERAGE,
+    RULE_STALE_LOCK_SITE, RULE_STALE_SCOPE, RULE_STATS_COVERAGE,
 };
 
 fn fixture_root(which: &str) -> PathBuf {
@@ -382,7 +382,7 @@ fn hot_path_panic_is_fn_scoped_in_the_client_loop() {
 #[test]
 fn hot_path_panic_is_fn_scoped_in_the_sibling_plans() {
     let rel = "crates/core/src/siblings.rs";
-    // Planning a batch, a pair, a slice and the class split are in scope;
+    // Planning a batch, a pair, one side and the class split are in scope;
     // the plan's own accessors beside them are not.
     let src = "impl Parents {\n\
                pub(crate) fn plan(&mut self, nodes: &[ScheduledNode]) -> Vec<Option<Plan>> {\n\
@@ -392,7 +392,7 @@ fn hot_path_panic_is_fn_scoped_in_the_sibling_plans() {
                fn pair(table: &CountsTable, rows: &[u64]) -> Option<Plan> {\n\
                for k in 0..rows.len() { let eq = rows[k] > 0; }\n\
                }\n\
-               fn slice(table: &CountsTable) -> Option<Plan> {\n\
+               fn side(table: &CountsTable) -> Option<Plan> {\n\
                let split = table.class_split(0, 1).unwrap();\n\
                }\n\
                fn child_classes(table: &CountsTable) -> Option<[Vec<u64>; 2]> {\n\
@@ -681,6 +681,40 @@ fn a_lock_site_row_naming_no_fn_is_stale() {
         .violations
         .iter()
         .filter(|v| v.rule == RULE_STALE_LOCK_SITE)
+        .collect();
+    assert!(stale.is_empty(), "{stale:?}");
+}
+
+#[test]
+fn a_scoped_fn_name_naming_no_fn_of_its_file_is_stale() {
+    // The tree ships the manifest, `cc.rs` without `block_growth_bound`
+    // and `grow.rs` with `apply_exact` only in its tests: each name is
+    // reported, at its line of its scope's entry. The scoped files the
+    // tree lacks are not checked.
+    let report = analyze_workspace(&fixture_root("stale_scope")).unwrap();
+    let found: Vec<_> = (report.violations.iter())
+        .filter(|v| v.rule == RULE_STALE_SCOPE)
+        .map(|v| (v.file.as_str(), v.line))
+        .collect();
+    let manifest = "crates/analyze/src/rules.rs";
+    assert_eq!(found, vec![(manifest, 5), (manifest, 9)]);
+    let msgs: Vec<&str> = (report.violations.iter())
+        .filter(|v| v.rule == RULE_STALE_SCOPE)
+        .map(|v| v.msg.as_str())
+        .collect();
+    assert!(msgs[0].contains("ARITH_SCOPED") && msgs[0].contains("`block_growth_bound`"));
+    assert!(msgs[1].contains("PANIC_SCOPED") && msgs[1].contains("`apply_exact`"));
+
+    // A tree that ships the manifest but no scoped file has nothing stale.
+    let sites = analyze_workspace(&fixture_root("stale_site")).unwrap();
+    assert!(!sites.violations.iter().any(|v| v.rule == RULE_STALE_SCOPE));
+
+    // The workspace ships the manifest, and every scoped name is a fn of
+    // its file.
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let real = analyze_workspace(&workspace).unwrap();
+    let stale: Vec<_> = (real.violations.iter())
+        .filter(|v| v.rule == RULE_STALE_SCOPE)
         .collect();
     assert!(stale.is_empty(), "{stale:?}");
 }

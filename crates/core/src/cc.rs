@@ -159,19 +159,6 @@ impl DenseLayout {
             _ => None,
         }
     }
-
-    /// This layout cut down to `attrs`, at the same cardinalities: the
-    /// layout [`DenseLayout::build`] makes for a child counting `attrs`
-    /// under the same schema. `None` when one of them is not tracked.
-    fn restrict(&self, attrs: &[u16]) -> Option<DenseLayout> {
-        let cards = (attrs.iter())
-            .map(|&attr| {
-                let card = self.cards.get(self.attr_index(attr)?)?;
-                Some((attr, u64::from(*card)))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        DenseLayout::build(&cards, u64::from(self.n_classes))
-    }
 }
 
 /// Dense counts: one flat slot array over a shared layout, plus the
@@ -1109,116 +1096,6 @@ impl CountsTable {
             .all(|&attr| d.layout.attr_index(attr).is_some())
     }
 
-    /// An empty dense table over this dense table's layout cut down to
-    /// `attrs` — the table [`new_dense`](Self::new_dense) builds for a
-    /// child counting `attrs` under the same schema. `None` when this table
-    /// is sparse or does not track one of `attrs`.
-    pub(crate) fn dense_over(&self, attrs: &[u16]) -> Option<CountsTable> {
-        let CcRepr::Dense(d) = &self.repr else {
-            return None;
-        };
-        let layout = Arc::new(d.layout.restrict(attrs)?);
-        Some(CountsTable {
-            repr: CcRepr::Dense(DenseCounts::new(layout)),
-            total: 0,
-            class_totals: BTreeMap::new(),
-        })
-    }
-
-    /// The counts table of one child of a binary split, derived from its
-    /// parent's exact table and its counted sibling's (DESIGN.md §12b).
-    /// `A = v` and `A ≠ v` partition the parent's rows and counts add over
-    /// any partition, so slot for slot the child is `parent − sibling` —
-    /// except in the split attribute when an `=` sibling does not track it:
-    /// its every row has `A = v`, so there it counts its class totals in
-    /// `v`'s row. The result is the dense table counting the child's rows
-    /// over `attrs` builds, carved in place out of the parent's allocation
-    /// when `parent` is the last handle on it and the child keeps its
-    /// layout.
-    ///
-    /// # Errors
-    ///
-    /// [`MwError::Internal`] when a count would underflow, or the tables do
-    /// not line up (one sparse, an attribute neither tracks): either means
-    /// `parent` is not the table of `sibling`'s parent.
-    pub(crate) fn derive(
-        parent: Arc<CountsTable>,
-        sibling: &CountsTable,
-        attrs: &[u16],
-        edge: SiblingEdge,
-    ) -> MwResult<CountsTable> {
-        let underflow = || {
-            MwError::Internal(
-                "a sibling counts more than the table it is derived against: \
-                 that table is not its parent's"
-                    .into(),
-            )
-        };
-        let mismatch =
-            || MwError::Internal("a derived table does not line up with its parent's".into());
-        let CcRepr::Dense(p) = &parent.repr else {
-            return Err(mismatch());
-        };
-        if sibling.n_classes() != Some(p.layout.n_classes) {
-            return Err(mismatch());
-        }
-        let layout = p.layout.restrict(attrs).ok_or_else(mismatch)?;
-        let total = parent
-            .total
-            .checked_sub(sibling.total)
-            .ok_or_else(underflow)?;
-        let mut class_totals = parent.class_totals.clone();
-        for (&class, &n) in &sibling.class_totals {
-            let left = (class_totals.get(&class))
-                .and_then(|&t| t.checked_sub(n))
-                .ok_or_else(underflow)?;
-            if left == 0 {
-                class_totals.remove(&class);
-            } else {
-                class_totals.insert(class, left);
-            }
-        }
-        let mut child = if layout == *p.layout {
-            match Arc::try_unwrap(parent) {
-                Ok(CountsTable {
-                    repr: CcRepr::Dense(own),
-                    ..
-                }) => own,
-                Err(shared) => match &shared.repr {
-                    CcRepr::Dense(d) => d.clone(),
-                    CcRepr::Sparse(_) => return Err(mismatch()),
-                },
-                Ok(_) => return Err(mismatch()),
-            }
-        } else {
-            let mut slots = Vec::with_capacity(layout.slots as usize);
-            for &attr in &layout.attrs {
-                slots.extend_from_slice(p.attr_slots(attr).ok_or_else(mismatch)?);
-            }
-            DenseCounts {
-                layout: Arc::new(layout),
-                slots,
-                occupied: 0,
-            }
-        };
-        let layout = Arc::clone(&child.layout);
-        let mut occupied = 0;
-        for &attr in &layout.attrs {
-            let own = child.attr_slots_mut(attr).ok_or_else(mismatch)?;
-            let theirs = (sibling.sibling_slots(attr, edge, own.len())).ok_or_else(mismatch)?;
-            for (n, &m) in own.iter_mut().zip(theirs.iter()) {
-                *n = n.checked_sub(m).ok_or_else(underflow)?;
-            }
-            occupied += own.iter().filter(|&&n| n != 0).count();
-        }
-        child.occupied = occupied;
-        Ok(CountsTable {
-            repr: CcRepr::Dense(child),
-            total,
-            class_totals,
-        })
-    }
-
     /// Rows per class code, `n_classes` wide, read exactly off this dense
     /// table (§4.2.1): `[0]` of its child on `attr = value`, `[1]` of the
     /// whole node. `None` when the table is sparse or does not track
@@ -1239,8 +1116,9 @@ impl CountsTable {
         Some([with, all])
     }
 
-    /// Complete a table a scan counted in some classes only (DESIGN.md
-    /// §12b), by `sources`, per class code: in a [`ClassSource::Parent`]
+    /// Complete a table a scan counted in some classes only — in none of
+    /// those it holds, for a child derived whole (DESIGN.md §12b) — by
+    /// `sources`, per class code: in a [`ClassSource::Parent`]
     /// class add `parent`'s slots, class totals and rows; in a
     /// [`ClassSource::Sibling`] class add `parent`'s less `sibling`'s,
     /// which the scan counted there. `A = v` and `A ≠ v` partition the
@@ -1349,8 +1227,8 @@ impl CountsTable {
         }
     }
 
-    /// This dense table's slots in `attr`, `len` of them, as a table
-    /// derived against it across `edge` reads them: its own — or, when it
+    /// This dense table's slots in `attr`, `len` of them, as its sibling
+    /// across `edge` reads them when it is completed: its own — or, when it
     /// is an `=` sibling that does not track the split attribute, its
     /// class totals in the split value's row, every one of its rows having
     /// that value. `None` when neither holds.
@@ -1386,9 +1264,9 @@ pub(crate) enum ClassSource {
     Parent,
 }
 
-/// Where the counted sibling of a derived child sits in their parent's
-/// binary split on column `col` ([`CountsTable::derive`]): every one of its
-/// rows has `col = value` (`eq`), or none has.
+/// Where the sibling a child takes classes from sits in their parent's
+/// binary split on column `col` ([`CountsTable::complete`]): every one of
+/// its rows has `col = value` (`eq`), or none has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SiblingEdge {
     pub(crate) col: u16,
@@ -2279,19 +2157,34 @@ mod tests {
         cc
     }
 
-    /// The dense slot array's address: where in-place derivation must land.
-    fn slots_at(cc: &CountsTable) -> *const u64 {
-        match &cc.repr {
-            CcRepr::Dense(d) => d.slots.as_ptr(),
-            CcRepr::Sparse(_) => std::ptr::null(),
-        }
+    /// The table of a child derived whole, as a batch completes it: an
+    /// empty dense table over `attrs` (each card 4, two classes) that takes
+    /// every class it holds by `parent`'s table from its sibling across
+    /// `edge` — the `≠` child when the sibling is on `=`.
+    fn derive_whole(
+        parent: &CountsTable,
+        sibling: &CountsTable,
+        attrs: &[u16],
+        edge: SiblingEdge,
+    ) -> MwResult<CountsTable> {
+        let [with, all] = parent.class_split(edge.col, edge.value).unwrap_or_default();
+        let held = |(&m, &n): (&u64, &u64)| if edge.eq { n > m } else { m > 0 };
+        let sources: Vec<ClassSource> = (with.iter().zip(&all))
+            .map(|k| match held(k) {
+                true => ClassSource::Sibling,
+                false => ClassSource::Counted,
+            })
+            .collect();
+        let mut child = counted_over(attrs, &[]);
+        child.complete(parent, Some((sibling, edge)), &sources)?;
+        Ok(child)
     }
 
-    /// Both children of a binary split derive from their parent and their
-    /// sibling: the `≠` child from an `=` sibling that does not track the
-    /// split attribute (its class totals fill `v`'s row), in place when the
-    /// parent's table is no one else's, copied when it is shared; and the
-    /// `=` child, which drops the split attribute, from a `≠` sibling.
+    /// Both children of a binary split derive whole from their parent and
+    /// their sibling, completing an empty table: the `≠` child from an `=`
+    /// sibling that does not track the split attribute (its class totals
+    /// fill `v`'s row), and the `=` child, which drops the split attribute,
+    /// from a `≠` sibling.
     #[test]
     fn derive_is_the_parent_minus_the_sibling() {
         let rows: Vec<[Code; 3]> = (0..60u16)
@@ -2306,28 +2199,22 @@ mod tests {
             let other = [1 - col];
             let eq = counted_over(&other, &side(true));
             let neq = counted_over(&[0, 1], &side(false));
-            for shared in [false, true] {
-                let table = Arc::new(parent.clone());
-                let (at, holder) = (slots_at(&table), shared.then(|| Arc::clone(&table)));
-                let edge = SiblingEdge {
-                    col,
-                    value,
-                    eq: true,
-                };
-                let got = CountsTable::derive(table, &eq, &[0, 1], edge).unwrap();
-                assert_eq!(got, neq, "≠ of {col} = {value}");
-                assert!(got.is_dense());
-                assert_eq!(got.entries(), neq.entries());
-                assert_eq!(got.memory_bytes(), got.shadow_memory_bytes());
-                assert_eq!(slots_at(&got) == at, !shared, "in place iff unshared");
-                assert_eq!(holder.map(|p| *p == parent), shared.then_some(true));
-            }
+            let edge = SiblingEdge {
+                col,
+                value,
+                eq: true,
+            };
+            let got = derive_whole(&parent, &eq, &[0, 1], edge).unwrap();
+            assert_eq!(got, neq, "≠ of {col} = {value}");
+            assert!(got.is_dense());
+            assert_eq!(got.entries(), neq.entries());
+            assert_eq!(got.memory_bytes(), got.shadow_memory_bytes());
             let edge = SiblingEdge {
                 col,
                 value,
                 eq: false,
             };
-            let got = CountsTable::derive(Arc::new(parent.clone()), &neq, &other, edge).unwrap();
+            let got = derive_whole(&parent, &neq, &other, edge).unwrap();
             assert_eq!(got, eq, "= of {col} = {value}");
             assert!(got.is_dense() && got.tracks(&other) && !got.tracks(&[col]));
             assert_eq!(got.entries(), eq.entries());
@@ -2335,38 +2222,38 @@ mod tests {
         }
     }
 
-    /// A table that is not the sibling's parent's does not derive: a count
-    /// the sibling holds and the parent lacks, a sparse table, or an
-    /// attribute of the child neither the sibling nor the split accounts
-    /// for.
+    /// A table that is not the sibling's parent's does not complete a child
+    /// derived whole: a count the sibling holds and the parent lacks, a
+    /// sparse table, or an attribute of the child neither the sibling nor
+    /// the split accounts for.
     #[test]
     fn derive_refuses_tables_that_are_not_the_parents() {
         let rows: &[[Code; 3]] = &[[0, 0, 0], [1, 1, 1], [1, 2, 0], [2, 3, 1]];
-        let parent = Arc::new(counted_over(&[0, 1], rows));
+        let parent = counted_over(&[0, 1], rows);
         let eq = counted_over(&[1], &[[1, 1, 1], [1, 2, 0]]);
         let edge = SiblingEdge {
             col: 0,
             value: 1,
             eq: true,
         };
-        let derive = |parent: &Arc<CountsTable>, sibling: &CountsTable, attrs: &[u16], edge| {
-            CountsTable::derive(Arc::clone(parent), sibling, attrs, edge)
-        };
-        assert!(derive(&parent, &eq, &[0, 1], edge).is_ok());
+        assert!(derive_whole(&parent, &eq, &[0, 1], edge).is_ok());
         let stranger = counted_over(&[1], &[[1, 1, 1], [1, 1, 1]]);
         assert!(matches!(
-            derive(&parent, &stranger, &[0, 1], edge),
+            derive_whole(&parent, &stranger, &[0, 1], edge),
             Err(MwError::Internal(_))
         ));
-        assert!(derive(&parent, &table_from(&[[1, 1, 1]]), &[0, 1], edge).is_err());
-        let sparse_parent = Arc::new(table_from(rows));
-        assert!(derive(&sparse_parent, &eq, &[0, 1], edge).is_err());
+        assert!(derive_whole(&parent, &table_from(&[[1, 1, 1]]), &[0, 1], edge).is_err());
+        let sparse_parent = table_from(rows);
+        assert!(derive_whole(&sparse_parent, &eq, &[0, 1], edge).is_err());
         let neq_edge = SiblingEdge { eq: false, ..edge };
         assert!(
-            derive(&parent, &eq, &[0, 1], neq_edge).is_err(),
+            derive_whole(&parent, &eq, &[0, 1], neq_edge).is_err(),
             "a `≠` sibling must track the split attribute"
         );
-        assert!(derive(&parent, &eq, &[0, 5], edge).is_err(), "untracked");
+        assert!(
+            derive_whole(&parent, &eq, &[0, 5], edge).is_err(),
+            "untracked"
+        );
     }
 
     /// A child counted only in the classes its complement holds, then

@@ -146,7 +146,8 @@ pub struct MiddlewareConfig {
     /// suites keep it off.
     pub shared_staging: bool,
     /// Count whole column blocks through the batched kernel
-    /// (`CountsTable::add_block`) instead of one row at a time. Always on
+    /// (`CountsTable::add_rows`, from the executor's `BlockPass::count`)
+    /// instead of one row at a time. Always on
     /// outside tests and benchmarks: the builder can pin the bit-identical
     /// row-at-a-time path (counts, spills, budget checkpoints, and stats
     /// other than the block counters are unchanged either way — see

@@ -62,9 +62,9 @@
 //! any other, but the kernel and the row path count only its rows of the
 //! classes the plan counts; `BatchCounter::derive` takes every other class
 //! after the scan — from the parent's table less the sibling's, which
-//! counted it, or from the parent's alone. A node counting no class at all
-//! is derived whole: it keeps an empty table through the scan, and its
-//! table is built after every other one is complete. A plan stands only
+//! counted it, or from the parent's alone. A node counting none of the
+//! classes it holds is derived whole: the scan skips it, and it is
+//! completed like every other planned node. A plan stands only
 //! over a scan `BatchCounter::cannot_reach_budget` clears
 //! (`RowSink::certify` settles it): there no budget event can fire and
 //! modelled memory only grows, and each partial table is a subset of the
@@ -108,8 +108,9 @@ pub struct NodeCounter {
     /// Staging tee: middleware memory buffer (flat codes).
     pub mem_buffer: Option<Vec<Code>>,
     /// Set while the batch means to count this node only in some classes
-    /// — in none when it is derived whole — and take the others from its
-    /// parent's table and its sibling's after the scan (module docs).
+    /// — in none it holds when it is derived whole — and take the others
+    /// from its parent's table and its sibling's after the scan (module
+    /// docs).
     pub(crate) plan: Option<Plan>,
     /// The filter the scan pushed down (`BatchCounter::pushdown`) left out
     /// every row of it the scan does not count: its rows in every class
@@ -776,8 +777,8 @@ impl BatchCounter {
     /// inside the layouts of the parent and of every table the scan counts
     /// for the node (so they stay dense) — its own, unless it is derived
     /// whole, and its sibling's, if it takes classes from it. Every other
-    /// node derived whole gets the empty table it would have been built
-    /// with, and every other planned node is counted in every class.
+    /// planned node is counted in every class, into the table it was built
+    /// with.
     pub(crate) fn settle_derivations(&mut self, proved: bool, epoch: u64) {
         let cert = &self.pass.certificate;
         let counts_densely = |n: &NodeCounter| {
@@ -797,15 +798,8 @@ impl BatchCounter {
             })
             .collect();
         for (node, keep) in self.nodes.iter_mut().zip(keep) {
-            let Some(plan) = node.plan.take_if(|_| !keep) else {
-                continue;
-            };
-            if plan.derives_whole() {
-                node.cc = (plan.parent.dense_over(&node.req.attrs)).unwrap_or_default();
-            }
-            if plan.sibling.is_some() {
-                self.refused += 1;
-            }
+            let refused = node.plan.take_if(|_| !keep);
+            self.refused += u64::from(refused.is_some_and(|p| p.sibling.is_some()));
         }
     }
 
@@ -839,31 +833,30 @@ impl BatchCounter {
     }
 
     /// Complete every planned node's table after the scan and any parallel
-    /// merge: first each one the scan counted in some classes, from its
-    /// parent's table less its sibling's in the classes the sibling counted
-    /// and from its parent's in the classes it copies
-    /// (`CountsTable::complete`); then each one derived whole, from its
-    /// parent's and its sibling's, complete by then (`CountsTable::derive`).
+    /// merge, from its parent's table less its sibling's in the classes the
+    /// sibling counted and from its parent's in the classes it copies
+    /// (`CountsTable::complete`) — a node derived whole too, which reads
+    /// its sibling only where the sibling counts, so the order is free.
     /// Charge the entries to modelled memory and observe it once — the
     /// proof that kept the plans makes that the scan's peak.
     ///
     /// # Errors
     ///
-    /// [`MwError::Internal`] when a table does not complete or derive: the
-    /// parent's table was not that parent's, or a sibling fell back.
+    /// [`MwError::Internal`] when a table does not complete: the parent's
+    /// table was not that parent's, or a sibling fell back.
     pub(crate) fn derive(&mut self, stats: &mut MiddlewareStats) -> MwResult<()> {
         stats.derivations_refused += std::mem::take(&mut self.refused);
-        let (whole, partial): (Vec<(usize, Plan)>, Vec<_>) = (self.nodes.iter_mut().enumerate())
+        let plans: Vec<(usize, Plan)> = (self.nodes.iter_mut().enumerate())
             .filter_map(|(idx, node)| Some((idx, node.plan.take()?)))
-            .partition(|(_, plan)| plan.derives_whole());
-        if whole.is_empty() && partial.is_empty() {
+            .collect();
+        if plans.is_empty() {
             return Ok(());
         }
         let t0 = Instant::now();
         let lost = || MwError::Internal("a planned node lost its sibling".into());
         let fell_back =
             || MwError::Internal("the sibling of a derived node fell back to SQL".into());
-        for (idx, plan) in partial {
+        for (idx, plan) in plans {
             let (node, sibling) = match plan.sibling {
                 Some((s, _)) => {
                     let (node, sibling) = node_and(&mut self.nodes, idx, s).ok_or_else(lost)?;
@@ -891,30 +884,9 @@ impl BatchCounter {
                 stats.sliced_rows_unshipped += from_parent;
             }
         }
-        for (idx, plan) in whole {
-            let Some((s, edge)) = plan.sibling else {
-                return Err(lost());
-            };
-            let (Some(node), Some(sibling)) = (self.nodes.get(idx), self.nodes.get(s)) else {
-                return Err(lost());
-            };
-            if sibling.fallback {
-                return Err(fell_back());
-            }
-            let cc = CountsTable::derive(plan.parent, &sibling.cc, &node.req.attrs, edge)?;
-            self.cc_bytes += cc.memory_bytes();
-            stats.derived_nodes += 1;
-            stats.derived_rows += cc.total();
-            if node.unshipped {
-                stats.derived_rows_unshipped += cc.total();
-            }
-            if let Some(node) = self.nodes.get_mut(idx) {
-                node.cc = cc;
-            }
-        }
         debug_assert!(
             self.memory_in_use() <= self.budget,
-            "completed or derived tables took a scan the proof cleared past the budget"
+            "completed tables took a scan the proof cleared past the budget"
         );
         stats.observe_memory(self.memory_in_use());
         stats.kernel_accumulate_nanos += nanos_since(t0);
@@ -1663,7 +1635,6 @@ mod tests {
         // have `a = 1`, four `a ≠ 1`.
         let eq = child(1, Pred::Eq { col: 0, value: 1 }, vec![1], 2);
         let mut neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1], 4 + 3);
-        neq.cc = CountsTable::new();
         neq.plan = Some(Plan {
             parent: Arc::clone(parent),
             sources: vec![ClassSource::Sibling; 2],
@@ -1727,6 +1698,131 @@ mod tests {
                 2 + 6
             );
             assert!(batch.memory_in_use() <= budget);
+        }
+    }
+
+    /// The root's rows, `[a, b, class]`, in which every `a = 1` row is of
+    /// class 0 and every other row of class 1: a class-disjoint split.
+    const DISJOINT_ROWS: [[Code; 3]; 6] = [
+        [1, 0, 0],
+        [1, 1, 0],
+        [0, 0, 1],
+        [0, 1, 1],
+        [2, 2, 1],
+        [2, 3, 1],
+    ];
+
+    /// A dense table over `attrs` (each card 4, two classes) counting the
+    /// rows of `rows` that `pred` selects.
+    fn counted(attrs: &[u16], pred: &Pred, rows: &[[Code; 3]]) -> CountsTable {
+        let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
+        let mut cc = CountsTable::new_dense(&cards, 2);
+        for row in rows.iter().filter(|r| pred.eval(&r[..])) {
+            cc.add_row(row, attrs, 2);
+        }
+        cc
+    }
+
+    /// The root's children `a = 1` (over `b`) and `a ≠ 1` (over both),
+    /// dense, planned from `parent` at epoch 0 by `sources` (`=` first),
+    /// each taking its `Sibling` classes from the other; at positions
+    /// `[0, 1]`, or `[1, 0]` when `swapped`.
+    fn planned_pair(
+        parent: &Arc<CountsTable>,
+        sources: [Vec<ClassSource>; 2],
+        swapped: bool,
+    ) -> Vec<NodeCounter> {
+        let [with, all] = parent.class_split(0, 1).unwrap();
+        let without: Vec<u64> = all.iter().zip(&with).map(|(n, m)| n - m).collect();
+        let at = |i: usize| if swapped { 1 - i } else { i };
+        let children = [
+            (1, Pred::Eq { col: 0, value: 1 }, vec![1], with),
+            (2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1], without),
+        ];
+        let mut nodes: Vec<NodeCounter> = (children.into_iter().zip(sources).enumerate())
+            .map(|(i, ((id, pred, attrs, rows), sources))| {
+                let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
+                let mut node = NodeCounter::new(CcRequest {
+                    attrs,
+                    ..request(id, pred)
+                });
+                node.cc = CountsTable::new_dense(&cards, 2);
+                let edge = crate::cc::SiblingEdge {
+                    col: 0,
+                    value: 1,
+                    eq: i == 1,
+                };
+                let derived = sources.contains(&ClassSource::Sibling);
+                node.plan = Some(Plan {
+                    parent: Arc::clone(parent),
+                    sources,
+                    rows,
+                    sibling: derived.then_some((at(1 - i), edge)),
+                    epoch: 0,
+                });
+                node
+            })
+            .collect();
+        if swapped {
+            nodes.reverse();
+        }
+        nodes
+    }
+
+    /// A pair completes to the tables counting builds, with the same stats,
+    /// whichever of its sides comes first. A class-disjoint pair — the `≠`
+    /// child derived whole, the class only it holds taken from its sibling,
+    /// and the `=` child sliced — reads one derived node of all the `≠`
+    /// child's rows and one sliced node; a mixed pair, one class counted on
+    /// each side, two derived nodes.
+    #[test]
+    fn a_pair_completes_alike_in_either_order() {
+        use ClassSource::{Counted, Parent, Sibling};
+        let cases = [
+            (
+                DISJOINT_ROWS,
+                [vec![Parent, Counted], vec![Counted, Sibling]],
+                [1, 4, 1],
+            ),
+            (
+                ROOT_ROWS,
+                [vec![Counted, Sibling], vec![Sibling, Counted]],
+                [2, 1 + 3, 0],
+            ),
+        ];
+        for (rows, sources, [nodes, derived_rows, sliced]) in cases {
+            let mut root = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+            for r in &rows {
+                root.add_row(r, &[0, 1], 2);
+            }
+            let parent = Arc::new(root);
+            let mut orders = Vec::new();
+            for swapped in [false, true] {
+                let what = format!("{sources:?}, swapped {swapped}");
+                let pair = planned_pair(&parent, sources.clone(), swapped);
+                let mut batch = BatchCounter::new(pair, u64::MAX, 0, ARITY);
+                batch.certify(&[3, 3, 1]);
+                let proved = batch.cannot_reach_budget(rows.len() as u64);
+                batch.settle_derivations(proved, 0);
+                let mut stats = MiddlewareStats::new();
+                for r in &rows {
+                    batch.process_row(r, &mut stats).unwrap();
+                }
+                batch.derive(&mut stats).unwrap();
+                batch.assert_shadow_accounting();
+                let read = [stats.derived_nodes, stats.derived_rows, stats.sliced_nodes];
+                assert_eq!(read, [nodes, derived_rows, sliced], "{what}");
+                assert_eq!(stats.derivations_refused, 0, "{what}");
+                let mut tables: Vec<CountsTable> = batch.nodes.into_iter().map(|n| n.cc).collect();
+                if swapped {
+                    tables.reverse();
+                }
+                let eq = counted(&[1], &Pred::Eq { col: 0, value: 1 }, &rows);
+                let neq = counted(&[0, 1], &Pred::NotEq { col: 0, value: 1 }, &rows);
+                assert_eq!(tables, [eq, neq], "{what}");
+                orders.push((tables, read, stats.peak_memory_bytes));
+            }
+            assert_eq!(orders[0], orders[1]);
         }
     }
 }

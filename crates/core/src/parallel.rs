@@ -1053,7 +1053,8 @@ mod tests {
 
     /// The root's children on `a = 1` (over `b` alone, the split attribute
     /// pinned) and `a ≠ 1` (over both), dense; with `derive`, the second
-    /// planned for derivation from `parent` at epoch 0.
+    /// planned to be derived whole from `parent` at epoch 0, taking every
+    /// class it holds from the first.
     fn children(parent: &Arc<CountsTable>, derive: bool) -> Vec<NodeCounter> {
         let child = |id: u64, pred: Pred, attrs: Vec<u16>| {
             let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
@@ -1068,12 +1069,16 @@ mod tests {
         let eq = child(1, Pred::Eq { col: 0, value: 1 }, vec![1]);
         let mut neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1]);
         if derive {
-            neq.cc = CountsTable::new();
-            let rows = parent.class_split(0, 1).unwrap();
+            let [with, all] = parent.class_split(0, 1).unwrap();
+            let rows: Vec<u64> = all.iter().zip(&with).map(|(n, m)| n - m).collect();
+            let held = |&n: &u64| match n {
+                0 => ClassSource::Counted,
+                _ => ClassSource::Sibling,
+            };
             neq.plan = Some(Plan {
                 parent: Arc::clone(parent),
-                sources: vec![ClassSource::Sibling; 2],
-                rows: rows[1].iter().zip(&rows[0]).map(|(n, m)| n - m).collect(),
+                sources: rows.iter().map(held).collect(),
+                rows,
                 sibling: Some((
                     0,
                     SiblingEdge {

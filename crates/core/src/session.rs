@@ -882,9 +882,7 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// The batch's counting pass over `plan`, `plans` aligned with its
-    /// nodes. A node planned to be derived whole is built dense, as it was
-    /// scheduled, but its table is allocated only when it is derived — or
-    /// when the scan cannot keep the plan and counts it.
+    /// nodes.
     fn build_counters(
         &mut self,
         plan: BatchPlan,
@@ -904,11 +902,10 @@ impl Session {
         };
         let mut counters = Vec::with_capacity(plan.nodes.len());
         for (sched, plan) in plan.nodes.into_iter().zip(plans) {
-            let whole = plan.as_ref().is_some_and(Plan::derives_whole);
             let mut counter = NodeCounter::new(sched.req);
             counter.plan = plan;
             counter.bound = self.parents.take_bound(counter.req.node());
-            if !whole && sched.dense {
+            if sched.dense {
                 // Slot arrays are sized by *schema* cardinalities — the
                 // true code bounds — never by the node-local distinct
                 // counts in `parent_cards`, which child codes can exceed.
@@ -925,7 +922,7 @@ impl Session {
                     .collect();
                 counter.cc = CountsTable::new_dense(&attr_cards, self.backend.nclasses);
             }
-            if counter.cc.is_dense() || whole {
+            if counter.cc.is_dense() {
                 self.stats.dense_nodes += 1;
             } else {
                 self.stats.sparse_nodes += 1;

@@ -7,12 +7,14 @@
 //! — class by class too. So when one batch schedules both, the scan counts
 //! each class they share on one side and takes it on the other as
 //! `parent − sibling` after the scan, provided the session still holds the
-//! parent's exact table ([`CountsTable::complete`]; a side left counting
-//! nothing is derived whole, [`CountsTable::derive`]). The same table
+//! parent's exact table ([`CountsTable::complete`]). The same table
 //! settles the classes only one child holds: there every row of the parent
 //! is that child's, so its table *is* the parent's, and
-//! [`CountsTable::complete`] copies it after the scan. This module is how
-//! the session holds the parent's table, and no longer than it can serve:
+//! [`CountsTable::complete`] copies it after the scan — unless the child
+//! counts none of its classes: then it is derived whole, each class it
+//! holds taken from its sibling, which in a class the sibling lacks is the
+//! parent's. This module is how the session holds the parent's table, and
+//! no longer than it can serve:
 //!
 //! * After every batch the session remembers each exact, dense fulfilment
 //!   by a `Weak` handle on the table it hands the client
@@ -33,7 +35,8 @@
 //!   class they share on the side that ships fewer of its rows, and every
 //!   other batch on one side throughout; every other child it slices to
 //!   the classes its complement holds — the sibling's, whether or not the
-//!   client requested the sibling. The scan keeps each plan only where
+//!   client requested the sibling: it is a side whose sibling the batch
+//!   did not schedule. The scan keeps each plan only where
 //!   `RowSink::certify` proves it sound.
 //!
 //! The same records sharpen that proof. A child's rows are a subset of its
@@ -55,10 +58,9 @@ use std::sync::{Arc, Weak};
 /// How a batch serves one scheduled node from its parent's table, class by
 /// class: each class is counted by the scan, taken from the parent's table
 /// less the counted sibling's, or copied from the parent's table
-/// ([`CountsTable::complete`]). A node no class of which the scan counts,
-/// and that takes its classes from a sibling, is derived whole
-/// ([`CountsTable::derive`]). A node without a plan is counted in every
-/// class.
+/// ([`CountsTable::complete`]). A node that takes classes from a sibling
+/// and counts none it holds is derived whole: the scan skips it. A node
+/// without a plan is counted in every class.
 #[derive(Debug, Clone)]
 pub(crate) struct Plan {
     /// The parent's exact table.
@@ -86,9 +88,10 @@ impl Plan {
         self.source(class) == ClassSource::Counted
     }
 
-    /// Is the node derived whole from its sibling — no class counted?
+    /// Is the node derived whole from its sibling — no class it holds
+    /// counted?
     pub(crate) fn derives_whole(&self) -> bool {
-        self.sibling.is_some() && self.sources.iter().all(|&s| s == ClassSource::Sibling)
+        self.sibling.is_some() && self.classes().next().is_none()
     }
 
     /// The node's rows per class, by the parent's table: `(class, rows)`
@@ -251,10 +254,10 @@ impl Parents {
     /// it schedules. When it scheduled both children of a binary split, it
     /// serves each class of theirs from one side when it can ([`pair`];
     /// `wire`: the batch's rows come over the wire from the server); every
-    /// other child of a pin is sliced when its complement lacks one of its
-    /// classes ([`slice`]). The first
-    /// batch that schedules only one of a binary split's two children
-    /// counts the pair into `stats.split_pairs`.
+    /// other child of a pin is a side whose sibling the batch did not
+    /// schedule, sliced when its complement lacks one of its classes
+    /// ([`lone`]). The first batch that schedules only one of a binary
+    /// split's two children counts the pair into `stats.split_pairs`.
     pub(crate) fn plan(
         &mut self,
         nodes: &[ScheduledNode],
@@ -304,7 +307,7 @@ impl Parents {
             };
             let planned = paired.map_or_else(
                 || {
-                    let own = |&i: &usize| (i, nodes.get(i).and_then(|n| slice(table, *epoch, n)));
+                    let own = |&i: &usize| (i, nodes.get(i).and_then(|n| lone(table, *epoch, n)));
                     children.iter().map(own).collect()
                 },
                 Vec::from,
@@ -359,26 +362,54 @@ fn sources(rows: &[u64], others: &[u64], counts: impl Fn(usize) -> bool) -> Vec<
         .collect()
 }
 
-/// Does the scan count some row of a child — a class it holds marked
-/// [`ClassSource::Counted`]?
-fn counts_some(sources: &[ClassSource], rows: &[u64]) -> bool {
-    (sources.iter().zip(rows)).any(|(&s, &n)| s == ClassSource::Counted && n > 0)
-}
-
-/// The slice of `node`, a scheduled child of the node `table` counted: the
-/// classes its complement holds are counted, the others copied. `None`
-/// unless the complement lacks a class the child has, and the child counts
-/// densely over strictly ascending attributes the parent's table tracks.
-fn slice(table: &Arc<CountsTable>, epoch: u64, node: &ScheduledNode) -> Option<Plan> {
+/// The plan of `node`, a scheduled child of the node `table` counted, as a
+/// side whose sibling the batch did not schedule ([`side`]): sliced, the
+/// classes its complement holds counted and the others copied.
+fn lone(table: &Arc<CountsTable>, epoch: u64, node: &ScheduledNode) -> Option<Plan> {
     let [rows, complement] = child_classes(table, node)?;
     let sources = sources(&rows, &complement, |_| true);
-    let copies = sources.contains(&ClassSource::Parent);
-    let eligible = node.dense && ascending(&node.req.attrs) && table.tracks(&node.req.attrs);
-    (copies && eligible).then(|| Plan {
+    side(table, epoch, node, sources, rows, None)
+}
+
+/// Derive a side of a pair, whose rows per class code are `rows`, whole
+/// when it counts none of the classes it holds: it takes each of them from
+/// its sibling — in a class the sibling lacks, that is the parent's — and
+/// each class it lacks stays counted, with no rows. So it reads its
+/// sibling's table only where the sibling counts: in whichever order the
+/// two are completed, it reads the same. Returns whether it did.
+fn derive_whole(sources: &mut [ClassSource], rows: &[u64]) -> bool {
+    let whole = (sources.iter().zip(rows)).all(|(&s, &n)| n == 0 || s != ClassSource::Counted);
+    if whole {
+        for (s, _) in (sources.iter_mut().zip(rows)).filter(|&(_, &n)| n > 0) {
+            *s = ClassSource::Sibling;
+        }
+    }
+    whole
+}
+
+/// The plan of `node`, a scheduled child of the node `table` counted, that
+/// takes its classes by `sources` and holds `rows` per class code; its
+/// [`ClassSource::Sibling`] classes come from `sibling`: the sibling's
+/// position in the batch, and its edge. `None` when it counts every class,
+/// or takes none from a sibling and does not count densely over strictly
+/// ascending attributes the parent's table tracks.
+fn side(
+    table: &Arc<CountsTable>,
+    epoch: u64,
+    node: &ScheduledNode,
+    sources: Vec<ClassSource>,
+    rows: Vec<u64>,
+    sibling: Option<(usize, SiblingEdge)>,
+) -> Option<Plan> {
+    let derived = sources.contains(&ClassSource::Sibling);
+    let eligible =
+        derived || node.dense && ascending(&node.req.attrs) && table.tracks(&node.req.attrs);
+    let planned = sources.iter().any(|&s| s != ClassSource::Counted);
+    (eligible && planned).then(|| Plan {
         parent: Arc::clone(table),
         sources,
         rows,
-        sibling: None,
+        sibling: sibling.filter(|_| derived),
         epoch,
     })
 }
@@ -400,7 +431,7 @@ fn slice(table: &Arc<CountsTable>, epoch: u64, node: &ScheduledNode) -> Option<P
 /// many, on the pair's side. Otherwise the pair's side counts every class
 /// both hold, when the other can be derived from it. Each side copies the
 /// classes only it holds from the parent's table, and a side left counting
-/// no row is derived whole from the other.
+/// no row is derived whole from the other ([`derive_whole`]).
 fn pair(
     table: &Arc<CountsTable>,
     epoch: u64,
@@ -456,35 +487,16 @@ fn pair(
     let eq_counts = |k: usize| eq_counts.get(k).copied().unwrap_or(true);
     let mut eq_sources = sources(&eq_rows, &neq_rows, eq_counts);
     let mut neq_sources = sources(&neq_rows, &eq_rows, |k| !eq_counts(k));
-    if !counts_some(&neq_sources, &neq_rows) {
-        neq_sources.fill(ClassSource::Sibling);
-    } else if !counts_some(&eq_sources, &eq_rows) {
-        eq_sources.fill(ClassSource::Sibling);
+    if !derive_whole(&mut neq_sources, &neq_rows) {
+        derive_whole(&mut eq_sources, &eq_rows);
     }
-    let plan = |node: &ScheduledNode, sources: Vec<ClassSource>, rows, sibling, sibling_eq| {
-        let derived = sources.contains(&ClassSource::Sibling);
-        let tracked = derived || table.tracks(&node.req.attrs);
-        let sources = match tracked {
-            true => sources,
-            // The parent's table cannot complete it: count every class.
-            false => vec![ClassSource::Counted; sources.len()],
-        };
-        let edge = SiblingEdge {
-            col,
-            value,
-            eq: sibling_eq,
-        };
-        (sources.iter().any(|&s| s != ClassSource::Counted)).then(|| Plan {
-            parent: Arc::clone(table),
-            sources,
-            rows,
-            sibling: derived.then_some((sibling, edge)),
-            epoch,
-        })
+    let planned = |node, sources, rows, sibling, eq| {
+        let edge = SiblingEdge { col, value, eq };
+        side(table, epoch, node, sources, rows, Some((sibling, edge)))
     };
     Some([
-        (eq, plan(e, eq_sources, eq_rows, neq, false)),
-        (neq, plan(n, neq_sources, neq_rows, eq, true)),
+        (eq, planned(e, eq_sources, eq_rows, neq, false)),
+        (neq, planned(n, neq_sources, neq_rows, eq, true)),
     ])
 }
 
@@ -741,6 +753,68 @@ mod tests {
                 let copies = (!eq_side).then(|| (vec![Counted, Counted, Counted, Parent], None));
                 assert_eq!(shape(&plans[counted]), copies, "{what}");
             }
+        }
+    }
+
+    /// A side that counts no row is derived whole: it takes every class it
+    /// holds from its sibling — one only it holds too, where that is the
+    /// parent's — and counts every class it lacks, of which it has no row.
+    /// The `≠` child, its sibling counting every class both hold, takes
+    /// class 3, which the `=` child lacks, from it; the `=` child, with
+    /// more rows in the shared classes, leaves class 3 counted.
+    #[test]
+    fn a_side_counting_no_row_takes_every_class_it_holds_from_its_sibling() {
+        let (mut parents, _table, nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[1], &[0, 1]]);
+        let plans = parents.plan(&nodes, true, false, &mut MiddlewareStats::new());
+        assert!(
+            plans[0].is_none(),
+            "the = child counts every class it holds"
+        );
+        assert_eq!(shape(&plans[1]), Some((vec![Sibling; 4], Some((0, true)))));
+        let neq = plans[1].as_ref().expect("≠ derived whole");
+        assert!(neq.derives_whole());
+        assert_eq!((neq.rows_from(Sibling), neq.rows_from(Parent)), (48, 0));
+
+        let (mut parents, _table, nodes) = pair_of([8, 28, 12, 0], NEQ_ROWS, [&[1], &[0, 1]]);
+        let plans = parents.plan(&nodes, true, false, &mut MiddlewareStats::new());
+        let eq = (vec![Sibling, Sibling, Sibling, Counted], Some((1, false)));
+        assert_eq!(shape(&plans[0]), Some(eq));
+        let sliced = (vec![Counted, Counted, Counted, Parent], None);
+        assert_eq!(shape(&plans[1]), Some(sliced));
+        let eq = plans[0].as_ref().expect("= derived whole");
+        assert!(eq.derives_whole());
+        assert_eq!(eq.classes().count(), 0);
+        assert_eq!((eq.rows_from(Sibling), eq.rows_from(Parent)), (48, 0));
+    }
+
+    /// Children that share no class: neither counts a row the other holds,
+    /// so the `≠` child is derived whole — each class it holds taken from
+    /// a sibling that holds none of it — and the `=` child is sliced, all
+    /// its classes copied from the parent: one derived node of all the `≠`
+    /// child's rows and one sliced node.
+    #[test]
+    fn a_class_disjoint_pair_derives_one_side_whole_and_slices_the_other() {
+        for wire in [true, false] {
+            let what = format!("wire {wire}");
+            let (mut parents, _table, nodes) =
+                pair_of([8, 20, 0, 0], [0, 0, 12, 8], [&[1], &[0, 1]]);
+            let plans = parents.plan(&nodes, true, wire, &mut MiddlewareStats::new());
+            let sliced = (vec![Parent, Parent, Counted, Counted], None);
+            assert_eq!(shape(&plans[0]), Some(sliced), "{what}");
+            let whole = (vec![Counted, Counted, Sibling, Sibling], Some((0, true)));
+            assert_eq!(shape(&plans[1]), Some(whole), "{what}");
+            let [e, n] = [0, 1].map(|i| plans[i].as_ref().unwrap());
+            assert!(n.derives_whole() && !e.derives_whole(), "{what}");
+            assert_eq!(
+                (n.rows_from(Sibling), n.rows_from(Parent)),
+                (20, 0),
+                "{what}"
+            );
+            assert_eq!(
+                (e.rows_from(Sibling), e.rows_from(Parent)),
+                (0, 28),
+                "{what}"
+            );
         }
     }
 
