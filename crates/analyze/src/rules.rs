@@ -310,8 +310,8 @@ const PANIC_SCOPED: [(&str, &[&str]); 9] = [
     ),
     // The client loop: every fulfilment of a build or maintenance round.
     ("crates/dtree/src/grow.rs", &["drain", "apply_exact"]),
-    // Sibling plans: per class of every pinned child, at each batch
-    // boundary, where a panic kills the build.
+    // Sibling plans: per class of every pinned child, when each batch's
+    // scan certifies, where a panic kills the build.
     (
         "crates/core/src/siblings.rs",
         &[
@@ -322,6 +322,7 @@ const PANIC_SCOPED: [(&str, &[&str]); 9] = [
             "sources",
             "derive_whole",
             "child_classes",
+            "stands",
         ],
     ),
 ];

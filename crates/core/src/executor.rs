@@ -64,11 +64,13 @@
 //! after the scan — from the parent's table less the sibling's, which
 //! counted it, or from the parent's alone. A node counting none of the
 //! classes it holds is derived whole: the scan skips it, and it is
-//! completed like every other planned node. A plan stands only
-//! over a scan `BatchCounter::cannot_reach_budget` clears
-//! (`RowSink::certify` settles it): there no budget event can fire and
-//! modelled memory only grows, and each partial table is a subset of the
-//! one counting builds, so charging the entries once at the end and
+//! completed like every other planned node. The batch plans once, when
+//! its scan certifies (`crate::siblings::Parents::plan`), and a node
+//! carries its plan into the scan only when `RowSink::certify` proves
+//! the scan cannot reach the budget
+//! (`BatchCounter::cannot_reach_budget`): there no budget event can fire
+//! and modelled memory only grows, and each partial table is a subset of
+//! the one counting builds, so charging the entries once at the end and
 //! observing memory then reaches the state, and the peak, counting every
 //! class would have. A server scan ships only the counted classes of a
 //! planned node unless it tees (`BatchCounter::pushdown`) — none of a node
@@ -107,10 +109,9 @@ pub struct NodeCounter {
     pub file_writer: Option<FileWriter>,
     /// Staging tee: middleware memory buffer (flat codes).
     pub mem_buffer: Option<Vec<Code>>,
-    /// Set while the batch means to count this node only in some classes
-    /// — in none it holds when it is derived whole — and take the others
-    /// from its parent's table and its sibling's after the scan (module
-    /// docs).
+    /// Set while the scan counts this node only in some classes — in none
+    /// it holds when it is derived whole — and takes the others from its
+    /// parent's table and its sibling's after the scan (module docs).
     pub(crate) plan: Option<Plan>,
     /// The filter the scan pushed down (`BatchCounter::pushdown`) left out
     /// every row of it the scan does not count: its rows in every class
@@ -173,12 +174,16 @@ impl NodeCounter {
         Ok(added)
     }
 
+    /// Does the scan tee this node's rows into a staged file or memory set?
+    pub(crate) fn tees(&self) -> bool {
+        self.file_writer.is_some() || self.mem_buffer.is_some()
+    }
+
     /// Does the scan need every row of this node? Unless it has a plan and
-    /// tees into no staged file or memory set: then no count and no staged
-    /// copy reads the rows of the classes the plan does not count.
+    /// does not tee: then no count and no staged copy reads the rows of the
+    /// classes the plan does not count.
     pub(crate) fn needs_rows(&self) -> bool {
-        let tees = self.file_writer.is_some() || self.mem_buffer.is_some();
-        self.plan.is_none() || tees
+        self.plan.is_none() || self.tees()
     }
 }
 
@@ -226,9 +231,6 @@ pub struct BatchCounter {
     pass: BlockPass,
     /// The source table's mutation epoch when the scan was certified.
     pub(crate) epoch: u64,
-    /// Planned derivations [`BatchCounter::settle_derivations`] refused,
-    /// until [`BatchCounter::derive`] counts them into the stats.
-    refused: u64,
 }
 
 /// A block of rows in either layout the scan paths produce, as the
@@ -559,7 +561,6 @@ impl BatchCounter {
             batch_kernel: true,
             pass: BlockPass::default(),
             epoch: 0,
-            refused: 0,
         }
     }
 
@@ -770,43 +771,11 @@ impl BatchCounter {
         }
     }
 
-    /// Keep each plan made for this certified scan only where it is sound:
-    /// the scan `proved` it cannot reach the budget
-    /// ([`BatchCounter::cannot_reach_budget`]), the source table is still
-    /// at the `epoch` the parent was counted at, and the certificate lies
-    /// inside the layouts of the parent and of every table the scan counts
-    /// for the node (so they stay dense) — its own, unless it is derived
-    /// whole, and its sibling's, if it takes classes from it. Every other
-    /// planned node is counted in every class, into the table it was built
-    /// with.
-    pub(crate) fn settle_derivations(&mut self, proved: bool, epoch: u64) {
-        let cert = &self.pass.certificate;
-        let counts_densely = |n: &NodeCounter| {
-            n.counts() && n.cc.is_dense() && n.cc.covers(cert, &n.req.attrs, n.req.class_col)
-        };
-        let keep: Vec<bool> = (self.nodes.iter())
-            .map(|n| {
-                n.plan.as_ref().is_some_and(|plan| {
-                    let sibling = (plan.sibling)
-                        .is_none_or(|(s, _)| self.nodes.get(s).is_some_and(counts_densely));
-                    proved
-                        && plan.epoch == epoch
-                        && sibling
-                        && (plan.derives_whole() || counts_densely(n))
-                        && plan.parent.covers(cert, &n.req.attrs, n.req.class_col)
-                })
-            })
-            .collect();
-        for (node, keep) in self.nodes.iter_mut().zip(keep) {
-            let refused = node.plan.take_if(|_| !keep);
-            self.refused += u64::from(refused.is_some_and(|p| p.sibling.is_some()));
-        }
-    }
-
-    /// The filter a server scan pushes down once its plans are settled
-    /// (§4.3.1, `crate::filter`): the union of the paths of the nodes,
-    /// each cut down to the classes the scan counts unless it needs every
-    /// row ([`NodeCounter::needs_rows`]) — a node derived whole left out —
+    /// The filter a server scan pushes down once it is certified, its
+    /// nodes carrying the plans it keeps (§4.3.1, `crate::filter`): the
+    /// union of the paths of the nodes, each cut down to the classes the
+    /// scan counts unless it needs every row
+    /// ([`NodeCounter::needs_rows`]) — a node derived whole left out —
     /// and of every node whole when the batch writes a split file, which
     /// takes each row some node selects. A cut node is one disjunct per
     /// counted class, the path ANDed with `class = k`: a plain conjunction
@@ -838,14 +807,13 @@ impl BatchCounter {
     /// (`CountsTable::complete`) — a node derived whole too, which reads
     /// its sibling only where the sibling counts, so the order is free.
     /// Charge the entries to modelled memory and observe it once — the
-    /// proof that kept the plans makes that the scan's peak.
+    /// proof the plans stand under makes that the scan's peak.
     ///
     /// # Errors
     ///
     /// [`MwError::Internal`] when a table does not complete: the parent's
     /// table was not that parent's, or a sibling fell back.
     pub(crate) fn derive(&mut self, stats: &mut MiddlewareStats) -> MwResult<()> {
-        stats.derivations_refused += std::mem::take(&mut self.refused);
         let plans: Vec<(usize, Plan)> = (self.nodes.iter_mut().enumerate())
             .filter_map(|(idx, node)| Some((idx, node.plan.take()?)))
             .collect();
@@ -1027,6 +995,8 @@ impl BatchCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MiddlewareConfig;
+    use crate::parallel::RowSink;
     use crate::request::{Lineage, NodeId};
     use scaleclass_sqldb::Pred;
 
@@ -1611,13 +1581,12 @@ mod tests {
     }
 
     /// The root's children `a = 1` (over `b`) and `a ≠ 1` (over both) of
-    /// `ROOT_ROWS`, dense; the second planned for derivation from `parent`
-    /// at `epoch`, each bounded by `parent` at `bound_epoch`.
+    /// `ROOT_ROWS`, dense, each bounded by `parent` at `bound_epoch`; and
+    /// their plans: the second derived from `parent`.
     fn bounded_children(
         parent: &Arc<CountsTable>,
-        epoch: u64,
         bound_epoch: u64,
-    ) -> Vec<NodeCounter> {
+    ) -> (Vec<NodeCounter>, Vec<Option<Plan>>) {
         let child = |id: u64, pred: Pred, attrs: Vec<u16>, entries: u64| {
             let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
             let mut node = NodeCounter::new(CcRequest {
@@ -1634,8 +1603,8 @@ mod tests {
         // The root holds five entries in `a` and three in `b`; two rows
         // have `a = 1`, four `a ≠ 1`.
         let eq = child(1, Pred::Eq { col: 0, value: 1 }, vec![1], 2);
-        let mut neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1], 4 + 3);
-        neq.plan = Some(Plan {
+        let neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1], 4 + 3);
+        let plan = Plan {
             parent: Arc::clone(parent),
             sources: vec![ClassSource::Sibling; 2],
             rows: vec![3, 1],
@@ -1647,9 +1616,8 @@ mod tests {
                     eq: true,
                 },
             )),
-            epoch,
-        });
-        vec![eq, neq]
+        };
+        (vec![eq, neq], vec![None, Some(plan)])
     }
 
     const ROOT_ROWS: [[Code; 3]; 6] = [
@@ -1676,20 +1644,15 @@ mod tests {
         let parent = Arc::new(root);
         let budget = 9 * CC_ENTRY_BYTES;
         for (bound_epoch, derives) in [(3, true), (2, false)] {
-            let nodes = bounded_children(&parent, 3, bound_epoch);
+            let (nodes, plans) = bounded_children(&parent, bound_epoch);
             let mut batch = BatchCounter::new(nodes, budget, 0, ARITY);
             batch.certify(&[3, 3, 1]);
             batch.epoch = 3;
             let proved = batch.cannot_reach_budget(ROOT_ROWS.len() as u64);
             assert_eq!(proved, derives, "bound at epoch {bound_epoch}");
-            batch.settle_derivations(proved, 3);
-            assert_eq!(batch.nodes[1].plan.is_some(), derives);
-            let mut stats = MiddlewareStats::new();
-            for r in &ROOT_ROWS {
-                batch.process_row(r, &mut stats).unwrap();
-            }
-            batch.derive(&mut stats).unwrap();
-            batch.debug_assert_parent_bounds();
+            let (sink, stats) = certified(batch, 3, plans);
+            assert_eq!(sink.nodes()[1].plan.is_some(), derives);
+            let (batch, stats) = finished(sink, stats, &ROOT_ROWS);
             assert_eq!(stats.derived_nodes, u64::from(derives));
             assert_eq!(stats.derivations_refused, u64::from(!derives));
             assert_eq!(stats.sql_fallbacks, 0);
@@ -1712,6 +1675,38 @@ mod tests {
         [2, 3, 1],
     ];
 
+    /// A serial sink over `batch`, certified with `plans` for a scan at
+    /// `epoch` of six rows under `[3, 3, 1]`, and the stats it counts into.
+    fn certified(
+        batch: BatchCounter,
+        epoch: u64,
+        plans: Vec<Option<Plan>>,
+    ) -> (RowSink, MiddlewareStats) {
+        let mut stats = MiddlewareStats::new();
+        let mut sink = RowSink::new(batch, &MiddlewareConfig::default());
+        sink.certify(&[3, 3, 1], ROOT_ROWS.len() as u64, epoch, plans, &mut stats);
+        (sink, stats)
+    }
+
+    /// Feed `rows` through `sink` a row at a time, finish it — the batch
+    /// completes its planned tables and checks its parent bounds — and
+    /// return the batch and the stats.
+    fn finished(
+        mut sink: RowSink,
+        mut stats: MiddlewareStats,
+        rows: &[[Code; 3]],
+    ) -> (BatchCounter, MiddlewareStats) {
+        for r in rows {
+            let mut block = RowBlock {
+                flat: r,
+                arity: ARITY,
+            };
+            sink.process_block(&mut block, &mut stats).unwrap();
+        }
+        let batch = sink.finish(&mut stats).unwrap();
+        (batch, stats)
+    }
+
     /// A dense table over `attrs` (each card 4, two classes) counting the
     /// rows of `rows` that `pred` selects.
     fn counted(attrs: &[u16], pred: &Pred, rows: &[[Code; 3]]) -> CountsTable {
@@ -1724,14 +1719,14 @@ mod tests {
     }
 
     /// The root's children `a = 1` (over `b`) and `a ≠ 1` (over both),
-    /// dense, planned from `parent` at epoch 0 by `sources` (`=` first),
-    /// each taking its `Sibling` classes from the other; at positions
-    /// `[0, 1]`, or `[1, 0]` when `swapped`.
+    /// dense, and their plans from `parent` by `sources` (`=` first), each
+    /// taking its `Sibling` classes from the other; at positions `[0, 1]`,
+    /// or `[1, 0]` when `swapped`.
     fn planned_pair(
         parent: &Arc<CountsTable>,
         sources: [Vec<ClassSource>; 2],
         swapped: bool,
-    ) -> Vec<NodeCounter> {
+    ) -> (Vec<NodeCounter>, Vec<Option<Plan>>) {
         let [with, all] = parent.class_split(0, 1).unwrap();
         let without: Vec<u64> = all.iter().zip(&with).map(|(n, m)| n - m).collect();
         let at = |i: usize| if swapped { 1 - i } else { i };
@@ -1739,34 +1734,35 @@ mod tests {
             (1, Pred::Eq { col: 0, value: 1 }, vec![1], with),
             (2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1], without),
         ];
-        let mut nodes: Vec<NodeCounter> = (children.into_iter().zip(sources).enumerate())
-            .map(|(i, ((id, pred, attrs, rows), sources))| {
-                let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
-                let mut node = NodeCounter::new(CcRequest {
-                    attrs,
-                    ..request(id, pred)
-                });
-                node.cc = CountsTable::new_dense(&cards, 2);
-                let edge = crate::cc::SiblingEdge {
-                    col: 0,
-                    value: 1,
-                    eq: i == 1,
-                };
-                let derived = sources.contains(&ClassSource::Sibling);
-                node.plan = Some(Plan {
-                    parent: Arc::clone(parent),
-                    sources,
-                    rows,
-                    sibling: derived.then_some((at(1 - i), edge)),
-                    epoch: 0,
-                });
-                node
-            })
-            .collect();
+        let (mut nodes, mut plans): (Vec<NodeCounter>, Vec<Option<Plan>>) =
+            (children.into_iter().zip(sources).enumerate())
+                .map(|(i, ((id, pred, attrs, rows), sources))| {
+                    let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
+                    let mut node = NodeCounter::new(CcRequest {
+                        attrs,
+                        ..request(id, pred)
+                    });
+                    node.cc = CountsTable::new_dense(&cards, 2);
+                    let edge = crate::cc::SiblingEdge {
+                        col: 0,
+                        value: 1,
+                        eq: i == 1,
+                    };
+                    let derived = sources.contains(&ClassSource::Sibling);
+                    let plan = Plan {
+                        parent: Arc::clone(parent),
+                        sources,
+                        rows,
+                        sibling: derived.then_some((at(1 - i), edge)),
+                    };
+                    (node, Some(plan))
+                })
+                .unzip();
         if swapped {
             nodes.reverse();
+            plans.reverse();
         }
-        nodes
+        (nodes, plans)
     }
 
     /// A pair completes to the tables counting builds, with the same stats,
@@ -1799,16 +1795,10 @@ mod tests {
             let mut orders = Vec::new();
             for swapped in [false, true] {
                 let what = format!("{sources:?}, swapped {swapped}");
-                let pair = planned_pair(&parent, sources.clone(), swapped);
-                let mut batch = BatchCounter::new(pair, u64::MAX, 0, ARITY);
-                batch.certify(&[3, 3, 1]);
-                let proved = batch.cannot_reach_budget(rows.len() as u64);
-                batch.settle_derivations(proved, 0);
-                let mut stats = MiddlewareStats::new();
-                for r in &rows {
-                    batch.process_row(r, &mut stats).unwrap();
-                }
-                batch.derive(&mut stats).unwrap();
+                let (pair, plans) = planned_pair(&parent, sources.clone(), swapped);
+                let batch = BatchCounter::new(pair, u64::MAX, 0, ARITY);
+                let (sink, stats) = certified(batch, 0, plans);
+                let (batch, stats) = finished(sink, stats, &rows);
                 batch.assert_shadow_accounting();
                 let read = [stats.derived_nodes, stats.derived_rows, stats.sliced_nodes];
                 assert_eq!(read, [nodes, derived_rows, sliced], "{what}");

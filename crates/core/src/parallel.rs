@@ -59,6 +59,7 @@ use crate::config::MiddlewareConfig;
 use crate::error::{MwError, MwResult};
 use crate::executor::{BatchCounter, Block, ColBlock, NodeCounter, RowBlock};
 use crate::metrics::{MiddlewareStats, WorkerScanStats};
+use crate::siblings::Plan;
 use crate::staging::{ExtentLayout, ExtentReader, FileWriter, FILE_HEADER_BYTES};
 use crossbeam_channel::{bounded, Receiver, Sender};
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
@@ -382,7 +383,7 @@ impl RowSink {
 
     /// The filter a server scan pushes down: the paths of the nodes whose
     /// rows it counts or stages (`BatchCounter::pushdown`). Only after
-    /// `RowSink::certify`, which settles the derivations it depends on.
+    /// `RowSink::certify`, which attaches the plans it depends on.
     pub(crate) fn pushdown(&mut self) -> Pred {
         debug_assert_eq!(self.rows, 0, "pushed down after the first block");
         self.batch.pushdown()
@@ -391,19 +392,37 @@ impl RowSink {
     /// Start the scan, before the first block: it reads at most `rows`
     /// rows of a source table at mutation `epoch`, and every code of them
     /// lies at or under `certificate`, per column (the table's range
-    /// certificate). When `BatchCounter::cannot_reach_budget` proves the
-    /// scan fires no budget event, it runs in parallel if more than one
-    /// worker is configured, and the batch's planned derivations stand
-    /// (`BatchCounter::settle_derivations`); otherwise it counts serially,
-    /// every node included.
-    pub(crate) fn certify(&mut self, certificate: &[Code], rows: u64, epoch: u64) {
+    /// certificate). `plans` are the batch's derivations, per node, that
+    /// this scan can keep (`crate::siblings::Parents::plan`). When some
+    /// plan is made or more than one worker is configured, the scan tries
+    /// to prove it fires no budget event
+    /// (`BatchCounter::cannot_reach_budget`). Proved, the nodes take their
+    /// plans, and the scan runs in parallel if more than one worker is
+    /// configured; otherwise it counts serially, every node in every
+    /// class, and each plan that takes classes from a sibling counts into
+    /// `stats.derivations_refused`.
+    pub(crate) fn certify(
+        &mut self,
+        certificate: &[Code],
+        rows: u64,
+        epoch: u64,
+        plans: Vec<Option<Plan>>,
+        stats: &mut MiddlewareStats,
+    ) {
         debug_assert_eq!(self.rows, 0, "certified after the first block");
         let batch = &mut self.batch;
         batch.certify(certificate);
         batch.epoch = epoch;
-        let planned = (batch.nodes.iter()).any(|n| n.plan.is_some());
+        let planned = plans.iter().any(Option::is_some);
         let proved = (self.workers > 1 || planned) && batch.cannot_reach_budget(rows);
-        batch.settle_derivations(proved, epoch);
+        if proved {
+            for (node, plan) in batch.nodes.iter_mut().zip(plans) {
+                node.plan = plan;
+            }
+        } else {
+            let derived = plans.iter().flatten().filter(|p| p.sibling.is_some());
+            stats.derivations_refused += derived.count() as u64;
+        }
         if proved && self.workers > 1 {
             let scan = ParallelScan::new(&self.batch, self.workers, self.block_rows);
             self.parallel = Some(scan);
@@ -468,9 +487,9 @@ impl RowSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{ClassSource, CountsTable, SiblingEdge, CC_ENTRY_BYTES};
+    use crate::cc::{ClassSource, CountsTable, CC_ENTRY_BYTES};
     use crate::request::{CcRequest, Lineage, NodeId};
-    use crate::siblings::Plan;
+    use crate::siblings::Parents;
     use scaleclass_sqldb::Pred;
     use std::sync::Arc;
 
@@ -532,7 +551,13 @@ mod tests {
             .scan_block_rows(block_rows)
             .build();
         let mut sink = RowSink::new(batch, &config);
-        sink.certify(&CERT, nrows as u64, 0);
+        sink.certify(
+            &CERT,
+            nrows as u64,
+            0,
+            Vec::new(),
+            &mut MiddlewareStats::new(),
+        );
         sink
     }
 
@@ -1052,50 +1077,54 @@ mod tests {
     }
 
     /// The root's children on `a = 1` (over `b` alone, the split attribute
-    /// pinned) and `a ≠ 1` (over both), dense; with `derive`, the second
-    /// planned to be derived whole from `parent` at epoch 0, taking every
-    /// class it holds from the first.
-    fn children(parent: &Arc<CountsTable>, derive: bool) -> Vec<NodeCounter> {
+    /// pinned) and `a ≠ 1` (over both), dense, extended from `root`.
+    fn children(root: &CcRequest) -> Vec<NodeCounter> {
         let child = |id: u64, pred: Pred, attrs: Vec<u16>| {
             let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
             let mut node = NodeCounter::new(CcRequest {
+                lineage: root.lineage.child(NodeId(id), pred),
                 attrs,
-                parent_cards: vec![4; 2],
-                ..request(id, pred)
+                ..root_request()
             });
             node.cc = CountsTable::new_dense(&cards, 2);
             node
         };
         let eq = child(1, Pred::Eq { col: 0, value: 1 }, vec![1]);
-        let mut neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1]);
-        if derive {
-            let [with, all] = parent.class_split(0, 1).unwrap();
-            let rows: Vec<u64> = all.iter().zip(&with).map(|(n, m)| n - m).collect();
-            let held = |&n: &u64| match n {
-                0 => ClassSource::Counted,
-                _ => ClassSource::Sibling,
-            };
-            neq.plan = Some(Plan {
-                parent: Arc::clone(parent),
-                sources: rows.iter().map(held).collect(),
-                rows,
-                sibling: Some((
-                    0,
-                    SiblingEdge {
-                        col: 0,
-                        value: 1,
-                        eq: true,
-                    },
-                )),
-                epoch: 0,
-            });
-        }
+        let neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1]);
         vec![eq, neq]
     }
 
+    /// The session's record of `root`'s exact table `parent`, counted at
+    /// epoch 0, with `nodes`, its children, enqueued under it: each big
+    /// enough to pin the table.
+    fn remembered(root: &CcRequest, parent: &Arc<CountsTable>, nodes: &[NodeCounter]) -> Parents {
+        let mut parents = Parents::default();
+        parents.fulfilled(root, parent, 0);
+        for node in nodes {
+            parents.enqueued(&node.req);
+        }
+        parents
+    }
+
+    /// Certify `sink` for an exact scan of `rows` rows of `rows()` at
+    /// `epoch`, with the plans `parents` makes for it. Planned as for a
+    /// scan that reads no row over the wire, a pair chooses its sides by
+    /// rows alone, whatever tees.
+    fn certify(
+        sink: &mut RowSink,
+        parents: &mut Parents,
+        rows: usize,
+        epoch: u64,
+        stats: &mut MiddlewareStats,
+    ) {
+        let plans = parents.plan(sink.nodes(), &CERT, epoch, true, false, stats);
+        sink.certify(&CERT, rows as u64, epoch, plans, stats);
+    }
+
     /// Count `data` through a sink over `nodes` allowed `workers` threads,
-    /// certified at `epoch`, under `budget`.
+    /// certified at `epoch` with the plans `parents` makes, under `budget`.
     fn sunk(
+        parents: &mut Parents,
         nodes: Vec<NodeCounter>,
         workers: usize,
         budget: u64,
@@ -1107,8 +1136,8 @@ mod tests {
             .scan_block_rows(16)
             .build();
         let mut sink = RowSink::new(BatchCounter::new(nodes, budget, 0, ARITY), &config);
-        sink.certify(&CERT, data.len() as u64, epoch);
         let mut stats = MiddlewareStats::new();
+        certify(&mut sink, parents, data.len(), epoch, &mut stats);
         feed(&mut sink, data, &mut stats);
         let batch = sink.finish(&mut stats).unwrap();
         batch.assert_shadow_accounting();
@@ -1119,7 +1148,9 @@ mod tests {
     /// into the table counting it builds, and leaves the batch in the
     /// state, and at the peak, counting it leaves; a scan whose budget
     /// proof fails, or whose table moved on since the parent was counted,
-    /// counts it instead.
+    /// counts it instead. The plan is the pair's of a staged scan: the `=`
+    /// child, with fewer rows, counts every class, and the `≠` child is
+    /// derived whole from it.
     #[test]
     fn a_planned_sibling_is_derived_under_the_proof_and_counted_without() {
         let data = rows(700, 61);
@@ -1128,7 +1159,9 @@ mod tests {
             root.add_row(r, &[0, 1], 2);
         }
         let parent = Arc::new(root);
-        let (counted, counted_stats) = sunk(children(&parent, false), 1, u64::MAX, 0, &data);
+        let req = root_request();
+        let none = &mut Parents::default();
+        let (counted, counted_stats) = sunk(none, children(&req), 1, u64::MAX, 0, &data);
         // Counted, the batch ends at `most`. The proof bounds each table by
         // its every slot — 8 and 16 — the `a ≠ 1` child's empty `a = 1`
         // ones included: a budget of `most` fails it, one of 24 entries
@@ -1142,7 +1175,9 @@ mod tests {
             (4, u64::MAX, 1, false),
         ] {
             let what = format!("{workers} workers, budget {budget}, epoch {epoch}");
-            let (batch, stats) = sunk(children(&parent, true), workers, budget, epoch, &data);
+            let nodes = children(&req);
+            let mut parents = remembered(&req, &parent, &nodes);
+            let (batch, stats) = sunk(&mut parents, nodes, workers, budget, epoch, &data);
             for (c, b) in counted.nodes.iter().zip(&batch.nodes) {
                 assert_eq!(b.cc, c.cc, "{what}");
                 assert!(b.cc.is_dense() && b.plan.is_none() && !b.fallback, "{what}");
@@ -1165,6 +1200,56 @@ mod tests {
         assert_eq!(Arc::strong_count(&parent), 1, "no plan outlives its batch");
     }
 
+    /// A scan carries no plan it cannot keep, and counts the refusal: not
+    /// when its budget proof fails, when the table moved on since the
+    /// parent was counted, or when its certificate escapes the parent's
+    /// layout — here a parent counted over three values of `b`, which the
+    /// certificate's four exceed. Each time the `≠` child, planned to be
+    /// derived whole, is counted in every class.
+    #[test]
+    fn a_refused_plan_never_reaches_the_scan() {
+        let data: Vec<[Code; 3]> = (rows(700, 71).into_iter())
+            .map(|[a, b, k]| [a, b.min(2), k])
+            .collect();
+        let req = root_request();
+        let (counted, _) = sunk(
+            &mut Parents::default(),
+            children(&req),
+            1,
+            u64::MAX,
+            0,
+            &data,
+        );
+        let most = counted.memory_in_use();
+        for (why, budget, epoch, b_values) in [
+            ("the proof fails", most, 0, 4),
+            ("the epoch moved", u64::MAX, 1, 4),
+            ("the certificate escapes the parent", u64::MAX, 0, 3),
+        ] {
+            let mut root = CountsTable::new_dense(&[(0, 4), (1, b_values)], 2);
+            for r in &data {
+                root.add_row(r, &[0, 1], 2);
+            }
+            let parent = Arc::new(root);
+            let nodes = children(&req);
+            let mut parents = remembered(&req, &parent, &nodes);
+            let mut sink = RowSink::new(
+                BatchCounter::new(nodes, budget, 0, ARITY),
+                &MiddlewareConfig::default(),
+            );
+            let mut stats = MiddlewareStats::new();
+            certify(&mut sink, &mut parents, data.len(), epoch, &mut stats);
+            assert!(sink.nodes().iter().all(|n| n.plan.is_none()), "{why}");
+            assert_eq!(stats.derivations_refused, 1, "{why}");
+            feed(&mut sink, &data, &mut stats);
+            let batch = sink.finish(&mut stats).unwrap();
+            for (c, b) in counted.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(b.cc, c.cc, "{why}");
+            }
+            assert_eq!((stats.derived_nodes, stats.sliced_nodes), (0, 0), "{why}");
+        }
+    }
+
     /// A child whose complement holds class 0 only — every `a = 0` row is
     /// class 0 — is counted only in class 0 under the proof, on one worker
     /// or four: the pushed-down filter ships just those rows, the class-1
@@ -1183,14 +1268,21 @@ mod tests {
             root.add_row(r, &[0, 1], 2);
         }
         let parent = Arc::new(root);
+        let req = root_request();
         let node = || {
-            let mut node = NodeCounter::new(request(2, Pred::NotEq { col: 0, value: 0 }));
+            let mut node = NodeCounter::new(CcRequest {
+                lineage: req
+                    .lineage
+                    .child(NodeId(2), Pred::NotEq { col: 0, value: 0 }),
+                ..root_request()
+            });
             node.cc = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
             node
         };
         let mine: Vec<[Code; 3]> = data.iter().filter(|r| r[0] != 0).copied().collect();
         let class_rows = |k| mine.iter().filter(|r| r[2] == k).count() as u64;
-        let (counted, _) = sunk(vec![node()], 1, u64::MAX, 0, &mine);
+        let none = &mut Parents::default();
+        let (counted, _) = sunk(none, vec![node()], 1, u64::MAX, 0, &mine);
         let most = counted.memory_in_use();
         for (workers, budget, epoch, slices, tees) in [
             (1, u64::MAX, 0, true, false),
@@ -1204,27 +1296,25 @@ mod tests {
             if tees {
                 sliced.mem_buffer = Some(Vec::new());
             }
-            sliced.plan = Some(Plan {
-                parent: Arc::clone(&parent),
-                sources: vec![ClassSource::Counted, ClassSource::Parent],
-                rows: vec![class_rows(0), class_rows(1)],
-                sibling: None,
-                epoch: 0,
-            });
+            let mut parents = remembered(&req, &parent, std::slice::from_ref(&sliced));
             let config = MiddlewareConfig::builder()
                 .scan_workers(workers)
                 .scan_block_rows(16)
                 .build();
             let batch = BatchCounter::new(vec![sliced], budget, 0, ARITY);
             let mut sink = RowSink::new(batch, &config);
-            sink.certify(&CERT, data.len() as u64, epoch);
+            let mut stats = MiddlewareStats::new();
+            certify(&mut sink, &mut parents, data.len(), epoch, &mut stats);
+            if let Some(plan) = &sink.nodes()[0].plan {
+                assert_eq!(plan.sources, [ClassSource::Counted, ClassSource::Parent]);
+                assert_eq!(plan.rows, [class_rows(0), class_rows(1)]);
+            }
             let filter = sink.pushdown();
             let shipped: Vec<[Code; 3]> = data
                 .iter()
                 .filter(|r| filter.eval(&r[..]))
                 .copied()
                 .collect();
-            let mut stats = MiddlewareStats::new();
             feed(&mut sink, &shipped, &mut stats);
             let batch = sink.finish(&mut stats).unwrap();
             batch.assert_shadow_accounting();
@@ -1256,7 +1346,8 @@ mod tests {
     /// its staged file or the batch's split file. Fed just the rows the
     /// filter passes, the batch still derives the table counting reads,
     /// and charges it to `derived_rows_unshipped` exactly when it left the
-    /// node out.
+    /// node out. The pair is planned by rows, whatever tees (`certify`):
+    /// the `≠` child is derived whole from the `=` child.
     #[test]
     fn a_derived_node_is_shipped_only_when_it_tees() {
         let data = rows(700, 61);
@@ -1265,10 +1356,13 @@ mod tests {
             root.add_row(r, &[0, 1], 2);
         }
         let parent = Arc::new(root);
-        let (counted, _) = sunk(children(&parent, false), 1, u64::MAX, 0, &data);
+        let req = root_request();
+        let none = &mut Parents::default();
+        let (counted, _) = sunk(none, children(&req), 1, u64::MAX, 0, &data);
         let mut staging = crate::staging::StagingManager::new(None).unwrap();
         for tee in ["none", "memory", "file", "split"] {
-            let mut nodes = children(&parent, true);
+            let mut nodes = children(&req);
+            let mut parents = remembered(&req, &parent, &nodes);
             match tee {
                 "memory" => nodes[1].mem_buffer = Some(Vec::new()),
                 "file" => {
@@ -1284,7 +1378,8 @@ mod tests {
                 batch.split_writer = Some(writer.unwrap());
             }
             let mut sink = RowSink::new(batch, &MiddlewareConfig::default());
-            sink.certify(&CERT, data.len() as u64, 0);
+            let mut stats = MiddlewareStats::new();
+            certify(&mut sink, &mut parents, data.len(), 0, &mut stats);
             assert!(sink.nodes()[0].needs_rows(), "{tee}: the counted sibling");
             let tees_itself = tee == "memory" || tee == "file";
             assert_eq!(sink.nodes()[1].needs_rows(), tees_itself, "{tee}");
@@ -1294,7 +1389,6 @@ mod tests {
                 .filter(|r| filter.eval(&r[..]))
                 .copied()
                 .collect();
-            let mut stats = MiddlewareStats::new();
             feed(&mut sink, &shipped, &mut stats);
             let batch = sink.finish(&mut stats).unwrap();
             for (c, b) in counted.nodes.iter().zip(&batch.nodes) {

@@ -66,6 +66,12 @@ pub struct BatchPlan {
     /// (DESIGN.md §13). Sampled batches never stage or split files — a
     /// partial scan would silently truncate the staged set.
     pub sampled: Option<SampledScan>,
+    /// Rows the whole frontier reads: the scheduled nodes' and those of
+    /// the requests still queued. Staging (Rule 5) and the §4.3.3
+    /// threshold are judged on it, not on this batch alone — the paper
+    /// observes the techniques only apply once the active data set has
+    /// genuinely shrunk.
+    pub frontier_rows: u64,
 }
 
 impl BatchPlan {
@@ -143,19 +149,18 @@ pub fn schedule(
     let source = locations[anchor];
 
     // Rule 2: the group is every pending request resolving to the same
-    // dataset (same id); for the server, every server-bound request.
-    let mut group: Vec<usize> = locations
-        .iter()
-        .enumerate()
+    // dataset (same id); for the server, every server-bound request. Each
+    // comes with its Est_cc (§4.2.1), computed once.
+    let est_of = |req: &CcRequest| est_cc_bytes_kind(req, nclasses, config.estimator);
+    let mut group: Vec<(usize, u64)> = (locations.iter().enumerate())
         .filter(|(_, l)| **l == source)
-        .map(|(i, _)| i)
+        .map(|(i, _)| (i, est_of(&pending[i])))
         .collect();
 
     // Rule 3: smallest estimated counts table first (the FIFO alternative
     // exists only for the ablation bench).
-    let est_of = |req: &CcRequest| est_cc_bytes_kind(req, nclasses, config.estimator);
     if config.rule3_smallest_first {
-        group.sort_by_key(|&i| est_of(&pending[i]));
+        group.sort_by_key(|&(_, est)| est);
     }
 
     // Admit while the *hard* counts-table bounds fit the counting budget
@@ -179,34 +184,33 @@ pub fn schedule(
         .saturating_sub(staging.staged_mem_bytes())
         .saturating_sub(sampled.held_bytes());
     let cap = config.max_batch_nodes.unwrap_or(usize::MAX);
-    let mut admitted: Vec<usize> = Vec::new();
+    let mut admitted: Vec<(usize, u64)> = Vec::new();
     let mut cc_reserved = 0u64;
-    for &i in &group {
+    for &(i, est) in &group {
         if admitted.len() >= cap {
             break;
         }
         let bound = if config.admit_by_estimate {
-            est_of(&pending[i])
+            est
         } else {
             est_cc_bytes_upper(&pending[i], nclasses)
         };
         if admitted.is_empty() || cc_reserved.saturating_add(bound) <= cc_budget {
             cc_reserved = cc_reserved.saturating_add(bound);
-            admitted.push(i);
+            admitted.push((i, est));
         }
     }
 
     // Extract admitted requests from the queue (preserving queue order of
     // the remainder).
-    let mut take: Vec<bool> = vec![false; pending.len()];
-    for &i in &admitted {
-        take[i] = true;
+    let mut take: Vec<Option<u64>> = vec![None; pending.len()];
+    for &(i, est) in &admitted {
+        take[i] = Some(est);
     }
     let mut scheduled: Vec<ScheduledNode> = Vec::with_capacity(admitted.len());
     let mut rest: Vec<CcRequest> = Vec::with_capacity(pending.len().saturating_sub(admitted.len()));
-    for (i, req) in pending.drain(..).enumerate() {
-        if take[i] {
-            let est = est_cc_bytes_kind(&req, nclasses, config.estimator);
+    for (req, take) in pending.drain(..).zip(take) {
+        if let Some(est) = take {
             let est_data = data_bytes(req.rows, arity);
             let dense = dense_eligible(&req, col_cards, config.cc_dense_max_bytes, nclasses);
             scheduled.push(ScheduledNode {
@@ -224,6 +228,9 @@ pub fn schedule(
     *pending = rest;
     // Keep Rule 3 order (smallest CC first) in the plan.
     scheduled.sort_by_key(|n| n.est_cc_bytes);
+    let frontier_rows = (scheduled.iter().map(|n| n.req.rows))
+        .chain(pending.iter().map(|r| r.rows))
+        .sum();
 
     let mut plan = BatchPlan {
         source,
@@ -231,6 +238,7 @@ pub fn schedule(
         split_file: false,
         compact_mem: false,
         sampled: None,
+        frontier_rows,
     };
     // Escalation double-count guard: a node's sampled CC bytes must be
     // released before its exact rescan reserves counting memory — a node
@@ -249,24 +257,7 @@ pub fn schedule(
         // below reasoning about full scans only.
         return Some(plan);
     }
-    // Bytes of data the whole frontier (this batch + still-queued
-    // requests) will touch — staging may use the budget aggressively only
-    // when everything left fits.
-    let frontier_bytes = plan
-        .nodes
-        .iter()
-        .map(|n| data_bytes(n.req.rows, arity))
-        .chain(pending.iter().map(|r| data_bytes(r.rows, arity)))
-        .sum::<u64>();
-    decide_staging(
-        &mut plan,
-        staging,
-        config,
-        cc_reserved,
-        frontier_bytes,
-        arity,
-        lease_bytes,
-    );
+    decide_staging(&mut plan, staging, config, cc_reserved, arity, lease_bytes);
     plan.compact_mem = compacts(&plan, staging, pending);
     Some(plan)
 }
@@ -320,13 +311,11 @@ fn plan_sample(
 /// Apply Rules 4–6 plus the file-policy specifics to the plan.
 /// `lease_bytes` bounds both the staging headroom and the 3/5 staged cap,
 /// so a session can never stage past its arbitrated slice.
-#[allow(clippy::too_many_arguments)]
 fn decide_staging(
     plan: &mut BatchPlan,
     staging: &StagingManager,
     config: &MiddlewareConfig,
     cc_reserved: u64,
-    frontier_bytes: u64,
     arity: usize,
     lease_bytes: u64,
 ) {
@@ -400,7 +389,9 @@ fn decide_staging(
     let staged_cap =
         u64::try_from(u128::from(lease_bytes).saturating_mul(3) / 5).unwrap_or(u64::MAX);
     let cap_slack = staged_cap.saturating_sub(staging.staged_mem_bytes());
-    let full_fit = frontier_bytes <= headroom;
+    // Staging may use the budget aggressively only when all the data the
+    // whole frontier will touch fits.
+    let full_fit = data_bytes(plan.frontier_rows, arity) <= headroom;
     let mut remaining = if full_fit {
         headroom
     } else {

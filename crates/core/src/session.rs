@@ -41,9 +41,9 @@ use crate::filter::union_filter;
 use crate::metrics::{ArbiterStats, MiddlewareStats, ScanStats};
 use crate::parallel::RowSink;
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
-use crate::sample::{BlockSampler, SampledLedger, SampledScan};
+use crate::sample::{BlockSampler, SampledLedger};
 use crate::scheduler::{schedule, BatchPlan};
-use crate::siblings::{Parents, Plan};
+use crate::siblings::Parents;
 use crate::source::{admitted_ranges, BlockSource, SourceBlock};
 use crate::sqlgen::cc_via_sql;
 use crate::staging::{StagedRows, StagingManager};
@@ -257,11 +257,6 @@ impl Backend {
     /// The mined table's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// The mined table's name.
-    pub fn table_name(&self) -> &str {
-        &self.table
     }
 
     /// The shared middleware configuration.
@@ -513,11 +508,6 @@ impl Session {
         &self.attrs
     }
 
-    /// The session's table name.
-    pub fn table_name(&self) -> &str {
-        &self.backend.table
-    }
-
     /// The session's configuration (shared backend-wide).
     pub fn config(&self) -> &MiddlewareConfig {
         &self.backend.config
@@ -711,13 +701,6 @@ impl Session {
         !self.pending.is_empty()
     }
 
-    /// Bytes of sampled CC tables still awaiting an accept-or-escalate
-    /// verdict. They shrink the counting budget of every batch scheduled
-    /// in between (DESIGN.md §13).
-    pub fn sampled_held_bytes(&self) -> u64 {
-        self.sampled.held_bytes()
-    }
-
     /// Client verdict on a sampled fulfilment: the confidence interval
     /// separated the winning split, so the sampled counts stand. Releases
     /// the table's lease charge. Idempotent; a no-op for nodes that never
@@ -775,7 +758,7 @@ impl Session {
         #[cfg(debug_assertions)]
         let charge_before = self.staging.shared_charge_bytes();
 
-        let Some(plan) = schedule(
+        let Some(mut plan) = schedule(
             &mut self.pending,
             &self.staging,
             &self.backend.config,
@@ -788,28 +771,19 @@ impl Session {
             return Ok(Vec::new());
         };
 
-        let source = plan.source;
-        let sampled_tag = plan.sampled;
-        // The §4.3.3 threshold is judged on the *whole frontier's* relevant
-        // data (batch + still-queued requests), not this batch alone — the
-        // paper observes the techniques only apply once the active data set
-        // has genuinely shrunk.
-        let frontier_rows = plan.relevant_rows() + self.pending.iter().map(|r| r.rows).sum::<u64>();
-        let (exact, wire) = (sampled_tag.is_none(), source == DataLocation::Server);
-        let plans = (self.parents).plan(&plan.nodes, exact, wire, &mut self.stats);
-        let batch = self.build_counters(plan, lease_bytes, plans)?;
+        let batch = self.build_counters(&mut plan, lease_bytes)?;
         // Serial or parallel counting behind one block interface — the
         // scan loop never knows which one runs; the sink decides when the
         // scan certifies it.
         let mut sink = RowSink::new(batch, &self.backend.config);
-        self.scan(source, sampled_tag, frontier_rows, &mut sink)?;
+        self.scan(&plan, &mut sink)?;
         let batch = sink.finish(&mut self.stats)?;
         // Shadow checkpoint (DESIGN.md §9): the batch's incremental CC and
         // tee-buffer accounting must match a first-principles recount
         // before eviction/commit decisions are applied from it.
         #[cfg(debug_assertions)]
         batch.assert_shadow_accounting();
-        let out = self.finish_batch(batch, source, sampled_tag)?;
+        let out = self.finish_batch(batch, &plan)?;
         // And after commits/evictions: the staging manager's incremental
         // staged-byte counter must match its live memory sets, the leases
         // must sum within the global budget, and this session's staged
@@ -881,15 +855,8 @@ impl Session {
     // Batch assembly and scanning
     // ------------------------------------------------------------------
 
-    /// The batch's counting pass over `plan`, `plans` aligned with its
-    /// nodes.
-    fn build_counters(
-        &mut self,
-        plan: BatchPlan,
-        lease_bytes: u64,
-        plans: Vec<Option<Plan>>,
-    ) -> MwResult<BatchCounter> {
-        let (source, compact) = (plan.source, plan.compact_mem);
+    /// The batch's counting pass over `plan`, whose nodes it takes.
+    fn build_counters(&mut self, plan: &mut BatchPlan, lease_bytes: u64) -> MwResult<BatchCounter> {
         let split = if plan.split_file {
             let members = plan.node_ids();
             let preds: Vec<Pred> = plan.nodes.iter().map(|n| n.req.pred().clone()).collect();
@@ -901,9 +868,8 @@ impl Session {
             None
         };
         let mut counters = Vec::with_capacity(plan.nodes.len());
-        for (sched, plan) in plan.nodes.into_iter().zip(plans) {
+        for sched in std::mem::take(&mut plan.nodes) {
             let mut counter = NodeCounter::new(sched.req);
-            counter.plan = plan;
             counter.bound = self.parents.take_bound(counter.req.node());
             if sched.dense {
                 // Slot arrays are sized by *schema* cardinalities — the
@@ -951,9 +917,9 @@ impl Session {
             self.backend.arity,
         );
         batch.split_writer = split;
-        batch.kept = compact.then(Vec::new);
+        batch.kept = plan.compact_mem.then(Vec::new);
         batch.batch_kernel = self.backend.config.batch_kernel;
-        let source_set = match source {
+        let source_set = match plan.source {
             DataLocation::Memory(id) => Some(id),
             _ => None,
         };
@@ -961,23 +927,18 @@ impl Session {
         Ok(batch)
     }
 
-    /// Count one batch from the location it was scheduled on: open the
-    /// location as a [`BlockSource`], run the one scan loop over it, and
-    /// charge the location's read counters. A sampled batch (DESIGN.md
+    /// Count `plan`'s batch from the location it was scheduled on: open
+    /// the location as a [`BlockSource`], run the one scan loop over it,
+    /// and charge the location's read counters. A sampled batch (DESIGN.md
     /// §13) reads only the blocks its sampler admits, charging
     /// `sampled_rows_scanned` for their rows and `exact_rows_saved` for
     /// the rest of the source.
-    fn scan(
-        &mut self,
-        location: DataLocation,
-        tag: Option<SampledScan>,
-        frontier_rows: u64,
-        sink: &mut RowSink,
-    ) -> MwResult<()> {
+    fn scan(&mut self, plan: &BatchPlan, sink: &mut RowSink) -> MwResult<()> {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
-        let sampler = tag.map(|t| BlockSampler::new(t.fraction));
-        let (admitted, skipped) = match location {
+        let exact = plan.sampled.is_none();
+        let sampler = plan.sampled.map(|t| BlockSampler::new(t.fraction));
+        let (admitted, skipped) = match plan.source {
             DataLocation::Memory(id) => {
                 self.stats.memory_scans += 1;
                 let Some(StagedRows::Memory(rows)) = self.staging.set(id).map(|s| &s.rows) else {
@@ -985,8 +946,9 @@ impl Session {
                         "scheduled memory set {id} missing"
                     )));
                 };
-                self.certify_staged(sink, (rows.len() / arity) as u64)?;
-                let mut src = BlockSource::flat(rows, arity, block_rows);
+                let rows = Arc::clone(rows);
+                self.certify_staged(sink, (rows.len() / arity) as u64, exact)?;
+                let mut src = BlockSource::flat(&rows, arity, block_rows);
                 drive(&mut src, sampler.as_ref(), sink, &mut self.stats)?;
                 self.stats.memory_rows_read += src.rows_read;
                 (src.rows_read, src.rows_skipped)
@@ -996,7 +958,7 @@ impl Session {
                 let layout = self.staging.extent_layout(id)?.ok_or_else(|| {
                     MwError::Internal(format!("scheduled staged file {id} missing"))
                 })?;
-                self.certify_staged(sink, layout.nrows)?;
+                self.certify_staged(sink, layout.nrows, exact)?;
                 // An exact parallel scan read-shards the file: each worker
                 // owns a disjoint extent range and decodes into its own
                 // counting shard, no producer thread in between. Serial
@@ -1023,23 +985,45 @@ impl Session {
             }
             DataLocation::Server => {
                 self.stats.server_scans += 1;
-                self.scan_server(sampler.as_ref(), frontier_rows, sink)?
+                self.scan_server(sampler.as_ref(), plan.frontier_rows, sink)?
             }
         };
-        if tag.is_some() {
+        if !exact {
             self.stats.sampled_rows_scanned += admitted;
             self.stats.exact_rows_saved += skipped;
         }
         Ok(())
     }
 
-    /// Start `sink`'s scan of a staged copy of at most `rows` table rows.
-    /// Staged rows are copies of table rows, and the table's range
-    /// certificate never falls: read now, it bounds them all.
-    fn certify_staged(&self, sink: &mut RowSink, rows: u64) -> MwResult<()> {
-        let db = self.backend.db_read();
+    /// Start `sink`'s scan of a staged copy of at most `rows` table rows,
+    /// `exact` unless sampled. Staged rows are copies of table rows, and
+    /// the table's range certificate never falls: read now, it bounds them
+    /// all.
+    fn certify_staged(&mut self, sink: &mut RowSink, rows: u64, exact: bool) -> MwResult<()> {
+        let backend = Arc::clone(&self.backend);
+        let db = backend.db_read();
+        self.certify(sink, &db, rows, exact, false)
+    }
+
+    /// Start `sink`'s scan, before its first block, of at most `rows` rows,
+    /// each a row of the table as `db` holds it or a copy of one: plan the
+    /// batch's derivations against the table's range certificate and epoch
+    /// ([`Parents::plan`]; `exact` unless sampled, `wire` when the rows
+    /// come from the server), then certify the sink with the plans that
+    /// stand ([`RowSink::certify`]). The one place a batch plans.
+    fn certify(
+        &mut self,
+        sink: &mut RowSink,
+        db: &Database,
+        rows: u64,
+        exact: bool,
+        wire: bool,
+    ) -> MwResult<()> {
         let table = &self.backend.table;
-        sink.certify(db.table(table)?.col_max(), rows, db.table_epoch(table));
+        let (certificate, epoch) = (db.table(table)?.col_max(), db.table_epoch(table));
+        let nodes = sink.nodes();
+        let plans = (self.parents).plan(nodes, certificate, epoch, exact, wire, &mut self.stats);
+        sink.certify(certificate, rows, epoch, plans, &mut self.stats);
         Ok(())
     }
 
@@ -1047,7 +1031,9 @@ impl Session {
     /// paper's recommended path), a §4.3.3 auxiliary structure when one
     /// applies, or — sampled — a block cursor over the admitted ranges.
     /// Every read pushes down the filter of the nodes whose rows the scan
-    /// counts or stages ([`RowSink::pushdown`]), settled by certification.
+    /// counts or stages ([`RowSink::pushdown`]), known once the scan is
+    /// certified: under the read guard the scan holds, since that is the
+    /// only read of the certificate that bounds every row it ships.
     /// Returns the table rows a sample `(admitted, skipped)`, zeros when
     /// the scan is exact.
     fn scan_server(
@@ -1068,13 +1054,13 @@ impl Session {
             }
             _ => None,
         };
-        let table = &self.backend.table;
-        let db = self.backend.db_read();
+        let backend = Arc::clone(&self.backend);
+        let (table, db) = (&backend.table, backend.db_read());
         // Read under the guard the scan holds, the certificate and the row
         // count bound every row it ships — through an aux structure's
         // copies too — and the epoch is the one it reads at.
-        let source = db.table(table)?;
-        sink.certify(source.col_max(), source.nrows(), db.table_epoch(table));
+        let rows = db.table(table)?.nrows();
+        self.certify(sink, &db, rows, sampler.is_none(), true)?;
         if let Some(idx) = aux {
             let filter = sink.pushdown();
             self.stats.aux_scans += 1;
@@ -1225,8 +1211,7 @@ impl Session {
     fn finish_batch(
         &mut self,
         batch: BatchCounter,
-        source: DataLocation,
-        sampled_tag: Option<SampledScan>,
+        plan: &BatchPlan,
     ) -> MwResult<Vec<FulfilledCc>> {
         let BatchCounter {
             nodes,
@@ -1243,7 +1228,7 @@ impl Session {
         if let Some(w) = split_writer {
             self.staging.commit_file(w, &mut self.stats)?;
         }
-        if let (Some(kept), DataLocation::Memory(id)) = (kept, source) {
+        if let (Some(kept), DataLocation::Memory(id)) = (kept, plan.source) {
             let members: Vec<&Lineage> = nodes.iter().map(|n| &n.req.lineage).collect();
             self.staging
                 .compact_mem(id, &kept, &members, &mut self.stats)?;
@@ -1286,7 +1271,7 @@ impl Session {
             });
             // The SQL fallback counts exactly even inside a sampled batch,
             // so only non-fallback nodes carry the sample tag.
-            let sample = if fallback { None } else { sampled_tag };
+            let sample = if fallback { None } else { plan.sampled };
             if sample.is_some() {
                 // The sampled table stays charged against the lease until
                 // the client accepts or escalates; keep the request so an
@@ -1303,7 +1288,7 @@ impl Session {
             out.push(FulfilledCc {
                 node: req.node(),
                 cc,
-                source,
+                source: plan.source,
                 via_sql_fallback: fallback,
                 sample,
             });

@@ -29,15 +29,18 @@
 //! * At each batch boundary every pin none of whose children is pending
 //!   goes, all of them when the table's epoch has moved, and every record
 //!   the last batch left unpinned ([`Parents::retain`]).
-//! * An exact batch plans, for every scheduled child of a pin, how the
-//!   parent's table serves it, class by class ([`Parents::plan`]): when it
-//!   schedules both children of a binary split, a server scan counts each
-//!   class they share on the side that ships fewer of its rows, and every
-//!   other batch on one side throughout; every other child it slices to
-//!   the classes its complement holds — the sibling's, whether or not the
-//!   client requested the sibling: it is a side whose sibling the batch
-//!   did not schedule. The scan keeps each plan only where
-//!   `RowSink::certify` proves it sound.
+//! * When its scan certifies, an exact batch plans, for every scheduled
+//!   child of a pin, how the parent's table serves it, class by class
+//!   ([`Parents::plan`]): when it schedules both children of a binary
+//!   split, a server scan counts each class they share on the side that
+//!   ships fewer of its rows, and every other batch on one side
+//!   throughout; every other child it slices to the classes its complement
+//!   holds — the sibling's, whether or not the client requested the
+//!   sibling: it is a side whose sibling the batch did not schedule. A
+//!   plan is made only where the scan can keep it — at the parent's epoch,
+//!   its certificate inside every layout the plan reads or counts into —
+//!   and kept only where `RowSink::certify` proves the scan cannot reach
+//!   the budget.
 //!
 //! The same records sharpen that proof. A child's rows are a subset of its
 //! parent's, so its table holds only entries the parent's holds, and per
@@ -47,9 +50,9 @@
 //! takes ([`Parents::take_bound`]) for `BatchCounter::cannot_reach_budget`.
 
 use crate::cc::{ClassSource, CountsTable, SiblingEdge};
+use crate::executor::NodeCounter;
 use crate::metrics::MiddlewareStats;
 use crate::request::{CcRequest, Lineage, NodeId};
-use crate::scheduler::ScheduledNode;
 use scaleclass_sqldb::{Code, Pred};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -72,8 +75,6 @@ pub(crate) struct Plan {
     /// The sibling it takes [`ClassSource::Sibling`] classes from: its
     /// index in the batch, and where it sits in the parent's split.
     pub(crate) sibling: Option<(usize, SiblingEdge)>,
-    /// The table's epoch when the parent was counted.
-    pub(crate) epoch: u64,
 }
 
 impl Plan {
@@ -248,19 +249,27 @@ impl Parents {
         (self.bounds).retain(|node, b| b.epoch == epoch && pending.contains(node));
     }
 
-    /// Plan a batch: per scheduled node, in plan order, how the parent's
-    /// table serves it. Only an `exact` batch plans anything, and only for
-    /// the children of a pin; a sampled one forgets the pins of the nodes
-    /// it schedules. When it scheduled both children of a binary split, it
-    /// serves each class of theirs from one side when it can ([`pair`];
-    /// `wire`: the batch's rows come over the wire from the server); every
-    /// other child of a pin is a side whose sibling the batch did not
-    /// schedule, sliced when its complement lacks one of its classes
-    /// ([`lone`]). The first batch that schedules only one of a binary
-    /// split's two children counts the pair into `stats.split_pairs`.
+    /// Plan a batch where its scan certifies: per node of `nodes`, in
+    /// batch order, how the parent's table serves it. Only an `exact` batch
+    /// plans anything, and only for the children of a pin; a sampled one
+    /// forgets the pins of the nodes it schedules. When it scheduled both
+    /// children of a binary split, it serves each class of theirs from one
+    /// side when it can ([`pair`]; `wire`: the batch's rows come over the
+    /// wire from the server); every other child of a pin is a side whose
+    /// sibling the batch did not schedule, sliced when its complement lacks
+    /// one of its classes ([`lone`]). A plan is returned only where the
+    /// scan can keep it: the source table is still at the `epoch` the
+    /// parent was counted at, and the scan's range `certificate` lies
+    /// inside every layout the plan reads or counts into ([`stands`]);
+    /// every other plan that takes classes from a sibling counts into
+    /// `stats.derivations_refused`. The first batch that schedules only one
+    /// of a binary split's two children counts the pair into
+    /// `stats.split_pairs`.
     pub(crate) fn plan(
         &mut self,
-        nodes: &[ScheduledNode],
+        nodes: &[NodeCounter],
+        certificate: &[Code],
+        epoch: u64,
         exact: bool,
         wire: bool,
         stats: &mut MiddlewareStats,
@@ -282,7 +291,7 @@ impl Parents {
         for (parent, children) in scheduled {
             let Some(Parent {
                 pin: Some(table),
-                epoch,
+                epoch: counted,
                 children: enqueued,
                 binary,
                 served,
@@ -302,19 +311,22 @@ impl Parents {
                 continue;
             }
             let paired = match *children.as_slice() {
-                [a, b] => pair(table, *epoch, nodes, [a, b], wire),
+                [a, b] => pair(table, nodes, [a, b], wire),
                 _ => None,
             };
             let planned = paired.map_or_else(
                 || {
-                    let own = |&i: &usize| (i, nodes.get(i).and_then(|n| lone(table, *epoch, n)));
+                    let own = |&i: &usize| (i, nodes.get(i).and_then(|n| lone(table, n)));
                     children.iter().map(own).collect()
                 },
                 Vec::from,
             );
-            for (i, plan) in planned {
-                if let Some(slot) = plans.get_mut(i) {
-                    *slot = plan;
+            let at_epoch = *counted == epoch;
+            for (i, plan) in planned.into_iter().filter_map(|(i, plan)| Some((i, plan?))) {
+                if !at_epoch || !stands(&plan, nodes, i, certificate) {
+                    stats.derivations_refused += u64::from(plan.sibling.is_some());
+                } else if let Some(slot) = plans.get_mut(i) {
+                    *slot = Some(plan);
                 }
             }
         }
@@ -323,7 +335,7 @@ impl Parents {
 }
 
 /// A scheduled child's split edge: `(col, value, eq)`.
-fn edge(node: &ScheduledNode) -> Option<(u16, Code, bool)> {
+fn edge(node: &NodeCounter) -> Option<(u16, Code, bool)> {
     let (col, value, eq) = match *node.req.lineage.edge()? {
         Pred::Eq { col, value } => (col, value, true),
         Pred::NotEq { col, value } => (col, value, false),
@@ -334,7 +346,7 @@ fn edge(node: &ScheduledNode) -> Option<(u16, Code, bool)> {
 
 /// The child `node` of the node `table` counted, per class code, by the
 /// parent's table: its rows, and its complement's.
-fn child_classes(table: &CountsTable, node: &ScheduledNode) -> Option<[Vec<u64>; 2]> {
+fn child_classes(table: &CountsTable, node: &NodeCounter) -> Option<[Vec<u64>; 2]> {
     let (col, value, eq) = edge(node)?;
     let [with, all] = table.class_split(col, value)?;
     let without: Vec<u64> = all
@@ -365,10 +377,10 @@ fn sources(rows: &[u64], others: &[u64], counts: impl Fn(usize) -> bool) -> Vec<
 /// The plan of `node`, a scheduled child of the node `table` counted, as a
 /// side whose sibling the batch did not schedule ([`side`]): sliced, the
 /// classes its complement holds counted and the others copied.
-fn lone(table: &Arc<CountsTable>, epoch: u64, node: &ScheduledNode) -> Option<Plan> {
+fn lone(table: &Arc<CountsTable>, node: &NodeCounter) -> Option<Plan> {
     let [rows, complement] = child_classes(table, node)?;
     let sources = sources(&rows, &complement, |_| true);
-    side(table, epoch, node, sources, rows, None)
+    side(table, node, sources, rows, None)
 }
 
 /// Derive a side of a pair, whose rows per class code are `rows`, whole
@@ -395,22 +407,20 @@ fn derive_whole(sources: &mut [ClassSource], rows: &[u64]) -> bool {
 /// ascending attributes the parent's table tracks.
 fn side(
     table: &Arc<CountsTable>,
-    epoch: u64,
-    node: &ScheduledNode,
+    node: &NodeCounter,
     sources: Vec<ClassSource>,
     rows: Vec<u64>,
     sibling: Option<(usize, SiblingEdge)>,
 ) -> Option<Plan> {
     let derived = sources.contains(&ClassSource::Sibling);
-    let eligible =
-        derived || node.dense && ascending(&node.req.attrs) && table.tracks(&node.req.attrs);
+    let attrs = &node.req.attrs;
+    let eligible = derived || node.cc.is_dense() && ascending(attrs) && table.tracks(attrs);
     let planned = sources.iter().any(|&s| s != ClassSource::Counted);
     (eligible && planned).then(|| Plan {
         parent: Arc::clone(table),
         sources,
         rows,
         sibling: sibling.filter(|_| derived),
-        epoch,
     })
 }
 
@@ -434,8 +444,7 @@ fn side(
 /// no row is derived whole from the other ([`derive_whole`]).
 fn pair(
     table: &Arc<CountsTable>,
-    epoch: u64,
-    nodes: &[ScheduledNode],
+    nodes: &[NodeCounter],
     [a, b]: [usize; 2],
     wire: bool,
 ) -> Option<[(usize, Option<Plan>); 2]> {
@@ -446,11 +455,11 @@ fn pair(
     let (eq, neq) = if a_eq { (a, b) } else { (b, a) };
     let (e, n) = (nodes.get(eq)?, nodes.get(neq)?);
     let [eq_rows, neq_rows] = child_classes(table, e)?;
-    let derivable = |d: &ScheduledNode, s: &ScheduledNode, sibling_eq: bool| {
+    let derivable = |d: &NodeCounter, s: &NodeCounter, sibling_eq: bool| {
         let sibling_tracks =
             |attr: &u16| s.req.attrs.contains(attr) || (sibling_eq && *attr == col);
-        d.dense
-            && s.dense
+        d.cc.is_dense()
+            && s.cc.is_dense()
             && ascending(&d.req.attrs)
             && ascending(&s.req.attrs)
             && table.tracks(&d.req.attrs)
@@ -468,14 +477,7 @@ fn pair(
     if !mixes && !derivable(derived, sibling, eq_side) {
         return None;
     }
-    let shipped = |node: &ScheduledNode, rows: u64| {
-        let whole = node.stage_mem || node.stage_file;
-        if wire && !whole {
-            rows
-        } else {
-            0
-        }
-    };
+    let shipped = |node: &NodeCounter, rows: u64| if wire && !node.tees() { rows } else { 0 };
     // Per class both hold: does the `=` child count it?
     let eq_counts: Vec<bool> = (eq_rows.iter().zip(&neq_rows))
         .map(|(&x, &y)| match shipped(e, x).cmp(&shipped(n, y)) {
@@ -492,12 +494,32 @@ fn pair(
     }
     let planned = |node, sources, rows, sibling, eq| {
         let edge = SiblingEdge { col, value, eq };
-        side(table, epoch, node, sources, rows, Some((sibling, edge)))
+        side(table, node, sources, rows, Some((sibling, edge)))
     };
     Some([
         (eq, planned(e, eq_sources, eq_rows, neq, false)),
         (neq, planned(n, neq_sources, neq_rows, eq, true)),
     ])
+}
+
+/// Can the scan keep `plan`, node `i`'s of `nodes`, when every code it
+/// reads lies at or under `certificate`? Only when the certificate lies
+/// inside the layouts of the parent's table and of every table the scan
+/// counts for the node — its own, unless it is derived whole, and its
+/// sibling's, if it takes classes from it — so that each stays dense:
+/// [`CountsTable::complete`] reads them slot by slot. Every node a batch
+/// plans, and every sibling a plan names, counts densely ([`side`],
+/// [`pair`]).
+fn stands(plan: &Plan, nodes: &[NodeCounter], i: usize, certificate: &[Code]) -> bool {
+    let covers = |table: &CountsTable, node: &NodeCounter| {
+        table.covers(certificate, &node.req.attrs, node.req.class_col)
+    };
+    let sibling = |&(s, _): &(usize, SiblingEdge)| nodes.get(s).is_some_and(|s| covers(&s.cc, s));
+    nodes.get(i).is_some_and(|node| {
+        covers(&plan.parent, node)
+            && (plan.derives_whole() || covers(&node.cc, node))
+            && plan.sibling.as_ref().is_none_or(sibling)
+    })
 }
 
 /// Strictly ascending — so no attribute is counted twice.
@@ -591,15 +613,20 @@ mod tests {
         }
     }
 
+    /// The range certificate of a scan of the fixtures' rows: four values
+    /// of `a` and of `b`, and two classes — four in [`pair_of`]'s.
+    const CERT: [Code; 3] = [3, 3, 1];
+    const CERT4: [Code; 3] = [3, 3, 3];
+
     /// The root of `rows`, `[a, b, class]` with `nclasses` classes,
     /// remembered at epoch 7, and its children `a = 1` (node 1, over
-    /// `attrs[0]`) and `a ≠ 1` (node 2, over `attrs[1]`), as the scheduler
-    /// hands them out.
+    /// `attrs[0]`) and `a ≠ 1` (node 2, over `attrs[1]`), as the batch
+    /// builds them: dense, four values per attribute.
     fn scheduled_pair(
         rows: &[[Code; 3]],
         nclasses: u64,
         attrs: [&[u16]; 2],
-    ) -> (Parents, Arc<CountsTable>, [ScheduledNode; 2]) {
+    ) -> (Parents, Arc<CountsTable>, [NodeCounter; 2]) {
         let root = request(Lineage::root(NodeId(0)), vec![0, 1]);
         let mut table = CountsTable::new_dense(&[(0, 4), (1, 4)], nclasses);
         for row in rows {
@@ -608,13 +635,14 @@ mod tests {
         let table = Arc::new(table);
         let mut parents = Parents::default();
         parents.fulfilled(&root, &table, 7);
-        let child = |id, edge, attrs: &[u16]| ScheduledNode {
-            req: request(root.lineage.child(NodeId(id), edge), attrs.to_vec()),
-            est_cc_bytes: 0,
-            est_data_bytes: 0,
-            stage_file: false,
-            stage_mem: false,
-            dense: true,
+        let child = |id, edge, attrs: &[u16]| {
+            let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
+            let mut node = NodeCounter::new(request(
+                root.lineage.child(NodeId(id), edge),
+                attrs.to_vec(),
+            ));
+            node.cc = CountsTable::new_dense(&cards, nclasses);
+            node
         };
         let eq = child(1, Pred::Eq { col: 0, value: 1 }, attrs[0]);
         let neq = child(2, Pred::NotEq { col: 0, value: 1 }, attrs[1]);
@@ -624,7 +652,7 @@ mod tests {
     /// The root of four copies of `[a, b, class]` rows in which every
     /// `a = 1` row is class 0, and its children `a = 1` (node 1) and
     /// `a ≠ 1` (node 2, which holds both classes), both over `a` and `b`.
-    fn pure_sibling() -> (Parents, Arc<CountsTable>, [ScheduledNode; 2]) {
+    fn pure_sibling() -> (Parents, Arc<CountsTable>, [NodeCounter; 2]) {
         let rows = [
             [0, 0, 0],
             [0, 1, 1],
@@ -644,7 +672,7 @@ mod tests {
         eq: [usize; 4],
         neq: [usize; 4],
         attrs: [&[u16]; 2],
-    ) -> (Parents, Arc<CountsTable>, [ScheduledNode; 2]) {
+    ) -> (Parents, Arc<CountsTable>, [NodeCounter; 2]) {
         let mut rows = Vec::new();
         for (k, (&e, &n)) in (0..).zip(eq.iter().zip(&neq)) {
             rows.extend((0..e).map(|i| [1, (i % 4) as Code, k]));
@@ -655,6 +683,17 @@ mod tests {
             parents.enqueued(&node.req);
         }
         (parents, table, nodes)
+    }
+
+    /// A staged-file tee of `node`'s rows.
+    fn file_tee(
+        staging: &mut crate::staging::StagingManager,
+        node: &NodeCounter,
+    ) -> crate::staging::FileWriter {
+        let members = vec![node.req.node()];
+        staging
+            .start_file(members, node.req.pred().clone(), 3)
+            .unwrap()
     }
 
     /// The `a = 1` child holds 8, 20 and 12 rows of classes 0–2, the
@@ -684,7 +723,7 @@ mod tests {
     fn each_shared_class_is_counted_on_its_smaller_side_the_eq_side_on_a_tie() {
         let (mut parents, _table, nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[1], &[0, 1]]);
         let mut stats = MiddlewareStats::new();
-        let plans = parents.plan(&nodes, true, true, &mut stats);
+        let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut stats);
         let eq = (vec![Counted, Sibling, Counted, Counted], Some((1, false)));
         let neq = (vec![Sibling, Counted, Sibling, Parent], Some((0, true)));
         assert_eq!(shape(&plans[0]), Some(eq));
@@ -702,7 +741,7 @@ mod tests {
         assert_eq!(stats.split_pairs, 0);
 
         let (mut parents, _table, nodes) = pair_of([8, 28, 12, 0], NEQ_ROWS, [&[1], &[0, 1]]);
-        let plans = parents.plan(&nodes, true, true, &mut stats);
+        let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut stats);
         let eq = (vec![Counted, Sibling, Sibling, Counted], Some((1, false)));
         let neq = (vec![Sibling, Counted, Counted, Parent], Some((0, true)));
         assert_eq!(shape(&plans[0]), Some(eq));
@@ -714,14 +753,16 @@ mod tests {
     /// and its sibling, left counting no row, is derived whole from it.
     #[test]
     fn a_teeing_side_is_counted_in_every_shared_class_and_its_sibling_derived() {
+        let mut staging = crate::staging::StagingManager::new(None).unwrap();
         for (side, tee) in [(0, "memory"), (0, "file"), (1, "memory"), (1, "file")] {
             let what = format!("side {side} tees into a {tee}");
             let (mut parents, _table, mut nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[1], &[0, 1]]);
+            let node = &mut nodes[side];
             match tee {
-                "memory" => nodes[side].stage_mem = true,
-                _ => nodes[side].stage_file = true,
+                "memory" => node.mem_buffer = Some(Vec::new()),
+                _ => node.file_writer = Some(file_tee(&mut staging, node)),
             }
-            let plans = parents.plan(&nodes, true, true, &mut MiddlewareStats::new());
+            let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut MiddlewareStats::new());
             let (derived, counted) = (1 - side, side);
             let plan = plans[derived].as_ref().expect("derived");
             assert!(plan.derives_whole(), "{what}");
@@ -738,14 +779,16 @@ mod tests {
     /// every one of them, and the other side is derived whole.
     #[test]
     fn a_split_file_batch_chooses_by_rows() {
+        let mut staging = crate::staging::StagingManager::new(None).unwrap();
         for (eq_rows, eq_side) in [(EQ_ROWS, true), ([8, 28, 12, 0], false)] {
             for tee in [None, Some(0), Some(1)] {
                 let what = format!("= side {eq_side}, tee {tee:?}");
                 let (mut parents, _table, mut nodes) = pair_of(eq_rows, NEQ_ROWS, [&[1], &[0, 1]]);
                 if let Some(side) = tee {
-                    nodes[side].stage_file = true;
+                    nodes[side].file_writer = Some(file_tee(&mut staging, &nodes[side]));
                 }
-                let plans = parents.plan(&nodes, true, false, &mut MiddlewareStats::new());
+                let stats = &mut MiddlewareStats::new();
+                let plans = parents.plan(&nodes, &CERT4, 7, true, false, stats);
                 let (counted, derived) = if eq_side { (0, 1) } else { (1, 0) };
                 let plan = plans[derived].as_ref().expect("derived");
                 assert!(plan.derives_whole(), "{what}");
@@ -765,7 +808,7 @@ mod tests {
     #[test]
     fn a_side_counting_no_row_takes_every_class_it_holds_from_its_sibling() {
         let (mut parents, _table, nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[1], &[0, 1]]);
-        let plans = parents.plan(&nodes, true, false, &mut MiddlewareStats::new());
+        let plans = parents.plan(&nodes, &CERT4, 7, true, false, &mut MiddlewareStats::new());
         assert!(
             plans[0].is_none(),
             "the = child counts every class it holds"
@@ -776,7 +819,7 @@ mod tests {
         assert_eq!((neq.rows_from(Sibling), neq.rows_from(Parent)), (48, 0));
 
         let (mut parents, _table, nodes) = pair_of([8, 28, 12, 0], NEQ_ROWS, [&[1], &[0, 1]]);
-        let plans = parents.plan(&nodes, true, false, &mut MiddlewareStats::new());
+        let plans = parents.plan(&nodes, &CERT4, 7, true, false, &mut MiddlewareStats::new());
         let eq = (vec![Sibling, Sibling, Sibling, Counted], Some((1, false)));
         assert_eq!(shape(&plans[0]), Some(eq));
         let sliced = (vec![Counted, Counted, Counted, Parent], None);
@@ -798,7 +841,7 @@ mod tests {
             let what = format!("wire {wire}");
             let (mut parents, _table, nodes) =
                 pair_of([8, 20, 0, 0], [0, 0, 12, 8], [&[1], &[0, 1]]);
-            let plans = parents.plan(&nodes, true, wire, &mut MiddlewareStats::new());
+            let plans = parents.plan(&nodes, &CERT4, 7, true, wire, &mut MiddlewareStats::new());
             let sliced = (vec![Parent, Parent, Counted, Counted], None);
             assert_eq!(shape(&plans[0]), Some(sliced), "{what}");
             let whole = (vec![Counted, Counted, Sibling, Sibling], Some((0, true)));
@@ -827,14 +870,14 @@ mod tests {
     #[test]
     fn a_pair_derivable_one_way_only_keeps_todays_plan() {
         let (mut parents, _table, nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[0, 1], &[1]]);
-        let plans = parents.plan(&nodes, true, true, &mut MiddlewareStats::new());
+        let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut MiddlewareStats::new());
         assert!(plans[0].is_none(), "the = child copies no class");
         let derived = plans[1].as_ref().expect("≠ derived");
         assert!(derived.derives_whole());
         assert_eq!(shape(&plans[1]).and_then(|s| s.1), Some((0, true)));
 
         let (mut parents, _table, nodes) = pair_of([8, 20, 16, 0], NEQ_ROWS, [&[0, 1], &[1]]);
-        let plans = parents.plan(&nodes, true, true, &mut MiddlewareStats::new());
+        let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut MiddlewareStats::new());
         assert!(plans[0].is_none());
         let sliced = (vec![Counted, Counted, Counted, Parent], None);
         assert_eq!(shape(&plans[1]), Some(sliced));
@@ -863,7 +906,8 @@ mod tests {
             };
             parents.retain(&queue, || epoch);
             let mut stats = MiddlewareStats::new();
-            let plans = parents.plan(std::slice::from_ref(&neq), exact, true, &mut stats);
+            let neq = std::slice::from_ref(&neq);
+            let plans = parents.plan(neq, &CERT, epoch, exact, true, &mut stats);
             let plan = plans[0].as_ref();
             assert!(plan.is_none_or(|p| p.sibling.is_none()), "{what}");
             assert_eq!(plan.is_some(), slices, "{what}");
@@ -890,7 +934,7 @@ mod tests {
             parents.enqueued(&node.req);
         }
         let mut stats = MiddlewareStats::new();
-        let plans = parents.plan(&nodes, true, true, &mut stats);
+        let plans = parents.plan(&nodes, &CERT, 7, true, true, &mut stats);
         let derived = plans[0].as_ref().expect("a = 1 derived");
         assert!(derived.derives_whole());
         assert_eq!(shape(&plans[0]).and_then(|s| s.1), Some((1, false)));
@@ -907,17 +951,18 @@ mod tests {
         parents.enqueued(&neq.req);
         let queue = [eq.req.clone(), neq.req.clone()];
         parents.retain(&queue, || 7);
-        let first = parents.plan(std::slice::from_ref(&eq), true, true, &mut stats);
+        let first = parents.plan(std::slice::from_ref(&eq), &CERT, 7, true, true, &mut stats);
         assert!(first[0].is_none());
         assert_eq!(stats.split_pairs, 1);
         parents.retain(&queue[1..], || 7);
-        let second = parents.plan(std::slice::from_ref(&neq), true, true, &mut stats);
+        let neq = std::slice::from_ref(&neq);
+        let second = parents.plan(neq, &CERT, 7, true, true, &mut stats);
         assert_eq!(
             second[0].as_ref().map(|s| s.rows.clone()),
             Some(vec![4, 12])
         );
         assert_eq!(stats.split_pairs, 1, "a pair is split once");
         parents.retain(&[], || 7);
-        assert!(parents.plan(std::slice::from_ref(&neq), true, true, &mut stats)[0].is_none());
+        assert!(parents.plan(neq, &CERT, 7, true, true, &mut stats)[0].is_none());
     }
 }
