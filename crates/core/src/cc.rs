@@ -31,6 +31,7 @@ use crate::request::DataLocation;
 use scaleclass_sqldb::{Code, ColumnView};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -94,17 +95,17 @@ pub fn dense_physical_bytes(cards: impl IntoIterator<Item = u64>, n_classes: u64
 
 /// The immutable slot geometry of a dense counts array, shared (via `Arc`)
 /// by every shard of a parallel scan so layout equality is a pointer check.
+/// The one owner of the slot formula `offset + value·n_classes + class`
+/// ([`DenseLayout::slot`]), of an attribute's slot range
+/// ([`DenseLayout::span`]) and of the range check of codes against the
+/// layout ([`DenseLayout::covers`]).
 #[derive(Debug, PartialEq, Eq)]
 struct DenseLayout {
     /// Tracked attribute columns, ascending (iteration order).
     attrs: Vec<u16>,
-    /// First slot of each tracked attribute (aligned with `attrs`).
-    offsets: Vec<u32>,
-    /// Value cardinality (exclusive code bound) per tracked attribute.
-    cards: Vec<u32>,
-    /// Column id → index into `attrs`/`offsets`/`cards`; `u16::MAX` marks
-    /// an untracked column.
-    col_index: Vec<u16>,
+    /// Per column id: a tracked attribute's first slot and value
+    /// cardinality (exclusive code bound); `None` for an untracked column.
+    cols: Vec<Option<(u32, u32)>>,
     /// Class cardinality (exclusive class-code bound).
     n_classes: u32,
     /// Total slots.
@@ -113,51 +114,73 @@ struct DenseLayout {
 
 impl DenseLayout {
     /// Build a layout, or `None` when the geometry doesn't fit the dense
-    /// form (no classes, too many attrs, or slot count beyond `u32`).
+    /// form (no classes, or a slot count beyond `u32`).
     fn build(attr_cards: &[(u16, u64)], n_classes: u64) -> Option<DenseLayout> {
-        if n_classes == 0 || n_classes > u32::MAX as u64 || attr_cards.len() >= u16::MAX as usize {
-            return None;
-        }
-        let n_classes = n_classes as u32;
+        let n_classes = u32::try_from(n_classes).ok().filter(|&n| n != 0)?;
         let mut sorted: Vec<(u16, u64)> = attr_cards.to_vec();
         sorted.sort_unstable_by_key(|&(a, _)| a);
         sorted.dedup_by_key(|&mut (a, _)| a);
-        let mut attrs = Vec::with_capacity(sorted.len());
-        let mut offsets = Vec::with_capacity(sorted.len());
-        let mut cards = Vec::with_capacity(sorted.len());
+        let max_col = sorted.last().map_or(0, |&(a, _)| usize::from(a) + 1);
+        let mut cols = vec![None; max_col];
         let mut next: u32 = 0;
         for &(attr, card) in &sorted {
             let card = u32::try_from(card).ok()?;
-            let span = card.checked_mul(n_classes)?;
-            attrs.push(attr);
-            offsets.push(next);
-            cards.push(card);
-            next = next.checked_add(span)?;
-        }
-        let max_col = attrs.iter().copied().max().map_or(0, |a| a as usize + 1);
-        let mut col_index = vec![u16::MAX; max_col];
-        for (i, &attr) in attrs.iter().enumerate() {
-            // analyze:allow(hot-path-panic): col_index was sized to the
-            // maximum attr + 1 two lines up.
-            col_index[attr as usize] = i as u16;
+            *cols.get_mut(usize::from(attr))? = Some((next, card));
+            next = next.checked_add(card.checked_mul(n_classes)?)?;
         }
         Some(DenseLayout {
-            attrs,
-            offsets,
-            cards,
-            col_index,
+            attrs: sorted.iter().map(|&(a, _)| a).collect(),
+            cols,
             n_classes,
             slots: next,
         })
     }
 
-    /// Index of `attr` in the tracked set, if tracked.
+    /// The slot counting `(attr, value, class)`, or `None` when the layout
+    /// does not hold it: `attr` untracked, or a code at or past its
+    /// cardinality.
     #[inline]
-    fn attr_index(&self, attr: u16) -> Option<usize> {
-        match self.col_index.get(attr as usize) {
-            Some(&i) if i != u16::MAX => Some(i as usize),
-            _ => None,
-        }
+    fn slot(&self, attr: u16, value: Code, class: Code) -> Option<usize> {
+        let &(offset, card) = self.cols.get(usize::from(attr))?.as_ref()?;
+        let (value, class) = (u32::from(value), u32::from(class));
+        // `build` proved `offset + card·n_classes` fits the `u32` slot count.
+        (value < card && class < self.n_classes)
+            .then(|| (offset + value * self.n_classes + class) as usize)
+    }
+
+    /// The slots of one tracked attribute: `card · n_classes` of them, value
+    /// row after value row.
+    fn span(&self, attr: u16) -> Option<Range<usize>> {
+        let &(offset, card) = self.cols.get(usize::from(attr))?.as_ref()?;
+        let start = offset as usize;
+        Some(start..start + (card * self.n_classes) as usize)
+    }
+
+    /// Does the layout hold every code at or under `col_max`, per column,
+    /// in the class column and the columns of `attrs`? That is, is the
+    /// class bound below `n_classes` and every attribute tracked, its bound
+    /// below its cardinality? A row is its own bound.
+    fn covers(&self, col_max: &[Code], attrs: &[u16], class_col: u16) -> bool {
+        let max_of = |col: u16| col_max.get(usize::from(col)).copied();
+        max_of(class_col).is_some_and(|class| {
+            u32::from(class) < self.n_classes
+                && (attrs.iter())
+                    .all(|&attr| max_of(attr).is_some_and(|v| self.slot(attr, v, class).is_some()))
+        })
+    }
+
+    /// The slot of each attribute of `attrs` that `row` counts in, skipping
+    /// any the layout does not hold — none, once [`DenseLayout::covers`]
+    /// holds of the row.
+    fn row_slots<'a>(
+        &'a self,
+        row: &'a [Code],
+        attrs: &'a [u16],
+        class_col: u16,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let class = row.get(usize::from(class_col)).copied();
+        (attrs.iter())
+            .filter_map(move |&attr| self.slot(attr, *row.get(usize::from(attr))?, class?))
     }
 }
 
@@ -186,36 +209,17 @@ impl DenseCounts {
     /// re-counts); the check-then-increment split keeps the operation
     /// all-or-nothing so no partial increments survive a spill.
     #[inline]
-    fn add_row(&mut self, row: &[Code], attrs: &[u16], class: Code) -> bool {
+    fn add_row(&mut self, row: &[Code], attrs: &[u16], class_col: u16) -> bool {
         let l = &*self.layout;
-        let class = class as u32;
-        if class >= l.n_classes {
+        if !l.covers(row, attrs, class_col) {
             return false;
         }
-        for &attr in attrs {
-            match l.attr_index(attr) {
-                // analyze:allow(hot-path-panic): scan rows are full-arity by
-                // construction (staging/wire decode both produce `arity`
-                // columns; callers debug_assert it), and `i` comes from
-                // `attr_index` over the same layout vectors.
-                Some(i) if (row[attr as usize] as u32) < l.cards[i] => {}
-                _ => return false,
-            }
-        }
         let mut newly = 0usize;
-        for &attr in attrs {
-            // analyze:allow(hot-path-panic): the validation loop above
-            // proved every attr is tracked and every code is inside its
-            // card, so col_index/offsets/row lookups cannot miss.
-            let i = l.col_index[attr as usize] as usize;
-            // analyze:allow(hot-path-panic): slot < layout.slots because
-            // offset + value·classes + class was bounds-checked above.
-            let slot = (l.offsets[i] + row[attr as usize] as u32 * l.n_classes + class) as usize;
-            // analyze:allow(hot-path-panic): slots was allocated with
-            // exactly `layout.slots` elements.
-            let s = &mut self.slots[slot];
-            newly += (*s == 0) as usize;
-            *s += 1;
+        for slot in l.row_slots(row, attrs, class_col) {
+            if let Some(s) = self.slots.get_mut(slot) {
+                newly += usize::from(*s == 0);
+                *s += 1;
+            }
         }
         self.occupied += newly;
         true
@@ -230,48 +234,18 @@ impl DenseCounts {
     /// transition, mirroring `add_row`'s `0 → 1` growth, so the modelled
     /// memory can shrink under deletes.
     #[inline]
-    fn remove_row(&mut self, row: &[Code], attrs: &[u16], class: Code) -> bool {
+    fn remove_row(&mut self, row: &[Code], attrs: &[u16], class_col: u16) -> bool {
         let l = &*self.layout;
-        let class = class as u32;
-        if class >= l.n_classes {
+        let empty = |slot: usize| self.slots.get(slot).is_none_or(|&n| n == 0);
+        if !l.covers(row, attrs, class_col) || l.row_slots(row, attrs, class_col).any(empty) {
             return false;
         }
-        for &attr in attrs {
-            match l.attr_index(attr) {
-                // analyze:allow(hot-path-panic): delta rows are full-arity
-                // by construction (the delta log stores complete row
-                // images) and `i` comes from `attr_index` over the same
-                // layout vectors.
-                Some(i) if (row[attr as usize] as u32) < l.cards[i] => {
-                    let slot =
-                        // analyze:allow(hot-path-panic): `i` comes from
-                        // `attr_index` over the layout vectors and the
-                        // guard above bounds-checked the value code.
-                        (l.offsets[i] + row[attr as usize] as u32 * l.n_classes + class) as usize;
-                    // analyze:allow(hot-path-panic): slot < layout.slots
-                    // because offset + value·classes + class was
-                    // bounds-checked above.
-                    if self.slots[slot] == 0 {
-                        return false;
-                    }
-                }
-                _ => return false,
-            }
-        }
         let mut freed = 0usize;
-        for &attr in attrs {
-            // analyze:allow(hot-path-panic): the validation loop above
-            // proved every attr is tracked and every code is inside its
-            // card, so col_index/offsets/row lookups cannot miss.
-            let i = l.col_index[attr as usize] as usize;
-            // analyze:allow(hot-path-panic): slot < layout.slots because
-            // offset + value·classes + class was bounds-checked above.
-            let slot = (l.offsets[i] + row[attr as usize] as u32 * l.n_classes + class) as usize;
-            // analyze:allow(hot-path-panic): slots was allocated with
-            // exactly `layout.slots` elements.
-            let s = &mut self.slots[slot];
-            *s -= 1;
-            freed += (*s == 0) as usize;
+        for slot in l.row_slots(row, attrs, class_col) {
+            if let Some(s) = self.slots.get_mut(slot) {
+                *s -= 1;
+                freed += usize::from(*s == 0);
+            }
         }
         self.occupied -= freed;
         true
@@ -287,40 +261,13 @@ impl DenseCounts {
     /// rely on).
     #[inline]
     fn bump(&mut self, attr: u16, value: Code, class: Code, n: u64) -> bool {
-        let l = &*self.layout;
-        let (value, class) = (value as u32, class as u32);
-        let Some(i) = l.attr_index(attr) else {
+        let slot = self.layout.slot(attr, value, class);
+        let Some(s) = slot.and_then(|slot| self.slots.get_mut(slot)) else {
             return false;
         };
-        if value >= l.cards[i] || class >= l.n_classes {
-            return false;
-        }
-        let slot = (l.offsets[i] + value * l.n_classes + class) as usize;
-        self.occupied += usize::from(self.slots[slot] == 0 && n > 0);
-        self.slots[slot] += n;
+        self.occupied += usize::from(*s == 0 && n > 0);
+        *s += n;
         true
-    }
-
-    /// Is every code of a column block inside the layout — the class
-    /// column below `n_classes`, each attribute tracked and below its
-    /// cardinality? One max-scan per column, hoisted out of the kernel:
-    /// when this holds, [`DenseCounts::add_rows`] over the same columns
-    /// cannot miss a slot.
-    fn block_in_range(&self, cols: &[&[Code]], class: &[Code], attrs: &[u16]) -> bool {
-        let l = &*self.layout;
-        let max_class = class.iter().copied().max().unwrap_or(0);
-        if u32::from(max_class) >= l.n_classes {
-            return false;
-        }
-        attrs.iter().all(|&attr| {
-            let (Some(i), Some(col)) = (l.attr_index(attr), cols.get(usize::from(attr))) else {
-                return false;
-            };
-            let max_v = col.iter().copied().max().unwrap_or(0);
-            // `cards` is parallel to attrs and `i` comes from `attr_index`
-            // over the same layout.
-            u32::from(max_v) < l.cards[i]
-        })
     }
 
     /// The dense kernel: count `rows` of a block, whose class codes are
@@ -328,8 +275,8 @@ impl DenseCounts {
     /// strided view — one increment of `base + value·n_classes + class` per
     /// row and attribute, branch-light. The caller has proved every
     /// attr tracked and every code of those rows inside the layout
-    /// ([`DenseCounts::block_in_range`], or [`CountsTable::covers`] of the
-    /// scan's range certificate); the kernel does not check again.
+    /// ([`DenseLayout::covers`] of the scan's range certificate, or of the
+    /// block's column maxima); the kernel does not check again.
     fn add_rows<'b>(
         &mut self,
         rows: impl Iterator<Item = u32> + Clone,
@@ -338,18 +285,18 @@ impl DenseCounts {
         classes: &[Code],
     ) {
         let l = &*self.layout;
-        let nc = l.n_classes;
+        let nc = usize::try_from(l.n_classes).unwrap_or(usize::MAX);
         let mut newly = 0usize;
         for &attr in attrs {
             // analyze:allow(hot-path-panic): the caller proved `attr`
-            // tracked, and col_index points into the parallel offsets.
-            let base = l.offsets[usize::from(l.col_index[usize::from(attr)])];
+            // tracked.
+            let base = l.span(attr).expect("a covered attribute").start;
             let col = column(usize::from(attr));
             for (r, &k) in rows.clone().zip(classes) {
                 // analyze:allow(accounting-arith): hot kernel increment —
                 // base + value·n_classes + class < slots was proved by the
-                // caller's range check, so the u32 arithmetic cannot overflow.
-                let slot = (base + u32::from(col.get(r)) * nc + u32::from(k)) as usize;
+                // caller's range check, so the arithmetic cannot overflow.
+                let slot = base + usize::from(col.get(r)) * nc + usize::from(k);
                 // analyze:allow(hot-path-panic): slot < layout.slots per the
                 // caller's range check; slots holds exactly that many.
                 let s = &mut self.slots[slot];
@@ -366,32 +313,18 @@ impl DenseCounts {
 
     #[inline]
     fn get(&self, attr: u16, value: Code, class: Code) -> u64 {
-        let l = &*self.layout;
-        let (value, class) = (value as u32, class as u32);
-        match l.attr_index(attr) {
-            Some(i) if value < l.cards[i] && class < l.n_classes => {
-                self.slots[(l.offsets[i] + value * l.n_classes + class) as usize]
-            }
-            _ => 0,
-        }
+        let slot = self.layout.slot(attr, value, class);
+        slot.and_then(|slot| self.slots.get(slot)).map_or(0, |&n| n)
     }
 
     /// The slot sub-slice of one tracked attribute.
     fn attr_slots(&self, attr: u16) -> Option<&[u64]> {
-        let l = &*self.layout;
-        let i = l.attr_index(attr)?;
-        let start = l.offsets[i] as usize;
-        let span = (l.cards[i] * l.n_classes) as usize;
-        Some(&self.slots[start..start + span])
+        self.slots.get(self.layout.span(attr)?)
     }
 
     /// [`DenseCounts::attr_slots`], to write.
     fn attr_slots_mut(&mut self, attr: u16) -> Option<&mut [u64]> {
-        let l = &*self.layout;
-        let i = l.attr_index(attr)?;
-        let start = l.offsets[i] as usize;
-        let span = (l.cards[i] * l.n_classes) as usize;
-        self.slots.get_mut(start..start + span)
+        self.slots.get_mut(self.layout.span(attr)?)
     }
 
     /// One tracked attribute's slots as value rows: chunk `v` holds the
@@ -405,12 +338,23 @@ impl DenseCounts {
         )
     }
 
+    /// [`CountsTable::attr_vector`] of a dense table.
+    fn attr_vector(&self, attr: u16) -> AttrVector<'_> {
+        AttrVector(match self.attr_slots(attr) {
+            Some(slots) => AttrVecInner::Dense {
+                slots: slots.iter().enumerate(),
+                n_classes: self.layout.n_classes as usize,
+            },
+            None => AttrVecInner::Empty,
+        })
+    }
+
     /// Non-zero entries in `(attr, value, class)` order.
     fn entries(&self) -> Entries<'_> {
         Entries(EntriesInner::Dense {
             d: self,
-            attr_i: 0,
-            within: 0,
+            attrs: self.layout.attrs.iter(),
+            at: None,
         })
     }
 }
@@ -432,19 +376,12 @@ impl CcRepr {
     /// [`CountsTable::attr_vector`], borrowing only the entries — so the
     /// table's totals can be rebuilt while it is walked.
     fn attr_vector(&self, attr: u16) -> AttrVector<'_> {
-        AttrVector(match self {
-            CcRepr::Sparse(map) => {
-                AttrVecInner::Sparse(map.range((attr, 0, 0)..=(attr, Code::MAX, Code::MAX)))
-            }
-            CcRepr::Dense(d) => match d.attr_slots(attr) {
-                Some(slots) => AttrVecInner::Dense {
-                    slots,
-                    n_classes: d.layout.n_classes,
-                    i: 0,
-                },
-                None => AttrVecInner::Empty,
-            },
-        })
+        match self {
+            CcRepr::Sparse(map) => AttrVector(AttrVecInner::Sparse(
+                map.range((attr, 0, 0)..=(attr, Code::MAX, Code::MAX)),
+            )),
+            CcRepr::Dense(d) => d.attr_vector(attr),
+        }
     }
 }
 
@@ -516,7 +453,7 @@ impl CountsTable {
     pub fn add_row(&mut self, row: &[Code], attrs: &[u16], class_col: u16) {
         let class = row[class_col as usize];
         if let CcRepr::Dense(d) = &mut self.repr {
-            if !d.add_row(row, attrs, class) {
+            if !d.add_row(row, attrs, class_col) {
                 self.spill_to_sparse();
             }
         }
@@ -548,7 +485,7 @@ impl CountsTable {
         }
         match &mut self.repr {
             CcRepr::Dense(d) => {
-                if !d.remove_row(row, attrs, class) {
+                if !d.remove_row(row, attrs, class_col) {
                     return false;
                 }
             }
@@ -593,9 +530,10 @@ impl CountsTable {
     /// table column (only the `attrs` entries and `cols[class_col]` are
     /// read, so other entries may be empty), all of the block's row count.
     /// Equivalent to calling [`add_row`](Self::add_row) once per block
-    /// row, in row order — the dense backend hoists range validation into
-    /// one max-scan per column and then runs the block kernel the
-    /// executor's scans run, over every row; any out-of-range code makes
+    /// row, in row order — the dense backend takes one max-scan per read
+    /// column, asks `covers` of those maxima as a scan asks it of its
+    /// certificate, and then runs the block kernel the executor's scans
+    /// run, over every row; any out-of-range code makes
     /// the whole block fall back to the exact row path so the
     /// spill-to-sparse point is unchanged.
     ///
@@ -620,11 +558,20 @@ impl CountsTable {
         if nrows == 0 {
             return out;
         }
-        if let CcRepr::Dense(d) = &self.repr {
+        if self.is_dense() {
             let t0 = Instant::now();
-            let in_range = d.block_in_range(cols, class, attrs);
+            // The block's own column maxima are its certificate; a column
+            // no count reads bounds nothing and stays 0.
+            let mut col_max = vec![0; cols.len()];
+            for &c in attrs.iter().chain([&class_col]) {
+                let c = usize::from(c);
+                if let (Some(max), Some(col)) = (col_max.get_mut(c), cols.get(c)) {
+                    *max = col.iter().copied().max().unwrap_or(0);
+                }
+            }
+            let covered = self.covers(&col_max, attrs, class_col);
             out.validate_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if !in_range {
+            if !covered {
                 // All-or-nothing fallback: no slot was touched, so the row
                 // replay spills at exactly the row the row path would.
                 out.fallback_rows = u64::from(nrows);
@@ -726,28 +673,19 @@ impl CountsTable {
 
     /// Can no code of a scan spill this table out of its dense form?
     /// `col_max[c]` bounds every code the scan reads in column `c` (its
-    /// source table's range certificate). True for a sparse table (nothing
-    /// to spill); for a dense one, true when the class column and every
-    /// attribute of `attrs` are tracked by the layout and their bounds lie
-    /// inside it. This is the precondition of
-    /// [`block_growth_bound`](Self::block_growth_bound)'s free-slot cap
-    /// and of [`add_rows`](Self::add_rows); while it fails, every block
+    /// source table's range certificate, or a block's column maxima for
+    /// [`add_block`](Self::add_block)). True for a sparse table (nothing
+    /// to spill); for a dense one, [`DenseLayout::covers`]. This is the
+    /// precondition of [`block_growth_bound`](Self::block_growth_bound)'s
+    /// free-slot cap and of [`add_rows`](Self::add_rows); a scan settles
+    /// it once per node when it certifies, and while it fails every block
     /// selecting rows for the node takes the row path whole, so the spill
     /// fires at the row it always did.
     pub(crate) fn covers(&self, col_max: &[Code], attrs: &[u16], class_col: u16) -> bool {
-        let CcRepr::Dense(d) = &self.repr else {
-            return true;
-        };
-        let l = &*d.layout;
-        let max_of = |col: u16| col_max.get(usize::from(col)).copied();
-        max_of(class_col).is_some_and(|m| u32::from(m) < l.n_classes)
-            && attrs.iter().all(|&attr| {
-                matches!(
-                    (l.attr_index(attr), max_of(attr)),
-                    // `i` comes from `attr_index` over parallel vectors.
-                    (Some(i), Some(m)) if u32::from(m) < l.cards[i]
-                )
-            })
+        match &self.repr {
+            CcRepr::Dense(d) => d.layout.covers(col_max, attrs, class_col),
+            CcRepr::Sparse(_) => true,
+        }
     }
 
     /// Upper bound, in modelled bytes, on how much this table can grow by
@@ -1091,9 +1029,7 @@ impl CountsTable {
         let CcRepr::Dense(d) = &self.repr else {
             return false;
         };
-        attrs
-            .iter()
-            .all(|&attr| d.layout.attr_index(attr).is_some())
+        attrs.iter().all(|&attr| d.layout.span(attr).is_some())
     }
 
     /// Rows per class code, `n_classes` wide, read exactly off this dense
@@ -1174,10 +1110,7 @@ impl CountsTable {
                 return Err(mismatch());
             }
             let less = match sibling {
-                Some((s, edge)) => Some(
-                    s.sibling_slots(attr, edge, mine.len())
-                        .ok_or_else(mismatch)?,
-                ),
+                Some((s, edge)) => Some(s.sibling_slots(attr, edge, &layout).ok_or_else(mismatch)?),
                 None => None,
             };
             // Without a sibling, a row of zeros per value row.
@@ -1227,23 +1160,28 @@ impl CountsTable {
         }
     }
 
-    /// This dense table's slots in `attr`, `len` of them, as its sibling
-    /// across `edge` reads them when it is completed: its own — or, when it
-    /// is an `=` sibling that does not track the split attribute, its
-    /// class totals in the split value's row, every one of its rows having
-    /// that value. `None` when neither holds.
-    fn sibling_slots(&self, attr: u16, edge: SiblingEdge, len: usize) -> Option<Cow<'_, [u64]>> {
+    /// This dense table's slots in `attr`, as its sibling across `edge`
+    /// reads them when it is completed over `layout`'s span of `attr`: its
+    /// own — or, when it is an `=` sibling that does not track the split
+    /// attribute, its class totals in the split value's row, every one of
+    /// its rows having that value. `None` when neither holds.
+    fn sibling_slots(
+        &self,
+        attr: u16,
+        edge: SiblingEdge,
+        layout: &DenseLayout,
+    ) -> Option<Cow<'_, [u64]>> {
         let CcRepr::Dense(d) = &self.repr else {
             return None;
         };
+        let span = layout.span(attr)?;
         match d.attr_slots(attr) {
-            Some(slots) if slots.len() == len => Some(Cow::Borrowed(slots)),
+            Some(slots) if slots.len() == span.len() => Some(Cow::Borrowed(slots)),
             None if edge.eq && attr == edge.col => {
-                let width = d.layout.n_classes as usize;
-                let mut slots = vec![0; len];
+                let mut slots = vec![0; span.len()];
                 for (&class, &n) in &self.class_totals {
-                    let at = usize::from(edge.value) * width + usize::from(class);
-                    *slots.get_mut(at)? = n;
+                    let slot = layout.slot(attr, edge.value, class)?;
+                    *slots.get_mut(slot - span.start)? = n;
                 }
                 Some(Cow::Owned(slots))
             }
@@ -1320,10 +1258,10 @@ enum EntriesInner<'a> {
     Sparse(std::collections::btree_map::Iter<'a, CcKey, u64>),
     Dense {
         d: &'a DenseCounts,
-        /// Index into `layout.attrs`.
-        attr_i: usize,
-        /// `value * n_classes + class` position within the current attr.
-        within: u32,
+        /// Tracked attributes not yet begun.
+        attrs: std::slice::Iter<'a, u16>,
+        /// The attribute being walked, with its entries left.
+        at: Option<(u16, AttrVector<'a>)>,
     },
 }
 
@@ -1333,32 +1271,15 @@ impl Iterator for Entries<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.0 {
             EntriesInner::Sparse(it) => it.next().map(|(&k, &n)| (k, n)),
-            EntriesInner::Dense { d, attr_i, within } => {
-                let l = &*d.layout;
-                while *attr_i < l.attrs.len() {
-                    // analyze:allow(hot-path-panic): attr_i < attrs.len() is
-                    // the loop condition and cards/offsets are parallel to
-                    // attrs by construction.
-                    let span = l.cards[*attr_i] * l.n_classes;
-                    while *within < span {
-                        let pos = *within;
-                        *within += 1;
-                        // analyze:allow(hot-path-panic): offset + pos <
-                        // layout.slots for pos < span by layout construction.
-                        let n = d.slots[(l.offsets[*attr_i] + pos) as usize];
-                        if n != 0 {
-                            let value = (pos / l.n_classes) as Code;
-                            let class = (pos % l.n_classes) as Code;
-                            // analyze:allow(hot-path-panic): same parallel
-                            // vector as the loop condition.
-                            return Some(((l.attrs[*attr_i], value, class), n));
-                        }
+            EntriesInner::Dense { d, attrs, at } => loop {
+                if let Some((attr, entries)) = at {
+                    if let Some((value, class, n)) = entries.next() {
+                        return Some(((*attr, value, class), n));
                     }
-                    *attr_i += 1;
-                    *within = 0;
                 }
-                None
-            }
+                let &attr = attrs.next()?;
+                *at = Some((attr, d.attr_vector(attr)));
+            },
         }
     }
 }
@@ -1473,9 +1394,10 @@ pub struct AttrVector<'a>(AttrVecInner<'a>);
 enum AttrVecInner<'a> {
     Sparse(std::collections::btree_map::Range<'a, CcKey, u64>),
     Dense {
-        slots: &'a [u64],
-        n_classes: u32,
-        i: u32,
+        /// The attribute's slots left, each at its position
+        /// `value · n_classes + class`.
+        slots: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+        n_classes: usize,
     },
     Empty,
 }
@@ -1486,22 +1408,10 @@ impl Iterator for AttrVector<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.0 {
             AttrVecInner::Sparse(range) => range.next().map(|(&(_, v, c), &n)| (v, c, n)),
-            AttrVecInner::Dense {
-                slots,
-                n_classes,
-                i,
-            } => {
-                while (*i as usize) < slots.len() {
-                    let pos = *i;
-                    *i += 1;
-                    // analyze:allow(hot-path-panic): pos < slots.len() is the
-                    // loop condition.
-                    let n = slots[pos as usize];
-                    if n != 0 {
-                        return Some(((pos / *n_classes) as Code, (pos % *n_classes) as Code, n));
-                    }
-                }
-                None
+            AttrVecInner::Dense { slots, n_classes } => {
+                // A non-zero count was stored under `Code` value and class.
+                let (pos, &n) = slots.find(|&(_, &n)| n != 0)?;
+                Some(((pos / *n_classes) as Code, (pos % *n_classes) as Code, n))
             }
             AttrVecInner::Empty => None,
         }

@@ -140,19 +140,6 @@ pub fn sampled_scan_cost_rows(rows: u64, fraction: f64) -> u64 {
     u64::try_from(num.div_ceil(1000)).unwrap_or(u64::MAX)
 }
 
-/// Pessimistic bound 1 from §4.2.1: `|CC(p_i)| − 1` entries (the child lost
-/// at least the splitting value). Kept for the estimator ablation bench.
-pub fn pessimistic_bound_minus_one(parent_entries: u64) -> u64 {
-    parent_entries.saturating_sub(1)
-}
-
-/// Pessimistic bound 2 from §4.2.1: when the parent split on every value of
-/// `A_j`, `|CC(p_i)| − card(p_i, A_j)` bounds the child. Kept for the
-/// estimator ablation bench.
-pub fn pessimistic_bound_minus_card(parent_entries: u64, split_card: u64) -> u64 {
-    parent_entries.saturating_sub(split_card)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn pessimistic_bounds() {
-        assert_eq!(pessimistic_bound_minus_one(100), 99);
-        assert_eq!(pessimistic_bound_minus_one(0), 0);
-        assert_eq!(pessimistic_bound_minus_card(100, 4), 96);
-        assert_eq!(pessimistic_bound_minus_card(3, 10), 0);
-    }
-
-    #[test]
     fn sampled_cost_prices_fraction_plus_escalation() {
         // 10% sample of 1000 rows: 100 sampled + 100 escalation prior.
         assert_eq!(sampled_scan_cost_rows(1000, 0.1), 200);
@@ -239,6 +218,6 @@ mod tests {
         // child is far below |CC(p)|-1.
         let r = req(250, 1000, vec![4, 4, 2]);
         let est = est_cc_entries(&r);
-        assert!(est < pessimistic_bound_minus_one(10 * 10));
+        assert!(est < 10 * 10 - 1);
     }
 }

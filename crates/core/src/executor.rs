@@ -396,13 +396,15 @@ struct BlockPass {
     /// Per node some row of the block satisfies: those rows, ascending —
     /// and, when asked, the rows some node took.
     routed: BlockRoute,
-    /// The scan's range certificate ([`BlockPass::certify`]): per column,
-    /// an upper bound on every code of every block of the scan. Empty
-    /// until certified, which sends every dense node down the row path.
+    /// The scan's range certificate ([`BatchCounter::certify`]): per
+    /// column, an upper bound on every code of every block of the scan.
+    /// Empty until certified, which covers no dense node.
     certificate: Vec<Code>,
-    /// Per node, once its first selection of the scan asked: does its
-    /// table's layout cover the certificate?
-    covered: Vec<Option<bool>>,
+    /// Per node: does its table cover the certificate
+    /// ([`CountsTable::covers`])? Settled once, when the scan certifies;
+    /// a dense node it does not cover sends every block selecting its rows
+    /// down the row path.
+    covered: Vec<bool>,
     /// The kernel's scratch.
     kernel: KernelScratch,
     /// A planned node's selection cut down to the classes it counts.
@@ -410,15 +412,6 @@ struct BlockPass {
 }
 
 impl BlockPass {
-    /// Start a scan whose every code lies at or under `certificate`, per
-    /// column — the source table's `col_max`, which bounds every copy of
-    /// its rows too.
-    fn certify(&mut self, certificate: &[Code]) {
-        self.certificate.clear();
-        self.certificate.extend_from_slice(certificate);
-        self.covered.clear();
-    }
-
     /// First pass: route `block` once, into per-node selection vectors
     /// (and, with `mark_any`, the rows some node took).
     fn route(&mut self, router: &PredSet, block: &impl Block, mark_any: bool) {
@@ -453,27 +446,21 @@ impl BlockPass {
     /// The most counting the routed block can add to modelled memory:
     /// `Σ` over the touched nodes still counting of
     /// [`CountsTable::block_growth_bound`] of their selected rows. `None`
-    /// when some such node's dense layout does not cover the scan's
-    /// certificate (decided once per node per scan): a code of the scan
-    /// may then fall outside it, the free-slot cap of the bound is void,
-    /// and the block must take the row path whole, where the spill fires
-    /// at the row it always did.
-    fn cc_bound(&mut self, nodes: &mut [NodeCounter], tally: &mut KernelTally) -> Option<u64> {
+    /// when some such node's table is not `covered`: a code of the scan
+    /// may then fall outside its dense layout, the free-slot cap of the
+    /// bound is void, and the block must take the row path whole, where
+    /// the spill fires at the row it always did.
+    fn cc_bound(&self, nodes: &mut [NodeCounter], tally: &mut KernelTally) -> Option<u64> {
         if self.selections().next().is_none() {
             return Some(0);
         }
         let t0 = Instant::now();
         let mut bound = Some(0u64);
         for (idx, sel) in self.routed.selections() {
-            let Some((cc, attrs, class_col, _)) = slot(nodes, idx) else {
+            let Some((cc, attrs, _, _)) = slot(nodes, idx) else {
                 continue;
             };
-            if self.covered.len() <= idx {
-                self.covered.resize(idx + 1, None);
-            }
-            // analyze:allow(hot-path-panic): resized to cover `idx` above.
-            let known = &mut self.covered[idx];
-            if !*known.get_or_insert_with(|| cc.covers(&self.certificate, attrs, class_col)) {
+            if !self.covered.get(idx).is_some_and(|&covered| covered) {
                 bound = None;
                 break;
             }
@@ -544,7 +531,7 @@ impl BatchCounter {
         base_mem_bytes: u64,
         arity: usize,
     ) -> Self {
-        BatchCounter {
+        let mut batch = BatchCounter {
             nodes,
             split_writer: None,
             kept: None,
@@ -561,7 +548,10 @@ impl BatchCounter {
             batch_kernel: true,
             pass: BlockPass::default(),
             epoch: 0,
-        }
+        };
+        // Until certified, the empty certificate covers the sparse tables.
+        batch.settle_coverage();
+        batch
     }
 
     /// Current modelled middleware memory use.
@@ -688,22 +678,38 @@ impl BatchCounter {
     pub fn process_block(&mut self, flat: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
         let arity = self.arity;
         debug_assert_eq!(flat.len() % arity, 0);
-        let pass = &mut self.pass;
-        pass.certificate.clear();
-        pass.certificate.resize(arity, 0);
+        let certificate = &mut self.pass.certificate;
+        certificate.clear();
+        certificate.resize(arity, 0);
         for row in flat.chunks_exact(arity) {
-            for (max, &code) in pass.certificate.iter_mut().zip(row) {
+            for (max, &code) in certificate.iter_mut().zip(row) {
                 *max = (*max).max(code);
             }
         }
-        pass.covered.clear();
+        self.settle_coverage();
         self.process(&mut RowBlock { flat, arity }, stats)
     }
 
     /// Start the batch's scan: every code it reads lies at or under
-    /// `certificate`, per column (`BlockPass::certify`).
+    /// `certificate`, per column — the source table's `col_max`, which
+    /// bounds every copy of its rows too. Settles each node's coverage.
     pub(crate) fn certify(&mut self, certificate: &[Code]) {
-        self.pass.certify(certificate);
+        self.pass.certificate.clear();
+        self.pass.certificate.extend_from_slice(certificate);
+        self.settle_coverage();
+    }
+
+    /// Decide, per node, whether its table covers the certificate
+    /// (`BlockPass::covered`), once for the scan: a covered dense table
+    /// cannot spill, so the answer holds until the next certificate.
+    fn settle_coverage(&mut self) {
+        let pass = &mut self.pass;
+        pass.covered.clear();
+        for n in &self.nodes {
+            let covered =
+                n.cc.covers(&pass.certificate, &n.req.attrs, n.req.class_col);
+            pass.covered.push(covered);
+        }
     }
 
     /// Can the certified scan, of at most `rows` rows, provably not reach

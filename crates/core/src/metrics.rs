@@ -105,9 +105,9 @@ pub struct MiddlewareStats {
     /// like `blocks_counted`.
     pub block_fallback_rows: u64,
     /// Nanoseconds the block pass spent validating a block before counting
-    /// it: the sum of its selections' growth bounds, plus — once per node
-    /// per scan, on the node's first selection — the `CountsTable::covers`
-    /// check of the node's layout against the scan's range certificate.
+    /// it: the sum of its selections' growth bounds, read against each
+    /// node's `CountsTable::covers` of the scan's range certificate, which
+    /// the scan settles once when it certifies.
     /// Timing — excluded from determinism comparisons like `kernel_nanos`.
     pub kernel_validate_nanos: u64,
     /// Nanoseconds the block kernel spent counting selections: reading the

@@ -153,11 +153,6 @@ pub fn apply_cuts(value: f64, cuts: &[f64]) -> Code {
     cuts.partition_point(|&c| value >= c) as Code
 }
 
-/// Discretize a numeric column into codes using the given cut points.
-pub fn discretize_column(values: &[f64], cuts: &[f64]) -> Vec<Code> {
-    values.iter().map(|&v| apply_cuts(v, cuts)).collect()
-}
-
 /// A fitted per-column discretizer for a whole numeric data set.
 #[derive(Debug, Clone)]
 pub struct Discretizer {
