@@ -158,6 +158,29 @@ pub fn small_table() -> impl Strategy<Value = (Vec<u16>, Vec<Code>)> {
         .prop_map(|(cards, rows)| (cards, rows.concat()))
 }
 
+/// A small table whose class is its first attribute `a0`, beside one or
+/// two noise attributes: a split on `a0` isolates a pure class, so the
+/// other child holds no class its complement holds, and its parent's
+/// table settles it (DESIGN.md §12b). Cardinalities as [`small_table`]'s.
+pub fn class_isolating_table() -> impl Strategy<Value = (Vec<u16>, Vec<Code>)> {
+    (
+        2u16..=4,
+        prop::collection::vec(2u16..=4, 1..=2),
+        40usize..=160,
+    )
+        .prop_flat_map(|(classes, noise, nrows)| {
+            let attrs: Vec<u16> = std::iter::once(classes).chain(noise).collect();
+            let codes: Vec<_> = attrs.iter().map(|&card| 0..card).collect();
+            let row = codes.prop_map(|mut row| {
+                row.push(row[0]);
+                row
+            });
+            let cards = [attrs, vec![classes]].concat();
+            (Just(cards), prop::collection::vec(row, nrows))
+        })
+        .prop_map(|(cards, rows)| (cards, rows.concat()))
+}
+
 /// The one mutation a delta case applies, to the table through `mw` and
 /// to the flat `rows` alike. Each kind logs at least one event: it
 /// inserts a copy of row 0 with its class moved on, deletes every row
