@@ -185,6 +185,14 @@ impl NodeCounter {
     pub(crate) fn needs_rows(&self) -> bool {
         self.plan.is_none() || self.tees()
     }
+
+    /// Does the scan need no row of this node? When it has a plan counting
+    /// none of the classes it holds, does not tee, and did not fall back to
+    /// SQL: its parent's table, and its sibling's, settle it.
+    fn needs_no_row(&self) -> bool {
+        let counts_none = |p: &Plan| p.classes().next().is_none();
+        !self.tees() && !self.fallback && self.plan.as_ref().is_some_and(counts_none)
+    }
 }
 
 /// One batch's counting pass.
@@ -751,6 +759,19 @@ impl BatchCounter {
             }
         }
         need <= self.budget
+    }
+
+    /// Does the certified batch need no row of its source? When no node
+    /// needs one ([`NodeCounter::needs_no_row`]) and the batch neither
+    /// writes a split file nor compacts its source, both of which take
+    /// every row some node selects. Such a batch only completes its tables
+    /// ([`BatchCounter::derive`]): its plans stand at their parents' epoch,
+    /// where a node holds no row of a class its parent's table gives it
+    /// none of, so a scan would count nothing.
+    pub(crate) fn reads_nothing(&self) -> bool {
+        self.split_writer.is_none()
+            && self.kept.is_none()
+            && self.nodes.iter().all(NodeCounter::needs_no_row)
     }
 
     /// `node`'s parent bound, if it was recorded at the scan's epoch.

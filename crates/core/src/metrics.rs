@@ -14,12 +14,22 @@ pub struct MiddlewareStats {
     pub rounds: u64,
     /// Requests fulfilled.
     pub requests_served: u64,
-    /// Scans against the database server.
+    /// Batches that scanned the database server. A batch that reads
+    /// nothing (`unread_batches`) opens no cursor and is not one.
     pub server_scans: u64,
-    /// Scans of middleware staging files.
+    /// Batches that scanned a middleware staging file; an unread batch
+    /// scheduled on one reads none of it and is not one.
     pub file_scans: u64,
-    /// Scans of memory-staged data sets.
+    /// Batches that scanned a memory-staged data set; an unread batch
+    /// scheduled on one reads none of it and is not one.
     pub memory_scans: u64,
+    /// Batches whose plans settle every node from the parents' tables
+    /// without a row (DESIGN.md §12b "A batch that reads nothing"): each
+    /// opened no source — no cursor, memory set or staged file, no
+    /// parallel worker — and is counted in none of `server_scans`,
+    /// `file_scans`, `memory_scans` or `parallel_scans`. Deterministic
+    /// for a given client, as `sliced_nodes` is.
+    pub unread_batches: u64,
     /// Rows read from staging files.
     pub file_rows_read: u64,
     /// Bytes read from staging files.
@@ -62,7 +72,10 @@ pub struct MiddlewareStats {
     pub aux_scans: u64,
     /// Peak of (live CC bytes + memory-staged bytes) observed.
     pub peak_memory_bytes: u64,
-    /// Counting scans routed through the parallel block pipeline.
+    /// Scans counted on more than one worker, through the channel pipeline
+    /// or sharded extent readers: batches whose budget proof held under
+    /// `scan_workers > 1`, less those that read nothing
+    /// (`unread_batches`), which start no worker.
     pub parallel_scans: u64,
     /// Staged-file scans served by sharded extent readers (each worker
     /// thread reads and decodes its own extent range — no producer hop).
@@ -127,9 +140,11 @@ pub struct MiddlewareStats {
     pub derived_rows: u64,
     /// Rows the server never shipped because only a derived node wanted
     /// them: the totals of the derived tables whose nodes a server scan
-    /// left out of its pushed-down filter (no tee read their rows). Part
-    /// of `derived_rows`; a staged source or the `push_filters(false)`
-    /// ablation still reads them, so there it adds nothing.
+    /// left out of its pushed-down filter (no tee read their rows), or
+    /// whose server batch read nothing (`unread_batches`). Part of
+    /// `derived_rows`; a staged source or the `push_filters(false)`
+    /// ablation still reads them in a batch that reads, so there it adds
+    /// nothing.
     pub derived_rows_unshipped: u64,
     /// Planned derivations the scan refused — its budget proof failed, the
     /// table's epoch moved, or a layout did not cover its range
@@ -143,8 +158,10 @@ pub struct MiddlewareStats {
     /// Rows the server never shipped because they lie in a class a sliced
     /// node copies from its parent: the copied rows of the sliced nodes a
     /// server scan's pushed-down filter cut to the classes they count (no
-    /// tee read their rows). With `derived_rows_unshipped`, exactly the
-    /// rows a client that never derives nor slices ships more.
+    /// tee read their rows), every class of them in a server batch that
+    /// read nothing. With `derived_rows_unshipped`, exactly the rows a
+    /// client that never derives nor slices ships more (with filters
+    /// pushed down).
     pub sliced_rows_unshipped: u64,
     /// Pinned parents whose two children — a binary split's — the session
     /// scheduled in different batches, so neither could be derived from the

@@ -400,7 +400,10 @@ impl RowSink {
     /// plans, and the scan runs in parallel if more than one worker is
     /// configured; otherwise it counts serially, every node in every
     /// class, and each plan that takes classes from a sibling counts into
-    /// `stats.derivations_refused`.
+    /// `stats.derivations_refused`. Returns whether the scan must read its
+    /// source: not when the plans settle every node without a row
+    /// (`BatchCounter::reads_nothing`), which counts into
+    /// `stats.unread_batches` and starts no worker.
     pub(crate) fn certify(
         &mut self,
         certificate: &[Code],
@@ -408,7 +411,7 @@ impl RowSink {
         epoch: u64,
         plans: Vec<Option<Plan>>,
         stats: &mut MiddlewareStats,
-    ) {
+    ) -> bool {
         debug_assert_eq!(self.rows, 0, "certified after the first block");
         let batch = &mut self.batch;
         batch.certify(certificate);
@@ -423,10 +426,15 @@ impl RowSink {
             let derived = plans.iter().flatten().filter(|p| p.sibling.is_some());
             stats.derivations_refused += derived.count() as u64;
         }
+        if batch.reads_nothing() {
+            stats.unread_batches += 1;
+            return false;
+        }
         if proved && self.workers > 1 {
             let scan = ParallelScan::new(&self.batch, self.workers, self.block_rows);
             self.parallel = Some(scan);
         }
+        true
     }
 
     /// Feed a block, in whichever layout its source has, through the
@@ -1109,16 +1117,16 @@ mod tests {
     /// Certify `sink` for an exact scan of `rows` rows of `rows()` at
     /// `epoch`, with the plans `parents` makes for it. Planned as for a
     /// scan that reads no row over the wire, a pair chooses its sides by
-    /// rows alone, whatever tees.
+    /// rows alone, whatever tees. Returns whether the scan must read.
     fn certify(
         sink: &mut RowSink,
         parents: &mut Parents,
         rows: usize,
         epoch: u64,
         stats: &mut MiddlewareStats,
-    ) {
+    ) -> bool {
         let plans = parents.plan(sink.nodes(), &CERT, epoch, true, false, stats);
-        sink.certify(&CERT, rows as u64, epoch, plans, stats);
+        sink.certify(&CERT, rows as u64, epoch, plans, stats)
     }
 
     /// Count `data` through a sink over `nodes` allowed `workers` threads,
@@ -1198,6 +1206,59 @@ mod tests {
             assert_eq!(stats.parallel_scans, u64::from(workers > 1), "{what}");
         }
         assert_eq!(Arc::strong_count(&parent), 1, "no plan outlives its batch");
+    }
+
+    /// A pair whose children hold disjoint classes — every `a = 1` row is
+    /// class 1, every other row class 0 — counts no class on either side:
+    /// its certified scan reads nothing, on one worker or four, starts no
+    /// worker, and finishing it without a block builds the tables, and
+    /// reaches the peak, counting every row does. A node that tees into a
+    /// memory set still needs its rows, so that batch reads them.
+    #[test]
+    fn a_batch_its_plans_settle_reads_nothing() {
+        let data: Vec<[Code; 3]> = (rows(700, 73).into_iter())
+            .map(|[a, b, _]| [a, b, u16::from(a == 1)])
+            .collect();
+        let mut root = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+        for r in &data {
+            root.add_row(r, &[0, 1], 2);
+        }
+        let parent = Arc::new(root);
+        let req = root_request();
+        let none = &mut Parents::default();
+        let (counted, counted_stats) = sunk(none, children(&req), 1, u64::MAX, 0, &data);
+        for (workers, tee) in [(1, false), (4, false), (4, true)] {
+            let what = format!("{workers} workers, tee {tee}");
+            let mut nodes = children(&req);
+            if tee {
+                nodes[1].mem_buffer = Some(Vec::new());
+            }
+            let mut parents = remembered(&req, &parent, &nodes);
+            let config = MiddlewareConfig::builder().scan_workers(workers).build();
+            let batch = BatchCounter::new(nodes, u64::MAX, 0, ARITY);
+            let mut sink = RowSink::new(batch, &config);
+            let mut stats = MiddlewareStats::new();
+            let reads = certify(&mut sink, &mut parents, data.len(), 0, &mut stats);
+            assert_eq!(reads, tee, "{what}");
+            if reads {
+                feed(&mut sink, &data, &mut stats);
+            }
+            let batch = sink.finish(&mut stats).unwrap();
+            for (c, b) in counted.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(b.cc, c.cc, "{what}");
+            }
+            // The `=` child copies its class from the parent, the `≠` child
+            // is derived whole from it.
+            let settled = (stats.derived_nodes, stats.sliced_nodes);
+            assert_eq!(settled, (1, 1), "{what}");
+            assert_eq!(stats.unread_batches, u64::from(!reads), "{what}");
+            assert_eq!(stats.parallel_scans, u64::from(reads), "{what}");
+            assert_eq!(stats.scan_rows, if reads { 700 } else { 0 }, "{what}");
+            if !tee {
+                let peak = counted_stats.peak_memory_bytes;
+                assert_eq!(stats.peak_memory_bytes, peak, "{what}");
+            }
+        }
     }
 
     /// A scan carries no plan it cannot keep, and counts the refusal: not

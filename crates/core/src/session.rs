@@ -927,19 +927,58 @@ impl Session {
         Ok(batch)
     }
 
-    /// Count `plan`'s batch from the location it was scheduled on: open
-    /// the location as a [`BlockSource`], run the one scan loop over it,
-    /// and charge the location's read counters. A sampled batch (DESIGN.md
-    /// §13) reads only the blocks its sampler admits, charging
-    /// `sampled_rows_scanned` for their rows and `exact_rows_saved` for
-    /// the rest of the source.
+    /// Count `plan`'s batch from the location it was scheduled on: certify
+    /// the scan ([`Session::certify`]), then — unless the batch reads
+    /// nothing — open the location as a [`BlockSource`], run the one scan
+    /// loop over it, and charge the location's read counters. A sampled
+    /// batch (DESIGN.md §13) reads only the blocks its sampler admits,
+    /// charging `sampled_rows_scanned` for their rows and
+    /// `exact_rows_saved` for the rest of the source.
     fn scan(&mut self, plan: &BatchPlan, sink: &mut RowSink) -> MwResult<()> {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
         let exact = plan.sampled.is_none();
         let sampler = plan.sampled.map(|t| BlockSampler::new(t.fraction));
+        let wire = plan.source == DataLocation::Server;
+        let staged_rows = match plan.source {
+            DataLocation::Memory(id) | DataLocation::File(id) => {
+                let set = self.staging.set(id).ok_or_else(|| {
+                    MwError::Internal(format!("scheduled staged set {id} missing"))
+                })?;
+                Some(set.nrows)
+            }
+            DataLocation::Server => None,
+        };
+        // Aux structures are not consulted under sampling: a sample exists
+        // to make the *plain* scan cheap.
+        let aux = match sampler {
+            None if wire && self.backend.config.aux_mode != AuxMode::Off => {
+                self.usable_aux(sink.nodes(), plan.frontier_rows)?
+            }
+            _ => None,
+        };
+        let backend = Arc::clone(&self.backend);
+        let db = backend.db_read();
+        // Staged rows are copies of table rows, and the table's range
+        // certificate never falls: read now, it bounds them all. A server
+        // scan reads under this guard, so the certificate and the row
+        // count bound every row it ships — through an aux structure's
+        // copies too — and the epoch is the one it reads at.
+        let rows = match staged_rows {
+            Some(rows) => rows,
+            None => db.table(&backend.table)?.nrows(),
+        };
+        if !self.certify(sink, &db, rows, exact, wire)? {
+            // Nothing to read: a server scan's pushed-down filter is
+            // empty, and every node's rows go unshipped.
+            if wire {
+                sink.pushdown();
+            }
+            return Ok(());
+        }
         let (admitted, skipped) = match plan.source {
             DataLocation::Memory(id) => {
+                drop(db);
                 self.stats.memory_scans += 1;
                 let Some(StagedRows::Memory(rows)) = self.staging.set(id).map(|s| &s.rows) else {
                     return Err(MwError::Internal(format!(
@@ -947,18 +986,17 @@ impl Session {
                     )));
                 };
                 let rows = Arc::clone(rows);
-                self.certify_staged(sink, (rows.len() / arity) as u64, exact)?;
                 let mut src = BlockSource::flat(&rows, arity, block_rows);
                 drive(&mut src, sampler.as_ref(), sink, &mut self.stats)?;
                 self.stats.memory_rows_read += src.rows_read;
                 (src.rows_read, src.rows_skipped)
             }
             DataLocation::File(id) => {
+                drop(db);
                 self.stats.file_scans += 1;
                 let layout = self.staging.extent_layout(id)?.ok_or_else(|| {
                     MwError::Internal(format!("scheduled staged file {id} missing"))
                 })?;
-                self.certify_staged(sink, layout.nrows, exact)?;
                 // An exact parallel scan read-shards the file: each worker
                 // owns a disjoint extent range and decodes into its own
                 // counting shard, no producer thread in between. Serial
@@ -985,7 +1023,7 @@ impl Session {
             }
             DataLocation::Server => {
                 self.stats.server_scans += 1;
-                self.scan_server(sampler.as_ref(), plan.frontier_rows, sink)?
+                self.scan_server(db, aux, sampler.as_ref(), sink)?
             }
         };
         if !exact {
@@ -995,22 +1033,13 @@ impl Session {
         Ok(())
     }
 
-    /// Start `sink`'s scan of a staged copy of at most `rows` table rows,
-    /// `exact` unless sampled. Staged rows are copies of table rows, and
-    /// the table's range certificate never falls: read now, it bounds them
-    /// all.
-    fn certify_staged(&mut self, sink: &mut RowSink, rows: u64, exact: bool) -> MwResult<()> {
-        let backend = Arc::clone(&self.backend);
-        let db = backend.db_read();
-        self.certify(sink, &db, rows, exact, false)
-    }
-
     /// Start `sink`'s scan, before its first block, of at most `rows` rows,
     /// each a row of the table as `db` holds it or a copy of one: plan the
     /// batch's derivations against the table's range certificate and epoch
     /// ([`Parents::plan`]; `exact` unless sampled, `wire` when the rows
     /// come from the server), then certify the sink with the plans that
-    /// stand ([`RowSink::certify`]). The one place a batch plans.
+    /// stand ([`RowSink::certify`]). The one place a batch plans. Returns
+    /// whether the scan must read its source.
     fn certify(
         &mut self,
         sink: &mut RowSink,
@@ -1018,49 +1047,35 @@ impl Session {
         rows: u64,
         exact: bool,
         wire: bool,
-    ) -> MwResult<()> {
+    ) -> MwResult<bool> {
         let table = &self.backend.table;
         let (certificate, epoch) = (db.table(table)?.col_max(), db.table_epoch(table));
         let nodes = sink.nodes();
         let plans = (self.parents).plan(nodes, certificate, epoch, exact, wire, &mut self.stats);
-        sink.certify(certificate, rows, epoch, plans, &mut self.stats);
-        Ok(())
+        Ok(sink.certify(certificate, rows, epoch, plans, &mut self.stats))
     }
 
-    /// The server leg of [`Session::scan`]: a plain filtered cursor (the
-    /// paper's recommended path), a §4.3.3 auxiliary structure when one
-    /// applies, or — sampled — a block cursor over the admitted ranges.
-    /// Every read pushes down the filter of the nodes whose rows the scan
-    /// counts or stages ([`RowSink::pushdown`]), known once the scan is
-    /// certified: under the read guard the scan holds, since that is the
-    /// only read of the certificate that bounds every row it ships.
-    /// Returns the table rows a sample `(admitted, skipped)`, zeros when
-    /// the scan is exact.
+    /// The server leg of [`Session::scan`], under the read guard `db` its
+    /// certificate was read under: a plain filtered cursor (the paper's
+    /// recommended path), a read through the §4.3.3 auxiliary structure
+    /// `aux` when one applies, or — sampled — a block cursor over the
+    /// admitted ranges. Every read pushes down the filter of the nodes
+    /// whose rows the scan counts or stages ([`RowSink::pushdown`]), known
+    /// once the scan is certified: under the guard, since that is the only
+    /// read of the certificate that bounds every row it ships — through an
+    /// aux structure's copies too. Returns the table rows a sample
+    /// `(admitted, skipped)`, zeros when the scan is exact.
     fn scan_server(
         &mut self,
+        db: RwLockReadGuard<'_, Database>,
+        aux: Option<usize>,
         sampler: Option<&BlockSampler>,
-        frontier_rows: u64,
         sink: &mut RowSink,
     ) -> MwResult<(u64, u64)> {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
         let wire_rows = self.backend.config.wire_batch_rows;
-
-        // Aux structures are not consulted under sampling: a sample exists
-        // to make the *plain* scan cheap.
-        let aux = match sampler {
-            None if self.backend.config.aux_mode != AuxMode::Off => {
-                self.usable_aux(sink.nodes(), frontier_rows)?
-            }
-            _ => None,
-        };
-        let backend = Arc::clone(&self.backend);
-        let (table, db) = (&backend.table, backend.db_read());
-        // Read under the guard the scan holds, the certificate and the row
-        // count bound every row it ships — through an aux structure's
-        // copies too — and the epoch is the one it reads at.
-        let rows = db.table(table)?.nrows();
-        self.certify(sink, &db, rows, sampler.is_none(), true)?;
+        let table = &self.backend.table;
         if let Some(idx) = aux {
             let filter = sink.pushdown();
             self.stats.aux_scans += 1;

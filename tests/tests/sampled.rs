@@ -17,9 +17,11 @@
 //! 4. **It pays where margins are fat and costs nothing where they are
 //!    thin.** With staging off (every level a server scan) a 10% sample
 //!    of a fat-margin table grows the exact tree from a third of the
-//!    server rows; on the thin-margin census table the first sampled
-//!    split escalates and the wasted pass stays under 2% of the exact
-//!    build.
+//!    server rows a client counting every class scans — though an exact
+//!    build that settles each child from its parent's table scans that
+//!    table once (DESIGN.md §12b); on the thin-margin census table the
+//!    first sampled split escalates and the wasted pass stays under 2% of
+//!    the exact build.
 
 use scaleclass::{FileStagingPolicy, Middleware, MiddlewareConfig, MiddlewareStats};
 use scaleclass_dtree::split::{best_two_splits, score_half_width, Scorer, SplitKind};
@@ -28,7 +30,7 @@ use scaleclass_dtree::{
     Split,
 };
 use scaleclass_sqldb::{Code, Schema};
-use scaleclass_tests::{fat_margin_workload, load, small_tree_workload};
+use scaleclass_tests::{client, fat_margin_workload, load, small_tree_workload};
 
 /// One full middleware-driven grow; returns the tree, the middleware
 /// counters, the grow loop's (sampled_accepts, escalations), and the rows
@@ -270,14 +272,34 @@ fn exact_vs_sampled(
     (exact_rows, sampled_rows, accepts, escalations)
 }
 
+/// The rows the server scans to grow the tree of `rows` under `cfg`
+/// through a client that rebuilds each child's lineage from fresh
+/// records (`scaleclass_tests::client`): it neither derives nor slices,
+/// so it counts every class of every node, as the paper's middleware does.
+fn counting_every_class(schema: &Schema, rows: &[Code], cfg: MiddlewareConfig) -> u64 {
+    let mut mw = Middleware::new(load(schema, rows), "d", "class", cfg).expect("session");
+    let before = mw.db_stats();
+    let build = client::grow(&mut mw, false, |_| {}).expect("grow");
+    assert_eq!(
+        (build.stats.derived_nodes, build.stats.sliced_nodes),
+        (0, 0)
+    );
+    (mw.db_stats() - before).rows_scanned
+}
+
 /// 128k rows, five internal levels. Depth-4 nodes hold 8000 rows and are
 /// sampled; their 4000-row children fall under the 6000-row floor, so
-/// the leaf level is one exact scan: 4 × ~0.1 + 1 scans against 5.
+/// the leaf level is one exact scan: 4 × ~0.1 + 1 scans against the 5 of
+/// a client counting every class. The two children of each split hold
+/// disjoint classes, so an exact build settles every level below the root
+/// from its parent's table and scans the server once.
 #[test]
 fn fat_margins_grow_the_exact_tree_from_a_third_of_the_server_rows() {
     let (schema, rows, _) = fat_margin_workload(4000);
-    let (exact, sampled, accepts, escalations) =
+    let (settled, sampled, accepts, escalations) =
         exact_vs_sampled(&schema, &rows, "class", 6_000, &GrowConfig::default());
+    assert_eq!(settled, 128_000, "one server scan, the root's");
+    let exact = counting_every_class(&schema, &rows, rescan_every_level().build());
     assert_eq!(exact, 5 * 128_000, "one full server scan per level");
     assert_eq!(sampled, 197_120, "block admission is seeded: 3.25x fewer");
     assert!(
