@@ -347,7 +347,7 @@ const PANIC_FILES: [&str; 5] = [
 /// Files the guard-aware concurrency rules (lock-order,
 /// guard-across-blocking) run over: every module that holds or acquires a
 /// shared-state lock, and the two that hand work between threads and hold
-/// none — `parallel.rs` (blocks to scan workers) and `concurrent.rs`
+/// none — `parallel.rs` (extent ranges to reader threads) and `concurrent.rs`
 /// (requests and results over channels, blocking on `recv` and `join`) —
 /// where a lock added must be ranked too.
 const CONCURRENCY_FILES: [&str; 5] = [

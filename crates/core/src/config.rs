@@ -99,19 +99,20 @@ pub struct MiddlewareConfig {
     /// scaled-down budgets it triggers §4.1.1 fallback storms (see
     /// DESIGN.md §8) — measurable via `experiments ablate-admission`.
     pub admit_by_estimate: bool,
-    /// Counting workers a scan may use. `1` (the default) counts every
-    /// scan serially; `> 1` runs a scan on `n` workers of
-    /// [`crate::parallel`] — channel workers fed by the scan thread, or
-    /// extent readers of a staged file — each counting into private
-    /// CC tables merged after the scan, whenever the batch provably cannot
-    /// reach its memory budget (`BatchCounter::cannot_reach_budget`), and
-    /// serially otherwise. Counts, fallbacks and every logical stat are the
-    /// same at any value.
+    /// Extent reader threads for an exact staged-file scan. `1` (the
+    /// default) counts every scan on the session thread; `> 1` reads an
+    /// exact scan of a staged file on up to `n` sharded extent readers of
+    /// [`crate::parallel`], each counting a disjoint extent range into
+    /// private CC tables merged after the scan, whenever the batch provably
+    /// cannot reach its memory budget (`BatchCounter::cannot_reach_budget`).
+    /// Server, memory-set, auxiliary and sampled scans count on the session
+    /// thread at any value. Counts, fallbacks and every logical stat are
+    /// the same at any value.
     pub scan_workers: usize,
     /// Rows per block of a counting scan: where memory sets and wire
-    /// fetches are cut for the block kernel, the unit a sampled scan
-    /// admits or skips, and the size of the blocks handed to the counting
-    /// workers when `scan_workers > 1`.
+    /// fetches are cut for the block kernel, and the unit a sampled scan
+    /// admits or skips. A staged file's blocks are its extents
+    /// (`stage_extent_rows`).
     pub scan_block_rows: usize,
     /// Rows per extent in staged middleware files. Staged files are
     /// written as fixed-size extents (columnar blocks + CRC footer, see
@@ -336,7 +337,8 @@ impl MiddlewareConfigBuilder {
         self
     }
 
-    /// Counting workers per scan (min 1; 1 = exact serial path).
+    /// Extent reader threads for an exact staged-file scan (min 1; 1 =
+    /// every scan on the session thread).
     pub fn scan_workers(mut self, workers: usize) -> Self {
         self.config.scan_workers = workers.max(1);
         self

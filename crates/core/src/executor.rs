@@ -49,13 +49,13 @@
 //! When predicates overlap (never within one tree frontier) a row counts
 //! into every node it satisfies, in ascending node order.
 //!
-//! **This is the only budget protocol.** A parallel scan
-//! (`crate::parallel`) does not run a second one: it runs only over a
-//! batch `BatchCounter::cannot_reach_budget` clears — a batch whose
-//! whole scan, whatever its rows, fires no eviction, fallback or tee
-//! cancellation here — and each of its workers is a
-//! `BatchCounter::worker` fed through `BatchCounter::process`. Every
-//! other batch counts serially, through the protocol above.
+//! **This is the only budget protocol.** The one parallel scan, sharded
+//! extent readers over a staged file (`crate::parallel`), does not run a
+//! second one: it runs only over a batch `BatchCounter::cannot_reach_budget`
+//! clears — a batch whose whole scan, whatever its rows, fires no
+//! eviction, fallback or tee cancellation here — and each of its readers
+//! is a `BatchCounter::worker` fed through `BatchCounter::process`. Every
+//! other batch counts on the session thread, through the protocol above.
 //!
 //! **Planned nodes.** A node the batch plans to serve from its parent's
 //! table (`crate::siblings::Plan`, DESIGN.md §12b) is routed and teed like
@@ -66,7 +66,7 @@
 //! classes it holds is derived whole: the scan skips it, and it is
 //! completed like every other planned node. The batch plans once, when
 //! its scan certifies (`crate::siblings::Parents::plan`), and a node
-//! carries its plan into the scan only when `RowSink::certify` proves
+//! carries its plan into the scan only when `BatchCounter::certify` proves
 //! the scan cannot reach the budget
 //! (`BatchCounter::cannot_reach_budget`): there no budget event can fire
 //! and modelled memory only grows, and each partial table is a subset of
@@ -227,7 +227,7 @@ pub struct BatchCounter {
     pub(crate) buffer_bytes: u64,
     pub(crate) arity: usize,
     /// The nodes' path predicates, compiled once; predicate `i` is node
-    /// `i`'s. Read-only, so the parallel workers share it.
+    /// `i`'s. Read-only, so the sharded readers share it.
     pub(crate) router: Arc<PredSet>,
     /// Reusable per-row route output — hoisted out of `process_row` so
     /// the hot loop never allocates.
@@ -239,6 +239,17 @@ pub struct BatchCounter {
     pass: BlockPass,
     /// The source table's mutation epoch when the scan was certified.
     pub(crate) epoch: u64,
+}
+
+/// How a certified scan reads its source ([`BatchCounter::certify`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scan {
+    /// Not at all: the plans settle every node without a row.
+    Unread,
+    /// Block by block, on the session thread (`BatchCounter::process`).
+    Serial,
+    /// On sharded extent readers (`crate::parallel::scan_extents`).
+    Sharded,
 }
 
 /// A block of rows in either layout the scan paths produce, as the
@@ -698,10 +709,56 @@ impl BatchCounter {
         self.process(&mut RowBlock { flat, arity }, stats)
     }
 
-    /// Start the batch's scan: every code it reads lies at or under
-    /// `certificate`, per column — the source table's `col_max`, which
-    /// bounds every copy of its rows too. Settles each node's coverage.
-    pub(crate) fn certify(&mut self, certificate: &[Code]) {
+    /// Start the batch's scan, before its first block: it reads at most
+    /// `rows` rows of a source table at mutation `epoch`, and every code of
+    /// them lies at or under `certificate`, per column. `plans` are the
+    /// batch's derivations, per node, that this scan can keep
+    /// (`crate::siblings::Parents::plan`). When some plan is made, or the
+    /// scan may `shard` — an exact staged-file scan under
+    /// `scan_workers > 1` — the scan tries to prove it fires no budget
+    /// event ([`BatchCounter::cannot_reach_budget`]). Proved, the nodes
+    /// take their plans; otherwise they count every class, and each plan
+    /// that takes classes from a sibling counts into
+    /// `stats.derivations_refused`. Returns how to read the source:
+    /// [`Scan::Unread`] when the plans settle every node without a row
+    /// ([`BatchCounter::reads_nothing`], counted into
+    /// `stats.unread_batches`), [`Scan::Sharded`] when the proof holds for
+    /// a scan that may shard, [`Scan::Serial`] otherwise.
+    pub(crate) fn certify(
+        &mut self,
+        certificate: &[Code],
+        rows: u64,
+        epoch: u64,
+        plans: Vec<Option<Plan>>,
+        shard: bool,
+        stats: &mut MiddlewareStats,
+    ) -> Scan {
+        self.set_certificate(certificate);
+        self.epoch = epoch;
+        let planned = plans.iter().any(Option::is_some);
+        let proved = (shard || planned) && self.cannot_reach_budget(rows);
+        if proved {
+            for (node, plan) in self.nodes.iter_mut().zip(plans) {
+                node.plan = plan;
+            }
+        } else {
+            let derived = plans.iter().flatten().filter(|p| p.sibling.is_some());
+            stats.derivations_refused += derived.count() as u64;
+        }
+        if self.reads_nothing() {
+            stats.unread_batches += 1;
+            Scan::Unread
+        } else if proved && shard {
+            Scan::Sharded
+        } else {
+            Scan::Serial
+        }
+    }
+
+    /// Take `certificate` as the scan's: every code it reads lies at or
+    /// under it, per column — the source table's `col_max`, which bounds
+    /// every copy of its rows too. Settles each node's coverage.
+    pub(crate) fn set_certificate(&mut self, certificate: &[Code]) {
         self.pass.certificate.clear();
         self.pass.certificate.extend_from_slice(certificate);
         self.settle_coverage();
@@ -736,7 +793,7 @@ impl BatchCounter {
     /// file cost disk, not budget. When it holds, no row of the scan fires
     /// an eviction, a §4.1.1 fallback or a tee cancellation, whatever the
     /// order or split of its blocks, and modelled memory only grows: its
-    /// final state is its peak. False before [`BatchCounter::certify`].
+    /// final state is its peak. False before a certificate is set.
     pub(crate) fn cannot_reach_budget(&self, rows: u64) -> bool {
         let cert = &self.pass.certificate;
         let card = |col: u16| cert.get(usize::from(col)).map(|&max| u64::from(max) + 1);
@@ -768,7 +825,7 @@ impl BatchCounter {
     /// ([`BatchCounter::derive`]): its plans stand at their parents' epoch,
     /// where a node holds no row of a class its parent's table gives it
     /// none of, so a scan would count nothing.
-    pub(crate) fn reads_nothing(&self) -> bool {
+    fn reads_nothing(&self) -> bool {
         self.split_writer.is_none()
             && self.kept.is_none()
             && self.nodes.iter().all(NodeCounter::needs_no_row)
@@ -784,7 +841,7 @@ impl BatchCounter {
     /// Debug builds: every table the batch ends with — a planned one once
     /// completed — holds at most the entries its parent bound allows
     /// ([`BatchCounter::parent_bound`]).
-    pub(crate) fn debug_assert_parent_bounds(&self) {
+    fn debug_assert_parent_bounds(&self) {
         if cfg!(debug_assertions) {
             for node in &self.nodes {
                 let bound = self.parent_bound(node).unwrap_or(u64::MAX);
@@ -828,13 +885,14 @@ impl BatchCounter {
         Pred::or(shipped)
     }
 
-    /// Complete every planned node's table after the scan and any parallel
+    /// Complete every planned node's table after the scan and any sharded
     /// merge, from its parent's table less its sibling's in the classes the
     /// sibling counted and from its parent's in the classes it copies
     /// (`CountsTable::complete`) — a node derived whole too, which reads
     /// its sibling only where the sibling counts, so the order is free.
     /// Charge the entries to modelled memory and observe it once — the
-    /// proof the plans stand under makes that the scan's peak.
+    /// proof the plans stand under makes that the scan's peak. Debug builds
+    /// then check every table against its parent bound.
     ///
     /// # Errors
     ///
@@ -845,6 +903,7 @@ impl BatchCounter {
             .filter_map(|(idx, node)| Some((idx, node.plan.take()?)))
             .collect();
         if plans.is_empty() {
+            self.debug_assert_parent_bounds();
             return Ok(());
         }
         let t0 = Instant::now();
@@ -885,10 +944,11 @@ impl BatchCounter {
         );
         stats.observe_memory(self.memory_in_use());
         stats.kernel_accumulate_nanos += nanos_since(t0);
+        self.debug_assert_parent_bounds();
         Ok(())
     }
 
-    /// A counter for one worker of this batch's parallel scan: the same
+    /// A counter for one sharded reader of this batch's scan: the same
     /// requests, router, certificate and kernel switch, empty tables of
     /// the same backends, no tees, no budget and nothing to evict. Sound
     /// only over a scan `BatchCounter::cannot_reach_budget` cleared:
@@ -907,7 +967,7 @@ impl BatchCounter {
         let router = Arc::clone(&self.router);
         let mut worker = Self::with_router(nodes, router, u64::MAX, 0, self.arity);
         worker.batch_kernel = self.batch_kernel;
-        worker.certify(&self.pass.certificate);
+        worker.set_certificate(&self.pass.certificate);
         worker
     }
 
@@ -945,7 +1005,10 @@ impl BatchCounter {
     /// nothing counted, teed or charged — when the block must take the
     /// row path instead.
     fn count_block(&mut self, block: &mut impl Block, tally: &mut KernelTally) -> MwResult<bool> {
-        self.route(block);
+        // The rows some node took, too, when a split file or a compaction
+        // reads them.
+        let mark_any = self.split_writer.is_some() || self.kept.is_some();
+        self.pass.route(&self.router, block, mark_any);
         let Some(cc_bound) = self.pass.cc_bound(&mut self.nodes, tally) else {
             return Ok(false);
         };
@@ -974,22 +1037,11 @@ impl BatchCounter {
         Ok(true)
     }
 
-    /// Route `block` once into per-node selection vectors — and, when the
-    /// batch writes a split file or compacts its source, the rows some node
-    /// took — for [`BatchCounter::tee`] and the kernel to read.
-    pub(crate) fn route(&mut self, block: &impl Block) {
-        let mark_any = self.split_writer.is_some() || self.kept.is_some();
-        self.pass.route(&self.router, block, mark_any);
-    }
-
     /// Serve the staging tees from the last routed block's selections, in
     /// row order: a file tee takes its node's selection column by column,
     /// a memory buffer row by row, the split file every row some node took,
     /// and the kept rows of a compaction their source offsets.
-    /// The one tee body: the serial block path calls it after counting, the
-    /// coordinator of a parallel scan (whose workers have no tees) once per
-    /// source block.
-    pub(crate) fn tee(&mut self, block: &mut impl Block) -> MwResult<()> {
+    fn tee(&mut self, block: &mut impl Block) -> MwResult<()> {
         let row_bytes = (self.arity * CODE_BYTES) as u64;
         for (idx, sel) in self.pass.selections() {
             // Predicate `i` is node `i`'s.
@@ -1022,8 +1074,6 @@ impl BatchCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MiddlewareConfig;
-    use crate::parallel::RowSink;
     use crate::request::{Lineage, NodeId};
     use scaleclass_sqldb::Pred;
 
@@ -1408,7 +1458,7 @@ mod tests {
             }
             row_major.process_block(&flat, &mut stats[1]).unwrap();
             let (cols, nrows, row) = (&cols[..], rows.len(), &mut Vec::new());
-            col_major.certify(&[3, 3, 1, 1]);
+            col_major.set_certificate(&[3, 3, 1, 1]);
             col_major
                 .process(&mut ColBlock { cols, nrows, row }, &mut stats[2])
                 .unwrap();
@@ -1673,13 +1723,13 @@ mod tests {
         for (bound_epoch, derives) in [(3, true), (2, false)] {
             let (nodes, plans) = bounded_children(&parent, bound_epoch);
             let mut batch = BatchCounter::new(nodes, budget, 0, ARITY);
-            batch.certify(&[3, 3, 1]);
+            batch.set_certificate(&[3, 3, 1]);
             batch.epoch = 3;
             let proved = batch.cannot_reach_budget(ROOT_ROWS.len() as u64);
             assert_eq!(proved, derives, "bound at epoch {bound_epoch}");
-            let (sink, stats) = certified(batch, 3, plans);
-            assert_eq!(sink.nodes()[1].plan.is_some(), derives);
-            let (batch, stats) = finished(sink, stats, &ROOT_ROWS);
+            let (batch, stats) = certified(batch, 3, plans);
+            assert_eq!(batch.nodes[1].plan.is_some(), derives);
+            let (batch, stats) = finished(batch, stats, &ROOT_ROWS);
             assert_eq!(stats.derived_nodes, u64::from(derives));
             assert_eq!(stats.derivations_refused, u64::from(!derives));
             assert_eq!(stats.sql_fallbacks, 0);
@@ -1702,24 +1752,24 @@ mod tests {
         [2, 3, 1],
     ];
 
-    /// A serial sink over `batch`, certified with `plans` for a scan at
-    /// `epoch` of six rows under `[3, 3, 1]`, and the stats it counts into.
+    /// `batch`, certified with `plans` for a serial scan at `epoch` of six
+    /// rows under `[3, 3, 1]`, and the stats it counts into.
     fn certified(
-        batch: BatchCounter,
+        mut batch: BatchCounter,
         epoch: u64,
         plans: Vec<Option<Plan>>,
-    ) -> (RowSink, MiddlewareStats) {
+    ) -> (BatchCounter, MiddlewareStats) {
         let mut stats = MiddlewareStats::new();
-        let mut sink = RowSink::new(batch, &MiddlewareConfig::default());
-        sink.certify(&[3, 3, 1], ROOT_ROWS.len() as u64, epoch, plans, &mut stats);
-        (sink, stats)
+        let rows = ROOT_ROWS.len() as u64;
+        batch.certify(&[3, 3, 1], rows, epoch, plans, false, &mut stats);
+        (batch, stats)
     }
 
-    /// Feed `rows` through `sink` a row at a time, finish it — the batch
-    /// completes its planned tables and checks its parent bounds — and
-    /// return the batch and the stats.
+    /// Feed `rows` through `batch` a row at a time, then complete its
+    /// planned tables — which checks its parent bounds — and return the
+    /// batch and the stats.
     fn finished(
-        mut sink: RowSink,
+        mut batch: BatchCounter,
         mut stats: MiddlewareStats,
         rows: &[[Code; 3]],
     ) -> (BatchCounter, MiddlewareStats) {
@@ -1728,9 +1778,9 @@ mod tests {
                 flat: r,
                 arity: ARITY,
             };
-            sink.process_block(&mut block, &mut stats).unwrap();
+            batch.process(&mut block, &mut stats).unwrap();
         }
-        let batch = sink.finish(&mut stats).unwrap();
+        batch.derive(&mut stats).unwrap();
         (batch, stats)
     }
 
@@ -1824,8 +1874,8 @@ mod tests {
                 let what = format!("{sources:?}, swapped {swapped}");
                 let (pair, plans) = planned_pair(&parent, sources.clone(), swapped);
                 let batch = BatchCounter::new(pair, u64::MAX, 0, ARITY);
-                let (sink, stats) = certified(batch, 0, plans);
-                let (batch, stats) = finished(sink, stats, &rows);
+                let (batch, stats) = certified(batch, 0, plans);
+                let (batch, stats) = finished(batch, stats, &rows);
                 batch.assert_shadow_accounting();
                 let read = [stats.derived_nodes, stats.derived_rows, stats.sliced_nodes];
                 assert_eq!(read, [nodes, derived_rows, sliced], "{what}");

@@ -25,10 +25,10 @@ pub struct MiddlewareStats {
     pub memory_scans: u64,
     /// Batches whose plans settle every node from the parents' tables
     /// without a row (DESIGN.md §12b "A batch that reads nothing"): each
-    /// opened no source — no cursor, memory set or staged file, no
-    /// parallel worker — and is counted in none of `server_scans`,
-    /// `file_scans`, `memory_scans` or `parallel_scans`. Deterministic
-    /// for a given client, as `sliced_nodes` is.
+    /// opened no source — no cursor, memory set or staged file, no extent
+    /// reader — and is counted in none of `server_scans`, `file_scans`,
+    /// `memory_scans` or `sharded_file_scans`. Deterministic for a given
+    /// client, as `sliced_nodes` is.
     pub unread_batches: u64,
     /// Rows read from staging files.
     pub file_rows_read: u64,
@@ -72,38 +72,34 @@ pub struct MiddlewareStats {
     pub aux_scans: u64,
     /// Peak of (live CC bytes + memory-staged bytes) observed.
     pub peak_memory_bytes: u64,
-    /// Scans counted on more than one worker, through the channel pipeline
-    /// or sharded extent readers: batches whose budget proof held under
-    /// `scan_workers > 1`, less those that read nothing
-    /// (`unread_batches`), which start no worker.
-    pub parallel_scans: u64,
-    /// Staged-file scans served by sharded extent readers (each worker
-    /// thread reads and decodes its own extent range — no producer hop).
+    /// Staged-file scans served by sharded extent readers, each reader
+    /// thread reading and decoding its own extent range: the exact file
+    /// scans whose budget proof held under `scan_workers > 1`. The only
+    /// scans that run on more than one thread.
     pub sharded_file_scans: u64,
-    /// Rows fed through counting scans (serial or parallel).
+    /// Rows fed through counting scans (serial or sharded).
     pub scan_rows: u64,
     /// Source blocks counting scans read — wire fetches and memory sets
-    /// cut at `scan_block_rows`, staged-file extents — counted once in
-    /// the scan loop, whichever path (serial, channel, sharded) counts
-    /// their rows.
+    /// cut at `scan_block_rows`, staged-file extents — whichever path
+    /// (the serial loop or sharded readers) counts their rows.
     pub scan_blocks: u64,
     /// Wall-clock nanoseconds spent inside counting scans. Timing, not a
     /// logical counter: it varies run to run and must be excluded from
     /// determinism comparisons (rows/sec = `scan_rows` / `scan_nanos`).
     pub scan_nanos: u64,
-    /// Most rows any single worker consumed in one parallel scan (maximum
-    /// over scans) — `scan_rows / (parallel workers × this)` approximates
-    /// worker occupancy.
+    /// Most rows any single extent reader counted in one sharded file scan
+    /// (maximum over scans) — `scan_rows / (readers × this)` approximates
+    /// reader occupancy. Serial scans leave this 0.
     pub scan_worker_rows_max: u64,
     /// Scheduled nodes counted on the dense flat-array backend.
     pub dense_nodes: u64,
     /// Scheduled nodes counted on the sparse BTreeMap backend.
     pub sparse_nodes: u64,
-    /// Wall-clock nanoseconds parallel scan workers spent inside the
-    /// row-counting kernel (per-block counting loops — excludes channel
-    /// waits and, on sharded readers, extent read/decode). Serial scans
-    /// leave this 0; use `scan_nanos` for whole-scan throughput. Timing —
-    /// excluded from determinism comparisons like `scan_nanos`.
+    /// Wall-clock nanoseconds sharded extent readers spent inside the
+    /// row-counting kernel (per-block counting loops — excludes extent
+    /// read/decode). Serial scans leave this 0; use `scan_nanos` for
+    /// whole-scan throughput. Timing — excluded from determinism
+    /// comparisons like `scan_nanos`.
     pub kernel_nanos: u64,
     /// Selections counted through the block kernel: one per (node, block)
     /// pair whose selection the route-then-count pass counted. A derived

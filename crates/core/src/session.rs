@@ -31,15 +31,16 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Instant;
 
 use crate::catalog::StagingCatalog;
 use crate::cc::{CountsTable, FulfilledCc};
 use crate::config::{AuxMode, MiddlewareConfig};
 use crate::error::{MwError, MwResult};
-use crate::executor::{BatchCounter, NodeCounter};
+use crate::executor::{BatchCounter, NodeCounter, Scan};
 use crate::filter::union_filter;
 use crate::metrics::{ArbiterStats, MiddlewareStats, ScanStats};
-use crate::parallel::RowSink;
+use crate::parallel::scan_extents;
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use crate::sample::{BlockSampler, SampledLedger};
 use crate::scheduler::{schedule, BatchPlan};
@@ -771,13 +772,11 @@ impl Session {
             return Ok(Vec::new());
         };
 
-        let batch = self.build_counters(&mut plan, lease_bytes)?;
-        // Serial or parallel counting behind one block interface — the
-        // scan loop never knows which one runs; the sink decides when the
-        // scan certifies it.
-        let mut sink = RowSink::new(batch, &self.backend.config);
-        self.scan(&plan, &mut sink)?;
-        let batch = sink.finish(&mut self.stats)?;
+        let mut batch = self.build_counters(&mut plan, lease_bytes)?;
+        let started = Instant::now();
+        self.scan(&plan, &mut batch)?;
+        batch.derive(&mut self.stats)?;
+        self.stats.scan_nanos += started.elapsed().as_nanos() as u64;
         // Shadow checkpoint (DESIGN.md §9): the batch's incremental CC and
         // tee-buffer accounting must match a first-principles recount
         // before eviction/commit decisions are applied from it.
@@ -930,13 +929,15 @@ impl Session {
     /// Count `plan`'s batch from the location it was scheduled on: certify
     /// the scan ([`Session::certify`]), then — unless the batch reads
     /// nothing — open the location as a [`BlockSource`], run the one scan
-    /// loop over it, and charge the location's read counters. A sampled
-    /// batch (DESIGN.md §13) reads only the blocks its sampler admits,
-    /// charging `sampled_rows_scanned` for their rows and
+    /// loop over it, or read a staged file on sharded extent readers
+    /// ([`scan_extents`]), and charge the location's read counters. A
+    /// sampled batch (DESIGN.md §13) reads only the blocks its sampler
+    /// admits, charging `sampled_rows_scanned` for their rows and
     /// `exact_rows_saved` for the rest of the source.
-    fn scan(&mut self, plan: &BatchPlan, sink: &mut RowSink) -> MwResult<()> {
+    fn scan(&mut self, plan: &BatchPlan, batch: &mut BatchCounter) -> MwResult<()> {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
+        let workers = self.backend.config.scan_workers;
         let exact = plan.sampled.is_none();
         let sampler = plan.sampled.map(|t| BlockSampler::new(t.fraction));
         let wire = plan.source == DataLocation::Server;
@@ -953,7 +954,7 @@ impl Session {
         // to make the *plain* scan cheap.
         let aux = match sampler {
             None if wire && self.backend.config.aux_mode != AuxMode::Off => {
-                self.usable_aux(sink.nodes(), plan.frontier_rows)?
+                self.usable_aux(&batch.nodes, plan.frontier_rows)?
             }
             _ => None,
         };
@@ -968,11 +969,15 @@ impl Session {
             Some(rows) => rows,
             None => db.table(&backend.table)?.nrows(),
         };
-        if !self.certify(sink, &db, rows, exact, wire)? {
+        // Only an exact staged-file scan may shard (`crate::parallel`);
+        // every other scan counts on this thread.
+        let shard = exact && workers > 1 && matches!(plan.source, DataLocation::File(_));
+        let how = self.certify(batch, &db, rows, exact, wire, shard)?;
+        if how == Scan::Unread {
             // Nothing to read: a server scan's pushed-down filter is
             // empty, and every node's rows go unshipped.
             if wire {
-                sink.pushdown();
+                batch.pushdown();
             }
             return Ok(());
         }
@@ -987,7 +992,7 @@ impl Session {
                 };
                 let rows = Arc::clone(rows);
                 let mut src = BlockSource::flat(&rows, arity, block_rows);
-                drive(&mut src, sampler.as_ref(), sink, &mut self.stats)?;
+                drive(&mut src, sampler.as_ref(), batch, &mut self.stats)?;
                 self.stats.memory_rows_read += src.rows_read;
                 (src.rows_read, src.rows_skipped)
             }
@@ -997,23 +1002,12 @@ impl Session {
                 let layout = self.staging.extent_layout(id)?.ok_or_else(|| {
                     MwError::Internal(format!("scheduled staged file {id} missing"))
                 })?;
-                // An exact parallel scan read-shards the file: each worker
-                // owns a disjoint extent range and decodes into its own
-                // counting shard, no producer thread in between. Serial
-                // scans and sampled scans (a fraction of the file; and
-                // admission is identical across worker counts by
-                // construction) take the loop.
-                let sharded = match sampler {
-                    None => sink.try_scan_extents(&layout)?,
-                    Some(_) => None,
-                };
-                let (io, read, skipped) = if let Some(per_reader) = sharded {
-                    self.stats.sharded_file_scans += 1;
-                    self.stats.scan_blocks += layout.extents;
-                    (per_reader, layout.nrows, 0)
+                let (io, read, skipped) = if how == Scan::Sharded {
+                    let io = scan_extents(batch, &layout, workers, &mut self.stats)?;
+                    (io, layout.nrows, 0)
                 } else {
                     let mut src = BlockSource::extents(&layout)?;
-                    drive(&mut src, sampler.as_ref(), sink, &mut self.stats)?;
+                    drive(&mut src, sampler.as_ref(), batch, &mut self.stats)?;
                     (vec![src.io], src.rows_read, src.rows_skipped)
                 };
                 self.stats.file_rows_read += read;
@@ -1023,7 +1017,7 @@ impl Session {
             }
             DataLocation::Server => {
                 self.stats.server_scans += 1;
-                self.scan_server(db, aux, sampler.as_ref(), sink)?
+                self.scan_server(db, aux, sampler.as_ref(), batch)?
             }
         };
         if !exact {
@@ -1033,26 +1027,28 @@ impl Session {
         Ok(())
     }
 
-    /// Start `sink`'s scan, before its first block, of at most `rows` rows,
-    /// each a row of the table as `db` holds it or a copy of one: plan the
-    /// batch's derivations against the table's range certificate and epoch
-    /// ([`Parents::plan`]; `exact` unless sampled, `wire` when the rows
-    /// come from the server), then certify the sink with the plans that
-    /// stand ([`RowSink::certify`]). The one place a batch plans. Returns
-    /// whether the scan must read its source.
+    /// Start `batch`'s scan, before its first block, of at most `rows`
+    /// rows, each a row of the table as `db` holds it or a copy of one: plan
+    /// the batch's derivations against the table's range certificate and
+    /// epoch ([`Parents::plan`]; `exact` unless sampled, `wire` when the
+    /// rows come from the server), then certify the batch with the plans
+    /// that stand, for a scan that may `shard`
+    /// ([`BatchCounter::certify`]). The one place a batch plans. Returns
+    /// how the scan reads its source.
     fn certify(
         &mut self,
-        sink: &mut RowSink,
+        batch: &mut BatchCounter,
         db: &Database,
         rows: u64,
         exact: bool,
         wire: bool,
-    ) -> MwResult<bool> {
+        shard: bool,
+    ) -> MwResult<Scan> {
         let table = &self.backend.table;
         let (certificate, epoch) = (db.table(table)?.col_max(), db.table_epoch(table));
-        let nodes = sink.nodes();
-        let plans = (self.parents).plan(nodes, certificate, epoch, exact, wire, &mut self.stats);
-        Ok(sink.certify(certificate, rows, epoch, plans, &mut self.stats))
+        let stats = &mut self.stats;
+        let plans = (self.parents).plan(&batch.nodes, certificate, epoch, exact, wire, stats);
+        Ok(batch.certify(certificate, rows, epoch, plans, shard, stats))
     }
 
     /// The server leg of [`Session::scan`], under the read guard `db` its
@@ -1060,7 +1056,7 @@ impl Session {
     /// recommended path), a read through the §4.3.3 auxiliary structure
     /// `aux` when one applies, or — sampled — a block cursor over the
     /// admitted ranges. Every read pushes down the filter of the nodes
-    /// whose rows the scan counts or stages ([`RowSink::pushdown`]), known
+    /// whose rows the scan counts or stages ([`BatchCounter::pushdown`]), known
     /// once the scan is certified: under the guard, since that is the only
     /// read of the certificate that bounds every row it ships — through an
     /// aux structure's copies too. Returns the table rows a sample
@@ -1070,14 +1066,14 @@ impl Session {
         db: RwLockReadGuard<'_, Database>,
         aux: Option<usize>,
         sampler: Option<&BlockSampler>,
-        sink: &mut RowSink,
+        batch: &mut BatchCounter,
     ) -> MwResult<(u64, u64)> {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
         let wire_rows = self.backend.config.wire_batch_rows;
         let table = &self.backend.table;
         if let Some(idx) = aux {
-            let filter = sink.pushdown();
+            let filter = batch.pushdown();
             self.stats.aux_scans += 1;
             let handle = self
                 .aux
@@ -1088,7 +1084,7 @@ impl Session {
                 AuxKind::Temp(name) => {
                     let cursor = db.open_cursor(name, filter, wire_rows)?;
                     let mut src = BlockSource::table_cursor(cursor, block_rows);
-                    drive(&mut src, None, sink, &mut self.stats)?;
+                    drive(&mut src, None, batch, &mut self.stats)?;
                     return Ok((0, 0));
                 }
                 AuxKind::TidSet(name) => {
@@ -1101,13 +1097,13 @@ impl Session {
             // Materialised: the server's part is over before counting.
             drop(db);
             let mut src = BlockSource::flat(&flat, arity, block_rows);
-            drive(&mut src, None, sink, &mut self.stats)?;
+            drive(&mut src, None, batch, &mut self.stats)?;
             return Ok((0, 0));
         }
 
         // The filter-pushdown ablation ships everything and filters here.
         let pushed = if self.backend.config.push_filters {
-            sink.pushdown()
+            batch.pushdown()
         } else {
             Pred::True
         };
@@ -1129,7 +1125,7 @@ impl Session {
                 )
             }
         };
-        drive(&mut src, None, sink, &mut self.stats)?;
+        drive(&mut src, None, batch, &mut self.stats)?;
         Ok(sampled)
     }
 
@@ -1362,22 +1358,23 @@ impl Drop for Session {
 }
 
 /// The one scan loop (§4.1.1): every block the source yields goes to the
-/// sink, which counts it into all scheduled nodes at once. Sampling is an
-/// admission filter in between — a block `sampler` does not admit is
-/// passed over without being read.
-fn drive(
+/// batch, which counts it into all scheduled nodes at once, on this thread.
+/// Sampling is an admission filter in between — a block `sampler` does not
+/// admit is passed over without being read.
+pub(crate) fn drive(
     source: &mut BlockSource<'_>,
     sampler: Option<&BlockSampler>,
-    sink: &mut RowSink,
+    batch: &mut BatchCounter,
     stats: &mut MiddlewareStats,
 ) -> MwResult<()> {
     while let Some((_, block)) = source.next_block(|k| sampler.is_none_or(|s| s.admits(k)))? {
         match block {
-            SourceBlock::Rows(mut rows) => sink.process_block(&mut rows, stats)?,
-            SourceBlock::Cols(mut cols) => sink.process_block(&mut cols, stats)?,
+            SourceBlock::Rows(mut rows) => batch.process(&mut rows, stats)?,
+            SourceBlock::Cols(mut cols) => batch.process(&mut cols, stats)?,
         }
         stats.scan_blocks += 1;
     }
+    stats.scan_rows += source.rows_read;
     Ok(())
 }
 

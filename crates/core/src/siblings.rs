@@ -39,7 +39,7 @@
 //!   sibling: it is a side whose sibling the batch did not schedule. A
 //!   plan is made only where the scan can keep it — at the parent's epoch,
 //!   its certificate inside every layout the plan reads or counts into —
-//!   and kept only where `RowSink::certify` proves the scan cannot reach
+//!   and kept only where `BatchCounter::certify` proves the scan cannot reach
 //!   the budget.
 //!
 //! The same records sharpen that proof. A child's rows are a subset of its

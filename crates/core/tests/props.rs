@@ -383,15 +383,14 @@ proptest! {
 }
 
 /// Project the logical (deterministic) counters out of a stats record:
-/// everything except pipeline-shape counters (`parallel_scans`,
-/// `sharded_file_scans`, `scan_blocks`, `scan_worker_rows_max`,
+/// everything except pipeline-shape counters (`sharded_file_scans`,
+/// `scan_blocks`, `scan_worker_rows_max`,
 /// `blocks_counted`, and `block_fallback_rows` legitimately differ
 /// between worker counts and between the batched kernel and the row
 /// path) and wall-clock timing (`scan_nanos`, `kernel_nanos`,
 /// `kernel_validate_nanos`, `kernel_accumulate_nanos`).
 fn logical(s: &MiddlewareStats) -> MiddlewareStats {
     MiddlewareStats {
-        parallel_scans: 0,
         sharded_file_scans: 0,
         scan_blocks: 0,
         scan_nanos: 0,
@@ -422,82 +421,102 @@ fn file_variant() -> scaleclass::config::MiddlewareConfigBuilder {
         .memory_caching(false)
 }
 
+/// The file-staged configurations the sharded-scan properties draw: one
+/// never-split file, or a hybrid one split as the frontier shrinks, with
+/// memory caching off so every staged-data scan reads a file.
+fn file_staged() -> impl Strategy<Value = FileStagingPolicy> {
+    prop::sample::select(vec![
+        FileStagingPolicy::Singleton,
+        FileStagingPolicy::Hybrid {
+            split_threshold: 0.5,
+        },
+    ])
+}
+
+fn file_staged_variant(policy: FileStagingPolicy) -> scaleclass::config::MiddlewareConfigBuilder {
+    MiddlewareConfig::builder()
+        .file_policy(policy)
+        .memory_caching(false)
+}
+
 proptest! {
-    /// TENTPOLE PROPERTY: the parallel counting pipeline is bit-identical
-    /// to the serial scan — every node's counts table, fallback flag, and
-    /// all logical stats counters — for any worker count in 2..8 and a
-    /// block size small enough to force real interleaving. Exercised over
-    /// both the default (memory-staging) path and the singleton-file path
-    /// so server-, memory-, and file-sourced scans all go through the
-    /// parallel producer.
+    /// TENTPOLE PROPERTY: a scan on sharded extent readers is
+    /// bit-identical to the serial scan — every node's counts table,
+    /// fallback flag, and all logical stats counters — for any worker
+    /// count in 2..8 and extents small enough to give every reader a
+    /// range. Drawn over file-staged configurations, so the children's
+    /// and grandchildren's rounds read a staged file, and some read it on
+    /// sharded readers; the server scan of the root counts on the session
+    /// thread at any worker count.
     #[test]
     fn parallel_scan_is_bit_identical_to_serial(
         rows in rows_strategy(),
         workers in 2usize..8,
+        policy in file_staged(),
     ) {
-        for build in [MiddlewareConfig::builder, file_variant] {
-            let serial_cfg = build().scan_workers(1).build();
-            let par_cfg = build().scan_workers(workers).scan_block_rows(7).build();
-            let (serial_cc, serial_stats) = drive(&rows, serial_cfg);
-            let (par_cc, par_stats) = drive(&rows, par_cfg);
-            prop_assert_eq!(&par_cc, &serial_cc, "counts diverged at {} workers", workers);
-            prop_assert_eq!(
-                logical(&par_stats),
-                logical(&serial_stats),
-                "logical stats diverged at {} workers",
-                workers
-            );
-        }
+        let build = || file_staged_variant(policy).stage_extent_rows(7);
+        let serial_cfg = build().scan_workers(1).build();
+        let par_cfg = build().scan_workers(workers).scan_block_rows(7).build();
+        let (serial_cc, serial_stats) = drive(&rows, serial_cfg);
+        let (par_cc, par_stats) = drive(&rows, par_cfg);
+        prop_assert_eq!(&par_cc, &serial_cc, "counts diverged at {} workers", workers);
+        prop_assert_eq!(
+            logical(&par_stats),
+            logical(&serial_stats),
+            "logical stats diverged at {} workers",
+            workers
+        );
+        prop_assert_eq!(serial_stats.sharded_file_scans, 0);
+        prop_assert!(
+            par_stats.sharded_file_scans > 0,
+            "no scan was sharded at {} workers, {:?}", workers, policy
+        );
     }
 
-    /// REGRESSION PROPERTY: the same at any budget. A parallel scan runs
-    /// only over a batch whose whole scan provably cannot reach the budget
-    /// and counts serially otherwise, so the §4.1.1 switch — and every
-    /// eviction and tee cancellation — fires exactly where the serial scan
-    /// fires it, never according to thread timing. And the proof is not
-    /// vacuous: whenever the budget clears the root batch's — its one
-    /// node's most entries under the table's certificate, plus, where the
-    /// root may tee to memory, every row — some scan ran in parallel.
+    /// REGRESSION PROPERTY: the same at any budget. A scan shards only
+    /// when its whole scan provably cannot reach the budget and counts
+    /// serially otherwise, so the §4.1.1 switch — and every eviction and
+    /// tee cancellation — fires exactly where the serial scan fires it,
+    /// never according to thread timing. And the proof is not vacuous:
+    /// whenever the budget clears a batch of all four of the root's
+    /// children — four times one node's most entries under the table's
+    /// certificate; no memory tee, with caching off — some staged-file
+    /// scan ran on sharded readers.
     #[test]
     fn parallel_scan_is_bit_identical_to_serial_under_any_budget(
         rows in rows_strategy(),
         workers in 2usize..8,
         budget in 64u64..5_000,
+        policy in file_staged(),
     ) {
         let card = |col: usize| rows.iter().map(|r| u64::from(r[col]) + 1).max().unwrap_or(0);
         let entries = ((card(0) + card(1) + card(2)) * card(3)).min(3 * rows.len() as u64);
-        let row_bytes = (4 * CODE_BYTES) as u64;
-        for (mem_tee, build) in [
-            (true, MiddlewareConfig::builder as fn() -> scaleclass::config::MiddlewareConfigBuilder),
-            (false, file_variant),
-        ] {
-            let cfg = |w: usize| {
-                build()
-                    .memory_budget_bytes(budget)
-                    .scan_workers(w)
-                    .scan_block_rows(7)
-                    .build()
-            };
-            let (serial_cc, serial_stats) = drive(&rows, cfg(1));
-            let (par_cc, par_stats) = drive(&rows, cfg(workers));
-            prop_assert_eq!(
-                &par_cc, &serial_cc,
-                "counts or fallback flags diverged at {} workers, budget {}", workers, budget
+        let cfg = |w: usize| {
+            file_staged_variant(policy)
+                .stage_extent_rows(7)
+                .memory_budget_bytes(budget)
+                .scan_workers(w)
+                .scan_block_rows(7)
+                .build()
+        };
+        let (serial_cc, serial_stats) = drive(&rows, cfg(1));
+        let (par_cc, par_stats) = drive(&rows, cfg(workers));
+        prop_assert_eq!(
+            &par_cc, &serial_cc,
+            "counts or fallback flags diverged at {} workers, budget {}", workers, budget
+        );
+        prop_assert_eq!(
+            logical(&par_stats),
+            logical(&serial_stats),
+            "logical stats diverged at {} workers, budget {}",
+            workers,
+            budget
+        );
+        if 4 * entries * CC_ENTRY_BYTES <= budget {
+            prop_assert!(
+                par_stats.sharded_file_scans > 0,
+                "no scan was sharded at {} workers, budget {}, {:?}", workers, budget, policy
             );
-            prop_assert_eq!(
-                logical(&par_stats),
-                logical(&serial_stats),
-                "logical stats diverged at {} workers, budget {}",
-                workers,
-                budget
-            );
-            let tee = if mem_tee { rows.len() as u64 * row_bytes } else { 0 };
-            if entries * CC_ENTRY_BYTES + tee <= budget {
-                prop_assert!(
-                    par_stats.parallel_scans > 0,
-                    "no scan ran in parallel at {} workers, budget {}", workers, budget
-                );
-            }
         }
     }
 
@@ -556,7 +575,9 @@ proptest! {
 
     /// `MiddlewareStats` internal-consistency invariants hold for the same
     /// workload regardless of worker count, and the logical counters are
-    /// identical across `scan_workers = 1` and `= 4`.
+    /// identical across `scan_workers = 1` and `= 4`: on the memory-staging
+    /// path, which counts on the session thread either way, and on the
+    /// singleton-file path, whose file scans shard at four.
     #[test]
     fn middleware_stats_consistent_across_worker_counts(rows in rows_strategy()) {
         let arity_bytes = (4 * CODE_BYTES) as u64;
@@ -574,8 +595,6 @@ proptest! {
             prop_assert!(s.scan_rows >= rows.len() as u64);
         }
         prop_assert_eq!(logical(&runs[0]), logical(&runs[1]));
-        prop_assert_eq!(runs[0].parallel_scans, 0);
-        prop_assert!(runs[1].parallel_scans > 0);
 
         // Singleton-file staging: every root row lands in the staging file.
         let file_runs: Vec<MiddlewareStats> = [1usize, 4]
@@ -587,6 +606,8 @@ proptest! {
             prop_assert_eq!(s.file_bytes_written, s.file_rows_written * arity_bytes);
         }
         prop_assert_eq!(logical(&file_runs[0]), logical(&file_runs[1]));
+        prop_assert_eq!(file_runs[0].sharded_file_scans, 0);
+        prop_assert!(file_runs[1].sharded_file_scans > 0);
     }
 }
 

@@ -1,7 +1,8 @@
 //! The one scan loop, observed through the public API: what a session
-//! reports must not depend on which path — serial counter, channel
-//! pipeline, sharded extent readers — carried the blocks from a source to
-//! the counts tables, and a damaged source is an error on all of them.
+//! reports must not depend on which path — the serial loop on the session
+//! thread, or sharded extent readers of a staged file — carried the blocks
+//! from a source to the counts tables, and a damaged source is an error on
+//! both of them.
 
 use scaleclass::config::MiddlewareConfigBuilder;
 use scaleclass::staging::StagedRows;
@@ -33,6 +34,11 @@ fn serve_root_and_queue_children(s: &mut Session, rows: u16) {
     let req = s.root_request(NodeId(0));
     s.enqueue(req).unwrap();
     s.process_next_batch().unwrap();
+    queue_children(s, rows);
+}
+
+/// Queue the root's four children on `a`.
+fn queue_children(s: &mut Session, rows: u16) {
     for v in 0..4u16 {
         s.enqueue(CcRequest {
             lineage: Lineage::root(NodeId(0))
@@ -111,9 +117,47 @@ fn damaged_staged_file_header_is_corrupt_on_every_scan_path() {
     }
 }
 
+/// A server scan and a memory-set scan count on the session thread at any
+/// `scan_workers`: four workers leave every counter but the four timing
+/// ones where one worker leaves it — the block counters included — start
+/// no extent reader, and build the same tables.
+#[test]
+fn server_and_memory_scans_start_no_thread() {
+    let run = |workers: usize| {
+        let mut s = session(40, pinned(workers).build());
+        let root = s.root_request(NodeId(0));
+        s.enqueue(root).unwrap();
+        let mut tables = BTreeMap::new();
+        for f in s.process_next_batch().unwrap() {
+            tables.insert(f.node.0, (*f.cc).clone());
+        }
+        queue_children(&mut s, 40);
+        for f in s.process_next_batch().unwrap() {
+            tables.insert(f.node.0, (*f.cc).clone());
+        }
+        (*s.stats(), tables)
+    };
+    let untimed = |s: MiddlewareStats| MiddlewareStats {
+        scan_nanos: 0,
+        kernel_nanos: 0,
+        kernel_validate_nanos: 0,
+        kernel_accumulate_nanos: 0,
+        ..s
+    };
+    let (serial, serial_tables) = run(1);
+    let (four, four_tables) = run(4);
+    assert_eq!((serial.server_scans, serial.memory_scans), (1, 1));
+    assert_eq!(serial_tables.len(), 5, "the root and its four children");
+    assert_eq!(untimed(four), untimed(serial));
+    assert_eq!(four.blocks_counted, serial.blocks_counted);
+    assert_eq!(four.scan_worker_rows_max, 0, "no reader counted a row");
+    assert_eq!(four.sharded_file_scans, 0);
+    assert_eq!(four_tables, serial_tables);
+}
+
 /// Satellite regression: `scan_blocks` counts the blocks the scan loop read
-/// from its source (it used to stay 0 on every serial scan), so all three
-/// paths report one number for one source — and one full read of a file.
+/// from its source (it used to stay 0 on every serial scan), so both paths
+/// report one number for one source — and one full read of a file.
 #[test]
 fn scan_blocks_and_reader_stats_agree_across_scan_paths() {
     let run = |config: MiddlewareConfig| -> (MiddlewareStats, ScanStats) {
@@ -124,14 +168,11 @@ fn scan_blocks_and_reader_stats_agree_across_scan_paths() {
         (*s.stats(), s.scan_stats().clone())
     };
     let (serial, _) = run(pinned(1).build());
-    let (channel, _) = run(pinned(4).build());
     assert_eq!(serial.memory_scans, 1);
     assert_eq!(
         serial.scan_blocks, 10,
         "40 server rows + 40 memory rows / 8"
     );
-    assert_eq!(channel.scan_blocks, serial.scan_blocks);
-    assert!(channel.parallel_scans > 0);
 
     let dir = scratch_dir("scan-blocks");
     let (serial, serial_io) = run(singleton_file(1, &dir));
@@ -380,17 +421,9 @@ fn the_block_kernel_engages_and_serves_the_tees() {
                 assert!(on.stats.blocks_counted > 0, "{what}: the kernel ran");
                 assert_eq!(on.stats.block_fallback_rows, 0, "{what}: on every row");
                 assert_eq!(on.stats.sql_fallbacks, 0, "{what}");
-                if workers == 4 {
-                    // Both budgets clear every batch's proof (DESIGN.md §8a),
-                    // the tight `staged-file` one included.
-                    let stats = &on.stats;
-                    let scans = stats.server_scans + stats.file_scans + stats.memory_scans;
-                    assert_eq!(
-                        stats.parallel_scans, scans,
-                        "{what}: every scan ran in parallel"
-                    );
-                }
                 if workers == 4 && !shape.starts_with("staged-mem") {
+                    // The budget clears every file batch's proof
+                    // (DESIGN.md §8a), tight as it is.
                     let sharded = on.stats.sharded_file_scans;
                     assert!(sharded > 0, "{what}: sharded readers ran");
                     assert_eq!(

@@ -119,11 +119,14 @@ fn check(
         }
     }
     // Each path shows up where its axis asks for it and nothing keeps it
-    // from running: a tight budget may leave no batch provably under it,
-    // and the catalog publishes only what exact sessions stage.
+    // from running: only an exact session's staged-file scans may shard, a
+    // tight budget may leave no batch provably under it, and the catalog
+    // publishes only what exact sessions stage.
     let sum = |f: fn(&Middleware) -> u64| built.iter().map(|(mw, _)| f(mw)).sum::<u64>();
-    if cfg.scan_workers > 1 && ample {
-        prop_assert!(sum(|mw| mw.stats().parallel_scans) > 0, "no parallel scan");
+    let file_scans = sum(|mw| mw.stats().file_scans);
+    if cfg.scan_workers > 1 && ample && exact && file_scans > 0 {
+        let sharded = sum(|mw| mw.stats().sharded_file_scans);
+        prop_assert!(sharded > 0, "no sharded file scan");
     }
     if !exact {
         prop_assert!(sum(|mw| mw.stats().sampled_nodes) > 0, "no sampled node");

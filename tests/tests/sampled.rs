@@ -62,7 +62,6 @@ fn grow(
 /// with worker count (same projection as `crates/core/tests/props.rs`).
 fn logical(s: &MiddlewareStats) -> MiddlewareStats {
     MiddlewareStats {
-        parallel_scans: 0,
         sharded_file_scans: 0,
         scan_blocks: 0,
         scan_nanos: 0,

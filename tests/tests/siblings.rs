@@ -13,7 +13,7 @@
 //! sliced_rows_unshipped` fewer rows scanned, and as many fewer shipped.
 //! The batches whose parents' tables settle every node read nothing
 //! (`unread_batches`): each scans no source, where the reference's same
-//! batch scans one. And the scans that run in parallel: a child's parent
+//! batch scans one. And the staged-file scans that shard: a child's parent
 //! bound sharpens the budget proof, so the linked client proves at least
 //! the batches the reference does.
 
@@ -38,9 +38,9 @@ use std::sync::Arc;
 /// read — fewer by the rows it did not ship ([`derivation_ships_less`]) —
 /// the sources a batch that reads nothing does not scan and the staged
 /// rows it does not read ([`unread_batches_read_nothing`]), and which
-/// scans ran in parallel: a child's parent bound sharpens the budget
-/// proof, so a linked client proves every batch a rebuilt one does, and
-/// more ([`linked_proves_more`]).
+/// staged-file scans ran on sharded readers: a child's parent bound
+/// sharpens the budget proof, so a linked client proves every batch a
+/// rebuilt one does, and more ([`linked_proves_more`]).
 fn logical(s: &MiddlewareStats) -> MiddlewareStats {
     MiddlewareStats {
         server_scans: 0,
@@ -67,31 +67,25 @@ fn logical(s: &MiddlewareStats) -> MiddlewareStats {
         split_pairs: 0,
         scan_rows: 0,
         scan_blocks: 0,
-        parallel_scans: 0,
         sharded_file_scans: 0,
         ..*s
     }
 }
 
-/// A batch the rebuilt client proves, the linked one proves too: it runs
-/// in parallel, and read-shards a staged file, unless it reads nothing
-/// and starts no worker — so at least as many scans do, less the unread
-/// batches; on one worker no scan does either way.
+/// A batch the rebuilt client proves, the linked one proves too: a
+/// staged-file batch read-shards unless it reads nothing and starts no
+/// reader — so at least as many scans do, less the unread batches; on one
+/// worker no scan does either way.
 fn linked_proves_more(
     linked: &MiddlewareStats,
     rebuilt: &MiddlewareStats,
     workers: usize,
 ) -> Result<(), TestCaseError> {
-    let moved = [
-        (linked.parallel_scans, rebuilt.parallel_scans),
-        (linked.sharded_file_scans, rebuilt.sharded_file_scans),
-    ];
-    for (l, r) in moved {
-        let unread = linked.unread_batches;
-        prop_assert!(l + unread >= r, "linked {} + {} < rebuilt {}", l, unread, r);
-        if workers == 1 {
-            prop_assert_eq!(l, r);
-        }
+    let (l, r) = (linked.sharded_file_scans, rebuilt.sharded_file_scans);
+    let unread = linked.unread_batches;
+    prop_assert!(l + unread >= r, "linked {} + {} < rebuilt {}", l, unread, r);
+    if workers == 1 {
+        prop_assert_eq!(l, r);
     }
     Ok(())
 }
@@ -304,7 +298,8 @@ fn linked_and_rebuilt_lineages_agree_over_the_matrix() {
 /// A memory set shrinks with its frontier (DESIGN.md §8) where a batch
 /// holds all the work left on it, and the scans after it read only the
 /// rows their nodes took. The tables and the tree stay the reference's,
-/// and one worker and four keep the same rows.
+/// and one worker and four keep the same rows: a memory scan counts on
+/// the session thread at any worker count.
 #[test]
 fn a_compacted_memory_set_serves_the_reference_tables() {
     let (cards, rows) = shaped_table();
@@ -318,7 +313,10 @@ fn a_compacted_memory_set_serves_the_reference_tables() {
             stats.memory_rows_read < stats.memory_scans * table_rows,
             "{workers} workers: every scan read the whole table"
         );
-        assert_eq!(stats.parallel_scans > 0, workers > 1, "{workers} workers");
+        assert_eq!(
+            stats.scan_worker_rows_max, 0,
+            "{workers} workers: a reader ran"
+        );
         logical_at.push(logical(&stats));
     }
     assert_eq!(logical_at[0], logical_at[1]);
@@ -381,7 +379,7 @@ fn isolating_table() -> (Vec<u16>, Vec<Code>) {
 /// * with a temp table built for the root, only the root reads through
 ///   it, where the reference reads through it three times.
 ///
-/// An unread batch starts no worker. The tables and the tree are the
+/// An unread batch starts no extent reader. The tables and the tree are the
 /// reference's throughout.
 #[test]
 fn a_batch_the_parents_table_settles_reads_nothing() {
@@ -448,11 +446,11 @@ fn a_batch_the_parents_table_settles_reads_nothing() {
                 (l.aux_scans, r.aux_scans),
             ];
             assert_eq!(read, expected, "{what}");
-            // Every batch is proved, and runs in parallel on two workers
-            // unless it reads nothing.
-            let parallel = |batches| u64::from(workers > 1) * batches;
-            assert_eq!(r.parallel_scans, parallel(3), "{what}");
-            assert_eq!(l.parallel_scans, parallel(3 - unread), "{what}");
+            // Every batch is proved, and a staged-file batch read-shards on
+            // two workers.
+            let sharded = |s: &MiddlewareStats| u64::from(workers > 1) * s.file_scans;
+            assert_eq!(r.sharded_file_scans, sharded(r), "{what}");
+            assert_eq!(l.sharded_file_scans, sharded(l), "{what}");
         }
     }
 }
@@ -715,8 +713,9 @@ fn sampled_batches_and_refused_proofs_count_every_node() {
 
     // Every level is one scan, from the server, a memory set or a staged
     // file, as many at 6 KiB as with room to spare; but there the proof,
-    // which charges each memory tee its rows, refuses one of them, which
-    // then counts serially — every node included.
+    // which charges each memory tee its rows, refuses the staged-file
+    // batch, which then counts on the session thread — every node
+    // included — where with room to spare it read-shards.
     let budget = |bytes| {
         MiddlewareConfig::builder()
             .file_policy(FileStagingPolicy::PerNode)
@@ -730,12 +729,14 @@ fn sampled_batches_and_refused_proofs_count_every_node() {
     let scans = |s: &MiddlewareStats| s.server_scans + s.memory_scans + s.file_scans;
     assert_eq!(ample.sql_fallbacks + tight.sql_fallbacks, 0);
     assert_eq!(scans(tight), scans(ample), "as many batches");
-    assert_eq!(ample.parallel_scans, scans(ample), "every proof held");
+    assert_eq!(ample.derivations_refused, 0, "every proof held");
+    assert!(ample.file_scans > 0);
+    assert_eq!(ample.sharded_file_scans, ample.file_scans);
     assert!(
-        tight.parallel_scans < ample.parallel_scans,
+        tight.sharded_file_scans < ample.sharded_file_scans,
         "some proof failed"
     );
-    let refused = ample.parallel_scans - tight.parallel_scans;
+    let refused = ample.sharded_file_scans - tight.sharded_file_scans;
     assert!(tight.derived_nodes > 0, "the proofs that held derived");
     assert!(
         tight.derived_nodes + refused <= ample.derived_nodes,
