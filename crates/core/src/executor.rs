@@ -203,8 +203,9 @@ pub struct BatchCounter {
     pub split_writer: Option<FileWriter>,
     /// The memory-tier twin of the split file, when the batch compacts its
     /// memory source (`BatchPlan::compact_mem`): the source offsets of the
-    /// rows matching any scheduled node, in source order. Scan scratch,
-    /// like the router's arena — 4 B a kept row, not charged to the budget.
+    /// rows matching any predicate of the router — a scheduled node's or a
+    /// waiting request's — in source order. Scan scratch, like the
+    /// router's arena — 4 B a kept row, not charged to the budget.
     pub kept: Option<Vec<u32>>,
     /// Source offset of the next row the scan feeds, advanced while `kept`
     /// records.
@@ -227,7 +228,10 @@ pub struct BatchCounter {
     pub(crate) buffer_bytes: u64,
     pub(crate) arity: usize,
     /// The nodes' path predicates, compiled once; predicate `i` is node
-    /// `i`'s. Read-only, so the sharded readers share it.
+    /// `i`'s. A compacting batch appends the paths of the requests waiting
+    /// on its source, which the scan routes only to keep their rows: it
+    /// neither counts nor tees them. Read-only, so the sharded readers
+    /// share it.
     pub(crate) router: Arc<PredSet>,
     /// Reusable per-row route output — hoisted out of `process_row` so
     /// the hot loop never allocates.
@@ -542,8 +546,9 @@ impl BatchCounter {
         Self::with_router(nodes, router, budget, base_mem_bytes, arity)
     }
 
-    /// [`BatchCounter::new`] over a router already compiled from `nodes`.
-    fn with_router(
+    /// [`BatchCounter::new`] over a router already compiled from `nodes`'
+    /// paths, in order, and possibly more after them (`BatchCounter::kept`).
+    pub(crate) fn with_router(
         nodes: Vec<NodeCounter>,
         router: Arc<PredSet>,
         budget: u64,
@@ -618,9 +623,11 @@ impl BatchCounter {
         self.router.route(row, &mut matched);
 
         for &idx in &matched {
-            // analyze:allow(hot-path-panic): the router was compiled from
-            // these same `nodes`, one predicate each, in order.
-            let node = &mut self.nodes[idx];
+            // Predicate `i` is node `i`'s; one past the nodes only keeps
+            // its rows.
+            let Some(node) = self.nodes.get_mut(idx) else {
+                break;
+            };
 
             // Counting (unless this node fell back to SQL, is derived, or
             // copies the row's class from its parent).
@@ -746,6 +753,7 @@ impl BatchCounter {
             stats.derivations_refused += derived.count() as u64;
         }
         if self.reads_nothing() {
+            self.kept = None;
             stats.unread_batches += 1;
             Scan::Unread
         } else if proved && shard {
@@ -819,16 +827,15 @@ impl BatchCounter {
     }
 
     /// Does the certified batch need no row of its source? When no node
-    /// needs one ([`NodeCounter::needs_no_row`]) and the batch neither
-    /// writes a split file nor compacts its source, both of which take
-    /// every row some node selects. Such a batch only completes its tables
-    /// ([`BatchCounter::derive`]): its plans stand at their parents' epoch,
-    /// where a node holds no row of a class its parent's table gives it
-    /// none of, so a scan would count nothing.
+    /// needs one ([`NodeCounter::needs_no_row`]) and the batch writes no
+    /// split file, which takes every row some node selects. Such a batch
+    /// only completes its tables ([`BatchCounter::derive`]): its plans
+    /// stand at their parents' epoch, where a node holds no row of a class
+    /// its parent's table gives it none of, so a scan would count nothing.
+    /// A compaction it was scheduled for is dropped, not read for: the set
+    /// stays whole for its next reader, which may compact it.
     fn reads_nothing(&self) -> bool {
-        self.split_writer.is_none()
-            && self.kept.is_none()
-            && self.nodes.iter().all(NodeCounter::needs_no_row)
+        self.split_writer.is_none() && self.nodes.iter().all(NodeCounter::needs_no_row)
     }
 
     /// `node`'s parent bound, if it was recorded at the scan's epoch.
@@ -1369,6 +1376,41 @@ mod tests {
         assert_eq!(counts.iter().map(CountsTable::total).sum::<u64>(), 7);
         // b <> 0: rows 2, 3 and 4, in row order.
         assert_eq!(tees.0, [1, 1, 0, 2, 1, 1, 0, 2, 0]);
+    }
+
+    /// A path routed past the nodes — a request waiting on a compacting
+    /// batch's source — keeps its rows and is neither counted nor teed, on
+    /// the row path and the block path alike.
+    #[test]
+    fn a_waiting_path_keeps_its_rows_uncounted() {
+        let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
+        let run = |kernel: bool| {
+            let mut node = NodeCounter::new(request(1, Pred::Eq { col: 0, value: 1 }));
+            node.mem_buffer = Some(Vec::new());
+            let waiting = Pred::Eq { col: 0, value: 0 };
+            let router = PredSet::new([node.req.pred(), &waiting]);
+            let mut batch =
+                BatchCounter::with_router(vec![node], Arc::new(router), u64::MAX, 0, ARITY);
+            batch.batch_kernel = kernel;
+            batch.kept = Some(Vec::new());
+            let mut stats = MiddlewareStats::new();
+            for block in flat.chunks(4 * ARITY) {
+                batch.process_block(block, &mut stats).unwrap();
+            }
+            batch.assert_shadow_accounting();
+            let node = batch.nodes.pop().unwrap();
+            (node.cc, node.mem_buffer, batch.kept)
+        };
+        let block = run(true);
+        assert_eq!(block, run(false));
+        let (cc, teed, kept) = block;
+        assert_eq!(cc.total(), 3, "only the node's rows are counted");
+        assert_eq!(
+            teed.map(|t| t.len()),
+            Some(3 * ARITY),
+            "only its rows are teed"
+        );
+        assert_eq!(kept, Some(vec![0, 1, 2, 4, 5]), "both paths' rows are kept");
     }
 
     /// A row two overlapping nodes both take is counted into both and

@@ -20,11 +20,13 @@
 //! ([`ExtentLayout`]) under `scan_workers > 1`, and
 //! `BatchCounter::cannot_reach_budget` proves, from the scan's range
 //! certificate and row count, that no row of it can fire any of those
-//! events. Then the serial scan fires none either and peaks at its final
-//! state; the readers count under no budget and their merge is that final
-//! state, observed once. Every other scan — server, memory set, auxiliary
-//! structure, sampled — counts on the session thread, through the one
-//! protocol in `executor.rs`. So counts, fallback flags and every logical
+//! events; the session then reads it on sharded readers if the file has
+//! more than one extent to share out (`shards`). Then the serial scan
+//! fires none either and peaks at its final state; the readers count
+//! under no budget and their merge is that final state, observed once.
+//! Every other scan — server, memory set, auxiliary structure, sampled —
+//! counts on the session thread, through the one protocol in
+//! `executor.rs`. So counts, fallback flags and every logical
 //! stat are those of `scan_workers = 1`, at any budget. The same proof is
 //! what lets a batch take a node's classes from its parent's table and its
 //! sibling's instead of counting them (`crate::siblings`): every reader
@@ -95,14 +97,22 @@ fn read_extents(
     Ok((reader, io))
 }
 
+/// May a scan of the extent-format staging file `layout` shard on
+/// `workers` readers? Only when there are two readers and two extents to
+/// share out: a file of one extent, or none, is read on the session
+/// thread.
+pub(crate) fn shards(layout: &ExtentLayout, workers: usize) -> bool {
+    workers > 1 && layout.extents > 1
+}
+
 /// Count `batch` over the extent-format staging file `layout` on up to
 /// `workers` reader threads, one disjoint contiguous extent range each —
-/// a scan `BatchCounter::certify` returned `Scan::Sharded` for. Joins every
-/// reader, then folds them into `batch` in range order — tables merged,
-/// memory-tee buffers concatenated, file spools appended, block counters
-/// added to `stats` — and observes memory once: the proof made the merged
-/// state the scan's peak. Returns the per-reader I/O counters, range
-/// order.
+/// a scan `BatchCounter::certify` returned `Scan::Sharded` for, over a
+/// file [`shards`] allows. Joins every reader, then folds them into
+/// `batch` in range order — tables merged, memory-tee buffers
+/// concatenated, file spools appended, block counters added to `stats` —
+/// and observes memory once: the proof made the merged state the scan's
+/// peak. Returns the per-reader I/O counters, range order.
 pub(crate) fn scan_extents(
     batch: &mut BatchCounter,
     layout: &ExtentLayout,
@@ -286,8 +296,8 @@ mod tests {
 
     /// Read the staged file `layout` into the certified `batch` the way a
     /// session does: nothing when it is unread, on `workers` sharded
-    /// readers when it shards, through the serial scan loop otherwise —
-    /// then complete the planned tables.
+    /// readers when it shards and has extents to share out, through the
+    /// serial scan loop otherwise — then complete the planned tables.
     fn read(
         batch: &mut BatchCounter,
         how: Scan,
@@ -297,12 +307,12 @@ mod tests {
     ) {
         match how {
             Scan::Unread => {}
-            Scan::Serial => {
+            Scan::Sharded if shards(layout, workers) => {
+                scan_extents(batch, layout, workers, stats).unwrap();
+            }
+            Scan::Sharded | Scan::Serial => {
                 let mut src = BlockSource::extents(layout).unwrap();
                 drive(&mut src, None, batch, stats).unwrap();
-            }
-            Scan::Sharded => {
-                scan_extents(batch, layout, workers, stats).unwrap();
             }
         }
         batch.derive(stats).unwrap();
@@ -353,7 +363,13 @@ mod tests {
         } else {
             let how = scan(&mut batch, data, extent_rows, workers, &mut stats);
             assert_eq!(how, Scan::Sharded);
-            assert_eq!(stats.sharded_file_scans, 1);
+            let sharded = data.len() > extent_rows;
+            assert_eq!(
+                stats.sharded_file_scans,
+                u64::from(sharded),
+                "{} rows",
+                data.len()
+            );
         }
         batch
     }
@@ -405,12 +421,20 @@ mod tests {
         }
     }
 
+    /// A file of no extent or of one has nothing to share out: it is read
+    /// on the session thread, and no reader is spawned.
     #[test]
     fn pipeline_handles_empty_and_tiny_inputs() {
-        let empty = run(4, 8, &[]);
-        assert!(empty.nodes.iter().all(|n| n.cc.is_empty()));
-        let one = run(4, 8, &rows(1, 3));
-        assert_eq!(one.nodes[0].cc.total(), 1, "root sees the single row");
+        for data in [vec![], rows(1, 3), rows(8, 3)] {
+            let mut batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
+            let mut stats = MiddlewareStats::new();
+            scan(&mut batch, &data, 8, 4, &mut stats);
+            assert_eq!(stats.sharded_file_scans, 0, "{} rows", data.len());
+            assert_eq!(stats.scan_worker_rows_max, 0, "{} rows", data.len());
+            assert_eq!(batch.nodes[0].cc.total(), data.len() as u64);
+        }
+        let nine = run(4, 8, &rows(9, 3));
+        assert_eq!(nine.nodes[0].cc.total(), 9, "two extents shard");
     }
 
     /// Two readers over ten extents count five each.

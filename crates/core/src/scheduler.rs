@@ -57,11 +57,13 @@ pub struct BatchPlan {
     /// write one new smaller file holding the union of the scheduled
     /// nodes' rows, replacing their claim on the big file.
     pub split_file: bool,
-    /// The memory-tier twin of `split_file`: the batch holds all the work
-    /// left on its private memory source, so the scan records the rows
-    /// its nodes take and the set shrinks in place to them, handed to the
-    /// batch's nodes (`StagingManager::compact_mem`).
-    pub compact_mem: bool,
+    /// The memory-tier twin of `split_file`: `Some(waiting)` when the set
+    /// shrinks in place (`compacts`) to the rows the batch's nodes and the
+    /// requests still queued on its private memory source take, the
+    /// lineages of the latter being `waiting`. The scan records those rows
+    /// and the set is handed to the nodes and the waiting requests
+    /// together (`StagingManager::compact_mem`).
+    pub compact_mem: Option<Vec<Lineage>>,
     /// Serve this batch from a block-level sample instead of a full scan
     /// (DESIGN.md §13). Sampled batches never stage or split files — a
     /// partial scan would silently truncate the staged set.
@@ -236,7 +238,7 @@ pub fn schedule(
         source,
         nodes: scheduled,
         split_file: false,
-        compact_mem: false,
+        compact_mem: None,
         sampled: None,
         frontier_rows,
     };
@@ -370,7 +372,7 @@ fn decide_staging(
     // Data already in middleware memory (an ancestor's set) is never
     // re-staged: scanning it is already the cheapest access, and copying
     // subsets would duplicate rows against the budget. The set shrinks in
-    // place instead, once no other request needs its rows (`compacts`).
+    // place instead, to the rows its frontier still needs (`compacts`).
     if matches!(plan.source, DataLocation::Memory(_)) {
         return;
     }
@@ -415,27 +417,30 @@ fn decide_staging(
     }
 }
 
-/// Should this exact batch compact its memory source in place to the rows
-/// its nodes take? Only a private set (a catalog entry is never
-/// rewritten), only when no request left in `pending` descends from a
-/// member of the set (the set keeps no row for it), and only when the
-/// move pays for itself on the very next scan: moving the `r` kept rows
-/// costs `r` memory rows, the next scan of the set reads `n − r` fewer,
-/// so `2r ≤ n`.
-fn compacts(plan: &BatchPlan, staging: &StagingManager, pending: &[CcRequest]) -> bool {
+/// Should this exact batch compact its memory source in place, and for
+/// which requests left waiting on it? Only a private set (a catalog entry
+/// is never rewritten), keeping the rows of the batch's nodes and of every
+/// request in `pending` that descends from a member of the set (the
+/// waiting requests, whose lineages it returns), and only when the move
+/// pays for itself on the next scan: moving the `r` kept rows costs `r`
+/// memory rows, and the next scan of the set — a waiting request's, or a
+/// child's of the batch — reads `n − r` fewer, so `2r ≤ n`.
+fn compacts(
+    plan: &BatchPlan,
+    staging: &StagingManager,
+    pending: &[CcRequest],
+) -> Option<Vec<Lineage>> {
     let DataLocation::Memory(id) = plan.source else {
-        return false;
+        return None;
     };
-    let Some(set) = staging.set(id) else {
-        return false;
-    };
-    let serves_pending = pending
-        .iter()
-        .any(|r| set.members.iter().any(|&m| r.lineage.contains(m)));
-    set.shared.is_none()
-        && !serves_pending
-        && u32::try_from(set.nrows).is_ok()
-        && plan.relevant_rows().saturating_mul(2) <= set.nrows
+    let set = staging.set(id)?;
+    let waiting: Vec<&CcRequest> = (pending.iter())
+        .filter(|r| set.members.iter().any(|&m| r.lineage.contains(m)))
+        .collect();
+    let kept = (waiting.iter().map(|r| r.rows)).fold(plan.relevant_rows(), u64::saturating_add);
+    let pays = kept.saturating_mul(2) <= set.nrows;
+    (set.shared.is_none() && u32::try_from(set.nrows).is_ok() && pays)
+        .then(|| waiting.iter().map(|r| r.lineage.clone()).collect())
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ use crate::error::{MwError, MwResult};
 use crate::executor::{BatchCounter, NodeCounter, Scan};
 use crate::filter::union_filter;
 use crate::metrics::{ArbiterStats, MiddlewareStats, ScanStats};
-use crate::parallel::scan_extents;
+use crate::parallel::{scan_extents, shards};
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use crate::sample::{BlockSampler, SampledLedger};
 use crate::scheduler::{schedule, BatchPlan};
@@ -50,7 +50,7 @@ use crate::sqlgen::cc_via_sql;
 use crate::staging::{StagedRows, StagingManager};
 use scaleclass_sqldb::stats::DbStats;
 use scaleclass_sqldb::{
-    Code, Database, KeysetCursor, Pred, RowDelta, Schema, StatsSnapshot, CODE_BYTES,
+    Code, Database, KeysetCursor, Pred, PredSet, RowDelta, Schema, StatsSnapshot, CODE_BYTES,
 };
 
 // ---------------------------------------------------------------------------
@@ -909,14 +909,19 @@ impl Session {
             }
             counters.push(counter);
         }
-        let mut batch = BatchCounter::new(
+        // A compacting batch routes the paths of the requests waiting on its
+        // source after its nodes', to keep their rows too.
+        let waiting = plan.compact_mem.iter().flatten().map(Lineage::pred);
+        let router = PredSet::new(counters.iter().map(|n| n.req.pred()).chain(waiting));
+        let mut batch = BatchCounter::with_router(
             counters,
+            Arc::new(router),
             lease_bytes,
             self.staging.staged_mem_bytes(),
             self.backend.arity,
         );
         batch.split_writer = split;
-        batch.kept = plan.compact_mem.then(Vec::new);
+        batch.kept = plan.compact_mem.is_some().then(Vec::new);
         batch.batch_kernel = self.backend.config.batch_kernel;
         let source_set = match plan.source {
             DataLocation::Memory(id) => Some(id),
@@ -1002,7 +1007,11 @@ impl Session {
                 let layout = self.staging.extent_layout(id)?.ok_or_else(|| {
                     MwError::Internal(format!("scheduled staged file {id} missing"))
                 })?;
-                let (io, read, skipped) = if how == Scan::Sharded {
+                // A file of one extent, or none, has nothing to share out:
+                // it is read on this thread. Certified unsharded, the batch
+                // would differ only in that answer: a plan attaches under
+                // the same proof either way.
+                let (io, read, skipped) = if how == Scan::Sharded && shards(&layout, workers) {
                     let io = scan_extents(batch, &layout, workers, &mut self.stats)?;
                     (io, layout.nrows, 0)
                 } else {
@@ -1239,8 +1248,11 @@ impl Session {
         if let Some(w) = split_writer {
             self.staging.commit_file(w, &mut self.stats)?;
         }
-        if let (Some(kept), DataLocation::Memory(id)) = (kept, plan.source) {
-            let members: Vec<&Lineage> = nodes.iter().map(|n| &n.req.lineage).collect();
+        if let (Some(kept), Some(waiting), DataLocation::Memory(id)) =
+            (kept, &plan.compact_mem, plan.source)
+        {
+            let nodes = nodes.iter().map(|n| &n.req.lineage);
+            let members: Vec<&Lineage> = nodes.chain(waiting).collect();
             self.staging
                 .compact_mem(id, &kept, &members, &mut self.stats)?;
         }
@@ -1848,22 +1860,34 @@ mod tests {
         }
     }
 
-    /// A memory set shrinks only in a batch holding all the work left on
-    /// it: while a child the set serves waits outside the batch, the set
-    /// keeps every row; the batch that takes the last one compacts it.
+    /// A memory set shrinks for the requests still waiting on it too: the
+    /// first of two single-node batches moves the 40 rows both children
+    /// hold to the front of the 80-row set, and the second reads only
+    /// those, then keeps its own 20.
     #[test]
-    fn a_request_left_waiting_on_the_set_blocks_compaction() {
+    fn a_set_shrinks_for_the_requests_waiting_on_it() {
         let cfg = MiddlewareConfig::builder().max_batch_nodes(Some(1)).build();
         let (mut s, root) = staged_root(cfg);
-        for value in [0, 1] {
-            s.enqueue(child_on_a(&root, value)).unwrap();
+        let children = [child_on_a(&root, 0), child_on_a(&root, 1)];
+        for child in &children {
+            s.enqueue(child.clone()).unwrap();
         }
-        s.process_next_batch().unwrap();
-        assert_eq!(s.stats().memory_rows_compacted, 0);
-        s.process_next_batch().unwrap();
-        assert_eq!(s.stats().memory_rows_compacted, 20);
-        assert_eq!(s.stats().memory_rows_read, 160);
-        assert_eq!(s.staged_mem_bytes(), 20 * (3 * CODE_BYTES) as u64);
+        let row_bytes = (3 * CODE_BYTES) as u64;
+        let mut read = 0;
+        for (batch, (compacted, staged)) in [(40, 40), (60, 20)].into_iter().enumerate() {
+            let out = s.process_next_batch().unwrap();
+            let scanned = s.stats().memory_rows_read - read;
+            read = s.stats().memory_rows_read;
+            assert_eq!(scanned, [80, 40][batch], "batch {batch} read the set");
+            assert_eq!(s.stats().memory_rows_compacted, compacted, "batch {batch}");
+            assert_eq!(s.staged_mem_bytes(), staged * row_bytes, "batch {batch}");
+            // Each child counts what the server counts for it: the second
+            // from the compacted rows alone.
+            let want = s.cc_via_sql_baseline(&children[batch]).unwrap();
+            assert_eq!(*out[0].cc, want, "batch {batch}");
+        }
+        assert_eq!(s.stats().memory_rows_read, 120);
+        assert_eq!(s.stats().memory_scans, 2);
         s.assert_shadow_accounting();
     }
 

@@ -466,10 +466,13 @@ proptest! {
             "logical stats diverged at {} workers",
             workers
         );
+        // The root's file shares out extents to readers exactly when it
+        // has more than one; a file of one is read on the session thread.
         prop_assert_eq!(serial_stats.sharded_file_scans, 0);
-        prop_assert!(
+        prop_assert_eq!(
             par_stats.sharded_file_scans > 0,
-            "no scan was sharded at {} workers, {:?}", workers, policy
+            rows.len() > 7,
+            "{} rows at {} workers, {:?}", rows.len(), workers, policy
         );
     }
 
@@ -480,8 +483,9 @@ proptest! {
     /// never according to thread timing. And the proof is not vacuous:
     /// whenever the budget clears a batch of all four of the root's
     /// children — four times one node's most entries under the table's
-    /// certificate; no memory tee, with caching off — some staged-file
-    /// scan ran on sharded readers.
+    /// certificate; no memory tee, with caching off — and the root's file
+    /// has more than one extent, some staged-file scan ran on sharded
+    /// readers. A file of one extent never shards.
     #[test]
     fn parallel_scan_is_bit_identical_to_serial_under_any_budget(
         rows in rows_strategy(),
@@ -512,7 +516,9 @@ proptest! {
             workers,
             budget
         );
-        if 4 * entries * CC_ENTRY_BYTES <= budget {
+        if rows.len() <= 7 {
+            prop_assert_eq!(par_stats.sharded_file_scans, 0);
+        } else if 4 * entries * CC_ENTRY_BYTES <= budget {
             prop_assert!(
                 par_stats.sharded_file_scans > 0,
                 "no scan was sharded at {} workers, budget {}, {:?}", workers, budget, policy
@@ -562,10 +568,14 @@ proptest! {
             );
             if !caching {
                 // With memory caching off every staged-data scan is
-                // file-backed, so the sharded reader path must engage.
-                prop_assert!(
+                // file-backed, so the sharded reader path must engage —
+                // unless the root's file is one extent, which has nothing
+                // to share out.
+                prop_assert_eq!(
                     sharded_stats.sharded_file_scans > 0,
-                    "sharded path never ran ({} workers, extent_rows {})",
+                    rows.len() > extent_rows,
+                    "{} rows, {} workers, extent_rows {}",
+                    rows.len(),
                     workers,
                     extent_rows
                 );
@@ -577,7 +587,8 @@ proptest! {
     /// workload regardless of worker count, and the logical counters are
     /// identical across `scan_workers = 1` and `= 4`: on the memory-staging
     /// path, which counts on the session thread either way, and on the
-    /// singleton-file path, whose file scans shard at four.
+    /// singleton-file path, whose file scans shard at four once the file
+    /// has more than one extent of 7 rows.
     #[test]
     fn middleware_stats_consistent_across_worker_counts(rows in rows_strategy()) {
         let arity_bytes = (4 * CODE_BYTES) as u64;
@@ -599,7 +610,7 @@ proptest! {
         // Singleton-file staging: every root row lands in the staging file.
         let file_runs: Vec<MiddlewareStats> = [1usize, 4]
             .iter()
-            .map(|&w| drive(&rows, file_variant().scan_workers(w).build()).1)
+            .map(|&w| drive(&rows, file_variant().stage_extent_rows(7).scan_workers(w).build()).1)
             .collect();
         for s in &file_runs {
             prop_assert_eq!(s.file_rows_written, rows.len() as u64);
@@ -607,7 +618,7 @@ proptest! {
         }
         prop_assert_eq!(logical(&file_runs[0]), logical(&file_runs[1]));
         prop_assert_eq!(file_runs[0].sharded_file_scans, 0);
-        prop_assert!(file_runs[1].sharded_file_scans > 0);
+        prop_assert_eq!(file_runs[1].sharded_file_scans > 0, rows.len() > 7);
     }
 }
 

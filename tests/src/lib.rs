@@ -230,7 +230,10 @@ pub const AMPLE_BUDGET: u64 = 64 << 20;
 /// * extent rows {1, 7, 8192}, scan blocks of {7, 4096} rows (seven
 ///   makes a small table many blocks, for a sample to admit some and skip
 ///   others), dense cap {0, default};
-/// * a budget from 256 B to 512 KiB, or [`AMPLE_BUDGET`] half the time.
+/// * a budget from 256 B to 512 KiB, or [`AMPLE_BUDGET`] half the time;
+/// * batches of any size, or of at most one or two nodes, so that a level
+///   takes several batches over one staged set and a set compacts while
+///   requests still wait on it.
 pub fn config_matrix() -> impl Strategy<Value = MiddlewareConfig> {
     let file_policies = vec![
         FileStagingPolicy::Disabled,
@@ -256,10 +259,12 @@ pub fn config_matrix() -> impl Strategy<Value = MiddlewareConfig> {
         any::<bool>(),
         (8u32..=18).prop_flat_map(|e| (1u64 << e)..(2u64 << e)),
     );
-    (paths, layout).prop_map(
+    let batch_nodes = prop::sample::select(vec![None, Some(1), Some(2)]);
+    (paths, layout, batch_nodes).prop_map(
         |(
             (workers, sessions, shared, sampled, deltas, caching),
             (file_policy, extent_rows, block_rows, dense_cap, ample, tight),
+            batch_nodes,
         )| {
             let mut b = MiddlewareConfig::builder()
                 .scan_workers(workers)
@@ -271,6 +276,7 @@ pub fn config_matrix() -> impl Strategy<Value = MiddlewareConfig> {
                 .stage_extent_rows(extent_rows)
                 .scan_block_rows(block_rows)
                 .cc_dense_max_bytes(dense_cap)
+                .max_batch_nodes(batch_nodes)
                 .memory_budget_bytes(if ample { AMPLE_BUDGET } else { tight });
             if sampled {
                 b = b.sampled_counting(0.1).sampled_min_rows(0);

@@ -119,12 +119,15 @@ fn check(
         }
     }
     // Each path shows up where its axis asks for it and nothing keeps it
-    // from running: only an exact session's staged-file scans may shard, a
+    // from running: only an exact session's staged-file scans may shard,
+    // only over a file of more than one extent — the root's, which the
+    // first staged-file scan reads, when the table outgrows an extent — a
     // tight budget may leave no batch provably under it, and the catalog
     // publishes only what exact sessions stage.
     let sum = |f: fn(&Middleware) -> u64| built.iter().map(|(mw, _)| f(mw)).sum::<u64>();
     let file_scans = sum(|mw| mw.stats().file_scans);
-    if cfg.scan_workers > 1 && ample && exact && file_scans > 0 {
+    let extents = rows.len() / arity > cfg.stage_extent_rows;
+    if cfg.scan_workers > 1 && ample && exact && file_scans > 0 && extents {
         let sharded = sum(|mw| mw.stats().sharded_file_scans);
         prop_assert!(sharded > 0, "no sharded file scan");
     }

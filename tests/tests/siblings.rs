@@ -13,9 +13,12 @@
 //! sliced_rows_unshipped` fewer rows scanned, and as many fewer shipped.
 //! The batches whose parents' tables settle every node read nothing
 //! (`unread_batches`): each scans no source, where the reference's same
-//! batch scans one. And the staged-file scans that shard: a child's parent
-//! bound sharpens the budget proof, so the linked client proves at least
-//! the batches the reference does.
+//! batch scans one, and compacts no memory set the reference's compacts,
+//! so the linked client moves at most the memory rows the reference does,
+//! and its later scans of such a set read what the set then holds. And the
+//! staged-file scans that shard: a child's parent bound sharpens the
+//! budget proof, so the linked client proves at least the batches the
+//! reference does.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -36,8 +39,9 @@ use std::sync::Arc;
 /// The counters derivation and slicing may move: which path counted a
 /// block, wall time, their own counters, the rows and blocks a server scan
 /// read — fewer by the rows it did not ship ([`derivation_ships_less`]) —
-/// the sources a batch that reads nothing does not scan and the staged
-/// rows it does not read ([`unread_batches_read_nothing`]), and which
+/// the sources a batch that reads nothing does not scan, the staged rows
+/// it does not read and the memory rows it does not compact
+/// ([`unread_batches_read_nothing`]), and which
 /// staged-file scans ran on sharded readers: a child's parent bound
 /// sharpens the budget proof, so a linked client proves every batch a
 /// rebuilt one does, and more ([`linked_proves_more`]).
@@ -48,6 +52,7 @@ fn logical(s: &MiddlewareStats) -> MiddlewareStats {
         file_scans: 0,
         unread_batches: 0,
         memory_rows_read: 0,
+        memory_rows_compacted: 0,
         file_rows_read: 0,
         file_bytes_read: 0,
         aux_scans: 0,
@@ -107,21 +112,35 @@ fn reads(s: &MiddlewareStats) -> [u64; 7] {
 
 /// Batch by batch — both clients schedule the same batches — a batch the
 /// linked build left unread (`unread_batches`) scanned no source and read
-/// no row, where the reference's same batch scanned its source once;
-/// every other batch scanned and read exactly what the reference's did.
-/// Returns the staged rows the reference read in the batches the linked
-/// build left unread.
-fn unread_batches_read_nothing(linked: &Build, rebuilt: &Build) -> Result<u64, TestCaseError> {
+/// no row, where the reference's same batch scanned its source once; it
+/// compacted no memory set either, so the linked build moves at most the
+/// memory rows the reference does, and as many while both left as many
+/// batches unread. Every other batch scanned and read exactly what the
+/// reference's did, but for the rows of a memory set the two builds had
+/// compacted differently before it. Returns the staged rows the reference
+/// read in the batches the linked build left unread, and the memory rows
+/// the linked build read past the reference in the others (negative where
+/// it read fewer).
+fn unread_batches_read_nothing(
+    linked: &Build,
+    rebuilt: &Build,
+) -> Result<(u64, i64), TestCaseError> {
     prop_assert_eq!(linked.batches.len(), rebuilt.batches.len());
     let delta = |w: &[MiddlewareStats]| {
         let (before, after) = (reads(&w[0]), reads(&w[1]));
         let moved: [u64; 7] = std::array::from_fn(|i| after[i] - before[i]);
         (moved, w[1].unread_batches - w[0].unread_batches)
     };
-    let mut unread_rows = 0;
+    let (mut unread_rows, mut past) = (0, 0);
     let batches = linked.batches.windows(2).zip(rebuilt.batches.windows(2));
     for (i, (l, r)) in batches.enumerate() {
-        let ((l, unread), (r, none)) = (delta(l), delta(r));
+        let compacted = |w: &[MiddlewareStats]| w[1].memory_rows_compacted;
+        prop_assert!(compacted(l) <= compacted(r), "batch {}: moved more rows", i);
+        if l[1].unread_batches == r[1].unread_batches {
+            prop_assert_eq!(compacted(l), compacted(r), "batch {}", i);
+        }
+        let alike = l[0].memory_rows_compacted == r[0].memory_rows_compacted;
+        let ((mut l, unread), (mut r, none)) = (delta(l), delta(r));
         prop_assert_eq!(
             none,
             0,
@@ -129,7 +148,15 @@ fn unread_batches_read_nothing(linked: &Build, rebuilt: &Build) -> Result<u64, T
             i
         );
         match unread {
-            0 => prop_assert_eq!(l, r, "batch {}", i),
+            0 => {
+                if !alike {
+                    // `reads`' memory rows: the set each build's last
+                    // compaction left.
+                    past += l[3] as i64 - r[3] as i64;
+                    (l[3], r[3]) = (0, 0);
+                }
+                prop_assert_eq!(l, r, "batch {}", i)
+            }
             1 => {
                 prop_assert_eq!(l, [0; 7], "batch {}: an unread batch read", i);
                 prop_assert_eq!(r[0] + r[1] + r[2], 1, "batch {}", i);
@@ -138,7 +165,7 @@ fn unread_batches_read_nothing(linked: &Build, rebuilt: &Build) -> Result<u64, T
             _ => prop_assert!(false, "batch {}: {} unread batches in one", i, unread),
         }
     }
-    Ok(unread_rows)
+    Ok((unread_rows, past))
 }
 
 /// The rows the linked build did not read are the rows only its derived
@@ -146,19 +173,21 @@ fn unread_batches_read_nothing(linked: &Build, rebuilt: &Build) -> Result<u64, T
 /// staged rows of its unread batches (`unread_rows`): the server shipped
 /// exactly `derived_rows_unshipped + sliced_rows_unshipped` fewer rows than
 /// the reference's — an unread server batch ships none of its nodes' rows,
-/// all of which count there — and the scans read `unread_rows` fewer again.
+/// all of which count there — and the scans read `unread_rows` fewer again,
+/// and `past` more memory rows, from sets compacted differently.
 fn derivation_ships_less(
     linked: &Build,
     rebuilt: &Build,
     unread_rows: u64,
+    past: i64,
 ) -> Result<(), TestCaseError> {
     let stats = &linked.stats;
     prop_assert!(stats.derived_rows_unshipped <= stats.derived_rows);
     prop_assert!(stats.sliced_rows_unshipped == 0 || stats.sliced_nodes > 0);
     let unshipped = stats.derived_rows_unshipped + stats.sliced_rows_unshipped;
     prop_assert_eq!(
-        stats.scan_rows + unshipped + unread_rows,
-        rebuilt.stats.scan_rows
+        (stats.scan_rows + unshipped + unread_rows) as i64,
+        rebuilt.stats.scan_rows as i64 + past
     );
     prop_assert_eq!(rebuilt.shipped.checked_sub(linked.shipped), Some(unshipped));
     Ok(())
@@ -233,8 +262,8 @@ fn linked_and_rebuilt_pairs(
         prop_assert_eq!(logical(&l.stats), logical(&r.stats), "session {}", i);
         linked_proves_more(&l.stats, &r.stats, cfg.scan_workers)?;
         prop_assert!(l.stats.derived_rows >= l.stats.derived_nodes);
-        let unread_rows = unread_batches_read_nothing(l, r)?;
-        derivation_ships_less(l, r, unread_rows)?;
+        let (unread_rows, past) = unread_batches_read_nothing(l, r)?;
+        derivation_ships_less(l, r, unread_rows, past)?;
         for (node, c) in l
             .counted
             .iter()
@@ -365,13 +394,14 @@ fn isolating_table() -> (Vec<u16>, Vec<Code>) {
 
 /// On a table whose every split isolates a pure class, the parent's table
 /// settles each requested child, and a batch of such children that tees
-/// nothing, splits no file and compacts no memory set reads nothing
-/// (DESIGN.md §12b), on one worker and two:
+/// nothing and splits no file reads nothing (DESIGN.md §12b), on one
+/// worker and two:
 ///
 /// * unstaged, the linked client scans the server once where the rebuilt
 ///   reference scans it three times;
-/// * over the root's memory set, it reads 400 memory rows where the
-///   reference reads 800 — the last level still compacts the set;
+/// * over the root's memory set, it reads none of its rows where the
+///   reference reads 800, and moves none of the 200 the reference's last
+///   level compacts the set to: an unread batch drops its compaction;
 /// * with a file per node, the first level tees a file and a memory set,
 ///   and the last reads none of that set's 300 rows;
 /// * with hybrid files and no memory caching, the first level reads none
@@ -385,37 +415,41 @@ fn isolating_table() -> (Vec<u16>, Vec<Code>) {
 fn a_batch_the_parents_table_settles_reads_nothing() {
     let (cards, rows) = isolating_table();
     for workers in [1, 2] {
-        let base = MiddlewareConfig::builder().scan_workers(workers);
+        // Extents of 16 rows, so that every staged file has several to
+        // share out among readers.
+        let base = MiddlewareConfig::builder()
+            .scan_workers(workers)
+            .stage_extent_rows(16);
         let hybrid = FileStagingPolicy::Hybrid {
             split_threshold: 0.5,
         };
-        // Unread batches; memory rows, file rows, server scans (an aux
-        // structure's build is one) and reads through an aux structure,
-        // each (linked, rebuilt).
+        // Unread batches; memory rows read, file rows, server scans (an
+        // aux structure's build is one), reads through an aux structure and
+        // memory rows compacted, each (linked, rebuilt).
         let configs = [
             (
                 "unstaged",
                 base.clone().memory_caching(false),
                 2,
-                [(0, 0), (0, 0), (1, 3), (0, 0)],
+                [(0, 0), (0, 0), (1, 3), (0, 0), (0, 0)],
             ),
             (
                 "memory",
                 base.clone(),
-                1,
-                [(400, 800), (0, 0), (1, 1), (0, 0)],
+                2,
+                [(0, 800), (0, 0), (1, 1), (0, 0), (0, 200)],
             ),
             (
                 "per node",
                 base.clone().file_policy(FileStagingPolicy::PerNode),
                 1,
-                [(0, 300), (400, 400), (1, 1), (0, 0)],
+                [(0, 300), (400, 400), (1, 1), (0, 0), (0, 0)],
             ),
             (
                 "hybrid",
                 base.clone().memory_caching(false).file_policy(hybrid),
                 1,
-                [(0, 0), (400, 800), (1, 1), (0, 0)],
+                [(0, 0), (400, 800), (1, 1), (0, 0), (0, 0)],
             ),
             (
                 "aux",
@@ -423,7 +457,7 @@ fn a_batch_the_parents_table_settles_reads_nothing() {
                     .aux_mode(AuxMode::TempTable)
                     .aux_threshold(1.0),
                 2,
-                [(0, 0), (0, 0), (2, 4), (1, 3)],
+                [(0, 0), (0, 0), (2, 4), (1, 3), (0, 0)],
             ),
         ];
         for (what, cfg, unread, expected) in configs {
@@ -444,6 +478,7 @@ fn a_batch_the_parents_table_settles_reads_nothing() {
                 (l.file_rows_read, r.file_rows_read),
                 (linked.scans, rebuilt.scans),
                 (l.aux_scans, r.aux_scans),
+                (l.memory_rows_compacted, r.memory_rows_compacted),
             ];
             assert_eq!(read, expected, "{what}");
             // Every batch is proved, and a staged-file batch read-shards on
@@ -721,6 +756,7 @@ fn sampled_batches_and_refused_proofs_count_every_node() {
             .file_policy(FileStagingPolicy::PerNode)
             .memory_budget_bytes(bytes)
             .scan_workers(2)
+            .stage_extent_rows(16)
             .build()
     };
     let ample = &linked_and_rebuilt(&cards, &rows, &budget(AMPLE_BUDGET), 0).expect("agree");
