@@ -58,8 +58,9 @@ use scaleclass_sqldb::Pred;
 #[derive(Debug)]
 struct SharedEntry {
     sig: String,
-    /// Modelled bytes (`rows × row width` for memory entries; payload
-    /// bytes for files, informational only — files charge nothing).
+    /// Bytes held (`rows × arity × width` for memory entries, as
+    /// `StagedSet::bytes` counts them; payload bytes for files,
+    /// informational only — files charge nothing).
     bytes: u64,
     nrows: u64,
     arity: usize,
@@ -446,10 +447,17 @@ impl Drop for StagingCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::staging::{CodeWidth, MemRows};
     use scaleclass_sqldb::types::Code;
 
+    /// `codes` as a memory set's rows (the catalog charges the bytes it is
+    /// handed, whatever their width).
+    fn codes(codes: &[Code]) -> MemRows {
+        MemRows::from_codes(CodeWidth::Two, codes)
+    }
+
     /// The shared vector of a memory entry's rows.
-    fn mem(rows: &StagedRows) -> &Arc<Vec<Code>> {
+    fn mem(rows: &StagedRows) -> &Arc<MemRows> {
         match rows {
             StagedRows::Memory(rows) => rows,
             StagedRows::File(path) => panic!("expected memory rows, got {path:?}"),
@@ -462,7 +470,7 @@ mod tests {
         let (s1, c1) = cat.register_session();
         let (s2, c2) = cat.register_session();
 
-        let rows = Arc::new(vec![1u16, 2, 3, 4]);
+        let rows = Arc::new(codes(&[1, 2, 3, 4]));
         let staged = StagedRows::Memory(Arc::clone(&rows));
         let pub1 = cat.publish("sig-a".into(), staged, 1000, 2, 2, 0, s1);
         assert_eq!(c1.load(Ordering::Acquire), 1000, "sole reader pays all");
@@ -508,7 +516,7 @@ mod tests {
     fn share_floors_never_oversubscribe() {
         let cat = StagingCatalog::new(None);
         let sessions: Vec<u64> = (0..3).map(|_| cat.register_session().0).collect();
-        let rows = StagedRows::Memory(Arc::new(vec![0u16; 50]));
+        let rows = StagedRows::Memory(Arc::new(codes(&[0; 50])));
         // 1001 / 3 = 333 each: Σ = 999 ≤ 1001.
         let e = cat.publish("s".into(), rows, 1001, 25, 2, 0, sessions[0]);
         for &s in &sessions[1..] {
@@ -525,8 +533,8 @@ mod tests {
         let cat = StagingCatalog::new(None);
         let (s1, _) = cat.register_session();
         let (s2, _) = cat.register_session();
-        let first = Arc::new(vec![7u16, 8]);
-        let second = StagedRows::Memory(Arc::new(vec![7u16, 8]));
+        let first = Arc::new(codes(&[7, 8]));
+        let second = StagedRows::Memory(Arc::new(codes(&[7, 8])));
         let e1 = cat.publish(
             "race".into(),
             StagedRows::Memory(Arc::clone(&first)),
@@ -588,7 +596,7 @@ mod tests {
         let cat = StagingCatalog::new(None);
         let (s1, c1) = cat.register_session();
         let (s2, c2) = cat.register_session();
-        let rows = StagedRows::Memory(Arc::new(vec![0u16; 4]));
+        let rows = StagedRows::Memory(Arc::new(codes(&[0; 4])));
         cat.publish("m".into(), rows, 800, 2, 2, 0, s1);
         cat.probe("m", Tier::Memory, 0, s2).unwrap();
         let file = StagedRows::File(cat.dir().join("x.rows"));
@@ -617,7 +625,7 @@ mod tests {
         let cat = StagingCatalog::new(None);
         let (s1, _) = cat.register_session();
         let (s2, c2) = cat.register_session();
-        let rows = StagedRows::Memory(Arc::new(vec![1u16, 2]));
+        let rows = StagedRows::Memory(Arc::new(codes(&[1, 2])));
         cat.publish("e".into(), rows, 100, 1, 2, 3, s1);
         // A probe at a newer epoch must miss — the pre-mutation snapshot
         // would yield wrong counts — and must not attach the prober.
@@ -640,9 +648,9 @@ mod tests {
         let cat = StagingCatalog::new(None);
         let (s1, _) = cat.register_session();
         let (s2, _) = cat.register_session();
-        let rows = StagedRows::Memory(Arc::new(vec![1u16]));
+        let rows = StagedRows::Memory(Arc::new(codes(&[1])));
         let old = cat.publish("e".into(), rows, 10, 1, 1, 0, s1);
-        let fresh_rows = Arc::new(vec![9u16]);
+        let fresh_rows = Arc::new(codes(&[9]));
         let staged = StagedRows::Memory(Arc::clone(&fresh_rows));
         let fresh = cat.publish("e".into(), staged, 10, 1, 1, 1, s2);
         assert_ne!(old.entry, fresh.entry, "new epoch publishes a new entry");
@@ -665,7 +673,7 @@ mod tests {
     fn purge_stale_demotes_old_epochs_only() {
         let cat = StagingCatalog::new(None);
         let (s1, _) = cat.register_session();
-        let one = || StagedRows::Memory(Arc::new(vec![0u16]));
+        let one = || StagedRows::Memory(Arc::new(codes(&[0])));
         cat.publish("a".into(), one(), 2, 1, 1, 0, s1);
         cat.publish("b".into(), one(), 2, 1, 1, 2, s1);
         let file = StagedRows::File(cat.dir().join("c.rows"));
@@ -690,7 +698,7 @@ mod tests {
         let cat = StagingCatalog::new(None);
         let (s1, c1) = cat.register_session();
         let (s2, _) = cat.register_session();
-        let rows = Arc::new(vec![1u16, 2]);
+        let rows = Arc::new(codes(&[1, 2]));
         let path = cat.dir().join("both.rows");
         let m = cat.publish(
             "both".into(),

@@ -8,8 +8,8 @@
 //! equals what a from-scratch rescan at the new epoch would produce.
 //!
 //! Buffered row images are middleware memory like any staged artifact, so
-//! the map models its footprint (`rows × arity × CODE_BYTES`, the same
-//! formula staging uses) for the session to weigh against its lease. The
+//! the map models its footprint (`rows × arity × CODE_BYTES`, the width
+//! of the rows it holds) for the session to weigh against its lease. The
 //! modelled figure is recomputable from the stored vectors at any time;
 //! [`DeltaMap::assert_shadow_accounting`] checks that identity.
 //!

@@ -16,6 +16,7 @@
 
 use crate::cc::CC_ENTRY_BYTES;
 use crate::request::CcRequest;
+use crate::staging::CodeWidth;
 
 /// Lossless `usize → u64` for collection lengths (accounting-arith: no bare
 /// `as` casts in this module; lengths cannot exceed `u64::MAX`).
@@ -99,9 +100,10 @@ pub fn est_cc_bytes(req: &CcRequest, nclasses: u64) -> u64 {
         .saturating_mul(CC_ENTRY_BYTES)
 }
 
-/// Exact staged size of a node's data in bytes: `rows × row width`.
-pub fn data_bytes(rows: u64, arity: usize) -> u64 {
-    let row_width = len_u64(arity).saturating_mul(len_u64(scaleclass_sqldb::types::CODE_BYTES));
+/// Exact size of a node's data staged in memory, in bytes: `rows × arity
+/// × width`, each code stored in `width` bytes.
+pub fn data_bytes(rows: u64, arity: usize, width: CodeWidth) -> u64 {
+    let row_width = len_u64(arity).saturating_mul(len_u64(width.bytes()));
     rows.saturating_mul(row_width)
 }
 
@@ -193,8 +195,9 @@ mod tests {
 
     #[test]
     fn data_bytes_is_rows_times_width() {
-        assert_eq!(data_bytes(100, 26), 100 * 52);
-        assert_eq!(data_bytes(0, 26), 0);
+        assert_eq!(data_bytes(100, 26, CodeWidth::One), 100 * 26);
+        assert_eq!(data_bytes(100, 26, CodeWidth::Two), 100 * 52);
+        assert_eq!(data_bytes(0, 26, CodeWidth::Two), 0);
     }
 
     #[test]

@@ -91,8 +91,8 @@ use crate::error::{MwError, MwResult};
 use crate::metrics::MiddlewareStats;
 use crate::request::CcRequest;
 use crate::siblings::{EntryBound, Plan};
-use crate::staging::FileWriter;
-use scaleclass_sqldb::types::{Code, CODE_BYTES};
+use crate::staging::{CodeWidth, FileWriter, MemRows};
+use scaleclass_sqldb::types::Code;
 use scaleclass_sqldb::{BlockRoute, ColumnView, Pred, PredSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,8 +107,10 @@ pub struct NodeCounter {
     pub fallback: bool,
     /// Staging tee: middleware file.
     pub file_writer: Option<FileWriter>,
-    /// Staging tee: middleware memory buffer (flat codes).
-    pub mem_buffer: Option<Vec<Code>>,
+    /// Staging tee: middleware memory buffer, each code in the width the
+    /// scan's certificate fixes before its first row
+    /// (`BatchCounter::set_certificate`).
+    pub mem_buffer: Option<MemRows>,
     /// Set while the scan counts this node only in some classes — in none
     /// it holds when it is derived whole — and takes the others from its
     /// parent's table and its sibling's after the scan (module docs).
@@ -600,7 +602,7 @@ impl BatchCounter {
             .nodes
             .iter()
             .filter_map(|n| n.mem_buffer.as_ref())
-            .map(|b| (b.len() * CODE_BYTES) as u64)
+            .map(|b| b.len_bytes() as u64)
             .sum();
         assert_eq!(
             shadow_buf, self.buffer_bytes,
@@ -612,7 +614,6 @@ impl BatchCounter {
     /// Feed one row through every scheduled node.
     pub fn process_row(&mut self, row: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
         debug_assert_eq!(row.len(), self.arity);
-        let row_bytes = (self.arity * CODE_BYTES) as u64;
         let budget = self.budget;
         let mut base = self.base_mem_bytes;
         let mut cc_bytes = self.cc_bytes;
@@ -664,15 +665,12 @@ impl BatchCounter {
                 w.push(row)?;
             }
             if let Some(buf) = node.mem_buffer.as_mut() {
-                buf.extend_from_slice(row);
-                buffer_bytes += row_bytes;
+                buf.push(row);
+                buffer_bytes += buf.width().row_bytes(self.arity);
                 if base + cc_bytes + buffer_bytes > budget {
                     // Staging is best-effort: cancel this node's memory
                     // staging rather than evicting counts.
-                    buffer_bytes -= node
-                        .mem_buffer
-                        .take()
-                        .map_or(0, |b| (b.len() * CODE_BYTES) as u64);
+                    buffer_bytes -= node.mem_buffer.take().map_or(0, |b| b.len_bytes() as u64);
                 }
             }
         }
@@ -700,7 +698,8 @@ impl BatchCounter {
     /// Feed a row-major block of rows through every scheduled node
     /// (`BatchCounter::process` over that layout). A block handed in from
     /// outside a scan has no table to certify it, so its own column maxima
-    /// are its certificate.
+    /// are its certificate; its memory tees keep the width they were made
+    /// with, which must hold every code they are handed.
     pub fn process_block(&mut self, flat: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
         let arity = self.arity;
         debug_assert_eq!(flat.len() % arity, 0);
@@ -765,11 +764,17 @@ impl BatchCounter {
 
     /// Take `certificate` as the scan's: every code it reads lies at or
     /// under it, per column — the source table's `col_max`, which bounds
-    /// every copy of its rows too. Settles each node's coverage.
+    /// every copy of its rows too. Settles each node's coverage, and fixes
+    /// the width of each memory tee, before its first row: the narrowest
+    /// that holds the certificate ([`CodeWidth::holding`]).
     pub(crate) fn set_certificate(&mut self, certificate: &[Code]) {
         self.pass.certificate.clear();
         self.pass.certificate.extend_from_slice(certificate);
         self.settle_coverage();
+        let width = CodeWidth::holding(certificate);
+        for buf in self.nodes.iter_mut().filter_map(|n| n.mem_buffer.as_mut()) {
+            buf.set_width(width);
+        }
     }
 
     /// Decide, per node, whether its table covers the certificate
@@ -789,7 +794,7 @@ impl BatchCounter {
     /// the budget? That is, is
     ///
     /// `memory_in_use + Σ_n min(E_n, rows·|attrs_n|, B_n)·CC_ENTRY_BYTES
-    ///  + Σ_{n with a memory tee} rows·row_bytes ≤ budget`,
+    ///  + Σ_{n with a memory tee} rows·arity·width ≤ budget`,
     ///
     /// where `E_n = Σ_{a ∈ attrs_n}(cert[a] + 1) · (cert[class_n] + 1)` is
     /// the most `(attr, value, class)` entries node `n`'s table can hold —
@@ -805,7 +810,6 @@ impl BatchCounter {
     pub(crate) fn cannot_reach_budget(&self, rows: u64) -> bool {
         let cert = &self.pass.certificate;
         let card = |col: u16| cert.get(usize::from(col)).map(|&max| u64::from(max) + 1);
-        let row_bytes = (self.arity * CODE_BYTES) as u64;
         let mut need = self.memory_in_use();
         for node in &self.nodes {
             let attrs = &node.req.attrs;
@@ -819,7 +823,8 @@ impl BatchCounter {
             let by_parent = self.parent_bound(node).unwrap_or(u64::MAX);
             let entries = values.saturating_mul(classes).min(by_rows).min(by_parent);
             need = need.saturating_add(entries.saturating_mul(CC_ENTRY_BYTES));
-            if node.mem_buffer.is_some() {
+            if let Some(buf) = &node.mem_buffer {
+                let row_bytes = buf.width().row_bytes(self.arity);
                 need = need.saturating_add(rows.saturating_mul(row_bytes));
             }
         }
@@ -1019,13 +1024,13 @@ impl BatchCounter {
         let Some(cc_bound) = self.pass.cc_bound(&mut self.nodes, tally) else {
             return Ok(false);
         };
-        // A memory tee grows by exactly the rows it is handed.
-        let row_bytes = (self.arity * CODE_BYTES) as u64;
-        let tee_bound: u64 = self
-            .pass
-            .selections()
-            .filter(|&(idx, _)| self.nodes.get(idx).is_some_and(|n| n.mem_buffer.is_some()))
-            .map(|(_, sel)| sel.len() as u64 * row_bytes)
+        // A memory tee grows by exactly the rows it is handed, in its width.
+        let arity = self.arity;
+        let tee_bound: u64 = (self.pass.selections())
+            .filter_map(|(idx, sel)| {
+                let buf = self.nodes.get(idx)?.mem_buffer.as_ref()?;
+                Some(sel.len() as u64 * buf.width().row_bytes(arity))
+            })
             .sum();
         if self
             .memory_in_use()
@@ -1049,7 +1054,6 @@ impl BatchCounter {
     /// a memory buffer row by row, the split file every row some node took,
     /// and the kept rows of a compaction their source offsets.
     fn tee(&mut self, block: &mut impl Block) -> MwResult<()> {
-        let row_bytes = (self.arity * CODE_BYTES) as u64;
         for (idx, sel) in self.pass.selections() {
             // Predicate `i` is node `i`'s.
             let Some(node) = self.nodes.get_mut(idx) else {
@@ -1060,10 +1064,10 @@ impl BatchCounter {
             }
             if let Some(buf) = node.mem_buffer.as_mut() {
                 block.for_each_row(Some(sel), |row| {
-                    buf.extend_from_slice(row);
+                    buf.push(row);
                     Ok(())
                 })?;
-                self.buffer_bytes += sel.len() as u64 * row_bytes;
+                self.buffer_bytes += sel.len() as u64 * buf.width().row_bytes(self.arity);
             }
         }
         if let Some(w) = self.split_writer.as_mut() {
@@ -1213,22 +1217,66 @@ mod tests {
     #[test]
     fn memory_staging_buffer_cancelled_on_overflow() {
         // Budget allows the CC entries (a repeated row creates exactly two:
-        // one per attribute) plus two buffered rows, not three.
-        let budget = 2 * CC_ENTRY_BYTES + 2 * (ARITY * CODE_BYTES) as u64;
-        let mut node = NodeCounter::new(root_request());
-        node.mem_buffer = Some(Vec::new());
-        let mut batch = BatchCounter::new(vec![node], budget, 0, ARITY);
-        let mut stats = MiddlewareStats::new();
-        batch.process_row(&[0, 0, 0], &mut stats).unwrap();
-        batch.process_row(&[0, 0, 0], &mut stats).unwrap();
-        assert!(batch.nodes[0].mem_buffer.is_some());
-        batch.process_row(&[0, 0, 0], &mut stats).unwrap();
-        assert!(
-            batch.nodes[0].mem_buffer.is_none(),
-            "buffer dropped, counting unaffected"
-        );
-        assert!(!batch.nodes[0].fallback);
-        assert_eq!(batch.nodes[0].cc.total(), 3);
+        // one per attribute) plus two buffered rows in the tee's width, not
+        // three.
+        for width in [CodeWidth::One, CodeWidth::Two] {
+            let budget = 2 * CC_ENTRY_BYTES + 2 * width.row_bytes(ARITY);
+            let mut node = NodeCounter::new(root_request());
+            node.mem_buffer = Some(MemRows::new(width));
+            let mut batch = BatchCounter::new(vec![node], budget, 0, ARITY);
+            let mut stats = MiddlewareStats::new();
+            batch.process_row(&[0, 0, 0], &mut stats).unwrap();
+            batch.process_row(&[0, 0, 0], &mut stats).unwrap();
+            assert!(batch.nodes[0].mem_buffer.is_some());
+            assert_eq!(batch.memory_in_use(), budget, "{width:?}");
+            batch.assert_shadow_accounting();
+            batch.process_row(&[0, 0, 0], &mut stats).unwrap();
+            assert!(
+                batch.nodes[0].mem_buffer.is_none(),
+                "buffer dropped, counting unaffected"
+            );
+            assert!(!batch.nodes[0].fallback);
+            assert_eq!(batch.nodes[0].cc.total(), 3);
+        }
+    }
+
+    /// A certified scan fixes its memory tees' width from the certificate
+    /// before the first row: one byte a code while every column is bounded
+    /// by 255, two otherwise; the proof and the tee charge rows in that
+    /// width.
+    #[test]
+    fn a_certified_tee_takes_the_width_of_its_certificate() {
+        for (b_max, width) in [(3, CodeWidth::One), (300, CodeWidth::Two)] {
+            let mut node = NodeCounter::new(root_request());
+            node.mem_buffer = Some(MemRows::new(CodeWidth::Two));
+            let mut batch = BatchCounter::new(vec![node], u64::MAX, 0, ARITY);
+            batch.set_certificate(&[3, b_max, 1]);
+            let teed = |b: &BatchCounter| b.nodes[0].mem_buffer.as_ref().map(MemRows::width);
+            assert_eq!(teed(&batch), Some(width));
+            // The proof charges 100 rows' entries — the fewer of the
+            // certificate's and two a row — and the rows in the tee's
+            // width, to the byte.
+            let entries = ((4 + u64::from(b_max) + 1) * 2).min(2 * 100);
+            batch.budget = entries * CC_ENTRY_BYTES + 100 * width.row_bytes(ARITY);
+            assert!(batch.cannot_reach_budget(100), "{width:?}");
+            batch.budget -= 1;
+            assert!(!batch.cannot_reach_budget(100), "{width:?}");
+            batch.budget = u64::MAX;
+            let flat = [2, b_max, 1, 0, 0, 0];
+            batch
+                .process(
+                    &mut RowBlock {
+                        flat: &flat,
+                        arity: ARITY,
+                    },
+                    &mut MiddlewareStats::new(),
+                )
+                .unwrap();
+            batch.assert_shadow_accounting();
+            let codes = batch.nodes[0].mem_buffer.as_ref().map(MemRows::to_codes);
+            assert_eq!(codes.as_deref(), Some(&flat[..]));
+            assert_eq!(batch.buffer_bytes, 2 * width.row_bytes(ARITY));
+        }
     }
 
     #[test]
@@ -1312,7 +1360,7 @@ mod tests {
         let node_file = file_bytes(batch.nodes[2].file_writer.take().unwrap());
         let split_file = file_bytes(batch.split_writer.take().unwrap());
         (
-            batch.nodes[1].mem_buffer.take().unwrap(),
+            batch.nodes[1].mem_buffer.take().unwrap().to_codes(),
             node_file,
             split_file,
         )
@@ -1328,7 +1376,7 @@ mod tests {
             let mut nodes = block_nodes();
             nodes.remove(0); // no root: the split file must skip [0, 0, 0]
             nodes.push(NodeCounter::new(request(3, Pred::Eq { col: 0, value: 2 })));
-            nodes[1].mem_buffer = Some(Vec::new());
+            nodes[1].mem_buffer = Some(MemRows::new(CodeWidth::One));
             let pred = nodes[2].req.pred().clone();
             nodes[2].file_writer = Some(staging.start_file(vec![NodeId(3)], pred, ARITY).unwrap());
             let mut batch = BatchCounter::new(nodes, u64::MAX, 0, ARITY);
@@ -1386,7 +1434,7 @@ mod tests {
         let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
         let run = |kernel: bool| {
             let mut node = NodeCounter::new(request(1, Pred::Eq { col: 0, value: 1 }));
-            node.mem_buffer = Some(Vec::new());
+            node.mem_buffer = Some(MemRows::new(CodeWidth::One));
             let waiting = Pred::Eq { col: 0, value: 0 };
             let router = PredSet::new([node.req.pred(), &waiting]);
             let mut batch =
@@ -1406,7 +1454,7 @@ mod tests {
         let (cc, teed, kept) = block;
         assert_eq!(cc.total(), 3, "only the node's rows are counted");
         assert_eq!(
-            teed.map(|t| t.len()),
+            teed.map(|t| t.codes()),
             Some(3 * ARITY),
             "only its rows are teed"
         );

@@ -145,7 +145,7 @@ mod tests {
         // Nothing else waits on the set and 2·20 ≤ 80: it shrinks in place
         // to the child's rows, so a grandchild's scan reads only those.
         assert_eq!(mw.stats().memory_rows_compacted, 20);
-        assert_eq!(mw.staged_mem_bytes(), 20 * 3 * CODE_BYTES as u64);
+        assert_eq!(mw.staged_mem_bytes(), 20 * 3, "one byte a code");
         let grandchild = CcRequest {
             lineage: r2_lineage.child(NodeId(2), Pred::Eq { col: 1, value: 0 }),
             attrs: vec![0],

@@ -52,8 +52,7 @@
 use crate::error::{MwError, MwResult};
 use crate::executor::{BatchCounter, Block, ColBlock};
 use crate::metrics::{MiddlewareStats, WorkerScanStats};
-use crate::staging::{ExtentLayout, ExtentReader, FileWriter, FILE_HEADER_BYTES};
-use scaleclass_sqldb::types::CODE_BYTES;
+use crate::staging::{ExtentLayout, ExtentReader, FileWriter, MemRows, FILE_HEADER_BYTES};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -131,7 +130,7 @@ pub(crate) fn scan_extents(
     for w in 0..n as u64 {
         let mut counter = batch.worker();
         for (node, mine) in batch.nodes.iter().zip(&mut counter.nodes) {
-            mine.mem_buffer = node.mem_buffer.as_ref().map(|_| Vec::new());
+            mine.mem_buffer = (node.mem_buffer.as_ref()).map(|b| MemRows::new(b.width()));
             mine.file_writer = spool(&node.file_writer)?;
         }
         counter.split_writer = spool(&batch.split_writer)?;
@@ -168,8 +167,8 @@ pub(crate) fn scan_extents(
         for (node, part) in batch.nodes.iter_mut().zip(counter.nodes) {
             node.cc.merge(part.cc);
             if let (Some(buf), Some(rows)) = (node.mem_buffer.as_mut(), part.mem_buffer) {
-                buf.extend_from_slice(&rows);
-                batch.buffer_bytes += (rows.len() * CODE_BYTES) as u64;
+                buf.append(&rows);
+                batch.buffer_bytes += rows.len_bytes() as u64;
             }
             if let (Some(w), Some(spool)) = (node.file_writer.as_mut(), part.file_writer) {
                 w.append(spool)?;
@@ -205,7 +204,7 @@ mod tests {
     use crate::session::drive;
     use crate::siblings::Parents;
     use crate::source::BlockSource;
-    use crate::staging::StagingManager;
+    use crate::staging::{CodeWidth, StagingManager};
     use scaleclass_sqldb::types::Code;
     use scaleclass_sqldb::Pred;
     use std::sync::Arc;
@@ -535,10 +534,10 @@ mod tests {
     #[test]
     fn a_memory_tee_the_budget_cannot_hold_counts_serially() {
         let data = rows(500, 29);
-        let budget = 16 * CC_ENTRY_BYTES + 100 * (ARITY * CODE_BYTES) as u64;
+        let budget = 16 * CC_ENTRY_BYTES + 100 * CodeWidth::One.row_bytes(ARITY);
         let root = || {
             let mut node = NodeCounter::new(root_request());
-            node.mem_buffer = Some(Vec::new());
+            node.mem_buffer = Some(MemRows::new(CodeWidth::One));
             BatchCounter::new(vec![node], budget, 0, ARITY)
         };
         let [(alone, alone_stats), (sunk, stats)] = alone_and_scanned(root, 2, &data);
@@ -589,7 +588,7 @@ mod tests {
         let data = rows(500, 41);
         let (_staging, layout) = staged_layout(&data, 19);
         let mut ns = nodes();
-        ns[1].mem_buffer = Some(Vec::new()); // tee node 1 (a == 0)
+        ns[1].mem_buffer = Some(MemRows::new(CodeWidth::One)); // tee node 1 (a == 0)
         let mut batch = BatchCounter::new(ns, u64::MAX, 0, ARITY);
         certify_sharded(&mut batch, data.len(), 4);
         let mut st = MiddlewareStats::new();
@@ -600,11 +599,11 @@ mod tests {
             .flat_map(|r| r.iter().copied())
             .collect();
         assert_eq!(
-            batch.nodes[1].mem_buffer.as_deref(),
-            Some(expected.as_slice()),
+            batch.nodes[1].mem_buffer.as_ref().map(MemRows::to_codes),
+            Some(expected.clone()),
             "range-order concatenation is file order"
         );
-        assert_eq!(batch.buffer_bytes, (expected.len() * CODE_BYTES) as u64);
+        assert_eq!(batch.buffer_bytes, expected.len() as u64, "one byte a code");
         batch.assert_shadow_accounting();
     }
 
@@ -909,7 +908,7 @@ mod tests {
             let what = format!("{workers} workers, tee {tee}");
             let mut nodes = children(&req);
             if tee {
-                nodes[1].mem_buffer = Some(Vec::new());
+                nodes[1].mem_buffer = Some(MemRows::new(CodeWidth::One));
             }
             let mut parents = remembered(&req, &parent, &nodes);
             let mut batch = BatchCounter::new(nodes, u64::MAX, 0, ARITY);
@@ -1029,7 +1028,7 @@ mod tests {
             let what = format!("{workers} workers, budget {budget}, epoch {epoch}, tee {tees}");
             let mut sliced = node();
             if tees {
-                sliced.mem_buffer = Some(Vec::new());
+                sliced.mem_buffer = Some(MemRows::new(CodeWidth::One));
             }
             let mut parents = remembered(&req, &parent, std::slice::from_ref(&sliced));
             let mut batch = BatchCounter::new(vec![sliced], budget, 0, ARITY);
@@ -1058,7 +1057,7 @@ mod tests {
             assert_eq!(batch.nodes[0].cc, counted.nodes[0].cc, "{what}");
             if let Some(buf) = &batch.nodes[0].mem_buffer {
                 assert_eq!(
-                    buf.len(),
+                    buf.codes(),
                     mine.len() * ARITY,
                     "{what}: the tee got every row"
                 );
@@ -1102,7 +1101,7 @@ mod tests {
             let mut nodes = children(&req);
             let mut parents = remembered(&req, &parent, &nodes);
             match tee {
-                "memory" => nodes[1].mem_buffer = Some(Vec::new()),
+                "memory" => nodes[1].mem_buffer = Some(MemRows::new(CodeWidth::One)),
                 "file" => {
                     let pred = nodes[1].req.pred().clone();
                     let writer = staging.start_file(vec![NodeId(2)], pred, ARITY);
@@ -1137,7 +1136,7 @@ mod tests {
             assert_eq!(stats.scan_rows + unshipped, data.len() as u64, "{tee}");
             if let Some(buf) = &batch.nodes[1].mem_buffer {
                 assert_eq!(
-                    buf.len() as u64,
+                    buf.codes() as u64,
                     derived * ARITY as u64,
                     "the tee got every row"
                 );

@@ -31,9 +31,10 @@ pub struct ScheduledNode {
     pub req: CcRequest,
     /// Estimated counts-table footprint (Est_cc, §4.2.1) in bytes.
     pub est_cc_bytes: u64,
-    /// Estimated relevant-data footprint (`rows × row width`) in bytes —
-    /// lets the executor pre-size staging buffers instead of growing them
-    /// row by row under the sharded readers' shared byte accounting.
+    /// Estimated relevant-data footprint staged in memory (`rows × arity ×
+    /// width`, [`StagingManager::mem_width`]) in bytes — lets the executor
+    /// pre-size staging buffers instead of growing them row by row under
+    /// the sharded readers' shared byte accounting.
     pub est_data_bytes: u64,
     /// Write this node's rows to a new middleware file during the scan.
     pub stage_file: bool,
@@ -98,7 +99,8 @@ impl BatchPlan {
 /// `pending`. Returns `None` when the queue is empty.
 ///
 /// `nclasses` is the cardinality of the class column; `arity` the table
-/// row width in columns; `col_cards` the *schema* value cardinality of
+/// row width in columns, each staged in memory in `staging`'s
+/// [`StagingManager::mem_width`]; `col_cards` the *schema* value cardinality of
 /// each table column (the exclusive code bound the dense counting backend
 /// sizes its slot arrays by — node-local distinct counts like
 /// `parent_cards` underestimate code ranges and must not be used here).
@@ -213,7 +215,7 @@ pub fn schedule(
     let mut rest: Vec<CcRequest> = Vec::with_capacity(pending.len().saturating_sub(admitted.len()));
     for (req, take) in pending.drain(..).zip(take) {
         if let Some(est) = take {
-            let est_data = data_bytes(req.rows, arity);
+            let est_data = data_bytes(req.rows, arity, staging.mem_width());
             let dense = dense_eligible(&req, col_cards, config.cc_dense_max_bytes, nclasses);
             scheduled.push(ScheduledNode {
                 req,
@@ -393,7 +395,8 @@ fn decide_staging(
     let cap_slack = staged_cap.saturating_sub(staging.staged_mem_bytes());
     // Staging may use the budget aggressively only when all the data the
     // whole frontier will touch fits.
-    let full_fit = data_bytes(plan.frontier_rows, arity) <= headroom;
+    let width = staging.mem_width();
+    let full_fit = data_bytes(plan.frontier_rows, arity, width) <= headroom;
     let mut remaining = if full_fit {
         headroom
     } else {
@@ -409,7 +412,7 @@ fn decide_staging(
         if staging.mem_covers(&node.req.lineage) {
             continue;
         }
-        let bytes = data_bytes(node.req.rows, arity);
+        let bytes = data_bytes(node.req.rows, arity, width);
         if bytes <= remaining {
             node.stage_mem = true;
             remaining = remaining.saturating_sub(bytes);
@@ -448,6 +451,7 @@ mod tests {
     use super::*;
     use crate::estimator::est_cc_bytes;
     use crate::metrics::MiddlewareStats;
+    use crate::staging::{CodeWidth, MemRows};
     use scaleclass_sqldb::Pred;
 
     const ARITY: usize = 4; // 3 attrs + class
@@ -580,7 +584,7 @@ mod tests {
         staging.commit_mem(
             NodeId(1),
             Pred::Eq { col: 0, value: 0 },
-            vec![0; ARITY * 10],
+            MemRows::from_codes(CodeWidth::Two, &[0; ARITY * 10]),
             ARITY,
             &mut stats,
         );
@@ -649,14 +653,14 @@ mod tests {
         staging.commit_mem(
             NodeId(1),
             Pred::Eq { col: 0, value: 0 },
-            vec![0; ARITY * 4],
+            MemRows::from_codes(CodeWidth::Two, &[0; ARITY * 4]),
             ARITY,
             &mut stats,
         );
         staging.commit_mem(
             NodeId(2),
             Pred::Eq { col: 0, value: 1 },
-            vec![0; ARITY * 4],
+            MemRows::from_codes(CodeWidth::Two, &[0; ARITY * 4]),
             ARITY,
             &mut stats,
         );
@@ -812,14 +816,16 @@ mod tests {
 
     #[test]
     fn memory_staging_respects_budget_and_rule5() {
-        let staging = StagingManager::new(None).unwrap();
+        let mut staging = StagingManager::new(None).unwrap();
+        let width = CodeWidth::One;
+        staging.set_mem_width(width);
         // Budget: doubled CC reservation + room for exactly the bigger
-        // node's data (the scheduler double-reserves counting memory
-        // before staging).
+        // node's data in the staged width (the scheduler double-reserves
+        // counting memory before staging).
         let big = req(1, 100, child_lineage(1, 0));
         let small = req(2, 40, child_lineage(2, 1));
         let cc = est_cc_bytes(&big, NCLASSES) + est_cc_bytes(&small, NCLASSES);
-        let budget = 2 * cc + data_bytes(100, ARITY) + data_bytes(40, ARITY) / 2;
+        let budget = 2 * cc + data_bytes(100, ARITY, width) + data_bytes(40, ARITY, width) / 2;
         let cfg = MiddlewareConfig::builder()
             .memory_budget_bytes(budget)
             .memory_caching(true)
@@ -990,7 +996,7 @@ mod tests {
         publisher.commit_mem(
             NodeId(0),
             Pred::True,
-            vec![0; ARITY * 100],
+            MemRows::from_codes(CodeWidth::Two, &[0; ARITY * 100]),
             ARITY,
             &mut stats,
         );

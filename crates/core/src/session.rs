@@ -47,7 +47,7 @@ use crate::scheduler::{schedule, BatchPlan};
 use crate::siblings::Parents;
 use crate::source::{admitted_ranges, BlockSource, SourceBlock};
 use crate::sqlgen::cc_via_sql;
-use crate::staging::{StagedRows, StagingManager};
+use crate::staging::{CodeWidth, MemRows, StagedRows, StagingManager};
 use scaleclass_sqldb::stats::DbStats;
 use scaleclass_sqldb::{
     Code, Database, KeysetCursor, Pred, PredSet, RowDelta, Schema, StatsSnapshot, CODE_BYTES,
@@ -278,6 +278,14 @@ impl Backend {
     /// The mined table's current mutation epoch (0 until a mutation lands).
     pub fn table_epoch(&self) -> u64 {
         self.db_read().table_epoch(&self.table)
+    }
+
+    /// The width a memory set of the mined table's rows stores its codes
+    /// in, by the table's range certificate as it stands now
+    /// ([`CodeWidth::holding`]).
+    pub fn mem_width(&self) -> CodeWidth {
+        let db = self.db_read();
+        (db.table(&self.table)).map_or(CodeWidth::Two, |t| CodeWidth::holding(t.col_max()))
     }
 
     /// Insert one row into the mined table. The table's epoch advances and,
@@ -734,10 +742,7 @@ impl Session {
     /// decisions in the batch use this session's lease, snapshotted once at
     /// batch start so scheduling and counting agree.
     pub fn process_next_batch(&mut self) -> MwResult<Vec<FulfilledCc>> {
-        // Reclaim datasets and aux structures no pending subtree can use.
-        self.staging
-            .evict_unreachable(&self.pending, &mut self.stats);
-        self.evict_aux();
+        self.flush_unreachable();
 
         // Adopt shared catalog entries other sessions already staged for
         // the nodes this batch will touch (no-op unless shared staging is
@@ -758,6 +763,9 @@ impl Session {
         let staged_before = self.staging.staged_mem_bytes();
         #[cfg(debug_assertions)]
         let charge_before = self.staging.shared_charge_bytes();
+        // Rule 5 charges a memory set in the width the certificate allows
+        // now; the scan's own certificate can only be wider.
+        self.staging.set_mem_width(self.backend.mem_width());
 
         let Some(mut plan) = schedule(
             &mut self.pending,
@@ -812,6 +820,17 @@ impl Session {
         Ok(out)
     }
 
+    /// Reclaim every staged data set and auxiliary structure no pending
+    /// request descends from (§4.2.2: once a staged subtree is fully
+    /// expanded its data is flushed). Runs before every batch; a client
+    /// whose queue has drained calls it, since no batch follows to flush
+    /// the last subtree's — a finished build then holds nothing.
+    pub fn flush_unreachable(&mut self) {
+        self.staging
+            .evict_unreachable(&self.pending, &mut self.stats);
+        self.evict_aux();
+    }
+
     /// Close the gap the arbiter's rebalance leaves open: a session-count
     /// change can shrink this session's lease below bytes it already has
     /// staged in memory. Runs at every batch boundary, evicting staged
@@ -834,7 +853,9 @@ impl Session {
 
     /// Drain the queue completely, invoking `consume` for every fulfilled
     /// request; `consume` may enqueue follow-up requests through the
-    /// returned list (the synchronous client loop of Figure 3).
+    /// returned list (the synchronous client loop of Figure 3). Once the
+    /// queue drains, every staged set is flushed
+    /// ([`Session::flush_unreachable`]).
     pub fn run_to_completion(
         &mut self,
         mut consume: impl FnMut(FulfilledCc) -> Vec<CcRequest>,
@@ -847,6 +868,7 @@ impl Session {
                 }
             }
         }
+        self.flush_unreachable();
         Ok(())
     }
 
@@ -904,8 +926,10 @@ impl Session {
                 // Pre-size from the scheduler's relevant-data estimate so
                 // concurrent tee writers don't reallocate mid-scan (capped:
                 // the estimate is trusted for sizing, not for allocation).
-                let cap = (sched.est_data_bytes / CODE_BYTES as u64).min(1 << 26) as usize;
-                counter.mem_buffer = Some(Vec::with_capacity(cap));
+                // The scan fixes the width from its certificate.
+                let cap = sched.est_data_bytes.min(1 << 27) as usize;
+                let width = self.staging.mem_width();
+                counter.mem_buffer = Some(MemRows::with_capacity(width, cap));
             }
             counters.push(counter);
         }
@@ -996,7 +1020,7 @@ impl Session {
                     )));
                 };
                 let rows = Arc::clone(rows);
-                let mut src = BlockSource::flat(&rows, arity, block_rows);
+                let mut src = BlockSource::memory_set(&rows, arity, block_rows);
                 drive(&mut src, sampler.as_ref(), batch, &mut self.stats)?;
                 self.stats.memory_rows_read += src.rows_read;
                 (src.rows_read, src.rows_skipped)
@@ -1505,13 +1529,13 @@ mod tests {
         // One session stages the whole table in memory, then a second
         // session opens and halves the lease below the staged bytes: the
         // first session's next batch must reconcile by evicting rather
-        // than schedule over-lease. Geometry: staged M = 520 rows × 6 B =
-        // 3120 B sits between budget/2 = 3000 (so the halved lease no
-        // longer covers it) and 3/5 · budget = 3600 (so the lone session
+        // than schedule over-lease. Geometry: staged M = 520 rows × 3 B =
+        // 1560 B sits between budget/2 = 1500 (so the halved lease no
+        // longer covers it) and 3/5 · budget = 1800 (so the lone session
         // could stage it in the first place).
         let rows = 520u16;
-        let staged = u64::from(rows) * (3 * CODE_BYTES) as u64;
-        let budget = 6000u64;
+        let staged = u64::from(rows) * CodeWidth::One.row_bytes(3);
+        let budget = 3000u64;
         assert!(budget / 2 < staged && staged <= budget * 3 / 5);
         let cfg = MiddlewareConfig::builder()
             .memory_budget_bytes(budget)
@@ -1610,7 +1634,7 @@ mod tests {
 
         // Each reader is charged an equal share and the charges sum within
         // the leased budget.
-        let staged = 40 * (3 * CODE_BYTES) as u64;
+        let staged = 40 * CodeWidth::One.row_bytes(3);
         assert_eq!(s1.staged_mem_bytes(), staged / 2);
         assert_eq!(s2.staged_mem_bytes(), staged / 2);
         assert!(
@@ -1646,13 +1670,13 @@ mod tests {
     #[test]
     fn shared_charge_counts_against_the_lease_reconcile() {
         // Same geometry as the lease-shrink test, but with shared staging:
-        // the staged root set (3120 B) exceeds the halved lease (3000 B),
-        // and with two readers each share is 1560 B — so after session 2
+        // the staged root set (1560 B) exceeds the halved lease (1500 B),
+        // and with two readers each share is 780 B — so after session 2
         // attaches, *both* fit. The charge path must flow through
         // staged_mem_bytes for that to be what reconcile sees.
         let rows = 520u16;
-        let staged = u64::from(rows) * (3 * CODE_BYTES) as u64;
-        let budget = 6000u64;
+        let staged = u64::from(rows) * CodeWidth::One.row_bytes(3);
+        let budget = 3000u64;
         assert!(budget / 2 < staged && staged <= budget * 3 / 5);
         let cfg = MiddlewareConfig::builder()
             .memory_budget_bytes(budget)
@@ -1872,7 +1896,7 @@ mod tests {
         for child in &children {
             s.enqueue(child.clone()).unwrap();
         }
-        let row_bytes = (3 * CODE_BYTES) as u64;
+        let row_bytes = CodeWidth::One.row_bytes(3);
         let mut read = 0;
         for (batch, (compacted, staged)) in [(40, 40), (60, 20)].into_iter().enumerate() {
             let out = s.process_next_batch().unwrap();
@@ -1903,7 +1927,7 @@ mod tests {
         assert_eq!(out.len(), 3);
         assert_eq!(s.stats().memory_scans, 1);
         assert_eq!(s.stats().memory_rows_compacted, 0);
-        assert_eq!(s.staged_mem_bytes(), 80 * (3 * CODE_BYTES) as u64);
+        assert_eq!(s.staged_mem_bytes(), 80 * CodeWidth::One.row_bytes(3));
     }
 
     /// A sampled batch reads only the blocks its sampler admits, so it
@@ -1940,6 +1964,6 @@ mod tests {
         s.process_next_batch().unwrap();
         assert_eq!(s.stats().memory_scans, 1);
         assert_eq!(s.stats().memory_rows_compacted, 0);
-        assert_eq!(s.staged_mem_bytes(), 80 * (3 * CODE_BYTES) as u64);
+        assert_eq!(s.staged_mem_bytes(), 80 * CodeWidth::One.row_bytes(3));
     }
 }

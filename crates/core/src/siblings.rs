@@ -530,6 +530,7 @@ fn ascending(attrs: &[u16]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::staging::{CodeWidth, MemRows};
     use scaleclass_sqldb::Code;
 
     /// The root's rows, `[a, b, class]`: its table holds five entries in
@@ -759,7 +760,7 @@ mod tests {
             let (mut parents, _table, mut nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[1], &[0, 1]]);
             let node = &mut nodes[side];
             match tee {
-                "memory" => node.mem_buffer = Some(Vec::new()),
+                "memory" => node.mem_buffer = Some(MemRows::new(CodeWidth::One)),
                 _ => node.file_writer = Some(file_tee(&mut staging, node)),
             }
             let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut MiddlewareStats::new());

@@ -13,7 +13,9 @@
 //! makes skipping free:
 //!
 //! * memory set, or a materialised TID/keyset result — the k-th run of
-//!   `scan_block_rows` rows, row-major;
+//!   `scan_block_rows` rows, row-major; a memory set's narrow codes
+//!   ([`MemRows`]) are decoded a block at a time into the reusable buffer
+//!   a cursor fetches into;
 //! * extent file — extent k, column-major: read, CRC-checked and decoded
 //!   by [`ExtentReader::decode_extent_columns`], the routine the sharded
 //!   readers run too, and never transposed;
@@ -27,7 +29,7 @@ use crate::error::MwResult;
 use crate::executor::{ColBlock, RowBlock};
 use crate::metrics::WorkerScanStats;
 use crate::sample::BlockSampler;
-use crate::staging::{ExtentLayout, ExtentReader, FILE_HEADER_BYTES};
+use crate::staging::{ExtentLayout, ExtentReader, MemRows, FILE_HEADER_BYTES};
 use scaleclass_sqldb::{BlockCursor, Code, ServerCursor};
 
 /// One wire fetch of a server cursor: appends the rows it shipped to the
@@ -37,6 +39,8 @@ type Fetch<'a> = Box<dyn FnMut(&mut Vec<Code>) -> MwResult<()> + 'a>;
 enum Kind<'a> {
     /// Rows already in middleware memory.
     Flat(&'a [Code]),
+    /// A memory set, decoded one block at a time into `buf`.
+    Mem(&'a MemRows),
     /// A staged extent file, decoded one extent at a time into `cols`;
     /// `row` is the scratch a block's rows are assembled in when asked for.
     Extents {
@@ -66,7 +70,7 @@ pub(crate) struct BlockSource<'a> {
     /// Index of the next block.
     next: u64,
     /// The last wire fetch, `buf[at..]` not yet yielded (`at` means
-    /// nothing to the other kinds).
+    /// nothing to the other kinds), or the last memory-set block decoded.
     buf: Vec<Code>,
     at: usize,
     /// Rows in the blocks yielded so far.
@@ -94,9 +98,15 @@ impl<'a> BlockSource<'a> {
     }
 
     /// Flat row-major rows (`rows.len()` a multiple of `arity`), cut every
-    /// `block_rows` rows: a memory-staged set or a materialised result.
+    /// `block_rows` rows: a materialised result.
     pub(crate) fn flat(rows: &'a [Code], arity: usize, block_rows: usize) -> Self {
         Self::new(Kind::Flat(rows), arity, block_rows)
+    }
+
+    /// A memory set's rows, cut every `block_rows` rows like
+    /// [`BlockSource::flat`]'s; a block is decoded only when admitted.
+    pub(crate) fn memory_set(rows: &'a MemRows, arity: usize, block_rows: usize) -> Self {
+        Self::new(Kind::Mem(rows), arity, block_rows)
     }
 
     /// A staged extent file; block `k` is extent `k`.
@@ -141,16 +151,18 @@ impl<'a> BlockSource<'a> {
     ) -> MwResult<Option<(u64, SourceBlock<'_>)>> {
         loop {
             let k = self.next;
+            // Run `k` of `len` codes in memory: where it starts, and its
+            // codes.
+            let block_codes = self.block_codes;
+            let run = |len: usize| {
+                let start = (k as usize).saturating_mul(block_codes);
+                (start, len.saturating_sub(start).min(block_codes))
+            };
             // Where block `k` starts and how many codes it holds, known
             // without reading it.
             let (start, codes) = match &mut self.kind {
-                Kind::Flat(rows) => {
-                    let start = (k as usize).saturating_mul(self.block_codes);
-                    (
-                        start,
-                        rows.len().saturating_sub(start).min(self.block_codes),
-                    )
-                }
+                Kind::Flat(rows) => run(rows.len()),
+                Kind::Mem(rows) => run(rows.codes()),
                 Kind::Extents { reader, .. } => {
                     let layout = reader.layout();
                     let nrows = if k < layout.extents {
@@ -180,9 +192,14 @@ impl<'a> BlockSource<'a> {
                 continue;
             }
             self.rows_read += nrows;
-            let rows = match &mut self.kind {
-                Kind::Flat(rows) => *rows,
-                Kind::Cursor(_) => &self.buf,
+            let (rows, start) = match &mut self.kind {
+                Kind::Flat(rows) => (*rows, start),
+                Kind::Cursor(_) => (self.buf.as_slice(), start),
+                Kind::Mem(rows) => {
+                    self.buf.clear();
+                    rows.decode(start, codes, &mut self.buf);
+                    (self.buf.as_slice(), 0)
+                }
                 Kind::Extents { reader, cols, row } => {
                     let nrows = reader.decode_extent_columns(k, cols, &mut self.io)?;
                     return Ok(Some((k, SourceBlock::Cols(ColBlock { cols, nrows, row }))));
@@ -190,7 +207,8 @@ impl<'a> BlockSource<'a> {
             };
             let block = RowBlock {
                 // analyze:allow(hot-path-panic): `start + codes` was clamped
-                // to the length of these same rows above.
+                // to the length of these same rows above (a memory set's
+                // block is decoded whole, from 0).
                 flat: &rows[start..start + codes],
                 arity: self.arity,
             };
@@ -230,7 +248,7 @@ mod tests {
     use crate::executor::Block;
     use crate::metrics::MiddlewareStats;
     use crate::request::NodeId;
-    use crate::staging::StagingManager;
+    use crate::staging::{CodeWidth, StagingManager};
     use scaleclass_sqldb::{Database, Pred, Schema};
 
     const ARITY: usize = 3;
@@ -316,8 +334,23 @@ mod tests {
         let expect = rechunked(&data);
         // A wire batch of a whole number of blocks keeps the server's cut
         // points on the same rows as the other sources'.
+        let (narrow, wide) = (
+            MemRows::from_codes(CodeWidth::One, &data),
+            MemRows::from_codes(CodeWidth::Two, &data),
+        );
         for (name, mut src) in [
-            ("memory set", BlockSource::flat(&data, ARITY, BLOCK)),
+            (
+                "one-byte memory set",
+                BlockSource::memory_set(&narrow, ARITY, BLOCK),
+            ),
+            (
+                "two-byte memory set",
+                BlockSource::memory_set(&wide, ARITY, BLOCK),
+            ),
+            (
+                "materialised result",
+                BlockSource::flat(&data, ARITY, BLOCK),
+            ),
             ("extent file", BlockSource::extents(&layout).unwrap()),
             ("server cursor", server(&db, 2 * BLOCK)),
         ] {
@@ -338,7 +371,11 @@ mod tests {
         let first = file.next_block(|_| true).unwrap().unwrap().1;
         assert!(matches!(first, SourceBlock::Cols(_)), "extent file");
         for (name, mut src) in [
-            ("memory set", BlockSource::flat(&data, ARITY, BLOCK)),
+            ("memory set", BlockSource::memory_set(&narrow, ARITY, BLOCK)),
+            (
+                "materialised result",
+                BlockSource::flat(&data, ARITY, BLOCK),
+            ),
             ("server cursor", server(&db, 2 * BLOCK)),
         ] {
             let first = src.next_block(|_| true).unwrap().unwrap().1;
@@ -380,9 +417,13 @@ mod tests {
                 .filter(|(k, _)| sampler.admits(*k))
                 .collect();
             let admitted = expect.iter().map(|(_, b)| (b.len() / ARITY) as u64).sum();
+            let narrow = MemRows::from_codes(CodeWidth::One, &data);
             let mut file = BlockSource::extents(&layout).unwrap();
             for (name, src) in [
-                ("memory set", &mut BlockSource::flat(&data, ARITY, BLOCK)),
+                (
+                    "memory set",
+                    &mut BlockSource::memory_set(&narrow, ARITY, BLOCK),
+                ),
                 ("extent file", &mut file),
             ] {
                 assert_eq!(drain(src, Some(&sampler)), expect, "{name} at {fraction}");

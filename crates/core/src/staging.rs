@@ -305,6 +305,148 @@ fn write_le(bytes: &mut [u8], codes: &[Code]) {
     }
 }
 
+/// How many bytes a memory set stores each code in. Staged files, the
+/// wire and the server's pages keep two-byte codes; a memory set takes
+/// the width its scan's range certificate (`Table::col_max`) allows, fixed
+/// before its first row is teed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CodeWidth {
+    /// One byte a code: every column is bounded by 255.
+    One,
+    /// Two bytes a code, little-endian.
+    Two,
+}
+
+impl CodeWidth {
+    /// The narrowest width holding every code at or under `certificate`,
+    /// per column.
+    pub fn holding(certificate: &[Code]) -> Self {
+        if certificate.iter().all(|&max| max <= Code::from(u8::MAX)) {
+            CodeWidth::One
+        } else {
+            CodeWidth::Two
+        }
+    }
+
+    /// Bytes a code.
+    pub fn bytes(self) -> usize {
+        match self {
+            CodeWidth::One => 1,
+            CodeWidth::Two => CODE_BYTES,
+        }
+    }
+
+    /// Bytes a row of `arity` codes.
+    pub fn row_bytes(self, arity: usize) -> u64 {
+        (arity * self.bytes()) as u64
+    }
+}
+
+/// A memory set's rows, or a memory tee's: row-major codes, each stored in
+/// [`CodeWidth`] bytes. What it holds is what the budget charges.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemRows {
+    width: CodeWidth,
+    bytes: Vec<u8>,
+}
+
+impl MemRows {
+    /// No rows, codes `width` bytes wide.
+    pub fn new(width: CodeWidth) -> Self {
+        Self::with_capacity(width, 0)
+    }
+
+    /// No rows, codes `width` bytes wide, room for `capacity` bytes.
+    pub fn with_capacity(width: CodeWidth, capacity: usize) -> Self {
+        MemRows {
+            width,
+            bytes: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// `codes` stored `width` bytes apiece.
+    pub fn from_codes(width: CodeWidth, codes: &[Code]) -> Self {
+        let mut rows = Self::with_capacity(width, codes.len() * width.bytes());
+        rows.push(codes);
+        rows
+    }
+
+    /// The width each code is stored in.
+    pub fn width(&self) -> CodeWidth {
+        self.width
+    }
+
+    /// Fix the width of rows not yet written: a tee takes its scan's.
+    pub(crate) fn set_width(&mut self, width: CodeWidth) {
+        debug_assert!(self.bytes.is_empty(), "the width of a tee holding rows");
+        self.width = width;
+    }
+
+    /// Bytes held: codes × width.
+    pub fn len_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Codes held.
+    pub fn codes(&self) -> usize {
+        self.bytes.len() / self.width.bytes()
+    }
+
+    /// Append `codes`, each in this width. A one-byte set holds only codes
+    /// its certificate bounded by 255.
+    pub fn push(&mut self, codes: &[Code]) {
+        match self.width {
+            CodeWidth::One => self.bytes.extend(codes.iter().map(|&c| {
+                debug_assert!(c <= Code::from(u8::MAX), "code {c} in a one-byte set");
+                c as u8
+            })),
+            CodeWidth::Two => self
+                .bytes
+                .extend(codes.iter().flat_map(|c| c.to_le_bytes())),
+        }
+    }
+
+    /// Append `other`'s rows, stored in the same width.
+    pub(crate) fn append(&mut self, other: &MemRows) {
+        debug_assert_eq!(self.width, other.width);
+        self.bytes.extend_from_slice(&other.bytes);
+    }
+
+    /// Append to `out` the `len` codes from code `start` on, decoded (as
+    /// many as there are).
+    pub(crate) fn decode(&self, start: usize, len: usize, out: &mut Vec<Code>) {
+        let w = self.width.bytes();
+        let from = start.saturating_mul(w).min(self.bytes.len());
+        let to = start
+            .saturating_add(len)
+            .saturating_mul(w)
+            .min(self.bytes.len());
+        let bytes = self.bytes.get(from..to).unwrap_or_default();
+        match self.width {
+            CodeWidth::One => out.extend(bytes.iter().map(|&b| Code::from(b))),
+            CodeWidth::Two => extend_from_le(out, bytes),
+        }
+    }
+
+    /// Every code, decoded.
+    pub fn to_codes(&self) -> Vec<Code> {
+        let mut out = Vec::with_capacity(self.codes());
+        self.decode(0, self.codes(), &mut out);
+        out
+    }
+
+    /// Keep only the rows of `row_codes` codes at the offsets `kept`
+    /// (ascending, in bounds), in place.
+    fn keep_rows(&mut self, kept: &[u32], row_codes: usize) {
+        let row = row_codes * self.width.bytes();
+        for (to, &from) in kept.iter().enumerate() {
+            let from = from as usize * row;
+            self.bytes.copy_within(from..from + row, to * row);
+        }
+        self.bytes.truncate(kept.len() * row);
+    }
+}
+
 /// Which tier of middleware storage holds a staged set's rows (§4.1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
@@ -317,10 +459,10 @@ pub enum Tier {
 /// A staged set's rows, in the tier that holds them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StagedRows {
-    /// Flat row codes (`nrows × arity`), behind an `Arc` so a
-    /// catalog-shared set is scanned copy-on-read by every attached
-    /// session without duplicating the codes.
-    Memory(Arc<Vec<Code>>),
+    /// Row-major codes (`nrows × arity`, each [`MemRows::width`] bytes),
+    /// behind an `Arc` so a catalog-shared set is scanned copy-on-read by
+    /// every attached session without duplicating the codes.
+    Memory(Arc<MemRows>),
     /// On-disk location of an extent-format staged file.
     File(PathBuf),
 }
@@ -372,9 +514,16 @@ pub struct StagedSet {
 }
 
 impl StagedSet {
-    /// Modelled footprint in bytes (`rows × row width`).
+    /// Footprint in bytes, as stored: `rows × arity × width`, where a
+    /// memory set's width is the one its codes are held in
+    /// ([`CodeWidth`]) and a file's is two — what the budget charges a
+    /// memory set, and a file's payload.
     pub fn bytes(&self) -> u64 {
-        self.nrows * (self.arity * CODE_BYTES) as u64
+        let width = match &self.rows {
+            StagedRows::Memory(rows) => rows.width().bytes(),
+            StagedRows::File(_) => CODE_BYTES,
+        };
+        self.nrows * (self.arity * width) as u64
     }
 
     /// The tier holding the rows.
@@ -428,6 +577,10 @@ pub struct StagingManager {
     /// Link to the backend's cross-session staging catalog, when shared
     /// staging is enabled for this session.
     shared: Option<SharedHandle>,
+    /// The width a memory set staged now would store its codes in, as last
+    /// read off the table's range certificate
+    /// ([`StagingManager::set_mem_width`]); two until then.
+    mem_width: CodeWidth,
 }
 
 impl StagingManager {
@@ -466,7 +619,22 @@ impl StagingManager {
             staged_bytes: 0,
             epoch: 0,
             shared: None,
+            mem_width: CodeWidth::Two,
         })
+    }
+
+    /// The width a memory set staged now would store its codes in: what
+    /// the scheduler charges a memory set it plans (Rule 5). A scan fixes
+    /// its tees' width from its own certificate, which never falls, so the
+    /// width can only have widened by then.
+    pub fn mem_width(&self) -> CodeWidth {
+        self.mem_width
+    }
+
+    /// Take `width`, read off the table's range certificate, as the width
+    /// of the memory sets planned from now on.
+    pub fn set_mem_width(&mut self, width: CodeWidth) {
+        self.mem_width = width;
     }
 
     /// The epoch stamped onto newly staged data sets.
@@ -572,13 +740,14 @@ impl StagingManager {
     }
 
     /// Shadow accounting (DESIGN.md §9): recompute the *private*
-    /// staged-byte total from first principles by walking every live
-    /// memory set not backed by the shared catalog.
+    /// staged-byte total from first principles — the bytes every live
+    /// memory set not backed by the shared catalog holds.
     pub fn shadow_staged_mem_bytes(&self) -> u64 {
-        self.sets
-            .values()
-            .filter(|s| s.tier() == Tier::Memory && s.shared.is_none())
-            .map(StagedSet::bytes)
+        (self.sets.values())
+            .filter_map(|s| match (&s.rows, s.shared) {
+                (StagedRows::Memory(rows), None) => Some(rows.len_bytes() as u64),
+                _ => None,
+            })
             .sum()
     }
 
@@ -690,12 +859,12 @@ impl StagingManager {
         &mut self,
         owner: NodeId,
         pred: Pred,
-        rows: Vec<Code>,
+        rows: MemRows,
         arity: usize,
         stats: &mut MiddlewareStats,
     ) -> u64 {
         let id = self.next_id();
-        let nrows = (rows.len() / arity.max(1)) as u64;
+        let nrows = (rows.codes() / arity.max(1)) as u64;
         stats.memory_sets_created += 1;
         stats.memory_rows_staged += nrows;
         self.register(
@@ -802,12 +971,7 @@ impl StagingManager {
         if !ascending || kept.last().is_some_and(|&r| u64::from(r) >= set.nrows) {
             return internal("keeps rows out of order or past its end");
         }
-        let arity = set.arity;
-        for (to, &from) in kept.iter().enumerate() {
-            let from = from as usize * arity;
-            rows.copy_within(from..from + arity, to * arity);
-        }
-        rows.truncate(kept.len() * arity);
+        rows.keep_rows(kept, set.arity);
         let before = set.bytes();
         set.nrows = kept.len() as u64;
         self.staged_bytes -= before - set.bytes();
@@ -1596,11 +1760,16 @@ mod tests {
     }
 
     /// The shared vector of a memory set's rows.
-    fn mem_rows(set: &StagedSet) -> &Arc<Vec<Code>> {
+    fn mem_rows(set: &StagedSet) -> &Arc<MemRows> {
         match &set.rows {
             StagedRows::Memory(rows) => rows,
             StagedRows::File(path) => panic!("set {} is the file {path:?}", set.id),
         }
+    }
+
+    /// `codes` as a one-byte memory set's rows.
+    fn narrow(codes: &[Code]) -> MemRows {
+        MemRows::from_codes(CodeWidth::One, codes)
     }
 
     fn lineage_chain() -> (Lineage, Lineage, Lineage) {
@@ -1642,13 +1811,45 @@ mod tests {
     fn mem_set_round_trip_and_bytes() {
         let mut m = mgr();
         let mut stats = MiddlewareStats::new();
-        let id = m.commit_mem(NodeId(1), Pred::True, vec![1, 2, 3, 4], 2, &mut stats);
+        let id = m.commit_mem(NodeId(1), Pred::True, narrow(&[1, 2, 3, 4]), 2, &mut stats);
         let set = m.set(id).unwrap();
         assert_eq!(set.nrows, 2);
-        assert_eq!(set.bytes(), 8);
-        assert_eq!(mem_rows(set).chunks_exact(set.arity).count(), 2);
-        assert_eq!(m.staged_mem_bytes(), 8);
+        assert_eq!(set.bytes(), 4, "one byte a code");
+        assert_eq!(mem_rows(set).to_codes(), [1, 2, 3, 4]);
+        assert_eq!(m.staged_mem_bytes(), 4);
         assert_eq!(stats.memory_rows_staged, 2);
+
+        // Two bytes a code, little-endian, when a code needs them.
+        let wide = MemRows::from_codes(CodeWidth::Two, &[300, 65_535, 0, 7]);
+        assert_eq!(wide.len_bytes(), 8);
+        let id = m.commit_mem(NodeId(2), Pred::True, wide, 2, &mut stats);
+        let set = m.set(id).unwrap();
+        assert_eq!((set.nrows, set.bytes()), (2, 8));
+        assert_eq!(mem_rows(set).to_codes(), [300, 65_535, 0, 7]);
+        assert_eq!(m.staged_mem_bytes(), 4 + 8);
+        m.assert_shadow_accounting();
+    }
+
+    #[test]
+    fn a_width_holds_every_code_its_certificate_bounds() {
+        assert_eq!(CodeWidth::holding(&[]), CodeWidth::One);
+        assert_eq!(CodeWidth::holding(&[3, 255, 0]), CodeWidth::One);
+        assert_eq!(CodeWidth::holding(&[3, 256, 0]), CodeWidth::Two);
+        assert_eq!(CodeWidth::holding(&[Code::MAX]), CodeWidth::Two);
+        for (width, codes) in [
+            (CodeWidth::One, vec![0, 1, 254, 255]),
+            (CodeWidth::Two, vec![0, 255, 256, 299, 65_535]),
+        ] {
+            let rows = MemRows::from_codes(width, &codes);
+            assert_eq!(rows.len_bytes(), codes.len() * width.bytes());
+            assert_eq!(rows.to_codes(), codes);
+            let mut part = Vec::new();
+            rows.decode(1, 2, &mut part);
+            assert_eq!(part, codes[1..3]);
+            part.clear();
+            rows.decode(3, 10, &mut part);
+            assert_eq!(part, codes[3..], "cut at the end");
+        }
     }
 
     #[test]
@@ -1658,15 +1859,15 @@ mod tests {
         let root = Lineage::root(NodeId(0));
         // Eight rows `[i, i % 4]` under the root; children on column 1.
         let rows: Vec<Code> = (0..8u16).flat_map(|i| [i, i % 4]).collect();
-        let id = m.commit_mem(NodeId(0), Pred::True, rows, 2, &mut stats);
+        let id = m.commit_mem(NodeId(0), Pred::True, narrow(&rows), 2, &mut stats);
         let child = |n: u64, v: u16| root.child(NodeId(n), Pred::Eq { col: 1, value: v });
         let (one, three, two) = (child(1, 1), child(3, 3), child(2, 2));
         m.compact_mem(id, &[1, 3, 5, 7], &[&one, &three], &mut stats)
             .unwrap();
 
         let set = m.set(id).unwrap();
-        assert_eq!(mem_rows(set).as_slice(), &[1, 1, 3, 3, 5, 1, 7, 3]);
-        assert_eq!((set.nrows, set.bytes()), (4, 16));
+        assert_eq!(mem_rows(set).to_codes(), [1, 1, 3, 3, 5, 1, 7, 3]);
+        assert_eq!((set.nrows, set.bytes()), (4, 8));
         assert_eq!(set.members, vec![NodeId(1), NodeId(3)]);
         assert_eq!(
             set.pred,
@@ -1677,7 +1878,7 @@ mod tests {
             "the root no longer owns it"
         );
         assert!(m.holds(NodeId(1), Tier::Memory) && m.holds(NodeId(3), Tier::Memory));
-        assert_eq!(m.staged_mem_bytes(), 16);
+        assert_eq!(m.staged_mem_bytes(), 8);
         m.assert_shadow_accounting();
         assert_eq!(
             (stats.memory_rows_compacted, stats.memory_rows_staged),
@@ -1703,7 +1904,7 @@ mod tests {
         let mut m = mgr();
         let mut stats = MiddlewareStats::new();
         let root = Lineage::root(NodeId(0));
-        let id = m.commit_mem(NodeId(0), Pred::True, vec![0; 8], 2, &mut stats);
+        let id = m.commit_mem(NodeId(0), Pred::True, narrow(&[0; 8]), 2, &mut stats);
         let internal = |r: MwResult<()>| matches!(r, Err(MwError::Internal(_)));
         // Out of order, or past the set's rows.
         assert!(internal(m.compact_mem(id, &[2, 1], &[&root], &mut stats)));
@@ -1731,7 +1932,7 @@ mod tests {
         let mut w = m.start_file(vec![NodeId(0)], Pred::True, 2).unwrap();
         w.push(&[1, 2]).unwrap();
         let fid = m.commit_file(w, &mut stats).unwrap();
-        let mid = m.commit_mem(NodeId(1), Pred::True, vec![1, 2], 2, &mut stats);
+        let mid = m.commit_mem(NodeId(1), Pred::True, narrow(&[1, 2]), 2, &mut stats);
         assert_eq!(m.set(fid).unwrap().epoch, 0);
         assert_eq!(m.set(mid).unwrap().epoch, 0);
 
@@ -1750,7 +1951,7 @@ mod tests {
 
         // Data sets staged after the advance carry the new epoch and
         // survive a same-epoch re-advance.
-        let mid = m.commit_mem(NodeId(1), Pred::True, vec![1, 2], 2, &mut stats);
+        let mid = m.commit_mem(NodeId(1), Pred::True, narrow(&[1, 2]), 2, &mut stats);
         assert_eq!(m.set(mid).unwrap().epoch, 3);
         assert_eq!(m.advance_epoch(3, &mut stats), 0);
         assert_eq!(m.count(Tier::Memory), 1);
@@ -1766,7 +1967,7 @@ mod tests {
         m2.attach_catalog(Arc::clone(&catalog));
 
         // m1 publishes the root set at epoch 0.
-        m1.commit_mem(NodeId(0), Pred::True, vec![1, 2, 3, 4], 2, &mut stats);
+        m1.commit_mem(NodeId(0), Pred::True, narrow(&[1, 2, 3, 4]), 2, &mut stats);
         assert_eq!(catalog.stats().publishes, 1);
 
         // m2 observes the mutation first: its advance invalidates the
@@ -1810,7 +2011,13 @@ mod tests {
 
         // Stage a smaller memory set at the child → preferred for
         // descendants of the child, not for the root itself.
-        let mem_id = m.commit_mem(NodeId(1), child.pred().clone(), vec![1; 40], 2, &mut stats);
+        let mem_id = m.commit_mem(
+            NodeId(1),
+            child.pred().clone(),
+            narrow(&[1; 40]),
+            2,
+            &mut stats,
+        );
         assert_eq!(m.best_location(&grand), DataLocation::Memory(mem_id));
         assert_eq!(m.best_location(&child), DataLocation::Memory(mem_id));
         assert_eq!(m.best_location(&root), DataLocation::File(file_id));
@@ -1824,7 +2031,7 @@ mod tests {
         let mut w = m.start_file(vec![NodeId(0)], Pred::True, 2).unwrap();
         w.push(&[1, 1]).unwrap();
         let _file = m.commit_file(w, &mut stats).unwrap();
-        let mem = m.commit_mem(NodeId(0), Pred::True, vec![1, 1], 2, &mut stats);
+        let mem = m.commit_mem(NodeId(0), Pred::True, narrow(&[1, 1]), 2, &mut stats);
         assert_eq!(m.best_location(&root), DataLocation::Memory(mem));
     }
 
@@ -1839,7 +2046,13 @@ mod tests {
             .unwrap();
         w.push(&[1, 0]).unwrap();
         m.commit_file(w, &mut stats).unwrap();
-        m.commit_mem(NodeId(2), grand.pred().clone(), vec![1, 0], 2, &mut stats);
+        m.commit_mem(
+            NodeId(2),
+            grand.pred().clone(),
+            narrow(&[1, 0]),
+            2,
+            &mut stats,
+        );
         assert_eq!(m.count(Tier::File), 1);
         assert_eq!(m.count(Tier::Memory), 1);
 
@@ -1918,11 +2131,11 @@ mod tests {
         assert_eq!(stats.files_deleted, 1);
 
         // Memory sets replace the same way.
-        let m1 = m.commit_mem(NodeId(1), Pred::True, vec![1, 1, 2, 2], 2, &mut stats);
-        let m2 = m.commit_mem(NodeId(1), Pred::True, vec![3, 3], 2, &mut stats);
+        let m1 = m.commit_mem(NodeId(1), Pred::True, narrow(&[1, 1, 2, 2]), 2, &mut stats);
+        let m2 = m.commit_mem(NodeId(1), Pred::True, narrow(&[3, 3]), 2, &mut stats);
         assert!(m.set(m1).is_none());
         assert_eq!(m.set(m2).unwrap().nrows, 1);
-        assert_eq!(m.staged_mem_bytes(), 4);
+        assert_eq!(m.staged_mem_bytes(), 2);
     }
 
     #[test]
@@ -1930,7 +2143,7 @@ mod tests {
         let mut m = mgr();
         let mut stats = MiddlewareStats::new();
         // Pre-existing staged state: one memory set, one committed file.
-        m.commit_mem(NodeId(1), Pred::True, vec![1, 2, 3, 4], 2, &mut stats);
+        m.commit_mem(NodeId(1), Pred::True, narrow(&[1, 2, 3, 4]), 2, &mut stats);
         let mut ok = m.start_file(vec![NodeId(2)], Pred::True, 2).unwrap();
         ok.push(&[5, 6]).unwrap();
         m.commit_file(ok, &mut stats).unwrap();
@@ -1948,7 +2161,7 @@ mod tests {
         assert!(!aborted_path.exists(), "partial output removed");
         assert_eq!(m.count(Tier::File), 1);
         assert_eq!(m.count(Tier::Memory), 1);
-        assert_eq!(m.staged_mem_bytes(), 8);
+        assert_eq!(m.staged_mem_bytes(), 4);
         assert_eq!(stats.files_created, 1);
         m.assert_shadow_accounting();
     }
@@ -2031,7 +2244,13 @@ mod tests {
         assert!(m1.catalog_attached() && m2.catalog_attached());
 
         // m1 stages the root set: published and charged fully to m1.
-        m1.commit_mem(NodeId(0), Pred::True, vec![1, 2, 3, 4], 2, &mut stats);
+        m1.commit_mem(
+            NodeId(0),
+            Pred::True,
+            MemRows::from_codes(CodeWidth::Two, &[1, 2, 3, 4]),
+            2,
+            &mut stats,
+        );
         assert_eq!(catalog.stats().publishes, 1);
         assert_eq!(m1.shared_charge_bytes(), 8, "sole reader pays everything");
         assert_eq!(m1.staged_mem_bytes(), 8);
@@ -2084,14 +2303,14 @@ mod tests {
         m1.commit_mem(
             NodeId(3),
             Pred::Eq { col: 0, value: 1 },
-            vec![1, 0],
+            MemRows::from_codes(CodeWidth::Two, &[1, 0]),
             2,
             &mut stats,
         );
         m2.commit_mem(
             NodeId(3),
             Pred::Eq { col: 0, value: 1 },
-            vec![1, 0],
+            MemRows::from_codes(CodeWidth::Two, &[1, 0]),
             2,
             &mut stats,
         );

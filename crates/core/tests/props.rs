@@ -6,7 +6,7 @@ use scaleclass::estimator::{est_cc_bytes_upper, est_cc_entries};
 use scaleclass::executor::{BatchCounter, NodeCounter};
 use scaleclass::sample::SampledLedger;
 use scaleclass::scheduler::schedule;
-use scaleclass::staging::StagingManager;
+use scaleclass::staging::{CodeWidth, MemRows, StagingManager};
 use scaleclass::{
     Backend, CcRequest, CountsTable, DataLocation, FileStagingPolicy, Lineage, Middleware,
     MiddlewareConfig, MiddlewareStats, NodeId, Session, SessionPool, CC_ENTRY_BYTES,
@@ -362,7 +362,7 @@ proptest! {
             lineage = lineage.child(NodeId(d as u64 + 1), Pred::Eq { col: 0, value: d as u16 });
         }
         for &node in &stage_at {
-            staging.commit_mem(NodeId(node), Pred::True, vec![0; 8], 4, &mut stats);
+            staging.commit_mem(NodeId(node), Pred::True, MemRows::from_codes(CodeWidth::One, &[0; 8]), 4, &mut stats);
         }
         match staging.best_location(&lineage) {
             DataLocation::Memory(id) => {
@@ -1855,6 +1855,7 @@ proptest! {
             let row = [0 as Code; 2];
             if *in_memory {
                 let flat = row.repeat(*rows as usize);
+                let flat = MemRows::from_codes(CodeWidth::One, &flat);
                 let id = staging.commit_mem(*node, Pred::True, flat, 2, &mut stats);
                 mem_of.insert(*node, (id, *rows));
             } else {

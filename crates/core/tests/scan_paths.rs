@@ -292,7 +292,7 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
             };
             match &set.rows {
                 StagedRows::Memory(rows) => {
-                    out.mem_sets.entry(id).or_insert_with(|| rows.to_vec());
+                    out.mem_sets.entry(id).or_insert_with(|| rows.to_codes());
                 }
                 StagedRows::File(path) => {
                     let bytes = || (set.members.len(), std::fs::read(path).unwrap());

@@ -376,7 +376,9 @@ impl<'a> GrowState<'a> {
     }
 
     /// Figure 3's loop: take fulfilled batches until no request is left,
-    /// deciding each node and requesting its children.
+    /// deciding each node and requesting its children; then flush the
+    /// staged data no request can reach any more
+    /// ([`Middleware::flush_unreachable`]), the last subtree's included.
     pub(crate) fn drain(&mut self, mw: &mut Middleware, tree: &mut DecisionTree) -> MwResult<()> {
         while mw.has_pending() {
             for f in mw.process_next_batch()? {
@@ -426,6 +428,7 @@ impl<'a> GrowState<'a> {
                 self.spawn_children(mw, tree, idx, &lineage, specs, Some(tag.fraction))?;
             }
         }
+        mw.flush_unreachable();
         Ok(())
     }
 

@@ -187,6 +187,9 @@ pub fn grow(
             counted.insert(f.node.0, counts);
         }
     }
+    // As the library's loop does: the drained queue flushes the last
+    // subtree's staged sets.
+    mw.flush_unreachable();
     let server = mw.db_stats() - server;
     Ok(Build {
         tree,

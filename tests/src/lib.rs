@@ -136,23 +136,39 @@ pub fn brute_force_cc(flat: &[Code], arity: usize, pred: &Pred, attrs: &[u16]) -
 
 /// A small table: attribute cardinalities then the class cardinality, and
 /// flat rows whose class follows `a0 + a1` except on one row in four, so
-/// trees grow a few levels deep with noise below.
+/// trees grow a few levels deep with noise below. Half the tables give
+/// their last attribute 300 values and spread its few drawn values over
+/// them (`0, 99, 198, 297` for four), so their codes pass 255 and their
+/// memory sets store two bytes a code (DESIGN.md §8), while their counts
+/// tables hold as many entries as the narrow draw's.
 pub fn small_table() -> impl Strategy<Value = (Vec<u16>, Vec<Code>)> {
+    const WIDE: u16 = 300;
     (
         prop::collection::vec(2u16..=4, 3..=4),
         2u16..=3,
         40usize..=160,
+        any::<bool>(),
     )
-        .prop_flat_map(|(mut cards, classes, nrows)| {
+        .prop_flat_map(|(mut cards, classes, nrows, wide)| {
+            let last = cards.len() - 1;
+            let spread = if wide {
+                (WIDE - 1) / (cards[last] - 1)
+            } else {
+                1
+            };
             cards.push(classes);
             let codes: Vec<_> = cards.iter().map(|&card| 0..card).collect();
             let row = (codes, 0u8..4).prop_map(move |(mut row, noise)| {
+                row[last] *= spread;
                 if noise != 0 {
                     let class = row.len() - 1;
                     row[class] = (row[0] + row[1]) % classes;
                 }
                 row
             });
+            if wide {
+                cards[last] = WIDE;
+            }
             (Just(cards), prop::collection::vec(row, nrows))
         })
         .prop_map(|(cards, rows)| (cards, rows.concat()))

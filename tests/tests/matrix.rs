@@ -106,7 +106,11 @@ fn check(
     let expected = oracle(&rows);
     for (i, (mw, model)) in built.iter().enumerate() {
         mw.assert_shadow_accounting();
-        prop_assert!(mw.staged_mem_bytes() <= mw.lease_bytes());
+        prop_assert_eq!(
+            mw.staged_mem_bytes(),
+            0,
+            "a finished build holds no memory set"
+        );
         if counted_exactly(mw) {
             prop_assert!(
                 trees_structurally_equal(&model.tree, &expected),

@@ -10,8 +10,8 @@
 //! lease) or rescans the server every round. The drive is single-threaded
 //! round-robin, so every counter is exact.
 
+use scaleclass::staging::CodeWidth;
 use scaleclass::{Backend, CatalogStats, FileStagingPolicy, MiddlewareConfig, NodeId, Session};
-use scaleclass_sqldb::CODE_BYTES;
 use scaleclass_tests::{load, small_tree_workload};
 use std::sync::Arc;
 
@@ -31,10 +31,11 @@ fn serve_root(sess: &mut Session, nrows: u64) {
 /// Σ `server_scans`, Σ `memory_scans` and the catalog's counters.
 fn drive(shared: bool) -> (u64, u64, CatalogStats) {
     let (schema, rows, _) = small_tree_workload();
-    // ~2.2x the table: a lone session stages it comfortably, but the
-    // post-arrival fair share budget/4 cannot — exactly the squeeze the
-    // shared catalog exists to relieve.
-    let budget = (rows.len() * CODE_BYTES) as u64 * 11 / 5;
+    // ~2.2x the table as a memory set stores it, one byte a code (every
+    // column has few values): a lone session stages it comfortably, but
+    // the post-arrival fair share budget/4 cannot — exactly the squeeze
+    // the shared catalog exists to relieve.
+    let budget = (rows.len() * CodeWidth::One.bytes()) as u64 * 11 / 5;
     let cfg = MiddlewareConfig::builder()
         .memory_budget_bytes(budget)
         .sessions(K)

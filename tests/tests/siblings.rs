@@ -747,7 +747,7 @@ fn sampled_batches_and_refused_proofs_count_every_node() {
     assert_eq!(linked[0].stats.sliced_nodes, 0, "a sampled batch sliced");
 
     // Every level is one scan, from the server, a memory set or a staged
-    // file, as many at 6 KiB as with room to spare; but there the proof,
+    // file, as many at 5 KiB as with room to spare; but there the proof,
     // which charges each memory tee its rows, refuses the staged-file
     // batch, which then counts on the session thread — every node
     // included — where with room to spare it read-shards.
@@ -760,7 +760,7 @@ fn sampled_batches_and_refused_proofs_count_every_node() {
             .build()
     };
     let ample = &linked_and_rebuilt(&cards, &rows, &budget(AMPLE_BUDGET), 0).expect("agree");
-    let tight = &linked_and_rebuilt(&cards, &rows, &budget(6144), 0).expect("agree");
+    let tight = &linked_and_rebuilt(&cards, &rows, &budget(5120), 0).expect("agree");
     let (ample, tight) = (&ample[0].stats, &tight[0].stats);
     let scans = |s: &MiddlewareStats| s.server_scans + s.memory_scans + s.file_scans;
     assert_eq!(ample.sql_fallbacks + tight.sql_fallbacks, 0);
