@@ -23,13 +23,14 @@
 //! - **hot-path-panic** — no `unwrap()`/`expect()`/`panic!`-family macros, and
 //!   no slice indexing inside loop bodies, in the scan-path modules
 //!   (`parallel.rs`, `cc.rs`, `executor.rs`, `session.rs`, `source.rs`),
-//!   and *function-scoped* over the predicate router in
-//!   `crates/sqldb/src/expr.rs` (`route`, `matches_any`,
+//!   and *function-scoped* over the compiled predicates in
+//!   `crates/sqldb/src/expr.rs` — the middleware's router (`route`,
 //!   `for_each_match`, `walk`, `sub`, and the block router's
 //!   `route_block`, `partition`, `filter`, `arena_split`, `position`,
-//!   `ColumnView::get`) — the per-row and per-block loops of every scan
-//!   on both sides of the wire — over the server's page filter, fetch
-//!   loop, wire marshalling and page-at-a-time DML (`storage.rs`,
+//!   `ColumnView::get`, `BlockRoute::{mark_matched, matched}`) and the
+//!   server's page filter (`PageFilter::{compile, select}`, `narrow`):
+//!   the per-row and per-block loops of every scan on both sides of the
+//!   wire — over the server's page scans, fetch loop, wire marshalling and page-at-a-time DML (`storage.rs`,
 //!   `page.rs`, `cursor.rs`, `wire.rs`), and over the staged-file byte
 //!   path in
 //!   `crates/core/src/staging.rs` (the checksum's dispatch `crc32`,
@@ -197,9 +198,9 @@ const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
 )];
 
 /// Function-scoped hot-path-panic extensions, as [`ARITH_SCOPED`]: the
-/// compiled predicate router is the per-row (row path) and per-block
-/// (middleware, server page) loop of every scan, the server cursor's page
-/// filter and the wire's marshalling are the per-page and per-fetch loops
+/// compiled predicate router is the middleware's per-row (row path) and
+/// per-block loop of every scan, the page filter the server's per-page
+/// one, the server cursor's fetch loop and the wire's marshalling are the per-page and per-fetch loops
 /// of every server scan — `DELETE` and `UPDATE` find their rows with that
 /// same page filter and then compact or assign a run of rows at a time, so
 /// the DML bodies and their page-run helpers are scoped with it — and the
@@ -218,7 +219,6 @@ const PANIC_SCOPED: [(&str, &[&str]); 9] = [
         "crates/sqldb/src/expr.rs",
         &[
             "route",
-            "matches_any",
             "for_each_match",
             "walk",
             "sub",
@@ -229,16 +229,21 @@ const PANIC_SCOPED: [(&str, &[&str]); 9] = [
             "arena_split",
             "position",
             "get",
-            // The union of a block's selections: what a page ships.
+            // The union of a block's selections: what a hybrid split file
+            // keeps.
             "mark_matched",
             "matched",
+            // The server's page filter: its masks, compiled once per
+            // cursor or statement, and a page narrowed a column at a time.
+            "compile",
+            "select",
+            "narrow",
         ],
     ),
     // The server scan: a heap page filtered at a time …
     (
         "crates/sqldb/src/storage.rs",
         &[
-            "select_rows",
             "page_run",
             "scan_selected",
             "scan_matching",

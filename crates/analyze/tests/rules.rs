@@ -158,7 +158,7 @@ fn hot_path_panic_is_fn_scoped_in_the_server_page_and_fetch_path() {
                   impl ServerCursor<'_> {\n\
                   pub fn fetch(&mut self, out: &mut Vec<Code>) -> usize {\n\
                   loop {\n\
-                  let last = self.route.matched()[self.shipped];\n\
+                  let last = self.sel[self.shipped];\n\
                   if !self.next_run() { break; }\n\
                   }\n\
                   self.batch.transmit(self.arity, self.stats, out)\n\
@@ -167,7 +167,7 @@ fn hot_path_panic_is_fn_scoped_in_the_server_page_and_fetch_path() {
     let report = check_source("crates/sqldb/src/cursor.rs", cursor);
     assert_eq!(
         fired(&report),
-        vec![(RULE_HOT_PATH_PANIC, 9)], // matched()[shipped] inside the fetch loop
+        vec![(RULE_HOT_PATH_PANIC, 9)], // sel[shipped] inside the fetch loop
     );
     let wire = "impl WireBatch {\n\
                 pub fn clear(&mut self) {\n\
@@ -200,6 +200,28 @@ fn hot_path_panic_is_fn_scoped_in_the_server_page_and_fetch_path() {
                   }\n";
     let report = check_source("crates/sqldb/src/expr.rs", router);
     assert_eq!(fired(&report), vec![(RULE_HOT_PATH_PANIC, 3)]);
+    // The page filter: its masks' compile step, the page evaluation and
+    // the column pass.
+    let filter = "impl PageFilter {\n\
+                  pub fn compile(filter: &Pred, col_max: &[Code]) -> PageFilter {\n\
+                  for atom in atoms { masks[atom.value as usize] &= 1; }\n\
+                  }\n\
+                  pub fn select(&mut self, rows: &[Code], sel: &mut Vec<u32>) {\n\
+                  let word = self.words.first().unwrap();\n\
+                  }\n\
+                  }\n\
+                  fn narrow(rows: &[u32], sel: &mut [u32]) {\n\
+                  for (k, &r) in rows.iter().enumerate() { sel[k] = r; }\n\
+                  }\n";
+    let report = check_source("crates/sqldb/src/expr.rs", filter);
+    assert_eq!(
+        fired(&report),
+        vec![
+            (RULE_HOT_PATH_PANIC, 3),  // masks[value] per atom
+            (RULE_HOT_PATH_PANIC, 6),  // .unwrap() on a page
+            (RULE_HOT_PATH_PANIC, 10), // sel[k] inside the column pass
+        ]
+    );
 }
 
 #[test]

@@ -29,6 +29,7 @@
 //! demonstrate (and test) that the protocol itself imposes no ordering
 //! beyond "requests in, counts out".
 
+use std::sync::mpsc::{channel, Receiver, SendError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -38,7 +39,6 @@ use crate::error::{MwError, MwResult};
 use crate::metrics::{MiddlewareStats, ScanStats};
 use crate::request::CcRequest;
 use crate::session::{Backend, Middleware, Session};
-use crossbeam_channel::{unbounded, Receiver, SendError, Sender, TryRecvError};
 use scaleclass_sqldb::Database;
 
 /// Send `outcome` to the client; when the client has hung up, park the
@@ -126,8 +126,8 @@ impl<T: Send + 'static> MiddlewareHandle<T> {
     /// Start `session`'s service loop on a new thread; `finish` turns the
     /// session into what the thread hands back once the loop ends.
     fn launch(mut session: Session, finish: impl FnOnce(Session) -> T + Send + 'static) -> Self {
-        let (req_tx, req_rx) = unbounded::<CcRequest>();
-        let (res_tx, res_rx) = unbounded::<MwResult<Vec<FulfilledCc>>>();
+        let (req_tx, req_rx) = channel::<CcRequest>();
+        let (res_tx, res_rx) = channel::<MwResult<Vec<FulfilledCc>>>();
         let thread = std::thread::spawn(move || {
             let deferred = service_loop(&mut session, &req_rx, &res_tx);
             (finish(session), deferred)
@@ -402,8 +402,8 @@ mod tests {
         let root = mw.root_request(NodeId(0));
         std::fs::remove_dir_all(&dir).unwrap();
 
-        let (req_tx, req_rx) = unbounded::<CcRequest>();
-        let (res_tx, res_rx) = unbounded::<MwResult<Vec<FulfilledCc>>>();
+        let (req_tx, req_rx) = channel::<CcRequest>();
+        let (res_tx, res_rx) = channel::<MwResult<Vec<FulfilledCc>>>();
         req_tx.send(root).unwrap();
         // Client hangs up entirely before the middleware even runs.
         drop(req_tx);

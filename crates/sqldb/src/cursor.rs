@@ -4,22 +4,25 @@
 //! for its scan-based counting: the server evaluates the pushed-down filter
 //! expression and ships only matching rows over the simulated wire (§4.3.1).
 //! Every cursor compiles its filter once, when it opens, into a
-//! [`PredSet`] (an `Or` of paths becomes the set of its disjuncts) and
-//! filters a heap page at a time: the block router partitions the page's
-//! rows, read in place, and the ascending union of its selections is what
-//! the page ships, marshalled a fetch at a time. What is scanned, shipped
-//! and charged is what interpreting the filter row by row would scan, ship
-//! and charge, *at every fetch boundary*: a page is charged when the scan
-//! enters it, and a fetch charges the rows it read — through the row that
-//! filled its batch, no further — so a cursor dropped between two fetches
-//! has charged exactly the rows a row-at-a-time cursor would have read.
+//! [`PageFilter`] over the table's range certificate (one bit per
+//! disjunct of an `Or` of paths, per tested column and value) and filters
+//! a heap page at a time: the page's rows, read in place, are narrowed a
+//! column at a time to those some disjunct matches, and that ascending
+//! selection is what the page ships, marshalled a fetch at a time. What
+//! is scanned, shipped and charged is what interpreting the filter row by
+//! row would scan, ship and charge, *at every fetch boundary*: a page is
+//! charged when the scan enters it, and a fetch charges the rows it read —
+//! through the row that filled its batch, no further — so a cursor dropped
+//! between two fetches has charged exactly the rows a row-at-a-time cursor
+//! would have read.
 //! The unshipped tail of a page's selection waits for the next fetch.
 //!
 //! [`KeysetCursor`] is access path (c) of §4.3.3: a snapshot of qualifying
 //! TIDs taken at open time, over which later scans can run with an extra
 //! *residual* filter applied server-side before shipping ("a stored
 //! procedure that applies the filters on the results obtained by the cursor
-//! before the results are returned").
+//! before the results are returned") — the same compiled filter, one row
+//! at a time.
 //!
 //! [`BlockCursor`] is the server half of the middleware's sampled counting
 //! mode: the same scan restricted to caller-supplied TID ranges — the
@@ -30,10 +33,10 @@
 
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
-use crate::expr::{BlockRoute, Pred, PredSet};
+use crate::expr::{PageFilter, Pred};
 use crate::page::Page;
 use crate::stats::DbStats;
-use crate::storage::{select_rows, Table};
+use crate::storage::Table;
 use crate::types::{Code, Tid};
 use crate::wire::{WireBatch, DEFAULT_BATCH_ROWS};
 
@@ -43,7 +46,7 @@ use crate::wire::{WireBatch, DEFAULT_BATCH_ROWS};
 /// a time.
 pub struct ServerCursor<'a> {
     table: &'a Table,
-    filter: PredSet,
+    filter: PageFilter,
     arity: usize,
     batch_rows: usize,
     batch: WireBatch,
@@ -60,11 +63,11 @@ pub struct ServerCursor<'a> {
     /// Last page charged.
     last_page: u64,
     /// The page run being shipped — its packed rows and its first TID —
-    /// whose selection is `route.matched()`, `shipped` rows of it sent.
+    /// whose selection is `sel`, `shipped` rows of it sent.
     run: &'a [Code],
     run_start: u64,
+    sel: Vec<u32>,
     shipped: usize,
-    route: BlockRoute,
 }
 
 impl<'a> ServerCursor<'a> {
@@ -89,7 +92,7 @@ impl<'a> ServerCursor<'a> {
         stats.add_seq_scan();
         ServerCursor {
             table,
-            filter: PredSet::from_filter(&pred),
+            filter: PageFilter::compile(&pred, table.col_max()),
             arity: table.schema().arity(),
             batch_rows: batch_rows.max(1),
             batch: WireBatch::new(),
@@ -103,8 +106,8 @@ impl<'a> ServerCursor<'a> {
             last_page: u64::MAX,
             run: &[],
             run_start: 0,
+            sel: Vec::new(),
             shipped: 0,
-            route: BlockRoute::default(),
         }
     }
 
@@ -129,7 +132,7 @@ impl<'a> ServerCursor<'a> {
             self.stats.add_pages_read(1);
             self.last_page = page;
         }
-        select_rows(&self.filter, rows, self.arity, &mut self.route);
+        self.filter.select(rows, &mut self.sel);
         self.run = rows;
         self.run_start = self.next_tid;
         self.shipped = 0;
@@ -142,7 +145,7 @@ impl<'a> ServerCursor<'a> {
         debug_assert!(self.batch.is_empty());
         loop {
             let room = self.batch_rows - self.batch.rows();
-            let unshipped = self.route.matched().get(self.shipped..).unwrap_or(&[]);
+            let unshipped = self.sel.get(self.shipped..).unwrap_or(&[]);
             let take = unshipped.get(..room).unwrap_or(unshipped);
             self.batch.push_selected(self.run, self.arity, take);
             self.shipped += take.len();
@@ -192,10 +195,11 @@ pub(crate) fn ship_tids(
 ) -> DbResult<usize> {
     let arity = table.schema().arity();
     let per_page = Page::capacity_rows(arity) as u64;
-    let residual = PredSet::from_filter(residual);
+    let mut residual = PageFilter::compile(residual, table.col_max());
     let batch_rows = batch_rows.max(1);
     let mut batch = WireBatch::new();
     let mut sel: Vec<u32> = Vec::new();
+    let mut row_sel = Vec::new();
     let mut shipped = 0;
     let mut rest = tids;
     while let Some(first) = rest.first() {
@@ -214,7 +218,8 @@ pub(crate) fn ship_tids(
             if r >= page.nrows() {
                 return Err(DbError::CursorClosed);
             }
-            if residual.matches_any(page.row(r)) {
+            residual.select(page.row(r), &mut row_sel);
+            if !row_sel.is_empty() {
                 sel.push(r as u32);
             }
         }
@@ -248,7 +253,7 @@ impl KeysetCursor {
         stats.add_keyset_open();
         Ok(KeysetCursor {
             table: table.to_string(),
-            tids: t.matching_tids(&PredSet::from_filter(pred), stats),
+            tids: t.matching_tids(pred, stats),
             arity: t.schema().arity(),
         })
     }

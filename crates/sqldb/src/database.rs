@@ -12,7 +12,7 @@
 
 use crate::delta::{DeltaLog, DeltaSign, RowDelta};
 use crate::error::{DbError, DbResult};
-use crate::expr::{Pred, PredSet};
+use crate::expr::Pred;
 use crate::stats::DbStats;
 use crate::storage::Table;
 use crate::types::{Code, Schema, Tid};
@@ -303,7 +303,7 @@ impl Database {
         let stats = Arc::clone(&self.stats);
         let source = self.table(src)?;
         let mut copy = Table::new(source.schema().clone());
-        source.scan_matching(&PredSet::from_filter(pred), &stats, |_, row| {
+        source.scan_matching(pred, &stats, |_, row| {
             copy.insert_unchecked(row);
         });
         stats.add_pages_written(copy.npages());
@@ -318,7 +318,7 @@ impl Database {
         let name = self.next_temp_name("tids");
         let stats = Arc::clone(&self.stats);
         let source = self.table(src)?;
-        let tids = source.matching_tids(&PredSet::from_filter(pred), &stats);
+        let tids = source.matching_tids(pred, &stats);
         // TIDs are 8 bytes each; charge the pages the list occupies.
         let tid_pages = (tids.len() as u64 * 8).div_ceil(crate::page::PAGE_SIZE as u64);
         stats.add_pages_written(tid_pages.max(1));

@@ -7,22 +7,34 @@
 //! active nodes. This module gives those shapes an AST with evaluation,
 //! selectivity estimation, and SQL rendering.
 //!
-//! It also gives them a compiled form. A scan asks "which of these
-//! predicates does this row satisfy?" of every row — the middleware to
-//! find the row's node, the server to decide whether the row ships — and
-//! the predicates are paths of one partial tree, so the answer is one
-//! root-to-leaf walk of that tree rather than a search over the frontier.
-//! [`PredSet`] is that tree: built once per scan from an ordered predicate
-//! list, it merges the conjunctions by shared prefix into a trie of
-//! `(column, value)` tests and routes a row in at most path-depth steps,
-//! however many predicates were compiled in — or a whole block at once
-//! ([`PredSet::route_block`]), partitioning the block's selection vector
-//! one trie node at a time instead of walking the trie once per row.
+//! It also gives them two compiled forms, one per side of the wire.
+//!
+//! The middleware asks "which of these predicates does this row
+//! satisfy?" of every row, to find the row's node. The predicates are
+//! paths of one partial tree, so the answer is one root-to-leaf walk of
+//! that tree rather than a search over the frontier. [`PredSet`] is that
+//! tree: built once per scan from an ordered predicate list, it merges the
+//! conjunctions by shared prefix into a trie of `(column, value)` tests
+//! and routes a row in at most path-depth steps, however many predicates
+//! were compiled in — or a whole block at once ([`PredSet::route_block`]),
+//! partitioning the block's selection vector one trie node at a time
+//! instead of walking the trie once per row.
+//!
+//! The server asks one question of every row: does *any* disjunct of the
+//! pushed-down filter match it? [`PageFilter`] answers it by bitmap
+//! predicate evaluation (O'Neil & Quass 1997): per tested column, a table
+//! from each value to the set of disjuncts that admit it, one bit each. A
+//! page is filtered a column at a time (MonetDB/X100's vectors): each
+//! selected row's bits are ANDed with its code's mask, the selection is
+//! compacted to the rows with a bit left, and evaluation stops when none
+//! is.
+//!
 //! [`Pred::eval`] stays the single-row reference (and serves one-off
-//! statements); the property suite holds interpreter, row router and block
-//! router equal.
+//! statements); the property suite holds interpreter, row router, block
+//! router and page filter equal.
 
 use crate::types::{Code, Schema};
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 
@@ -399,8 +411,8 @@ impl BlockRoute {
 
     /// Take the union of the selections — `{r | some predicate selects
     /// row r}`, each row once however many predicates select it — for
-    /// [`BlockRoute::matched`] to read: what a pushed-down filter ships and
-    /// what a hybrid split file keeps. One selection is its own union; a
+    /// [`BlockRoute::matched`] to read: what a hybrid split file keeps and
+    /// a compacting memory scan records. One selection is its own union; a
     /// union of several is read off a per-row mask, without a branch.
     pub fn mark_matched(&mut self) {
         self.matched = match self.found.as_slice() {
@@ -485,9 +497,9 @@ fn arena_split<'a>(
     (sub(live, sel), &mut free[..room])
 }
 
-/// An ordered list of predicates compiled for routing: "which of these
-/// does this row satisfy?" in one walk — or "which rows of this block
-/// satisfy each of these?" in one partition per trie node.
+/// An ordered list of predicates compiled for the middleware's routing:
+/// "which of these does this row satisfy?" in one walk — or "which rows
+/// of this block satisfy each of these?" in one partition per trie node.
 ///
 /// Conjunctions of `Eq`/`NotEq` atoms — every tree path, since a child's
 /// path is its parent's path and one more edge, in root-to-leaf order —
@@ -495,8 +507,7 @@ fn arena_split<'a>(
 /// value)` tests with an equal-branch and a not-equal-branch. A row walks
 /// from the root and takes every edge whose test it passes, so its cost is
 /// the depth of the paths it is on, not the number of predicates
-/// ([`PredSet::route`], [`PredSet::matches_any`]: where a single row is the
-/// unit). A block is routed from the root down ([`PredSet::route_block`]):
+/// ([`PredSet::route`]: where a single row is the unit). A block is routed from the root down ([`PredSet::route_block`]):
 /// the rows that reach a node are split among its children by the node's
 /// test in one tight pass, so a level costs a compare and a store per row
 /// in place of a mispredicted branch, and a node no row reaches costs
@@ -696,16 +707,6 @@ impl PredSet {
         self
     }
 
-    /// Compile a pushed-down filter: an `Or` becomes the set of its
-    /// disjuncts, anything else a set of one, so that
-    /// [`PredSet::matches_any`] is the filter.
-    pub fn from_filter(filter: &Pred) -> PredSet {
-        match filter {
-            Pred::Or(children) => PredSet::new(children),
-            other => PredSet::new([other]),
-        }
-    }
-
     /// Number of predicates compiled in.
     pub fn len(&self) -> usize {
         self.len
@@ -728,12 +729,6 @@ impl PredSet {
         if out.len() > 1 {
             out.sort_unstable();
         }
-    }
-
-    /// Does `row` satisfy at least one predicate — `Pred::or(preds)`?
-    pub fn matches_any(&self, row: &[Code]) -> bool {
-        self.for_each_match(&|col| row[col], &mut |_| ControlFlow::Break(()))
-            .is_break()
     }
 
     /// Call `on_match` with the index of every predicate the row behind
@@ -976,6 +971,276 @@ impl PredSet {
     }
 }
 
+/// One tested column of a [`PageFilter`] word: the column, the range of
+/// [`PageFilter`]'s mask arena holding one mask per value
+/// `0..=col_max[col]`, and its place in the order columns are tested in.
+#[derive(Debug, Clone)]
+struct MaskColumn {
+    col: usize,
+    masks: Range<usize>,
+    /// How much of the column's value range admits a disjunct: it is
+    /// tested before the columns that rank higher.
+    rank: u64,
+}
+
+/// Disjuncts one mask word holds.
+const WORD_BITS: usize = 64;
+
+/// A pushed-down filter compiled for the server: "does any disjunct match
+/// this row?", asked of every row of a page at once ([`PageFilter::select`]).
+///
+/// The filter's disjuncts — the children of a top-level `Or`, or the
+/// filter itself — that are conjunctions of `Eq`/`NotEq` atoms on columns
+/// inside the arity get one bit each, 64 to a word. Per word and tested
+/// column `c`, `mask_c[v]` has the bit of every disjunct whose atoms on
+/// `c` admit `v` (all of them when it has none). The masks cover `v` in
+/// `0..=col_max[c]` for the table's range certificate
+/// ([`crate::Table::col_max`]), which bounds every code the table has
+/// ever stored, so every row is covered. A row matches a word when the AND
+/// of its codes' masks over the word's columns is not zero.
+///
+/// A page is filtered a word at a time and, within it, a column at a
+/// time: the most restrictive column first over every row, each later one
+/// over the rows still holding a bit, the selection compacted after each
+/// column without a branch on the outcome, until no row is left. Columns
+/// whose masks admit every disjunct of the word everywhere are not tested,
+/// and a disjunct no column can reject (`True`) selects the whole page.
+///
+/// A bare `False` disjunct is dropped. Any other disjunct — a nested
+/// `Or`, a `False` inside a conjunction, an atom on a column past the
+/// arity — is interpreted with [`Pred::eval_with`] on every row of the
+/// page, as [`PredSet::route_block`] interprets its generic list: a
+/// column past the arity panics when a row reaches it, as under
+/// [`Pred::eval`].
+///
+/// Compiled once per cursor or statement ([`PageFilter::compile`]): the
+/// masks of all words live in one arena, and the scratch a page needs is
+/// kept and reused page after page.
+#[derive(Debug, Clone, Default)]
+pub struct PageFilter {
+    arity: usize,
+    /// Per word, its range of `columns`, most restrictive first.
+    words: Vec<Range<usize>>,
+    columns: Vec<MaskColumn>,
+    /// Every column's masks, back to back.
+    masks: Vec<u64>,
+    /// Some disjunct admits every row.
+    every_row: bool,
+    /// Disjuncts interpreted per row.
+    generic: Vec<Pred>,
+    /// Per selected row, the bits of its word still standing.
+    acc: Vec<u64>,
+    /// One word's selection, and per row whether some disjunct took it,
+    /// when a page's selection is a union.
+    part: Vec<u32>,
+    taken: Vec<bool>,
+}
+
+impl PageFilter {
+    /// Compile `filter` for rows of `col_max.len()` columns whose codes
+    /// `col_max` bounds, column by column.
+    pub fn compile(filter: &Pred, col_max: &[Code]) -> PageFilter {
+        let arity = col_max.len();
+        let disjuncts = match filter {
+            Pred::Or(children) => children.as_slice(),
+            other => std::slice::from_ref(other),
+        };
+        let mut out = PageFilter {
+            arity,
+            ..PageFilter::default()
+        };
+        // Each atom-only disjunct's range of `atoms`.
+        let mut atoms = Vec::new();
+        let mut spans = Vec::new();
+        for pred in disjuncts {
+            let start = atoms.len();
+            if *pred == Pred::False {
+                continue;
+            }
+            let atom_only = conjunction_atoms(pred, &mut atoms)
+                && atoms
+                    .get(start..)
+                    .unwrap_or(&[])
+                    .iter()
+                    .all(|a| a.col < arity);
+            if atom_only {
+                spans.push(start..atoms.len());
+            } else {
+                atoms.truncate(start);
+                out.generic.push(pred.clone());
+            }
+        }
+        let mut tested = Vec::new();
+        for word in spans.chunks(WORD_BITS) {
+            let live = u64::MAX >> (WORD_BITS - word.len());
+            let word_atoms = |bit: usize| word.get(bit).and_then(|span| atoms.get(span.clone()));
+            tested.clear();
+            tested.extend(
+                (0..word.len())
+                    .flat_map(word_atoms)
+                    .flatten()
+                    .map(|a| a.col),
+            );
+            tested.sort_unstable();
+            tested.dedup();
+            let first = out.columns.len();
+            let mut always = live;
+            for &col in &tested {
+                let values = col_max.get(col).map_or(0, |&max| usize::from(max) + 1);
+                let start = out.masks.len();
+                out.masks.resize(start + values, live);
+                let (_, masks) = out.masks.split_at_mut(start);
+                for (bit, span) in word.iter().enumerate() {
+                    let clear = !(1u64 << bit);
+                    let on_col = atoms.get(span.clone()).unwrap_or(&[]).iter();
+                    for atom in on_col.filter(|a| a.col == col) {
+                        let value = usize::from(atom.value);
+                        if atom.eq {
+                            let others = masks.iter_mut().enumerate().filter(|(v, _)| *v != value);
+                            others.for_each(|(_, m)| *m &= clear);
+                        } else if let Some(m) = masks.get_mut(value) {
+                            *m &= clear;
+                        }
+                    }
+                }
+                if masks.iter().all(|&m| m == live) {
+                    // Every disjunct of the word admits every value.
+                    out.masks.truncate(start);
+                    continue;
+                }
+                always &= masks.iter().fold(live, |and, &m| and & m);
+                let per_value = |n: usize| ((n as u64) << 20) / masks.len() as u64;
+                let admitting = per_value(masks.iter().filter(|&&m| m != 0).count());
+                let admitted = per_value(masks.iter().map(|m| m.count_ones() as usize).sum());
+                out.columns.push(MaskColumn {
+                    col,
+                    masks: start..out.masks.len(),
+                    rank: admitting << 32 | admitted,
+                });
+            }
+            // Most restrictive first: the fewest values that admit some
+            // disjunct, then the fewest disjuncts a value admits, both per
+            // value (in 2^-20ths; the order moves no selection).
+            if let Some(columns) = out.columns.get_mut(first..) {
+                columns.sort_unstable_by_key(|column| column.rank);
+            }
+            out.every_row |= always != 0;
+            out.words.push(first..out.columns.len());
+        }
+        out
+    }
+
+    /// Leave in `sel` the rows of `rows` — packed row-major, the arity's
+    /// codes each, read in place — that satisfy the filter, ascending.
+    pub fn select(&mut self, rows: &[Code], sel: &mut Vec<u32>) {
+        let nrows = rows.len().checked_div(self.arity).unwrap_or(0) as u32;
+        sel.clear();
+        if self.generic.is_empty() {
+            if self.every_row {
+                sel.extend(0..nrows);
+                return;
+            }
+            if let [word] = self.words.as_slice() {
+                let columns = self.columns.get(word.clone()).unwrap_or(&[]);
+                narrow(columns, &self.masks, rows, self.arity, sel, &mut self.acc);
+                return;
+            }
+        }
+        // The union of the words' selections and the generic disjuncts'.
+        let taken = &mut self.taken;
+        taken.clear();
+        taken.resize(nrows as usize, self.every_row);
+        if !self.every_row {
+            for word in &self.words {
+                let columns = self.columns.get(word.clone()).unwrap_or(&[]);
+                narrow(
+                    columns,
+                    &self.masks,
+                    rows,
+                    self.arity,
+                    &mut self.part,
+                    &mut self.acc,
+                );
+                for &r in &self.part {
+                    if let Some(taken) = taken.get_mut(r as usize) {
+                        *taken = true;
+                    }
+                }
+            }
+        }
+        let arity = self.arity;
+        for pred in &self.generic {
+            for (r, taken) in (0..).zip(taken.iter_mut()) {
+                let hit = pred.eval_with(&|col| ColumnView::row_major(rows, arity, col).get(r));
+                *taken |= hit;
+            }
+        }
+        sel.extend(
+            (0..)
+                .zip(taken.iter())
+                .filter_map(|(r, &taken)| taken.then_some(r)),
+        );
+    }
+}
+
+/// Leave in `sel` the rows of `rows` (row-major, `arity` codes each) that
+/// one word's `columns` — masks in `masks` — leave a bit standing for,
+/// ascending; `acc` is the bits' scratch.
+fn narrow(
+    columns: &[MaskColumn],
+    masks: &[u64],
+    rows: &[Code],
+    arity: usize,
+    sel: &mut Vec<u32>,
+    acc: &mut Vec<u64>,
+) {
+    let nrows = rows.len().checked_div(arity).unwrap_or(0);
+    sel.clear();
+    let Some((first, rest)) = columns.split_first() else {
+        sel.extend(0..nrows as u32);
+        return;
+    };
+    // The first column reads every row in turn.
+    sel.resize(nrows, 0);
+    if acc.len() < nrows {
+        acc.resize(nrows, 0);
+    }
+    let table = masks.get(first.masks.clone()).unwrap_or(&[]);
+    let codes = rows.get(first.col..).unwrap_or(&[]).iter().step_by(arity);
+    let mut kept = 0;
+    for (r, &code) in (0..nrows as u32).zip(codes) {
+        let bits = table.get(usize::from(code)).copied().unwrap_or(0);
+        if let (Some(row), Some(acc)) = (sel.get_mut(kept), acc.get_mut(kept)) {
+            (*row, *acc) = (r, bits);
+        }
+        kept += usize::from(bits != 0);
+    }
+    sel.truncate(kept);
+    // Each later one reads the rows still selected, and compacts them in
+    // place: a row is written at or before where it was read.
+    for column in rest {
+        if sel.is_empty() {
+            return;
+        }
+        let table = masks.get(column.masks.clone()).unwrap_or(&[]);
+        let rows_at = Cell::from_mut(sel.as_mut_slice()).as_slice_of_cells();
+        let bits_at = Cell::from_mut(acc.as_mut_slice()).as_slice_of_cells();
+        let mut kept = 0;
+        for (row, bits) in rows_at.iter().zip(bits_at) {
+            let r = row.get();
+            let code = rows.get(r as usize * arity + column.col);
+            let mask = code.and_then(|&code| table.get(usize::from(code)));
+            let left = bits.get() & mask.copied().unwrap_or(0);
+            if let (Some(row), Some(bits)) = (rows_at.get(kept), bits_at.get(kept)) {
+                row.set(r);
+                bits.set(left);
+            }
+            kept += usize::from(left != 0);
+        }
+        sel.truncate(kept);
+    }
+}
+
 impl fmt::Display for Pred {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -1154,6 +1419,45 @@ mod tests {
                 assert_eq!(routed, [leaf]);
             }
         }
+    }
+
+    /// The page filter tests only columns that can reject a row, the most
+    /// restrictive first, and takes a page whole for a disjunct no column
+    /// rejects.
+    #[test]
+    fn page_filter_tests_the_columns_that_reject_most_first() {
+        let col_max = [9, 9, 9];
+        let tested = |filter: &Pred| {
+            let compiled = PageFilter::compile(filter, &col_max);
+            let columns: Vec<usize> = compiled.columns.iter().map(|c| c.col).collect();
+            (compiled.words.len(), columns, compiled.every_row)
+        };
+        // `b = 2` admits one value in ten, `a <> 1` nine: `b` goes first,
+        // and `c <> 12` (past the certificate) admits every row.
+        let path = Pred::And(vec![
+            Pred::NotEq { col: 0, value: 1 },
+            Pred::Eq { col: 1, value: 2 },
+            Pred::NotEq { col: 2, value: 12 },
+        ]);
+        assert_eq!(tested(&path), (1, vec![1, 0], false));
+        // `True` among the disjuncts: the whole page, whatever the masks.
+        let or_true = Pred::Or(vec![path.clone(), Pred::True]);
+        assert!(tested(&or_true).2);
+        let rows: Vec<Code> = (0..30).map(|i| i % 10).collect();
+        let mut sel = Vec::new();
+        PageFilter::compile(&or_true, &col_max).select(&rows, &mut sel);
+        assert_eq!(sel, (0..10).collect::<Vec<u32>>());
+        // `False` and the empty `Or` select nothing and test nothing.
+        assert_eq!(tested(&Pred::False), (0, vec![], false));
+        assert_eq!(tested(&Pred::Or(vec![])), (0, vec![], false));
+        // 65 disjuncts take two words, each testing its own columns.
+        let many: Vec<Pred> = (0..65)
+            .map(|v| Pred::Eq {
+                col: v / 64,
+                value: 0,
+            })
+            .collect();
+        assert_eq!(tested(&Pred::Or(many)), (2, vec![0, 1], false));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use cursor::{BlockCursor, KeysetCursor, ServerCursor};
 pub use database::{Database, TidSet};
 pub use delta::{DeltaLog, DeltaSign, RowDelta};
 pub use error::{DbError, DbResult};
-pub use expr::{BlockRoute, ColumnView, Pred, PredSet};
+pub use expr::{BlockRoute, ColumnView, PageFilter, Pred, PredSet};
 pub use persist::{open_database, save_database};
 pub use sql::{execute, execute_script, ExecOutcome, ResultSet, SqlValue};
 pub use stats::{CostWeights, DbStats, StatsSnapshot};

@@ -13,7 +13,7 @@ use super::parser::parse;
 use super::result::{ResultSet, SqlValue};
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
-use crate::expr::{Pred, PredSet};
+use crate::expr::Pred;
 use crate::types::{Code, Schema};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -240,16 +240,15 @@ fn execute_arm(db: &Database, arm: &SelectArm) -> DbResult<ResultSet> {
         None => Pred::True,
     };
     // Each arm filters its scan a page at a time, as a cursor does.
-    let filter = PredSet::from_filter(&pred);
     if arm.group_by.is_empty() {
-        execute_plain(db, arm, &filter)
+        execute_plain(db, arm, &pred)
     } else {
-        execute_grouped(db, arm, &filter)
+        execute_grouped(db, arm, &pred)
     }
 }
 
 /// Plain SELECT (projection of matching rows, or a bare COUNT(*)).
-fn execute_plain(db: &Database, arm: &SelectArm, filter: &PredSet) -> DbResult<ResultSet> {
+fn execute_plain(db: &Database, arm: &SelectArm, filter: &Pred) -> DbResult<ResultSet> {
     let table = db.table(&arm.table)?;
     let schema = table.schema();
     let stats = Arc::clone(db.stats());
@@ -318,7 +317,7 @@ enum ProjectedCol {
 }
 
 /// GROUP BY + COUNT(*) aggregation (one hash aggregation per arm).
-fn execute_grouped(db: &Database, arm: &SelectArm, filter: &PredSet) -> DbResult<ResultSet> {
+fn execute_grouped(db: &Database, arm: &SelectArm, filter: &Pred) -> DbResult<ResultSet> {
     let table = db.table(&arm.table)?;
     let schema = table.schema();
     let stats = Arc::clone(db.stats());

@@ -1,30 +1,16 @@
 //! Heap tables: pages of fixed-width coded rows.
+//!
+//! Every filtered scan of a table — the SQL executor's, DML's, the
+//! §4.3.3 structures' and a keyset's snapshot — compiles its predicate
+//! once into a [`PageFilter`] over the table's range certificate and
+//! filters a heap page at a time (`Table::scan_selected`), the rows read
+//! in place.
 
 use crate::error::{DbError, DbResult};
-use crate::expr::{BlockRoute, ColumnView, PredSet};
+use crate::expr::{PageFilter, Pred};
 use crate::page::Page;
 use crate::stats::DbStats;
 use crate::types::{Code, Schema, Tid};
-
-/// Filter a run of packed rows — a heap page, or the part of one a TID
-/// range covers — with the block router: the rows of `rows` (row-major,
-/// `arity` codes each, read in place) that satisfy at least one predicate
-/// of `filter`, ascending, left in `route`'s scratch. A predicate column
-/// past the arity panics when some row reaches its test, as [`Pred::eval`]
-/// would on that row.
-///
-/// [`Pred::eval`]: crate::expr::Pred::eval
-pub(crate) fn select_rows<'r>(
-    filter: &PredSet,
-    rows: &[Code],
-    arity: usize,
-    route: &'r mut BlockRoute,
-) -> &'r [u32] {
-    let column = |col| ColumnView::row_major(rows, arity, col);
-    filter.route_block(rows.len() / arity, column, route);
-    route.mark_matched();
-    route.matched()
-}
 
 /// A heap table: a schema plus a sequence of pages.
 #[derive(Debug, Clone)]
@@ -132,7 +118,7 @@ impl Table {
     /// cost, however few pages the statement touched. The charge is the
     /// simulated server's cost model and part of the `sim_cost` contract;
     /// what the statement takes in wall time is not.
-    pub fn delete_where(&mut self, pred: &crate::expr::Pred, stats: &DbStats) -> u64 {
+    pub fn delete_where(&mut self, pred: &Pred, stats: &DbStats) -> u64 {
         self.delete_where_with(pred, stats, |_| {})
     }
 
@@ -143,12 +129,12 @@ impl Table {
     /// without a second scan.
     pub fn delete_where_with(
         &mut self,
-        pred: &crate::expr::Pred,
+        pred: &Pred,
         stats: &DbStats,
         mut on_delete: impl FnMut(&[Code]),
     ) -> u64 {
         let mut doomed = Vec::new();
-        self.scan_matching(&PredSet::from_filter(pred), stats, |tid, row| {
+        self.scan_matching(pred, stats, |tid, row| {
             on_delete(row);
             doomed.push(tid);
         });
@@ -221,7 +207,7 @@ impl Table {
     /// changed row.
     pub fn update_where(
         &mut self,
-        pred: &crate::expr::Pred,
+        pred: &Pred,
         assignments: &[(usize, Code)],
         stats: &DbStats,
     ) -> DbResult<u64> {
@@ -235,7 +221,7 @@ impl Table {
     /// old image plus an insert of the new one.
     pub fn update_where_with(
         &mut self,
-        pred: &crate::expr::Pred,
+        pred: &Pred,
         assignments: &[(usize, Code)],
         stats: &DbStats,
         mut on_change: impl FnMut(&[Code], &[Code]),
@@ -257,7 +243,7 @@ impl Table {
         let arity = self.schema.arity();
         let mut changed = Vec::new();
         let mut new_row: Vec<Code> = Vec::with_capacity(arity);
-        self.scan_matching(&PredSet::from_filter(pred), stats, |tid, row| {
+        self.scan_matching(pred, stats, |tid, row| {
             // Every assigned column was checked against the schema above.
             if assignments.iter().all(|&(col, value)| row[col] == value) {
                 return;
@@ -340,26 +326,23 @@ impl Table {
 
     /// A filtered sequential scan, a page at a time: `on_page` sees, for
     /// each page in turn, the TID of its first row, its packed rows and
-    /// which of them `filter` selects. Charges what draining
+    /// which of them `filter` selects, ascending. Charges what draining
     /// [`Table::scan`] charges: the scan, each page, every row.
     pub(crate) fn scan_selected(
         &self,
-        filter: &PredSet,
+        filter: &Pred,
         stats: &DbStats,
         mut on_page: impl FnMut(u64, &[Code], &[u32]),
     ) {
         stats.add_seq_scan();
-        let arity = self.schema.arity();
-        let mut route = BlockRoute::default();
+        let mut filter = PageFilter::compile(filter, &self.col_max);
+        let mut sel = Vec::new();
         let mut first_tid = 0;
         for page in &self.pages {
             stats.add_pages_read(1);
             stats.add_rows_scanned(page.nrows() as u64);
-            on_page(
-                first_tid,
-                page.raw(),
-                select_rows(filter, page.raw(), arity, &mut route),
-            );
+            filter.select(page.raw(), &mut sel);
+            on_page(first_tid, page.raw(), &sel);
             first_tid += page.nrows() as u64;
         }
     }
@@ -368,7 +351,7 @@ impl Table {
     /// the TID and the codes of each row `filter` selects, in scan order.
     pub(crate) fn scan_matching(
         &self,
-        filter: &PredSet,
+        filter: &Pred,
         stats: &DbStats,
         mut on_row: impl FnMut(u64, &[Code]),
     ) {
@@ -385,7 +368,7 @@ impl Table {
 
     /// The TIDs of the rows `filter` selects, ascending, by a filtered
     /// sequential scan ([`Table::scan_selected`] says what it charges).
-    pub(crate) fn matching_tids(&self, filter: &PredSet, stats: &DbStats) -> Vec<Tid> {
+    pub(crate) fn matching_tids(&self, filter: &Pred, stats: &DbStats) -> Vec<Tid> {
         let mut tids = Vec::new();
         self.scan_selected(filter, stats, |first_tid, _, sel| {
             tids.extend(sel.iter().map(|&r| Tid(first_tid + u64::from(r))));
@@ -570,10 +553,9 @@ mod tests {
         let mut t = small_table();
         let stats = DbStats::new();
         let mut seen = Vec::new();
-        let removed =
-            t.delete_where_with(&crate::expr::Pred::Eq { col: 1, value: 0 }, &stats, |row| {
-                seen.push(row.to_vec())
-            });
+        let removed = t.delete_where_with(&Pred::Eq { col: 1, value: 0 }, &stats, |row| {
+            seen.push(row.to_vec())
+        });
         assert_eq!(removed as usize, seen.len());
         assert!(seen.iter().all(|r| r[1] == 0));
         assert_eq!(t.nrows() + removed, 10);
@@ -586,7 +568,7 @@ mod tests {
         let mut pairs = Vec::new();
         let changed = t
             .update_where_with(
-                &crate::expr::Pred::Eq { col: 0, value: 3 },
+                &Pred::Eq { col: 0, value: 3 },
                 &[(1, 2)],
                 &stats,
                 |old, new| pairs.push((old.to_vec(), new.to_vec())),
@@ -610,11 +592,7 @@ mod tests {
         let stats = DbStats::new();
         // Row 0 = [0, 0]: assigning class=0 changes nothing.
         let changed = t
-            .update_where(
-                &crate::expr::Pred::Eq { col: 0, value: 0 },
-                &[(1, 0)],
-                &stats,
-            )
+            .update_where(&Pred::Eq { col: 0, value: 0 }, &[(1, 0)], &stats)
             .unwrap();
         assert_eq!(changed, 0);
     }
@@ -625,11 +603,11 @@ mod tests {
         let stats = DbStats::new();
         let before: Vec<Vec<Code>> = t.rows_unaccounted().map(|r| r.to_vec()).collect();
         assert!(matches!(
-            t.update_where(&crate::expr::Pred::True, &[(1, 99)], &stats),
+            t.update_where(&Pred::True, &[(1, 99)], &stats),
             Err(DbError::ValueOutOfRange { .. })
         ));
         assert!(matches!(
-            t.update_where(&crate::expr::Pred::True, &[(7, 0)], &stats),
+            t.update_where(&Pred::True, &[(7, 0)], &stats),
             Err(DbError::UnknownColumn(_))
         ));
         let after: Vec<Vec<Code>> = t.rows_unaccounted().map(|r| r.to_vec()).collect();

@@ -7,7 +7,8 @@ use scaleclass_sqldb::sql::parse;
 use scaleclass_sqldb::wire::WireBatch;
 use scaleclass_sqldb::{
     execute, open_database, save_database, BlockRoute, Code, ColumnView, Database, DbError,
-    DbResult, DbStats, DeltaLog, DeltaSign, Pred, PredSet, Schema, StatsSnapshot, Table, Tid,
+    DbResult, DbStats, DeltaLog, DeltaSign, PageFilter, Pred, PredSet, Schema, StatsSnapshot,
+    Table, Tid,
 };
 use std::ops::ControlFlow;
 
@@ -141,6 +142,84 @@ fn irregular_family(seed: u64) -> Vec<Pred> {
     ]));
     preds.push(Pred::Or(vec![under(vec![]), Pred::Eq { col: a, value: 2 }]));
     preds.push(Pred::False);
+    for i in (1..preds.len()).rev() {
+        preds.swap(i, rng.below(i + 1));
+    }
+    preds
+}
+
+/// The disjuncts of a pushed-down filter, for the page filter: a
+/// [`predicate_family`] or an [`irregular_family`]; the paths of enough
+/// trees to fill more than one or more than two 64-disjunct mask words;
+/// conjunctions of `<>` atoms only; an empty list; or `False` alone —
+/// and then a few of: `=` and `<>` values past every stored code, atoms
+/// repeated (or contradicting each other) on one column, a nested `Or`,
+/// and a column past the arity behind an atom no row passes.
+fn filter_family(seed: u64) -> Vec<Pred> {
+    let mut rng = Rng(seed ^ 0xf17e);
+    let atom = |rng: &mut Rng, eq: bool| {
+        let (col, value) = (rng.below(ARITY), VALUES[rng.below(VALUES.len())]);
+        if eq {
+            Pred::Eq { col, value }
+        } else {
+            Pred::NotEq { col, value }
+        }
+    };
+    let mut preds = match rng.below(6) {
+        0 => predicate_family(seed),
+        1 => irregular_family(seed),
+        2 => {
+            // No `True`: a disjunct that admits every row needs no word.
+            let words = 1 + rng.below(2);
+            let mut paths = Vec::new();
+            while paths.len() <= 64 * words {
+                grow_paths(&mut rng, &Pred::True, 0, &mut paths);
+                paths.retain(|p| *p != Pred::True);
+            }
+            paths
+        }
+        3 => (0..1 + rng.below(70))
+            .map(|_| {
+                Pred::And(
+                    (0..1 + rng.below(3))
+                        .map(|_| atom(&mut rng, false))
+                        .collect(),
+                )
+            })
+            .collect(),
+        4 => Vec::new(),
+        _ => vec![Pred::False; 1 + rng.below(3)],
+    };
+    for _ in 0..rng.below(4) {
+        let col = rng.below(ARITY);
+        let past = CARD + rng.below(3) as Code;
+        let (v, w) = (
+            VALUES[rng.below(VALUES.len())],
+            VALUES[rng.below(VALUES.len())],
+        );
+        let extra = match rng.below(6) {
+            0 => Pred::And(vec![atom(&mut rng, true), Pred::Eq { col, value: past }]),
+            1 => Pred::NotEq { col, value: past },
+            2 => Pred::And(vec![Pred::Eq { col, value: v }, Pred::Eq { col, value: w }]),
+            3 => Pred::And(vec![
+                Pred::NotEq { col, value: v },
+                Pred::Eq { col, value: w },
+                Pred::NotEq { col, value: v },
+            ]),
+            4 => Pred::Or(vec![
+                atom(&mut rng, true),
+                Pred::And(vec![atom(&mut rng, true), atom(&mut rng, false)]),
+            ]),
+            _ => Pred::And(vec![
+                Pred::Eq { col, value: CARD },
+                Pred::Eq {
+                    col: ARITY + 3,
+                    value: 0,
+                },
+            ]),
+        };
+        preds.push(extra);
+    }
     for i in (1..preds.len()).rev() {
         preds.swap(i, rng.below(i + 1));
     }
@@ -316,8 +395,9 @@ proptest! {
 
     /// The compiled router is the interpreter: over generated predicate
     /// families and rows, `route` returns exactly `{i | preds[i].eval(row)}`
-    /// in ascending order and `matches_any` is `Pred::or(preds).eval`, over
-    /// row-major and over column access alike.
+    /// in ascending order, and some predicate exactly when
+    /// `Pred::or(preds).eval` holds, over row-major and over column access
+    /// alike.
     #[test]
     fn router_equals_interpreter(seed in any::<u64>(), nrows in 1usize..40) {
         let preds = predicate_family(seed);
@@ -340,14 +420,13 @@ proptest! {
             });
             by_column.sort_unstable();
             prop_assert_eq!(&by_column, &expect, "column access, row {:?}", row);
-            prop_assert_eq!(set.matches_any(row), disjunction.eval(row));
-            prop_assert_eq!(set.matches_any(row), !expect.is_empty());
+            prop_assert_eq!(!routed.is_empty(), disjunction.eval(row));
         }
     }
 
     /// The block router is the per-row router, block at a time: each
     /// predicate's selection is `{r | route(row r) ∋ i}` ascending, their
-    /// union — `matched`, once marked — is `{r | matches_any(row r)}`
+    /// union — `matched`, once marked — is `{r | Pred::or(preds).eval(row r)}`
     /// ascending with a row several predicates select named once, a
     /// predicate no row satisfies is not reported, and the scratch is
     /// reusable — over row-major and over column access alike.
@@ -360,6 +439,7 @@ proptest! {
             .map(|c| rows.iter().map(|row| row[c]).collect())
             .collect();
         let set = PredSet::new(&preds);
+        let disjunction = Pred::or(preds.clone());
 
         let mut expect = vec![Vec::new(); preds.len()];
         let mut routed = Vec::new();
@@ -368,7 +448,7 @@ proptest! {
             for &i in &routed {
                 expect[i].push(r as u32);
             }
-            prop_assert_eq!(set.matches_any(row), !routed.is_empty());
+            prop_assert_eq!(disjunction.eval(row), !routed.is_empty());
         }
         let expect: Vec<(usize, &[u32])> = expect
             .iter()
@@ -379,7 +459,7 @@ proptest! {
         let any: std::collections::BTreeSet<u32> =
             expect.iter().flat_map(|(_, sel)| sel.iter().copied()).collect();
         let matched: Vec<u32> =
-            (0..nrows as u32).filter(|&r| set.matches_any(&rows[r as usize])).collect();
+            (0..nrows as u32).filter(|&r| disjunction.eval(&rows[r as usize])).collect();
         prop_assert!(any.iter().copied().eq(matched.iter().copied()));
 
         // One scratch over both layouts, then over a shorter block: what
@@ -416,6 +496,43 @@ proptest! {
         let cut_matched: Vec<u32> =
             matched.iter().copied().filter(|&r| (r as usize) < half).collect();
         prop_assert_eq!(route.matched(), &cut_matched[..]);
+    }
+
+    /// The page filter is the interpreter: over generated filters, rows
+    /// and range certificates (each column's stored maximum, or more), it
+    /// selects exactly `{r | Pred::or(preds).eval(row r)}` ascending —
+    /// the filter pushed down collapsed or as the uncollapsed `Or` of
+    /// `preds` — on a page, on a shorter page through the same scratch,
+    /// and one row at a time.
+    #[test]
+    fn page_filter_equals_interpreter(seed in any::<u64>(), nrows in 0usize..300) {
+        let mut rng = Rng(seed ^ 0xce27);
+        let preds = filter_family(seed);
+        let rows = random_rows(seed, nrows);
+        let flat: Vec<Code> = rows.concat();
+        let col_max: Vec<Code> = (0..ARITY)
+            .map(|c| {
+                let stored = rows.iter().map(|row| row[c]).max().unwrap_or(0);
+                stored + rng.below(2) as Code * 9
+            })
+            .collect();
+        let disjunction = Pred::or(preds.clone());
+        let expect: Vec<u32> =
+            (0..nrows as u32).filter(|&r| disjunction.eval(&rows[r as usize])).collect();
+        let half = nrows / 2;
+        let half_expect: Vec<u32> = expect.iter().copied().filter(|&r| (r as usize) < half).collect();
+        for filter in [disjunction.clone(), Pred::Or(preds.clone())] {
+            let mut page = PageFilter::compile(&filter, &col_max);
+            let mut sel = vec![7, 3];
+            page.select(&flat, &mut sel);
+            prop_assert_eq!(&sel, &expect, "{}", filter);
+            page.select(&flat[..half * ARITY], &mut sel);
+            prop_assert_eq!(&sel, &half_expect, "a shorter page, {}", filter);
+            for (r, row) in (0..).zip(&rows) {
+                page.select(row, &mut sel);
+                prop_assert_eq!(sel.is_empty(), expect.binary_search(&r).is_err());
+            }
+        }
     }
 
     /// A cursor that filters a page at a time and ships a fetch at a time
