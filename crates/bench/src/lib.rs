@@ -40,10 +40,6 @@ pub struct RunMetrics {
     pub tree_leaves: usize,
     /// Counts requests issued by the client.
     pub requests: u64,
-    /// Nodes whose split was accepted from a sampled counts table.
-    pub sampled_accepts: u64,
-    /// Nodes escalated from a sampled counts table to an exact scan.
-    pub escalations: u64,
 }
 
 impl RunMetrics {
@@ -85,8 +81,6 @@ pub fn run_tree_growth(
     let GrowOutcome {
         tree,
         requests_issued,
-        sampled_accepts,
-        escalations,
     } = grow_with_middleware(&mut mw, grow_config).expect("tree growth");
     let wall_secs = start.elapsed().as_secs_f64();
     RunMetrics {
@@ -97,8 +91,6 @@ pub fn run_tree_growth(
         tree_depth: tree.depth().unwrap_or(0),
         tree_leaves: tree.leaves().count(),
         requests: requests_issued,
-        sampled_accepts,
-        escalations,
     }
 }
 
@@ -168,8 +160,6 @@ pub fn run_tree_growth_via_sql(
         tree_depth: max_depth,
         tree_leaves: leaves,
         requests,
-        sampled_accepts: 0,
-        escalations: 0,
     }
 }
 
@@ -210,8 +200,6 @@ pub fn run_extract_and_grow(
         tree_depth: tree.depth().unwrap_or(0),
         tree_leaves: tree.leaves().count(),
         requests: 1,
-        sampled_accepts: 0,
-        escalations: 0,
     }
 }
 

@@ -108,8 +108,6 @@ mod tests {
             tree_depth: 2,
             tree_leaves: 4,
             requests: 3,
-            sampled_accepts: 0,
-            escalations: 0,
         };
         assert_eq!(metric_cells(&m).len(), METRIC_HEADER.len());
     }

@@ -1432,15 +1432,11 @@ pub struct FulfilledCc {
     /// True when memory pressure forced the §4.1.1 dynamic switch to
     /// SQL-based (lazy, per-attribute) counting for this node.
     pub via_sql_fallback: bool,
-    /// `Some` when the counts were built from a block-level sample
-    /// (DESIGN.md §13): the tag carries the sampling fraction the client
-    /// needs to scale counts and size confidence intervals. The client
-    /// must answer with [`crate::session::Session::accept_sampled`] or
-    /// [`crate::session::Session::escalate`] — until then the table's
-    /// bytes stay charged against the session's lease. `None` means the
-    /// counts are exact (a full scan, or the §4.1.1 SQL fallback, which
-    /// always counts exactly).
-    pub sample: Option<crate::sample::SampledScan>,
+    /// Always `None`: every count is exact. Retired with sampled counting
+    /// (DESIGN.md §13), and kept only because `benchmark/` still asserts
+    /// it is `None`; ROADMAP item 1(g) removes that assertion, after which
+    /// a change that touches only `crates/` deletes the field.
+    pub sample: Option<std::convert::Infallible>,
 }
 
 #[cfg(test)]

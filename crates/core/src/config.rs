@@ -99,20 +99,19 @@ pub struct MiddlewareConfig {
     /// scaled-down budgets it triggers §4.1.1 fallback storms (see
     /// DESIGN.md §8) — measurable via `experiments ablate-admission`.
     pub admit_by_estimate: bool,
-    /// Extent reader threads for an exact staged-file scan. `1` (the
-    /// default) counts every scan on the session thread; `> 1` reads an
-    /// exact scan of a staged file on up to `n` sharded extent readers of
+    /// Extent reader threads for a staged-file scan. `1` (the default)
+    /// counts every scan on the session thread; `> 1` reads a scan of a
+    /// staged file on up to `n` sharded extent readers of
     /// [`crate::parallel`], each counting a disjoint extent range into
     /// private CC tables merged after the scan, whenever the batch provably
     /// cannot reach its memory budget (`BatchCounter::cannot_reach_budget`).
-    /// Server, memory-set, auxiliary and sampled scans count on the session
+    /// Server, memory-set and auxiliary scans count on the session
     /// thread at any value. Counts, fallbacks and every logical stat are
     /// the same at any value.
     pub scan_workers: usize,
     /// Rows per block of a counting scan: where memory sets and wire
-    /// fetches are cut for the block kernel, and the unit a sampled scan
-    /// admits or skips. A staged file's blocks are its extents
-    /// (`stage_extent_rows`).
+    /// fetches are cut for the block kernel. A staged file's blocks are
+    /// its extents (`stage_extent_rows`).
     pub scan_block_rows: usize,
     /// Rows per extent in staged middleware files. Staged files are
     /// written as fixed-size extents (columnar blocks + CRC footer, see
@@ -155,25 +154,6 @@ pub struct MiddlewareConfig {
     /// DESIGN.md §12) as the reference the batched≡row properties compare
     /// against.
     pub batch_kernel: bool,
-    /// Sampled counting fraction (DESIGN.md §13). `0.0` (the default)
-    /// disables the mode entirely — off is bit-identical to a build
-    /// without the feature. A fraction in `(0, 1)` makes the scheduler
-    /// consider a *sampled* scan per batch: whole blocks/extents are
-    /// drawn by a seeded hash of their global index, the resulting CC
-    /// tables are tagged with the sampling fraction, and the client
-    /// either accepts a confidence-separated split or escalates the node
-    /// back to an exact scan. `1.0` asks for a complete "sample", which
-    /// the cost model prices above the exact scan it is — the scheduler
-    /// plans it exact, so `1.0` is bit-identical to exact mode by
-    /// construction.
-    pub sampled_fraction: f64,
-    /// Minimum *estimated relevant rows* a node needs before the
-    /// scheduler will serve it from a sample (DESIGN.md §13). Small nodes
-    /// sit near the leaves where confidence intervals are wide and
-    /// escalation is likely, so sampling them costs more than it saves;
-    /// the default keeps the sampled path on the row-heavy upper tree
-    /// where the ISSUE's server-I/O argument actually holds.
-    pub sampled_min_rows: u64,
     /// Incremental model maintenance over mutation deltas (DESIGN.md §15).
     /// When on, the session enables the server-side delta log for its
     /// table at open, staged artifacts and shared-catalog entries are
@@ -200,12 +180,6 @@ const MAX_EXTENT_ROWS: usize = 1 << 20;
 /// geometries stay sparse.
 pub const DEFAULT_CC_DENSE_MAX_BYTES: u64 = 4 << 20;
 
-/// Default sampled-path row floor: one default extent of rows. Nodes
-/// smaller than a single staged extent cannot even draw a multi-block
-/// sample, and their interval half-widths (∝ 1/√n) make escalation the
-/// likely outcome.
-pub const DEFAULT_SAMPLED_MIN_ROWS: u64 = 8192;
-
 impl Default for MiddlewareConfig {
     fn default() -> Self {
         MiddlewareConfig {
@@ -228,8 +202,6 @@ impl Default for MiddlewareConfig {
             sessions: 1,
             shared_staging: false,
             batch_kernel: true,
-            sampled_fraction: 0.0,
-            sampled_min_rows: DEFAULT_SAMPLED_MIN_ROWS,
             deltas: false,
         }
     }
@@ -337,7 +309,7 @@ impl MiddlewareConfigBuilder {
         self
     }
 
-    /// Extent reader threads for an exact staged-file scan (min 1; 1 =
+    /// Extent reader threads for a staged-file scan (min 1; 1 =
     /// every scan on the session thread).
     pub fn scan_workers(mut self, workers: usize) -> Self {
         self.config.scan_workers = workers.max(1);
@@ -380,22 +352,20 @@ impl MiddlewareConfigBuilder {
         self
     }
 
-    /// Sampled counting fraction (clamped to `[0, 1]`; `0` disables the
-    /// mode, NaN degrades to off).
-    pub fn sampled_counting(mut self, fraction: f64) -> Self {
-        self.config.sampled_fraction = if fraction.is_finite() {
-            fraction.clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        self
-    }
-
-    /// Smallest node (estimated relevant rows) the scheduler may serve
-    /// from a sample. `0` makes every node eligible — tiny-table tests
-    /// use that to exercise the sampled path.
-    pub fn sampled_min_rows(mut self, rows: u64) -> Self {
-        self.config.sampled_min_rows = rows;
+    /// Retired with sampled counting (DESIGN.md §13): every build counts
+    /// exactly, and this sets nothing. Only `benchmark/` still calls it,
+    /// with `0.0`; ROADMAP item 1(g) removes that call, after which a change
+    /// that touches only `crates/` deletes the method.
+    ///
+    /// # Panics
+    ///
+    /// On any `fraction` but `0.0`, so a caller that still asks for a
+    /// sample fails loudly instead of getting an exact build.
+    pub fn sampled_counting(self, fraction: f64) -> Self {
+        assert!(
+            fraction == 0.0,
+            "sampled counting was removed; only 0.0 is accepted, got {fraction}"
+        );
         self
     }
 
@@ -440,8 +410,6 @@ mod tests {
             sessions,
             shared_staging,
             batch_kernel,
-            sampled_fraction,
-            sampled_min_rows,
             deltas,
         } = MiddlewareConfig::default();
         assert_eq!(memory_budget_bytes, 64 << 20);
@@ -463,8 +431,6 @@ mod tests {
         assert_eq!(sessions, 1);
         assert!(!shared_staging);
         assert!(batch_kernel);
-        assert_eq!(sampled_fraction, 0.0);
-        assert_eq!(sampled_min_rows, DEFAULT_SAMPLED_MIN_ROWS);
         assert!(!deltas);
     }
 
@@ -563,20 +529,19 @@ mod tests {
     }
 
     #[test]
-    fn sampled_counting_knob_is_clamped() {
-        let c = MiddlewareConfig::builder().sampled_counting(0.1).build();
-        assert_eq!(c.sampled_fraction, 0.1);
-        let c = MiddlewareConfig::builder().sampled_counting(-3.0).build();
-        assert_eq!(c.sampled_fraction, 0.0, "negative means off");
-        let c = MiddlewareConfig::builder().sampled_counting(7.5).build();
-        assert_eq!(c.sampled_fraction, 1.0, "clamped to the complete sample");
-        let c = MiddlewareConfig::builder()
-            .sampled_counting(f64::NAN)
-            .build();
-        assert_eq!(c.sampled_fraction, 0.0, "NaN degrades to off");
+    fn sampled_counting_zero_sets_nothing() {
+        let c = MiddlewareConfig::builder().sampled_counting(0.0).build();
+        assert_eq!(
+            format!("{c:?}"),
+            format!("{:?}", MiddlewareConfig::default()),
+            "every field stays at its default"
+        );
+    }
 
-        let c = MiddlewareConfig::builder().sampled_min_rows(0).build();
-        assert_eq!(c.sampled_min_rows, 0, "tiny tables can opt in");
+    #[test]
+    #[should_panic(expected = "sampled counting was removed")]
+    fn sampled_counting_refuses_a_sample() {
+        let _ = MiddlewareConfig::builder().sampled_counting(0.1);
     }
 
     #[test]

@@ -107,41 +107,6 @@ pub fn data_bytes(rows: u64, arity: usize, width: CodeWidth) -> u64 {
     rows.saturating_mul(row_width)
 }
 
-/// Escalation-probability charge for the sampled access path, in permille
-/// (DESIGN.md §13): the scheduler prices a sampled scan as
-/// `fraction × rows + (escalation probability) × rows`, because an
-/// escalated node pays the sampled scan *and* the exact rescan. 100‰ (a
-/// 10% escalation prior) keeps sampling attractive for any fraction below
-/// 0.9 while pricing in the escape hatch.
-pub const SAMPLED_ESCALATION_PERMILLE: u64 = 100;
-
-/// A sampling fraction as integer permille, clamped to `[0, 1000]` (NaN
-/// degrades to 0 — "never sample"). Integer permille keeps the scheduler's
-/// cost comparison in the same checked-integer regime as every other
-/// accounting quantity in this module.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-pub fn fraction_permille(fraction: f64) -> u64 {
-    if !fraction.is_finite() {
-        return 0;
-    }
-    // analyze:allow(accounting-arith): f64 fraction → integer permille
-    // needs a float product and a saturating `as` cast; the ceil rounds
-    // *against* sampling so the cost model never undercharges.
-    let permille = (fraction.clamp(0.0, 1.0) * 1000.0).ceil() as u64;
-    permille.min(1000)
-}
-
-/// Estimated row cost of serving `rows` relevant rows from a block sample:
-/// `ceil(rows × (fraction + escalation prior))`, the ISSUE's
-/// `sample_fraction × scan cost + escalation probability × exact cost`
-/// with both terms over the same per-row scan cost. Exact integer ceiling
-/// in `u128` — no float accumulation in an admission quantity.
-pub fn sampled_scan_cost_rows(rows: u64, fraction: f64) -> u64 {
-    let permille = fraction_permille(fraction).saturating_add(SAMPLED_ESCALATION_PERMILLE);
-    let num = u128::from(rows).saturating_mul(u128::from(permille));
-    u64::try_from(num.div_ceil(1000)).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,21 +163,6 @@ mod tests {
         assert_eq!(data_bytes(100, 26, CodeWidth::One), 100 * 26);
         assert_eq!(data_bytes(100, 26, CodeWidth::Two), 100 * 52);
         assert_eq!(data_bytes(0, 26, CodeWidth::Two), 0);
-    }
-
-    #[test]
-    fn sampled_cost_prices_fraction_plus_escalation() {
-        // 10% sample of 1000 rows: 100 sampled + 100 escalation prior.
-        assert_eq!(sampled_scan_cost_rows(1000, 0.1), 200);
-        // A complete sample costs *more* than the exact scan (the prior
-        // still applies), so the scheduler never plans fraction 1.0.
-        assert!(sampled_scan_cost_rows(1000, 1.0) > 1000);
-        // Cheaper than exact for any fraction below 0.9.
-        assert!(sampled_scan_cost_rows(1000, 0.89) < 1000);
-        // Degenerate inputs stay bounded.
-        assert_eq!(sampled_scan_cost_rows(0, 0.5), 0);
-        assert_eq!(sampled_scan_cost_rows(1000, f64::NAN), 100);
-        assert_eq!(sampled_scan_cost_rows(u64::MAX, 1.0), u64::MAX);
     }
 
     #[test]

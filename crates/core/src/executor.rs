@@ -720,7 +720,7 @@ impl BatchCounter {
     /// them lies at or under `certificate`, per column. `plans` are the
     /// batch's derivations, per node, that this scan can keep
     /// (`crate::siblings::Parents::plan`). When some plan is made, or the
-    /// scan may `shard` — an exact staged-file scan under
+    /// scan may `shard` — a staged-file scan under
     /// `scan_workers > 1` — the scan tries to prove it fires no budget
     /// event ([`BatchCounter::cannot_reach_budget`]). Proved, the nodes
     /// take their plans; otherwise they count every class, and each plan

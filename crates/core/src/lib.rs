@@ -99,12 +99,6 @@ pub mod request;
     clippy::cast_sign_loss,
     clippy::cast_possible_wrap
 )]
-pub mod sample;
-#[deny(
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_possible_wrap
-)]
 pub mod scheduler;
 pub mod session;
 mod siblings;
@@ -120,7 +114,7 @@ pub use delta::{DeltaMap, LeafDelta};
 pub use error::{MwError, MwResult};
 pub use metrics::{ArbiterStats, CatalogStats, MiddlewareStats, ScanStats, WorkerScanStats};
 pub use request::{CcRequest, DataLocation, Lineage, NodeId};
-pub use sample::{BlockSampler, SampledLedger, SampledScan};
+pub use scheduler::SampledLedger;
 pub use session::{Backend, BudgetArbiter, Middleware, Session};
 pub use staging::ExtentLayout;
 

@@ -167,17 +167,6 @@ pub struct MiddlewareStats {
     /// (so experiments can report the "idealized" §5.2.5 number that
     /// neglects index build cost).
     pub aux_build_cost: scaleclass_sqldb::StatsSnapshot,
-    /// Nodes whose counts were served from a block-level sample
-    /// (DESIGN.md §13). Exact-mode runs leave this 0.
-    pub sampled_nodes: u64,
-    /// Sampled nodes the client escalated back to an exact scan because
-    /// the winning split's confidence interval overlapped the runner-up's.
-    pub escalated_nodes: u64,
-    /// Rows actually scanned by sampled batches (the admitted blocks).
-    pub sampled_rows_scanned: u64,
-    /// Rows sampled batches *skipped* relative to an exact scan of the
-    /// same source — the headline saving the mode exists for.
-    pub exact_rows_saved: u64,
     /// Signed row events drained from the server delta log and applied by
     /// the incremental-maintenance path (DESIGN.md §15). From-scratch
     /// builds leave this 0.

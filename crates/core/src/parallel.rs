@@ -9,14 +9,14 @@
 //! ([`CountsTable::merge`](crate::cc::CountsTable::merge)) are the ones
 //! one serial pass over the same rows builds.
 //!
-//! ## Only an exact staged-file scan that cannot reach the budget
+//! ## Only a staged-file scan that cannot reach the budget
 //!
 //! The §4.1.1 budget protocol — evict cached sets, then switch a node to
 //! SQL; cancel a memory tee that no longer fits — fires at a row, and
 //! which row depends on everything counted before it. Readers deciding it
 //! each against the others' progress would make it depend on thread
 //! timing, so they never decide it. `BatchCounter::certify` shards a scan
-//! only when it is an exact scan of an extent-format staging file
+//! only when it is a scan of an extent-format staging file
 //! ([`ExtentLayout`]) under `scan_workers > 1`, and
 //! `BatchCounter::cannot_reach_budget` proves, from the scan's range
 //! certificate and row count, that no row of it can fire any of those
@@ -24,7 +24,7 @@
 //! more than one extent to share out (`shards`). Then the serial scan
 //! fires none either and peaks at its final state; the readers count
 //! under no budget and their merge is that final state, observed once.
-//! Every other scan — server, memory set, auxiliary structure, sampled —
+//! Every other scan — server, memory set, auxiliary structure —
 //! counts on the session thread, through the one protocol in
 //! `executor.rs`. So counts, fallback flags and every logical
 //! stat are those of `scan_workers = 1`, at any budget. The same proof is
@@ -276,7 +276,7 @@ mod tests {
         (staging, layout)
     }
 
-    /// Certify `batch` for an exact scan at `epoch` of a staged file of
+    /// Certify `batch` for a scan at `epoch` of a staged file of
     /// `rows` rows of `rows()`, which may shard on `workers > 1` readers,
     /// with the plans `parents` makes for it — planned as for a scan that
     /// reads no row over the wire, a pair choosing its sides by rows alone,
@@ -289,7 +289,7 @@ mod tests {
         epoch: u64,
         stats: &mut MiddlewareStats,
     ) -> Scan {
-        let plans = parents.plan(&batch.nodes, &CERT, epoch, true, false, stats);
+        let plans = parents.plan(&batch.nodes, &CERT, epoch, false, stats);
         batch.certify(&CERT, rows as u64, epoch, plans, workers > 1, stats)
     }
 
@@ -311,7 +311,7 @@ mod tests {
             }
             Scan::Sharded | Scan::Serial => {
                 let mut src = BlockSource::extents(layout).unwrap();
-                drive(&mut src, None, batch, stats).unwrap();
+                drive(&mut src, batch, stats).unwrap();
             }
         }
         batch.derive(stats).unwrap();
@@ -321,7 +321,7 @@ mod tests {
     /// in row-major blocks of 16 rows, then complete the planned tables.
     fn read_rows(batch: &mut BatchCounter, data: &[[Code; 3]], stats: &mut MiddlewareStats) {
         let flat = flat(data);
-        drive(&mut BlockSource::flat(&flat, ARITY, 16), None, batch, stats).unwrap();
+        drive(&mut BlockSource::flat(&flat, ARITY, 16), batch, stats).unwrap();
         batch.derive(stats).unwrap();
     }
 
@@ -549,7 +549,7 @@ mod tests {
         assert_eq!(stats.peak_memory_bytes, alone_stats.peak_memory_bytes);
     }
 
-    /// Certify `batch` for an exact, unplanned scan of `rows` staged rows
+    /// Certify `batch` for an unplanned scan of `rows` staged rows
     /// that may shard on `workers` readers: the proof clears it.
     fn certify_sharded(batch: &mut BatchCounter, rows: usize, workers: usize) {
         let mut stats = MiddlewareStats::new();

@@ -3,10 +3,9 @@
 //! The client's only interface to the data (Figure 3): it queues one
 //! [`CcRequest`] per active tree node and later consumes fulfilled counts
 //! tables. A request carries everything the middleware's estimator needs
-//! (§4.2.1) — the node's data size (read off the parent's CC table: exact
-//! under exact counts, scaled up under sampled ones) and the parent-level
-//! attribute cardinalities — plus the node's [`Lineage`] so the scheduler
-//! can find staged data of ancestors.
+//! (§4.2.1) — the node's data size (read off the parent's CC table) and
+//! the parent-level attribute cardinalities — plus the node's [`Lineage`]
+//! so the scheduler can find staged data of ancestors.
 //!
 //! **Lineages are shared, not copied.** A node's data is a view over its
 //! parent's, and its lineage has that shape: a reference-counted record
@@ -275,9 +274,7 @@ pub struct CcRequest {
     /// Class column index.
     pub class_col: u16,
     /// Rows at this node as the client read them off the parent's CC table
-    /// (§4.2.1 — "hence memory load requirements are known"): exact under
-    /// an exact parent, a scaled estimate after a sampled accept (the
-    /// client scales the sample's counts up by its fraction). The
+    /// (§4.2.1 — "hence memory load requirements are known"). The
     /// scheduler sizes batches by it; nothing that must be exact reads it.
     pub rows: u64,
     /// Rows at the parent, on the same terms as `rows`.

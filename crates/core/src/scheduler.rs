@@ -19,9 +19,8 @@
 //!   staging disabled, server → memory staging is direct.
 
 use crate::config::{FileStagingPolicy, MiddlewareConfig};
-use crate::estimator::{data_bytes, est_cc_bytes_kind, est_cc_bytes_upper, sampled_scan_cost_rows};
+use crate::estimator::{data_bytes, est_cc_bytes_kind, est_cc_bytes_upper};
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
-use crate::sample::{SampledLedger, SampledScan};
 use crate::staging::{StagingManager, Tier};
 
 /// One scheduled node within a batch.
@@ -65,10 +64,6 @@ pub struct BatchPlan {
     /// and the set is handed to the nodes and the waiting requests
     /// together (`StagingManager::compact_mem`).
     pub compact_mem: Option<Vec<Lineage>>,
-    /// Serve this batch from a block-level sample instead of a full scan
-    /// (DESIGN.md §13). Sampled batches never stage or split files — a
-    /// partial scan would silently truncate the staged set.
-    pub sampled: Option<SampledScan>,
     /// Rows the whole frontier reads: the scheduled nodes' and those of
     /// the requests still queued. Staging (Rule 5) and the §4.3.3
     /// threshold are judged on it, not on this batch alone — the paper
@@ -95,6 +90,13 @@ impl BatchPlan {
     }
 }
 
+/// Retired with sampled counting (DESIGN.md §13): it holds nothing and
+/// [`schedule`] ignores it. Only `benchmark/`'s scheduler probe still
+/// passes one; ROADMAP item 1(g) removes that call, after which a change that
+/// touches only `crates/` deletes the name and the parameter.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SampledLedger;
+
 /// Produce the next batch plan, removing the scheduled requests from
 /// `pending`. Returns `None` when the queue is empty.
 ///
@@ -111,12 +113,7 @@ impl BatchPlan {
 /// `config.memory_budget_bytes` (a lone session's lease *is* the whole
 /// budget, so single-session behaviour is unchanged).
 ///
-/// `sampled` is the session's accept-or-escalate ledger (DESIGN.md §13):
-/// its held bytes shrink the counting budget (fulfilled sampled CC tables
-/// stay charged until the client's verdict), its force-exact set pins
-/// escalated nodes to the exact path, and scheduling a node that still
-/// holds sampled bytes is a double-count bug this function asserts
-/// against.
+/// The last parameter is unused: see [`SampledLedger`].
 #[allow(clippy::too_many_arguments)]
 pub fn schedule(
     pending: &mut Vec<CcRequest>,
@@ -126,7 +123,7 @@ pub fn schedule(
     nclasses: u64,
     arity: usize,
     lease_bytes: u64,
-    sampled: &SampledLedger,
+    _: &SampledLedger,
 ) -> Option<BatchPlan> {
     if pending.is_empty() {
         return None;
@@ -181,12 +178,7 @@ pub fn schedule(
     // block granularity, but its per-block growth bound is reserved before
     // any block is counted, so nothing scheduled here can overshoot the
     // lease mid-block; dense eligibility below is likewise untouched.
-    // Sampled CC tables awaiting the client's accept-or-escalate verdict
-    // are still middleware memory; their held bytes shrink admission
-    // exactly like staged data.
-    let cc_budget = lease_bytes
-        .saturating_sub(staging.staged_mem_bytes())
-        .saturating_sub(sampled.held_bytes());
+    let cc_budget = lease_bytes.saturating_sub(staging.staged_mem_bytes());
     let cap = config.max_batch_nodes.unwrap_or(usize::MAX);
     let mut admitted: Vec<(usize, u64)> = Vec::new();
     let mut cc_reserved = 0u64;
@@ -241,26 +233,8 @@ pub fn schedule(
         nodes: scheduled,
         split_file: false,
         compact_mem: None,
-        sampled: None,
         frontier_rows,
     };
-    // Escalation double-count guard: a node's sampled CC bytes must be
-    // released before its exact rescan reserves counting memory — a node
-    // scheduled while still holding a sampled table would charge the
-    // lease twice for one set of counts.
-    debug_assert!(
-        plan.nodes.iter().all(|n| !sampled.is_held(n.req.node())),
-        "scheduled a node that still holds a sampled CC table"
-    );
-    plan.sampled = plan_sample(&plan, config, sampled);
-    if plan.sampled.is_some() {
-        // A partial scan can neither stage nor split files — the staged
-        // set would silently miss every skipped block. Staging waits for
-        // an exact round (the sampling analogue of Rule 6's "stage on a
-        // later round"), which also keeps the stage-vs-rescan arithmetic
-        // below reasoning about full scans only.
-        return Some(plan);
-    }
     decide_staging(&mut plan, staging, config, cc_reserved, arity, lease_bytes);
     plan.compact_mem = compacts(&plan, staging, pending);
     Some(plan)
@@ -279,37 +253,6 @@ fn dense_eligible(req: &CcRequest, col_cards: &[u64], cap: u64, nclasses: u64) -
         .map(|&a| col_cards.get(usize::from(a)).copied().unwrap_or(u64::MAX));
     let bytes = crate::cc::dense_physical_bytes(cards, nclasses);
     bytes > 0 && bytes <= cap
-}
-
-/// Should this batch be served from a block sample? Eligibility plus the
-/// §13 cost model: the mode is on with a genuinely partial fraction,
-/// every node is big enough for a multi-block sample and not pinned to
-/// the exact path by an earlier escalation, and the priced sampled scan
-/// (`fraction × rows + escalation prior × rows`) beats the exact scan it
-/// replaces. One ineligible node makes the whole batch exact — a batch
-/// shares one physical scan, and a half-sampled scan serves nobody
-/// correctly.
-fn plan_sample(
-    plan: &BatchPlan,
-    config: &MiddlewareConfig,
-    sampled: &SampledLedger,
-) -> Option<SampledScan> {
-    let fraction = config.sampled_fraction;
-    if fraction <= 0.0 || fraction >= 1.0 {
-        return None;
-    }
-    let eligible = plan
-        .nodes
-        .iter()
-        .all(|n| n.req.rows >= config.sampled_min_rows && !sampled.must_run_exact(n.req.node()));
-    if !eligible {
-        return None;
-    }
-    let relevant = plan.relevant_rows();
-    if sampled_scan_cost_rows(relevant, fraction) >= relevant {
-        return None;
-    }
-    Some(SampledScan { fraction })
 }
 
 /// Apply Rules 4–6 plus the file-policy specifics to the plan.
@@ -420,7 +363,7 @@ fn decide_staging(
     }
 }
 
-/// Should this exact batch compact its memory source in place, and for
+/// Should this batch compact its memory source in place, and for
 /// which requests left waiting on it? Only a private set (a catalog entry
 /// is never rewritten), keeping the rows of the batch's nodes and of every
 /// request in `pending` that descends from a member of the set (the
@@ -500,7 +443,7 @@ mod tests {
             NCLASSES,
             ARITY,
             1 << 20,
-            &SampledLedger::default()
+            &SampledLedger
         )
         .is_none());
     }
@@ -521,7 +464,7 @@ mod tests {
             NCLASSES,
             ARITY,
             1 << 20,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert_eq!(plan.source, DataLocation::Server);
@@ -550,7 +493,7 @@ mod tests {
             NCLASSES,
             ARITY,
             small_budget,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert_eq!(plan.nodes.len(), 1);
@@ -570,7 +513,7 @@ mod tests {
             NCLASSES,
             ARITY,
             1,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert_eq!(plan.nodes.len(), 1);
@@ -607,7 +550,7 @@ mod tests {
             NCLASSES,
             ARITY,
             1 << 20,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(matches!(plan.source, DataLocation::Memory(_)));
@@ -623,7 +566,7 @@ mod tests {
             NCLASSES,
             ARITY,
             1 << 20,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(matches!(plan2.source, DataLocation::File(_)));
@@ -638,7 +581,7 @@ mod tests {
             NCLASSES,
             ARITY,
             1 << 20,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert_eq!(plan3.source, DataLocation::Server);
@@ -680,7 +623,7 @@ mod tests {
             NCLASSES,
             ARITY,
             1 << 20,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         let ids = plan.node_ids();
@@ -709,7 +652,7 @@ mod tests {
             NCLASSES,
             ARITY,
             cfg.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(plan.nodes.iter().all(|n| n.stage_file));
@@ -735,7 +678,7 @@ mod tests {
             NCLASSES,
             ARITY,
             cfg.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         let staged: Vec<_> = plan.nodes.iter().filter(|n| n.stage_file).collect();
@@ -758,7 +701,7 @@ mod tests {
             NCLASSES,
             ARITY,
             cfg.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(plan2.nodes.iter().all(|n| !n.stage_file));
@@ -792,7 +735,7 @@ mod tests {
             NCLASSES,
             ARITY,
             cfg.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(matches!(plan.source, DataLocation::File(_)));
@@ -808,7 +751,7 @@ mod tests {
             NCLASSES,
             ARITY,
             cfg.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(!plan2.split_file);
@@ -839,7 +782,7 @@ mod tests {
             NCLASSES,
             ARITY,
             cfg.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         let staged: Vec<u64> = plan
@@ -868,7 +811,7 @@ mod tests {
             NCLASSES,
             ARITY,
             cfg.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(plan.nodes.iter().all(|n| !n.stage_mem));
@@ -891,7 +834,7 @@ mod tests {
             NCLASSES,
             ARITY,
             cfg.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(plan.nodes[0].stage_mem);
@@ -916,7 +859,7 @@ mod tests {
             NCLASSES,
             ARITY,
             ample.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(plan.nodes[0].dense);
@@ -936,7 +879,7 @@ mod tests {
             NCLASSES,
             ARITY,
             cfg.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(!plan.nodes[0].dense);
@@ -956,7 +899,7 @@ mod tests {
             NCLASSES,
             ARITY,
             cfg.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(!plan.nodes[0].dense, "3×4×2×8 = 192 bytes > 100-byte cap");
@@ -972,7 +915,7 @@ mod tests {
             NCLASSES,
             ARITY,
             ample.memory_budget_bytes,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert!(!plan.nodes[0].dense);
@@ -1020,7 +963,7 @@ mod tests {
             NCLASSES,
             ARITY,
             budget,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert_eq!(plan.nodes.len(), 2, "both fit without the shared charge");
@@ -1034,7 +977,7 @@ mod tests {
             NCLASSES,
             ARITY,
             budget,
-            &SampledLedger::default(),
+            &SampledLedger,
         )
         .unwrap();
         assert_eq!(
@@ -1070,7 +1013,7 @@ mod tests {
                 NCLASSES,
                 ARITY,
                 cfg.memory_budget_bytes,
-                &SampledLedger::default(),
+                &SampledLedger,
             )
             .unwrap();
             assert_eq!(plan.nodes.len(), 3);

@@ -28,7 +28,6 @@
 //! check every acquisition here, so keep new nestings consistent with
 //! that order and keep lease-cell atomics at `Acquire`/`Release`.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -42,10 +41,9 @@ use crate::filter::union_filter;
 use crate::metrics::{ArbiterStats, MiddlewareStats, ScanStats};
 use crate::parallel::{scan_extents, shards};
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
-use crate::sample::{BlockSampler, SampledLedger};
-use crate::scheduler::{schedule, BatchPlan};
+use crate::scheduler::{schedule, BatchPlan, SampledLedger};
 use crate::siblings::Parents;
-use crate::source::{admitted_ranges, BlockSource, SourceBlock};
+use crate::source::{BlockSource, SourceBlock};
 use crate::sqlgen::cc_via_sql;
 use crate::staging::{CodeWidth, MemRows, StagedRows, StagingManager};
 use scaleclass_sqldb::stats::DbStats;
@@ -435,13 +433,6 @@ pub struct Session {
     stats: MiddlewareStats,
     scan_stats: ScanStats,
     aux: Vec<AuxHandle>,
-    /// Accept-or-escalate bookkeeping for the sampled counting mode
-    /// (DESIGN.md §13): bytes of sampled CC tables still awaiting the
-    /// client's verdict, plus nodes pinned to the exact path.
-    sampled: SampledLedger,
-    /// The original request behind each outstanding sampled fulfilment, so
-    /// [`Session::escalate`] can requeue it verbatim for the exact rescan.
-    sampled_reqs: BTreeMap<NodeId, CcRequest>,
     /// Exact parent tables a batch may derive a child's table from
     /// (`crate::siblings`, DESIGN.md §12b).
     parents: Parents,
@@ -496,8 +487,6 @@ impl Session {
             stats: MiddlewareStats::new(),
             scan_stats: ScanStats::default(),
             aux: Vec::new(),
-            sampled: SampledLedger::default(),
-            sampled_reqs: BTreeMap::new(),
             parents: Parents::default(),
         })
     }
@@ -710,32 +699,6 @@ impl Session {
         !self.pending.is_empty()
     }
 
-    /// Client verdict on a sampled fulfilment: the confidence interval
-    /// separated the winning split, so the sampled counts stand. Releases
-    /// the table's lease charge. Idempotent; a no-op for nodes that never
-    /// had an outstanding sampled fulfilment.
-    pub fn accept_sampled(&mut self, node: NodeId) {
-        self.sampled.release(node);
-        self.sampled_reqs.remove(&node);
-    }
-
-    /// Client verdict on a sampled fulfilment: the sample could not
-    /// separate the best split, so the node escalates to an exact scan
-    /// (the §13 escape hatch). Releases the sampled table's lease charge
-    /// *first* (double-count guard), pins the node to the exact path, and
-    /// requeues the original request verbatim. Returns `false` (and does
-    /// nothing) if the node has no outstanding sampled fulfilment.
-    pub fn escalate(&mut self, node: NodeId) -> bool {
-        let Some(req) = self.sampled_reqs.remove(&node) else {
-            return false;
-        };
-        self.sampled.release(node);
-        self.sampled.mark_exact(node);
-        self.stats.escalated_nodes += 1;
-        self.pending.push(req);
-        true
-    }
-
     /// Service one scheduled batch: pick requests (Rules 1–3), scan once,
     /// stage data (Rules 4–6), and return the fulfilled counts tables.
     /// Returns an empty vector when no requests are pending. All budget
@@ -775,7 +738,7 @@ impl Session {
             self.backend.nclasses,
             self.backend.arity,
             lease_bytes,
-            &self.sampled,
+            &SampledLedger,
         ) else {
             return Ok(Vec::new());
         };
@@ -959,16 +922,11 @@ impl Session {
     /// the scan ([`Session::certify`]), then — unless the batch reads
     /// nothing — open the location as a [`BlockSource`], run the one scan
     /// loop over it, or read a staged file on sharded extent readers
-    /// ([`scan_extents`]), and charge the location's read counters. A
-    /// sampled batch (DESIGN.md §13) reads only the blocks its sampler
-    /// admits, charging `sampled_rows_scanned` for their rows and
-    /// `exact_rows_saved` for the rest of the source.
+    /// ([`scan_extents`]), and charge the location's read counters.
     fn scan(&mut self, plan: &BatchPlan, batch: &mut BatchCounter) -> MwResult<()> {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
         let workers = self.backend.config.scan_workers;
-        let exact = plan.sampled.is_none();
-        let sampler = plan.sampled.map(|t| BlockSampler::new(t.fraction));
         let wire = plan.source == DataLocation::Server;
         let staged_rows = match plan.source {
             DataLocation::Memory(id) | DataLocation::File(id) => {
@@ -979,13 +937,10 @@ impl Session {
             }
             DataLocation::Server => None,
         };
-        // Aux structures are not consulted under sampling: a sample exists
-        // to make the *plain* scan cheap.
-        let aux = match sampler {
-            None if wire && self.backend.config.aux_mode != AuxMode::Off => {
-                self.usable_aux(&batch.nodes, plan.frontier_rows)?
-            }
-            _ => None,
+        let aux = if wire && self.backend.config.aux_mode != AuxMode::Off {
+            self.usable_aux(&batch.nodes, plan.frontier_rows)?
+        } else {
+            None
         };
         let backend = Arc::clone(&self.backend);
         let db = backend.db_read();
@@ -998,10 +953,10 @@ impl Session {
             Some(rows) => rows,
             None => db.table(&backend.table)?.nrows(),
         };
-        // Only an exact staged-file scan may shard (`crate::parallel`);
-        // every other scan counts on this thread.
-        let shard = exact && workers > 1 && matches!(plan.source, DataLocation::File(_));
-        let how = self.certify(batch, &db, rows, exact, wire, shard)?;
+        // Only a staged-file scan may shard (`crate::parallel`); every
+        // other scan counts on this thread.
+        let shard = workers > 1 && matches!(plan.source, DataLocation::File(_));
+        let how = self.certify(batch, &db, rows, wire, shard)?;
         if how == Scan::Unread {
             // Nothing to read: a server scan's pushed-down filter is
             // empty, and every node's rows go unshipped.
@@ -1010,7 +965,7 @@ impl Session {
             }
             return Ok(());
         }
-        let (admitted, skipped) = match plan.source {
+        match plan.source {
             DataLocation::Memory(id) => {
                 drop(db);
                 self.stats.memory_scans += 1;
@@ -1021,9 +976,8 @@ impl Session {
                 };
                 let rows = Arc::clone(rows);
                 let mut src = BlockSource::memory_set(&rows, arity, block_rows);
-                drive(&mut src, sampler.as_ref(), batch, &mut self.stats)?;
+                drive(&mut src, batch, &mut self.stats)?;
                 self.stats.memory_rows_read += src.rows_read;
-                (src.rows_read, src.rows_skipped)
             }
             DataLocation::File(id) => {
                 drop(db);
@@ -1035,27 +989,22 @@ impl Session {
                 // it is read on this thread. Certified unsharded, the batch
                 // would differ only in that answer: a plan attaches under
                 // the same proof either way.
-                let (io, read, skipped) = if how == Scan::Sharded && shards(&layout, workers) {
+                let (io, read) = if how == Scan::Sharded && shards(&layout, workers) {
                     let io = scan_extents(batch, &layout, workers, &mut self.stats)?;
-                    (io, layout.nrows, 0)
+                    (io, layout.nrows)
                 } else {
                     let mut src = BlockSource::extents(&layout)?;
-                    drive(&mut src, sampler.as_ref(), batch, &mut self.stats)?;
-                    (vec![src.io], src.rows_read, src.rows_skipped)
+                    drive(&mut src, batch, &mut self.stats)?;
+                    (vec![src.io], src.rows_read)
                 };
                 self.stats.file_rows_read += read;
                 self.stats.file_bytes_read += read * (arity * CODE_BYTES) as u64;
                 self.scan_stats.absorb(&io);
-                (read, skipped)
             }
             DataLocation::Server => {
                 self.stats.server_scans += 1;
-                self.scan_server(db, aux, sampler.as_ref(), batch)?
+                self.scan_server(db, aux, batch)?;
             }
-        };
-        if !exact {
-            self.stats.sampled_rows_scanned += admitted;
-            self.stats.exact_rows_saved += skipped;
         }
         Ok(())
     }
@@ -1063,8 +1012,8 @@ impl Session {
     /// Start `batch`'s scan, before its first block, of at most `rows`
     /// rows, each a row of the table as `db` holds it or a copy of one: plan
     /// the batch's derivations against the table's range certificate and
-    /// epoch ([`Parents::plan`]; `exact` unless sampled, `wire` when the
-    /// rows come from the server), then certify the batch with the plans
+    /// epoch ([`Parents::plan`]; `wire` when the rows come from the
+    /// server), then certify the batch with the plans
     /// that stand, for a scan that may `shard`
     /// ([`BatchCounter::certify`]). The one place a batch plans. Returns
     /// how the scan reads its source.
@@ -1073,34 +1022,31 @@ impl Session {
         batch: &mut BatchCounter,
         db: &Database,
         rows: u64,
-        exact: bool,
         wire: bool,
         shard: bool,
     ) -> MwResult<Scan> {
         let table = &self.backend.table;
         let (certificate, epoch) = (db.table(table)?.col_max(), db.table_epoch(table));
         let stats = &mut self.stats;
-        let plans = (self.parents).plan(&batch.nodes, certificate, epoch, exact, wire, stats);
+        let plans = (self.parents).plan(&batch.nodes, certificate, epoch, wire, stats);
         Ok(batch.certify(certificate, rows, epoch, plans, shard, stats))
     }
 
     /// The server leg of [`Session::scan`], under the read guard `db` its
     /// certificate was read under: a plain filtered cursor (the paper's
-    /// recommended path), a read through the §4.3.3 auxiliary structure
-    /// `aux` when one applies, or — sampled — a block cursor over the
-    /// admitted ranges. Every read pushes down the filter of the nodes
-    /// whose rows the scan counts or stages ([`BatchCounter::pushdown`]), known
-    /// once the scan is certified: under the guard, since that is the only
-    /// read of the certificate that bounds every row it ships — through an
-    /// aux structure's copies too. Returns the table rows a sample
-    /// `(admitted, skipped)`, zeros when the scan is exact.
+    /// recommended path) or a read through the §4.3.3 auxiliary structure
+    /// `aux` when one applies. Every read pushes down the filter of the
+    /// nodes whose rows the scan counts or stages
+    /// ([`BatchCounter::pushdown`]), known once the scan is certified:
+    /// under the guard, since that is the only read of the certificate
+    /// that bounds every row it ships — through an aux structure's copies
+    /// too.
     fn scan_server(
         &mut self,
         db: RwLockReadGuard<'_, Database>,
         aux: Option<usize>,
-        sampler: Option<&BlockSampler>,
         batch: &mut BatchCounter,
-    ) -> MwResult<(u64, u64)> {
+    ) -> MwResult<()> {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
         let wire_rows = self.backend.config.wire_batch_rows;
@@ -1117,8 +1063,7 @@ impl Session {
                 AuxKind::Temp(name) => {
                     let cursor = db.open_cursor(name, filter, wire_rows)?;
                     let mut src = BlockSource::table_cursor(cursor, block_rows);
-                    drive(&mut src, None, batch, &mut self.stats)?;
-                    return Ok((0, 0));
+                    return drive(&mut src, batch, &mut self.stats);
                 }
                 AuxKind::TidSet(name) => {
                     db.tid_scan(name, &filter, wire_rows, &mut flat)?;
@@ -1130,8 +1075,7 @@ impl Session {
             // Materialised: the server's part is over before counting.
             drop(db);
             let mut src = BlockSource::flat(&flat, arity, block_rows);
-            drive(&mut src, None, batch, &mut self.stats)?;
-            return Ok((0, 0));
+            return drive(&mut src, batch, &mut self.stats);
         }
 
         // The filter-pushdown ablation ships everything and filters here.
@@ -1140,26 +1084,9 @@ impl Session {
         } else {
             Pred::True
         };
-        let (mut src, sampled) = match sampler {
-            None => {
-                let cursor = db.open_cursor(table, pushed, wire_rows)?;
-                (BlockSource::table_cursor(cursor, block_rows), (0, 0))
-            }
-            // Admission happens in the server, which scans and ships only
-            // the admitted ranges; the loop takes everything it ships.
-            Some(sampler) => {
-                let table_rows = self.backend.table_rows();
-                let (ranges, covered) = admitted_ranges(sampler, table_rows, block_rows as u64);
-                let cursor = db.open_block_cursor(table, pushed, wire_rows, ranges)?;
-                let skipped = table_rows.saturating_sub(covered);
-                (
-                    BlockSource::range_cursor(cursor, block_rows),
-                    (covered, skipped),
-                )
-            }
-        };
-        drive(&mut src, None, batch, &mut self.stats)?;
-        Ok(sampled)
+        let cursor = db.open_cursor(table, pushed, wire_rows)?;
+        let mut src = BlockSource::table_cursor(cursor, block_rows);
+        drive(&mut src, batch, &mut self.stats)
     }
 
     /// The §4.3.3 structure to scan the scheduled nodes through, if any:
@@ -1316,28 +1243,14 @@ impl Session {
             } else {
                 cc
             });
-            // The SQL fallback counts exactly even inside a sampled batch,
-            // so only non-fallback nodes carry the sample tag.
-            let sample = if fallback { None } else { plan.sampled };
-            if sample.is_some() {
-                // The sampled table stays charged against the lease until
-                // the client accepts or escalates; keep the request so an
-                // escalation can requeue it verbatim.
-                self.sampled.hold(req.node(), cc.memory_bytes());
-                self.sampled_reqs.insert(req.node(), req.clone());
-                self.stats.sampled_nodes += 1;
-            } else {
-                // An exact fulfilment settles any earlier escalation.
-                self.sampled.clear_exact(req.node());
-                self.parents.fulfilled(&req, &cc, epoch);
-            }
+            self.parents.fulfilled(&req, &cc, epoch);
             self.stats.requests_served += 1;
             out.push(FulfilledCc {
                 node: req.node(),
                 cc,
                 source: plan.source,
                 via_sql_fallback: fallback,
-                sample,
+                sample: None,
             });
         }
         self.stats.rounds += 1;
@@ -1395,15 +1308,12 @@ impl Drop for Session {
 
 /// The one scan loop (§4.1.1): every block the source yields goes to the
 /// batch, which counts it into all scheduled nodes at once, on this thread.
-/// Sampling is an admission filter in between — a block `sampler` does not
-/// admit is passed over without being read.
 pub(crate) fn drive(
     source: &mut BlockSource<'_>,
-    sampler: Option<&BlockSampler>,
     batch: &mut BatchCounter,
     stats: &mut MiddlewareStats,
 ) -> MwResult<()> {
-    while let Some((_, block)) = source.next_block(|k| sampler.is_none_or(|s| s.admits(k)))? {
+    while let Some(block) = source.next_block()? {
         match block {
             SourceBlock::Rows(mut rows) => batch.process(&mut rows, stats)?,
             SourceBlock::Cols(mut cols) => batch.process(&mut cols, stats)?,
@@ -1928,30 +1838,6 @@ mod tests {
         assert_eq!(s.stats().memory_scans, 1);
         assert_eq!(s.stats().memory_rows_compacted, 0);
         assert_eq!(s.staged_mem_bytes(), 80 * CodeWidth::One.row_bytes(3));
-    }
-
-    /// A sampled batch reads only the blocks its sampler admits, so it
-    /// cannot know every row its nodes take: it leaves the set whole.
-    #[test]
-    fn a_sampled_batch_leaves_the_set_whole() {
-        let cfg = MiddlewareConfig::builder()
-            .sampled_counting(0.1)
-            .sampled_min_rows(0)
-            .scan_block_rows(4)
-            .build();
-        let mut s = Session::open(backend(80, cfg)).unwrap();
-        let root = s.root_request(NodeId(0));
-        s.enqueue(root.clone()).unwrap();
-        // The root's sampled scan stages nothing; escalated, it runs exact.
-        s.process_next_batch().unwrap();
-        assert!(s.escalate(NodeId(0)));
-        s.process_next_batch().unwrap();
-        assert_eq!(s.stats().memory_sets_created, 1);
-        s.enqueue(child_on_a(&root, 0)).unwrap();
-        s.process_next_batch().unwrap();
-        assert_eq!(s.stats().memory_scans, 1);
-        assert_eq!(s.stats().sampled_nodes, 2, "the child was sampled");
-        assert_eq!(s.stats().memory_rows_compacted, 0);
     }
 
     /// A catalog entry is never rewritten: other sessions may read it.

@@ -29,7 +29,7 @@
 //! * At each batch boundary every pin none of whose children is pending
 //!   goes, all of them when the table's epoch has moved, and every record
 //!   the last batch left unpinned ([`Parents::retain`]).
-//! * When its scan certifies, an exact batch plans, for every scheduled
+//! * When its scan certifies, a batch plans, for every scheduled
 //!   child of a pin, how the parent's table serves it, class by class
 //!   ([`Parents::plan`]): when it schedules both children of a binary
 //!   split, a server scan counts each class they share on the side that
@@ -250,9 +250,8 @@ impl Parents {
     }
 
     /// Plan a batch where its scan certifies: per node of `nodes`, in
-    /// batch order, how the parent's table serves it. Only an `exact` batch
-    /// plans anything, and only for the children of a pin; a sampled one
-    /// forgets the pins of the nodes it schedules. When it scheduled both
+    /// batch order, how the parent's table serves it, only for the
+    /// children of a pin. When a batch scheduled both
     /// children of a binary split, it serves each class of theirs from one
     /// side when it can ([`pair`]; `wire`: the batch's rows come over the
     /// wire from the server); every other child of a pin is a side whose
@@ -270,7 +269,6 @@ impl Parents {
         nodes: &[NodeCounter],
         certificate: &[Code],
         epoch: u64,
-        exact: bool,
         wire: bool,
         stats: &mut MiddlewareStats,
     ) -> Vec<Option<Plan>> {
@@ -303,12 +301,6 @@ impl Parents {
             let first = !std::mem::replace(served, true);
             if first && *binary && enqueued.len() == 2 && children.len() == 1 {
                 stats.split_pairs += 1;
-            }
-            if !exact {
-                // A sampled count its client escalates comes back later;
-                // the table serves none of these children then either.
-                self.by_node.remove(&parent);
-                continue;
             }
             let paired = match *children.as_slice() {
                 [a, b] => pair(table, nodes, [a, b], wire),
@@ -724,7 +716,7 @@ mod tests {
     fn each_shared_class_is_counted_on_its_smaller_side_the_eq_side_on_a_tie() {
         let (mut parents, _table, nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[1], &[0, 1]]);
         let mut stats = MiddlewareStats::new();
-        let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut stats);
+        let plans = parents.plan(&nodes, &CERT4, 7, true, &mut stats);
         let eq = (vec![Counted, Sibling, Counted, Counted], Some((1, false)));
         let neq = (vec![Sibling, Counted, Sibling, Parent], Some((0, true)));
         assert_eq!(shape(&plans[0]), Some(eq));
@@ -742,7 +734,7 @@ mod tests {
         assert_eq!(stats.split_pairs, 0);
 
         let (mut parents, _table, nodes) = pair_of([8, 28, 12, 0], NEQ_ROWS, [&[1], &[0, 1]]);
-        let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut stats);
+        let plans = parents.plan(&nodes, &CERT4, 7, true, &mut stats);
         let eq = (vec![Counted, Sibling, Sibling, Counted], Some((1, false)));
         let neq = (vec![Sibling, Counted, Counted, Parent], Some((0, true)));
         assert_eq!(shape(&plans[0]), Some(eq));
@@ -763,7 +755,7 @@ mod tests {
                 "memory" => node.mem_buffer = Some(MemRows::new(CodeWidth::One)),
                 _ => node.file_writer = Some(file_tee(&mut staging, node)),
             }
-            let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut MiddlewareStats::new());
+            let plans = parents.plan(&nodes, &CERT4, 7, true, &mut MiddlewareStats::new());
             let (derived, counted) = (1 - side, side);
             let plan = plans[derived].as_ref().expect("derived");
             assert!(plan.derives_whole(), "{what}");
@@ -789,7 +781,7 @@ mod tests {
                     nodes[side].file_writer = Some(file_tee(&mut staging, &nodes[side]));
                 }
                 let stats = &mut MiddlewareStats::new();
-                let plans = parents.plan(&nodes, &CERT4, 7, true, false, stats);
+                let plans = parents.plan(&nodes, &CERT4, 7, false, stats);
                 let (counted, derived) = if eq_side { (0, 1) } else { (1, 0) };
                 let plan = plans[derived].as_ref().expect("derived");
                 assert!(plan.derives_whole(), "{what}");
@@ -809,7 +801,7 @@ mod tests {
     #[test]
     fn a_side_counting_no_row_takes_every_class_it_holds_from_its_sibling() {
         let (mut parents, _table, nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[1], &[0, 1]]);
-        let plans = parents.plan(&nodes, &CERT4, 7, true, false, &mut MiddlewareStats::new());
+        let plans = parents.plan(&nodes, &CERT4, 7, false, &mut MiddlewareStats::new());
         assert!(
             plans[0].is_none(),
             "the = child counts every class it holds"
@@ -820,7 +812,7 @@ mod tests {
         assert_eq!((neq.rows_from(Sibling), neq.rows_from(Parent)), (48, 0));
 
         let (mut parents, _table, nodes) = pair_of([8, 28, 12, 0], NEQ_ROWS, [&[1], &[0, 1]]);
-        let plans = parents.plan(&nodes, &CERT4, 7, true, false, &mut MiddlewareStats::new());
+        let plans = parents.plan(&nodes, &CERT4, 7, false, &mut MiddlewareStats::new());
         let eq = (vec![Sibling, Sibling, Sibling, Counted], Some((1, false)));
         assert_eq!(shape(&plans[0]), Some(eq));
         let sliced = (vec![Counted, Counted, Counted, Parent], None);
@@ -842,7 +834,7 @@ mod tests {
             let what = format!("wire {wire}");
             let (mut parents, _table, nodes) =
                 pair_of([8, 20, 0, 0], [0, 0, 12, 8], [&[1], &[0, 1]]);
-            let plans = parents.plan(&nodes, &CERT4, 7, true, wire, &mut MiddlewareStats::new());
+            let plans = parents.plan(&nodes, &CERT4, 7, wire, &mut MiddlewareStats::new());
             let sliced = (vec![Parent, Parent, Counted, Counted], None);
             assert_eq!(shape(&plans[0]), Some(sliced), "{what}");
             let whole = (vec![Counted, Counted, Sibling, Sibling], Some((0, true)));
@@ -871,14 +863,14 @@ mod tests {
     #[test]
     fn a_pair_derivable_one_way_only_keeps_todays_plan() {
         let (mut parents, _table, nodes) = pair_of(EQ_ROWS, NEQ_ROWS, [&[0, 1], &[1]]);
-        let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut MiddlewareStats::new());
+        let plans = parents.plan(&nodes, &CERT4, 7, true, &mut MiddlewareStats::new());
         assert!(plans[0].is_none(), "the = child copies no class");
         let derived = plans[1].as_ref().expect("≠ derived");
         assert!(derived.derives_whole());
         assert_eq!(shape(&plans[1]).and_then(|s| s.1), Some((0, true)));
 
         let (mut parents, _table, nodes) = pair_of([8, 20, 16, 0], NEQ_ROWS, [&[0, 1], &[1]]);
-        let plans = parents.plan(&nodes, &CERT4, 7, true, true, &mut MiddlewareStats::new());
+        let plans = parents.plan(&nodes, &CERT4, 7, true, &mut MiddlewareStats::new());
         assert!(plans[0].is_none());
         let sliced = (vec![Counted, Counted, Counted, Parent], None);
         assert_eq!(shape(&plans[1]), Some(sliced));
@@ -886,18 +878,12 @@ mod tests {
 
     /// A lone child — its pure sibling never requested — is sliced to the
     /// sibling's class by a pin that outlives no pending child: kept while
-    /// the child is pending, at the pin's epoch, and only for an exact
-    /// batch. The `=` child, whose complement holds both classes, is
+    /// the child is pending, and at the pin's epoch. The `=` child, whose complement holds both classes, is
     /// counted whole.
     #[test]
     fn a_pin_slices_a_lone_child_to_its_siblings_classes() {
-        for (pending, epoch, exact, slices) in [
-            (true, 7, true, true),
-            (true, 7, false, false),
-            (true, 8, true, false),
-            (false, 7, true, false),
-        ] {
-            let what = format!("pending {pending}, epoch {epoch}, exact {exact}");
+        for (pending, epoch, slices) in [(true, 7, true), (true, 8, false), (false, 7, false)] {
+            let what = format!("pending {pending}, epoch {epoch}");
             let (mut parents, _table, [_, neq]) = pure_sibling();
             parents.enqueued(&neq.req);
             let queue = if pending {
@@ -908,7 +894,7 @@ mod tests {
             parents.retain(&queue, || epoch);
             let mut stats = MiddlewareStats::new();
             let neq = std::slice::from_ref(&neq);
-            let plans = parents.plan(neq, &CERT, epoch, exact, true, &mut stats);
+            let plans = parents.plan(neq, &CERT, epoch, true, &mut stats);
             let plan = plans[0].as_ref();
             assert!(plan.is_none_or(|p| p.sibling.is_none()), "{what}");
             assert_eq!(plan.is_some(), slices, "{what}");
@@ -935,7 +921,7 @@ mod tests {
             parents.enqueued(&node.req);
         }
         let mut stats = MiddlewareStats::new();
-        let plans = parents.plan(&nodes, &CERT, 7, true, true, &mut stats);
+        let plans = parents.plan(&nodes, &CERT, 7, true, &mut stats);
         let derived = plans[0].as_ref().expect("a = 1 derived");
         assert!(derived.derives_whole());
         assert_eq!(shape(&plans[0]).and_then(|s| s.1), Some((1, false)));
@@ -952,18 +938,18 @@ mod tests {
         parents.enqueued(&neq.req);
         let queue = [eq.req.clone(), neq.req.clone()];
         parents.retain(&queue, || 7);
-        let first = parents.plan(std::slice::from_ref(&eq), &CERT, 7, true, true, &mut stats);
+        let first = parents.plan(std::slice::from_ref(&eq), &CERT, 7, true, &mut stats);
         assert!(first[0].is_none());
         assert_eq!(stats.split_pairs, 1);
         parents.retain(&queue[1..], || 7);
         let neq = std::slice::from_ref(&neq);
-        let second = parents.plan(neq, &CERT, 7, true, true, &mut stats);
+        let second = parents.plan(neq, &CERT, 7, true, &mut stats);
         assert_eq!(
             second[0].as_ref().map(|s| s.rows.clone()),
             Some(vec![4, 12])
         );
         assert_eq!(stats.split_pairs, 1, "a pair is split once");
         parents.retain(&[], || 7);
-        assert!(parents.plan(neq, &CERT, 7, true, true, &mut stats)[0].is_none());
+        assert!(parents.plan(neq, &CERT, 7, true, &mut stats)[0].is_none());
     }
 }

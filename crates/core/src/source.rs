@@ -2,15 +2,12 @@
 //!
 //! The execution module scans one data source once and counts every
 //! scheduled node from it (§4.1.1), wherever that source lives (§4.2).
-//! [`BlockSource`] is that "wherever": each kind yields `(block index,
-//! block)` in source order, the block in the layout the source has —
-//! row-major where rows arrive as rows, column-major where they lie in
-//! columns, both read through `executor::Block` — and passes over a block
-//! it is told to skip without reading it, so the one scan loop in
-//! `session.rs` — and the sampling admission filter it puts between source
-//! and sink (DESIGN.md §13) — never knows which kind it drives. A block
-//! index names a unit of the source's *physical* layout, which is what
-//! makes skipping free:
+//! [`BlockSource`] is that "wherever": each kind yields its blocks in
+//! source order, each in the layout the source has — row-major where rows
+//! arrive as rows, column-major where they lie in columns, both read
+//! through `executor::Block` — so the one scan loop in `session.rs` never
+//! knows which kind it drives. A block is a unit of the source's
+//! *physical* layout:
 //!
 //! * memory set, or a materialised TID/keyset result — the k-th run of
 //!   `scan_block_rows` rows, row-major; a memory set's narrow codes
@@ -20,17 +17,13 @@
 //!   by [`ExtentReader::decode_extent_columns`], the routine the sharded
 //!   readers run too, and never transposed;
 //! * server or temp-table cursor — the k-th block shipped (each wire fetch
-//!   cut at `scan_block_rows`), row-major. Shipped rows cannot be
-//!   un-shipped, so a sampled server scan names its blocks to the server up
-//!   front ([`admitted_ranges`] → `Database::open_block_cursor`, the
-//!   `TABLESAMPLE SYSTEM` analogue) and the loop sees admitted rows only.
+//!   cut at `scan_block_rows`), row-major.
 
 use crate::error::MwResult;
 use crate::executor::{ColBlock, RowBlock};
 use crate::metrics::WorkerScanStats;
-use crate::sample::BlockSampler;
 use crate::staging::{ExtentLayout, ExtentReader, MemRows, FILE_HEADER_BYTES};
-use scaleclass_sqldb::{BlockCursor, Code, ServerCursor};
+use scaleclass_sqldb::{Code, ServerCursor};
 
 /// One wire fetch of a server cursor: appends the rows it shipped to the
 /// buffer, none at the end of the scan.
@@ -75,8 +68,6 @@ pub(crate) struct BlockSource<'a> {
     at: usize,
     /// Rows in the blocks yielded so far.
     pub(crate) rows_read: u64,
-    /// Rows in the blocks passed over so far.
-    pub(crate) rows_skipped: u64,
     /// Extent-file I/O and decode counters (reader 0 of the per-reader
     /// scan stats); zero for the other kinds.
     pub(crate) io: WorkerScanStats,
@@ -92,7 +83,6 @@ impl<'a> BlockSource<'a> {
             buf: Vec::new(),
             at: 0,
             rows_read: 0,
-            rows_skipped: 0,
             io: WorkerScanStats::default(),
         }
     }
@@ -104,7 +94,7 @@ impl<'a> BlockSource<'a> {
     }
 
     /// A memory set's rows, cut every `block_rows` rows like
-    /// [`BlockSource::flat`]'s; a block is decoded only when admitted.
+    /// [`BlockSource::flat`]'s, each block decoded as it is yielded.
     pub(crate) fn memory_set(rows: &'a MemRows, arity: usize, block_rows: usize) -> Self {
         Self::new(Kind::Mem(rows), arity, block_rows)
     }
@@ -134,112 +124,64 @@ impl<'a> BlockSource<'a> {
         Self::new(Kind::Cursor(Box::new(fetch)), arity, block_rows)
     }
 
-    /// A filtered cursor over the TID ranges a sampled scan admitted.
-    pub(crate) fn range_cursor(mut cursor: BlockCursor<'a>, block_rows: usize) -> Self {
-        let arity = cursor.arity();
-        let fetch = move |out: &mut Vec<Code>| Ok(cursor.fetch(out).map(drop)?);
-        Self::new(Kind::Cursor(Box::new(fetch)), arity, block_rows)
-    }
-
-    /// The next block `admit` lets through, with its index; `None` at the
-    /// end of the source. A block `admit` refuses is passed over unread:
-    /// no extent I/O or decode, no touch of the memory rows. (A cursor has
-    /// already paid the wire for what it fetched — see the module docs.)
-    pub(crate) fn next_block(
-        &mut self,
-        mut admit: impl FnMut(u64) -> bool,
-    ) -> MwResult<Option<(u64, SourceBlock<'_>)>> {
-        loop {
-            let k = self.next;
-            // Run `k` of `len` codes in memory: where it starts, and its
-            // codes.
-            let block_codes = self.block_codes;
-            let run = |len: usize| {
-                let start = (k as usize).saturating_mul(block_codes);
-                (start, len.saturating_sub(start).min(block_codes))
-            };
-            // Where block `k` starts and how many codes it holds, known
-            // without reading it.
-            let (start, codes) = match &mut self.kind {
-                Kind::Flat(rows) => run(rows.len()),
-                Kind::Mem(rows) => run(rows.codes()),
-                Kind::Extents { reader, .. } => {
-                    let layout = reader.layout();
-                    let nrows = if k < layout.extents {
-                        layout.rows_in_extent(k)
-                    } else {
-                        0
-                    };
-                    (0, nrows * self.arity)
-                }
-                Kind::Cursor(fetch) => {
-                    if self.at >= self.buf.len() {
-                        self.buf.clear();
-                        self.at = 0;
-                        fetch(&mut self.buf)?;
-                    }
-                    (self.at, (self.buf.len() - self.at).min(self.block_codes))
-                }
-            };
-            if codes == 0 {
-                return Ok(None);
+    /// The next block; `None` at the end of the source.
+    pub(crate) fn next_block(&mut self) -> MwResult<Option<SourceBlock<'_>>> {
+        let k = self.next;
+        // Run `k` of `len` codes in memory: where it starts, and its codes.
+        let block_codes = self.block_codes;
+        let run = |len: usize| {
+            let start = (k as usize).saturating_mul(block_codes);
+            (start, len.saturating_sub(start).min(block_codes))
+        };
+        // Where block `k` starts and how many codes it holds.
+        let (start, codes) = match &mut self.kind {
+            Kind::Flat(rows) => run(rows.len()),
+            Kind::Mem(rows) => run(rows.codes()),
+            Kind::Extents { reader, .. } => {
+                let layout = reader.layout();
+                let nrows = if k < layout.extents {
+                    layout.rows_in_extent(k)
+                } else {
+                    0
+                };
+                (0, nrows * self.arity)
             }
-            self.next += 1;
-            self.at = start + codes;
-            let nrows = (codes / self.arity) as u64;
-            if !admit(k) {
-                self.rows_skipped += nrows;
-                continue;
-            }
-            self.rows_read += nrows;
-            let (rows, start) = match &mut self.kind {
-                Kind::Flat(rows) => (*rows, start),
-                Kind::Cursor(_) => (self.buf.as_slice(), start),
-                Kind::Mem(rows) => {
+            Kind::Cursor(fetch) => {
+                if self.at >= self.buf.len() {
                     self.buf.clear();
-                    rows.decode(start, codes, &mut self.buf);
-                    (self.buf.as_slice(), 0)
+                    self.at = 0;
+                    fetch(&mut self.buf)?;
                 }
-                Kind::Extents { reader, cols, row } => {
-                    let nrows = reader.decode_extent_columns(k, cols, &mut self.io)?;
-                    return Ok(Some((k, SourceBlock::Cols(ColBlock { cols, nrows, row }))));
-                }
-            };
-            let block = RowBlock {
-                // analyze:allow(hot-path-panic): `start + codes` was clamped
-                // to the length of these same rows above (a memory set's
-                // block is decoded whole, from 0).
-                flat: &rows[start..start + codes],
-                arity: self.arity,
-            };
-            return Ok(Some((k, SourceBlock::Rows(block))));
+                (self.at, (self.buf.len() - self.at).min(self.block_codes))
+            }
+        };
+        if codes == 0 {
+            return Ok(None);
         }
+        self.next += 1;
+        self.at = start + codes;
+        self.rows_read += (codes / self.arity) as u64;
+        let (rows, start) = match &mut self.kind {
+            Kind::Flat(rows) => (*rows, start),
+            Kind::Cursor(_) => (self.buf.as_slice(), start),
+            Kind::Mem(rows) => {
+                self.buf.clear();
+                rows.decode(start, codes, &mut self.buf);
+                (self.buf.as_slice(), 0)
+            }
+            Kind::Extents { reader, cols, row } => {
+                let nrows = reader.decode_extent_columns(k, cols, &mut self.io)?;
+                return Ok(Some(SourceBlock::Cols(ColBlock { cols, nrows, row })));
+            }
+        };
+        let block = RowBlock {
+            // `start + codes` was clamped to the length of these same rows
+            // above (a memory set's block is decoded whole, from 0).
+            flat: &rows[start..start + codes],
+            arity: self.arity,
+        };
+        Ok(Some(SourceBlock::Rows(block)))
     }
-}
-
-/// Sampling pushed into the server: the half-open TID ranges of the
-/// `block_rows`-row physical blocks of a `table_rows`-row table that
-/// `sampler` admits, adjacent blocks merged, and the rows they cover. The
-/// server's block cursor then never touches — and never charges — the rows
-/// in between.
-pub(crate) fn admitted_ranges(
-    sampler: &BlockSampler,
-    table_rows: u64,
-    block_rows: u64,
-) -> (Vec<(u64, u64)>, u64) {
-    let block_rows = block_rows.max(1);
-    let mut ranges: Vec<(u64, u64)> = Vec::new();
-    let mut covered = 0u64;
-    for b in (0..table_rows.div_ceil(block_rows)).filter(|&b| sampler.admits(b)) {
-        let start = b * block_rows;
-        let end = (start + block_rows).min(table_rows);
-        covered += end - start;
-        match ranges.last_mut() {
-            Some(last) if last.1 == start => last.1 = end,
-            _ => ranges.push((start, end)),
-        }
-    }
-    (ranges, covered)
 }
 
 #[cfg(test)]
@@ -257,7 +199,7 @@ mod tests {
     /// (15 full blocks and a 40-row tail).
     const BLOCK: usize = 64;
 
-    type Blocks = Vec<(u64, Vec<Code>)>;
+    type Blocks = Vec<Vec<Code>>;
 
     /// A generated table (xorshift) as flat rows, a server table, and a
     /// staged extent file (the manager keeps the file alive).
@@ -303,14 +245,11 @@ mod tests {
         rows
     }
 
-    /// Everything `src` yields under `sampler`; the source keeps its tallies.
-    fn drain(src: &mut BlockSource<'_>, sampler: Option<&BlockSampler>) -> Blocks {
+    /// Everything `src` yields; the source keeps its tallies.
+    fn drain(src: &mut BlockSource<'_>) -> Blocks {
         let mut out = Vec::new();
-        while let Some((k, block)) = src
-            .next_block(|k| sampler.is_none_or(|s| s.admits(k)))
-            .unwrap()
-        {
-            out.push((k, rows_of(block)));
+        while let Some(block) = src.next_block().unwrap() {
+            out.push(rows_of(block));
         }
         out
     }
@@ -320,12 +259,9 @@ mod tests {
         BlockSource::table_cursor(db.open_cursor("d", Pred::True, wire_rows).unwrap(), BLOCK)
     }
 
-    /// The raw data re-chunked at the block size, with chunk indices.
+    /// The raw data re-chunked at the block size.
     fn rechunked(data: &[Code]) -> Blocks {
-        data.chunks(BLOCK * ARITY)
-            .enumerate()
-            .map(|(k, c)| (k as u64, c.to_vec()))
-            .collect()
+        data.chunks(BLOCK * ARITY).map(<[Code]>::to_vec).collect()
     }
 
     #[test]
@@ -354,21 +290,20 @@ mod tests {
             ("extent file", BlockSource::extents(&layout).unwrap()),
             ("server cursor", server(&db, 2 * BLOCK)),
         ] {
-            assert_eq!(drain(&mut src, None), expect, "{name}");
-            assert_eq!((src.rows_read, src.rows_skipped), (ROWS, 0), "{name}");
+            assert_eq!(drain(&mut src), expect, "{name}");
+            assert_eq!(src.rows_read, ROWS, "{name}");
         }
         // One that is not still ships every row once, in order, in blocks
-        // no larger than the block size, numbered as they arrive.
-        let ragged = drain(&mut server(&db, 100), None);
-        assert!(ragged.iter().all(|(_, b)| b.len() <= BLOCK * ARITY));
-        assert!(ragged.iter().enumerate().all(|(i, (k, _))| *k == i as u64));
-        let rows: Vec<Code> = ragged.into_iter().flat_map(|(_, b)| b).collect();
+        // no larger than the block size.
+        let ragged = drain(&mut server(&db, 100));
+        assert!(ragged.iter().all(|b| b.len() <= BLOCK * ARITY));
+        let rows: Vec<Code> = ragged.into_iter().flatten().collect();
         assert_eq!(rows, data);
-        assert!(drain(&mut BlockSource::flat(&[], ARITY, BLOCK), None).is_empty());
+        assert!(drain(&mut BlockSource::flat(&[], ARITY, BLOCK)).is_empty());
 
         // Each in the layout it has: an extent stays in columns.
         let mut file = BlockSource::extents(&layout).unwrap();
-        let first = file.next_block(|_| true).unwrap().unwrap().1;
+        let first = file.next_block().unwrap().unwrap();
         assert!(matches!(first, SourceBlock::Cols(_)), "extent file");
         for (name, mut src) in [
             ("memory set", BlockSource::memory_set(&narrow, ARITY, BLOCK)),
@@ -378,7 +313,7 @@ mod tests {
             ),
             ("server cursor", server(&db, 2 * BLOCK)),
         ] {
-            let first = src.next_block(|_| true).unwrap().unwrap().1;
+            let first = src.next_block().unwrap().unwrap();
             assert!(matches!(first, SourceBlock::Rows(_)), "{name}");
         }
     }
@@ -393,10 +328,10 @@ mod tests {
 
         let mut src = BlockSource::extents(&layout).unwrap();
         for expect in rechunked(&data).into_iter().take(7) {
-            let (k, block) = src.next_block(|_| true).unwrap().unwrap();
-            assert_eq!((k, rows_of(block)), expect);
+            let block = src.next_block().unwrap().unwrap();
+            assert_eq!(rows_of(block), expect);
         }
-        match src.next_block(|_| true) {
+        match src.next_block() {
             Err(crate::error::MwError::Corrupt(msg)) => {
                 assert!(msg.contains("extent 7") && msg.contains("CRC"), "{msg}")
             }
@@ -405,56 +340,5 @@ mod tests {
         }
         assert_eq!(src.io.extents, 7, "the damaged extent decoded nothing");
         assert_eq!(src.io.rows, 7 * BLOCK as u64);
-    }
-
-    #[test]
-    fn admission_is_the_same_filter_over_every_source() {
-        let (data, db, _staging, layout) = fixture();
-        for fraction in [0.1, 0.5, 0.9] {
-            let sampler = BlockSampler::new(fraction);
-            let expect: Blocks = rechunked(&data)
-                .into_iter()
-                .filter(|(k, _)| sampler.admits(*k))
-                .collect();
-            let admitted = expect.iter().map(|(_, b)| (b.len() / ARITY) as u64).sum();
-            let narrow = MemRows::from_codes(CodeWidth::One, &data);
-            let mut file = BlockSource::extents(&layout).unwrap();
-            for (name, src) in [
-                (
-                    "memory set",
-                    &mut BlockSource::memory_set(&narrow, ARITY, BLOCK),
-                ),
-                ("extent file", &mut file),
-            ] {
-                assert_eq!(drain(src, Some(&sampler)), expect, "{name} at {fraction}");
-                assert_eq!(src.rows_read, admitted);
-                assert_eq!(
-                    src.rows_read + src.rows_skipped,
-                    ROWS,
-                    "admitted or skipped"
-                );
-            }
-            // A file skips without reading: only admitted extents cost I/O.
-            assert_eq!(file.io.extents, expect.len() as u64);
-            let extent_bytes = |(k, _): &(u64, Vec<Code>)| layout.extent_physical_bytes(*k);
-            assert_eq!(
-                file.io.read_bytes,
-                FILE_HEADER_BYTES + expect.iter().map(extent_bytes).sum::<u64>()
-            );
-
-            // The server is told the same blocks up front and scans and
-            // ships the same rows — and only those.
-            let (ranges, covered) = admitted_ranges(&sampler, ROWS, BLOCK as u64);
-            assert_eq!(covered, admitted);
-            assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0), "merged, sorted");
-            let before = db.stats().snapshot();
-            let cursor = db.open_block_cursor("d", Pred::True, 128, ranges).unwrap();
-            let shipped = drain(&mut BlockSource::range_cursor(cursor, BLOCK), None);
-            let shipped: Vec<Code> = shipped.into_iter().flat_map(|(_, b)| b).collect();
-            let expect: Vec<Code> = expect.into_iter().flat_map(|(_, b)| b).collect();
-            assert_eq!(shipped, expect, "server ranges at {fraction}");
-            let cost = db.stats().snapshot() - before;
-            assert_eq!((cost.rows_scanned, cost.rows_shipped), (covered, covered));
-        }
     }
 }

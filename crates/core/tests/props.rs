@@ -4,8 +4,7 @@
 use proptest::prelude::*;
 use scaleclass::estimator::{est_cc_bytes_upper, est_cc_entries};
 use scaleclass::executor::{BatchCounter, NodeCounter};
-use scaleclass::sample::SampledLedger;
-use scaleclass::scheduler::schedule;
+use scaleclass::scheduler::{schedule, SampledLedger};
 use scaleclass::staging::{CodeWidth, MemRows, StagingManager};
 use scaleclass::{
     Backend, CcRequest, CountsTable, DataLocation, FileStagingPolicy, Lineage, Middleware,
@@ -255,7 +254,7 @@ proptest! {
             .map(|i| request_for(&rows, i as u64 + 1, Pred::Eq { col: 0, value: (i % 4) as u16 }))
             .collect();
         let original: Vec<NodeId> = pending.iter().map(|r| r.node()).collect();
-        let plan = schedule(&mut pending, &staging, &config, &[4, 3, 5, 2], 2, 4, budget, &SampledLedger::default()).unwrap();
+        let plan = schedule(&mut pending, &staging, &config, &[4, 3, 5, 2], 2, 4, budget, &SampledLedger).unwrap();
 
         let mut seen: Vec<NodeId> = plan.node_ids();
         seen.extend(pending.iter().map(|r| r.node()));
@@ -285,7 +284,7 @@ proptest! {
             .iter()
             .map(|r| (r.node(), est_cc_bytes_upper(r, 2)))
             .collect();
-        let plan = schedule(&mut pending, &staging, &config, &[4, 3, 5, 2], 2, 4, budget, &SampledLedger::default()).unwrap();
+        let plan = schedule(&mut pending, &staging, &config, &[4, 3, 5, 2], 2, 4, budget, &SampledLedger).unwrap();
         let reserved: u64 = plan.node_ids().iter().map(|id| bounds[id]).sum();
         let first = bounds[&plan.node_ids()[0]];
         prop_assert!(

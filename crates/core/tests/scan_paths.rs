@@ -7,8 +7,8 @@
 use scaleclass::config::MiddlewareConfigBuilder;
 use scaleclass::staging::StagedRows;
 use scaleclass::{
-    Backend, BlockSampler, CcRequest, CountsTable, FileStagingPolicy, Lineage, MiddlewareConfig,
-    MiddlewareStats, MwError, NodeId, ScanStats, Session,
+    Backend, CcRequest, CountsTable, FileStagingPolicy, Lineage, MiddlewareConfig, MiddlewareStats,
+    MwError, NodeId, ScanStats, Session,
 };
 use scaleclass_sqldb::{Code, Database, Pred, Schema, CODE_BYTES};
 use std::collections::BTreeMap;
@@ -194,36 +194,6 @@ fn scan_blocks_and_reader_stats_agree_across_scan_paths() {
     }
     assert_eq!(serial_io.workers.len(), 1, "the serial loop is reader 0");
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Admission of a sampled *server* scan stays pushed into the server: it
-/// scans and ships the admitted block ranges and nothing else, at any
-/// worker count, and the two sampling counters partition the table.
-#[test]
-fn sampled_server_scan_ships_only_the_admitted_ranges() {
-    let sampler = BlockSampler::new(0.5);
-    let covered: u64 = (0..400u64 / 8).filter(|&b| sampler.admits(b)).count() as u64 * 8;
-    assert!(0 < covered && covered < 400);
-    for workers in [1usize, 2, 4] {
-        let config = pinned(workers)
-            .memory_caching(false)
-            .sampled_counting(0.5)
-            .sampled_min_rows(0)
-            .build();
-        let mut s = session(400, config);
-        let req = s.root_request(NodeId(0));
-        s.enqueue(req).unwrap();
-        let before = s.db_stats();
-        let out = s.process_next_batch().unwrap();
-        let cost = s.db_stats() - before;
-        assert!(out[0].sample.is_some(), "the root was served from a sample");
-        // The root's filter is `True`: every row of an admitted block
-        // ships, and no other row is even scanned.
-        assert_eq!((cost.rows_scanned, cost.rows_shipped), (covered, covered));
-        assert_eq!(out[0].cc.total(), covered);
-        assert_eq!(s.stats().sampled_rows_scanned, covered, "{workers} workers");
-        assert_eq!(s.stats().exact_rows_saved, 400 - covered);
-    }
 }
 
 /// What one three-level build left behind: every node's counts, every

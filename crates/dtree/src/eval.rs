@@ -219,11 +219,8 @@ pub fn trees_structurally_equal(a: &DecisionTree, b: &DecisionTree) -> bool {
 /// Split-level structural equality: same shape, same edge predicates,
 /// same splits at internal nodes, and fully identical leaves (class,
 /// rows, class counts) — but blind to the `rows`/`class_counts`
-/// metadata of *internal* nodes. This is the right notion of "identical
-/// tree" for sampled counting (DESIGN.md §13): internal nodes reached
-/// through an accepted sampled split carry scaled row estimates, while
-/// every decision the tree encodes — splits, shape, leaf distributions —
-/// is still produced from exact counts.
+/// metadata of *internal* nodes: every decision the tree encodes —
+/// splits, shape, leaf distributions — must match.
 pub fn trees_same_splits(a: &DecisionTree, b: &DecisionTree) -> bool {
     fn eq(a: &DecisionTree, ai: usize, b: &DecisionTree, bi: usize) -> bool {
         let (na, nb) = (a.node(ai), b.node(bi));

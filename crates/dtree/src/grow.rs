@@ -21,16 +21,15 @@
 //!
 //! One loop runs every build in this crate. `GrowState` owns a build in
 //! progress — the open record of each outstanding request, the retained
-//! tables of a maintainable build, and the request, accept and escalation
-//! tallies — and is the only code that queues a request
-//! (`GrowState::request`) or takes a batch (`GrowState::drain`). A build
-//! is the root request plus `drain`; a maintenance round (`maintain.rs`)
-//! requests its re-grows the same way and drains them through the same
-//! loop, escalating every sampled fulfilment instead of judging it. Every
-//! entry point refuses a session that already holds requests.
+//! tables of a maintainable build, and the request tally — and is the
+//! only code that queues a request (`GrowState::request`) or takes a
+//! batch (`GrowState::drain`). A build is the root request plus `drain`;
+//! a maintenance round (`maintain.rs`) requests its re-grows the same way
+//! and drains them through the same loop. Every entry point refuses a
+//! session that already holds requests.
 
 use crate::maintain::RetainedNode;
-use crate::split::{best_two_splits, rank_splits, score_half_width, Scorer, Split, SplitKind};
+use crate::split::{rank_splits, Scorer, Split, SplitKind};
 use crate::tree::{DecisionTree, Edge, NodeState, TreeNode};
 use scaleclass::{CcRequest, CountsTable, Lineage, Middleware, MwError, MwResult, NodeId};
 use scaleclass_sqldb::{Code, Pred};
@@ -225,65 +224,6 @@ pub fn derive_children(cc: &CountsTable, split: &Split, attrs: &[u16]) -> Vec<Ch
     }
 }
 
-/// Outcome of judging a *sampled* CC table (DESIGN.md §13).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SampledDecision {
-    /// The winning split's confidence interval cleared zero and separated
-    /// from the runner-up: partition on it without an exact scan.
-    Split(Split),
-    /// The sample could not settle the node — would-be leaf, unbounded
-    /// measure, or overlapping intervals. Rescan exactly.
-    Escalate,
-}
-
-/// Scale a block-sampled count up by the sampling fraction (rounded) —
-/// the approximate sizes fed back to the scheduler's cost model through
-/// child requests. Degenerate fractions return the count unchanged.
-pub fn scale_sampled(count: u64, fraction: f64) -> u64 {
-    if !(fraction > 0.0 && fraction < 1.0) {
-        return count;
-    }
-    (count as f64 / fraction).round() as u64
-}
-
-/// Judge a node from block-sampled counts: accept the best split only when
-/// its normal-approximation confidence interval (±[`score_half_width`])
-/// both clears zero and separates from the runner-up's by the full two
-/// half-widths. Everything else — including every would-be *leaf*
-/// decision, whose class distribution becomes output and so must come from
-/// exact counts — escalates to an exact rescan.
-pub fn decide_sampled(
-    cc: &CountsTable,
-    attrs: &[u16],
-    depth: usize,
-    config: &GrowConfig,
-    fraction: f64,
-) -> SampledDecision {
-    let scaled_rows = scale_sampled(cc.total(), fraction);
-    let depth_capped = config.max_depth.is_some_and(|d| depth >= d);
-    if cc.distinct_classes() <= 1
-        || scaled_rows < config.min_rows
-        || depth_capped
-        || attrs.is_empty()
-    {
-        return SampledDecision::Escalate;
-    }
-    let nclasses = cc.distinct_classes() as u64;
-    let Some(hw) = score_half_width(config.scorer, nclasses, cc.total()) else {
-        return SampledDecision::Escalate;
-    };
-    let Some((best, runner)) = best_two_splits(cc, attrs, config.split_kind, config.scorer) else {
-        return SampledDecision::Escalate;
-    };
-    let clears_zero = best.score - hw > 1e-12;
-    let separated = runner.is_none_or(|r| best.score - r >= 2.0 * hw);
-    if clears_zero && separated {
-        SampledDecision::Split(best.split)
-    } else {
-        SampledDecision::Escalate
-    }
-}
-
 /// Would a child with this spec terminate immediately? If so, its class
 /// distribution is already known from the parent's CC table and no counts
 /// request is needed.
@@ -300,13 +240,8 @@ pub fn immediate_leaf(spec: &ChildSpec, depth: usize, config: &GrowConfig) -> bo
 pub struct GrowOutcome {
     /// The grown tree.
     pub tree: DecisionTree,
-    /// Counts requests issued to the middleware (escalation rescans
-    /// included).
+    /// Counts requests issued to the middleware.
     pub requests_issued: u64,
-    /// Sampled fulfilments whose split the confidence interval accepted.
-    pub sampled_accepts: u64,
-    /// Sampled fulfilments escalated to an exact rescan (§13).
-    pub escalations: u64,
 }
 
 /// Refuse to start on a session that already holds requests: their
@@ -328,34 +263,24 @@ pub(crate) fn ensure_idle(mw: &Middleware) -> MwResult<()> {
 /// take every fulfilment through [`GrowState::drain`].
 pub(crate) struct GrowState<'a> {
     config: &'a GrowConfig,
-    /// Judge a sampled fulfilment with [`decide_sampled`] (a build), or
-    /// escalate it unread (maintenance never accepts sampled counts).
-    judge_samples: bool,
     open: HashMap<usize, (Lineage, Vec<u16>)>,
     /// Each exactly counted node's table and margins, for maintenance.
     pub(crate) retained: Option<HashMap<usize, RetainedNode>>,
-    /// Counts requests issued, escalation rescans included.
+    /// Counts requests issued.
     pub(crate) requests_issued: u64,
-    pub(crate) sampled_accepts: u64,
-    pub(crate) escalations: u64,
 }
 
 impl<'a> GrowState<'a> {
-    /// A build with nothing requested yet; `judge_samples` is false for a
-    /// maintenance round.
+    /// A build with nothing requested yet.
     pub(crate) fn new(
         config: &'a GrowConfig,
         retained: Option<HashMap<usize, RetainedNode>>,
-        judge_samples: bool,
     ) -> Self {
         GrowState {
             config,
-            judge_samples,
             open: HashMap::new(),
             retained,
             requests_issued: 0,
-            sampled_accepts: 0,
-            escalations: 0,
         }
     }
 
@@ -388,44 +313,8 @@ impl<'a> GrowState<'a> {
                         "node {idx} was fulfilled but never requested"
                     )));
                 };
-                let Some(tag) = f.sample else {
-                    tree.node_mut(idx).source = Some(f.source);
-                    self.apply_exact(mw, tree, idx, &f.cc, &lineage, &attrs)?;
-                    continue;
-                };
-                // Sampled fulfilment (DESIGN.md §13): accept the split only
-                // if the confidence intervals settle it.
-                let verdict = if self.judge_samples {
-                    let depth = tree.node(idx).depth;
-                    decide_sampled(&f.cc, &attrs, depth, self.config, tag.fraction)
-                } else {
-                    SampledDecision::Escalate
-                };
-                let SampledDecision::Split(split) = verdict else {
-                    // Requeue through the session so the sampled CC bytes
-                    // release *before* the exact scan is scheduled
-                    // (double-count guard); the node is decided when those
-                    // counts arrive.
-                    self.open.insert(idx, (lineage, attrs));
-                    let escalated = mw.escalate(f.node);
-                    debug_assert!(escalated, "sampled fulfilment must be outstanding");
-                    self.escalations += 1;
-                    self.requests_issued += 1;
-                    continue;
-                };
-                mw.accept_sampled(f.node);
-                self.sampled_accepts += 1;
-                let scale = |n: u64| scale_sampled(n, tag.fraction);
-                let specs = derive_children(&f.cc, &split, &attrs);
-                let node = tree.node_mut(idx);
-                node.class_counts =
-                    f.cc.class_distribution()
-                        .map(|(c, n)| (c, scale(n)))
-                        .collect();
-                node.rows = scale(f.cc.total());
-                node.source = Some(f.source);
-                node.state = NodeState::Partitioned { split };
-                self.spawn_children(mw, tree, idx, &lineage, specs, Some(tag.fraction))?;
+                tree.node_mut(idx).source = Some(f.source);
+                self.apply_exact(mw, tree, idx, &f.cc, &lineage, &attrs)?;
             }
         }
         mw.flush_unreachable();
@@ -469,7 +358,7 @@ impl<'a> GrowState<'a> {
             Decision::Split(split) => {
                 let specs = derive_children(cc, &split, attrs);
                 tree.node_mut(idx).state = NodeState::Partitioned { split };
-                self.spawn_children(mw, tree, idx, lineage, specs, None)?;
+                self.spawn_children(mw, tree, idx, lineage, specs)?;
             }
         }
         Ok(())
@@ -477,10 +366,6 @@ impl<'a> GrowState<'a> {
 
     /// Create the children `specs` describes under the partitioned node
     /// `idx` and request counts for those that do not settle on the spot.
-    /// Counts read off a sample of `fraction` are scaled up by it in the
-    /// tree and in the requests; a child of a sampled node is never an
-    /// immediate leaf, since a leaf's class distribution is tree output and
-    /// sampled purity proves nothing about the blocks the scan skipped.
     fn spawn_children(
         &mut self,
         mw: &mut Middleware,
@@ -488,17 +373,11 @@ impl<'a> GrowState<'a> {
         idx: usize,
         lineage: &Lineage,
         specs: Vec<ChildSpec>,
-        fraction: Option<f64>,
     ) -> MwResult<()> {
         let (depth, parent_rows) = (tree.node(idx).depth + 1, tree.node(idx).rows);
-        let scale = |n: u64| fraction.map_or(n, |f| scale_sampled(n, f));
         let class_col = mw.class_col();
-        for mut spec in specs {
-            let leaf_now = fraction.is_none() && immediate_leaf(&spec, depth, self.config);
-            let rows = scale(spec.rows);
-            for (_, n) in &mut spec.class_counts {
-                *n = scale(*n);
-            }
+        for spec in specs {
+            let leaf_now = immediate_leaf(&spec, depth, self.config);
             let child_idx = tree.push(TreeNode {
                 id: 0,
                 parent: Some(idx),
@@ -512,7 +391,7 @@ impl<'a> GrowState<'a> {
                     NodeState::Active
                 },
                 class_counts: spec.class_counts,
-                rows,
+                rows: spec.rows,
                 children: Vec::new(),
                 source: None,
             });
@@ -522,7 +401,7 @@ impl<'a> GrowState<'a> {
                     lineage,
                     attrs: spec.attrs,
                     class_col,
-                    rows,
+                    rows: spec.rows,
                     parent_rows,
                     parent_cards: spec.parent_cards,
                 };
@@ -559,15 +438,13 @@ pub(crate) fn grow_inner(
         children: Vec::new(),
         source: None,
     });
-    let mut state = GrowState::new(config, retained, true);
+    let mut state = GrowState::new(config, retained);
     let req = mw.root_request(NodeId(root as u64));
     state.request(mw, req)?;
     state.drain(mw, &mut tree)?;
     let outcome = GrowOutcome {
         tree,
         requests_issued: state.requests_issued,
-        sampled_accepts: state.sampled_accepts,
-        escalations: state.escalations,
     };
     Ok((outcome, state.retained))
 }
@@ -674,53 +551,6 @@ mod tests {
         assert_eq!(out.tree.len(), 1);
     }
 
-    /// `CcRequest::rows` is what the client reads off the parent's table:
-    /// after a sampled accept, the sample's count scaled up by its fraction
-    /// — here 16 for children that hold 24 rows each — not the rows the
-    /// child holds.
-    #[test]
-    fn sampled_children_request_scaled_rows() {
-        let mut mw =
-            Middleware::new(and_db(12), "d", "class", MiddlewareConfig::default()).unwrap();
-        // A third of the table (its noise-0 rows) read as a 50 % sample.
-        let mut sample = CountsTable::new();
-        for a in 0..2u16 {
-            for b in 0..2u16 {
-                for _ in 0..4 {
-                    sample.add_row(&[a, b, 0, a & b], &[0, 1, 2], 3);
-                }
-            }
-        }
-        let mut tree = DecisionTree::new();
-        let root = tree.push(TreeNode {
-            id: 0,
-            parent: None,
-            edge: None,
-            depth: 0,
-            state: NodeState::Active,
-            class_counts: Vec::new(),
-            // The sample's 16 rows scaled up, as `drain` records them.
-            rows: 32,
-            children: Vec::new(),
-            source: None,
-        });
-        let specs = derive_children(&sample, &Split::Binary { attr: 0, value: 1 }, &[0, 1, 2]);
-        let lineage = Lineage::root(NodeId(root as u64));
-        let config = GrowConfig::default();
-        let mut state = GrowState::new(&config, None, true);
-        state
-            .spawn_children(&mut mw, &mut tree, root, &lineage, specs, Some(0.5))
-            .unwrap();
-        assert_eq!(state.requests_issued, 2);
-        // Each request carried the rows the tree records for its child.
-        let children = tree.node(root).children.clone();
-        let requested: Vec<u64> = children.iter().map(|&c| tree.node(c).rows).collect();
-        assert_eq!(requested, [16, 16]);
-        let fulfilled = mw.process_next_batch().unwrap();
-        let exact: Vec<u64> = fulfilled.iter().map(|f| f.cc.total()).collect();
-        assert_eq!(exact, [24, 24]);
-    }
-
     /// A session that already holds a request is refused before anything
     /// is queued or scanned: the request's fulfilment would reach a loop
     /// that never asked for it.
@@ -755,7 +585,7 @@ mod tests {
             source: None,
         });
         let config = GrowConfig::default();
-        let err = GrowState::new(&config, None, true)
+        let err = GrowState::new(&config, None)
             .drain(&mut mw, &mut tree)
             .unwrap_err();
         assert!(matches!(err, MwError::Internal(_)), "{err}");

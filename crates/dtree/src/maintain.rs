@@ -31,8 +31,7 @@
 //!    through the middleware, which is the only place the server is
 //!    touched, and only under the re-grown subtree's predicates. A re-grow
 //!    is a build's own request path and loop (`GrowState::request` and
-//!    `GrowState::drain` in `grow.rs`), told to escalate every sampled
-//!    fulfilment rather than judge it; its lineage is rebuilt from the
+//!    `GrowState::drain` in `grow.rs`); its lineage is rebuilt from the
 //!    tree's edges.
 //!
 //! Leaves never re-grown are just patched: class counts, rows, and the
@@ -102,9 +101,7 @@ impl MaintainableTree {
 /// Grow a tree through the middleware exactly like
 /// [`crate::grow::grow_with_middleware`], additionally retaining each
 /// node's CC table and margins so the result can be maintained
-/// incrementally. Sampled-accepted nodes retain nothing (their counts are
-/// estimates); maintenance re-grows them on first touch, so exact
-/// counting (`sampled_counting` off) is the economical mode here.
+/// incrementally.
 pub fn grow_maintainable(mw: &mut Middleware, config: &GrowConfig) -> MwResult<MaintainableTree> {
     let (out, retained) = grow_inner(mw, config, Some(HashMap::new()))?;
     Ok(MaintainableTree {
@@ -214,10 +211,8 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
 
     // Re-decide (step 4): walk touched nodes top-down; untouched subtrees
     // hold exactly the rows they held before, so their decisions stand.
-    // The re-grows' requests then run through the grow loop, which
-    // escalates every sampled fulfilment: maintenance decisions must come
-    // from exact counts.
-    let mut state = GrowState::new(config, Some(std::mem::take(retained)), false);
+    // The re-grows' requests then run through the grow loop.
+    let mut state = GrowState::new(config, Some(std::mem::take(retained)));
     let mut stack = vec![0usize];
     while let Some(idx) = stack.pop() {
         let Some(&magnitude) = touched.get(&idx) else {
@@ -229,9 +224,9 @@ pub fn maintain(mw: &mut Middleware, model: &mut MaintainableTree) -> MwResult<M
             .filter(|_| !corrupt.contains(&idx))
         else {
             // A DELETE failed to validate against the retained CC, or the
-            // node was touched but never scanned: a sampled-accepted node
-            // (no exact CC to patch) — or an immediate leaf whose parent
-            // was somehow not visited, which the top-down walk precludes.
+            // node was touched but never scanned: an immediate leaf whose
+            // parent was somehow not visited, which the top-down walk
+            // precludes.
             // Re-grow from a fresh scan, sized from the tree and schema.
             let attrs = match state.retained_mut().get(&idx) {
                 Some(r) => r.attrs.clone(),

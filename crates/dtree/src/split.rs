@@ -400,30 +400,6 @@ pub fn best_split(
     rank_splits(cc, attrs, kind, scorer).best
 }
 
-/// Z-value for the sampled-split confidence intervals (DESIGN.md §13):
-/// ±3σ ≈ 99.7% two-sided coverage, deliberately conservative so accepted
-/// sampled splits virtually always match the exact-scan choice — the
-/// escape hatch (escalation) absorbs the ambiguous cases instead.
-pub const SAMPLE_Z: f64 = 3.0;
-
-/// Normal-approximation half-width of a split score's confidence interval
-/// when the score was computed from `sampled_rows` block-sampled rows:
-/// `Z · R / (2√n)`, with `R` the score's range — 1 for Gini, `log2(k)`
-/// for entropy gain over `k` classes. Returns `None` for measures with no
-/// usable bound (gain ratio's normalisation and chi-square's unbounded
-/// statistic), which callers must treat as "cannot accept — escalate".
-pub fn score_half_width(scorer: Scorer, nclasses: u64, sampled_rows: u64) -> Option<f64> {
-    if sampled_rows == 0 {
-        return None;
-    }
-    let range = match scorer {
-        Scorer::Gini => 1.0,
-        Scorer::Entropy => (nclasses.max(2) as f64).log2(),
-        Scorer::GainRatio | Scorer::ChiSquare => return None,
-    };
-    Some(SAMPLE_Z * range / (2.0 * (sampled_rows as f64).sqrt()))
-}
-
 /// Conservative bound on how far any candidate split's score over a node
 /// holding `rows` rows (post-delta) can have moved after `magnitude`
 /// signed row events were applied to it (DESIGN.md §15).
@@ -465,8 +441,8 @@ pub fn delta_score_bound(scorer: Scorer, nclasses: u64, rows: u64, magnitude: u6
 /// Mirror dedup: a binary split on a two-valued attribute produces the
 /// same partition from either value (`A = v` vs `A = w` swaps children),
 /// so only the lower value is ranked — otherwise every two-valued
-/// winner would "tie" its own mirror and the confidence separation of
-/// [`score_half_width`] could never succeed.
+/// winner would "tie" its own mirror and leave incremental maintenance
+/// no margin to keep a split by.
 pub fn best_two_splits(
     cc: &CountsTable,
     attrs: &[u16],
@@ -619,27 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn half_width_shrinks_with_sample_size() {
-        let hw_small = score_half_width(Scorer::Gini, 2, 100).unwrap();
-        let hw_large = score_half_width(Scorer::Gini, 2, 10_000).unwrap();
-        assert!(hw_large < hw_small);
-        assert!((hw_small / hw_large - 10.0).abs() < 1e-9, "1/√n scaling");
-        // Gini range is 1: hw = 3 / (2·√100) = 0.15.
-        assert!((hw_small - 0.15).abs() < 1e-12);
-        // Entropy range grows with the class count.
-        let e2 = score_half_width(Scorer::Entropy, 2, 100).unwrap();
-        let e8 = score_half_width(Scorer::Entropy, 8, 100).unwrap();
-        assert!((e8 / e2 - 3.0).abs() < 1e-9, "log2(8)/log2(2)");
-    }
-
-    #[test]
-    fn half_width_unavailable_for_unbounded_measures() {
-        assert!(score_half_width(Scorer::GainRatio, 2, 100).is_none());
-        assert!(score_half_width(Scorer::ChiSquare, 2, 100).is_none());
-        assert!(score_half_width(Scorer::Gini, 2, 0).is_none());
-    }
-
-    #[test]
     fn best_two_agrees_with_best_split_and_reports_runner() {
         let cc = cc_from(&[[0, 0, 0], [0, 1, 0], [1, 0, 1], [1, 1, 1]]);
         let solo = best_split(&cc, &[0, 1], SplitKind::Binary, Scorer::Entropy).unwrap();
@@ -670,7 +625,7 @@ mod tests {
     #[test]
     fn best_two_twin_attributes_tie() {
         // attrs 0 and 1 are identical copies: the runner-up must tie the
-        // winner, so no confidence interval can separate them.
+        // winner, so no margin separates them.
         let cc = cc_from(&[[0, 0, 0], [1, 1, 1], [0, 0, 0], [1, 1, 1]]);
         let (best, runner) =
             best_two_splits(&cc, &[0, 1], SplitKind::Binary, Scorer::Entropy).unwrap();

@@ -23,13 +23,6 @@
 //! procedure that applies the filters on the results obtained by the cursor
 //! before the results are returned") — the same compiled filter, one row
 //! at a time.
-//!
-//! [`BlockCursor`] is the server half of the middleware's sampled counting
-//! mode: the same scan restricted to caller-supplied TID ranges — the
-//! `TABLESAMPLE SYSTEM` analogue, where the client names which physical
-//! blocks to read and the server never touches the rest of the heap. Rows
-//! outside the ranges cost nothing; that skipped I/O is the entire point
-//! of the sampled access path.
 
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
@@ -41,9 +34,8 @@ use crate::types::{Code, Tid};
 use crate::wire::{WireBatch, DEFAULT_BATCH_ROWS};
 
 /// Forward-only cursor with server-side filtering and batched wire fetches:
-/// a scan of sorted TID ranges — the whole table, unless opened as a
-/// [`BlockCursor`] — one page run (the part of a range on one heap page) at
-/// a time.
+/// a scan of the whole table, one page run (the part of the table on one
+/// heap page) at a time.
 pub struct ServerCursor<'a> {
     table: &'a Table,
     filter: PageFilter,
@@ -51,14 +43,9 @@ pub struct ServerCursor<'a> {
     batch_rows: usize,
     batch: WireBatch,
     stats: &'a DbStats,
-    /// Half-open `[start, end)` TID ranges not yet entered: sorted,
-    /// non-empty, inside the table.
-    ranges: std::vec::IntoIter<(u64, u64)>,
-    /// Rows the ranges cover in all.
-    covered: u64,
-    /// End of the range being scanned.
-    range_end: u64,
-    /// Next TID to read: every row of the ranges before it is charged.
+    /// Rows of the table when the cursor opened: the scan ends there.
+    end: u64,
+    /// Next TID to read: every row before it is charged.
     next_tid: u64,
     /// Last page charged.
     last_page: u64,
@@ -72,23 +59,6 @@ pub struct ServerCursor<'a> {
 
 impl<'a> ServerCursor<'a> {
     pub(crate) fn new(table: &'a Table, pred: Pred, batch_rows: usize, stats: &'a DbStats) -> Self {
-        Self::over(table, pred, batch_rows, vec![(0, u64::MAX)], stats)
-    }
-
-    /// A cursor over `ranges` only, sorted here and clamped to the table.
-    fn over(
-        table: &'a Table,
-        pred: Pred,
-        batch_rows: usize,
-        mut ranges: Vec<(u64, u64)>,
-        stats: &'a DbStats,
-    ) -> Self {
-        ranges.sort_unstable();
-        let nrows = table.nrows();
-        for r in &mut ranges {
-            r.1 = r.1.min(nrows);
-        }
-        ranges.retain(|&(start, end)| start < end);
         stats.add_seq_scan();
         ServerCursor {
             table,
@@ -97,11 +67,7 @@ impl<'a> ServerCursor<'a> {
             batch_rows: batch_rows.max(1),
             batch: WireBatch::new(),
             stats,
-            covered: ranges
-                .iter()
-                .fold(0u64, |a, &(s, e)| a.saturating_add(e - s)),
-            ranges: ranges.into_iter(),
-            range_end: 0,
+            end: table.nrows(),
             next_tid: 0,
             last_page: u64::MAX,
             run: &[],
@@ -116,16 +82,10 @@ impl<'a> ServerCursor<'a> {
         self.arity
     }
 
-    /// Enter the next page run of the ranges: charge its page unless the
-    /// scan is on it already, and filter it whole. `false` at the end.
+    /// Enter the next page run: charge its page unless the scan is on it
+    /// already, and filter it whole. `false` at the end.
     fn next_run(&mut self) -> bool {
-        if self.next_tid >= self.range_end {
-            let Some((start, end)) = self.ranges.next() else {
-                return false;
-            };
-            (self.next_tid, self.range_end) = (start, end);
-        }
-        let Some((page, rows)) = self.table.page_run(self.next_tid, self.range_end) else {
+        let Some((page, rows)) = self.table.page_run(self.next_tid, self.end) else {
             return false;
         };
         if page != self.last_page {
@@ -302,48 +262,6 @@ impl KeysetCursor {
     }
 }
 
-/// Forward-only filtered cursor over caller-supplied TID ranges (the
-/// `TABLESAMPLE SYSTEM` analogue used by the middleware's sampled counting
-/// mode): a [`ServerCursor`] that scans only the ranges. Ranges are
-/// half-open `[start, end)` row-identifier intervals and must be disjoint
-/// so the scan touches each page at most once, exactly like the keyset
-/// cursor's idealized access; they may start and stop mid-page.
-///
-/// Charges one page read per distinct page entered and one scanned row per
-/// row *inside* the ranges; rows outside the sample are never read and
-/// never charged — the server-side saving the sampled access path exists
-/// to harvest.
-pub struct BlockCursor<'a>(ServerCursor<'a>);
-
-impl<'a> BlockCursor<'a> {
-    pub(crate) fn new(
-        table: &'a Table,
-        pred: Pred,
-        batch_rows: usize,
-        ranges: Vec<(u64, u64)>,
-        stats: &'a DbStats,
-    ) -> Self {
-        BlockCursor(ServerCursor::over(table, pred, batch_rows, ranges, stats))
-    }
-
-    /// Number of codes per row in fetched data.
-    pub fn arity(&self) -> usize {
-        self.0.arity
-    }
-
-    /// Total rows covered by the (clamped) ranges — the rows the cursor
-    /// will scan, independent of how many match the filter.
-    pub fn covered_rows(&self) -> u64 {
-        self.0.covered
-    }
-
-    /// Fetch the next batch of matching rows, appending their codes (flat)
-    /// to `out`. Returns the rows fetched; `0` means end of scan.
-    pub fn fetch(&mut self, out: &mut Vec<Code>) -> DbResult<usize> {
-        Ok(self.0.fetch(out))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,104 +362,6 @@ mod tests {
         assert_eq!(delta.rows_scanned, 250, "reads whole keyset");
         assert_eq!(delta.rows_shipped, 125, "ships only residual matches");
         assert!(out.chunks(2).all(|r| r[0] == 1 && r[1] == 0));
-    }
-
-    #[test]
-    fn block_cursor_reads_only_the_ranges() {
-        // Multi-page table: 10 000 arity-2 rows span five 2048-row pages.
-        let mut db = Database::new();
-        db.create_table("big", Schema::from_pairs(&[("a", 4), ("class", 2)]))
-            .unwrap();
-        for i in 0..10_000u32 {
-            db.insert("big", &[(i % 4) as u16, (i % 2) as u16]).unwrap();
-        }
-        let npages = db.table("big").unwrap().npages();
-        assert!(npages >= 5, "fixture must span several pages");
-
-        let before = db.stats().snapshot();
-        // Two ranges inside pages 0 and 2 — pages 1, 3, 4 stay untouched.
-        let mut cur = db
-            .open_block_cursor("big", Pred::True, 512, vec![(0, 1000), (4200, 5000)])
-            .unwrap();
-        assert_eq!(cur.covered_rows(), 1800);
-        let mut out = Vec::new();
-        let mut total = 0;
-        loop {
-            let n = cur.fetch(&mut out).unwrap();
-            if n == 0 {
-                break;
-            }
-            total += n;
-        }
-        let delta = db.stats().snapshot() - before;
-        assert_eq!(total, 1800);
-        assert_eq!(delta.rows_scanned, 1800, "out-of-range rows cost nothing");
-        assert_eq!(delta.pages_read, 2, "only the pages under the ranges");
-        assert_eq!(delta.rows_shipped, 1800);
-    }
-
-    #[test]
-    fn block_cursor_applies_filter_and_clamps_ranges() {
-        let db = db();
-        // Unsorted, overlapping-with-end, and past-the-end ranges: the
-        // cursor sorts and clamps. a==3 matches every 4th row.
-        let mut cur = db
-            .open_block_cursor(
-                "t",
-                Pred::Eq { col: 0, value: 3 },
-                64,
-                vec![(800, 2000), (0, 400)],
-            )
-            .unwrap();
-        assert_eq!(cur.covered_rows(), 600);
-        let mut out = Vec::new();
-        let mut total = 0;
-        loop {
-            let n = cur.fetch(&mut out).unwrap();
-            if n == 0 {
-                break;
-            }
-            total += n;
-        }
-        assert_eq!(total, 150, "a quarter of the 600 covered rows match");
-        assert!(out.chunks(2).all(|r| r[0] == 3));
-    }
-
-    #[test]
-    fn block_cursor_empty_ranges_fetch_zero() {
-        let db = db();
-        let mut cur = db.open_block_cursor("t", Pred::True, 64, vec![]).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(cur.fetch(&mut out).unwrap(), 0);
-        assert_eq!(cur.fetch(&mut out).unwrap(), 0);
-        let mut degenerate = db
-            .open_block_cursor("t", Pred::True, 64, vec![(50, 50), (9999, 10_000)])
-            .unwrap();
-        assert_eq!(degenerate.covered_rows(), 0);
-        assert_eq!(degenerate.fetch(&mut out).unwrap(), 0);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn block_cursor_full_range_matches_server_cursor() {
-        let db1 = db();
-        let mut server_out = Vec::new();
-        db1.open_cursor("t", Pred::Eq { col: 1, value: 1 }, 100)
-            .unwrap()
-            .fetch_all(&mut server_out);
-
-        let db2 = db();
-        let nrows = db2.table("t").unwrap().nrows();
-        let mut block_out = Vec::new();
-        let mut cur = db2
-            .open_block_cursor("t", Pred::Eq { col: 1, value: 1 }, 100, vec![(0, nrows)])
-            .unwrap();
-        loop {
-            if cur.fetch(&mut block_out).unwrap() == 0 {
-                break;
-            }
-        }
-        assert_eq!(server_out, block_out, "full-range block scan ≡ seq scan");
     }
 
     #[test]

@@ -258,27 +258,6 @@ impl Database {
         ))
     }
 
-    /// Open a filtered cursor restricted to the given half-open `[start,
-    /// end)` TID ranges — the `TABLESAMPLE SYSTEM` analogue behind the
-    /// middleware's sampled counting mode (DESIGN.md §13). Rows outside the
-    /// ranges are never read and never charged.
-    pub fn open_block_cursor(
-        &self,
-        table: &str,
-        pred: Pred,
-        batch_rows: usize,
-        ranges: Vec<(u64, u64)>,
-    ) -> DbResult<crate::cursor::BlockCursor<'_>> {
-        let t = self.table(table)?;
-        Ok(crate::cursor::BlockCursor::new(
-            t,
-            pred,
-            batch_rows,
-            ranges,
-            &self.stats,
-        ))
-    }
-
     /// Open a keyset cursor: snapshot the TIDs satisfying `pred` now, allow
     /// residual-filtered re-scans later (§4.3.3c). Charges a full scan.
     pub fn open_keyset_cursor(

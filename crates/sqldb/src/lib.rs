@@ -60,7 +60,7 @@ pub mod types;
 pub mod wire;
 
 pub use csv::{export_csv, import_csv};
-pub use cursor::{BlockCursor, KeysetCursor, ServerCursor};
+pub use cursor::{KeysetCursor, ServerCursor};
 pub use database::{Database, TidSet};
 pub use delta::{DeltaLog, DeltaSign, RowDelta};
 pub use error::{DbError, DbResult};

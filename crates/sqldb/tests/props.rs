@@ -541,9 +541,8 @@ proptest! {
     /// read, round trips and bytes charged — after *every* fetch, so a
     /// cursor dropped mid-scan has charged what the per-row one would
     /// have — over random arities, tables from empty to several pages
-    /// with a ragged last one, batches smaller than, equal to and larger
-    /// than a page, and (the block cursor) unsorted TID ranges that start
-    /// and stop mid-page and run past the end of the table.
+    /// with a ragged last one, and batches smaller than, equal to and
+    /// larger than a page.
     #[test]
     fn page_at_a_time_cursors_cost_what_a_row_at_a_time_cursor_costs(
         seed in any::<u64>(),
@@ -619,27 +618,12 @@ proptest! {
             }
             Ok(shipped)
         };
-        let mut by_row = RowAtATime::open(&rows, &filter, batch, vec![(0, u64::MAX)]);
+        let mut by_row = RowAtATime::open(&rows, &filter, batch);
         let before = db.stats().snapshot();
         let mut cursor = db.open_cursor("t", filter.clone(), batch).unwrap();
         let shipped = in_step(&mut |out| cursor.fetch(out), &mut by_row, before)?;
         prop_assert_eq!(&shipped, &expect);
         prop_assert_eq!(db.stats().snapshot() - before, ref_stats.snapshot());
-
-        // The block cursor: disjoint ranges between drawn cut points, in a
-        // drawn order, some empty, some past the end of the table.
-        let mut cuts: Vec<u64> =
-            (0..2 * rng.below(5)).map(|_| rng.below(nrows + per_page) as u64).collect();
-        cuts.sort_unstable();
-        let mut ranges: Vec<(u64, u64)> = cuts.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-        for i in (1..ranges.len()).rev() {
-            ranges.swap(i, rng.below(i + 1));
-        }
-        let mut by_row = RowAtATime::open(&rows, &filter, batch, ranges.clone());
-        let before = db.stats().snapshot();
-        let mut cursor = db.open_block_cursor("t", filter.clone(), batch, ranges).unwrap();
-        prop_assert_eq!(cursor.covered_rows(), by_row.tids.len() as u64);
-        in_step(&mut |out| cursor.fetch(out).unwrap(), &mut by_row, before)?;
 
         // The keyset cursor and the §4.3.3 structures filter through the
         // same compiled set, and ship through the same wire.
@@ -667,8 +651,7 @@ proptest! {
 }
 
 /// The cursor the server had before it filtered a page at a time, as the
-/// reference: it reads the rows of its (sorted, clamped) TID ranges one at
-/// a time, charges a page when it enters one and a row as it reads it,
+/// reference: it reads the rows of the table one at a time, charges a page when it enters one and a row as it reads it,
 /// asks `Pred::eval` of the row, and stops reading the moment its batch is
 /// full.
 struct RowAtATime<'a> {
@@ -676,30 +659,20 @@ struct RowAtATime<'a> {
     filter: &'a Pred,
     batch: usize,
     /// The TIDs still to read.
-    tids: std::vec::IntoIter<u64>,
+    tids: std::ops::Range<u64>,
     last_page: u64,
     stats: DbStats,
 }
 
 impl<'a> RowAtATime<'a> {
-    fn open(
-        rows: &'a [Vec<Code>],
-        filter: &'a Pred,
-        batch: usize,
-        mut ranges: Vec<(u64, u64)>,
-    ) -> Self {
-        ranges.sort_unstable();
-        let tids: Vec<u64> = ranges
-            .into_iter()
-            .flat_map(|(start, end)| start..end.min(rows.len() as u64))
-            .collect();
+    fn open(rows: &'a [Vec<Code>], filter: &'a Pred, batch: usize) -> Self {
         let stats = DbStats::new();
         stats.add_seq_scan();
         RowAtATime {
             rows,
             filter,
             batch,
-            tids: tids.into_iter(),
+            tids: 0..rows.len() as u64,
             last_page: u64::MAX,
             stats,
         }

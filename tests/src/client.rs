@@ -61,8 +61,7 @@ fn rebuilt(path: &[(NodeId, Pred)]) -> Lineage {
 }
 
 /// Grow a tree through `mw` with children extended from their parent's
-/// lineage (`linked`) or from a rebuilt one. Every sampled count is
-/// escalated, so the tree grows from exact counts. `between` runs once,
+/// lineage (`linked`) or from a rebuilt one. `between` runs once,
 /// after the root's batch and before its children's.
 pub fn grow(
     mw: &mut Middleware,
@@ -107,10 +106,6 @@ pub fn grow(
             mutated = true;
         }
         for f in batch {
-            if f.sample.is_some() {
-                assert!(mw.escalate(f.node));
-                continue;
-            }
             let idx = f.node.0 as usize;
             let Open {
                 lineage,

@@ -34,11 +34,8 @@ pub fn small_census_workload() -> (Schema, Vec<Code>, u16) {
 /// Deterministic Fisher–Yates over whole rows (splitmix64-driven).
 ///
 /// The random-tree generator emits rows leaf region by leaf region, so
-/// scan *blocks* of the loaded table are leaf clusters — a block-level
-/// sample of such a table sees a handful of whole regions and nothing
-/// else. Shuffling restores the unclustered layout the block-sampling
-/// estimator (DESIGN.md §13) assumes, the same caveat `TABLESAMPLE
-/// SYSTEM` carries on physically clustered tables.
+/// the pages of the loaded table would be leaf clusters; shuffled, every
+/// page holds rows of every region.
 fn shuffle_rows(rows: &mut [Code], arity: usize, seed: u64) {
     let n = rows.len() / arity;
     let mut state = seed;
@@ -59,11 +56,11 @@ fn shuffle_rows(rows: &mut [Code], arity: usize, seed: u64) {
     }
 }
 
-/// A fat-margin workload for sampled counting: a complete depth-5 binary
-/// generating tree over 25 binary attributes, one *distinct* class per
-/// leaf (so no internal node of the true tree is ever pure and every
-/// level's split margin stays fat), rows shuffled so block samples are
-/// unbiased.
+/// A fat-margin workload: a complete depth-5 binary generating tree over
+/// 25 binary attributes, one *distinct* class per leaf (so no internal
+/// node of the true tree is ever pure, every level's split margin stays
+/// fat, and the two children of each split hold disjoint classes), rows
+/// shuffled.
 pub fn fat_margin_workload(cases_per_leaf: usize) -> (Schema, Vec<Code>, u16) {
     let mut d = random_tree::generate(&RandomTreeParams {
         leaves: 32,
@@ -75,14 +72,7 @@ pub fn fat_margin_workload(cases_per_leaf: usize) -> (Schema, Vec<Code>, u16) {
         complete_splits: true,
         cases_per_leaf: cases_per_leaf as f64,
         cases_stddev: 0.0,
-        // Seed 55 is margin-audited (`sampled.rs`): at every node big
-        // enough to be sampled, the winner's exact score clears the
-        // runner-up by well more than the 10%-sample confidence band.
-        // Most seeds fail this — whenever the generator hands both
-        // children of a node the same split attribute, that attribute
-        // already bisects the node's classes perfectly and ties the
-        // winner at margin zero, forcing an escalation no sample size can
-        // avoid.
+        // `siblings.rs` pins the server rows of builds over this seed.
         seed: 55,
     });
     let arity = d.schema.arity();
@@ -236,16 +226,14 @@ pub const AMPLE_BUDGET: u64 = 64 << 20;
 /// One generated point of the middleware's configuration space, for
 /// every suite to draw from instead of hand-listing sweeps. The axes are
 /// the knobs a path hangs on, drawn independently, so a case may combine
-/// what no hand-written sweep pins together (sampled × deltas × shared
-/// catalog × tight budget):
+/// what no hand-written sweep pins together (deltas × shared catalog ×
+/// tight budget):
 ///
 /// * scan workers {1, 2, 4, 8}, and {1, 4} sessions over one backend;
 /// * shared staging, deltas and memory caching, each on or off;
-/// * exact counting, or a 10 % block sample open to every node;
 /// * file staging off, per-node, singleton or hybrid;
 /// * extent rows {1, 7, 8192}, scan blocks of {7, 4096} rows (seven
-///   makes a small table many blocks, for a sample to admit some and skip
-///   others), dense cap {0, default};
+///   makes a small table many blocks), dense cap {0, default};
 /// * a budget from 256 B to 512 KiB, or [`AMPLE_BUDGET`] half the time;
 /// * batches of any size, or of at most one or two nodes, so that a level
 ///   takes several batches over one staged set and a set compacts while
@@ -265,7 +253,6 @@ pub fn config_matrix() -> impl Strategy<Value = MiddlewareConfig> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
     );
     let layout = (
         prop::sample::select(file_policies),
@@ -278,11 +265,11 @@ pub fn config_matrix() -> impl Strategy<Value = MiddlewareConfig> {
     let batch_nodes = prop::sample::select(vec![None, Some(1), Some(2)]);
     (paths, layout, batch_nodes).prop_map(
         |(
-            (workers, sessions, shared, sampled, deltas, caching),
+            (workers, sessions, shared, deltas, caching),
             (file_policy, extent_rows, block_rows, dense_cap, ample, tight),
             batch_nodes,
         )| {
-            let mut b = MiddlewareConfig::builder()
+            MiddlewareConfig::builder()
                 .scan_workers(workers)
                 .sessions(sessions)
                 .shared_staging(shared)
@@ -293,11 +280,8 @@ pub fn config_matrix() -> impl Strategy<Value = MiddlewareConfig> {
                 .scan_block_rows(block_rows)
                 .cc_dense_max_bytes(dense_cap)
                 .max_batch_nodes(batch_nodes)
-                .memory_budget_bytes(if ample { AMPLE_BUDGET } else { tight });
-            if sampled {
-                b = b.sampled_counting(0.1).sampled_min_rows(0);
-            }
-            b.build()
+                .memory_budget_bytes(if ample { AMPLE_BUDGET } else { tight })
+                .build()
         },
     )
 }

@@ -3,13 +3,12 @@
 //! concurrent tree builds over one backend, and must:
 //!
 //! * finish with no panic and no `MwError`;
-//! * grow in every session whose counts all came exact — sampling off, or
-//!   every sampled node escalated — the tree `grow_in_memory` grows from
-//!   the same rows;
+//! * grow in every session the tree `grow_in_memory` grows from the same
+//!   rows;
 //! * pass the shadow accounting, hand every lease back to the arbiter and
 //!   leave no file behind in the staging or the catalog directory;
 //! * with deltas on, maintain one mutation into a tree split-identical to
-//!   a from-scratch rebuild, as exact counts allow;
+//!   a from-scratch rebuild;
 //! * show in its stats that each path its axes select ran.
 //!
 //! A table's delta log has one consumer — `take_deltas` drains it for
@@ -63,7 +62,6 @@ fn check(
     let attrs: Vec<u16> = (0..class_col).collect();
     let grow = GrowConfig::default();
     let oracle = |rows: &[Code]| grow_in_memory(rows, arity, class_col, &attrs, &grow);
-    let exact = cfg.sampled_fraction == 0.0;
     let ample = cfg.memory_budget_bytes == AMPLE_BUDGET;
     let staging = cfg.memory_caching || cfg.file_policy != FileStagingPolicy::Disabled;
     let k = cfg.sessions;
@@ -100,9 +98,6 @@ fn check(
             .collect()
     });
 
-    // A sampled node either stands on accepted sample counts or escalates
-    // to an exact rescan: with none accepted, every count is exact.
-    let counted_exactly = |mw: &Middleware| mw.stats().sampled_nodes == mw.stats().escalated_nodes;
     let expected = oracle(&rows);
     for (i, (mw, model)) in built.iter().enumerate() {
         mw.assert_shadow_accounting();
@@ -111,34 +106,28 @@ fn check(
             0,
             "a finished build holds no memory set"
         );
-        if counted_exactly(mw) {
-            prop_assert!(
-                trees_structurally_equal(&model.tree, &expected),
-                "session {} of {} grew {} nodes, the oracle {}",
-                i,
-                k,
-                model.tree.len(),
-                expected.len()
-            );
-        }
+        prop_assert!(
+            trees_structurally_equal(&model.tree, &expected),
+            "session {} of {} grew {} nodes, the oracle {}",
+            i,
+            k,
+            model.tree.len(),
+            expected.len()
+        );
     }
     // Each path shows up where its axis asks for it and nothing keeps it
-    // from running: only an exact session's staged-file scans may shard,
-    // only over a file of more than one extent — the root's, which the
-    // first staged-file scan reads, when the table outgrows an extent — a
-    // tight budget may leave no batch provably under it, and the catalog
-    // publishes only what exact sessions stage.
+    // from running: staged-file scans shard only over a file of more than
+    // one extent — the root's, which the first staged-file scan reads, when
+    // the table outgrows an extent — and a tight budget may leave no batch
+    // provably under it.
     let sum = |f: fn(&Middleware) -> u64| built.iter().map(|(mw, _)| f(mw)).sum::<u64>();
     let file_scans = sum(|mw| mw.stats().file_scans);
     let extents = rows.len() / arity > cfg.stage_extent_rows;
-    if cfg.scan_workers > 1 && ample && exact && file_scans > 0 && extents {
+    if cfg.scan_workers > 1 && ample && file_scans > 0 && extents {
         let sharded = sum(|mw| mw.stats().sharded_file_scans);
         prop_assert!(sharded > 0, "no sharded file scan");
     }
-    if !exact {
-        prop_assert!(sum(|mw| mw.stats().sampled_nodes) > 0, "no sampled node");
-    }
-    if cfg.shared_staging && k == 4 && staging && exact && ample {
+    if cfg.shared_staging && k == 4 && staging && ample {
         prop_assert!(backend.catalog().stats().publishes > 0, "nothing published");
     }
 
@@ -148,15 +137,13 @@ fn check(
         maintain(mw, model).expect("maintain");
         mw.assert_shadow_accounting();
         prop_assert!(mw.stats().deltas_applied > 0, "no delta applied");
-        if counted_exactly(mw) {
-            let rebuilt = oracle(&rows);
-            prop_assert!(
-                trees_same_splits(&model.tree, &rebuilt),
-                "maintained {} nodes, the rebuild {}",
-                model.tree.len(),
-                rebuilt.len()
-            );
-        }
+        let rebuilt = oracle(&rows);
+        prop_assert!(
+            trees_same_splits(&model.tree, &rebuilt),
+            "maintained {} nodes, the rebuild {}",
+            model.tree.len(),
+            rebuilt.len()
+        );
     }
 
     drop(built);

@@ -22,16 +22,19 @@
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use scaleclass::config::MiddlewareConfigBuilder;
 use scaleclass::{
     AuxMode, Backend, CcRequest, CountsTable, FileStagingPolicy, Middleware, MiddlewareConfig,
     MiddlewareStats, MwResult, NodeId,
 };
-use scaleclass_dtree::{trees_structurally_equal, NodeState, Split};
-use scaleclass_sqldb::{Code, Pred};
+use scaleclass_dtree::{
+    grow_with_middleware, trees_structurally_equal, GrowConfig, NodeState, Split,
+};
+use scaleclass_sqldb::{Code, Pred, Schema};
 use scaleclass_tests::client::{grow, Build};
 use scaleclass_tests::{
-    brute_force_cc, class_isolating_table, config_matrix, mutate, schema_for, small_table,
-    AMPLE_BUDGET,
+    brute_force_cc, class_isolating_table, config_matrix, fat_margin_workload, load, mutate,
+    schema_for, small_table, AMPLE_BUDGET,
 };
 use std::cell::Cell;
 use std::sync::Arc;
@@ -281,7 +284,7 @@ fn linked_and_rebuilt_pairs(
 }
 
 /// Over the configuration matrix — workers, sessions, shared catalog,
-/// sampling, deltas (with a mutation between a parent's scan and its
+/// deltas (with a mutation between a parent's scan and its
 /// children's), extents, block rows, dense cap, file policy, caching,
 /// budget — over small noisy tables and tables whose class is their first
 /// attribute, the linked client reads every node's table the reference
@@ -732,20 +735,11 @@ fn an_aux_structure_keeps_the_rows_of_derived_nodes() {
     );
 }
 
-/// Sampled batches never derive nor slice, and neither does a batch whose
-/// scan the budget proof refuses.
+/// A batch whose scan the budget proof refuses neither derives nor
+/// slices.
 #[test]
-fn sampled_batches_and_refused_proofs_count_every_node() {
+fn refused_proofs_count_every_node() {
     let (cards, rows) = shaped_table();
-    let sampled = MiddlewareConfig::builder()
-        .sampled_counting(0.5)
-        .sampled_min_rows(0)
-        .build();
-    let linked = linked_and_rebuilt(&cards, &rows, &sampled, 0).expect("agree");
-    assert!(linked[0].stats.sampled_nodes > 0);
-    assert_eq!(linked[0].stats.derived_nodes, 0, "a sampled batch derived");
-    assert_eq!(linked[0].stats.sliced_nodes, 0, "a sampled batch sliced");
-
     // Every level is one scan, from the server, a memory set or a staged
     // file, as many at 5 KiB as with room to spare; but there the proof,
     // which charges each memory tee its rows, refuses the staged-file
@@ -919,4 +913,65 @@ fn a_lone_child_ships_only_its_rows_in_its_pure_siblings_class() {
         );
         assert_eq!((stats.derived_nodes, stats.split_pairs), (0, 0), "{what}");
     }
+}
+
+/// The no-staging regime of §2.3: memory caching and file staging both
+/// off, so the budget only bounds a batch's CC tables (a whole tree level
+/// fits in one batch) and a build rescans the server once per level it
+/// does not settle from its parents' tables.
+fn rescan_every_level() -> MiddlewareConfigBuilder {
+    MiddlewareConfig::builder()
+        .memory_budget_bytes(2 << 20)
+        .memory_caching(false)
+        .file_policy(FileStagingPolicy::Disabled)
+        .scan_block_rows(512)
+}
+
+/// The rows the server scans for `grow_with_middleware` to grow the tree
+/// of `rows` under [`rescan_every_level`]; each request is served once.
+fn rows_scanned_by_a_build(schema: &Schema, rows: &[Code], class: &str, gc: &GrowConfig) -> u64 {
+    let cfg = rescan_every_level().build();
+    let mut mw = Middleware::new(load(schema, rows), "d", class, cfg).expect("session");
+    let before = mw.db_stats();
+    let out = grow_with_middleware(&mut mw, gc).expect("grow");
+    assert_eq!(out.requests_issued, mw.stats().requests_served);
+    (mw.db_stats() - before).rows_scanned
+}
+
+/// 128k rows, five internal levels. The two children of each split hold
+/// disjoint classes, so a build settles every level below the root from
+/// its parent's table and scans the server once; a client that rebuilds
+/// each child's lineage from fresh records (`scaleclass_tests::client`)
+/// neither derives nor slices, and scans it once per level.
+#[test]
+fn fat_margins_scan_the_server_once() {
+    let (schema, rows, _) = fat_margin_workload(4000);
+    let settled = rows_scanned_by_a_build(&schema, &rows, "class", &GrowConfig::default());
+    assert_eq!(settled, 128_000, "one server scan, the root's");
+    let cfg = rescan_every_level().build();
+    let mut mw = Middleware::new(load(&schema, &rows), "d", "class", cfg).expect("session");
+    let before = mw.db_stats();
+    let build = grow(&mut mw, false, |_| {}).expect("grow");
+    assert_eq!(
+        (build.stats.derived_nodes, build.stats.sliced_nodes),
+        (0, 0)
+    );
+    let exact = (mw.db_stats() - before).rows_scanned;
+    assert_eq!(exact, 5 * 128_000, "one full server scan per level");
+}
+
+/// Census margins are thin and its children share classes: a build of
+/// 40 000 rows rescans the server at 19 levels.
+#[test]
+fn census_scans_the_server_nineteen_times() {
+    let d = scaleclass_datagen::census::generate(&scaleclass_datagen::CensusParams {
+        rows: 40_000,
+        seed: 42,
+    });
+    let gc = GrowConfig {
+        min_rows: 200,
+        ..GrowConfig::default()
+    };
+    let exact = rows_scanned_by_a_build(&d.schema, &d.rows, "income", &gc);
+    assert_eq!(exact, 760_000, "19 exact scans");
 }
