@@ -22,7 +22,7 @@
 //!   index math.
 //! - **hot-path-panic** — no `unwrap()`/`expect()`/`panic!`-family macros, and
 //!   no slice indexing inside loop bodies, in the scan-path modules
-//!   (`parallel.rs`, `cc.rs`, `executor.rs`, `session.rs`, `source.rs`),
+//!   (`cc.rs`, `executor.rs`, `session.rs`, `source.rs`),
 //!   and *function-scoped* over the compiled predicates in
 //!   `crates/sqldb/src/expr.rs` — the middleware's router (`route`,
 //!   `for_each_match`, `walk`, `sub`, and the block router's
@@ -44,7 +44,7 @@
 //! - **lock-order** — guard-aware (see [`crate::guards`]): every lock
 //!   acquisition made while another guard is live adds an edge to the
 //!   cross-file lock graph over the concurrency modules (`session.rs`,
-//!   `catalog.rs`, `parallel.rs`, `staging.rs`, `concurrent.rs`); any edge
+//!   `catalog.rs`, `staging.rs`, `concurrent.rs`); any edge
 //!   contradicting the canonical [`LOCK_ORDER`] manifest, any re-entrant
 //!   acquisition, any cycle, and any `.lock()` the `LOCK_SITES` manifest
 //!   cannot name is a violation.
@@ -340,8 +340,7 @@ fn scope_for(
 }
 
 /// Files subject to the hot-path-panic rule.
-const PANIC_FILES: [&str; 5] = [
-    "crates/core/src/parallel.rs",
+const PANIC_FILES: [&str; 4] = [
     "crates/core/src/cc.rs",
     "crates/core/src/executor.rs",
     "crates/core/src/session.rs",
@@ -350,14 +349,12 @@ const PANIC_FILES: [&str; 5] = [
 
 /// Files the guard-aware concurrency rules (lock-order,
 /// guard-across-blocking) run over: every module that holds or acquires a
-/// shared-state lock, and the two that hand work between threads and hold
-/// none — `parallel.rs` (extent ranges to reader threads) and `concurrent.rs`
-/// (requests and results over channels, blocking on `recv` and `join`) —
-/// where a lock added must be ranked too.
-const CONCURRENCY_FILES: [&str; 5] = [
+/// shared-state lock, and the one that hands work between threads and
+/// holds none — `concurrent.rs` (requests and results over channels,
+/// blocking on `recv` and `join`) — where a lock added must be ranked too.
+const CONCURRENCY_FILES: [&str; 4] = [
     "crates/core/src/session.rs",
     "crates/core/src/catalog.rs",
-    "crates/core/src/parallel.rs",
     "crates/core/src/staging.rs",
     "crates/core/src/concurrent.rs",
 ];

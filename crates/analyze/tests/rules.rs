@@ -96,7 +96,7 @@ fn accounting_arith_fires_inside_the_block_kernel() {
 
 #[test]
 fn hot_path_panic_fires_on_each_pattern() {
-    let rel = "crates/core/src/parallel.rs";
+    let rel = "crates/core/src/source.rs";
     let report = check_source(rel, &fixture("bad", rel));
     assert_eq!(
         fired(&report),

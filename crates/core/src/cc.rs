@@ -15,10 +15,9 @@
 //! * **Dense** — when the attribute and class cardinalities are known (the
 //!   scheduler takes them from the schema), counts live in one flat
 //!   `Vec<u64>` indexed by `offset[attr] + value * n_classes + class`, so
-//!   `add_row` is a handful of array increments and merging two
-//!   same-layout shards is a vector add. Any out-of-range code spills the
-//!   table back to the sparse form, entry for entry, so the dense path is
-//!   an invisible fast path rather than a semantic variant.
+//!   `add_row` is a handful of array increments. Any out-of-range code
+//!   spills the table back to the sparse form, entry for entry, so the
+//!   dense path is an invisible fast path rather than a semantic variant.
 //!
 //! The *modelled* memory footprint is entry-based (`CC_ENTRY_BYTES` ×
 //! occupied slots, tracked by an occupancy counter) in **both**
@@ -94,12 +93,11 @@ pub fn dense_physical_bytes(cards: impl IntoIterator<Item = u64>, n_classes: u64
 }
 
 /// The immutable slot geometry of a dense counts array, shared (via `Arc`)
-/// by every shard of a parallel scan so layout equality is a pointer check.
-/// The one owner of the slot formula `offset + value·n_classes + class`
+/// by every clone of a table. The one owner of the slot formula `offset + value·n_classes + class`
 /// ([`DenseLayout::slot`]), of an attribute's slot range
 /// ([`DenseLayout::span`]) and of the range check of codes against the
 /// layout ([`DenseLayout::covers`]).
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 struct DenseLayout {
     /// Tracked attribute columns, ascending (iteration order).
     attrs: Vec<u16>,
@@ -414,20 +412,6 @@ impl CountsTable {
                 class_totals: BTreeMap::new(),
             },
             None => CountsTable::new(),
-        }
-    }
-
-    /// An empty table with the same representation (and, when dense, the
-    /// same shared layout) as `self` — how parallel scans mint per-worker
-    /// shards that later merge on the vector-add fast path.
-    pub fn fresh_like(&self) -> CountsTable {
-        match &self.repr {
-            CcRepr::Sparse(_) => CountsTable::new(),
-            CcRepr::Dense(d) => CountsTable {
-                repr: CcRepr::Dense(DenseCounts::new(Arc::clone(&d.layout))),
-                total: 0,
-                class_totals: BTreeMap::new(),
-            },
         }
     }
 
@@ -925,7 +909,7 @@ impl CountsTable {
     /// non-zero entries, ignoring the incrementally maintained dense
     /// `occupied` counter. Debug checkpoints assert this equals
     /// [`memory_bytes`](Self::memory_bytes); a divergence means an
-    /// add/merge path updated slots without updating occupancy (or vice
+    /// add/remove path updated slots without updating occupancy (or vice
     /// versa), i.e. the scheduler has been budgeting against a lie.
     pub fn shadow_memory_bytes(&self) -> u64 {
         let entries = match &self.repr {
@@ -950,53 +934,6 @@ impl CountsTable {
             CcRepr::Sparse(map) => Entries(EntriesInner::Sparse(map.iter())),
             CcRepr::Dense(d) => d.entries(),
         }
-    }
-
-    /// Absorb another counts table: entry-wise addition of counts, class
-    /// totals, and row totals. Counting is additive, so the shards of a
-    /// parallel scan merge — in any order — to exactly the table one
-    /// serial pass over the same rows would build. Two dense tables over
-    /// the same shared layout merge as a single slot-wise vector add.
-    pub fn merge(&mut self, other: CountsTable) {
-        let CountsTable {
-            repr,
-            total,
-            class_totals,
-        } = other;
-        let slow = match (&mut self.repr, repr) {
-            (CcRepr::Dense(a), CcRepr::Dense(b))
-                if Arc::ptr_eq(&a.layout, &b.layout) || a.layout == b.layout =>
-            {
-                let mut newly = 0usize;
-                for (s, &o) in a.slots.iter_mut().zip(b.slots.iter()) {
-                    if o != 0 {
-                        newly += (*s == 0) as usize;
-                        *s += o;
-                    }
-                }
-                a.occupied += newly;
-                None
-            }
-            (_, repr) => Some(repr),
-        };
-        if let Some(repr) = slow {
-            match repr {
-                CcRepr::Sparse(map) => {
-                    for ((attr, value, class), n) in map {
-                        self.bump(attr, value, class, n);
-                    }
-                }
-                CcRepr::Dense(d) => {
-                    for ((attr, value, class), n) in d.entries() {
-                        self.bump(attr, value, class, n);
-                    }
-                }
-            }
-        }
-        for (class, n) in class_totals {
-            *self.class_totals.entry(class).or_insert(0) += n;
-        }
-        self.total += total;
     }
 
     /// Slots of the dense array — what one pass over the table walks; 0
@@ -1529,22 +1466,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_row_partitions_equals_single_pass() {
-        let rows: Vec<[Code; 3]> = vec![[0, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1], [2, 1, 1]];
-        let whole = table_from(&rows);
-        // Split the rows across three shards (one empty) and merge.
-        let mut merged = table_from(&rows[..2]);
-        merged.merge(table_from(&rows[2..]));
-        merged.merge(CountsTable::new());
-        assert_eq!(merged, whole);
-        assert_eq!(merged.total(), whole.total());
-        assert_eq!(
-            merged.class_distribution().collect::<Vec<_>>(),
-            whole.class_distribution().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn empty_table() {
         let cc = CountsTable::new();
         assert!(cc.is_empty());
@@ -1612,33 +1533,6 @@ mod tests {
         d2.add_row(&[0, 0, 5], &[0, 1], 2);
         assert!(!d2.is_dense());
         assert_eq!(d2.total(), 3);
-    }
-
-    #[test]
-    fn dense_merge_is_a_vector_add() {
-        let rows: Vec<[Code; 3]> = vec![[0, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1], [2, 1, 1]];
-        let whole = dense_from(&rows);
-        let proto = whole.fresh_like();
-        assert!(proto.is_dense() && proto.is_empty());
-        let mut a = proto.fresh_like();
-        let mut b = proto.fresh_like();
-        for row in &rows[..2] {
-            a.add_row(row, &[0, 1], 2);
-        }
-        for row in &rows[2..] {
-            b.add_row(row, &[0, 1], 2);
-        }
-        a.merge(b);
-        assert!(a.is_dense(), "same-layout merge stays dense");
-        assert_eq!(a, whole);
-        assert_eq!(a.entries(), whole.entries());
-        // Mixed-representation merges fold entry-wise.
-        let mut sparse = table_from(&rows[..2]);
-        sparse.merge(dense_from(&rows[2..]));
-        assert_eq!(sparse, table_from(&rows));
-        let mut dense = dense_from(&rows[..2]);
-        dense.merge(table_from(&rows[2..]));
-        assert_eq!(dense, table_from(&rows));
     }
 
     #[test]
@@ -1756,12 +1650,10 @@ mod tests {
             "an untracked attribute has no rows"
         );
         // A class total outside the layout (an attribute-less aggregate
-        // merged in) takes the dense table off the in-place axis; the rows
-        // mean the same.
+        // added) takes the dense table off the in-place axis; the rows mean
+        // the same.
         let mut wide = dense.clone();
-        let mut extra = CountsTable::new();
-        extra.add_class_aggregate(5, 2);
-        wide.merge(extra);
+        wide.add_class_aggregate(5, 2);
         assert!(wide.is_dense());
         assert_eq!(wide.class_axis().classes().collect::<Vec<_>>(), [0, 1, 5]);
         assert_eq!(wide.class_row(&wide.class_axis()), [1, 4, 2]);

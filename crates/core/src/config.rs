@@ -99,26 +99,15 @@ pub struct MiddlewareConfig {
     /// scaled-down budgets it triggers §4.1.1 fallback storms (see
     /// DESIGN.md §8) — measurable via `experiments ablate-admission`.
     pub admit_by_estimate: bool,
-    /// Extent reader threads for a staged-file scan. `1` (the default)
-    /// counts every scan on the session thread; `> 1` reads a scan of a
-    /// staged file on up to `n` sharded extent readers of
-    /// [`crate::parallel`], each counting a disjoint extent range into
-    /// private CC tables merged after the scan, whenever the batch provably
-    /// cannot reach its memory budget (`BatchCounter::cannot_reach_budget`).
-    /// Server, memory-set and auxiliary scans count on the session
-    /// thread at any value. Counts, fallbacks and every logical stat are
-    /// the same at any value.
-    pub scan_workers: usize,
     /// Rows per block of a counting scan: where memory sets and wire
     /// fetches are cut for the block kernel. A staged file's blocks are
     /// its extents (`stage_extent_rows`).
     pub scan_block_rows: usize,
     /// Rows per extent in staged middleware files. Staged files are
     /// written as fixed-size extents (columnar blocks + CRC footer, see
-    /// `crates/core/src/staging.rs`) so that `scan_workers` reader threads
-    /// can each decode a disjoint extent range. Smaller extents shard
-    /// finer but pay more header/footer overhead. Defaults to
-    /// [`DEFAULT_EXTENT_ROWS`].
+    /// `crates/core/src/staging.rs`): an extent is the unit the CRC
+    /// checks and the block a file scan counts. Smaller extents pay more
+    /// header/footer overhead. Defaults to [`DEFAULT_EXTENT_ROWS`].
     pub stage_extent_rows: usize,
     /// Cap on the *physical* slot-array size (`Σ card × classes × 8`
     /// bytes, per node) below which a scheduled node's counts table uses
@@ -166,8 +155,9 @@ pub struct MiddlewareConfig {
 }
 
 /// Default rows per staged-file extent (≈ 400 KB of payload at the
-/// experiments' 26-column arity — big enough to amortize the 16-byte
-/// extent overhead, small enough that 8 workers shard a 100k-row file).
+/// experiments' 26-column arity): big enough to amortize the 16-byte
+/// extent overhead, small enough that one CRC-checked extent is a block
+/// the file scan counts in cache.
 pub const DEFAULT_EXTENT_ROWS: usize = 8192;
 
 /// Hard cap on extent size: the format stores row counts as `u32` and the
@@ -195,7 +185,6 @@ impl Default for MiddlewareConfig {
             rule3_smallest_first: true,
             estimator: EstimatorKind::default(),
             admit_by_estimate: false,
-            scan_workers: 1,
             scan_block_rows: 4096,
             stage_extent_rows: DEFAULT_EXTENT_ROWS,
             cc_dense_max_bytes: DEFAULT_CC_DENSE_MAX_BYTES,
@@ -309,10 +298,21 @@ impl MiddlewareConfigBuilder {
         self
     }
 
-    /// Extent reader threads for a staged-file scan (min 1; 1 =
-    /// every scan on the session thread).
-    pub fn scan_workers(mut self, workers: usize) -> Self {
-        self.config.scan_workers = workers.max(1);
+    /// Retired with the sharded extent readers (DESIGN.md §8a): every
+    /// scan counts on the session thread, and this sets nothing. Only
+    /// `benchmark/` still calls it, with `1`; ROADMAP item 1(g) removes
+    /// that call, after which a change that touches only `crates/` deletes
+    /// the method.
+    ///
+    /// # Panics
+    ///
+    /// On any `workers` but `1`, so a caller that still asks for readers
+    /// fails loudly instead of getting a serial scan.
+    pub fn scan_workers(self, workers: usize) -> Self {
+        assert!(
+            workers == 1,
+            "sharded extent readers were removed; only 1 is accepted, got {workers}"
+        );
         self
     }
 
@@ -403,7 +403,6 @@ mod tests {
             rule3_smallest_first,
             estimator,
             admit_by_estimate,
-            scan_workers,
             scan_block_rows,
             stage_extent_rows,
             cc_dense_max_bytes,
@@ -424,7 +423,6 @@ mod tests {
         assert!(rule3_smallest_first);
         assert_eq!(estimator, EstimatorKind::Independence);
         assert!(!admit_by_estimate);
-        assert_eq!(scan_workers, 1);
         assert_eq!(scan_block_rows, 4096);
         assert_eq!(stage_extent_rows, DEFAULT_EXTENT_ROWS);
         assert_eq!(cc_dense_max_bytes, DEFAULT_CC_DENSE_MAX_BYTES);
@@ -454,19 +452,27 @@ mod tests {
     }
 
     #[test]
-    fn scan_worker_knobs_are_clamped() {
-        let c = MiddlewareConfig::builder()
-            .scan_workers(0)
-            .scan_block_rows(0)
-            .build();
-        assert_eq!(c.scan_workers, 1, "zero workers means serial");
+    fn scan_block_rows_knob_is_clamped() {
+        let c = MiddlewareConfig::builder().scan_block_rows(0).build();
         assert_eq!(c.scan_block_rows, 1);
-        let c = MiddlewareConfig::builder()
-            .scan_workers(4)
-            .scan_block_rows(1024)
-            .build();
-        assert_eq!(c.scan_workers, 4);
+        let c = MiddlewareConfig::builder().scan_block_rows(1024).build();
         assert_eq!(c.scan_block_rows, 1024);
+    }
+
+    #[test]
+    fn scan_workers_one_sets_nothing() {
+        let c = MiddlewareConfig::builder().scan_workers(1).build();
+        assert_eq!(
+            format!("{c:?}"),
+            format!("{:?}", MiddlewareConfig::default()),
+            "every field stays at its default"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sharded extent readers were removed")]
+    fn scan_workers_refuses_readers() {
+        let _ = MiddlewareConfig::builder().scan_workers(2);
     }
 
     #[test]

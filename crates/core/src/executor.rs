@@ -49,14 +49,6 @@
 //! When predicates overlap (never within one tree frontier) a row counts
 //! into every node it satisfies, in ascending node order.
 //!
-//! **This is the only budget protocol.** The one parallel scan, sharded
-//! extent readers over a staged file (`crate::parallel`), does not run a
-//! second one: it runs only over a batch `BatchCounter::cannot_reach_budget`
-//! clears — a batch whose whole scan, whatever its rows, fires no
-//! eviction, fallback or tee cancellation here — and each of its readers
-//! is a `BatchCounter::worker` fed through `BatchCounter::process`. Every
-//! other batch counts on the session thread, through the protocol above.
-//!
 //! **Planned nodes.** A node the batch plans to serve from its parent's
 //! table (`crate::siblings::Plan`, DESIGN.md §12b) is routed and teed like
 //! any other, but the kernel and the row path count only its rows of the
@@ -94,7 +86,6 @@ use crate::siblings::{EntryBound, Plan};
 use crate::staging::{CodeWidth, FileWriter, MemRows};
 use scaleclass_sqldb::types::Code;
 use scaleclass_sqldb::{BlockRoute, ColumnView, Pred, PredSet};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Counting state for one scheduled node during a scan.
@@ -232,9 +223,8 @@ pub struct BatchCounter {
     /// The nodes' path predicates, compiled once; predicate `i` is node
     /// `i`'s. A compacting batch appends the paths of the requests waiting
     /// on its source, which the scan routes only to keep their rows: it
-    /// neither counts nor tees them. Read-only, so the sharded readers
-    /// share it.
-    pub(crate) router: Arc<PredSet>,
+    /// neither counts nor tees them.
+    router: PredSet,
     /// Reusable per-row route output — hoisted out of `process_row` so
     /// the hot loop never allocates.
     matched: Vec<usize>,
@@ -245,17 +235,6 @@ pub struct BatchCounter {
     pass: BlockPass,
     /// The source table's mutation epoch when the scan was certified.
     pub(crate) epoch: u64,
-}
-
-/// How a certified scan reads its source ([`BatchCounter::certify`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Scan {
-    /// Not at all: the plans settle every node without a row.
-    Unread,
-    /// Block by block, on the session thread (`BatchCounter::process`).
-    Serial,
-    /// On sharded extent readers (`crate::parallel::scan_extents`).
-    Sharded,
 }
 
 /// A block of rows in either layout the scan paths produce, as the
@@ -544,7 +523,7 @@ impl BatchCounter {
     /// A counting pass over `nodes` against the given budget; `base_mem_bytes`
     /// is memory already pinned by staged data.
     pub fn new(nodes: Vec<NodeCounter>, budget: u64, base_mem_bytes: u64, arity: usize) -> Self {
-        let router = Arc::new(PredSet::new(nodes.iter().map(|n| n.req.pred())));
+        let router = PredSet::new(nodes.iter().map(|n| n.req.pred()));
         Self::with_router(nodes, router, budget, base_mem_bytes, arity)
     }
 
@@ -552,7 +531,7 @@ impl BatchCounter {
     /// paths, in order, and possibly more after them (`BatchCounter::kept`).
     pub(crate) fn with_router(
         nodes: Vec<NodeCounter>,
-        router: Arc<PredSet>,
+        router: PredSet,
         budget: u64,
         base_mem_bytes: u64,
         arity: usize,
@@ -719,31 +698,26 @@ impl BatchCounter {
     /// `rows` rows of a source table at mutation `epoch`, and every code of
     /// them lies at or under `certificate`, per column. `plans` are the
     /// batch's derivations, per node, that this scan can keep
-    /// (`crate::siblings::Parents::plan`). When some plan is made, or the
-    /// scan may `shard` — a staged-file scan under
-    /// `scan_workers > 1` — the scan tries to prove it fires no budget
-    /// event ([`BatchCounter::cannot_reach_budget`]). Proved, the nodes
-    /// take their plans; otherwise they count every class, and each plan
-    /// that takes classes from a sibling counts into
-    /// `stats.derivations_refused`. Returns how to read the source:
-    /// [`Scan::Unread`] when the plans settle every node without a row
-    /// ([`BatchCounter::reads_nothing`], counted into
-    /// `stats.unread_batches`), [`Scan::Sharded`] when the proof holds for
-    /// a scan that may shard, [`Scan::Serial`] otherwise.
+    /// (`crate::siblings::Parents::plan`). When some plan is made, the scan
+    /// tries to prove it fires no budget event
+    /// ([`BatchCounter::cannot_reach_budget`]). Proved, the nodes take their
+    /// plans; otherwise they count every class, and each plan that takes
+    /// classes from a sibling counts into `stats.derivations_refused`.
+    /// Returns whether the scan reads its source: not when the plans settle
+    /// every node without a row ([`BatchCounter::reads_nothing`], counted
+    /// into `stats.unread_batches`).
     pub(crate) fn certify(
         &mut self,
         certificate: &[Code],
         rows: u64,
         epoch: u64,
         plans: Vec<Option<Plan>>,
-        shard: bool,
         stats: &mut MiddlewareStats,
-    ) -> Scan {
+    ) -> bool {
         self.set_certificate(certificate);
         self.epoch = epoch;
         let planned = plans.iter().any(Option::is_some);
-        let proved = (shard || planned) && self.cannot_reach_budget(rows);
-        if proved {
+        if planned && self.cannot_reach_budget(rows) {
             for (node, plan) in self.nodes.iter_mut().zip(plans) {
                 node.plan = plan;
             }
@@ -754,12 +728,9 @@ impl BatchCounter {
         if self.reads_nothing() {
             self.kept = None;
             stats.unread_batches += 1;
-            Scan::Unread
-        } else if proved && shard {
-            Scan::Sharded
-        } else {
-            Scan::Serial
+            return false;
         }
+        true
     }
 
     /// Take `certificate` as the scan's: every code it reads lies at or
@@ -897,9 +868,9 @@ impl BatchCounter {
         Pred::or(shipped)
     }
 
-    /// Complete every planned node's table after the scan and any sharded
-    /// merge, from its parent's table less its sibling's in the classes the
-    /// sibling counted and from its parent's in the classes it copies
+    /// Complete every planned node's table after the scan, from its
+    /// parent's table less its sibling's in the classes the sibling
+    /// counted and from its parent's in the classes it copies
     /// (`CountsTable::complete`) — a node derived whole too, which reads
     /// its sibling only where the sibling counts, so the order is free.
     /// Charge the entries to modelled memory and observe it once — the
@@ -958,29 +929,6 @@ impl BatchCounter {
         stats.kernel_accumulate_nanos += nanos_since(t0);
         self.debug_assert_parent_bounds();
         Ok(())
-    }
-
-    /// A counter for one sharded reader of this batch's scan: the same
-    /// requests, router, certificate and kernel switch, empty tables of
-    /// the same backends, no tees, no budget and nothing to evict. Sound
-    /// only over a scan `BatchCounter::cannot_reach_budget` cleared:
-    /// there this batch fires nothing either, and counting is additive,
-    /// so the workers' tables merged are the tables it would count.
-    pub(crate) fn worker(&self) -> BatchCounter {
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| NodeCounter {
-                cc: n.cc.fresh_like(),
-                plan: n.plan.clone(),
-                ..NodeCounter::new(n.req.clone())
-            })
-            .collect();
-        let router = Arc::clone(&self.router);
-        let mut worker = Self::with_router(nodes, router, u64::MAX, 0, self.arity);
-        worker.batch_kernel = self.batch_kernel;
-        worker.set_certificate(&self.pass.certificate);
-        worker
     }
 
     /// Feed a block, in whichever layout its source has, through every
@@ -1086,7 +1034,12 @@ impl BatchCounter {
 mod tests {
     use super::*;
     use crate::request::{Lineage, NodeId};
+    use crate::session::drive;
+    use crate::siblings::Parents;
+    use crate::source::BlockSource;
+    use crate::staging::{ExtentLayout, StagingManager};
     use scaleclass_sqldb::Pred;
+    use std::sync::Arc;
 
     const ARITY: usize = 3; // attrs 0,1 + class 2
 
@@ -1437,8 +1390,7 @@ mod tests {
             node.mem_buffer = Some(MemRows::new(CodeWidth::One));
             let waiting = Pred::Eq { col: 0, value: 0 };
             let router = PredSet::new([node.req.pred(), &waiting]);
-            let mut batch =
-                BatchCounter::with_router(vec![node], Arc::new(router), u64::MAX, 0, ARITY);
+            let mut batch = BatchCounter::with_router(vec![node], router, u64::MAX, 0, ARITY);
             batch.batch_kernel = kernel;
             batch.kept = Some(Vec::new());
             let mut stats = MiddlewareStats::new();
@@ -1851,7 +1803,7 @@ mod tests {
     ) -> (BatchCounter, MiddlewareStats) {
         let mut stats = MiddlewareStats::new();
         let rows = ROOT_ROWS.len() as u64;
-        batch.certify(&[3, 3, 1], rows, epoch, plans, false, &mut stats);
+        batch.certify(&[3, 3, 1], rows, epoch, plans, &mut stats);
         (batch, stats)
     }
 
@@ -1980,6 +1932,609 @@ mod tests {
                 orders.push((tables, read, stats.peak_memory_bytes));
             }
             assert_eq!(orders[0], orders[1]);
+        }
+    }
+
+    // A staged file read through the one scan loop (`session::drive`),
+    // against the same rows fed to a `BatchCounter` on its own or through
+    // a server scan's row-major blocks.
+
+    /// The range certificate of every row `rows()` draws.
+    const CERT: [Code; ARITY] = [3, 3, 1];
+
+    /// Deterministic pseudo-random rows (keeps `rand` out of the unit
+    /// tests).
+    fn rows(n: usize, seed: u64) -> Vec<[Code; 3]> {
+        let mut state = seed.max(1);
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                [
+                    (state % 4) as Code,
+                    ((state >> 8) % 4) as Code,
+                    ((state >> 16) % 2) as Code,
+                ]
+            })
+            .collect()
+    }
+
+    /// The rows as flat row-major codes.
+    fn flat(data: &[[Code; 3]]) -> Vec<Code> {
+        data.iter().flatten().copied().collect()
+    }
+
+    /// Stage `data` into an extent-format file with `extent_rows` per
+    /// extent; returns the manager (keeps the temp dir alive) and layout.
+    fn staged_layout(data: &[[Code; 3]], extent_rows: usize) -> (StagingManager, ExtentLayout) {
+        let mut staging = StagingManager::new(None).unwrap();
+        staging.set_extent_rows(extent_rows);
+        let mut stats = MiddlewareStats::new();
+        let mut w = staging
+            .start_file(vec![NodeId(0)], Pred::True, ARITY)
+            .unwrap();
+        for r in data {
+            w.push(r).unwrap();
+        }
+        let id = staging.commit_file(w, &mut stats).unwrap();
+        let layout = staging.extent_layout(id).unwrap().expect("extent format");
+        (staging, layout)
+    }
+
+    /// Certify `batch` for a scan at `epoch` of `rows` rows of `rows()`,
+    /// with the plans `parents` makes for it — planned as for a scan that
+    /// reads no row over the wire, a pair choosing its sides by rows alone,
+    /// whatever tees. Returns whether the scan reads its source.
+    fn certify(
+        batch: &mut BatchCounter,
+        parents: &mut Parents,
+        rows: usize,
+        epoch: u64,
+        stats: &mut MiddlewareStats,
+    ) -> bool {
+        let plans = parents.plan(&batch.nodes, &CERT, epoch, false, stats);
+        batch.certify(&CERT, rows as u64, epoch, plans, stats)
+    }
+
+    /// Read the staged file `layout` into the certified `batch` the way a
+    /// session does — through the scan loop when the scan `reads` it,
+    /// not at all otherwise — then complete the planned tables.
+    fn read(
+        batch: &mut BatchCounter,
+        reads: bool,
+        layout: &ExtentLayout,
+        stats: &mut MiddlewareStats,
+    ) {
+        if reads {
+            let mut src = BlockSource::extents(layout).unwrap();
+            drive(&mut src, batch, stats).unwrap();
+        }
+        batch.derive(stats).unwrap();
+    }
+
+    /// Read `data` into the certified `batch` as a server scan does, in
+    /// row-major blocks of 16 rows, then complete the planned tables.
+    fn read_rows(batch: &mut BatchCounter, data: &[[Code; 3]], stats: &mut MiddlewareStats) {
+        let flat = flat(data);
+        drive(&mut BlockSource::flat(&flat, ARITY, 16), batch, stats).unwrap();
+        batch.derive(stats).unwrap();
+    }
+
+    /// Count `data`, staged with `extent_rows` per extent, into `batch`,
+    /// with no plans.
+    fn scan(
+        batch: &mut BatchCounter,
+        data: &[[Code; 3]],
+        extent_rows: usize,
+        stats: &mut MiddlewareStats,
+    ) {
+        let (_staging, layout) = staged_layout(data, extent_rows);
+        let none = &mut Parents::default();
+        let reads = certify(batch, none, data.len(), 0, stats);
+        read(batch, reads, &layout, stats);
+    }
+
+    fn nodes() -> Vec<NodeCounter> {
+        vec![
+            NodeCounter::new(root_request()),
+            NodeCounter::new(request(1, Pred::Eq { col: 0, value: 0 })),
+            NodeCounter::new(request(2, Pred::Eq { col: 0, value: 1 })),
+            NodeCounter::new(request(3, Pred::NotEq { col: 1, value: 3 })),
+        ]
+    }
+
+    /// `nodes()` counting `data` a row at a time.
+    fn row_by_row(data: &[[Code; 3]]) -> BatchCounter {
+        let mut batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
+        let mut stats = MiddlewareStats::new();
+        for r in data {
+            batch.process_row(r, &mut stats).unwrap();
+        }
+        batch
+    }
+
+    /// Feed `data` to a `BatchCounter` on its own, as one row-major block,
+    /// and scan it from a staged file of 37-row extents, each over a fresh
+    /// `batch()`; returns both counters and both stats, the scan's second.
+    fn alone_and_scanned(
+        batch: impl Fn() -> BatchCounter,
+        data: &[[Code; 3]],
+    ) -> [(BatchCounter, MiddlewareStats); 2] {
+        let mut alone = batch();
+        let mut alone_stats = MiddlewareStats::new();
+        alone.set_certificate(&CERT);
+        let flat = flat(data);
+        let mut block = RowBlock {
+            flat: &flat,
+            arity: ARITY,
+        };
+        alone.process(&mut block, &mut alone_stats).unwrap();
+        let mut stats = MiddlewareStats::new();
+        let mut scanned = batch();
+        scan(&mut scanned, data, 37, &mut stats);
+        [(alone, alone_stats), (scanned, stats)]
+    }
+
+    /// A tiny budget falls back on a staged-file scan where `BatchCounter`
+    /// alone falls back: the wide root drops its partial table. A budget of
+    /// exactly the root's most entries holds it, with the same counts.
+    #[test]
+    fn tiny_budget_triggers_fallback_not_wrong_counts() {
+        let data = rows(500, 11);
+        let root = |budget| {
+            move || BatchCounter::new(vec![NodeCounter::new(root_request())], budget, 0, ARITY)
+        };
+        let [(alone, alone_stats), (sunk, stats)] = alone_and_scanned(root(96), &data);
+        assert!(sunk.nodes[0].fallback);
+        assert_eq!(sunk.nodes[0].fallback, alone.nodes[0].fallback);
+        assert_eq!(stats.sql_fallbacks, 1);
+        assert_eq!(stats.sql_fallbacks, alone_stats.sql_fallbacks);
+        assert!(sunk.nodes[0].cc.is_empty(), "partial table dropped");
+
+        // 2 attributes x 4 values x 2 classes: 16 entries at most.
+        let [(alone, _), (sunk, stats)] = alone_and_scanned(root(16 * CC_ENTRY_BYTES), &data);
+        assert!(!sunk.nodes[0].fallback);
+        assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
+        assert_eq!(stats.peak_memory_bytes, 16 * CC_ENTRY_BYTES);
+    }
+
+    /// Under pressure a staged-file scan evicts exactly what
+    /// `BatchCounter` alone evicts, in its order, before any fallback.
+    #[test]
+    fn pressure_evicts_cached_sets_before_falling_back() {
+        let data = rows(200, 23);
+        // Base memory nearly fills the budget, but the evictable pool can
+        // release enough to count without any fallback.
+        let budget = 64 * CC_ENTRY_BYTES;
+        let batch = || {
+            let root = vec![NodeCounter::new(root_request())];
+            let mut batch = BatchCounter::new(root, budget, budget - 48, ARITY);
+            batch.evictable = vec![(7, budget / 2), (9, budget / 4)];
+            batch
+        };
+        let [(alone, alone_stats), (sunk, stats)] = alone_and_scanned(batch, &data);
+        assert!(!sunk.nodes[0].fallback, "evictions freed enough room");
+        assert_eq!(sunk.evicted, [9], "popped from the end first");
+        assert_eq!(sunk.evicted, alone.evicted);
+        assert_eq!(stats.pressure_evictions, alone_stats.pressure_evictions);
+        assert_eq!(stats.sql_fallbacks, alone_stats.sql_fallbacks);
+        assert_eq!(sunk.nodes[0].cc.total(), 200);
+        assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
+    }
+
+    /// A budget that holds the root's table but not the rows its memory
+    /// tee stages cancels the tee exactly where `BatchCounter` alone
+    /// cancels it.
+    #[test]
+    fn a_memory_tee_the_budget_cannot_hold_counts_serially() {
+        let data = rows(500, 29);
+        let budget = 16 * CC_ENTRY_BYTES + 100 * CodeWidth::One.row_bytes(ARITY);
+        let root = || {
+            let mut node = NodeCounter::new(root_request());
+            node.mem_buffer = Some(MemRows::new(CodeWidth::One));
+            BatchCounter::new(vec![node], budget, 0, ARITY)
+        };
+        let [(alone, alone_stats), (sunk, stats)] = alone_and_scanned(root, &data);
+        assert!(alone.nodes[0].mem_buffer.is_none(), "the tee was cancelled");
+        assert_eq!(sunk.nodes[0].mem_buffer, alone.nodes[0].mem_buffer);
+        assert_eq!(sunk.buffer_bytes, alone.buffer_bytes);
+        assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
+        assert_eq!(stats.peak_memory_bytes, alone_stats.peak_memory_bytes);
+    }
+
+    /// The batched kernel and the row path build identical tables over a
+    /// staged file read through the scan loop, and the block counters
+    /// reflect which kernel ran.
+    #[test]
+    fn batched_kernel_matches_row_kernel_on_a_staged_file() {
+        let data = rows(1200, 53);
+        let serial = row_by_row(&data);
+        for kernel_on in [true, false] {
+            let what = format!("kernel_on={kernel_on}");
+            let mut batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
+            batch.batch_kernel = kernel_on;
+            let mut st = MiddlewareStats::new();
+            scan(&mut batch, &data, 37, &mut st);
+            for (s, p) in serial.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(s.cc, p.cc, "{what}");
+            }
+            if kernel_on {
+                assert!(st.blocks_counted > 0, "{what}: blocks used the kernel");
+            } else {
+                assert_eq!(st.blocks_counted, 0, "{what}: no block counting");
+                assert_eq!(st.block_fallback_rows, 0, "{what}: no fallback");
+            }
+        }
+    }
+
+    /// The block gate bounds each block by what its rows could add: a
+    /// budget that fits the root's table but never a block's growth bound
+    /// sends every block down the row path — on its own and extent by
+    /// extent of a staged file — with the same counts and peak.
+    #[test]
+    fn a_budget_the_block_gate_refuses_counts_on_the_row_path() {
+        let data = rows(400, 59);
+        // The root table tops out at 16 entries (768 B), but a 37-row
+        // extent is bounded at 37 * 2 * CC_ENTRY_BYTES = 3552 B, and the
+        // 400-row block alone counts at 400 * 2 * CC_ENTRY_BYTES.
+        let root = || BatchCounter::new(vec![NodeCounter::new(root_request())], 1024, 0, ARITY);
+        let [(alone, alone_stats), (sunk, stats)] = alone_and_scanned(root, &data);
+        assert_eq!(alone_stats.blocks_counted, 0, "the gate refused the block");
+        assert_eq!(alone_stats.block_fallback_rows, 400);
+        assert_eq!(stats.blocks_counted, 0, "the gate refused every extent");
+        assert_eq!(stats.block_fallback_rows, 400);
+        assert!(!sunk.nodes[0].fallback);
+        assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
+        assert_eq!(stats.peak_memory_bytes, alone_stats.peak_memory_bytes);
+    }
+
+    /// The root's children on `a = 1` (over `b` alone, the split attribute
+    /// pinned) and `a ≠ 1` (over both), dense, extended from `root`.
+    fn children(root: &CcRequest) -> Vec<NodeCounter> {
+        let child = |id: u64, pred: Pred, attrs: Vec<u16>| {
+            let cards: Vec<(u16, u64)> = attrs.iter().map(|&a| (a, 4)).collect();
+            let mut node = NodeCounter::new(CcRequest {
+                lineage: root.lineage.child(NodeId(id), pred),
+                attrs,
+                ..root_request()
+            });
+            node.cc = CountsTable::new_dense(&cards, 2);
+            node
+        };
+        let eq = child(1, Pred::Eq { col: 0, value: 1 }, vec![1]);
+        let neq = child(2, Pred::NotEq { col: 0, value: 1 }, vec![0, 1]);
+        vec![eq, neq]
+    }
+
+    /// The session's record of `root`'s exact table `parent`, counted at
+    /// epoch 0, with `nodes`, its children, enqueued under it: each big
+    /// enough to pin the table.
+    fn remembered(root: &CcRequest, parent: &Arc<CountsTable>, nodes: &[NodeCounter]) -> Parents {
+        let mut parents = Parents::default();
+        parents.fulfilled(root, parent, 0);
+        for node in nodes {
+            parents.enqueued(&node.req);
+        }
+        parents
+    }
+
+    /// Count `data`, staged, through a batch over `nodes`, certified at
+    /// `epoch` with the plans `parents` makes, under `budget`.
+    fn sunk(
+        parents: &mut Parents,
+        nodes: Vec<NodeCounter>,
+        budget: u64,
+        epoch: u64,
+        data: &[[Code; 3]],
+    ) -> (BatchCounter, MiddlewareStats) {
+        let (_staging, layout) = staged_layout(data, 16);
+        let mut batch = BatchCounter::new(nodes, budget, 0, ARITY);
+        let mut stats = MiddlewareStats::new();
+        let reads = certify(&mut batch, parents, data.len(), epoch, &mut stats);
+        read(&mut batch, reads, &layout, &mut stats);
+        batch.assert_shadow_accounting();
+        (batch, stats)
+    }
+
+    /// A planned node is derived after a staged-file scan into the table
+    /// counting it builds, and leaves the batch in the state, and at the
+    /// peak, counting it leaves; a scan whose budget proof fails, or whose
+    /// table moved on since the parent was counted, counts it instead. The
+    /// plan is the pair's of a staged scan: the `=` child, with fewer rows,
+    /// counts every class, and the `≠` child is derived whole from it.
+    #[test]
+    fn a_planned_sibling_is_derived_under_the_proof_and_counted_without() {
+        let data = rows(700, 61);
+        let mut root = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+        for r in &data {
+            root.add_row(r, &[0, 1], 2);
+        }
+        let parent = Arc::new(root);
+        let req = root_request();
+        let none = &mut Parents::default();
+        let (counted, counted_stats) = sunk(none, children(&req), u64::MAX, 0, &data);
+        // Counted, the batch ends at `most`. The proof bounds each table by
+        // its every slot — 8 and 16 — the `a ≠ 1` child's empty `a = 1`
+        // ones included: a budget of `most` fails it, one of 24 entries
+        // clears it.
+        let most = counted.memory_in_use();
+        for (budget, epoch, derives) in [
+            (u64::MAX, 0, true),
+            (24 * CC_ENTRY_BYTES, 0, true),
+            (most, 0, false),
+            (u64::MAX, 1, false),
+        ] {
+            let what = format!("budget {budget}, epoch {epoch}");
+            let nodes = children(&req);
+            let mut parents = remembered(&req, &parent, &nodes);
+            let (batch, stats) = sunk(&mut parents, nodes, budget, epoch, &data);
+            for (c, b) in counted.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(b.cc, c.cc, "{what}");
+                assert!(b.cc.is_dense() && b.plan.is_none() && !b.fallback, "{what}");
+            }
+            assert_eq!(batch.memory_in_use(), most, "{what}");
+            assert_eq!(
+                stats.peak_memory_bytes, counted_stats.peak_memory_bytes,
+                "{what}"
+            );
+            assert_eq!(stats.derived_nodes, u64::from(derives), "{what}");
+            let derived_rows = if derives {
+                batch.nodes[1].cc.total()
+            } else {
+                0
+            };
+            assert_eq!(stats.derived_rows, derived_rows, "{what}");
+            assert_eq!(stats.derivations_refused, u64::from(!derives), "{what}");
+        }
+        assert_eq!(Arc::strong_count(&parent), 1, "no plan outlives its batch");
+    }
+
+    /// A pair whose children hold disjoint classes — every `a = 1` row is
+    /// class 1, every other row class 0 — counts no class on either side:
+    /// its certified scan reads nothing, and completing it without a block
+    /// builds the tables, and reaches the peak, counting every row does. A
+    /// node that tees into a memory set still needs its rows, so that
+    /// batch reads them.
+    #[test]
+    fn a_batch_its_plans_settle_reads_nothing() {
+        let data: Vec<[Code; 3]> = (rows(700, 73).into_iter())
+            .map(|[a, b, _]| [a, b, u16::from(a == 1)])
+            .collect();
+        let (_staging, layout) = staged_layout(&data, 16);
+        let mut root = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+        for r in &data {
+            root.add_row(r, &[0, 1], 2);
+        }
+        let parent = Arc::new(root);
+        let req = root_request();
+        let none = &mut Parents::default();
+        let (counted, counted_stats) = sunk(none, children(&req), u64::MAX, 0, &data);
+        for tee in [false, true] {
+            let what = format!("tee {tee}");
+            let mut nodes = children(&req);
+            if tee {
+                nodes[1].mem_buffer = Some(MemRows::new(CodeWidth::One));
+            }
+            let mut parents = remembered(&req, &parent, &nodes);
+            let mut batch = BatchCounter::new(nodes, u64::MAX, 0, ARITY);
+            let mut stats = MiddlewareStats::new();
+            let reads = certify(&mut batch, &mut parents, data.len(), 0, &mut stats);
+            assert_eq!(reads, tee, "{what}");
+            read(&mut batch, reads, &layout, &mut stats);
+            for (c, b) in counted.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(b.cc, c.cc, "{what}");
+            }
+            // The `=` child copies its class from the parent, the `≠` child
+            // is derived whole from it.
+            let settled = (stats.derived_nodes, stats.sliced_nodes);
+            assert_eq!(settled, (1, 1), "{what}");
+            assert_eq!(stats.unread_batches, u64::from(!reads), "{what}");
+            assert_eq!(stats.scan_rows, if reads { 700 } else { 0 }, "{what}");
+            if !tee {
+                let peak = counted_stats.peak_memory_bytes;
+                assert_eq!(stats.peak_memory_bytes, peak, "{what}");
+            }
+        }
+    }
+
+    /// A scan carries no plan it cannot keep, and counts the refusal: not
+    /// when its budget proof fails, when the table moved on since the
+    /// parent was counted, or when its certificate escapes the parent's
+    /// layout — here a parent counted over three values of `b`, which the
+    /// certificate's four exceed. Each time the `≠` child, planned to be
+    /// derived whole, is counted in every class.
+    #[test]
+    fn a_refused_plan_never_reaches_the_scan() {
+        let data: Vec<[Code; 3]> = (rows(700, 71).into_iter())
+            .map(|[a, b, k]| [a, b.min(2), k])
+            .collect();
+        let (_staging, layout) = staged_layout(&data, 16);
+        let req = root_request();
+        let (counted, _) = sunk(&mut Parents::default(), children(&req), u64::MAX, 0, &data);
+        let most = counted.memory_in_use();
+        for (why, budget, epoch, b_values) in [
+            ("the proof fails", most, 0, 4),
+            ("the epoch moved", u64::MAX, 1, 4),
+            ("the certificate escapes the parent", u64::MAX, 0, 3),
+        ] {
+            let mut root = CountsTable::new_dense(&[(0, 4), (1, b_values)], 2);
+            for r in &data {
+                root.add_row(r, &[0, 1], 2);
+            }
+            let parent = Arc::new(root);
+            let nodes = children(&req);
+            let mut parents = remembered(&req, &parent, &nodes);
+            let mut batch = BatchCounter::new(nodes, budget, 0, ARITY);
+            let mut stats = MiddlewareStats::new();
+            let reads = certify(&mut batch, &mut parents, data.len(), epoch, &mut stats);
+            assert!(batch.nodes.iter().all(|n| n.plan.is_none()), "{why}");
+            assert_eq!(stats.derivations_refused, 1, "{why}");
+            read(&mut batch, reads, &layout, &mut stats);
+            for (c, b) in counted.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(b.cc, c.cc, "{why}");
+            }
+            assert_eq!((stats.derived_nodes, stats.sliced_nodes), (0, 0), "{why}");
+        }
+    }
+
+    /// A child whose complement holds class 0 only — every `a = 0` row is
+    /// class 0 — is counted only in class 0 under the proof, and its
+    /// class-1 slots are copied from the parent after the scan, into the
+    /// table counting every row builds: on a server scan, whose
+    /// pushed-down filter ships just the class-0 rows, and on a staged
+    /// file, which hands every row in. A node that tees into a memory set
+    /// is still sliced, but shipped whole: its set gets every row. A scan
+    /// whose proof fails, or whose table moved on since the parent was
+    /// counted, slices nothing: it ships and counts every row of the node.
+    #[test]
+    fn a_slice_stands_under_the_proof_and_ships_only_the_classes_it_counts() {
+        let data: Vec<[Code; 3]> = (rows(700, 67).into_iter())
+            .map(|[a, b, k]| [a, b, if a == 0 { 0 } else { k }])
+            .collect();
+        let mut root = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+        for r in &data {
+            root.add_row(r, &[0, 1], 2);
+        }
+        let parent = Arc::new(root);
+        let req = root_request();
+        let node = || {
+            let mut node = NodeCounter::new(CcRequest {
+                lineage: req
+                    .lineage
+                    .child(NodeId(2), Pred::NotEq { col: 0, value: 0 }),
+                ..root_request()
+            });
+            node.cc = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+            node
+        };
+        let mine: Vec<[Code; 3]> = data.iter().filter(|r| r[0] != 0).copied().collect();
+        let (_staging, layout) = staged_layout(&mine, 16);
+        let class_rows = |k| mine.iter().filter(|r| r[2] == k).count() as u64;
+        let none = &mut Parents::default();
+        let (counted, _) = sunk(none, vec![node()], u64::MAX, 0, &mine);
+        let most = counted.memory_in_use();
+        for (server, budget, epoch, slices, tees) in [
+            (true, u64::MAX, 0, true, false),
+            (false, u64::MAX, 0, true, false),
+            (false, u64::MAX, 0, true, true),
+            (true, most, 0, false, false),
+            (false, u64::MAX, 1, false, false),
+        ] {
+            let what = format!("server {server}, budget {budget}, epoch {epoch}, tee {tees}");
+            let mut sliced = node();
+            if tees {
+                sliced.mem_buffer = Some(MemRows::new(CodeWidth::One));
+            }
+            let mut parents = remembered(&req, &parent, std::slice::from_ref(&sliced));
+            let mut batch = BatchCounter::new(vec![sliced], budget, 0, ARITY);
+            let (mut stats, rows) = (MiddlewareStats::new(), data.len());
+            let reads = certify(&mut batch, &mut parents, rows, epoch, &mut stats);
+            if let Some(plan) = &batch.nodes[0].plan {
+                assert_eq!(plan.sources, [ClassSource::Counted, ClassSource::Parent]);
+                assert_eq!(plan.rows, [class_rows(0), class_rows(1)]);
+            }
+            let read_rows_of = if server {
+                let filter = batch.pushdown();
+                let shipped: Vec<[Code; 3]> = data
+                    .iter()
+                    .filter(|r| filter.eval(&r[..]))
+                    .copied()
+                    .collect();
+                read_rows(&mut batch, &shipped, &mut stats);
+                shipped.len() as u64
+            } else {
+                read(&mut batch, reads, &layout, &mut stats);
+                mine.len() as u64
+            };
+            batch.assert_shadow_accounting();
+            assert_eq!(batch.nodes[0].cc, counted.nodes[0].cc, "{what}");
+            if let Some(buf) = &batch.nodes[0].mem_buffer {
+                assert_eq!(
+                    buf.codes(),
+                    mine.len() * ARITY,
+                    "{what}: the tee got every row"
+                );
+            } else {
+                assert_eq!(batch.memory_in_use(), most, "{what}");
+            }
+            let unshipped = if slices && !tees && server {
+                class_rows(1)
+            } else {
+                0
+            };
+            assert!(class_rows(0) > 0 && class_rows(1) > 0);
+            assert_eq!(read_rows_of + unshipped, mine.len() as u64, "{what}");
+            assert_eq!(stats.scan_rows, read_rows_of, "{what}");
+            assert_eq!(stats.sliced_nodes, u64::from(slices), "{what}");
+            assert_eq!(stats.sliced_rows_unshipped, unshipped, "{what}");
+        }
+        assert_eq!(Arc::strong_count(&parent), 1, "no slice outlives its batch");
+    }
+
+    /// A server scan pushes down the paths of the nodes it counts or
+    /// stages: a derived node's only when it tees — into its memory set,
+    /// its staged file or the batch's split file. Fed just the rows the
+    /// filter passes, the batch still derives the table counting reads,
+    /// and charges it to `derived_rows_unshipped` exactly when it left the
+    /// node out. The pair is planned by rows, whatever tees (`certify`):
+    /// the `≠` child is derived whole from the `=` child.
+    #[test]
+    fn a_derived_node_is_shipped_only_when_it_tees() {
+        let data = rows(700, 61);
+        let mut root = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
+        for r in &data {
+            root.add_row(r, &[0, 1], 2);
+        }
+        let parent = Arc::new(root);
+        let req = root_request();
+        let none = &mut Parents::default();
+        let (counted, _) = sunk(none, children(&req), u64::MAX, 0, &data);
+        let mut staging = StagingManager::new(None).unwrap();
+        for tee in ["none", "memory", "file", "split"] {
+            let mut nodes = children(&req);
+            let mut parents = remembered(&req, &parent, &nodes);
+            match tee {
+                "memory" => nodes[1].mem_buffer = Some(MemRows::new(CodeWidth::One)),
+                "file" => {
+                    let pred = nodes[1].req.pred().clone();
+                    let writer = staging.start_file(vec![NodeId(2)], pred, ARITY);
+                    nodes[1].file_writer = Some(writer.unwrap());
+                }
+                _ => {}
+            }
+            let mut batch = BatchCounter::new(nodes, u64::MAX, 0, ARITY);
+            if tee == "split" {
+                let writer = staging.start_file(vec![NodeId(1), NodeId(2)], Pred::True, ARITY);
+                batch.split_writer = Some(writer.unwrap());
+            }
+            let mut stats = MiddlewareStats::new();
+            certify(&mut batch, &mut parents, data.len(), 0, &mut stats);
+            assert!(batch.nodes[0].needs_rows(), "{tee}: the counted sibling");
+            let tees_itself = tee == "memory" || tee == "file";
+            assert_eq!(batch.nodes[1].needs_rows(), tees_itself, "{tee}");
+            let filter = batch.pushdown();
+            let shipped: Vec<[Code; 3]> = data
+                .iter()
+                .filter(|r| filter.eval(&r[..]))
+                .copied()
+                .collect();
+            read_rows(&mut batch, &shipped, &mut stats);
+            for (c, b) in counted.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(b.cc, c.cc, "{tee}");
+            }
+            let derived = batch.nodes[1].cc.total();
+            assert_eq!(stats.derived_rows, derived, "{tee}");
+            let unshipped = if tee == "none" { derived } else { 0 };
+            assert_eq!(stats.derived_rows_unshipped, unshipped, "{tee}");
+            assert_eq!(stats.scan_rows + unshipped, data.len() as u64, "{tee}");
+            if let Some(buf) = &batch.nodes[1].mem_buffer {
+                assert_eq!(
+                    buf.codes() as u64,
+                    derived * ARITY as u64,
+                    "the tee got every row"
+                );
+            }
         }
     }
 }

@@ -92,7 +92,6 @@ pub mod filter;
     clippy::cast_possible_wrap
 )]
 pub mod metrics;
-pub mod parallel;
 pub mod request;
 #[deny(
     clippy::cast_possible_truncation,

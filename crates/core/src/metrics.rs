@@ -26,9 +26,9 @@ pub struct MiddlewareStats {
     /// Batches whose plans settle every node from the parents' tables
     /// without a row (DESIGN.md §12b "A batch that reads nothing"): each
     /// opened no source — no cursor, memory set or staged file, no extent
-    /// reader — and is counted in none of `server_scans`, `file_scans`,
-    /// `memory_scans` or `sharded_file_scans`. Deterministic for a given
-    /// client, as `sliced_nodes` is.
+    /// reader — and is counted in none of `server_scans`, `file_scans` or
+    /// `memory_scans`. Deterministic for a given client, as `sliced_nodes`
+    /// is.
     pub unread_batches: u64,
     /// Rows read from staging files.
     pub file_rows_read: u64,
@@ -72,40 +72,24 @@ pub struct MiddlewareStats {
     pub aux_scans: u64,
     /// Peak of (live CC bytes + memory-staged bytes) observed.
     pub peak_memory_bytes: u64,
-    /// Staged-file scans served by sharded extent readers, each reader
-    /// thread reading and decoding its own extent range: the exact file
-    /// scans whose budget proof held under `scan_workers > 1`. The only
-    /// scans that run on more than one thread.
-    pub sharded_file_scans: u64,
-    /// Rows fed through counting scans (serial or sharded).
+    /// Rows fed through counting scans.
     pub scan_rows: u64,
     /// Source blocks counting scans read — wire fetches and memory sets
-    /// cut at `scan_block_rows`, staged-file extents — whichever path
-    /// (the serial loop or sharded readers) counts their rows.
+    /// cut at `scan_block_rows`, staged-file extents.
     pub scan_blocks: u64,
     /// Wall-clock nanoseconds spent inside counting scans. Timing, not a
     /// logical counter: it varies run to run and must be excluded from
     /// determinism comparisons (rows/sec = `scan_rows` / `scan_nanos`).
     pub scan_nanos: u64,
-    /// Most rows any single extent reader counted in one sharded file scan
-    /// (maximum over scans) — `scan_rows / (readers × this)` approximates
-    /// reader occupancy. Serial scans leave this 0.
-    pub scan_worker_rows_max: u64,
     /// Scheduled nodes counted on the dense flat-array backend.
     pub dense_nodes: u64,
     /// Scheduled nodes counted on the sparse BTreeMap backend.
     pub sparse_nodes: u64,
-    /// Wall-clock nanoseconds sharded extent readers spent inside the
-    /// row-counting kernel (per-block counting loops — excludes extent
-    /// read/decode). Serial scans leave this 0; use `scan_nanos` for
-    /// whole-scan throughput. Timing — excluded from determinism
-    /// comparisons like `scan_nanos`.
-    pub kernel_nanos: u64,
     /// Selections counted through the block kernel: one per (node, block)
     /// pair whose selection the route-then-count pass counted. A derived
     /// node (`derived_nodes`) is counted in no block, so contributes none.
-    /// Pipeline-shape counter: varies with worker count and block size, so
-    /// determinism comparisons exclude it alongside `scan_blocks`.
+    /// Pipeline-shape counter: varies with block size, so determinism
+    /// comparisons exclude it alongside `scan_blocks`.
     pub blocks_counted: u64,
     /// Rows the batched kernel re-routed through the exact per-row path —
     /// either a whole block whose growth bound could not clear the memory
@@ -117,13 +101,13 @@ pub struct MiddlewareStats {
     /// it: the sum of its selections' growth bounds, read against each
     /// node's `CountsTable::covers` of the scan's range certificate, which
     /// the scan settles once when it certifies.
-    /// Timing — excluded from determinism comparisons like `kernel_nanos`.
+    /// Timing — excluded from determinism comparisons like `scan_nanos`.
     pub kernel_validate_nanos: u64,
     /// Nanoseconds the block kernel spent counting selections: reading the
     /// selected codes in place (which an untimed gather did before PR 21)
     /// and incrementing — dense slots and class tally, or sparse run
     /// detection — plus the time spent deriving tables (`derived_nodes`).
-    /// Timing — excluded from determinism comparisons like `kernel_nanos`.
+    /// Timing — excluded from determinism comparisons like `scan_nanos`.
     pub kernel_accumulate_nanos: u64,
     /// Nodes whose counts table a batch derived after its scan, as its
     /// parent's exact table minus the counted sibling's (DESIGN.md §12b),
@@ -248,7 +232,7 @@ pub struct ArbiterStats {
     pub rebalances: u64,
 }
 
-/// I/O + decode counters for one scan worker over staged extent files.
+/// I/O + decode counters for one reader over staged extent files.
 ///
 /// Unlike [`MiddlewareStats`] these are *physical* numbers: `read_bytes`
 /// includes extent headers and CRC footers, and `decode_ns` is wall-clock
@@ -257,48 +241,46 @@ pub struct ArbiterStats {
 /// Timing fields must be excluded from determinism comparisons.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerScanStats {
-    /// Physical bytes this worker read from the staging file.
+    /// Physical bytes this reader read from the staging file.
     pub read_bytes: u64,
     /// Nanoseconds spent verifying extents and decoding them into columns.
     pub decode_ns: u64,
-    /// Rows this worker decoded.
+    /// Rows this reader decoded.
     pub rows: u64,
-    /// Extents this worker decoded.
+    /// Extents this reader decoded.
     pub extents: u64,
 }
 
-/// Per-worker staged-file scan statistics, accumulated by worker index
-/// across every extent-format file scan of a middleware session. Serial
-/// extent scans contribute a single worker entry (index 0); sharded scans
-/// contribute one entry per reader thread. Kept separate from
-/// [`MiddlewareStats`] so that struct stays `Copy` for cheap snapshots.
+/// Staged-file scan statistics, accumulated across every extent-format
+/// file scan of a middleware session. Every file scan is read by one
+/// reader on the session thread, so `workers` holds one entry once a file
+/// was scanned, none before. Kept separate from [`MiddlewareStats`] so
+/// that struct stays `Copy` for cheap snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Accumulated counters, indexed by scan-worker id.
+    /// Accumulated counters: at most one entry, the session's reader.
     pub workers: Vec<WorkerScanStats>,
 }
 
 impl ScanStats {
-    /// Fold one scan's per-worker counters into the running totals.
-    pub fn absorb(&mut self, per_worker: &[WorkerScanStats]) {
-        if self.workers.len() < per_worker.len() {
-            self.workers
-                .resize(per_worker.len(), WorkerScanStats::default());
-        }
-        for (acc, w) in self.workers.iter_mut().zip(per_worker) {
-            acc.read_bytes = acc.read_bytes.saturating_add(w.read_bytes);
-            acc.decode_ns = acc.decode_ns.saturating_add(w.decode_ns);
-            acc.rows = acc.rows.saturating_add(w.rows);
-            acc.extents = acc.extents.saturating_add(w.extents);
-        }
+    /// Fold one file scan's reader counters into the running totals.
+    pub fn absorb(&mut self, scan: &WorkerScanStats) {
+        let Some(acc) = self.workers.first_mut() else {
+            self.workers.push(*scan);
+            return;
+        };
+        acc.read_bytes = acc.read_bytes.saturating_add(scan.read_bytes);
+        acc.decode_ns = acc.decode_ns.saturating_add(scan.decode_ns);
+        acc.rows = acc.rows.saturating_add(scan.rows);
+        acc.extents = acc.extents.saturating_add(scan.extents);
     }
 
-    /// Total physical bytes read across all workers.
+    /// Total physical bytes read.
     pub fn total_read_bytes(&self) -> u64 {
         self.workers.iter().map(|w| w.read_bytes).sum()
     }
 
-    /// Total rows decoded across all workers.
+    /// Total rows decoded.
     pub fn total_rows(&self) -> u64 {
         self.workers.iter().map(|w| w.rows).sum()
     }
@@ -311,35 +293,25 @@ mod tests {
     #[test]
     fn scan_stats_absorb_accumulates_by_worker_index() {
         let mut s = ScanStats::default();
-        s.absorb(&[WorkerScanStats {
+        assert!(s.workers.is_empty(), "no file scanned yet");
+        s.absorb(&WorkerScanStats {
             read_bytes: 100,
             decode_ns: 5,
             rows: 10,
             extents: 1,
-        }]);
-        s.absorb(&[
-            WorkerScanStats {
-                read_bytes: 50,
-                decode_ns: 1,
-                rows: 5,
-                extents: 1,
-            },
-            WorkerScanStats {
-                read_bytes: 70,
-                decode_ns: 2,
-                rows: 7,
-                extents: 2,
-            },
-        ]);
-        assert_eq!(s.workers.len(), 2);
+        });
+        s.absorb(&WorkerScanStats {
+            read_bytes: 50,
+            decode_ns: 1,
+            rows: 5,
+            extents: 2,
+        });
+        assert_eq!(s.workers.len(), 1, "one reader");
         assert_eq!(s.workers[0].read_bytes, 150);
-        assert_eq!(
-            s.workers[0].decode_ns, 6,
-            "decode time accumulates per worker"
-        );
-        assert_eq!(s.workers[1].rows, 7);
-        assert_eq!(s.total_read_bytes(), 220);
-        assert_eq!(s.total_rows(), 22);
+        assert_eq!(s.workers[0].decode_ns, 6, "decode time accumulates");
+        assert_eq!(s.workers[0].extents, 3);
+        assert_eq!(s.total_read_bytes(), 150);
+        assert_eq!(s.total_rows(), 15);
     }
 
     #[test]

@@ -409,7 +409,6 @@ mod tests {
             let mut stats = *mw.stats();
             // Wall-clock timing is the one legitimate difference.
             stats.scan_nanos = 0;
-            stats.kernel_nanos = 0;
             stats.kernel_validate_nanos = 0;
             stats.kernel_accumulate_nanos = 0;
             (totals, stats)

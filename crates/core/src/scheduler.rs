@@ -32,8 +32,7 @@ pub struct ScheduledNode {
     pub est_cc_bytes: u64,
     /// Estimated relevant-data footprint staged in memory (`rows × arity ×
     /// width`, [`StagingManager::mem_width`]) in bytes — lets the executor
-    /// pre-size staging buffers instead of growing them row by row under
-    /// the sharded readers' shared byte accounting.
+    /// pre-size staging buffers instead of growing them row by row.
     pub est_data_bytes: u64,
     /// Write this node's rows to a new middleware file during the scan.
     pub stage_file: bool,

@@ -36,10 +36,9 @@ use crate::catalog::StagingCatalog;
 use crate::cc::{CountsTable, FulfilledCc};
 use crate::config::{AuxMode, MiddlewareConfig};
 use crate::error::{MwError, MwResult};
-use crate::executor::{BatchCounter, NodeCounter, Scan};
+use crate::executor::{BatchCounter, NodeCounter};
 use crate::filter::union_filter;
 use crate::metrics::{ArbiterStats, MiddlewareStats, ScanStats};
-use crate::parallel::{scan_extents, shards};
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use crate::scheduler::{schedule, BatchPlan, SampledLedger};
 use crate::siblings::Parents;
@@ -548,8 +547,8 @@ impl Session {
         &self.stats
     }
 
-    /// Per-reader staged-file scan statistics (physical bytes read and
-    /// decode time by scan-worker index, summed over the session).
+    /// Staged-file scan statistics (physical bytes read, rows and decode
+    /// time, summed over the session's file scans).
     pub fn scan_stats(&self) -> &ScanStats {
         &self.scan_stats
     }
@@ -902,7 +901,7 @@ impl Session {
         let router = PredSet::new(counters.iter().map(|n| n.req.pred()).chain(waiting));
         let mut batch = BatchCounter::with_router(
             counters,
-            Arc::new(router),
+            router,
             lease_bytes,
             self.staging.staged_mem_bytes(),
             self.backend.arity,
@@ -921,12 +920,11 @@ impl Session {
     /// Count `plan`'s batch from the location it was scheduled on: certify
     /// the scan ([`Session::certify`]), then — unless the batch reads
     /// nothing — open the location as a [`BlockSource`], run the one scan
-    /// loop over it, or read a staged file on sharded extent readers
-    /// ([`scan_extents`]), and charge the location's read counters.
+    /// loop over it on this thread, and charge the location's read
+    /// counters.
     fn scan(&mut self, plan: &BatchPlan, batch: &mut BatchCounter) -> MwResult<()> {
         let arity = self.backend.arity;
         let block_rows = self.backend.config.scan_block_rows;
-        let workers = self.backend.config.scan_workers;
         let wire = plan.source == DataLocation::Server;
         let staged_rows = match plan.source {
             DataLocation::Memory(id) | DataLocation::File(id) => {
@@ -953,11 +951,7 @@ impl Session {
             Some(rows) => rows,
             None => db.table(&backend.table)?.nrows(),
         };
-        // Only a staged-file scan may shard (`crate::parallel`); every
-        // other scan counts on this thread.
-        let shard = workers > 1 && matches!(plan.source, DataLocation::File(_));
-        let how = self.certify(batch, &db, rows, wire, shard)?;
-        if how == Scan::Unread {
+        if !self.certify(batch, &db, rows, wire)? {
             // Nothing to read: a server scan's pushed-down filter is
             // empty, and every node's rows go unshipped.
             if wire {
@@ -985,21 +979,12 @@ impl Session {
                 let layout = self.staging.extent_layout(id)?.ok_or_else(|| {
                     MwError::Internal(format!("scheduled staged file {id} missing"))
                 })?;
-                // A file of one extent, or none, has nothing to share out:
-                // it is read on this thread. Certified unsharded, the batch
-                // would differ only in that answer: a plan attaches under
-                // the same proof either way.
-                let (io, read) = if how == Scan::Sharded && shards(&layout, workers) {
-                    let io = scan_extents(batch, &layout, workers, &mut self.stats)?;
-                    (io, layout.nrows)
-                } else {
-                    let mut src = BlockSource::extents(&layout)?;
-                    drive(&mut src, batch, &mut self.stats)?;
-                    (vec![src.io], src.rows_read)
-                };
+                let mut src = BlockSource::extents(&layout)?;
+                drive(&mut src, batch, &mut self.stats)?;
+                let read = src.rows_read;
                 self.stats.file_rows_read += read;
                 self.stats.file_bytes_read += read * (arity * CODE_BYTES) as u64;
-                self.scan_stats.absorb(&io);
+                self.scan_stats.absorb(&src.io);
             }
             DataLocation::Server => {
                 self.stats.server_scans += 1;
@@ -1013,23 +998,21 @@ impl Session {
     /// rows, each a row of the table as `db` holds it or a copy of one: plan
     /// the batch's derivations against the table's range certificate and
     /// epoch ([`Parents::plan`]; `wire` when the rows come from the
-    /// server), then certify the batch with the plans
-    /// that stand, for a scan that may `shard`
+    /// server), then certify the batch with the plans that stand
     /// ([`BatchCounter::certify`]). The one place a batch plans. Returns
-    /// how the scan reads its source.
+    /// whether the scan reads its source.
     fn certify(
         &mut self,
         batch: &mut BatchCounter,
         db: &Database,
         rows: u64,
         wire: bool,
-        shard: bool,
-    ) -> MwResult<Scan> {
+    ) -> MwResult<bool> {
         let table = &self.backend.table;
         let (certificate, epoch) = (db.table(table)?.col_max(), db.table_epoch(table));
         let stats = &mut self.stats;
         let plans = (self.parents).plan(&batch.nodes, certificate, epoch, wire, stats);
-        Ok(batch.certify(certificate, rows, epoch, plans, shard, stats))
+        Ok(batch.certify(certificate, rows, epoch, plans, stats))
     }
 
     /// The server leg of [`Session::scan`], under the read guard `db` its

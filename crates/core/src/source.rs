@@ -14,8 +14,7 @@
 //!   ([`MemRows`]) are decoded a block at a time into the reusable buffer
 //!   a cursor fetches into;
 //! * extent file — extent k, column-major: read, CRC-checked and decoded
-//!   by [`ExtentReader::decode_extent_columns`], the routine the sharded
-//!   readers run too, and never transposed;
+//!   by [`ExtentReader::decode_extent_columns`], and never transposed;
 //! * server or temp-table cursor — the k-th block shipped (each wire fetch
 //!   cut at `scan_block_rows`), row-major.
 
@@ -68,8 +67,8 @@ pub(crate) struct BlockSource<'a> {
     at: usize,
     /// Rows in the blocks yielded so far.
     pub(crate) rows_read: u64,
-    /// Extent-file I/O and decode counters (reader 0 of the per-reader
-    /// scan stats); zero for the other kinds.
+    /// Extent-file I/O and decode counters (what the session's
+    /// `ScanStats` absorbs); zero for the other kinds.
     pub(crate) io: WorkerScanStats,
 }
 

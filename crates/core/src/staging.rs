@@ -22,7 +22,7 @@
 use crate::catalog::StagingCatalog;
 use crate::config::DEFAULT_EXTENT_ROWS;
 use crate::error::{MwError, MwResult};
-use crate::executor::{Block, ColBlock};
+use crate::executor::Block;
 use crate::metrics::{MiddlewareStats, WorkerScanStats};
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
@@ -45,7 +45,7 @@ static STAGE_FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// Process-global manager disambiguator, embedded (with the pid) in every
 /// filename a manager creates. Dropping a manager that shares a
 /// user-supplied staging directory sweeps by this prefix, so aborted
-/// writers and leaked spools cannot orphan in the shared directory.
+/// writers cannot orphan in the shared directory.
 static MANAGER_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A process-unique directory path for a [`StagingCatalog`]'s shared
@@ -404,12 +404,6 @@ impl MemRows {
                 .bytes
                 .extend(codes.iter().flat_map(|c| c.to_le_bytes())),
         }
-    }
-
-    /// Append `other`'s rows, stored in the same width.
-    pub(crate) fn append(&mut self, other: &MemRows) {
-        debug_assert_eq!(self.width, other.width);
-        self.bytes.extend_from_slice(&other.bytes);
     }
 
     /// Append to `out` the `len` codes from code `start` on, decoded (as
@@ -808,15 +802,7 @@ impl StagingManager {
         let path = self
             .dir
             .join(format!("{}stage_{id}_{uniq}.rows", self.prefix));
-        FileWriter::create(
-            path,
-            self.prefix.clone(),
-            id,
-            members,
-            pred,
-            arity,
-            self.extent_rows,
-        )
+        FileWriter::create(path, id, members, pred, arity, self.extent_rows)
     }
 
     /// Register a finished staged file through `register`, after moving
@@ -1018,8 +1004,8 @@ impl StagingManager {
         }
     }
 
-    /// The validated extent layout of a staged file — what every reader,
-    /// serial or sharded, opens the file through. `None` means no staged
+    /// The validated extent layout of a staged file — what every file
+    /// scan opens the file through. `None` means no staged
     /// file has this id; a file that fails validation is an error.
     pub fn extent_layout(&self, id: u64) -> MwResult<Option<ExtentLayout>> {
         match self.sets.get(&id) {
@@ -1191,9 +1177,9 @@ impl Drop for StagingManager {
         } else {
             // Leave the user's directory, but sweep everything carrying
             // this manager's unique prefix — tracked staged files, but
-            // also aborted-writer partials and leaked tee spools that the
-            // per-object drop guards could not reach (e.g. after a leak
-            // or a process-level panic unwind skipping them).
+            // also aborted-writer partials that the per-object drop guards
+            // could not reach (e.g. after a leak or a process-level panic
+            // unwind skipping them).
             let Ok(entries) = fs::read_dir(&self.dir) else {
                 return;
             };
@@ -1235,8 +1221,6 @@ pub struct FileWriter {
     /// Reusable serialization buffer of one extent's payload.
     col_buf: Vec<u8>,
     out: BufWriter<File>,
-    /// Owning manager's filename prefix, for sibling spool files.
-    prefix: String,
     /// Set by [`StagingManager::commit_file`]; an uncommitted writer
     /// removes its partial on-disk output when dropped.
     committed: bool,
@@ -1255,7 +1239,6 @@ impl FileWriter {
     /// rows in extents of `extent_rows`.
     fn create(
         path: PathBuf,
-        prefix: String,
         id: u64,
         members: Vec<NodeId>,
         pred: Pred,
@@ -1273,7 +1256,6 @@ impl FileWriter {
             members,
             pred,
             path,
-            prefix,
             arity,
             extent_rows,
             nrows: 0,
@@ -1285,53 +1267,6 @@ impl FileWriter {
             out,
             committed: false,
         })
-    }
-
-    /// A private spool for rows bound for this file: a sibling file in the
-    /// same format, named with the manager's prefix (so a drop-time sweep
-    /// of a shared staging directory reclaims a leaked one) and never
-    /// committed, so removed when dropped. Each sharded extent reader tees
-    /// its range into one, and [`FileWriter::append`] replays them in
-    /// range order — file order — so the staged file is byte-identical to
-    /// the serial tee's without buffering its rows in middleware memory.
-    pub(crate) fn spool(&self) -> MwResult<FileWriter> {
-        let uniq = STAGE_FILE_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = self.path.parent().unwrap_or(Path::new("."));
-        let path = dir.join(format!("{}spool_{uniq}.rows", self.prefix));
-        FileWriter::create(
-            path,
-            self.prefix.clone(),
-            self.id,
-            Vec::new(),
-            Pred::True,
-            self.arity,
-            self.extent_rows,
-        )
-    }
-
-    /// Append every row of `spool` ([`FileWriter::spool`]), in order, and
-    /// remove it.
-    pub(crate) fn append(&mut self, mut spool: FileWriter) -> MwResult<()> {
-        if spool.nrows == 0 {
-            return Ok(());
-        }
-        spool.finish()?;
-        let layout = ExtentLayout::detect(&spool.path, spool.arity, spool.nrows)?;
-        let mut reader = ExtentReader::open(&layout)?;
-        let mut io = WorkerScanStats::default();
-        let (mut cols, mut row, mut all) = (Vec::new(), Vec::new(), Vec::new());
-        for k in 0..layout.extents {
-            let nrows = reader.decode_extent_columns(k, &mut cols, &mut io)?;
-            all.clear();
-            all.extend(0..nrows as u32);
-            let block = ColBlock {
-                cols: &cols,
-                nrows,
-                row: &mut row,
-            };
-            self.push_selected(&block, &all)?;
-        }
-        Ok(())
     }
 
     /// Rows of the extent being accumulated.
@@ -1579,8 +1514,7 @@ impl ExtentLayout {
     }
 }
 
-/// Random-access extent reader. Each reader owns its own file handle, so
-/// `scan_workers` of them can decode disjoint extent ranges concurrently.
+/// Random-access extent reader over its own file handle.
 #[derive(Debug)]
 pub struct ExtentReader {
     file: File,
@@ -1691,7 +1625,7 @@ impl ExtentReader {
     /// Read and verify extent `k`, decoding its payload straight into one
     /// `Vec<Code>` per column in `cols` (resized to the arity; each column
     /// is cleared first so the vectors can be reused across extents) — the
-    /// one decode every file scan, serial or sharded, runs. Returns the
+    /// one decode every file scan runs. Returns the
     /// row count. I/O bytes, rows and the extent accrue to `stats`, and
     /// `decode_ns` covers verification + column decode, never file I/O.
     pub fn decode_extent_columns(
@@ -2192,8 +2126,8 @@ mod tests {
         let mut m1 = StagingManager::new(Some(dir.clone())).unwrap();
         let mut m2 = StagingManager::new(Some(dir.clone())).unwrap();
 
-        // Manager 1: one committed file, plus a writer and a spool leaked
-        // past their drop guards (simulating a crashed scan).
+        // Manager 1: one committed file, plus a writer leaked past its drop
+        // guard (simulating a crashed scan).
         let mut w = m1.start_file(vec![NodeId(0)], Pred::True, 1).unwrap();
         w.push(&[1]).unwrap();
         let committed1 = m1.commit_file(w, &mut stats).unwrap();
@@ -2201,10 +2135,7 @@ mod tests {
         let mut leaked = m1.start_file(vec![NodeId(1)], Pred::True, 1).unwrap();
         leaked.push(&[2]).unwrap();
         let leaked_path = leaked.path.clone();
-        let spool = leaked.spool().unwrap();
-        let spool_path = spool.path.clone();
         std::mem::forget(leaked);
-        std::mem::forget(spool);
 
         // Manager 2: one committed file of its own.
         let mut w2 = m2.start_file(vec![NodeId(0)], Pred::True, 1).unwrap();
@@ -2212,11 +2143,10 @@ mod tests {
         let committed2 = m2.commit_file(w2, &mut stats).unwrap();
         let committed2_path = path_of(&m2, committed2);
 
-        assert!(leaked_path.exists() && spool_path.exists());
+        assert!(leaked_path.exists());
         drop(m1);
         assert!(!committed1_path.exists(), "m1's committed file swept");
         assert!(!leaked_path.exists(), "m1's leaked writer partial swept");
-        assert!(!spool_path.exists(), "m1's leaked spool swept");
         assert!(
             committed2_path.exists(),
             "m2's file untouched by m1's sweep"
@@ -2797,42 +2727,6 @@ mod tests {
         assert_eq!(committed(&mut m, w).1, GOLDEN_FILE, "rows and blocks mixed");
         assert_eq!(stats.file_rows_written, 15);
         assert_eq!(stats.file_bytes_physical_written, 3 * 94);
-    }
-
-    #[test]
-    fn spool_appends_its_rows_in_order_byte_identical() {
-        let mut m = mgr();
-        m.set_extent_rows(100);
-        let mut stats = MiddlewareStats::new();
-        let rows: Vec<[Code; 3]> = (0..357u16).map(|i| [i, i >> 4, i % 7]).collect();
-        // The spool's extents do not line up with those of the writer it
-        // is appended to.
-        let (head, tail) = rows.split_at(41);
-        let mut direct = m.start_file(vec![NodeId(0)], Pred::True, 3).unwrap();
-        let mut replayed = m.start_file(vec![NodeId(1)], Pred::True, 3).unwrap();
-        let mut spool = replayed.spool().unwrap();
-        let spool_path = spool.path.clone();
-        for row in &rows {
-            direct.push(row).unwrap();
-        }
-        for row in head {
-            replayed.push(row).unwrap();
-        }
-        for row in tail {
-            spool.push(row).unwrap();
-        }
-        assert!(spool_path.exists());
-        replayed.append(spool).unwrap();
-        assert!(!spool_path.exists(), "the spool is removed");
-        let empty = replayed.spool().unwrap();
-        replayed.append(empty).unwrap();
-        assert_eq!(replayed.nrows(), rows.len() as u64);
-        let direct = m.commit_file(direct, &mut stats).unwrap();
-        let replayed = m.commit_file(replayed, &mut stats).unwrap();
-        assert_eq!(
-            fs::read(path_of(&m, replayed)).unwrap(),
-            fs::read(path_of(&m, direct)).unwrap()
-        );
     }
 
     #[test]

@@ -382,19 +382,15 @@ proptest! {
 }
 
 /// Project the logical (deterministic) counters out of a stats record:
-/// everything except pipeline-shape counters (`sharded_file_scans`,
-/// `scan_blocks`, `scan_worker_rows_max`,
+/// everything except pipeline-shape counters (`scan_blocks`,
 /// `blocks_counted`, and `block_fallback_rows` legitimately differ
-/// between worker counts and between the batched kernel and the row
-/// path) and wall-clock timing (`scan_nanos`, `kernel_nanos`,
-/// `kernel_validate_nanos`, `kernel_accumulate_nanos`).
+/// between extent sizes and between the batched kernel and the row
+/// path) and wall-clock timing (`scan_nanos`, `kernel_validate_nanos`,
+/// `kernel_accumulate_nanos`).
 fn logical(s: &MiddlewareStats) -> MiddlewareStats {
     MiddlewareStats {
-        sharded_file_scans: 0,
         scan_blocks: 0,
         scan_nanos: 0,
-        scan_worker_rows_max: 0,
-        kernel_nanos: 0,
         blocks_counted: 0,
         block_fallback_rows: 0,
         kernel_validate_nanos: 0,
@@ -420,204 +416,70 @@ fn file_variant() -> scaleclass::config::MiddlewareConfigBuilder {
         .memory_caching(false)
 }
 
-/// The file-staged configurations the sharded-scan properties draw: one
-/// never-split file, or a hybrid one split as the frontier shrinks, with
-/// memory caching off so every staged-data scan reads a file.
-fn file_staged() -> impl Strategy<Value = FileStagingPolicy> {
-    prop::sample::select(vec![
-        FileStagingPolicy::Singleton,
-        FileStagingPolicy::Hybrid {
-            split_threshold: 0.5,
-        },
-    ])
-}
-
-fn file_staged_variant(policy: FileStagingPolicy) -> scaleclass::config::MiddlewareConfigBuilder {
-    MiddlewareConfig::builder()
-        .file_policy(policy)
-        .memory_caching(false)
-}
-
 proptest! {
-    /// TENTPOLE PROPERTY: a scan on sharded extent readers is
-    /// bit-identical to the serial scan — every node's counts table,
-    /// fallback flag, and all logical stats counters — for any worker
-    /// count in 2..8 and extents small enough to give every reader a
-    /// range. Drawn over file-staged configurations, so the children's
-    /// and grandchildren's rounds read a staged file, and some read it on
-    /// sharded readers; the server scan of the root counts on the session
-    /// thread at any worker count.
+    /// SATELLITE PROPERTY: a singleton-staged build reads its file extent
+    /// by extent through the one scan loop, and the extent size moves
+    /// nothing but the blocks: for extent sizes chosen so the last extent
+    /// is partial (they don't divide the row count evenly), every node's
+    /// counts table, fallback flag and logical stats equal a build at
+    /// 8192 rows per extent — all but `file_bytes_physical_written`, which
+    /// counts each extent's framing. Run both with memory caching off
+    /// (pure file scans) and on (the file scan also feeds the memory tee).
     #[test]
-    fn parallel_scan_is_bit_identical_to_serial(
+    fn file_scan_bit_identical_at_any_extent_size(
         rows in rows_strategy(),
-        workers in 2usize..8,
-        policy in file_staged(),
-    ) {
-        let build = || file_staged_variant(policy).stage_extent_rows(7);
-        let serial_cfg = build().scan_workers(1).build();
-        let par_cfg = build().scan_workers(workers).scan_block_rows(7).build();
-        let (serial_cc, serial_stats) = drive(&rows, serial_cfg);
-        let (par_cc, par_stats) = drive(&rows, par_cfg);
-        prop_assert_eq!(&par_cc, &serial_cc, "counts diverged at {} workers", workers);
-        prop_assert_eq!(
-            logical(&par_stats),
-            logical(&serial_stats),
-            "logical stats diverged at {} workers",
-            workers
-        );
-        // The root's file shares out extents to readers exactly when it
-        // has more than one; a file of one is read on the session thread.
-        prop_assert_eq!(serial_stats.sharded_file_scans, 0);
-        prop_assert_eq!(
-            par_stats.sharded_file_scans > 0,
-            rows.len() > 7,
-            "{} rows at {} workers, {:?}", rows.len(), workers, policy
-        );
-    }
-
-    /// REGRESSION PROPERTY: the same at any budget. A scan shards only
-    /// when its whole scan provably cannot reach the budget and counts
-    /// serially otherwise, so the §4.1.1 switch — and every eviction and
-    /// tee cancellation — fires exactly where the serial scan fires it,
-    /// never according to thread timing. And the proof is not vacuous:
-    /// whenever the budget clears a batch of all four of the root's
-    /// children — four times one node's most entries under the table's
-    /// certificate; no memory tee, with caching off — and the root's file
-    /// has more than one extent, some staged-file scan ran on sharded
-    /// readers. A file of one extent never shards.
-    #[test]
-    fn parallel_scan_is_bit_identical_to_serial_under_any_budget(
-        rows in rows_strategy(),
-        workers in 2usize..8,
-        budget in 64u64..5_000,
-        policy in file_staged(),
-    ) {
-        let card = |col: usize| rows.iter().map(|r| u64::from(r[col]) + 1).max().unwrap_or(0);
-        let entries = ((card(0) + card(1) + card(2)) * card(3)).min(3 * rows.len() as u64);
-        let cfg = |w: usize| {
-            file_staged_variant(policy)
-                .stage_extent_rows(7)
-                .memory_budget_bytes(budget)
-                .scan_workers(w)
-                .scan_block_rows(7)
-                .build()
-        };
-        let (serial_cc, serial_stats) = drive(&rows, cfg(1));
-        let (par_cc, par_stats) = drive(&rows, cfg(workers));
-        prop_assert_eq!(
-            &par_cc, &serial_cc,
-            "counts or fallback flags diverged at {} workers, budget {}", workers, budget
-        );
-        prop_assert_eq!(
-            logical(&par_stats),
-            logical(&serial_stats),
-            "logical stats diverged at {} workers, budget {}",
-            workers,
-            budget
-        );
-        if rows.len() <= 7 {
-            prop_assert_eq!(par_stats.sharded_file_scans, 0);
-        } else if 4 * entries * CC_ENTRY_BYTES <= budget {
-            prop_assert!(
-                par_stats.sharded_file_scans > 0,
-                "no scan was sharded at {} workers, budget {}, {:?}", workers, budget, policy
-            );
-        }
-    }
-
-    /// SATELLITE PROPERTY: the extent-sharded file scan — where each
-    /// reader thread owns a disjoint extent range and decodes locally —
-    /// is bit-identical to the serial extent loop for any worker
-    /// count in 2..8 and extent sizes chosen so the last extent is
-    /// partial (they don't divide the row count evenly). Run both with
-    /// memory caching off (pure file scans) and on (sharded readers also
-    /// produce the memory tee, whose byte order must match serial).
-    #[test]
-    fn extent_sharded_file_scan_bit_identical(
-        rows in rows_strategy(),
-        workers in 2usize..8,
         extent_rows in prop::sample::select(vec![3usize, 7, 13, 31, 61]),
     ) {
         for caching in [false, true] {
-            let build = || {
+            let build = |extent_rows: usize| {
                 MiddlewareConfig::builder()
                     .file_policy(FileStagingPolicy::Singleton)
                     .memory_caching(caching)
                     .stage_extent_rows(extent_rows)
+                    .build()
             };
-            let serial_cfg = build().scan_workers(1).build();
-            let sharded_cfg = build().scan_workers(workers).build();
-            let (serial_cc, serial_stats) = drive(&rows, serial_cfg);
-            let (sharded_cc, sharded_stats) = drive(&rows, sharded_cfg);
+            let unframed = |s: &MiddlewareStats| MiddlewareStats {
+                file_bytes_physical_written: 0,
+                ..logical(s)
+            };
+            let (whole_cc, whole_stats) = drive(&rows, build(8192));
+            let (cut_cc, cut_stats) = drive(&rows, build(extent_rows));
             prop_assert_eq!(
-                &sharded_cc,
-                &serial_cc,
-                "counts diverged: {} workers, extent_rows {}, caching {}",
-                workers,
+                &cut_cc,
+                &whole_cc,
+                "counts diverged: extent_rows {}, caching {}",
                 extent_rows,
                 caching
             );
             prop_assert_eq!(
-                logical(&sharded_stats),
-                logical(&serial_stats),
-                "logical stats diverged: {} workers, extent_rows {}, caching {}",
-                workers,
+                unframed(&cut_stats),
+                unframed(&whole_stats),
+                "logical stats diverged: extent_rows {}, caching {}",
                 extent_rows,
                 caching
             );
-            if !caching {
-                // With memory caching off every staged-data scan is
-                // file-backed, so the sharded reader path must engage —
-                // unless the root's file is one extent, which has nothing
-                // to share out.
-                prop_assert_eq!(
-                    sharded_stats.sharded_file_scans > 0,
-                    rows.len() > extent_rows,
-                    "{} rows, {} workers, extent_rows {}",
-                    rows.len(),
-                    workers,
-                    extent_rows
-                );
-            }
         }
     }
 
-    /// `MiddlewareStats` internal-consistency invariants hold for the same
-    /// workload regardless of worker count, and the logical counters are
-    /// identical across `scan_workers = 1` and `= 4`: on the memory-staging
-    /// path, which counts on the session thread either way, and on the
-    /// singleton-file path, whose file scans shard at four once the file
-    /// has more than one extent of 7 rows.
+    /// `MiddlewareStats` internal-consistency invariants hold on the
+    /// memory-staging path and on the singleton-file path, whose file
+    /// holds more than one extent of 7 rows once the table outgrows one.
     #[test]
     fn middleware_stats_consistent_across_worker_counts(rows in rows_strategy()) {
         let arity_bytes = (4 * CODE_BYTES) as u64;
 
         // Default config: children are mem-covered by the root's staged
         // set, so exactly the root's rows are staged into memory.
-        let runs: Vec<MiddlewareStats> = [1usize, 4]
-            .iter()
-            .map(|&w| drive(&rows, MiddlewareConfig::builder().scan_workers(w).build()).1)
-            .collect();
-        for s in &runs {
-            prop_assert_eq!(s.memory_rows_staged, rows.len() as u64);
-            prop_assert!(s.peak_memory_bytes >= s.memory_rows_staged * arity_bytes);
-            prop_assert_eq!(s.file_bytes_written, s.file_rows_written * arity_bytes);
-            prop_assert!(s.scan_rows >= rows.len() as u64);
-        }
-        prop_assert_eq!(logical(&runs[0]), logical(&runs[1]));
+        let s = drive(&rows, MiddlewareConfig::default()).1;
+        prop_assert_eq!(s.memory_rows_staged, rows.len() as u64);
+        prop_assert!(s.peak_memory_bytes >= s.memory_rows_staged * arity_bytes);
+        prop_assert_eq!(s.file_bytes_written, s.file_rows_written * arity_bytes);
+        prop_assert!(s.scan_rows >= rows.len() as u64);
 
         // Singleton-file staging: every root row lands in the staging file.
-        let file_runs: Vec<MiddlewareStats> = [1usize, 4]
-            .iter()
-            .map(|&w| drive(&rows, file_variant().stage_extent_rows(7).scan_workers(w).build()).1)
-            .collect();
-        for s in &file_runs {
-            prop_assert_eq!(s.file_rows_written, rows.len() as u64);
-            prop_assert_eq!(s.file_bytes_written, s.file_rows_written * arity_bytes);
-        }
-        prop_assert_eq!(logical(&file_runs[0]), logical(&file_runs[1]));
-        prop_assert_eq!(file_runs[0].sharded_file_scans, 0);
-        prop_assert_eq!(file_runs[1].sharded_file_scans > 0, rows.len() > 7);
+        let s = drive(&rows, file_variant().stage_extent_rows(7).build()).1;
+        prop_assert_eq!(s.file_rows_written, rows.len() as u64);
+        prop_assert_eq!(s.file_bytes_written, s.file_rows_written * arity_bytes);
     }
 }
 
@@ -625,34 +487,27 @@ proptest! {
     /// TENTPOLE PROPERTY: the dense flat-array counting backend is
     /// bit-identical to the sparse BTreeMap backend — every node's counts
     /// table, fallback flag, and all logical stats except the
-    /// backend-mix counters themselves — across serial and parallel scans
-    /// (workers 1..8) and both the memory-staging and singleton-file
-    /// paths. The builder's cap is the only thing that selects a backend
+    /// backend-mix counters themselves — on both the memory-staging and
+    /// singleton-file paths. The builder's cap is the only thing that selects a backend
     /// for a whole run, so each side pins its own.
     #[test]
-    fn dense_backend_bit_identical_to_sparse(
-        rows in rows_strategy(),
-        workers in 1usize..8,
-    ) {
+    fn dense_backend_bit_identical_to_sparse(rows in rows_strategy()) {
         for build in [MiddlewareConfig::builder, file_variant] {
             let dense_cfg = build()
-                .scan_workers(workers)
                 .scan_block_rows(7)
                 .cc_dense_max_bytes(1 << 20)
                 .build();
             let sparse_cfg = build()
-                .scan_workers(workers)
                 .scan_block_rows(7)
                 .cc_dense_max_bytes(0)
                 .build();
             let (dense_cc, dense_stats) = drive(&rows, dense_cfg);
             let (sparse_cc, sparse_stats) = drive(&rows, sparse_cfg);
-            prop_assert_eq!(&dense_cc, &sparse_cc, "counts diverged at {} workers", workers);
+            prop_assert_eq!(&dense_cc, &sparse_cc, "counts diverged");
             prop_assert_eq!(
                 backend_agnostic(&dense_stats),
                 backend_agnostic(&sparse_stats),
-                "logical stats diverged at {} workers",
-                workers
+                "logical stats diverged"
             );
             // The runs must actually have exercised different backends.
             prop_assert!(dense_stats.dense_nodes > 0, "dense run never went dense");
@@ -748,8 +603,8 @@ proptest! {
     /// TENTPOLE PROPERTY: the batched block-counting kernel is
     /// bit-identical to the row-at-a-time path — every node's counts
     /// table, fallback flag, and all logical stats — across sparse and
-    /// dense backends, memory- and file-staged scans, worker counts
-    /// {1, 2, 4, 8}, and extent sizes {1, 7, default}. Block counters are
+    /// dense backends, memory- and file-staged scans, and extent sizes
+    /// {1, 7, default}. Block counters are
     /// pipeline-shape (the kernel-off run never counts blocks), so only
     /// `logical` projections are compared; a kernel-off run must leave all
     /// four block counters untouched. Every cell must reach the kernel in
@@ -760,7 +615,6 @@ proptest! {
     #[test]
     fn batched_kernel_bit_identical_to_row_path(
         rows in rows_strategy(),
-        workers in prop::sample::select(vec![1usize, 2, 4, 8]),
         extent_rows in prop::sample::select(vec![1usize, 7, 8192]),
         dense_cap in prop::sample::select(vec![0u64, 1 << 20]),
     ) {
@@ -770,7 +624,6 @@ proptest! {
         ] {
             let cfg = |kernel: bool| {
                 build()
-                    .scan_workers(workers)
                     .scan_block_rows(7)
                     .stage_extent_rows(extent_rows)
                     .cc_dense_max_bytes(dense_cap)
@@ -782,8 +635,7 @@ proptest! {
             prop_assert_eq!(
                 &on_cc,
                 &off_cc,
-                "counts diverged: {} workers, extent_rows {}, dense_cap {}, mem {}",
-                workers,
+                "counts diverged: extent_rows {}, dense_cap {}, mem {}",
                 extent_rows,
                 dense_cap,
                 mem_path
@@ -791,8 +643,7 @@ proptest! {
             prop_assert_eq!(
                 logical(&on_stats),
                 logical(&off_stats),
-                "logical stats diverged: {} workers, extent_rows {}, dense_cap {}, mem {}",
-                workers,
+                "logical stats diverged: extent_rows {}, dense_cap {}, mem {}",
                 extent_rows,
                 dense_cap,
                 mem_path
@@ -804,11 +655,10 @@ proptest! {
             // The child and grandchild rounds scan staged data (memory
             // sets, or the never-split singleton file) with no tee
             // attached: blocks must have actually gone through the kernel
-            // in the `on` run, whatever the source and worker count.
+            // in the `on` run, whatever the source.
             prop_assert!(
                 on_stats.blocks_counted > 0,
-                "kernel on but no block was batch-counted ({} workers, mem {})",
-                workers,
+                "kernel on but no block was batch-counted (mem {})",
                 mem_path
             );
         }
@@ -858,15 +708,14 @@ proptest! {
     /// Raw kernel property: a dense table fed an arbitrary row stream is
     /// indistinguishable from a sparse one through every accessor —
     /// entry iteration order, per-attribute vectors, point counts,
-    /// modelled memory — and merging dense shards equals one serial pass.
-    /// So it stays when codes past the layout spill it mid-stream, when
-    /// counted rows are removed again (a row never counted is refused and
-    /// leaves both tables as they were), and when a sparse table is merged
-    /// into a dense one entry by entry.
+    /// modelled memory. So it stays when codes past the layout spill it
+    /// mid-stream, when counted rows are removed again (a row never
+    /// counted is refused and leaves both tables as they were), and when a
+    /// sparse table is loaded into a dense one entry by entry, as a SQL
+    /// fallback's aggregates are.
     #[test]
     fn dense_counts_table_matches_sparse_exactly(
         rows in rows_strategy(),
-        split in 0usize..200,
         escapes in prop::collection::vec((0usize..200, 0usize..4, 0u16..2), 0..3),
         removed in prop::collection::vec(any::<bool>(), 200),
     ) {
@@ -894,25 +743,10 @@ proptest! {
         prop_assert_eq!(dense.entries(), sparse.entries());
         prop_assert_eq!(dense.memory_bytes(), sparse.memory_bytes());
 
-        // Two dense shards merged = one serial dense pass.
-        let cut = split.min(rows.len());
-        let mut left = dense.fresh_like();
-        let mut right = dense.fresh_like();
-        for r in &rows[..cut] {
-            left.add_row(&r[..], &[0, 1, 2], 3);
-        }
-        for r in &rows[cut..] {
-            right.add_row(&r[..], &[0, 1, 2], 3);
-        }
-        left.merge(right);
-        prop_assert!(left.is_dense());
-        prop_assert_eq!(&left, &dense);
-        prop_assert_eq!(left.entries(), dense.entries());
         same_counts(&dense, &sparse)?;
 
-        // A sparse table merged into a dense one: an entry-by-entry bump.
-        let mut bumped = CountsTable::new_dense(&cards, 2);
-        bumped.merge(sparse.clone());
+        // A sparse table loaded into a dense one: an entry-by-entry bump.
+        let mut bumped = loaded(&cards, &sparse);
         prop_assert!(bumped.is_dense());
         prop_assert_eq!(&bumped, &sparse);
         prop_assert_eq!(bumped.entries(), sparse.entries());
@@ -935,8 +769,7 @@ proptest! {
         prop_assert_eq!(dense.is_dense(), mixed.iter().all(fits));
         prop_assert_eq!(&dense, &sparse);
         same_counts(&dense, &sparse)?;
-        let mut bumped = CountsTable::new_dense(&cards, 2);
-        bumped.merge(sparse.clone());
+        bumped = loaded(&cards, &sparse);
         prop_assert_eq!(bumped.is_dense(), mixed.iter().all(fits));
         prop_assert_eq!(&bumped, &sparse);
 
@@ -978,6 +811,17 @@ proptest! {
             prop_assert_eq!(dense.is_dense(), dense_was.is_dense());
         }
     }
+}
+
+/// A dense table over `cards` (two classes) loaded with `table`'s
+/// entries as aggregates, its totals taken from its first attribute.
+fn loaded(cards: &[(u16, u64)], table: &CountsTable) -> CountsTable {
+    let mut loaded = CountsTable::new_dense(cards, 2);
+    for ((attr, value, class), n) in table.iter() {
+        loaded.add_aggregate(attr, value, class, n);
+    }
+    loaded.set_totals_from_attr(0);
+    loaded
 }
 
 /// `count` agrees between two tables over every key of the

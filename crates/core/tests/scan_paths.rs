@@ -1,8 +1,6 @@
-//! The one scan loop, observed through the public API: what a session
-//! reports must not depend on which path — the serial loop on the session
-//! thread, or sharded extent readers of a staged file — carried the blocks
-//! from a source to the counts tables, and a damaged source is an error on
-//! both of them.
+//! The one scan loop, observed through the public API: it carries every
+//! source's blocks to the counts tables on the session thread, reports
+//! what it read, and a damaged source is an error.
 
 use scaleclass::config::MiddlewareConfigBuilder;
 use scaleclass::staging::StagedRows;
@@ -53,17 +51,16 @@ fn queue_children(s: &mut Session, rows: u16) {
     }
 }
 
-/// 8-row blocks and extents, on `workers` workers.
-fn pinned(workers: usize) -> MiddlewareConfigBuilder {
+/// 8-row blocks and extents.
+fn pinned() -> MiddlewareConfigBuilder {
     MiddlewareConfig::builder()
         .stage_extent_rows(8)
         .scan_block_rows(8)
-        .scan_workers(workers)
 }
 
 /// The root's data staged as one never-split extent file in `dir`.
-fn singleton_file(workers: usize, dir: &Path) -> MiddlewareConfig {
-    pinned(workers)
+fn singleton_file(dir: &Path) -> MiddlewareConfig {
+    pinned()
         .file_policy(FileStagingPolicy::Singleton)
         .memory_caching(false)
         .staging_dir(dir.to_path_buf())
@@ -78,86 +75,43 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 /// Satellite regression: a staged file cut inside its 16-byte header, or
 /// with a flipped magic byte, used to be taken for the headerless legacy
-/// format. It is `Corrupt`, on the serial loop and on sharded readers.
+/// format. It is `Corrupt`.
 #[test]
 fn damaged_staged_file_header_is_corrupt_on_every_scan_path() {
-    for workers in [1usize, 4] {
-        for damage in [Some(0usize), Some(8), Some(15), None] {
-            let dir = scratch_dir(&format!("damage-{workers}-{damage:?}"));
-            let mut s = session(40, singleton_file(workers, &dir));
-            serve_root_and_queue_children(&mut s, 40);
-            let staged: Vec<PathBuf> = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .collect();
-            assert_eq!(staged.len(), 1, "the root batch staged one file");
-            let mut bytes = std::fs::read(&staged[0]).unwrap();
-            match damage {
-                Some(len) => bytes.truncate(len),
-                None => bytes[0] ^= 0x20,
-            }
-            std::fs::write(&staged[0], &bytes).unwrap();
-
-            let before = *s.stats();
-            match s.process_next_batch() {
-                Err(MwError::Corrupt(msg)) => {
-                    assert!(
-                        msg.contains("header"),
-                        "{workers} workers, {damage:?}: {msg}"
-                    )
-                }
-                other => panic!("{workers} workers, {damage:?}: got {other:?}"),
-            }
-            assert_eq!(s.stats().file_rows_read, 0, "no row was served");
-            assert_eq!(s.stats().scan_rows, before.scan_rows, "no row was counted");
-            assert_eq!(s.stats().requests_served, before.requests_served);
-            drop(s);
-            std::fs::remove_dir_all(&dir).unwrap();
+    for damage in [Some(0usize), Some(8), Some(15), None] {
+        let dir = scratch_dir(&format!("damage-{damage:?}"));
+        let mut s = session(40, singleton_file(&dir));
+        serve_root_and_queue_children(&mut s, 40);
+        let staged: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(staged.len(), 1, "the root batch staged one file");
+        let mut bytes = std::fs::read(&staged[0]).unwrap();
+        match damage {
+            Some(len) => bytes.truncate(len),
+            None => bytes[0] ^= 0x20,
         }
+        std::fs::write(&staged[0], &bytes).unwrap();
+
+        let before = *s.stats();
+        match s.process_next_batch() {
+            Err(MwError::Corrupt(msg)) => {
+                assert!(msg.contains("header"), "{damage:?}: {msg}")
+            }
+            other => panic!("{damage:?}: got {other:?}"),
+        }
+        assert_eq!(s.stats().file_rows_read, 0, "no row was served");
+        assert_eq!(s.stats().scan_rows, before.scan_rows, "no row was counted");
+        assert_eq!(s.stats().requests_served, before.requests_served);
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
-/// A server scan and a memory-set scan count on the session thread at any
-/// `scan_workers`: four workers leave every counter but the four timing
-/// ones where one worker leaves it — the block counters included — start
-/// no extent reader, and build the same tables.
-#[test]
-fn server_and_memory_scans_start_no_thread() {
-    let run = |workers: usize| {
-        let mut s = session(40, pinned(workers).build());
-        let root = s.root_request(NodeId(0));
-        s.enqueue(root).unwrap();
-        let mut tables = BTreeMap::new();
-        for f in s.process_next_batch().unwrap() {
-            tables.insert(f.node.0, (*f.cc).clone());
-        }
-        queue_children(&mut s, 40);
-        for f in s.process_next_batch().unwrap() {
-            tables.insert(f.node.0, (*f.cc).clone());
-        }
-        (*s.stats(), tables)
-    };
-    let untimed = |s: MiddlewareStats| MiddlewareStats {
-        scan_nanos: 0,
-        kernel_nanos: 0,
-        kernel_validate_nanos: 0,
-        kernel_accumulate_nanos: 0,
-        ..s
-    };
-    let (serial, serial_tables) = run(1);
-    let (four, four_tables) = run(4);
-    assert_eq!((serial.server_scans, serial.memory_scans), (1, 1));
-    assert_eq!(serial_tables.len(), 5, "the root and its four children");
-    assert_eq!(untimed(four), untimed(serial));
-    assert_eq!(four.blocks_counted, serial.blocks_counted);
-    assert_eq!(four.scan_worker_rows_max, 0, "no reader counted a row");
-    assert_eq!(four.sharded_file_scans, 0);
-    assert_eq!(four_tables, serial_tables);
-}
-
 /// Satellite regression: `scan_blocks` counts the blocks the scan loop read
-/// from its source (it used to stay 0 on every serial scan), so both paths
-/// report one number for one source — and one full read of a file.
+/// from its source (it used to stay 0 on every serial scan), and the
+/// reader stats one full read of a file.
 #[test]
 fn scan_blocks_and_reader_stats_agree_across_scan_paths() {
     let run = |config: MiddlewareConfig| -> (MiddlewareStats, ScanStats) {
@@ -167,7 +121,7 @@ fn scan_blocks_and_reader_stats_agree_across_scan_paths() {
         assert_eq!(out.iter().map(|f| f.cc.total()).sum::<u64>(), 40);
         (*s.stats(), s.scan_stats().clone())
     };
-    let (serial, _) = run(pinned(1).build());
+    let (serial, _) = run(pinned().build());
     assert_eq!(serial.memory_scans, 1);
     assert_eq!(
         serial.scan_blocks, 10,
@@ -175,23 +129,18 @@ fn scan_blocks_and_reader_stats_agree_across_scan_paths() {
     );
 
     let dir = scratch_dir("scan-blocks");
-    let (serial, serial_io) = run(singleton_file(1, &dir));
-    let (sharded, sharded_io) = run(singleton_file(4, &dir));
+    let (serial, serial_io) = run(singleton_file(&dir));
     assert_eq!(serial.file_scans, 1);
     assert_eq!(serial.scan_blocks, 10, "40 server rows / 8 + 5 extents");
-    assert_eq!(sharded.scan_blocks, serial.scan_blocks);
-    assert_eq!(sharded.sharded_file_scans, 1);
     assert!(
         serial.blocks_counted > 0,
         "serial file scans reach the kernel"
     );
     // The header, 5 extents of framing, 40 rows of 3 codes.
     let file_bytes = 16 + 5 * 16 + 40 * (3 * CODE_BYTES) as u64;
-    for io in [&serial_io, &sharded_io] {
-        assert_eq!(io.total_read_bytes(), file_bytes);
-        assert_eq!(io.total_rows(), 40);
-        assert_eq!(io.workers.iter().map(|w| w.extents).sum::<u64>(), 5);
-    }
+    assert_eq!(serial_io.total_read_bytes(), file_bytes);
+    assert_eq!(serial_io.total_rows(), 40);
+    assert_eq!(serial_io.workers.iter().map(|w| w.extents).sum::<u64>(), 5);
     assert_eq!(serial_io.workers.len(), 1, "the serial loop is reader 0");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -308,16 +257,15 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
 /// node for every row of the block, sent the rest down the row path — and
 /// no test could tell. On a build shaped like the benchmark's `staged-mem`
 /// (memory staging, budget 3 x data) and one shaped like `staged-file`
-/// (hybrid split files, file tees), serial and on four workers: no block
-/// falls back to rows, and everything the tees wrote is byte-identical to
-/// what the row path writes.
+/// (hybrid split files, file tees): no block falls back to rows, and
+/// everything the tees wrote is byte-identical to what the row path
+/// writes.
 ///
 /// The `staged-file` shape runs at 1, 7, 512 and 8192 rows per extent
 /// (blocks stay 512 rows): an extent stays in columns from the file to the
-/// kernel and from the kernel's selections to the files its tees write, on
-/// the serial loop and on sharded readers — batches that write a hybrid
-/// split file included, whose readers spool it. All of them must read the
-/// same bytes of the same files.
+/// kernel and from the kernel's selections to the files its tees write —
+/// batches that write a hybrid split file included. All of them must read
+/// the same bytes of the same files.
 #[test]
 fn the_block_kernel_engages_and_serves_the_tees() {
     let row_bytes = 7 * CODE_BYTES as u64;
@@ -346,19 +294,18 @@ fn the_block_kernel_engages_and_serves_the_tees() {
     ];
     for (shape, builder, extent_sizes) in shapes {
         for &extent_rows in extent_sizes {
-            let run = |workers: usize, kernel: bool| {
+            let run = |kernel: bool| {
                 let config = builder
                     .clone()
                     .cc_dense_max_bytes(scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES)
                     .stage_extent_rows(extent_rows)
                     .scan_block_rows(512)
-                    .scan_workers(workers)
                     .batch_kernel(kernel)
                     .build();
                 three_level_build(config, &[])
             };
             let shape = format!("{shape} at {extent_rows} rows per extent");
-            let reference = run(1, false);
+            let reference = run(false);
             assert_eq!(reference.counts.len(), 85, "{shape}: 1 + 4 + 16 + 64 nodes");
             assert_eq!(reference.stats.blocks_counted, 0, "{shape}: kernel off");
             assert_eq!(
@@ -385,34 +332,21 @@ fn the_block_kernel_engages_and_serves_the_tees() {
                 16 * reference.stats.file_scans + 16 * extents + io.total_rows() * row_bytes,
                 "{shape}: bytes read = sizes of the files scanned"
             );
-            for workers in [1usize, 4] {
-                let on = run(workers, true);
-                let what = format!("{shape}, {workers} worker(s)");
-                assert!(on.stats.blocks_counted > 0, "{what}: the kernel ran");
-                assert_eq!(on.stats.block_fallback_rows, 0, "{what}: on every row");
-                assert_eq!(on.stats.sql_fallbacks, 0, "{what}");
-                if workers == 4 && !shape.starts_with("staged-mem") {
-                    // The budget clears every file batch's proof
-                    // (DESIGN.md §8a), tight as it is.
-                    let sharded = on.stats.sharded_file_scans;
-                    assert!(sharded > 0, "{what}: sharded readers ran");
-                    assert_eq!(
-                        on.stats.file_scans, sharded,
-                        "{what}: split-file batches shard too"
-                    );
-                }
-                assert_eq!(on.counts, reference.counts, "{what}: counts");
-                assert_eq!(on.mem_sets, reference.mem_sets, "{what}: memory-set rows");
-                assert_eq!(on.files, reference.files, "{what}: staged-file bytes");
-                assert_eq!(on.stats.scan_rows, reference.stats.scan_rows, "{what}");
-                assert_eq!(on.stats.file_scans, reference.stats.file_scans, "{what}");
-                let on_extents: u64 = on.scan.workers.iter().map(|w| w.extents).sum();
-                assert_eq!(
-                    (on.scan.total_read_bytes(), on.scan.total_rows(), on_extents),
-                    (io.total_read_bytes(), io.total_rows(), extents),
-                    "{what}: reader bytes, rows, extents"
-                );
-            }
+            let on = run(true);
+            assert!(on.stats.blocks_counted > 0, "{shape}: the kernel ran");
+            assert_eq!(on.stats.block_fallback_rows, 0, "{shape}: on every row");
+            assert_eq!(on.stats.sql_fallbacks, 0, "{shape}");
+            assert_eq!(on.counts, reference.counts, "{shape}: counts");
+            assert_eq!(on.mem_sets, reference.mem_sets, "{shape}: memory-set rows");
+            assert_eq!(on.files, reference.files, "{shape}: staged-file bytes");
+            assert_eq!(on.stats.scan_rows, reference.stats.scan_rows, "{shape}");
+            assert_eq!(on.stats.file_scans, reference.stats.file_scans, "{shape}");
+            let on_extents: u64 = on.scan.workers.iter().map(|w| w.extents).sum();
+            assert_eq!(
+                (on.scan.total_read_bytes(), on.scan.total_rows(), on_extents),
+                (io.total_read_bytes(), io.total_rows(), extents),
+                "{shape}: reader bytes, rows, extents"
+            );
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -431,7 +365,7 @@ fn the_block_kernel_engages_and_serves_the_tees() {
 fn an_out_of_layout_code_sends_only_the_nodes_it_escapes_down_the_row_path() {
     let row_bytes = 7 * CODE_BYTES as u64;
     let run = |kernel: bool, extra: &[Code]| {
-        let config = pinned(1)
+        let config = pinned()
             .memory_budget_bytes(3 * (ROWS + 1) * row_bytes)
             .memory_caching(true)
             .file_policy(FileStagingPolicy::Disabled)
@@ -476,7 +410,7 @@ fn an_out_of_layout_code_sends_only_the_nodes_it_escapes_down_the_row_path() {
 fn crc_damage_mid_file_stops_the_serial_scan_at_that_extent() {
     for damaged in [false, true] {
         let dir = scratch_dir(&format!("mid-crc-{damaged}"));
-        let config = pinned(1)
+        let config = pinned()
             .file_policy(FileStagingPolicy::Hybrid {
                 split_threshold: 0.5,
             })

@@ -229,7 +229,7 @@ pub const AMPLE_BUDGET: u64 = 64 << 20;
 /// what no hand-written sweep pins together (deltas × shared catalog ×
 /// tight budget):
 ///
-/// * scan workers {1, 2, 4, 8}, and {1, 4} sessions over one backend;
+/// * {1, 4} sessions over one backend;
 /// * shared staging, deltas and memory caching, each on or off;
 /// * file staging off, per-node, singleton or hybrid;
 /// * extent rows {1, 7, 8192}, scan blocks of {7, 4096} rows (seven
@@ -248,7 +248,6 @@ pub fn config_matrix() -> impl Strategy<Value = MiddlewareConfig> {
         },
     ];
     let paths = (
-        prop::sample::select(vec![1usize, 2, 4, 8]),
         prop::sample::select(vec![1usize, 4]),
         any::<bool>(),
         any::<bool>(),
@@ -265,12 +264,11 @@ pub fn config_matrix() -> impl Strategy<Value = MiddlewareConfig> {
     let batch_nodes = prop::sample::select(vec![None, Some(1), Some(2)]);
     (paths, layout, batch_nodes).prop_map(
         |(
-            (workers, sessions, shared, deltas, caching),
+            (sessions, shared, deltas, caching),
             (file_policy, extent_rows, block_rows, dense_cap, ample, tight),
             batch_nodes,
         )| {
             MiddlewareConfig::builder()
-                .scan_workers(workers)
                 .sessions(sessions)
                 .shared_staging(shared)
                 .deltas(deltas)

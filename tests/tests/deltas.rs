@@ -277,28 +277,24 @@ fn fixed_stream(cards: &[u16]) -> Vec<Vec<Mutation>> {
 }
 
 /// The full configuration matrix of the acceptance criteria: sparse and
-/// dense CC backends × memory and file staging × scan workers 1/2/4/8.
+/// dense CC backends × memory and file staging.
 #[test]
 fn equivalence_across_backend_staging_worker_matrix() {
     let cards = vec![3u16, 3, 2, 4, 2];
     let initial = base_rows(&cards, 10);
     let stream = fixed_stream(&cards);
-    for workers in [1usize, 2, 4, 8] {
-        for dense in [false, true] {
-            for file_staging in [false, true] {
-                let mut b = MiddlewareConfig::builder()
-                    .deltas(true)
-                    .scan_workers(workers)
-                    .cc_dense_max_bytes(if dense { 1 << 30 } else { 0 });
-                if file_staging {
-                    b = b
-                        .memory_caching(false)
-                        .file_policy(FileStagingPolicy::PerNode);
-                }
-                let context =
-                    format!("workers={workers} dense={dense} file_staging={file_staging}");
-                run_scenario(b.build(), &cards, &initial, &stream, &context);
+    for dense in [false, true] {
+        for file_staging in [false, true] {
+            let mut b = MiddlewareConfig::builder()
+                .deltas(true)
+                .cc_dense_max_bytes(if dense { 1 << 30 } else { 0 });
+            if file_staging {
+                b = b
+                    .memory_caching(false)
+                    .file_policy(FileStagingPolicy::PerNode);
             }
+            let context = format!("dense={dense} file_staging={file_staging}");
+            run_scenario(b.build(), &cards, &initial, &stream, &context);
         }
     }
 }
@@ -703,17 +699,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random mutation streams preserve from-scratch equivalence, with
-    /// the config (backend, staging, workers) itself randomized.
+    /// the config (backend, staging) itself randomized.
     #[test]
     fn random_streams_match_rebuild(
         (cards, initial, stream) in dataset_and_stream(),
-        workers in 1usize..=4,
         dense in any::<bool>(),
         file_staging in any::<bool>(),
     ) {
         let mut b = MiddlewareConfig::builder()
             .deltas(true)
-            .scan_workers(workers)
             .cc_dense_max_bytes(if dense { 1 << 30 } else { 0 });
         if file_staging {
             b = b.memory_caching(false).file_policy(FileStagingPolicy::PerNode);
