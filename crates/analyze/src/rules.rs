@@ -24,13 +24,12 @@
 //!   no slice indexing inside loop bodies, in the scan-path modules
 //!   (`cc.rs`, `executor.rs`, `session.rs`, `source.rs`),
 //!   and *function-scoped* over the compiled predicates in
-//!   `crates/sqldb/src/expr.rs` — the middleware's router (`route`,
-//!   `for_each_match`, `walk`, `sub`, and the block router's
-//!   `route_block`, `partition`, `filter`, `arena_split`, `position`,
-//!   `ColumnView::get`, `BlockRoute::{mark_matched, matched}`) and the
-//!   server's page filter (`PageFilter::{compile, select}`, `narrow`):
-//!   the per-row and per-block loops of every scan on both sides of the
-//!   wire — over the server's page scans, fetch loop, wire marshalling and page-at-a-time DML (`storage.rs`,
+//!   `crates/sqldb/src/expr.rs` — the middleware's block router
+//!   (`route_block`, `partition`, `filter`, `arena_split`, `sub`,
+//!   `position`, `ColumnView::get`, `BlockRoute::{mark_matched,
+//!   matched}`) and the server's page filter (`PageFilter::{compile,
+//!   select}`, `narrow`): the per-block and per-page loops of every scan
+//!   on both sides of the wire — over the server's page scans, fetch loop, wire marshalling and page-at-a-time DML (`storage.rs`,
 //!   `page.rs`, `cursor.rs`, `wire.rs`), and over the staged-file byte
 //!   path in
 //!   `crates/core/src/staging.rs` (the checksum's dispatch `crc32`,
@@ -197,8 +196,8 @@ const ARITH_SCOPED: [(&str, &[&str]); 1] = [(
 )];
 
 /// Function-scoped hot-path-panic extensions, as [`ARITH_SCOPED`]: the
-/// compiled predicate router is the middleware's per-row (row path) and
-/// per-block loop of every scan, the page filter the server's per-page
+/// compiled predicate router is the middleware's per-block loop of every
+/// scan, the page filter the server's per-page
 /// one, the server cursor's fetch loop and the wire's marshalling are the per-page and per-fetch loops
 /// of every server scan — `DELETE` and `UPDATE` find their rows with that
 /// same page filter and then compact or assign a run of rows at a time, so
@@ -217,12 +216,9 @@ const PANIC_SCOPED: [(&str, &[&str]); 9] = [
     (
         "crates/sqldb/src/expr.rs",
         &[
-            "route",
-            "for_each_match",
-            "walk",
-            "sub",
             // The block router: one partition per trie node per block.
             "route_block",
+            "sub",
             "partition",
             "filter",
             "arena_split",

@@ -112,7 +112,7 @@ fn hot_path_panic_fires_on_each_pattern() {
 #[test]
 fn hot_path_panic_is_fn_scoped_in_the_router() {
     let rel = "crates/sqldb/src/expr.rs";
-    // Only the router's walk fns are in scope: the same constructs in the
+    // Only the router's fns are in scope: the same constructs in the
     // AST helpers beside them (never on a scan path) must not fire.
     let src = "impl Pred {\n\
                pub fn and(preds: Vec<Pred>) -> Pred {\n\
@@ -120,7 +120,7 @@ fn hot_path_panic_is_fn_scoped_in_the_router() {
                }\n\
                }\n\
                impl PredSet {\n\
-               fn walk(&self, mut at: u32) {\n\
+               fn route_block(&self, mut at: u32) {\n\
                loop {\n\
                let test = &self.tests[at as usize];\n\
                at = test.next.unwrap();\n\
@@ -138,7 +138,7 @@ fn hot_path_panic_is_fn_scoped_in_the_router() {
     assert_eq!(
         fired(&report),
         vec![
-            (RULE_HOT_PATH_PANIC, 9),  // tests[at] inside the walk loop
+            (RULE_HOT_PATH_PANIC, 9),  // tests[at] inside the router's loop
             (RULE_HOT_PATH_PANIC, 10), // .unwrap()
             (RULE_HOT_PATH_PANIC, 16), // free[kept] inside the block router's pass
         ]

@@ -59,18 +59,12 @@ const DENSE_SLOT_BYTES: u64 = 8;
 /// Key of one counts-table entry.
 pub type CcKey = (u16, Code, Code); // (attr column, value, class)
 
-/// Telemetry from one [`CountsTable::add_block`] call.
-///
-/// `fallback_rows` is all-or-nothing: either the whole block went through
-/// the vectorized path (`0`) or every row of the block was re-routed
-/// through the exact row-at-a-time path (`block rows`). The nano fields
+/// Telemetry from one [`CountsTable::add_block`] call. The nano fields
 /// split the kernel time into the hoisted validation scan and the
 /// accumulate loops (class totals included); both are wall-clock timing
 /// and are excluded from determinism comparisons.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockOutcome {
-    /// Rows counted through the per-row fallback path (0 or the block's rows).
-    pub fallback_rows: u64,
     /// Nanoseconds spent in the hoisted range-validation max-scan.
     pub validate_nanos: u64,
     /// Nanoseconds spent in the kernel proper: reading the codes in place
@@ -515,11 +509,11 @@ impl CountsTable {
     /// read, so other entries may be empty), all of the block's row count.
     /// Equivalent to calling [`add_row`](Self::add_row) once per block
     /// row, in row order — the dense backend takes one max-scan per read
-    /// column, asks `covers` of those maxima as a scan asks it of its
-    /// certificate, and then runs the block kernel the executor's scans
-    /// run, over every row; any out-of-range code makes
-    /// the whole block fall back to the exact row path so the
-    /// spill-to-sparse point is unchanged.
+    /// column and asks `covers` of those maxima as a scan asks it of its
+    /// certificate; when some code escapes the layout it spills to sparse
+    /// first, which ends with the entries, class totals and total a spill
+    /// at that code's row ends with. Then the block kernel the executor's
+    /// scans run counts every row.
     ///
     /// # Panics
     ///
@@ -553,22 +547,10 @@ impl CountsTable {
                     *max = col.iter().copied().max().unwrap_or(0);
                 }
             }
-            let covered = self.covers(&col_max, attrs, class_col);
-            out.validate_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if !covered {
-                // All-or-nothing fallback: no slot was touched, so the row
-                // replay spills at exactly the row the row path would.
-                out.fallback_rows = u64::from(nrows);
-                let mut row = vec![0; cols.len()];
-                for r in 0..class.len() {
-                    // Columns no count reads may be empty: they read as 0.
-                    for (code, col) in row.iter_mut().zip(cols) {
-                        *code = col.get(r).copied().unwrap_or(0);
-                    }
-                    self.add_row(&row, attrs, class_col);
-                }
-                return out;
+            if !self.covers(&col_max, attrs, class_col) {
+                self.spill_to_sparse();
             }
+            out.validate_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
         let t0 = Instant::now();
         // The assert above proved every read column `nrows` codes long.
@@ -662,9 +644,9 @@ impl CountsTable {
     /// to spill); for a dense one, [`DenseLayout::covers`]. This is the
     /// precondition of [`block_growth_bound`](Self::block_growth_bound)'s
     /// free-slot cap and of [`add_rows`](Self::add_rows); a scan settles
-    /// it once per node when it certifies, and while it fails every block
-    /// selecting rows for the node takes the row path whole, so the spill
-    /// fires at the row it always did.
+    /// it once per node when it certifies, and while it fails every row
+    /// the node selects takes the executor's exact one-row step, so the
+    /// spill fires at the row it always did.
     pub(crate) fn covers(&self, col_max: &[Code], attrs: &[u16], class_col: u16) -> bool {
         match &self.repr {
             CcRepr::Dense(d) => d.layout.covers(col_max, attrs, class_col),
@@ -679,8 +661,8 @@ impl CountsTable {
     /// create more entries than it has empty slots — **provided no code of
     /// those rows falls outside its layout**, since a spill to sparse can
     /// mint entries the slot array has no room for. Callers establish that
-    /// with `covers` first and send a block that fails it
-    /// down the exact per-row path. Budget checkpoints use the bound to
+    /// with `covers` first and count the rows of a table that fails it one
+    /// at a time. Budget checkpoints use the bound to
     /// decide whether a whole block can be counted with no chance of
     /// crossing the memory budget mid-block.
     pub fn block_growth_bound(&self, rows: u64, n_attrs: usize) -> u64 {
@@ -1671,10 +1653,10 @@ mod tests {
         cols
     }
 
-    fn block_into(cc: &mut CountsTable, rows: &[[Code; 3]]) -> BlockOutcome {
+    fn block_into(cc: &mut CountsTable, rows: &[[Code; 3]]) {
         let cols = cols_of(rows);
         let refs: Vec<&[Code]> = cols.iter().map(Vec::as_slice).collect();
-        cc.add_block(&refs, 2, &[0, 1])
+        cc.add_block(&refs, 2, &[0, 1]);
     }
 
     #[test]
@@ -1689,8 +1671,7 @@ mod tests {
             [2, 3, 1],
         ];
         let mut sparse = CountsTable::new();
-        let out = block_into(&mut sparse, &rows);
-        assert_eq!(out.fallback_rows, 0);
+        block_into(&mut sparse, &rows);
         assert_eq!(sparse, table_from(&rows));
         assert_eq!(
             sparse.class_distribution().collect::<Vec<_>>(),
@@ -1698,8 +1679,7 @@ mod tests {
         );
 
         let mut dense = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
-        let out = block_into(&mut dense, &rows);
-        assert_eq!(out.fallback_rows, 0);
+        block_into(&mut dense, &rows);
         assert!(dense.is_dense(), "in-range block keeps the dense form");
         assert_eq!(dense, dense_from(&rows));
         assert_eq!(dense.entries(), dense_from(&rows).entries());
@@ -1720,12 +1700,11 @@ mod tests {
     #[test]
     fn add_block_fallback_spills_exactly_like_the_row_path() {
         // Value 7 in the middle of the block exceeds cardinality 4: the
-        // dense block pass must touch no slot and replay rows, spilling
-        // at the same row the per-row path would.
+        // dense block pass spills before it counts, and ends where the
+        // per-row path, spilling at that row, ends.
         let rows: Vec<[Code; 3]> = vec![[0, 0, 0], [1, 1, 1], [7, 0, 0], [2, 3, 1]];
         let mut dense = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
-        let out = block_into(&mut dense, &rows);
-        assert_eq!(out.fallback_rows, rows.len() as u64, "all-or-nothing");
+        block_into(&mut dense, &rows);
         assert!(!dense.is_dense(), "out-of-range code forces the spill");
         let mut rowwise = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
         for row in &rows {
@@ -1739,8 +1718,7 @@ mod tests {
         );
         // Out-of-range class code trips the same contract.
         let mut d2 = CountsTable::new_dense(&[(0, 4), (1, 4)], 2);
-        let out = block_into(&mut d2, &[[0, 0, 0], [1, 1, 5]]);
-        assert_eq!(out.fallback_rows, 2);
+        block_into(&mut d2, &[[0, 0, 0], [1, 1, 5]]);
         assert!(!d2.is_dense());
         assert_eq!(d2.total(), 2);
     }

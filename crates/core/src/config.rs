@@ -134,15 +134,6 @@ pub struct MiddlewareConfig {
     /// stats depend on sibling timing, so the deterministic bit-identity
     /// suites keep it off.
     pub shared_staging: bool,
-    /// Count whole column blocks through the batched kernel
-    /// (`CountsTable::add_rows`, from the executor's `BlockPass::count`)
-    /// instead of one row at a time. Always on
-    /// outside tests and benchmarks: the builder can pin the bit-identical
-    /// row-at-a-time path (counts, spills, budget checkpoints, and stats
-    /// other than the block counters are unchanged either way — see
-    /// DESIGN.md §12) as the reference the batched≡row properties compare
-    /// against.
-    pub batch_kernel: bool,
     /// Incremental model maintenance over mutation deltas (DESIGN.md §15).
     /// When on, the session enables the server-side delta log for its
     /// table at open, staged artifacts and shared-catalog entries are
@@ -190,7 +181,6 @@ impl Default for MiddlewareConfig {
             cc_dense_max_bytes: DEFAULT_CC_DENSE_MAX_BYTES,
             sessions: 1,
             shared_staging: false,
-            batch_kernel: true,
             deltas: false,
         }
     }
@@ -346,9 +336,22 @@ impl MiddlewareConfigBuilder {
         self
     }
 
-    /// Batched block-counting kernel vs the row-at-a-time path.
-    pub fn batch_kernel(mut self, on: bool) -> Self {
-        self.config.batch_kernel = on;
+    /// Retired with the row-at-a-time counting path (DESIGN.md §12): every
+    /// block is counted through the kernel, a range that misses its gate
+    /// halved down to the exact one-row step, and this sets nothing. Only
+    /// `benchmark/` still calls it, with `true`; ROADMAP item 1(g) removes
+    /// that call, after which a change that touches only `crates/` deletes
+    /// the method.
+    ///
+    /// # Panics
+    ///
+    /// On `false`, so a caller that still asks for the row path fails
+    /// loudly instead of getting the kernel.
+    pub fn batch_kernel(self, on: bool) -> Self {
+        assert!(
+            on,
+            "the row-at-a-time counting path was removed; only true is accepted"
+        );
         self
     }
 
@@ -408,7 +411,6 @@ mod tests {
             cc_dense_max_bytes,
             sessions,
             shared_staging,
-            batch_kernel,
             deltas,
         } = MiddlewareConfig::default();
         assert_eq!(memory_budget_bytes, 64 << 20);
@@ -428,7 +430,6 @@ mod tests {
         assert_eq!(cc_dense_max_bytes, DEFAULT_CC_DENSE_MAX_BYTES);
         assert_eq!(sessions, 1);
         assert!(!shared_staging);
-        assert!(batch_kernel);
         assert!(!deltas);
     }
 
@@ -528,10 +529,18 @@ mod tests {
 
     #[test]
     fn batch_kernel_knob() {
-        let c = MiddlewareConfig::builder().batch_kernel(false).build();
-        assert!(!c.batch_kernel, "builder can pin the row path");
         let c = MiddlewareConfig::builder().batch_kernel(true).build();
-        assert!(c.batch_kernel);
+        assert_eq!(
+            format!("{c:?}"),
+            format!("{:?}", MiddlewareConfig::default()),
+            "every field stays at its default"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row-at-a-time counting path was removed")]
+    fn batch_kernel_refuses_the_row_path() {
+        let _ = MiddlewareConfig::builder().batch_kernel(false);
     }
 
     #[test]

@@ -27,31 +27,34 @@
 //! block. The staging tees are served from the same selection vectors,
 //! in row order: a file tee gathers each column of the selection straight
 //! into the extent it is writing (`FileWriter::push_selected`), a memory
-//! tee appends rows. Only where a single row is the unit — the row-path
-//! fallback below — does a row walk the router on its own.
+//! tee appends rows.
 //!
-//! The block path engages when `memory_in_use + Σ bound_n ≤ budget`,
-//! where `bound_n` is the worst the node's selection can add to modelled
-//! memory ([`CountsTable::block_growth_bound`] over its selected rows,
-//! plus the selected rows themselves for a memory tee). Under that gate no
-//! eviction, §4.1.1 fallback or tee cancellation can fire anywhere inside
-//! the block on *either* path, and modelled memory only grows, so counting
-//! node by node instead of row by row ends in the identical state and
-//! observing memory once per block sees the per-row maximum. The bound's
-//! free-slot cap assumes no spill, i.e. no code outside a dense table's
-//! layout: the scan proves that once per node, against the source table's
-//! range certificate (`Table::col_max`, which bounds every copy of its
-//! rows), not per block. A block that does not clear the gate, or selects
-//! rows for a node whose layout the certificate escapes, takes
-//! [`BatchCounter::process_row`] per row, as does every block when the
-//! kernel is switched off — with identical results (DESIGN.md §12).
+//! **The gate.** The routed block is counted as a row range, at first
+//! all of it. A range goes through the kernel and the tees at once when
+//! `memory_in_use + Σ bound_n ≤ budget`, where `bound_n` is the worst the
+//! node's selection within the range can add to modelled memory
+//! ([`CountsTable::block_growth_bound`] over those rows, plus the rows
+//! themselves for a memory tee). Under that gate no eviction, §4.1.1
+//! fallback or tee cancellation can fire anywhere inside the range, and
+//! modelled memory only grows, so counting node by node instead of row by
+//! row ends in the identical state and observing memory once per range
+//! sees the per-row maximum. The bound's free-slot cap assumes no spill,
+//! i.e. no code outside a dense table's layout: the scan proves that once
+//! per node, against the source table's range certificate
+//! (`Table::col_max`, which bounds every copy of its rows), not per block;
+//! a range holding a row of a node whose layout the certificate escapes
+//! misses. A range that misses is halved, and each half is gated again,
+//! in row order, against the memory in use by then; a single row that
+//! misses takes the exact step, where §4.1.1's events fire at the row they
+//! belong to — with results identical to counting row by row (DESIGN.md
+//! §12).
 //!
 //! When predicates overlap (never within one tree frontier) a row counts
 //! into every node it satisfies, in ascending node order.
 //!
 //! **Planned nodes.** A node the batch plans to serve from its parent's
 //! table (`crate::siblings::Plan`, DESIGN.md §12b) is routed and teed like
-//! any other, but the kernel and the row path count only its rows of the
+//! any other, but the kernel and the exact step count only its rows of the
 //! classes the plan counts; `BatchCounter::derive` takes every other class
 //! after the scan — from the parent's table less the sibling's, which
 //! counted it, or from the parent's alone. A node counting none of the
@@ -86,6 +89,7 @@ use crate::siblings::{EntryBound, Plan};
 use crate::staging::{CodeWidth, FileWriter, MemRows};
 use scaleclass_sqldb::types::Code;
 use scaleclass_sqldb::{BlockRoute, ColumnView, Pred, PredSet};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Counting state for one scheduled node during a scan.
@@ -225,12 +229,8 @@ pub struct BatchCounter {
     /// on its source, which the scan routes only to keep their rows: it
     /// neither counts nor tees them.
     router: PredSet,
-    /// Reusable per-row route output — hoisted out of `process_row` so
-    /// the hot loop never allocates.
-    matched: Vec<usize>,
-    /// Count whole blocks through the route-then-count pass when possible
-    /// (`MiddlewareConfig::batch_kernel`); off pins the row path.
-    pub(crate) batch_kernel: bool,
+    /// The exact step's scratch: the row's codes.
+    row: Vec<Code>,
     /// Reusable selection/tally scratch of the block pass.
     pass: BlockPass,
     /// The source table's mutation epoch when the scan was certified.
@@ -252,14 +252,10 @@ pub(crate) trait Block {
         // Selections are minted over this block's rows.
         out.extend(sel.iter().map(|&r| codes.get(r)));
     }
-    /// Hand each selected row — every row for `None` — to `f`, rows
-    /// ascending: the one place a block is taken apart into rows, for the
-    /// row-major tees and for a block that must take the row path.
-    fn for_each_row(
-        &mut self,
-        sel: Option<&[u32]>,
-        f: impl FnMut(&[Code]) -> MwResult<()>,
-    ) -> MwResult<()>;
+    /// Hand each selected row to `f`, rows ascending: the one place a
+    /// block is taken apart into rows, for the row-major memory tees.
+    fn for_each_row(&mut self, sel: &[u32], f: impl FnMut(&[Code]) -> MwResult<()>)
+        -> MwResult<()>;
 }
 
 /// A row-major block: a run of a memory set or of a wire fetch.
@@ -279,22 +275,20 @@ impl Block for RowBlock<'_> {
 
     fn for_each_row(
         &mut self,
-        sel: Option<&[u32]>,
+        sel: &[u32],
         mut f: impl FnMut(&[Code]) -> MwResult<()>,
     ) -> MwResult<()> {
-        match sel {
-            // Selections ascend, so a full one is the block itself.
-            Some(sel) if sel.len() != self.nrows() => {
-                for &r in sel {
-                    let start = r as usize * self.arity;
-                    // analyze:allow(hot-path-panic): selections are minted
-                    // over this block's rows.
-                    f(&self.flat[start..start + self.arity])?;
-                }
-                Ok(())
-            }
-            _ => self.flat.chunks_exact(self.arity).try_for_each(f),
+        // Selections ascend, so a full one is the block itself.
+        if sel.len() == self.nrows() {
+            return self.flat.chunks_exact(self.arity).try_for_each(f);
         }
+        for &r in sel {
+            let start = r as usize * self.arity;
+            // analyze:allow(hot-path-panic): selections are minted over
+            // this block's rows.
+            f(&self.flat[start..start + self.arity])?;
+        }
+        Ok(())
     }
 }
 
@@ -321,43 +315,17 @@ impl Block for ColBlock<'_> {
 
     fn for_each_row(
         &mut self,
-        sel: Option<&[u32]>,
+        sel: &[u32],
         mut f: impl FnMut(&[Code]) -> MwResult<()>,
     ) -> MwResult<()> {
         let (cols, row) = (self.cols, &mut *self.row);
         // Every decoded column holds `nrows` codes, and selections are
         // minted over this block's rows.
-        let mut assemble = |r: usize| {
+        sel.iter().try_for_each(|&r| {
             row.clear();
-            row.extend(cols.iter().map(|c| c[r]));
+            row.extend(cols.iter().map(|c| c[r as usize]));
             f(row)
-        };
-        match sel {
-            Some(sel) if sel.len() != self.nrows => {
-                sel.iter().try_for_each(|&r| assemble(r as usize))
-            }
-            _ => (0..self.nrows).try_for_each(assemble),
-        }
-    }
-}
-
-/// What the block pass did over one block; the counter adds it to the
-/// stats after every block.
-#[derive(Debug, Clone, Copy, Default)]
-struct KernelTally {
-    blocks_counted: u64,
-    block_fallback_rows: u64,
-    validate_nanos: u64,
-    accumulate_nanos: u64,
-}
-
-impl KernelTally {
-    /// Fold the tally into the middleware's block-kernel counters.
-    fn add_to(&self, stats: &mut MiddlewareStats) {
-        stats.blocks_counted += self.blocks_counted;
-        stats.block_fallback_rows += self.block_fallback_rows;
-        stats.kernel_validate_nanos += self.validate_nanos;
-        stats.kernel_accumulate_nanos += self.accumulate_nanos;
+        })
     }
 }
 
@@ -374,6 +342,20 @@ fn slot(
     let node = nodes.get_mut(idx)?;
     let attrs = node.req.attrs.as_slice();
     (node.counts()).then_some((&mut node.cc, attrs, node.req.class_col, node.plan.as_ref()))
+}
+
+/// The rows of ascending selection `sel` inside `rows`: `sel` itself when
+/// it lies wholly inside, as every selection of a whole block does.
+fn within<'s>(sel: &'s [u32], rows: &Range<u32>) -> &'s [u32] {
+    match (sel.first(), sel.last()) {
+        (Some(first), Some(last)) if rows.start <= *first && *last < rows.end => sel,
+        _ => {
+            let (start, end) = (rows.start, rows.end);
+            let lo = sel.partition_point(|&r| r < start);
+            let hi = sel.partition_point(|&r| r < end);
+            sel.get(lo..hi).unwrap_or_default()
+        }
+    }
 }
 
 /// Node `idx` to write and node `other` to read; `None` unless both
@@ -406,8 +388,8 @@ struct BlockPass {
     certificate: Vec<Code>,
     /// Per node: does its table cover the certificate
     /// ([`CountsTable::covers`])? Settled once, when the scan certifies;
-    /// a dense node it does not cover sends every block selecting its rows
-    /// down the row path.
+    /// every range holding a row of a dense node it does not cover misses
+    /// its gate, so those rows take the exact step.
     covered: Vec<bool>,
     /// The kernel's scratch.
     kernel: KernelScratch,
@@ -436,31 +418,39 @@ impl BlockPass {
         }
     }
 
-    /// Nodes the last routed block selected rows for, ascending, each
-    /// with those rows.
-    fn selections(&self) -> impl Iterator<Item = (usize, &[u32])> {
-        self.routed.selections()
+    /// Nodes the last routed block selected rows for within `rows`,
+    /// ascending, each with those rows.
+    fn selections(&self, rows: Range<u32>) -> impl Iterator<Item = (usize, &[u32])> {
+        (self.routed.selections())
+            .map(move |(idx, sel)| (idx, within(sel, &rows)))
+            .filter(|(_, sel)| !sel.is_empty())
     }
 
-    /// The rows of the last routed block that some node selected.
-    fn any(&self) -> &[u32] {
-        self.routed.matched()
+    /// The rows of the last routed block within `rows` that some node
+    /// selected.
+    fn any(&self, rows: &Range<u32>) -> &[u32] {
+        within(self.routed.matched(), rows)
     }
 
-    /// The most counting the routed block can add to modelled memory:
-    /// `Σ` over the touched nodes still counting of
+    /// The most counting rows `rows` of the routed block can add to
+    /// modelled memory: `Σ` over the touched nodes still counting of
     /// [`CountsTable::block_growth_bound`] of their selected rows. `None`
     /// when some such node's table is not `covered`: a code of the scan
     /// may then fall outside its dense layout, the free-slot cap of the
-    /// bound is void, and the block must take the row path whole, where
-    /// the spill fires at the row it always did.
-    fn cc_bound(&self, nodes: &mut [NodeCounter], tally: &mut KernelTally) -> Option<u64> {
-        if self.selections().next().is_none() {
+    /// bound is void, and the range misses, down to the rows that take the
+    /// exact step, where the spill fires at the row it always did.
+    fn cc_bound(
+        &self,
+        rows: &Range<u32>,
+        nodes: &mut [NodeCounter],
+        stats: &mut MiddlewareStats,
+    ) -> Option<u64> {
+        if self.selections(rows.clone()).next().is_none() {
             return Some(0);
         }
         let t0 = Instant::now();
         let mut bound = Some(0u64);
-        for (idx, sel) in self.routed.selections() {
+        for (idx, sel) in self.selections(rows.clone()) {
             let Some((cc, attrs, _, _)) = slot(nodes, idx) else {
                 continue;
             };
@@ -468,22 +458,24 @@ impl BlockPass {
                 bound = None;
                 break;
             }
-            let rows = sel.len() as u64;
-            bound = bound.map(|b| b.saturating_add(cc.block_growth_bound(rows, attrs.len())));
+            let n = sel.len() as u64;
+            bound = bound.map(|b| b.saturating_add(cc.block_growth_bound(n, attrs.len())));
         }
-        tally.validate_nanos += nanos_since(t0);
+        stats.kernel_validate_nanos += nanos_since(t0);
         bound
     }
 
     /// Second pass: per touched node still counting, count its selected
-    /// rows — a planned node's in the classes it counts — through the block
-    /// kernel, in place. Returns the modelled bytes the tables grew by — at
-    /// most the [`BlockPass::cc_bound`] the caller gated on.
+    /// rows within `rows` — a planned node's in the classes it counts —
+    /// through the block kernel, in place. Returns the modelled bytes the
+    /// tables grew by — at most the [`BlockPass::cc_bound`] the caller
+    /// gated on.
     fn count(
         &mut self,
         block: &impl Block,
+        rows: &Range<u32>,
         nodes: &mut [NodeCounter],
-        tally: &mut KernelTally,
+        stats: &mut MiddlewareStats,
     ) -> u64 {
         let t0 = Instant::now();
         let mut grew = 0u64;
@@ -494,6 +486,7 @@ impl BlockPass {
             ..
         } = self;
         for (idx, sel) in routed.selections() {
+            let sel = within(sel, rows);
             if let Some((cc, attrs, class_col, plan)) = slot(nodes, idx) {
                 let sel = match plan {
                     Some(plan) => {
@@ -511,10 +504,10 @@ impl BlockPass {
                 let rows = sel.iter().copied();
                 cc.add_rows(rows, |c| block.column(c), attrs, class_col, kernel);
                 grew += (cc.entries() - before) as u64 * CC_ENTRY_BYTES;
-                tally.blocks_counted += 1;
+                stats.blocks_counted += 1;
             }
         }
-        tally.accumulate_nanos += nanos_since(t0);
+        stats.kernel_accumulate_nanos += nanos_since(t0);
         grew
     }
 }
@@ -549,8 +542,7 @@ impl BatchCounter {
             buffer_bytes: 0,
             arity,
             router,
-            matched: Vec::with_capacity(8),
-            batch_kernel: true,
+            row: Vec::new(),
             pass: BlockPass::default(),
             epoch: 0,
         };
@@ -588,90 +580,6 @@ impl BatchCounter {
             "incremental buffer_bytes drifted from the bytes actually held \
              in memory-staging tees"
         );
-    }
-
-    /// Feed one row through every scheduled node.
-    pub fn process_row(&mut self, row: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
-        debug_assert_eq!(row.len(), self.arity);
-        let budget = self.budget;
-        let mut base = self.base_mem_bytes;
-        let mut cc_bytes = self.cc_bytes;
-        let mut buffer_bytes = self.buffer_bytes;
-
-        // Exactly the nodes whose predicate the row satisfies, ascending.
-        let mut matched = std::mem::take(&mut self.matched);
-        self.router.route(row, &mut matched);
-
-        for &idx in &matched {
-            // Predicate `i` is node `i`'s; one past the nodes only keeps
-            // its rows.
-            let Some(node) = self.nodes.get_mut(idx) else {
-                break;
-            };
-
-            // Counting (unless this node fell back to SQL, is derived, or
-            // copies the row's class from its parent).
-            if node.counts_row(row) {
-                let before = node.cc.entries();
-                node.cc.add_row(row, &node.req.attrs, node.req.class_col);
-                let grew = (node.cc.entries() - before) as u64 * CC_ENTRY_BYTES;
-                cc_bytes += grew;
-                if grew > 0 && base + cc_bytes + buffer_bytes > budget {
-                    // Counting pressure: sacrifice cached data sets first —
-                    // an evicted set costs one extra scan later, a fallback
-                    // costs a SQL query per attribute now.
-                    while base + cc_bytes + buffer_bytes > budget {
-                        let Some((id, bytes)) = self.evictable.pop() else {
-                            break;
-                        };
-                        base = base.saturating_sub(bytes);
-                        self.evicted.push(id);
-                        stats.pressure_evictions += 1;
-                    }
-                }
-                if grew > 0 && base + cc_bytes + buffer_bytes > budget {
-                    // §4.1.1: no new entries can be accommodated — switch
-                    // this node to the SQL-based implementation.
-                    cc_bytes -= node.cc.memory_bytes();
-                    node.cc = CountsTable::new();
-                    node.fallback = true;
-                    stats.sql_fallbacks += 1;
-                }
-            }
-
-            // Staging tees.
-            if let Some(w) = node.file_writer.as_mut() {
-                w.push(row)?;
-            }
-            if let Some(buf) = node.mem_buffer.as_mut() {
-                buf.push(row);
-                buffer_bytes += buf.width().row_bytes(self.arity);
-                if base + cc_bytes + buffer_bytes > budget {
-                    // Staging is best-effort: cancel this node's memory
-                    // staging rather than evicting counts.
-                    buffer_bytes -= node.mem_buffer.take().map_or(0, |b| b.len_bytes() as u64);
-                }
-            }
-        }
-        let any_matched = !matched.is_empty();
-        self.matched = matched;
-        self.cc_bytes = cc_bytes;
-        self.buffer_bytes = buffer_bytes;
-        self.base_mem_bytes = base;
-
-        if any_matched {
-            if let Some(w) = self.split_writer.as_mut() {
-                w.push(row)?;
-            }
-        }
-        if let Some(kept) = self.kept.as_mut() {
-            if any_matched {
-                kept.push(self.next_row);
-            }
-            self.next_row += 1;
-        }
-        stats.observe_memory(self.memory_in_use());
-        Ok(())
     }
 
     /// Feed a row-major block of rows through every scheduled node
@@ -932,9 +840,8 @@ impl BatchCounter {
     }
 
     /// Feed a block, in whichever layout its source has, through every
-    /// scheduled node: route-then-count when the block clears its gate
-    /// (module docs), [`BatchCounter::process_row`] per row — with
-    /// identical results — when it does not or the kernel is disabled.
+    /// scheduled node: route it once, then count it as one row range
+    /// ([`BatchCounter::count_range`]).
     pub(crate) fn process(
         &mut self,
         block: &mut impl Block,
@@ -944,65 +851,165 @@ impl BatchCounter {
         if nrows == 0 {
             return Ok(());
         }
-        if self.batch_kernel {
-            let mut tally = KernelTally::default();
-            let counted = self.count_block(block, &mut tally)?;
-            if !counted {
-                tally.block_fallback_rows += nrows as u64;
-            }
-            tally.add_to(stats);
-            if counted {
-                // Modelled memory only grows inside a block that cleared
-                // its gate, so this is the per-row maximum.
-                stats.observe_memory(self.memory_in_use());
-                return Ok(());
-            }
-        }
-        block.for_each_row(None, |row| self.process_row(row, stats))
-    }
-
-    /// The block path: route, gate, count, tee. `Ok(false)` — with
-    /// nothing counted, teed or charged — when the block must take the
-    /// row path instead.
-    fn count_block(&mut self, block: &mut impl Block, tally: &mut KernelTally) -> MwResult<bool> {
         // The rows some node took, too, when a split file or a compaction
         // reads them.
         let mark_any = self.split_writer.is_some() || self.kept.is_some();
         self.pass.route(&self.router, block, mark_any);
-        let Some(cc_bound) = self.pass.cc_bound(&mut self.nodes, tally) else {
-            return Ok(false);
+        self.count_range(block, 0..nrows as u32, stats)?;
+        if self.kept.is_some() {
+            self.next_row += nrows as u32;
+        }
+        Ok(())
+    }
+
+    /// Count rows `rows` of the routed block, in row order. A range that
+    /// clears its gate (module docs) goes through the kernel and the tees
+    /// at once; a range of several rows that misses is halved, each half
+    /// gated again against the memory in use by then; a single row that
+    /// misses takes the exact step ([`BatchCounter::step`]).
+    fn count_range(
+        &mut self,
+        block: &mut impl Block,
+        rows: Range<u32>,
+        stats: &mut MiddlewareStats,
+    ) -> MwResult<()> {
+        if self.clears(&rows, stats) {
+            self.cc_bytes += self.pass.count(block, &rows, &mut self.nodes, stats);
+            self.tee(block, &rows)?;
+            debug_assert!(
+                self.memory_in_use() <= self.budget,
+                "a range was counted without clearing its growth bound"
+            );
+            // Modelled memory only grows inside a range that cleared its
+            // gate, so this is the per-row maximum.
+            stats.observe_memory(self.memory_in_use());
+            return Ok(());
+        }
+        if rows.len() == 1 {
+            return self.step(block, rows.start, stats);
+        }
+        let mid = rows.start + (rows.end - rows.start) / 2;
+        self.count_range(block, rows.start..mid, stats)?;
+        self.count_range(block, mid..rows.end, stats)
+    }
+
+    /// Does range `rows` of the routed block clear its gate: is
+    /// `memory_in_use` plus what its counts and memory tees can add at most
+    /// the budget? Not when it selects rows for a counting node whose table
+    /// does not cover the scan ([`BlockPass::cc_bound`]).
+    fn clears(&mut self, rows: &Range<u32>, stats: &mut MiddlewareStats) -> bool {
+        let Some(cc_bound) = self.pass.cc_bound(rows, &mut self.nodes, stats) else {
+            return false;
         };
         // A memory tee grows by exactly the rows it is handed, in its width.
         let arity = self.arity;
-        let tee_bound: u64 = (self.pass.selections())
+        let tee_bound: u64 = (self.pass.selections(rows.clone()))
             .filter_map(|(idx, sel)| {
                 let buf = self.nodes.get(idx)?.mem_buffer.as_ref()?;
                 Some(sel.len() as u64 * buf.width().row_bytes(arity))
             })
             .sum();
-        if self
-            .memory_in_use()
-            .saturating_add(cc_bound)
-            .saturating_add(tee_bound)
-            > self.budget
-        {
-            return Ok(false);
-        }
-        self.cc_bytes += self.pass.count(block, &mut self.nodes, tally);
-        self.tee(block)?;
-        debug_assert!(
-            self.memory_in_use() <= self.budget,
-            "block pass engaged without clearing its growth bound"
-        );
-        Ok(true)
+        let need = self.memory_in_use().saturating_add(cc_bound);
+        need.saturating_add(tee_bound) <= self.budget
     }
 
-    /// Serve the staging tees from the last routed block's selections, in
-    /// row order: a file tee takes its node's selection column by column,
-    /// a memory buffer row by row, the split file every row some node took,
-    /// and the kept rows of a compaction their source offsets.
-    fn tee(&mut self, block: &mut impl Block) -> MwResult<()> {
-        for (idx, sel) in self.pass.selections() {
+    /// The exact step (§4.1.1) for row `r` of the routed block, which no
+    /// range holding it cleared. Per node whose selection holds the row,
+    /// in ascending index: count it (through [`CountsTable::add_row`], so
+    /// a dense table the row escapes spills at this row); if the table
+    /// grew past the budget, evict cached sets, then fall back; tee it,
+    /// cancelling a memory tee that overflows. Then the split file and the
+    /// kept rows take it, and memory is observed. Counted into
+    /// `stats.block_fallback_rows`.
+    fn step(&mut self, block: &impl Block, r: u32, stats: &mut MiddlewareStats) -> MwResult<()> {
+        let budget = self.budget;
+        let mut base = self.base_mem_bytes;
+        let mut cc_bytes = self.cc_bytes;
+        let mut buffer_bytes = self.buffer_bytes;
+
+        let mut row = std::mem::take(&mut self.row);
+        row.clear();
+        row.extend((0..self.arity).map(|c| block.column(c).get(r)));
+
+        // Exactly the nodes whose predicate the row satisfies, ascending.
+        let mut any_matched = false;
+        for (idx, _) in self.pass.selections(r..r + 1) {
+            any_matched = true;
+            // Predicate `i` is node `i`'s; one past the nodes only keeps
+            // its rows.
+            let Some(node) = self.nodes.get_mut(idx) else {
+                break;
+            };
+
+            // Counting (unless this node fell back to SQL, is derived, or
+            // copies the row's class from its parent).
+            if node.counts_row(&row) {
+                let before = node.cc.entries();
+                node.cc.add_row(&row, &node.req.attrs, node.req.class_col);
+                let grew = (node.cc.entries() - before) as u64 * CC_ENTRY_BYTES;
+                cc_bytes += grew;
+                if grew > 0 && base + cc_bytes + buffer_bytes > budget {
+                    // Counting pressure: sacrifice cached data sets first —
+                    // an evicted set costs one extra scan later, a fallback
+                    // costs a SQL query per attribute now.
+                    while base + cc_bytes + buffer_bytes > budget {
+                        let Some((id, bytes)) = self.evictable.pop() else {
+                            break;
+                        };
+                        base = base.saturating_sub(bytes);
+                        self.evicted.push(id);
+                        stats.pressure_evictions += 1;
+                    }
+                }
+                if grew > 0 && base + cc_bytes + buffer_bytes > budget {
+                    // §4.1.1: no new entries can be accommodated — switch
+                    // this node to the SQL-based implementation.
+                    cc_bytes -= node.cc.memory_bytes();
+                    node.cc = CountsTable::new();
+                    node.fallback = true;
+                    stats.sql_fallbacks += 1;
+                }
+            }
+
+            // Staging tees.
+            if let Some(w) = node.file_writer.as_mut() {
+                w.push(&row)?;
+            }
+            if let Some(buf) = node.mem_buffer.as_mut() {
+                buf.push(&row);
+                buffer_bytes += buf.width().row_bytes(self.arity);
+                if base + cc_bytes + buffer_bytes > budget {
+                    // Staging is best-effort: cancel this node's memory
+                    // staging rather than evicting counts.
+                    buffer_bytes -= node.mem_buffer.take().map_or(0, |b| b.len_bytes() as u64);
+                }
+            }
+        }
+        self.cc_bytes = cc_bytes;
+        self.buffer_bytes = buffer_bytes;
+        self.base_mem_bytes = base;
+
+        if any_matched {
+            if let Some(w) = self.split_writer.as_mut() {
+                w.push(&row)?;
+            }
+            if let Some(kept) = self.kept.as_mut() {
+                kept.push(self.next_row + r);
+            }
+        }
+        self.row = row;
+        stats.block_fallback_rows += 1;
+        stats.observe_memory(self.memory_in_use());
+        Ok(())
+    }
+
+    /// Serve the staging tees from the last routed block's selections
+    /// within `rows`, in row order: a file tee takes its node's selection
+    /// column by column, a memory buffer row by row, the split file every
+    /// row some node took, and the kept rows of a compaction their source
+    /// offsets.
+    fn tee(&mut self, block: &mut impl Block, rows: &Range<u32>) -> MwResult<()> {
+        for (idx, sel) in self.pass.selections(rows.clone()) {
             // Predicate `i` is node `i`'s.
             let Some(node) = self.nodes.get_mut(idx) else {
                 continue;
@@ -1011,7 +1018,7 @@ impl BatchCounter {
                 w.push_selected(block, sel)?;
             }
             if let Some(buf) = node.mem_buffer.as_mut() {
-                block.for_each_row(Some(sel), |row| {
+                block.for_each_row(sel, |row| {
                     buf.push(row);
                     Ok(())
                 })?;
@@ -1019,12 +1026,11 @@ impl BatchCounter {
             }
         }
         if let Some(w) = self.split_writer.as_mut() {
-            w.push_selected(block, self.pass.any())?;
+            w.push_selected(block, self.pass.any(rows))?;
         }
         if let Some(kept) = self.kept.as_mut() {
             let at = self.next_row;
-            kept.extend(self.pass.any().iter().map(|&r| at + r));
-            self.next_row += block.nrows() as u32;
+            kept.extend(self.pass.any(rows).iter().map(|&r| at + r));
         }
         Ok(())
     }
@@ -1073,7 +1079,7 @@ mod tests {
         let mut stats = MiddlewareStats::new();
         let rows: &[[Code; 3]] = &[[0, 0, 0], [0, 1, 1], [1, 0, 0], [1, 1, 0], [2, 0, 1]];
         for r in rows {
-            batch.process_row(r, &mut stats).unwrap();
+            batch.process_block(r, &mut stats).unwrap();
         }
         assert_eq!(batch.nodes[0].cc.total(), 2, "node a=0 saw two rows");
         assert_eq!(batch.nodes[1].cc.total(), 2, "node a=1 saw two rows");
@@ -1088,7 +1094,7 @@ mod tests {
         let b = NodeCounter::new(request(2, Pred::NotEq { col: 0, value: 9 }));
         let mut batch = BatchCounter::new(vec![a, b], u64::MAX, 0, ARITY);
         let mut stats = MiddlewareStats::new();
-        batch.process_row(&[1, 1, 0], &mut stats).unwrap();
+        batch.process_block(&[1, 1, 0], &mut stats).unwrap();
         assert_eq!(batch.nodes[0].cc.total(), 1);
         assert_eq!(batch.nodes[1].cc.total(), 1);
     }
@@ -1101,16 +1107,16 @@ mod tests {
         let node = NodeCounter::new(root_request());
         let mut batch = BatchCounter::new(vec![node], budget, 0, ARITY);
         let mut stats = MiddlewareStats::new();
-        batch.process_row(&[0, 0, 0], &mut stats).unwrap(); // 2 entries
+        batch.process_block(&[0, 0, 0], &mut stats).unwrap(); // 2 entries
         assert!(!batch.nodes[0].fallback);
-        batch.process_row(&[1, 1, 1], &mut stats).unwrap(); // 4 entries → over
+        batch.process_block(&[1, 1, 1], &mut stats).unwrap(); // 4 entries → over
         assert!(batch.nodes[0].fallback);
         assert_eq!(stats.sql_fallbacks, 1);
         assert_eq!(batch.nodes[0].cc.entries(), 0, "partial table dropped");
         assert_eq!(batch.memory_in_use(), 0, "bytes released");
 
         // Later rows are ignored for counting (SQL will provide them).
-        batch.process_row(&[2, 0, 0], &mut stats).unwrap();
+        batch.process_block(&[2, 0, 0], &mut stats).unwrap();
         assert_eq!(batch.nodes[0].cc.entries(), 0);
         assert_eq!(stats.sql_fallbacks, 1, "fallback fires once");
     }
@@ -1127,7 +1133,7 @@ mod tests {
         let mut batch = BatchCounter::new(vec![narrow, wide], budget, 0, ARITY);
         let mut stats = MiddlewareStats::new();
         for r in [[0u16, 0, 0], [1, 1, 1], [0, 0, 0], [2, 1, 0]] {
-            batch.process_row(&r, &mut stats).unwrap();
+            batch.process_block(&r, &mut stats).unwrap();
         }
         assert_eq!(stats.sql_fallbacks, 1, "exactly one node overflows");
         let survivor_total: u64 = batch
@@ -1159,7 +1165,7 @@ mod tests {
         let mut stats = MiddlewareStats::new();
         let rows: &[[Code; 3]] = &[[0, 0, 0], [1, 0, 1], [1, 1, 0], [2, 1, 1]];
         for r in rows {
-            batch.process_row(r, &mut stats).unwrap();
+            batch.process_block(r, &mut stats).unwrap();
         }
         assert_eq!(batch.nodes[0].cc.total(), 4, "root sees everything");
         assert_eq!(batch.nodes[1].cc.total(), 3, "a<>0");
@@ -1178,12 +1184,12 @@ mod tests {
             node.mem_buffer = Some(MemRows::new(width));
             let mut batch = BatchCounter::new(vec![node], budget, 0, ARITY);
             let mut stats = MiddlewareStats::new();
-            batch.process_row(&[0, 0, 0], &mut stats).unwrap();
-            batch.process_row(&[0, 0, 0], &mut stats).unwrap();
+            batch.process_block(&[0, 0, 0], &mut stats).unwrap();
+            batch.process_block(&[0, 0, 0], &mut stats).unwrap();
             assert!(batch.nodes[0].mem_buffer.is_some());
             assert_eq!(batch.memory_in_use(), budget, "{width:?}");
             batch.assert_shadow_accounting();
-            batch.process_row(&[0, 0, 0], &mut stats).unwrap();
+            batch.process_block(&[0, 0, 0], &mut stats).unwrap();
             assert!(
                 batch.nodes[0].mem_buffer.is_none(),
                 "buffer dropped, counting unaffected"
@@ -1239,7 +1245,7 @@ mod tests {
         // Previously staged data pins most of the budget.
         let mut batch = BatchCounter::new(vec![node], budget, 9 * CC_ENTRY_BYTES, ARITY);
         let mut stats = MiddlewareStats::new();
-        batch.process_row(&[0, 0, 0], &mut stats).unwrap();
+        batch.process_block(&[0, 0, 0], &mut stats).unwrap();
         assert!(batch.nodes[0].fallback, "2 new entries exceed the slack");
     }
 
@@ -1248,7 +1254,7 @@ mod tests {
         let node = NodeCounter::new(root_request());
         let mut batch = BatchCounter::new(vec![node], u64::MAX, 0, ARITY);
         let mut stats = MiddlewareStats::new();
-        batch.process_row(&[0, 0, 0], &mut stats).unwrap();
+        batch.process_block(&[0, 0, 0], &mut stats).unwrap();
         assert_eq!(stats.peak_memory_bytes, 2 * CC_ENTRY_BYTES);
     }
 
@@ -1269,34 +1275,28 @@ mod tests {
         ]
     }
 
+    /// A whole block counts what one-row blocks, each following per-row
+    /// semantics, count.
     #[test]
     fn process_block_matches_process_row() {
         let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
         let mut rowwise = BatchCounter::new(block_nodes(), u64::MAX, 0, ARITY);
         let mut s1 = MiddlewareStats::new();
         for r in BLOCK_ROWS {
-            rowwise.process_row(r, &mut s1).unwrap();
+            rowwise.process_block(r, &mut s1).unwrap();
         }
         let mut blocked = BatchCounter::new(block_nodes(), u64::MAX, 0, ARITY);
         let mut s2 = MiddlewareStats::new();
         blocked.process_block(&flat, &mut s2).unwrap();
-        assert!(s2.blocks_counted > 0, "kernel engaged");
+        assert_eq!(s2.blocks_counted, 3, "one kernel call per node");
         assert_eq!(s2.block_fallback_rows, 0);
         for (a, b) in rowwise.nodes.iter().zip(&blocked.nodes) {
             assert_eq!(a.cc, b.cc);
             assert_eq!(a.cc.total(), b.cc.total());
         }
         assert_eq!(rowwise.memory_in_use(), blocked.memory_in_use());
+        assert_eq!(s1.peak_memory_bytes, s2.peak_memory_bytes);
         blocked.assert_shadow_accounting();
-        // Kernel off: same counts, no block counters touched.
-        let mut off = BatchCounter::new(block_nodes(), u64::MAX, 0, ARITY);
-        off.batch_kernel = false;
-        let mut s3 = MiddlewareStats::new();
-        off.process_block(&flat, &mut s3).unwrap();
-        assert_eq!(s3.blocks_counted, 0);
-        for (a, b) in rowwise.nodes.iter().zip(&off.nodes) {
-            assert_eq!(a.cc, b.cc);
-        }
     }
 
     /// Everything a tee'd batch wrote: the memory buffer of node 1, the
@@ -1323,7 +1323,7 @@ mod tests {
     fn process_block_serves_tees_from_the_selections() {
         use crate::request::NodeId;
         let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
-        let run = |kernel: bool| {
+        let run = |block_rows: usize| {
             let mut staging = crate::staging::StagingManager::new(None).unwrap();
             staging.set_extent_rows(2);
             let mut nodes = block_nodes();
@@ -1338,11 +1338,9 @@ mod tests {
                     .start_file(vec![NodeId(9)], Pred::True, ARITY)
                     .unwrap(),
             );
-            batch.batch_kernel = kernel;
             batch.kept = Some(Vec::new());
             let mut stats = MiddlewareStats::new();
-            // Two blocks, so tees append across block boundaries.
-            for block in flat.chunks(4 * ARITY) {
+            for block in flat.chunks(block_rows * ARITY) {
                 batch.process_block(block, &mut stats).unwrap();
             }
             batch.assert_shadow_accounting();
@@ -1357,13 +1355,11 @@ mod tests {
                 stats,
             )
         };
-        let (row_counts, row_memory, row_kept, row_tees, row_stats) = run(false);
-        let (counts, memory, kept, tees, stats) = run(true);
-        assert_eq!(row_stats.blocks_counted, 0);
-        assert!(
-            stats.blocks_counted > 0,
-            "tees no longer force the row path"
-        );
+        // One-row blocks against two blocks, so tees append across block
+        // boundaries.
+        let (row_counts, row_memory, row_kept, row_tees, row_stats) = run(1);
+        let (counts, memory, kept, tees, stats) = run(4);
+        assert!(stats.blocks_counted > 0, "tees do not refuse the kernel");
         assert_eq!(stats.block_fallback_rows, 0);
         assert_eq!(counts, row_counts);
         assert_eq!(memory, row_memory);
@@ -1380,29 +1376,28 @@ mod tests {
     }
 
     /// A path routed past the nodes — a request waiting on a compacting
-    /// batch's source — keeps its rows and is neither counted nor teed, on
-    /// the row path and the block path alike.
+    /// batch's source — keeps its rows and is neither counted nor teed, in
+    /// one-row blocks and in longer ones alike.
     #[test]
     fn a_waiting_path_keeps_its_rows_uncounted() {
         let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
-        let run = |kernel: bool| {
+        let run = |block_rows: usize| {
             let mut node = NodeCounter::new(request(1, Pred::Eq { col: 0, value: 1 }));
             node.mem_buffer = Some(MemRows::new(CodeWidth::One));
             let waiting = Pred::Eq { col: 0, value: 0 };
             let router = PredSet::new([node.req.pred(), &waiting]);
             let mut batch = BatchCounter::with_router(vec![node], router, u64::MAX, 0, ARITY);
-            batch.batch_kernel = kernel;
             batch.kept = Some(Vec::new());
             let mut stats = MiddlewareStats::new();
-            for block in flat.chunks(4 * ARITY) {
+            for block in flat.chunks(block_rows * ARITY) {
                 batch.process_block(block, &mut stats).unwrap();
             }
             batch.assert_shadow_accounting();
             let node = batch.nodes.pop().unwrap();
             (node.cc, node.mem_buffer, batch.kept)
         };
-        let block = run(true);
-        assert_eq!(block, run(false));
+        let block = run(4);
+        assert_eq!(block, run(1));
         let (cc, teed, kept) = block;
         assert_eq!(cc.total(), 3, "only the node's rows are counted");
         assert_eq!(
@@ -1429,15 +1424,25 @@ mod tests {
         ];
         let mut pass = BlockPass::default();
         pass.route(&PredSet::new(&preds), &block, true);
-        let selections: Vec<_> = pass.selections().collect();
+        let selections: Vec<_> = pass.selections(0..6).collect();
         assert_eq!(
             selections,
             [(0, &[1u32, 2, 5][..]), (1, &[2u32, 3, 4][..])],
             "ascending nodes, ascending rows"
         );
-        assert_eq!(pass.any(), [1, 2, 3, 4, 5], "row 2 once, row 0 never");
+        assert_eq!(
+            pass.any(&(0..6)),
+            [1, 2, 3, 4, 5],
+            "row 2 once, row 0 never"
+        );
+        // A row range cuts each selection and the union down to its rows,
+        // and leaves out the nodes it holds none of.
+        let selections: Vec<_> = pass.selections(3..5).collect();
+        assert_eq!(selections, [(1, &[3u32, 4][..])]);
+        assert_eq!(pass.any(&(2..4)), [2, 3]);
+        assert!(pass.any(&(0..1)).is_empty());
         pass.route(&PredSet::new(&preds), &block, false);
-        assert!(pass.any().is_empty(), "only marked when asked");
+        assert!(pass.any(&(0..6)).is_empty(), "only marked when asked");
 
         let mut batch = BatchCounter::new(
             preds
@@ -1496,7 +1501,7 @@ mod tests {
             let mut col_major = nodes();
             let mut stats = [(); 3].map(|()| MiddlewareStats::new());
             for row in &rows {
-                rowwise.process_row(row, &mut stats[0]).unwrap();
+                rowwise.process_block(row, &mut stats[0]).unwrap();
             }
             row_major.process_block(&flat, &mut stats[1]).unwrap();
             let (cols, nrows, row) = (&cols[..], rows.len(), &mut Vec::new());
@@ -1592,8 +1597,12 @@ mod tests {
         let route = |pass: &mut BlockPass, flat: &[Code]| {
             let block = RowBlock { flat, arity: depth };
             pass.route(&router, &block, true);
-            let routed: usize = pass.selections().map(|(_, sel)| sel.len()).sum();
-            assert_eq!(routed, pass.any().len(), "a frontier is disjoint");
+            let every_row = 0..flat.len() as u32;
+            let routed: usize = pass
+                .selections(every_row.clone())
+                .map(|(_, sel)| sel.len())
+                .sum();
+            assert_eq!(routed, pass.any(&every_row).len(), "a frontier is disjoint");
         };
         route(&mut pass, &full);
         let capacity = pass.routed.capacity();
@@ -1611,7 +1620,7 @@ mod tests {
         // is bounded by the rows and the depth, not by the 3 000 leaves.
         let mut short = BlockPass::default();
         route(&mut short, &block(64));
-        assert!(short.selections().count() <= 64);
+        assert!(short.selections(0..64).count() <= 64);
         assert!(
             short.routed.capacity() <= 4 * 64 * (2 * depth + 2),
             "scratch of {} slots for a 64-row block",
@@ -1620,10 +1629,11 @@ mod tests {
     }
 
     /// The free-slot cap of the growth bound holds only while no code
-    /// spills a dense table: a block with a code outside the layout must
-    /// take the row path *whole* even under a budget the capped bound
-    /// clears, so the spill — and the §4.1.1 fallback its out-of-layout
-    /// entries bring on — fires at the row it does row by row.
+    /// spills a dense table: every row of a node whose layout a code of
+    /// the block escapes takes the exact one-row step, even under a budget
+    /// the capped bound clears, so the spill — and the §4.1.1 fallback its
+    /// out-of-layout entries bring on — fires at the row it does row by
+    /// row. The node here selects every row, so the whole block takes it.
     #[test]
     fn out_of_range_block_takes_the_row_path_whole() {
         // 2 attrs x 2 values x 2 classes = 8 slots.
@@ -1651,7 +1661,7 @@ mod tests {
             let mut rowwise = BatchCounter::new(dense_root(), budget, 0, ARITY);
             let mut s1 = MiddlewareStats::new();
             for r in rows {
-                rowwise.process_row(r, &mut s1).unwrap();
+                rowwise.process_block(r, &mut s1).unwrap();
             }
             assert_eq!(rowwise.nodes[0].fallback, expect_fallback);
             let mut blocked = BatchCounter::new(dense_root(), budget, 0, ARITY);
@@ -1659,8 +1669,10 @@ mod tests {
             let flat: Vec<Code> = rows.iter().flatten().copied().collect();
             blocked.process_block(&flat, &mut s2).unwrap();
             if expect_fallback {
-                assert_eq!(s2.blocks_counted, 0, "the range check refused the block");
-                assert_eq!(s2.block_fallback_rows, rows.len() as u64);
+                assert_eq!(s2.blocks_counted, 0, "the range check refused every range");
+                // Every row up to the fallback; the node counts no row
+                // after it, so the last range clears with nothing to count.
+                assert_eq!(s2.block_fallback_rows, rows.len() as u64 - 1);
             } else {
                 assert_eq!(s2.blocks_counted, 1, "the capped bound let the block in");
                 assert_eq!(s2.block_fallback_rows, 0);
@@ -1676,27 +1688,133 @@ mod tests {
 
     #[test]
     fn process_block_tight_budget_falls_back_and_matches() {
-        // Budget small enough that the growth bound cannot clear it, so
-        // the whole block must reroute through the exact per-row path —
-        // including its §4.1.1 fallback decisions.
+        // Budget small enough that the growth bound clears no range of
+        // more than one row, so the block is halved down to rows, and those
+        // that cannot clear take the exact step — with its §4.1.1 fallback
+        // decisions.
         let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
         let budget = 5 * CC_ENTRY_BYTES;
         let mut rowwise = BatchCounter::new(block_nodes(), budget, 0, ARITY);
         let mut s1 = MiddlewareStats::new();
         for r in BLOCK_ROWS {
-            rowwise.process_row(r, &mut s1).unwrap();
+            rowwise.process_block(r, &mut s1).unwrap();
         }
         let mut blocked = BatchCounter::new(block_nodes(), budget, 0, ARITY);
         let mut s2 = MiddlewareStats::new();
         blocked.process_block(&flat, &mut s2).unwrap();
-        assert_eq!(s2.blocks_counted, 0);
-        assert_eq!(s2.block_fallback_rows, BLOCK_ROWS.len() as u64);
+        assert!(s2.sql_fallbacks > 0);
         assert_eq!(s1.sql_fallbacks, s2.sql_fallbacks);
+        assert_eq!(s1.peak_memory_bytes, s2.peak_memory_bytes);
         for (a, b) in rowwise.nodes.iter().zip(&blocked.nodes) {
             assert_eq!(a.cc, b.cc);
             assert_eq!(a.fallback, b.fallback);
         }
         assert_eq!(rowwise.memory_in_use(), blocked.memory_in_use());
+    }
+
+    /// Rows `[0, 0, 0]` and `[1, 1, 1]`, alternating: every node of
+    /// `block_nodes()` finds its few entries in the first rows it takes.
+    const REPEATED_ROWS: [[Code; 3]; 8] = [
+        [0, 0, 0],
+        [1, 1, 1],
+        [0, 0, 0],
+        [1, 1, 1],
+        [0, 0, 0],
+        [1, 1, 1],
+        [0, 0, 0],
+        [1, 1, 1],
+    ];
+
+    /// A block that misses its gate is halved, and halves that clear go
+    /// through the kernel and the tees: the growth bound of all eight rows
+    /// (1 548 B, two entries a row for each of three nodes' 16 selected
+    /// rows and three bytes a row of the memory tee) is over the budget,
+    /// the first half's (774 B) is not, and after it the second's, against
+    /// the 390 B the first half left in use, is not either. The counts,
+    /// the tees — memory set, staged file, split file and kept rows — and
+    /// the peak are those of one-row blocks; no row takes the exact step.
+    #[test]
+    fn a_block_that_misses_its_gate_is_counted_in_halves() {
+        let flat: Vec<Code> = REPEATED_ROWS.iter().flatten().copied().collect();
+        let run = |block_rows: usize| {
+            let mut staging = StagingManager::new(None).unwrap();
+            let mut nodes = block_nodes();
+            nodes[1].mem_buffer = Some(MemRows::new(CodeWidth::One));
+            let pred = nodes[2].req.pred().clone();
+            nodes[2].file_writer = Some(staging.start_file(vec![NodeId(2)], pred, ARITY).unwrap());
+            let mut batch = BatchCounter::new(nodes, 1200, 0, ARITY);
+            let split = staging.start_file(vec![NodeId(9)], Pred::True, ARITY);
+            batch.split_writer = Some(split.unwrap());
+            batch.kept = Some(Vec::new());
+            let mut stats = MiddlewareStats::new();
+            for block in flat.chunks(block_rows * ARITY) {
+                batch.process_block(block, &mut stats).unwrap();
+            }
+            batch.assert_shadow_accounting();
+            let counts: Vec<CountsTable> = batch.nodes.iter().map(|n| n.cc.clone()).collect();
+            let state = (counts, batch.memory_in_use(), batch.kept.take());
+            (state, tee_outputs(batch, &mut staging), stats)
+        };
+        let (reference, reference_tees, reference_stats) = run(1);
+        let (state, tees, stats) = run(REPEATED_ROWS.len());
+        assert_eq!(state, reference);
+        assert_eq!(tees, reference_tees, "memory set, node file and split file");
+        assert_eq!(logical(&stats), logical(&reference_stats));
+        assert_eq!(stats.blocks_counted, 2 * 3, "two halves, three nodes each");
+        assert_eq!(stats.block_fallback_rows, 0);
+        assert_eq!(state.1, 396, "eight entries and four teed rows");
+    }
+
+    /// A range that misses its gate is halved again, each half gated
+    /// against the memory in use by then, down to a single row, which
+    /// takes the exact step: there the §4.1.1 events fire at their row. A
+    /// root counting eight rows of two new entries each, next to a 400 B
+    /// cached set it may evict, under a 738 B budget: rows 0–1 and 2 clear
+    /// (688 B, the peak); row 3 would reach 784 B, so its step evicts the
+    /// set (384 B); rows 4–5 and 6 clear (672 B); row 7 would reach 768 B
+    /// with nothing left to evict, so its step falls back to SQL, dropping
+    /// the table. Events, peak and state are those of one-row blocks.
+    #[test]
+    fn the_one_row_step_fires_each_event_at_its_row() {
+        let rows: Vec<[Code; 3]> = (0..8).map(|v| [v, v, 0]).collect();
+        let flat: Vec<Code> = rows.iter().flatten().copied().collect();
+        let run = |block_rows: usize| {
+            let root = vec![NodeCounter::new(root_request())];
+            let mut batch = BatchCounter::new(root, 738, 400, ARITY);
+            batch.evictable = vec![(7, 400)];
+            let mut stats = MiddlewareStats::new();
+            for block in flat.chunks(block_rows * ARITY) {
+                batch.process_block(block, &mut stats).unwrap();
+            }
+            batch.assert_shadow_accounting();
+            let node = &batch.nodes[0];
+            let state = (node.cc.clone(), node.fallback, batch.evicted.clone());
+            (state, batch.memory_in_use(), stats)
+        };
+        let (reference, reference_memory, reference_stats) = run(1);
+        let (state, memory, stats) = run(rows.len());
+        assert_eq!(state, reference);
+        assert_eq!(memory, reference_memory);
+        assert_eq!(logical(&stats), logical(&reference_stats));
+        assert_eq!(state.2, [7], "row 3 evicted the cached set");
+        assert!(state.1, "row 7 fell back");
+        assert_eq!((stats.pressure_evictions, stats.sql_fallbacks), (1, 1));
+        assert_eq!(stats.peak_memory_bytes, 400 + 6 * CC_ENTRY_BYTES);
+        assert_eq!(memory, 0);
+        assert_eq!(stats.blocks_counted, 4, "rows 0–1, 2, 4–5 and 6");
+        assert_eq!(stats.block_fallback_rows, 2, "rows 3 and 7");
+    }
+
+    /// The stats a row-at-a-time and a block-at-a-time pass must agree on:
+    /// all but the block counters and the timers.
+    fn logical(s: &MiddlewareStats) -> MiddlewareStats {
+        MiddlewareStats {
+            blocks_counted: 0,
+            block_fallback_rows: 0,
+            kernel_validate_nanos: 0,
+            kernel_accumulate_nanos: 0,
+            ..*s
+        }
     }
 
     /// The root's children `a = 1` (over `b`) and `a ≠ 1` (over both) of
@@ -2044,12 +2162,12 @@ mod tests {
         ]
     }
 
-    /// `nodes()` counting `data` a row at a time.
+    /// `nodes()` counting `data` in one-row blocks.
     fn row_by_row(data: &[[Code; 3]]) -> BatchCounter {
         let mut batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
         let mut stats = MiddlewareStats::new();
         for r in data {
-            batch.process_row(r, &mut stats).unwrap();
+            batch.process_block(r, &mut stats).unwrap();
         }
         batch
     }
@@ -2143,47 +2261,40 @@ mod tests {
         assert_eq!(stats.peak_memory_bytes, alone_stats.peak_memory_bytes);
     }
 
-    /// The batched kernel and the row path build identical tables over a
-    /// staged file read through the scan loop, and the block counters
-    /// reflect which kernel ran.
+    /// The block kernel builds the tables one-row blocks build over a
+    /// staged file read through the scan loop, every block through the
+    /// kernel.
     #[test]
     fn batched_kernel_matches_row_kernel_on_a_staged_file() {
         let data = rows(1200, 53);
         let serial = row_by_row(&data);
-        for kernel_on in [true, false] {
-            let what = format!("kernel_on={kernel_on}");
-            let mut batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
-            batch.batch_kernel = kernel_on;
-            let mut st = MiddlewareStats::new();
-            scan(&mut batch, &data, 37, &mut st);
-            for (s, p) in serial.nodes.iter().zip(&batch.nodes) {
-                assert_eq!(s.cc, p.cc, "{what}");
-            }
-            if kernel_on {
-                assert!(st.blocks_counted > 0, "{what}: blocks used the kernel");
-            } else {
-                assert_eq!(st.blocks_counted, 0, "{what}: no block counting");
-                assert_eq!(st.block_fallback_rows, 0, "{what}: no fallback");
-            }
+        let mut batch = BatchCounter::new(nodes(), u64::MAX, 0, ARITY);
+        let mut st = MiddlewareStats::new();
+        scan(&mut batch, &data, 37, &mut st);
+        for (s, p) in serial.nodes.iter().zip(&batch.nodes) {
+            assert_eq!(s.cc, p.cc);
         }
+        assert!(st.blocks_counted > 0, "blocks used the kernel");
+        assert_eq!(st.block_fallback_rows, 0, "no row took the exact step");
     }
 
-    /// The block gate bounds each block by what its rows could add: a
+    /// The block gate bounds each range by what its rows could add: a
     /// budget that fits the root's table but never a block's growth bound
-    /// sends every block down the row path — on its own and extent by
-    /// extent of a staged file — with the same counts and peak.
+    /// halves every block — on its own and extent by extent of a staged
+    /// file — down to ranges it clears, with the same counts and peak.
     #[test]
-    fn a_budget_the_block_gate_refuses_counts_on_the_row_path() {
+    fn a_budget_the_block_gate_refuses_counts_in_halves() {
         let data = rows(400, 59);
         // The root table tops out at 16 entries (768 B), but a 37-row
         // extent is bounded at 37 * 2 * CC_ENTRY_BYTES = 3552 B, and the
-        // 400-row block alone counts at 400 * 2 * CC_ENTRY_BYTES.
+        // 400-row block alone counts at 400 * 2 * CC_ENTRY_BYTES. A single
+        // row, bounded at 96 B, always clears.
         let root = || BatchCounter::new(vec![NodeCounter::new(root_request())], 1024, 0, ARITY);
         let [(alone, alone_stats), (sunk, stats)] = alone_and_scanned(root, &data);
-        assert_eq!(alone_stats.blocks_counted, 0, "the gate refused the block");
-        assert_eq!(alone_stats.block_fallback_rows, 400);
-        assert_eq!(stats.blocks_counted, 0, "the gate refused every extent");
-        assert_eq!(stats.block_fallback_rows, 400);
+        assert!(alone_stats.blocks_counted > 1, "the gate refused the block");
+        assert_eq!(alone_stats.block_fallback_rows, 0);
+        assert!(stats.blocks_counted > 11, "the gate refused every extent");
+        assert_eq!(stats.block_fallback_rows, 0);
         assert!(!sunk.nodes[0].fallback);
         assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
         assert_eq!(stats.peak_memory_bytes, alone_stats.peak_memory_bytes);

@@ -908,7 +908,6 @@ impl Session {
         );
         batch.split_writer = split;
         batch.kept = plan.compact_mem.is_some().then(Vec::new);
-        batch.batch_kernel = self.backend.config.batch_kernel;
         let source_set = match plan.source {
             DataLocation::Memory(id) => Some(id),
             _ => None,

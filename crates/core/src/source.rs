@@ -236,9 +236,10 @@ mod tests {
             rows.extend_from_slice(row);
             Ok(())
         };
+        let every = |nrows: usize| (0..nrows as u32).collect::<Vec<u32>>();
         match block {
-            SourceBlock::Rows(mut b) => b.for_each_row(None, collect),
-            SourceBlock::Cols(mut b) => b.for_each_row(None, collect),
+            SourceBlock::Rows(mut b) => b.for_each_row(&every(b.nrows()), collect),
+            SourceBlock::Cols(mut b) => b.for_each_row(&every(b.nrows()), collect),
         }
         .unwrap();
         rows

@@ -410,6 +410,15 @@ fn backend_agnostic(s: &MiddlewareStats) -> MiddlewareStats {
     }
 }
 
+/// `logical`, blind to the staged files' extent framing
+/// (`file_bytes_physical_written`), which the extent size sets.
+fn unframed(s: &MiddlewareStats) -> MiddlewareStats {
+    MiddlewareStats {
+        file_bytes_physical_written: 0,
+        ..logical(s)
+    }
+}
+
 fn file_variant() -> scaleclass::config::MiddlewareConfigBuilder {
     MiddlewareConfig::builder()
         .file_policy(FileStagingPolicy::Singleton)
@@ -437,10 +446,6 @@ proptest! {
                     .memory_caching(caching)
                     .stage_extent_rows(extent_rows)
                     .build()
-            };
-            let unframed = |s: &MiddlewareStats| MiddlewareStats {
-                file_bytes_physical_written: 0,
-                ..logical(s)
             };
             let (whole_cc, whole_stats) = drive(&rows, build(8192));
             let (cut_cc, cut_stats) = drive(&rows, build(extent_rows));
@@ -601,14 +606,14 @@ proptest! {
     }
 
     /// TENTPOLE PROPERTY: the batched block-counting kernel is
-    /// bit-identical to the row-at-a-time path — every node's counts
-    /// table, fallback flag, and all logical stats — across sparse and
-    /// dense backends, memory- and file-staged scans, and extent sizes
-    /// {1, 7, default}. Block counters are
-    /// pipeline-shape (the kernel-off run never counts blocks), so only
-    /// `logical` projections are compared; a kernel-off run must leave all
-    /// four block counters untouched. Every cell must reach the kernel in
-    /// its `on` run — the serial file cell included, whose extents now go
+    /// bit-identical to row-at-a-time counting — the same build at one row
+    /// per scan block and per staged extent, where every row is its own
+    /// block — in every node's counts table, fallback flag, and all
+    /// logical stats, across sparse and dense backends, memory- and
+    /// file-staged scans, and extent sizes {1, 7, default}. Block counters
+    /// are pipeline-shape, so only `logical` projections are compared, and
+    /// blind to the extent framing the extent size sets. Every cell must
+    /// reach the kernel — the serial file cell included, whose extents go
     /// through the same block path as every other source. Mid-block
     /// out-of-range fallback can't arise through a validated schema and
     /// is pinned down by the cc/executor unit tests instead.
@@ -622,16 +627,15 @@ proptest! {
             (true, MiddlewareConfig::builder as fn() -> scaleclass::config::MiddlewareConfigBuilder),
             (false, file_variant),
         ] {
-            let cfg = |kernel: bool| {
+            let cfg = |block_rows: usize, extent_rows: usize| {
                 build()
-                    .scan_block_rows(7)
+                    .scan_block_rows(block_rows)
                     .stage_extent_rows(extent_rows)
                     .cc_dense_max_bytes(dense_cap)
-                    .batch_kernel(kernel)
                     .build()
             };
-            let (on_cc, on_stats) = drive(&rows, cfg(true));
-            let (off_cc, off_stats) = drive(&rows, cfg(false));
+            let (on_cc, on_stats) = drive(&rows, cfg(7, extent_rows));
+            let (off_cc, off_stats) = drive(&rows, cfg(1, 1));
             prop_assert_eq!(
                 &on_cc,
                 &off_cc,
@@ -641,21 +645,17 @@ proptest! {
                 mem_path
             );
             prop_assert_eq!(
-                logical(&on_stats),
-                logical(&off_stats),
+                unframed(&on_stats),
+                unframed(&off_stats),
                 "logical stats diverged: extent_rows {}, dense_cap {}, mem {}",
                 extent_rows,
                 dense_cap,
                 mem_path
             );
-            prop_assert_eq!(off_stats.blocks_counted, 0, "kernel off never counts blocks");
-            prop_assert_eq!(off_stats.block_fallback_rows, 0);
-            prop_assert_eq!(off_stats.kernel_validate_nanos, 0);
-            prop_assert_eq!(off_stats.kernel_accumulate_nanos, 0);
             // The child and grandchild rounds scan staged data (memory
             // sets, or the never-split singleton file) with no tee
-            // attached: blocks must have actually gone through the kernel
-            // in the `on` run, whatever the source.
+            // attached: blocks must have actually gone through the kernel,
+            // whatever the source.
             prop_assert!(
                 on_stats.blocks_counted > 0,
                 "kernel on but no block was batch-counted (mem {})",
@@ -665,11 +665,12 @@ proptest! {
     }
 
     /// TENTPOLE PROPERTY: under arbitrarily tight budgets — where the
-    /// per-block growth-bound gate loses and the §4.1.1 machinery
-    /// (pressure evictions, spill-to-sparse, SQL fallback) fires — the
-    /// batched kernel still reports the exact counts, fallback flags,
-    /// `sql_fallbacks`, and `pressure_evictions` of the row path, on both
-    /// counting backends and staging paths.
+    /// per-block growth-bound gate loses, blocks are halved down to the
+    /// exact one-row step, and the §4.1.1 machinery (pressure evictions,
+    /// spill-to-sparse, SQL fallback) fires — the batched kernel still
+    /// reports the exact counts, fallback flags, `sql_fallbacks`, and
+    /// `pressure_evictions` of the same build at one row per block and per
+    /// extent, on both counting backends and staging paths.
     #[test]
     fn batched_kernel_identical_under_tight_budgets(
         rows in rows_strategy(),
@@ -677,15 +678,19 @@ proptest! {
         dense_cap in prop::sample::select(vec![0u64, 1 << 20]),
     ) {
         for build in [MiddlewareConfig::builder, file_variant] {
-            let cfg = |kernel: bool| {
+            let (on_cc, on_stats) = drive(
+                &rows,
+                build().memory_budget_bytes(budget).cc_dense_max_bytes(dense_cap).build(),
+            );
+            let (off_cc, off_stats) = drive(
+                &rows,
                 build()
                     .memory_budget_bytes(budget)
                     .cc_dense_max_bytes(dense_cap)
-                    .batch_kernel(kernel)
-                    .build()
-            };
-            let (on_cc, on_stats) = drive(&rows, cfg(true));
-            let (off_cc, off_stats) = drive(&rows, cfg(false));
+                    .scan_block_rows(1)
+                    .stage_extent_rows(1)
+                    .build(),
+            );
             prop_assert_eq!(
                 &on_cc,
                 &off_cc,
@@ -696,8 +701,8 @@ proptest! {
             prop_assert_eq!(on_stats.sql_fallbacks, off_stats.sql_fallbacks);
             prop_assert_eq!(on_stats.pressure_evictions, off_stats.pressure_evictions);
             prop_assert_eq!(
-                logical(&on_stats),
-                logical(&off_stats),
+                unframed(&on_stats),
+                unframed(&off_stats),
                 "logical stats diverged at budget {} (dense_cap {})",
                 budget,
                 dense_cap
@@ -1196,6 +1201,97 @@ mod gathered_reference {
     }
 }
 
+/// The counting path the block path replaced, kept as the reference: one
+/// row at a time, every node whose path `Pred::eval` accepts the row, in
+/// ascending node order — no trie, no kernel, no gate. Per node it counts
+/// the row (`CountsTable::add_row`, which spills a dense table the row
+/// escapes); if the table grew past the budget it evicts cached sets, last
+/// first, then falls back to SQL, dropping the table; it tees the row into
+/// the node's memory set, and cancels the set once it overflows. Then it
+/// observes memory. Nodes carry no plan and no file tee here.
+mod row_reference {
+    use scaleclass::executor::NodeCounter;
+    use scaleclass::{CountsTable, MiddlewareStats, CC_ENTRY_BYTES};
+    use scaleclass_sqldb::Code;
+
+    pub struct RowCounter {
+        pub nodes: Vec<NodeCounter>,
+        pub evicted: Vec<u64>,
+        budget: u64,
+        base: u64,
+        evictable: Vec<(u64, u64)>,
+        cc_bytes: u64,
+        buffer_bytes: u64,
+    }
+
+    impl RowCounter {
+        pub fn new(
+            nodes: Vec<NodeCounter>,
+            budget: u64,
+            base: u64,
+            evictable: Vec<(u64, u64)>,
+        ) -> Self {
+            RowCounter {
+                nodes,
+                evicted: Vec::new(),
+                budget,
+                base,
+                evictable,
+                cc_bytes: 0,
+                buffer_bytes: 0,
+            }
+        }
+
+        pub fn memory_in_use(&self) -> u64 {
+            self.base + self.cc_bytes + self.buffer_bytes
+        }
+
+        fn over(&self) -> bool {
+            self.memory_in_use() > self.budget
+        }
+
+        pub fn process_row(&mut self, row: &[Code], stats: &mut MiddlewareStats) {
+            for idx in 0..self.nodes.len() {
+                if !self.nodes[idx].req.pred().eval(row) {
+                    continue;
+                }
+                let node = &mut self.nodes[idx];
+                let mut grew = 0;
+                if !node.fallback {
+                    let before = node.cc.entries();
+                    node.cc.add_row(row, &node.req.attrs, node.req.class_col);
+                    grew = (node.cc.entries() - before) as u64 * CC_ENTRY_BYTES;
+                    self.cc_bytes += grew;
+                }
+                while grew > 0 && self.over() {
+                    let Some((id, bytes)) = self.evictable.pop() else {
+                        break;
+                    };
+                    self.base -= bytes;
+                    self.evicted.push(id);
+                    stats.pressure_evictions += 1;
+                }
+                if grew > 0 && self.over() {
+                    let node = &mut self.nodes[idx];
+                    self.cc_bytes -= node.cc.memory_bytes();
+                    node.cc = CountsTable::new();
+                    node.fallback = true;
+                    stats.sql_fallbacks += 1;
+                }
+                if let Some(buf) = self.nodes[idx].mem_buffer.as_mut() {
+                    buf.push(row);
+                    self.buffer_bytes += buf.width().row_bytes(row.len());
+                    if self.over() {
+                        let cancelled = self.nodes[idx].mem_buffer.take();
+                        self.buffer_bytes -= cancelled.map_or(0, |b| b.len_bytes() as u64);
+                    }
+                }
+            }
+            stats.observe_memory(self.memory_in_use());
+        }
+    }
+}
+
 /// One generated block for the kernel properties: `nrows` rows of
 /// `n_attrs` attribute columns, a class column and a selector column at
 /// generated positions (neither necessarily last), and the attributes a
@@ -1425,17 +1521,17 @@ proptest! {
                 .collect();
             let refs: Vec<&[Code]> = picked.iter().map(Vec::as_slice).collect();
             let mut block = case.table(dense);
-            let out = block.add_block(&refs, class_col, attrs);
-            prop_assert_eq!(out.fallback_rows, 0);
+            block.add_block(&refs, class_col, attrs);
             assert_same_table(&block, &row_major)?;
         }
     }
 
     /// Under budgets tight enough that the gate refuses blocks and the
     /// §4.1.1 machinery fires, the kernel's `BatchCounter` ends where the
-    /// row path ends — tables, fallback flags, modelled memory, and every
-    /// logical stat including the `observe_memory` peak — over a stream
-    /// of three blocks.
+    /// per-row reference (`row_reference`) ends — tables, fallback flags,
+    /// modelled memory, and every logical stat including the
+    /// `observe_memory` peak — over a stream of three blocks, with or
+    /// without a memory tee on the first node and cached sets to evict.
     #[test]
     fn block_kernel_matches_the_row_path_under_tight_budgets(
         n_classes in prop::sample::select(vec![1u64, 2, 10, 65]),
@@ -1445,16 +1541,28 @@ proptest! {
         dense in any::<bool>(),
         seed in any::<u64>(),
         budget in 64u64..5_000,
+        tee in any::<bool>(),
+        cached in prop::collection::vec(1u64..1_000, 0..3),
     ) {
         let case = KernelCase::generate(n_classes, n_attrs, nrows, kind, seed);
         let arity = case.arity;
-        let mut blocked = BatchCounter::new(case.nodes(dense), budget, 0, arity);
-        let mut rowwise = BatchCounter::new(case.nodes(dense), budget, 0, arity);
+        let nodes = || {
+            let mut nodes = case.nodes(dense);
+            if tee {
+                nodes[0].mem_buffer = Some(MemRows::new(CodeWidth::Two));
+            }
+            nodes
+        };
+        let evictable: Vec<(u64, u64)> = (0..).zip(cached).collect();
+        let base: u64 = evictable.iter().map(|&(_, bytes)| bytes).sum();
+        let mut blocked = BatchCounter::new(nodes(), budget, base, arity);
+        blocked.evictable = evictable.clone();
+        let mut rowwise = row_reference::RowCounter::new(nodes(), budget, base, evictable);
         let (mut s_block, mut s_row) = (MiddlewareStats::new(), MiddlewareStats::new());
         for block in case.flat.chunks(arity * nrows.div_ceil(3)) {
             blocked.process_block(block, &mut s_block).unwrap();
             for row in block.chunks_exact(arity) {
-                rowwise.process_row(row, &mut s_row).unwrap();
+                rowwise.process_row(row, &mut s_row);
             }
         }
         prop_assert_eq!(logical(&s_block), logical(&s_row));

@@ -3,10 +3,10 @@
 //! what it read, and a damaged source is an error.
 
 use scaleclass::config::MiddlewareConfigBuilder;
-use scaleclass::staging::StagedRows;
+use scaleclass::staging::{ExtentReader, StagedRows};
 use scaleclass::{
     Backend, CcRequest, CountsTable, FileStagingPolicy, Lineage, MiddlewareConfig, MiddlewareStats,
-    MwError, NodeId, ScanStats, Session,
+    MwError, NodeId, ScanStats, Session, WorkerScanStats,
 };
 use scaleclass_sqldb::{Code, Database, Pred, Schema, CODE_BYTES};
 use std::collections::BTreeMap;
@@ -151,9 +151,12 @@ fn scan_blocks_and_reader_stats_agree_across_scan_paths() {
 /// id, captured after the round that committed them), and the session's
 /// counters and staged-file reader counters.
 struct BuildOutcome {
+    /// The table's rows, row-major, in table order.
+    table: Vec<Code>,
     counts: BTreeMap<u64, CountsTable>,
     mem_sets: BTreeMap<u64, Vec<Code>>,
-    files: BTreeMap<u64, (usize, Vec<u8>)>,
+    /// Per staged file: its members, their predicate, and its rows, decoded.
+    files: BTreeMap<u64, (usize, Pred, Vec<Code>)>,
     stats: MiddlewareStats,
     scan: ScanStats,
 }
@@ -175,6 +178,7 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
     let mut db = Database::new();
     db.create_table("d", Schema::from_pairs(&pairs)).unwrap();
     let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut table = Vec::new();
     for _ in 0..ROWS {
         let row: Vec<Code> = pairs
             .iter()
@@ -186,9 +190,11 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
             })
             .collect();
         db.insert("d", &row).unwrap();
+        table.extend(row);
     }
     if !extra.is_empty() {
         db.table_mut("d").unwrap().insert_unchecked(extra);
+        table.extend(extra);
     }
     let mut s = Session::open(Arc::new(Backend::new(db, "d", "class", config).unwrap())).unwrap();
 
@@ -196,6 +202,7 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
     let mut open: BTreeMap<u64, CcRequest> = BTreeMap::from([(0, root.clone())]);
     s.enqueue(root).unwrap();
     let mut out = BuildOutcome {
+        table,
         counts: BTreeMap::new(),
         mem_sets: BTreeMap::new(),
         files: BTreeMap::new(),
@@ -213,9 +220,19 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
                 StagedRows::Memory(rows) => {
                     out.mem_sets.entry(id).or_insert_with(|| rows.to_codes());
                 }
-                StagedRows::File(path) => {
-                    let bytes = || (set.members.len(), std::fs::read(path).unwrap());
-                    out.files.entry(id).or_insert_with(bytes);
+                StagedRows::File(_) => {
+                    let decoded = || {
+                        let layout = s.staging().extent_layout(id).unwrap().unwrap();
+                        let mut reader = ExtentReader::open(&layout).unwrap();
+                        let (mut cols, mut codes) = (Vec::new(), Vec::new());
+                        let mut io = WorkerScanStats::default();
+                        for k in 0..layout.extents {
+                            let n = reader.decode_extent_columns(k, &mut cols, &mut io).unwrap();
+                            codes.extend((0..n).flat_map(|r| cols.iter().map(move |c| c[r])));
+                        }
+                        (set.members.len(), set.pred.clone(), codes)
+                    };
+                    out.files.entry(id).or_insert_with(decoded);
                 }
             }
         }
@@ -257,15 +274,17 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
 /// node for every row of the block, sent the rest down the row path — and
 /// no test could tell. On a build shaped like the benchmark's `staged-mem`
 /// (memory staging, budget 3 x data) and one shaped like `staged-file`
-/// (hybrid split files, file tees): no block falls back to rows, and
-/// everything the tees wrote is byte-identical to what the row path
-/// writes.
+/// (hybrid split files, file tees): no row takes the exact one-row step,
+/// and the build counts, stages and reads what the same build at one row
+/// per block and per extent does, where every row is its own block. Every
+/// staged file holds the table's rows its members' paths select, in table
+/// order.
 ///
 /// The `staged-file` shape runs at 1, 7, 512 and 8192 rows per extent
 /// (blocks stay 512 rows): an extent stays in columns from the file to the
 /// kernel and from the kernel's selections to the files its tees write —
-/// batches that write a hybrid split file included. All of them must read
-/// the same bytes of the same files.
+/// batches that write a hybrid split file included. Each reads its files
+/// whole: a header, each extent's framing, every row.
 #[test]
 fn the_block_kernel_engages_and_serves_the_tees() {
     let row_bytes = 7 * CODE_BYTES as u64;
@@ -294,20 +313,18 @@ fn the_block_kernel_engages_and_serves_the_tees() {
     ];
     for (shape, builder, extent_sizes) in shapes {
         for &extent_rows in extent_sizes {
-            let run = |kernel: bool| {
+            let run = |block_rows: usize, extent_rows: usize| {
                 let config = builder
                     .clone()
                     .cc_dense_max_bytes(scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES)
                     .stage_extent_rows(extent_rows)
-                    .scan_block_rows(512)
-                    .batch_kernel(kernel)
+                    .scan_block_rows(block_rows)
                     .build();
                 three_level_build(config, &[])
             };
             let shape = format!("{shape} at {extent_rows} rows per extent");
-            let reference = run(false);
+            let reference = run(1, 1);
             assert_eq!(reference.counts.len(), 85, "{shape}: 1 + 4 + 16 + 64 nodes");
-            assert_eq!(reference.stats.blocks_counted, 0, "{shape}: kernel off");
             assert_eq!(
                 reference.stats.server_scans, 1,
                 "{shape}: staged after the root"
@@ -318,34 +335,37 @@ fn the_block_kernel_engages_and_serves_the_tees() {
             } else {
                 assert!(reference.mem_sets.is_empty() && reference.files.len() > 1);
                 assert!(reference.stats.file_scans > 0);
-                let split_files = reference.files.values().filter(|(members, _)| *members > 1);
+                let split_files = reference
+                    .files
+                    .values()
+                    .filter(|(members, ..)| *members > 1);
                 assert!(split_files.count() > 0, "{shape}: a hybrid split file");
             }
             assert_eq!(reference.stats.sql_fallbacks, 0, "{shape}: the budget fits");
-            // Each file scan read its whole file: a header, each extent's
-            // framing, every row.
-            let io = &reference.scan;
-            let extents: u64 = io.workers.iter().map(|w| w.extents).sum();
-            assert_eq!(io.total_rows(), reference.stats.file_rows_read, "{shape}");
-            assert_eq!(
-                io.total_read_bytes(),
-                16 * reference.stats.file_scans + 16 * extents + io.total_rows() * row_bytes,
-                "{shape}: bytes read = sizes of the files scanned"
-            );
-            let on = run(true);
+            let on = run(512, extent_rows);
             assert!(on.stats.blocks_counted > 0, "{shape}: the kernel ran");
             assert_eq!(on.stats.block_fallback_rows, 0, "{shape}: on every row");
             assert_eq!(on.stats.sql_fallbacks, 0, "{shape}");
             assert_eq!(on.counts, reference.counts, "{shape}: counts");
             assert_eq!(on.mem_sets, reference.mem_sets, "{shape}: memory-set rows");
-            assert_eq!(on.files, reference.files, "{shape}: staged-file bytes");
+            assert_eq!(on.files, reference.files, "{shape}: staged-file rows");
+            for (id, (_, pred, rows)) in &on.files {
+                let selected = on.table.chunks_exact(7).filter(|row| pred.eval(row));
+                let expect: Vec<Code> = selected.flatten().copied().collect();
+                assert_eq!(rows, &expect, "{shape}: file {id} holds its paths' rows");
+            }
             assert_eq!(on.stats.scan_rows, reference.stats.scan_rows, "{shape}");
             assert_eq!(on.stats.file_scans, reference.stats.file_scans, "{shape}");
-            let on_extents: u64 = on.scan.workers.iter().map(|w| w.extents).sum();
+            // Each file scan read its whole file: a header, each extent's
+            // framing, every row.
+            let io = &on.scan;
+            let extents: u64 = io.workers.iter().map(|w| w.extents).sum();
+            assert_eq!(io.total_rows(), on.stats.file_rows_read, "{shape}");
+            assert_eq!(io.total_rows(), reference.scan.total_rows(), "{shape}");
             assert_eq!(
-                (on.scan.total_read_bytes(), on.scan.total_rows(), on_extents),
-                (io.total_read_bytes(), io.total_rows(), extents),
-                "{shape}: reader bytes, rows, extents"
+                io.total_read_bytes(),
+                16 * on.stats.file_scans + 16 * extents + io.total_rows() * row_bytes,
+                "{shape}: bytes read = sizes of the files scanned"
             );
         }
     }
@@ -355,30 +375,29 @@ fn the_block_kernel_engages_and_serves_the_tees() {
 /// A table may hold a code past its column's cardinality —
 /// `insert_unchecked` stores one as given — and still counts exactly. The
 /// table's range certificate then escapes the dense layout of every node
-/// that counts that column, and their blocks take the row path, where the
-/// spill fires at the row it always did; nodes that no longer count the
-/// column stay on the kernel. With the kernel on and off, every node's
-/// counts (so any tree a client grows from them), the §4.1.1 fallbacks and
-/// the peak of modelled memory are the same; on an in-range table no
-/// block falls back at all.
+/// that counts that column, and their rows take the exact one-row step,
+/// where the spill fires at the row it always did; nodes that no longer
+/// count the column stay on the kernel. Against the same build at one row
+/// per block, every node's counts (so any tree a client grows from them),
+/// the §4.1.1 fallbacks and the peak of modelled memory are the same; on
+/// an in-range table no row takes the step at all.
 #[test]
 fn an_out_of_layout_code_sends_only_the_nodes_it_escapes_down_the_row_path() {
     let row_bytes = 7 * CODE_BYTES as u64;
-    let run = |kernel: bool, extra: &[Code]| {
+    let run = |block_rows: usize, extra: &[Code]| {
         let config = pinned()
             .memory_budget_bytes(3 * (ROWS + 1) * row_bytes)
             .memory_caching(true)
             .file_policy(FileStagingPolicy::Disabled)
             .cc_dense_max_bytes(scaleclass::config::DEFAULT_CC_DENSE_MAX_BYTES)
-            .scan_block_rows(512)
-            .batch_kernel(kernel)
+            .scan_block_rows(block_rows)
             .build();
         three_level_build(config, extra)
     };
     // `a0 = 4` is past a0's cardinality: only the root counts a0, since
     // every child splits it away.
     for extra in [&[][..], &[4, 0, 0, 0, 0, 0, 0]] {
-        let (off, on) = (run(false, extra), run(true, extra));
+        let (off, on) = (run(1, extra), run(512, extra));
         assert_eq!(on.counts.len(), 85);
         assert_eq!(on.counts, off.counts);
         assert_eq!(on.stats.sql_fallbacks, off.stats.sql_fallbacks);
@@ -395,7 +414,7 @@ fn an_out_of_layout_code_sends_only_the_nodes_it_escapes_down_the_row_path() {
             assert_eq!(
                 on.stats.block_fallback_rows,
                 ROWS + 1,
-                "every block of the root's scan, and no other"
+                "every row of the root's scan, and no other"
             );
         }
     }

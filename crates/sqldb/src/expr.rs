@@ -9,16 +9,14 @@
 //!
 //! It also gives them two compiled forms, one per side of the wire.
 //!
-//! The middleware asks "which of these predicates does this row
-//! satisfy?" of every row, to find the row's node. The predicates are
-//! paths of one partial tree, so the answer is one root-to-leaf walk of
-//! that tree rather than a search over the frontier. [`PredSet`] is that
-//! tree: built once per scan from an ordered predicate list, it merges the
+//! The middleware asks "which rows of this block satisfy each of these
+//! predicates?" of every block, to find each row's node. The predicates
+//! are paths of one partial tree, so the answer is a descent of that tree
+//! rather than a search over the frontier. [`PredSet`] is that tree: built
+//! once per scan from an ordered predicate list, it merges the
 //! conjunctions by shared prefix into a trie of `(column, value)` tests
-//! and routes a row in at most path-depth steps, however many predicates
-//! were compiled in — or a whole block at once ([`PredSet::route_block`]),
-//! partitioning the block's selection vector one trie node at a time
-//! instead of walking the trie once per row.
+//! and routes a whole block at once ([`PredSet::route_block`]),
+//! partitioning the block's selection vector one trie node at a time.
 //!
 //! The server asks one question of every row: does *any* disjunct of the
 //! pushed-down filter match it? [`PageFilter`] answers it by bitmap
@@ -30,13 +28,13 @@
 //! is.
 //!
 //! [`Pred::eval`] stays the single-row reference (and serves one-off
-//! statements); the property suite holds interpreter, row router, block
-//! router and page filter equal.
+//! statements); the property suite holds interpreter, block router and
+//! page filter equal.
 
 use crate::types::{Code, Schema};
 use std::cell::Cell;
 use std::fmt;
-use std::ops::{ControlFlow, Range};
+use std::ops::Range;
 
 /// A boolean predicate over a coded row.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -498,22 +496,21 @@ fn arena_split<'a>(
 }
 
 /// An ordered list of predicates compiled for the middleware's routing:
-/// "which of these does this row satisfy?" in one walk — or "which rows
-/// of this block satisfy each of these?" in one partition per trie node.
+/// "which rows of this block satisfy each of these?" in one partition per
+/// trie node.
 ///
 /// Conjunctions of `Eq`/`NotEq` atoms — every tree path, since a child's
 /// path is its parent's path and one more edge, in root-to-leaf order —
 /// are merged by shared prefix into a trie whose edges are `(column,
-/// value)` tests with an equal-branch and a not-equal-branch. A row walks
-/// from the root and takes every edge whose test it passes, so its cost is
-/// the depth of the paths it is on, not the number of predicates
-/// ([`PredSet::route`]: where a single row is the unit). A block is routed from the root down ([`PredSet::route_block`]):
-/// the rows that reach a node are split among its children by the node's
-/// test in one tight pass, so a level costs a compare and a store per row
-/// in place of a mispredicted branch, and a node no row reaches costs
-/// nothing. `True` is a hit at the root; any other shape (`Or`, `False`,
-/// something nested in them) is kept on a short list evaluated with
-/// [`Pred::eval_with`], per row on both paths.
+/// value)` tests with an equal-branch and a not-equal-branch. A block is
+/// routed from the root down ([`PredSet::route_block`]): the rows that
+/// reach a node are split among its children by the node's test in one
+/// tight pass, so a level costs a compare and a store per row in place of
+/// a mispredicted branch, and a node no row reaches costs nothing. A row's
+/// cost is the depth of the paths it is on, not the number of predicates.
+/// `True` is a hit at the root; any other shape (`Or`, `False`, something
+/// nested in them) is kept on a short list evaluated with
+/// [`Pred::eval_with`], per row.
 ///
 /// Each predicate's atoms are tested in its own evaluation order and only
 /// until the first fails, exactly as [`Pred::eval`] would: a column index
@@ -537,8 +534,8 @@ pub struct PredSet {
 }
 
 impl PredSet {
-    /// Compile an ordered list of predicates; [`PredSet::route`] reports
-    /// matches by position in this list.
+    /// Compile an ordered list of predicates; [`PredSet::route_block`]
+    /// reports matches by position in this list.
     pub fn new<'a>(preds: impl IntoIterator<Item = &'a Pred>) -> PredSet {
         let mut build = vec![BuildNode::default()];
         let mut generic = Vec::new();
@@ -717,102 +714,13 @@ impl PredSet {
         self.len == 0
     }
 
-    /// Write into `out` the indices of exactly the predicates `row`
-    /// satisfies — `{i | preds[i].eval(row)}` — in ascending order.
-    pub fn route(&self, row: &[Code], out: &mut Vec<usize>) {
-        out.clear();
-        let _ = self.for_each_match(&|col| row[col], &mut |idx| {
-            out.push(idx);
-            ControlFlow::Continue(())
-        });
-        // A tree frontier is disjoint, so this is the rare case.
-        if out.len() > 1 {
-            out.sort_unstable();
-        }
-    }
-
-    /// Call `on_match` with the index of every predicate the row behind
-    /// `code` satisfies (`code(col)` is its code in column `col`), each
-    /// once, in no particular order, until `on_match` breaks.
-    pub fn for_each_match(
-        &self,
-        code: &impl Fn(usize) -> Code,
-        on_match: &mut impl FnMut(usize) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if !self.tests.is_empty() {
-            self.walk(0, code, on_match)?;
-        }
-        for (idx, pred) in &self.generic {
-            if pred.eval_with(code) {
-                on_match(*idx)?;
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Report the predicates ending at trie node `at`, then descend every
-    /// edge whose test the row passes: the last one in this loop, any
-    /// before it (only overlapping predicates have several) by recursion.
-    fn walk(
-        &self,
-        mut at: u32,
-        code: &impl Fn(usize) -> Code,
-        on_match: &mut impl FnMut(usize) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        loop {
-            // analyze:allow(hot-path-panic): `at` is the root of a
-            // non-empty trie or a child id `with_trie` minted over `tests`.
-            let mut test = &self.tests[at as usize];
-            if !test.hits.is_empty() {
-                for &idx in sub(&self.hits, &test.hits) {
-                    on_match(idx)?;
-                }
-            }
-            let mut next = NONE;
-            loop {
-                if test.eq_len > 0 {
-                    let values = sub(&self.eq_values, &test.eq_values);
-                    let position = test.position(code(test.col), values);
-                    if position < test.eq_len {
-                        if next != NONE {
-                            self.walk(next, code, on_match)?;
-                        }
-                        next = test.eq_base + position;
-                    }
-                }
-                if !test.ne.is_empty() {
-                    let v = code(test.col);
-                    for &(value, child) in sub(&self.ne, &test.ne) {
-                        if v != value {
-                            if next != NONE {
-                                self.walk(next, code, on_match)?;
-                            }
-                            next = child;
-                        }
-                    }
-                }
-                if test.also == NONE {
-                    break;
-                }
-                // analyze:allow(hot-path-panic): a chain link `with_trie`
-                // set to the index it pushed the next test at.
-                test = &self.tests[test.also as usize];
-            }
-            if next == NONE {
-                return ControlFlow::Continue(());
-            }
-            at = next;
-        }
-    }
-
     /// Route a whole block: leave in `out`, for every predicate at least
     /// one of the block's `nrows` rows satisfies, exactly
     /// `{r | preds[i].eval(row r)}` ascending ([`BlockRoute::selections`]).
     /// `column(col)` is column `col` of the block.
     ///
-    /// Where [`PredSet::route`] walks the trie once per row, this walks it
-    /// once per block: the rows that reach a trie node — all of them at
-    /// the root — are partitioned by the node's test in one tight pass
+    /// It walks the trie once per block: the rows that reach a trie node —
+    /// all of them at the root — are partitioned by the node's test in one tight pass
     /// into the selections of its children, and only children some row
     /// reached are visited. A predicate that ends at a node gets the
     /// node's selection. The short `generic` list is still interpreted
@@ -1412,11 +1320,11 @@ mod tests {
             route.visits
         );
         assert!(route.top <= nrows * set.slots_per_row);
-        let mut routed = Vec::new();
         for (leaf, sel) in route.selections() {
             for &r in sel {
-                set.route(&flat[r as usize * depth..][..depth], &mut routed);
-                assert_eq!(routed, [leaf]);
+                let row = &flat[r as usize * depth..][..depth];
+                let hits: Vec<usize> = (0..leaves.len()).filter(|&i| leaves[i].eval(row)).collect();
+                assert_eq!(hits, [leaf]);
             }
         }
     }

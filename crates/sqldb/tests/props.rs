@@ -10,7 +10,6 @@ use scaleclass_sqldb::{
     DbResult, DbStats, DeltaLog, DeltaSign, PageFilter, Pred, PredSet, Schema, StatsSnapshot,
     Table, Tid,
 };
-use std::ops::ControlFlow;
 
 /// Columns of the router fixtures, and the codes their rows and
 /// predicates draw from: a consecutive run, and two outliers that make a
@@ -393,9 +392,10 @@ proptest! {
         prop_assert_eq!(String::from_utf8(out).unwrap(), csv);
     }
 
-    /// The compiled router is the interpreter: over generated predicate
-    /// families and rows, `route` returns exactly `{i | preds[i].eval(row)}`
-    /// in ascending order, and some predicate exactly when
+    /// The compiled router is the interpreter, a row at a time: over
+    /// generated predicate families and rows, a one-row block routed with
+    /// `route_block` selects its row for exactly `{i | preds[i].eval(row)}`,
+    /// ascending, and for some predicate exactly when
     /// `Pred::or(preds).eval` holds, over row-major and over column access
     /// alike.
     #[test]
@@ -408,24 +408,23 @@ proptest! {
         let set = PredSet::new(&preds);
         prop_assert_eq!(set.len(), preds.len());
         let disjunction = Pred::or(preds.clone());
-        let mut routed = Vec::new();
+        let mut route = BlockRoute::default();
+        let routed = |route: &BlockRoute| -> Vec<usize> {
+            route.selections().inspect(|(_, sel)| assert_eq!(*sel, [0])).map(|(i, _)| i).collect()
+        };
         for (r, row) in rows.iter().enumerate() {
             let expect: Vec<usize> = (0..preds.len()).filter(|&i| preds[i].eval(row)).collect();
-            set.route(row, &mut routed);
-            prop_assert_eq!(&routed, &expect, "row-major, row {:?}", row);
-            let mut by_column = Vec::new();
-            let _ = set.for_each_match(&|c| cols[c][r], &mut |i| {
-                by_column.push(i);
-                ControlFlow::Continue(())
-            });
-            by_column.sort_unstable();
-            prop_assert_eq!(&by_column, &expect, "column access, row {:?}", row);
-            prop_assert_eq!(!routed.is_empty(), disjunction.eval(row));
+            set.route_block(1, |c| ColumnView::row_major(row, ARITY, c), &mut route);
+            prop_assert_eq!(&routed(&route), &expect, "row-major, row {:?}", row);
+            let by_column = |c: usize| ColumnView { codes: &cols[c][r..], stride: 1 };
+            set.route_block(1, by_column, &mut route);
+            prop_assert_eq!(&routed(&route), &expect, "column access, row {:?}", row);
+            prop_assert_eq!(!expect.is_empty(), disjunction.eval(row));
         }
     }
 
-    /// The block router is the per-row router, block at a time: each
-    /// predicate's selection is `{r | route(row r) ∋ i}` ascending, their
+    /// The block router is the interpreter, block at a time: each
+    /// predicate's selection is `{r | preds[i].eval(row r)}` ascending, their
     /// union — `matched`, once marked — is `{r | Pred::or(preds).eval(row r)}`
     /// ascending with a row several predicates select named once, a
     /// predicate no row satisfies is not reported, and the scratch is
@@ -442,13 +441,10 @@ proptest! {
         let disjunction = Pred::or(preds.clone());
 
         let mut expect = vec![Vec::new(); preds.len()];
-        let mut routed = Vec::new();
         for (r, row) in rows.iter().enumerate() {
-            set.route(row, &mut routed);
-            for &i in &routed {
+            for (i, _) in preds.iter().enumerate().filter(|(_, p)| p.eval(row)) {
                 expect[i].push(r as u32);
             }
-            prop_assert_eq!(disjunction.eval(row), !routed.is_empty());
         }
         let expect: Vec<(usize, &[u32])> = expect
             .iter()
@@ -707,13 +703,25 @@ fn router_never_reaches_a_guarded_out_of_range_column() {
         Pred::Eq { col: 9, value: 0 },
     ]);
     let set = PredSet::new([&guarded, &Pred::True]);
-    let mut out = Vec::new();
-    set.route(&[0, 0], &mut out);
-    assert_eq!(out, vec![1]);
-    assert!(!guarded.eval(&[0, 0]));
+    let cols: [&[Code]; 2] = [&[0, 2], &[0, 0]];
+    let mut route = BlockRoute::default();
+    set.route_block(
+        2,
+        |c| ColumnView {
+            codes: cols[c],
+            stride: 1,
+        },
+        &mut route,
+    );
+    assert_eq!(
+        route.selections().collect::<Vec<_>>(),
+        [(1, &[0u32, 1][..])]
+    );
+    assert!(!guarded.eval(&[0, 0]) && !guarded.eval(&[2, 0]));
 }
 
-/// … and the same index-out-of-bounds panic once the walk reaches it.
+/// … and the same index-out-of-bounds panic once some row of the block
+/// reaches it, as `Pred::eval` panics on that row.
 #[test]
 #[should_panic(expected = "index out of bounds")]
 fn router_panics_on_a_reached_out_of_range_column() {
@@ -721,7 +729,12 @@ fn router_panics_on_a_reached_out_of_range_column() {
         Pred::Eq { col: 0, value: 1 },
         Pred::Eq { col: 9, value: 0 },
     ]);
-    PredSet::new([&reached]).route(&[1, 0], &mut Vec::new());
+    let cols: [&[Code]; 2] = [&[0, 1], &[0, 0]];
+    let column = |c: usize| ColumnView {
+        codes: cols[c],
+        stride: 1,
+    };
+    PredSet::new([&reached]).route_block(2, column, &mut BlockRoute::default());
 }
 
 /// Cardinalities of the certificate fixture's columns.
