@@ -337,8 +337,8 @@ impl MiddlewareConfigBuilder {
     }
 
     /// Retired with the row-at-a-time counting path (DESIGN.md §12): every
-    /// block is counted through the kernel, a range that misses its gate
-    /// halved down to the exact one-row step, and this sets nothing. Only
+    /// block is counted through the kernel, or, when it misses its gate,
+    /// row by row through the exact one-row step, and this sets nothing. Only
     /// `benchmark/` still calls it, with `true`; ROADMAP item 1(g) removes
     /// that call, after which a change that touches only `crates/` deletes
     /// the method.

@@ -29,25 +29,23 @@
 //! into the extent it is writing (`FileWriter::push_selected`), a memory
 //! tee appends rows.
 //!
-//! **The gate.** The routed block is counted as a row range, at first
-//! all of it. A range goes through the kernel and the tees at once when
-//! `memory_in_use + Σ bound_n ≤ budget`, where `bound_n` is the worst the
-//! node's selection within the range can add to modelled memory
+//! **The gate.** The routed block goes through the kernel and the tees at
+//! once when `memory_in_use + Σ bound_n ≤ budget`, where `bound_n` is the
+//! worst node `n`'s selection can add to modelled memory
 //! ([`CountsTable::block_growth_bound`] over those rows, plus the rows
 //! themselves for a memory tee). Under that gate no eviction, §4.1.1
-//! fallback or tee cancellation can fire anywhere inside the range, and
+//! fallback or tee cancellation can fire anywhere inside the block, and
 //! modelled memory only grows, so counting node by node instead of row by
-//! row ends in the identical state and observing memory once per range
+//! row ends in the identical state and observing memory once per block
 //! sees the per-row maximum. The bound's free-slot cap assumes no spill,
 //! i.e. no code outside a dense table's layout: the scan proves that once
 //! per node, against the source table's range certificate
 //! (`Table::col_max`, which bounds every copy of its rows), not per block;
-//! a range holding a row of a node whose layout the certificate escapes
-//! misses. A range that misses is halved, and each half is gated again,
-//! in row order, against the memory in use by then; a single row that
-//! misses takes the exact step, where §4.1.1's events fire at the row they
-//! belong to — with results identical to counting row by row (DESIGN.md
-//! §12).
+//! a block selecting a row for a node whose layout the certificate escapes
+//! misses. Every row of a block that misses takes the exact step, in row
+//! order, driven by the block's selections: there §4.1.1's events fire at
+//! the row they belong to — with results identical to counting row by row
+//! (DESIGN.md §12).
 //!
 //! When predicates overlap (never within one tree frontier) a row counts
 //! into every node it satisfies, in ascending node order.
@@ -89,7 +87,6 @@ use crate::siblings::{EntryBound, Plan};
 use crate::staging::{CodeWidth, FileWriter, MemRows};
 use scaleclass_sqldb::types::Code;
 use scaleclass_sqldb::{BlockRoute, ColumnView, Pred, PredSet};
-use std::ops::Range;
 use std::time::Instant;
 
 /// Counting state for one scheduled node during a scan.
@@ -344,20 +341,6 @@ fn slot(
     (node.counts()).then_some((&mut node.cc, attrs, node.req.class_col, node.plan.as_ref()))
 }
 
-/// The rows of ascending selection `sel` inside `rows`: `sel` itself when
-/// it lies wholly inside, as every selection of a whole block does.
-fn within<'s>(sel: &'s [u32], rows: &Range<u32>) -> &'s [u32] {
-    match (sel.first(), sel.last()) {
-        (Some(first), Some(last)) if rows.start <= *first && *last < rows.end => sel,
-        _ => {
-            let (start, end) = (rows.start, rows.end);
-            let lo = sel.partition_point(|&r| r < start);
-            let hi = sel.partition_point(|&r| r < end);
-            sel.get(lo..hi).unwrap_or_default()
-        }
-    }
-}
-
 /// Node `idx` to write and node `other` to read; `None` unless both
 /// exist and differ.
 fn node_and(
@@ -388,13 +371,18 @@ struct BlockPass {
     certificate: Vec<Code>,
     /// Per node: does its table cover the certificate
     /// ([`CountsTable::covers`])? Settled once, when the scan certifies;
-    /// every range holding a row of a dense node it does not cover misses
-    /// its gate, so those rows take the exact step.
+    /// every block selecting a row for a dense node it does not cover
+    /// misses its gate, so its rows take the exact step.
     covered: Vec<bool>,
     /// The kernel's scratch.
     kernel: KernelScratch,
     /// A planned node's selection cut down to the classes it counts.
     sliced: Vec<u32>,
+    /// The selections of a block that missed its gate, by row
+    /// ([`BlockPass::by_row`]): the nodes that selected row `r`, ascending,
+    /// are `hits[row_ends[r - 1]..row_ends[r]]`, from 0 for row 0.
+    hits: Vec<u32>,
+    row_ends: Vec<u32>,
 }
 
 impl BlockPass {
@@ -418,39 +406,31 @@ impl BlockPass {
         }
     }
 
-    /// Nodes the last routed block selected rows for within `rows`,
-    /// ascending, each with those rows.
-    fn selections(&self, rows: Range<u32>) -> impl Iterator<Item = (usize, &[u32])> {
-        (self.routed.selections())
-            .map(move |(idx, sel)| (idx, within(sel, &rows)))
-            .filter(|(_, sel)| !sel.is_empty())
+    /// Nodes the last routed block selected rows for, ascending, each
+    /// with those rows.
+    fn selections(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        self.routed.selections()
     }
 
-    /// The rows of the last routed block within `rows` that some node
-    /// selected.
-    fn any(&self, rows: &Range<u32>) -> &[u32] {
-        within(self.routed.matched(), rows)
+    /// The rows of the last routed block that some node selected.
+    fn any(&self) -> &[u32] {
+        self.routed.matched()
     }
 
-    /// The most counting rows `rows` of the routed block can add to
-    /// modelled memory: `Σ` over the touched nodes still counting of
+    /// The most counting the routed block can add to modelled memory:
+    /// `Σ` over the touched nodes still counting of
     /// [`CountsTable::block_growth_bound`] of their selected rows. `None`
     /// when some such node's table is not `covered`: a code of the scan
     /// may then fall outside its dense layout, the free-slot cap of the
-    /// bound is void, and the range misses, down to the rows that take the
-    /// exact step, where the spill fires at the row it always did.
-    fn cc_bound(
-        &self,
-        rows: &Range<u32>,
-        nodes: &mut [NodeCounter],
-        stats: &mut MiddlewareStats,
-    ) -> Option<u64> {
-        if self.selections(rows.clone()).next().is_none() {
+    /// bound is void, and the block's rows take the exact step, where the
+    /// spill fires at the row it always did.
+    fn cc_bound(&self, nodes: &mut [NodeCounter], stats: &mut MiddlewareStats) -> Option<u64> {
+        if self.selections().next().is_none() {
             return Some(0);
         }
         let t0 = Instant::now();
         let mut bound = Some(0u64);
-        for (idx, sel) in self.selections(rows.clone()) {
+        for (idx, sel) in self.selections() {
             let Some((cc, attrs, _, _)) = slot(nodes, idx) else {
                 continue;
             };
@@ -458,22 +438,62 @@ impl BlockPass {
                 bound = None;
                 break;
             }
-            let n = sel.len() as u64;
-            bound = bound.map(|b| b.saturating_add(cc.block_growth_bound(n, attrs.len())));
+            let rows = sel.len() as u64;
+            bound = bound.map(|b| b.saturating_add(cc.block_growth_bound(rows, attrs.len())));
         }
         stats.kernel_validate_nanos += nanos_since(t0);
         bound
     }
 
+    /// Group the last routed block's selections by row, for the exact
+    /// step (`hits`, `row_ends`): a counting sort over its `nrows` rows,
+    /// whose nodes, taken in ascending index, stay ascending in each row.
+    fn by_row(&mut self, nrows: usize) {
+        let BlockPass {
+            routed,
+            hits,
+            row_ends,
+            ..
+        } = self;
+        // Count each row's nodes, then start each row where the rows
+        // before it end; filling a row moves its start to its end.
+        row_ends.clear();
+        row_ends.resize(nrows, 0);
+        // Selections are minted over this block's rows, so every `get`
+        // below finds its slot.
+        for (_, sel) in routed.selections() {
+            for &r in sel {
+                if let Some(n) = row_ends.get_mut(r as usize) {
+                    *n += 1;
+                }
+            }
+        }
+        let mut total = 0;
+        for n in row_ends.iter_mut() {
+            (*n, total) = (total, total + *n);
+        }
+        hits.clear();
+        hits.resize(total as usize, 0);
+        for (idx, sel) in routed.selections() {
+            for &r in sel {
+                let Some(at) = row_ends.get_mut(r as usize) else {
+                    continue;
+                };
+                if let Some(hit) = hits.get_mut(*at as usize) {
+                    *hit = idx as u32;
+                }
+                *at += 1;
+            }
+        }
+    }
+
     /// Second pass: per touched node still counting, count its selected
-    /// rows within `rows` — a planned node's in the classes it counts —
-    /// through the block kernel, in place. Returns the modelled bytes the
-    /// tables grew by — at most the [`BlockPass::cc_bound`] the caller
-    /// gated on.
+    /// rows — a planned node's in the classes it counts — through the block
+    /// kernel, in place. Returns the modelled bytes the tables grew by — at
+    /// most the [`BlockPass::cc_bound`] the caller gated on.
     fn count(
         &mut self,
         block: &impl Block,
-        rows: &Range<u32>,
         nodes: &mut [NodeCounter],
         stats: &mut MiddlewareStats,
     ) -> u64 {
@@ -486,7 +506,6 @@ impl BlockPass {
             ..
         } = self;
         for (idx, sel) in routed.selections() {
-            let sel = within(sel, rows);
             if let Some((cc, attrs, class_col, plan)) = slot(nodes, idx) {
                 let sel = match plan {
                     Some(plan) => {
@@ -840,8 +859,9 @@ impl BatchCounter {
     }
 
     /// Feed a block, in whichever layout its source has, through every
-    /// scheduled node: route it once, then count it as one row range
-    /// ([`BatchCounter::count_range`]).
+    /// scheduled node: route it once, then count and tee it whole when it
+    /// clears its gate (module docs), or take every row through the exact
+    /// step ([`BatchCounter::step`]) when it does not.
     pub(crate) fn process(
         &mut self,
         block: &mut impl Block,
@@ -855,55 +875,36 @@ impl BatchCounter {
         // reads them.
         let mark_any = self.split_writer.is_some() || self.kept.is_some();
         self.pass.route(&self.router, block, mark_any);
-        self.count_range(block, 0..nrows as u32, stats)?;
+        if self.clears(stats) {
+            self.cc_bytes += self.pass.count(block, &mut self.nodes, stats);
+            self.tee(block)?;
+            debug_assert!(
+                self.memory_in_use() <= self.budget,
+                "a block was counted without clearing its growth bound"
+            );
+            // Modelled memory only grows inside a block that cleared its
+            // gate, so this is the per-row maximum.
+            stats.observe_memory(self.memory_in_use());
+        } else {
+            self.step_rows(block, nrows, stats)?;
+        }
         if self.kept.is_some() {
             self.next_row += nrows as u32;
         }
         Ok(())
     }
 
-    /// Count rows `rows` of the routed block, in row order. A range that
-    /// clears its gate (module docs) goes through the kernel and the tees
-    /// at once; a range of several rows that misses is halved, each half
-    /// gated again against the memory in use by then; a single row that
-    /// misses takes the exact step ([`BatchCounter::step`]).
-    fn count_range(
-        &mut self,
-        block: &mut impl Block,
-        rows: Range<u32>,
-        stats: &mut MiddlewareStats,
-    ) -> MwResult<()> {
-        if self.clears(&rows, stats) {
-            self.cc_bytes += self.pass.count(block, &rows, &mut self.nodes, stats);
-            self.tee(block, &rows)?;
-            debug_assert!(
-                self.memory_in_use() <= self.budget,
-                "a range was counted without clearing its growth bound"
-            );
-            // Modelled memory only grows inside a range that cleared its
-            // gate, so this is the per-row maximum.
-            stats.observe_memory(self.memory_in_use());
-            return Ok(());
-        }
-        if rows.len() == 1 {
-            return self.step(block, rows.start, stats);
-        }
-        let mid = rows.start + (rows.end - rows.start) / 2;
-        self.count_range(block, rows.start..mid, stats)?;
-        self.count_range(block, mid..rows.end, stats)
-    }
-
-    /// Does range `rows` of the routed block clear its gate: is
-    /// `memory_in_use` plus what its counts and memory tees can add at most
-    /// the budget? Not when it selects rows for a counting node whose table
-    /// does not cover the scan ([`BlockPass::cc_bound`]).
-    fn clears(&mut self, rows: &Range<u32>, stats: &mut MiddlewareStats) -> bool {
-        let Some(cc_bound) = self.pass.cc_bound(rows, &mut self.nodes, stats) else {
+    /// Does the routed block clear its gate: is `memory_in_use` plus what
+    /// its counts and memory tees can add at most the budget? Not when it
+    /// selects rows for a counting node whose table does not cover the
+    /// scan ([`BlockPass::cc_bound`]).
+    fn clears(&mut self, stats: &mut MiddlewareStats) -> bool {
+        let Some(cc_bound) = self.pass.cc_bound(&mut self.nodes, stats) else {
             return false;
         };
         // A memory tee grows by exactly the rows it is handed, in its width.
         let arity = self.arity;
-        let tee_bound: u64 = (self.pass.selections(rows.clone()))
+        let tee_bound: u64 = (self.pass.selections())
             .filter_map(|(idx, sel)| {
                 let buf = self.nodes.get(idx)?.mem_buffer.as_ref()?;
                 Some(sel.len() as u64 * buf.width().row_bytes(arity))
@@ -913,15 +914,46 @@ impl BatchCounter {
         need.saturating_add(tee_bound) <= self.budget
     }
 
-    /// The exact step (§4.1.1) for row `r` of the routed block, which no
-    /// range holding it cleared. Per node whose selection holds the row,
-    /// in ascending index: count it (through [`CountsTable::add_row`], so
-    /// a dense table the row escapes spills at this row); if the table
-    /// grew past the budget, evict cached sets, then fall back; tee it,
-    /// cancelling a memory tee that overflows. Then the split file and the
-    /// kept rows take it, and memory is observed. Counted into
-    /// `stats.block_fallback_rows`.
-    fn step(&mut self, block: &impl Block, r: u32, stats: &mut MiddlewareStats) -> MwResult<()> {
+    /// Take every row of the routed block, which missed its gate, through
+    /// the exact step, in row order, each with the nodes that selected it
+    /// ([`BlockPass::by_row`]).
+    fn step_rows(
+        &mut self,
+        block: &impl Block,
+        nrows: usize,
+        stats: &mut MiddlewareStats,
+    ) -> MwResult<()> {
+        self.pass.by_row(nrows);
+        let (hits, row_ends) = (
+            std::mem::take(&mut self.pass.hits),
+            std::mem::take(&mut self.pass.row_ends),
+        );
+        let mut start = 0;
+        for (r, &end) in (0..).zip(&row_ends) {
+            // `by_row` ends every row inside `hits`, in order.
+            let row_hits = hits.get(start..end as usize).unwrap_or_default();
+            self.step(block, r, row_hits, stats)?;
+            start = end as usize;
+        }
+        (self.pass.hits, self.pass.row_ends) = (hits, row_ends);
+        Ok(())
+    }
+
+    /// The exact step (§4.1.1) for row `r` of the routed block, which
+    /// missed its gate; `hits` are the nodes that selected the row,
+    /// ascending. Per node: count the row (through
+    /// [`CountsTable::add_row`], so a dense table the row escapes spills
+    /// at this row); if the table grew past the budget, evict cached sets,
+    /// then fall back; tee it, cancelling a memory tee that overflows. Then
+    /// the split file and the kept rows take it, and memory is observed.
+    /// Counted into `stats.block_fallback_rows`.
+    fn step(
+        &mut self,
+        block: &impl Block,
+        r: u32,
+        hits: &[u32],
+        stats: &mut MiddlewareStats,
+    ) -> MwResult<()> {
         let budget = self.budget;
         let mut base = self.base_mem_bytes;
         let mut cc_bytes = self.cc_bytes;
@@ -932,12 +964,10 @@ impl BatchCounter {
         row.extend((0..self.arity).map(|c| block.column(c).get(r)));
 
         // Exactly the nodes whose predicate the row satisfies, ascending.
-        let mut any_matched = false;
-        for (idx, _) in self.pass.selections(r..r + 1) {
-            any_matched = true;
+        for &idx in hits {
             // Predicate `i` is node `i`'s; one past the nodes only keeps
             // its rows.
-            let Some(node) = self.nodes.get_mut(idx) else {
+            let Some(node) = self.nodes.get_mut(idx as usize) else {
                 break;
             };
 
@@ -989,7 +1019,7 @@ impl BatchCounter {
         self.buffer_bytes = buffer_bytes;
         self.base_mem_bytes = base;
 
-        if any_matched {
+        if !hits.is_empty() {
             if let Some(w) = self.split_writer.as_mut() {
                 w.push(&row)?;
             }
@@ -1003,13 +1033,12 @@ impl BatchCounter {
         Ok(())
     }
 
-    /// Serve the staging tees from the last routed block's selections
-    /// within `rows`, in row order: a file tee takes its node's selection
-    /// column by column, a memory buffer row by row, the split file every
-    /// row some node took, and the kept rows of a compaction their source
-    /// offsets.
-    fn tee(&mut self, block: &mut impl Block, rows: &Range<u32>) -> MwResult<()> {
-        for (idx, sel) in self.pass.selections(rows.clone()) {
+    /// Serve the staging tees from the last routed block's selections, in
+    /// row order: a file tee takes its node's selection column by column,
+    /// a memory buffer row by row, the split file every row some node took,
+    /// and the kept rows of a compaction their source offsets.
+    fn tee(&mut self, block: &mut impl Block) -> MwResult<()> {
+        for (idx, sel) in self.pass.selections() {
             // Predicate `i` is node `i`'s.
             let Some(node) = self.nodes.get_mut(idx) else {
                 continue;
@@ -1026,11 +1055,11 @@ impl BatchCounter {
             }
         }
         if let Some(w) = self.split_writer.as_mut() {
-            w.push_selected(block, self.pass.any(rows))?;
+            w.push_selected(block, self.pass.any())?;
         }
         if let Some(kept) = self.kept.as_mut() {
             let at = self.next_row;
-            kept.extend(self.pass.any(rows).iter().map(|&r| at + r));
+            kept.extend(self.pass.any().iter().map(|&r| at + r));
         }
         Ok(())
     }
@@ -1424,25 +1453,15 @@ mod tests {
         ];
         let mut pass = BlockPass::default();
         pass.route(&PredSet::new(&preds), &block, true);
-        let selections: Vec<_> = pass.selections(0..6).collect();
+        let selections: Vec<_> = pass.selections().collect();
         assert_eq!(
             selections,
             [(0, &[1u32, 2, 5][..]), (1, &[2u32, 3, 4][..])],
             "ascending nodes, ascending rows"
         );
-        assert_eq!(
-            pass.any(&(0..6)),
-            [1, 2, 3, 4, 5],
-            "row 2 once, row 0 never"
-        );
-        // A row range cuts each selection and the union down to its rows,
-        // and leaves out the nodes it holds none of.
-        let selections: Vec<_> = pass.selections(3..5).collect();
-        assert_eq!(selections, [(1, &[3u32, 4][..])]);
-        assert_eq!(pass.any(&(2..4)), [2, 3]);
-        assert!(pass.any(&(0..1)).is_empty());
+        assert_eq!(pass.any(), [1, 2, 3, 4, 5], "row 2 once, row 0 never");
         pass.route(&PredSet::new(&preds), &block, false);
-        assert!(pass.any(&(0..6)).is_empty(), "only marked when asked");
+        assert!(pass.any().is_empty(), "only marked when asked");
 
         let mut batch = BatchCounter::new(
             preds
@@ -1597,12 +1616,8 @@ mod tests {
         let route = |pass: &mut BlockPass, flat: &[Code]| {
             let block = RowBlock { flat, arity: depth };
             pass.route(&router, &block, true);
-            let every_row = 0..flat.len() as u32;
-            let routed: usize = pass
-                .selections(every_row.clone())
-                .map(|(_, sel)| sel.len())
-                .sum();
-            assert_eq!(routed, pass.any(&every_row).len(), "a frontier is disjoint");
+            let routed: usize = pass.selections().map(|(_, sel)| sel.len()).sum();
+            assert_eq!(routed, pass.any().len(), "a frontier is disjoint");
         };
         route(&mut pass, &full);
         let capacity = pass.routed.capacity();
@@ -1620,7 +1635,7 @@ mod tests {
         // is bounded by the rows and the depth, not by the 3 000 leaves.
         let mut short = BlockPass::default();
         route(&mut short, &block(64));
-        assert!(short.selections(0..64).count() <= 64);
+        assert!(short.selections().count() <= 64);
         assert!(
             short.routed.capacity() <= 4 * 64 * (2 * depth + 2),
             "scratch of {} slots for a 64-row block",
@@ -1629,11 +1644,10 @@ mod tests {
     }
 
     /// The free-slot cap of the growth bound holds only while no code
-    /// spills a dense table: every row of a node whose layout a code of
-    /// the block escapes takes the exact one-row step, even under a budget
-    /// the capped bound clears, so the spill — and the §4.1.1 fallback its
-    /// out-of-layout entries bring on — fires at the row it does row by
-    /// row. The node here selects every row, so the whole block takes it.
+    /// spills a dense table: a block with a code outside the layout takes
+    /// the exact one-row step *whole* even under a budget the capped bound
+    /// clears, so the spill — and the §4.1.1 fallback its out-of-layout
+    /// entries bring on — fires at the row it does row by row.
     #[test]
     fn out_of_range_block_takes_the_row_path_whole() {
         // 2 attrs x 2 values x 2 classes = 8 slots.
@@ -1669,10 +1683,8 @@ mod tests {
             let flat: Vec<Code> = rows.iter().flatten().copied().collect();
             blocked.process_block(&flat, &mut s2).unwrap();
             if expect_fallback {
-                assert_eq!(s2.blocks_counted, 0, "the range check refused every range");
-                // Every row up to the fallback; the node counts no row
-                // after it, so the last range clears with nothing to count.
-                assert_eq!(s2.block_fallback_rows, rows.len() as u64 - 1);
+                assert_eq!(s2.blocks_counted, 0, "the range check refused the block");
+                assert_eq!(s2.block_fallback_rows, rows.len() as u64);
             } else {
                 assert_eq!(s2.blocks_counted, 1, "the capped bound let the block in");
                 assert_eq!(s2.block_fallback_rows, 0);
@@ -1688,10 +1700,9 @@ mod tests {
 
     #[test]
     fn process_block_tight_budget_falls_back_and_matches() {
-        // Budget small enough that the growth bound clears no range of
-        // more than one row, so the block is halved down to rows, and those
-        // that cannot clear take the exact step — with its §4.1.1 fallback
-        // decisions.
+        // Budget small enough that the growth bound cannot clear it, so
+        // every row of the block takes the exact step — with its §4.1.1
+        // fallback decisions.
         let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
         let budget = 5 * CC_ENTRY_BYTES;
         let mut rowwise = BatchCounter::new(block_nodes(), budget, 0, ARITY);
@@ -1702,6 +1713,8 @@ mod tests {
         let mut blocked = BatchCounter::new(block_nodes(), budget, 0, ARITY);
         let mut s2 = MiddlewareStats::new();
         blocked.process_block(&flat, &mut s2).unwrap();
+        assert_eq!(s2.blocks_counted, 0);
+        assert_eq!(s2.block_fallback_rows, BLOCK_ROWS.len() as u64);
         assert!(s2.sql_fallbacks > 0);
         assert_eq!(s1.sql_fallbacks, s2.sql_fallbacks);
         assert_eq!(s1.peak_memory_bytes, s2.peak_memory_bytes);
@@ -1725,16 +1738,15 @@ mod tests {
         [1, 1, 1],
     ];
 
-    /// A block that misses its gate is halved, and halves that clear go
-    /// through the kernel and the tees: the growth bound of all eight rows
-    /// (1 548 B, two entries a row for each of three nodes' 16 selected
-    /// rows and three bytes a row of the memory tee) is over the budget,
-    /// the first half's (774 B) is not, and after it the second's, against
-    /// the 390 B the first half left in use, is not either. The counts,
-    /// the tees — memory set, staged file, split file and kept rows — and
-    /// the peak are those of one-row blocks; no row takes the exact step.
+    /// A block that misses its gate takes every row through the exact
+    /// step, tees included: the growth bound of all eight rows (1 548 B,
+    /// two entries a row for each of three nodes' 16 selected rows and
+    /// three bytes a row of the memory tee) is over the budget, while each
+    /// one-row block clears and goes through the kernel. The counts, the
+    /// tees — memory set, staged file, split file and kept rows — and the
+    /// peak of the step are those of the one-row blocks.
     #[test]
-    fn a_block_that_misses_its_gate_is_counted_in_halves() {
+    fn a_block_that_misses_its_gate_steps_every_row_with_its_tees() {
         let flat: Vec<Code> = REPEATED_ROWS.iter().flatten().copied().collect();
         let run = |block_rows: usize| {
             let mut staging = StagingManager::new(None).unwrap();
@@ -1760,20 +1772,20 @@ mod tests {
         assert_eq!(state, reference);
         assert_eq!(tees, reference_tees, "memory set, node file and split file");
         assert_eq!(logical(&stats), logical(&reference_stats));
-        assert_eq!(stats.blocks_counted, 2 * 3, "two halves, three nodes each");
-        assert_eq!(stats.block_fallback_rows, 0);
+        assert!(reference_stats.blocks_counted > 0, "one-row blocks clear");
+        assert_eq!(reference_stats.block_fallback_rows, 0);
+        assert_eq!(stats.blocks_counted, 0, "the block missed its gate");
+        assert_eq!(stats.block_fallback_rows, 8, "every row took the step");
         assert_eq!(state.1, 396, "eight entries and four teed rows");
     }
 
-    /// A range that misses its gate is halved again, each half gated
-    /// against the memory in use by then, down to a single row, which
-    /// takes the exact step: there the §4.1.1 events fire at their row. A
-    /// root counting eight rows of two new entries each, next to a 400 B
-    /// cached set it may evict, under a 738 B budget: rows 0–1 and 2 clear
-    /// (688 B, the peak); row 3 would reach 784 B, so its step evicts the
-    /// set (384 B); rows 4–5 and 6 clear (672 B); row 7 would reach 768 B
-    /// with nothing left to evict, so its step falls back to SQL, dropping
-    /// the table. Events, peak and state are those of one-row blocks.
+    /// In the exact step the §4.1.1 events fire at their row. A root
+    /// counting eight rows of two new entries each, next to a 400 B cached
+    /// set it may evict, under a 738 B budget the whole block misses: rows
+    /// 0–2 reach 688 B, the peak; row 3 would reach 784 B, so it evicts
+    /// the set (384 B); rows 4–6 reach 672 B; row 7 would reach 768 B with
+    /// nothing left to evict, so it falls back to SQL, dropping the table.
+    /// Events, peak and state are those of one-row blocks.
     #[test]
     fn the_one_row_step_fires_each_event_at_its_row() {
         let rows: Vec<[Code; 3]> = (0..8).map(|v| [v, v, 0]).collect();
@@ -1801,8 +1813,8 @@ mod tests {
         assert_eq!((stats.pressure_evictions, stats.sql_fallbacks), (1, 1));
         assert_eq!(stats.peak_memory_bytes, 400 + 6 * CC_ENTRY_BYTES);
         assert_eq!(memory, 0);
-        assert_eq!(stats.blocks_counted, 4, "rows 0–1, 2, 4–5 and 6");
-        assert_eq!(stats.block_fallback_rows, 2, "rows 3 and 7");
+        assert_eq!(stats.blocks_counted, 0);
+        assert_eq!(stats.block_fallback_rows, 8);
     }
 
     /// The stats a row-at-a-time and a block-at-a-time pass must agree on:
@@ -2278,23 +2290,22 @@ mod tests {
         assert_eq!(st.block_fallback_rows, 0, "no row took the exact step");
     }
 
-    /// The block gate bounds each range by what its rows could add: a
+    /// The block gate bounds each block by what its rows could add: a
     /// budget that fits the root's table but never a block's growth bound
-    /// halves every block — on its own and extent by extent of a staged
-    /// file — down to ranges it clears, with the same counts and peak.
+    /// takes every row through the exact step — on its own and extent by
+    /// extent of a staged file — with the same counts and peak.
     #[test]
-    fn a_budget_the_block_gate_refuses_counts_in_halves() {
+    fn a_budget_the_block_gate_refuses_counts_on_the_row_path() {
         let data = rows(400, 59);
         // The root table tops out at 16 entries (768 B), but a 37-row
         // extent is bounded at 37 * 2 * CC_ENTRY_BYTES = 3552 B, and the
-        // 400-row block alone counts at 400 * 2 * CC_ENTRY_BYTES. A single
-        // row, bounded at 96 B, always clears.
+        // 400-row block alone counts at 400 * 2 * CC_ENTRY_BYTES.
         let root = || BatchCounter::new(vec![NodeCounter::new(root_request())], 1024, 0, ARITY);
         let [(alone, alone_stats), (sunk, stats)] = alone_and_scanned(root, &data);
-        assert!(alone_stats.blocks_counted > 1, "the gate refused the block");
-        assert_eq!(alone_stats.block_fallback_rows, 0);
-        assert!(stats.blocks_counted > 11, "the gate refused every extent");
-        assert_eq!(stats.block_fallback_rows, 0);
+        assert_eq!(alone_stats.blocks_counted, 0, "the gate refused the block");
+        assert_eq!(alone_stats.block_fallback_rows, 400);
+        assert_eq!(stats.blocks_counted, 0, "the gate refused every extent");
+        assert_eq!(stats.block_fallback_rows, 400);
         assert!(!sunk.nodes[0].fallback);
         assert_eq!(sunk.nodes[0].cc, alone.nodes[0].cc);
         assert_eq!(stats.peak_memory_bytes, alone_stats.peak_memory_bytes);

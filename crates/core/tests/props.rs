@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use scaleclass::estimator::{est_cc_bytes_upper, est_cc_entries};
 use scaleclass::executor::{BatchCounter, NodeCounter};
 use scaleclass::scheduler::{schedule, SampledLedger};
-use scaleclass::staging::{CodeWidth, MemRows, StagingManager};
+use scaleclass::staging::{CodeWidth, FileWriter, MemRows, StagingManager};
 use scaleclass::{
     Backend, CcRequest, CountsTable, DataLocation, FileStagingPolicy, Lineage, Middleware,
     MiddlewareConfig, MiddlewareStats, NodeId, Session, SessionPool, CC_ENTRY_BYTES,
@@ -665,7 +665,7 @@ proptest! {
     }
 
     /// TENTPOLE PROPERTY: under arbitrarily tight budgets — where the
-    /// per-block growth-bound gate loses, blocks are halved down to the
+    /// per-block growth-bound gate loses, every row of the block takes the
     /// exact one-row step, and the §4.1.1 machinery (pressure evictions,
     /// spill-to-sparse, SQL fallback) fires — the batched kernel still
     /// reports the exact counts, fallback flags, `sql_fallbacks`, and
@@ -1207,16 +1207,22 @@ mod gathered_reference {
 /// the row (`CountsTable::add_row`, which spills a dense table the row
 /// escapes); if the table grew past the budget it evicts cached sets, last
 /// first, then falls back to SQL, dropping the table; it tees the row into
-/// the node's memory set, and cancels the set once it overflows. Then it
-/// observes memory. Nodes carry no plan and no file tee here.
+/// the node's staged file and memory set, and cancels the set once it
+/// overflows. A row some node took then goes to the split file and, by its
+/// offset in the stream, to the kept rows. Then it observes memory. Nodes
+/// carry no plan here.
 mod row_reference {
     use scaleclass::executor::NodeCounter;
+    use scaleclass::staging::FileWriter;
     use scaleclass::{CountsTable, MiddlewareStats, CC_ENTRY_BYTES};
     use scaleclass_sqldb::Code;
 
     pub struct RowCounter {
         pub nodes: Vec<NodeCounter>,
         pub evicted: Vec<u64>,
+        pub split_writer: Option<FileWriter>,
+        pub kept: Option<Vec<u32>>,
+        next_row: u32,
         budget: u64,
         base: u64,
         evictable: Vec<(u64, u64)>,
@@ -1234,6 +1240,9 @@ mod row_reference {
             RowCounter {
                 nodes,
                 evicted: Vec::new(),
+                split_writer: None,
+                kept: None,
+                next_row: 0,
                 budget,
                 base,
                 evictable,
@@ -1251,10 +1260,12 @@ mod row_reference {
         }
 
         pub fn process_row(&mut self, row: &[Code], stats: &mut MiddlewareStats) {
+            let mut any = false;
             for idx in 0..self.nodes.len() {
                 if !self.nodes[idx].req.pred().eval(row) {
                     continue;
                 }
+                any = true;
                 let node = &mut self.nodes[idx];
                 let mut grew = 0;
                 if !node.fallback {
@@ -1278,6 +1289,9 @@ mod row_reference {
                     node.fallback = true;
                     stats.sql_fallbacks += 1;
                 }
+                if let Some(w) = self.nodes[idx].file_writer.as_mut() {
+                    w.push(row).unwrap();
+                }
                 if let Some(buf) = self.nodes[idx].mem_buffer.as_mut() {
                     buf.push(row);
                     self.buffer_bytes += buf.width().row_bytes(row.len());
@@ -1287,6 +1301,15 @@ mod row_reference {
                     }
                 }
             }
+            if any {
+                if let Some(w) = self.split_writer.as_mut() {
+                    w.push(row).unwrap();
+                }
+                if let Some(kept) = self.kept.as_mut() {
+                    kept.push(self.next_row);
+                }
+            }
+            self.next_row += 1;
             stats.observe_memory(self.memory_in_use());
         }
     }
@@ -1529,9 +1552,11 @@ proptest! {
     /// Under budgets tight enough that the gate refuses blocks and the
     /// §4.1.1 machinery fires, the kernel's `BatchCounter` ends where the
     /// per-row reference (`row_reference`) ends — tables, fallback flags,
-    /// modelled memory, and every logical stat including the
-    /// `observe_memory` peak — over a stream of three blocks, with or
-    /// without a memory tee on the first node and cached sets to evict.
+    /// modelled memory, every logical stat including the `observe_memory`
+    /// peak, the staged file of the second node, the split file and the
+    /// kept rows — over a stream of three blocks, with or without a memory
+    /// tee on the first node, a file tee on the second, a split file, kept
+    /// rows and cached sets to evict.
     #[test]
     fn block_kernel_matches_the_row_path_under_tight_budgets(
         n_classes in prop::sample::select(vec![1u64, 2, 10, 65]),
@@ -1542,22 +1567,40 @@ proptest! {
         seed in any::<u64>(),
         budget in 64u64..5_000,
         tee in any::<bool>(),
+        file_tee in any::<bool>(),
+        split in any::<bool>(),
+        keep in any::<bool>(),
         cached in prop::collection::vec(1u64..1_000, 0..3),
     ) {
         let case = KernelCase::generate(n_classes, n_attrs, nrows, kind, seed);
         let arity = case.arity;
-        let nodes = || {
+        let mut staging = [(); 2].map(|()| {
+            let mut staging = StagingManager::new(None).unwrap();
+            staging.set_extent_rows(5);
+            staging
+        });
+        let file = |s: &mut StagingManager, node: u64| {
+            s.start_file(vec![NodeId(node)], Pred::True, arity).unwrap()
+        };
+        let nodes = |s: &mut StagingManager| {
             let mut nodes = case.nodes(dense);
             if tee {
                 nodes[0].mem_buffer = Some(MemRows::new(CodeWidth::Two));
             }
+            nodes[1].file_writer = file_tee.then(|| file(s, 2));
             nodes
         };
         let evictable: Vec<(u64, u64)> = (0..).zip(cached).collect();
         let base: u64 = evictable.iter().map(|&(_, bytes)| bytes).sum();
-        let mut blocked = BatchCounter::new(nodes(), budget, base, arity);
+        let [at_block, at_row] = &mut staging;
+        let mut blocked = BatchCounter::new(nodes(at_block), budget, base, arity);
         blocked.evictable = evictable.clone();
-        let mut rowwise = row_reference::RowCounter::new(nodes(), budget, base, evictable);
+        blocked.split_writer = split.then(|| file(at_block, 9));
+        blocked.kept = keep.then(Vec::new);
+        let reference = nodes(at_row);
+        let mut rowwise = row_reference::RowCounter::new(reference, budget, base, evictable);
+        rowwise.split_writer = split.then(|| file(at_row, 9));
+        rowwise.kept = keep.then(Vec::new);
         let (mut s_block, mut s_row) = (MiddlewareStats::new(), MiddlewareStats::new());
         for block in case.flat.chunks(arity * nrows.div_ceil(3)) {
             blocked.process_block(block, &mut s_block).unwrap();
@@ -1573,6 +1616,20 @@ proptest! {
             assert_same_table(&a.cc, &b.cc)?;
         }
         blocked.assert_shadow_accounting();
+        prop_assert_eq!(&blocked.kept, &rowwise.kept);
+        // Every staged file, byte for byte.
+        let commit = |s: &mut StagingManager, w: Option<FileWriter>| {
+            let id = s.commit_file(w?, &mut MiddlewareStats::new()).unwrap();
+            Some(std::fs::read(s.extent_layout(id).unwrap()?.path).unwrap())
+        };
+        prop_assert_eq!(
+            commit(at_block, blocked.nodes[1].file_writer.take()),
+            commit(at_row, rowwise.nodes[1].file_writer.take())
+        );
+        prop_assert_eq!(
+            commit(at_block, blocked.split_writer.take()),
+            commit(at_row, rowwise.split_writer.take())
+        );
     }
 }
 

@@ -375,9 +375,9 @@ fn the_block_kernel_engages_and_serves_the_tees() {
 /// A table may hold a code past its column's cardinality —
 /// `insert_unchecked` stores one as given — and still counts exactly. The
 /// table's range certificate then escapes the dense layout of every node
-/// that counts that column, and their rows take the exact one-row step,
-/// where the spill fires at the row it always did; nodes that no longer
-/// count the column stay on the kernel. Against the same build at one row
+/// that counts that column, and every block selecting their rows takes
+/// the exact one-row step, where the spill fires at the row it always did;
+/// nodes that no longer count the column stay on the kernel. Against the same build at one row
 /// per block, every node's counts (so any tree a client grows from them),
 /// the §4.1.1 fallbacks and the peak of modelled memory are the same; on
 /// an in-range table no row takes the step at all.
