@@ -35,7 +35,7 @@
 //!   `crates/core/src/staging.rs` (the checksum's dispatch `crc32`,
 //!   `crc32_folded`, and both kernels, `crc32_clmul` with `load16` and
 //!   `fold16`, and `crc32_sliced`; `ExtentReader::{fetch, verify,
-//!   decode_extent_columns}`, `FileWriter::{push, push_selected,
+//!   decode_extent}`, `FileWriter::{push, push_selected,
 //!   flush_extent}`), where the bytes come from disk.
 //! - **stats-coverage** — every field declared on the stats structs in
 //!   `metrics.rs` must be written somewhere in `crates/core` non-test code and
@@ -288,7 +288,7 @@ const PANIC_SCOPED: [(&str, &[&str]); 9] = [
             "crc32_sliced",
             "fetch",
             "verify",
-            "decode_extent_columns",
+            "decode_extent",
             "push",
             "push_selected",
             "flush_extent",

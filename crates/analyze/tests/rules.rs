@@ -325,9 +325,9 @@ fn hot_path_panic_is_fn_scoped_in_the_staged_file_byte_path() {
                fn verify(&self) -> u32 {\n\
                u32::from_le_bytes(self.byte_buf[0..4].try_into().unwrap())\n\
                }\n\
-               fn decode_extent_columns(&mut self, nrows: usize) {\n\
-               for c in 0..self.layout.arity {\n\
-               let col = &payload[c * nrows..];\n\
+               fn decode_extent(&mut self, nrows: usize) {\n\
+               for r in 0..nrows {\n\
+               let row = &payload[r * self.layout.arity..];\n\
                }\n\
                }\n\
                }\n\
@@ -339,7 +339,7 @@ fn hot_path_panic_is_fn_scoped_in_the_staged_file_byte_path() {
         fired(&report),
         vec![
             (RULE_HOT_PATH_PANIC, 8),  // .unwrap() on a disk-derived slice
-            (RULE_HOT_PATH_PANIC, 12), // payload[..] inside the column loop
+            (RULE_HOT_PATH_PANIC, 12), // payload[..] inside the row loop
             // A checksum kernel whose signature holds an array type.
             (RULE_HOT_PATH_PANIC, 17),
         ]

@@ -1,8 +1,7 @@
 //! The execution module's counting core (§4.1.1).
 //!
 //! Given the scheduler's batch plan, [`BatchCounter`] consumes one stream
-//! of blocks — row-major or column-major, as the source lays them out —
-//! and simultaneously:
+//! of row-major blocks, whatever the source, and simultaneously:
 //!
 //! * updates the counts table of every scheduled node whose predicate the
 //!   row satisfies,
@@ -25,9 +24,9 @@
 //! second, per node with a non-empty selection, counts the selected rows
 //! through the block kernel, which reads their codes where they lie in the
 //! block. The staging tees are served from the same selection vectors,
-//! in row order: a file tee gathers each column of the selection straight
-//! into the extent it is writing (`FileWriter::push_selected`), a memory
-//! tee appends rows.
+//! in row order: a file tee copies the selected rows straight into the
+//! extent it is writing (`FileWriter::push_selected`), a memory tee
+//! appends them — each a whole block in one copy when it took every row.
 //!
 //! **The gate.** The routed block goes through the kernel and the tees at
 //! once when `memory_in_use + Σ bound_n ≤ budget`, where `bound_n` is the
@@ -226,103 +225,36 @@ pub struct BatchCounter {
     /// on its source, which the scan routes only to keep their rows: it
     /// neither counts nor tees them.
     router: PredSet,
-    /// The exact step's scratch: the row's codes.
-    row: Vec<Code>,
     /// Reusable selection/tally scratch of the block pass.
     pass: BlockPass,
     /// The source table's mutation epoch when the scan was certified.
     pub(crate) epoch: u64,
 }
 
-/// A block of rows in either layout the scan paths produce, as the
-/// route-then-count pass reads it.
-pub(crate) trait Block {
-    /// Rows in the block.
-    fn nrows(&self) -> usize;
-    /// Column `col` of the block, as the router and the kernel read it.
-    /// Panics on a column past the arity.
-    fn column(&self, col: usize) -> ColumnView<'_>;
-    /// Append column `col` of the selected rows to `out` — for the file
-    /// tee, which copies the selection into the extent it is writing.
-    fn gather(&self, col: usize, sel: &[u32], out: &mut Vec<Code>) {
-        let codes = self.column(col);
-        // Selections are minted over this block's rows.
-        out.extend(sel.iter().map(|&r| codes.get(r)));
-    }
-    /// Hand each selected row to `f`, rows ascending: the one place a
-    /// block is taken apart into rows, for the row-major memory tees.
-    fn for_each_row(&mut self, sel: &[u32], f: impl FnMut(&[Code]) -> MwResult<()>)
-        -> MwResult<()>;
-}
-
-/// A row-major block: a run of a memory set or of a wire fetch.
-pub(crate) struct RowBlock<'a> {
+/// A block of rows, row-major — a run of a memory set or of a wire fetch,
+/// or one decoded extent of a staged file — as the route-then-count pass
+/// reads it.
+pub(crate) struct Block<'a> {
     pub(crate) flat: &'a [Code],
     pub(crate) arity: usize,
 }
 
-impl Block for RowBlock<'_> {
-    fn nrows(&self) -> usize {
+impl<'a> Block<'a> {
+    /// Rows in the block.
+    pub(crate) fn nrows(&self) -> usize {
         self.flat.len() / self.arity
     }
 
-    fn column(&self, col: usize) -> ColumnView<'_> {
+    /// Column `col` of the block, as the router and the kernel read it.
+    /// Panics on a column past the arity.
+    pub(crate) fn column(&self, col: usize) -> ColumnView<'a> {
         ColumnView::row_major(self.flat, self.arity, col)
     }
 
-    fn for_each_row(
-        &mut self,
-        sel: &[u32],
-        mut f: impl FnMut(&[Code]) -> MwResult<()>,
-    ) -> MwResult<()> {
-        // Selections ascend, so a full one is the block itself.
-        if sel.len() == self.nrows() {
-            return self.flat.chunks_exact(self.arity).try_for_each(f);
-        }
-        for &r in sel {
-            let start = r as usize * self.arity;
-            // analyze:allow(hot-path-panic): selections are minted over
-            // this block's rows.
-            f(&self.flat[start..start + self.arity])?;
-        }
-        Ok(())
-    }
-}
-
-/// A column-major block: one decoded extent of a staged file.
-pub(crate) struct ColBlock<'a> {
-    pub(crate) cols: &'a [Vec<Code>],
-    pub(crate) nrows: usize,
-    /// Scratch the rows are assembled in, owned by whoever decodes the
-    /// extents so that it outlives them all.
-    pub(crate) row: &'a mut Vec<Code>,
-}
-
-impl Block for ColBlock<'_> {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    fn column(&self, col: usize) -> ColumnView<'_> {
-        ColumnView {
-            codes: &self.cols[col],
-            stride: 1,
-        }
-    }
-
-    fn for_each_row(
-        &mut self,
-        sel: &[u32],
-        mut f: impl FnMut(&[Code]) -> MwResult<()>,
-    ) -> MwResult<()> {
-        let (cols, row) = (self.cols, &mut *self.row);
-        // Every decoded column holds `nrows` codes, and selections are
-        // minted over this block's rows.
-        sel.iter().try_for_each(|&r| {
-            row.clear();
-            row.extend(cols.iter().map(|c| c[r as usize]));
-            f(row)
-        })
+    /// Row `r`. Panics on a row past the block.
+    pub(crate) fn row(&self, r: u32) -> &'a [Code] {
+        let start = r as usize * self.arity;
+        &self.flat[start..start + self.arity]
     }
 }
 
@@ -388,7 +320,7 @@ struct BlockPass {
 impl BlockPass {
     /// First pass: route `block` once, into per-node selection vectors
     /// (and, with `mark_any`, the rows some node took).
-    fn route(&mut self, router: &PredSet, block: &impl Block, mark_any: bool) {
+    fn route(&mut self, router: &PredSet, block: &Block<'_>, mark_any: bool) {
         // The certificate is trusted in release builds; here every block
         // proves it.
         #[cfg(debug_assertions)]
@@ -493,7 +425,7 @@ impl BlockPass {
     /// most the [`BlockPass::cc_bound`] the caller gated on.
     fn count(
         &mut self,
-        block: &impl Block,
+        block: &Block<'_>,
         nodes: &mut [NodeCounter],
         stats: &mut MiddlewareStats,
     ) -> u64 {
@@ -561,7 +493,6 @@ impl BatchCounter {
             buffer_bytes: 0,
             arity,
             router,
-            row: Vec::new(),
             pass: BlockPass::default(),
             epoch: 0,
         };
@@ -602,10 +533,10 @@ impl BatchCounter {
     }
 
     /// Feed a row-major block of rows through every scheduled node
-    /// (`BatchCounter::process` over that layout). A block handed in from
-    /// outside a scan has no table to certify it, so its own column maxima
-    /// are its certificate; its memory tees keep the width they were made
-    /// with, which must hold every code they are handed.
+    /// (`BatchCounter::process`). A block handed in from outside a scan
+    /// has no table to certify it, so its own column maxima are its
+    /// certificate; its memory tees keep the width they were made with,
+    /// which must hold every code they are handed.
     pub fn process_block(&mut self, flat: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
         let arity = self.arity;
         debug_assert_eq!(flat.len() % arity, 0);
@@ -618,7 +549,7 @@ impl BatchCounter {
             }
         }
         self.settle_coverage();
-        self.process(&mut RowBlock { flat, arity }, stats)
+        self.process(&Block { flat, arity }, stats)
     }
 
     /// Start the batch's scan, before its first block: it reads at most
@@ -858,13 +789,13 @@ impl BatchCounter {
         Ok(())
     }
 
-    /// Feed a block, in whichever layout its source has, through every
-    /// scheduled node: route it once, then count and tee it whole when it
-    /// clears its gate (module docs), or take every row through the exact
-    /// step ([`BatchCounter::step`]) when it does not.
+    /// Feed a block through every scheduled node: route it once, then
+    /// count and tee it whole when it clears its gate (module docs), or
+    /// take every row through the exact step ([`BatchCounter::step`]) when
+    /// it does not.
     pub(crate) fn process(
         &mut self,
-        block: &mut impl Block,
+        block: &Block<'_>,
         stats: &mut MiddlewareStats,
     ) -> MwResult<()> {
         let nrows = block.nrows();
@@ -919,7 +850,7 @@ impl BatchCounter {
     /// ([`BlockPass::by_row`]).
     fn step_rows(
         &mut self,
-        block: &impl Block,
+        block: &Block<'_>,
         nrows: usize,
         stats: &mut MiddlewareStats,
     ) -> MwResult<()> {
@@ -949,7 +880,7 @@ impl BatchCounter {
     /// Counted into `stats.block_fallback_rows`.
     fn step(
         &mut self,
-        block: &impl Block,
+        block: &Block<'_>,
         r: u32,
         hits: &[u32],
         stats: &mut MiddlewareStats,
@@ -959,9 +890,7 @@ impl BatchCounter {
         let mut cc_bytes = self.cc_bytes;
         let mut buffer_bytes = self.buffer_bytes;
 
-        let mut row = std::mem::take(&mut self.row);
-        row.clear();
-        row.extend((0..self.arity).map(|c| block.column(c).get(r)));
+        let row = block.row(r);
 
         // Exactly the nodes whose predicate the row satisfies, ascending.
         for &idx in hits {
@@ -973,9 +902,9 @@ impl BatchCounter {
 
             // Counting (unless this node fell back to SQL, is derived, or
             // copies the row's class from its parent).
-            if node.counts_row(&row) {
+            if node.counts_row(row) {
                 let before = node.cc.entries();
-                node.cc.add_row(&row, &node.req.attrs, node.req.class_col);
+                node.cc.add_row(row, &node.req.attrs, node.req.class_col);
                 let grew = (node.cc.entries() - before) as u64 * CC_ENTRY_BYTES;
                 cc_bytes += grew;
                 if grew > 0 && base + cc_bytes + buffer_bytes > budget {
@@ -1003,10 +932,10 @@ impl BatchCounter {
 
             // Staging tees.
             if let Some(w) = node.file_writer.as_mut() {
-                w.push(&row)?;
+                w.push(row)?;
             }
             if let Some(buf) = node.mem_buffer.as_mut() {
-                buf.push(&row);
+                buf.push(row);
                 buffer_bytes += buf.width().row_bytes(self.arity);
                 if base + cc_bytes + buffer_bytes > budget {
                     // Staging is best-effort: cancel this node's memory
@@ -1021,23 +950,23 @@ impl BatchCounter {
 
         if !hits.is_empty() {
             if let Some(w) = self.split_writer.as_mut() {
-                w.push(&row)?;
+                w.push(row)?;
             }
             if let Some(kept) = self.kept.as_mut() {
                 kept.push(self.next_row + r);
             }
         }
-        self.row = row;
         stats.block_fallback_rows += 1;
         stats.observe_memory(self.memory_in_use());
         Ok(())
     }
 
     /// Serve the staging tees from the last routed block's selections, in
-    /// row order: a file tee takes its node's selection column by column,
-    /// a memory buffer row by row, the split file every row some node took,
-    /// and the kept rows of a compaction their source offsets.
-    fn tee(&mut self, block: &mut impl Block) -> MwResult<()> {
+    /// row order: a file tee and a memory buffer take their node's selected
+    /// rows — the whole block in one copy when it selected every row — the
+    /// split file every row some node took, and the kept rows of a
+    /// compaction their source offsets.
+    fn tee(&mut self, block: &Block<'_>) -> MwResult<()> {
         for (idx, sel) in self.pass.selections() {
             // Predicate `i` is node `i`'s.
             let Some(node) = self.nodes.get_mut(idx) else {
@@ -1047,10 +976,14 @@ impl BatchCounter {
                 w.push_selected(block, sel)?;
             }
             if let Some(buf) = node.mem_buffer.as_mut() {
-                block.for_each_row(sel, |row| {
-                    buf.push(row);
-                    Ok(())
-                })?;
+                // Selections ascend, so a full one is the block itself.
+                if sel.len() == block.nrows() {
+                    buf.push(block.flat);
+                } else {
+                    for &r in sel {
+                        buf.push(block.row(r));
+                    }
+                }
                 self.buffer_bytes += sel.len() as u64 * buf.width().row_bytes(self.arity);
             }
         }
@@ -1251,15 +1184,11 @@ mod tests {
             assert!(!batch.cannot_reach_budget(100), "{width:?}");
             batch.budget = u64::MAX;
             let flat = [2, b_max, 1, 0, 0, 0];
-            batch
-                .process(
-                    &mut RowBlock {
-                        flat: &flat,
-                        arity: ARITY,
-                    },
-                    &mut MiddlewareStats::new(),
-                )
-                .unwrap();
+            let block = Block {
+                flat: &flat,
+                arity: ARITY,
+            };
+            batch.process(&block, &mut MiddlewareStats::new()).unwrap();
             batch.assert_shadow_accounting();
             let codes = batch.nodes[0].mem_buffer.as_ref().map(MemRows::to_codes);
             assert_eq!(codes.as_deref(), Some(&flat[..]));
@@ -1442,7 +1371,7 @@ mod tests {
     #[test]
     fn overlapping_nodes_share_a_row_once_in_the_split_selection() {
         let flat: Vec<Code> = BLOCK_ROWS.iter().flatten().copied().collect();
-        let block = RowBlock {
+        let block = Block {
             flat: &flat,
             arity: ARITY,
         };
@@ -1479,13 +1408,13 @@ mod tests {
         assert_eq!(batch.nodes[1].cc.total(), 3);
     }
 
-    /// The kernel reads a selection where it lies in either layout: a
-    /// decoded extent (column-major) counts what the same rows packed
-    /// row-major count, and what the row path counts, on both backends,
-    /// for selections that are empty, one row, every row, the first and
-    /// last rows, or scattered. Column 3 is the selector.
+    /// The kernel reads a selection where it lies in the block: one block
+    /// counts what one-row blocks count, uncertified or under a
+    /// certificate, on both backends, for selections that are empty, one
+    /// row, every row, the first and last rows, or scattered. Column 3 is
+    /// the selector.
     #[test]
-    fn kernel_counts_a_selection_in_place_in_either_layout() {
+    fn kernel_counts_a_selection_in_place() {
         let masks: [fn(u16) -> bool; 5] = [
             |_| false,
             |r| r == 17,
@@ -1498,9 +1427,6 @@ mod tests {
                 .map(|r| [r % 4, (r * 7 / 3) % 4, (r / 3) % 2, u16::from(mask(r))])
                 .collect();
             let flat: Vec<Code> = rows.iter().flatten().copied().collect();
-            let cols: Vec<Vec<Code>> = (0..4)
-                .map(|c| rows.iter().map(|row| row[c]).collect())
-                .collect();
             let nodes = || {
                 let preds = [
                     Pred::Eq { col: 3, value: 1 },
@@ -1516,25 +1442,26 @@ mod tests {
                 BatchCounter::new(nodes, u64::MAX, 0, 4)
             };
             let mut rowwise = nodes();
-            let mut row_major = nodes();
-            let mut col_major = nodes();
+            let mut uncertified = nodes();
+            let mut certified = nodes();
             let mut stats = [(); 3].map(|()| MiddlewareStats::new());
             for row in &rows {
                 rowwise.process_block(row, &mut stats[0]).unwrap();
             }
-            row_major.process_block(&flat, &mut stats[1]).unwrap();
-            let (cols, nrows, row) = (&cols[..], rows.len(), &mut Vec::new());
-            col_major.set_certificate(&[3, 3, 1, 1]);
-            col_major
-                .process(&mut ColBlock { cols, nrows, row }, &mut stats[2])
-                .unwrap();
+            uncertified.process_block(&flat, &mut stats[1]).unwrap();
+            certified.set_certificate(&[3, 3, 1, 1]);
+            let block = Block {
+                flat: &flat,
+                arity: 4,
+            };
+            certified.process(&block, &mut stats[2]).unwrap();
             let selected = rows.iter().filter(|row| row[3] == 1).count();
             let touched = 1 + u64::from(selected != 0 && selected != rows.len());
             for s in &stats[1..] {
                 assert_eq!(s.block_fallback_rows, 0);
                 assert_eq!(s.blocks_counted, touched);
             }
-            for batch in [&row_major, &col_major] {
+            for batch in [&uncertified, &certified] {
                 for (a, b) in rowwise.nodes.iter().zip(&batch.nodes) {
                     assert_eq!(a.cc, b.cc);
                     assert_eq!(a.cc.entries(), b.cc.entries());
@@ -1547,11 +1474,10 @@ mod tests {
     }
 
     /// A predicate column past the arity panics on the block path exactly
-    /// when some row reaches that test, as on the row path — in either
-    /// layout.
+    /// when some row reaches that test, as on the row path.
     #[test]
     fn block_path_panics_on_a_past_arity_column_iff_a_row_reaches_it() {
-        let panics = |rows: &[[Code; 3]], columnar: bool| {
+        let panics = |rows: &[[Code; 3]]| {
             let guarded = Pred::And(vec![
                 Pred::Eq { col: 0, value: 1 },
                 Pred::Eq { col: 9, value: 0 },
@@ -1562,27 +1488,16 @@ mod tests {
             ];
             let mut batch = BatchCounter::new(nodes, u64::MAX, 0, ARITY);
             let flat: Vec<Code> = rows.iter().flatten().copied().collect();
-            let cols: Vec<Vec<Code>> = (0..ARITY)
-                .map(|c| rows.iter().map(|row| row[c]).collect())
-                .collect();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut stats = MiddlewareStats::new();
-                if columnar {
-                    let (cols, nrows, row) = (&cols[..], rows.len(), &mut Vec::new());
-                    batch.process(&mut ColBlock { cols, nrows, row }, &mut stats)
-                } else {
-                    batch.process_block(&flat, &mut stats)
-                }
-                .unwrap();
+                batch.process_block(&flat, &mut stats).unwrap();
                 assert_eq!(stats.block_fallback_rows, 0, "the block path ran");
                 assert_eq!(batch.nodes[1].cc.total(), rows.len() as u64);
             }));
             outcome.is_err()
         };
-        for columnar in [false, true] {
-            assert!(!panics(&[[0, 0, 0], [2, 1, 1]], columnar), "guarded");
-            assert!(panics(&[[0, 0, 0], [1, 1, 1]], columnar), "reached");
-        }
+        assert!(!panics(&[[0, 0, 0], [2, 1, 1]]), "guarded");
+        assert!(panics(&[[0, 0, 0], [1, 1, 1]]), "reached");
     }
 
     /// The pass's scratch is reused block after block, and routing costs
@@ -1614,7 +1529,7 @@ mod tests {
         let mut pass = BlockPass::default();
         let full = block(4096);
         let route = |pass: &mut BlockPass, flat: &[Code]| {
-            let block = RowBlock { flat, arity: depth };
+            let block = Block { flat, arity: depth };
             pass.route(&router, &block, true);
             let routed: usize = pass.selections().map(|(_, sel)| sel.len()).sum();
             assert_eq!(routed, pass.any().len(), "a frontier is disjoint");
@@ -1946,11 +1861,11 @@ mod tests {
         rows: &[[Code; 3]],
     ) -> (BatchCounter, MiddlewareStats) {
         for r in rows {
-            let mut block = RowBlock {
+            let block = Block {
                 flat: r,
                 arity: ARITY,
             };
-            batch.process(&mut block, &mut stats).unwrap();
+            batch.process(&block, &mut stats).unwrap();
         }
         batch.derive(&mut stats).unwrap();
         (batch, stats)
@@ -2067,7 +1982,7 @@ mod tests {
 
     // A staged file read through the one scan loop (`session::drive`),
     // against the same rows fed to a `BatchCounter` on its own or through
-    // a server scan's row-major blocks.
+    // a server scan's blocks.
 
     /// The range certificate of every row `rows()` draws.
     const CERT: [Code; ARITY] = [3, 3, 1];
@@ -2195,11 +2110,11 @@ mod tests {
         let mut alone_stats = MiddlewareStats::new();
         alone.set_certificate(&CERT);
         let flat = flat(data);
-        let mut block = RowBlock {
+        let block = Block {
             flat: &flat,
             arity: ARITY,
         };
-        alone.process(&mut block, &mut alone_stats).unwrap();
+        alone.process(&block, &mut alone_stats).unwrap();
         let mut stats = MiddlewareStats::new();
         let mut scanned = batch();
         scan(&mut scanned, data, 37, &mut stats);

@@ -42,7 +42,7 @@ use crate::metrics::{ArbiterStats, MiddlewareStats, ScanStats};
 use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use crate::scheduler::{schedule, BatchPlan, SampledLedger};
 use crate::siblings::Parents;
-use crate::source::{BlockSource, SourceBlock};
+use crate::source::BlockSource;
 use crate::sqlgen::cc_via_sql;
 use crate::staging::{CodeWidth, MemRows, StagedRows, StagingManager};
 use scaleclass_sqldb::stats::DbStats;
@@ -1296,10 +1296,7 @@ pub(crate) fn drive(
     stats: &mut MiddlewareStats,
 ) -> MwResult<()> {
     while let Some(block) = source.next_block()? {
-        match block {
-            SourceBlock::Rows(mut rows) => batch.process(&mut rows, stats)?,
-            SourceBlock::Cols(mut cols) => batch.process(&mut cols, stats)?,
-        }
+        batch.process(&block, stats)?;
         stats.scan_blocks += 1;
     }
     stats.scan_rows += source.rows_read;

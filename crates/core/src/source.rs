@@ -3,23 +3,21 @@
 //! The execution module scans one data source once and counts every
 //! scheduled node from it (§4.1.1), wherever that source lives (§4.2).
 //! [`BlockSource`] is that "wherever": each kind yields its blocks in
-//! source order, each in the layout the source has — row-major where rows
-//! arrive as rows, column-major where they lie in columns, both read
-//! through `executor::Block` — so the one scan loop in `session.rs` never
-//! knows which kind it drives. A block is a unit of the source's
-//! *physical* layout:
+//! source order, every one row-major (`executor::Block`), so the one scan
+//! loop in `session.rs` never knows which kind it drives. A block is a
+//! unit of the source's *physical* layout:
 //!
 //! * memory set, or a materialised TID/keyset result — the k-th run of
-//!   `scan_block_rows` rows, row-major; a memory set's narrow codes
-//!   ([`MemRows`]) are decoded a block at a time into the reusable buffer
-//!   a cursor fetches into;
-//! * extent file — extent k, column-major: read, CRC-checked and decoded
-//!   by [`ExtentReader::decode_extent_columns`], and never transposed;
+//!   `scan_block_rows` rows; a memory set's narrow codes ([`MemRows`]) are
+//!   decoded a block at a time into the reusable buffer a cursor fetches
+//!   into;
+//! * extent file — extent k: read, CRC-checked and decoded by
+//!   [`ExtentReader::decode_extent`] into that same buffer;
 //! * server or temp-table cursor — the k-th block shipped (each wire fetch
-//!   cut at `scan_block_rows`), row-major.
+//!   cut at `scan_block_rows`).
 
 use crate::error::MwResult;
-use crate::executor::{ColBlock, RowBlock};
+use crate::executor::Block;
 use crate::metrics::WorkerScanStats;
 use crate::staging::{ExtentLayout, ExtentReader, MemRows, FILE_HEADER_BYTES};
 use scaleclass_sqldb::{Code, ServerCursor};
@@ -33,23 +31,10 @@ enum Kind<'a> {
     Flat(&'a [Code]),
     /// A memory set, decoded one block at a time into `buf`.
     Mem(&'a MemRows),
-    /// A staged extent file, decoded one extent at a time into `cols`;
-    /// `row` is the scratch a block's rows are assembled in when asked for.
-    Extents {
-        reader: ExtentReader,
-        cols: Vec<Vec<Code>>,
-        row: Vec<Code>,
-    },
+    /// A staged extent file, decoded one extent at a time into `buf`.
+    Extents(ExtentReader),
     /// A server cursor, fetched one wire batch at a time into `buf`.
     Cursor(Fetch<'a>),
-}
-
-/// A block as its source lays it out.
-pub(crate) enum SourceBlock<'a> {
-    /// A run of a memory set or of a wire fetch.
-    Rows(RowBlock<'a>),
-    /// One decoded extent.
-    Cols(ColBlock<'a>),
 }
 
 /// One scan's input: blocks in source order, each with the index the
@@ -62,7 +47,8 @@ pub(crate) struct BlockSource<'a> {
     /// Index of the next block.
     next: u64,
     /// The last wire fetch, `buf[at..]` not yet yielded (`at` means
-    /// nothing to the other kinds), or the last memory-set block decoded.
+    /// nothing to the other kinds), or the last memory-set block or extent
+    /// decoded.
     buf: Vec<Code>,
     at: usize,
     /// Rows in the blocks yielded so far.
@@ -100,11 +86,7 @@ impl<'a> BlockSource<'a> {
 
     /// A staged extent file; block `k` is extent `k`.
     pub(crate) fn extents(layout: &ExtentLayout) -> MwResult<Self> {
-        let kind = Kind::Extents {
-            reader: ExtentReader::open(layout)?,
-            cols: Vec::new(),
-            row: Vec::new(),
-        };
+        let kind = Kind::Extents(ExtentReader::open(layout)?);
         let mut source = Self::new(kind, layout.arity, layout.extent_rows);
         // Layout detection read the file header; charge it here so a full
         // scan's bytes sum to the file size.
@@ -124,7 +106,7 @@ impl<'a> BlockSource<'a> {
     }
 
     /// The next block; `None` at the end of the source.
-    pub(crate) fn next_block(&mut self) -> MwResult<Option<SourceBlock<'_>>> {
+    pub(crate) fn next_block(&mut self) -> MwResult<Option<Block<'_>>> {
         let k = self.next;
         // Run `k` of `len` codes in memory: where it starts, and its codes.
         let block_codes = self.block_codes;
@@ -136,7 +118,7 @@ impl<'a> BlockSource<'a> {
         let (start, codes) = match &mut self.kind {
             Kind::Flat(rows) => run(rows.len()),
             Kind::Mem(rows) => run(rows.codes()),
-            Kind::Extents { reader, .. } => {
+            Kind::Extents(reader) => {
                 let layout = reader.layout();
                 let nrows = if k < layout.extents {
                     layout.rows_in_extent(k)
@@ -168,25 +150,24 @@ impl<'a> BlockSource<'a> {
                 rows.decode(start, codes, &mut self.buf);
                 (self.buf.as_slice(), 0)
             }
-            Kind::Extents { reader, cols, row } => {
-                let nrows = reader.decode_extent_columns(k, cols, &mut self.io)?;
-                return Ok(Some(SourceBlock::Cols(ColBlock { cols, nrows, row })));
+            Kind::Extents(reader) => {
+                reader.decode_extent(k, &mut self.buf, &mut self.io)?;
+                (self.buf.as_slice(), 0)
             }
         };
-        let block = RowBlock {
+        Ok(Some(Block {
             // `start + codes` was clamped to the length of these same rows
-            // above (a memory set's block is decoded whole, from 0).
+            // above (a memory set's block and an extent are decoded whole,
+            // from 0).
             flat: &rows[start..start + codes],
             arity: self.arity,
-        };
-        Ok(Some(SourceBlock::Rows(block)))
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Block;
     use crate::metrics::MiddlewareStats;
     use crate::request::NodeId;
     use crate::staging::{CodeWidth, StagingManager};
@@ -229,27 +210,11 @@ mod tests {
         (data, db, staging, layout)
     }
 
-    /// The block's rows, row-major, whichever layout it came in.
-    fn rows_of(block: SourceBlock<'_>) -> Vec<Code> {
-        let mut rows = Vec::new();
-        let collect = |row: &[Code]| {
-            rows.extend_from_slice(row);
-            Ok(())
-        };
-        let every = |nrows: usize| (0..nrows as u32).collect::<Vec<u32>>();
-        match block {
-            SourceBlock::Rows(mut b) => b.for_each_row(&every(b.nrows()), collect),
-            SourceBlock::Cols(mut b) => b.for_each_row(&every(b.nrows()), collect),
-        }
-        .unwrap();
-        rows
-    }
-
     /// Everything `src` yields; the source keeps its tallies.
     fn drain(src: &mut BlockSource<'_>) -> Blocks {
         let mut out = Vec::new();
         while let Some(block) = src.next_block().unwrap() {
-            out.push(rows_of(block));
+            out.push(block.flat.to_vec());
         }
         out
     }
@@ -300,22 +265,6 @@ mod tests {
         let rows: Vec<Code> = ragged.into_iter().flatten().collect();
         assert_eq!(rows, data);
         assert!(drain(&mut BlockSource::flat(&[], ARITY, BLOCK)).is_empty());
-
-        // Each in the layout it has: an extent stays in columns.
-        let mut file = BlockSource::extents(&layout).unwrap();
-        let first = file.next_block().unwrap().unwrap();
-        assert!(matches!(first, SourceBlock::Cols(_)), "extent file");
-        for (name, mut src) in [
-            ("memory set", BlockSource::memory_set(&narrow, ARITY, BLOCK)),
-            (
-                "materialised result",
-                BlockSource::flat(&data, ARITY, BLOCK),
-            ),
-            ("server cursor", server(&db, 2 * BLOCK)),
-        ] {
-            let first = src.next_block().unwrap().unwrap();
-            assert!(matches!(first, SourceBlock::Rows(_)), "{name}");
-        }
     }
 
     #[test]
@@ -329,7 +278,7 @@ mod tests {
         let mut src = BlockSource::extents(&layout).unwrap();
         for expect in rechunked(&data).into_iter().take(7) {
             let block = src.next_block().unwrap().unwrap();
-            assert_eq!(rows_of(block), expect);
+            assert_eq!(block.flat, expect);
         }
         match src.next_block() {
             Err(crate::error::MwError::Corrupt(msg)) => {

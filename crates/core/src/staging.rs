@@ -71,7 +71,7 @@ pub(crate) fn cleanup_shared_dir(dir: &Path) {
 }
 
 // ---------------------------------------------------------------------------
-// Extent file format (version 2)
+// Extent file format (version 3)
 //
 // Staged files are written as a 16-byte file header followed by a sequence
 // of fixed-size *extents* so that reader threads can each own a disjoint
@@ -81,21 +81,21 @@ pub(crate) fn cleanup_shared_dir(dir: &Path) {
 //   file header (16 B): magic "SCXT" | version u32 LE | arity u32 LE
 //                       | extent_rows u32 LE
 //   extent  header (8 B): nrows u32 LE | extent index u32 LE
-//   extent payload      : for each column c in 0..arity, nrows × Code u16 LE
-//                         (columnar within the extent, and it stays so:
-//                         the writer buffers columns, the one decode
-//                         yields columns, the block pass counts columns)
+//   extent payload      : the extent's rows in order, each arity × Code
+//                         u16 LE (row-major, as every scan counts: the
+//                         writer buffers rows, the one decode yields rows)
 //   extent  footer (8 B): CRC32(payload) u32 LE | nrows u32 LE (again)
 //
-// This is the only staged-file format: a file too short for the header or
-// without the magic is `MwError::Corrupt` (`ExtentLayout::detect`).
+// This is the only staged-file format: a file too short for the header,
+// without the magic or of another version — version 2 stored each extent's
+// payload column by column — is `MwError::Corrupt` (`ExtentLayout::detect`).
 // ---------------------------------------------------------------------------
 
 /// Magic prefix of extent-format staged files.
 pub const EXTENT_MAGIC: [u8; 4] = *b"SCXT";
 /// Format version stamped in the file header (1 was a headerless
-/// row-major layout that is no longer read).
-pub const EXTENT_VERSION: u32 = 2;
+/// row-major layout, 2 a column-major payload; neither is read).
+pub const EXTENT_VERSION: u32 = 3;
 /// Bytes of the per-file header.
 pub const FILE_HEADER_BYTES: u64 = 16;
 /// Bytes of per-extent framing (8 header + 8 footer).
@@ -1197,10 +1197,10 @@ impl Drop for StagingManager {
 }
 
 /// Incremental writer for one staged file in the extent format: rows — one
-/// at a time, or a block's selection column by column — accumulate in one
-/// buffer per column until an extent is full, which is then framed with
-/// the header/CRC footer and written column after column. The file is a
-/// function of the row sequence alone, not of how it was handed over.
+/// at a time, or a block's selection — accumulate in one row-major buffer
+/// until an extent is full, which is then framed with the header/CRC
+/// footer and written. The file is a function of the row sequence alone,
+/// not of how it was handed over.
 #[derive(Debug)]
 pub struct FileWriter {
     id: u64,
@@ -1215,11 +1215,11 @@ pub struct FileWriter {
     /// On-disk bytes including file header and extent framing.
     physical_bytes: u64,
     extent_index: u32,
-    /// The extent being accumulated, one buffer per column (equal lengths,
-    /// below `extent_rows` between calls).
-    cols: Vec<Vec<Code>>,
+    /// The extent being accumulated, row-major (below `extent_rows` rows
+    /// between calls).
+    rows: Vec<Code>,
     /// Reusable serialization buffer of one extent's payload.
-    col_buf: Vec<u8>,
+    payload: Vec<u8>,
     out: BufWriter<File>,
     /// Set by [`StagingManager::commit_file`]; an uncommitted writer
     /// removes its partial on-disk output when dropped.
@@ -1262,23 +1262,18 @@ impl FileWriter {
             bytes: 0,
             physical_bytes: FILE_HEADER_BYTES,
             extent_index: 0,
-            cols: vec![Vec::new(); arity],
-            col_buf: Vec::new(),
+            rows: Vec::new(),
+            payload: Vec::new(),
             out,
             committed: false,
         })
-    }
-
-    /// Rows of the extent being accumulated.
-    fn buffered(&self) -> usize {
-        self.cols.first().map_or(0, Vec::len)
     }
 
     /// Account `n` rows just buffered and write the extent out if full.
     fn pushed(&mut self, n: usize) -> MwResult<()> {
         self.nrows += n as u64;
         self.bytes += (n * self.arity * CODE_BYTES) as u64;
-        if self.buffered() >= self.extent_rows {
+        if self.rows.len() >= self.extent_rows * self.arity {
             self.flush_extent()?;
         }
         Ok(())
@@ -1287,48 +1282,57 @@ impl FileWriter {
     /// Append one row.
     pub fn push(&mut self, row: &[Code]) -> MwResult<()> {
         debug_assert_eq!(row.len(), self.arity);
-        for (col, &v) in self.cols.iter_mut().zip(row) {
-            col.push(v);
-        }
+        self.rows.extend_from_slice(row);
         self.pushed(1)
     }
 
-    /// Append the rows of `block` that `sel` names, in selection order:
-    /// each column of the selected rows is copied straight into the
-    /// extent under construction, cut where an extent fills. The bytes
+    /// Append the rows of `block` that `sel` names, in selection order —
+    /// each selected row's slice, or the whole block in one copy when
+    /// `sel` names every row — cut where an extent fills. The bytes
     /// written are those of [`FileWriter::push`] over the same rows.
-    pub(crate) fn push_selected(&mut self, block: &impl Block, mut sel: &[u32]) -> MwResult<()> {
-        while !sel.is_empty() {
-            let room = self.extent_rows.saturating_sub(self.buffered());
-            let (fits, rest) = sel.split_at(room.min(sel.len()));
-            for (c, col) in self.cols.iter_mut().enumerate() {
-                block.gather(c, fits, col);
+    pub(crate) fn push_selected(&mut self, block: &Block<'_>, sel: &[u32]) -> MwResult<()> {
+        // Selections ascend, so a full one is the block itself.
+        if sel.len() == block.nrows() {
+            let mut rows = block.flat;
+            while !rows.is_empty() {
+                let room = self.extent_rows * self.arity - self.rows.len();
+                let (fits, rest) = rows.split_at(room.min(rows.len()));
+                self.rows.extend_from_slice(fits);
+                self.pushed(fits.len() / self.arity)?;
+                rows = rest;
             }
-            self.pushed(fits.len())?;
-            sel = rest;
+            return Ok(());
+        }
+        for &r in sel {
+            let start = r as usize * self.arity;
+            // Selections are minted over this block's rows, so `get` finds
+            // every one.
+            let row = block
+                .flat
+                .get(start..start + self.arity)
+                .unwrap_or_default();
+            self.rows.extend_from_slice(row);
+            self.pushed(1)?;
         }
         Ok(())
     }
 
     /// Write the buffered rows (if any) as one extent.
     fn flush_extent(&mut self) -> MwResult<()> {
-        let nrows = self.buffered();
+        let nrows = self.rows.len() / self.arity.max(1);
         if nrows == 0 {
             return Ok(());
         }
-        self.col_buf.resize(nrows * self.arity * CODE_BYTES, 0);
-        let payload = self.col_buf.chunks_exact_mut(nrows * CODE_BYTES);
-        for (bytes, col) in payload.zip(&mut self.cols) {
-            write_le(bytes, col);
-            col.clear();
-        }
-        let crc = crc32(&self.col_buf);
+        self.payload.resize(self.rows.len() * CODE_BYTES, 0);
+        write_le(&mut self.payload, &self.rows);
+        self.rows.clear();
+        let crc = crc32(&self.payload);
         self.out.write_all(&(nrows as u32).to_le_bytes())?;
         self.out.write_all(&self.extent_index.to_le_bytes())?;
-        self.out.write_all(&self.col_buf)?;
+        self.out.write_all(&self.payload)?;
         self.out.write_all(&crc.to_le_bytes())?;
         self.out.write_all(&(nrows as u32).to_le_bytes())?;
-        self.physical_bytes += EXTENT_OVERHEAD_BYTES + self.col_buf.len() as u64;
+        self.physical_bytes += EXTENT_OVERHEAD_BYTES + self.payload.len() as u64;
         self.extent_index += 1;
         Ok(())
     }
@@ -1622,32 +1626,47 @@ impl ExtentReader {
         Ok(payload)
     }
 
-    /// Read and verify extent `k`, decoding its payload straight into one
-    /// `Vec<Code>` per column in `cols` (resized to the arity; each column
-    /// is cleared first so the vectors can be reused across extents) — the
-    /// one decode every file scan runs. Returns the
-    /// row count. I/O bytes, rows and the extent accrue to `stats`, and
-    /// `decode_ns` covers verification + column decode, never file I/O.
+    /// Read and verify extent `k`, decoding its payload — the extent's rows,
+    /// in order — into `out`, row-major (cleared first, so one buffer
+    /// serves every extent): the one decode every file scan runs. Returns
+    /// the row count. I/O bytes, rows and the extent accrue to `stats`, and
+    /// `decode_ns` covers verification + decode, never file I/O.
+    pub fn decode_extent(
+        &mut self,
+        k: u64,
+        out: &mut Vec<Code>,
+        stats: &mut WorkerScanStats,
+    ) -> MwResult<usize> {
+        let nrows = self.fetch(k, stats)?;
+        let t0 = Instant::now();
+        let payload = self.verify(k, nrows)?;
+        out.clear();
+        extend_from_le(out, payload);
+        stats.decode_ns += t0.elapsed().as_nanos() as u64;
+        stats.rows += nrows as u64;
+        stats.extents += 1;
+        Ok(nrows)
+    }
+
+    /// [`ExtentReader::decode_extent`], then its rows scattered into one
+    /// `Vec<Code>` per column in `cols` (resized to the arity, each
+    /// cleared first). No scan reads it: it stays only for the
+    /// benchmark's staging probe, and goes once that probe calls
+    /// `decode_extent` (ROADMAP 1(g)).
     pub fn decode_extent_columns(
         &mut self,
         k: u64,
         cols: &mut Vec<Vec<Code>>,
         stats: &mut WorkerScanStats,
     ) -> MwResult<usize> {
-        let nrows = self.fetch(k, stats)?;
-        let t0 = Instant::now();
-        let payload = self.verify(k, nrows)?;
-        cols.resize_with(self.layout.arity, Vec::new);
-        // No extent is empty (`ExtentLayout::detect`); `max` only keeps a
-        // hand-built layout from asking for zero-sized chunks.
-        let col_bytes = payload.chunks_exact((nrows * CODE_BYTES).max(1));
-        for (col, bytes) in cols.iter_mut().zip(col_bytes) {
+        let mut rows = Vec::new();
+        let nrows = self.decode_extent(k, &mut rows, stats)?;
+        let arity = self.layout.arity;
+        cols.resize_with(arity, Vec::new);
+        for (c, col) in cols.iter_mut().enumerate() {
             col.clear();
-            extend_from_le(col, bytes);
+            col.extend(rows.iter().skip(c).step_by(arity));
         }
-        stats.decode_ns += t0.elapsed().as_nanos() as u64;
-        stats.rows += nrows as u64;
-        stats.extents += 1;
         Ok(nrows)
     }
 }
@@ -1660,12 +1679,9 @@ mod tests {
         StagingManager::new(None).unwrap()
     }
 
-    /// The decoded columns of one extent as rows (the transpose no scan
-    /// path performs any more).
-    fn transpose(cols: &[Vec<Code>], nrows: usize) -> Vec<Vec<Code>> {
-        (0..nrows)
-            .map(|r| cols.iter().map(|c| c[r]).collect())
-            .collect()
+    /// Decoded rows, one `Vec` a row.
+    fn split_rows(codes: &[Code], arity: usize) -> Vec<Vec<Code>> {
+        codes.chunks_exact(arity).map(<[Code]>::to_vec).collect()
     }
 
     /// Every row of staged file `id`, extent by extent through the one
@@ -1675,12 +1691,11 @@ mod tests {
         let layout = m.extent_layout(id)?.expect("staged file exists");
         let mut reader = ExtentReader::open(&layout)?;
         let mut ws = WorkerScanStats::default();
-        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        let (mut rows, mut decoded) = (Vec::new(), Vec::new());
         for k in 0..layout.extents {
-            let n = reader.decode_extent_columns(k, &mut cols, &mut ws)?;
-            assert_eq!(cols.len(), layout.arity);
-            assert!(cols.iter().all(|c| c.len() == n), "extent {k}");
-            rows.extend(transpose(&cols, n));
+            let n = reader.decode_extent(k, &mut decoded, &mut ws)?;
+            assert_eq!(decoded.len(), n * layout.arity, "extent {k}");
+            rows.extend(split_rows(&decoded, layout.arity));
         }
         Ok((rows, ws))
     }
@@ -2466,61 +2481,79 @@ mod tests {
         let (m, id, _) = staged(10, 4);
         let layout = m.extent_layout(id).unwrap().unwrap();
         let mut r = ExtentReader::open(&layout).unwrap();
-        let mut cols = Vec::new();
+        let mut rows = Vec::new();
         let mut ws = WorkerScanStats::default();
         // Read the middle extent directly (rows 4..8).
-        assert_eq!(r.decode_extent_columns(1, &mut cols, &mut ws).unwrap(), 4);
-        assert_eq!(transpose(&cols, 4)[0], [4, 5, 12]);
+        assert_eq!(r.decode_extent(1, &mut rows, &mut ws).unwrap(), 4);
+        assert_eq!(rows[..3], [4, 5, 12]);
         assert_eq!(ws.extents, 1);
         assert_eq!(ws.read_bytes, layout.extent_physical_bytes(1));
         // Reading on needs no seek: the handle stands at the next extent.
         assert_eq!(r.pos, Some(layout.extent_offset(2)));
         // The tail extent (rows 8..10), then back to the first.
-        assert_eq!(r.decode_extent_columns(2, &mut cols, &mut ws).unwrap(), 2);
-        assert_eq!(transpose(&cols, 2)[1], [9, 10, 27]);
-        assert_eq!(r.decode_extent_columns(0, &mut cols, &mut ws).unwrap(), 4);
-        assert_eq!(transpose(&cols, 4)[3], [3, 4, 9]);
+        assert_eq!(r.decode_extent(2, &mut rows, &mut ws).unwrap(), 2);
+        assert_eq!(rows, [8, 9, 24, 9, 10, 27]);
+        assert_eq!(r.decode_extent(0, &mut rows, &mut ws).unwrap(), 4);
+        assert_eq!(rows[9..], [3, 4, 9]);
         assert_eq!(r.pos, Some(layout.extent_offset(1)));
     }
 
+    /// The column shim is the row decode transposed, and accounts the scan
+    /// alike; CRC damage is `Corrupt` on both, and decodes nothing.
     #[test]
     fn columnar_decode_accounts_the_scan_and_fails_on_crc_damage() {
         let (m, id, _) = staged(10, 4);
         let layout = m.extent_layout(id).unwrap().unwrap();
-        let mut reader = ExtentReader::open(&layout).unwrap();
+        let mut by_rows = ExtentReader::open(&layout).unwrap();
+        let mut by_cols = ExtentReader::open(&layout).unwrap();
+        let mut rows = vec![99; 11]; // stale
         let mut cols: Vec<Vec<Code>> = vec![vec![99; 7]; 5]; // stale, wrong shape
-        let mut ws = WorkerScanStats::default();
+        let (mut row_ws, mut col_ws) = (WorkerScanStats::default(), WorkerScanStats::default());
         for k in 0..layout.extents {
-            let n = reader.decode_extent_columns(k, &mut cols, &mut ws).unwrap();
+            let n = by_rows.decode_extent(k, &mut rows, &mut row_ws).unwrap();
             assert_eq!(n, layout.rows_in_extent(k));
-            assert_eq!(cols.len(), layout.arity);
-            for (r, row) in transpose(&cols, n).into_iter().enumerate() {
+            for (r, row) in rows.chunks_exact(3).enumerate() {
                 let i = (k as usize * 4 + r) as u16;
                 assert_eq!(row, [i, i + 1, i * 3], "extent {k} row {r}");
             }
+            assert_eq!(
+                by_cols
+                    .decode_extent_columns(k, &mut cols, &mut col_ws)
+                    .unwrap(),
+                n
+            );
+            let transposed: Vec<Vec<Code>> = (0..3)
+                .map(|c| rows.iter().skip(c).step_by(3).copied().collect())
+                .collect();
+            assert_eq!(cols, transposed, "extent {k}");
         }
-        assert!(ws.decode_ns > 0);
-        ws.decode_ns = 0;
-        assert_eq!(
-            ws,
-            WorkerScanStats {
-                read_bytes: layout.total_physical_bytes() - FILE_HEADER_BYTES,
-                rows: 10,
-                extents: 3,
-                decode_ns: 0,
-            }
-        );
-        // CRC damage is `Corrupt`, and decodes nothing.
+        for ws in [&mut row_ws, &mut col_ws] {
+            assert!(ws.decode_ns > 0);
+            ws.decode_ns = 0;
+            assert_eq!(
+                *ws,
+                WorkerScanStats {
+                    read_bytes: layout.total_physical_bytes() - FILE_HEADER_BYTES,
+                    rows: 10,
+                    extents: 3,
+                    decode_ns: 0,
+                }
+            );
+        }
         let path = path_of(&m, id);
         let mut bytes = fs::read(&path).unwrap();
         bytes[FILE_HEADER_BYTES as usize + 8 + 3] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        let mut damaged = ExtentReader::open(&layout).unwrap();
-        match damaged.decode_extent_columns(0, &mut cols, &mut ws) {
+        let corrupt = |outcome: MwResult<usize>| match outcome {
             Err(MwError::Corrupt(msg)) => assert!(msg.contains("CRC"), "{msg}"),
             other => panic!("expected Corrupt(CRC), got {other:?}"),
+        };
+        let mut damaged = ExtentReader::open(&layout).unwrap();
+        corrupt(damaged.decode_extent(0, &mut rows, &mut row_ws));
+        corrupt(damaged.decode_extent_columns(0, &mut cols, &mut col_ws));
+        for ws in [row_ws, col_ws] {
+            assert_eq!((ws.rows, ws.extents), (10, 3), "nothing more was served");
         }
-        assert_eq!((ws.rows, ws.extents), (10, 3), "nothing more was served");
     }
 
     /// The bytewise table loop the sliced and folded kernels replaced,
@@ -2603,9 +2636,9 @@ mod tests {
                     bad[payload + at] ^= 1 << bit;
                     fs::write(&path, &bad).unwrap();
                     let mut reader = ExtentReader::open(&layout).unwrap();
-                    let mut cols = Vec::new();
+                    let mut rows = Vec::new();
                     let mut ws = WorkerScanStats::default();
-                    match reader.decode_extent_columns(0, &mut cols, &mut ws) {
+                    match reader.decode_extent(0, &mut rows, &mut ws) {
                         Err(MwError::Corrupt(msg)) => assert!(msg.contains("CRC"), "{msg}"),
                         other => panic!("payload byte {at} bit {bit}: {other:?}"),
                     }
@@ -2643,8 +2676,10 @@ mod tests {
     }
 
     /// A staged file of arity 3, five rows, two rows per extent (a partial
-    /// tail), byte for byte as the row-buffer writer of PR 14 wrote it:
-    /// the format this file pins did not change with the writer.
+    /// tail), written out by hand from the format: each extent's payload is
+    /// its rows in order, little-endian, and its CRC is checked against the
+    /// bytewise reference below, so no byte here comes from the writer it
+    /// pins.
     const GOLDEN_ROWS: [[Code; 3]; 5] = [
         [1, 2, 3],
         [4, 5, 6],
@@ -2654,17 +2689,17 @@ mod tests {
     ];
     #[rustfmt::skip]
     const GOLDEN_FILE: [u8; 94] = [
-        // "SCXT", version 2, arity 3, 2 rows per extent
-        0x53, 0x43, 0x58, 0x54, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
-        // extent 0: 2 rows, index 0 | columns [1 4] [2 5] [3 6] | CRC, 2 rows
+        // "SCXT", version 3, arity 3, 2 rows per extent
+        0x53, 0x43, 0x58, 0x54, 0x03, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+        // extent 0: 2 rows, index 0 | rows [1 2 3] [4 5 6] | CRC, 2 rows
         0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x01, 0x00, 0x04, 0x00, 0x02, 0x00, 0x05, 0x00, 0x03, 0x00, 0x06, 0x00,
-        0xdc, 0xb4, 0x9c, 0xbf, 0x02, 0x00, 0x00, 0x00,
-        // extent 1: 2 rows, index 1 | columns [7 10] [8 11] [9 12] | CRC, 2 rows
+        0x01, 0x00, 0x02, 0x00, 0x03, 0x00, 0x04, 0x00, 0x05, 0x00, 0x06, 0x00,
+        0x7c, 0x48, 0x1f, 0x90, 0x02, 0x00, 0x00, 0x00,
+        // extent 1: 2 rows, index 1 | rows [7 8 9] [10 11 12] | CRC, 2 rows
         0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-        0x07, 0x00, 0x0a, 0x00, 0x08, 0x00, 0x0b, 0x00, 0x09, 0x00, 0x0c, 0x00,
-        0xd9, 0x54, 0xf0, 0x70, 0x02, 0x00, 0x00, 0x00,
-        // extent 2: 1 row, index 2 | columns [513] [65535] [0] | CRC, 1 row
+        0x07, 0x00, 0x08, 0x00, 0x09, 0x00, 0x0a, 0x00, 0x0b, 0x00, 0x0c, 0x00,
+        0x54, 0x9f, 0xfa, 0xd9, 0x02, 0x00, 0x00, 0x00,
+        // extent 2: 1 row, index 2 | row [513 65535 0] | CRC, 1 row
         0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
         0x01, 0x02, 0xff, 0xff, 0x00, 0x00,
         0x7a, 0x13, 0xc3, 0x60, 0x01, 0x00, 0x00, 0x00,
@@ -2672,7 +2707,25 @@ mod tests {
 
     #[test]
     fn writer_reproduces_the_golden_file_by_rows_and_by_blocks() {
-        use crate::executor::{ColBlock, RowBlock};
+        use crate::executor::Block;
+        // The constant itself: each extent's payload is its rows,
+        // little-endian, and its stored CRC the bytewise reference's.
+        let mut at = FILE_HEADER_BYTES as usize;
+        for rows in GOLDEN_ROWS.chunks(2) {
+            let len = rows.len() * 3 * CODE_BYTES;
+            let payload = &GOLDEN_FILE[at + 8..at + 8 + len];
+            let codes: Vec<u8> = rows
+                .iter()
+                .flatten()
+                .flat_map(|c| c.to_le_bytes())
+                .collect();
+            assert_eq!(payload, codes);
+            let stored = le_u32(&GOLDEN_FILE, at + 8 + len).unwrap();
+            assert_eq!(stored, crc32_bytewise(payload), "extent at byte {at}");
+            at += len + EXTENT_OVERHEAD_BYTES as usize;
+        }
+        assert_eq!(at, GOLDEN_FILE.len());
+
         let mut m = mgr();
         m.set_extent_rows(2);
         let mut stats = MiddlewareStats::new();
@@ -2689,44 +2742,49 @@ mod tests {
         }
         let (id, bytes) = committed(&mut m, w);
         assert_eq!(bytes, GOLDEN_FILE, "push(row)");
-        // ... and the reader decodes what the old writer wrote.
+        // ... and the reader decodes it.
         let (rows, ws) = read_all(&m, id).unwrap();
         assert_eq!(rows, GOLDEN_ROWS);
         assert_eq!(ws.read_bytes + FILE_HEADER_BYTES, GOLDEN_FILE.len() as u64);
 
-        // The golden rows scattered over two larger blocks, one per
-        // layout, with selections that straddle the extent boundaries:
-        // rows 0-2 from the first (extents 0 | 1), 3-4 from the second
-        // (1 | 2), mixed with a row push in between.
+        // The golden rows scattered over two larger blocks, with selections
+        // that straddle the extent boundaries: rows 0-2 from the first
+        // (extents 0 | 1), 3-4 from the second (1 | 2), mixed with a row
+        // push in between; and blocks taken whole, one of them after a row
+        // push, so that its copy is cut at two extent boundaries.
         let junk = [9, 9, 9];
-        let a = [junk, GOLDEN_ROWS[0], junk, GOLDEN_ROWS[1], GOLDEN_ROWS[2]];
-        let b = [GOLDEN_ROWS[3], junk, junk, GOLDEN_ROWS[4]];
-        let flat: Vec<Code> = a.iter().flatten().copied().collect();
-        let cols: Vec<Vec<Code>> = (0..3).map(|c| b.iter().map(|r| r[c]).collect()).collect();
-        let row_block = RowBlock {
-            flat: &flat,
-            arity: 3,
-        };
-        let col_block = ColBlock {
-            cols: &cols,
-            nrows: 4,
-            row: &mut Vec::new(),
-        };
+        let a = [junk, GOLDEN_ROWS[0], junk, GOLDEN_ROWS[1], GOLDEN_ROWS[2]].concat();
+        let b = [GOLDEN_ROWS[3], junk, junk, GOLDEN_ROWS[4]].concat();
+        let (whole, rest) = (GOLDEN_ROWS.concat(), GOLDEN_ROWS[1..].concat());
+        let block = |flat| Block { flat, arity: 3 };
+        let (a, b, whole, rest) = (block(&a), block(&b), block(&whole), block(&rest));
         let mut w = start(&mut m);
-        w.push_selected(&row_block, &[1, 3, 4]).unwrap();
-        w.push_selected(&col_block, &[]).unwrap();
-        w.push_selected(&col_block, &[0, 3]).unwrap();
+        w.push_selected(&a, &[1, 3, 4]).unwrap();
+        w.push_selected(&b, &[]).unwrap();
+        w.push_selected(&b, &[0, 3]).unwrap();
         assert_eq!(w.nrows(), 5);
         assert_eq!(committed(&mut m, w).1, GOLDEN_FILE, "block entry");
 
         let mut w = start(&mut m);
-        w.push_selected(&row_block, &[1]).unwrap();
+        w.push_selected(&a, &[1]).unwrap();
         w.push(&GOLDEN_ROWS[1]).unwrap();
-        w.push_selected(&row_block, &[4]).unwrap();
-        w.push_selected(&col_block, &[0, 3]).unwrap();
+        w.push_selected(&a, &[4]).unwrap();
+        w.push_selected(&b, &[0, 3]).unwrap();
         assert_eq!(committed(&mut m, w).1, GOLDEN_FILE, "rows and blocks mixed");
-        assert_eq!(stats.file_rows_written, 15);
-        assert_eq!(stats.file_bytes_physical_written, 3 * 94);
+
+        let mut w = start(&mut m);
+        w.push_selected(&whole, &[0, 1, 2, 3, 4]).unwrap();
+        assert_eq!(committed(&mut m, w).1, GOLDEN_FILE, "a whole block");
+        let mut w = start(&mut m);
+        w.push(&GOLDEN_ROWS[0]).unwrap();
+        w.push_selected(&rest, &[0, 1, 2, 3]).unwrap();
+        assert_eq!(
+            committed(&mut m, w).1,
+            GOLDEN_FILE,
+            "a row, then a whole block"
+        );
+        assert_eq!(stats.file_rows_written, 25);
+        assert_eq!(stats.file_bytes_physical_written, 5 * 94);
     }
 
     #[test]

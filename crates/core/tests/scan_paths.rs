@@ -75,11 +75,25 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 /// Satellite regression: a staged file cut inside its 16-byte header, or
 /// with a flipped magic byte, used to be taken for the headerless legacy
-/// format. It is `Corrupt`.
+/// format. It is `Corrupt`; so is a file stamped with version 2, whose
+/// extents stored their payloads column by column, so that no such file
+/// is ever read as rows.
 #[test]
 fn damaged_staged_file_header_is_corrupt_on_every_scan_path() {
-    for damage in [Some(0usize), Some(8), Some(15), None] {
-        let dir = scratch_dir(&format!("damage-{damage:?}"));
+    type Damage = fn(&mut Vec<u8>);
+    let damages: [(&str, Damage, &str); 5] = [
+        ("cut at 0 bytes", |b| b.truncate(0), "header"),
+        ("cut at 8 bytes", |b| b.truncate(8), "header"),
+        ("cut at 15 bytes", |b| b.truncate(15), "header"),
+        ("a flipped magic byte", |b| b[0] ^= 0x20, "header"),
+        (
+            "version 2",
+            |b| b[4..8].copy_from_slice(&2u32.to_le_bytes()),
+            "unsupported extent format version 2",
+        ),
+    ];
+    for (damage, damage_with, says) in damages {
+        let dir = scratch_dir(&format!("damage-{}", damage.replace(' ', "-")));
         let mut s = session(40, singleton_file(&dir));
         serve_root_and_queue_children(&mut s, 40);
         let staged: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -88,18 +102,13 @@ fn damaged_staged_file_header_is_corrupt_on_every_scan_path() {
             .collect();
         assert_eq!(staged.len(), 1, "the root batch staged one file");
         let mut bytes = std::fs::read(&staged[0]).unwrap();
-        match damage {
-            Some(len) => bytes.truncate(len),
-            None => bytes[0] ^= 0x20,
-        }
+        damage_with(&mut bytes);
         std::fs::write(&staged[0], &bytes).unwrap();
 
         let before = *s.stats();
         match s.process_next_batch() {
-            Err(MwError::Corrupt(msg)) => {
-                assert!(msg.contains("header"), "{damage:?}: {msg}")
-            }
-            other => panic!("{damage:?}: got {other:?}"),
+            Err(MwError::Corrupt(msg)) => assert!(msg.contains(says), "{damage}: {msg}"),
+            other => panic!("{damage}: got {other:?}"),
         }
         assert_eq!(s.stats().file_rows_read, 0, "no row was served");
         assert_eq!(s.stats().scan_rows, before.scan_rows, "no row was counted");
@@ -224,11 +233,11 @@ fn three_level_build(config: MiddlewareConfig, extra: &[Code]) -> BuildOutcome {
                     let decoded = || {
                         let layout = s.staging().extent_layout(id).unwrap().unwrap();
                         let mut reader = ExtentReader::open(&layout).unwrap();
-                        let (mut cols, mut codes) = (Vec::new(), Vec::new());
+                        let (mut rows, mut codes) = (Vec::new(), Vec::new());
                         let mut io = WorkerScanStats::default();
                         for k in 0..layout.extents {
-                            let n = reader.decode_extent_columns(k, &mut cols, &mut io).unwrap();
-                            codes.extend((0..n).flat_map(|r| cols.iter().map(move |c| c[r])));
+                            reader.decode_extent(k, &mut rows, &mut io).unwrap();
+                            codes.extend_from_slice(&rows);
                         }
                         (set.members.len(), set.pred.clone(), codes)
                     };
